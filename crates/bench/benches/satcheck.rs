@@ -2,7 +2,6 @@
 //! avoids (§4.2), across cache modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use klotski_bench::parallel::sample_batch;
 use klotski_bench::runner::spec_for;
 use klotski_core::migration::MigrationOptions;
 use klotski_core::satcheck::{EscMode, SatChecker};
@@ -40,17 +39,6 @@ fn bench(c: &mut Criterion) {
             checker.check(&spec, &v, &state, None); // warm
             b.iter(|| checker.check(&spec, &v, &state, None))
         });
-
-        // Batched checking (the planner-expansion shape): sequential lanes
-        // vs the machine's available parallelism.
-        let states = sample_batch(&spec, 16);
-        let items: Vec<_> = states.iter().map(|(v, s)| (v, s, None)).collect();
-        for threads in [1, default_lanes()] {
-            group.bench_function(format!("batch16-{threads}t/{id}"), |b| {
-                let mut checker = SatChecker::with_threads(&spec, EscMode::Off, threads);
-                b.iter(|| checker.check_batch(&spec, &items))
-            });
-        }
     }
     group.finish();
 }

@@ -12,8 +12,6 @@
 //! Environment:
 //! - `KLOTSKI_FULL_SCALE=1` — build D/E at full paper scale (slow);
 //! - `KLOTSKI_BENCH_TIMEOUT_SECS` — per-planner cap (default 120);
-//! - `KLOTSKI_FULL_SCALE_STEPS` / `KLOTSKI_FULL_SCALE_MIN_TIME_MS` —
-//!   walk length and per-arm window of the `full-scale` experiment;
 //! - `KLOTSKI_LONGHORIZON_WAVES` — storm waves per worker-pool width in
 //!   the `long-horizon` experiment (default 6);
 //! - `KLOTSKI_SERVICE_ROUNDS` — interleaved measurement rounds in the
@@ -23,15 +21,14 @@
 //!   experiment (defaults 12 / 72 / 8).
 
 use klotski_bench::{
-    experiments, fleet, full_scale, incremental, longhorizon, parallel, robust, runner, scenarios,
-    service, telemetry,
+    experiments, fleet, incremental, longhorizon, robust, runner, scenarios, service, telemetry,
 };
 use klotski_telemetry::{log_event, registry};
 
 /// A named experiment: label plus the function rendering its output.
 type Experiment = (&'static str, fn() -> String);
 
-const EXPERIMENTS: [Experiment; 17] = [
+const EXPERIMENTS: [Experiment; 15] = [
     ("table1", experiments::table1),
     ("table3", experiments::table3),
     ("fig8", experiments::fig8),
@@ -40,10 +37,8 @@ const EXPERIMENTS: [Experiment; 17] = [
     ("fig11", experiments::fig11),
     ("fig12", experiments::fig12),
     ("fig13", experiments::fig13),
-    ("parallel", parallel::parallel),
     ("incremental", incremental::incremental),
     ("robust", robust::robust),
-    ("full-scale", full_scale::full_scale),
     ("scenarios", scenarios::scenarios),
     ("service", service::service),
     ("fleet", fleet::fleet),

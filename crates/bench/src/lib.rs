@@ -18,10 +18,8 @@
 
 pub mod experiments;
 pub mod fleet;
-pub mod full_scale;
 pub mod incremental;
 pub mod longhorizon;
-pub mod parallel;
 pub mod robust;
 pub mod runner;
 pub mod scenarios;

@@ -195,11 +195,11 @@ fn median_row(mut samples: Vec<ServiceRow>) -> ServiceRow {
 /// `BENCH_service.json`.
 ///
 /// The client-count arms are measured in interleaved rounds with a
-/// rotating start (the `full_scale` pattern): arm-at-a-time measurement
-/// folds machine drift — frequency scaling, page-cache warm-up — entirely
-/// into whichever arm runs last, and a fixed order hands each arm a
-/// systematic inheritance from its predecessor. `KLOTSKI_SERVICE_ROUNDS`
-/// sets the rounds (default 3); each arm reports its median round.
+/// rotating start: arm-at-a-time measurement folds machine drift —
+/// frequency scaling, page-cache warm-up — entirely into whichever arm
+/// runs last, and a fixed order hands each arm a systematic inheritance
+/// from its predecessor. `KLOTSKI_SERVICE_ROUNDS` sets the rounds
+/// (default 3); each arm reports its median round.
 pub fn service() -> String {
     let workers = klotski_parallel::default_lanes().clamp(2, 4);
     let arms = [4usize, 16, 32];

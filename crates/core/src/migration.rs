@@ -109,16 +109,18 @@ pub struct MigrationOptions {
     /// Applies to in-place swaps (HGRID, SSW forklift); layer insertions
     /// (DMAG) get their own racks and carry no space model.
     pub space_headroom: f64,
-    /// Execution lanes for parallel satisfiability evaluation. Defaults to
-    /// the machine's available parallelism; `1` reproduces the sequential
-    /// checker exactly (results are bit-identical at every thread count —
-    /// only wall-clock differs).
+    /// Execution lanes the incremental engine fans a check's dirty
+    /// destinations out over. Defaults to the machine's available
+    /// parallelism; results are bit-identical at every thread count — only
+    /// wall-clock differs. Without `incremental` it has no effect: the
+    /// from-scratch path is sequential.
     pub threads: usize,
     /// Delta-aware incremental satisfiability: planners hand the checker the
     /// parent state each child was expanded from, and routing re-runs only
     /// for destinations whose paths a block's circuit toggles can touch.
     /// Verdicts and loads stay bit-identical to full evaluation; disable to
-    /// fall back to from-scratch routing on every check.
+    /// route every check from scratch on one sequential router — the
+    /// reference path the differential tests compare against.
     pub incremental: bool,
     /// Maximum number of entries retained in the evaluated-state cache
     /// (ESC); oldest entries are evicted FIFO beyond this. The default is
@@ -207,9 +209,10 @@ pub struct MigrationSpec {
     pub space: Option<SpaceModel>,
     /// Flow-split policy the constraints are evaluated under.
     pub split: SplitPolicy,
-    /// Execution lanes for parallel satisfiability evaluation (≥ 1).
+    /// Execution lanes of the incremental engine (≥ 1).
     pub threads: usize,
-    /// Whether checkers evaluate incrementally from the parent state.
+    /// Whether checkers evaluate incrementally from the parent state
+    /// (`false`: sequential from-scratch routing, the reference path).
     pub incremental: bool,
     /// Entry cap for the evaluated-state cache (≥ 1).
     pub esc_cache_cap: usize,

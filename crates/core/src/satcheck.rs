@@ -22,12 +22,16 @@
 //!
 //! Performance: the hot path is allocation-free — compact keys are the
 //! mixed-radix dense index of `V` packed into a `u64` (falling back to the
-//! count vector only if the target box overflows), the usable-circuit
-//! predicate is hoisted into a bitmask computed once per evaluation, and
-//! the full evaluation itself is parallel: routing fans destination groups
-//! out over a [`WorkerPool`], and [`check_batch`](SatChecker::check_batch)
-//! spreads independent candidate states across lanes. All parallel paths
-//! return results bit-identical to `threads = 1`.
+//! count vector only if the target box overflows) and the usable-circuit
+//! predicate is hoisted into a bitmask computed once per evaluation.
+//!
+//! A cache miss is evaluated by one of two routers. Planning checks go
+//! through the [`IncrementalRouter`], which re-routes only the destinations
+//! a block application disturbed and fans them out over the
+//! [`WorkerPool`]'s lanes (bit-identical at any lane count). Everything
+//! else — live audits, and specs with `incremental == false`, the reference
+//! the differential tests compare against — routes from scratch on one
+//! sequential [`EcmpRouter`].
 
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
@@ -35,7 +39,7 @@ use crate::migration::MigrationSpec;
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, IncrementalRouter, LoadMap,
-    ParallelRouter, UsableMask,
+    UsableMask,
 };
 use klotski_telemetry::{registry, Gauge};
 use klotski_topology::{CircuitId, NetState};
@@ -61,8 +65,7 @@ pub enum EscMode {
 pub struct SatStats {
     /// Total satisfiability queries.
     pub checks: u64,
-    /// Queries answered from the cache (including queries answered by an
-    /// identical query evaluated earlier in the same batch).
+    /// Queries answered from the cache.
     pub cache_hits: u64,
     /// Queries that ran the full routing + port evaluation.
     pub full_evaluations: u64,
@@ -215,20 +218,6 @@ enum CacheKey {
     Full(NetState, u8),
 }
 
-/// Per-lane evaluation scratch for parallel batched checks.
-#[derive(Debug)]
-struct LaneEval {
-    router: EcmpRouter,
-    loads: LoadMap,
-    mask: UsableMask,
-    outcome: RouteOutcome,
-    /// Per-ensemble-matrix `(checks, kills, wall_ns)` accumulated on this
-    /// lane, merged into the checker's [`EnsembleBreakdown`] after each
-    /// batch (in lane order; the sums are order-independent). Empty when no
-    /// ensemble is configured.
-    ens: Vec<(u64, u64, u64)>,
-}
-
 /// Delta-evaluation context: the incremental routing engine plus the base
 /// `(V, state)` its cached structures correspond to.
 ///
@@ -326,16 +315,14 @@ pub struct SatChecker {
     /// True when the target box fits in a `u64` dense index (always, in
     /// practice: a box that overflows `u64` could never be searched anyway).
     dense_ok: bool,
+    /// Lanes the incremental engine fans dirty destinations out over.
     pool: Arc<WorkerPool>,
-    router: ParallelRouter,
-    /// Flattened topology view shared by all routing engines and lanes.
-    csr: Arc<CsrGraph>,
+    /// The from-scratch path: live audits and `incremental == false` specs.
+    router: EcmpRouter,
     loads: LoadMap,
     mask: UsableMask,
     /// Reused routing-outcome buffer (no per-evaluation reallocation).
     outcome: RouteOutcome,
-    /// Lazily sized per-lane scratch for `check_batch`.
-    lane_scratch: Vec<LaneEval>,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
     incremental: Option<IncrementalEval>,
     cache: HashMap<CacheKey, bool>,
@@ -376,9 +363,8 @@ impl SatChecker {
         Self::with_threads(spec, mode, spec.threads)
     }
 
-    /// Creates a checker with an explicit lane count (≥ 1). `threads == 1`
-    /// reproduces the sequential checker exactly; larger counts produce
-    /// bit-identical results faster.
+    /// Creates a checker with an explicit lane count (≥ 1) for the
+    /// incremental engine; verdicts are bit-identical at every count.
     pub fn with_threads(spec: &MigrationSpec, mode: EscMode, threads: usize) -> Self {
         Self::with_pool(spec, mode, Arc::new(WorkerPool::new(threads)))
     }
@@ -398,8 +384,7 @@ impl SatChecker {
             "Estimated resident bytes of the ESC cache",
         );
         // One flattened CSR view of the topology, shared read-only by the
-        // parallel router's lanes, the incremental engine, and the per-lane
-        // batch evaluators.
+        // from-scratch router and the incremental engine.
         let csr = Arc::new(CsrGraph::build(&spec.topology));
         let incremental = spec.incremental.then(|| IncrementalEval {
             engine: IncrementalRouter::with_csr_ensemble(
@@ -419,13 +404,11 @@ impl SatChecker {
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
-            router: ParallelRouter::with_csr(csr.clone(), pool.lanes(), spec.split),
-            csr,
+            router: EcmpRouter::from_csr(csr, spec.split),
             pool,
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
-            lane_scratch: Vec::new(),
             incremental,
             cache: HashMap::new(),
             fifo: VecDeque::new(),
@@ -482,10 +465,9 @@ impl SatChecker {
     }
 
     /// Index of the ensemble matrix that failed the most recent
-    /// cache-missing sequential [`check`](Self::check) (`None` when the
-    /// state passed all matrices, or no ensemble is configured). Test hook
-    /// for the short-circuit determinism proptests; batch-mode verdicts
-    /// don't update it.
+    /// cache-missing [`check`](Self::check) (`None` when the state passed
+    /// all matrices, or no ensemble is configured). Test hook for the
+    /// short-circuit determinism proptests.
     #[doc(hidden)]
     pub fn last_fail_matrix(&self) -> Option<usize> {
         self.last_fail_matrix
@@ -498,7 +480,7 @@ impl SatChecker {
 
     /// Loads produced by the most recent full evaluation on the checker's
     /// own buffers (diagnostic/test hook — meaningful right after a
-    /// sequential cache-missing [`check`](Self::check)).
+    /// cache-missing [`check`](Self::check)).
     #[doc(hidden)]
     pub fn last_loads(&self) -> &LoadMap {
         &self.loads
@@ -525,10 +507,10 @@ impl SatChecker {
     /// the ESC cache (keyed on canonical compact states) nor the
     /// incremental engine (whose deltas assume canonical overlays and a
     /// fixed demand matrix) is sound for such states, so the audit always
-    /// routes from scratch — on the checker's pooled parallel router and
-    /// reused buffers, bit-identical at any lane count. The incremental
-    /// engine's base state is left untouched, so interleaving audits with
-    /// planner-driven `check_batch_from` calls is safe.
+    /// routes from scratch — on the checker's sequential router and reused
+    /// buffers. The incremental engine's base state is left untouched, so
+    /// interleaving audits with planner-driven `check_batch_from` calls is
+    /// safe.
     ///
     /// The space model (§7.2) is plan-scoped — it constrains the compact
     /// progress vector, which a live state does not carry — so it is not
@@ -540,19 +522,16 @@ impl SatChecker {
         demands: &DemandMatrix,
     ) -> LiveAudit {
         self.stats.live_audits += 1;
-        let mut mask = std::mem::take(&mut self.mask);
-        mask.compute(&spec.topology, state);
+        self.mask.compute(&spec.topology, state);
         self.loads.clear();
         self.router.route_with_mask_into(
-            &self.pool,
             &spec.topology,
             state,
-            &mask,
+            &self.mask,
             demands,
             &mut self.loads,
             &mut self.outcome,
         );
-        self.mask = mask;
         let report = summarize(&spec.topology, state, &self.loads, spec.theta);
         let port_violation = spec.check_ports && spec.topology.has_port_violation(state);
         LiveAudit {
@@ -620,29 +599,17 @@ impl SatChecker {
         self.esc_bytes_gauge.set(self.cache_bytes as f64);
     }
 
-    /// Checks a batch of candidate states (planner expansions), answering
-    /// cached items immediately and spreading the uncached evaluations
-    /// across the pool's lanes. Verdicts come back in item order and are
-    /// identical to issuing [`check`](Self::check) per item; ESC inserts
-    /// are merged after the batch, also in item order.
+    /// Checks a batch of candidate states expanded from `parent` (planner
+    /// expansions), in item order; verdicts are identical to issuing
+    /// [`check`](Self::check) per item with any parent or none.
     ///
-    /// With one lane or at most one uncached item this degenerates to the
-    /// sequential path, where each evaluation instead parallelizes its own
-    /// routing over the pool.
-    pub fn check_batch(
-        &mut self,
-        spec: &MigrationSpec,
-        items: &[(&CompactState, &NetState, Option<ActionTypeId>)],
-    ) -> Vec<bool> {
-        self.check_batch_from(spec, None, items)
-    }
-
-    /// [`check_batch`](Self::check_batch) with parent context: planners
-    /// pass the `(V, state)` the candidate states were expanded from, so an
-    /// incremental checker rebases its routing cache onto the parent and
+    /// Planners pass the `(V, state)` the candidates were expanded from, so
+    /// an incremental checker rebases its routing cache onto the parent and
     /// each child evaluation diffs by exactly the one applied block. The
     /// rebase is lazy — staged here, performed on the first cache miss —
-    /// and verdicts are identical to [`check_batch`] with any parent.
+    /// so fully-cached batches pay nothing. Items evaluate one after the
+    /// other (the engine chains deltas state-to-state); each evaluation
+    /// fans its dirty destinations out over the pool's lanes.
     pub fn check_batch_from(
         &mut self,
         spec: &MigrationSpec,
@@ -656,128 +623,10 @@ impl SatChecker {
                 incr.pending_parent = None;
             }
         }
-        // The incremental engine chains deltas state-to-state, which is
-        // inherently sequential across items; each evaluation still fans
-        // its destinations out over the pool's lanes.
-        if self.incremental.is_some() || self.pool.lanes() == 1 || items.len() <= 1 {
-            return items
-                .iter()
-                .map(|&(v, state, last)| self.check(spec, v, state, last))
-                .collect();
-        }
-
-        self.stats.checks += items.len() as u64;
-        let mut results = vec![false; items.len()];
-        // Probe the cache; deduplicate uncached keys so each distinct state
-        // evaluates once (DP asks about one `V` under several action types,
-        // which collapse to one key when funneling is off).
-        let mut miss_items: Vec<usize> = Vec::new();
-        let mut resolve: Vec<Option<usize>> = vec![None; items.len()];
-        let mut keys: Vec<Option<CacheKey>> = Vec::with_capacity(items.len());
-        let mut seen: HashMap<CacheKey, usize> = HashMap::new();
-        for (i, &(v, state, last)) in items.iter().enumerate() {
-            let key = self.key_for(spec, v, state, last);
-            match &key {
-                Some(k) => {
-                    if let Some(&hit) = self.cache.get(k) {
-                        self.stats.cache_hits += 1;
-                        results[i] = hit;
-                    } else if let Some(&slot) = seen.get(k) {
-                        self.stats.cache_hits += 1;
-                        resolve[i] = Some(slot);
-                    } else {
-                        seen.insert(k.clone(), miss_items.len());
-                        resolve[i] = Some(miss_items.len());
-                        miss_items.push(i);
-                    }
-                }
-                None => {
-                    resolve[i] = Some(miss_items.len());
-                    miss_items.push(i);
-                }
-            }
-            keys.push(key);
-        }
-        if miss_items.is_empty() {
-            return results;
-        }
-
-        self.stats.full_evaluations += miss_items.len() as u64;
-        let mut verdicts = vec![false; miss_items.len()];
-        if miss_items.len() == 1 {
-            let (v, state, last) = items[miss_items[0]];
-            verdicts[0] = self.evaluate(spec, v, state, last);
-        } else {
-            // On a single-core machine the lanes cannot run concurrently,
-            // so the batch evaluates inline on one lane's scratch instead
-            // of waking parked workers. Items are independent full
-            // evaluations, so execution mode is unobservable.
-            let eff_lanes = if klotski_parallel::default_lanes() > 1 {
-                self.pool.lanes()
-            } else {
-                1
-            };
-            if self.lane_scratch.len() < eff_lanes {
-                self.lane_scratch = (0..eff_lanes)
-                    .map(|_| LaneEval {
-                        router: EcmpRouter::from_csr(self.csr.clone(), spec.split),
-                        loads: LoadMap::new(&spec.topology),
-                        mask: UsableMask::new(),
-                        outcome: RouteOutcome::new(),
-                        ens: if spec.extra_demands.is_empty() {
-                            Vec::new()
-                        } else {
-                            vec![(0, 0, 0); 1 + spec.extra_demands.len()]
-                        },
-                    })
-                    .collect();
-            }
-            if eff_lanes == 1 {
-                let lane = &mut self.lane_scratch[0];
-                for (slot, out) in verdicts.iter_mut().enumerate() {
-                    let (v, state, last) = items[miss_items[slot]];
-                    *out = evaluate_on_lane(lane, spec, v, state, last);
-                }
-            } else {
-                let miss_ref = &miss_items;
-                self.pool.run_scratch_tasks_into(
-                    &mut self.lane_scratch,
-                    &mut verdicts,
-                    |lane, slot, out| {
-                        let (v, state, last) = items[miss_ref[slot]];
-                        *out = evaluate_on_lane(lane, spec, v, state, last);
-                    },
-                );
-            }
-        }
-
-        // Merge lane-local ensemble counters (additive, so the merged sums
-        // are deterministic regardless of item-to-lane assignment).
-        if !spec.extra_demands.is_empty() {
-            for lane in &mut self.lane_scratch {
-                for (k, (checks, kills, wall_ns)) in lane.ens.iter_mut().enumerate() {
-                    let row = &mut self.ensemble.matrices[k];
-                    row.checks += *checks;
-                    row.kills += *kills;
-                    row.wall_ns += *wall_ns;
-                    *checks = 0;
-                    *kills = 0;
-                    *wall_ns = 0;
-                }
-            }
-        }
-        for (i, slot) in resolve.iter().enumerate() {
-            if let Some(slot) = slot {
-                results[i] = verdicts[*slot];
-            }
-        }
-        // Cache inserts merged after the batch, in item order.
-        for (i, key) in keys.into_iter().enumerate() {
-            if let (Some(k), Some(slot)) = (key, resolve[i]) {
-                self.cache_insert(k, verdicts[slot]);
-            }
-        }
-        results
+        items
+            .iter()
+            .map(|&(v, state, last)| self.check(spec, v, state, last))
+            .collect()
     }
 
     /// The cache key of a query, or `None` when caching is off.
@@ -806,8 +655,7 @@ impl SatChecker {
         }
     }
 
-    /// The actual Eq. 4–6 evaluation on the checker's own buffers, with
-    /// routing parallelized over the pool.
+    /// The actual Eq. 4–6 evaluation on the checker's own buffers.
     fn evaluate(
         &mut self,
         spec: &MigrationSpec,
@@ -851,28 +699,24 @@ impl SatChecker {
             incr.base_v = Some(v.clone());
             incr.base_state.clone_from(state);
         } else {
-            let mut mask = std::mem::take(&mut self.mask);
-            mask.compute(&spec.topology, state);
+            self.mask.compute(&spec.topology, state);
             self.loads.clear();
             self.router.route_with_mask_into(
-                &self.pool,
                 &spec.topology,
                 state,
-                &mask,
+                &self.mask,
                 &spec.demands,
                 &mut self.loads,
                 &mut self.outcome,
             );
-            self.mask = mask;
         }
         let ok = finish_evaluate(spec, v, state, last, &mut self.loads, &self.outcome);
         let Some(t0) = ens_start else {
             return ok;
         };
         // Ensemble verdict: AND over all K matrices, evaluated in index
-        // order with a short-circuit on the first failure — a sequential
-        // order independent of lane count, so verdicts (and the failing
-        // index) are deterministic at any thread count.
+        // order with a short-circuit on the first failure, so verdicts (and
+        // the failing index) are deterministic at any thread count.
         self.ensemble.record(0, t0.elapsed(), !ok);
         if !ok {
             self.last_fail_matrix = Some(0);
@@ -890,7 +734,6 @@ impl SatChecker {
                 // The usable mask was computed for `state` above and is
                 // demand-independent; only the routing pass re-runs.
                 self.router.route_with_mask_into(
-                    &self.pool,
                     &spec.topology,
                     state,
                     &self.mask,
@@ -909,69 +752,6 @@ impl SatChecker {
         self.last_fail_matrix = None;
         true
     }
-}
-
-/// One full evaluation on a batch lane's private scratch.
-fn evaluate_on_lane(
-    lane: &mut LaneEval,
-    spec: &MigrationSpec,
-    v: &CompactState,
-    state: &NetState,
-    last: Option<ActionTypeId>,
-) -> bool {
-    if let Some(space) = &spec.space {
-        if !space.fits(v) {
-            return false;
-        }
-    }
-    let ens_start = (!spec.extra_demands.is_empty()).then(Instant::now);
-    lane.mask.compute(&spec.topology, state);
-    lane.loads.clear();
-    lane.router.route_with_mask_into(
-        &spec.topology,
-        state,
-        &lane.mask,
-        &spec.demands,
-        &mut lane.loads,
-        &mut lane.outcome,
-    );
-    let ok = finish_evaluate(spec, v, state, last, &mut lane.loads, &lane.outcome);
-    let Some(t0) = ens_start else {
-        return ok;
-    };
-    // Same index-ordered short-circuit as the sequential path: each item's
-    // ensemble verdict is evaluated entirely on one lane, so the first
-    // failing matrix per item is independent of how items map to lanes.
-    record_lane(lane, 0, t0, !ok);
-    if !ok {
-        return false;
-    }
-    for k in 0..spec.extra_demands.len() {
-        let tk = Instant::now();
-        lane.loads.clear();
-        lane.router.route_with_mask_into(
-            &spec.topology,
-            state,
-            &lane.mask,
-            &spec.extra_demands[k],
-            &mut lane.loads,
-            &mut lane.outcome,
-        );
-        let ok = finish_evaluate(spec, v, state, last, &mut lane.loads, &lane.outcome);
-        record_lane(lane, k + 1, tk, !ok);
-        if !ok {
-            return false;
-        }
-    }
-    true
-}
-
-/// Accumulates one per-matrix evaluation into a lane's local counters.
-fn record_lane(lane: &mut LaneEval, k: usize, since: Instant, kill: bool) {
-    let (checks, kills, wall_ns) = &mut lane.ens[k];
-    *checks += 1;
-    *kills += kill as u64;
-    *wall_ns += since.elapsed().as_nanos() as u64;
 }
 
 /// Shared tail of every evaluation: funneling headroom, θ comparison, and
@@ -1203,13 +983,13 @@ mod tests {
             for mode in [EscMode::Compact, EscMode::FullTopology, EscMode::Off] {
                 let mut checker = SatChecker::with_threads(&spec, mode, threads);
                 assert_eq!(
-                    checker.check_batch(&spec, &items),
+                    checker.check_batch_from(&spec, None, &items),
                     expected,
                     "{mode:?} with {threads} threads"
                 );
                 // A second pass answers from the cache (or re-evaluates in
                 // Off mode) with identical verdicts.
-                assert_eq!(checker.check_batch(&spec, &items), expected);
+                assert_eq!(checker.check_batch_from(&spec, None, &items), expected);
             }
         }
     }
@@ -1226,7 +1006,7 @@ mod tests {
             (&v, &state, Some(ActionTypeId(0))),
             (&v, &state, Some(ActionTypeId(1))),
         ];
-        let out = checker.check_batch(&spec, &items);
+        let out = checker.check_batch_from(&spec, None, &items);
         assert_eq!(out[0], out[1]);
         let s = checker.stats();
         assert_eq!(s.checks, 2);

@@ -4,11 +4,12 @@
 //! re-checked by a from-scratch single-threaded reference. Verdicts AND
 //! per-circuit loads must be bit-identical — the incremental path is a pure
 //! evaluation-speed optimization, never a semantics knob — across thread
-//! counts, ESC cache modes, and funneling settings.
+//! counts, ESC cache modes, funneling settings, and with or without a
+//! traffic ensemble.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::satcheck::{EscMode, SatChecker};
-use klotski_core::{ActionTypeId, CompactState};
+use klotski_core::{ActionTypeId, CompactState, EnsembleSpec};
 use klotski_routing::FunnelingModel;
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::{CircuitId, NetState};
@@ -16,11 +17,16 @@ use proptest::prelude::*;
 
 /// Builds the instance twice: once with incremental evaluation on (the
 /// default) and once forced to from-scratch routing.
-fn spec_pair(id: PresetId, funneling: f64) -> (MigrationSpec, MigrationSpec) {
+fn spec_pair(
+    id: PresetId,
+    funneling: f64,
+    ensemble: Option<EnsembleSpec>,
+) -> (MigrationSpec, MigrationSpec) {
     let opts = MigrationOptions {
         funneling: FunnelingModel {
             headroom_factor: funneling,
         },
+        ensemble,
         ..MigrationOptions::default()
     };
     let spec = MigrationBuilder::for_preset(&presets::build(id), &opts).unwrap();
@@ -124,18 +130,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Preset A: random walks across thread counts, all three cache modes,
-    /// and funneling on/off.
+    /// funneling on/off, and single-matrix vs a K=3 ensemble (whose loads
+    /// after a passing check are the last matrix's replayed sweep).
     #[test]
     fn prop_incremental_walk_matches_full_on_preset_a(
         seed in 0u64..1_000_000,
         funneling_on in proptest::bool::ANY,
-        threads_idx in 0usize..3,
+        ensemble_on in proptest::bool::ANY,
+        threads_idx in 0usize..4,
         mode_idx in 0usize..3,
     ) {
         let funneling = if funneling_on { 1.3 } else { 1.0 };
-        let threads = [1usize, 2, 4][threads_idx];
+        let ensemble = ensemble_on.then(|| EnsembleSpec::with_k(3, seed));
+        let threads = [1usize, 2, 4, 8][threads_idx];
         let mode = [EscMode::Compact, EscMode::FullTopology, EscMode::Off][mode_idx];
-        let (spec, spec_full) = spec_pair(PresetId::A, funneling);
+        let (spec, spec_full) = spec_pair(PresetId::A, funneling, ensemble);
         differential_walk(&spec, &spec_full, threads, mode, seed, 10);
     }
 }
@@ -144,8 +153,8 @@ proptest! {
 /// thread count, ESC off so every check exercises the routing path.
 #[test]
 fn incremental_walk_matches_full_on_preset_c() {
-    let (spec, spec_full) = spec_pair(PresetId::C, 1.0);
-    for threads in [1usize, 2, 4] {
+    let (spec, spec_full) = spec_pair(PresetId::C, 1.0, None);
+    for threads in [1usize, 2, 4, 8] {
         differential_walk(&spec, &spec_full, threads, EscMode::Off, 0xC0FFEE, 4);
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for thread-count invariance of the satisfiability
 //! checker: for any migration progress point, any cache mode, and any
-//! thread count, `check` and `check_batch` must return the same verdicts
-//! as the single-threaded checker — parallelism is an implementation
-//! detail, never a semantics knob.
+//! thread count, `check` and `check_batch_from` must return the same
+//! verdicts as the single-threaded checker — parallelism is an
+//! implementation detail, never a semantics knob.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, Planner};
@@ -94,7 +94,7 @@ proptest! {
                     );
 
                     let mut batched = SatChecker::with_threads(sp, mode, threads);
-                    let got = batched.check_batch(sp, &items);
+                    let got = batched.check_batch_from(sp, None, &items);
                     prop_assert_eq!(
                         &got, &expected,
                         "batch {:?} x{} incremental={}", mode, threads, sp.incremental

@@ -265,53 +265,12 @@ impl WorkerPool {
     }
 
     /// Like [`run`](Self::run), but hands each lane exclusive access to its
-    /// own scratch slot: task `t` runs as `f(&mut scratch[lane], t)`.
-    /// `scratch` must provide at least [`lanes()`](Self::lanes) slots.
-    pub fn run_with_scratch<S, F>(&self, scratch: &mut [S], tasks: usize, f: F)
-    where
-        S: Send,
-        F: Fn(&mut S, usize) + Sync,
-    {
-        assert!(
-            scratch.len() >= self.lanes(),
-            "scratch slots ({}) < pool lanes ({})",
-            scratch.len(),
-            self.lanes()
-        );
-        let base = SharedPtr(scratch.as_mut_ptr());
-        self.run(tasks, |lane, task| {
-            // SAFETY: each lane index is owned by exactly one thread for
-            // the duration of `run`, so `&mut` slots never alias.
-            let slot = unsafe { &mut *base.get().add(lane) };
-            f(slot, task);
-        });
-    }
-
-    /// Like [`run`](Self::run), but also gives each task exclusive `&mut`
-    /// access to its own output slot: task `t` runs as
-    /// `f(lane, t, &mut out[t])`. `out` must hold at least `tasks` slots.
-    /// Writing results by *task* index keeps the output independent of the
-    /// lane assignment, which is what makes chunk merges deterministic.
-    pub fn run_tasks_into<T, F>(&self, out: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, usize, &mut T) + Sync,
-    {
-        let tasks = out.len();
-        let base = SharedPtr(out.as_mut_ptr());
-        self.run(tasks, |lane, task| {
-            // SAFETY: the atomic queue hands each task index to exactly one
-            // lane, so `&mut` slots never alias.
-            let slot = unsafe { &mut *base.get().add(task) };
-            f(lane, task, slot);
-        });
-    }
-
-    /// [`run_with_scratch`](Self::run_with_scratch) and
-    /// [`run_tasks_into`](Self::run_tasks_into) combined: task `t` runs as
-    /// `f(&mut scratch[lane], t, &mut out[t])`. This is the shape of
-    /// deterministic parallel routing — per-lane reusable scratch engines,
-    /// per-task output buffers merged in task order afterwards.
+    /// own scratch slot and each task exclusive access to its own output
+    /// slot: task `t` runs as `f(&mut scratch[lane], t, &mut out[t])`.
+    /// `scratch` must provide at least [`lanes()`](Self::lanes) slots. This
+    /// is the shape of deterministic parallel routing — per-lane reusable
+    /// scratch engines, per-task output buffers merged in task order
+    /// afterwards, so the result is independent of the lane assignment.
     pub fn run_scratch_tasks_into<S, T, F>(&self, scratch: &mut [S], out: &mut [T], f: F)
     where
         S: Send,
@@ -435,12 +394,14 @@ mod tests {
     fn single_lane_runs_inline() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.lanes(), 1);
-        let mut out = vec![0usize; 17];
-        pool.run_tasks_into(&mut out, |lane, task, slot| {
+        let caller = std::thread::current().id();
+        let ran = AtomicUsize::new(0);
+        pool.run(17, |lane, task| {
             assert_eq!(lane, 0);
-            *slot = task * 2;
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(ran.fetch_add(1, Ordering::Relaxed), task, "in task order");
         });
-        assert_eq!(out, (0..17).map(|t| t * 2).collect::<Vec<_>>());
+        assert_eq!(ran.load(Ordering::Relaxed), 17);
     }
 
     #[test]
@@ -469,18 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_lanes_are_exclusive() {
-        let pool = WorkerPool::new(4);
-        let mut scratch = vec![Vec::<usize>::new(); pool.lanes()];
-        pool.run_with_scratch(&mut scratch, 500, |slot, task| {
-            slot.push(task);
-        });
-        let mut all: Vec<usize> = scratch.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..500).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn scratch_and_task_slots_compose() {
         let pool = WorkerPool::new(4);
         let mut scratch = vec![0usize; pool.lanes()];
@@ -491,17 +440,6 @@ mod tests {
         });
         assert_eq!(scratch.iter().sum::<usize>(), 300, "every task ran once");
         assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
-    }
-
-    #[test]
-    fn borrows_callers_stack() {
-        let pool = WorkerPool::new(4);
-        let input: Vec<u64> = (0..256).collect();
-        let mut out = vec![0u64; 256];
-        pool.run_tasks_into(&mut out, |_lane, task, slot| {
-            *slot = input[task] * 3;
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u64 * 3));
     }
 
     #[test]

@@ -25,8 +25,8 @@ use std::sync::Arc;
 pub(crate) const UNREACHED: u32 = u32::MAX;
 
 /// Sorts a BFS visit order into the canonical `(distance, switch index)`
-/// order. Every routing path — sequential, parallel lanes, and the
-/// incremental engine's patched orders — must produce exactly this order,
+/// order. Every routing path — this router and the incremental engine's
+/// patched orders — must produce exactly this order,
 /// because the reverse sweep adds f64 shares in it and f64 addition is not
 /// associative. Equal-distance switches never exchange flow (hop weights are
 /// ≥ 1), so any permutation of ties is *correct*; pinning one makes every
@@ -87,51 +87,13 @@ impl Default for RouteOutcome {
     }
 }
 
-/// Receiver of routing events. The sequential path writes straight into a
-/// [`LoadMap`]; parallel lanes record an ordered edit list instead, replayed
-/// later in a fixed chunk order so the merged result is bit-identical to a
-/// sequential run (f64 addition is not associative, so *order*, not just
-/// membership, must be preserved).
-pub trait RouteSink {
-    /// `gbps` of flow lands on directional slot `slot`
-    /// (see [`LoadMap::directed_slot`]).
-    fn add_flow(&mut self, slot: u32, gbps: f64);
-    /// One demand of `gbps` found a live path.
-    fn demand_routed(&mut self, gbps: f64);
-    /// One demand had no live path (Eq. 4 violation).
-    fn demand_unreachable(&mut self, src: SwitchId, dst: SwitchId);
-}
-
-/// Sequential sink: applies events directly. Shared with the parallel
-/// router's below-break-even sequential fallback.
-pub(crate) struct DirectSink<'a> {
-    pub(crate) loads: &'a mut LoadMap,
-    pub(crate) outcome: &'a mut RouteOutcome,
-}
-
-impl RouteSink for DirectSink<'_> {
-    #[inline]
-    fn add_flow(&mut self, slot: u32, gbps: f64) {
-        self.loads.add_slot(slot, gbps);
-    }
-
-    #[inline]
-    fn demand_routed(&mut self, gbps: f64) {
-        self.outcome.routed_gbps += gbps;
-    }
-
-    fn demand_unreachable(&mut self, src: SwitchId, dst: SwitchId) {
-        self.outcome.unreachable.push((src, dst));
-    }
-}
-
 /// Reusable ECMP routing engine over a flattened [`CsrGraph`]. Holds
 /// scratch buffers sized to one topology so repeated satisfiability checks
 /// do not allocate.
 #[derive(Debug, Clone)]
 pub struct EcmpRouter {
-    /// Flattened adjacency shared (read-only) by every engine and lane
-    /// built over the same topology.
+    /// Flattened adjacency shared (read-only) by every engine built over
+    /// the same topology.
     csr: Arc<CsrGraph>,
     dist: Vec<u32>,
     /// BFS visit order (ascending distance); swept in reverse to propagate.
@@ -165,9 +127,8 @@ impl EcmpRouter {
         Self::from_csr(Arc::new(CsrGraph::build(topo)), policy)
     }
 
-    /// Creates a router over an already-flattened graph. Checkers that hold
-    /// several engines (parallel lanes, the incremental engine) build the
-    /// CSR view once and share it here.
+    /// Creates a router over an already-flattened graph. Checkers that also
+    /// hold an incremental engine build the CSR view once and share it here.
     pub fn from_csr(csr: Arc<CsrGraph>, policy: SplitPolicy) -> Self {
         let n = csr.num_switches();
         Self {
@@ -181,11 +142,6 @@ impl EcmpRouter {
             mask: UsableMask::new(),
             policy,
         }
-    }
-
-    /// The shared flattened graph this router routes over.
-    pub fn csr(&self) -> &Arc<CsrGraph> {
-        &self.csr
     }
 
     /// Routes every demand of `matrix` over the usable subgraph of
@@ -208,9 +164,8 @@ impl EcmpRouter {
     }
 
     /// Like [`route`](Self::route) with a precomputed usable-circuit mask
-    /// (which must match `state`). Callers that evaluate one state several
-    /// times — or across several parallel lanes — compute the mask once and
-    /// share it read-only.
+    /// (which must match `state`). Callers that evaluate one state under
+    /// several matrices compute the mask once.
     pub fn route_with_mask(
         &mut self,
         topo: &Topology,
@@ -238,20 +193,28 @@ impl EcmpRouter {
     ) {
         debug_assert_eq!(self.csr.num_switches(), topo.num_switches());
         outcome.clear();
-        let mut sink = DirectSink { loads, outcome };
         for (dst, group) in matrix.by_destination() {
-            self.route_group(state, mask, dst, &group, &mut sink);
+            self.route_group(state, mask, dst, &group, loads, outcome);
         }
     }
 
-    /// Routes the demands of one destination group into `sink`.
-    pub(crate) fn route_group<S: RouteSink>(
+    /// Routes the demands of one destination group, accumulating into
+    /// `loads` and `outcome`.
+    ///
+    /// Kept out of line: with a single caller LLVM folds this kernel into
+    /// the per-matrix loop, and the merged function is slower end to end
+    /// (preset-C storm run on one lane, 10 alternating rounds: run wall
+    /// 1 728 vs 1 618 ms, `audit_live` 1 961 vs 1 793 µs, p50). `bfs_from`
+    /// is pinned out of line for the same kind of reason, see there.
+    #[inline(never)]
+    fn route_group(
         &mut self,
         state: &NetState,
         mask: &UsableMask,
         dst: SwitchId,
         group: &[&Demand],
-        sink: &mut S,
+        loads: &mut LoadMap,
+        outcome: &mut RouteOutcome,
     ) {
         self.bfs_from(state, mask, dst);
         let Self {
@@ -270,14 +233,14 @@ impl EcmpRouter {
         for d in group {
             let src = d.src.index();
             if dist[src] == UNREACHED || !state.switch_up(d.src) {
-                sink.demand_unreachable(d.src, d.dst);
+                outcome.unreachable.push((d.src, d.dst));
                 continue;
             }
             if inflow[src] == 0.0 {
                 touched.push(src as u32);
             }
             inflow[src] += d.gbps;
-            sink.demand_routed(d.gbps);
+            outcome.routed_gbps += d.gbps;
         }
 
         // Sweep in decreasing-distance order: every switch forwards its
@@ -317,7 +280,7 @@ impl EcmpRouter {
             for &(slot, far, weight) in downhill.iter() {
                 let fi = far as usize;
                 let share = flow * weight / total_weight;
-                sink.add_flow(slot, share);
+                loads.add_slot(slot, share);
                 if inflow[fi] == 0.0 {
                     touched.push(far);
                 }
@@ -339,6 +302,13 @@ impl EcmpRouter {
     /// transparent relay = 1, see `Circuit::hop_weight`), so this is Dial's
     /// algorithm over the flattened adjacency with a tiny circular bucket
     /// array — still Θ(|S|+|C|).
+    ///
+    /// Kept out of line, as it was while `route_group` had two
+    /// instantiations: folded into `route_group` it moves the crate's other
+    /// hot code, and the planning workloads of the repository benchmark get
+    /// slower (10 rotating rounds, p50: `plan_ensemble` 837 vs 785 ms,
+    /// `plan_single` 184.7 vs 179.5 ms).
+    #[inline(never)]
     fn bfs_from(&mut self, state: &NetState, mask: &UsableMask, root: SwitchId) {
         const MAX_W: usize = 2;
         let Self {
@@ -418,15 +388,20 @@ mod tests {
 
     /// Diamond: src -> {m1, m2} -> dst, all capacities 100.
     fn diamond() -> (Topology, [SwitchId; 4], [CircuitId; 4]) {
+        diamond_with(100.0, 100.0)
+    }
+
+    /// Diamond whose two arms (via m1, via m2) have the given capacities.
+    fn diamond_with(via_m1: f64, via_m2: f64) -> (Topology, [SwitchId; 4], [CircuitId; 4]) {
         let mut b = TopologyBuilder::new("diamond");
         let s = b.add_switch(spec(SwitchRole::Rsw));
         let m1 = b.add_switch(spec(SwitchRole::Fsw));
         let m2 = b.add_switch(spec(SwitchRole::Fsw));
         let d = b.add_switch(spec(SwitchRole::Ebb));
-        let c0 = b.add_circuit(s, m1, 100.0).unwrap();
-        let c1 = b.add_circuit(s, m2, 100.0).unwrap();
-        let c2 = b.add_circuit(m1, d, 100.0).unwrap();
-        let c3 = b.add_circuit(m2, d, 100.0).unwrap();
+        let c0 = b.add_circuit(s, m1, via_m1).unwrap();
+        let c1 = b.add_circuit(s, m2, via_m2).unwrap();
+        let c2 = b.add_circuit(m1, d, via_m1).unwrap();
+        let c3 = b.add_circuit(m2, d, via_m2).unwrap();
         (b.build(), [s, m1, m2, d], [c0, c1, c2, c3])
     }
 
@@ -453,6 +428,18 @@ mod tests {
         for c in ck {
             assert!((loads.max_direction(c) - 40.0).abs() < 1e-9, "{c}");
         }
+    }
+
+    #[test]
+    fn wcmp_splits_in_proportion_to_capacity() {
+        let (t, sw, ck) = diamond_with(300.0, 100.0);
+        let state = NetState::all_up(&t);
+        let mut router = EcmpRouter::with_policy(&t, SplitPolicy::Wcmp);
+        let mut loads = LoadMap::new(&t);
+        let out = router.route(&t, &state, &one_demand(sw[0], sw[3], 80.0), &mut loads);
+        assert!(out.all_reachable());
+        assert!((loads.max_direction(ck[0]) - 60.0).abs() < 1e-9);
+        assert!((loads.max_direction(ck[1]) - 20.0).abs() < 1e-9);
     }
 
     #[test]

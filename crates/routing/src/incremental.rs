@@ -55,8 +55,8 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
-/// Chunks per lane for the lane-partitioned destination advance — matching
-/// the parallel router's oversubscription so fast lanes steal the tail.
+/// Chunks per lane for the lane-partitioned destination advance: a little
+/// oversubscription so fast lanes steal the tail.
 const CHUNKS_PER_LANE: usize = 4;
 
 /// Running totals of incremental-evaluation effort.
@@ -626,8 +626,8 @@ impl IncrementalRouter {
             }
         }
 
-        // Lane-partitioned advance: contiguous destination chunks (same
-        // oversubscription as the parallel router) instead of one task per
+        // Lane-partitioned advance: contiguous destination chunks
+        // (`CHUNKS_PER_LANE` per lane) instead of one task per
         // destination — fewer claim round-trips, and each chunk owns a
         // replay buffer its lane can refresh in place.
         let lanes = pool.lanes();

@@ -19,13 +19,12 @@
 //! - [`ecmp`]: hop-count ECMP routing with fractional flow splitting;
 //! - [`loads`]: per-circuit directional load accounting;
 //! - [`mask`]: the usable-circuit bitmask hoisted out of routing loops;
-//! - [`parallel`]: deterministic multi-threaded routing over a
-//!   [`klotski_parallel::WorkerPool`], bit-identical to the sequential path;
 //! - [`evaluate`]: the Eq. 4–5 evaluation combining reachability and
 //!   utilization, plus demand calibration helpers;
 //! - [`funneling`]: the traffic-funneling stress factor (§2.2, §7.2);
 //! - [`incremental`]: delta-aware re-routing that caches per-destination
-//!   routing structure across nearby states, bit-identical to from-scratch;
+//!   routing structure across nearby states and fans dirty destinations out
+//!   over a [`klotski_parallel::WorkerPool`], bit-identical to from-scratch;
 //! - [`reachability`]: standalone reachability queries.
 
 pub mod ecmp;
@@ -34,10 +33,9 @@ pub mod funneling;
 pub mod incremental;
 pub mod loads;
 pub mod mask;
-pub mod parallel;
 pub mod reachability;
 
-pub use ecmp::{EcmpRouter, RouteOutcome, RouteSink, SplitPolicy};
+pub use ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 pub use evaluate::{
     evaluate, evaluate_policy, evaluate_with, scale_to_target_utilization,
     scale_to_target_utilization_on, SafetyOutcome, UtilizationReport,
@@ -47,5 +45,4 @@ pub use incremental::{usability_toggles, IncrementalRouter, IncrementalStats};
 pub use klotski_topology::{CsrEdge, CsrGraph};
 pub use loads::LoadMap;
 pub use mask::UsableMask;
-pub use parallel::{route_parallel, ParallelRouter};
 pub use reachability::{component_size, is_reachable};
