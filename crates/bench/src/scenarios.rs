@@ -38,7 +38,7 @@ pub struct ScenarioRow {
     pub replan_ms: f64,
     /// ESC cache entries live after the last replan (0 when no replan ran).
     pub replan_esc_entries: u64,
-    /// Incremental routing replays across all replans (clean + dirty).
+    /// Incremental destination advances across all replans (clean + dirty).
     pub replan_incremental: u64,
     /// `completed` | `rolled_back` | `paused` — the shared
     /// [`klotski_controller::ControllerReport::outcome_label`] vocabulary,

@@ -142,7 +142,7 @@ pub struct ReplanRecord {
     /// Wall-clock planning latency, milliseconds. Excluded from
     /// [`ControllerReport::fingerprint`].
     pub latency_ms: f64,
-    /// Search counters (ESC cache hits, incremental replays, …).
+    /// Search counters (ESC cache hits, incremental clean/dirty, …).
     pub stats: PlanStats,
 }
 
@@ -716,9 +716,12 @@ fn rollback(
 /// matrix is the same at any thread count. Returns the decisive audit (the
 /// first failing matrix's, or the base audit with `max_utilization` lifted
 /// to the worst across the ensemble) and the failing matrix index
-/// (0 = base). The lookahead and replans stay ensemble-aware separately:
-/// `residual()` re-realizes the spec's ensemble against the demand it is
-/// seeded with.
+/// (0 = base). Replans are ensemble-aware separately: `residual()`
+/// re-realizes the spec's ensemble against the demand it is seeded with.
+/// The lookahead is not: `plan_still_safe` replays the remaining plan under
+/// the base realized matrix only, so a later state that only a variant
+/// rejects is caught by this audit when the run reaches it, not ahead of
+/// time.
 fn ensemble_audit(
     checker: &mut SatChecker,
     spec: &MigrationSpec,

@@ -98,8 +98,9 @@ impl PlanStats {
         }
     }
 
-    /// Fraction of destination evaluations served by replaying the
-    /// incremental routing cache instead of re-running BFS + sweep.
+    /// Fraction of incremental destination advances that reused the cached
+    /// routing structure unchanged (no BFS or DAG work; loads are always
+    /// swept afresh).
     pub fn incremental_hit_rate(&self) -> f64 {
         let total = self.incremental_clean + self.incremental_dirty;
         if total == 0 {
@@ -140,11 +141,11 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
         ),
         (
             "klotski_search_incremental_clean_total",
-            "Destinations replayed from the incremental routing cache",
+            "Destinations whose cached routing structure was reused unchanged",
         ),
         (
             "klotski_search_incremental_dirty_total",
-            "Destinations re-routed after a circuit toggle",
+            "Destinations whose routing structure was patched or rebuilt",
         ),
         (
             "klotski_search_satcheck_us_total",

@@ -26,9 +26,11 @@
 //! predicate is hoisted into a bitmask computed once per evaluation.
 //!
 //! A cache miss is evaluated by one of two routers. Planning checks go
-//! through the [`IncrementalRouter`], which re-routes only the destinations
-//! a block application disturbed and fans them out over the
-//! [`WorkerPool`]'s lanes (bit-identical at any lane count). Everything
+//! through the [`IncrementalRouter`], which re-derives routing structure
+//! only for the destinations a block application disturbed (fanned out over
+//! the [`WorkerPool`]'s lanes) and then sweeps loads once per state — all
+//! matrices of a traffic ensemble in one traversal — bit-identical at any
+//! lane count. Everything
 //! else — live audits, and specs with `incremental == false`, the reference
 //! the differential tests compare against — routes from scratch on one
 //! sequential [`EcmpRouter`].
@@ -69,11 +71,13 @@ pub struct SatStats {
     pub cache_hits: u64,
     /// Queries that ran the full routing + port evaluation.
     pub full_evaluations: u64,
-    /// Destination groups replayed from the incremental routing cache
-    /// (zero when `MigrationOptions.incremental` is off).
+    /// Destination groups whose cached routing structure the incremental
+    /// engine reused unchanged (zero when `MigrationOptions.incremental` is
+    /// off).
     #[serde(default)]
     pub incremental_clean: u64,
-    /// Destination groups the incremental engine had to re-route.
+    /// Destination groups whose routing structure the incremental engine
+    /// patched or rebuilt.
     #[serde(default)]
     pub incremental_dirty: u64,
     /// ESC cache entries currently resident.
@@ -108,7 +112,8 @@ pub struct SatStats {
 }
 
 impl SatStats {
-    /// Fraction of incremental destination evaluations served by replay.
+    /// Fraction of incremental destination advances that reused the cached
+    /// routing structure unchanged.
     pub fn incremental_hit_rate(&self) -> f64 {
         let total = self.incremental_clean + self.incremental_dirty;
         if total == 0 {
@@ -121,7 +126,7 @@ impl SatStats {
 
 /// Per-matrix satisfiability accounting of one ensemble checker: how many
 /// times each matrix was evaluated, how many candidates it killed (it was
-/// the first failing matrix), and the wall time spent on it. Empty when no
+/// the first failing matrix), and the wall time attributed to it. Empty when no
 /// ensemble is configured. Unlike the `Copy` aggregate counters in
 /// [`SatStats`], this is sized by K and lives on the checker; planners
 /// surface it through `PlanOutcome.ensemble`.
@@ -136,12 +141,17 @@ pub struct EnsembleBreakdown {
 pub struct EnsembleMatrixStat {
     /// Human-readable matrix label ("base", "ewma[a=0.35]", ...).
     pub label: String,
-    /// Evaluations of this matrix (its load sweep + constraint tail ran).
+    /// Evaluations of this matrix: its constraint tail ran, which happens
+    /// iff every earlier matrix passed.
     pub checks: u64,
     /// Candidates this matrix killed: it was the first failing matrix, so
     /// every matrix after it was skipped.
     pub kills: u64,
-    /// Wall time spent evaluating this matrix, nanoseconds.
+    /// Wall time attributed to this matrix, nanoseconds. The base matrix
+    /// is timed directly. An incremental checker sweeps all extras in one
+    /// packed traversal, so an extra gets an equal share of that sweep plus
+    /// its own constraint tail — and nothing for a sweep whose verdict an
+    /// earlier matrix decided.
     pub wall_ns: u64,
 }
 
@@ -325,6 +335,10 @@ pub struct SatChecker {
     outcome: RouteOutcome,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
     incremental: Option<IncrementalEval>,
+    /// One load map and outcome per extra ensemble matrix, filled together
+    /// by the incremental engine's packed sweep (empty without one).
+    extra_loads: Vec<LoadMap>,
+    extra_outcomes: Vec<RouteOutcome>,
     cache: HashMap<CacheKey, bool>,
     /// Insertion order of cached keys, for FIFO eviction at `cache_cap`.
     fifo: VecDeque<CacheKey>,
@@ -401,6 +415,7 @@ impl SatChecker {
             seen: vec![0; spec.topology.num_circuits()],
             epoch: 0,
         });
+        let packed_extras = incremental.as_ref().map_or(0, |_| spec.extra_demands.len());
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
@@ -409,6 +424,8 @@ impl SatChecker {
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
+            extra_loads: vec![LoadMap::new(&spec.topology); packed_extras],
+            extra_outcomes: vec![RouteOutcome::new(); packed_extras],
             incremental,
             cache: HashMap::new(),
             fifo: VecDeque::new(),
@@ -458,7 +475,7 @@ impl SatChecker {
     }
 
     /// Per-matrix ensemble accounting — who killed which candidates, and
-    /// how long each matrix's load sweeps took. Empty rows when no ensemble
+    /// the wall time attributed to each matrix. Empty rows when no ensemble
     /// is configured.
     pub fn ensemble_breakdown(&self) -> &EnsembleBreakdown {
         &self.ensemble
@@ -478,9 +495,9 @@ impl SatChecker {
         self.incremental.is_some()
     }
 
-    /// Loads produced by the most recent full evaluation on the checker's
-    /// own buffers (diagnostic/test hook — meaningful right after a
-    /// cache-missing [`check`](Self::check)).
+    /// Loads of the last matrix the most recent full evaluation got to, on
+    /// the checker's own buffers (diagnostic/test hook — meaningful right
+    /// after a cache-missing [`check`](Self::check)).
     #[doc(hidden)]
     pub fn last_loads(&self) -> &LoadMap {
         &self.loads
@@ -714,25 +731,39 @@ impl SatChecker {
         let Some(t0) = ens_start else {
             return ok;
         };
-        // Ensemble verdict: AND over all K matrices, evaluated in index
-        // order with a short-circuit on the first failure, so verdicts (and
-        // the failing index) are deterministic at any thread count.
+        // Ensemble verdict: AND over all K matrices, judged in index order
+        // with a short-circuit on the first failure, so verdicts (and the
+        // failing index) are deterministic at any thread count. The base
+        // verdict comes first: a state it rejects never pays for the extras.
         self.ensemble.record(0, t0.elapsed(), !ok);
         if !ok {
             self.last_fail_matrix = Some(0);
             return false;
         }
+        let mut sweep_share = Duration::ZERO;
+        if let Some(incr) = &mut self.incremental {
+            // Distance labels and DAGs were just built for `state`; one
+            // packed traversal sweeps every extra matrix over them.
+            let ts = Instant::now();
+            for loads in &mut self.extra_loads {
+                loads.clear();
+            }
+            incr.engine
+                .replay_extras(state, &mut self.extra_loads, &mut self.extra_outcomes);
+            sweep_share = ts.elapsed() / self.extra_loads.len() as u32;
+        }
         for k in 0..spec.extra_demands.len() {
             let tk = Instant::now();
-            self.loads.clear();
-            if let Some(incr) = &mut self.incremental {
-                // Distance labels, DAGs, and the base matrix's edit lists
-                // were just built for `state`; only the load sweep replays.
-                incr.engine
-                    .replay_extra(k, state, &mut self.loads, &mut self.outcome);
+            if self.incremental.is_some() {
+                // Swapped, not copied: `loads` stays "the last matrix
+                // judged", and the displaced map is cleared before the next
+                // packed sweep.
+                std::mem::swap(&mut self.loads, &mut self.extra_loads[k]);
+                std::mem::swap(&mut self.outcome, &mut self.extra_outcomes[k]);
             } else {
                 // The usable mask was computed for `state` above and is
                 // demand-independent; only the routing pass re-runs.
+                self.loads.clear();
                 self.router.route_with_mask_into(
                     &spec.topology,
                     state,
@@ -743,7 +774,7 @@ impl SatChecker {
                 );
             }
             let ok = finish_evaluate(spec, v, state, last, &mut self.loads, &self.outcome);
-            self.ensemble.record(k + 1, tk.elapsed(), !ok);
+            self.ensemble.record(k + 1, sweep_share + tk.elapsed(), !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
                 return false;

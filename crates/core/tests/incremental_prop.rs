@@ -130,22 +130,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Preset A: random walks across thread counts, all three cache modes,
-    /// funneling on/off, and single-matrix vs a K=3 ensemble (whose loads
-    /// after a passing check are the last matrix's replayed sweep).
+    /// funneling on/off, and single-matrix vs a K=3 or K=8 ensemble (whose
+    /// loads after a passing check are the last matrix's lane of the packed
+    /// sweep).
     #[test]
     fn prop_incremental_walk_matches_full_on_preset_a(
         seed in 0u64..1_000_000,
         funneling_on in proptest::bool::ANY,
-        ensemble_on in proptest::bool::ANY,
+        ensemble_idx in 0usize..3,
         threads_idx in 0usize..4,
         mode_idx in 0usize..3,
     ) {
         let funneling = if funneling_on { 1.3 } else { 1.0 };
-        let ensemble = ensemble_on.then(|| EnsembleSpec::with_k(3, seed));
+        let ensemble = [None, Some(3), Some(8)][ensemble_idx].map(|k| EnsembleSpec::with_k(k, seed));
         let threads = [1usize, 2, 4, 8][threads_idx];
         let mode = [EscMode::Compact, EscMode::FullTopology, EscMode::Off][mode_idx];
         let (spec, spec_full) = spec_pair(PresetId::A, funneling, ensemble);
         differential_walk(&spec, &spec_full, threads, mode, seed, 10);
+    }
+}
+
+/// The whole ensemble grid, deterministically: K ∈ {3, 8} matrices packed
+/// into one sweep at every lane count, ESC off so every check routes.
+#[test]
+fn ensemble_walk_matches_full_across_k_and_threads() {
+    for k in [3usize, 8] {
+        let ensemble = Some(EnsembleSpec::with_k(k, 7));
+        let (spec, spec_full) = spec_pair(PresetId::A, 1.0, ensemble);
+        assert_eq!(spec.extra_demands.len(), k - 1);
+        for threads in [1usize, 2, 4, 8] {
+            differential_walk(
+                &spec,
+                &spec_full,
+                threads,
+                EscMode::Off,
+                0xE5E ^ k as u64,
+                10,
+            );
+        }
     }
 }
 

@@ -139,10 +139,10 @@ pub struct PlanSummary {
     /// Queries that ran the full evaluation.
     #[serde(default)]
     pub full_evaluations: u64,
-    /// Destinations replayed from the incremental routing cache.
+    /// Destinations whose cached routing structure was reused unchanged.
     #[serde(default)]
     pub incremental_clean: u64,
-    /// Destinations re-routed because a circuit toggle touched them.
+    /// Destinations whose routing structure was patched or rebuilt.
     #[serde(default)]
     pub incremental_dirty: u64,
     /// Entries resident in the ESC cache when the search finished.

@@ -10,9 +10,7 @@
 //! - the shortest-path DAG (each switch's downhill circuits with split
 //!   weights, in neighbor-scan order),
 //! - the *relevant circuit footprint* — circuits incident to switches
-//!   reached by that destination's BFS, and
-//! - the ordered flow edit list `(slot, gbps)` plus routed/unreachable
-//!   outcome the sweep produced.
+//!   reached by that destination's BFS.
 //!
 //! Given the set of circuits whose usability *toggled* between the cached
 //! base state and a new state, each destination classifies every toggle
@@ -21,8 +19,8 @@
 //! - toggles outside the footprint cannot affect the destination (an
 //!   unusable→usable circuit between two unreached switches connects
 //!   nothing to the reached region; anything incident to a reached switch
-//!   is in the footprint by construction) — the destination is *clean* and
-//!   replays its cached edit list verbatim;
+//!   is in the footprint by construction) — the destination is *clean*: its
+//!   routing structure is reused unchanged;
 //! - a removed DAG edge marks its uphill endpoint for a downhill-list
 //!   rebuild; a switch left with no usable circuit at all becomes
 //!   unreachable (every edge that previously supported it is itself a
@@ -36,13 +34,21 @@
 //!   rebuild. Fallbacks are exact, just slower; classification only ever
 //!   errs toward them.
 //!
-//! Determinism: the sweep adds f64 shares in canonical `(distance, switch
-//! index)` order with downhill lists kept in neighbor-scan order, and the
-//! final `LoadMap`/`RouteOutcome` are rebuilt by replaying per-destination
-//! lists in fixed ascending-destination order. That is the exact addition
-//! sequence a from-scratch sequential evaluation produces (see
-//! [`crate::ecmp::canonical_order`]), so verdicts and loads are
-//! bit-identical to full evaluation at any thread count.
+//! Only the structure is cached. Loads are not: after the (lane-partitioned)
+//! structure advance joins, one sequential sweep on the caller walks each
+//! destination's `order`/`dag` once and adds every requested demand
+//! matrix's shares straight into that matrix's `LoadMap` — the base matrix
+//! alone for [`IncrementalRouter::evaluate`], all K−1 extras of a traffic
+//! ensemble packed into one traversal for
+//! [`IncrementalRouter::replay_extras`].
+//!
+//! Determinism: the sweep visits destinations in ascending order, switches
+//! in reverse canonical `(distance, switch index)` order, and downhill lists
+//! in neighbor-scan order. That is the exact f64 addition sequence a
+//! from-scratch sequential evaluation produces per matrix (see
+//! [`crate::ecmp::canonical_order`]), and it runs on one thread, so verdicts
+//! and loads are bit-identical to full evaluation at any thread count and
+//! any number of packed matrices.
 
 use crate::ecmp::{canonical_order, RouteOutcome, SplitPolicy, UNREACHED};
 use crate::loads::LoadMap;
@@ -66,24 +72,22 @@ pub struct IncrementalStats {
     pub evaluations: u64,
     /// Structure-only [`rebase`](IncrementalRouter::rebase) calls.
     pub rebases: u64,
-    /// Destinations that replayed their cached edit list unchanged.
+    /// Destinations whose routing structure was reused unchanged.
     pub clean_destinations: u64,
-    /// Destinations that re-ran patching and/or the flow sweep.
+    /// Destinations whose structure was patched or rebuilt.
     pub dirty_destinations: u64,
     /// Destinations that fell back to a full BFS + DAG rebuild.
     pub full_rebuilds: u64,
     /// Total toggled circuits across all delta evaluations.
     pub toggled_circuits: u64,
-    /// Completed [`replay_extra`](IncrementalRouter::replay_extra) calls
-    /// (one per non-base ensemble matrix actually checked).
+    /// Non-base ensemble matrices swept: one per
+    /// [`replay_extra`](IncrementalRouter::replay_extra), K−1 per
+    /// [`replay_extras`](IncrementalRouter::replay_extras).
     pub extra_replays: u64,
-    /// Destinations whose per-extra-matrix edit list was stale and had to be
-    /// re-swept from the cached structure during an extra replay.
-    pub extra_resweeps: u64,
 }
 
 impl IncrementalStats {
-    /// Fraction of destination evaluations served by cached replay.
+    /// Fraction of destination advances that reused the structure unchanged.
     pub fn clean_rate(&self) -> f64 {
         let total = self.clean_destinations + self.dirty_destinations;
         if total == 0 {
@@ -114,11 +118,11 @@ impl IncrMetrics {
         );
         reg.set_help(
             "klotski_routing_incremental_clean_total",
-            "Destinations replayed from the incremental cache",
+            "Destinations whose cached routing structure was reused unchanged",
         );
         reg.set_help(
             "klotski_routing_incremental_dirty_total",
-            "Destinations re-routed because a toggle touched their footprint",
+            "Destinations whose routing structure was patched or rebuilt",
         );
         reg.set_help(
             "klotski_routing_incremental_full_rebuilds_total",
@@ -143,12 +147,16 @@ impl IncrMetrics {
     }
 }
 
-/// Cached routing structure and outcome of one destination group.
+/// Cached routing structure of one destination group.
 #[derive(Debug)]
 struct DestEntry {
     dst: SwitchId,
-    /// Demands of this group, in matrix order.
-    demands: Vec<Demand>,
+    /// Source switches of this group's demands, in matrix order.
+    srcs: Vec<SwitchId>,
+    /// Demand rates, matrix-contiguous: `rates[i * matrices + m]` is the
+    /// rate of demand `i` under matrix `m` (0 = base, then the ensemble
+    /// extras — endpoints are shared, only the gbps differ per matrix).
+    rates: Vec<f64>,
     /// Hop distance to `dst` for every switch, exact for the engine's base
     /// state (`UNREACHED` when no usable path exists).
     dist: Vec<u32>,
@@ -165,86 +173,15 @@ struct DestEntry {
     /// allocation after each advance, and copy-on-write (`Arc::make_mut`)
     /// keeps incremental growth sound.
     footprint: Arc<BitSet>,
-    /// Ordered `(slot, gbps)` flow additions of the last sweep.
-    edits: Vec<(u32, f64)>,
-    /// Routed-demand rate terms, in demand order (kept as terms so replay
-    /// preserves the summation order of `RouteOutcome::routed_gbps`).
-    routed_terms: Vec<f64>,
-    /// Unreachable `(src, dst)` pairs, in demand order. Ensemble variants
-    /// share the base's exact endpoints, so this list is matrix-independent
-    /// and extra replays reuse it verbatim.
-    unreachable: Vec<(SwitchId, SwitchId)>,
-    /// Per non-base ensemble matrix: rates aligned with `demands` order
-    /// (endpoints are shared, only the gbps differ per matrix).
-    extra_rates: Vec<Vec<f64>>,
-    /// Per non-base ensemble matrix: cached `(slot, gbps)` edit list.
-    extra_edits: Vec<Vec<(u32, f64)>>,
-    /// Per non-base ensemble matrix: routed-demand rate terms.
-    extra_terms: Vec<Vec<f64>>,
-    /// Whether `extra_edits[k]`/`extra_terms[k]` match the base state.
-    /// Invalidated whenever the base sweep re-runs (the matrices share
-    /// structure, so a base re-sweep means the structure or state moved);
-    /// re-validated lazily by [`replay_extra`](IncrementalRouter::replay_extra)
-    /// — a short-circuited matrix simply stays stale until next replayed.
-    extra_valid: Vec<bool>,
-    /// Whether `edits`/`routed_terms`/`unreachable` match the base state
-    /// (false after a structure-only rebase touched this destination).
-    edits_valid: bool,
-    /// Introspection: last evaluation replayed the cache unchanged.
+    /// Introspection: last advance reused the structure unchanged.
     last_clean: bool,
-    /// Introspection: last evaluation fell back to a full rebuild.
+    /// Introspection: last advance fell back to a full rebuild.
     last_full: bool,
 }
 
-/// Replay buffer of one contiguous destination chunk: the concatenated
-/// edit lists of its entries, gathered on the owning lane. [`evaluate`]
-/// replays chunks in fixed ascending order, so the merged f64 addition
-/// sequence is identical to a per-entry replay — and to a sequential full
-/// evaluation — at every thread count. A chunk whose entries all replayed
-/// clean keeps its buffer from the previous evaluation, making the serial
-/// merge a flat `memcpy`-style pass with no per-entry pointer chasing.
-///
-/// [`evaluate`]: IncrementalRouter::evaluate
-#[derive(Debug, Default)]
-struct ChunkReplay {
-    /// Concatenated `(slot, gbps)` additions of the chunk's entries.
-    edits: Vec<(u32, f64)>,
-    /// Concatenated routed-demand terms.
-    routed_terms: Vec<f64>,
-    /// Concatenated unreachable pairs.
-    unreachable: Vec<(SwitchId, SwitchId)>,
-    /// Entry range `[start, end)` this buffer was gathered from.
-    start: usize,
-    end: usize,
-    /// False until gathered; invalidated by rebases and chunk-boundary
-    /// changes.
-    valid: bool,
-}
-
-impl ChunkReplay {
-    /// Regathers the buffer from `entries` (the chunk's slice) covering
-    /// entry indices `[start, end)`.
-    fn gather(&mut self, entries: &[DestEntry], start: usize, end: usize) {
-        self.edits.clear();
-        self.routed_terms.clear();
-        self.unreachable.clear();
-        for e in entries {
-            self.edits.extend_from_slice(&e.edits);
-            self.routed_terms.extend_from_slice(&e.routed_terms);
-            self.unreachable.extend_from_slice(&e.unreachable);
-        }
-        self.start = start;
-        self.end = end;
-        self.valid = true;
-    }
-}
-
-/// Per-lane scratch shared by every destination a lane processes.
+/// Per-lane scratch shared by every destination a lane advances.
 #[derive(Debug, Default)]
 struct LaneScratch {
-    /// Sparse inflow accumulator for the sweep.
-    inflow: Vec<f64>,
-    touched: Vec<u32>,
     /// Epoch stamps: `marked` membership, new-region membership, and
     /// settled-in-partial-BFS membership.
     mark_stamp: Vec<u32>,
@@ -266,7 +203,6 @@ struct LaneScratch {
 impl LaneScratch {
     fn sized(n: usize) -> Self {
         Self {
-            inflow: vec![0.0; n],
             mark_stamp: vec![0; n],
             new_stamp: vec![0; n],
             settle_stamp: vec![0; n],
@@ -301,9 +237,12 @@ pub struct IncrementalRouter {
     mask: UsableMask,
     entries: Vec<DestEntry>,
     scratch: Vec<LaneScratch>,
-    /// Per-chunk replay buffers; `replay_chunks` of them are live.
-    replays: Vec<ChunkReplay>,
-    replay_chunks: usize,
+    /// Inflow accumulator of the load sweep, `switches × matrices`; a sweep
+    /// of `L` matrices keeps switch `u`'s flows at `[u * L, u * L + L)`.
+    /// All zero between sweeps.
+    inflow: Vec<f64>,
+    /// One switch's per-matrix flows while the sweep splits them downhill.
+    flows: Vec<f64>,
     /// Word-level masks of the current toggle set, `(word index, bits)` —
     /// a destination whose footprint misses every word is clean without
     /// walking the toggle list.
@@ -311,8 +250,8 @@ pub struct IncrementalRouter {
     /// Footprint intern table: content hash → shared allocations. Buckets
     /// hold strong refs; dead ones (refcount 1) are purged on touch.
     intern: HashMap<u64, Vec<Arc<BitSet>>>,
-    /// Non-base ensemble matrices tracked (length of every entry's
-    /// `extra_*` vectors).
+    /// Non-base ensemble matrices tracked (every entry's `rates` has
+    /// `num_extras + 1` columns).
     num_extras: usize,
     primed: bool,
     stats: IncrementalStats,
@@ -361,47 +300,39 @@ impl IncrementalRouter {
         let empty_footprint = Arc::new(BitSet::new(csr.num_circuits()));
         let extra_groups: Vec<BTreeMap<SwitchId, Vec<&Demand>>> =
             extras.iter().map(|m| m.by_destination()).collect();
+        let matrices = extras.len() + 1;
         let entries = matrix
             .by_destination()
             .into_iter()
             .map(|(dst, group)| {
-                let extra_rates: Vec<Vec<f64>> = extra_groups
-                    .iter()
-                    .map(|g| {
-                        let eg: &[&Demand] = g.get(&dst).map(|v| v.as_slice()).unwrap_or(&[]);
+                let mut rates = vec![0.0; group.len() * matrices];
+                for (i, b) in group.iter().enumerate() {
+                    rates[i * matrices] = b.gbps;
+                }
+                for (k, g) in extra_groups.iter().enumerate() {
+                    let eg: &[&Demand] = g.get(&dst).map(|v| v.as_slice()).unwrap_or(&[]);
+                    assert_eq!(
+                        eg.len(),
+                        group.len(),
+                        "ensemble matrices must share the base demand endpoints"
+                    );
+                    for (i, (e, b)) in eg.iter().zip(&group).enumerate() {
                         assert_eq!(
-                            eg.len(),
-                            group.len(),
+                            (e.src, e.class),
+                            (b.src, b.class),
                             "ensemble matrices must share the base demand endpoints"
                         );
-                        eg.iter()
-                            .zip(&group)
-                            .map(|(e, b)| {
-                                assert_eq!(
-                                    (e.src, e.class),
-                                    (b.src, b.class),
-                                    "ensemble matrices must share the base demand endpoints"
-                                );
-                                e.gbps
-                            })
-                            .collect()
-                    })
-                    .collect();
+                        rates[i * matrices + k + 1] = e.gbps;
+                    }
+                }
                 DestEntry {
                     dst,
-                    demands: group.into_iter().cloned().collect(),
+                    srcs: group.iter().map(|d| d.src).collect(),
+                    rates,
                     dist: vec![UNREACHED; n],
                     order: Vec::new(),
                     dag: vec![Vec::new(); n],
                     footprint: empty_footprint.clone(),
-                    edits: Vec::new(),
-                    routed_terms: Vec::new(),
-                    unreachable: Vec::new(),
-                    extra_rates,
-                    extra_edits: vec![Vec::new(); extras.len()],
-                    extra_terms: vec![Vec::new(); extras.len()],
-                    extra_valid: vec![false; extras.len()],
-                    edits_valid: false,
                     last_clean: false,
                     last_full: false,
                 }
@@ -413,8 +344,8 @@ impl IncrementalRouter {
             mask: UsableMask::new(),
             entries,
             scratch: vec![LaneScratch::sized(n)],
-            replays: Vec::new(),
-            replay_chunks: 0,
+            inflow: vec![0.0; n * matrices],
+            flows: Vec::new(),
             toggle_words: Vec::new(),
             intern: HashMap::new(),
             num_extras: extras.len(),
@@ -456,23 +387,7 @@ impl IncrementalRouter {
         for e in &self.entries {
             bytes += e.dist.capacity() * 4 + e.order.capacity() * 4;
             bytes += e.dag.iter().map(|l| l.capacity() * 16 + 24).sum::<usize>();
-            bytes += e.edits.capacity() * 16 + e.routed_terms.capacity() * 8;
-            bytes += e.unreachable.capacity() * 8;
-            bytes += e
-                .extra_rates
-                .iter()
-                .map(|r| r.capacity() * 8)
-                .sum::<usize>();
-            bytes += e
-                .extra_edits
-                .iter()
-                .map(|l| l.capacity() * 16)
-                .sum::<usize>();
-            bytes += e
-                .extra_terms
-                .iter()
-                .map(|t| t.capacity() * 8)
-                .sum::<usize>();
+            bytes += e.srcs.capacity() * 4 + e.rates.capacity() * 8;
         }
         bytes as u64 + self.footprint_bytes()
     }
@@ -490,9 +405,9 @@ impl IncrementalRouter {
         bytes
     }
 
-    /// Routes every demand over `state`, accumulating into `loads` (NOT
-    /// cleared, matching [`crate::EcmpRouter::route`]) and writing the
-    /// outcome into the caller-held buffer.
+    /// Routes every demand of the base matrix over `state`, accumulating
+    /// into `loads` (NOT cleared, matching [`crate::EcmpRouter::route`]) and
+    /// writing the outcome into the caller-held buffer.
     ///
     /// `toggles` must be exactly the circuits whose usability differs
     /// between the engine's base state and `state`; pass `None` when that
@@ -508,39 +423,21 @@ impl IncrementalRouter {
         loads: &mut LoadMap,
         outcome: &mut RouteOutcome,
     ) {
-        self.advance(pool, topo, state, toggles, true);
+        self.advance(pool, topo, state, toggles);
         self.stats.evaluations += 1;
         self.metrics.evaluations.inc();
-        outcome.clear();
-        // Fixed replay order — chunks ascending, which concatenate to the
-        // ascending-destination entry order — reproduces the exact f64
-        // addition sequence of a sequential full evaluation.
-        debug_assert!(self.replays[..self.replay_chunks].iter().all(|r| r.valid));
-        for r in &self.replays[..self.replay_chunks] {
-            for &(slot, gbps) in &r.edits {
-                loads.add_slot(slot, gbps);
-            }
-            for &term in &r.routed_terms {
-                outcome.routed_gbps += term;
-            }
-            outcome.unreachable.extend_from_slice(&r.unreachable);
-        }
+        self.sweep(
+            state,
+            0,
+            std::slice::from_mut(loads),
+            std::slice::from_mut(outcome),
+        );
     }
 
-    /// Replays ensemble matrix `k + 1` (the k-th non-base extra) over the
+    /// Sweeps ensemble matrix `k + 1` (the k-th non-base extra) over the
     /// structures of the engine's base state, accumulating into `loads`
-    /// (NOT cleared) and writing the outcome buffer.
-    ///
-    /// Must be called after an [`evaluate`](Self::evaluate) of the same
-    /// `state`: the distance labels, DAGs, canonical orders, and
-    /// unreachable lists are exactly the base advance's, and only the load
-    /// sweep differs per matrix (ensemble variants share the base's demand
-    /// endpoints, so reachability is matrix-independent). Destinations
-    /// whose cached per-matrix edit list is still valid replay it verbatim;
-    /// stale ones re-sweep from the cached structure — no BFS, no DAG work.
-    /// The pass is sequential in ascending destination order, so results
-    /// are bit-identical to a from-scratch sequential evaluation of that
-    /// matrix at any thread count.
+    /// (NOT cleared) and writing the outcome buffer: the one-matrix call of
+    /// [`replay_extras`](Self::replay_extras), same preconditions.
     pub fn replay_extra(
         &mut self,
         k: usize,
@@ -548,39 +445,79 @@ impl IncrementalRouter {
         loads: &mut LoadMap,
         outcome: &mut RouteOutcome,
     ) {
-        debug_assert!(self.primed, "replay_extra needs a primed engine");
-        outcome.clear();
-        let Self {
-            ref mut entries,
-            ref mut scratch,
-            ..
-        } = *self;
-        let lane = &mut scratch[0];
-        let mut reswept = 0u64;
-        for entry in entries.iter_mut() {
-            if !entry.extra_valid[k] {
-                sweep_extra(entry, lane, state, k);
-                reswept += 1;
-            }
-            for &(slot, gbps) in &entry.extra_edits[k] {
-                loads.add_slot(slot, gbps);
-            }
-            for &term in &entry.extra_terms[k] {
-                outcome.routed_gbps += term;
-            }
-            outcome.unreachable.extend_from_slice(&entry.unreachable);
-        }
+        self.sweep(
+            state,
+            k + 1,
+            std::slice::from_mut(loads),
+            std::slice::from_mut(outcome),
+        );
         self.stats.extra_replays += 1;
-        self.stats.extra_resweeps += reswept;
+    }
+
+    /// Sweeps every non-base ensemble matrix over the structures of the
+    /// engine's base state in one packed traversal: extra `k` accumulates
+    /// into `loads[k]` (NOT cleared) and writes `outcomes[k]`.
+    ///
+    /// Must follow an [`evaluate`](Self::evaluate) or
+    /// [`rebase`](Self::rebase) of the same `state`: distance labels, DAGs
+    /// and canonical orders are the advance's, and ensemble variants share
+    /// the base's demand endpoints, so routing structure and reachability
+    /// are matrix-independent — no BFS, no DAG work. Each matrix sees the
+    /// f64 addition sequence of a from-scratch sequential evaluation of
+    /// that matrix alone, so results are bit-identical to it.
+    ///
+    /// # Panics
+    /// Panics unless both slices hold exactly
+    /// [`num_extras`](Self::num_extras) elements.
+    pub fn replay_extras(
+        &mut self,
+        state: &NetState,
+        loads: &mut [LoadMap],
+        outcomes: &mut [RouteOutcome],
+    ) {
+        assert_eq!(loads.len(), self.num_extras, "one LoadMap per extra matrix");
+        self.sweep(state, 1, loads, outcomes);
+        self.stats.extra_replays += self.num_extras as u64;
+    }
+
+    /// The load sweep: matrices `first .. first + loads.len()` in one
+    /// sequential pass over the destinations, ascending.
+    fn sweep(
+        &mut self,
+        state: &NetState,
+        first: usize,
+        loads: &mut [LoadMap],
+        outcomes: &mut [RouteOutcome],
+    ) {
+        debug_assert!(self.primed, "the sweep needs a primed engine");
+        assert_eq!(loads.len(), outcomes.len(), "one outcome per LoadMap");
+        assert!(
+            first + loads.len() <= self.num_extras + 1,
+            "matrix range outside the engine's ensemble"
+        );
+        for o in outcomes.iter_mut() {
+            o.clear();
+        }
+        self.flows.resize(loads.len(), 0.0);
+        for entry in &self.entries {
+            sweep_entry(
+                entry,
+                &mut self.inflow,
+                &mut self.flows,
+                state,
+                self.policy,
+                self.num_extras + 1,
+                first,
+                loads,
+                outcomes,
+            );
+        }
     }
 
     /// Moves the base to `state` updating routing *structures* only, without
-    /// sweeping flows. Destinations whose structure changed have their edit
-    /// lists marked stale and re-swept on the next [`evaluate`]. Planners
-    /// call this with a parent state so each child evaluation diffs against
-    /// its parent (one applied block) rather than an arbitrary cousin.
-    ///
-    /// [`evaluate`]: Self::evaluate
+    /// sweeping flows. Planners call this with a parent state so each child
+    /// evaluation diffs against its parent (one applied block) rather than
+    /// an arbitrary cousin.
     pub fn rebase(
         &mut self,
         pool: &WorkerPool,
@@ -588,19 +525,18 @@ impl IncrementalRouter {
         state: &NetState,
         toggles: Option<&[CircuitId]>,
     ) {
-        self.advance(pool, topo, state, toggles, false);
+        self.advance(pool, topo, state, toggles);
         self.stats.rebases += 1;
     }
 
     /// Shared delta engine: updates the usable mask and every destination's
-    /// cached structures for `state`; sweeps flows when `sweep` is set.
+    /// cached structures for `state`.
     fn advance(
         &mut self,
         pool: &WorkerPool,
         topo: &Topology,
         state: &NetState,
         toggles: Option<&[CircuitId]>,
-        sweep: bool,
     ) {
         let full_all = !self.primed || toggles.is_none();
         if full_all {
@@ -626,67 +562,25 @@ impl IncrementalRouter {
             }
         }
 
-        // Lane-partitioned advance: contiguous destination chunks
-        // (`CHUNKS_PER_LANE` per lane) instead of one task per
-        // destination — fewer claim round-trips, and each chunk owns a
-        // replay buffer its lane can refresh in place.
         let lanes = pool.lanes();
         // Fan out only when the machine can actually run lanes
         // concurrently: on a single-core host (or a 1-lane pool) waking
-        // workers is pure context-switch overhead, so the same chunk tasks
-        // run inline on the caller. Chunks are disjoint and merged in
-        // fixed order, so execution mode is unobservable in the results.
+        // workers is pure context-switch overhead, so the destinations are
+        // advanced inline on the caller. Each destination's structure
+        // depends on nothing but its own cache and the shared read-only
+        // inputs, so execution mode is unobservable in the results.
         let use_pool = lanes > 1 && klotski_parallel::default_lanes() > 1;
-        if use_pool && self.scratch.len() < lanes {
-            // Per-lane scratch is allocated on first pooled dispatch, so a
-            // checker that never fans out (1-core host) carries exactly one
-            // lane's worth of scratch regardless of its configured width.
-            let n = self.csr.num_switches();
-            self.scratch.resize_with(lanes, || LaneScratch::sized(n));
-        }
-        // Inline execution needs no load balancing across lanes, so it
-        // keeps the chunk count at the floor; the chunk count is stable
-        // for a given engine (both gate inputs are fixed), so replay
-        // buffers stay valid across advances either way.
-        let fan = if use_pool { lanes } else { 1 };
-        let ranges = chunk_ranges(self.entries.len(), fan * CHUNKS_PER_LANE);
-        if self.replays.len() < ranges.len() {
-            self.replays.resize_with(ranges.len(), ChunkReplay::default);
-        }
-        self.replay_chunks = ranges.len();
         let Self {
             ref mut entries,
             ref mut scratch,
-            ref mut replays,
             ref mask,
             ref csr,
             ref toggle_words,
             policy,
             ..
         } = *self;
-        // Split the entries into per-chunk mutable slices, paired with each
-        // chunk's replay buffer. Tasks write only their own pair, so results
-        // cannot depend on lane assignment.
-        let mut tasks: Vec<(&mut [DestEntry], &mut ChunkReplay)> = Vec::with_capacity(ranges.len());
-        {
-            let mut rest: &mut [DestEntry] = entries;
-            let mut replay_rest: &mut [ChunkReplay] = &mut replays[..ranges.len()];
-            for r in &ranges {
-                let (chunk, tail) = rest.split_at_mut(r.len());
-                let (rep, rep_tail) = replay_rest.split_at_mut(1);
-                tasks.push((chunk, &mut rep[0]));
-                rest = tail;
-                replay_rest = rep_tail;
-            }
-        }
-        let work = |lane: &mut LaneScratch,
-                    task: usize,
-                    out: &mut (&mut [DestEntry], &mut ChunkReplay)| {
-            let chunk: &mut [DestEntry] = out.0;
-            let replay: &mut ChunkReplay = out.1;
-            let range = &ranges[task];
-            let mut all_clean = true;
-            for entry in chunk.iter_mut() {
+        let advance_chunk = |lane: &mut LaneScratch, chunk: &mut [DestEntry]| {
+            for entry in chunk {
                 advance_entry(
                     entry,
                     lane,
@@ -697,32 +591,34 @@ impl IncrementalRouter {
                     toggle_words,
                     full_all,
                     policy,
-                    sweep,
                 );
-                all_clean &= entry.last_clean;
-            }
-            if sweep {
-                // Keep the previous buffer only if it covers exactly this
-                // entry range and every entry replayed clean; otherwise
-                // regather from the (fresh) per-entry lists.
-                let reusable = replay.valid
-                    && replay.start == range.start
-                    && replay.end == range.end
-                    && all_clean;
-                if !reusable {
-                    replay.gather(chunk, range.start, range.end);
-                }
-            } else {
-                // Structure-only rebase: edit lists may be stale.
-                replay.valid = false;
             }
         };
         if use_pool {
-            pool.run_scratch_tasks_into(scratch, &mut tasks, work);
-        } else {
-            for (task, out) in tasks.iter_mut().enumerate() {
-                work(&mut scratch[0], task, out);
+            if scratch.len() < lanes {
+                // Per-lane scratch is allocated on first pooled dispatch,
+                // so a checker that never fans out (1-core host) carries
+                // exactly one lane's worth regardless of its configured
+                // width.
+                let n = csr.num_switches();
+                scratch.resize_with(lanes, || LaneScratch::sized(n));
             }
+            // Lane-partitioned advance: contiguous destination chunks
+            // (`CHUNKS_PER_LANE` per lane) instead of one task per
+            // destination — fewer claim round-trips. Tasks write only
+            // their own chunk.
+            let mut tasks: Vec<&mut [DestEntry]> = Vec::new();
+            let mut rest: &mut [DestEntry] = entries;
+            for r in chunk_ranges(rest.len(), lanes * CHUNKS_PER_LANE) {
+                let (chunk, tail) = rest.split_at_mut(r.len());
+                tasks.push(chunk);
+                rest = tail;
+            }
+            pool.run_scratch_tasks_into(scratch, &mut tasks, |lane, _, chunk| {
+                advance_chunk(lane, chunk)
+            });
+        } else {
+            advance_chunk(&mut scratch[0], entries);
         }
         self.primed = true;
 
@@ -796,9 +692,9 @@ fn split_weight(csr: &CsrGraph, c: u32, policy: SplitPolicy) -> f64 {
     }
 }
 
-/// Updates one destination's cached structures for the child state and
-/// (when `sweep`) refreshes its edit list. See the module docs for the
-/// classification rules and why each shortcut is sound.
+/// Updates one destination's cached structures for the child state. See
+/// the module docs for the classification rules and why each shortcut is
+/// sound.
 #[allow(clippy::too_many_arguments)]
 fn advance_entry(
     entry: &mut DestEntry,
@@ -810,7 +706,6 @@ fn advance_entry(
     toggle_words: &[(u32, u64)],
     full_all: bool,
     policy: SplitPolicy,
-    sweep: bool,
 ) {
     let epoch = scratch.bump_epoch();
     scratch.marked.clear();
@@ -1031,21 +926,7 @@ fn advance_entry(
         }
     }
 
-    let clean = !full && !structure_changed;
-    entry.last_clean = clean && entry.edits_valid;
-    if sweep {
-        if !clean || !entry.edits_valid {
-            sweep_entry(entry, scratch, state);
-            // The base sweep re-ran, so the structure or state moved:
-            // every cached per-extra-matrix edit list is now stale. They
-            // re-validate lazily on their next replay — a matrix the
-            // checker short-circuits past simply stays stale.
-            entry.extra_valid.fill(false);
-        }
-    } else if !clean {
-        entry.edits_valid = false;
-        entry.extra_valid.fill(false);
-    }
+    entry.last_clean = !full && !structure_changed;
 }
 
 /// Adds `ui` to the marked set once per epoch.
@@ -1130,31 +1011,57 @@ fn rebuild_full(
     }
 }
 
-/// Re-runs injection + reverse sweep from the cached structures, recording
-/// the ordered edit list. Mirrors `EcmpRouter::route_group` operation for
-/// operation so the recorded f64 additions are bit-identical to it.
-fn sweep_entry(entry: &mut DestEntry, scratch: &mut LaneScratch, state: &NetState) {
-    entry.edits.clear();
-    entry.routed_terms.clear();
-    entry.unreachable.clear();
-    for d in &entry.demands {
-        let src = d.src.index();
-        if entry.dist[src] == UNREACHED || !state.switch_up(d.src) {
-            entry.unreachable.push((d.src, d.dst));
+/// Injection + reverse sweep of one destination for `loads.len()` demand
+/// matrices at once (columns `first..` of `entry.rates`), from the cached
+/// structures straight into each matrix's `LoadMap`. Per matrix this
+/// mirrors `EcmpRouter::route_group` addition for addition; the
+/// differences cannot change a bit of the result:
+///
+/// - a matrix whose flow at a switch is 0.0 adds 0.0 shares where the
+///   oracle skips the switch — accumulators start at +0.0 and a sum is
+///   −0.0 only if both terms are, so none ever holds −0.0, the one value
+///   `x + 0.0` would change;
+/// - under ECMP the share `flow * 1.0 / total` is the same on every
+///   downhill circuit and `x * 1.0 == x`, so it is divided once per switch;
+/// - a switch's inflow is zeroed as it is consumed (flow only moves to
+///   strictly smaller distances, later in the reverse order), which
+///   replaces the oracle's touched-list reset.
+#[allow(clippy::too_many_arguments)]
+fn sweep_entry(
+    entry: &DestEntry,
+    inflow: &mut [f64],
+    flows: &mut [f64],
+    state: &NetState,
+    policy: SplitPolicy,
+    matrices: usize,
+    first: usize,
+    loads: &mut [LoadMap],
+    outcomes: &mut [RouteOutcome],
+) {
+    let lanes = loads.len();
+    for (i, &src) in entry.srcs.iter().enumerate() {
+        if entry.dist[src.index()] == UNREACHED || !state.switch_up(src) {
+            for o in outcomes.iter_mut() {
+                o.unreachable.push((src, entry.dst));
+            }
             continue;
         }
-        if scratch.inflow[src] == 0.0 {
-            scratch.touched.push(src as u32);
+        let rates = &entry.rates[i * matrices + first..][..lanes];
+        let cell = &mut inflow[src.index() * lanes..][..lanes];
+        for ((into, o), &gbps) in cell.iter_mut().zip(outcomes.iter_mut()).zip(rates) {
+            *into += gbps;
+            o.routed_gbps += gbps;
         }
-        scratch.inflow[src] += d.gbps;
-        entry.routed_terms.push(d.gbps);
     }
-    for i in (0..entry.order.len()).rev() {
-        let u = entry.order[i] as usize;
-        let flow = scratch.inflow[u];
-        if flow == 0.0 {
+    let ecmp = policy == SplitPolicy::Ecmp;
+    for &u in entry.order.iter().rev() {
+        let u = u as usize;
+        let cell = &mut inflow[u * lanes..][..lanes];
+        if cell.iter().all(|&f| f == 0.0) {
             continue;
         }
+        flows.copy_from_slice(cell);
+        cell.fill(0.0);
         if entry.dist[u] == 0 {
             continue; // the destination absorbs its inflow
         }
@@ -1167,76 +1074,20 @@ fn sweep_entry(entry: &mut DestEntry, scratch: &mut LaneScratch, state: &NetStat
             total_weight > 0.0,
             "a reachable non-destination switch must have a downhill circuit"
         );
-        for &(slot, far, weight) in list {
-            let share = flow * weight / total_weight;
-            entry.edits.push((slot, share));
-            let fi = far as usize;
-            if scratch.inflow[fi] == 0.0 {
-                scratch.touched.push(far);
+        if ecmp {
+            for f in flows.iter_mut() {
+                *f /= total_weight;
             }
-            scratch.inflow[fi] += share;
         }
-    }
-    for &u in &scratch.touched {
-        scratch.inflow[u as usize] = 0.0;
-    }
-    scratch.touched.clear();
-    entry.edits_valid = true;
-}
-
-/// [`sweep_entry`] for the k-th non-base ensemble matrix: identical
-/// injection + reverse-sweep sequence over the same cached structures, but
-/// reading rates from `extra_rates[k]` and recording into the per-matrix
-/// edit list. Unreachable pairs are not re-derived — the endpoints match
-/// the base's, so the base's `unreachable` list applies verbatim.
-fn sweep_extra(entry: &mut DestEntry, scratch: &mut LaneScratch, state: &NetState, k: usize) {
-    entry.extra_edits[k].clear();
-    entry.extra_terms[k].clear();
-    for (i, d) in entry.demands.iter().enumerate() {
-        let src = d.src.index();
-        if entry.dist[src] == UNREACHED || !state.switch_up(d.src) {
-            continue; // recorded in the base's shared unreachable list
-        }
-        let gbps = entry.extra_rates[k][i];
-        if scratch.inflow[src] == 0.0 {
-            scratch.touched.push(src as u32);
-        }
-        scratch.inflow[src] += gbps;
-        entry.extra_terms[k].push(gbps);
-    }
-    for i in (0..entry.order.len()).rev() {
-        let u = entry.order[i] as usize;
-        let flow = scratch.inflow[u];
-        if flow == 0.0 {
-            continue;
-        }
-        if entry.dist[u] == 0 {
-            continue; // the destination absorbs its inflow
-        }
-        let list = &entry.dag[u];
-        let mut total_weight = 0.0_f64;
-        for &(_, _, weight) in list {
-            total_weight += weight;
-        }
-        debug_assert!(
-            total_weight > 0.0,
-            "a reachable non-destination switch must have a downhill circuit"
-        );
         for &(slot, far, weight) in list {
-            let share = flow * weight / total_weight;
-            entry.extra_edits[k].push((slot, share));
-            let fi = far as usize;
-            if scratch.inflow[fi] == 0.0 {
-                scratch.touched.push(far);
+            let cell = &mut inflow[far as usize * lanes..][..lanes];
+            for ((load, into), &f) in loads.iter_mut().zip(cell).zip(flows.iter()) {
+                let share = if ecmp { f } else { f * weight / total_weight };
+                load.add_slot(slot, share);
+                *into += share;
             }
-            scratch.inflow[fi] += share;
         }
     }
-    for &u in &scratch.touched {
-        scratch.inflow[u as usize] = 0.0;
-    }
-    scratch.touched.clear();
-    entry.extra_valid[k] = true;
 }
 
 /// Convenience for tests and callers without an external toggle source:
@@ -1302,6 +1153,80 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// `prev` after one to three random knockouts or restorations of
+    /// switches and circuits.
+    fn random_step(t: &Topology, prev: &NetState, seed: &mut u64) -> NetState {
+        let mut next = prev.clone();
+        for _ in 0..(1 + splitmix(seed) % 3) {
+            if splitmix(seed).is_multiple_of(2) {
+                let c = CircuitId::from_index((splitmix(seed) % t.num_circuits() as u64) as usize);
+                let up = next.circuit_up(c);
+                next.set_circuit(c, !up);
+            } else {
+                let s = SwitchId::from_index((splitmix(seed) % t.num_switches() as u64) as usize);
+                if next.switch_up(s) {
+                    next.drain_switch(t, s);
+                } else {
+                    next.undrain_switch(t, s);
+                }
+            }
+        }
+        next
+    }
+
+    /// `k` ensemble variants of `base`: same endpoints, rates scaled
+    /// globally and per class (like the realized EWMA/surge variants).
+    fn variants(base: &DemandMatrix, k: usize) -> Vec<DemandMatrix> {
+        (0..k)
+            .map(|i| {
+                base.iter()
+                    .cloned()
+                    .map(|mut d| {
+                        d.gbps *= 0.5 + 0.25 * i as f64;
+                        if d.class == klotski_traffic::DemandClass::RswToRsw && i % 2 == 1 {
+                            d.gbps *= 1.45;
+                        }
+                        d
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Sweeps every extra of `engine` both ways — all at once and one at a
+    /// time — and checks each against the other and against `EcmpRouter`
+    /// from scratch, bit for bit.
+    fn assert_extras_match_scalar_and_scratch(
+        engine: &mut IncrementalRouter,
+        t: &Topology,
+        state: &NetState,
+        extras: &[DemandMatrix],
+        policy: SplitPolicy,
+        what: &str,
+    ) {
+        let mut packed = vec![LoadMap::new(t); extras.len()];
+        let mut packed_out = vec![RouteOutcome::new(); extras.len()];
+        engine.replay_extras(state, &mut packed, &mut packed_out);
+        let mut loads = LoadMap::new(t);
+        let mut out = RouteOutcome::new();
+        for (k, extra) in extras.iter().enumerate() {
+            let what = format!("{what} extra {k}");
+            loads.clear();
+            engine.replay_extra(k, state, &mut loads, &mut out);
+            let (ref_loads, ref_out) = full_reference(t, state, extra, policy);
+            for (got, path) in [(&packed_out[k], "packed"), (&out, "one-lane")] {
+                assert_eq!(*got, ref_out, "{what} ({path})");
+                assert_eq!(
+                    got.routed_gbps.to_bits(),
+                    ref_out.routed_gbps.to_bits(),
+                    "{what} ({path})"
+                );
+            }
+            assert_bit_identical(&packed[k], &ref_loads, t, &format!("{what} (packed)"));
+            assert_bit_identical(&loads, &ref_loads, t, &format!("{what} (one-lane)"));
+        }
+    }
+
     #[test]
     fn primed_evaluation_matches_full() {
         let (t, state, demands) = preset_world();
@@ -1332,26 +1257,7 @@ mod tests {
             engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
             let mut seed = 0x5eed ^ threads as u64;
             for step in 0..12 {
-                // Random knockouts and restorations of switches/circuits.
-                let mut next = prev.clone();
-                for _ in 0..(1 + splitmix(&mut seed) % 3) {
-                    if splitmix(&mut seed).is_multiple_of(2) {
-                        let c = CircuitId::from_index(
-                            (splitmix(&mut seed) % t.num_circuits() as u64) as usize,
-                        );
-                        let up = next.circuit_up(c);
-                        next.set_circuit(c, !up);
-                    } else {
-                        let s = SwitchId::from_index(
-                            (splitmix(&mut seed) % t.num_switches() as u64) as usize,
-                        );
-                        if next.switch_up(s) {
-                            next.drain_switch(&t, s);
-                        } else {
-                            next.undrain_switch(&t, s);
-                        }
-                    }
-                }
+                let next = random_step(&t, &prev, &mut seed);
                 let toggles = usability_toggles(&t, &prev, &next);
                 loads.clear();
                 engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
@@ -1434,87 +1340,128 @@ mod tests {
     }
 
     #[test]
-    fn extra_matrices_replay_bit_identical_to_from_scratch() {
+    fn packed_sweep_matches_one_lane_sweeps_and_from_scratch() {
         let (t, state, demands) = preset_world();
-        // Ensemble variants: same endpoints, scaled rates (globally and per
-        // class, like the realized EWMA/surge variants).
-        let surged: DemandMatrix = demands
+        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            for k in [1usize, 3, 8] {
+                let extras = variants(&demands, k - 1);
+                let pool = WorkerPool::new(1 + k % 3);
+                let mut engine = IncrementalRouter::with_csr_ensemble(
+                    Arc::new(CsrGraph::build(&t)),
+                    &demands,
+                    &extras,
+                    pool.lanes(),
+                    policy,
+                );
+                assert_eq!(engine.num_extras(), k - 1);
+                let mut prev = state.clone();
+                let mut loads = LoadMap::new(&t);
+                let mut out = RouteOutcome::new();
+                engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
+                let mut seed = 0xab5eed ^ k as u64;
+                for step in 0..8 {
+                    let what = format!("{policy:?} K={k} step {step}");
+                    // A planner's shape: structure-only rebase onto a
+                    // parent, then the child one delta further.
+                    let parent = random_step(&t, &prev, &mut seed);
+                    let toggles = usability_toggles(&t, &prev, &parent);
+                    engine.rebase(&pool, &t, &parent, Some(&toggles));
+                    if step % 2 == 1 {
+                        // A rebase alone is enough structure to sweep over.
+                        assert_extras_match_scalar_and_scratch(
+                            &mut engine,
+                            &t,
+                            &parent,
+                            &extras,
+                            policy,
+                            &format!("{what} (rebased)"),
+                        );
+                    }
+                    let next = random_step(&t, &parent, &mut seed);
+                    let toggles = usability_toggles(&t, &parent, &next);
+                    loads.clear();
+                    engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
+                    let (ref_loads, ref_out) = full_reference(&t, &next, &demands, policy);
+                    assert_eq!(out, ref_out, "{what}");
+                    assert_eq!(out.routed_gbps.to_bits(), ref_out.routed_gbps.to_bits());
+                    assert_bit_identical(&loads, &ref_loads, &t, &what);
+                    assert_extras_match_scalar_and_scratch(
+                        &mut engine,
+                        &t,
+                        &next,
+                        &extras,
+                        policy,
+                        &what,
+                    );
+                    prev = next;
+                }
+                let swept = engine.stats().extra_replays;
+                assert_eq!(swept, (8 + 4) * 2 * (k as u64 - 1));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_rate_matrices_and_lost_sources_sweep_like_the_scalar_path() {
+        let (t, state, demands) = preset_world();
+        // Matrix 1 is silent, matrix 2 silences every other demand, matrix
+        // 3 is plain: at most switches some packed matrices carry 0.0 flow
+        // while others do not.
+        let holes: DemandMatrix = demands
             .iter()
             .cloned()
-            .map(|mut d| {
-                if d.class == klotski_traffic::DemandClass::RswToRsw {
-                    d.gbps *= 1.45;
+            .enumerate()
+            .map(|(i, mut d)| {
+                if i % 2 == 0 {
+                    d.gbps = 0.0;
                 }
                 d
             })
             .collect();
-        let extras = vec![demands.scaled(1.25), surged, demands.scaled(0.5)];
-        for threads in [1usize, 3] {
-            let pool = WorkerPool::new(threads);
+        let extras = vec![demands.scaled(0.0), holes, demands.scaled(1.25)];
+        // One source is drained, another is up but cut off from the fabric.
+        let mut srcs = demands.iter().map(|d| d.src);
+        let down = srcs.next().unwrap();
+        let cut = srcs.find(|&s| s != down).unwrap();
+        let mut next = state.clone();
+        next.drain_switch(&t, down);
+        for &(c, _) in t.neighbors(cut) {
+            next.set_circuit(c, false);
+        }
+        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            let pool = WorkerPool::new(2);
             let mut engine = IncrementalRouter::with_csr_ensemble(
                 Arc::new(CsrGraph::build(&t)),
                 &demands,
                 &extras,
                 pool.lanes(),
-                SplitPolicy::Ecmp,
+                policy,
             );
-            assert_eq!(engine.num_extras(), 3);
-            let mut prev = state.clone();
             let mut loads = LoadMap::new(&t);
             let mut out = RouteOutcome::new();
-            engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
-            let mut seed = 0xab5eed ^ threads as u64;
-            for step in 0..10 {
-                let mut next = prev.clone();
-                for _ in 0..(1 + splitmix(&mut seed) % 3) {
-                    if splitmix(&mut seed).is_multiple_of(2) {
-                        let c = CircuitId::from_index(
-                            (splitmix(&mut seed) % t.num_circuits() as u64) as usize,
-                        );
-                        let up = next.circuit_up(c);
-                        next.set_circuit(c, !up);
-                    } else {
-                        let s = SwitchId::from_index(
-                            (splitmix(&mut seed) % t.num_switches() as u64) as usize,
-                        );
-                        if next.switch_up(s) {
-                            next.drain_switch(&t, s);
-                        } else {
-                            next.undrain_switch(&t, s);
-                        }
-                    }
-                }
-                let toggles = usability_toggles(&t, &prev, &next);
-                loads.clear();
-                engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
-                for k in 0..extras.len() {
-                    // Skip some replays to exercise short-circuit staleness:
-                    // a skipped matrix must still replay correctly later.
-                    if (step + k) % 3 == 2 {
-                        continue;
-                    }
-                    loads.clear();
-                    engine.replay_extra(k, &next, &mut loads, &mut out);
-                    let (ref_loads, ref_out) =
-                        full_reference(&t, &next, &extras[k], SplitPolicy::Ecmp);
-                    assert_eq!(out, ref_out, "step {step} extra {k} ({threads} threads)");
-                    assert_eq!(
-                        out.routed_gbps.to_bits(),
-                        ref_out.routed_gbps.to_bits(),
-                        "step {step} extra {k}"
-                    );
-                    assert_bit_identical(&loads, &ref_loads, &t, &format!("step {step} extra {k}"));
-                }
-                prev = next;
+            engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
+            let toggles = usability_toggles(&t, &state, &next);
+            loads.clear();
+            engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
+            for lost in [down, cut] {
+                assert!(out.unreachable.iter().any(|&(s, _)| s == lost), "{lost}");
             }
-            let s = engine.stats();
-            assert!(s.extra_replays > 0);
-            assert!(s.extra_resweeps > 0, "staleness path must be exercised");
+            let (ref_loads, ref_out) = full_reference(&t, &next, &demands, policy);
+            assert_eq!(out, ref_out);
+            assert_bit_identical(&loads, &ref_loads, &t, "base");
+            assert_extras_match_scalar_and_scratch(
+                &mut engine,
+                &t,
+                &next,
+                &extras,
+                policy,
+                &format!("{policy:?}"),
+            );
         }
     }
 
     #[test]
-    fn clean_destinations_replay_without_resweep() {
+    fn untouched_destinations_count_as_clean() {
         let (t, state, demands) = preset_world();
         let pool = WorkerPool::new(1);
         let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
@@ -1522,7 +1469,7 @@ mod tests {
         let mut out = RouteOutcome::new();
         engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
         let before = engine.stats();
-        // Empty delta: every destination must replay from cache.
+        // Empty delta: every destination keeps its structure.
         loads.clear();
         engine.evaluate(&pool, &t, &state, Some(&[]), &mut loads, &mut out);
         let after = engine.stats();
@@ -1532,7 +1479,7 @@ mod tests {
         );
         assert_eq!(after.dirty_destinations, before.dirty_destinations);
         let (ref_loads, _) = full_reference(&t, &state, &demands, SplitPolicy::Ecmp);
-        assert_bit_identical(&loads, &ref_loads, &t, "replay");
+        assert_bit_identical(&loads, &ref_loads, &t, "second sweep");
         assert!(engine.approx_bytes() > 0);
     }
 }

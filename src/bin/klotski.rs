@@ -277,7 +277,7 @@ fn print_search_stats(s: &klotski::npd::api::PlanSummary) {
     if dests > 0 {
         let incr_rate = 100.0 * s.incremental_clean as f64 / dests as f64;
         println!(
-            "  incr clean dests  {:>10}  ({incr_rate:.1}% replayed)",
+            "  incr clean dests  {:>10}  ({incr_rate:.1}% structure reused unchanged)",
             s.incremental_clean
         );
         println!("  incr dirty dests  {:>10}", s.incremental_dirty);
@@ -559,7 +559,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         if r.ok {
             println!(
                 "  replan after step {}: {} phases in {:.1}ms \
-                 ({} states, {} esc hits, {} incr replays)",
+                 ({} states, {} esc hits, {} incr clean dests)",
                 r.at_step,
                 r.phases,
                 r.latency_ms,
