@@ -21,14 +21,14 @@
 //!   experiment (defaults 12 / 72 / 8).
 
 use klotski_bench::{
-    experiments, fleet, incremental, longhorizon, robust, runner, scenarios, service, telemetry,
+    experiments, fleet, incremental, longhorizon, robust, runner, scenarios, service,
 };
 use klotski_telemetry::{log_event, registry};
 
 /// A named experiment: label plus the function rendering its output.
 type Experiment = (&'static str, fn() -> String);
 
-const EXPERIMENTS: [Experiment; 15] = [
+const EXPERIMENTS: [Experiment; 14] = [
     ("table1", experiments::table1),
     ("table3", experiments::table3),
     ("fig8", experiments::fig8),
@@ -42,7 +42,6 @@ const EXPERIMENTS: [Experiment; 15] = [
     ("scenarios", scenarios::scenarios),
     ("service", service::service),
     ("fleet", fleet::fleet),
-    ("telemetry", telemetry::telemetry),
     ("long-horizon", longhorizon::longhorizon),
 ];
 
@@ -75,9 +74,8 @@ fn main() {
                         .map(|(n, _)| *n)
                         .collect::<Vec<_>>()
                         .join(", ");
-                    // Plain stderr too: log_event! compiles to nothing
-                    // without the `trace` feature, and this diagnostic must
-                    // reach the user unconditionally.
+                    // Plain stderr too: the event line is JSON for tools,
+                    // this one is for the person who mistyped.
                     eprintln!("unknown experiment {arg:?}; available: {available}, all");
                     log_event!(
                         "report.unknown_experiment",

@@ -25,7 +25,6 @@ pub mod runner;
 pub mod scenarios;
 pub mod service;
 pub mod table;
-pub mod telemetry;
 
 pub use runner::{run_planner, spec_for, PlannerKind, RunResult};
 

@@ -183,7 +183,7 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
     ] {
         reg.counter(&label(family)).add(value);
     }
-    reg.histogram(&label("klotski_search_plan_seconds"))
+    reg.loglinear(&label("klotski_search_plan_seconds"))
         .record(stats.planning_time);
 }
 

@@ -7,13 +7,12 @@
 //! recency bookkeeping buys nothing — the cache exists to absorb repeated
 //! submissions of the same document, which arrive in bursts.
 //!
-//! Each shard keeps its own hit/miss/eviction counters (surfaced as the
-//! `klotski_cache_shard_*` metric families) so an operator can see a
-//! skewed tenant population hammering one shard; the global atomics back
-//! the aggregate gauges without locking.
+//! Each shard keeps its own hit/miss/eviction counters under its lock
+//! (surfaced as the `klotski_cache_shard_*` metric families) so an operator
+//! can see a skewed tenant population hammering one shard; the aggregate
+//! `klotski_cache_*` series are their sums, taken at scrape time.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independent shards. Power of two so shard selection is a mask.
@@ -47,9 +46,6 @@ pub struct PlanCache<V> {
     /// Per-shard capacity (total capacity rounded up to a multiple of
     /// [`SHARDS`]).
     shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl<V> PlanCache<V> {
@@ -68,9 +64,6 @@ impl<V> PlanCache<V> {
                 })
                 .collect(),
             shard_capacity: capacity.div_ceil(SHARDS),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -83,7 +76,6 @@ impl<V> PlanCache<V> {
     /// Looks up a finished artifact, counting the hit or miss.
     pub fn get(&self, key: (u64, u64)) -> Option<Arc<V>> {
         if self.shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             self.shard(key).lock().unwrap().misses += 1;
             return None;
         }
@@ -92,12 +84,10 @@ impl<V> PlanCache<V> {
             Some(v) => {
                 let v = Arc::clone(v);
                 shard.hits += 1;
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(v)
             }
             None => {
                 shard.misses += 1;
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -117,7 +107,6 @@ impl<V> PlanCache<V> {
                 if let Some(old) = shard.order.pop_front() {
                     shard.map.remove(&old);
                     shard.evictions += 1;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -138,17 +127,20 @@ impl<V> PlanCache<V> {
 
     /// Hits since construction.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().unwrap().hits).sum()
     }
 
     /// Misses since construction.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.shards.iter().map(|s| s.lock().unwrap().misses).sum()
     }
 
     /// Evictions since construction.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap().evictions)
+            .sum()
     }
 
     /// Per-shard counters, in shard order (for the labeled metric

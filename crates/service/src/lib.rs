@@ -34,7 +34,7 @@
 pub mod cache;
 pub mod http;
 pub mod jobs;
-pub mod metrics;
+mod metrics;
 pub mod pipeline;
 pub mod queue;
 pub mod signal;
@@ -43,7 +43,7 @@ pub mod state;
 use crate::cache::PlanCache;
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::jobs::{Job, JobKind, JobOutput, JobTable, RunArtifact};
-use crate::metrics::{Gauges, Metrics};
+use crate::metrics::{Observed, ServiceMetrics};
 use crate::pipeline::{plan_document_keyed, PipelineError, PlanArtifact};
 use crate::queue::{BoundedQueue, PushError};
 use crate::state::{PendingJob, StateStore};
@@ -160,7 +160,7 @@ struct Shared {
     queue: BoundedQueue<QueuedJob>,
     jobs: JobTable,
     cache: PlanCache<PlanArtifact>,
-    metrics: Metrics,
+    metrics: ServiceMetrics,
     workers_busy: AtomicUsize,
     /// Open `/events` subscribers (the 503-shedding gauge).
     sse_active: AtomicUsize,
@@ -177,20 +177,35 @@ impl Shared {
         self.draining.load(Ordering::SeqCst) || signal::shutdown_requested()
     }
 
-    fn gauges(&self) -> Gauges {
-        Gauges {
+    /// Publishes what the queue, the workers, the cache and the journal
+    /// report right now; `/metrics` calls it just before rendering.
+    fn publish_observed(&self) {
+        self.metrics.publish(&Observed {
             queue_depth: self.queue.len(),
             queue_capacity: self.queue.capacity(),
             workers_busy: self.workers_busy.load(Ordering::Relaxed),
             workers: self.config.workers,
-            cache_entries: self.cache.len(),
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
-            cache_evictions: self.cache.evictions(),
+            shards: &self.cache.shard_stats(),
             journal_bytes: self.state.as_ref().map_or(0, |s| s.bytes()),
             journal_records: self.state.as_ref().map_or(0, |s| s.records()),
             journal_compactions: self.state.as_ref().map_or(0, |s| s.compactions()),
-        }
+        });
+    }
+
+    /// The one exit for client errors: the `ErrorResponse` envelope under a
+    /// 4xx status, counted in `klotski_bad_requests_total`. Not for `409
+    /// not finished` (a poll-again signal) nor for replaying the stored
+    /// error of a failed job (`klotski_jobs_failed_total` has that one).
+    fn reject(&self, status: u16, why: impl Into<String>) -> Response {
+        self.metrics.bad_requests.inc();
+        Response::json(status, &ErrorResponse::new(why))
+    }
+
+    /// The one exit for backpressure: `503` + `Retry-After`, counted in
+    /// `klotski_rejected_busy_total`.
+    fn busy(&self, why: impl Into<String>) -> Response {
+        self.metrics.rejected_busy.inc();
+        Response::json(503, &ErrorResponse::new(why)).with_header("Retry-After", "1")
     }
 }
 
@@ -222,7 +237,7 @@ impl Service {
             queue: BoundedQueue::new(config.queue_depth),
             jobs: JobTable::new(config.jobs_capacity),
             cache: PlanCache::new(config.cache_capacity),
-            metrics: Metrics::new(),
+            metrics: ServiceMetrics::new(),
             workers_busy: AtomicUsize::new(0),
             sse_active: AtomicUsize::new(0),
             draining: std::sync::atomic::AtomicBool::new(false),
@@ -235,10 +250,7 @@ impl Service {
         // or connection runs, so replayed state is never raced by traffic.
         for (key, artifact) in replay.artifacts {
             shared.cache.insert(key, artifact);
-            shared
-                .metrics
-                .state_replayed_artifacts
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.state_replayed_artifacts.inc();
         }
         for pending in replay.pending {
             replay_pending_job(&shared, pending);
@@ -339,10 +351,7 @@ fn replay_pending_job(shared: &Arc<Shared>, pending: PendingJob) {
         }
         return;
     }
-    shared
-        .metrics
-        .state_replayed_jobs
-        .fetch_add(1, Ordering::Relaxed);
+    shared.metrics.state_replayed_jobs.inc();
 }
 
 /// Accept loop: one short-lived thread per connection (`Connection:
@@ -409,10 +418,7 @@ fn run_plan_job(
         if let Some(state) = &shared.state {
             state.settled(key); // the cached artifact is already journaled
         }
-        shared
-            .metrics
-            .jobs_completed
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.jobs_completed.inc();
         shared.metrics.latency.record(queued.job.admitted.elapsed());
         settle_inflight(shared, key, &queued.job);
         queued.job.complete(JobOutput::Plan(hit));
@@ -424,10 +430,7 @@ fn run_plan_job(
         // Deadlines bound admission-to-answer, so they start at admission.
         budget = budget.with_deadline(queued.job.admitted + d);
     }
-    shared
-        .metrics
-        .pipeline_executions
-        .fetch_add(1, Ordering::Relaxed);
+    shared.metrics.pipeline_executions.inc();
     match plan_document_keyed(npd, options, key, budget, Some(Arc::clone(pool))) {
         Ok(artifact) => {
             let artifact = Arc::new(artifact);
@@ -435,10 +438,7 @@ fn run_plan_job(
             if let Some(state) = &shared.state {
                 state.artifact(key, &artifact, || shared.cache.snapshot());
             }
-            shared
-                .metrics
-                .jobs_completed
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.jobs_completed.inc();
             shared.metrics.latency.record(queued.job.admitted.elapsed());
             settle_inflight(shared, key, &queued.job);
             queued.job.complete(JobOutput::Plan(artifact));
@@ -489,15 +489,12 @@ fn run_scenario_job(
             let json = serde_json::to_string_pretty(&report)
                 .map(String::into_bytes)
                 .unwrap_or_else(|_| b"{}".to_vec());
-            shared
-                .metrics
-                .jobs_completed
-                .fetch_add(1, Ordering::Relaxed);
+            shared.metrics.jobs_completed.inc();
             shared.metrics.latency.record(queued.job.admitted.elapsed());
             span.field("completed", report.completed);
             span.field("replans", report.replans.len() as u64);
             let outcome = report.outcome_label();
-            shared.metrics.run_outcomes.record(outcome);
+            shared.metrics.run_outcome(outcome).inc();
             queued
                 .job
                 .complete(JobOutput::Run(Arc::new(RunArtifact { report, json })));
@@ -509,7 +506,7 @@ fn run_scenario_job(
                 ControllerError::InitialPlan(PlanError::BudgetExceeded { .. }) => 504,
                 ControllerError::InitialPlan(_) => 422,
             };
-            shared.metrics.run_outcomes.record("failed");
+            shared.metrics.run_outcome("failed").inc();
             fail_job(shared, queued, span, status, e.to_string());
         }
     }
@@ -529,12 +526,9 @@ fn fail_job(
     status: u16,
     message: String,
 ) {
-    shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.jobs_failed.inc();
     if status == 504 {
-        shared
-            .metrics
-            .jobs_cancelled
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.jobs_cancelled.inc();
         span.field("outcome", "deadline");
     } else {
         span.field("outcome", "failed");
@@ -548,20 +542,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) -> std::io::Re
     let request = match read_request(&mut stream, shared.config.max_body_bytes) {
         Ok(r) => r,
         Err(HttpError::BodyTooLarge(n)) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(
-                413,
-                &ErrorResponse::new(format!("body of {n} bytes too large")),
-            )
-            .write_to(&mut stream);
+            return shared
+                .reject(413, format!("body of {n} bytes too large"))
+                .write_to(&mut stream);
         }
-        Err(HttpError::Malformed(why)) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(400, &ErrorResponse::new(why)).write_to(&mut stream);
-        }
+        Err(HttpError::Malformed(why)) => return shared.reject(400, why).write_to(&mut stream),
         Err(HttpError::Io(e)) => return Err(e),
     };
-    shared.metrics.http_requests.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.http_requests.inc();
     // The events endpoint streams; everything else is one buffered
     // response.
     if request.method == "GET"
@@ -587,21 +575,21 @@ fn stream_events(
     let rest = &request.path["/v1/jobs/".len()..];
     let id_str = rest.strip_suffix("/events").unwrap_or(rest);
     let Ok(id) = id_str.parse::<u64>() else {
-        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Response::json(400, &ErrorResponse::new(format!("bad job id {id_str:?}")))
+        return shared
+            .reject(400, format!("bad job id {id_str:?}"))
             .write_to(&mut stream);
     };
     let Some(job) = shared.jobs.get(id) else {
-        return Response::json(404, &ErrorResponse::new(format!("no job {id}")))
+        return shared
+            .reject(404, format!("no job {id}"))
             .write_to(&mut stream);
     };
     // Shed before subscribing: every accepted stream pins a connection
     // thread and a bounded queue until the job finishes.
     if shared.sse_active.fetch_add(1, Ordering::SeqCst) >= shared.config.sse_max_subscribers {
         shared.sse_active.fetch_sub(1, Ordering::SeqCst);
-        shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        return Response::json(503, &ErrorResponse::new("too many event subscribers"))
-            .with_header("Retry-After", "1")
+        return shared
+            .busy("too many event subscribers")
             .write_to(&mut stream);
     }
     let result = serve_events(&mut stream, &job, shared);
@@ -617,7 +605,7 @@ fn serve_events(
     // Subscribe before the first status check: lines published between a
     // "still running" verdict and a later subscription would be lost.
     let sub = klotski_telemetry::bus().subscribe(job.stream, shared.config.sse_queue_capacity);
-    shared.metrics.sse_streams.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.sse_streams.inc();
     http::write_chunked_head(
         stream,
         200,
@@ -638,10 +626,7 @@ fn serve_events(
         }
         if terminal {
             let dropped = sub.dropped();
-            shared
-                .metrics
-                .sse_lag_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
+            shared.metrics.sse_lag_dropped.add(dropped);
             let end = terminal_event(output.as_ref(), error.as_ref(), dropped);
             write_event(stream, "end", &end)?;
             return http::finish_chunked(stream);
@@ -712,14 +697,10 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
             }
         }
         ("GET", "/metrics") => {
-            // Service-local families first (their layout is pinned by the
-            // snapshot test), then the process-wide registry: search,
-            // routing, and pool introspection counters.
-            let mut text = metrics::render(
-                &shared.metrics,
-                &shared.gauges(),
-                &shared.cache.shard_stats(),
-            );
+            // This daemon's registry, then the process-wide one: search,
+            // routing, pool and controller introspection.
+            shared.publish_observed();
+            let mut text = shared.metrics.registry.render_prometheus();
             text.push_str(&klotski_telemetry::registry().render_prometheus());
             Response::text(200, text)
         }
@@ -728,13 +709,9 @@ fn route(request: &Request, shared: &Arc<Shared>) -> Response {
         ("POST", "/v1/run") => submit_run(request, shared),
         ("GET", _) if path.starts_with("/v1/jobs/") => job_endpoint(request, shared),
         (_, "/healthz" | "/metrics" | "/v1/plan" | "/v1/audit" | "/v1/run") => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            Response::json(405, &ErrorResponse::new("method not allowed"))
+            shared.reject(405, "method not allowed")
         }
-        _ => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            Response::json(404, &ErrorResponse::new(format!("no route for {path}")))
-        }
+        _ => shared.reject(404, format!("no route for {path}")),
     }
 }
 
@@ -798,33 +775,22 @@ fn submit(request: &Request, shared: &Arc<Shared>, kind: JobKind) -> Response {
         // not at admission; this handler never sees them.
         JobKind::Audit | JobKind::Run => &shared.metrics.audit_requests,
     };
-    counter.fetch_add(1, Ordering::Relaxed);
+    counter.inc();
 
     if shared.draining() {
-        shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        return Response::json(503, &ErrorResponse::new("draining; not accepting work"))
-            .with_header("Retry-After", "1");
+        return shared.busy("draining; not accepting work");
     }
     let options = match options_from_query(request) {
         Ok(o) => o,
-        Err(why) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(400, &ErrorResponse::new(why));
-        }
+        Err(why) => return shared.reject(400, why),
     };
     let body = match std::str::from_utf8(&request.body) {
         Ok(b) => b,
-        Err(_) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(400, &ErrorResponse::new("body is not UTF-8"));
-        }
+        Err(_) => return shared.reject(400, "body is not UTF-8"),
     };
     let npd = match Npd::from_json(body) {
         Ok(n) => n,
-        Err(e) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(422, &ErrorResponse::new(format!("invalid NPD: {e}")));
-        }
+        Err(e) => return shared.reject(422, format!("invalid NPD: {e}")),
     };
 
     // The one digest computation this request pays: the same key drives
@@ -866,18 +832,12 @@ fn submit_plan_job(
         }
     };
     if !leader {
-        shared
-            .metrics
-            .coalesce_followers
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.coalesce_followers.inc();
         return answer_job(request, shared, kind, &job)
             .with_header("X-Klotski-Coalesce", "follower");
     }
     if shared.config.coalesce {
-        shared
-            .metrics
-            .coalesce_leaders
-            .fetch_add(1, Ordering::Relaxed);
+        shared.metrics.coalesce_leaders.inc();
     }
     // Journal the admission before the push: a crash at any later point
     // re-runs this job on restart instead of losing it.
@@ -906,46 +866,26 @@ fn submit_run(request: &Request, shared: &Arc<Shared>) -> Response {
     // Runs are counted by terminal outcome (`klotski_run_requests_total`
     // labels) when the worker resolves them, not at admission.
     if shared.draining() {
-        shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-        return Response::json(503, &ErrorResponse::new("draining; not accepting work"))
-            .with_header("Retry-After", "1");
+        return shared.busy("draining; not accepting work");
     }
     let mut deadline_ms = None;
     for (key, value) in &request.query {
         match key.as_str() {
             "deadline_ms" => match value.parse() {
                 Ok(ms) => deadline_ms = Some(ms),
-                Err(_) => {
-                    shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    return Response::json(
-                        400,
-                        &ErrorResponse::new(format!("bad deadline_ms {value:?}")),
-                    );
-                }
+                Err(_) => return shared.reject(400, format!("bad deadline_ms {value:?}")),
             },
             "wait" => {}
-            other => {
-                shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    400,
-                    &ErrorResponse::new(format!("unknown query parameter {other:?}")),
-                );
-            }
+            other => return shared.reject(400, format!("unknown query parameter {other:?}")),
         }
     }
     let body = match std::str::from_utf8(&request.body) {
         Ok(b) => b,
-        Err(_) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(400, &ErrorResponse::new("body is not UTF-8"));
-        }
+        Err(_) => return shared.reject(400, "body is not UTF-8"),
     };
     let scenario = match Scenario::from_json(body) {
         Ok(s) => s,
-        Err(e) => {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            return Response::json(422, &ErrorResponse::new(e.to_string()));
-        }
+        Err(e) => return shared.reject(422, e.to_string()),
     };
 
     enqueue_and_answer(
@@ -985,24 +925,15 @@ fn push_job(shared: &Arc<Shared>, job: &Arc<Job>, work: Work) -> Result<(), Resp
     match shared.queue.try_push(queued) {
         Ok(()) => Ok(()),
         Err(PushError::Full(_)) => {
-            shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
             job.fail(503, "queue full");
-            Err(Response::json(
-                503,
-                &ErrorResponse::new(format!(
-                    "queue full ({} jobs queued); retry later",
-                    shared.queue.capacity()
-                )),
-            )
-            .with_header("Retry-After", "1"))
+            Err(shared.busy(format!(
+                "queue full ({} jobs queued); retry later",
+                shared.queue.capacity()
+            )))
         }
         Err(PushError::Closed(_)) => {
-            shared.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
             job.fail(503, "draining");
-            Err(
-                Response::json(503, &ErrorResponse::new("draining; not accepting work"))
-                    .with_header("Retry-After", "1"),
-            )
+            Err(shared.busy("draining; not accepting work"))
         }
     }
 }
@@ -1077,11 +1008,10 @@ fn job_endpoint(request: &Request, shared: &Arc<Shared>) -> Response {
         None => (rest, false),
     };
     let Ok(id) = id_str.parse::<u64>() else {
-        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-        return Response::json(400, &ErrorResponse::new(format!("bad job id {id_str:?}")));
+        return shared.reject(400, format!("bad job id {id_str:?}"));
     };
     let Some(job) = shared.jobs.get(id) else {
-        return Response::json(404, &ErrorResponse::new(format!("no job {id}")));
+        return shared.reject(404, format!("no job {id}"));
     };
     let (state, output, error) = job.status();
     if want_result {
@@ -1206,6 +1136,67 @@ mod tests {
         assert!(text.contains("klotski_pool_tasks_total"));
 
         service.shutdown();
+    }
+
+    /// `/metrics` is two registries rendered by one function; the body as
+    /// a whole must still be one well-formed exposition.
+    #[test]
+    fn live_metrics_body_is_a_well_formed_exposition() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let (status, _, body) =
+            request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &small_npd_json());
+        assert_eq!(status, 200, "{body}");
+        let scenario = serde_json::to_string(&klotski_controller::Scenario::sample()).unwrap();
+        let (status, _, body) = request(addr, "POST /v1/run HTTP/1.1\r\nHost: t", &scenario);
+        assert_eq!(status, 200, "{body}");
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        service.shutdown();
+
+        // family → (HELP lines, TYPE lines, declared kind), in body order.
+        let mut declared: HashMap<&str, (usize, usize, &str)> = HashMap::new();
+        let mut current = "";
+        let mut samples = 0;
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                current = rest.split(' ').next().unwrap();
+                declared.entry(current).or_default().0 += 1;
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (family, kind) = rest.split_once(' ').expect("TYPE has a kind");
+                assert_eq!(family, current, "TYPE must follow its own HELP: {line}");
+                let entry = declared.entry(family).or_default();
+                entry.1 += 1;
+                entry.2 = kind;
+            } else {
+                let name = line.split(['{', ' ']).next().unwrap();
+                let (_, _, kind) = declared[current];
+                let owned = name.strip_prefix(current).is_some_and(|suffix| {
+                    suffix.is_empty() || (kind == "summary" && ["_count", "_sum"].contains(&suffix))
+                });
+                assert!(owned, "sample {line:?} sits under family {current:?}");
+                assert!(line.rsplit(' ').next().unwrap().parse::<f64>().is_ok());
+                samples += 1;
+            }
+        }
+        assert!(samples > 60, "both registries rendered: {samples} samples");
+        for (family, (helps, types, kind)) in &declared {
+            assert_eq!((*helps, *types), (1, 1), "{family} declared once");
+            if family.ends_with("_total") {
+                assert_eq!(*kind, "counter", "{family}");
+            }
+        }
+        for (family, kind) in [
+            ("klotski_plan_latency_seconds", "summary"),
+            ("klotski_search_plan_seconds", "summary"),
+            ("klotski_controller_audit_seconds", "summary"),
+            ("klotski_queue_depth", "gauge"),
+        ] {
+            assert_eq!(declared.get(family).map(|d| d.2), Some(kind), "{family}");
+        }
     }
 
     #[test]
@@ -1589,6 +1580,24 @@ mod tests {
 
         let (status, _, _) = request(addr, "GET /nope HTTP/1.1\r\nHost: t", "");
         assert_eq!(status, 404);
+
+        // Every 4xx above went through the one counting exit: five so far,
+        // and an unknown job id counts on both of its endpoints.
+        let bad_requests = || {
+            let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("klotski_bad_requests_total "))
+                .expect("bad_requests series");
+            line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+        };
+        assert_eq!(bad_requests(), 5);
+        let (status, _, _) = request(addr, "GET /v1/jobs/999999 HTTP/1.1\r\nHost: t", "");
+        assert_eq!(status, 404);
+        assert_eq!(bad_requests(), 6);
+        let (status, _, _) = stream_request(addr, "/v1/jobs/999999/events");
+        assert_eq!(status, 404);
+        assert_eq!(bad_requests(), 7);
 
         service.shutdown();
     }

@@ -1,136 +1,107 @@
-//! Std-only service metrics: atomic counters plus a fixed-bucket latency
-//! histogram, rendered in Prometheus text exposition format at `/metrics`.
+//! The service's metric series: handles into the daemon's own
+//! [`Registry`], which `/metrics` renders ahead of the process-global one.
 //!
-//! The histogram itself lives in `klotski-telemetry` (re-exported here for
-//! compatibility) so the planner, routing, and service all share one
-//! implementation; this module keeps the service-specific counter set and
-//! its exposition layout, which operators' dashboards scrape.
+//! The registry is per [`Service`](crate::Service), not the global: tests
+//! run several daemons in one process and assert exact counts.
+//!
+//! Events the service itself counts are [`Counter`] handles bumped on the
+//! request path; all of them are created at start, not on first increment,
+//! so a scrape after a warm restart already reads
+//! `klotski_pipeline_executions_total 0`. Values another module owns
+//! (queue, workers, plan cache, journal) are read once per scrape and
+//! published by [`ServiceMetrics::publish`] just before rendering.
 
 use crate::cache::ShardStats;
-use std::sync::atomic::{AtomicU64, Ordering};
+use klotski_telemetry::{Counter, LogLinearHistogram, Registry};
+use std::sync::Arc;
 use std::time::Instant;
 
-pub use klotski_telemetry::Histogram;
+/// `(family, help)` of every series the service owns.
+#[rustfmt::skip]
+const FAMILIES: &[(&str, &str)] = &[
+    ("klotski_uptime_seconds", "Seconds since service start."),
+    ("klotski_http_requests_total", "HTTP requests accepted."),
+    ("klotski_plan_requests_total", "Plan submissions."),
+    ("klotski_audit_requests_total", "Audit submissions."),
+    ("klotski_run_requests_total", "Scenario runs by terminal outcome."),
+    ("klotski_sse_streams_total", "Event streams served by /v1/jobs/{id}/events."),
+    ("klotski_sse_lag_dropped_total", "Trace lines dropped on lagging event-stream subscribers."),
+    ("klotski_bad_requests_total", "Requests rejected 4xx."),
+    ("klotski_rejected_busy_total", "Submissions rejected 503 (backpressure)."),
+    ("klotski_jobs_completed_total", "Jobs finished successfully."),
+    ("klotski_jobs_failed_total", "Jobs finished with an error."),
+    ("klotski_jobs_cancelled_total", "Jobs stopped by deadline expiry or cancellation."),
+    ("klotski_queue_depth", "Jobs waiting in the bounded queue."),
+    ("klotski_queue_capacity", "Bounded queue capacity."),
+    ("klotski_workers", "Planner worker threads."),
+    ("klotski_workers_busy", "Worker threads currently planning."),
+    ("klotski_cache_entries", "Entries in the shared plan cache."),
+    ("klotski_cache_hits_total", "Plan-cache hits."),
+    ("klotski_cache_misses_total", "Plan-cache misses."),
+    ("klotski_cache_hit_rate", "Plan-cache hit fraction."),
+    ("klotski_cache_evictions_total", "Plan-cache FIFO evictions."),
+    ("klotski_cache_shard_hits_total", "Plan-cache hits per shard."),
+    ("klotski_cache_shard_misses_total", "Plan-cache misses per shard."),
+    ("klotski_cache_shard_evictions_total", "Plan-cache evictions per shard."),
+    ("klotski_coalesce_leaders_total", "Submissions that led an in-flight key."),
+    ("klotski_coalesce_followers_total", "Submissions coalesced onto an in-flight leader."),
+    ("klotski_pipeline_executions_total", "Planning pipeline executions (work not absorbed by cache or coalescing)."),
+    ("klotski_journal_bytes", "Write-ahead job journal size."),
+    ("klotski_journal_records_total", "Journal records appended since open."),
+    ("klotski_journal_compactions_total", "Journal compactions performed."),
+    ("klotski_state_replayed_artifacts", "Artifacts restored from the journal at startup."),
+    ("klotski_state_replayed_jobs", "Incomplete jobs re-enqueued from the journal at startup."),
+    ("klotski_plan_latency_seconds", "Job latency, admission to completion."),
+];
 
-/// All service counters. Everything is relaxed-atomic: metrics never
-/// contend with the request path.
-#[derive(Debug)]
-pub struct Metrics {
-    /// HTTP requests accepted (any endpoint).
-    pub http_requests: AtomicU64,
-    /// `POST /v1/plan` submissions.
-    pub plan_requests: AtomicU64,
-    /// `POST /v1/audit` submissions.
-    pub audit_requests: AtomicU64,
-    /// `POST /v1/run` jobs by terminal outcome (counted when the run
-    /// resolves, not at admission — pre-admission rejects land in
-    /// `bad_requests`/`rejected_busy`).
-    pub run_outcomes: RunOutcomes,
-    /// Event streams served by `GET /v1/jobs/{id}/events`.
-    pub sse_streams: AtomicU64,
-    /// Trace lines dropped on lagging event-stream subscribers.
-    pub sse_lag_dropped: AtomicU64,
-    /// Malformed requests answered 4xx.
-    pub bad_requests: AtomicU64,
-    /// Submissions refused with 503 (queue full, connection cap, draining).
-    pub rejected_busy: AtomicU64,
-    /// Jobs that finished with a plan.
-    pub jobs_completed: AtomicU64,
-    /// Jobs that finished with an error.
-    pub jobs_failed: AtomicU64,
-    /// Jobs stopped by deadline expiry or cooperative cancellation
-    /// (a subset of `jobs_failed`).
-    pub jobs_cancelled: AtomicU64,
+/// The `outcome` labels of `klotski_run_requests_total`:
+/// [`ControllerReport::outcome_label`]'s vocabulary plus `failed` for jobs
+/// that never produced a report (invalid scenario, initial-plan failure,
+/// deadline at the initial plan).
+///
+/// [`ControllerReport::outcome_label`]: klotski_controller::ControllerReport::outcome_label
+const RUN_OUTCOMES: [&str; 4] = ["completed", "rolled_back", "paused", "failed"];
+
+/// One daemon's registry and the handles its request path records into
+/// (what each counts is its [`FAMILIES`] help text). Everything is
+/// relaxed-atomic: metrics never contend with the request path.
+pub(crate) struct ServiceMetrics {
+    /// Rendered by `GET /metrics`.
+    pub registry: Registry,
+    pub http_requests: Arc<Counter>,
+    pub plan_requests: Arc<Counter>,
+    pub audit_requests: Arc<Counter>,
+    /// `POST /v1/run` jobs by terminal outcome, in [`RUN_OUTCOMES`] order
+    /// (counted when the run resolves, not at admission — pre-admission
+    /// rejects land in `bad_requests`/`rejected_busy`).
+    run_outcomes: [Arc<Counter>; 4],
+    pub sse_streams: Arc<Counter>,
+    pub sse_lag_dropped: Arc<Counter>,
+    pub bad_requests: Arc<Counter>,
+    /// 503s of every cause: queue full, subscriber cap, draining.
+    pub rejected_busy: Arc<Counter>,
+    pub jobs_completed: Arc<Counter>,
+    pub jobs_failed: Arc<Counter>,
+    /// A subset of `jobs_failed`.
+    pub jobs_cancelled: Arc<Counter>,
     /// Plan/audit submissions that became the one enqueued computation for
     /// their `(npd_digest, options_digest)` key.
-    pub coalesce_leaders: AtomicU64,
+    pub coalesce_leaders: Arc<Counter>,
     /// Plan/audit submissions answered by subscribing to an in-flight
     /// leader instead of enqueueing their own job.
-    pub coalesce_followers: AtomicU64,
-    /// Times the planning pipeline actually executed (cache hits, coalesced
-    /// followers, and journal-replayed answers never increment this).
-    pub pipeline_executions: AtomicU64,
-    /// Artifacts restored into the plan cache by journal replay at startup.
-    pub state_replayed_artifacts: AtomicU64,
-    /// Incomplete jobs re-enqueued by journal replay at startup.
-    pub state_replayed_jobs: AtomicU64,
-    /// End-to-end plan/audit latency (admission to completion).
-    pub latency: Histogram,
+    pub coalesce_followers: Arc<Counter>,
+    /// Cache hits, coalesced followers, and journal-replayed answers never
+    /// increment this.
+    pub pipeline_executions: Arc<Counter>,
+    pub state_replayed_artifacts: Arc<Counter>,
+    pub state_replayed_jobs: Arc<Counter>,
+    pub latency: Arc<LogLinearHistogram>,
     started: Instant,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Metrics {
-    /// Fresh counters with the uptime clock started now.
-    pub fn new() -> Self {
-        Self {
-            http_requests: AtomicU64::new(0),
-            plan_requests: AtomicU64::new(0),
-            audit_requests: AtomicU64::new(0),
-            run_outcomes: RunOutcomes::default(),
-            sse_streams: AtomicU64::new(0),
-            sse_lag_dropped: AtomicU64::new(0),
-            bad_requests: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            jobs_completed: AtomicU64::new(0),
-            jobs_failed: AtomicU64::new(0),
-            jobs_cancelled: AtomicU64::new(0),
-            coalesce_leaders: AtomicU64::new(0),
-            coalesce_followers: AtomicU64::new(0),
-            pipeline_executions: AtomicU64::new(0),
-            state_replayed_artifacts: AtomicU64::new(0),
-            state_replayed_jobs: AtomicU64::new(0),
-            latency: Histogram::new(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Seconds since the service started.
-    pub fn uptime_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-}
-
-/// Terminal-outcome counters behind the labeled
-/// `klotski_run_requests_total` family. The label vocabulary is
-/// [`ControllerReport::outcome_label`] plus `failed` for jobs that never
-/// produced a report (invalid scenario, initial-plan failure, deadline at
-/// the initial plan).
-///
-/// [`ControllerReport::outcome_label`]: klotski_controller::ControllerReport::outcome_label
-#[derive(Debug, Default)]
-pub struct RunOutcomes {
-    /// Runs that reached their target.
-    pub completed: AtomicU64,
-    /// Runs that ended in a rollback.
-    pub rolled_back: AtomicU64,
-    /// Runs that stopped early without rolling back.
-    pub paused: AtomicU64,
-    /// Jobs that errored before producing a report.
-    pub failed: AtomicU64,
-}
-
-impl RunOutcomes {
-    /// Increments the counter for `label`; unknown labels count as failed.
-    pub fn record(&self, label: &str) {
-        match label {
-            "completed" => &self.completed,
-            "rolled_back" => &self.rolled_back,
-            "paused" => &self.paused,
-            _ => &self.failed,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time gauges owned by the server, passed in at render time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Gauges {
+/// What the `/metrics` handler reads at scrape time from the modules that
+/// own the values.
+pub(crate) struct Observed<'a> {
     /// Jobs currently waiting in the queue.
     pub queue_depth: usize,
     /// Queue capacity.
@@ -139,14 +110,9 @@ pub struct Gauges {
     pub workers_busy: usize,
     /// Total worker threads.
     pub workers: usize,
-    /// Entries in the shared plan cache.
-    pub cache_entries: usize,
-    /// Plan-cache hits since start.
-    pub cache_hits: u64,
-    /// Plan-cache misses since start.
-    pub cache_misses: u64,
-    /// Plan-cache FIFO evictions since start.
-    pub cache_evictions: u64,
+    /// Plan-cache counters in shard order; the aggregate `klotski_cache_*`
+    /// series are their sums.
+    pub shards: &'a [ShardStats],
     /// Journal size in bytes (0 without `--state-dir`).
     pub journal_bytes: u64,
     /// Journal records appended since open.
@@ -155,223 +121,94 @@ pub struct Gauges {
     pub journal_compactions: u64,
 }
 
-/// Renders the Prometheus text exposition for `/metrics`. `shards` is the
-/// plan cache's per-shard counter view, in shard order.
-pub fn render(m: &Metrics, g: &Gauges, shards: &[ShardStats]) -> String {
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let hit_rate = {
-        let total = g.cache_hits + g.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            g.cache_hits as f64 / total as f64
+impl ServiceMetrics {
+    /// A fresh registry holding every service series at zero, with the
+    /// uptime clock started now.
+    pub fn new() -> Self {
+        let registry = Registry::default();
+        for (family, help) in FAMILIES {
+            registry.set_help(family, help);
         }
-    };
-    let mut out = String::with_capacity(1024);
-    // A macro rather than a closure so the labeled run-outcome block can
-    // also push to `out` mid-sequence.
-    macro_rules! line {
-        ($name:expr, $help:expr, $value:expr $(,)?) => {{
-            let (name, help, value): (&str, &str, String) = ($name, $help, $value);
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-            ));
-        }};
-    }
-    line!(
-        "klotski_uptime_seconds",
-        "Seconds since service start.",
-        format!("{:.3}", m.uptime_seconds()),
-    );
-    line!(
-        "klotski_http_requests_total",
-        "HTTP requests accepted.",
-        load(&m.http_requests).to_string(),
-    );
-    line!(
-        "klotski_plan_requests_total",
-        "Plan submissions.",
-        load(&m.plan_requests).to_string(),
-    );
-    line!(
-        "klotski_audit_requests_total",
-        "Audit submissions.",
-        load(&m.audit_requests).to_string(),
-    );
-    out.push_str(
-        "# HELP klotski_run_requests_total Scenario runs by terminal outcome.\n\
-         # TYPE klotski_run_requests_total gauge\n",
-    );
-    for (label, counter) in [
-        ("completed", &m.run_outcomes.completed),
-        ("rolled_back", &m.run_outcomes.rolled_back),
-        ("paused", &m.run_outcomes.paused),
-        ("failed", &m.run_outcomes.failed),
-    ] {
-        out.push_str(&format!(
-            "klotski_run_requests_total{{outcome=\"{label}\"}} {}\n",
-            load(counter)
-        ));
-    }
-    line!(
-        "klotski_sse_streams_total",
-        "Event streams served by /v1/jobs/{id}/events.",
-        load(&m.sse_streams).to_string(),
-    );
-    line!(
-        "klotski_sse_lag_dropped_total",
-        "Trace lines dropped on lagging event-stream subscribers.",
-        load(&m.sse_lag_dropped).to_string(),
-    );
-    line!(
-        "klotski_bad_requests_total",
-        "Requests rejected 4xx.",
-        load(&m.bad_requests).to_string(),
-    );
-    line!(
-        "klotski_rejected_busy_total",
-        "Submissions rejected 503 (backpressure).",
-        load(&m.rejected_busy).to_string(),
-    );
-    line!(
-        "klotski_jobs_completed_total",
-        "Jobs finished successfully.",
-        load(&m.jobs_completed).to_string(),
-    );
-    line!(
-        "klotski_jobs_failed_total",
-        "Jobs finished with an error.",
-        load(&m.jobs_failed).to_string(),
-    );
-    line!(
-        "klotski_jobs_cancelled_total",
-        "Jobs stopped by deadline expiry or cancellation.",
-        load(&m.jobs_cancelled).to_string(),
-    );
-    line!(
-        "klotski_queue_depth",
-        "Jobs waiting in the bounded queue.",
-        g.queue_depth.to_string(),
-    );
-    line!(
-        "klotski_queue_capacity",
-        "Bounded queue capacity.",
-        g.queue_capacity.to_string(),
-    );
-    line!(
-        "klotski_workers",
-        "Planner worker threads.",
-        g.workers.to_string(),
-    );
-    line!(
-        "klotski_workers_busy",
-        "Worker threads currently planning.",
-        g.workers_busy.to_string(),
-    );
-    line!(
-        "klotski_cache_entries",
-        "Entries in the shared plan cache.",
-        g.cache_entries.to_string(),
-    );
-    line!(
-        "klotski_cache_hits_total",
-        "Plan-cache hits.",
-        g.cache_hits.to_string(),
-    );
-    line!(
-        "klotski_cache_misses_total",
-        "Plan-cache misses.",
-        g.cache_misses.to_string(),
-    );
-    line!(
-        "klotski_cache_hit_rate",
-        "Plan-cache hit fraction.",
-        format!("{hit_rate:.4}"),
-    );
-    line!(
-        "klotski_cache_evictions_total",
-        "Plan-cache FIFO evictions.",
-        g.cache_evictions.to_string(),
-    );
-    // Per-shard cache families: one labeled series per shard so a skewed
-    // tenant population hammering a single shard is visible.
-    for (family, help, stat) in [
-        (
-            "klotski_cache_shard_hits_total",
-            "Plan-cache hits per shard.",
-            (|s: &ShardStats| s.hits) as fn(&ShardStats) -> u64,
-        ),
-        (
-            "klotski_cache_shard_misses_total",
-            "Plan-cache misses per shard.",
-            |s: &ShardStats| s.misses,
-        ),
-        (
-            "klotski_cache_shard_evictions_total",
-            "Plan-cache evictions per shard.",
-            |s: &ShardStats| s.evictions,
-        ),
-    ] {
-        out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} gauge\n"));
-        for (i, s) in shards.iter().enumerate() {
-            out.push_str(&format!("{family}{{shard=\"{i}\"}} {}\n", stat(s)));
+        let counter = |name: &str| registry.counter(name);
+        Self {
+            http_requests: counter("klotski_http_requests_total"),
+            plan_requests: counter("klotski_plan_requests_total"),
+            audit_requests: counter("klotski_audit_requests_total"),
+            run_outcomes: RUN_OUTCOMES
+                .map(|l| counter(&format!("klotski_run_requests_total{{outcome=\"{l}\"}}"))),
+            sse_streams: counter("klotski_sse_streams_total"),
+            sse_lag_dropped: counter("klotski_sse_lag_dropped_total"),
+            bad_requests: counter("klotski_bad_requests_total"),
+            rejected_busy: counter("klotski_rejected_busy_total"),
+            jobs_completed: counter("klotski_jobs_completed_total"),
+            jobs_failed: counter("klotski_jobs_failed_total"),
+            jobs_cancelled: counter("klotski_jobs_cancelled_total"),
+            coalesce_leaders: counter("klotski_coalesce_leaders_total"),
+            coalesce_followers: counter("klotski_coalesce_followers_total"),
+            pipeline_executions: counter("klotski_pipeline_executions_total"),
+            state_replayed_artifacts: counter("klotski_state_replayed_artifacts"),
+            state_replayed_jobs: counter("klotski_state_replayed_jobs"),
+            latency: registry.loglinear("klotski_plan_latency_seconds"),
+            started: Instant::now(),
+            registry,
         }
     }
-    line!(
-        "klotski_coalesce_leaders_total",
-        "Submissions that led an in-flight key.",
-        load(&m.coalesce_leaders).to_string(),
-    );
-    line!(
-        "klotski_coalesce_followers_total",
-        "Submissions coalesced onto an in-flight leader.",
-        load(&m.coalesce_followers).to_string(),
-    );
-    line!(
-        "klotski_pipeline_executions_total",
-        "Planning pipeline executions (work not absorbed by cache or coalescing).",
-        load(&m.pipeline_executions).to_string(),
-    );
-    line!(
-        "klotski_journal_bytes",
-        "Write-ahead job journal size.",
-        g.journal_bytes.to_string(),
-    );
-    line!(
-        "klotski_journal_records_total",
-        "Journal records appended since open.",
-        g.journal_records.to_string(),
-    );
-    line!(
-        "klotski_journal_compactions_total",
-        "Journal compactions performed.",
-        g.journal_compactions.to_string(),
-    );
-    line!(
-        "klotski_state_replayed_artifacts",
-        "Artifacts restored from the journal at startup.",
-        load(&m.state_replayed_artifacts).to_string(),
-    );
-    line!(
-        "klotski_state_replayed_jobs",
-        "Incomplete jobs re-enqueued from the journal at startup.",
-        load(&m.state_replayed_jobs).to_string(),
-    );
-    for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
-        out.push_str(&format!(
-            "klotski_plan_latency_seconds{{quantile=\"{label}\"}} {:.6}\n",
-            m.latency.quantile(q)
-        ));
+
+    /// The `klotski_run_requests_total` counter for an outcome label;
+    /// unknown labels count as failed.
+    pub fn run_outcome(&self, label: &str) -> &Counter {
+        let known = RUN_OUTCOMES.iter().position(|l| *l == label);
+        &self.run_outcomes[known.unwrap_or(RUN_OUTCOMES.len() - 1)]
     }
-    out.push_str(&format!(
-        "klotski_plan_latency_seconds_count {}\n",
-        m.latency.count()
-    ));
-    out.push_str(&format!(
-        "klotski_plan_latency_seconds_sum {:.6}\n",
-        m.latency.sum_seconds()
-    ));
-    out
+
+    /// Publishes the observed values into the registry. Monotone counts
+    /// stay counters (raised to the owner's total); the rest are gauges.
+    pub fn publish(&self, seen: &Observed<'_>) {
+        let reg = &self.registry;
+        let sum = |stat: fn(&ShardStats) -> u64| seen.shards.iter().map(stat).sum::<u64>();
+        let (hits, misses) = (sum(|s| s.hits), sum(|s| s.misses));
+        let entries: usize = seen.shards.iter().map(|s| s.entries).sum();
+        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+        for (name, value) in [
+            (
+                "klotski_uptime_seconds",
+                self.started.elapsed().as_secs_f64(),
+            ),
+            ("klotski_queue_depth", seen.queue_depth as f64),
+            ("klotski_queue_capacity", seen.queue_capacity as f64),
+            ("klotski_workers", seen.workers as f64),
+            ("klotski_workers_busy", seen.workers_busy as f64),
+            ("klotski_cache_entries", entries as f64),
+            ("klotski_cache_hit_rate", hit_rate),
+            ("klotski_journal_bytes", seen.journal_bytes as f64),
+        ] {
+            reg.gauge(name).set(value);
+        }
+        for (name, total) in [
+            ("klotski_cache_hits_total", hits),
+            ("klotski_cache_misses_total", misses),
+            ("klotski_cache_evictions_total", sum(|s| s.evictions)),
+            ("klotski_journal_records_total", seen.journal_records),
+            (
+                "klotski_journal_compactions_total",
+                seen.journal_compactions,
+            ),
+        ] {
+            reg.counter(name).raise_to(total);
+        }
+        // One labeled series per shard, so a skewed tenant population
+        // hammering a single shard is visible.
+        for (i, shard) in seen.shards.iter().enumerate() {
+            for (family, total) in [
+                ("klotski_cache_shard_hits_total", shard.hits),
+                ("klotski_cache_shard_misses_total", shard.misses),
+                ("klotski_cache_shard_evictions_total", shard.evictions),
+            ] {
+                reg.counter(&format!("{family}{{shard=\"{i}\"}}"))
+                    .raise_to(total);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -379,128 +216,55 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    #[test]
-    fn empty_histogram_quantiles_are_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn quantiles_are_monotonic_and_bracket_samples() {
-        let h = Histogram::new();
-        for ms in [1u64, 2, 5, 10, 20, 50, 100, 200, 500, 1000] {
-            h.record(Duration::from_millis(ms));
-        }
-        let p50 = h.quantile(0.5);
-        let p95 = h.quantile(0.95);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        // The p50 sample (20 ms) must land in a bucket bounded near it.
-        assert!((0.02..=0.04).contains(&p50), "p50 {p50}");
-        assert!((1.0..=1.6).contains(&p99), "p99 {p99}");
-        assert_eq!(h.count(), 10);
-    }
-
-    #[test]
-    fn overflow_samples_report_last_bound() {
-        let h = Histogram::new();
-        h.record(Duration::from_secs(3600));
-        assert!(h.quantile(0.5) > 10.0);
-    }
-
-    #[test]
-    fn render_exposes_all_families() {
-        let m = Metrics::new();
-        m.plan_requests.fetch_add(3, Ordering::Relaxed);
-        m.coalesce_followers.fetch_add(6, Ordering::Relaxed);
-        m.pipeline_executions.fetch_add(2, Ordering::Relaxed);
-        m.latency.record(Duration::from_millis(12));
-        let g = Gauges {
-            queue_depth: 2,
-            queue_capacity: 64,
-            workers_busy: 1,
-            workers: 4,
-            cache_entries: 5,
-            cache_hits: 9,
-            cache_misses: 1,
-            cache_evictions: 3,
-            journal_bytes: 4096,
-            journal_records: 11,
-            journal_compactions: 1,
-        };
-        let shards = [
-            ShardStats {
-                entries: 5,
-                hits: 9,
-                misses: 1,
-                evictions: 3,
-            },
-            ShardStats::default(),
-        ];
-        let text = render(&m, &g, &shards);
-        for family in [
-            "klotski_plan_requests_total 3",
-            "klotski_queue_depth 2",
-            "klotski_queue_capacity 64",
-            "klotski_cache_hit_rate 0.9000",
-            "klotski_cache_evictions_total 3",
-            "klotski_cache_shard_hits_total{shard=\"0\"} 9",
-            "klotski_cache_shard_misses_total{shard=\"1\"} 0",
-            "klotski_cache_shard_evictions_total{shard=\"0\"} 3",
-            "klotski_coalesce_leaders_total 0",
-            "klotski_coalesce_followers_total 6",
-            "klotski_pipeline_executions_total 2",
-            "klotski_journal_bytes 4096",
-            "klotski_journal_records_total 11",
-            "klotski_journal_compactions_total 1",
-            "klotski_state_replayed_artifacts 0",
-            "klotski_state_replayed_jobs 0",
-            "klotski_plan_latency_seconds{quantile=\"0.5\"}",
-            "klotski_plan_latency_seconds_count 1",
-            "klotski_workers 4",
-            "klotski_run_requests_total{outcome=\"completed\"} 0",
-            "klotski_sse_streams_total 0",
-        ] {
-            assert!(text.contains(family), "missing {family} in:\n{text}");
-        }
-    }
+    /// Every `family{labels}` the two-renderer `/metrics` emitted for the
+    /// fixture below, minus its two `quantile="0.95"` lines. A series may
+    /// gain neighbours; it must never disappear.
+    const SERIES_SINCE_V1: &str = r#"
+        klotski_uptime_seconds klotski_http_requests_total klotski_plan_requests_total
+        klotski_audit_requests_total klotski_run_requests_total{outcome="completed"}
+        klotski_run_requests_total{outcome="rolled_back"} klotski_run_requests_total{outcome="paused"}
+        klotski_run_requests_total{outcome="failed"} klotski_sse_streams_total
+        klotski_sse_lag_dropped_total klotski_bad_requests_total klotski_rejected_busy_total
+        klotski_jobs_completed_total klotski_jobs_failed_total klotski_jobs_cancelled_total
+        klotski_queue_depth klotski_queue_capacity klotski_workers klotski_workers_busy
+        klotski_cache_entries klotski_cache_hits_total klotski_cache_misses_total
+        klotski_cache_hit_rate klotski_cache_evictions_total
+        klotski_cache_shard_hits_total{shard="0"} klotski_cache_shard_hits_total{shard="1"}
+        klotski_cache_shard_misses_total{shard="0"} klotski_cache_shard_misses_total{shard="1"}
+        klotski_cache_shard_evictions_total{shard="0"} klotski_cache_shard_evictions_total{shard="1"}
+        klotski_coalesce_leaders_total klotski_coalesce_followers_total
+        klotski_pipeline_executions_total klotski_journal_bytes klotski_journal_records_total
+        klotski_journal_compactions_total klotski_state_replayed_artifacts
+        klotski_state_replayed_jobs klotski_plan_latency_seconds{quantile="0.5"}
+        klotski_plan_latency_seconds{quantile="0.99"} klotski_plan_latency_seconds_count
+        klotski_plan_latency_seconds_sum"#;
 
     /// The exact exposition text is an external contract — dashboards parse
-    /// it. Pin every line (modulo the uptime value, which is wall-clock).
+    /// it. Pin every line (bar the uptime sample, which is wall-clock) on
+    /// the fixture it has been pinned on since v1. Exposition v2: counters
+    /// typed `counter`, families sorted by name, the latency summary under
+    /// a header with p50/p99/p999 at 0.78 % resolution (the 12 ms sample
+    /// reads 12.031 ms; v1 said 14.733 ms).
     #[test]
     fn render_snapshot_is_stable() {
-        let m = Metrics::new();
-        m.http_requests.fetch_add(7, Ordering::Relaxed);
-        m.plan_requests.fetch_add(3, Ordering::Relaxed);
-        m.audit_requests.fetch_add(1, Ordering::Relaxed);
-        m.run_outcomes.record("completed");
-        m.run_outcomes.record("rolled_back");
-        m.run_outcomes.record("bogus-label");
-        m.sse_streams.fetch_add(2, Ordering::Relaxed);
-        m.sse_lag_dropped.fetch_add(5, Ordering::Relaxed);
-        m.jobs_completed.fetch_add(4, Ordering::Relaxed);
-        m.jobs_failed.fetch_add(2, Ordering::Relaxed);
-        m.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-        m.coalesce_leaders.fetch_add(2, Ordering::Relaxed);
-        m.coalesce_followers.fetch_add(6, Ordering::Relaxed);
-        m.pipeline_executions.fetch_add(2, Ordering::Relaxed);
-        m.state_replayed_artifacts.fetch_add(3, Ordering::Relaxed);
-        m.state_replayed_jobs.fetch_add(1, Ordering::Relaxed);
+        let m = ServiceMetrics::new();
+        m.http_requests.add(7);
+        m.plan_requests.add(3);
+        m.audit_requests.inc();
+        m.run_outcome("completed").inc();
+        m.run_outcome("rolled_back").inc();
+        m.run_outcome("bogus-label").inc();
+        m.sse_streams.add(2);
+        m.sse_lag_dropped.add(5);
+        m.jobs_completed.add(4);
+        m.jobs_failed.add(2);
+        m.jobs_cancelled.inc();
+        m.coalesce_leaders.add(2);
+        m.coalesce_followers.add(6);
+        m.pipeline_executions.add(2);
+        m.state_replayed_artifacts.add(3);
+        m.state_replayed_jobs.inc();
         m.latency.record(Duration::from_millis(12));
-        let g = Gauges {
-            queue_depth: 2,
-            queue_capacity: 64,
-            workers_busy: 1,
-            workers: 4,
-            cache_entries: 5,
-            cache_hits: 9,
-            cache_misses: 1,
-            cache_evictions: 3,
-            journal_bytes: 4096,
-            journal_records: 11,
-            journal_compactions: 1,
-        };
         let shards = [
             ShardStats {
                 entries: 5,
@@ -510,126 +274,139 @@ mod tests {
             },
             ShardStats::default(),
         ];
-        let text = render(&m, &g, &shards);
-        let normalized: String = text
+        m.publish(&Observed {
+            queue_depth: 2,
+            queue_capacity: 64,
+            workers_busy: 1,
+            workers: 4,
+            shards: &shards,
+            journal_bytes: 4096,
+            journal_records: 11,
+            journal_compactions: 1,
+        });
+        let text = m.registry.render_prometheus();
+
+        let samples = text.lines().filter(|l| !l.starts_with('#'));
+        let names: Vec<&str> = samples
+            .filter_map(|l| Some(l.rsplit_once(' ')?.0))
+            .collect();
+        for series in SERIES_SINCE_V1.split_whitespace() {
+            assert!(names.contains(&series), "missing {series} in:\n{text}");
+        }
+
+        let pinned: Vec<&str> = text
             .lines()
-            .map(|l| {
-                if l.starts_with("klotski_uptime_seconds ") {
-                    "klotski_uptime_seconds <uptime>"
-                } else {
-                    l
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
+            .filter(|l| !l.starts_with("klotski_uptime_seconds "))
+            .collect();
         let expected = "\
-# HELP klotski_uptime_seconds Seconds since service start.
-# TYPE klotski_uptime_seconds gauge
-klotski_uptime_seconds <uptime>
-# HELP klotski_http_requests_total HTTP requests accepted.
-# TYPE klotski_http_requests_total gauge
-klotski_http_requests_total 7
-# HELP klotski_plan_requests_total Plan submissions.
-# TYPE klotski_plan_requests_total gauge
-klotski_plan_requests_total 3
 # HELP klotski_audit_requests_total Audit submissions.
-# TYPE klotski_audit_requests_total gauge
+# TYPE klotski_audit_requests_total counter
 klotski_audit_requests_total 1
-# HELP klotski_run_requests_total Scenario runs by terminal outcome.
-# TYPE klotski_run_requests_total gauge
-klotski_run_requests_total{outcome=\"completed\"} 1
-klotski_run_requests_total{outcome=\"rolled_back\"} 1
-klotski_run_requests_total{outcome=\"paused\"} 0
-klotski_run_requests_total{outcome=\"failed\"} 1
-# HELP klotski_sse_streams_total Event streams served by /v1/jobs/{id}/events.
-# TYPE klotski_sse_streams_total gauge
-klotski_sse_streams_total 2
-# HELP klotski_sse_lag_dropped_total Trace lines dropped on lagging event-stream subscribers.
-# TYPE klotski_sse_lag_dropped_total gauge
-klotski_sse_lag_dropped_total 5
 # HELP klotski_bad_requests_total Requests rejected 4xx.
-# TYPE klotski_bad_requests_total gauge
+# TYPE klotski_bad_requests_total counter
 klotski_bad_requests_total 0
-# HELP klotski_rejected_busy_total Submissions rejected 503 (backpressure).
-# TYPE klotski_rejected_busy_total gauge
-klotski_rejected_busy_total 0
+# HELP klotski_cache_entries Entries in the shared plan cache.
+# TYPE klotski_cache_entries gauge
+klotski_cache_entries 5
+# HELP klotski_cache_evictions_total Plan-cache FIFO evictions.
+# TYPE klotski_cache_evictions_total counter
+klotski_cache_evictions_total 3
+# HELP klotski_cache_hit_rate Plan-cache hit fraction.
+# TYPE klotski_cache_hit_rate gauge
+klotski_cache_hit_rate 0.9
+# HELP klotski_cache_hits_total Plan-cache hits.
+# TYPE klotski_cache_hits_total counter
+klotski_cache_hits_total 9
+# HELP klotski_cache_misses_total Plan-cache misses.
+# TYPE klotski_cache_misses_total counter
+klotski_cache_misses_total 1
+# HELP klotski_cache_shard_evictions_total Plan-cache evictions per shard.
+# TYPE klotski_cache_shard_evictions_total counter
+klotski_cache_shard_evictions_total{shard=\"0\"} 3
+klotski_cache_shard_evictions_total{shard=\"1\"} 0
+# HELP klotski_cache_shard_hits_total Plan-cache hits per shard.
+# TYPE klotski_cache_shard_hits_total counter
+klotski_cache_shard_hits_total{shard=\"0\"} 9
+klotski_cache_shard_hits_total{shard=\"1\"} 0
+# HELP klotski_cache_shard_misses_total Plan-cache misses per shard.
+# TYPE klotski_cache_shard_misses_total counter
+klotski_cache_shard_misses_total{shard=\"0\"} 1
+klotski_cache_shard_misses_total{shard=\"1\"} 0
+# HELP klotski_coalesce_followers_total Submissions coalesced onto an in-flight leader.
+# TYPE klotski_coalesce_followers_total counter
+klotski_coalesce_followers_total 6
+# HELP klotski_coalesce_leaders_total Submissions that led an in-flight key.
+# TYPE klotski_coalesce_leaders_total counter
+klotski_coalesce_leaders_total 2
+# HELP klotski_http_requests_total HTTP requests accepted.
+# TYPE klotski_http_requests_total counter
+klotski_http_requests_total 7
+# HELP klotski_jobs_cancelled_total Jobs stopped by deadline expiry or cancellation.
+# TYPE klotski_jobs_cancelled_total counter
+klotski_jobs_cancelled_total 1
 # HELP klotski_jobs_completed_total Jobs finished successfully.
-# TYPE klotski_jobs_completed_total gauge
+# TYPE klotski_jobs_completed_total counter
 klotski_jobs_completed_total 4
 # HELP klotski_jobs_failed_total Jobs finished with an error.
-# TYPE klotski_jobs_failed_total gauge
+# TYPE klotski_jobs_failed_total counter
 klotski_jobs_failed_total 2
-# HELP klotski_jobs_cancelled_total Jobs stopped by deadline expiry or cancellation.
-# TYPE klotski_jobs_cancelled_total gauge
-klotski_jobs_cancelled_total 1
-# HELP klotski_queue_depth Jobs waiting in the bounded queue.
-# TYPE klotski_queue_depth gauge
-klotski_queue_depth 2
+# HELP klotski_journal_bytes Write-ahead job journal size.
+# TYPE klotski_journal_bytes gauge
+klotski_journal_bytes 4096
+# HELP klotski_journal_compactions_total Journal compactions performed.
+# TYPE klotski_journal_compactions_total counter
+klotski_journal_compactions_total 1
+# HELP klotski_journal_records_total Journal records appended since open.
+# TYPE klotski_journal_records_total counter
+klotski_journal_records_total 11
+# HELP klotski_pipeline_executions_total Planning pipeline executions (work not absorbed by cache or coalescing).
+# TYPE klotski_pipeline_executions_total counter
+klotski_pipeline_executions_total 2
+# HELP klotski_plan_latency_seconds Job latency, admission to completion.
+# TYPE klotski_plan_latency_seconds summary
+klotski_plan_latency_seconds{quantile=\"0.5\"} 0.012031
+klotski_plan_latency_seconds{quantile=\"0.99\"} 0.012031
+klotski_plan_latency_seconds{quantile=\"0.999\"} 0.012031
+klotski_plan_latency_seconds_count 1
+klotski_plan_latency_seconds_sum 0.012000
+# HELP klotski_plan_requests_total Plan submissions.
+# TYPE klotski_plan_requests_total counter
+klotski_plan_requests_total 3
 # HELP klotski_queue_capacity Bounded queue capacity.
 # TYPE klotski_queue_capacity gauge
 klotski_queue_capacity 64
+# HELP klotski_queue_depth Jobs waiting in the bounded queue.
+# TYPE klotski_queue_depth gauge
+klotski_queue_depth 2
+# HELP klotski_rejected_busy_total Submissions rejected 503 (backpressure).
+# TYPE klotski_rejected_busy_total counter
+klotski_rejected_busy_total 0
+# HELP klotski_run_requests_total Scenario runs by terminal outcome.
+# TYPE klotski_run_requests_total counter
+klotski_run_requests_total{outcome=\"completed\"} 1
+klotski_run_requests_total{outcome=\"failed\"} 1
+klotski_run_requests_total{outcome=\"paused\"} 0
+klotski_run_requests_total{outcome=\"rolled_back\"} 1
+# HELP klotski_sse_lag_dropped_total Trace lines dropped on lagging event-stream subscribers.
+# TYPE klotski_sse_lag_dropped_total counter
+klotski_sse_lag_dropped_total 5
+# HELP klotski_sse_streams_total Event streams served by /v1/jobs/{id}/events.
+# TYPE klotski_sse_streams_total counter
+klotski_sse_streams_total 2
+# HELP klotski_state_replayed_artifacts Artifacts restored from the journal at startup.
+# TYPE klotski_state_replayed_artifacts counter
+klotski_state_replayed_artifacts 3
+# HELP klotski_state_replayed_jobs Incomplete jobs re-enqueued from the journal at startup.
+# TYPE klotski_state_replayed_jobs counter
+klotski_state_replayed_jobs 1
+# HELP klotski_uptime_seconds Seconds since service start.
+# TYPE klotski_uptime_seconds gauge
 # HELP klotski_workers Planner worker threads.
 # TYPE klotski_workers gauge
 klotski_workers 4
 # HELP klotski_workers_busy Worker threads currently planning.
 # TYPE klotski_workers_busy gauge
-klotski_workers_busy 1
-# HELP klotski_cache_entries Entries in the shared plan cache.
-# TYPE klotski_cache_entries gauge
-klotski_cache_entries 5
-# HELP klotski_cache_hits_total Plan-cache hits.
-# TYPE klotski_cache_hits_total gauge
-klotski_cache_hits_total 9
-# HELP klotski_cache_misses_total Plan-cache misses.
-# TYPE klotski_cache_misses_total gauge
-klotski_cache_misses_total 1
-# HELP klotski_cache_hit_rate Plan-cache hit fraction.
-# TYPE klotski_cache_hit_rate gauge
-klotski_cache_hit_rate 0.9000
-# HELP klotski_cache_evictions_total Plan-cache FIFO evictions.
-# TYPE klotski_cache_evictions_total gauge
-klotski_cache_evictions_total 3
-# HELP klotski_cache_shard_hits_total Plan-cache hits per shard.
-# TYPE klotski_cache_shard_hits_total gauge
-klotski_cache_shard_hits_total{shard=\"0\"} 9
-klotski_cache_shard_hits_total{shard=\"1\"} 0
-# HELP klotski_cache_shard_misses_total Plan-cache misses per shard.
-# TYPE klotski_cache_shard_misses_total gauge
-klotski_cache_shard_misses_total{shard=\"0\"} 1
-klotski_cache_shard_misses_total{shard=\"1\"} 0
-# HELP klotski_cache_shard_evictions_total Plan-cache evictions per shard.
-# TYPE klotski_cache_shard_evictions_total gauge
-klotski_cache_shard_evictions_total{shard=\"0\"} 3
-klotski_cache_shard_evictions_total{shard=\"1\"} 0
-# HELP klotski_coalesce_leaders_total Submissions that led an in-flight key.
-# TYPE klotski_coalesce_leaders_total gauge
-klotski_coalesce_leaders_total 2
-# HELP klotski_coalesce_followers_total Submissions coalesced onto an in-flight leader.
-# TYPE klotski_coalesce_followers_total gauge
-klotski_coalesce_followers_total 6
-# HELP klotski_pipeline_executions_total Planning pipeline executions (work not absorbed by cache or coalescing).
-# TYPE klotski_pipeline_executions_total gauge
-klotski_pipeline_executions_total 2
-# HELP klotski_journal_bytes Write-ahead job journal size.
-# TYPE klotski_journal_bytes gauge
-klotski_journal_bytes 4096
-# HELP klotski_journal_records_total Journal records appended since open.
-# TYPE klotski_journal_records_total gauge
-klotski_journal_records_total 11
-# HELP klotski_journal_compactions_total Journal compactions performed.
-# TYPE klotski_journal_compactions_total gauge
-klotski_journal_compactions_total 1
-# HELP klotski_state_replayed_artifacts Artifacts restored from the journal at startup.
-# TYPE klotski_state_replayed_artifacts gauge
-klotski_state_replayed_artifacts 3
-# HELP klotski_state_replayed_jobs Incomplete jobs re-enqueued from the journal at startup.
-# TYPE klotski_state_replayed_jobs gauge
-klotski_state_replayed_jobs 1
-klotski_plan_latency_seconds{quantile=\"0.5\"} 0.014733
-klotski_plan_latency_seconds{quantile=\"0.95\"} 0.014733
-klotski_plan_latency_seconds{quantile=\"0.99\"} 0.014733
-klotski_plan_latency_seconds_count 1
-klotski_plan_latency_seconds_sum 0.012000";
-        assert_eq!(normalized, expected);
+klotski_workers_busy 1";
+        assert_eq!(pinned.join("\n"), expected);
     }
 }

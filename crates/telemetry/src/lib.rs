@@ -7,16 +7,16 @@
 //! * **Spans and events** — hierarchical RAII spans ([`SpanGuard`]) with a
 //!   thread-local span stack and monotonic microsecond timestamps, emitted
 //!   as JSONL to a process-global pluggable [`Sink`] (file, stderr, or an
-//!   in-memory ring buffer for tests). Emission is gated twice: the
-//!   `trace` cargo feature compiles the [`span!`]/[`log_event!`] macros to
-//!   nothing when disabled, and at runtime nothing is recorded unless a
-//!   sink is installed ([`enabled`] is a single relaxed atomic load), so
-//!   the instrumented hot paths cost near zero when tracing is off.
-//! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
-//!   [`Histogram`]s behind a process-global [`Registry`], rendered in
-//!   Prometheus text format. Metrics are always live (the service scrapes
-//!   them without any trace sink); hot paths cache `Arc` handles at
-//!   construction so recording is one relaxed atomic op.
+//!   in-memory ring buffer for tests). Emission is gated at runtime:
+//!   nothing is recorded unless a sink is installed or the [`bus()`] has a
+//!   subscriber ([`emit_enabled`] is two relaxed atomic loads), so the
+//!   instrumented hot paths cost near zero when tracing is off.
+//! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and
+//!   [`LogLinearHistogram`]s behind a [`Registry`] (one process-global,
+//!   one per service instance), rendered in Prometheus text format by one
+//!   function. Metrics are always live (the service scrapes them without
+//!   any trace sink); hot paths cache `Arc` handles at construction so
+//!   recording is one relaxed atomic op.
 //!
 //! Trace lines follow a small schema ([`schema`]) with a validating parser
 //! used by tests, `klotski trace <file>`, and CI.
@@ -43,8 +43,7 @@ pub mod span;
 
 pub use bus::{bus, current_stream, tag_stream, EventBus, StreamTag, Subscription};
 pub use metrics::{
-    registry, Counter, Gauge, Histogram, LogLinearHistogram, LogLinearSnapshot, Registry,
-    RegistrySnapshot,
+    registry, Counter, Gauge, LogLinearHistogram, LogLinearSnapshot, Registry, RegistrySnapshot,
 };
 pub use schema::{parse_line, validate_trace, Record, SchemaError, TraceSummary};
 pub use sink::{enabled, install, swap, uninstall, FileSink, RingSink, Sink, StderrSink};
@@ -150,9 +149,7 @@ impl From<String> for FieldValue {
 /// Opens a span: `let _guard = span!("astar.plan", "preset" = "c");`.
 ///
 /// The guard must be bound to a local; its `Drop` closes the span and
-/// emits the JSONL line. With the `trace` feature off this expands to a
-/// disabled guard and none of the field expressions are evaluated.
-#[cfg(feature = "trace")]
+/// emits the JSONL line.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $k:literal = $v:expr)* $(,)?) => {{
@@ -163,20 +160,10 @@ macro_rules! span {
     }};
 }
 
-/// Disabled (`trace` feature off): a zero-cost inert guard.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(, $k:literal = $v:expr)* $(,)?) => {{
-        $crate::SpanGuard::disabled()
-    }};
-}
-
 /// Emits one structured event line attached to the current span:
 /// `log_event!("report.experiment", "name" = name, "secs" = 1.5);`.
 ///
 /// Fields are only evaluated when a sink is installed.
-#[cfg(feature = "trace")]
 #[macro_export]
 macro_rules! log_event {
     ($name:expr $(, $k:literal = $v:expr)* $(,)?) => {
@@ -186,14 +173,5 @@ macro_rules! log_event {
                 vec![ $( ($k.to_string(), $crate::FieldValue::from($v)) ),* ],
             );
         }
-    };
-}
-
-/// Disabled (`trace` feature off): evaluates nothing.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! log_event {
-    ($name:expr $(, $k:literal = $v:expr)* $(,)?) => {
-        ()
     };
 }

@@ -1,11 +1,12 @@
-//! Lock-free metrics behind a process-global registry.
+//! Lock-free metrics: counters, gauges and one latency histogram behind a
+//! [`Registry`], and the one function that knows the Prometheus text
+//! exposition format ([`Registry::render_prometheus`]).
 //!
-//! The [`Histogram`] here is the service's former
-//! `klotski-service/src/metrics.rs` histogram, relocated so the service,
-//! the CLI, and instrumented library crates share one implementation; its
-//! bucket bounds and quantile semantics are unchanged (with the empty /
-//! `q = 1.0` edge cases pinned down by tests), so the service's Prometheus
-//! rendering stays byte-compatible.
+//! Two kinds of registry exist. The process-global [`registry()`] holds
+//! what library crates record (search, routing, pool, controller); each
+//! `klotski-service` daemon additionally owns a private `Registry` for its
+//! request counters, so several daemons in one process count
+//! independently. `/metrics` is the two renders concatenated.
 //!
 //! Instrumented hot paths fetch their `Arc` handles once at construction
 //! (`registry().counter("...")`) and afterwards pay one relaxed atomic op
@@ -15,111 +16,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
-
-/// Upper bounds of the latency buckets, in microseconds. Geometric series:
-/// `bound[i] = 100 · (1.468)^i`, 32 buckets, last bound ≈ 2.6 min; anything
-/// slower lands in the implicit overflow bucket.
-const BUCKET_BOUNDS_US: [u64; 32] = [
-    100, 147, 216, 317, 465, 683, 1_002, 1_472, 2_161, 3_172, 4_657, 6_837, 10_036, 14_733, 21_628,
-    31_750, 46_609, 68_422, 100_444, 147_452, 216_460, 317_764, 466_478, 684_789, 1_005_270,
-    1_475_737, 2_166_382, 3_180_249, 4_668_606, 6_853_514, 10_060_959, 14_769_488,
-];
-
-/// A lock-free fixed-bucket latency histogram.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_BOUNDS_US.len()],
-    /// Samples beyond the last bound.
-    overflow: AtomicU64,
-    count: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            overflow: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&self, sample: Duration) {
-        let us = sample.as_micros().min(u128::from(u64::MAX)) as u64;
-        match BUCKET_BOUNDS_US.iter().position(|&b| us <= b) {
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
-            None => self.overflow.fetch_add(1, Ordering::Relaxed),
-        };
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    /// Times `f` and records its duration.
-    pub fn observe<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(start.elapsed());
-        out
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples, seconds.
-    pub fn sum_seconds(&self) -> f64 {
-        self.sum_us.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Mean sample, seconds. 0 with no samples (never NaN).
-    pub fn mean_seconds(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            return 0.0;
-        }
-        self.sum_seconds() / n as f64
-    }
-
-    /// Estimated `q`-quantile in seconds (upper bound of the bucket holding
-    /// the quantile sample). Edge cases are explicit: an empty histogram
-    /// returns 0 (never NaN), a NaN `q` is treated as 0, `q` is clamped to
-    /// `[0, 1]`, and `q = 1.0` clamps to the last non-empty bucket — when
-    /// only the overflow bucket is occupied that is the largest finite
-    /// bound, the tightest claim the histogram can make.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return BUCKET_BOUNDS_US[i] as f64 / 1e6;
-            }
-        }
-        // Quantile sample sits in the overflow bucket: report the max bound.
-        *BUCKET_BOUNDS_US.last().unwrap() as f64 / 1e6
-    }
-}
+use std::time::Duration;
 
 /// Sub-bucket resolution of [`LogLinearHistogram`]: 2^7 = 128 linear
 /// sub-buckets per power-of-two octave, bounding relative quantile error
-/// at 1/128 ≈ 0.78% — the HDR-histogram layout, sized for latency tails
-/// the 1.468× geometric [`Histogram`] cannot resolve.
+/// at 1/128 ≈ 0.78% — the HDR-histogram layout, so p999 is meaningful.
 const LL_SUB_BITS: u32 = 7;
 const LL_SUBS: usize = 1 << LL_SUB_BITS;
 /// First sub-bucketed octave: values below 2^7 µs get exact (1 µs) buckets.
@@ -152,9 +53,9 @@ fn ll_bound_us(i: usize) -> u64 {
 }
 
 /// A lock-free log-linear (HDR-style) latency histogram: ~0.78% relative
-/// error from 1 µs to 2^40 µs across 4352 buckets. Used where tail
-/// fidelity matters (replan latency, audit wall time); the fixed-bucket
-/// [`Histogram`] stays the default for coarse service metrics.
+/// error from 1 µs to 2^40 µs across 4352 buckets. The only histogram in
+/// the workspace: service latency, search wall time, replan latency and
+/// audit wall time all record into one.
 #[derive(Debug)]
 pub struct LogLinearHistogram {
     buckets: Box<[AtomicU64]>,
@@ -192,26 +93,13 @@ impl LogLinearHistogram {
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Times `f` and records its duration.
-    pub fn observe<T>(&self, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.record(start.elapsed());
-        out
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all samples, seconds.
-    pub fn sum_seconds(&self) -> f64 {
-        self.sum_us.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Estimated `q`-quantile, seconds. Same edge-case contract as
-    /// [`Histogram::quantile`].
+    /// Estimated `q`-quantile, seconds
+    /// ([`LogLinearSnapshot::quantile`] of the current contents).
     pub fn quantile(&self, q: f64) -> f64 {
         self.snapshot().quantile(q)
     }
@@ -261,9 +149,11 @@ impl LogLinearSnapshot {
         self.sum_seconds() / self.count as f64
     }
 
-    /// Estimated `q`-quantile, seconds. Same edge-case contract as
-    /// [`Histogram::quantile`]: empty → 0, NaN `q` → 0, `q` clamped, and
-    /// an overflow-resident quantile reports the largest finite bound.
+    /// Estimated `q`-quantile in seconds (upper bound of the bucket holding
+    /// the quantile sample). Edge cases are explicit: an empty histogram
+    /// returns 0 (never NaN), a NaN `q` is treated as 0, `q` is clamped to
+    /// `[0, 1]`, and a quantile that sits in the overflow bucket reports
+    /// the largest finite bound, the tightest claim the histogram can make.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -315,6 +205,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `total` if it is below it. For publishing a
+    /// monotone count another module owns (cache hits, journal records):
+    /// the owner is read at scrape time and the series stays a counter.
+    pub fn raise_to(&self, total: u64) {
+        self.0.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -338,17 +235,17 @@ impl Gauge {
     }
 }
 
-/// The process-global metric registry: names → shared metric handles.
+/// A metric registry: names → shared metric handles.
 ///
 /// Names may carry a Prometheus label suffix (`klotski_pool_tasks_total{lane="0"}`);
 /// series sharing the text before `{` form one family and render under one
-/// `# HELP` / `# TYPE` header. Get-or-create is idempotent, so independent
-/// subsystems can cache handles to the same series.
+/// `# HELP` / `# TYPE` header, so a family must live in one of the three
+/// maps only. Get-or-create is idempotent, so independent subsystems can
+/// cache handles to the same series.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     loglinear: Mutex<BTreeMap<String, Arc<LogLinearHistogram>>>,
     help: Mutex<BTreeMap<String, String>>,
 }
@@ -400,15 +297,8 @@ impl Registry {
         Arc::clone(map.entry(name.to_string()).or_default())
     }
 
-    /// Gets or creates the histogram `name` (rendered as a summary family).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
-        Arc::clone(map.entry(name.to_string()).or_default())
-    }
-
     /// Gets or creates the log-linear histogram `name` (rendered as a
-    /// summary family with p50/p99/p999). A family must live in either
-    /// the fixed-bucket or the log-linear map, never both.
+    /// summary family with p50/p99/p999).
     pub fn loglinear(&self, name: &str) -> Arc<LogLinearHistogram> {
         let mut map = self.loglinear.lock().unwrap();
         Arc::clone(map.entry(name.to_string()).or_default())
@@ -472,102 +362,54 @@ impl Registry {
             .insert(family.to_string(), help.to_string());
     }
 
-    /// Current value of counter `name`, 0 if it was never created. For
-    /// tests and post-run summaries; does not create the series.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .unwrap()
-            .get(name)
-            .map(|c| c.get())
-            .unwrap_or(0)
-    }
-
-    /// Renders every registered series in Prometheus text format, families
-    /// sorted by name, one `# HELP`/`# TYPE` header per family.
+    /// Renders every registered series in Prometheus text format: families
+    /// sorted by name whatever their kind, one `# HELP`/`# TYPE` header per
+    /// family, summaries as p50/p99/p999 plus `_count`/`_sum`.
     pub fn render_prometheus(&self) -> String {
         // Group by family before rendering: raw map order interleaves
         // `foo{...}` ('{' sorts after '_') with a `foo_bar` family, and
         // Prometheus requires each family contiguous under one header.
-        fn by_family<T>(map: &BTreeMap<String, Arc<T>>) -> BTreeMap<String, Vec<(String, Arc<T>)>> {
-            let mut families: BTreeMap<String, Vec<(String, Arc<T>)>> = BTreeMap::new();
-            for (name, metric) in map {
-                families
-                    .entry(family_of(name).to_string())
-                    .or_default()
-                    .push((name.clone(), Arc::clone(metric)));
+        let mut families: BTreeMap<String, (&str, String)> = BTreeMap::new();
+        let mut add = |name: &str, kind: &'static str, lines: String| {
+            let family = families.entry(family_of(name).to_string());
+            family.or_insert((kind, String::new())).1.push_str(&lines);
+        };
+        for (name, counter) in self.counters.lock().unwrap().iter() {
+            add(name, "counter", format!("{name} {}\n", counter.get()));
+        }
+        for (name, gauge) in self.gauges.lock().unwrap().iter() {
+            add(name, "gauge", format!("{name} {}\n", gauge.get()));
+        }
+        for (name, histogram) in self.loglinear.lock().unwrap().iter() {
+            let snap = histogram.snapshot();
+            let family = family_of(name);
+            // A labeled series must keep one brace block per line:
+            // `quantile` joins the series' own labels, and the
+            // `_count`/`_sum` suffixes attach to the family name with the
+            // labels following.
+            let (joined, suffix) = match labels_of(name) {
+                Some(l) => (format!("{l},"), format!("{{{l}}}")),
+                None => Default::default(),
+            };
+            let mut lines = String::new();
+            for (label, q) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
+                let value = snap.quantile(q);
+                lines.push_str(&format!(
+                    "{family}{{{joined}quantile=\"{label}\"}} {value:.6}\n"
+                ));
             }
-            families
+            lines.push_str(&format!("{family}_count{suffix} {}\n", snap.count()));
+            lines.push_str(&format!("{family}_sum{suffix} {:.6}\n", snap.sum_seconds()));
+            add(name, "summary", lines);
         }
 
         let help = self.help.lock().unwrap();
-        let mut out = String::with_capacity(2048);
-        let header = |out: &mut String, family: &str, kind: &str| {
-            let text = help.get(family).map(String::as_str).unwrap_or("(no help)");
-            out.push_str(&format!("# HELP {family} {text}\n# TYPE {family} {kind}\n"));
-        };
-
-        for (family, series) in by_family(&self.counters.lock().unwrap()) {
-            header(&mut out, &family, "counter");
-            for (name, counter) in series {
-                out.push_str(&format!("{name} {}\n", counter.get()));
-            }
-        }
-        for (family, series) in by_family(&self.gauges.lock().unwrap()) {
-            header(&mut out, &family, "gauge");
-            for (name, gauge) in series {
-                out.push_str(&format!("{name} {}\n", gauge.get()));
-            }
-        }
-        for (family, series) in by_family(&self.histograms.lock().unwrap()) {
-            header(&mut out, &family, "summary");
-            for (name, histogram) in series {
-                // A labeled series must keep one brace block per line:
-                // `quantile` joins the series' own labels, and the
-                // `_count`/`_sum` suffixes attach to the family name with
-                // the labels following.
-                let labels = labels_of(&name);
-                for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
-                    let value = histogram.quantile(q);
-                    match labels {
-                        Some(l) => out.push_str(&format!(
-                            "{family}{{{l},quantile=\"{label}\"}} {value:.6}\n"
-                        )),
-                        None => {
-                            out.push_str(&format!("{family}{{quantile=\"{label}\"}} {value:.6}\n"))
-                        }
-                    }
-                }
-                let suffix = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
-                out.push_str(&format!("{family}_count{suffix} {}\n", histogram.count()));
-                out.push_str(&format!(
-                    "{family}_sum{suffix} {:.6}\n",
-                    histogram.sum_seconds()
-                ));
-            }
-        }
-        for (family, series) in by_family(&self.loglinear.lock().unwrap()) {
-            header(&mut out, &family, "summary");
-            for (name, histogram) in series {
-                let snap = histogram.snapshot();
-                let labels = labels_of(&name);
-                // Tail-resolving quantiles: the whole point of the
-                // log-linear layout is that p999 is meaningful.
-                for (label, q) in [("0.5", 0.5), ("0.99", 0.99), ("0.999", 0.999)] {
-                    let value = snap.quantile(q);
-                    match labels {
-                        Some(l) => out.push_str(&format!(
-                            "{family}{{{l},quantile=\"{label}\"}} {value:.6}\n"
-                        )),
-                        None => {
-                            out.push_str(&format!("{family}{{quantile=\"{label}\"}} {value:.6}\n"))
-                        }
-                    }
-                }
-                let suffix = labels.map(|l| format!("{{{l}}}")).unwrap_or_default();
-                out.push_str(&format!("{family}_count{suffix} {}\n", snap.count()));
-                out.push_str(&format!("{family}_sum{suffix} {:.6}\n", snap.sum_seconds()));
-            }
+        let mut out = String::with_capacity(4096);
+        for (family, (kind, lines)) in families {
+            let text = help.get(&family).map_or("(no help)", String::as_str);
+            out.push_str(&format!(
+                "# HELP {family} {text}\n# TYPE {family} {kind}\n{lines}"
+            ));
         }
         out
     }
@@ -578,58 +420,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_histogram_quantiles_are_zero_not_nan() {
-        let h = Histogram::new();
-        for q in [0.0, 0.5, 1.0, f64::NAN] {
-            let v = h.quantile(q);
-            assert_eq!(v, 0.0, "q={q}");
-            assert!(!v.is_nan());
-        }
-        assert_eq!(h.mean_seconds(), 0.0);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn quantile_one_clamps_to_last_nonempty_bucket() {
-        let h = Histogram::new();
-        h.record(Duration::from_millis(5));
-        h.record(Duration::from_millis(5));
-        // Every quantile, including exactly 1.0, must report the 5 ms
-        // bucket's bound — never run past it.
-        let q1 = h.quantile(1.0);
-        assert_eq!(q1, h.quantile(0.5));
-        assert!((0.005..=0.008).contains(&q1), "{q1}");
-        // Out-of-range and NaN q degrade gracefully.
-        assert_eq!(h.quantile(7.5), q1);
-        assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
-    }
-
-    #[test]
-    fn overflow_only_histogram_reports_max_bound_at_q1() {
-        let h = Histogram::new();
-        h.record(Duration::from_secs(3600));
-        let bound = *BUCKET_BOUNDS_US.last().unwrap() as f64 / 1e6;
-        assert_eq!(h.quantile(1.0), bound);
-        assert_eq!(h.quantile(0.5), bound);
-    }
-
-    #[test]
-    fn quantiles_are_monotonic_and_bracket_samples() {
-        let h = Histogram::new();
-        for ms in [1u64, 2, 5, 10, 20, 50, 100, 200, 500, 1000] {
-            h.record(Duration::from_millis(ms));
-        }
-        let p50 = h.quantile(0.5);
-        let p95 = h.quantile(0.95);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        assert!((0.02..=0.04).contains(&p50), "p50 {p50}");
-        assert!((1.0..=1.6).contains(&p99), "p99 {p99}");
-        assert_eq!(h.count(), 10);
-        assert!(h.mean_seconds() > 0.0);
-    }
-
-    #[test]
     fn registry_get_or_create_shares_handles() {
         let r = Registry::default();
         let a = r.counter("test_total");
@@ -637,11 +427,13 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(a.get(), 4);
-        assert_eq!(r.counter_value("test_total"), 4);
-        assert_eq!(r.counter_value("never_created_total"), 0);
         let g = r.gauge("test_gauge");
         g.set(2.5);
         assert_eq!(r.gauge("test_gauge").get(), 2.5);
+        // Mirroring an externally owned count never moves a counter back.
+        a.raise_to(9);
+        a.raise_to(6);
+        assert_eq!(a.get(), 9);
     }
 
     #[test]
@@ -651,7 +443,7 @@ mod tests {
         r.counter("pool_tasks_total{lane=\"0\"}").add(5);
         r.counter("pool_tasks_total{lane=\"1\"}").add(7);
         r.counter("other_total").inc();
-        r.histogram("route_seconds")
+        r.loglinear("route_seconds")
             .record(Duration::from_millis(3));
         let text = r.render_prometheus();
         assert_eq!(
@@ -669,12 +461,12 @@ mod tests {
     }
 
     #[test]
-    fn labeled_histogram_renders_one_brace_block_per_line() {
+    fn labeled_summary_renders_one_brace_block_per_line() {
         let r = Registry::default();
         r.set_help("plan_seconds", "Search wall time.");
-        r.histogram("plan_seconds{planner=\"astar\"}")
+        r.loglinear("plan_seconds{planner=\"astar\"}")
             .record(Duration::from_millis(5));
-        r.histogram("plan_seconds{planner=\"dp\"}")
+        r.loglinear("plan_seconds{planner=\"dp\"}")
             .record(Duration::from_millis(7));
         let text = r.render_prometheus();
         assert_eq!(
@@ -687,7 +479,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("plan_seconds{planner=\"dp\",quantile=\"0.99\"}"),
+            text.contains("plan_seconds{planner=\"dp\",quantile=\"0.999\"}"),
             "{text}"
         );
         assert!(
@@ -721,9 +513,24 @@ mod tests {
     }
 
     #[test]
+    fn families_sort_by_name_whatever_their_kind() {
+        let r = Registry::default();
+        r.gauge("b_depth").set(2.0);
+        r.counter("c_total").inc();
+        r.loglinear("a_seconds").record(Duration::from_millis(1));
+        let text = r.render_prometheus();
+        let at = |line: &str| {
+            text.find(line)
+                .unwrap_or_else(|| panic!("no {line:?} in {text}"))
+        };
+        assert!(at("# TYPE a_seconds summary\n") < at("# TYPE b_depth gauge\n"));
+        assert!(at("b_depth 2\n") < at("# TYPE c_total counter\n"));
+    }
+
+    #[test]
     fn global_registry_is_one_instance() {
         registry().counter("global_smoke_total").inc();
-        assert!(registry().counter_value("global_smoke_total") >= 1);
+        assert!(registry().counter("global_smoke_total").get() >= 1);
     }
 
     #[test]
@@ -759,37 +566,36 @@ mod tests {
     }
 
     #[test]
-    fn loglinear_matches_fixed_histogram_edge_contract() {
+    fn loglinear_edge_cases_are_explicit() {
         let h = LogLinearHistogram::new();
         for q in [0.0, 0.5, 1.0, f64::NAN] {
             assert_eq!(h.quantile(q), 0.0, "empty, q={q}");
         }
+        assert_eq!(h.snapshot().mean_seconds(), 0.0, "empty mean is 0, not NaN");
         h.record(Duration::from_millis(5));
         h.record(Duration::from_millis(5));
         assert_eq!(h.quantile(1.0), h.quantile(0.5), "q=1 clamps");
         assert_eq!(h.quantile(7.5), h.quantile(1.0));
-        // Overflow-only: the largest finite bound, never infinity.
+        assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
+        // Overflow-only: the largest finite bound at every q, never infinity.
         let over = LogLinearHistogram::new();
         over.record(Duration::from_secs(20_000_000));
-        assert_eq!(over.quantile(0.5), ll_bound_us(LL_BUCKETS - 1) as f64 / 1e6);
+        let bound = ll_bound_us(LL_BUCKETS - 1) as f64 / 1e6;
+        assert_eq!(over.quantile(0.5), bound);
+        assert_eq!(over.quantile(1.0), bound);
         assert_eq!(over.count(), 1);
     }
 
     #[test]
-    fn loglinear_resolves_tails_the_geometric_histogram_cannot() {
-        let coarse = Histogram::new();
-        let fine = LogLinearHistogram::new();
-        // 99 fast samples and one 1.45× outlier inside a single geometric
-        // bucket span: p50 and p999 must differ in the fine histogram
+    fn loglinear_resolves_a_tail_outlier() {
+        let h = LogLinearHistogram::new();
+        // 99 fast samples and one 1.45× outlier: p50 and p999 must differ
         // (rank at q=0.999 over 100 samples is 100 — the outlier).
         for _ in 0..99 {
-            coarse.record(Duration::from_micros(10_100));
-            fine.record(Duration::from_micros(10_100));
+            h.record(Duration::from_micros(10_100));
         }
-        coarse.record(Duration::from_micros(14_600));
-        fine.record(Duration::from_micros(14_600));
-        assert_eq!(coarse.quantile(0.5), coarse.quantile(0.999));
-        assert!(fine.quantile(0.999) > fine.quantile(0.5) * 1.4);
+        h.record(Duration::from_micros(14_600));
+        assert!(h.quantile(0.999) > h.quantile(0.5) * 1.4);
     }
 
     #[test]
@@ -818,22 +624,5 @@ mod tests {
         assert!(r.loglinear_since("missing", &baseline).is_none());
         // The live histogram still holds all three samples.
         assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn loglinear_renders_p999_summary_lines() {
-        let r = Registry::default();
-        r.set_help("replan_seconds", "Replan latency.");
-        r.loglinear("replan_seconds{phase=\"replan\"}")
-            .record(Duration::from_millis(3));
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE replan_seconds summary"), "{text}");
-        assert!(
-            text.contains("replan_seconds{phase=\"replan\",quantile=\"0.999\"}"),
-            "{text}"
-        );
-        assert!(text.contains("replan_seconds_count{phase=\"replan\"} 1"));
-        assert!(!text.contains("}{"), "{text}");
-        assert!(!text.contains("}_"), "{text}");
     }
 }
