@@ -6,29 +6,21 @@
 //! cargo run -p klotski-bench --release --bin report -- fig11 fig12
 //! ```
 //!
-//! Flags:
-//! - `--threads N` — override the lane count of every experiment's specs.
-//!
 //! Environment:
 //! - `KLOTSKI_FULL_SCALE=1` — build D/E at full paper scale (slow);
-//! - `KLOTSKI_BENCH_TIMEOUT_SECS` — per-planner cap (default 120);
-//! - `KLOTSKI_LONGHORIZON_WAVES` — storm waves per worker-pool width in
-//!   the `long-horizon` experiment (default 6);
-//! - `KLOTSKI_SERVICE_ROUNDS` — interleaved measurement rounds in the
-//!   `service` experiment (default 3);
-//! - `KLOTSKI_FLEET_DOCS` / `KLOTSKI_FLEET_REQUESTS` /
-//!   `KLOTSKI_FLEET_CLIENTS` — zipf workload shape of the `fleet`
-//!   experiment (defaults 12 / 72 / 8).
+//! - `KLOTSKI_BENCH_TIMEOUT_SECS` — per-planner cap (default 120).
+//!
+//! System numbers (service throughput, incremental/ensemble check cost,
+//! controller runs) are not experiments of this binary: the repository
+//! benchmark under `benchmark/` measures them (see `benchmark/README.md`).
 
-use klotski_bench::{
-    experiments, fleet, incremental, longhorizon, robust, runner, scenarios, service,
-};
+use klotski_bench::experiments;
 use klotski_telemetry::{log_event, registry};
 
 /// A named experiment: label plus the function rendering its output.
 type Experiment = (&'static str, fn() -> String);
 
-const EXPERIMENTS: [Experiment; 14] = [
+const EXPERIMENTS: [Experiment; 8] = [
     ("table1", experiments::table1),
     ("table3", experiments::table3),
     ("fig8", experiments::fig8),
@@ -37,30 +29,13 @@ const EXPERIMENTS: [Experiment; 14] = [
     ("fig11", experiments::fig11),
     ("fig12", experiments::fig12),
     ("fig13", experiments::fig13),
-    ("incremental", incremental::incremental),
-    ("robust", robust::robust),
-    ("scenarios", scenarios::scenarios),
-    ("service", service::service),
-    ("fleet", fleet::fleet),
-    ("long-horizon", longhorizon::longhorizon),
 ];
 
 fn main() {
     // Progress goes to stderr as structured one-per-line JSON events, so
     // stdout stays pure experiment output (tables and figures).
     klotski_telemetry::install(std::sync::Arc::new(klotski_telemetry::StderrSink));
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let threads = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-        match threads {
-            Some(t) if t >= 1 => runner::set_thread_override(t),
-            _ => {
-                eprintln!("--threads requires a positive integer");
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Vec<&Experiment> = if args.is_empty() || args[0] == "all" {
         EXPERIMENTS.iter().collect()
     } else {

@@ -11,19 +11,17 @@
 //! crosses appear) is the reproduction target. `EXPERIMENTS.md` records
 //! paper-vs-measured for each experiment.
 //!
+//! Only the paper's experiments live here. How fast the system itself runs
+//! (check cost, ensembles, the daemon, controller runs) is measured by the
+//! repository benchmark under `benchmark/`, not by this crate.
+//!
 //! Scale: topologies A–C build at paper scale; D and E shrink their fabric
 //! unless `KLOTSKI_FULL_SCALE=1` (see `klotski_topology::presets`). The
 //! planner-visible problem (blocks, action types, feasible region) is
 //! identical at both scales.
 
 pub mod experiments;
-pub mod fleet;
-pub mod incremental;
-pub mod longhorizon;
-pub mod robust;
 pub mod runner;
-pub mod scenarios;
-pub mod service;
 pub mod table;
 
 pub use runner::{run_planner, spec_for, PlannerKind, RunResult};
@@ -37,13 +35,4 @@ pub fn bench_timeout() -> std::time::Duration {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(120);
     std::time::Duration::from_secs(secs)
-}
-
-/// A `usize` environment knob with a default (the experiments' shared
-/// idiom for CI-shrinkable workloads).
-pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(default)
 }

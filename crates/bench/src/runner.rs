@@ -7,37 +7,7 @@ use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec}
 use klotski_core::planner::{AStarPlanner, DpPlanner, PlanStats, Planner, SearchBudget};
 use klotski_core::{CostModel, EscMode, PlanError};
 use klotski_topology::presets::{self, PresetId};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-
-/// Global lane-count override installed by the report binary's
-/// `--threads N` flag; 0 means "use each experiment's own options".
-static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides `MigrationOptions::threads` for every spec built through this
-/// crate's constructors. Pass 0 to restore per-options values.
-pub fn set_thread_override(threads: usize) {
-    THREAD_OVERRIDE.store(threads, Ordering::Relaxed);
-}
-
-/// The active lane-count override, if any.
-pub fn thread_override() -> Option<usize> {
-    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Applies the `--threads` override on top of an experiment's options.
-fn with_override(opts: &MigrationOptions) -> MigrationOptions {
-    match thread_override() {
-        Some(t) => MigrationOptions {
-            threads: t,
-            ..opts.clone()
-        },
-        None => opts.clone(),
-    }
-}
 
 /// Which planner (or Klotski ablation variant) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +94,7 @@ impl RunResult {
 /// (bench-scaled topology).
 pub fn spec_for(id: PresetId, opts: &MigrationOptions) -> MigrationSpec {
     let preset = presets::build_for_bench(id);
-    MigrationBuilder::for_preset(&preset, &with_override(opts))
+    MigrationBuilder::for_preset(&preset, opts)
         .unwrap_or_else(|e| panic!("spec for {id} failed: {e}"))
 }
 
@@ -132,10 +102,9 @@ pub fn spec_for(id: PresetId, opts: &MigrationOptions) -> MigrationSpec {
 /// split down to roughly symmetry-block size (≤ 2 switches per block, §4.1).
 pub fn spec_without_ob(id: PresetId, opts: &MigrationOptions) -> Result<MigrationSpec, PlanError> {
     let preset = presets::build_for_bench(id);
-    let opts = with_override(opts);
     // Largest natural group size determines the split factor needed to get
     // to ~2-switch blocks.
-    let base = MigrationBuilder::for_preset(&preset, &opts)?;
+    let base = MigrationBuilder::for_preset(&preset, opts)?;
     let largest = base
         .blocks
         .iter()

@@ -12,8 +12,10 @@ use crate::compact::CompactState;
 use crate::cost::CostModel;
 use crate::migration::MigrationSpec;
 use crate::satcheck::{EscMode, SatChecker};
+use klotski_parallel::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One block-level action of a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,7 +135,19 @@ impl std::error::Error for PlanViolation {}
 /// Replays `plan` over `spec`, verifying Eq. 2–6 at every intermediate state
 /// and that the final state is the target. This is the independent oracle
 /// used by tests and by operators before handing a plan to deployment.
+/// Checks run on a private pool of `spec.threads` lanes.
 pub fn validate_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> Result<(), PlanViolation> {
+    validate_plan_on(spec, plan, Arc::new(WorkerPool::new(spec.threads)))
+}
+
+/// [`validate_plan`] over an existing worker pool, for callers that already
+/// hold one (the pipeline validates on the pool the search ran on instead
+/// of spawning a second). The verdict is identical at every lane count.
+pub fn validate_plan_on(
+    spec: &MigrationSpec,
+    plan: &MigrationPlan,
+    pool: Arc<WorkerPool>,
+) -> Result<(), PlanViolation> {
     // Eq. 2-3: every block exactly once.
     let mut seen = vec![false; spec.num_blocks()];
     for step in plan.steps() {
@@ -166,7 +180,7 @@ pub fn validate_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> Result<(), P
 
     // Replay with satisfiability checking at every state (Algorithm 1/2
     // check every visited state).
-    let mut checker = SatChecker::new(spec, EscMode::Off);
+    let mut checker = SatChecker::with_pool(spec, EscMode::Off, pool);
     let mut state = spec.initial.clone();
     let mut v = CompactState::origin(spec.num_types());
     for (i, step) in plan.steps().iter().enumerate() {

@@ -17,10 +17,11 @@
 //!   once, not per request.
 //! * **Shared plan cache** keyed by `(NPD digest, options digest)`:
 //!   repeated submissions of the same document return the original bytes.
-//! * **Request coalescing**: concurrent submissions with an identical
-//!   `(NPD digest, options digest)` key singleflight onto one pipeline
-//!   computation — the first becomes the leader, duplicates follow its
-//!   job (same id, same event stream) and receive byte-identical bytes.
+//! * **Request coalescing**: concurrent submissions of one kind with an
+//!   identical `(NPD digest, options digest)` key singleflight onto one
+//!   pipeline computation — the first becomes the leader, duplicates
+//!   follow its job (same id, same event stream) and receive
+//!   byte-identical bytes.
 //! * **Warm persistent state**: with `--state-dir`, a checksummed
 //!   write-ahead journal persists admissions and finished artifacts; a
 //!   restarted daemon replays it, answering known digests from cache
@@ -97,10 +98,6 @@ pub struct ServiceConfig {
     pub sse_queue_capacity: usize,
     /// Keep-alive comment interval on idle event streams.
     pub sse_heartbeat: Duration,
-    /// Singleflight concurrent identical submissions onto one computation.
-    /// Disabled, every duplicate enqueues its own job (the pre-coalescing
-    /// behaviour backpressure tests rely on).
-    pub coalesce: bool,
     /// Directory for the write-ahead job journal; `None` runs stateless.
     pub state_dir: Option<PathBuf>,
     /// Journal size that triggers compaction (the journal is rewritten as
@@ -124,12 +121,16 @@ impl Default for ServiceConfig {
             sse_max_subscribers: 32,
             sse_queue_capacity: 1024,
             sse_heartbeat: Duration::from_secs(1),
-            coalesce: true,
             state_dir: None,
             journal_compact_bytes: 8 * 1024 * 1024,
         }
     }
 }
+
+/// A singleflight slot: the `(npd_digest, options_digest)` key plus the
+/// job kind. The kind is part of it because a job's polled result is
+/// rendered by the job's own kind: an audit must never follow a plan.
+type InflightSlot = ((u64, u64), JobKind);
 
 /// One admitted unit of work travelling the queue.
 struct QueuedJob {
@@ -165,9 +166,9 @@ struct Shared {
     /// Open `/events` subscribers (the 503-shedding gauge).
     sse_active: AtomicUsize,
     draining: std::sync::atomic::AtomicBool,
-    /// Singleflight table: key → the job currently computing it. Entries
+    /// Singleflight table: the job currently computing each slot. Entries
     /// are removed by the worker that settles the key.
-    inflight: Mutex<HashMap<(u64, u64), Arc<Job>>>,
+    inflight: Mutex<HashMap<InflightSlot, Arc<Job>>>,
     /// Write-ahead journal, when `--state-dir` is set.
     state: Option<StateStore>,
 }
@@ -338,7 +339,7 @@ fn replay_pending_job(shared: &Arc<Shared>, pending: PendingJob) {
         .inflight
         .lock()
         .unwrap()
-        .insert(pending.key, Arc::clone(&job));
+        .insert((pending.key, kind), Arc::clone(&job));
     let work = Work::Plan {
         npd: Box::new(npd),
         options: pending.options,
@@ -467,8 +468,9 @@ fn run_plan_job(
 /// job's settlement.
 fn settle_inflight(shared: &Shared, key: (u64, u64), job: &Arc<Job>) {
     let mut inflight = shared.inflight.lock().unwrap();
-    if inflight.get(&key).is_some_and(|j| Arc::ptr_eq(j, job)) {
-        inflight.remove(&key);
+    let slot = (key, job.kind);
+    if inflight.get(&slot).is_some_and(|j| Arc::ptr_eq(j, job)) {
+        inflight.remove(&slot);
     }
 }
 
@@ -804,9 +806,10 @@ fn submit(request: &Request, shared: &Arc<Shared>, kind: JobKind) -> Response {
 }
 
 /// Admits a plan/audit computation, singleflighting identical keys: the
-/// first submission for an idle key leads (it enqueues the work); every
-/// concurrent duplicate follows the leader's job — same job id, same event
-/// stream, byte-identical result — without enqueueing anything.
+/// first submission of a kind for an idle key leads (it enqueues the work);
+/// every concurrent duplicate of that kind follows the leader's job — same
+/// job id, same event stream, byte-identical result — without enqueueing
+/// anything.
 fn submit_plan_job(
     request: &Request,
     shared: &Arc<Shared>,
@@ -820,13 +823,11 @@ fn submit_plan_job(
     // submission per key leads.
     let (job, leader) = {
         let mut inflight = shared.inflight.lock().unwrap();
-        match inflight.get(&key) {
-            Some(existing) if shared.config.coalesce => (Arc::clone(existing), false),
-            _ => {
+        match inflight.get(&(key, kind)) {
+            Some(existing) => (Arc::clone(existing), false),
+            None => {
                 let job = shared.jobs.create(kind);
-                if shared.config.coalesce {
-                    inflight.insert(key, Arc::clone(&job));
-                }
+                inflight.insert((key, kind), Arc::clone(&job));
                 (job, true)
             }
         }
@@ -836,9 +837,7 @@ fn submit_plan_job(
         return answer_job(request, shared, kind, &job)
             .with_header("X-Klotski-Coalesce", "follower");
     }
-    if shared.config.coalesce {
-        shared.metrics.coalesce_leaders.inc();
-    }
+    shared.metrics.coalesce_leaders.inc();
     // Journal the admission before the push: a crash at any later point
     // re-runs this job on restart instead of losing it.
     if let Some(state) = &shared.state {
@@ -1605,24 +1604,27 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_503_and_retry_after() {
         // No workers: nothing drains, so the queue fills deterministically.
-        // Coalescing off — identical submissions must each take a slot.
+        // Distinct keys (one θ each), so every submission leads and takes
+        // a slot instead of following the first.
         let service = Service::start(ServiceConfig {
             workers: 0,
             queue_depth: 2,
             cache_capacity: 0,
-            coalesce: false,
             ..ServiceConfig::default()
         })
         .unwrap();
         let addr = service.local_addr();
         let npd = small_npd_json();
+        let submit = |theta: &str| {
+            let head = format!("POST /v1/plan?wait=0&theta={theta} HTTP/1.1\r\nHost: t");
+            request(addr, &head, &npd)
+        };
 
-        for _ in 0..2 {
-            let (status, _, _) = request(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+        for theta in ["0.70", "0.71"] {
+            let (status, _, _) = submit(theta);
             assert_eq!(status, 202);
         }
-        let (status, headers, body) =
-            request(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+        let (status, headers, body) = submit("0.72");
         assert_eq!(status, 503, "{body}");
         assert_eq!(header(&headers, "retry-after"), Some("1"));
         let err: ErrorResponse = serde_json::from_str(&body).unwrap();
@@ -1664,14 +1666,28 @@ mod tests {
             assert_eq!(follower.job, leader.job, "followers share the job id");
         }
 
+        // An audit of the same document must not follow the plan leader:
+        // `/v1/jobs/{id}/result` renders by the job's kind, so a shared job
+        // would hand the audit client plan bytes.
+        let (status, headers, body) =
+            request(addr, "POST /v1/audit?wait=0 HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 202, "{body}");
+        assert_eq!(header(&headers, "x-klotski-coalesce"), Some("leader"));
+        let audit: AcceptedResponse = serde_json::from_str(&body).unwrap();
+        assert_ne!(audit.job, leader.job, "an audit never follows a plan");
+        let head = format!("GET /v1/jobs/{} HTTP/1.1\r\nHost: t", audit.job);
+        let (_, _, body) = request(addr, &head, "");
+        let polled: JobStatusResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(polled.kind, "audit");
+
         let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
-        assert!(text.contains("klotski_coalesce_leaders_total 1"), "{text}");
+        assert!(text.contains("klotski_coalesce_leaders_total 2"), "{text}");
         assert!(
             text.contains("klotski_coalesce_followers_total 2"),
             "{text}"
         );
         assert!(
-            text.contains("klotski_queue_depth 1"),
+            text.contains("klotski_queue_depth 2"),
             "followers must not enqueue: {text}"
         );
 

@@ -9,7 +9,7 @@
 //! as the response body.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions};
-use klotski_core::plan::validate_plan;
+use klotski_core::plan::validate_plan_on;
 use klotski_core::planner::{AStarPlanner, DpPlanner, Planner, SearchBudget};
 use klotski_core::report::{audit_plan, PlanAudit};
 use klotski_core::{CostModel, PlanError};
@@ -166,7 +166,8 @@ fn resolve_options(
 /// region config, build the region, derive the migration spec, run the
 /// selected planner under `budget`, validate, audit, attach. `pool` lets a
 /// long-lived caller (the service's worker threads) reuse satisfiability
-/// lanes across jobs; `None` matches the CLI's private-pool behaviour.
+/// lanes across jobs; `None` (the CLI) builds one private pool for the
+/// call. Search and validation both run on that one pool.
 /// Either way the resulting plan bytes are identical — PR 1's determinism
 /// guarantee makes lane count unobservable in the output.
 pub fn plan_document(
@@ -202,12 +203,14 @@ pub fn plan_document_keyed(
     };
     let spec = MigrationBuilder::for_preset(&preset_like, &mig_options)
         .map_err(|e| PipelineError::Invalid(e.to_string()))?;
+    // One pool for the search and the validation replay.
+    let pool = pool.unwrap_or_else(|| Arc::new(WorkerPool::new(spec.threads)));
 
     let (outcome, planner_name) = if use_dp {
         let planner = DpPlanner {
             cost,
             budget,
-            pool,
+            pool: Some(Arc::clone(&pool)),
             ..DpPlanner::default()
         };
         (
@@ -218,7 +221,7 @@ pub fn plan_document_keyed(
         let planner = AStarPlanner {
             cost,
             budget,
-            pool,
+            pool: Some(Arc::clone(&pool)),
             ..AStarPlanner::default()
         };
         (
@@ -227,7 +230,7 @@ pub fn plan_document_keyed(
         )
     };
 
-    validate_plan(&spec, &outcome.plan)
+    validate_plan_on(&spec, &outcome.plan, pool)
         .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?;
     let audit = audit_plan(&spec, &outcome.plan);
 
@@ -330,23 +333,40 @@ mod tests {
     #[test]
     fn shared_pool_output_is_byte_identical_to_private_pool() {
         let npd = small_npd();
-        let private = plan_document(
-            &npd,
-            &PlanRequestOptions::default(),
-            SearchBudget::default(),
-            None,
-        )
-        .unwrap();
-        let pool = WorkerPool::shared(2);
-        let shared = plan_document(
-            &npd,
-            &PlanRequestOptions::default(),
-            SearchBudget::default(),
-            Some(pool),
-        )
-        .unwrap();
+        let plan = |options: &PlanRequestOptions, lanes: Option<usize>| {
+            let pool = lanes.map(WorkerPool::shared);
+            plan_document(&npd, options, SearchBudget::default(), pool).unwrap()
+        };
+        let phases = |artifact: &PlanArtifact| {
+            Npd::from_json(std::str::from_utf8(&artifact.plan_json).unwrap())
+                .unwrap()
+                .phases
+        };
+
+        let single = PlanRequestOptions::default();
+        let private = plan(&single, None);
+        let shared = plan(&single, Some(2));
         assert_eq!(private.plan_json, shared.plan_json);
         assert_eq!(private.summary.cost, shared.summary.cost);
+
+        // An ensemble plan is byte-identical at every lane count.
+        let k3: PlanRequestOptions =
+            serde_json::from_str(r#"{"ensemble": {"k": 3, "seed": 11}}"#).unwrap();
+        let one_lane = plan(&k3, Some(1));
+        for lanes in [2, 4] {
+            assert_eq!(
+                one_lane.plan_json,
+                plan(&k3, Some(lanes)).plan_json,
+                "{lanes} lanes"
+            );
+        }
+
+        // K = 1 is the base matrix alone: the single-matrix plan.
+        let k1: PlanRequestOptions =
+            serde_json::from_str(r#"{"ensemble": {"k": 1, "seed": 11}}"#).unwrap();
+        let k1 = plan(&k1, None);
+        assert_eq!(phases(&k1), phases(&private));
+        assert_eq!(k1.summary.cost, private.summary.cost);
     }
 
     #[test]

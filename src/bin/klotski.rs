@@ -64,7 +64,7 @@ impl CliError {
                  klotski trace summarize <trace.jsonl>\n  \
                  klotski serve [--addr HOST:PORT] [--workers N] [--queue-depth N] \
                  [--cache N] [--deadline-ms N] [--sse-max-subscribers N] \
-                 [--state-dir DIR] [--no-coalesce]"
+                 [--state-dir DIR]"
                 .into(),
             code: 2,
         }
@@ -665,9 +665,6 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), CliError> {
     }
     if let Some(dir) = take_flag::<String>(&mut args, "--state-dir")? {
         config.state_dir = Some(std::path::PathBuf::from(dir));
-    }
-    if take_switch(&mut args, "--no-coalesce") {
-        config.coalesce = false;
     }
     if !args.is_empty() {
         return Err(CliError::usage());

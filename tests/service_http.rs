@@ -240,21 +240,24 @@ fn overfilled_queue_sheds_load_with_503() {
         workers: 0,
         queue_depth: 3,
         cache_capacity: 0,
-        // Identical submissions must each occupy a queue slot here, so
-        // singleflight coalescing is off for this test.
-        coalesce: false,
         ..ServiceConfig::default()
     })
     .unwrap();
     let addr = service.local_addr();
     let npd = npd_json(PresetId::A);
+    // One θ per submission: distinct keys, so each leads and occupies a
+    // queue slot instead of following the first.
+    let submit = |theta: &str| {
+        let head = format!("POST /v1/plan?wait=0&theta={theta} HTTP/1.1\r\nHost: t");
+        http(addr, &head, &npd)
+    };
 
-    for _ in 0..3 {
-        let (status, _, _) = http(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+    for theta in ["0.70", "0.71", "0.72"] {
+        let (status, _, _) = submit(theta);
         assert_eq!(status, 202);
     }
-    for _ in 0..2 {
-        let (status, headers, body) = http(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+    for theta in ["0.73", "0.74"] {
+        let (status, headers, body) = submit(theta);
         assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
         assert_eq!(header(&headers, "retry-after"), Some("1"));
     }
