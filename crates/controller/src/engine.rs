@@ -31,12 +31,12 @@ use crate::fleet::{pick_uninvolved_circuit, FleetSim};
 use crate::flight::{FlightBundle, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use crate::scenario::{EventKind, ReplanPolicy, Scenario, ScenarioEvent};
 use klotski_core::compact::CompactState;
-use klotski_core::executor::{pick_uninvolved_switch, plan_still_safe, realized_demand};
+use klotski_core::executor::{pick_uninvolved_switch, realized_demand};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::plan::{MigrationPlan, PlanPhase};
 use klotski_core::planner::{AStarPlanner, DpPlanner, PlanStats, Planner, SearchBudget};
 use klotski_core::satcheck::{LiveAudit, SatStats};
-use klotski_core::{CostModel, EscMode, PlanError, SatChecker};
+use klotski_core::{CostModel, EscMode, PlanError, PlanReplay, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
 use klotski_topology::{presets, CircuitId, NetState, SwitchId};
@@ -411,12 +411,17 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
     // (`audit_live`), so it carries neither the ESC cache nor the
     // incremental engine; replan searches own those. One checker serves the
     // whole run — every spec generation shares the topology.
-    let audit_spec = {
-        let mut s = spec.clone();
-        s.incremental = false;
-        s
+    let mut checker = {
+        let mut audit_spec = spec.clone();
+        audit_spec.incremental = false;
+        SatChecker::with_pool(&audit_spec, EscMode::Off, pool.clone())
     };
-    let mut checker = SatChecker::with_pool(&audit_spec, EscMode::Off, pool.clone());
+    // The lookahead replays *planned* (canonical) states, so it rides an
+    // incremental engine — one per spec generation, built on first use and
+    // dropped before every replan: a residual spec re-bases the canonical
+    // overlay, and the replanner's own checker should not share the heap
+    // with an engine it makes obsolete.
+    let mut lookahead: Option<PlanReplay> = None;
 
     let mut report = ControllerReport {
         name: spec.name.clone(),
@@ -523,7 +528,11 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             // Lookahead: a world change can leave the *current* state safe
             // but doom a later one; §7.1 replans before walking into it.
             if !pending.is_empty()
-                && !plan_still_safe(&active, &fleet.planned, &progress, &pending, &realized)
+                && !lookahead
+                    .get_or_insert_with(|| {
+                        PlanReplay::new(&active, checker.csr().clone(), pool.clone())
+                    })
+                    .plan_still_safe(&active, &fleet.planned, &progress, &pending, &realized)
             {
                 pause_reason = Some("remaining plan unsafe under realized demand".to_string());
             }
@@ -580,6 +589,7 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
                 break 'run;
             }
             replans_done += 1;
+            lookahead = None;
             // Replan from the *observed* state: the residual migration's
             // initial topology carries the live disturbances, so the new
             // plan is safe given the failure, not just given the plan's
@@ -718,10 +728,10 @@ fn rollback(
 /// to the worst across the ensemble) and the failing matrix index
 /// (0 = base). Replans are ensemble-aware separately: `residual()`
 /// re-realizes the spec's ensemble against the demand it is seeded with.
-/// The lookahead is not: `plan_still_safe` replays the remaining plan under
-/// the base realized matrix only, so a later state that only a variant
-/// rejects is caught by this audit when the run reaches it, not ahead of
-/// time.
+/// The lookahead is not: `PlanReplay::plan_still_safe` replays the remaining
+/// plan under the base realized matrix only, so a later state that only a
+/// variant rejects is caught by this audit when the run reaches it, not
+/// ahead of time.
 fn ensemble_audit(
     checker: &mut SatChecker,
     spec: &MigrationSpec,

@@ -335,6 +335,32 @@ fn shipped_example_scenario_matches_the_builtin_sample() {
     assert_eq!(parsed, Scenario::sample());
 }
 
+/// Run fingerprints of the shipped scenarios, captured before the lookahead
+/// moved onto the incremental engine. Every verdict, pause reason and routed
+/// utilization of a run is behind its hash, so a lookahead (or audit) that
+/// answers differently anywhere in these timelines fails here.
+#[test]
+fn shipped_scenarios_keep_their_fingerprints() {
+    for (file, fingerprint) in [
+        ("storm_preset_c", 0x8b23_47d9_904b_b13e_u64),
+        ("surge_and_failure", 0xd415_282b_9eb6_111b),
+        ("tight_link_failure", 0x24d8_003c_2569_c3e0),
+    ] {
+        let path = format!(
+            "{}/../../examples/scenarios/{file}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let json = std::fs::read_to_string(&path).expect("example scenario file exists");
+        let scenario = Scenario::from_json(&json).expect("example scenario parses");
+        let report = run_scenario(&scenario, None).expect("scenario runs");
+        assert_eq!(
+            format!("{:016x}", report.fingerprint()),
+            format!("{fingerprint:016x}"),
+            "{file}"
+        );
+    }
+}
+
 #[test]
 fn reports_roundtrip_through_json() {
     let report = run_scenario(&tight_link_failure_scenario(), None).expect("scenario runs");

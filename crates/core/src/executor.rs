@@ -12,21 +12,25 @@
 //! - routine maintenance not controlled by Klotski can take an uninvolved
 //!   switch down during a phase (§7.2, "Simultaneous operations").
 //!
-//! When the realized world makes the *next* phase unsafe, the executor
-//! re-runs the planner on the residual migration with the updated demand —
-//! exactly the production replanning loop.
+//! When the realized world makes any state of the *remaining plan* unsafe
+//! (the lookahead of [`PlanReplay::plan_still_safe`]), the executor re-runs
+//! the planner on the residual migration with the updated demand — exactly
+//! the production replanning loop.
 
 use crate::compact::CompactState;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanPhase};
 use crate::planner::Planner;
-use klotski_routing::evaluate_policy;
+use crate::replay::PlanReplay;
+use klotski_parallel::WorkerPool;
+use klotski_routing::{evaluate_with, CsrGraph, EcmpRouter, LoadMap};
 use klotski_topology::{NetState, SwitchId};
 use klotski_traffic::{surge::apply_surges, DemandMatrix, SurgeEvent};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Executor tunables.
 #[derive(Debug, Clone)]
@@ -116,6 +120,15 @@ pub fn execute(
     let mut progress = CompactState::origin(spec.num_types());
     let mut demand_multiplier = 1.0_f64;
     let mut phase_counter = 0usize;
+    // Observed states (maintenance victims are off the canonical overlay)
+    // route from scratch on one reused router; the lookahead replays
+    // canonical states on its incremental engine. Residual specs share the
+    // topology, so the router outlives replans; the replay does not.
+    let csr = Arc::new(CsrGraph::build(&spec.topology));
+    let mut router = EcmpRouter::from_csr(csr.clone(), spec.split);
+    let mut loads = LoadMap::new(&spec.topology);
+    let pool = Arc::new(WorkerPool::new(spec.threads));
+    let mut lookahead: Option<PlanReplay> = None;
 
     'phases: while let Some(phase) = pending.first().cloned() {
         // --- Push pipeline: the operation can fail and be retried. Every
@@ -154,12 +167,13 @@ pub fn execute(
             }
         }
 
-        let outcome = evaluate_policy(
+        let outcome = evaluate_with(
+            &mut router,
+            &mut loads,
             &active_spec.topology,
             &observed_state,
             &realized,
             active_spec.theta,
-            active_spec.split,
         );
         report.phases.push(PhaseRecord {
             index: phase_counter,
@@ -171,11 +185,13 @@ pub fn execute(
         });
         phase_counter += 1;
 
-        // --- Replanning loop (§7.1): if the remaining plan's next state
+        // --- Replanning loop (§7.1): if any state of the remaining plan
         // would be unsafe under realized demand, re-run the planner on the
         // residual migration.
         if !pending.is_empty()
-            && !plan_still_safe(&active_spec, &state, &progress, &pending, &realized)
+            && !lookahead
+                .get_or_insert_with(|| PlanReplay::new(&active_spec, csr.clone(), pool.clone()))
+                .plan_still_safe(&active_spec, &state, &progress, &pending, &realized)
         {
             if !cfg.replan_on_violation {
                 report.abort_reason = Some(format!(
@@ -183,6 +199,9 @@ pub fn execute(
                 ));
                 return report;
             }
+            // The replay is bound to the spec generation it was built for,
+            // and should not sit in memory beside the replanner's engine.
+            lookahead = None;
             let residual = active_spec.residual(&progress, state.clone(), realized.clone());
             match planner.plan(&residual) {
                 Ok(new_outcome) => {
@@ -221,30 +240,6 @@ pub fn realized_demand(
     step: usize,
 ) -> DemandMatrix {
     apply_surges(&base.scaled(growth_multiplier), surges, step)
-}
-
-/// Replays the remaining phases against the realized demand; true if every
-/// intermediate state stays safe.
-pub fn plan_still_safe(
-    spec: &MigrationSpec,
-    state: &NetState,
-    progress: &CompactState,
-    pending: &[PlanPhase],
-    realized: &DemandMatrix,
-) -> bool {
-    let mut s = state.clone();
-    let mut v = progress.clone();
-    for phase in pending {
-        for _ in &phase.blocks {
-            spec.apply_next(&mut s, &v, phase.kind);
-            v = v.advanced(phase.kind);
-            let out = evaluate_policy(&spec.topology, &s, realized, spec.theta, spec.split);
-            if !out.satisfied() {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Picks a random switch that is up, not part of any operation block —

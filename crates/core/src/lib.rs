@@ -49,6 +49,7 @@ pub mod opex;
 pub mod plan;
 pub mod planner;
 pub mod policy;
+pub mod replay;
 pub mod report;
 pub mod satcheck;
 pub mod space;
@@ -64,6 +65,7 @@ pub use plan::{MigrationPlan, PlanPhase};
 pub use planner::{
     AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, SearchBudget,
 };
+pub use replay::{validate_and_audit_on, PlanReplay};
 pub use report::{audit_plan, PlanAudit};
 pub use satcheck::{EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, SatChecker};
 pub use space::SpaceModel;

@@ -23,7 +23,7 @@ use crate::compact::CompactState;
 use crate::error::PlanError;
 use crate::space::SpaceModel;
 use klotski_routing::{
-    evaluate_policy, scale_to_target_utilization_on, FunnelingModel, SplitPolicy,
+    evaluate_policy, scale_from_routed, EcmpRouter, FunnelingModel, LoadMap, SplitPolicy,
 };
 use klotski_topology::{
     presets::Preset, CircuitId, Generation, NetState, SwitchId, SwitchRole, Topology,
@@ -798,12 +798,17 @@ fn finish_spec(
         }
     }
     let raw = generate(&owned_topology, &opts.demand_cfg);
-    let factor = scale_to_target_utilization_on(
+    // The initial state is routed under `raw` once: the loads calibrate the
+    // demand scale here and size the unaffected circuits below.
+    let mut router = EcmpRouter::with_policy(&owned_topology, split);
+    let mut init_loads = LoadMap::new(&owned_topology);
+    let init_route = router.route(&owned_topology, &initial, &raw, &mut init_loads);
+    let factor = scale_from_routed(
         &owned_topology,
         &initial,
-        &raw,
+        &init_route,
+        &init_loads,
         opts.initial_layer_utilization,
-        split,
         |c| affected_circuit[c.index()],
     );
 
@@ -813,10 +818,7 @@ fn finish_spec(
     // generators must be made to. Without it, a hot rack-edge or backbone
     // trunk would mask the constraints the evaluation actually studies.
     if opts.normalize_capacity {
-        let mut router = klotski_routing::EcmpRouter::with_policy(&owned_topology, split);
-        let mut init_loads = klotski_routing::LoadMap::new(&owned_topology);
-        router.route(&owned_topology, &initial, &raw, &mut init_loads);
-        let mut tgt_loads = klotski_routing::LoadMap::new(&owned_topology);
+        let mut tgt_loads = LoadMap::new(&owned_topology);
         router.route(&owned_topology, &target, &raw, &mut tgt_loads);
         // New hardware is design-sized close to its bound (0.85 theta);
         // circuits outside the migration scope get a wider margin so that

@@ -8,10 +8,8 @@
 
 use crate::action::ActionTypeId;
 use crate::blocks::BlockId;
-use crate::compact::CompactState;
 use crate::cost::CostModel;
 use crate::migration::MigrationSpec;
-use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -148,61 +146,7 @@ pub fn validate_plan_on(
     plan: &MigrationPlan,
     pool: Arc<WorkerPool>,
 ) -> Result<(), PlanViolation> {
-    // Eq. 2-3: every block exactly once.
-    let mut seen = vec![false; spec.num_blocks()];
-    for step in plan.steps() {
-        let idx = step.block.index();
-        if idx >= seen.len() {
-            return Err(PlanViolation::Availability(format!(
-                "unknown block {}",
-                step.block
-            )));
-        }
-        if seen[idx] {
-            return Err(PlanViolation::Availability(format!(
-                "block {} operated twice",
-                step.block
-            )));
-        }
-        if spec.blocks[idx].kind != step.kind {
-            return Err(PlanViolation::Availability(format!(
-                "block {} is not of type {}",
-                step.block, step.kind
-            )));
-        }
-        seen[idx] = true;
-    }
-    if !seen.iter().all(|&s| s) {
-        return Err(PlanViolation::Availability(
-            "some blocks never operated".into(),
-        ));
-    }
-
-    // Replay with satisfiability checking at every state (Algorithm 1/2
-    // check every visited state).
-    let mut checker = SatChecker::with_pool(spec, EscMode::Off, pool);
-    let mut state = spec.initial.clone();
-    let mut v = CompactState::origin(spec.num_types());
-    for (i, step) in plan.steps().iter().enumerate() {
-        // Canonical order: the step's block must be the next unconsumed
-        // block of its type.
-        let expected = spec.blocks_by_type[step.kind.index()]
-            .get(v.count(step.kind) as usize)
-            .copied();
-        if expected != Some(step.block) {
-            return Err(PlanViolation::NonCanonicalOrder { step: i });
-        }
-        spec.apply_next(&mut state, &v, step.kind);
-        v = v.advanced(step.kind);
-        if !checker.check(spec, &v, &state, Some(step.kind)) {
-            return Err(PlanViolation::UnsafeState { step: i });
-        }
-    }
-
-    if !v.is_target(&spec.target_counts) {
-        return Err(PlanViolation::WrongTarget);
-    }
-    Ok(())
+    crate::replay::validating_walk(spec, plan, pool, false).map(|_| ())
 }
 
 #[cfg(test)]

@@ -1,0 +1,434 @@
+//! Plan replay: walking a plan's chain of canonical states on the
+//! incremental routing engine.
+//!
+//! Every consumer that "walks the plan again" — the validation oracle, the
+//! pre-flight audit, and the §7.1 lookahead that re-checks the remaining
+//! plan against the realized world — visits a chain of canonical states,
+//! each one operation block from the last. That is the shape the
+//! structure-only [`IncrementalRouter`] is fast on, so all of them route on
+//! one [`ChainRouter`]: toggles come from the block lists of the compact
+//! diff, and only the destinations a block disturbs re-derive their routing
+//! structure.
+//!
+//! - [`validate_and_audit_on`] is the one pass over a whole plan:
+//!   [`validate_plan_on`](crate::plan::validate_plan_on) and
+//!   [`audit_plan`](crate::report::audit_plan) are its verdict-only and
+//!   audit-only modes. The validating walk judges every state on a *fresh*
+//!   [`SatChecker`] with the ESC cache off — it shares nothing with the
+//!   search that produced the plan — and the audit reads each phase-end
+//!   record off the state that check just routed.
+//! - [`PlanReplay`] is the lookahead: it keeps one engine alive across the
+//!   steps of a run and re-sweeps the pending suffix under each step's
+//!   realized demand.
+
+use crate::compact::CompactState;
+use crate::migration::MigrationSpec;
+use crate::plan::{MigrationPlan, PlanPhase, PlanViolation};
+use crate::report::{PhaseAudit, PlanAudit};
+use crate::satcheck::{EscMode, SatChecker};
+use klotski_parallel::WorkerPool;
+use klotski_routing::{
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
+};
+use klotski_topology::{CircuitId, NetState};
+use klotski_traffic::DemandMatrix;
+use std::sync::Arc;
+
+/// Give up on delta derivation beyond this many blocks of compact-state
+/// diff: the candidate scan would approach full-rescan cost, and a full
+/// rebuild bounds the worst case.
+const MAX_DELTA_BLOCKS: usize = 64;
+
+/// The incremental routing engine plus the canonical `(V, state)` its cached
+/// structures correspond to.
+///
+/// The toggled-circuit set between base and child is derived *from the
+/// block lists of the compact diff* — the circuits a block drains plus the
+/// circuits incident to its switches are exactly the bits
+/// `OperationBlock::apply` can flip — so no full-topology rescan happens on
+/// the delta path. This (like the ESC cache) relies on every routed state
+/// being the canonical overlay of its compact vector under one spec.
+#[derive(Debug)]
+pub(crate) struct ChainRouter {
+    engine: IncrementalRouter,
+    base_v: Option<CompactState>,
+    base_state: NetState,
+    /// Toggle scratch: exact changed circuits, deduplicated by stamp.
+    toggles: Vec<CircuitId>,
+    seen: Vec<u32>,
+    epoch: u32,
+}
+
+impl ChainRouter {
+    /// A chain router over `spec.demands` plus `extras` (the non-base
+    /// matrices of an ensemble, swept by
+    /// [`IncrementalRouter::replay_extras`]).
+    pub(crate) fn new(
+        spec: &MigrationSpec,
+        csr: Arc<CsrGraph>,
+        extras: &[DemandMatrix],
+        lanes: usize,
+    ) -> Self {
+        Self {
+            engine: IncrementalRouter::with_csr_ensemble(
+                csr,
+                &spec.demands,
+                extras,
+                lanes,
+                spec.split,
+            ),
+            base_v: None,
+            base_state: spec.initial.clone(),
+            toggles: Vec::new(),
+            seen: vec![0; spec.topology.num_circuits()],
+            epoch: 0,
+        }
+    }
+
+    pub(crate) fn engine(&self) -> &IncrementalRouter {
+        &self.engine
+    }
+
+    pub(crate) fn engine_mut(&mut self) -> &mut IncrementalRouter {
+        &mut self.engine
+    }
+
+    /// True when the engine's cached structures are those of `v`.
+    pub(crate) fn is_at(&self, v: &CompactState) -> bool {
+        self.base_v.as_ref() == Some(v)
+    }
+
+    /// Routes the base matrix over `(v, state)` into `loads` (cleared
+    /// first), diffing against the current base by block lists; `(v, state)`
+    /// becomes the base.
+    pub(crate) fn route(
+        &mut self,
+        pool: &WorkerPool,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+        loads: &mut LoadMap,
+        outcome: &mut RouteOutcome,
+    ) {
+        let delta = self.compute_toggles(spec, v, state);
+        let toggles = delta.then_some(&self.toggles[..]);
+        loads.clear();
+        self.engine
+            .evaluate(pool, &spec.topology, state, toggles, loads, outcome);
+        self.set_base(v, state);
+    }
+
+    /// Moves the base to `(v, state)` updating routing structure only.
+    pub(crate) fn rebase(
+        &mut self,
+        pool: &WorkerPool,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+    ) {
+        let delta = self.compute_toggles(spec, v, state);
+        let toggles = delta.then_some(&self.toggles[..]);
+        self.engine.rebase(pool, &spec.topology, state, toggles);
+        self.set_base(v, state);
+    }
+
+    fn set_base(&mut self, v: &CompactState, state: &NetState) {
+        match &mut self.base_v {
+            Some(base) => base.clone_from(v),
+            None => self.base_v = Some(v.clone()),
+        }
+        self.base_state.clone_from(state);
+    }
+
+    /// Fills `self.toggles` with the exact set of circuits whose usability
+    /// differs between the base and `(v, state)`. Returns false when there
+    /// is no base yet or the diff spans too many blocks (the engine then
+    /// rebuilds in full).
+    fn compute_toggles(
+        &mut self,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+    ) -> bool {
+        let Some(base_v) = &self.base_v else {
+            return false;
+        };
+        let mut span = 0usize;
+        for a in spec.actions.ids() {
+            span += base_v.count(a).abs_diff(v.count(a)) as usize;
+        }
+        if span > MAX_DELTA_BLOCKS {
+            return false;
+        }
+        self.toggles.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let topo = &spec.topology;
+        let base_state = &self.base_state;
+        let seen = &mut self.seen;
+        let toggles = &mut self.toggles;
+        let epoch = self.epoch;
+        let mut consider = |c: CircuitId| {
+            let ci = c.index();
+            if seen[ci] != epoch {
+                seen[ci] = epoch;
+                if base_state.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
+                    toggles.push(c);
+                }
+            }
+        };
+        for a in spec.actions.ids() {
+            let (b, n) = (base_v.count(a), v.count(a));
+            let (lo, hi) = (b.min(n), b.max(n));
+            for i in lo..hi {
+                let block = spec.block_for(a, i);
+                for &c in &block.circuits {
+                    consider(c);
+                }
+                for &s in &block.switches {
+                    for &(c, _) in topo.neighbors(s) {
+                        consider(c);
+                    }
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The §7.1 lookahead: re-checks a pending plan suffix against realized
+/// demand on one long-lived incremental engine.
+///
+/// One replay serves one spec generation: every state it routes must be a
+/// canonical overlay of the `spec` it was built for. A replan produces a new
+/// residual spec (new initial state, re-indexed blocks), so drop the replay
+/// before replanning and build a fresh one for the new plan — which also
+/// keeps its engine from sitting in memory beside the replanner's own.
+#[derive(Debug)]
+pub struct PlanReplay {
+    pool: Arc<WorkerPool>,
+    chain: ChainRouter,
+    loads: LoadMap,
+    outcome: RouteOutcome,
+}
+
+impl PlanReplay {
+    /// A replay for `spec`'s canonical states over `csr` (the flattened
+    /// `spec.topology`, shared with whatever else the caller routes on),
+    /// advancing on `pool`'s lanes. Only the base matrix is tracked: the
+    /// lookahead and the audit are single-matrix by definition.
+    pub fn new(spec: &MigrationSpec, csr: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
+        Self {
+            chain: ChainRouter::new(spec, csr, &[], pool.lanes()),
+            pool,
+            loads: LoadMap::new(&spec.topology),
+            outcome: RouteOutcome::new(),
+        }
+    }
+
+    /// Eq. 4–5 outcome of `(v, state)` under the engine's current base
+    /// rates — what `klotski_routing::evaluate_with` reports for the same
+    /// state and matrix, bit for bit.
+    fn evaluate(
+        &mut self,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+    ) -> SafetyOutcome {
+        self.chain.route(
+            &self.pool,
+            spec,
+            v,
+            state,
+            &mut self.loads,
+            &mut self.outcome,
+        );
+        SafetyOutcome {
+            all_reachable: self.outcome.all_reachable(),
+            unreachable_demands: self.outcome.unreachable.len(),
+            report: summarize(&spec.topology, state, &self.loads, spec.theta),
+        }
+    }
+
+    /// Replays the `pending` phases from `(progress, state)` under the
+    /// `realized` demand; true iff every intermediate state keeps every
+    /// demand reachable (Eq. 4) and every circuit within θ (Eq. 5). Ports,
+    /// funneling headroom, space and ensemble variants are not part of the
+    /// lookahead: the shadow audit judges those when the run gets there.
+    ///
+    /// `realized` must share `spec.demands`' `(src, dst, class)` sequence —
+    /// growth and surges only rescale rates.
+    pub fn plan_still_safe(
+        &mut self,
+        spec: &MigrationSpec,
+        state: &NetState,
+        progress: &CompactState,
+        pending: &[PlanPhase],
+        realized: &DemandMatrix,
+    ) -> bool {
+        self.chain.engine_mut().set_base_rates(realized);
+        let mut s = state.clone();
+        let mut v = progress.clone();
+        for phase in pending {
+            for _ in &phase.blocks {
+                spec.apply_next(&mut s, &v, phase.kind);
+                v = v.advanced(phase.kind);
+                if !self.evaluate(spec, &v, &s).satisfied() {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// How [`walk_plan`] judges the states it visits.
+enum Judge<'a> {
+    /// Full Eq. 2–6 validation of every state on a fresh checker.
+    Validate(&'a mut SatChecker),
+    /// No verdict: route the base matrix at phase ends only.
+    AuditOnly(&'a mut PlanReplay),
+}
+
+/// Validates `plan` (as [`validate_plan_on`](crate::plan::validate_plan_on))
+/// and audits it (as [`audit_plan`](crate::report::audit_plan)) in one walk:
+/// each phase-end record is read off the state the validation just routed —
+/// the base matrix's loads, before funneling headroom is applied — so the
+/// audit costs no routing of its own.
+pub fn validate_and_audit_on(
+    spec: &MigrationSpec,
+    plan: &MigrationPlan,
+    pool: Arc<WorkerPool>,
+) -> Result<PlanAudit, PlanViolation> {
+    validating_walk(spec, plan, pool, true)
+}
+
+/// The validating walk, on a fresh checker with the ESC cache off; without
+/// `audit` the returned sheet has no phases.
+pub(crate) fn validating_walk(
+    spec: &MigrationSpec,
+    plan: &MigrationPlan,
+    pool: Arc<WorkerPool>,
+    audit: bool,
+) -> Result<PlanAudit, PlanViolation> {
+    let mut checker = SatChecker::with_pool(spec, EscMode::Off, pool);
+    walk_plan(spec, plan, Judge::Validate(&mut checker), audit)
+}
+
+/// The audit-only mode of the walk: never fails, judges nothing.
+pub(crate) fn audit(spec: &MigrationSpec, plan: &MigrationPlan) -> PlanAudit {
+    let csr = Arc::new(CsrGraph::build(&spec.topology));
+    let mut replay = PlanReplay::new(spec, csr, Arc::new(WorkerPool::new(1)));
+    walk_plan(spec, plan, Judge::AuditOnly(&mut replay), true)
+        .expect("an audit-only walk judges nothing")
+}
+
+/// Eq. 2–3: every block exactly once, under its own action type.
+fn check_availability(spec: &MigrationSpec, plan: &MigrationPlan) -> Result<(), PlanViolation> {
+    let mut seen = vec![false; spec.num_blocks()];
+    for step in plan.steps() {
+        let idx = step.block.index();
+        if idx >= seen.len() {
+            return Err(PlanViolation::Availability(format!(
+                "unknown block {}",
+                step.block
+            )));
+        }
+        if seen[idx] {
+            return Err(PlanViolation::Availability(format!(
+                "block {} operated twice",
+                step.block
+            )));
+        }
+        if spec.blocks[idx].kind != step.kind {
+            return Err(PlanViolation::Availability(format!(
+                "block {} is not of type {}",
+                step.block, step.kind
+            )));
+        }
+        seen[idx] = true;
+    }
+    if !seen.iter().all(|&s| s) {
+        return Err(PlanViolation::Availability(
+            "some blocks never operated".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The one walk over a whole plan. `judge` decides what happens at each
+/// state; with `audit`, every phase end contributes a [`PhaseAudit`].
+fn walk_plan(
+    spec: &MigrationSpec,
+    plan: &MigrationPlan,
+    mut judge: Judge<'_>,
+    audit: bool,
+) -> Result<PlanAudit, PlanViolation> {
+    let validating = matches!(judge, Judge::Validate(_));
+    if validating {
+        check_availability(spec, plan)?;
+    }
+    let topo = &spec.topology;
+    let steps = plan.steps();
+    let mut state = spec.initial.clone();
+    let mut v = CompactState::origin(spec.num_types());
+    let mut phases = Vec::new();
+    let mut phase_start = 0usize;
+    for (i, step) in steps.iter().enumerate() {
+        if validating {
+            // Canonical order: the step's block must be the next unconsumed
+            // block of its type.
+            let expected = spec.blocks_by_type[step.kind.index()]
+                .get(v.count(step.kind) as usize)
+                .copied();
+            if expected != Some(step.block) {
+                return Err(PlanViolation::NonCanonicalOrder { step: i });
+            }
+        }
+        spec.apply_next(&mut state, &v, step.kind);
+        v = v.advanced(step.kind);
+        let phase_end = audit && steps.get(i + 1).is_none_or(|next| next.kind != step.kind);
+        let mut report = None;
+        match &mut judge {
+            Judge::Validate(checker) => {
+                // Algorithm 1/2 check every visited state; so does the replay.
+                let mut observe = |loads: &LoadMap| {
+                    report = Some(summarize(topo, &state, loads, spec.theta));
+                };
+                let observer: Option<&mut dyn FnMut(&LoadMap)> =
+                    if phase_end { Some(&mut observe) } else { None };
+                if !checker.check_observing(spec, &v, &state, Some(step.kind), observer) {
+                    return Err(PlanViolation::UnsafeState { step: i });
+                }
+            }
+            Judge::AuditOnly(replay) => {
+                if phase_end {
+                    report = Some(replay.evaluate(spec, &v, &state).report);
+                }
+            }
+        }
+        if phase_end {
+            let report = report.expect("a state that passed the check was routed");
+            phases.push(PhaseAudit::record(
+                spec,
+                phases.len() + 1,
+                &steps[phase_start..=i],
+                &v,
+                &state,
+                &report,
+            ));
+            phase_start = i + 1;
+        }
+    }
+    if validating && !v.is_target(&spec.target_counts) {
+        return Err(PlanViolation::WrongTarget);
+    }
+    Ok(PlanAudit {
+        migration: spec.name.clone(),
+        theta: spec.theta,
+        phases,
+    })
+}

@@ -4,8 +4,9 @@
 
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
-use crate::plan::MigrationPlan;
-use klotski_routing::{evaluate_with, EcmpRouter, LoadMap};
+use crate::plan::{MigrationPlan, PlanStep};
+use klotski_routing::UtilizationReport;
+use klotski_topology::NetState;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -91,32 +92,19 @@ impl fmt::Display for PlanAudit {
     }
 }
 
-/// Audits a plan: replays it phase by phase, recording utilization, port
-/// slack, and space footprint after each phase.
-pub fn audit_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> PlanAudit {
-    let topo = &spec.topology;
-    let mut router = EcmpRouter::with_policy(topo, spec.split);
-    let mut loads = LoadMap::new(topo);
-    let mut state = spec.initial.clone();
-    let mut v = CompactState::origin(spec.num_types());
-    let mut phases = Vec::new();
-
-    for (i, phase) in plan.phases().iter().enumerate() {
-        let mut switch_ops = 0;
-        for &b in &phase.blocks {
-            switch_ops += spec.blocks[b.index()].action_weight();
-            spec.apply_next(&mut state, &v, phase.kind);
-            v = v.advanced(phase.kind);
-        }
-        let outcome = evaluate_with(
-            &mut router,
-            &mut loads,
-            topo,
-            &state,
-            &spec.demands,
-            spec.theta,
-        );
-        let worst_circuit = outcome.report.worst_circuit.map(|c| {
+impl PhaseAudit {
+    /// The record of phase `index` (1-based), whose `steps` ended in
+    /// `(v, state)` with base-matrix utilization `report`.
+    pub(crate) fn record(
+        spec: &MigrationSpec,
+        index: usize,
+        steps: &[PlanStep],
+        v: &CompactState,
+        state: &NetState,
+        report: &UtilizationReport,
+    ) -> Self {
+        let topo = &spec.topology;
+        let worst_circuit = report.worst_circuit.map(|c| {
             let ck = topo.circuit(c);
             format!("{} <-> {}", topo.switch(ck.a).name, topo.switch(ck.b).name)
         });
@@ -127,23 +115,29 @@ pub fn audit_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> PlanAudit {
             .map(|s| (s.max_ports as usize).saturating_sub(state.active_degree(topo, s.id)))
             .min()
             .unwrap_or(0);
-        phases.push(PhaseAudit {
-            index: i + 1,
-            action: spec.actions.kind(phase.kind).to_string(),
-            blocks: phase.blocks.len(),
-            switch_ops,
-            max_utilization: outcome.report.max_utilization,
+        PhaseAudit {
+            index,
+            action: spec.actions.kind(steps[0].kind).to_string(),
+            blocks: steps.len(),
+            switch_ops: steps
+                .iter()
+                .map(|s| spec.blocks[s.block.index()].action_weight())
+                .sum(),
+            max_utilization: report.max_utilization,
             worst_circuit,
             min_port_slack,
-            space_used: spec.space.as_ref().map(|m| m.used(&v)),
-        });
+            space_used: spec.space.as_ref().map(|m| m.used(v)),
+        }
     }
+}
 
-    PlanAudit {
-        migration: spec.name.clone(),
-        theta: spec.theta,
-        phases,
-    }
+/// Audits a plan: replays it phase by phase, recording utilization (of the
+/// base matrix, without funneling headroom), port slack, and space footprint
+/// after each phase. Judges nothing — an unsafe plan still gets its sheet;
+/// [`validate_and_audit_on`](crate::replay::validate_and_audit_on) is the
+/// same walk with the verdict.
+pub fn audit_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> PlanAudit {
+    crate::replay::audit(spec, plan)
 }
 
 #[cfg(test)]

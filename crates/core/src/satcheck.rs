@@ -38,10 +38,10 @@
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
+use crate::replay::ChainRouter;
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, IncrementalRouter, LoadMap,
-    UsableMask,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, LoadMap, UsableMask,
 };
 use klotski_telemetry::{registry, Gauge};
 use klotski_topology::{CircuitId, NetState};
@@ -228,95 +228,6 @@ enum CacheKey {
     Full(NetState, u8),
 }
 
-/// Delta-evaluation context: the incremental routing engine plus the base
-/// `(V, state)` its cached structures correspond to.
-///
-/// The toggled-circuit set between base and child is derived *from the
-/// block lists of the compact diff* — the circuits a block drains plus the
-/// circuits incident to its switches are exactly the bits
-/// `OperationBlock::apply` can flip — so no full-topology rescan happens on
-/// the delta path. This (like the ESC cache itself) relies on states being
-/// the canonical overlay of their compact vector.
-#[derive(Debug)]
-struct IncrementalEval {
-    engine: IncrementalRouter,
-    base_v: Option<CompactState>,
-    base_state: NetState,
-    /// Parent context staged by [`SatChecker::check_batch_from`]; the
-    /// engine rebases onto it lazily, on the first cache miss, so
-    /// fully-cached batches pay nothing.
-    pending_parent: Option<(CompactState, NetState)>,
-    /// Toggle scratch: exact changed circuits, deduplicated by stamp.
-    toggles: Vec<CircuitId>,
-    seen: Vec<u32>,
-    epoch: u32,
-}
-
-/// Give up on delta derivation beyond this many blocks of compact-state
-/// diff: the candidate scan would approach full-rescan cost, and a full
-/// rebuild bounds the worst case.
-const MAX_DELTA_BLOCKS: usize = 64;
-
-impl IncrementalEval {
-    /// Fills `self.toggles` with the exact set of circuits whose usability
-    /// differs between `self.base_*` and `(v, state)`. Returns false when
-    /// there is no base yet or the diff spans too many blocks (callers then
-    /// fall back to a full rebuild).
-    fn compute_toggles(
-        &mut self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-    ) -> bool {
-        let Some(base_v) = &self.base_v else {
-            return false;
-        };
-        let mut span = 0usize;
-        for a in spec.actions.ids() {
-            span += base_v.count(a).abs_diff(v.count(a)) as usize;
-        }
-        if span > MAX_DELTA_BLOCKS {
-            return false;
-        }
-        self.toggles.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        let topo = &spec.topology;
-        let base_state = &self.base_state;
-        let seen = &mut self.seen;
-        let toggles = &mut self.toggles;
-        let epoch = self.epoch;
-        let mut consider = |c: CircuitId| {
-            let ci = c.index();
-            if seen[ci] != epoch {
-                seen[ci] = epoch;
-                if base_state.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
-                    toggles.push(c);
-                }
-            }
-        };
-        for a in spec.actions.ids() {
-            let (b, n) = (base_v.count(a), v.count(a));
-            let (lo, hi) = (b.min(n), b.max(n));
-            for i in lo..hi {
-                let block = spec.block_for(a, i);
-                for &c in &block.circuits {
-                    consider(c);
-                }
-                for &s in &block.switches {
-                    for &(c, _) in topo.neighbors(s) {
-                        consider(c);
-                    }
-                }
-            }
-        }
-        true
-    }
-}
-
 /// The satisfiability checker with its ESC cache, worker pool, and reusable
 /// routing buffers.
 #[derive(Debug)]
@@ -327,6 +238,8 @@ pub struct SatChecker {
     dense_ok: bool,
     /// Lanes the incremental engine fans dirty destinations out over.
     pool: Arc<WorkerPool>,
+    /// The flattened topology both evaluators route over.
+    csr: Arc<CsrGraph>,
     /// The from-scratch path: live audits and `incremental == false` specs.
     router: EcmpRouter,
     loads: LoadMap,
@@ -334,7 +247,11 @@ pub struct SatChecker {
     /// Reused routing-outcome buffer (no per-evaluation reallocation).
     outcome: RouteOutcome,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
-    incremental: Option<IncrementalEval>,
+    incremental: Option<ChainRouter>,
+    /// Parent context staged by [`SatChecker::check_batch_from`]; the
+    /// engine rebases onto it lazily, on the first cache miss, so
+    /// fully-cached batches pay nothing.
+    pending_parent: Option<(CompactState, NetState)>,
     /// One load map and outcome per extra ensemble matrix, filled together
     /// by the incremental engine's packed sweep (empty without one).
     extra_loads: Vec<LoadMap>,
@@ -400,26 +317,15 @@ impl SatChecker {
         // One flattened CSR view of the topology, shared read-only by the
         // from-scratch router and the incremental engine.
         let csr = Arc::new(CsrGraph::build(&spec.topology));
-        let incremental = spec.incremental.then(|| IncrementalEval {
-            engine: IncrementalRouter::with_csr_ensemble(
-                csr.clone(),
-                &spec.demands,
-                &spec.extra_demands,
-                pool.lanes(),
-                spec.split,
-            ),
-            base_v: None,
-            base_state: spec.initial.clone(),
-            pending_parent: None,
-            toggles: Vec::new(),
-            seen: vec![0; spec.topology.num_circuits()],
-            epoch: 0,
-        });
+        let incremental = spec
+            .incremental
+            .then(|| ChainRouter::new(spec, csr.clone(), &spec.extra_demands, pool.lanes()));
         let packed_extras = incremental.as_ref().map_or(0, |_| spec.extra_demands.len());
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
-            router: EcmpRouter::from_csr(csr, spec.split),
+            router: EcmpRouter::from_csr(csr.clone(), spec.split),
+            csr,
             pool,
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
@@ -427,6 +333,7 @@ impl SatChecker {
             extra_loads: vec![LoadMap::new(&spec.topology); packed_extras],
             extra_outcomes: vec![RouteOutcome::new(); packed_extras],
             incremental,
+            pending_parent: None,
             cache: HashMap::new(),
             fifo: VecDeque::new(),
             cache_cap: spec.esc_cache_cap.max(1),
@@ -461,10 +368,10 @@ impl SatChecker {
     pub fn stats(&self) -> SatStats {
         let mut s = self.stats;
         if let Some(incr) = &self.incremental {
-            let es = incr.engine.stats();
+            let es = incr.engine().stats();
             s.incremental_clean = es.clean_destinations;
             s.incremental_dirty = es.dirty_destinations;
-            s.footprint_bytes = incr.engine.footprint_bytes();
+            s.footprint_bytes = incr.engine().footprint_bytes();
         }
         s.esc_entries = self.cache.len() as u64;
         s.esc_bytes = self.cache_bytes;
@@ -501,6 +408,12 @@ impl SatChecker {
     #[doc(hidden)]
     pub fn last_loads(&self) -> &LoadMap {
         &self.loads
+    }
+
+    /// The flattened topology this checker routes over, for callers that
+    /// build another engine over the same topology beside it.
+    pub fn csr(&self) -> &Arc<CsrGraph> {
+        &self.csr
     }
 
     /// Execution lanes available to this checker.
@@ -575,17 +488,34 @@ impl SatChecker {
         state: &NetState,
         last: Option<ActionTypeId>,
     ) -> bool {
+        self.check_observing(spec, v, state, last, None)
+    }
+
+    /// [`check`](Self::check) that hands `on_base` the base matrix's loads
+    /// as routed — before funneling headroom is applied, before any ensemble
+    /// variant is swept. The plan walk reads its audit records there. A
+    /// verdict answered from the cache, or by the space model, routes
+    /// nothing and never calls the observer; the walk runs with the cache
+    /// off and only records states that passed.
+    pub(crate) fn check_observing(
+        &mut self,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+        last: Option<ActionTypeId>,
+        on_base: Option<&mut dyn FnMut(&LoadMap)>,
+    ) -> bool {
         self.stats.checks += 1;
         let Some(key) = self.key_for(spec, v, state, last) else {
             self.stats.full_evaluations += 1;
-            return self.evaluate(spec, v, state, last);
+            return self.evaluate(spec, v, state, last, on_base);
         };
         if let Some(&hit) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             return hit;
         }
         self.stats.full_evaluations += 1;
-        let result = self.evaluate(spec, v, state, last);
+        let result = self.evaluate(spec, v, state, last, on_base);
         self.cache_insert(key, result);
         result
     }
@@ -633,12 +563,8 @@ impl SatChecker {
         parent: Option<(&CompactState, &NetState)>,
         items: &[(&CompactState, &NetState, Option<ActionTypeId>)],
     ) -> Vec<bool> {
-        if let (Some(incr), Some((pv, ps))) = (&mut self.incremental, parent) {
-            if incr.base_v.as_ref() != Some(pv) {
-                incr.pending_parent = Some((pv.clone(), ps.clone()));
-            } else {
-                incr.pending_parent = None;
-            }
+        if let (Some(incr), Some((pv, ps))) = (&self.incremental, parent) {
+            self.pending_parent = (!incr.is_at(pv)).then(|| (pv.clone(), ps.clone()));
         }
         items
             .iter()
@@ -679,6 +605,7 @@ impl SatChecker {
         v: &CompactState,
         state: &NetState,
         last: Option<ActionTypeId>,
+        on_base: Option<&mut dyn FnMut(&LoadMap)>,
     ) -> bool {
         // Space/power footprint (§7.2) is the cheapest constraint: O(|A|).
         // Checked before routing, so it leaves the incremental base alone.
@@ -693,28 +620,19 @@ impl SatChecker {
         if let Some(incr) = &mut self.incremental {
             // Apply a staged parent rebase first, so this child's delta is
             // the one block the planner applied.
-            if let Some((pv, ps)) = incr.pending_parent.take() {
-                if incr.base_v.as_ref() != Some(&pv) {
-                    let delta = incr.compute_toggles(spec, &pv, &ps);
-                    let toggles = delta.then_some(&incr.toggles[..]);
-                    incr.engine.rebase(&self.pool, &spec.topology, &ps, toggles);
-                    incr.base_v = Some(pv);
-                    incr.base_state = ps;
+            if let Some((pv, ps)) = self.pending_parent.take() {
+                if !incr.is_at(&pv) {
+                    incr.rebase(&self.pool, spec, &pv, &ps);
                 }
             }
-            let delta = incr.compute_toggles(spec, v, state);
-            let toggles = delta.then_some(&incr.toggles[..]);
-            self.loads.clear();
-            incr.engine.evaluate(
+            incr.route(
                 &self.pool,
-                &spec.topology,
+                spec,
+                v,
                 state,
-                toggles,
                 &mut self.loads,
                 &mut self.outcome,
             );
-            incr.base_v = Some(v.clone());
-            incr.base_state.clone_from(state);
         } else {
             self.mask.compute(&spec.topology, state);
             self.loads.clear();
@@ -727,7 +645,13 @@ impl SatChecker {
                 &mut self.outcome,
             );
         }
-        let ok = finish_evaluate(spec, v, state, last, &mut self.loads, &self.outcome);
+        if let Some(observe) = on_base {
+            observe(&self.loads);
+        }
+        // Port budgets (Eq. 6) depend on the state alone, so they are judged
+        // once, with the base matrix: a port failure is matrix 0's kill.
+        let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome)
+            && !(spec.check_ports && spec.topology.has_port_violation(state));
         let Some(t0) = ens_start else {
             return ok;
         };
@@ -748,7 +672,7 @@ impl SatChecker {
             for loads in &mut self.extra_loads {
                 loads.clear();
             }
-            incr.engine
+            incr.engine_mut()
                 .replay_extras(state, &mut self.extra_loads, &mut self.extra_outcomes);
             sweep_share = ts.elapsed() / self.extra_loads.len() as u32;
         }
@@ -773,7 +697,7 @@ impl SatChecker {
                     &mut self.outcome,
                 );
             }
-            let ok = finish_evaluate(spec, v, state, last, &mut self.loads, &self.outcome);
+            let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
             self.ensemble.record(k + 1, sweep_share + tk.elapsed(), !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
@@ -785,9 +709,9 @@ impl SatChecker {
     }
 }
 
-/// Shared tail of every evaluation: funneling headroom, θ comparison, and
-/// port budgets.
-fn finish_evaluate(
+/// The per-matrix tail of an evaluation: reachability (Eq. 4), funneling
+/// headroom, and the θ comparison (Eq. 5) on `loads`.
+fn demand_constraints_hold(
     spec: &MigrationSpec,
     v: &CompactState,
     state: &NetState,
@@ -807,14 +731,7 @@ fn finish_evaluate(
             }
         }
     }
-    let report = summarize(topo, state, loads, spec.theta);
-    if report.violations > 0 {
-        return false;
-    }
-    if spec.check_ports && topo.has_port_violation(state) {
-        return false;
-    }
-    true
+    summarize(topo, state, loads, spec.theta).violations == 0
 }
 
 /// True when the mixed-radix box `Π (target_i + 1)` fits in a `u64`.
@@ -961,6 +878,34 @@ mod tests {
 
         assert!(plain, "one grid drained must be fine without funneling");
         assert!(!stressed, "x10 headroom must blow through theta");
+    }
+
+    #[test]
+    fn port_failure_is_judged_once_and_charged_to_the_base_matrix() {
+        let opts = MigrationOptions {
+            ensemble: Some(klotski_traffic::EnsembleSpec::with_k(3, 11)),
+            ..MigrationOptions::default()
+        };
+        let mut spec =
+            MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &opts).unwrap();
+        assert_eq!(spec.extra_demands.len(), 2);
+        // Every v2 grid cabled in beside every v1 grid (floor space aside):
+        // ample capacity under every matrix, but more live circuits than
+        // the shared switches have ports.
+        spec.space = None;
+        let v = CompactState::from_counts(vec![0, spec.target_counts.counts()[1]]);
+        let state = spec.state_for(&v);
+        assert!(spec.topology.has_port_violation(&state));
+        let mut unported = spec.clone();
+        unported.check_ports = false;
+        assert!(SatChecker::new(&unported, EscMode::Off).check(&unported, &v, &state, None));
+
+        let mut checker = SatChecker::new(&spec, EscMode::Off);
+        assert!(!checker.check(&spec, &v, &state, None));
+        assert_eq!(checker.last_fail_matrix(), Some(0));
+        let rows = &checker.ensemble_breakdown().matrices;
+        assert_eq!((rows[0].checks, rows[0].kills), (1, 1));
+        assert!(rows[1..].iter().all(|m| m.checks == 0 && m.kills == 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Demand-constraint evaluation (Eq. 4–5) and demand calibration.
 
-use crate::ecmp::{EcmpRouter, SplitPolicy};
+use crate::ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 use crate::loads::LoadMap;
 use klotski_topology::{CircuitId, NetState, Topology};
 use klotski_traffic::DemandMatrix;
@@ -142,29 +142,30 @@ pub fn scale_to_target_utilization(
     demands: &DemandMatrix,
     target: f64,
 ) -> f64 {
-    scale_to_target_utilization_on(topo, state, demands, target, SplitPolicy::Ecmp, |_| true)
+    let mut loads = LoadMap::new(topo);
+    let route = EcmpRouter::new(topo).route(topo, state, demands, &mut loads);
+    scale_from_routed(topo, state, &route, &loads, target, |_| true)
 }
 
-/// Like [`scale_to_target_utilization`], but the maximum is taken only over
-/// circuits selected by `filter`. Migration specs use this to pin the
-/// utilization of the layer being migrated (e.g. the FA layer), independent
-/// of how hot the untouched fabric below happens to be.
+/// [`scale_to_target_utilization`] from loads the caller already routed
+/// (`loads`, with outcome `route`, under whatever split policy it chose),
+/// with the maximum taken only over circuits selected by `filter`. Migration
+/// specs use this to pin the utilization of the layer being migrated (e.g.
+/// the FA layer), independent of how hot the untouched fabric below happens
+/// to be, and go on sizing capacities from the same loads.
 ///
 /// # Panics
 /// Panics if any demand is unreachable, or if no selected circuit carries
 /// traffic.
-pub fn scale_to_target_utilization_on(
+pub fn scale_from_routed(
     topo: &Topology,
     state: &NetState,
-    demands: &DemandMatrix,
+    route: &RouteOutcome,
+    loads: &LoadMap,
     target: f64,
-    policy: SplitPolicy,
     filter: impl Fn(CircuitId) -> bool,
 ) -> f64 {
     assert!(target > 0.0, "target utilization must be positive");
-    let mut router = EcmpRouter::with_policy(topo, policy);
-    let mut loads = LoadMap::new(topo);
-    let route = router.route(topo, state, demands, &mut loads);
     assert!(
         route.all_reachable(),
         "cannot calibrate: {} unreachable demands",
@@ -267,8 +268,6 @@ mod tests {
         let state = NetState::all_up(&t);
         let m = demand(s, d, 60.0);
         let factor = scale_to_target_utilization(&t, &state, &m, 0.5);
-        let same = scale_to_target_utilization_on(&t, &state, &m, 0.5, SplitPolicy::Ecmp, |_| true);
-        assert!((factor - same).abs() < 1e-12);
         let scaled = m.scaled(factor);
         let out = evaluate(&t, &state, &scaled, 0.75);
         assert!((out.report.max_utilization - 0.5).abs() < 1e-9);

@@ -56,9 +56,9 @@ use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
 use klotski_telemetry::{registry, Counter, Gauge};
 use klotski_topology::{BitSet, CircuitId, CsrGraph, NetState, SwitchId, Topology};
-use klotski_traffic::{Demand, DemandMatrix};
+use klotski_traffic::{DemandClass, DemandMatrix};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// Chunks per lane for the lane-partitioned destination advance: a little
@@ -153,6 +153,9 @@ struct DestEntry {
     dst: SwitchId,
     /// Source switches of this group's demands, in matrix order.
     srcs: Vec<SwitchId>,
+    /// Their classes — with `srcs` and `dst`, the endpoint sequence every
+    /// matrix routed on this engine must share.
+    classes: Vec<DemandClass>,
     /// Demand rates, matrix-contiguous: `rates[i * matrices + m]` is the
     /// rate of demand `i` under matrix `m` (0 = base, then the ensemble
     /// extras — endpoints are shared, only the gbps differ per matrix).
@@ -298,47 +301,24 @@ impl IncrementalRouter {
         // rebuild copy-on-writes each entry its own before interning merges
         // the equal ones back together.
         let empty_footprint = Arc::new(BitSet::new(csr.num_circuits()));
-        let extra_groups: Vec<BTreeMap<SwitchId, Vec<&Demand>>> =
-            extras.iter().map(|m| m.by_destination()).collect();
         let matrices = extras.len() + 1;
         let entries = matrix
             .by_destination()
             .into_iter()
-            .map(|(dst, group)| {
-                let mut rates = vec![0.0; group.len() * matrices];
-                for (i, b) in group.iter().enumerate() {
-                    rates[i * matrices] = b.gbps;
-                }
-                for (k, g) in extra_groups.iter().enumerate() {
-                    let eg: &[&Demand] = g.get(&dst).map(|v| v.as_slice()).unwrap_or(&[]);
-                    assert_eq!(
-                        eg.len(),
-                        group.len(),
-                        "ensemble matrices must share the base demand endpoints"
-                    );
-                    for (i, (e, b)) in eg.iter().zip(&group).enumerate() {
-                        assert_eq!(
-                            (e.src, e.class),
-                            (b.src, b.class),
-                            "ensemble matrices must share the base demand endpoints"
-                        );
-                        rates[i * matrices + k + 1] = e.gbps;
-                    }
-                }
-                DestEntry {
-                    dst,
-                    srcs: group.iter().map(|d| d.src).collect(),
-                    rates,
-                    dist: vec![UNREACHED; n],
-                    order: Vec::new(),
-                    dag: vec![Vec::new(); n],
-                    footprint: empty_footprint.clone(),
-                    last_clean: false,
-                    last_full: false,
-                }
+            .map(|(dst, group)| DestEntry {
+                dst,
+                srcs: group.iter().map(|d| d.src).collect(),
+                classes: group.iter().map(|d| d.class).collect(),
+                rates: vec![0.0; group.len() * matrices],
+                dist: vec![UNREACHED; n],
+                order: Vec::new(),
+                dag: vec![Vec::new(); n],
+                footprint: empty_footprint.clone(),
+                last_clean: false,
+                last_full: false,
             })
             .collect();
-        Self {
+        let mut engine = Self {
             policy,
             csr,
             mask: UsableMask::new(),
@@ -352,6 +332,47 @@ impl IncrementalRouter {
             primed: false,
             stats: IncrementalStats::default(),
             metrics: IncrMetrics::new(),
+        };
+        for (m, rates) in std::iter::once(matrix).chain(extras).enumerate() {
+            engine.set_rates(m, rates);
+        }
+        engine
+    }
+
+    /// Overwrites the base matrix's rates in place with `matrix`'s, keeping
+    /// every cached routing structure: the next [`evaluate`](Self::evaluate)
+    /// sweeps `matrix` exactly as an engine built over it would. For callers
+    /// that re-check one chain of states as demand drifts (growth and surges
+    /// rescale `gbps` only), so the structure outlives the forecast.
+    ///
+    /// # Panics
+    /// Panics when `matrix`'s `(src, dst, class)` sequence diverges from the
+    /// matrix the engine was built over.
+    pub fn set_base_rates(&mut self, matrix: &DemandMatrix) {
+        self.set_rates(0, matrix);
+    }
+
+    /// Writes `matrix`'s rates into column `m` of every destination's rate
+    /// table, checking that its endpoints are the engine's.
+    fn set_rates(&mut self, m: usize, matrix: &DemandMatrix) {
+        const SHARED: &str = "every matrix of an engine must share the base demand endpoints";
+        let matrices = self.num_extras + 1;
+        let groups = matrix.by_destination();
+        assert_eq!(groups.len(), self.entries.len(), "{SHARED}");
+        for (entry, (dst, group)) in self.entries.iter_mut().zip(groups) {
+            assert_eq!(
+                (dst, group.len()),
+                (entry.dst, entry.srcs.len()),
+                "{SHARED}"
+            );
+            for (i, d) in group.iter().enumerate() {
+                assert_eq!(
+                    (d.src, d.class),
+                    (entry.srcs[i], entry.classes[i]),
+                    "{SHARED}"
+                );
+                entry.rates[i * matrices + m] = d.gbps;
+            }
         }
     }
 
@@ -387,7 +408,7 @@ impl IncrementalRouter {
         for e in &self.entries {
             bytes += e.dist.capacity() * 4 + e.order.capacity() * 4;
             bytes += e.dag.iter().map(|l| l.capacity() * 16 + 24).sum::<usize>();
-            bytes += e.srcs.capacity() * 4 + e.rates.capacity() * 8;
+            bytes += e.srcs.capacity() * 4 + e.classes.capacity() + e.rates.capacity() * 8;
         }
         bytes as u64 + self.footprint_bytes()
     }
@@ -1337,6 +1358,59 @@ mod tests {
         let (ref_loads, ref_out) = full_reference(&t, &child, &demands, SplitPolicy::Ecmp);
         assert_eq!(out, ref_out);
         assert_bit_identical(&loads, &ref_loads, &t, "child after rebase");
+    }
+
+    #[test]
+    fn overwritten_base_rates_sweep_like_an_engine_built_over_them() {
+        let (t, start, demands) = preset_world();
+        let pool = WorkerPool::new(2);
+        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            let extras = variants(&demands, 2);
+            let mut engine = IncrementalRouter::with_csr_ensemble(
+                Arc::new(CsrGraph::build(&t)),
+                &demands,
+                &extras,
+                pool.lanes(),
+                policy,
+            );
+            let mut loads = LoadMap::new(&t);
+            let mut out = RouteOutcome::new();
+            let mut seed = 0x5eed_u64;
+            let mut prev = start.clone();
+            engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
+            // The demand drifts at every step of a chain of nearby states:
+            // only the rates are rewritten, the structure stays cached.
+            for (i, drifted) in variants(&demands, 4).iter().enumerate() {
+                let next = random_step(&t, &prev, &mut seed);
+                let toggles = usability_toggles(&t, &prev, &next);
+                engine.set_base_rates(drifted);
+                loads.clear();
+                engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
+                let (ref_loads, ref_out) = full_reference(&t, &next, drifted, policy);
+                assert_eq!(out, ref_out, "{policy:?} step {i}");
+                assert_bit_identical(&loads, &ref_loads, &t, "drifted base");
+                // The extras' columns are untouched.
+                assert_extras_match_scalar_and_scratch(
+                    &mut engine,
+                    &t,
+                    &next,
+                    &extras,
+                    policy,
+                    "beside a drifted base",
+                );
+                prev = next;
+            }
+            assert!(engine.stats().clean_destinations > 0, "{policy:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share the base demand endpoints")]
+    fn base_rates_from_a_matrix_with_other_endpoints_are_refused() {
+        let (t, _, demands) = preset_world();
+        let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
+        let fewer: DemandMatrix = demands.iter().skip(1).cloned().collect();
+        engine.set_base_rates(&fewer);
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub mod reachability;
 
 pub use ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 pub use evaluate::{
-    evaluate, evaluate_policy, evaluate_with, scale_to_target_utilization,
-    scale_to_target_utilization_on, SafetyOutcome, UtilizationReport,
+    evaluate, evaluate_policy, evaluate_with, scale_from_routed, scale_to_target_utilization,
+    SafetyOutcome, UtilizationReport,
 };
 pub use funneling::FunnelingModel;
 pub use incremental::{usability_toggles, IncrementalRouter, IncrementalStats};

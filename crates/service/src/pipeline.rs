@@ -9,10 +9,9 @@
 //! as the response body.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions};
-use klotski_core::plan::validate_plan_on;
 use klotski_core::planner::{AStarPlanner, DpPlanner, Planner, SearchBudget};
-use klotski_core::report::{audit_plan, PlanAudit};
-use klotski_core::{CostModel, PlanError};
+use klotski_core::report::PlanAudit;
+use klotski_core::{validate_and_audit_on, CostModel, PlanError};
 use klotski_npd::api::{digest_hex, npd_digest, AuditResponse, PlanRequestOptions, PlanSummary};
 use klotski_npd::convert::{attach_plan, npd_to_region};
 use klotski_npd::Npd;
@@ -164,10 +163,10 @@ fn resolve_options(
 ///
 /// This is the `klotski plan` pipeline verbatim: convert the NPD to a
 /// region config, build the region, derive the migration spec, run the
-/// selected planner under `budget`, validate, audit, attach. `pool` lets a
-/// long-lived caller (the service's worker threads) reuse satisfiability
-/// lanes across jobs; `None` (the CLI) builds one private pool for the
-/// call. Search and validation both run on that one pool.
+/// selected planner under `budget`, validate and audit in one walk, attach.
+/// `pool` lets a long-lived caller (the service's worker threads) reuse
+/// satisfiability lanes across jobs; `None` (the CLI) builds one private
+/// pool for the call. Search and validation both run on that one pool.
 /// Either way the resulting plan bytes are identical — PR 1's determinism
 /// guarantee makes lane count unobservable in the output.
 pub fn plan_document(
@@ -230,9 +229,8 @@ pub fn plan_document_keyed(
         )
     };
 
-    validate_plan_on(&spec, &outcome.plan, pool)
+    let audit = validate_and_audit_on(&spec, &outcome.plan, pool)
         .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?;
-    let audit = audit_plan(&spec, &outcome.plan);
 
     let mut shipped = npd.clone();
     attach_plan(&mut shipped, &spec, &outcome.plan);
