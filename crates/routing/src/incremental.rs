@@ -7,8 +7,8 @@
 //! the delta instead: it caches, per destination group,
 //!
 //! - the BFS distance labels and canonical visit order,
-//! - the shortest-path DAG (each switch's downhill circuits with split
-//!   weights, in neighbor-scan order),
+//! - the shortest-path DAG (each switch's downhill circuits in
+//!   neighbor-scan order, all in one arena shaped like the CSR adjacency),
 //! - the *relevant circuit footprint* — circuits incident to switches
 //!   reached by that destination's BFS.
 //!
@@ -37,10 +37,11 @@
 //! Only the structure is cached. Loads are not: after the (lane-partitioned)
 //! structure advance joins, one sequential sweep on the caller walks each
 //! destination's `order`/`dag` once and adds every requested demand
-//! matrix's shares straight into that matrix's `LoadMap` — the base matrix
-//! alone for [`IncrementalRouter::evaluate`], all K−1 extras of a traffic
-//! ensemble packed into one traversal for
-//! [`IncrementalRouter::replay_extras`].
+//! matrix's shares into that matrix's `LoadMap` — the base matrix alone for
+//! [`IncrementalRouter::evaluate`] (straight into the map's slots), all K−1
+//! extras of a traffic ensemble packed into one traversal for
+//! [`IncrementalRouter::replay_extras`] (on a lane-interleaved accumulator,
+//! so one DAG edge's K−1 adds land side by side).
 //!
 //! Determinism: the sweep visits destinations in ascending order, switches
 //! in reverse canonical `(distance, switch index)` order, and downhill lists
@@ -64,6 +65,17 @@ use std::sync::Arc;
 /// Chunks per lane for the lane-partitioned destination advance: a little
 /// oversubscription so fast lanes steal the tail.
 const CHUNKS_PER_LANE: usize = 4;
+
+/// Widest instantiation of the sweep kernel; a sweep of more matrices runs
+/// in chunks of this many.
+const MAX_WIDTH: usize = 8;
+
+/// Compile-time width of the kernel that sweeps `lanes` matrices at once:
+/// `lanes` rounded up to a power of two, so every instantiation's inner
+/// loops are whole SSE2 vectors (or one scalar).
+fn lane_width(lanes: usize) -> usize {
+    lanes.next_power_of_two().min(MAX_WIDTH)
+}
 
 /// Running totals of incremental-evaluation effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,9 +177,16 @@ struct DestEntry {
     dist: Vec<u32>,
     /// Reached switches in canonical `(dist, index)` order.
     order: Vec<u32>,
-    /// Per-switch downhill list `(directional slot, far index, weight)` in
-    /// neighbor-scan order — the shortest-path DAG the sweep splits over.
-    dag: Vec<Vec<(u32, u32, f64)>>,
+    /// The shortest-path DAG the sweep splits over, in one arena shaped
+    /// like the CSR adjacency: switch `u`'s downhill list of `(directional
+    /// slot, far index)` is the first `dag_len[u]` records from
+    /// `csr.offsets()[u]`, in neighbor-scan order. A list is a subsequence
+    /// of its switch's adjacency row, so it always fits the row's segment
+    /// and a patch rewrites it in place. Split weights are not stored: ECMP
+    /// divides by the list length, WCMP reads `csr.wcmp_weight(slot >> 1)`.
+    dag: Vec<(u32, u32)>,
+    /// Downhill-list lengths; 0 for unreached switches and the destination.
+    dag_len: Vec<u32>,
     /// Circuits incident to reached switches; a conservative superset
     /// (bits are added when the reached region grows, recomputed exactly on
     /// full rebuilds). Shared storage: destinations that reach the same
@@ -180,6 +199,8 @@ struct DestEntry {
     last_clean: bool,
     /// Introspection: last advance fell back to a full rebuild.
     last_full: bool,
+    /// Introspection: last advance grew or replaced the footprint.
+    footprint_changed: bool,
 }
 
 /// Per-lane scratch shared by every destination a lane advances.
@@ -201,14 +222,19 @@ struct LaneScratch {
     /// Dial buckets for full per-destination rebuilds.
     buckets: [Vec<u32>; 3],
     order_buf: Vec<u32>,
+    /// Where a full rebuild collects the destination's footprint, so an
+    /// unchanged one (the usual outcome) leaves the shared allocation alone.
+    footprint: BitSet,
 }
 
 impl LaneScratch {
-    fn sized(n: usize) -> Self {
+    fn sized(csr: &CsrGraph) -> Self {
+        let n = csr.num_switches();
         Self {
             mark_stamp: vec![0; n],
             new_stamp: vec![0; n],
             settle_stamp: vec![0; n],
+            footprint: BitSet::new(csr.num_circuits()),
             ..Self::default()
         }
     }
@@ -240,12 +266,15 @@ pub struct IncrementalRouter {
     mask: UsableMask,
     entries: Vec<DestEntry>,
     scratch: Vec<LaneScratch>,
-    /// Inflow accumulator of the load sweep, `switches × matrices`; a sweep
-    /// of `L` matrices keeps switch `u`'s flows at `[u * L, u * L + L)`.
-    /// All zero between sweeps.
+    /// Inflow accumulator of the load sweep, `switches ×` the widest kernel
+    /// this engine's ensemble needs; a width-`W` sweep keeps switch `u`'s
+    /// flows at `[u * W, u * W + W)`. All zero between sweeps.
     inflow: Vec<f64>,
-    /// One switch's per-matrix flows while the sweep splits them downhill.
-    flows: Vec<f64>,
+    /// Load accumulator of the packed (width > 1) sweeps, lane-interleaved:
+    /// `acc[slot * W + m]` is lane `m`'s load on `slot`. Gathered from the
+    /// caller's `LoadMap`s before a sweep and scattered back after; sized on
+    /// the first packed sweep.
+    acc: Vec<f64>,
     /// Word-level masks of the current toggle set, `(word index, bits)` —
     /// a destination whose footprint misses every word is clean without
     /// walking the toggle list.
@@ -297,6 +326,7 @@ impl IncrementalRouter {
     ) -> Self {
         let _ = lanes;
         let n = csr.num_switches();
+        let edges = *csr.offsets().last().expect("offsets has n + 1 entries") as usize;
         // All entries start on one shared empty footprint; the priming
         // rebuild copy-on-writes each entry its own before interning merges
         // the equal ones back together.
@@ -312,20 +342,22 @@ impl IncrementalRouter {
                 rates: vec![0.0; group.len() * matrices],
                 dist: vec![UNREACHED; n],
                 order: Vec::new(),
-                dag: vec![Vec::new(); n],
+                dag: vec![(0, 0); edges],
+                dag_len: vec![0; n],
                 footprint: empty_footprint.clone(),
                 last_clean: false,
                 last_full: false,
+                footprint_changed: false,
             })
             .collect();
         let mut engine = Self {
             policy,
+            scratch: vec![LaneScratch::sized(&csr)],
             csr,
             mask: UsableMask::new(),
             entries,
-            scratch: vec![LaneScratch::sized(n)],
-            inflow: vec![0.0; n * matrices],
-            flows: Vec::new(),
+            inflow: vec![0.0; n * lane_width(extras.len())],
+            acc: Vec::new(),
             toggle_words: Vec::new(),
             intern: HashMap::new(),
             num_extras: extras.len(),
@@ -402,13 +434,21 @@ impl IncrementalRouter {
         self.stats
     }
 
-    /// Estimated resident bytes of the per-destination caches.
+    /// Estimated resident bytes of the engine: the per-destination caches,
+    /// the sweep's inflow and packed-load accumulators, and every lane's
+    /// epoch stamps.
     pub fn approx_bytes(&self) -> u64 {
-        let mut bytes = 0usize;
+        let mut bytes = (self.inflow.capacity() + self.acc.capacity()) * 8;
         for e in &self.entries {
             bytes += e.dist.capacity() * 4 + e.order.capacity() * 4;
-            bytes += e.dag.iter().map(|l| l.capacity() * 16 + 24).sum::<usize>();
+            bytes += e.dag.capacity() * 8 + e.dag_len.capacity() * 4;
             bytes += e.srcs.capacity() * 4 + e.classes.capacity() + e.rates.capacity() * 8;
+        }
+        for lane in &self.scratch {
+            bytes += (lane.mark_stamp.capacity()
+                + lane.new_stamp.capacity()
+                + lane.settle_stamp.capacity())
+                * 4;
         }
         bytes as u64 + self.footprint_bytes()
     }
@@ -501,8 +541,10 @@ impl IncrementalRouter {
         self.stats.extra_replays += self.num_extras as u64;
     }
 
-    /// The load sweep: matrices `first .. first + loads.len()` in one
-    /// sequential pass over the destinations, ascending.
+    /// The load sweep: matrices `first .. first + loads.len()`, at most
+    /// [`MAX_WIDTH`] per sequential pass over the destinations, ascending.
+    /// Matrices never interact, so how they are grouped into passes cannot
+    /// show in any of their results.
     fn sweep(
         &mut self,
         state: &NetState,
@@ -516,22 +558,73 @@ impl IncrementalRouter {
             first + loads.len() <= self.num_extras + 1,
             "matrix range outside the engine's ensemble"
         );
+        let passes = loads
+            .chunks_mut(MAX_WIDTH)
+            .zip(outcomes.chunks_mut(MAX_WIDTH));
+        for (pass, (loads, outcomes)) in passes.enumerate() {
+            let first = first + pass * MAX_WIDTH;
+            match lane_width(loads.len()) {
+                1 => self.sweep_pass::<1>(state, first, loads, outcomes),
+                2 => self.sweep_pass::<2>(state, first, loads, outcomes),
+                4 => self.sweep_pass::<4>(state, first, loads, outcomes),
+                _ => self.sweep_pass::<MAX_WIDTH>(state, first, loads, outcomes),
+            }
+        }
+    }
+
+    /// One pass of the sweep through the width-`W` kernel, `loads.len() <= W`
+    /// matrices wide. Width 1 adds straight into the `LoadMap`'s slots.
+    /// Wider passes run on the lane-interleaved accumulator: gathered from
+    /// the maps first (so what they already hold is accumulated onto, in
+    /// the same order as a sweep straight into them), scattered back after.
+    /// Padding lanes `loads.len()..W` start at +0.0, only ever receive +0.0
+    /// shares (no rate is injected into them) and are never scattered; the
+    /// real lanes cannot tell they are there — see [`sweep_entry`].
+    fn sweep_pass<const W: usize>(
+        &mut self,
+        state: &NetState,
+        first: usize,
+        loads: &mut [LoadMap],
+        outcomes: &mut [RouteOutcome],
+    ) {
         for o in outcomes.iter_mut() {
             o.clear();
         }
-        self.flows.resize(loads.len(), 0.0);
-        for entry in &self.entries {
-            sweep_entry(
-                entry,
-                &mut self.inflow,
-                &mut self.flows,
-                state,
-                self.policy,
-                self.num_extras + 1,
-                first,
-                loads,
-                outcomes,
-            );
+        let inflow = &mut self.inflow[..self.csr.num_switches() * W];
+        let mut sweep_into = |acc: &mut [f64]| {
+            for entry in &self.entries {
+                sweep_entry::<W>(
+                    entry,
+                    &self.csr,
+                    self.policy,
+                    inflow,
+                    acc,
+                    state,
+                    self.num_extras + 1,
+                    first,
+                    outcomes,
+                );
+            }
+        };
+        if W == 1 {
+            return sweep_into(loads[0].slots_mut());
+        }
+        let slots = self.csr.num_circuits() * 2;
+        if self.acc.len() < slots * W {
+            self.acc.resize(slots * W, 0.0);
+        }
+        let acc = &mut self.acc[..slots * W];
+        for (slot, cell) in acc.chunks_exact_mut(W).enumerate() {
+            cell.fill(0.0);
+            for (into, map) in cell.iter_mut().zip(loads.iter_mut()) {
+                *into = map.slots_mut()[slot];
+            }
+        }
+        sweep_into(acc);
+        for (slot, cell) in acc.chunks_exact(W).enumerate() {
+            for (&from, map) in cell.iter().zip(loads.iter_mut()) {
+                map.slots_mut()[slot] = from;
+            }
         }
     }
 
@@ -597,7 +690,6 @@ impl IncrementalRouter {
             ref mask,
             ref csr,
             ref toggle_words,
-            policy,
             ..
         } = *self;
         let advance_chunk = |lane: &mut LaneScratch, chunk: &mut [DestEntry]| {
@@ -611,7 +703,6 @@ impl IncrementalRouter {
                     toggle_set,
                     toggle_words,
                     full_all,
-                    policy,
                 );
             }
         };
@@ -621,8 +712,7 @@ impl IncrementalRouter {
                 // so a checker that never fans out (1-core host) carries
                 // exactly one lane's worth regardless of its configured
                 // width.
-                let n = csr.num_switches();
-                scratch.resize_with(lanes, || LaneScratch::sized(n));
+                scratch.resize_with(lanes, || LaneScratch::sized(csr));
             }
             // Lane-partitioned advance: contiguous destination chunks
             // (`CHUNKS_PER_LANE` per lane) instead of one task per
@@ -667,7 +757,7 @@ impl IncrementalRouter {
             // allocations; merge equal ones back onto shared storage.
             self.intern_footprints();
         }
-        if full > 0 || dirty > 0 {
+        if self.entries.iter().any(|e| e.footprint_changed) {
             self.metrics
                 .footprint_bytes
                 .set(self.footprint_bytes() as f64);
@@ -703,16 +793,6 @@ fn hash_words(bits: &BitSet) -> u64 {
     h
 }
 
-/// Split weight of one circuit under `policy` (must match
-/// `EcmpRouter::route_group` exactly).
-#[inline]
-fn split_weight(csr: &CsrGraph, c: u32, policy: SplitPolicy) -> f64 {
-    match policy {
-        SplitPolicy::Ecmp => 1.0,
-        SplitPolicy::Wcmp => csr.wcmp_weight(c),
-    }
-}
-
 /// Updates one destination's cached structures for the child state. See
 /// the module docs for the classification rules and why each shortcut is
 /// sound.
@@ -726,9 +806,9 @@ fn advance_entry(
     toggles: &[CircuitId],
     toggle_words: &[(u32, u64)],
     full_all: bool,
-    policy: SplitPolicy,
 ) {
     let epoch = scratch.bump_epoch();
+    entry.footprint_changed = false;
     scratch.marked.clear();
     scratch.seeds.clear();
     scratch.settled.clear();
@@ -810,7 +890,7 @@ fn advance_entry(
                 .all(|e| !mask.usable_idx(e.circuit as usize))
             {
                 entry.dist[ui] = UNREACHED;
-                entry.dag[ui].clear();
+                entry.dag_len[ui] = 0;
             }
         }
     }
@@ -866,14 +946,17 @@ fn advance_entry(
         // Newly reached switches need downhill lists, order slots, and
         // footprint coverage. Footprint growth copy-on-writes when the
         // allocation is shared (interned), keeping other destinations'
-        // footprints intact.
-        if !full && !scratch.settled.is_empty() {
-            let fp = Arc::make_mut(&mut entry.footprint);
+        // footprints intact; a switch that was reached before (victims keep
+        // their bits) grows nothing and leaves the sharing alone.
+        if !full {
             for i in 0..scratch.settled.len() {
                 let x = scratch.settled[i];
                 mark(scratch, epoch, x as usize);
                 for e in csr.neighbors(x) {
-                    fp.set(e.circuit as usize, true);
+                    if !entry.footprint.get(e.circuit as usize) {
+                        Arc::make_mut(&mut entry.footprint).set(e.circuit as usize, true);
+                        entry.footprint_changed = true;
+                    }
                 }
             }
         }
@@ -881,7 +964,8 @@ fn advance_entry(
 
     // Rebuild downhill lists for every marked survivor by rescanning its
     // neighbors — the list must stay in neighbor-scan order for the sweep's
-    // f64 additions to stay bit-identical, so no in-place splicing.
+    // f64 additions to stay bit-identical, so its arena segment is
+    // rewritten whole, never spliced.
     if !full {
         for i in 0..scratch.marked.len() {
             let ui = scratch.marked[i] as usize;
@@ -889,17 +973,7 @@ fn advance_entry(
             if du == UNREACHED || du == 0 {
                 continue; // victim, or the destination itself
             }
-            let dist = &entry.dist;
-            let list = &mut entry.dag[ui];
-            list.clear();
-            for e in csr.neighbors(ui as u32) {
-                if mask.usable_idx(e.circuit as usize)
-                    && dist[e.far as usize].saturating_add(e.hop) == du
-                {
-                    list.push((e.slot, e.far, split_weight(csr, e.circuit, policy)));
-                }
-            }
-            if list.is_empty() {
+            if rebuild_downhill(entry, csr, mask, ui) == 0 {
                 // Lost its last shortest path: its true label grew, and
                 // labels downstream of it may be stale too.
                 full = true;
@@ -911,7 +985,7 @@ fn advance_entry(
     let structure_changed = !scratch.marked.is_empty();
     entry.last_full = full;
     if full {
-        rebuild_full(entry, scratch, csr, state, mask, policy);
+        rebuild_full(entry, scratch, csr, state, mask);
     } else if structure_changed {
         // Patch the canonical order: drop victims (removing elements keeps
         // it sorted) and merge the newly settled switches.
@@ -950,6 +1024,26 @@ fn advance_entry(
     entry.last_clean = !full && !structure_changed;
 }
 
+/// Rewrites reached switch `ui`'s downhill list — its segment of the DAG
+/// arena — from a scan of its neighbors, and returns the list's length
+/// (0 for the destination, which forwards nothing).
+fn rebuild_downhill(entry: &mut DestEntry, csr: &CsrGraph, mask: &UsableMask, ui: usize) -> u32 {
+    let du = entry.dist[ui];
+    let row = &mut entry.dag[csr.offsets()[ui] as usize..];
+    let mut len = 0;
+    for e in csr.neighbors(ui as u32) {
+        if du > 0
+            && mask.usable_idx(e.circuit as usize)
+            && entry.dist[e.far as usize].saturating_add(e.hop) == du
+        {
+            row[len] = (e.slot, e.far);
+            len += 1;
+        }
+    }
+    entry.dag_len[ui] = len as u32;
+    len as u32
+}
+
 /// Adds `ui` to the marked set once per epoch.
 #[inline]
 fn mark(scratch: &mut LaneScratch, epoch: u32, ui: usize) {
@@ -968,12 +1062,10 @@ fn rebuild_full(
     csr: &CsrGraph,
     state: &NetState,
     mask: &UsableMask,
-    policy: SplitPolicy,
 ) {
     const MAX_W: usize = 2;
-    for d in &mut entry.dist {
-        *d = UNREACHED;
-    }
+    entry.dist.fill(UNREACHED);
+    entry.dag_len.fill(0);
     entry.order.clear();
     if state.switch_up(entry.dst) {
         for b in &mut scratch.buckets {
@@ -1009,57 +1101,67 @@ fn rebuild_full(
         }
         canonical_order(&mut entry.order, &entry.dist);
     }
-    // Copy-on-write the footprint: a shared (interned) allocation is left
-    // for its other referents and this entry gets a private one, re-merged
-    // by the post-advance interning pass when it matches another's.
-    let fp = Arc::make_mut(&mut entry.footprint);
+    let fp = &mut scratch.footprint;
     fp.clear_all();
-    for &u in &entry.order {
-        let ui = u as usize;
-        let du = entry.dist[ui];
-        let dist = &entry.dist;
-        let list = &mut entry.dag[ui];
-        list.clear();
+    for i in 0..entry.order.len() {
+        let u = entry.order[i];
         for e in csr.neighbors(u) {
             fp.set(e.circuit as usize, true);
-            if du > 0
-                && mask.usable_idx(e.circuit as usize)
-                && dist[e.far as usize].saturating_add(e.hop) == du
-            {
-                list.push((e.slot, e.far, split_weight(csr, e.circuit, policy)));
-            }
         }
+        rebuild_downhill(entry, csr, mask, u as usize);
+    }
+    // Most rebuilds reach the region they reached before. One that does not
+    // copy-on-writes: a shared (interned) allocation is left for its other
+    // referents and this entry gets a private one, re-merged by the
+    // post-advance interning pass when it matches another's.
+    if *fp != *entry.footprint {
+        std::mem::swap(Arc::make_mut(&mut entry.footprint), fp);
+        entry.footprint_changed = true;
     }
 }
 
-/// Injection + reverse sweep of one destination for `loads.len()` demand
-/// matrices at once (columns `first..` of `entry.rates`), from the cached
-/// structures straight into each matrix's `LoadMap`. Per matrix this
-/// mirrors `EcmpRouter::route_group` addition for addition; the
-/// differences cannot change a bit of the result:
+/// Injection + reverse sweep of one destination for `outcomes.len() <= W`
+/// demand matrices at once (columns `first..` of `entry.rates`), from the
+/// cached structures into `acc`, the width-`W` lane-interleaved load
+/// accumulator (`acc[slot * W + m]`; a `LoadMap`'s own slots when `W` is 1).
+/// `inflow` is the same shape over switches. Per matrix this mirrors
+/// `EcmpRouter::route_group` addition for addition; the differences cannot
+/// change a bit of the result:
 ///
 /// - a matrix whose flow at a switch is 0.0 adds 0.0 shares where the
 ///   oracle skips the switch — accumulators start at +0.0 and a sum is
 ///   −0.0 only if both terms are, so none ever holds −0.0, the one value
-///   `x + 0.0` would change;
-/// - under ECMP the share `flow * 1.0 / total` is the same on every
-///   downhill circuit and `x * 1.0 == x`, so it is divided once per switch;
+///   `x + 0.0` would change. Lanes share nothing but that skip test, so the
+///   padding lanes (`outcomes.len()..W`, never injected into, flow always
+///   +0.0) are invisible to the real ones;
+/// - under ECMP every split weight is 1.0: the weight total is the list
+///   length (a sum of that many ones, exact), the share `flow * 1.0 / total`
+///   is the same on every downhill circuit and `x * 1.0 == x`, so it is
+///   divided once per switch;
 /// - a switch's inflow is zeroed as it is consumed (flow only moves to
 ///   strictly smaller distances, later in the reverse order), which
 ///   replaces the oracle's touched-list reset.
 #[allow(clippy::too_many_arguments)]
-fn sweep_entry(
+fn sweep_entry<const W: usize>(
     entry: &DestEntry,
-    inflow: &mut [f64],
-    flows: &mut [f64],
-    state: &NetState,
+    csr: &CsrGraph,
     policy: SplitPolicy,
+    inflow: &mut [f64],
+    acc: &mut [f64],
+    state: &NetState,
     matrices: usize,
     first: usize,
-    loads: &mut [LoadMap],
     outcomes: &mut [RouteOutcome],
 ) {
-    let lanes = loads.len();
+    /// Adds one share per lane into cell `i` of a lane-interleaved array.
+    #[inline(always)]
+    fn add<const W: usize>(cells: &mut [f64], i: u32, shares: &[f64; W]) {
+        for (into, &share) in cells[i as usize * W..][..W].iter_mut().zip(shares) {
+            *into += share;
+        }
+    }
+
+    let lanes = outcomes.len();
     for (i, &src) in entry.srcs.iter().enumerate() {
         if entry.dist[src.index()] == UNREACHED || !state.switch_up(src) {
             for o in outcomes.iter_mut() {
@@ -1068,44 +1170,50 @@ fn sweep_entry(
             continue;
         }
         let rates = &entry.rates[i * matrices + first..][..lanes];
-        let cell = &mut inflow[src.index() * lanes..][..lanes];
+        let cell = &mut inflow[src.index() * W..][..W];
         for ((into, o), &gbps) in cell.iter_mut().zip(outcomes.iter_mut()).zip(rates) {
             *into += gbps;
             o.routed_gbps += gbps;
         }
     }
-    let ecmp = policy == SplitPolicy::Ecmp;
+    let offsets = csr.offsets();
     for &u in entry.order.iter().rev() {
         let u = u as usize;
-        let cell = &mut inflow[u * lanes..][..lanes];
+        let cell: &mut [f64; W] = (&mut inflow[u * W..][..W]).try_into().expect("sliced to W");
         if cell.iter().all(|&f| f == 0.0) {
             continue;
         }
-        flows.copy_from_slice(cell);
-        cell.fill(0.0);
-        if entry.dist[u] == 0 {
+        let mut flows = std::mem::replace(cell, [0.0; W]);
+        let list = &entry.dag[offsets[u] as usize..][..entry.dag_len[u] as usize];
+        if list.is_empty() {
+            debug_assert_eq!(
+                entry.dist[u], 0,
+                "a reachable non-destination switch must have a downhill circuit"
+            );
             continue; // the destination absorbs its inflow
         }
-        let list = &entry.dag[u];
-        let mut total_weight = 0.0_f64;
-        for &(_, _, weight) in list {
-            total_weight += weight;
-        }
-        debug_assert!(
-            total_weight > 0.0,
-            "a reachable non-destination switch must have a downhill circuit"
-        );
-        if ecmp {
-            for f in flows.iter_mut() {
-                *f /= total_weight;
+        match policy {
+            SplitPolicy::Ecmp => {
+                let total_weight = list.len() as f64;
+                for f in &mut flows {
+                    *f /= total_weight;
+                }
+                for &(slot, far) in list {
+                    add(acc, slot, &flows);
+                    add(inflow, far, &flows);
+                }
             }
-        }
-        for &(slot, far, weight) in list {
-            let cell = &mut inflow[far as usize * lanes..][..lanes];
-            for ((load, into), &f) in loads.iter_mut().zip(cell).zip(flows.iter()) {
-                let share = if ecmp { f } else { f * weight / total_weight };
-                load.add_slot(slot, share);
-                *into += share;
+            SplitPolicy::Wcmp => {
+                let mut total_weight = 0.0_f64;
+                for &(slot, _) in list {
+                    total_weight += csr.wcmp_weight(slot >> 1);
+                }
+                for &(slot, far) in list {
+                    let weight = csr.wcmp_weight(slot >> 1);
+                    let shares = flows.map(|f| f * weight / total_weight);
+                    add(acc, slot, &shares);
+                    add(inflow, far, &shares);
+                }
             }
         }
     }
@@ -1417,7 +1525,10 @@ mod tests {
     fn packed_sweep_matches_one_lane_sweeps_and_from_scratch() {
         let (t, state, demands) = preset_world();
         for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
-            for k in [1usize, 3, 8] {
+            // Every kernel width (1, 2, 4, 8), every padding amount (K−1 =
+            // 3 → 1 lane, 5 → 3, 7 → 1), and sweeps wider than the widest
+            // kernel (K−1 = 8 → one full pass; 16 → two passes).
+            for k in [1usize, 2, 3, 4, 5, 6, 8, 9, 17] {
                 let extras = variants(&demands, k - 1);
                 let pool = WorkerPool::new(1 + k % 3);
                 let mut engine = IncrementalRouter::with_csr_ensemble(
@@ -1472,6 +1583,123 @@ mod tests {
                 let swept = engine.stats().extra_replays;
                 assert_eq!(swept, (8 + 4) * 2 * (k as u64 - 1));
             }
+        }
+    }
+
+    #[test]
+    fn packed_sweep_accumulates_onto_preloaded_maps() {
+        let (t, state, demands) = preset_world();
+        // The maps the packed sweep gathers from already hold another
+        // matrix's loads, different per lane; the result must be what the
+        // oracle leaves when it routes both matrices into one map.
+        let preload = |k: usize| demands.scaled(0.3 + 0.1 * k as f64);
+        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            for k in [3usize, 4, 6, 12] {
+                let what = format!("{policy:?} K={k}");
+                let extras = variants(&demands, k - 1);
+                let pool = WorkerPool::new(1);
+                let mut engine = IncrementalRouter::with_csr_ensemble(
+                    Arc::new(CsrGraph::build(&t)),
+                    &demands,
+                    &extras,
+                    pool.lanes(),
+                    policy,
+                );
+                let mut seed = 0x10aded ^ k as u64;
+                let next = random_step(&t, &state, &mut seed);
+                engine.rebase(&pool, &t, &state, None);
+                engine.rebase(
+                    &pool,
+                    &t,
+                    &next,
+                    Some(&usability_toggles(&t, &state, &next)),
+                );
+
+                let mut oracle = EcmpRouter::with_policy(&t, policy);
+                let mut packed = vec![LoadMap::new(&t); k - 1];
+                let mut expected = vec![LoadMap::new(&t); k - 1];
+                for (i, (got, want)) in packed.iter_mut().zip(&mut expected).enumerate() {
+                    oracle.route(&t, &next, &preload(i), got);
+                    oracle.route(&t, &next, &preload(i), want);
+                    oracle.route(&t, &next, &extras[i], want);
+                }
+                let mut outs = vec![RouteOutcome::new(); k - 1];
+                engine.replay_extras(&next, &mut packed, &mut outs);
+                for (i, (got, want)) in packed.iter().zip(&expected).enumerate() {
+                    assert_bit_identical(got, want, &t, &format!("{what} extra {i}"));
+                }
+                // And again on top, un-cleared: three matrices deep.
+                engine.replay_extras(&next, &mut packed, &mut outs);
+                for (i, (got, want)) in packed.iter().zip(&mut expected).enumerate() {
+                    oracle.route(&t, &next, &extras[i], want);
+                    assert_bit_identical(got, want, &t, &format!("{what} extra {i} twice"));
+                }
+            }
+        }
+    }
+
+    /// One destination's cached structure: labels, canonical order, list
+    /// lengths, and the live part of the arena (every switch's downhill
+    /// list, in switch order — with the lengths, that is each list).
+    type Structure = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, u32)>);
+
+    fn structures(engine: &IncrementalRouter) -> Vec<Structure> {
+        let offsets = engine.csr.offsets();
+        engine
+            .entries
+            .iter()
+            .map(|e| {
+                let lists = (0..e.dag_len.len())
+                    .flat_map(|u| &e.dag[offsets[u] as usize..][..e.dag_len[u] as usize])
+                    .copied()
+                    .collect();
+                (e.dist.clone(), e.order.clone(), e.dag_len.clone(), lists)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn patched_arena_equals_a_freshly_primed_one() {
+        let (t, state, demands) = preset_world();
+        let csr = Arc::new(CsrGraph::build(&t));
+        let pool = WorkerPool::new(2);
+        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            let mut engine =
+                IncrementalRouter::with_csr(csr.clone(), &demands, pool.lanes(), policy);
+            engine.rebase(&pool, &t, &state, None);
+            let mut prev = state.clone();
+            let mut seed = 0xa2e9a;
+            let (mut shrunk, mut regrown) = (0, 0);
+            for step in 0..40 {
+                let next = random_step(&t, &prev, &mut seed);
+                let toggles = usability_toggles(&t, &prev, &next);
+                let reached: Vec<usize> = engine.entries.iter().map(|e| e.order.len()).collect();
+                engine.rebase(&pool, &t, &next, Some(&toggles));
+                for (e, &before) in engine.entries.iter().zip(&reached) {
+                    if !e.last_full {
+                        shrunk += usize::from(e.order.len() < before);
+                        regrown += usize::from(e.order.len() > before);
+                    }
+                }
+                let mut fresh =
+                    IncrementalRouter::with_csr(csr.clone(), &demands, pool.lanes(), policy);
+                fresh.rebase(&pool, &t, &next, None);
+                assert_eq!(
+                    structures(&engine),
+                    structures(&fresh),
+                    "{policy:?} step {step}"
+                );
+                prev = next;
+            }
+            // The walk patched in every way: victims dropped, regions
+            // regrown, and full fallbacks beyond the priming ones.
+            let s = engine.stats();
+            assert!(
+                shrunk > 0 && regrown > 0,
+                "{shrunk} shrunk, {regrown} regrown"
+            );
+            assert!(s.full_rebuilds > engine.num_destinations() as u64);
+            assert!(s.dirty_destinations > s.full_rebuilds);
         }
     }
 

@@ -8,24 +8,16 @@
 use klotski_topology::{CircuitId, SwitchId, Topology};
 
 /// Directional traffic loads over the circuits of one topology.
-#[derive(Debug, Clone)]
+///
+/// Dense on purpose: a routing sweep adds into every slot of the usable
+/// fabric about a dozen times per check, so bookkeeping per add (to keep
+/// `clear` proportional to the slots written) costs far more than the one
+/// `fill` it saves.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadMap {
     /// `loads[2c]` = flow in the circuit's `a→b` direction,
     /// `loads[2c+1]` = flow in the `b→a` direction, Gbps.
     loads: Vec<f64>,
-    /// Slots that may hold nonzero flow, so `clear` is proportional to the
-    /// circuits actually loaded rather than to the topology size. Routing
-    /// touches O(demand destinations × path length) slots per check, far
-    /// fewer than the O(100,000) circuits of a production region.
-    touched: Vec<u32>,
-}
-
-/// Loads compare by flow values only; `touched` is bookkeeping whose order
-/// depends on routing history.
-impl PartialEq for LoadMap {
-    fn eq(&self, other: &Self) -> bool {
-        self.loads == other.loads
-    }
 }
 
 impl LoadMap {
@@ -33,17 +25,12 @@ impl LoadMap {
     pub fn new(topo: &Topology) -> Self {
         Self {
             loads: vec![0.0; topo.num_circuits() * 2],
-            touched: Vec::new(),
         }
     }
 
     /// Resets all loads to zero (reused across satisfiability checks).
-    /// Sparse: only slots written since the last clear are revisited.
     pub fn clear(&mut self) {
-        for &s in &self.touched {
-            self.loads[s as usize] = 0.0;
-        }
-        self.touched.clear();
+        self.loads.fill(0.0);
     }
 
     /// The directional slot index for flow on `c` *leaving* switch `from`
@@ -61,18 +48,22 @@ impl LoadMap {
         (c.index() * 2 + dir) as u32
     }
 
-    /// Adds `gbps` of flow to a directional slot from [`directed_slot`]
-    /// (tracking it for the sparse [`clear`]).
+    /// Adds `gbps` of flow to a directional slot from [`directed_slot`].
     ///
     /// [`directed_slot`]: Self::directed_slot
-    /// [`clear`]: Self::clear
     #[inline]
     pub fn add_slot(&mut self, slot: u32, gbps: f64) {
-        let l = &mut self.loads[slot as usize];
-        if *l == 0.0 && gbps != 0.0 {
-            self.touched.push(slot);
-        }
-        *l += gbps;
+        self.loads[slot as usize] += gbps;
+    }
+
+    /// The directional slots, indexed like [`directed_slot`] — the flat view
+    /// the incremental engine's load sweep adds into (one matrix) or
+    /// gathers from and scatters back to (a packed ensemble).
+    ///
+    /// [`directed_slot`]: Self::directed_slot
+    #[inline]
+    pub(crate) fn slots_mut(&mut self) -> &mut [f64] {
+        &mut self.loads
     }
 
     /// Adds `gbps` of flow on circuit `c` in the direction *leaving* switch
@@ -165,15 +156,18 @@ mod tests {
     }
 
     #[test]
-    fn sparse_clear_matches_fresh_map() {
+    fn clear_after_scale_circuit_matches_fresh_map() {
         let (t, x, y, c) = pair();
         let mut l = LoadMap::new(&t);
         l.add_directed(&t, c, x, 10.0);
         l.add_directed(&t, c, y, 5.0);
+        // `scale_circuit` writes slots without going through `add_slot`;
+        // `clear` must reset those too.
         l.scale_circuit(c, 2.0);
+        assert_ne!(l, LoadMap::new(&t));
         l.clear();
         assert_eq!(l, LoadMap::new(&t));
-        // Reuse after a sparse clear accumulates from zero again.
+        // Reuse after a clear accumulates from zero again.
         l.add_slot(LoadMap::directed_slot(&t, c, x), 7.0);
         assert_eq!(l.forward(c), 7.0);
         assert_eq!(l.reverse(c), 0.0);

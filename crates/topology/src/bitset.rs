@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 const WORD_BITS: usize = 64;
 
 /// A fixed-capacity bit set backed by `u64` words.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct BitSet {
     words: Vec<u64>,
     len: usize,

@@ -116,6 +116,15 @@ impl CsrGraph {
         &self.edges[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
     }
 
+    /// The row offsets: switch `u`'s adjacency slice starts at edge index
+    /// `offsets()[u]`, and the last of the `num_switches() + 1` entries is
+    /// the directed edge count. For per-switch side tables laid out like the
+    /// adjacency itself (the incremental engine's per-destination DAG arena).
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Hop weight of circuit `c`.
     #[inline]
     pub fn hop(&self, c: u32) -> u32 {
@@ -152,6 +161,8 @@ mod tests {
             let adj = t.neighbors(SwitchId::from_index(u));
             let csr = g.neighbors(u as u32);
             assert_eq!(adj.len(), csr.len(), "degree of switch {u}");
+            let row = g.offsets()[u] as usize..g.offsets()[u + 1] as usize;
+            assert_eq!(row.len(), csr.len(), "offsets row of switch {u}");
             for (&(c, far), e) in adj.iter().zip(csr) {
                 assert_eq!(e.circuit as usize, c.index());
                 assert_eq!(e.far, far.0);
