@@ -27,20 +27,20 @@
 //! machine-dependent escape hatch; determinism holds whenever the state
 //! budget binds first.
 
-use crate::fleet::{pick_uninvolved_circuit, FleetSim};
+use crate::fleet::{pick_uninvolved_circuit, pick_uninvolved_switch, Drift, FleetSim};
 use crate::flight::{FlightBundle, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-use crate::scenario::{EventKind, ReplanPolicy, Scenario, ScenarioEvent};
+use crate::scenario::{surges, EventKind, ReplanPolicy, Scenario, ScenarioEvent};
 use klotski_core::compact::CompactState;
-use klotski_core::executor::{pick_uninvolved_switch, realized_demand};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::plan::{MigrationPlan, PlanPhase};
-use klotski_core::planner::{AStarPlanner, DpPlanner, PlanStats, Planner, SearchBudget};
+use klotski_core::planner::{PlanStats, SearchBudget};
 use klotski_core::satcheck::{LiveAudit, SatStats};
 use klotski_core::{CostModel, EscMode, PlanError, PlanReplay, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
 use klotski_topology::{presets, CircuitId, NetState, SwitchId};
-use klotski_traffic::{DemandMatrix, SurgeEvent};
+use klotski_traffic::surge::realized_demand;
+use klotski_traffic::DemandMatrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -48,14 +48,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which planner the controller re-invokes on pause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplannerKind {
-    /// The A\* planner (§4.4).
-    AStar,
-    /// The DP planner (§4.3).
-    Dp,
-}
+/// Which planner the controller re-invokes on pause: the core's planner
+/// factory under the name this crate has always exported.
+pub use klotski_core::planner::PlannerKind as ReplannerKind;
 
 /// Controller tunables, independent of any scenario file.
 #[derive(Debug, Clone)]
@@ -399,22 +394,60 @@ struct SafePoint {
     planned: NetState,
 }
 
+/// What [`run`] carries from batch to batch besides the plan cursor: the
+/// growing report, the simulated fleet, the audit checker, the rollback
+/// stack, the flight recorder and the replan budget used. Auditing, freezing
+/// a flight bundle and rolling back all read and write this state, so they
+/// are its methods.
+struct RunLoop<'a> {
+    cfg: &'a ControllerConfig,
+    met: ControllerMetrics,
+    report: ControllerReport,
+    fleet: FleetSim,
+    /// Routes arbitrary observed states from scratch (`audit_live`), so it
+    /// carries neither the ESC cache nor the incremental engine; replan
+    /// searches own those. One checker serves the whole run — every spec
+    /// generation shares the topology.
+    checker: SatChecker,
+    safe_points: Vec<SafePoint>,
+    recorder: FlightRecorder,
+    replans_done: usize,
+}
+
 /// Executes `plan` for `spec` under `cfg`, returning the full run trace.
 /// Deterministic for a fixed `cfg.seed` (see the module docs).
 pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -> ControllerReport {
-    let met = controller_metrics();
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let recorder = FlightRecorder::new(cfg.flight_capacity);
-
-    // The audit checker routes arbitrary observed states from scratch
-    // (`audit_live`), so it carries neither the ESC cache nor the
-    // incremental engine; replan searches own those. One checker serves the
-    // whole run — every spec generation shares the topology.
-    let mut checker = {
-        let mut audit_spec = spec.clone();
-        audit_spec.incremental = false;
-        SatChecker::with_pool(&audit_spec, EscMode::Off, pool.clone())
+    let mut ctl = RunLoop {
+        cfg,
+        met: controller_metrics(),
+        report: ControllerReport {
+            name: spec.name.clone(),
+            completed: false,
+            rolled_back: false,
+            abort_reason: None,
+            steps: Vec::new(),
+            replans: Vec::new(),
+            rollback: None,
+            initial_phases: plan.num_phases(),
+            initial_stats: PlanStats::default(),
+            initial_latency_ms: 0.0,
+            audit_stats: SatStats::default(),
+            flight: None,
+        },
+        fleet: FleetSim::new(spec.initial.clone()),
+        checker: {
+            let mut audit_spec = spec.clone();
+            audit_spec.incremental = false;
+            SatChecker::with_pool(&audit_spec, EscMode::Off, pool.clone())
+        },
+        safe_points: vec![SafePoint {
+            step: None,
+            planned: spec.initial.clone(),
+        }],
+        recorder: FlightRecorder::new(cfg.flight_capacity),
+        replans_done: 0,
     };
     // The lookahead replays *planned* (canonical) states, so it rides an
     // incremental engine — one per spec generation, built on first use and
@@ -423,51 +456,21 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
     // with an engine it makes obsolete.
     let mut lookahead: Option<PlanReplay> = None;
 
-    let mut report = ControllerReport {
-        name: spec.name.clone(),
-        completed: false,
-        rolled_back: false,
-        abort_reason: None,
-        steps: Vec::new(),
-        replans: Vec::new(),
-        rollback: None,
-        initial_phases: plan.num_phases(),
-        initial_stats: PlanStats::default(),
-        initial_latency_ms: 0.0,
-        audit_stats: SatStats::default(),
-        flight: None,
-    };
-
     let mut active = spec.clone();
     let mut pending: Vec<PlanPhase> = plan.phases();
     let mut progress = CompactState::origin(active.num_types());
-    let mut fleet = FleetSim::new(active.initial.clone());
     let base_demands = spec.demands.clone();
-    let surges: Vec<SurgeEvent> = scenario_surges(&cfg.events);
+    let surges = surges(&cfg.events);
     let mut multiplier = 1.0_f64;
     let mut step = 0usize;
-    let mut replans_done = 0usize;
-    let mut safe_points: Vec<SafePoint> = vec![SafePoint {
-        step: None,
-        planned: active.initial.clone(),
-    }];
 
     'run: while let Some(phase) = pending.first().cloned() {
         if cfg.deadline.is_some_and(|d| Instant::now() > d) {
             let reason = format!("step {step}: run deadline exceeded");
-            recorder.note("abort", step, &reason);
-            report.flight = Some(FlightBundle::freeze(
-                &recorder,
-                &report.name,
-                "deadline-abort",
-                step,
-                None,
-                &fleet.drift(&active.topology),
-                replans_done,
-                &cfg.replan,
-                safe_point_steps(&safe_points),
-            ));
-            report.abort_reason = Some(reason);
+            ctl.recorder.note("abort", step, &reason);
+            let drift = ctl.fleet.drift(&active.topology);
+            ctl.freeze("deadline-abort", step, None, &drift, ctl.safe_point_steps());
+            ctl.report.abort_reason = Some(reason);
             break 'run;
         }
 
@@ -488,7 +491,7 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             "canary" = canary,
         );
         for _ in 0..take {
-            active.apply_next(&mut fleet.planned, &progress, phase.kind);
+            active.apply_next(&mut ctl.fleet.planned, &progress, phase.kind);
             progress = progress.advanced(phase.kind);
         }
         if take == total {
@@ -496,22 +499,21 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
         } else {
             pending[0].blocks.drain(..take);
         }
-        met.phases.inc();
+        ctl.met.phases.inc();
 
         // --- The world moves: growth, expiring and newly fired events.
         multiplier *= 1.0 + cfg.demand_growth_per_step;
-        fleet.expire(step);
-        inject_events(&cfg.events, step, &active, &mut fleet, &mut rng);
+        ctl.fleet.expire(step);
+        inject_events(&cfg.events, step, &active, &mut ctl.fleet, &mut rng);
         let realized = realized_demand(&base_demands, multiplier, &surges, step);
 
         // --- Shadow audit: re-derive the actual topology, diff against the
         // plan, re-run the satisfiability check on the real state.
-        let observed = fleet.observed(&active.topology);
-        let drift = fleet.drift(&active.topology);
-        let (audit, ensemble_fail) =
-            ensemble_audit(&mut checker, &active, &met, &observed, &realized);
+        let observed = ctl.fleet.observed(&active.topology);
+        let drift = ctl.fleet.drift(&active.topology);
+        let (audit, ensemble_fail) = ctl.audit(&active, &observed, &realized);
         if !audit.safe {
-            met.audit_failures.inc();
+            ctl.met.audit_failures.inc();
         }
 
         let mut pause_reason: Option<String> = audit.violation();
@@ -521,24 +523,24 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             }
         }
         if pause_reason.is_none() {
-            safe_points.push(SafePoint {
+            ctl.safe_points.push(SafePoint {
                 step: Some(step),
-                planned: fleet.planned.clone(),
+                planned: ctl.fleet.planned.clone(),
             });
             // Lookahead: a world change can leave the *current* state safe
             // but doom a later one; §7.1 replans before walking into it.
             if !pending.is_empty()
                 && !lookahead
                     .get_or_insert_with(|| {
-                        PlanReplay::new(&active, checker.csr().clone(), pool.clone())
+                        PlanReplay::new(&active, ctl.checker.csr().clone(), pool.clone())
                     })
-                    .plan_still_safe(&active, &fleet.planned, &progress, &pending, &realized)
+                    .plan_still_safe(&active, &ctl.fleet.planned, &progress, &pending, &realized)
             {
                 pause_reason = Some("remaining plan unsafe under realized demand".to_string());
             }
         }
 
-        report.steps.push(StepRecord {
+        ctl.report.steps.push(StepRecord {
             step,
             action,
             blocks: take,
@@ -551,97 +553,80 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             pause_reason: pause_reason.clone(),
             ensemble_fail_matrix: ensemble_fail,
         });
-        recorder.step(report.steps.last().expect("just pushed"));
+        ctl.recorder
+            .step(ctl.report.steps.last().expect("just pushed"));
 
         // --- Pause → Replan → (Advance | Rollback).
         if let Some(reason) = pause_reason {
             span.field("outcome", "pause");
-            met.pauses.inc();
+            ctl.met.pauses.inc();
             // Freeze the safe-pause bundle before replanning so it carries
             // the pre-replan budget state; a later rollback overwrites it.
-            report.flight = Some(FlightBundle::freeze(
-                &recorder,
-                &report.name,
+            ctl.freeze(
                 "safe-pause",
                 step,
                 Some(reason.clone()),
                 &drift,
-                replans_done,
-                &cfg.replan,
-                safe_point_steps(&safe_points),
-            ));
-            if replans_done >= cfg.replan.max_replans {
+                ctl.safe_point_steps(),
+            );
+            if ctl.replans_done >= cfg.replan.max_replans {
                 drop(span);
-                rollback(
-                    &mut report,
-                    &met,
-                    &mut checker,
-                    &active,
-                    &mut fleet,
-                    &mut safe_points,
-                    step,
-                    &realized,
-                    format!("{reason}; replan budget exhausted ({replans_done} replans)"),
-                    &recorder,
-                    cfg,
-                    replans_done,
+                let reason = format!(
+                    "{reason}; replan budget exhausted ({} replans)",
+                    ctl.replans_done
                 );
+                ctl.rollback(&active, step, &realized, reason);
                 break 'run;
             }
-            replans_done += 1;
+            ctl.replans_done += 1;
             lookahead = None;
             // Replan from the *observed* state: the residual migration's
             // initial topology carries the live disturbances, so the new
             // plan is safe given the failure, not just given the plan's
-            // beliefs. Demand is the realized matrix.
+            // beliefs. Demand is the realized matrix. The budget is the
+            // policy's: state-bounded for determinism, time and deadline as
+            // machine backstops.
             let residual = active.residual(&progress, observed.clone(), realized.clone());
+            let budget = SearchBudget {
+                max_states: cfg.replan.max_states,
+                time_limit: Duration::from_millis(cfg.replan.time_limit_ms),
+                deadline: cfg.deadline,
+                ..SearchBudget::default()
+            };
             let started = Instant::now();
-            let outcome = make_planner(cfg, pool.clone()).plan(&residual);
+            let outcome = cfg
+                .replanner
+                .build(CostModel::new(cfg.alpha), budget, pool.clone())
+                .plan(&residual)
+                .map_err(|e| deterministic_plan_error(&e));
             let latency = started.elapsed();
-            met.replan_seconds.record(latency);
+            ctl.met.replan_seconds.record(latency);
+            ctl.report.replans.push(ReplanRecord {
+                at_step: step,
+                ok: outcome.is_ok(),
+                phases: outcome.as_ref().map_or(0, |out| out.plan.num_phases()),
+                error: outcome.as_ref().err().cloned(),
+                latency_ms: latency.as_secs_f64() * 1e3,
+                stats: outcome.as_ref().map(|out| out.stats).unwrap_or_default(),
+            });
+            ctl.recorder
+                .replan(ctl.report.replans.last().expect("just pushed"));
             match outcome {
                 Ok(out) => {
-                    met.replans.inc();
-                    report.replans.push(ReplanRecord {
-                        at_step: step,
-                        ok: true,
-                        phases: out.plan.num_phases(),
-                        error: None,
-                        latency_ms: latency.as_secs_f64() * 1e3,
-                        stats: out.stats,
-                    });
-                    recorder.replan(report.replans.last().expect("just pushed"));
+                    ctl.met.replans.inc();
                     active = residual;
                     progress = CompactState::origin(active.num_types());
-                    fleet.planned = active.initial.clone();
+                    ctl.fleet.planned = active.initial.clone();
                     pending = out.plan.phases();
                 }
-                Err(e) => {
-                    met.replan_failures.inc();
-                    let msg = deterministic_plan_error(&e);
-                    report.replans.push(ReplanRecord {
-                        at_step: step,
-                        ok: false,
-                        phases: 0,
-                        error: Some(msg.clone()),
-                        latency_ms: latency.as_secs_f64() * 1e3,
-                        stats: PlanStats::default(),
-                    });
-                    recorder.replan(report.replans.last().expect("just pushed"));
+                Err(msg) => {
+                    ctl.met.replan_failures.inc();
                     drop(span);
-                    rollback(
-                        &mut report,
-                        &met,
-                        &mut checker,
+                    ctl.rollback(
                         &active,
-                        &mut fleet,
-                        &mut safe_points,
                         step,
                         &realized,
                         format!("replanning failed: {msg}"),
-                        &recorder,
-                        cfg,
-                        replans_done,
                     );
                     break 'run;
                 }
@@ -652,6 +637,11 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
         step += 1;
     }
 
+    let RunLoop {
+        mut report,
+        checker,
+        ..
+    } = ctl;
     if report.rollback.is_none() && report.abort_reason.is_none() {
         report.completed = progress.is_target(&active.target_counts);
     }
@@ -659,127 +649,145 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
     report
 }
 
-/// Restores the most recent snapshot that still audits safe under the
-/// current realized world, walking back further when disturbances have
-/// poisoned newer snapshots too.
-#[allow(clippy::too_many_arguments)]
-fn rollback(
-    report: &mut ControllerReport,
-    met: &ControllerMetrics,
-    checker: &mut SatChecker,
-    active: &MigrationSpec,
-    fleet: &mut FleetSim,
-    safe_points: &mut Vec<SafePoint>,
-    at_step: usize,
-    realized: &DemandMatrix,
-    reason: String,
-    recorder: &FlightRecorder,
-    cfg: &ControllerConfig,
-    replans_done: usize,
-) {
-    let mut span = span!("controller.rollback", "at_step" = at_step);
-    met.rollbacks.inc();
-    report.rolled_back = true;
-    // The bundle shows the stack as it stood when the rollback fired, not
-    // whatever the walk leaves behind.
-    let stack = safe_point_steps(safe_points);
-    let mut skipped = 0usize;
-    while let Some(point) = safe_points.pop() {
-        fleet.planned = point.planned.clone();
-        let observed = fleet.observed(&active.topology);
-        let (audit, _) = ensemble_audit(checker, active, met, &observed, realized);
-        if audit.safe || safe_points.is_empty() {
-            span.field("outcome", if audit.safe { "restored" } else { "unsafe" });
-            report.rollback = Some(RollbackRecord {
-                at_step,
-                to_step: point.step,
-                snapshots_skipped: skipped,
-                safe: audit.safe,
-            });
-            recorder.rollback(report.rollback.as_ref().expect("just set"));
-            report.flight = Some(FlightBundle::freeze(
-                recorder,
-                &report.name,
-                "rollback",
-                at_step,
-                Some(reason.clone()),
-                &fleet.drift(&active.topology),
-                replans_done,
-                &cfg.replan,
-                stack,
-            ));
-            report.abort_reason = Some(if audit.safe {
-                reason
-            } else {
-                format!("{reason}; no audited-safe state to roll back to")
-            });
-            return;
+impl RunLoop<'_> {
+    /// Shadow-audits `observed` under the realized demand and — when the
+    /// spec carries a traffic ensemble — under every realized variant, in
+    /// index order, short-circuiting on the first unsafe matrix so the
+    /// decisive matrix is the same at any thread count. Returns the decisive
+    /// audit (the first failing matrix's, or the base audit with
+    /// `max_utilization` lifted to the worst across the ensemble) and the
+    /// failing matrix index (0 = base). Replans are ensemble-aware
+    /// separately: `residual()` re-realizes the spec's ensemble against the
+    /// demand it is seeded with. The lookahead is not:
+    /// `PlanReplay::plan_still_safe` replays the remaining plan under the
+    /// base realized matrix only, so a later state that only a variant
+    /// rejects is caught by this audit when the run reaches it, not ahead of
+    /// time.
+    fn audit(
+        &mut self,
+        spec: &MigrationSpec,
+        observed: &NetState,
+        realized: &DemandMatrix,
+    ) -> (LiveAudit, Option<usize>) {
+        let mut audit = self.audit_one(spec, observed, realized);
+        if !audit.safe {
+            let fail = spec.ensemble.is_some().then_some(0);
+            return (audit, fail);
         }
-        met.audit_failures.inc();
-        skipped += 1;
+        let Some(ens_spec) = &spec.ensemble else {
+            return (audit, None);
+        };
+        // Re-realize from the *realized* demand: growth and surges shift the
+        // base, so the EWMA/surge variants shift with it. The spec's explicit
+        // seed keeps the variants a pure function of (spec, demand).
+        let Ok(ens) = ens_spec.realize(realized) else {
+            return (audit, None);
+        };
+        for (i, variant) in ens.extras().iter().enumerate() {
+            let v = self.audit_one(spec, observed, variant);
+            if !v.safe {
+                return (v, Some(i + 1));
+            }
+            if v.max_utilization > audit.max_utilization {
+                audit.max_utilization = v.max_utilization;
+                audit.worst_circuit = v.worst_circuit;
+            }
+            audit.min_residual_gbps = audit.min_residual_gbps.min(v.min_residual_gbps);
+        }
+        (audit, None)
     }
-}
 
-/// Shadow-audits `observed` under the realized demand and — when the spec
-/// carries a traffic ensemble — under every realized variant, in index
-/// order, short-circuiting on the first unsafe matrix so the decisive
-/// matrix is the same at any thread count. Returns the decisive audit (the
-/// first failing matrix's, or the base audit with `max_utilization` lifted
-/// to the worst across the ensemble) and the failing matrix index
-/// (0 = base). Replans are ensemble-aware separately: `residual()`
-/// re-realizes the spec's ensemble against the demand it is seeded with.
-/// The lookahead is not: `PlanReplay::plan_still_safe` replays the remaining
-/// plan under the base realized matrix only, so a later state that only a
-/// variant rejects is caught by this audit when the run reaches it, not
-/// ahead of time.
-fn ensemble_audit(
-    checker: &mut SatChecker,
-    spec: &MigrationSpec,
-    met: &ControllerMetrics,
-    observed: &NetState,
-    realized: &DemandMatrix,
-) -> (LiveAudit, Option<usize>) {
-    let t_audit = Instant::now();
-    let mut audit = checker.audit_live(spec, observed, realized);
-    met.audit_seconds.record(t_audit.elapsed());
-    met.audits.inc();
-    if !audit.safe {
-        let fail = spec.ensemble.is_some().then_some(0);
-        return (audit, fail);
+    /// One timed, counted `audit_live`.
+    fn audit_one(
+        &mut self,
+        spec: &MigrationSpec,
+        observed: &NetState,
+        demands: &DemandMatrix,
+    ) -> LiveAudit {
+        let started = Instant::now();
+        let audit = self.checker.audit_live(spec, observed, demands);
+        self.met.audit_seconds.record(started.elapsed());
+        self.met.audits.inc();
+        audit
     }
-    let Some(ens_spec) = &spec.ensemble else {
-        return (audit, None);
-    };
-    // Re-realize from the *realized* demand: growth and surges shift the
-    // base, so the EWMA/surge variants shift with it. The spec's explicit
-    // seed keeps the variants a pure function of (spec, demand).
-    let Ok(ens) = ens_spec.realize(realized) else {
-        return (audit, None);
-    };
-    for (i, variant) in ens.extras().iter().enumerate() {
-        let t_audit = Instant::now();
-        let v = checker.audit_live(spec, observed, variant);
-        met.audit_seconds.record(t_audit.elapsed());
-        met.audits.inc();
-        if !v.safe {
-            return (v, Some(i + 1));
-        }
-        if v.max_utilization > audit.max_utilization {
-            audit.max_utilization = v.max_utilization;
-            audit.worst_circuit = v.worst_circuit;
-        }
-        audit.min_residual_gbps = audit.min_residual_gbps.min(v.min_residual_gbps);
-    }
-    (audit, None)
-}
 
-/// Safe-point stack as flight-bundle entries: -1 is the migration's initial
-/// state, other entries the blessing step's index.
-fn safe_point_steps(safe_points: &[SafePoint]) -> Vec<i64> {
-    safe_points
-        .iter()
-        .map(|p| p.step.map(|s| s as i64).unwrap_or(-1))
-        .collect()
+    /// Safe-point stack as flight-bundle entries: -1 is the migration's
+    /// initial state, other entries the blessing step's index.
+    fn safe_point_steps(&self) -> Vec<i64> {
+        self.safe_points
+            .iter()
+            .map(|p| p.step.map(|s| s as i64).unwrap_or(-1))
+            .collect()
+    }
+
+    /// Freezes the recorder's window with the trigger-time diagnostics onto
+    /// the report, replacing any earlier bundle.
+    fn freeze(
+        &mut self,
+        trigger: &str,
+        at_step: usize,
+        violated_constraint: Option<String>,
+        drift: &Drift,
+        safe_point_steps: Vec<i64>,
+    ) {
+        self.report.flight = Some(FlightBundle {
+            name: self.report.name.clone(),
+            trigger: trigger.to_string(),
+            at_step,
+            violated_constraint,
+            drift_circuits: drift.circuits,
+            drift_switches: drift.switches,
+            replans_used: self.replans_done,
+            replan_budget: self.cfg.replan.clone(),
+            safe_point_steps,
+            events: self.recorder.lines(),
+        });
+    }
+
+    /// Restores the most recent snapshot that still audits safe under the
+    /// current realized world, walking back further when disturbances have
+    /// poisoned newer snapshots too.
+    fn rollback(
+        &mut self,
+        active: &MigrationSpec,
+        at_step: usize,
+        realized: &DemandMatrix,
+        reason: String,
+    ) {
+        let mut span = span!("controller.rollback", "at_step" = at_step);
+        self.met.rollbacks.inc();
+        self.report.rolled_back = true;
+        // The bundle shows the stack as it stood when the rollback fired,
+        // not whatever the walk leaves behind.
+        let stack = self.safe_point_steps();
+        let mut skipped = 0usize;
+        while let Some(point) = self.safe_points.pop() {
+            self.fleet.planned = point.planned;
+            let observed = self.fleet.observed(&active.topology);
+            let (audit, _) = self.audit(active, &observed, realized);
+            if audit.safe || self.safe_points.is_empty() {
+                span.field("outcome", if audit.safe { "restored" } else { "unsafe" });
+                let record = RollbackRecord {
+                    at_step,
+                    to_step: point.step,
+                    snapshots_skipped: skipped,
+                    safe: audit.safe,
+                };
+                self.recorder.rollback(&record);
+                self.report.rollback = Some(record);
+                let drift = self.fleet.drift(&active.topology);
+                self.freeze("rollback", at_step, Some(reason.clone()), &drift, stack);
+                self.report.abort_reason = Some(if audit.safe {
+                    reason
+                } else {
+                    format!("{reason}; no audited-safe state to roll back to")
+                });
+                return;
+            }
+            self.met.audit_failures.inc();
+            skipped += 1;
+        }
+    }
 }
 
 /// Formats a planner error without its wall-clock component.
@@ -793,46 +801,6 @@ fn deterministic_plan_error(e: &PlanError) -> String {
         }
         other => other.to_string(),
     }
-}
-
-/// Builds the replanner with the policy's budget (state-bounded for
-/// determinism, time/deadline as machine backstops) over the shared pool.
-fn make_planner(cfg: &ControllerConfig, pool: Arc<WorkerPool>) -> Box<dyn Planner> {
-    let budget = SearchBudget {
-        max_states: cfg.replan.max_states,
-        time_limit: Duration::from_millis(cfg.replan.time_limit_ms),
-        deadline: cfg.deadline,
-        ..SearchBudget::default()
-    };
-    let cost = CostModel::new(cfg.alpha);
-    match cfg.replanner {
-        ReplannerKind::AStar => Box::new(AStarPlanner {
-            cost,
-            budget,
-            pool: Some(pool),
-            ..AStarPlanner::default()
-        }),
-        ReplannerKind::Dp => Box::new(DpPlanner {
-            cost,
-            budget,
-            pool: Some(pool),
-            ..DpPlanner::default()
-        }),
-    }
-}
-
-/// Surge events of a timeline as `klotski-traffic` surges.
-fn scenario_surges(events: &[ScenarioEvent]) -> Vec<SurgeEvent> {
-    events
-        .iter()
-        .filter(|ev| ev.kind == EventKind::Surge)
-        .map(|ev| SurgeEvent {
-            from_step: ev.at_step,
-            until_step: ev.until_step.unwrap_or(usize::MAX),
-            factor: ev.factor,
-            class: ev.class,
-        })
-        .collect()
 }
 
 /// Fires the non-surge events scheduled for `step` into the fleet.
@@ -933,11 +901,7 @@ pub fn run_scenario(
         demand_growth_per_step: scenario.demand_growth_per_step,
         events: scenario.events.clone(),
         replan: scenario.replan.clone(),
-        replanner: if scenario.planner == "dp" {
-            ReplannerKind::Dp
-        } else {
-            ReplannerKind::AStar
-        },
+        replanner: scenario.planner_kind()?,
         alpha: scenario.alpha,
         deadline,
         flight_capacity: DEFAULT_FLIGHT_CAPACITY,
@@ -951,21 +915,9 @@ pub fn run_scenario(
         ..SearchBudget::default()
     };
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
-    let cost = CostModel::new(cfg.alpha);
-    let planner: Box<dyn Planner> = match cfg.replanner {
-        ReplannerKind::AStar => Box::new(AStarPlanner {
-            cost,
-            budget: initial_budget,
-            pool: Some(pool),
-            ..AStarPlanner::default()
-        }),
-        ReplannerKind::Dp => Box::new(DpPlanner {
-            cost,
-            budget: initial_budget,
-            pool: Some(pool),
-            ..DpPlanner::default()
-        }),
-    };
+    let planner = cfg
+        .replanner
+        .build(CostModel::new(cfg.alpha), initial_budget, pool);
     let started = Instant::now();
     let outcome = planner.plan(&spec).map_err(ControllerError::InitialPlan)?;
     let initial_latency = started.elapsed();

@@ -107,25 +107,41 @@ pub struct Drift {
     pub switches: usize,
 }
 
-/// Picks a seeded-random circuit that is usable in `observed` and not
-/// involved in the migration: not listed in any operation block, not
-/// incident to a block's switches, and not incident to a demand endpoint
-/// (failing a rack uplink would trivially void reachability rather than
-/// exercise the network's headroom).
-pub fn pick_uninvolved_circuit(
-    spec: &MigrationSpec,
-    observed: &NetState,
-    rng: &mut SmallRng,
-) -> Option<CircuitId> {
-    let mut involved_switches: HashSet<SwitchId> = spec
+/// Switches the migration or its traffic touches: members of any operation
+/// block and every demand endpoint. Scripted disturbances avoid them —
+/// routine maintenance never touches the migration's own hardware, and
+/// taking down an endpoint rack would trivially void reachability rather
+/// than exercise the network's headroom.
+fn involved_switches(spec: &MigrationSpec) -> HashSet<SwitchId> {
+    let mut involved: HashSet<SwitchId> = spec
         .blocks
         .iter()
         .flat_map(|b| b.switches.iter().copied())
         .collect();
     for d in spec.demands.iter() {
-        involved_switches.insert(d.src);
-        involved_switches.insert(d.dst);
+        involved.insert(d.src);
+        involved.insert(d.dst);
     }
+    involved
+}
+
+/// One seeded-random element of `candidates`, `None` when there is none.
+fn pick<T: Copy>(candidates: &[T], rng: &mut SmallRng) -> Option<T> {
+    if candidates.is_empty() {
+        return None;
+    }
+    Some(candidates[rng.random_range(0..candidates.len())])
+}
+
+/// Picks a seeded-random circuit that is usable in `observed` and not
+/// involved in the migration: not listed in any operation block and not
+/// incident to a block member or a demand endpoint.
+pub fn pick_uninvolved_circuit(
+    spec: &MigrationSpec,
+    observed: &NetState,
+    rng: &mut SmallRng,
+) -> Option<CircuitId> {
+    let involved_switches = involved_switches(spec);
     let involved_circuits: HashSet<CircuitId> = spec
         .blocks
         .iter()
@@ -143,10 +159,23 @@ pub fn pick_uninvolved_circuit(
         })
         .map(|c| c.id)
         .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    Some(candidates[rng.random_range(0..candidates.len())])
+    pick(&candidates, rng)
+}
+
+/// Picks a seeded-random switch that is up in `observed` and neither a
+/// block member nor a demand endpoint — the victim of an external
+/// operation (§7.2, "Simultaneous operations").
+pub fn pick_uninvolved_switch(
+    spec: &MigrationSpec,
+    observed: &NetState,
+    rng: &mut SmallRng,
+) -> Option<SwitchId> {
+    let involved = involved_switches(spec);
+    let candidates: Vec<SwitchId> = observed
+        .switches_up()
+        .filter(|s| !involved.contains(s))
+        .collect();
+    pick(&candidates, rng)
 }
 
 #[cfg(test)]
@@ -218,5 +247,24 @@ mod tests {
                 .collect();
             assert!(!involved.contains(&c));
         }
+    }
+
+    #[test]
+    fn picked_switch_is_up_uninvolved_and_deterministic() {
+        let spec = spec();
+        let mut observed = spec.initial.clone();
+        let draw = |observed: &NetState| {
+            pick_uninvolved_switch(&spec, observed, &mut SmallRng::seed_from_u64(7))
+        };
+        let first = draw(&observed).expect("preset A has uninvolved switches");
+        assert_eq!(draw(&observed), Some(first));
+        assert!(spec.blocks.iter().all(|b| !b.switches.contains(&first)));
+        assert!(spec
+            .demands
+            .iter()
+            .all(|d| d.src != first && d.dst != first));
+        // A switch that is already down is never picked again.
+        observed.drain_switch(&spec.topology, first);
+        assert_ne!(draw(&observed), Some(first));
     }
 }

@@ -21,7 +21,6 @@
 //! [`ControllerReport::fingerprint`]: crate::ControllerReport::fingerprint
 
 use crate::engine::{ReplanRecord, RollbackRecord, StepRecord};
-use crate::fleet::Drift;
 use crate::scenario::ReplanPolicy;
 use klotski_telemetry::{RingSink, Sink};
 use serde::{Deserialize, Map, Serialize, Value};
@@ -158,33 +157,6 @@ pub struct FlightBundle {
 }
 
 impl FlightBundle {
-    /// Freezes `recorder`'s window with the trigger-time diagnostics.
-    #[allow(clippy::too_many_arguments)]
-    pub fn freeze(
-        recorder: &FlightRecorder,
-        name: &str,
-        trigger: &str,
-        at_step: usize,
-        violated_constraint: Option<String>,
-        drift: &Drift,
-        replans_used: usize,
-        replan_budget: &ReplanPolicy,
-        safe_point_steps: Vec<i64>,
-    ) -> Self {
-        Self {
-            name: name.to_string(),
-            trigger: trigger.to_string(),
-            at_step,
-            violated_constraint,
-            drift_circuits: drift.circuits,
-            drift_switches: drift.switches,
-            replans_used,
-            replan_budget: replan_budget.clone(),
-            safe_point_steps,
-            events: recorder.lines(),
-        }
-    }
-
     /// Serializes the bundle as pretty JSON (the `--flight-dump` format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("bundle serializes")
@@ -250,20 +222,18 @@ mod tests {
     fn bundle_round_trips_through_json() {
         let rec = FlightRecorder::new(4);
         rec.note("step", 0, "ok");
-        let bundle = FlightBundle::freeze(
-            &rec,
-            "tight-link-failure",
-            "rollback",
-            2,
-            Some("util 0.9 > theta".into()),
-            &Drift {
-                circuits: 3,
-                switches: 1,
-            },
-            1,
-            &ReplanPolicy::default(),
-            vec![-1, 0, 1],
-        );
+        let bundle = FlightBundle {
+            name: "tight-link-failure".into(),
+            trigger: "rollback".into(),
+            at_step: 2,
+            violated_constraint: Some("util 0.9 > theta".into()),
+            drift_circuits: 3,
+            drift_switches: 1,
+            replans_used: 1,
+            replan_budget: ReplanPolicy::default(),
+            safe_point_steps: vec![-1, 0, 1],
+            events: rec.lines(),
+        };
         let back = FlightBundle::from_json(&bundle.to_json()).unwrap();
         assert_eq!(back, bundle);
         assert!(FlightBundle::from_json("{").is_err());

@@ -13,6 +13,7 @@
 //! batch with the matching step index, which makes a scenario replayable —
 //! the same file and seed always produce the same run.
 
+use klotski_core::planner::PlannerKind;
 use klotski_topology::presets::PresetId;
 use klotski_traffic::{DemandClass, EnsembleSpec, SurgeEvent};
 use serde::{Deserialize, Serialize};
@@ -243,16 +244,16 @@ impl Scenario {
             .ok_or_else(|| ScenarioError(format!("unknown preset {:?}", self.preset)))
     }
 
+    /// Resolves the planner named by `planner`.
+    pub fn planner_kind(&self) -> Result<PlannerKind, ScenarioError> {
+        PlannerKind::parse(&self.planner).map_err(ScenarioError)
+    }
+
     /// Structural validation: known preset/planner, sane windows and
     /// factors.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         self.preset_id()?;
-        if !matches!(self.planner.as_str(), "astar" | "dp") {
-            return Err(ScenarioError(format!(
-                "unknown planner {:?} (expected \"astar\" or \"dp\")",
-                self.planner
-            )));
-        }
+        self.planner_kind()?;
         if let Some(theta) = self.theta {
             if !(theta > 0.0 && theta <= 1.0) {
                 return Err(ScenarioError(format!("theta {theta} out of (0, 1]")));
@@ -328,21 +329,6 @@ impl Scenario {
         Ok(())
     }
 
-    /// The surge events of the timeline as `klotski-traffic` surges, which
-    /// the controller applies with [`klotski_traffic::surge::apply_surges`].
-    pub fn surges(&self) -> Vec<SurgeEvent> {
-        self.events
-            .iter()
-            .filter(|ev| ev.kind == EventKind::Surge)
-            .map(|ev| SurgeEvent {
-                from_step: ev.at_step,
-                until_step: ev.until_step.unwrap_or(usize::MAX),
-                factor: ev.factor,
-                class: ev.class,
-            })
-            .collect()
-    }
-
     /// The scenario shipped with the README quickstart: one mid-migration
     /// east/west surge plus a transient link failure on preset A.
     pub fn sample() -> Self {
@@ -368,6 +354,21 @@ impl Scenario {
     }
 }
 
+/// The surge events of a timeline as `klotski-traffic` surges, which the
+/// controller applies through [`klotski_traffic::surge::realized_demand`].
+pub(crate) fn surges(events: &[ScenarioEvent]) -> Vec<SurgeEvent> {
+    events
+        .iter()
+        .filter(|ev| ev.kind == EventKind::Surge)
+        .map(|ev| SurgeEvent {
+            from_step: ev.at_step,
+            until_step: ev.until_step.unwrap_or(usize::MAX),
+            factor: ev.factor,
+            class: ev.class,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,6 +387,16 @@ mod tests {
         let mut s = Scenario::sample();
         s.preset = "z".to_string();
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn unknown_planner_is_rejected_with_the_front_ends_message() {
+        let mut s = Scenario::sample();
+        s.planner = "sat".to_string();
+        assert_eq!(
+            s.validate().unwrap_err().to_string(),
+            "invalid scenario: unknown planner \"sat\" (expected \"astar\" or \"dp\")"
+        );
     }
 
     #[test]
@@ -468,8 +479,7 @@ mod tests {
 
     #[test]
     fn surges_extracts_only_surge_events() {
-        let s = Scenario::sample();
-        let surges = s.surges();
+        let surges = surges(&Scenario::sample().events);
         assert_eq!(surges.len(), 1);
         assert_eq!(surges[0].from_step, 1);
         assert_eq!(surges[0].until_step, 4);

@@ -2,8 +2,12 @@
 //! under a starved replan budget, and bit-determinism across thread counts.
 
 use klotski_controller::scenario::{ReplanPolicy, ScenarioEvent};
-use klotski_controller::{run_scenario, Scenario};
-use klotski_traffic::EnsembleSpec;
+use klotski_controller::{run, run_scenario, ControllerConfig, Scenario};
+use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
+use klotski_core::planner::{AStarPlanner, Planner};
+use klotski_core::MigrationPlan;
+use klotski_topology::presets::{self, PresetId};
+use klotski_traffic::{DemandClass, EnsembleSpec};
 
 /// Preset A with the utilization bound tightened to 0.62: enough headroom
 /// for the clean plan, but a mid-phase link failure pushes the drained
@@ -14,6 +18,61 @@ fn tight_link_failure_scenario() -> Scenario {
     s.theta = Some(0.62);
     s.events = vec![ScenarioEvent::link_failure(1, None, None)];
     s
+}
+
+/// Preset A's HGRID migration with its A\* plan, for driving [`run`] on a
+/// caller-supplied plan the way `benchmark/`'s staged op and library users
+/// do.
+fn preset_a_plan() -> (MigrationSpec, MigrationPlan) {
+    let spec = MigrationBuilder::hgrid_v1_to_v2(
+        &presets::build(PresetId::A),
+        &MigrationOptions::default(),
+    )
+    .unwrap();
+    let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
+    (spec, plan)
+}
+
+/// What the retired phase-level simulator's unit tests checked, on the
+/// controller: a caller-supplied plan runs one safe step per phase, clean or
+/// under disturbances the headroom absorbs (the lookahead re-checks the
+/// remaining plan after every step and finds it still safe), and routine
+/// maintenance is visible to the audits for exactly as long as it lasts.
+#[test]
+fn supplied_plan_runs_one_safe_step_per_phase_through_absorbed_disturbances() {
+    let (spec, plan) = preset_a_plan();
+    let whole_phases = ControllerConfig {
+        canary_blocks: 0,
+        ..ControllerConfig::default()
+    };
+    let calm = run(&spec, &plan, &whole_phases);
+    assert_eq!(calm.audit_stats.live_audits, calm.steps.len() as u64);
+    let grown = ControllerConfig {
+        demand_growth_per_step: 0.10,
+        ..whole_phases.clone()
+    };
+    let surged = ControllerConfig {
+        events: vec![ScenarioEvent::surge(1, 3, 1.3, Some(DemandClass::RswToRsw))],
+        ..whole_phases.clone()
+    };
+    let maintained = ControllerConfig {
+        events: vec![ScenarioEvent::external_op(0, Some(2), None)],
+        ..whole_phases
+    };
+    for (cfg, drift) in [
+        (&grown, [0, 0, 0, 0]),
+        (&surged, [0, 0, 0, 0]),
+        (&maintained, [1, 1, 0, 0]),
+    ] {
+        let report = run(&spec, &plan, cfg);
+        assert!(report.completed, "abort: {:?}", report.abort_reason);
+        assert!(report.replans.is_empty());
+        assert_eq!(report.steps.len(), plan.num_phases());
+        assert!(report.steps.iter().all(|st| st.safe && !st.canary));
+        assert!(report.steps[1].max_utilization > calm.steps[1].max_utilization);
+        let seen: Vec<usize> = report.steps.iter().map(|st| st.drift_switches).collect();
+        assert_eq!(seen, drift);
+    }
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //!
 //! The Klotski migration planner (SIGCOMM 2023): problem formulation,
 //! search-space pruning, efficient satisfiability checking, and the DP and
-//! A\* planners, plus the plan executor with the operational machinery of
-//! §7 (forecast-driven replanning, failure and surge injection).
+//! A\* planners. The operational loop of §7 (apply a phase, audit the real
+//! network, re-forecast, replan) lives in `klotski-controller`; this crate
+//! gives it the pieces: residual specs, [`SatChecker::audit_live`], the
+//! [`PlanReplay`] lookahead, and the [`PlannerKind`] factory.
 //!
 //! ## The problem (§3)
 //!
@@ -43,7 +45,6 @@ pub mod blocks;
 pub mod compact;
 pub mod cost;
 pub mod error;
-pub mod executor;
 pub mod migration;
 pub mod opex;
 pub mod plan;
@@ -63,7 +64,7 @@ pub use migration::{MigrationBuilder, MigrationOptions, MigrationSpec, Migration
 pub use opex::{OpexModel, OpexReport};
 pub use plan::{MigrationPlan, PlanPhase};
 pub use planner::{
-    AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, SearchBudget,
+    AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
 };
 pub use replay::{validate_and_audit_on, PlanReplay};
 pub use report::{audit_plan, PlanAudit};

@@ -79,7 +79,7 @@ pub struct MigrationOptions {
     /// SSWs on a plane into several operation blocks").
     pub ssw_groups_per_plane: usize,
     /// Traffic-funneling headroom model (§7.2). Disabled by default to match
-    /// the evaluation; the executor examples enable it.
+    /// the evaluation; `tests/operations.rs` enables it.
     pub funneling: FunnelingModel,
     /// Whether to enforce the port constraints (Eq. 6).
     pub check_ports: bool,

@@ -18,10 +18,12 @@ mod dp;
 pub use astar::AStarPlanner;
 pub use dp::DpPlanner;
 
+use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::MigrationPlan;
 use crate::satcheck::{EnsembleBreakdown, SatStats};
+use klotski_parallel::WorkerPool;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -266,6 +268,56 @@ pub trait Planner {
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError>;
 }
 
+/// Which Klotski planner to run. The one place a front end's planner name
+/// (`klotski plan --planner`, `?planner=`, a scenario's `planner` field)
+/// becomes a planner: [`parse`](Self::parse) the name, then
+/// [`build`](Self::build) it over the caller's cost model, budget and pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PlannerKind {
+    /// The A\* planner (§4.4).
+    AStar,
+    /// The DP planner (§4.3).
+    Dp,
+}
+
+impl PlannerKind {
+    /// Resolves a wire name: `astar` (or `a*`) and `dp`. The error is the
+    /// message both front ends show the operator.
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "astar" | "a*" => Ok(Self::AStar),
+            "dp" => Ok(Self::Dp),
+            other => Err(format!(
+                "unknown planner {other:?} (expected \"astar\" or \"dp\")"
+            )),
+        }
+    }
+
+    /// The planner with every other knob at its default (compact ESC,
+    /// admissible heuristic, secondary priority), searching on `pool`.
+    pub fn build(
+        self,
+        cost: CostModel,
+        budget: SearchBudget,
+        pool: Arc<WorkerPool>,
+    ) -> Box<dyn Planner> {
+        match self {
+            Self::AStar => Box::new(AStarPlanner {
+                cost,
+                budget,
+                pool: Some(pool),
+                ..AStarPlanner::default()
+            }),
+            Self::Dp => Box::new(DpPlanner {
+                cost,
+                budget,
+                pool: Some(pool),
+                ..DpPlanner::default()
+            }),
+        }
+    }
+}
+
 /// A shareable cooperative-cancellation flag. Cloning yields another handle
 /// to the same flag; a long-lived owner (e.g. a service request handler)
 /// calls [`cancel`](CancelFlag::cancel) and the planner observes it at its
@@ -395,6 +447,21 @@ mod tests {
         assert_eq!(stats.sat_checks, 10);
         assert_eq!(stats.cache_hits, 4);
         assert_eq!(stats.full_evaluations, 6);
+    }
+
+    #[test]
+    fn planner_kind_parses_the_wire_names_and_nothing_else() {
+        assert_eq!(PlannerKind::parse("astar"), Ok(PlannerKind::AStar));
+        assert_eq!(PlannerKind::parse("a*"), Ok(PlannerKind::AStar));
+        assert_eq!(PlannerKind::parse("dp"), Ok(PlannerKind::Dp));
+        for bad in ["", "DP", "AStar", "sat", "astar "] {
+            assert_eq!(
+                PlannerKind::parse(bad),
+                Err(format!(
+                    "unknown planner {bad:?} (expected \"astar\" or \"dp\")"
+                ))
+            );
+        }
     }
 
     #[test]

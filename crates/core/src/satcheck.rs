@@ -156,11 +156,6 @@ pub struct EnsembleMatrixStat {
 }
 
 impl EnsembleBreakdown {
-    /// True when this checker runs a K>1 ensemble.
-    pub fn is_ensemble(&self) -> bool {
-        self.matrices.len() > 1
-    }
-
     fn record(&mut self, k: usize, wall: Duration, kill: bool) {
         let row = &mut self.matrices[k];
         row.checks += 1;

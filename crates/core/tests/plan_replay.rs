@@ -11,7 +11,6 @@
 //!   `PlanAudit` the scalar loop `audit_plan` used to run produced: base
 //!   matrix, loads read before funneling headroom is applied.
 
-use klotski_core::executor::realized_demand;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::plan::{validate_plan, MigrationPlan, PlanPhase};
 use klotski_core::planner::{AStarPlanner, Planner};
@@ -25,6 +24,7 @@ use klotski_routing::{
 };
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::NetState;
+use klotski_traffic::surge::realized_demand;
 use klotski_traffic::{DemandClass, DemandMatrix, SurgeEvent};
 use proptest::prelude::*;
 use std::sync::{Arc, LazyLock};

@@ -64,13 +64,6 @@ pub struct PlanRequestOptions {
     /// cancelled once it expires. Defaults to the service-wide deadline.
     #[serde(default)]
     pub deadline_ms: Option<u64>,
-    /// Delta-aware incremental satisfiability toggle (default on). Results
-    /// are bit-identical either way; this only trades evaluation speed.
-    #[serde(default)]
-    pub incremental: Option<bool>,
-    /// Entry cap for the evaluated-state cache (FIFO eviction beyond it).
-    #[serde(default)]
-    pub esc_cache_cap: Option<usize>,
     /// Traffic-ensemble specification: plan so every checked state is safe
     /// under all K realized matrices (base forecast + EWMA/surge variants).
     /// Absent means single-matrix planning, exactly as before.
@@ -82,9 +75,7 @@ impl PlanRequestOptions {
     /// Digest of the *plan-affecting* options. `deadline_ms` is excluded:
     /// it bounds how long the service may search, never which plan a
     /// finished search returns, so requests differing only in deadline
-    /// share a cache entry. `incremental` and `esc_cache_cap` are excluded
-    /// for the same reason: both are evaluation-speed knobs whose verdicts
-    /// (and hence plans) are bit-identical across settings.
+    /// share a cache entry.
     pub fn digest(&self) -> u64 {
         let mut canonical = format!(
             "theta={:?};alpha={:?};planner={:?}",
@@ -277,16 +268,15 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(base.digest(), with_deadline.digest());
-        let with_speed_knobs = PlanRequestOptions {
-            incremental: Some(false),
-            esc_cache_cap: Some(64),
-            ..base.clone()
-        };
-        assert_eq!(
-            base.digest(),
-            with_speed_knobs.digest(),
-            "speed knobs never change the plan, so they share a cache entry"
-        );
+        // Options JSON from before the speed knobs left the wire (journal
+        // admits, stored client requests) still parses, to the same key.
+        let with_retired_knobs: PlanRequestOptions = serde_json::from_str(
+            r#"{"theta":null,"alpha":null,"planner":null,"deadline_ms":null,
+                "incremental":false,"esc_cache_cap":64,"ensemble":null}"#,
+        )
+        .unwrap();
+        assert_eq!(with_retired_knobs, base);
+        assert_eq!(base.digest(), with_retired_knobs.digest());
         let with_theta = PlanRequestOptions {
             theta: Some(0.8),
             ..base.clone()

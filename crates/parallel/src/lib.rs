@@ -166,11 +166,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine: `std::thread::available_parallelism()`.
-    pub fn with_available_parallelism() -> Self {
-        Self::new(default_lanes())
-    }
-
     /// A reference-counted pool with `lanes` lanes, for callers that share
     /// one pool across many jobs (every `run` epoch is independent, so a
     /// pool outliving any single job is safe by construction).

@@ -158,30 +158,17 @@ impl EcmpRouter {
     ) -> RouteOutcome {
         let mut mask = std::mem::take(&mut self.mask);
         mask.compute(topo, state);
-        let outcome = self.route_with_mask(topo, state, &mask, matrix, loads);
+        let mut outcome = RouteOutcome::new();
+        self.route_with_mask_into(topo, state, &mask, matrix, loads, &mut outcome);
         self.mask = mask;
         outcome
     }
 
     /// Like [`route`](Self::route) with a precomputed usable-circuit mask
-    /// (which must match `state`). Callers that evaluate one state under
-    /// several matrices compute the mask once.
-    pub fn route_with_mask(
-        &mut self,
-        topo: &Topology,
-        state: &NetState,
-        mask: &UsableMask,
-        matrix: &DemandMatrix,
-        loads: &mut LoadMap,
-    ) -> RouteOutcome {
-        let mut outcome = RouteOutcome::new();
-        self.route_with_mask_into(topo, state, mask, matrix, loads, &mut outcome);
-        outcome
-    }
-
-    /// Like [`route_with_mask`](Self::route_with_mask), but writes into a
-    /// caller-held `outcome` buffer (cleared first) so repeated evaluations
-    /// do not reallocate the unreachable list.
+    /// (which must match `state`) — callers that evaluate one state under
+    /// several matrices compute the mask once — writing into a caller-held
+    /// `outcome` buffer (cleared first) so repeated evaluations do not
+    /// reallocate the unreachable list.
     pub fn route_with_mask_into(
         &mut self,
         topo: &Topology,

@@ -125,34 +125,18 @@ pub fn summarize(
     }
 }
 
-/// Returns the factor by which `demands` can be scaled so that the maximum
-/// utilization of (`topo`, `state`) becomes exactly `target`.
+/// Returns the factor by which the demands behind `loads` can be scaled so
+/// that the maximum utilization of (`topo`, `state`) over the circuits
+/// selected by `filter` becomes exactly `target`.
 ///
 /// ECMP loads are linear in the demand rates, so the factor is simply
-/// `target / max_utilization`. Presets use this to pin the initial world at
-/// a chosen fraction of θ, which is how we reproduce the paper's utilization
-/// sweeps (Figure 12) without production traffic data.
-///
-/// # Panics
-/// Panics if any demand is unreachable or no traffic is routed (the factor
-/// would be meaningless).
-pub fn scale_to_target_utilization(
-    topo: &Topology,
-    state: &NetState,
-    demands: &DemandMatrix,
-    target: f64,
-) -> f64 {
-    let mut loads = LoadMap::new(topo);
-    let route = EcmpRouter::new(topo).route(topo, state, demands, &mut loads);
-    scale_from_routed(topo, state, &route, &loads, target, |_| true)
-}
-
-/// [`scale_to_target_utilization`] from loads the caller already routed
-/// (`loads`, with outcome `route`, under whatever split policy it chose),
-/// with the maximum taken only over circuits selected by `filter`. Migration
+/// `target / max_utilization`. `loads` (with outcome `route`) are whatever
+/// the caller already routed, under the split policy it chose. Migration
 /// specs use this to pin the utilization of the layer being migrated (e.g.
-/// the FA layer), independent of how hot the untouched fabric below happens
-/// to be, and go on sizing capacities from the same loads.
+/// the FA layer) at a chosen fraction of θ, independent of how hot the
+/// untouched fabric below happens to be — which is how we reproduce the
+/// paper's utilization sweeps (Figure 12) without production traffic data —
+/// and go on sizing capacities from the same loads.
 ///
 /// # Panics
 /// Panics if any demand is unreachable, or if no selected circuit carries
@@ -214,6 +198,13 @@ mod tests {
         .collect()
     }
 
+    /// Routes `demands` and calibrates over every circuit.
+    fn calibrate(topo: &Topology, state: &NetState, demands: &DemandMatrix, target: f64) -> f64 {
+        let mut loads = LoadMap::new(topo);
+        let route = EcmpRouter::new(topo).route(topo, state, demands, &mut loads);
+        scale_from_routed(topo, state, &route, &loads, target, |_| true)
+    }
+
     #[test]
     fn utilization_uses_worst_circuit() {
         let (t, s, d, _c0, c1) = twolink();
@@ -267,7 +258,7 @@ mod tests {
         let (t, s, d, _, _) = twolink();
         let state = NetState::all_up(&t);
         let m = demand(s, d, 60.0);
-        let factor = scale_to_target_utilization(&t, &state, &m, 0.5);
+        let factor = calibrate(&t, &state, &m, 0.5);
         let scaled = m.scaled(factor);
         let out = evaluate(&t, &state, &scaled, 0.75);
         assert!((out.report.max_utilization - 0.5).abs() < 1e-9);
@@ -280,7 +271,7 @@ mod tests {
         let mut state = NetState::all_up(&t);
         state.set_circuit(c0, false);
         state.set_circuit(c1, false);
-        scale_to_target_utilization(&t, &state, &demand(s, d, 10.0), 0.5);
+        calibrate(&t, &state, &demand(s, d, 10.0), 0.5);
     }
 
     #[test]

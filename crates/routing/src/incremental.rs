@@ -98,18 +98,6 @@ pub struct IncrementalStats {
     pub extra_replays: u64,
 }
 
-impl IncrementalStats {
-    /// Fraction of destination advances that reused the structure unchanged.
-    pub fn clean_rate(&self) -> f64 {
-        let total = self.clean_destinations + self.dirty_destinations;
-        if total == 0 {
-            0.0
-        } else {
-            self.clean_destinations as f64 / total as f64
-        }
-    }
-}
-
 /// `klotski_routing_incremental_*` registry handles, resolved once.
 #[derive(Debug)]
 struct IncrMetrics {
@@ -422,11 +410,6 @@ impl IncrementalRouter {
     /// Number of destination groups tracked.
     pub fn num_destinations(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True once a priming evaluation/rebase has populated the cache.
-    pub fn is_primed(&self) -> bool {
-        self.primed
     }
 
     /// Effort totals since construction.

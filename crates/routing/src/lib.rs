@@ -24,8 +24,7 @@
 //! - [`funneling`]: the traffic-funneling stress factor (§2.2, §7.2);
 //! - [`incremental`]: delta-aware re-routing that caches per-destination
 //!   routing structure across nearby states and fans dirty destinations out
-//!   over a [`klotski_parallel::WorkerPool`], bit-identical to from-scratch;
-//! - [`reachability`]: standalone reachability queries.
+//!   over a [`klotski_parallel::WorkerPool`], bit-identical to from-scratch.
 
 pub mod ecmp;
 pub mod evaluate;
@@ -33,16 +32,13 @@ pub mod funneling;
 pub mod incremental;
 pub mod loads;
 pub mod mask;
-pub mod reachability;
 
 pub use ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 pub use evaluate::{
-    evaluate, evaluate_policy, evaluate_with, scale_from_routed, scale_to_target_utilization,
-    SafetyOutcome, UtilizationReport,
+    evaluate, evaluate_policy, evaluate_with, scale_from_routed, SafetyOutcome, UtilizationReport,
 };
 pub use funneling::FunnelingModel;
 pub use incremental::{usability_toggles, IncrementalRouter, IncrementalStats};
 pub use klotski_topology::{CsrEdge, CsrGraph};
 pub use loads::LoadMap;
 pub use mask::UsableMask;
-pub use reachability::{component_size, is_reachable};

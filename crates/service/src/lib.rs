@@ -56,6 +56,7 @@ use klotski_npd::Npd;
 use klotski_parallel::{default_lanes, WorkerPool};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -383,6 +384,11 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Runs one job to its terminal state. A panic anywhere under the job (a
+/// planner bug, a poisoned document) is caught here and settled as a `500`
+/// like any other failure, so it costs its submitters an error — never the
+/// daemon a worker, a coalesced follower its answer, or a restart a crash
+/// loop over the journaled admit.
 fn run_job(shared: &Arc<Shared>, queued: &QueuedJob, pool: &Arc<WorkerPool>) {
     // Tag this thread with the job's stream id: every trace line the job
     // emits (planner progress, controller phases, the job span itself)
@@ -394,37 +400,50 @@ fn run_job(shared: &Arc<Shared>, queued: &QueuedJob, pool: &Arc<WorkerPool>) {
         "job" = queued.job.id,
     );
     queued.job.set_running();
-    match &queued.work {
+    let unwound = catch_unwind(AssertUnwindSafe(|| match &queued.work {
         Work::Plan { npd, options, key } => {
-            run_plan_job(shared, queued, &mut span, pool, npd, options, *key)
+            let result = run_plan_job(shared, queued, pool, npd, options, *key);
+            settle_plan_job(shared, queued, &mut span, *key, result);
         }
         Work::Run {
             scenario,
             deadline_ms,
         } => run_scenario_job(shared, queued, &mut span, scenario, *deadline_ms),
+    }));
+    let Err(panic) = unwound else { return };
+    let why = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".into());
+    let message = format!("internal error: job panicked: {why}");
+    match &queued.work {
+        Work::Plan { key, .. } => {
+            settle_plan_job(shared, queued, &mut span, *key, Err((500, message)))
+        }
+        Work::Run { .. } => {
+            shared.metrics.run_outcome("failed").inc();
+            fail_job(shared, queued, &mut span, 500, message);
+        }
     }
 }
+
+/// How a plan/audit job ended: the artifact and whether this job planned it
+/// (`false`: a same-key job's artifact was already cached), or the HTTP
+/// status and message to fail with.
+type PlanJobResult = Result<(Arc<PlanArtifact>, bool), (u16, String)>;
 
 fn run_plan_job(
     shared: &Arc<Shared>,
     queued: &QueuedJob,
-    span: &mut klotski_telemetry::SpanGuard,
     pool: &Arc<WorkerPool>,
     npd: &Npd,
     options: &PlanRequestOptions,
     key: (u64, u64),
-) {
+) -> PlanJobResult {
     // A same-key job may have finished while this one sat queued.
     if let Some(hit) = shared.cache.get(key) {
-        if let Some(state) = &shared.state {
-            state.settled(key); // the cached artifact is already journaled
-        }
-        shared.metrics.jobs_completed.inc();
-        shared.metrics.latency.record(queued.job.admitted.elapsed());
-        settle_inflight(shared, key, &queued.job);
-        queued.job.complete(JobOutput::Plan(hit));
-        span.field("outcome", "cached");
-        return;
+        return Ok((hit, false));
     }
     let mut budget = SearchBudget::default();
     if let Some(d) = job_deadline(shared, options.deadline_ms) {
@@ -432,18 +451,13 @@ fn run_plan_job(
         budget = budget.with_deadline(queued.job.admitted + d);
     }
     shared.metrics.pipeline_executions.inc();
+    #[cfg(test)]
+    tests::injected_fault(shared, key);
     match plan_document_keyed(npd, options, key, budget, Some(Arc::clone(pool))) {
         Ok(artifact) => {
             let artifact = Arc::new(artifact);
             shared.cache.insert(key, Arc::clone(&artifact));
-            if let Some(state) = &shared.state {
-                state.artifact(key, &artifact, || shared.cache.snapshot());
-            }
-            shared.metrics.jobs_completed.inc();
-            shared.metrics.latency.record(queued.job.admitted.elapsed());
-            settle_inflight(shared, key, &queued.job);
-            queued.job.complete(JobOutput::Plan(artifact));
-            span.field("outcome", "done");
+            Ok((artifact, true))
         }
         Err(e) => {
             let status = match &e {
@@ -452,14 +466,39 @@ fn run_plan_job(
                 PipelineError::Plan(_) => 422,
                 PipelineError::Internal(_) => 500,
             };
-            // Failures are terminal, not retried: clear the admit so a
-            // restart does not re-run a deterministically failing job.
-            if let Some(state) = &shared.state {
-                state.settled(key);
-            }
-            settle_inflight(shared, key, &queued.job);
-            fail_job(shared, queued, span, status, e.to_string());
+            Err((status, e.to_string()))
         }
+    }
+}
+
+/// The one exit of a plan/audit job: resolve the journaled admit, release
+/// the singleflight slot, count, and publish to every waiter — in that
+/// order, so nothing observes a finished job whose key is still in flight.
+fn settle_plan_job(
+    shared: &Arc<Shared>,
+    queued: &QueuedJob,
+    span: &mut klotski_telemetry::SpanGuard,
+    key: (u64, u64),
+    result: PlanJobResult,
+) {
+    if let Some(state) = &shared.state {
+        match &result {
+            Ok((artifact, true)) => state.artifact(key, artifact, || shared.cache.snapshot()),
+            // A cached artifact is already journaled; a failure is terminal,
+            // not retried: clear the admit so a restart does not re-run a
+            // deterministically failing (or panicking) job.
+            Ok((_, false)) | Err(_) => state.settled(key),
+        }
+    }
+    settle_inflight(shared, key, &queued.job);
+    match result {
+        Ok((artifact, planned)) => {
+            shared.metrics.jobs_completed.inc();
+            shared.metrics.latency.record(queued.job.admitted.elapsed());
+            queued.job.complete(JobOutput::Plan(artifact));
+            span.field("outcome", if planned { "done" } else { "cached" });
+        }
+        Err((status, message)) => fail_job(shared, queued, span, status, message),
     }
 }
 
@@ -735,24 +774,6 @@ fn options_from_query(request: &Request) -> Result<PlanRequestOptions, String> {
                         .parse()
                         .map_err(|_| format!("bad deadline_ms {value:?}"))?,
                 )
-            }
-            "incremental" => {
-                options.incremental = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad incremental {value:?}"))?,
-                )
-            }
-            "esc_cache_cap" => {
-                // Rejected here, not just in the pipeline: a warm plan cache
-                // would otherwise answer before the pipeline ever validates.
-                let cap: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad esc_cache_cap {value:?}"))?;
-                if cap == 0 {
-                    return Err("esc_cache_cap must be at least 1".into());
-                }
-                options.esc_cache_cap = Some(cap)
             }
             "ensemble" => {
                 // CLI shorthand `K@SEED`; full specs (custom α ladder /
@@ -1054,6 +1075,24 @@ mod tests {
         region_to_npd(&presets::config(PresetId::A))
             .to_json_pretty()
             .unwrap()
+    }
+
+    /// NPD digest whose plan job panics on its worker; 0 = disarmed. Keyed
+    /// by document so concurrently running tests never trip it.
+    static PANIC_ON_NPD_DIGEST: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    /// The `#[cfg(test)]` fault hook `run_plan_job` calls before planning.
+    /// The panic waits for a duplicate submission to coalesce onto the job,
+    /// so the follower is attached by construction rather than by timing.
+    pub(super) fn injected_fault(shared: &Shared, key: (u64, u64)) {
+        if key.0 != PANIC_ON_NPD_DIGEST.load(Ordering::SeqCst) {
+            return;
+        }
+        let patience = Instant::now() + Duration::from_secs(20);
+        while shared.metrics.coalesce_followers.get() == 0 && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("injected planner fault");
     }
 
     fn request(addr: SocketAddr, head: &str, body: &str) -> (u16, Vec<(String, String)>, String) {
@@ -1735,6 +1774,115 @@ mod tests {
             "{text}"
         );
 
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn panicking_job_fails_its_waiters_and_spares_the_worker() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            sync_wait: Duration::from_secs(30),
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+
+        // A document only this test submits, armed to panic its planner.
+        let mut doomed = region_to_npd(&presets::config(PresetId::A));
+        doomed.name = "panic-containment".into();
+        PANIC_ON_NPD_DIGEST.store(klotski_npd::npd_digest(&doomed), Ordering::SeqCst);
+        let doomed = doomed.to_json_pretty().unwrap();
+
+        // Two identical synchronous submissions: one leads, one coalesces
+        // onto the leader's job. Both must be answered, with the 500.
+        let mut roles = Vec::new();
+        std::thread::scope(|scope| {
+            let submit = || request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &doomed);
+            let handles = [scope.spawn(submit), scope.spawn(submit)];
+            for handle in handles {
+                let (status, headers, body) = handle.join().unwrap();
+                assert_eq!(status, 500, "{body}");
+                let err: ErrorResponse = serde_json::from_str(&body).unwrap();
+                assert!(err.error.contains("panicked"), "{}", err.error);
+                roles.push(header(&headers, "x-klotski-coalesce").unwrap().to_string());
+            }
+        });
+        roles.sort();
+        assert_eq!(roles, ["follower", "leader"]);
+
+        // The failure is counted, the worker is idle again, and the key has
+        // left the singleflight table.
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        assert!(text.contains("klotski_jobs_failed_total 1"), "{text}");
+        assert!(service.shared.inflight.lock().unwrap().is_empty());
+        // (The gauge drops just after the waiters wake, hence the poll.)
+        let patience = Instant::now() + Duration::from_secs(10);
+        while service.shared.workers_busy.load(Ordering::Relaxed) != 0 {
+            assert!(Instant::now() < patience, "worker still counted busy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The daemon's only worker survived: the next job completes.
+        let (status, _, body) =
+            request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &small_npd_json());
+        assert_eq!(status, 200, "{body}");
+
+        // The admit was settled: a restart has nothing to re-run (no crash
+        // loop over the poisoned document).
+        service.shutdown();
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        assert!(replay.pending.is_empty(), "{:?}", replay.pending);
+        assert_eq!(replay.artifacts.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn admit_journaled_by_the_previous_release_replays_and_plans() {
+        // The admit record as the parent commit wrote it: the options object
+        // still carries the two speed knobs that have since left the wire.
+        let dir = std::env::temp_dir().join(format!("klotski-serve-compat-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.name = "journal-compat".into();
+        let key = (
+            klotski_npd::npd_digest(&npd),
+            PlanRequestOptions::default().digest(),
+        );
+        let npd = npd.to_json_pretty().unwrap();
+        let payload = format!(
+            r#"{{"op":"admit","key":"{:016x}:{:016x}","kind":"plan","npd":{},"options":{{"theta":null,"alpha":null,"planner":null,"deadline_ms":null,"incremental":null,"esc_cache_cap":null,"ensemble":null}},"artifact":null}}"#,
+            key.0,
+            key.1,
+            serde_json::to_string(&npd).unwrap(),
+        );
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&klotski_npd::api::fnv1a(payload.as_bytes()).to_le_bytes());
+        frame.extend_from_slice(payload.as_bytes());
+        std::fs::write(dir.join("journal.log"), frame).unwrap();
+
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        // The same document either follows the replayed job or hits the
+        // artifact it left in the cache; it never plans a second time.
+        let (status, _, body) = request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 200, "{body}");
+        assert!(!Npd::from_json(&body).unwrap().phases.is_empty());
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        assert!(text.contains("klotski_state_replayed_jobs 1"), "{text}");
+        assert!(
+            text.contains("klotski_pipeline_executions_total 1"),
+            "{text}"
+        );
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@
 //! as the response body.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions};
-use klotski_core::planner::{AStarPlanner, DpPlanner, Planner, SearchBudget};
+use klotski_core::planner::{PlannerKind, SearchBudget};
 use klotski_core::report::PlanAudit;
 use klotski_core::{validate_and_audit_on, CostModel, PlanError};
 use klotski_npd::api::{digest_hex, npd_digest, AuditResponse, PlanRequestOptions, PlanSummary};
@@ -111,7 +111,7 @@ impl PipelineError {
 /// Parses and bounds-checks the request options into planner inputs.
 fn resolve_options(
     options: &PlanRequestOptions,
-) -> Result<(MigrationOptions, CostModel, bool), PipelineError> {
+) -> Result<(MigrationOptions, CostModel, PlannerKind), PipelineError> {
     let mut mig = MigrationOptions::default();
     if let Some(theta) = options.theta {
         if !(theta > 0.0 && theta <= 1.0) {
@@ -127,17 +127,6 @@ fn resolve_options(
             "alpha {alpha} outside [0, 1]"
         )));
     }
-    if let Some(incremental) = options.incremental {
-        mig.incremental = incremental;
-    }
-    if let Some(cap) = options.esc_cache_cap {
-        if cap == 0 {
-            return Err(PipelineError::Invalid(
-                "esc_cache_cap must be at least 1".into(),
-            ));
-        }
-        mig.esc_cache_cap = cap;
-    }
     if let Some(ensemble) = &options.ensemble {
         // Fail the request up front (4xx) instead of deep in spec
         // construction; realization against the topology can still fail
@@ -147,16 +136,9 @@ fn resolve_options(
             .map_err(|e| PipelineError::Invalid(format!("ensemble: {e}")))?;
         mig.ensemble = Some(ensemble.clone());
     }
-    let use_dp = match options.planner.as_deref() {
-        None | Some("astar") | Some("a*") => false,
-        Some("dp") => true,
-        Some(other) => {
-            return Err(PipelineError::Invalid(format!(
-                "unknown planner {other:?} (expected \"astar\" or \"dp\")"
-            )))
-        }
-    };
-    Ok((mig, CostModel { alpha }, use_dp))
+    let planner = PlannerKind::parse(options.planner.as_deref().unwrap_or("astar"))
+        .map_err(PipelineError::Invalid)?;
+    Ok((mig, CostModel { alpha }, planner))
 }
 
 /// Plans the migration an NPD document implies and attaches the phases.
@@ -191,7 +173,7 @@ pub fn plan_document_keyed(
     pool: Option<Arc<WorkerPool>>,
 ) -> Result<PlanArtifact, PipelineError> {
     let _span = klotski_telemetry::span!("pipeline.plan", "npd" = npd.name.as_str());
-    let (mig_options, cost, use_dp) = resolve_options(options)?;
+    let (mig_options, cost, planner) = resolve_options(options)?;
     let cfg = npd_to_region(npd).map_err(|e| PipelineError::Invalid(e.to_string()))?;
     let (topology, handles) = build_region(&cfg);
     let preset_like = Preset {
@@ -205,29 +187,8 @@ pub fn plan_document_keyed(
     // One pool for the search and the validation replay.
     let pool = pool.unwrap_or_else(|| Arc::new(WorkerPool::new(spec.threads)));
 
-    let (outcome, planner_name) = if use_dp {
-        let planner = DpPlanner {
-            cost,
-            budget,
-            pool: Some(Arc::clone(&pool)),
-            ..DpPlanner::default()
-        };
-        (
-            planner.plan(&spec).map_err(PipelineError::Plan)?,
-            planner.name(),
-        )
-    } else {
-        let planner = AStarPlanner {
-            cost,
-            budget,
-            pool: Some(Arc::clone(&pool)),
-            ..AStarPlanner::default()
-        };
-        (
-            planner.plan(&spec).map_err(PipelineError::Plan)?,
-            planner.name(),
-        )
-    };
+    let planner = planner.build(cost, budget, Arc::clone(&pool));
+    let outcome = planner.plan(&spec).map_err(PipelineError::Plan)?;
 
     let audit = validate_and_audit_on(&spec, &outcome.plan, pool)
         .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?;
@@ -244,7 +205,7 @@ pub fn plan_document_keyed(
         name: spec.name.clone(),
         npd_digest: digest_hex(key.0),
         options_digest: digest_hex(key.1),
-        planner: planner_name.to_string(),
+        planner: planner.name().to_string(),
         cost: outcome.cost,
         phases: outcome.plan.num_phases(),
         steps,

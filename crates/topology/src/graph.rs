@@ -89,17 +89,6 @@ impl Topology {
         self.switches.iter().filter(move |s| s.role == role)
     }
 
-    /// All switches with the given role and generation, in id order.
-    pub fn switches_by_role_gen(
-        &self,
-        role: SwitchRole,
-        generation: Generation,
-    ) -> impl Iterator<Item = &Switch> + '_ {
-        self.switches
-            .iter()
-            .filter(move |s| s.role == role && s.generation == generation)
-    }
-
     /// Circuits whose endpoints are exactly `{a, b}` (there may be several
     /// parallel circuits between a pair).
     pub fn circuits_between(&self, a: SwitchId, b: SwitchId) -> Vec<CircuitId> {

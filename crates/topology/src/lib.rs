@@ -31,8 +31,6 @@
 pub mod bitset;
 pub mod circuit;
 pub mod csr;
-pub mod dc;
-pub mod dot;
 pub mod error;
 pub mod fabric;
 pub mod graph;

@@ -77,19 +77,9 @@ impl RegionHandles {
             .unwrap_or_default()
     }
 
-    /// All v1 SSWs, as `[dc][plane][i]` flattened.
-    pub fn ssw_v1_switches(&self) -> Vec<SwitchId> {
-        self.fabrics.iter().flat_map(|f| f.all_ssws()).collect()
-    }
-
     /// All v2 SSWs flattened (empty if absent).
     pub fn ssw_v2_switches(&self) -> Vec<SwitchId> {
         self.ssw_v2.iter().flatten().flatten().copied().collect()
-    }
-
-    /// All v1 FAUUs flattened.
-    pub fn fauu_v1_switches(&self) -> Vec<SwitchId> {
-        self.hgrid_v1.fauus.iter().flatten().copied().collect()
     }
 }
 

@@ -3,7 +3,7 @@
 //! §7.1 of the paper: "we run the forecast after each migration step
 //! [and] re-run the migration planning with the updated demand". A
 //! forecaster looks at a traffic history and predicts the level over the
-//! next migration step; the executor scales the base demand matrix by the
+//! next migration step; the operator scales the base demand matrix by the
 //! predicted level before replanning.
 
 use crate::history::TrafficHistory;
@@ -94,42 +94,6 @@ impl Forecaster for EwmaForecaster {
     }
 }
 
-/// Seasonal naive: predicts the value observed one season (default a week)
-/// before the target day.
-#[derive(Debug, Clone)]
-pub struct SeasonalNaiveForecaster {
-    /// Season length in days.
-    pub period: usize,
-}
-
-impl Default for SeasonalNaiveForecaster {
-    fn default() -> Self {
-        Self { period: 7 }
-    }
-}
-
-impl Forecaster for SeasonalNaiveForecaster {
-    fn forecast(&self, history: &TrafficHistory, horizon: usize) -> f64 {
-        assert!(self.period > 0, "season length must be positive");
-        let s = history.samples();
-        // Target index = len-1+horizon; step back whole seasons until we land
-        // inside the history.
-        let target = s.len() - 1 + horizon;
-        let mut idx = target;
-        while idx >= s.len() {
-            if idx < self.period {
-                return s[idx % s.len().min(self.period).max(1)];
-            }
-            idx -= self.period;
-        }
-        s[idx]
-    }
-
-    fn name(&self) -> &'static str {
-        "seasonal-naive"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,15 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn seasonal_naive_repeats_last_week() {
-        let h = TrafficHistory::from_samples((0..28).map(|d| (d % 7) as f64).collect());
-        let f = SeasonalNaiveForecaster::default();
-        // Horizon 1 lands on weekday (27+1)%7 = 0.
-        assert_eq!(f.forecast(&h, 1), 0.0);
-        assert_eq!(f.forecast(&h, 3), 2.0);
-    }
-
-    #[test]
     fn forecasters_track_synthetic_growth_within_tolerance() {
         let cfg = HistoryConfig {
             noise_std: 0.005,
@@ -224,9 +179,7 @@ mod tests {
         let names = [
             LinearTrendForecaster::default().name(),
             EwmaForecaster::default().name(),
-            SeasonalNaiveForecaster::default().name(),
         ];
-        let set: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(set.len(), 3);
+        assert_ne!(names[0], names[1]);
     }
 }

@@ -103,7 +103,7 @@ impl TrafficHistory {
         *self.samples.last().expect("non-empty by construction")
     }
 
-    /// Appends an observed day (executor feeds realized traffic back in
+    /// Appends an observed day (operators feed realized traffic back in
     /// between migration steps).
     pub fn observe(&mut self, value: f64) {
         assert!(

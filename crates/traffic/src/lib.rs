@@ -15,7 +15,7 @@
 //!   forecasters the deployment experience (§7.1) calls for — demand is
 //!   re-forecast after each migration step because migrations last months;
 //! - [`surge`]: unexpected traffic-surge events (§7.2, the warm-storage
-//!   backup incident) for executor fault injection.
+//!   backup incident) and the realized demand the controller audits against.
 
 pub mod demand;
 pub mod ensemble;
@@ -26,7 +26,7 @@ pub mod surge;
 
 pub use demand::{Demand, DemandClass, DemandMatrix};
 pub use ensemble::{matrix_digest, EnsembleError, EnsembleSpec, TrafficEnsemble};
-pub use forecast::{EwmaForecaster, Forecaster, LinearTrendForecaster, SeasonalNaiveForecaster};
+pub use forecast::{EwmaForecaster, Forecaster, LinearTrendForecaster};
 pub use generator::{generate, DemandGenConfig};
 pub use history::{HistoryConfig, TrafficHistory};
 pub use surge::SurgeEvent;

@@ -3,7 +3,7 @@
 //! "In one incident, warm storage decided to change its backup placement
 //! strategy during a network migration. That caused days of traffic spikes."
 //! Surge events multiply the rate of one demand class (or all classes) for a
-//! window of migration steps; the executor injects them to exercise the
+//! window of migration steps; the controller injects them to exercise the
 //! replanning path.
 
 use crate::demand::{DemandClass, DemandMatrix};
@@ -70,6 +70,19 @@ pub fn apply_surges(matrix: &DemandMatrix, surges: &[SurgeEvent], step: usize) -
         out = s.apply(&out, step);
     }
     out
+}
+
+/// The demand the fleet actually carries at `step`: the planning matrix
+/// scaled by accumulated organic growth, with every surge active at `step`
+/// applied on top. The controller and the lookahead's oracle test both
+/// simulate the world through this one function.
+pub fn realized_demand(
+    base: &DemandMatrix,
+    growth_multiplier: f64,
+    surges: &[SurgeEvent],
+    step: usize,
+) -> DemandMatrix {
+    apply_surges(&base.scaled(growth_multiplier), surges, step)
 }
 
 #[cfg(test)]

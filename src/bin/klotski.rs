@@ -56,7 +56,7 @@ impl CliError {
             message: "usage:\n  klotski presets\n  klotski export <preset> <out.json>\n  \
                  klotski plan <npd.json> [-o out.json] [--planner astar|dp] \
                  [--theta X] [--alpha X] [--trace out.jsonl] [--stats] \
-                 [--no-incremental] [--esc-cache-cap N] [--ensemble K@SEED]\n  \
+                 [--ensemble K@SEED]\n  \
                  klotski audit <preset>\n  \
                  klotski run --scenario <file> [-o report.json] [--deadline-ms N] \
                  [--flight-dump DIR] [--trace out.jsonl]\n  \
@@ -197,8 +197,6 @@ fn cmd_plan(mut args: Vec<String>) -> Result<(), CliError> {
         alpha: take_flag(&mut args, "--alpha")?,
         planner: take_flag(&mut args, "--planner")?,
         deadline_ms: take_flag(&mut args, "--deadline-ms")?,
-        incremental: take_switch(&mut args, "--no-incremental").then_some(false),
-        esc_cache_cap: take_flag(&mut args, "--esc-cache-cap")?,
         ensemble,
     };
     let out = take_flag::<String>(&mut args, "-o")?;

@@ -1,8 +1,8 @@
 //! End-to-end integration: preset topology → migration spec → every planner
-//! → independent plan validation → simulated execution.
+//! → independent plan validation → execution by the controller.
 
 use klotski::baselines::{JanusPlanner, MrcPlanner};
-use klotski::core::executor::{execute, ExecutorConfig};
+use klotski::controller::{run, ControllerConfig};
 use klotski::core::migration::{MigrationBuilder, MigrationOptions, MigrationType};
 use klotski::core::plan::validate_plan;
 use klotski::core::planner::{AStarPlanner, DpPlanner, Planner};
@@ -63,12 +63,18 @@ fn every_preset_plans_and_validates_with_astar() {
 #[test]
 fn planned_migration_executes_cleanly() {
     let spec = spec(PresetId::B);
-    let planner = AStarPlanner::default();
-    let plan = planner.plan(&spec).unwrap().plan;
-    let report = execute(&spec, &plan, &planner, &ExecutorConfig::default());
+    let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
+    // Whole phases (no canary split): one audited step per planned phase.
+    let cfg = ControllerConfig {
+        canary_blocks: 0,
+        ..ControllerConfig::default()
+    };
+    let report = run(&spec, &plan, &cfg);
     assert!(report.completed, "{:?}", report.abort_reason);
-    assert!(report.phases.iter().all(|p| p.safe));
-    assert_eq!(report.phases.len(), plan.num_phases());
+    assert!(report.replans.is_empty() && report.flight.is_none());
+    assert!(report.steps.iter().all(|st| st.safe));
+    assert_eq!(report.steps.len(), plan.num_phases());
+    assert_eq!(report.audit_stats.live_audits, report.steps.len() as u64);
 }
 
 #[test]

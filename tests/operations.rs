@@ -1,14 +1,14 @@
-//! Operational-pipeline integration: executor fault injection, replanning,
-//! forecasting, and the NPD interface.
+//! Operational-pipeline integration: the controller's run loop under
+//! scripted disturbances, replanning, and the NPD interface.
 
-use klotski::core::executor::{execute, ExecutorConfig};
+use klotski::controller::{run, ControllerConfig, ReplanPolicy, ScenarioEvent};
 use klotski::core::migration::{MigrationBuilder, MigrationOptions};
 use klotski::core::planner::{AStarPlanner, Planner};
 use klotski::npd::convert::{attach_plan, npd_to_topology, region_to_npd};
 use klotski::npd::Npd;
 use klotski::routing::FunnelingModel;
 use klotski::topology::presets::{self, PresetId};
-use klotski::traffic::{DemandClass, SurgeEvent};
+use klotski::traffic::DemandClass;
 
 fn plan_and_spec(
     id: PresetId,
@@ -23,73 +23,89 @@ fn plan_and_spec(
     (spec, plan)
 }
 
+/// +25 %/step organic growth on preset A — past the bound after one phase
+/// — applied in whole phases (`canary_blocks: 0`: one step per phase).
+fn heavy_growth() -> ControllerConfig {
+    ControllerConfig {
+        canary_blocks: 0,
+        demand_growth_per_step: 0.25,
+        ..ControllerConfig::default()
+    }
+}
+
 #[test]
 fn executor_survives_compound_failures() {
+    // Everything §7.2 lists at once: organic growth, a surge, two
+    // maintenance windows on uninvolved switches and a link failure.
     let (spec, plan) = plan_and_spec(PresetId::B);
-    let cfg = ExecutorConfig {
+    let cfg = ControllerConfig {
         seed: 9,
-        failure_prob: 0.3,
-        max_retries: 20,
-        demand_growth_per_phase: 0.01,
-        surges: vec![SurgeEvent::on_class(0, 2, 1.1, DemandClass::RswToEbb)],
-        external_maintenance_prob: 0.5,
-        replan_on_violation: true,
+        canary_blocks: 0,
+        demand_growth_per_step: 0.01,
+        events: vec![
+            ScenarioEvent::surge(0, 2, 1.1, Some(DemandClass::RswToEbb)),
+            ScenarioEvent::external_op(0, Some(2), None),
+            ScenarioEvent::link_failure(1, Some(3), None),
+            ScenarioEvent::external_op(2, Some(3), None),
+        ],
+        ..ControllerConfig::default()
     };
-    let report = execute(&spec, &plan, &AStarPlanner::default(), &cfg);
-    assert!(
-        report.completed || report.abort_reason.is_some(),
-        "executor must terminate decisively"
-    );
-    if report.completed {
-        assert!(!report.phases.is_empty());
-    }
+    let report = run(&spec, &plan, &cfg);
+    assert!(report.completed, "abort: {:?}", report.abort_reason);
+    assert!(!report.rolled_back);
+    assert_eq!(report.steps.len(), plan.num_phases());
+    assert!(report.steps.iter().all(|st| st.safe), "{:?}", report.steps);
+    // The audits judged the disturbed fleet, not the plan's beliefs.
+    let drift: Vec<usize> = report.steps.iter().map(|st| st.drift_switches).collect();
+    assert_eq!(drift, [1, 1, 1, 0]);
+    assert!(report.steps[1].drift_circuits > report.steps[0].drift_circuits);
 }
 
 #[test]
 fn heavy_growth_forces_replanning_or_explicit_abort() {
     let (spec, plan) = plan_and_spec(PresetId::A);
-    let cfg = ExecutorConfig {
-        demand_growth_per_phase: 0.25,
-        ..ExecutorConfig::default()
-    };
-    let report = execute(&spec, &plan, &AStarPlanner::default(), &cfg);
-    // Under +25%/phase something must give: either the plan is revised or
-    // execution stops with an infeasibility reason.
-    assert!(report.replans > 0 || report.abort_reason.is_some() || report.completed);
+    let report = run(&spec, &plan, &heavy_growth());
+    // The first phase already audits over the bound: the controller pauses
+    // there, replans the residual migration under the realized demand, and
+    // finishes on the revised plan.
+    let pause = &report.steps[0];
+    assert!(!pause.safe && pause.paused);
+    assert!(
+        pause.pause_reason.as_deref().unwrap().contains("theta"),
+        "{:?}",
+        pause.pause_reason
+    );
+    assert_eq!(report.replans.len(), 1);
+    assert!(report.replans[0].ok && report.replans[0].phases > 0);
+    assert!(report.completed, "abort: {:?}", report.abort_reason);
+    assert!(report.steps[1..].iter().all(|st| st.safe && !st.paused));
 }
 
 #[test]
 fn replanning_disabled_aborts_instead() {
     let (spec, plan) = plan_and_spec(PresetId::A);
-    let with = execute(
-        &spec,
-        &plan,
-        &AStarPlanner::default(),
-        &ExecutorConfig {
-            demand_growth_per_phase: 0.25,
-            replan_on_violation: true,
-            ..ExecutorConfig::default()
+    let cfg = ControllerConfig {
+        replan: ReplanPolicy {
+            max_replans: 0,
+            ..ReplanPolicy::default()
         },
+        ..heavy_growth()
+    };
+    let without = run(&spec, &plan, &cfg);
+    // With no replan budget the pause the test above replans out of becomes
+    // a rollback to the last audited-safe state (here the migration's
+    // initial one), with a reason that names the exhausted budget.
+    assert!(!without.completed && without.rolled_back);
+    assert!(without.replans.is_empty());
+    assert_eq!(without.steps.len(), 1);
+    let reason = without.abort_reason.as_deref().unwrap();
+    assert!(
+        reason.contains("replan budget exhausted (0 replans)"),
+        "{reason}"
     );
-    let without = execute(
-        &spec,
-        &plan,
-        &AStarPlanner::default(),
-        &ExecutorConfig {
-            demand_growth_per_phase: 0.25,
-            replan_on_violation: false,
-            ..ExecutorConfig::default()
-        },
-    );
-    // If the growth invalidated the plan, disabling replanning must turn
-    // the revision into an abort.
-    if with.replans > 0 {
-        assert!(!without.completed);
-        assert!(without
-            .abort_reason
-            .unwrap()
-            .contains("replanning disabled"));
-    }
+    let rollback = without.rollback.as_ref().unwrap();
+    assert!(rollback.safe);
+    assert_eq!(rollback.to_step, None);
 }
 
 #[test]
