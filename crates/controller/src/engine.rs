@@ -35,7 +35,9 @@ use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec}
 use klotski_core::plan::{MigrationPlan, PlanPhase};
 use klotski_core::planner::{PlanStats, SearchBudget};
 use klotski_core::satcheck::{LiveAudit, SatStats};
-use klotski_core::{CostModel, EscMode, PlanError, PlanReplay, SatChecker};
+use klotski_core::{
+    CostModel, EscMode, LookaheadTrip, PlanError, PlanReplay, SatChecker, TripCause,
+};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
 use klotski_topology::{presets, CircuitId, NetState, SwitchId};
@@ -325,6 +327,10 @@ struct ControllerMetrics {
     replans: Arc<Counter>,
     replan_failures: Arc<Counter>,
     rollbacks: Arc<Counter>,
+    /// Pending states the lookahead judged from its headroom memo alone.
+    lookahead_bound: Arc<Counter>,
+    /// Engine sweeps the lookahead ran: memo fills and exact sweeps.
+    lookahead_swept: Arc<Counter>,
     /// Log-linear (p999-resolving) — replan tails are the long-horizon
     /// latency story.
     replan_seconds: Arc<LogLinearHistogram>,
@@ -364,6 +370,10 @@ fn controller_metrics() -> ControllerMetrics {
             "Rollbacks to the last audited-safe snapshot.",
         ),
         (
+            "klotski_controller_lookahead_states_total",
+            "Pending plan states the lookahead judged, by how: from the headroom bound or by an engine sweep.",
+        ),
+        (
             "klotski_controller_replan_seconds",
             "Replanning latency (successful and failed attempts).",
         ),
@@ -382,6 +392,8 @@ fn controller_metrics() -> ControllerMetrics {
         replans: reg.counter("klotski_controller_replans_total"),
         replan_failures: reg.counter("klotski_controller_replan_failures_total"),
         rollbacks: reg.counter("klotski_controller_rollbacks_total"),
+        lookahead_bound: reg.counter("klotski_controller_lookahead_states_total{how=\"bound\"}"),
+        lookahead_swept: reg.counter("klotski_controller_lookahead_states_total{how=\"swept\"}"),
         replan_seconds: reg.loglinear("klotski_controller_replan_seconds"),
         audit_seconds: reg.loglinear("klotski_controller_audit_seconds"),
     }
@@ -450,10 +462,12 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
         replans_done: 0,
     };
     // The lookahead replays *planned* (canonical) states, so it rides an
-    // incremental engine — one per spec generation, built on first use and
-    // dropped before every replan: a residual spec re-bases the canonical
-    // overlay, and the replanner's own checker should not share the heap
-    // with an engine it makes obsolete.
+    // incremental engine and remembers each state's headroom under the
+    // planning matrix — one replay per spec generation, built on first use
+    // and dropped before every replan: a residual spec re-bases the
+    // canonical overlay (and with it every memo key), and the replanner's
+    // own checker should not share the heap with an engine it makes
+    // obsolete.
     let mut lookahead: Option<PlanReplay> = None;
 
     let mut active = spec.clone();
@@ -529,14 +543,21 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             });
             // Lookahead: a world change can leave the *current* state safe
             // but doom a later one; §7.1 replans before walking into it.
-            if !pending.is_empty()
-                && !lookahead
+            if !pending.is_empty() {
+                let verdict = lookahead
                     .get_or_insert_with(|| {
                         PlanReplay::new(&active, ctl.checker.csr().clone(), pool.clone())
                     })
-                    .plan_still_safe(&active, &ctl.fleet.planned, &progress, &pending, &realized)
-            {
-                pause_reason = Some("remaining plan unsafe under realized demand".to_string());
+                    .lookahead(&active, &ctl.fleet.planned, &progress, &pending, &realized);
+                ctl.met.lookahead_bound.add(verdict.bound as u64);
+                ctl.met.lookahead_swept.add(verdict.swept as u64);
+                span.field("lookahead_bound", verdict.bound);
+                span.field("lookahead_swept", verdict.swept);
+                if let Some(trip) = &verdict.trip {
+                    ctl.recorder
+                        .note("lookahead", step, &describe_trip(&active, trip));
+                    pause_reason = Some("remaining plan unsafe under realized demand".to_string());
+                }
             }
         }
 
@@ -659,10 +680,11 @@ impl RunLoop<'_> {
     /// failing matrix index (0 = base). Replans are ensemble-aware
     /// separately: `residual()` re-realizes the spec's ensemble against the
     /// demand it is seeded with. The lookahead is not:
-    /// `PlanReplay::plan_still_safe` replays the remaining plan under the
-    /// base realized matrix only, so a later state that only a variant
-    /// rejects is caught by this audit when the run reaches it, not ahead of
-    /// time.
+    /// `PlanReplay::lookahead` judges the remaining plan under the base
+    /// realized matrix only (from each state's planning-matrix headroom
+    /// where the rescaling bound decides, by an exact sweep where it does
+    /// not), so a later state that only a variant rejects is caught by this
+    /// audit when the run reaches it, not ahead of time.
     fn audit(
         &mut self,
         spec: &MigrationSpec,
@@ -788,6 +810,38 @@ impl RunLoop<'_> {
             skipped += 1;
         }
     }
+}
+
+/// The flight-recorder line for a lookahead trip: which pending state, how
+/// far ahead, and the constraint it breaks — deterministic, like every
+/// recorded field.
+fn describe_trip(spec: &MigrationSpec, trip: &LookaheadTrip) -> String {
+    let cause = match &trip.cause {
+        TripCause::Unreachable { demands } => format!("{demands} demands unreachable"),
+        TripCause::OverTheta {
+            utilization,
+            circuit,
+        } => {
+            let on = circuit.map_or_else(String::new, |c| {
+                let topo = &spec.topology;
+                let ends = topo.circuit(c);
+                format!(
+                    " on {c} ({} <-> {})",
+                    topo.switch(ends.a).name,
+                    topo.switch(ends.b).name
+                )
+            });
+            format!(
+                "utilization {utilization:.4}{on} above theta {}",
+                spec.theta
+            )
+        }
+    };
+    format!(
+        "state {:?}, {} blocks ahead: {cause}",
+        trip.state.counts(),
+        trip.blocks_ahead
+    )
 }
 
 /// Formats a planner error without its wall-clock component.

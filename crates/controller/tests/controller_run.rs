@@ -6,6 +6,7 @@ use klotski_controller::{run, run_scenario, ControllerConfig, Scenario};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::MigrationPlan;
+use klotski_telemetry::{bus, parse_line, registry, tag_stream, Record};
 use klotski_topology::presets::{self, PresetId};
 use klotski_traffic::{DemandClass, EnsembleSpec};
 
@@ -398,6 +399,12 @@ fn shipped_example_scenario_matches_the_builtin_sample() {
 /// moved onto the incremental engine. Every verdict, pause reason and routed
 /// utilization of a run is behind its hash, so a lookahead (or audit) that
 /// answers differently anywhere in these timelines fails here.
+///
+/// Beside the storm's pin, the work its lookahead took, read off the run's
+/// own `controller.phase` spans (a tagged bus stream: tests running beside
+/// this one cannot leak into the sums). Three plan generations judge 590
+/// pending states; the headroom memo answers all but 88 sweeps' worth (86
+/// fills, 2 exact). A lookahead that stops using the memo sweeps ~590.
 #[test]
 fn shipped_scenarios_keep_their_fingerprints() {
     for (file, fingerprint) in [
@@ -411,13 +418,70 @@ fn shipped_scenarios_keep_their_fingerprints() {
         );
         let json = std::fs::read_to_string(&path).expect("example scenario file exists");
         let scenario = Scenario::from_json(&json).expect("example scenario parses");
-        let report = run_scenario(&scenario, None).expect("scenario runs");
+        let counted_before = lookahead_counters();
+        let stream = bus().next_stream_id();
+        let spans = bus().subscribe(stream, 4096);
+        let report = {
+            let _tag = tag_stream(stream);
+            run_scenario(&scenario, None).expect("scenario runs")
+        };
         assert_eq!(
             format!("{:016x}", report.fingerprint()),
             format!("{fingerprint:016x}"),
             "{file}"
         );
+
+        let (mut bound, mut swept) = (0u64, 0u64);
+        while let Some(line) = spans.try_recv() {
+            if let Ok(Record::Span { name, fields, .. }) = parse_line(&line) {
+                if name == "controller.phase" {
+                    let field = |key| fields.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+                    bound += field("lookahead_bound") as u64;
+                    swept += field("lookahead_swept") as u64;
+                }
+            }
+        }
+        assert_eq!(spans.dropped(), 0, "{file}: span queue overflowed");
+        assert!(bound + swept > 0, "{file}: the lookahead ran");
+        // The registry is process-wide, so other tests may add to it; this
+        // run's share must be in there.
+        let counted = lookahead_counters();
+        assert!(
+            counted.0 - counted_before.0 >= bound && counted.1 - counted_before.1 >= swept,
+            "{file}: registry {counted_before:?} -> {counted:?}, spans ({bound}, {swept})"
+        );
+        if file == "storm_preset_c" {
+            assert!(
+                swept <= 100 && bound >= 450,
+                "storm lookahead: {bound} states from the memo, {swept} sweeps"
+            );
+            // Both pauses of the storm are lookahead pauses, and the frozen
+            // bundle says which state and circuit tripped it.
+            let bundle = report.flight.as_ref().expect("the storm pauses");
+            let note = bundle
+                .events
+                .iter()
+                .rfind(|e| e.contains("\"kind\":\"lookahead\""))
+                .expect("a lookahead pause leaves a note");
+            assert!(
+                note.contains("blocks ahead") && note.contains(" <-> ") && note.contains("theta"),
+                "{note}"
+            );
+        }
     }
+}
+
+/// The process-wide `klotski_controller_lookahead_states_total` pair,
+/// `(bound, swept)`.
+fn lookahead_counters() -> (u64, u64) {
+    let get = |how: &str| {
+        registry()
+            .counter(&format!(
+                "klotski_controller_lookahead_states_total{{how=\"{how}\"}}"
+            ))
+            .get()
+    };
+    (get("bound"), get("swept"))
 }
 
 #[test]

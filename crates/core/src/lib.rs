@@ -66,7 +66,7 @@ pub use plan::{MigrationPlan, PlanPhase};
 pub use planner::{
     AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
 };
-pub use replay::{validate_and_audit_on, PlanReplay};
+pub use replay::{validate_and_audit_on, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause};
 pub use report::{audit_plan, PlanAudit};
 pub use satcheck::{EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, SatChecker};
 pub use space::SpaceModel;

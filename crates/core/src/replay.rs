@@ -18,8 +18,10 @@
 //!   search that produced the plan — and the audit reads each phase-end
 //!   record off the state that check just routed.
 //! - [`PlanReplay`] is the lookahead: it keeps one engine alive across the
-//!   steps of a run and re-sweeps the pending suffix under each step's
-//!   realized demand.
+//!   steps of a run, sweeps each canonical state once under the planning
+//!   matrix (the *headroom memo*), and judges the pending suffix under each
+//!   step's realized demand from that memo wherever a rescaling bound
+//!   decides — the exact sweep runs only for the states it cannot.
 
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
@@ -32,6 +34,7 @@ use klotski_routing::{
 };
 use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Give up on delta derivation beyond this many blocks of compact-state
@@ -199,11 +202,131 @@ impl ChainRouter {
     }
 }
 
+/// Relative slack `δ` of the headroom bound in [`PlanReplay::lookahead`]:
+/// a state is cleared from the memo only when `u · k · (1 + δ) ≤ θ`.
+///
+/// Why the bound is exact. The load sweep (`sweep_entry`) computes every
+/// slot as a tree of floating-point additions of non-negatives and
+/// multiplications/divisions by positive constants (ECMP `/ len`, WCMP
+/// `* w / Σw`), so in exact arithmetic a slot is `L(r) = Σ aᵢ·rᵢ` with
+/// `aᵢ ≥ 0` fixed by the routing structure — linear and monotone in every
+/// rate — and, with no cancellation anywhere, the computed value satisfies
+/// `L(r)·(1 − γ) ≤ fl L(r) ≤ L(r)·(1 + γ)`, `γ ≤ N·ε` for the `N`
+/// operations on the longest chain feeding the slot. With
+/// `k = maxᵢ fl(rᵢ / pᵢ)` every realized rate obeys `rᵢ ≤ k·pᵢ·(1 + ε)`,
+/// hence
+///
+/// `fl L(r) ≤ (1 + γ)·L(r) ≤ (1 + γ)(1 + ε)·k·L(p) ≤ k · fl L(p) · (1 + 2γ + 2ε)`.
+///
+/// Dividing by the capacity, taking the maximum over circuits and forming
+/// `u · k · (1 + δ)` add a handful of roundings more. `N` is bounded by the
+/// additions into one slot or inflow cell (destinations + sources + in-degree)
+/// times the path depth — under 10⁶ at preset E — so the total relative
+/// error is below `2·10⁶·ε + 8ε < 3·10⁻¹⁰ < δ`. (Underflow to subnormals
+/// adds an absolute 10⁻³⁰⁰ at most, immaterial against any θ.) The slack
+/// costs nothing but work: a state within 10⁻⁹ of θ takes the exact sweep.
+/// `plan_replay.rs::headroom_bound_dominates_the_sweep` measures the real
+/// error three orders of magnitude inside `δ`.
+const HEADROOM_SLACK: f64 = 1e-9;
+
+/// What one sweep of a canonical state under the planning matrix
+/// (`spec.demands`) leaves in the headroom memo.
+#[derive(Debug, Clone, Copy)]
+struct Headroom {
+    /// Max circuit utilization under the planning matrix.
+    max_utilization: f64,
+    /// Demands with no live path. Eq. 4 does not depend on rates —
+    /// `sweep_entry` flags a source by `dist` and `switch_up` only — so this
+    /// count holds under every matrix with the spec's endpoints.
+    unreachable_demands: usize,
+}
+
+/// Which matrix's rates the engine's base column holds.
+#[derive(Debug, PartialEq)]
+enum Loaded {
+    /// `spec.demands`: what the engine is built over and memo fills sweep.
+    Planning,
+    /// The `realized` matrix of the lookahead call in progress.
+    Realized,
+    /// An earlier call's realized matrix.
+    Stale,
+}
+
+/// Why the lookahead rejected a pending state.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TripCause {
+    /// Eq. 4: this many demands have no live path in the state.
+    Unreachable {
+        /// Count of unreachable demands.
+        demands: usize,
+    },
+    /// Eq. 5: the exact sweep under the realized matrix put a circuit over θ.
+    OverTheta {
+        /// Max circuit utilization of the state under the realized matrix.
+        utilization: f64,
+        /// The circuit attaining it.
+        circuit: Option<CircuitId>,
+    },
+}
+
+/// The first pending state the lookahead found unsafe.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LookaheadTrip {
+    /// Compact vector of the rejected state.
+    pub state: CompactState,
+    /// Blocks between the current state and the rejected one (1 = the next
+    /// block to apply).
+    pub blocks_ahead: usize,
+    /// The violated constraint.
+    pub cause: TripCause,
+}
+
+/// One lookahead call's verdict and the work it took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LookaheadVerdict {
+    /// The first unsafe pending state; `None` when the remaining plan is
+    /// still safe.
+    pub trip: Option<LookaheadTrip>,
+    /// Pending states judged from the headroom memo alone.
+    pub bound: usize,
+    /// Engine sweeps: memo fills plus exact sweeps of the states the bound
+    /// could not clear.
+    pub swept: usize,
+}
+
+/// `k = maxᵢ realized[i].gbps / planned[i].gbps`, the factor by which the
+/// realized matrix exceeds the planning one anywhere: ∞ when a demand
+/// planned at 0 carries traffic, NaN (which clears no bound) on a NaN rate.
+///
+/// # Panics
+/// Panics unless the two matrices share one `(src, dst, class)` sequence.
+fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
+    const SHARED: &str = "the realized matrix must share the base demand endpoints";
+    assert_eq!(planned.len(), realized.len(), "{SHARED}");
+    let mut k = 0.0_f64;
+    for (p, r) in planned.iter().zip(realized.iter()) {
+        assert_eq!((p.src, p.dst, p.class), (r.src, r.dst, r.class), "{SHARED}");
+        let ratio = if r.gbps == 0.0 {
+            0.0
+        } else if p.gbps > 0.0 {
+            r.gbps / p.gbps
+        } else {
+            f64::INFINITY
+        };
+        // Not `f64::max`: a NaN must stick.
+        if ratio > k || ratio.is_nan() {
+            k = ratio;
+        }
+    }
+    k
+}
+
 /// The §7.1 lookahead: re-checks a pending plan suffix against realized
 /// demand on one long-lived incremental engine.
 ///
 /// One replay serves one spec generation: every state it routes must be a
-/// canonical overlay of the `spec` it was built for. A replan produces a new
+/// canonical overlay of the `spec` it was built for, and its headroom memo
+/// is keyed by compact vector under that spec. A replan produces a new
 /// residual spec (new initial state, re-indexed blocks), so drop the replay
 /// before replanning and build a fresh one for the new plan — which also
 /// keeps its engine from sitting in memory beside the replanner's own.
@@ -213,6 +336,11 @@ pub struct PlanReplay {
     chain: ChainRouter,
     loads: LoadMap,
     outcome: RouteOutcome,
+    /// Headroom memo: one planning-matrix sweep per canonical state. A
+    /// compact vector fixes its canonical state, hence its routing
+    /// structure, so an entry serves any chain of the spec that visits it.
+    headroom: HashMap<CompactState, Headroom>,
+    loaded: Loaded,
 }
 
 impl PlanReplay {
@@ -226,18 +354,31 @@ impl PlanReplay {
             pool,
             loads: LoadMap::new(&spec.topology),
             outcome: RouteOutcome::new(),
+            headroom: HashMap::new(),
+            loaded: Loaded::Planning,
         }
     }
 
-    /// Eq. 4–5 outcome of `(v, state)` under the engine's current base
-    /// rates — what `klotski_routing::evaluate_with` reports for the same
-    /// state and matrix, bit for bit.
+    /// Eq. 4–5 outcome of `(v, state)` under `realized`, or under the
+    /// planning matrix `spec.demands` when there is none (the engine's base
+    /// rates are overwritten only when it holds another matrix) — what
+    /// `klotski_routing::evaluate_with` reports for the same state and
+    /// matrix, bit for bit.
     fn evaluate(
         &mut self,
         spec: &MigrationSpec,
         v: &CompactState,
         state: &NetState,
+        realized: Option<&DemandMatrix>,
     ) -> SafetyOutcome {
+        let (which, demands) = match realized {
+            Some(realized) => (Loaded::Realized, realized),
+            None => (Loaded::Planning, &spec.demands),
+        };
+        if self.loaded != which {
+            self.chain.engine_mut().set_base_rates(demands);
+            self.loaded = which;
+        }
         self.chain.route(
             &self.pool,
             spec,
@@ -254,13 +395,96 @@ impl PlanReplay {
     }
 
     /// Replays the `pending` phases from `(progress, state)` under the
-    /// `realized` demand; true iff every intermediate state keeps every
-    /// demand reachable (Eq. 4) and every circuit within θ (Eq. 5). Ports,
-    /// funneling headroom, space and ensemble variants are not part of the
-    /// lookahead: the shadow audit judges those when the run gets there.
+    /// `realized` demand: the remaining plan is safe iff every intermediate
+    /// state keeps every demand reachable (Eq. 4) and every circuit within θ
+    /// (Eq. 5). Ports, funneling headroom, space and ensemble variants are
+    /// not part of the lookahead: the shadow audit judges those when the run
+    /// gets there.
     ///
-    /// `realized` must share `spec.demands`' `(src, dst, class)` sequence —
-    /// growth and surges only rescale rates.
+    /// Each pending state is judged from its headroom-memo entry — filled by
+    /// one sweep under `spec.demands` the first time the replay meets the
+    /// state — and `k`, the largest realized/planned rate ratio: a state
+    /// with an unreachable demand is unsafe under any rates; one with
+    /// `u · k · (1 + δ) ≤ θ` is safe without touching the engine (see
+    /// [`HEADROOM_SLACK`]); any other state is swept under `realized`
+    /// itself, and that verdict stands. The answer is therefore the one a
+    /// sweep of every pending state would give; what the memo saves is the
+    /// sweeps. Worst case (every state inside the margin, or `k = ∞`): one
+    /// memo fill per state per replay on top of the exact sweeps.
+    ///
+    /// # Panics
+    /// Panics unless `realized` shares `spec.demands`' `(src, dst, class)`
+    /// sequence — growth and surges only rescale rates.
+    pub fn lookahead(
+        &mut self,
+        spec: &MigrationSpec,
+        state: &NetState,
+        progress: &CompactState,
+        pending: &[PlanPhase],
+        realized: &DemandMatrix,
+    ) -> LookaheadVerdict {
+        let k = demand_ratio(&spec.demands, realized);
+        if self.loaded == Loaded::Realized {
+            self.loaded = Loaded::Stale;
+        }
+        let mut verdict = LookaheadVerdict {
+            trip: None,
+            bound: 0,
+            swept: 0,
+        };
+        let mut s = state.clone();
+        let mut v = progress.clone();
+        let mut blocks_ahead = 0usize;
+        for phase in pending {
+            for _ in &phase.blocks {
+                spec.apply_next(&mut s, &v, phase.kind);
+                v = v.advanced(phase.kind);
+                blocks_ahead += 1;
+                let mut sweeps = 0;
+                let headroom = match self.headroom.get(&v) {
+                    Some(&known) => known,
+                    None => {
+                        sweeps += 1;
+                        let planned = self.evaluate(spec, &v, &s, None);
+                        let filled = Headroom {
+                            max_utilization: planned.report.max_utilization,
+                            unreachable_demands: planned.unreachable_demands,
+                        };
+                        self.headroom.insert(v.clone(), filled);
+                        filled
+                    }
+                };
+                let cause = if headroom.unreachable_demands > 0 {
+                    Some(TripCause::Unreachable {
+                        demands: headroom.unreachable_demands,
+                    })
+                } else if headroom.max_utilization * k * (1.0 + HEADROOM_SLACK) <= spec.theta {
+                    None
+                } else {
+                    sweeps += 1;
+                    let exact = self.evaluate(spec, &v, &s, Some(realized));
+                    (!exact.satisfied()).then_some(TripCause::OverTheta {
+                        utilization: exact.report.max_utilization,
+                        circuit: exact.report.worst_circuit,
+                    })
+                };
+                verdict.swept += sweeps;
+                verdict.bound += usize::from(sweeps == 0);
+                if let Some(cause) = cause {
+                    verdict.trip = Some(LookaheadTrip {
+                        state: v,
+                        blocks_ahead,
+                        cause,
+                    });
+                    return verdict;
+                }
+            }
+        }
+        verdict
+    }
+
+    /// [`lookahead`](Self::lookahead)'s verdict alone: true iff the
+    /// remaining plan is still safe under `realized`.
     pub fn plan_still_safe(
         &mut self,
         spec: &MigrationSpec,
@@ -269,19 +493,9 @@ impl PlanReplay {
         pending: &[PlanPhase],
         realized: &DemandMatrix,
     ) -> bool {
-        self.chain.engine_mut().set_base_rates(realized);
-        let mut s = state.clone();
-        let mut v = progress.clone();
-        for phase in pending {
-            for _ in &phase.blocks {
-                spec.apply_next(&mut s, &v, phase.kind);
-                v = v.advanced(phase.kind);
-                if !self.evaluate(spec, &v, &s).satisfied() {
-                    return false;
-                }
-            }
-        }
-        true
+        self.lookahead(spec, state, progress, pending, realized)
+            .trip
+            .is_none()
     }
 }
 
@@ -406,7 +620,7 @@ fn walk_plan(
             }
             Judge::AuditOnly(replay) => {
                 if phase_end {
-                    report = Some(replay.evaluate(spec, &v, &state).report);
+                    report = Some(replay.evaluate(spec, &v, &state, None).report);
                 }
             }
         }

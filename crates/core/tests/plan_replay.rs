@@ -5,8 +5,12 @@
 //!   `evaluate_policy` under the realized matrix, AND-ed. One long-lived
 //!   replay answers several successive calls per case — shrinking suffix,
 //!   drifting demand — as the controller drives it, so a stale base state,
-//!   stale rates, or a wrong toggle set between calls shows up as a
-//!   mismatch.
+//!   stale rates, a stale headroom-memo entry or a wrong toggle set between
+//!   calls shows up as a mismatch.
+//! - The headroom bound that lets the lookahead skip a sweep must dominate
+//!   the sweep it skips, with the margin the derivation beside
+//!   `HEADROOM_SLACK` claims, and a state inside the margin must be swept,
+//!   not guessed.
 //! - The fused validate + audit walk must produce, byte for byte, the
 //!   `PlanAudit` the scalar loop `audit_plan` used to run produced: base
 //!   matrix, loads read before funneling headroom is applied.
@@ -124,17 +128,80 @@ fn new_replay(spec: &MigrationSpec) -> PlanReplay {
     PlanReplay::new(spec, csr, Arc::new(WorkerPool::new(1)))
 }
 
+fn splitmix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `matrix` with every rate multiplied by its own factor in [0.5, 1.5).
+fn jittered(matrix: &DemandMatrix, seed: &mut u64) -> DemandMatrix {
+    matrix
+        .iter()
+        .cloned()
+        .map(|mut d| {
+            d.gbps *= 0.5 + (splitmix(seed) >> 11) as f64 / (1u64 << 53) as f64;
+            d
+        })
+        .collect()
+}
+
+/// `matrix` with the rate of demand `at` replaced.
+fn with_rate(matrix: &DemandMatrix, at: usize, gbps: f64) -> DemandMatrix {
+    matrix
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, mut d)| {
+            if i == at {
+                d.gbps = gbps;
+            }
+            d
+        })
+        .collect()
+}
+
+/// The rescaling factor the lookahead bounds with: the largest
+/// realized/planned rate ratio.
+fn ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
+    planned
+        .iter()
+        .zip(realized.iter())
+        .map(|(p, r)| r.gbps / p.gbps)
+        .fold(0.0, f64::max)
+}
+
+/// Every state of the chain `phases` walks from the spec's initial state.
+fn chain_states(spec: &MigrationSpec, phases: &[PlanPhase]) -> Vec<NetState> {
+    let mut v = CompactState::origin(spec.num_types());
+    let mut state = spec.initial.clone();
+    let mut states = Vec::new();
+    for phase in phases {
+        for _ in &phase.blocks {
+            spec.apply_next(&mut state, &v, phase.kind);
+            v = v.advanced(phase.kind);
+            states.push(state.clone());
+        }
+    }
+    states
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn lookahead_equals_the_from_scratch_fold(
         world in 0usize..3,
         drains_first in proptest::bool::ANY,
-        cuts in proptest::collection::vec(0.0f64..1.0, 3),
-        growth in 0.6f64..1.5,
+        cuts in proptest::collection::vec(0.0f64..1.0, 5),
+        growth in 0.75f64..1.3,
         surged in 0usize..8,
         surge_factor in 1.0f64..1.5,
+        jitter in proptest::bool::ANY,
+        zeroed in proptest::bool::ANY,
+        seed in 0u64..u64::MAX,
     ) {
         let w = &WORLDS[world];
         let phases = if drains_first { &w.drains_first } else { &w.planned };
@@ -147,19 +214,105 @@ proptest! {
             .collect();
         let mut cuts: Vec<usize> = cuts.iter().map(|c| (c * total as f64) as usize).collect();
         cuts.sort_unstable();
+        let mut seed = seed;
+        // A spec that plans one demand at rate 0 while the world carries it:
+        // no finite rescaling of the planning matrix covers the realized
+        // one, so every state takes the exact sweep.
+        let zeroed_spec = zeroed.then(|| {
+            let at = (splitmix(&mut seed) % w.spec.demands.len() as u64) as usize;
+            let mut spec = w.spec.clone();
+            spec.demands = with_rate(&spec.demands, at, 0.0);
+            spec
+        });
+        let spec = zeroed_spec.as_ref().unwrap_or(&w.spec);
 
         // Successive calls on one replay: the suffix shrinks, growth
-        // compounds, and the surges expire after the second call.
-        let mut replay = new_replay(&w.spec);
+        // compounds, the surges expire after the second call, and a
+        // jittered world moves every rate by its own factor at every call.
+        let mut replay = new_replay(spec);
         for (step, &done) in cuts.iter().enumerate() {
-            let (progress, state, pending) = after(&w.spec, phases, done);
-            let realized =
+            let (progress, state, pending) = after(spec, phases, done);
+            let mut realized =
                 realized_demand(&w.spec.demands, growth.powi(step as i32 + 1), &surges, step);
+            if jitter {
+                realized = jittered(&realized, &mut seed);
+            }
             prop_assert_eq!(
-                replay.plan_still_safe(&w.spec, &state, &progress, &pending, &realized),
-                from_scratch_fold(&w.spec, &state, &progress, &pending, &realized),
-                "world {} drains_first {} call {} from block {}/{}",
-                world, drains_first, step, done, total
+                replay.plan_still_safe(spec, &state, &progress, &pending, &realized),
+                from_scratch_fold(spec, &state, &progress, &pending, &realized),
+                "world {} drains_first {} jitter {} zeroed {} call {} from block {}/{}",
+                world, drains_first, jitter, zeroed, step, done, total
+            );
+        }
+    }
+}
+
+/// The inequality the lookahead's memo rests on, measured: a state's max
+/// utilization under any rescaled matrix is at most `k` times its max
+/// utilization under the planning matrix. The derivation beside
+/// `HEADROOM_SLACK` allows the floating-point sweep a relative 3·10⁻¹⁰ over
+/// that; the real error stays under 10⁻¹², three orders inside the 10⁻⁹
+/// margin the lookahead keeps.
+#[test]
+fn headroom_bound_dominates_the_sweep() {
+    let mut seed = 19u64;
+    for (wi, w) in WORLDS.iter().enumerate() {
+        let (topo, planned) = (&w.spec.topology, &w.spec.demands);
+        for phases in [&w.planned, &w.drains_first] {
+            for (si, state) in chain_states(&w.spec, phases).iter().enumerate() {
+                let u = evaluate_policy(topo, state, planned, w.spec.theta, w.spec.split)
+                    .report
+                    .max_utilization;
+                let class = DemandClass::ALL[(splitmix(&mut seed) % 3) as usize];
+                let surge = [SurgeEvent::on_class(0, 1, 1.37, class)];
+                for (what, rescaled) in [
+                    ("grown", planned.scaled(1.0 + (si % 7) as f64 / 9.0)),
+                    ("shrunk", planned.scaled(1.0 / 3.0)),
+                    ("surged", realized_demand(planned, 1.01, &surge, 0)),
+                    ("jittered", jittered(planned, &mut seed)),
+                ] {
+                    let k = ratio(planned, &rescaled);
+                    let swept = evaluate_policy(topo, state, &rescaled, w.spec.theta, w.spec.split)
+                        .report
+                        .max_utilization;
+                    assert!(
+                        swept <= k * u * (1.0 + 1e-12),
+                        "world {wi} state {si} {what}: swept {swept:e} > k {k:e} * u {u:e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A state whose bound lands within the margin of θ is neither cleared nor
+/// rejected on the estimate: it is swept, and the verdict is the fold's on
+/// both sides of θ.
+#[test]
+fn a_state_inside_the_margin_is_swept_not_guessed() {
+    for w in WORLDS.iter() {
+        let spec = &w.spec;
+        let (progress, state, pending) = after(spec, &w.planned, 0);
+        let tightest = chain_states(spec, &w.planned)
+            .iter()
+            .map(|s| {
+                evaluate_policy(&spec.topology, s, &spec.demands, spec.theta, spec.split)
+                    .report
+                    .max_utilization
+            })
+            .fold(0.0, f64::max);
+        let mut replay = new_replay(spec);
+        // Warm the memo, so the sweeps counted below are exact sweeps.
+        assert!(replay.plan_still_safe(spec, &state, &progress, &pending, &spec.demands));
+        for (side, expected) in [(1.0 - 1e-12, true), (1.0 + 1e-12, false)] {
+            let realized = spec.demands.scaled(spec.theta * side / tightest);
+            let verdict = replay.lookahead(spec, &state, &progress, &pending, &realized);
+            assert!(verdict.swept >= 1, "{side}: {verdict:?}");
+            assert_eq!(verdict.trip.is_none(), expected, "{side}: {verdict:?}");
+            assert_eq!(
+                from_scratch_fold(spec, &state, &progress, &pending, &realized),
+                expected,
+                "{side}"
             );
         }
     }
@@ -205,6 +358,31 @@ fn lookahead_refuses_a_matrix_with_other_endpoints() {
         demands.into_iter().collect()
     };
     new_replay(&w.spec).plan_still_safe(&w.spec, &state, &progress, &planned, &reordered);
+}
+
+/// The refusal comes from the lookahead's own ratio pass, not from the
+/// engine's rate table: at half the planned rates every state clears the
+/// headroom bound and the engine is never handed the matrix.
+#[test]
+#[should_panic(expected = "share the base demand endpoints")]
+fn lookahead_refuses_a_reordered_matrix_the_bound_would_clear() {
+    let w = &WORLDS[0];
+    let (progress, state, planned) = after(&w.spec, &w.planned, 0);
+    let mut replay = new_replay(&w.spec);
+    let halved = w.spec.demands.scaled(0.5);
+    let states: usize = planned.iter().map(|p| p.blocks.len()).sum();
+    // The first call sweeps each state once, under the planning matrix, to
+    // fill the memo; from then on the memo alone answers.
+    let first = replay.lookahead(&w.spec, &state, &progress, &planned, &halved);
+    assert_eq!((first.trip, first.swept, first.bound), (None, states, 0));
+    let again = replay.lookahead(&w.spec, &state, &progress, &planned, &halved);
+    assert_eq!((again.trip, again.swept, again.bound), (None, 0, states));
+    let reordered: DemandMatrix = {
+        let mut demands: Vec<_> = halved.iter().cloned().collect();
+        demands.reverse();
+        demands.into_iter().collect()
+    };
+    replay.plan_still_safe(&w.spec, &state, &progress, &planned, &reordered);
 }
 
 /// `audit_plan` as it stood before the walk: one from-scratch router, every

@@ -102,12 +102,23 @@ impl DemandMatrix {
     /// # Panics
     /// Panics on negative or non-finite factors.
     pub fn scale(&mut self, factor: f64) {
+        self.scale_where(factor, |_| true);
+    }
+
+    /// Multiplies every demand `affected` selects by `factor` (a surge on
+    /// one class).
+    ///
+    /// # Panics
+    /// Panics on negative or non-finite factors.
+    pub(crate) fn scale_where(&mut self, factor: f64, affected: impl Fn(&Demand) -> bool) {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
         for d in &mut self.demands {
-            d.gbps *= factor;
+            if affected(d) {
+                d.gbps *= factor;
+            }
         }
     }
 

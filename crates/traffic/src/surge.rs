@@ -40,25 +40,20 @@ impl SurgeEvent {
 
     /// Applies this surge to a copy of `matrix` if active at `step`.
     pub fn apply(&self, matrix: &DemandMatrix, step: usize) -> DemandMatrix {
+        let mut out = matrix.clone();
+        self.apply_in_place(&mut out, step);
+        out
+    }
+
+    /// Scales the affected demands of `matrix` if the surge is active at
+    /// `step`; outside its window the matrix is left alone.
+    fn apply_in_place(&self, matrix: &mut DemandMatrix, step: usize) {
         assert!(
             self.factor.is_finite() && self.factor >= 0.0,
             "surge factor must be finite and non-negative"
         );
-        if !self.active_at(step) {
-            return matrix.clone();
-        }
-        match self.class {
-            None => matrix.scaled(self.factor),
-            Some(class) => matrix
-                .iter()
-                .cloned()
-                .map(|mut d| {
-                    if d.class == class {
-                        d.gbps *= self.factor;
-                    }
-                    d
-                })
-                .collect(),
+        if self.active_at(step) {
+            matrix.scale_where(self.factor, |d| self.class.is_none_or(|c| d.class == c));
         }
     }
 }
@@ -66,23 +61,30 @@ impl SurgeEvent {
 /// Applies every active surge in order.
 pub fn apply_surges(matrix: &DemandMatrix, surges: &[SurgeEvent], step: usize) -> DemandMatrix {
     let mut out = matrix.clone();
-    for s in surges {
-        out = s.apply(&out, step);
-    }
+    apply_surges_in_place(&mut out, surges, step);
     out
+}
+
+fn apply_surges_in_place(matrix: &mut DemandMatrix, surges: &[SurgeEvent], step: usize) {
+    for s in surges {
+        s.apply_in_place(matrix, step);
+    }
 }
 
 /// The demand the fleet actually carries at `step`: the planning matrix
 /// scaled by accumulated organic growth, with every surge active at `step`
-/// applied on top. The controller and the lookahead's oracle test both
-/// simulate the world through this one function.
+/// applied on top, in order — one copy of `base`, scaled in place. The
+/// controller and the lookahead's oracle test both simulate the world
+/// through this one function.
 pub fn realized_demand(
     base: &DemandMatrix,
     growth_multiplier: f64,
     surges: &[SurgeEvent],
     step: usize,
 ) -> DemandMatrix {
-    apply_surges(&base.scaled(growth_multiplier), surges, step)
+    let mut out = base.scaled(growth_multiplier);
+    apply_surges_in_place(&mut out, surges, step);
+    out
 }
 
 #[cfg(test)]
@@ -150,6 +152,72 @@ mod tests {
         let out = apply_surges(&matrix(), &surges, 0);
         assert!((out.class_total_gbps(DemandClass::RswToEbb) - 60.0).abs() < 1e-9);
         assert!((out.class_total_gbps(DemandClass::RswToRsw) - 40.0).abs() < 1e-9);
+    }
+
+    /// `realized_demand` as it stood before it scaled one copy in place: a
+    /// fresh matrix per surge, inactive ones included.
+    fn cloning_chain(
+        base: &DemandMatrix,
+        growth: f64,
+        surges: &[SurgeEvent],
+        step: usize,
+    ) -> DemandMatrix {
+        let mut out = base.scaled(growth);
+        for s in surges {
+            out = if !s.active_at(step) {
+                out.clone()
+            } else if let Some(class) = s.class {
+                out.iter()
+                    .cloned()
+                    .map(|mut d| {
+                        if d.class == class {
+                            d.gbps *= s.factor;
+                        }
+                        d
+                    })
+                    .collect()
+            } else {
+                out.scaled(s.factor)
+            };
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_scaling_is_bit_equal_to_the_cloning_chain() {
+        // Factors with no short binary expansion, so a changed
+        // multiplication order would show in the low bits.
+        let surges = vec![
+            SurgeEvent {
+                from_step: 0,
+                until_step: 4,
+                factor: 1.08,
+                class: None,
+            },
+            SurgeEvent::on_class(1, 3, 1.37, DemandClass::RswToEbb),
+            SurgeEvent::on_class(2, 6, 0.9, DemandClass::RswToRsw),
+            SurgeEvent {
+                from_step: 2,
+                until_step: 3,
+                factor: 1.013,
+                class: None,
+            },
+        ];
+        let base = matrix().scaled(1.0 / 3.0);
+        for step in 0..7 {
+            let growth = 1.01_f64.powi(step as i32 + 1);
+            let got = realized_demand(&base, growth, &surges, step);
+            let want = cloning_chain(&base, growth, &surges, step);
+            for (g, w) in got.iter().zip(want.iter()) {
+                assert_eq!(g.gbps.to_bits(), w.gbps.to_bits(), "step {step}");
+            }
+            assert_eq!(got, want, "step {step}");
+            assert_eq!(
+                apply_surges(&base, &surges, step),
+                cloning_chain(&base, 1.0, &surges, step),
+                "step {step}"
+            );
+        }
     }
 
     #[test]
