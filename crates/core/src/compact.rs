@@ -104,6 +104,23 @@ impl CompactState {
         idx
     }
 
+    /// Steps to the lexicographic successor within the box `[0, target]` —
+    /// odometer order, the last type the fastest digit, so
+    /// [`dense_index`](Self::dense_index) grows by exactly one. Every
+    /// predecessor `V − e_a` of a state is lexicographically smaller than
+    /// it, and consecutive states are one action apart except where a digit
+    /// rolls over. Returns false, back at the origin, after the target.
+    pub fn step_in_box(&mut self, target: &CompactState) -> bool {
+        for (count, &bound) in self.counts.iter_mut().zip(&target.counts).rev() {
+            if *count < bound {
+                *count += 1;
+                return true;
+            }
+            *count = 0;
+        }
+        false
+    }
+
     /// Size of the dense box `Π (v*_i + 1)` for a target state, saturating
     /// at `usize::MAX` (the DP planner refuses oversized boxes).
     pub fn box_size(target: &CompactState) -> usize {
@@ -131,6 +148,20 @@ impl fmt::Display for CompactState {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn step_in_box_visits_every_state_once_in_dense_order() {
+        let target = CompactState::from_counts(vec![2, 0, 3]);
+        let mut v = CompactState::origin(3);
+        let mut dense = 0;
+        while v.step_in_box(&target) {
+            dense += 1;
+            assert!(v.within(&target));
+            assert_eq!(v.dense_index(&target), dense, "{v}");
+        }
+        assert_eq!(dense + 1, CompactState::box_size(&target));
+        assert_eq!(v, CompactState::origin(3), "wraps to the origin");
+    }
 
     #[test]
     fn origin_is_zero() {

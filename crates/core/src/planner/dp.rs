@@ -1,15 +1,21 @@
 //! The DP-based planner (§4.3, Algorithm 1).
 //!
 //! The DP state is `f(V, a)` — the minimal cost of reaching compact state
-//! `V` with a last action of type `a`. States are swept in ascending order
-//! of total finished actions `Σ v_i` (every predecessor of `V` has a
-//! strictly smaller total, Eq. 8), each state pulling from its `|A|`
-//! predecessors per Eq. 7. The optimal sequence is rebuilt from an auxiliary
-//! predecessor table, exactly as `GetAnswer` does in the paper's pseudocode.
+//! `V` with a last action of type `a`. States are swept in lexicographic
+//! (odometer) order: every predecessor `V − e_a` of `V` (Eq. 8) is
+//! lexicographically smaller, so its `f` is final when `V` pulls from its
+//! `|A|` predecessors per Eq. 7 — the same guarantee as Algorithm 1's
+//! ascending-`Σ v_i` order, without materialising the box, and with
+//! consecutive states one block apart, the delta the incremental checker is
+//! fast on. The optimal sequence is rebuilt from an auxiliary predecessor
+//! table, exactly as `GetAnswer` does in the paper's pseudocode.
 //!
 //! Complexity is Θ(|A|·Π(v*_i + 1)·(|A| + |S| + |C|)) (Theorem 1): unlike
 //! A\*, the sweep touches every state of the box whether or not it can be on
-//! an optimal path.
+//! an optimal path. What it does not do is *check* an arrival `(V, a)` whose
+//! predecessor no feasible sequence reaches: Eq. 7 can only yield ∞ there,
+//! whatever the verdict, so the satisfiability check is skipped — and with
+//! it the whole state, when that holds for every arriving type.
 
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
@@ -121,78 +127,81 @@ impl DpPlanner {
         let mut pred = vec![NO_LAST; box_size * num_types];
         let slot = |dense: usize, a: usize| dense * num_types + a;
 
-        // Enumerate the box grouped by ascending total (Algorithm 1 line 6).
-        let mut by_total: Vec<Vec<CompactState>> = vec![Vec::new(); target.total() + 1];
-        enumerate_box(target, |v| by_total[v.total()].push(v));
+        // `dense_index` stride of each type: `V − e_a` sits `stride[a]` below
+        // `V` in the tables.
+        let mut stride = vec![1usize; num_types];
+        for a in (1..num_types).rev() {
+            stride[a - 1] = stride[a] * (target.counts()[a] as usize + 1);
+        }
 
         // The origin is implicit: f(origin, none) = 0. First-layer states
         // (one action done) pay the initial phase cost of 1.
-        for states in by_total.iter().skip(1) {
-            for v in states {
-                // Per-state budget gate: time limit, absolute deadline, and
-                // cooperative cancellation (the box pre-check above already
-                // bounds the state count).
-                self.budget.check(stats.states_visited, start)?;
-                stats.states_visited += 1;
-                if stats.states_visited % progress_every == 0 {
-                    log_event!(
-                        "dp.progress",
-                        "swept" = stats.states_visited,
-                        "box_size" = box_size as u64,
-                    );
+        let mut v = CompactState::origin(num_types);
+        let mut arriving: Vec<ActionTypeId> = Vec::with_capacity(num_types);
+        for dense in 1..box_size {
+            let stepped = v.step_in_box(target);
+            debug_assert!(stepped && v.dense_index(target) == dense);
+            // Per-state budget gate: time limit, absolute deadline, and
+            // cooperative cancellation (the box pre-check above already
+            // bounds the state count).
+            self.budget.check(stats.states_visited, start)?;
+            stats.states_visited += 1;
+            if stats.states_visited % progress_every == 0 {
+                log_event!(
+                    "dp.progress",
+                    "swept" = stats.states_visited,
+                    "box_size" = box_size as u64,
+                );
+            }
+            // Arriving types whose verdict Eq. 7 can read: the predecessor
+            // is the origin or has a finite f under some last action.
+            arriving.clear();
+            arriving.extend(spec.actions.ids().filter(|a| {
+                v.count(*a) > 0 && {
+                    let prev = dense - stride[a.index()];
+                    prev == 0 || (0..num_types).any(|b| f[slot(prev, b)].is_finite())
                 }
-                // Algorithm 1 line 9: states that violate the constraints
-                // can never appear in a sequence; skip their updates.
-                let state = spec.state_for(v);
-                let dense = v.dense_index(target);
-                // IsAvailable is checked on the *reached* state V with last
-                // action a (funneling keys on the arriving drain). All
-                // arriving types are checked as one batch: without
-                // funneling they share a cache key and cost one evaluation.
-                let types: Vec<ActionTypeId> = spec
-                    .actions
-                    .ids()
-                    .filter(|a| v.receded(*a).is_some())
-                    .collect();
-                let verdicts = {
-                    let refs: Vec<_> = types.iter().map(|a| (v, &state, Some(*a))).collect();
-                    let t0 = Instant::now();
-                    // The swept state is its own evaluation base: after the
-                    // first item primes it, the rest replay with no delta.
-                    let verdicts = checker.check_batch_from(spec, Some((v, &state)), &refs);
-                    stats.satcheck_time += t0.elapsed();
-                    verdicts
-                };
-                for (a, ok) in types.into_iter().zip(verdicts) {
-                    if !ok {
-                        stats.states_pruned += 1;
-                        continue;
-                    }
-                    stats.states_generated += 1;
-                    let prev = v.receded(a).expect("filtered on receded");
-                    let prev_dense = prev.dense_index(target);
-                    let mut best = f64::INFINITY;
-                    let mut best_prev = NO_LAST;
-                    if prev.total() == 0 {
-                        best = 1.0; // first action opens the first phase
-                    } else {
-                        for a_star in 0..num_types {
-                            let base = f[slot(prev_dense, a_star)];
-                            if !base.is_finite() {
-                                continue;
-                            }
-                            let step = self.cost.step_cost(Some(ActionTypeId(a_star as u8)), a);
-                            if base + step < best {
-                                best = base + step;
-                                best_prev = a_star as u8;
-                            }
+            }));
+            if arriving.is_empty() {
+                continue;
+            }
+            // Algorithm 1 line 9: states that violate the constraints can
+            // never appear in a sequence; skip their updates. IsAvailable is
+            // checked on the *reached* state V with last action a (funneling
+            // keys on the arriving drain); without funneling the arriving
+            // types share a cache key and cost one evaluation.
+            let state = spec.state_for(&v);
+            for &a in &arriving {
+                let t0 = Instant::now();
+                let ok = checker.check(spec, &v, &state, Some(a));
+                stats.satcheck_time += t0.elapsed();
+                if !ok {
+                    stats.states_pruned += 1;
+                    continue;
+                }
+                stats.states_generated += 1;
+                let prev = dense - stride[a.index()];
+                let mut best = f64::INFINITY;
+                let mut best_prev = NO_LAST;
+                if prev == 0 {
+                    best = 1.0; // first action opens the first phase
+                } else {
+                    for a_star in 0..num_types {
+                        let base = f[slot(prev, a_star)];
+                        if !base.is_finite() {
+                            continue;
+                        }
+                        let step = self.cost.step_cost(Some(ActionTypeId(a_star as u8)), a);
+                        if base + step < best {
+                            best = base + step;
+                            best_prev = a_star as u8;
                         }
                     }
-                    let s = slot(dense, a.index());
-                    if best < f[s] {
-                        f[s] = best;
-                        pred[s] = best_prev;
-                    }
+                }
+                let s = slot(dense, a.index());
+                if best < f[s] {
+                    f[s] = best;
+                    pred[s] = best_prev;
                 }
             }
         }
@@ -243,30 +252,6 @@ impl DpPlanner {
     }
 }
 
-/// Calls `visit` for every state in the box `[0, target]` (any order).
-fn enumerate_box(target: &CompactState, mut visit: impl FnMut(CompactState)) {
-    let n = target.num_types();
-    let mut counts = vec![0u16; n];
-    loop {
-        visit(CompactState::from_counts(counts.clone()));
-        // Odometer increment.
-        let mut i = n;
-        loop {
-            if i == 0 {
-                return;
-            }
-            i -= 1;
-            if counts[i] < target.counts()[i] {
-                counts[i] += 1;
-                for c in &mut counts[i + 1..] {
-                    *c = 0;
-                }
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,16 +264,6 @@ mod tests {
     fn spec() -> MigrationSpec {
         MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &MigrationOptions::default())
             .unwrap()
-    }
-
-    #[test]
-    fn enumerate_box_covers_everything_once() {
-        let target = CompactState::from_counts(vec![2, 3]);
-        let mut seen = std::collections::HashSet::new();
-        enumerate_box(&target, |v| {
-            assert!(seen.insert(v.counts().to_vec()), "duplicate {v}");
-        });
-        assert_eq!(seen.len(), CompactState::box_size(&target));
     }
 
     #[test]
@@ -333,6 +308,26 @@ mod tests {
         let dp = DpPlanner::default().plan(&spec).unwrap();
         let astar = AStarPlanner::default().plan(&spec).unwrap();
         assert!(dp.stats.states_visited >= astar.stats.states_visited);
+    }
+
+    #[test]
+    fn unreachable_corner_of_the_box_is_swept_but_never_checked() {
+        // Draining v1 grids far ahead of the v2 undrains is infeasible, so
+        // the states beyond that frontier have no feasible predecessor: the
+        // sweep visits them (budget and progress count the whole box) and
+        // checks none of them.
+        let spec = spec();
+        let box_size = CompactState::box_size(&spec.target_counts) as u64;
+        let dp = DpPlanner::default().plan(&spec).unwrap();
+        assert_eq!(dp.stats.states_visited, box_size - 1, "all but the origin");
+        assert!(
+            dp.stats.full_evaluations < box_size - 1,
+            "{} evaluations in a box of {box_size}",
+            dp.stats.full_evaluations
+        );
+        let astar = AStarPlanner::default().plan(&spec).unwrap();
+        assert!((dp.cost - astar.cost).abs() < 1e-9);
+        validate_plan(&spec, &dp.plan).unwrap();
     }
 
     #[test]

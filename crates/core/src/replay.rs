@@ -30,12 +30,14 @@ use crate::report::{PhaseAudit, PlanAudit};
 use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, PackedLoads,
+    SafetyOutcome,
 };
 use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Give up on delta derivation beyond this many blocks of compact-state
 /// diff: the candidate scan would approach full-rescan cost, and a full
@@ -64,8 +66,8 @@ pub(crate) struct ChainRouter {
 
 impl ChainRouter {
     /// A chain router over `spec.demands` plus `extras` (the non-base
-    /// matrices of an ensemble, swept by
-    /// [`IncrementalRouter::replay_extras`]).
+    /// matrices of an ensemble, swept with it by
+    /// [`route_ensemble`](Self::route_ensemble)).
     pub(crate) fn new(
         spec: &MigrationSpec,
         csr: Arc<CsrGraph>,
@@ -92,8 +94,10 @@ impl ChainRouter {
         &self.engine
     }
 
-    pub(crate) fn engine_mut(&mut self) -> &mut IncrementalRouter {
-        &mut self.engine
+    /// Overwrites the engine's base matrix rates with `demands`' (same
+    /// endpoints), keeping the cached structure.
+    pub(crate) fn set_base_rates(&mut self, demands: &DemandMatrix) {
+        self.engine.set_base_rates(demands);
     }
 
     /// True when the engine's cached structures are those of `v`.
@@ -119,6 +123,28 @@ impl ChainRouter {
         self.engine
             .evaluate(pool, &spec.topology, state, toggles, loads, outcome);
         self.set_base(v, state);
+    }
+
+    /// [`route`](Self::route) for the whole ensemble: one advance to
+    /// `(v, state)` and one packed sweep of the base matrix and every extra
+    /// into `loads` (overwritten), lane `m` being matrix `m`. Returns the
+    /// wall time of the sweep alone.
+    pub(crate) fn route_ensemble(
+        &mut self,
+        pool: &WorkerPool,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+        loads: &mut PackedLoads,
+        outcomes: &mut [RouteOutcome],
+    ) -> Duration {
+        let delta = self.compute_toggles(spec, v, state);
+        let toggles = delta.then_some(&self.toggles[..]);
+        let swept =
+            self.engine
+                .evaluate_packed(pool, &spec.topology, state, toggles, loads, outcomes);
+        self.set_base(v, state);
+        swept
     }
 
     /// Moves the base to `(v, state)` updating routing structure only.
@@ -376,7 +402,7 @@ impl PlanReplay {
             None => (Loaded::Planning, &spec.demands),
         };
         if self.loaded != which {
-            self.chain.engine_mut().set_base_rates(demands);
+            self.chain.set_base_rates(demands);
             self.loaded = which;
         }
         self.chain.route(

@@ -28,12 +28,18 @@
 //! A cache miss is evaluated by one of two routers. Planning checks go
 //! through the [`IncrementalRouter`], which re-derives routing structure
 //! only for the destinations a block application disturbed (fanned out over
-//! the [`WorkerPool`]'s lanes) and then sweeps loads once per state — all
-//! matrices of a traffic ensemble in one traversal — bit-identical at any
-//! lane count. Everything
-//! else — live audits, and specs with `incremental == false`, the reference
-//! the differential tests compare against — routes from scratch on one
-//! sequential [`EcmpRouter`].
+//! the [`WorkerPool`]'s lanes) and then sweeps loads once per state,
+//! bit-identical at any lane count. With a traffic ensemble that one
+//! traversal carries all K matrices, the base as lane 0, into a
+//! [`PackedLoads`]; funneling headroom and the K utilization summaries are
+//! taken on the packed field, the AND over matrices is folded off the K
+//! reports in index order, and only the base lane is copied out (for the
+//! audit observer and `last_loads`). Everything else — live audits, and
+//! specs with `incremental == false`, the reference the differential tests
+//! compare against — routes from scratch on one sequential [`EcmpRouter`],
+//! one matrix after the other.
+//!
+//! [`IncrementalRouter`]: klotski_routing::IncrementalRouter
 
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
@@ -41,10 +47,11 @@ use crate::migration::MigrationSpec;
 use crate::replay::ChainRouter;
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, LoadMap, UsableMask,
+    ecmp::RouteOutcome, evaluate::summarize, summarize_packed, CsrGraph, EcmpRouter, LoadMap,
+    PackedLoads, UsableMask, UtilizationReport,
 };
 use klotski_telemetry::{registry, Gauge};
-use klotski_topology::{CircuitId, NetState};
+use klotski_topology::{CircuitId, NetState, SwitchId};
 use klotski_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -147,11 +154,15 @@ pub struct EnsembleMatrixStat {
     /// Candidates this matrix killed: it was the first failing matrix, so
     /// every matrix after it was skipped.
     pub kills: u64,
-    /// Wall time attributed to this matrix, nanoseconds. The base matrix
-    /// is timed directly. An incremental checker sweeps all extras in one
-    /// packed traversal, so an extra gets an equal share of that sweep plus
-    /// its own constraint tail — and nothing for a sweep whose verdict an
-    /// earlier matrix decided.
+    /// Wall time attributed to this matrix, nanoseconds. A from-scratch
+    /// checker routes and judges one matrix at a time and times each
+    /// directly. An incremental checker does the matrix-independent work
+    /// once and all K load sweeps in one packed traversal: every matrix it
+    /// gets to is charged an equal 1/K share of that traversal (with the
+    /// headroom and summary passes over the packed loads), and the base
+    /// matrix also carries the rest of the check — the structure advance,
+    /// the port budgets, copying its lane out. A matrix skipped by the
+    /// short-circuit is charged nothing, though its lane was swept.
     pub wall_ns: u64,
 }
 
@@ -247,10 +258,9 @@ pub struct SatChecker {
     /// engine rebases onto it lazily, on the first cache miss, so
     /// fully-cached batches pay nothing.
     pending_parent: Option<(CompactState, NetState)>,
-    /// One load map and outcome per extra ensemble matrix, filled together
-    /// by the incremental engine's packed sweep (empty without one).
-    extra_loads: Vec<LoadMap>,
-    extra_outcomes: Vec<RouteOutcome>,
+    /// Buffers of the packed ensemble fold: present iff the checker is
+    /// incremental and the spec has extra matrices.
+    packed: Option<PackedFold>,
     cache: HashMap<CacheKey, bool>,
     /// Insertion order of cached keys, for FIFO eviction at `cache_cap`.
     fifo: VecDeque<CacheKey>,
@@ -266,6 +276,16 @@ pub struct SatChecker {
     last_fail_matrix: Option<usize>,
     esc_entries_gauge: Arc<Gauge>,
     esc_bytes_gauge: Arc<Gauge>,
+}
+
+/// What one packed sweep of an ensemble leaves: every matrix's loads (lane
+/// `m` is matrix `m`, the base first), routing outcome and utilization
+/// report.
+#[derive(Debug)]
+struct PackedFold {
+    loads: PackedLoads,
+    outcomes: Vec<RouteOutcome>,
+    reports: Vec<UtilizationReport>,
 }
 
 /// Cache-key discriminant when the last action type is irrelevant.
@@ -315,7 +335,12 @@ impl SatChecker {
         let incremental = spec
             .incremental
             .then(|| ChainRouter::new(spec, csr.clone(), &spec.extra_demands, pool.lanes()));
-        let packed_extras = incremental.as_ref().map_or(0, |_| spec.extra_demands.len());
+        let matrices = spec.extra_demands.len() + 1;
+        let packed = (incremental.is_some() && matrices > 1).then(|| PackedFold {
+            loads: PackedLoads::new(&spec.topology, matrices),
+            outcomes: vec![RouteOutcome::new(); matrices],
+            reports: Vec::with_capacity(matrices),
+        });
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
@@ -325,8 +350,7 @@ impl SatChecker {
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
-            extra_loads: vec![LoadMap::new(&spec.topology); packed_extras],
-            extra_outcomes: vec![RouteOutcome::new(); packed_extras],
+            packed,
             incremental,
             pending_parent: None,
             cache: HashMap::new(),
@@ -397,12 +421,24 @@ impl SatChecker {
         self.incremental.is_some()
     }
 
-    /// Loads of the last matrix the most recent full evaluation got to, on
-    /// the checker's own buffers (diagnostic/test hook — meaningful right
-    /// after a cache-missing [`check`](Self::check)).
+    /// Loads the most recent full evaluation left on the checker's own
+    /// buffer (diagnostic/test hook — meaningful right after a cache-missing
+    /// [`check`](Self::check)): the last matrix it judged, headroom applied —
+    /// except on the packed ensemble path, where this is the base matrix as
+    /// routed and the judged loads are
+    /// [`last_packed_loads`](Self::last_packed_loads).
     #[doc(hidden)]
     pub fn last_loads(&self) -> &LoadMap {
         &self.loads
+    }
+
+    /// Every ensemble matrix's loads as the most recent packed evaluation
+    /// judged them (headroom applied), lane `m` being matrix `m`; `None`
+    /// unless the checker is incremental with an ensemble. Test hook, like
+    /// [`last_loads`](Self::last_loads).
+    #[doc(hidden)]
+    pub fn last_packed_loads(&self) -> Option<&PackedLoads> {
+        self.packed.as_ref().map(|fold| &fold.loads)
     }
 
     /// The flattened topology this checker routes over, for callers that
@@ -609,9 +645,6 @@ impl SatChecker {
                 return false;
             }
         }
-        // Ensemble accounting is armed only when extra matrices exist, so
-        // the single-matrix path pays no timing overhead.
-        let ens_start = (!spec.extra_demands.is_empty()).then(Instant::now);
         if let Some(incr) = &mut self.incremental {
             // Apply a staged parent rebase first, so this child's delta is
             // the one block the planner applied.
@@ -620,6 +653,14 @@ impl SatChecker {
                     incr.rebase(&self.pool, spec, &pv, &ps);
                 }
             }
+        }
+        if self.packed.is_some() {
+            return self.evaluate_packed(spec, v, state, last, on_base);
+        }
+        // Ensemble accounting is armed only when extra matrices exist, so
+        // the single-matrix path pays no timing overhead.
+        let ens_start = (!spec.extra_demands.is_empty()).then(Instant::now);
+        if let Some(incr) = &mut self.incremental {
             incr.route(
                 &self.pool,
                 spec,
@@ -650,50 +691,30 @@ impl SatChecker {
         let Some(t0) = ens_start else {
             return ok;
         };
-        // Ensemble verdict: AND over all K matrices, judged in index order
-        // with a short-circuit on the first failure, so verdicts (and the
-        // failing index) are deterministic at any thread count. The base
-        // verdict comes first: a state it rejects never pays for the extras.
+        // From-scratch ensemble verdict: AND over all K matrices, routed and
+        // judged one at a time in index order with a short-circuit on the
+        // first failure, so a state an earlier matrix rejects never pays for
+        // the later ones.
         self.ensemble.record(0, t0.elapsed(), !ok);
         if !ok {
             self.last_fail_matrix = Some(0);
             return false;
         }
-        let mut sweep_share = Duration::ZERO;
-        if let Some(incr) = &mut self.incremental {
-            // Distance labels and DAGs were just built for `state`; one
-            // packed traversal sweeps every extra matrix over them.
-            let ts = Instant::now();
-            for loads in &mut self.extra_loads {
-                loads.clear();
-            }
-            incr.engine_mut()
-                .replay_extras(state, &mut self.extra_loads, &mut self.extra_outcomes);
-            sweep_share = ts.elapsed() / self.extra_loads.len() as u32;
-        }
-        for k in 0..spec.extra_demands.len() {
+        for (k, extra) in spec.extra_demands.iter().enumerate() {
             let tk = Instant::now();
-            if self.incremental.is_some() {
-                // Swapped, not copied: `loads` stays "the last matrix
-                // judged", and the displaced map is cleared before the next
-                // packed sweep.
-                std::mem::swap(&mut self.loads, &mut self.extra_loads[k]);
-                std::mem::swap(&mut self.outcome, &mut self.extra_outcomes[k]);
-            } else {
-                // The usable mask was computed for `state` above and is
-                // demand-independent; only the routing pass re-runs.
-                self.loads.clear();
-                self.router.route_with_mask_into(
-                    &spec.topology,
-                    state,
-                    &self.mask,
-                    &spec.extra_demands[k],
-                    &mut self.loads,
-                    &mut self.outcome,
-                );
-            }
+            // The usable mask was computed for `state` above and is
+            // demand-independent; only the routing pass re-runs.
+            self.loads.clear();
+            self.router.route_with_mask_into(
+                &spec.topology,
+                state,
+                &self.mask,
+                extra,
+                &mut self.loads,
+                &mut self.outcome,
+            );
             let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
-            self.ensemble.record(k + 1, sweep_share + tk.elapsed(), !ok);
+            self.ensemble.record(k + 1, tk.elapsed(), !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
                 return false;
@@ -702,6 +723,85 @@ impl SatChecker {
         self.last_fail_matrix = None;
         true
     }
+
+    /// The ensemble evaluation on the incremental engine: one structure
+    /// advance and one packed sweep route all K matrices, then the verdict
+    /// is the same index-ordered AND with the same first failing index as
+    /// the from-scratch fold — read off the K reports instead of routed
+    /// matrix by matrix. A state the base matrix rejects has paid for the
+    /// extras' lanes of the one traversal; in exchange no state is traversed
+    /// twice.
+    fn evaluate_packed(
+        &mut self,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+        last: Option<ActionTypeId>,
+        on_base: Option<&mut dyn FnMut(&LoadMap)>,
+    ) -> bool {
+        let t0 = Instant::now();
+        let topo = &spec.topology;
+        let incr = self
+            .incremental
+            .as_mut()
+            .expect("a packed fold is built over the incremental engine");
+        let fold = self.packed.as_mut().expect("checked by the caller");
+        let mut shared = incr.route_ensemble(
+            &self.pool,
+            spec,
+            v,
+            state,
+            &mut fold.loads,
+            &mut fold.outcomes,
+        );
+        fold.loads.lane_into(0, &mut self.loads);
+        if let Some(observe) = on_base {
+            observe(&self.loads);
+        }
+        // Reachability (Eq. 4) is the routing structure's, the same in every
+        // lane: an unreachable demand is the base matrix's kill, and nothing
+        // further is computed.
+        let reachable = fold.outcomes[0].all_reachable();
+        if reachable {
+            let ts = Instant::now();
+            if let Some(drained) = funneled_switches(spec, v, last) {
+                spec.funneling
+                    .apply_packed(topo, state, drained, &mut fold.loads);
+            }
+            summarize_packed(topo, state, &fold.loads, spec.theta, &mut fold.reports);
+            shared += ts.elapsed();
+        }
+        let share = shared / fold.outcomes.len() as u32;
+        for k in 0..fold.outcomes.len() {
+            let mut ok = reachable && fold.reports[k].violations == 0;
+            let mut wall = share;
+            if k == 0 {
+                // Port budgets (Eq. 6) depend on the state alone: judged
+                // once, charged to the base matrix.
+                ok = ok && !(spec.check_ports && topo.has_port_violation(state));
+                wall += t0.elapsed().saturating_sub(shared);
+            }
+            self.ensemble.record(k, wall, !ok);
+            if !ok {
+                self.last_fail_matrix = Some(k);
+                return false;
+            }
+        }
+        self.last_fail_matrix = None;
+        true
+    }
+}
+
+/// The switches whose drain produced `v`, when the funneling headroom model
+/// applies to this check: `last` is a drain and the model is enabled.
+fn funneled_switches<'a>(
+    spec: &'a MigrationSpec,
+    v: &CompactState,
+    last: Option<ActionTypeId>,
+) -> Option<&'a [SwitchId]> {
+    let a = last.filter(|_| spec.funneling.is_enabled())?;
+    (spec.kind_is_drain(a) && v.count(a) > 0)
+        .then(|| &spec.block_for(a, v.count(a) - 1).switches[..])
 }
 
 /// The per-matrix tail of an evaluation: reachability (Eq. 4), funneling
@@ -718,13 +818,8 @@ fn demand_constraints_hold(
         return false;
     }
     let topo = &spec.topology;
-    if spec.funneling.is_enabled() {
-        if let Some(a) = last {
-            if spec.kind_is_drain(a) && v.count(a) > 0 {
-                let block = spec.block_for(a, v.count(a) - 1);
-                spec.funneling.apply(topo, state, &block.switches, loads);
-            }
-        }
+    if let Some(drained) = funneled_switches(spec, v, last) {
+        spec.funneling.apply(topo, state, drained, loads);
     }
     summarize(topo, state, loads, spec.theta).violations == 0
 }
@@ -901,6 +996,57 @@ mod tests {
         let rows = &checker.ensemble_breakdown().matrices;
         assert_eq!((rows[0].checks, rows[0].kills), (1, 1));
         assert!(rows[1..].iter().all(|m| m.checks == 0 && m.kills == 0));
+    }
+
+    #[test]
+    fn an_ensemble_check_is_one_advance_and_one_traversal() {
+        let opts = MigrationOptions {
+            ensemble: Some(klotski_traffic::EnsembleSpec::with_k(8, 11)),
+            ..MigrationOptions::default()
+        };
+        let mut spec =
+            MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &opts).unwrap();
+        assert_eq!(spec.extra_demands.len(), 7);
+        spec.space = None; // every check routes
+        let mut checker = SatChecker::new(&spec, EscMode::Off);
+        // A planner's walk: every child of each state along a feasible
+        // chain, batch-checked from its parent.
+        let mut v = CompactState::origin(spec.num_types());
+        let mut state = spec.initial.clone();
+        let (mut checks, mut accepted) = (0, 0);
+        for _ in 0..6 {
+            let children: Vec<_> = spec
+                .actions
+                .ids()
+                .filter(|&a| v.count(a) < spec.target_counts.count(a))
+                .map(|a| {
+                    let mut s = state.clone();
+                    spec.apply_next(&mut s, &v, a);
+                    (v.advanced(a), s, a)
+                })
+                .collect();
+            let items: Vec<_> = children.iter().map(|(v, s, a)| (v, s, Some(*a))).collect();
+            let verdicts = checker.check_batch_from(&spec, Some((&v, &state)), &items);
+            checks += items.len() as u64;
+            accepted += verdicts.iter().filter(|&&ok| ok).count() as u64;
+            let next = verdicts
+                .iter()
+                .rposition(|&ok| ok)
+                .expect("a feasible child");
+            (v, state) = (children[next].0.clone(), children[next].1.clone());
+        }
+        let engine = checker.incremental.as_ref().unwrap().engine().stats();
+        assert!(accepted < checks, "the walk meets rejections");
+        assert_eq!(engine.evaluations, checks);
+        assert_eq!(engine.sweeps, checks, "one traversal per ensemble check");
+        assert_eq!(engine.extra_replays, 7 * checks);
+        let rows = &checker.ensemble_breakdown().matrices;
+        assert_eq!(rows[0].checks, checks);
+        assert_eq!(
+            rows[7].checks, accepted,
+            "the last matrix judges what all others passed"
+        );
+        assert_eq!(rows.iter().map(|m| m.kills).sum::<u64>(), checks - accepted);
     }
 
     #[test]

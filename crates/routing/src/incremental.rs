@@ -36,12 +36,13 @@
 //!
 //! Only the structure is cached. Loads are not: after the (lane-partitioned)
 //! structure advance joins, one sequential sweep on the caller walks each
-//! destination's `order`/`dag` once and adds every requested demand
-//! matrix's shares into that matrix's `LoadMap` — the base matrix alone for
-//! [`IncrementalRouter::evaluate`] (straight into the map's slots), all K−1
-//! extras of a traffic ensemble packed into one traversal for
-//! [`IncrementalRouter::replay_extras`] (on a lane-interleaved accumulator,
-//! so one DAG edge's K−1 adds land side by side).
+//! destination's `order`/`dag` once and adds the requested demand matrices'
+//! shares into the caller's load field — the base matrix alone for
+//! [`IncrementalRouter::evaluate`] (straight into a `LoadMap`'s slots), every
+//! matrix of a traffic ensemble, base included as lane 0, for
+//! [`IncrementalRouter::evaluate_packed`] (into a lane-interleaved
+//! [`PackedLoads`], so one DAG edge's K adds land side by side). Either way
+//! a check is one advance and one traversal.
 //!
 //! Determinism: the sweep visits destinations in ascending order, switches
 //! in reverse canonical `(distance, switch index)` order, and downhill lists
@@ -52,7 +53,7 @@
 //! any number of packed matrices.
 
 use crate::ecmp::{canonical_order, RouteOutcome, SplitPolicy, UNREACHED};
-use crate::loads::LoadMap;
+use crate::loads::{lane_groups, LoadMap, PackedLoads};
 use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
 use klotski_telemetry::{registry, Counter, Gauge};
@@ -61,26 +62,17 @@ use klotski_traffic::{DemandClass, DemandMatrix};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Chunks per lane for the lane-partitioned destination advance: a little
 /// oversubscription so fast lanes steal the tail.
 const CHUNKS_PER_LANE: usize = 4;
 
-/// Widest instantiation of the sweep kernel; a sweep of more matrices runs
-/// in chunks of this many.
-const MAX_WIDTH: usize = 8;
-
-/// Compile-time width of the kernel that sweeps `lanes` matrices at once:
-/// `lanes` rounded up to a power of two, so every instantiation's inner
-/// loops are whole SSE2 vectors (or one scalar).
-fn lane_width(lanes: usize) -> usize {
-    lanes.next_power_of_two().min(MAX_WIDTH)
-}
-
 /// Running totals of incremental-evaluation effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Completed [`evaluate`](IncrementalRouter::evaluate) calls.
+    /// Completed [`evaluate`](IncrementalRouter::evaluate) and
+    /// [`evaluate_packed`](IncrementalRouter::evaluate_packed) calls.
     pub evaluations: u64,
     /// Structure-only [`rebase`](IncrementalRouter::rebase) calls.
     pub rebases: u64,
@@ -94,8 +86,12 @@ pub struct IncrementalStats {
     pub toggled_circuits: u64,
     /// Non-base ensemble matrices swept: one per
     /// [`replay_extra`](IncrementalRouter::replay_extra), K−1 per
-    /// [`replay_extras`](IncrementalRouter::replay_extras).
+    /// [`evaluate_packed`](IncrementalRouter::evaluate_packed).
     pub extra_replays: u64,
+    /// Traversals of the routing structure by the load sweep: one per
+    /// `evaluate` or `replay_extra`, one per lane group (a single one up to
+    /// K = 8) per `evaluate_packed`.
+    pub sweeps: u64,
 }
 
 /// `klotski_routing_incremental_*` registry handles, resolved once.
@@ -258,11 +254,6 @@ pub struct IncrementalRouter {
     /// this engine's ensemble needs; a width-`W` sweep keeps switch `u`'s
     /// flows at `[u * W, u * W + W)`. All zero between sweeps.
     inflow: Vec<f64>,
-    /// Load accumulator of the packed (width > 1) sweeps, lane-interleaved:
-    /// `acc[slot * W + m]` is lane `m`'s load on `slot`. Gathered from the
-    /// caller's `LoadMap`s before a sweep and scattered back after; sized on
-    /// the first packed sweep.
-    acc: Vec<f64>,
     /// Word-level masks of the current toggle set, `(word index, bits)` —
     /// a destination whose footprint misses every word is clean without
     /// walking the toggle list.
@@ -299,9 +290,11 @@ impl IncrementalRouter {
     /// An engine that additionally tracks `extras` — the non-base matrices
     /// of a traffic ensemble. Every extra must share `matrix`'s exact
     /// `(src, dst, class)` sequence (only rates may differ); the routing
-    /// structure is then matrix-independent, and
-    /// [`replay_extra`](Self::replay_extra) re-runs only the load sweep per
-    /// matrix against the structure the base advance computed.
+    /// structure is then matrix-independent:
+    /// [`evaluate_packed`](Self::evaluate_packed) sweeps all of them with the
+    /// base in the one traversal that follows the advance, and
+    /// [`replay_extra`](Self::replay_extra) re-runs the load sweep for one
+    /// matrix against the structure the last advance computed.
     ///
     /// # Panics
     /// Panics when an extra's demand endpoints diverge from the base.
@@ -344,8 +337,13 @@ impl IncrementalRouter {
             csr,
             mask: UsableMask::new(),
             entries,
-            inflow: vec![0.0; n * lane_width(extras.len())],
-            acc: Vec::new(),
+            inflow: vec![
+                0.0;
+                n * lane_groups(matrices)
+                    .map(|g| g.width)
+                    .max()
+                    .expect("the base matrix is a lane")
+            ],
             toggle_words: Vec::new(),
             intern: HashMap::new(),
             num_extras: extras.len(),
@@ -418,10 +416,9 @@ impl IncrementalRouter {
     }
 
     /// Estimated resident bytes of the engine: the per-destination caches,
-    /// the sweep's inflow and packed-load accumulators, and every lane's
-    /// epoch stamps.
+    /// the sweep's inflow accumulator, and every lane's epoch stamps.
     pub fn approx_bytes(&self) -> u64 {
-        let mut bytes = (self.inflow.capacity() + self.acc.capacity()) * 8;
+        let mut bytes = self.inflow.capacity() * 8;
         for e in &self.entries {
             bytes += e.dist.capacity() * 4 + e.order.capacity() * 4;
             bytes += e.dag.capacity() * 8 + e.dag_len.capacity() * 4;
@@ -470,18 +467,71 @@ impl IncrementalRouter {
         self.advance(pool, topo, state, toggles);
         self.stats.evaluations += 1;
         self.metrics.evaluations.inc();
-        self.sweep(
-            state,
-            0,
-            std::slice::from_mut(loads),
-            std::slice::from_mut(outcome),
+        self.sweep_group::<1>(state, 0, loads.slots_mut(), std::slice::from_mut(outcome));
+    }
+
+    /// [`evaluate`](Self::evaluate) for the whole ensemble: one structure
+    /// advance, then one traversal that sweeps every matrix the engine
+    /// tracks — the base as lane 0, extra `k` as lane `k + 1` — into `loads`
+    /// (overwritten: the sweep starts from zero, unlike `evaluate`) and
+    /// writes `outcomes[lane]`. K = 8 fills the widest kernel exactly; more
+    /// matrices take one traversal per group of 8.
+    ///
+    /// Ensemble variants share the base's demand endpoints, so routing
+    /// structure and reachability are matrix-independent, and each lane sees
+    /// the f64 addition sequence of a from-scratch sequential evaluation of
+    /// its matrix alone: every lane is bit-identical to that evaluation.
+    ///
+    /// Returns the wall time of the sweep — the part of the call all K
+    /// matrices share, for callers that attribute time per matrix; the
+    /// advance before it is the same work `evaluate` does.
+    ///
+    /// # Panics
+    /// Panics unless `loads` and `outcomes` hold exactly
+    /// [`num_extras`](Self::num_extras)` + 1` lanes.
+    pub fn evaluate_packed(
+        &mut self,
+        pool: &WorkerPool,
+        topo: &Topology,
+        state: &NetState,
+        toggles: Option<&[CircuitId]>,
+        loads: &mut PackedLoads,
+        outcomes: &mut [RouteOutcome],
+    ) -> Duration {
+        let matrices = self.num_extras + 1;
+        assert_eq!(loads.lanes(), matrices, "one lane per ensemble matrix");
+        assert_eq!(outcomes.len(), matrices, "one outcome per ensemble matrix");
+        assert_eq!(
+            loads.num_circuits(),
+            self.csr.num_circuits(),
+            "loads of another topology"
         );
+        self.advance(pool, topo, state, toggles);
+        self.stats.evaluations += 1;
+        self.stats.extra_replays += self.num_extras as u64;
+        self.metrics.evaluations.inc();
+        let swept = Instant::now();
+        loads.clear();
+        for (g, field) in loads.groups_mut() {
+            let outcomes = &mut outcomes[g.first..][..g.lanes];
+            match g.width {
+                1 => self.sweep_group::<1>(state, g.first, field, outcomes),
+                2 => self.sweep_group::<2>(state, g.first, field, outcomes),
+                4 => self.sweep_group::<4>(state, g.first, field, outcomes),
+                _ => self.sweep_group::<8>(state, g.first, field, outcomes),
+            }
+        }
+        swept.elapsed()
     }
 
     /// Sweeps ensemble matrix `k + 1` (the k-th non-base extra) over the
     /// structures of the engine's base state, accumulating into `loads`
-    /// (NOT cleared) and writing the outcome buffer: the one-matrix call of
-    /// [`replay_extras`](Self::replay_extras), same preconditions.
+    /// (NOT cleared) and writing the outcome buffer.
+    ///
+    /// Must follow an [`evaluate`](Self::evaluate) or
+    /// [`rebase`](Self::rebase) of the same `state`: distance labels, DAGs
+    /// and canonical orders are the advance's — no BFS, no DAG work — and the
+    /// result is bit-identical to a from-scratch evaluation of that matrix.
     pub fn replay_extra(
         &mut self,
         k: usize,
@@ -489,125 +539,48 @@ impl IncrementalRouter {
         loads: &mut LoadMap,
         outcome: &mut RouteOutcome,
     ) {
-        self.sweep(
+        assert!(k < self.num_extras, "matrix outside the engine's ensemble");
+        self.sweep_group::<1>(
             state,
             k + 1,
-            std::slice::from_mut(loads),
+            loads.slots_mut(),
             std::slice::from_mut(outcome),
         );
         self.stats.extra_replays += 1;
     }
 
-    /// Sweeps every non-base ensemble matrix over the structures of the
-    /// engine's base state in one packed traversal: extra `k` accumulates
-    /// into `loads[k]` (NOT cleared) and writes `outcomes[k]`.
-    ///
-    /// Must follow an [`evaluate`](Self::evaluate) or
-    /// [`rebase`](Self::rebase) of the same `state`: distance labels, DAGs
-    /// and canonical orders are the advance's, and ensemble variants share
-    /// the base's demand endpoints, so routing structure and reachability
-    /// are matrix-independent — no BFS, no DAG work. Each matrix sees the
-    /// f64 addition sequence of a from-scratch sequential evaluation of
-    /// that matrix alone, so results are bit-identical to it.
-    ///
-    /// # Panics
-    /// Panics unless both slices hold exactly
-    /// [`num_extras`](Self::num_extras) elements.
-    pub fn replay_extras(
-        &mut self,
-        state: &NetState,
-        loads: &mut [LoadMap],
-        outcomes: &mut [RouteOutcome],
-    ) {
-        assert_eq!(loads.len(), self.num_extras, "one LoadMap per extra matrix");
-        self.sweep(state, 1, loads, outcomes);
-        self.stats.extra_replays += self.num_extras as u64;
-    }
-
-    /// The load sweep: matrices `first .. first + loads.len()`, at most
-    /// [`MAX_WIDTH`] per sequential pass over the destinations, ascending.
-    /// Matrices never interact, so how they are grouped into passes cannot
-    /// show in any of their results.
-    fn sweep(
+    /// One traversal of every destination, ascending, through the width-`W`
+    /// kernel: matrices `first .. first + outcomes.len()` (at most `W`) are
+    /// added into `acc`, a `slots × W` lane-interleaved field — a
+    /// [`LoadMap`]'s own slots when `W` is 1. Padding lanes
+    /// `outcomes.len()..W` start at +0.0 and only ever receive +0.0 shares
+    /// (no rate is injected into them); the real lanes cannot tell they are
+    /// there — see [`sweep_entry`].
+    fn sweep_group<const W: usize>(
         &mut self,
         state: &NetState,
         first: usize,
-        loads: &mut [LoadMap],
+        acc: &mut [f64],
         outcomes: &mut [RouteOutcome],
     ) {
         debug_assert!(self.primed, "the sweep needs a primed engine");
-        assert_eq!(loads.len(), outcomes.len(), "one outcome per LoadMap");
-        assert!(
-            first + loads.len() <= self.num_extras + 1,
-            "matrix range outside the engine's ensemble"
-        );
-        let passes = loads
-            .chunks_mut(MAX_WIDTH)
-            .zip(outcomes.chunks_mut(MAX_WIDTH));
-        for (pass, (loads, outcomes)) in passes.enumerate() {
-            let first = first + pass * MAX_WIDTH;
-            match lane_width(loads.len()) {
-                1 => self.sweep_pass::<1>(state, first, loads, outcomes),
-                2 => self.sweep_pass::<2>(state, first, loads, outcomes),
-                4 => self.sweep_pass::<4>(state, first, loads, outcomes),
-                _ => self.sweep_pass::<MAX_WIDTH>(state, first, loads, outcomes),
-            }
-        }
-    }
-
-    /// One pass of the sweep through the width-`W` kernel, `loads.len() <= W`
-    /// matrices wide. Width 1 adds straight into the `LoadMap`'s slots.
-    /// Wider passes run on the lane-interleaved accumulator: gathered from
-    /// the maps first (so what they already hold is accumulated onto, in
-    /// the same order as a sweep straight into them), scattered back after.
-    /// Padding lanes `loads.len()..W` start at +0.0, only ever receive +0.0
-    /// shares (no rate is injected into them) and are never scattered; the
-    /// real lanes cannot tell they are there — see [`sweep_entry`].
-    fn sweep_pass<const W: usize>(
-        &mut self,
-        state: &NetState,
-        first: usize,
-        loads: &mut [LoadMap],
-        outcomes: &mut [RouteOutcome],
-    ) {
+        self.stats.sweeps += 1;
         for o in outcomes.iter_mut() {
             o.clear();
         }
         let inflow = &mut self.inflow[..self.csr.num_switches() * W];
-        let mut sweep_into = |acc: &mut [f64]| {
-            for entry in &self.entries {
-                sweep_entry::<W>(
-                    entry,
-                    &self.csr,
-                    self.policy,
-                    inflow,
-                    acc,
-                    state,
-                    self.num_extras + 1,
-                    first,
-                    outcomes,
-                );
-            }
-        };
-        if W == 1 {
-            return sweep_into(loads[0].slots_mut());
-        }
-        let slots = self.csr.num_circuits() * 2;
-        if self.acc.len() < slots * W {
-            self.acc.resize(slots * W, 0.0);
-        }
-        let acc = &mut self.acc[..slots * W];
-        for (slot, cell) in acc.chunks_exact_mut(W).enumerate() {
-            cell.fill(0.0);
-            for (into, map) in cell.iter_mut().zip(loads.iter_mut()) {
-                *into = map.slots_mut()[slot];
-            }
-        }
-        sweep_into(acc);
-        for (slot, cell) in acc.chunks_exact(W).enumerate() {
-            for (&from, map) in cell.iter().zip(loads.iter_mut()) {
-                map.slots_mut()[slot] = from;
-            }
+        for entry in &self.entries {
+            sweep_entry::<W>(
+                entry,
+                &self.csr,
+                self.policy,
+                inflow,
+                acc,
+                state,
+                self.num_extras + 1,
+                first,
+                outcomes,
+            );
         }
     }
 
@@ -1215,6 +1188,8 @@ pub fn usability_toggles(topo: &Topology, a: &NetState, b: &NetState) -> Vec<Cir
 mod tests {
     use super::*;
     use crate::ecmp::EcmpRouter;
+    use crate::evaluate::{summarize, summarize_packed};
+    use crate::funneling::FunnelingModel;
     use klotski_topology::presets::{self, PresetId};
     use klotski_traffic::{generate, DemandGenConfig};
 
@@ -1305,28 +1280,40 @@ mod tests {
             .collect()
     }
 
-    /// Sweeps every extra of `engine` both ways — all at once and one at a
-    /// time — and checks each against the other and against `EcmpRouter`
-    /// from scratch, bit for bit.
-    fn assert_extras_match_scalar_and_scratch(
+    /// One ensemble check's routing at `state`, both ways: every matrix
+    /// (`matrices[0]` the base) in one packed traversal after advancing by
+    /// `toggles`, then one lane at a time over the same structure — each
+    /// lane checked against the other path and against `EcmpRouter` from
+    /// scratch, bit for bit. `packed` arrives holding whatever the last call
+    /// left (the sweep must overwrite it). Then the one-pass K-report
+    /// summary against `summarize` per lane, before and after funneling.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_packed_matches_scalar_and_scratch(
         engine: &mut IncrementalRouter,
+        pool: &WorkerPool,
         t: &Topology,
         state: &NetState,
-        extras: &[DemandMatrix],
+        toggles: Option<&[CircuitId]>,
+        packed: &mut PackedLoads,
+        matrices: &[&DemandMatrix],
         policy: SplitPolicy,
         what: &str,
     ) {
-        let mut packed = vec![LoadMap::new(t); extras.len()];
-        let mut packed_out = vec![RouteOutcome::new(); extras.len()];
-        engine.replay_extras(state, &mut packed, &mut packed_out);
+        let mut packed_out = vec![RouteOutcome::new(); matrices.len()];
+        engine.evaluate_packed(pool, t, state, toggles, packed, &mut packed_out);
+        let mut lanes = vec![LoadMap::new(t); matrices.len()];
         let mut loads = LoadMap::new(t);
         let mut out = RouteOutcome::new();
-        for (k, extra) in extras.iter().enumerate() {
-            let what = format!("{what} extra {k}");
+        for (m, matrix) in matrices.iter().enumerate() {
+            let what = format!("{what} lane {m}");
+            packed.lane_into(m, &mut lanes[m]);
             loads.clear();
-            engine.replay_extra(k, state, &mut loads, &mut out);
-            let (ref_loads, ref_out) = full_reference(t, state, extra, policy);
-            for (got, path) in [(&packed_out[k], "packed"), (&out, "one-lane")] {
+            match m.checked_sub(1) {
+                None => engine.evaluate(pool, t, state, Some(&[]), &mut loads, &mut out),
+                Some(k) => engine.replay_extra(k, state, &mut loads, &mut out),
+            }
+            let (ref_loads, ref_out) = full_reference(t, state, matrix, policy);
+            for (got, path) in [(&packed_out[m], "packed"), (&out, "one-lane")] {
                 assert_eq!(*got, ref_out, "{what} ({path})");
                 assert_eq!(
                     got.routed_gbps.to_bits(),
@@ -1334,9 +1321,58 @@ mod tests {
                     "{what} ({path})"
                 );
             }
-            assert_bit_identical(&packed[k], &ref_loads, t, &format!("{what} (packed)"));
+            assert_bit_identical(&lanes[m], &ref_loads, t, &format!("{what} (packed)"));
             assert_bit_identical(&loads, &ref_loads, t, &format!("{what} (one-lane)"));
         }
+
+        // θ at half the base's peak, so violations and residuals are not
+        // trivially zero; the headroom lands on circuits around switches
+        // that are down in `state`.
+        let theta = 0.5 * summarize(t, state, &lanes[0], 1.0).max_utilization;
+        let down: Vec<SwitchId> = (0..t.num_switches())
+            .map(SwitchId::from_index)
+            .filter(|&s| !state.switch_up(s))
+            .take(2)
+            .collect();
+        let model = FunnelingModel {
+            headroom_factor: 1.3,
+        };
+        let mut reports = Vec::new();
+        for funneled in [false, true] {
+            if funneled {
+                assert!(!model.related_circuits(t, state, &down).is_empty());
+                model.apply_packed(t, state, &down, packed);
+            }
+            summarize_packed(t, state, packed, theta, &mut reports);
+            assert_eq!(reports.len(), matrices.len());
+            for (m, (lane, got)) in lanes.iter_mut().zip(&reports).enumerate() {
+                let what = format!("{what} lane {m} funneled={funneled}");
+                if funneled {
+                    model.apply(t, state, &down, lane);
+                    packed.lane_into(m, &mut loads);
+                    assert_bit_identical(&loads, lane, t, &what);
+                }
+                let want = summarize(t, state, lane, theta);
+                assert_eq!(
+                    got.max_utilization.to_bits(),
+                    want.max_utilization.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(got.worst_circuit, want.worst_circuit, "{what}");
+                assert_eq!(got.violations, want.violations, "{what}");
+                assert_eq!(
+                    got.min_residual_gbps.to_bits(),
+                    want.min_residual_gbps.to_bits(),
+                    "{what}"
+                );
+            }
+            assert!(reports[0].violations > 0 && reports[0].worst_circuit.is_some());
+        }
+    }
+
+    /// The base matrix followed by the extras: lane order.
+    fn lanes_of<'a>(base: &'a DemandMatrix, extras: &'a [DemandMatrix]) -> Vec<&'a DemandMatrix> {
+        std::iter::once(base).chain(extras).collect()
     }
 
     #[test]
@@ -1465,6 +1501,7 @@ mod tests {
                 policy,
             );
             let mut loads = LoadMap::new(&t);
+            let mut packed = PackedLoads::new(&t, 3);
             let mut out = RouteOutcome::new();
             let mut seed = 0x5eed_u64;
             let mut prev = start.clone();
@@ -1481,11 +1518,14 @@ mod tests {
                 assert_eq!(out, ref_out, "{policy:?} step {i}");
                 assert_bit_identical(&loads, &ref_loads, &t, "drifted base");
                 // The extras' columns are untouched.
-                assert_extras_match_scalar_and_scratch(
+                assert_packed_matches_scalar_and_scratch(
                     &mut engine,
+                    &pool,
                     &t,
                     &next,
-                    &extras,
+                    Some(&[]),
+                    &mut packed,
+                    &lanes_of(drifted, &extras),
                     policy,
                     "beside a drifted base",
                 );
@@ -1508,11 +1548,13 @@ mod tests {
     fn packed_sweep_matches_one_lane_sweeps_and_from_scratch() {
         let (t, state, demands) = preset_world();
         for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
-            // Every kernel width (1, 2, 4, 8), every padding amount (K−1 =
-            // 3 → 1 lane, 5 → 3, 7 → 1), and sweeps wider than the widest
-            // kernel (K−1 = 8 → one full pass; 16 → two passes).
-            for k in [1usize, 2, 3, 4, 5, 6, 8, 9, 17] {
+            // Every kernel width (1, 2, 4, 8), every padding amount (K = 3
+            // → 1 lane, 5 → 3, 6 → 2, 7 → 1), and ensembles wider than the
+            // widest kernel (K = 9 → a full group and a scalar one; 17 →
+            // two full groups and a scalar one).
+            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 17] {
                 let extras = variants(&demands, k - 1);
+                let matrices = lanes_of(&demands, &extras);
                 let pool = WorkerPool::new(1 + k % 3);
                 let mut engine = IncrementalRouter::with_csr_ensemble(
                     Arc::new(CsrGraph::build(&t)),
@@ -1522,10 +1564,10 @@ mod tests {
                     policy,
                 );
                 assert_eq!(engine.num_extras(), k - 1);
+                let mut packed = PackedLoads::new(&t, k);
+                assert_eq!(packed.lanes(), k);
                 let mut prev = state.clone();
-                let mut loads = LoadMap::new(&t);
-                let mut out = RouteOutcome::new();
-                engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
+                engine.rebase(&pool, &t, &prev, None);
                 let mut seed = 0xab5eed ^ k as u64;
                 for step in 0..8 {
                     let what = format!("{policy:?} K={k} step {step}");
@@ -1535,90 +1577,87 @@ mod tests {
                     let toggles = usability_toggles(&t, &prev, &parent);
                     engine.rebase(&pool, &t, &parent, Some(&toggles));
                     if step % 2 == 1 {
-                        // A rebase alone is enough structure to sweep over.
-                        assert_extras_match_scalar_and_scratch(
+                        // A check of the rebased state itself: empty delta.
+                        assert_packed_matches_scalar_and_scratch(
                             &mut engine,
+                            &pool,
                             &t,
                             &parent,
-                            &extras,
+                            Some(&[]),
+                            &mut packed,
+                            &matrices,
                             policy,
                             &format!("{what} (rebased)"),
                         );
                     }
                     let next = random_step(&t, &parent, &mut seed);
                     let toggles = usability_toggles(&t, &parent, &next);
-                    loads.clear();
-                    engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
-                    let (ref_loads, ref_out) = full_reference(&t, &next, &demands, policy);
-                    assert_eq!(out, ref_out, "{what}");
-                    assert_eq!(out.routed_gbps.to_bits(), ref_out.routed_gbps.to_bits());
-                    assert_bit_identical(&loads, &ref_loads, &t, &what);
-                    assert_extras_match_scalar_and_scratch(
+                    assert_packed_matches_scalar_and_scratch(
                         &mut engine,
+                        &pool,
                         &t,
                         &next,
-                        &extras,
+                        Some(&toggles),
+                        &mut packed,
+                        &matrices,
                         policy,
                         &what,
                     );
                     prev = next;
                 }
-                let swept = engine.stats().extra_replays;
-                assert_eq!(swept, (8 + 4) * 2 * (k as u64 - 1));
+                // Per call: one packed evaluation (one traversal per group
+                // of 8) plus the one-lane sweeps of all K matrices.
+                let calls = 8 + 4;
+                let groups = k.div_ceil(8) as u64;
+                let s = engine.stats();
+                assert_eq!(s.evaluations, calls * 2);
+                assert_eq!(s.extra_replays, calls * 2 * (k as u64 - 1));
+                assert_eq!(s.sweeps, calls * (groups + k as u64));
             }
         }
     }
 
     #[test]
-    fn packed_sweep_accumulates_onto_preloaded_maps() {
+    fn a_packed_evaluation_is_one_advance_and_one_traversal() {
         let (t, state, demands) = preset_world();
-        // The maps the packed sweep gathers from already hold another
-        // matrix's loads, different per lane; the result must be what the
-        // oracle leaves when it routes both matrices into one map.
-        let preload = |k: usize| demands.scaled(0.3 + 0.1 * k as f64);
-        for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
-            for k in [3usize, 4, 6, 12] {
-                let what = format!("{policy:?} K={k}");
-                let extras = variants(&demands, k - 1);
-                let pool = WorkerPool::new(1);
-                let mut engine = IncrementalRouter::with_csr_ensemble(
-                    Arc::new(CsrGraph::build(&t)),
-                    &demands,
-                    &extras,
-                    pool.lanes(),
-                    policy,
-                );
-                let mut seed = 0x10aded ^ k as u64;
-                let next = random_step(&t, &state, &mut seed);
-                engine.rebase(&pool, &t, &state, None);
-                engine.rebase(
-                    &pool,
-                    &t,
-                    &next,
-                    Some(&usability_toggles(&t, &state, &next)),
-                );
-
-                let mut oracle = EcmpRouter::with_policy(&t, policy);
-                let mut packed = vec![LoadMap::new(&t); k - 1];
-                let mut expected = vec![LoadMap::new(&t); k - 1];
-                for (i, (got, want)) in packed.iter_mut().zip(&mut expected).enumerate() {
-                    oracle.route(&t, &next, &preload(i), got);
-                    oracle.route(&t, &next, &preload(i), want);
-                    oracle.route(&t, &next, &extras[i], want);
-                }
-                let mut outs = vec![RouteOutcome::new(); k - 1];
-                engine.replay_extras(&next, &mut packed, &mut outs);
-                for (i, (got, want)) in packed.iter().zip(&expected).enumerate() {
-                    assert_bit_identical(got, want, &t, &format!("{what} extra {i}"));
-                }
-                // And again on top, un-cleared: three matrices deep.
-                engine.replay_extras(&next, &mut packed, &mut outs);
-                for (i, (got, want)) in packed.iter().zip(&mut expected).enumerate() {
-                    oracle.route(&t, &next, &extras[i], want);
-                    assert_bit_identical(got, want, &t, &format!("{what} extra {i} twice"));
-                }
-            }
+        let extras = variants(&demands, 7);
+        let pool = WorkerPool::new(1);
+        let mut engine = IncrementalRouter::with_csr_ensemble(
+            Arc::new(CsrGraph::build(&t)),
+            &demands,
+            &extras,
+            pool.lanes(),
+            SplitPolicy::Ecmp,
+        );
+        let mut packed = PackedLoads::new(&t, 8);
+        let mut outs = vec![RouteOutcome::new(); 8];
+        engine.evaluate_packed(&pool, &t, &state, None, &mut packed, &mut outs);
+        let mut prev = state;
+        let mut seed = 0x0e5;
+        for _ in 0..10 {
+            let next = random_step(&t, &prev, &mut seed);
+            let toggles = usability_toggles(&t, &prev, &next);
+            engine.evaluate_packed(&pool, &t, &next, Some(&toggles), &mut packed, &mut outs);
+            prev = next;
         }
+        let s = engine.stats();
+        assert_eq!((s.evaluations, s.sweeps, s.rebases), (11, 11, 0));
+        assert_eq!(s.extra_replays, 11 * 7);
+        assert_eq!(
+            s.clean_destinations + s.dirty_destinations,
+            11 * engine.num_destinations() as u64
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one lane per ensemble matrix")]
+    fn packed_loads_of_another_ensemble_size_are_refused() {
+        let (t, state, demands) = preset_world();
+        let pool = WorkerPool::new(1);
+        let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
+        let mut packed = PackedLoads::new(&t, 2);
+        let mut outs = vec![RouteOutcome::new(); 2];
+        engine.evaluate_packed(&pool, &t, &state, None, &mut packed, &mut outs);
     }
 
     /// One destination's cached structure: labels, canonical order, list
@@ -1726,22 +1765,22 @@ mod tests {
             let mut out = RouteOutcome::new();
             engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
             let toggles = usability_toggles(&t, &state, &next);
-            loads.clear();
-            engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
-            for lost in [down, cut] {
-                assert!(out.unreachable.iter().any(|&(s, _)| s == lost), "{lost}");
-            }
-            let (ref_loads, ref_out) = full_reference(&t, &next, &demands, policy);
-            assert_eq!(out, ref_out);
-            assert_bit_identical(&loads, &ref_loads, &t, "base");
-            assert_extras_match_scalar_and_scratch(
+            assert_packed_matches_scalar_and_scratch(
                 &mut engine,
+                &pool,
                 &t,
                 &next,
-                &extras,
+                Some(&toggles),
+                &mut PackedLoads::new(&t, 4),
+                &lanes_of(&demands, &extras),
                 policy,
                 &format!("{policy:?}"),
             );
+            loads.clear();
+            engine.evaluate(&pool, &t, &next, Some(&[]), &mut loads, &mut out);
+            for lost in [down, cut] {
+                assert!(out.unreachable.iter().any(|&(s, _)| s == lost), "{lost}");
+            }
         }
     }
 

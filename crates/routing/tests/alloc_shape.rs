@@ -2,12 +2,15 @@
 //!
 //! The load-sweep data path is fast because of where its bytes live: each
 //! destination's DAG is one arena (not one list per switch), `LoadMap` is a
-//! plain dense array, and the packed sweep runs on one engine-owned
-//! accumulator. A counting `#[global_allocator]` pins exactly that, on any
+//! plain dense array, and the packed sweep fills one caller-owned
+//! `PackedLoads`. A counting `#[global_allocator]` pins exactly that, on any
 //! machine, without a timer.
 
 use klotski_parallel::WorkerPool;
-use klotski_routing::{usability_toggles, IncrementalRouter, LoadMap, RouteOutcome, SplitPolicy};
+use klotski_routing::{
+    summarize_packed, usability_toggles, IncrementalRouter, LoadMap, PackedLoads, RouteOutcome,
+    SplitPolicy,
+};
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::{CircuitId, CsrGraph, NetState};
 use klotski_traffic::{generate, DemandGenConfig, DemandMatrix};
@@ -140,8 +143,9 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
 
     let mut loads = LoadMap::new(t);
     let mut out = RouteOutcome::new();
-    let mut packed = vec![LoadMap::new(t); extras.len()];
-    let mut packed_out = vec![RouteOutcome::new(); extras.len()];
+    let mut packed = PackedLoads::new(t, extras.len() + 1);
+    let mut packed_out = vec![RouteOutcome::new(); extras.len() + 1];
+    let mut reports = Vec::with_capacity(extras.len() + 1);
 
     // (1) Construction + priming: a handful of blocks per destination — its
     // demand columns, labels, order, the DAG arena and its lengths, a
@@ -171,14 +175,26 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
         built.allocs
     );
 
-    // (2) Warm-up: one step of the walk there and back sizes the packed
-    // accumulator and the lane scratch. After it, walking allocates nothing:
-    // patches rewrite arena segments in place, a full fallback that reaches
-    // the region it reached before keeps its footprint, the sweeps run on
-    // engine-owned buffers, `clear` is a fill.
+    // (2) Warm-up: one step of the walk there and back sizes the lane
+    // scratch. After it, walking allocates nothing: patches rewrite arena
+    // segments in place, a full fallback that reaches the region it reached
+    // before keeps its footprint, the sweeps fill caller-owned buffers,
+    // `clear` is a fill.
     let mut step = |engine: &mut IncrementalRouter, i: usize| {
-        // Planner shape: the child is evaluated, its extras replayed, then
-        // the engine is rebased onto the parent and forward again.
+        // Planner shape: the child's whole ensemble is evaluated in one
+        // packed sweep and summarized, the engine is rebased onto the parent
+        // and the child is evaluated again one lane at a time.
+        engine.evaluate_packed(
+            &pool,
+            t,
+            &states[i + 1],
+            Some(&forward[i]),
+            &mut packed,
+            &mut packed_out,
+        );
+        summarize_packed(t, &states[i + 1], &packed, 0.75, &mut reports);
+        packed.lane_into(0, &mut loads);
+        engine.rebase(&pool, t, &states[i], Some(&forward[i]));
         loads.clear();
         engine.evaluate(
             &pool,
@@ -188,12 +204,9 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
             &mut loads,
             &mut out,
         );
-        for map in packed.iter_mut() {
-            map.clear();
+        for k in 0..extras.len() {
+            engine.replay_extra(k, &states[i + 1], &mut loads, &mut out);
         }
-        engine.replay_extras(&states[i + 1], &mut packed, &mut packed_out);
-        engine.rebase(&pool, t, &states[i], Some(&forward[i]));
-        engine.rebase(&pool, t, &states[i + 1], Some(&forward[i]));
     };
     step(&mut engine, 0);
     let before = engine.stats();
@@ -213,7 +226,7 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     assert_eq!(
         walked,
         Counts::default(),
-        "evaluate / replay_extras / rebase along the walk must not touch the allocator"
+        "evaluate / evaluate_packed / replay_extra / rebase along the walk must not touch the allocator"
     );
 
     // (3) Drop: what was allocated per destination is freed per destination.
