@@ -2,8 +2,7 @@
 //!
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§6). The `report` binary prints the same rows/series the
-//! paper reports; the Criterion benches under `benches/` measure the same
-//! scenarios for statistically solid timing.
+//! paper reports.
 //!
 //! Absolute numbers differ from the paper — the substrate here is a
 //! synthetic simulator, not Meta's production fleet — but the *shape* of

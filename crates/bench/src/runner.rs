@@ -1,4 +1,4 @@
-//! Planner runners shared by the report binary and the Criterion benches.
+//! Planner runners behind the report binary's experiments.
 
 use crate::bench_timeout;
 use klotski_baselines::{JanusPlanner, MrcPlanner};

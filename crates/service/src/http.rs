@@ -23,8 +23,6 @@ pub struct Request {
     pub path: String,
     /// Decoded query parameters, in order of appearance.
     pub query: Vec<(String, String)>,
-    /// Header name/value pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` was sent).
     pub body: Vec<u8>,
 }
@@ -35,15 +33,6 @@ impl Request {
         self.query
             .iter()
             .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// First value of header `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
             .map(|(_, v)| v.as_str())
     }
 }
@@ -57,16 +46,6 @@ pub enum HttpError {
     Malformed(String),
     /// Body larger than the configured cap.
     BodyTooLarge(usize),
-}
-
-impl std::fmt::Display for HttpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HttpError::Io(e) => write!(f, "i/o: {e}"),
-            HttpError::Malformed(why) => write!(f, "malformed request: {why}"),
-            HttpError::BodyTooLarge(n) => write!(f, "body of {n} bytes exceeds limit"),
-        }
-    }
 }
 
 impl From<std::io::Error> for HttpError {
@@ -113,7 +92,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         None => (target.to_string(), Vec::new()),
     };
 
-    let mut headers = Vec::new();
+    // The one header the service reads; the rest are only checked for shape.
     let mut content_length = 0usize;
     for line in lines {
         if line.is_empty() {
@@ -122,14 +101,12 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| HttpError::Malformed(format!("bad header line {line:?}")))?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
+        if name.trim().eq_ignore_ascii_case("content-length") {
             content_length = value
+                .trim()
                 .parse()
                 .map_err(|_| HttpError::Malformed("bad content-length".into()))?;
         }
-        headers.push((name, value));
     }
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge(content_length));
@@ -140,7 +117,6 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         method,
         path,
         query,
-        headers,
         body,
     })
 }

@@ -1,18 +1,20 @@
-//! Job lifecycle tracking: every accepted submission becomes a [`Job`]
-//! that connection threads can wait on (synchronous requests) or poll
-//! (`GET /v1/jobs/{id}` after a `?wait=0` submission).
-//!
-//! A job's phase is a Mutex+Condvar cell; workers publish exactly one
-//! terminal transition (`Done` or `Failed`), waking every waiter. The
-//! [`JobTable`] keeps a bounded history of finished jobs so pollers can
-//! fetch results after the fact without the table growing forever.
+//! The job board. Every accepted submission becomes a [`Job`] that
+//! connection threads wait on or poll; the [`JobTable`] indexes them by id
+//! (a bounded history, for pollers) and by singleflight slot (live jobs
+//! only, for coalescing). A job goes `Queued → Running → Settled`, and the
+//! board owns both ends: [`JobTable::admit`] and [`JobTable::settle`].
 
 use crate::pipeline::PlanArtifact;
+use crate::{locked, recover};
 use klotski_controller::ControllerReport;
 use klotski_npd::api::JobState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// `(npd_digest, options_digest)`: what a plan/audit computes, and so the
+/// key of the plan cache, the journal and the singleflight index alike.
+pub type JobKey = (u64, u64);
 
 /// What kind of work a job carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,16 +82,19 @@ pub struct JobError {
 enum Phase {
     Queued,
     Running,
-    Done(JobOutput),
-    Failed(JobError),
+    Settled(Result<JobOutput, JobError>),
 }
 
 /// One accepted submission.
 pub struct Job {
     /// Monotonic job id, also the `/v1/jobs/{id}` path segment.
     pub id: u64,
-    /// Plan or audit.
+    /// Plan, audit or run.
     pub kind: JobKind,
+    /// What the job computes; with `kind`, its singleflight slot. `None`
+    /// for runs: executions, not pure functions of a document, never
+    /// coalesce.
+    pub key: Option<JobKey>,
     /// When the job was admitted (drives the end-to-end latency metric).
     pub admitted: Instant,
     /// Telemetry stream id: the worker tags its thread with this while the
@@ -101,11 +106,11 @@ pub struct Job {
 }
 
 impl Job {
-    /// A freshly admitted job.
-    pub fn new(id: u64, kind: JobKind) -> Self {
+    fn new(id: u64, kind: JobKind, key: Option<JobKey>) -> Self {
         Self {
             id,
             kind,
+            key,
             admitted: Instant::now(),
             stream: klotski_telemetry::bus().next_stream_id(),
             phase: Mutex::new(Phase::Queued),
@@ -115,113 +120,141 @@ impl Job {
 
     /// Marks the job running (worker picked it up).
     pub fn set_running(&self) {
-        *self.phase.lock().unwrap() = Phase::Running;
+        *locked(&self.phase) = Phase::Running;
     }
 
-    /// Publishes success and wakes all waiters.
-    pub fn complete(&self, output: JobOutput) {
-        *self.phase.lock().unwrap() = Phase::Done(output);
+    /// Publishes the terminal outcome and wakes all waiters. Only
+    /// [`JobTable::settle`] calls it, after releasing the job's slot.
+    fn publish(&self, outcome: Result<JobOutput, JobError>) {
+        *locked(&self.phase) = Phase::Settled(outcome);
         self.done.notify_all();
     }
 
-    /// Publishes failure and wakes all waiters.
-    pub fn fail(&self, status: u16, message: impl Into<String>) {
-        *self.phase.lock().unwrap() = Phase::Failed(JobError {
-            status,
-            message: message.into(),
-        });
-        self.done.notify_all();
-    }
-
-    /// Current state plus outcome, without blocking.
-    pub fn status(&self) -> (JobState, Option<JobOutput>, Option<JobError>) {
-        match &*self.phase.lock().unwrap() {
-            Phase::Queued => (JobState::Queued, None, None),
-            Phase::Running => (JobState::Running, None, None),
-            Phase::Done(o) => (JobState::Done, Some(o.clone()), None),
-            Phase::Failed(e) => (JobState::Failed, None, Some(e.clone())),
+    /// Current state, plus the outcome once settled, without blocking.
+    pub fn status(&self) -> (JobState, Option<Result<JobOutput, JobError>>) {
+        match &*locked(&self.phase) {
+            Phase::Queued => (JobState::Queued, None),
+            Phase::Running => (JobState::Running, None),
+            Phase::Settled(Ok(o)) => (JobState::Done, Some(Ok(o.clone()))),
+            Phase::Settled(Err(e)) => (JobState::Failed, Some(Err(e.clone()))),
         }
     }
 
-    /// Blocks until the job reaches a terminal state or `timeout` passes.
-    /// Returns `None` on timeout (the job keeps running; poll later).
+    /// Blocks until the job settles or `timeout` passes. Returns `None` on
+    /// timeout (the job keeps running; poll later).
     pub fn wait(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
         let deadline = Instant::now() + timeout;
-        let mut phase = self.phase.lock().unwrap();
+        let mut phase = locked(&self.phase);
         loop {
-            match &*phase {
-                Phase::Done(o) => return Some(Ok(o.clone())),
-                Phase::Failed(e) => return Some(Err(e.clone())),
-                _ => {}
+            if let Phase::Settled(outcome) = &*phase {
+                return Some(outcome.clone());
             }
             let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, timed_out) = self.done.wait_timeout(phase, remaining).unwrap();
+            let (next, wait) = recover(self.done.wait_timeout(phase, remaining));
             phase = next;
-            if timed_out.timed_out() {
-                match &*phase {
-                    Phase::Done(o) => return Some(Ok(o.clone())),
-                    Phase::Failed(e) => return Some(Err(e.clone())),
-                    _ => return None,
-                }
+            if wait.timed_out() {
+                return match &*phase {
+                    Phase::Settled(outcome) => Some(outcome.clone()),
+                    _ => None,
+                };
             }
         }
     }
 }
 
-/// Bounded registry of live and recently finished jobs.
+/// What [`JobTable::admit`] made of a submission.
+pub enum Admission {
+    /// First of its slot (or keyless): a new job for the caller to enqueue.
+    Leader(Arc<Job>),
+    /// The slot is already being computed: the live job to follow.
+    Follower(Arc<Job>),
+}
+
+/// A singleflight slot: the key plus the job kind. The kind is part of it
+/// because a job's polled result is rendered by the job's own kind: an
+/// audit must never follow a plan.
+type Slot = (JobKey, JobKind);
+
+/// Bounded registry of live and recently finished jobs, and the
+/// singleflight index over the live ones.
 pub struct JobTable {
-    inner: Mutex<TableInner>,
+    board: Mutex<Board>,
     capacity: usize,
 }
 
-struct TableInner {
+struct Board {
     jobs: HashMap<u64, Arc<Job>>,
     order: VecDeque<u64>,
     next_id: u64,
+    /// The job computing each slot, from its admission to its settlement.
+    slots: HashMap<Slot, Arc<Job>>,
 }
 
 impl JobTable {
     /// A table remembering at most `capacity` jobs (min 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(TableInner {
+            board: Mutex::new(Board {
                 jobs: HashMap::new(),
                 order: VecDeque::new(),
                 next_id: 1,
+                slots: HashMap::new(),
             }),
             capacity: capacity.max(1),
         }
     }
 
-    /// Registers a new job, evicting the oldest once over capacity.
-    pub fn create(&self, kind: JobKind) -> Arc<Job> {
-        let mut inner = self.inner.lock().unwrap();
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let job = Arc::new(Job::new(id, kind));
-        inner.jobs.insert(id, Arc::clone(&job));
-        inner.order.push_back(id);
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.jobs.remove(&old);
+    /// Admits a submission: follows the live job of its `(key, kind)` slot
+    /// if there is one, else registers a new job (evicting the oldest once
+    /// over capacity) that leads the slot. Check and insert share one lock
+    /// hold, so exactly one concurrent submission per slot leads. A keyless
+    /// submission always leads and takes no slot.
+    pub fn admit(&self, kind: JobKind, key: Option<JobKey>) -> Admission {
+        let mut board = locked(&self.board);
+        let slot = key.map(|key| (key, kind));
+        if let Some(live) = slot.and_then(|slot| board.slots.get(&slot)) {
+            return Admission::Follower(Arc::clone(live));
+        }
+        let id = board.next_id;
+        board.next_id += 1;
+        let job = Arc::new(Job::new(id, kind, key));
+        board.jobs.insert(id, Arc::clone(&job));
+        board.order.push_back(id);
+        while board.order.len() > self.capacity {
+            if let Some(old) = board.order.pop_front() {
+                board.jobs.remove(&old);
             }
         }
-        job
+        if let Some(slot) = slot {
+            board.slots.insert(slot, Arc::clone(&job));
+        }
+        Admission::Leader(job)
+    }
+
+    /// Settles a job: releases its slot, then publishes `outcome` to every
+    /// waiter. The release is guarded by pointer identity, so settling a
+    /// job that no longer leads its slot never evicts the leader that
+    /// replaced it; the board's lock is dropped before the job's is taken.
+    pub fn settle(&self, job: &Arc<Job>, outcome: Result<JobOutput, JobError>) {
+        if let Some(key) = job.key {
+            let mut board = locked(&self.board);
+            let slot = (key, job.kind);
+            if board.slots.get(&slot).is_some_and(|j| Arc::ptr_eq(j, job)) {
+                board.slots.remove(&slot);
+            }
+        }
+        job.publish(outcome);
     }
 
     /// Looks up a job by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.inner.lock().unwrap().jobs.get(&id).cloned()
+        locked(&self.board).jobs.get(&id).cloned()
     }
 
-    /// Number of remembered jobs.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().jobs.len()
-    }
-
-    /// True when no jobs are remembered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Slots currently led by a live job.
+    #[cfg(test)]
+    pub fn live_slots(&self) -> usize {
+        locked(&self.board).slots.len()
     }
 }
 
@@ -269,28 +302,42 @@ mod tests {
         ))
     }
 
+    fn leader(table: &JobTable, kind: JobKind, key: Option<JobKey>) -> Arc<Job> {
+        match table.admit(kind, key) {
+            Admission::Leader(job) => job,
+            Admission::Follower(job) => panic!("followed job {} instead of leading", job.id),
+        }
+    }
+
+    fn failure(status: u16, message: &str) -> Result<JobOutput, JobError> {
+        Err(JobError {
+            status,
+            message: message.into(),
+        })
+    }
+
     #[test]
     fn lifecycle_transitions_publish_to_pollers() {
         let table = JobTable::new(8);
-        let job = table.create(JobKind::Plan);
+        let job = leader(&table, JobKind::Plan, Some((1, 2)));
         assert_eq!(job.status().0, JobState::Queued);
         job.set_running();
         assert_eq!(job.status().0, JobState::Running);
-        job.complete(JobOutput::Plan(artifact()));
-        let (state, result, error) = job.status();
+        table.settle(&job, Ok(JobOutput::Plan(artifact())));
+        let (state, outcome) = job.status();
         assert_eq!(state, JobState::Done);
-        assert!(result.is_some_and(|o| o.plan().is_some()));
-        assert!(error.is_none());
+        assert!(outcome.is_some_and(|o| o.is_ok_and(|o| o.plan().is_some())));
     }
 
     #[test]
     fn wait_blocks_until_worker_publishes() {
-        let job = Arc::new(Job::new(1, JobKind::Audit));
+        let table = Arc::new(JobTable::new(8));
+        let job = leader(&table, JobKind::Audit, Some((1, 2)));
         let worker = {
-            let job = Arc::clone(&job);
+            let (table, job) = (Arc::clone(&table), Arc::clone(&job));
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                job.fail(422, "infeasible");
+                table.settle(&job, failure(422, "infeasible"));
             })
         };
         let outcome = job.wait(Duration::from_secs(5)).expect("terminal");
@@ -302,18 +349,110 @@ mod tests {
 
     #[test]
     fn wait_times_out_on_stuck_job() {
-        let job = Job::new(2, JobKind::Plan);
+        let job = Job::new(2, JobKind::Plan, None);
         assert!(job.wait(Duration::from_millis(10)).is_none());
     }
 
     #[test]
     fn table_evicts_oldest_beyond_capacity() {
         let table = JobTable::new(3);
-        let ids: Vec<u64> = (0..5).map(|_| table.create(JobKind::Plan).id).collect();
-        assert_eq!(table.len(), 3);
-        assert!(table.get(ids[0]).is_none(), "oldest evicted");
-        assert!(table.get(ids[4]).is_some(), "newest kept");
-        // Ids are monotonic and unique.
+        let ids: Vec<u64> = (0..5)
+            .map(|_| leader(&table, JobKind::Run, None).id)
+            .collect();
+        // Ids are monotonic and unique; exactly the newest three remain.
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        let kept: Vec<bool> = ids.iter().map(|id| table.get(*id).is_some()).collect();
+        assert_eq!(kept, [false, false, true, true, true]);
+    }
+
+    #[test]
+    fn concurrent_admits_of_one_slot_yield_exactly_one_leader() {
+        let table = JobTable::new(64);
+        let barrier = std::sync::Barrier::new(8);
+        let admissions: Vec<Admission> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        table.admit(JobKind::Plan, Some((7, 7)))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let leaders: Vec<u64> = admissions
+            .iter()
+            .filter_map(|a| match a {
+                Admission::Leader(job) => Some(job.id),
+                Admission::Follower(_) => None,
+            })
+            .collect();
+        assert_eq!(leaders.len(), 1, "{leaders:?}");
+        for admission in &admissions {
+            let (Admission::Leader(job) | Admission::Follower(job)) = admission;
+            assert_eq!(job.id, leaders[0], "every follower shares the leader's job");
+        }
+        assert_eq!(table.live_slots(), 1);
+    }
+
+    #[test]
+    fn a_slot_is_a_key_and_a_kind_and_runs_take_none() {
+        let table = JobTable::new(8);
+        let plan = leader(&table, JobKind::Plan, Some((1, 2)));
+        // The same document under the other kind leads its own job: a
+        // polled result is rendered by the job's kind, so an audit that
+        // followed a plan would be handed plan bytes.
+        let audit = leader(&table, JobKind::Audit, Some((1, 2)));
+        assert_ne!(plan.id, audit.id);
+        assert_eq!(table.live_slots(), 2);
+        assert!(matches!(
+            table.admit(JobKind::Audit, Some((1, 2))),
+            Admission::Follower(job) if job.id == audit.id
+        ));
+        // Keyless runs never enter the index, however many are live.
+        let runs = [
+            leader(&table, JobKind::Run, None),
+            leader(&table, JobKind::Run, None),
+        ];
+        assert_ne!(runs[0].id, runs[1].id);
+        assert_eq!(table.live_slots(), 2);
+        table.settle(&runs[0], failure(422, "bad scenario"));
+        assert_eq!(table.live_slots(), 2);
+    }
+
+    #[test]
+    fn stale_settle_does_not_evict_the_replacement_leader() {
+        let table = JobTable::new(8);
+        let old = leader(&table, JobKind::Plan, Some((3, 4)));
+        table.settle(&old, failure(500, "first"));
+        let new = leader(&table, JobKind::Plan, Some((3, 4)));
+        // The old job settling again finds the slot led by someone else.
+        table.settle(&old, failure(500, "again"));
+        assert_eq!(table.live_slots(), 1);
+        assert!(matches!(
+            table.admit(JobKind::Plan, Some((3, 4))),
+            Admission::Follower(job) if job.id == new.id
+        ));
+    }
+
+    #[test]
+    fn a_waiter_woken_by_settle_leads_the_slot_it_readmits() {
+        // Release precedes publish: whoever `settle` wakes — a follower
+        // told `503`, a poller retrying at once — must never find the dead
+        // job still leading the slot and follow it.
+        let table = JobTable::new(8);
+        let first = leader(&table, JobKind::Plan, Some((5, 6)));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let outcome = first.wait(Duration::from_secs(30)).expect("settled");
+                assert_eq!(outcome.unwrap_err().status, 503);
+                table.admit(JobKind::Plan, Some((5, 6)))
+            });
+            table.settle(&first, failure(503, "queue full"));
+            match waiter.join().unwrap() {
+                Admission::Leader(job) => assert_ne!(job.id, first.id),
+                Admission::Follower(job) => panic!("followed settled job {}", job.id),
+            }
+        });
     }
 }

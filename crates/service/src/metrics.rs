@@ -11,7 +11,7 @@
 //! (queue, workers, plan cache, journal) are read once per scrape and
 //! published by [`ServiceMetrics::publish`] just before rendering.
 
-use crate::cache::ShardStats;
+use crate::cache::CacheStats;
 use klotski_telemetry::{Counter, LogLinearHistogram, Registry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,15 +40,13 @@ const FAMILIES: &[(&str, &str)] = &[
     ("klotski_cache_misses_total", "Plan-cache misses."),
     ("klotski_cache_hit_rate", "Plan-cache hit fraction."),
     ("klotski_cache_evictions_total", "Plan-cache FIFO evictions."),
-    ("klotski_cache_shard_hits_total", "Plan-cache hits per shard."),
-    ("klotski_cache_shard_misses_total", "Plan-cache misses per shard."),
-    ("klotski_cache_shard_evictions_total", "Plan-cache evictions per shard."),
     ("klotski_coalesce_leaders_total", "Submissions that led an in-flight key."),
     ("klotski_coalesce_followers_total", "Submissions coalesced onto an in-flight leader."),
     ("klotski_pipeline_executions_total", "Planning pipeline executions (work not absorbed by cache or coalescing)."),
     ("klotski_journal_bytes", "Write-ahead job journal size."),
     ("klotski_journal_records_total", "Journal records appended since open."),
     ("klotski_journal_compactions_total", "Journal compactions performed."),
+    ("klotski_journal_errors_total", "Journal writes that failed (the job was answered, not made durable)."),
     ("klotski_state_replayed_artifacts", "Artifacts restored from the journal at startup."),
     ("klotski_state_replayed_jobs", "Incomplete jobs re-enqueued from the journal at startup."),
     ("klotski_plan_latency_seconds", "Job latency, admission to completion."),
@@ -101,7 +99,7 @@ pub(crate) struct ServiceMetrics {
 
 /// What the `/metrics` handler reads at scrape time from the modules that
 /// own the values.
-pub(crate) struct Observed<'a> {
+pub(crate) struct Observed {
     /// Jobs currently waiting in the queue.
     pub queue_depth: usize,
     /// Queue capacity.
@@ -110,15 +108,16 @@ pub(crate) struct Observed<'a> {
     pub workers_busy: usize,
     /// Total worker threads.
     pub workers: usize,
-    /// Plan-cache counters in shard order; the aggregate `klotski_cache_*`
-    /// series are their sums.
-    pub shards: &'a [ShardStats],
+    /// Plan-cache counters and resident entry count.
+    pub cache: CacheStats,
     /// Journal size in bytes (0 without `--state-dir`).
     pub journal_bytes: u64,
     /// Journal records appended since open.
     pub journal_records: u64,
     /// Journal compactions performed (the open-time rewrite included).
     pub journal_compactions: u64,
+    /// Journal writes that failed.
+    pub journal_errors: u64,
 }
 
 impl ServiceMetrics {
@@ -163,11 +162,14 @@ impl ServiceMetrics {
 
     /// Publishes the observed values into the registry. Monotone counts
     /// stay counters (raised to the owner's total); the rest are gauges.
-    pub fn publish(&self, seen: &Observed<'_>) {
+    pub fn publish(&self, seen: &Observed) {
         let reg = &self.registry;
-        let sum = |stat: fn(&ShardStats) -> u64| seen.shards.iter().map(stat).sum::<u64>();
-        let (hits, misses) = (sum(|s| s.hits), sum(|s| s.misses));
-        let entries: usize = seen.shards.iter().map(|s| s.entries).sum();
+        let CacheStats {
+            entries,
+            hits,
+            misses,
+            evictions,
+        } = seen.cache;
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         for (name, value) in [
             (
@@ -187,26 +189,15 @@ impl ServiceMetrics {
         for (name, total) in [
             ("klotski_cache_hits_total", hits),
             ("klotski_cache_misses_total", misses),
-            ("klotski_cache_evictions_total", sum(|s| s.evictions)),
+            ("klotski_cache_evictions_total", evictions),
             ("klotski_journal_records_total", seen.journal_records),
             (
                 "klotski_journal_compactions_total",
                 seen.journal_compactions,
             ),
+            ("klotski_journal_errors_total", seen.journal_errors),
         ] {
             reg.counter(name).raise_to(total);
-        }
-        // One labeled series per shard, so a skewed tenant population
-        // hammering a single shard is visible.
-        for (i, shard) in seen.shards.iter().enumerate() {
-            for (family, total) in [
-                ("klotski_cache_shard_hits_total", shard.hits),
-                ("klotski_cache_shard_misses_total", shard.misses),
-                ("klotski_cache_shard_evictions_total", shard.evictions),
-            ] {
-                reg.counter(&format!("{family}{{shard=\"{i}\"}}"))
-                    .raise_to(total);
-            }
         }
     }
 }
@@ -217,8 +208,10 @@ mod tests {
     use std::time::Duration;
 
     /// Every `family{labels}` the two-renderer `/metrics` emitted for the
-    /// fixture below, minus its two `quantile="0.95"` lines. A series may
-    /// gain neighbours; it must never disappear.
+    /// fixture below, minus its two `quantile="0.95"` lines and, since
+    /// exposition v3, the per-shard cache families (the cache has no
+    /// shards). A series may gain neighbours; it must not silently
+    /// disappear.
     const SERIES_SINCE_V1: &str = r#"
         klotski_uptime_seconds klotski_http_requests_total klotski_plan_requests_total
         klotski_audit_requests_total klotski_run_requests_total{outcome="completed"}
@@ -229,9 +222,6 @@ mod tests {
         klotski_queue_depth klotski_queue_capacity klotski_workers klotski_workers_busy
         klotski_cache_entries klotski_cache_hits_total klotski_cache_misses_total
         klotski_cache_hit_rate klotski_cache_evictions_total
-        klotski_cache_shard_hits_total{shard="0"} klotski_cache_shard_hits_total{shard="1"}
-        klotski_cache_shard_misses_total{shard="0"} klotski_cache_shard_misses_total{shard="1"}
-        klotski_cache_shard_evictions_total{shard="0"} klotski_cache_shard_evictions_total{shard="1"}
         klotski_coalesce_leaders_total klotski_coalesce_followers_total
         klotski_pipeline_executions_total klotski_journal_bytes klotski_journal_records_total
         klotski_journal_compactions_total klotski_state_replayed_artifacts
@@ -244,7 +234,9 @@ mod tests {
     /// the fixture it has been pinned on since v1. Exposition v2: counters
     /// typed `counter`, families sorted by name, the latency summary under
     /// a header with p50/p99/p999 at 0.78 % resolution (the 12 ms sample
-    /// reads 12.031 ms; v1 said 14.733 ms).
+    /// reads 12.031 ms; v1 said 14.733 ms). Exposition v3: the three
+    /// `klotski_cache_shard_*` families are gone with the shards and
+    /// `klotski_journal_errors_total` is new.
     #[test]
     fn render_snapshot_is_stable() {
         let m = ServiceMetrics::new();
@@ -265,24 +257,21 @@ mod tests {
         m.state_replayed_artifacts.add(3);
         m.state_replayed_jobs.inc();
         m.latency.record(Duration::from_millis(12));
-        let shards = [
-            ShardStats {
-                entries: 5,
-                hits: 9,
-                misses: 1,
-                evictions: 3,
-            },
-            ShardStats::default(),
-        ];
         m.publish(&Observed {
             queue_depth: 2,
             queue_capacity: 64,
             workers_busy: 1,
             workers: 4,
-            shards: &shards,
+            cache: CacheStats {
+                entries: 5,
+                hits: 9,
+                misses: 1,
+                evictions: 3,
+            },
             journal_bytes: 4096,
             journal_records: 11,
             journal_compactions: 1,
+            journal_errors: 0,
         });
         let text = m.registry.render_prometheus();
 
@@ -320,18 +309,6 @@ klotski_cache_hits_total 9
 # HELP klotski_cache_misses_total Plan-cache misses.
 # TYPE klotski_cache_misses_total counter
 klotski_cache_misses_total 1
-# HELP klotski_cache_shard_evictions_total Plan-cache evictions per shard.
-# TYPE klotski_cache_shard_evictions_total counter
-klotski_cache_shard_evictions_total{shard=\"0\"} 3
-klotski_cache_shard_evictions_total{shard=\"1\"} 0
-# HELP klotski_cache_shard_hits_total Plan-cache hits per shard.
-# TYPE klotski_cache_shard_hits_total counter
-klotski_cache_shard_hits_total{shard=\"0\"} 9
-klotski_cache_shard_hits_total{shard=\"1\"} 0
-# HELP klotski_cache_shard_misses_total Plan-cache misses per shard.
-# TYPE klotski_cache_shard_misses_total counter
-klotski_cache_shard_misses_total{shard=\"0\"} 1
-klotski_cache_shard_misses_total{shard=\"1\"} 0
 # HELP klotski_coalesce_followers_total Submissions coalesced onto an in-flight leader.
 # TYPE klotski_coalesce_followers_total counter
 klotski_coalesce_followers_total 6
@@ -356,6 +333,9 @@ klotski_journal_bytes 4096
 # HELP klotski_journal_compactions_total Journal compactions performed.
 # TYPE klotski_journal_compactions_total counter
 klotski_journal_compactions_total 1
+# HELP klotski_journal_errors_total Journal writes that failed (the job was answered, not made durable).
+# TYPE klotski_journal_errors_total counter
+klotski_journal_errors_total 0
 # HELP klotski_journal_records_total Journal records appended since open.
 # TYPE klotski_journal_records_total counter
 klotski_journal_records_total 11

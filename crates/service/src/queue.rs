@@ -7,6 +7,7 @@
 //! closed. Closing stops admission but lets consumers drain what is
 //! already queued — the graceful-shutdown contract.
 
+use crate::{locked, recover};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
@@ -51,18 +52,13 @@ impl<T> BoundedQueue<T> {
 
     /// Current queue depth.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        locked(&self.inner).items.len()
     }
 
     /// Non-blocking push; fails with [`PushError::Full`] at capacity and
     /// [`PushError::Closed`] after [`close`](Self::close).
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = locked(&self.inner);
         if inner.closed {
             return Err(PushError::Closed(item));
         }
@@ -78,7 +74,7 @@ impl<T> BoundedQueue<T> {
     /// Blocking pop. Returns `None` only once the queue is closed *and*
     /// fully drained, so workers always finish admitted jobs.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = locked(&self.inner);
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -86,13 +82,13 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
-            inner = self.not_empty.wait(inner).unwrap();
+            inner = recover(self.not_empty.wait(inner));
         }
     }
 
     /// Stops admission; queued items remain poppable. Idempotent.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = locked(&self.inner);
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();

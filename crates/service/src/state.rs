@@ -20,12 +20,19 @@
 //! cache plus pending admits, so the file stays proportional to the cache,
 //! not to request history.
 //!
+//! A journal write that fails (full disk) never fails the job — its answer
+//! is still correct, only not durable — but counts in
+//! `klotski_journal_errors_total` and leaves a `service.journal_error`
+//! trace event naming the record.
+//!
 //! Frame layout, all little-endian:
 //!
 //! ```text
 //! [u32 payload length][u64 FNV-1a of payload][payload JSON bytes]
 //! ```
 
+use crate::jobs::JobKey;
+use crate::locked;
 use crate::pipeline::PlanArtifact;
 use klotski_core::report::PlanAudit;
 use klotski_npd::api::{fnv1a, PlanRequestOptions, PlanSummary};
@@ -90,11 +97,43 @@ struct JournalRecord {
     artifact: Option<PersistedArtifact>,
 }
 
-fn key_hex(key: (u64, u64)) -> String {
+impl JournalRecord {
+    /// A record of `op` for `key` with every payload field at its default.
+    fn new(op: &str, key: JobKey) -> Self {
+        Self {
+            op: op.into(),
+            key: key_hex(key),
+            kind: String::new(),
+            npd: String::new(),
+            options: None,
+            artifact: None,
+        }
+    }
+
+    fn admit(key: JobKey, kind: &str, npd: &str, options: &PlanRequestOptions) -> Self {
+        Self {
+            kind: kind.into(),
+            npd: npd.into(),
+            options: Some(options.clone()),
+            ..Self::new("admit", key)
+        }
+    }
+
+    /// `None` when the plan bytes are not UTF-8 (they always are: the
+    /// pipeline wrote them as JSON).
+    fn artifact(key: JobKey, artifact: &PlanArtifact) -> Option<Self> {
+        Some(Self {
+            artifact: Some(PersistedArtifact::from_artifact(artifact)?),
+            ..Self::new("artifact", key)
+        })
+    }
+}
+
+fn key_hex(key: JobKey) -> String {
     format!("{:016x}:{:016x}", key.0, key.1)
 }
 
-fn parse_key(s: &str) -> Option<(u64, u64)> {
+fn parse_key(s: &str) -> Option<JobKey> {
     let (a, b) = s.split_once(':')?;
     Some((
         u64::from_str_radix(a, 16).ok()?,
@@ -112,14 +151,14 @@ pub struct PendingJob {
     /// The request options as submitted.
     pub options: PlanRequestOptions,
     /// The cache key the admit was journaled under.
-    pub key: (u64, u64),
+    pub key: JobKey,
 }
 
 /// Everything replay recovered from the journal.
 #[derive(Debug, Default)]
 pub struct Replay {
     /// Finished artifacts, oldest first (cache insertion order).
-    pub artifacts: Vec<((u64, u64), Arc<PlanArtifact>)>,
+    pub artifacts: Vec<(JobKey, Arc<PlanArtifact>)>,
     /// Admitted jobs without a terminal record, oldest first.
     pub pending: Vec<PendingJob>,
     /// Bytes dropped from a corrupt or torn journal tail.
@@ -130,7 +169,7 @@ struct StoreInner {
     file: File,
     /// Keys admitted but not yet settled, kept so compaction can rewrite
     /// their admit records.
-    pending: HashMap<(u64, u64), JournalRecord>,
+    pending: HashMap<JobKey, JournalRecord>,
 }
 
 /// The open journal. All appends are serialized under one mutex; counters
@@ -141,6 +180,7 @@ pub struct StateStore {
     bytes: AtomicU64,
     records: AtomicU64,
     compactions: AtomicU64,
+    errors: AtomicU64,
     /// Journal size that triggers compaction on the next append.
     compact_bytes: u64,
 }
@@ -166,31 +206,18 @@ impl StateStore {
             bytes: AtomicU64::new(0),
             records: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
             compact_bytes: compact_bytes.max(1),
         };
         {
-            let mut inner = store.inner.lock().unwrap();
+            let mut inner = locked(&store.inner);
             for p in &replay.pending {
-                inner.pending.insert(
-                    p.key,
-                    JournalRecord {
-                        op: "admit".into(),
-                        key: key_hex(p.key),
-                        kind: p.kind.clone(),
-                        npd: p.npd.clone(),
-                        options: Some(p.options.clone()),
-                        artifact: None,
-                    },
-                );
+                let record = JournalRecord::admit(p.key, &p.kind, &p.npd, &p.options);
+                inner.pending.insert(p.key, record);
             }
             store.rewrite_locked(&mut inner, &replay.artifacts)?;
         }
         Ok((store, replay))
-    }
-
-    /// Journal path (exposed for tests and log lines).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current journal size in bytes.
@@ -208,19 +235,32 @@ impl StateStore {
         self.compactions.load(Ordering::Relaxed)
     }
 
+    /// Journal writes that failed since open.
+    pub fn errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
+    }
+
+    /// Counts and traces a journal write that failed; the caller carries on
+    /// with the job, which is now correct but not durable.
+    fn note(&self, op: &str, key: &str, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            klotski_telemetry::log_event!(
+                "service.journal_error",
+                "op" = op,
+                "key" = key,
+                "error" = e.to_string(),
+            );
+        }
+    }
+
     /// Journals a plan/audit admission.
-    pub fn admit(&self, key: (u64, u64), kind: &str, npd: &str, options: &PlanRequestOptions) {
-        let record = JournalRecord {
-            op: "admit".into(),
-            key: key_hex(key),
-            kind: kind.to_string(),
-            npd: npd.to_string(),
-            options: Some(options.clone()),
-            artifact: None,
-        };
-        let mut inner = self.inner.lock().unwrap();
+    pub fn admit(&self, key: JobKey, kind: &str, npd: &str, options: &PlanRequestOptions) {
+        let record = JournalRecord::admit(key, kind, npd, options);
+        let mut inner = locked(&self.inner);
         inner.pending.insert(key, record.clone());
-        let _ = self.append_locked(&mut inner, &record);
+        let appended = self.append_locked(&mut inner, &record);
+        self.note("admit", &record.key, appended);
     }
 
     /// Journals a finished artifact, clearing the pending admit. When the
@@ -228,57 +268,53 @@ impl StateStore {
     /// (the live cache contents, oldest first).
     pub fn artifact(
         &self,
-        key: (u64, u64),
+        key: JobKey,
         artifact: &PlanArtifact,
-        cache_snapshot: impl FnOnce() -> Vec<((u64, u64), Arc<PlanArtifact>)>,
+        cache_snapshot: impl FnOnce() -> Vec<(JobKey, Arc<PlanArtifact>)>,
     ) {
-        let Some(persisted) = PersistedArtifact::from_artifact(artifact) else {
+        let Some(record) = JournalRecord::artifact(key, artifact) else {
             return;
         };
-        let record = JournalRecord {
-            op: "artifact".into(),
-            key: key_hex(key),
-            kind: String::new(),
-            npd: String::new(),
-            options: None,
-            artifact: Some(persisted),
-        };
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = locked(&self.inner);
         inner.pending.remove(&key);
-        let _ = self.append_locked(&mut inner, &record);
+        let appended = self.append_locked(&mut inner, &record);
+        self.note("artifact", &record.key, appended);
         if self.bytes.load(Ordering::Relaxed) > self.compact_bytes {
-            let _ = self.rewrite_locked(&mut inner, &cache_snapshot());
+            let rewritten = self.rewrite_locked(&mut inner, &cache_snapshot());
+            self.note("compact", "", rewritten);
         }
     }
 
     /// Journals a key resolving without a new artifact (failure, or served
     /// from cache while queued), clearing the pending admit.
-    pub fn settled(&self, key: (u64, u64)) {
-        let mut inner = self.inner.lock().unwrap();
+    pub fn settled(&self, key: JobKey) {
+        let mut inner = locked(&self.inner);
         if inner.pending.remove(&key).is_none() {
             return; // nothing journaled for this key; no record needed
         }
-        let record = JournalRecord {
-            op: "settled".into(),
-            key: key_hex(key),
-            kind: String::new(),
-            npd: String::new(),
-            options: None,
-            artifact: None,
-        };
-        let _ = self.append_locked(&mut inner, &record);
+        let record = JournalRecord::new("settled", key);
+        let appended = self.append_locked(&mut inner, &record);
+        self.note("settled", &record.key, appended);
     }
 
     /// Compacts now against the given cache snapshot (graceful drain).
-    pub fn compact(&self, cache_snapshot: Vec<((u64, u64), Arc<PlanArtifact>)>) {
-        let mut inner = self.inner.lock().unwrap();
-        let _ = self.rewrite_locked(&mut inner, &cache_snapshot);
+    pub fn compact(&self, cache_snapshot: Vec<(JobKey, Arc<PlanArtifact>)>) {
+        let mut inner = locked(&self.inner);
+        let rewritten = self.rewrite_locked(&mut inner, &cache_snapshot);
+        self.note("compact", "", rewritten);
     }
 
     /// Forces the journal to durable storage (graceful drain).
     pub fn flush(&self) {
-        let inner = self.inner.lock().unwrap();
-        let _ = inner.file.sync_all();
+        let synced = locked(&self.inner).file.sync_all();
+        self.note("sync", "", synced);
+    }
+
+    /// Swaps the journal handle for a read-only one: every append fails
+    /// (`EBADF`) until a compaction reopens the file.
+    #[cfg(test)]
+    pub fn break_journal(&self) {
+        locked(&self.inner).file = File::open(&self.path).expect("journal exists");
     }
 
     fn append_locked(&self, inner: &mut StoreInner, record: &JournalRecord) -> std::io::Result<()> {
@@ -295,23 +331,16 @@ impl StateStore {
     fn rewrite_locked(
         &self,
         inner: &mut StoreInner,
-        artifacts: &[((u64, u64), Arc<PlanArtifact>)],
+        artifacts: &[(JobKey, Arc<PlanArtifact>)],
     ) -> std::io::Result<()> {
         let tmp_path = self.path.with_extension("log.tmp");
         let mut tmp = File::create(&tmp_path)?;
         let mut bytes = 0u64;
         for (key, artifact) in artifacts {
-            let Some(persisted) = PersistedArtifact::from_artifact(artifact) else {
+            let Some(record) = JournalRecord::artifact(*key, artifact) else {
                 continue;
             };
-            let frame = encode_frame(&JournalRecord {
-                op: "artifact".into(),
-                key: key_hex(*key),
-                kind: String::new(),
-                npd: String::new(),
-                options: None,
-                artifact: Some(persisted),
-            })?;
+            let frame = encode_frame(&record)?;
             tmp.write_all(&frame)?;
             bytes += frame.len() as u64;
         }
@@ -358,10 +387,10 @@ fn replay_file(path: &Path) -> std::io::Result<Replay> {
 
     let mut offset = 0usize;
     // Last-wins artifact per key, in first-seen order.
-    let mut artifact_order: Vec<(u64, u64)> = Vec::new();
-    let mut artifacts: HashMap<(u64, u64), Arc<PlanArtifact>> = HashMap::new();
-    let mut pending_order: Vec<(u64, u64)> = Vec::new();
-    let mut pending: HashMap<(u64, u64), PendingJob> = HashMap::new();
+    let mut artifact_order: Vec<JobKey> = Vec::new();
+    let mut artifacts: HashMap<JobKey, Arc<PlanArtifact>> = HashMap::new();
+    let mut pending_order: Vec<JobKey> = Vec::new();
+    let mut pending: HashMap<JobKey, PendingJob> = HashMap::new();
 
     while let Some(record) = decode_frame(&raw, &mut offset) {
         let Some(key) = parse_key(&record.key) else {
@@ -550,6 +579,38 @@ mod tests {
         let (_s2, replay) = StateStore::open(&dir, 1 << 20).unwrap();
         assert_eq!(replay.artifacts.len(), 1);
         assert_eq!(replay.artifacts[0].0, (9, 9));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_append_is_counted_and_traced_and_compaction_heals_it() {
+        let dir = temp_dir("fault");
+        let events = klotski_telemetry::bus().subscribe(0, 1 << 16);
+        let (store, _) = StateStore::open(&dir, 1 << 20).unwrap();
+        let options = PlanRequestOptions::default();
+        store.admit((1, 1), "plan", "{}", &options);
+        assert_eq!((store.errors(), store.records()), (0, 1));
+
+        store.break_journal();
+        let lost = (0xfa17_fa17, 2);
+        store.admit(lost, "plan", "{}", &options);
+        assert_eq!((store.errors(), store.records()), (1, 1));
+        let traced = crate::testkit::events_named(&events, "service.journal_error");
+        let ours = traced
+            .iter()
+            .find(|f| f.get("key").and_then(|v| v.as_str()) == Some(key_hex(lost).as_str()))
+            .unwrap_or_else(|| panic!("no journal_error event for our key in {traced:?}"));
+        assert_eq!(ours.get("op").and_then(|v| v.as_str()), Some("admit"));
+
+        // The admit stayed pending in memory, so the next compaction
+        // writes it after all — and reopens a writable handle.
+        store.compact(Vec::new());
+        store.admit((3, 3), "plan", "{}", &options);
+        assert_eq!(store.errors(), 1);
+        drop(store);
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        let keys: Vec<JobKey> = replay.pending.iter().map(|p| p.key).collect();
+        assert_eq!(keys, [(1, 1), lost, (3, 3)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,0 +1,533 @@
+//! The worker side of a job's life: pop, run, settle. The two job bodies
+//! compute and *return* an [`Outcome`]; [`settle`] is the one exit every
+//! outcome takes — from a worker, or from admission when the queue refuses
+//! a job — and the only place a job's journal record is resolved, its
+//! terminal metrics move, and its waiters are woken.
+
+use crate::jobs::{Job, JobError, JobKey, JobKind, JobOutput, RunArtifact};
+use crate::pipeline::{plan_document_keyed, PipelineError, PlanArtifact};
+use crate::Shared;
+use klotski_controller::{run_scenario, ControllerError, Scenario};
+use klotski_core::planner::SearchBudget;
+use klotski_core::PlanError;
+use klotski_npd::api::PlanRequestOptions;
+use klotski_npd::Npd;
+use klotski_parallel::WorkerPool;
+use klotski_telemetry::SpanGuard;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// One admitted unit of work travelling the queue.
+pub(crate) struct QueuedJob {
+    pub job: Arc<Job>,
+    pub work: Work,
+}
+
+/// The two kinds of payload workers drain from the queue.
+pub(crate) enum Work {
+    /// Plan or audit an NPD document (cached by content digest). The NPD
+    /// is boxed to keep queue slots variant-size balanced.
+    Plan {
+        npd: Box<Npd>,
+        options: PlanRequestOptions,
+        key: JobKey,
+    },
+    /// Execute a scripted controller scenario. Runs are executions, not
+    /// pure functions of a document, so they bypass the plan cache.
+    Run {
+        scenario: Scenario,
+        deadline_ms: Option<u64>,
+    },
+}
+
+impl Work {
+    /// The singleflight key: plan/audit work has one, runs never coalesce.
+    pub fn key(&self) -> Option<JobKey> {
+        match self {
+            Work::Plan { key, .. } => Some(*key),
+            Work::Run { .. } => None,
+        }
+    }
+}
+
+/// How a job ended. Six causes arrive here: done, cached, failed, deadline
+/// (`Failed` with `504`), panicked (`Failed` with `500`) and shed.
+pub(crate) enum Outcome {
+    /// Ran to completion: a freshly planned artifact or a run report.
+    Done(JobOutput),
+    /// A same-key job's artifact was cached while this one sat queued.
+    Cached(Arc<PlanArtifact>),
+    /// Ended with the HTTP status and message its waiters are answered.
+    Failed(JobError),
+    /// Refused before it could run — queue full, draining, or a replayed
+    /// admit that no longer parses. Its submitter is told `503` by
+    /// admission (`klotski_rejected_busy_total`); no job metric moves.
+    Shed(&'static str),
+}
+
+impl Outcome {
+    fn failed(status: u16, message: String) -> Self {
+        Outcome::Failed(JobError { status, message })
+    }
+}
+
+/// Worker loop: pop, run, settle. Exits when the queue is closed and
+/// drained. Each worker owns one persistent pool reused across jobs.
+pub(crate) fn worker_loop(shared: &Arc<Shared>) {
+    let pool = WorkerPool::shared(shared.config.lanes_per_worker.max(1));
+    while let Some(queued) = shared.queue.pop() {
+        shared.workers_busy.fetch_add(1, Ordering::Relaxed);
+        run_job(shared, &queued, &pool);
+        shared.workers_busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs one job to its terminal state. A panic anywhere under the job (a
+/// planner bug, a poisoned document) is caught here and settled as a `500`
+/// like any other failure, so it costs its submitters an error — never the
+/// daemon a worker, a coalesced follower its answer, or a restart a crash
+/// loop over the journaled admit.
+fn run_job(shared: &Shared, queued: &QueuedJob, pool: &Arc<WorkerPool>) {
+    let job = &queued.job;
+    // Tag this thread with the job's stream id: every trace line the job
+    // emits (planner progress, controller phases, the job span itself)
+    // reaches exactly this job's `/events` subscribers.
+    let _stream_tag = klotski_telemetry::tag_stream(job.stream);
+    let mut span =
+        klotski_telemetry::span!("service.job", "kind" = job.kind.label(), "job" = job.id,);
+    job.set_running();
+    let outcome = catch_unwind(AssertUnwindSafe(|| match &queued.work {
+        Work::Plan { npd, options, key } => run_plan_job(shared, job, pool, npd, options, *key),
+        Work::Run {
+            scenario,
+            deadline_ms,
+        } => run_scenario_job(shared, job, &mut span, scenario, *deadline_ms),
+    }))
+    .unwrap_or_else(|panic| {
+        let why = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "unknown panic".into());
+        Outcome::failed(500, format!("internal error: job panicked: {why}"))
+    });
+    span.field("outcome", settle(shared, job, outcome));
+}
+
+/// The one exit of every job: resolve the journaled admit, count, then
+/// release the singleflight slot and publish to every waiter
+/// ([`JobTable::settle`](crate::jobs::JobTable::settle)) — in that order.
+/// The journal goes first so a leader admitted to the freed slot journals
+/// its admit *after* this job's terminal record, never before it; counting
+/// precedes the publish so whoever is woken already reads the moved
+/// metrics; the slot is released before the publish so nothing observes a
+/// finished job still leading its slot. Returns the outcome's label (the
+/// `outcome` field of the job's `service.job` span).
+pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'static str {
+    if let (Some(state), Some(key)) = (&shared.state, job.key) {
+        match &outcome {
+            Outcome::Done(JobOutput::Plan(artifact)) => {
+                state.artifact(key, artifact, || shared.cache.snapshot())
+            }
+            // A cached artifact is already journaled; a failure is terminal,
+            // not retried: clear the admit so a restart does not re-run a
+            // deterministically failing (or panicking) job.
+            _ => state.settled(key),
+        }
+    }
+    let metrics = &shared.metrics;
+    let (label, result) = match outcome {
+        Outcome::Done(JobOutput::Run(run)) => {
+            let label = run.report.outcome_label();
+            metrics.run_outcome(label).inc();
+            (label, Ok(JobOutput::Run(run)))
+        }
+        Outcome::Done(output) => ("done", Ok(output)),
+        Outcome::Cached(artifact) => ("cached", Ok(JobOutput::Plan(artifact))),
+        Outcome::Failed(error) => {
+            metrics.jobs_failed.inc();
+            if job.kind == JobKind::Run {
+                metrics.run_outcome("failed").inc();
+            }
+            let deadline = error.status == 504;
+            if deadline {
+                metrics.jobs_cancelled.inc();
+            }
+            (if deadline { "deadline" } else { "failed" }, Err(error))
+        }
+        // Not a job failure: admission counts the submitter's `503`.
+        Outcome::Shed(why) => {
+            let error = JobError {
+                status: 503,
+                message: why.into(),
+            };
+            ("shed", Err(error))
+        }
+    };
+    if result.is_ok() {
+        metrics.jobs_completed.inc();
+        metrics.latency.record(job.admitted.elapsed());
+    }
+    shared.jobs.settle(job, result);
+    label
+}
+
+/// Plans (or audits — one artifact answers both) a document on this
+/// worker's pool.
+fn run_plan_job(
+    shared: &Shared,
+    job: &Job,
+    pool: &Arc<WorkerPool>,
+    npd: &Npd,
+    options: &PlanRequestOptions,
+    key: JobKey,
+) -> Outcome {
+    // A same-key job may have finished while this one sat queued.
+    if let Some(hit) = shared.cache.get(key) {
+        return Outcome::Cached(hit);
+    }
+    let mut budget = SearchBudget::default();
+    if let Some(d) = job_deadline(shared, options.deadline_ms) {
+        // Deadlines bound admission-to-answer, so they start at admission.
+        budget = budget.with_deadline(job.admitted + d);
+    }
+    shared.metrics.pipeline_executions.inc();
+    #[cfg(test)]
+    tests::injected_fault(shared, key.0);
+    match plan_document_keyed(npd, options, key, budget, Some(Arc::clone(pool))) {
+        Ok(artifact) => {
+            // Cached before it is settled: a duplicate arriving once the
+            // slot is free must find the artifact, not plan again.
+            let artifact = Arc::new(artifact);
+            shared.cache.insert(key, Arc::clone(&artifact));
+            Outcome::Done(JobOutput::Plan(artifact))
+        }
+        Err(e) => {
+            let status = match &e {
+                PipelineError::Invalid(_) => 422,
+                PipelineError::Plan(_) if e.is_budget_exceeded() => 504,
+                PipelineError::Plan(_) => 422,
+                PipelineError::Internal(_) => 500,
+            };
+            Outcome::failed(status, e.to_string())
+        }
+    }
+}
+
+/// Executes a `POST /v1/run` scenario on the worker thread. The controller
+/// owns its own pool sized by the scenario's thread override (runs are
+/// bit-deterministic per lane count, so the scenario decides, not the
+/// worker).
+fn run_scenario_job(
+    shared: &Shared,
+    job: &Job,
+    span: &mut SpanGuard,
+    scenario: &Scenario,
+    deadline_ms: Option<u64>,
+) -> Outcome {
+    let deadline = job_deadline(shared, deadline_ms).map(|d| job.admitted + d);
+    #[cfg(test)]
+    tests::injected_fault(shared, klotski_npd::api::fnv1a(scenario.name.as_bytes()));
+    match run_scenario(scenario, deadline) {
+        Ok(report) => {
+            let json = serde_json::to_string_pretty(&report)
+                .map(String::into_bytes)
+                .unwrap_or_else(|_| b"{}".to_vec());
+            span.field("completed", report.completed);
+            span.field("replans", report.replans.len() as u64);
+            Outcome::Done(JobOutput::Run(Arc::new(RunArtifact { report, json })))
+        }
+        Err(e) => {
+            let status = match &e {
+                ControllerError::Scenario(_) => 422,
+                ControllerError::InitialPlan(PlanError::BudgetExceeded { .. }) => 504,
+                ControllerError::InitialPlan(_) => 422,
+            };
+            Outcome::failed(status, e.to_string())
+        }
+    }
+}
+
+/// The effective deadline: the request's, else the service-wide default.
+fn job_deadline(shared: &Shared, request_ms: Option<u64>) -> Option<Duration> {
+    request_ms
+        .map(Duration::from_millis)
+        .or(shared.config.default_deadline)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::StateStore;
+    use crate::testkit::{header, metric, request, small_npd_json};
+    use crate::{locked, Service, ServiceConfig};
+    use klotski_npd::api::{fnv1a, ErrorResponse};
+    use klotski_npd::convert::region_to_npd;
+    use klotski_topology::presets::{self, PresetId};
+    use std::sync::Mutex;
+    use std::time::Instant;
+
+    /// Armed `#[cfg(test)]` faults: a job body whose tag (a plan's NPD
+    /// digest, a run's scenario-name hash) is listed runs the fault just
+    /// before its real work. Tagged by document so concurrently running
+    /// tests never trip each other's.
+    static FAULTS: Mutex<Vec<(u64, Fault)>> = Mutex::new(Vec::new());
+
+    type Fault = fn(&Shared);
+
+    fn arm(tag: u64, fault: Fault) {
+        locked(&FAULTS).push((tag, fault));
+    }
+
+    pub(super) fn injected_fault(shared: &Shared, tag: u64) {
+        let armed = locked(&FAULTS).iter().find(|(t, _)| *t == tag).map(|f| f.1);
+        if let Some(fault) = armed {
+            fault(shared);
+        }
+    }
+
+    /// Panics once a duplicate submission has coalesced onto the job, so
+    /// the follower is attached by construction rather than by timing.
+    fn panic_once_followed(shared: &Shared) {
+        let patience = Instant::now() + Duration::from_secs(20);
+        while shared.metrics.coalesce_followers.get() == 0 && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("injected planner fault");
+    }
+
+    /// A preset-A document only the calling test submits.
+    fn private_npd(name: &str) -> (u64, String) {
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.name = name.into();
+        (klotski_npd::npd_digest(&npd), npd.to_json_pretty().unwrap())
+    }
+
+    #[test]
+    fn expired_deadline_cancels_job_and_traces_it() {
+        let ring = Arc::new(klotski_telemetry::RingSink::new(1 << 14));
+        let saved = klotski_telemetry::swap(Some(ring.clone()));
+
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            cache_capacity: 0,
+            default_deadline: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let npd = small_npd_json();
+
+        let (status, _, body) = request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 504, "{body}");
+        let err: ErrorResponse = serde_json::from_str(&body).unwrap();
+        assert!(err.error.contains("budget"), "{}", err.error);
+
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        assert!(text.contains("klotski_jobs_cancelled_total 1"), "{text}");
+        assert!(text.contains("klotski_jobs_failed_total 1"));
+
+        service.shutdown();
+        klotski_telemetry::swap(saved);
+
+        // The sink is process-global, so service.job spans from other
+        // tests running concurrently in this binary (outcome done/cached)
+        // land in the same ring; select ours by its terminal outcome.
+        let deadline_span = ring
+            .lines()
+            .iter()
+            .filter_map(|l| klotski_telemetry::parse_line(l).ok())
+            .find_map(|r| match r {
+                klotski_telemetry::Record::Span { name, fields, .. }
+                    if name == "service.job"
+                        && fields.get("outcome").and_then(|v| v.as_str()) == Some("deadline") =>
+                {
+                    Some(fields)
+                }
+                _ => None,
+            });
+        assert!(
+            deadline_span.is_some(),
+            "no service.job span with outcome=\"deadline\" in trace: {:?}",
+            ring.lines()
+        );
+    }
+
+    #[test]
+    fn panicking_job_fails_its_waiters_and_spares_the_worker() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            sync_wait: Duration::from_secs(30),
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+
+        // A document only this test submits, armed to panic its planner.
+        let (digest, doomed) = private_npd("panic-containment");
+        arm(digest, panic_once_followed);
+
+        // Two identical synchronous submissions: one leads, one coalesces
+        // onto the leader's job. Both must be answered, with the 500.
+        let mut roles = Vec::new();
+        std::thread::scope(|scope| {
+            let submit = || request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &doomed);
+            let handles = [scope.spawn(submit), scope.spawn(submit)];
+            for handle in handles {
+                let (status, headers, body) = handle.join().unwrap();
+                assert_eq!(status, 500, "{body}");
+                let err: ErrorResponse = serde_json::from_str(&body).unwrap();
+                assert!(err.error.contains("panicked"), "{}", err.error);
+                roles.push(header(&headers, "x-klotski-coalesce").unwrap().to_string());
+            }
+        });
+        roles.sort();
+        assert_eq!(roles, ["follower", "leader"]);
+
+        // The failure is counted, the worker is idle again, and the key has
+        // left the singleflight index.
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        assert!(text.contains("klotski_jobs_failed_total 1"), "{text}");
+        assert_eq!(service.shared.jobs.live_slots(), 0);
+        // (The gauge drops just after the waiters wake, hence the poll.)
+        let patience = Instant::now() + Duration::from_secs(10);
+        while service.shared.workers_busy.load(Ordering::Relaxed) != 0 {
+            assert!(Instant::now() < patience, "worker still counted busy");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // The daemon's only worker survived: the next job completes.
+        let (status, _, body) =
+            request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &small_npd_json());
+        assert_eq!(status, 200, "{body}");
+
+        // The admit was settled: a restart has nothing to re-run (no crash
+        // loop over the poisoned document).
+        service.shutdown();
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        assert!(replay.pending.is_empty(), "{:?}", replay.pending);
+        assert_eq!(replay.artifacts.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_and_panicked_runs_count_once_through_the_shared_exit() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let failed_runs = || metric(addr, "klotski_run_requests_total{outcome=\"failed\"}");
+
+        // Passes `Scenario::from_json` at admission; only the worker, with
+        // the topology built, can see the victim index is out of range.
+        let mut invalid = klotski_controller::Scenario::sample();
+        invalid.events[1].circuit = Some(1_000_000);
+        let invalid = serde_json::to_string(&invalid).unwrap();
+        let (status, _, body) = request(addr, "POST /v1/run HTTP/1.1\r\nHost: t", &invalid);
+        assert_eq!(status, 422, "{body}");
+        assert!(body.contains("out of range"), "{body}");
+        assert_eq!(metric(addr, "klotski_jobs_failed_total"), 1);
+        assert_eq!(failed_runs(), 1);
+
+        let mut doomed = klotski_controller::Scenario::sample();
+        doomed.name = "run-panic-containment".into();
+        arm(fnv1a(doomed.name.as_bytes()), |_| {
+            panic!("injected controller fault")
+        });
+        let doomed = serde_json::to_string(&doomed).unwrap();
+        let (status, _, body) = request(addr, "POST /v1/run HTTP/1.1\r\nHost: t", &doomed);
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("job panicked"), "{body}");
+        assert_eq!(metric(addr, "klotski_jobs_failed_total"), 2);
+        assert_eq!(failed_runs(), 2);
+        assert_eq!(metric(addr, "klotski_jobs_cancelled_total"), 0);
+
+        // The worker outlived the panic: a clean run completes.
+        let sample = serde_json::to_string(&klotski_controller::Scenario::sample()).unwrap();
+        let (status, headers, body) = request(addr, "POST /v1/run HTTP/1.1\r\nHost: t", &sample);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-klotski-run-outcome"), Some("completed"));
+        assert_eq!(metric(addr, "klotski_jobs_failed_total"), 2);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_leader_the_queue_sheds_leaves_nothing_behind() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-shed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // No workers: the one queue slot stays taken by the first job.
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            queue_depth: 1,
+            cache_capacity: 0,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let npd = small_npd_json();
+        let submit = |theta: &str| {
+            let head = format!("POST /v1/plan?wait=0&theta={theta} HTTP/1.1\r\nHost: t");
+            request(addr, &head, &npd)
+        };
+        let (status, _, body) = submit("0.70");
+        assert_eq!(status, 202, "{body}");
+        let (status, headers, body) = submit("0.71");
+        assert_eq!(status, 503, "{body}");
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+
+        // Shed is backpressure, not a job failure; the shed leader's slot
+        // is free again, the queued leader's is not.
+        assert_eq!(metric(addr, "klotski_rejected_busy_total"), 1);
+        assert_eq!(metric(addr, "klotski_jobs_failed_total"), 0);
+        assert_eq!(metric(addr, "klotski_coalesce_leaders_total"), 2);
+        assert_eq!(service.shared.jobs.live_slots(), 1);
+        // Its job was settled with the 503, not left queued forever.
+        let (status, _, body) = request(addr, "GET /v1/jobs/2/result HTTP/1.1\r\nHost: t", "");
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("queue full"), "{body}");
+
+        // Only the queued job's admit survives in the journal.
+        service.shutdown();
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        let thetas: Vec<Option<f64>> = replay.pending.iter().map(|p| p.options.theta).collect();
+        assert_eq!(thetas, [Some(0.70)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_journal_write_is_counted_and_the_job_still_answers() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-enospc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        assert_eq!(metric(addr, "klotski_journal_errors_total"), 0);
+
+        // The journal goes read-only between this job's admit (written)
+        // and its artifact (lost).
+        let (digest, npd) = private_npd("journal-fault");
+        arm(digest, |shared| {
+            shared.state.as_ref().expect("state dir").break_journal()
+        });
+        let (status, headers, body) = request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-klotski-cache"), Some("miss"));
+        assert_eq!(metric(addr, "klotski_journal_errors_total"), 1);
+        assert_eq!(metric(addr, "klotski_jobs_completed_total"), 1);
+
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
