@@ -23,8 +23,9 @@ use crate::compact::CompactState;
 use crate::error::PlanError;
 use crate::space::SpaceModel;
 use klotski_routing::{
-    evaluate_policy, scale_from_routed, EcmpRouter, FunnelingModel, LoadMap, SplitPolicy,
+    evaluate_with, scale_from_routed, EcmpRouter, FunnelingModel, LoadMap, SplitPolicy,
 };
+use klotski_telemetry::span;
 use klotski_topology::{
     presets::Preset, CircuitId, Generation, NetState, SwitchId, SwitchRole, Topology,
 };
@@ -348,12 +349,16 @@ impl MigrationSpec {
     /// Validates that the instance is well-posed: the initial and target
     /// worlds must satisfy the constraints.
     pub fn validate(&self) -> Result<(), PlanError> {
-        let initial = evaluate_policy(
+        let _span = span!("spec.validate");
+        let mut router = EcmpRouter::with_policy(&self.topology, self.split);
+        let mut loads = LoadMap::new(&self.topology);
+        let initial = evaluate_with(
+            &mut router,
+            &mut loads,
             &self.topology,
             &self.initial,
             &self.demands,
             self.theta,
-            self.split,
         );
         if !initial.satisfied() {
             return Err(PlanError::InitialInfeasible(format!(
@@ -365,12 +370,13 @@ impl MigrationSpec {
             return Err(PlanError::InitialInfeasible("port violations".into()));
         }
         let target_state = self.target_state();
-        let target = evaluate_policy(
+        let target = evaluate_with(
+            &mut router,
+            &mut loads,
             &self.topology,
             &target_state,
             &self.demands,
             self.theta,
-            self.split,
         );
         if !target.satisfied() {
             return Err(PlanError::TargetInfeasible(format!(
@@ -802,7 +808,10 @@ fn finish_spec(
     // demand scale here and size the unaffected circuits below.
     let mut router = EcmpRouter::with_policy(&owned_topology, split);
     let mut init_loads = LoadMap::new(&owned_topology);
-    let init_route = router.route(&owned_topology, &initial, &raw, &mut init_loads);
+    let init_route = {
+        let _span = span!("spec.calibrate", "state" = "initial");
+        router.route(&owned_topology, &initial, &raw, &mut init_loads)
+    };
     let factor = scale_from_routed(
         &owned_topology,
         &initial,
@@ -819,7 +828,10 @@ fn finish_spec(
     // trunk would mask the constraints the evaluation actually studies.
     if opts.normalize_capacity {
         let mut tgt_loads = LoadMap::new(&owned_topology);
-        router.route(&owned_topology, &target, &raw, &mut tgt_loads);
+        {
+            let _span = span!("spec.calibrate", "state" = "target");
+            router.route(&owned_topology, &target, &raw, &mut tgt_loads);
+        }
         // New hardware is design-sized close to its bound (0.85 theta);
         // circuits outside the migration scope get a wider margin so that
         // legitimate mid-migration traffic shifts never make THEM the
@@ -970,6 +982,7 @@ fn finish_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klotski_routing::evaluate_policy;
     use klotski_topology::presets::{self, PresetId};
 
     fn preset_a() -> Preset {

@@ -1,14 +1,21 @@
 //! The A\* search planner (§4.4, Algorithm 2).
 //!
 //! Search states are `(V, last action type)`. Successors apply every action
-//! type's next canonical block; only successors whose topology satisfies the
-//! demand and port constraints enter the priority queue. The priority is
+//! type's next canonical block; only states whose topology satisfies the
+//! demand and port constraints expand. The priority is
 //! `f(n) = g(n) + h(n)` — existing cost plus the remaining-action-type lower
 //! bound (Eq. 9 / the admissible refinement, see [`crate::cost`]) — with the
 //! number of finished actions as secondary priority: among equal-`f` states,
 //! the one closer to the target expands first. A\* returns the moment the
 //! target state is popped, which is why it visits far fewer states than the
 //! DP sweep in practice.
+//!
+//! The satisfiability check runs when a state is popped, not when it is
+//! generated (Algorithm 2 checks at generation): a successor the search
+//! never pops is never routed. The plan, its cost and the expansion count
+//! are those of the eager search — the argument sits on
+//! `AStarPlanner::search` and in DESIGN.md ("Model refinements documented
+//! as deviations").
 
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
@@ -16,14 +23,10 @@ use crate::cost::{CostModel, HeuristicMode};
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
-use crate::planner::{
-    emit_ensemble_trace, flush_ensemble_metrics, flush_search_metrics, PlanOutcome, PlanStats,
-    Planner, SearchBudget,
-};
+use crate::planner::{run_search, PlanOutcome, PlanStats, Planner, SearchBudget};
 use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
-use klotski_topology::NetState;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
@@ -117,51 +120,54 @@ impl Planner for AStarPlanner {
     }
 
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
-        let mut guard = span!("astar.plan", "migration" = spec.name.as_str());
-        let result = self.plan_inner(spec);
-        match &result {
-            Ok(outcome) => {
-                guard
-                    .field("outcome", "done")
-                    .field("expansions", outcome.stats.states_visited)
-                    .field("cost", outcome.cost);
-                flush_search_metrics("astar", &outcome.stats);
-                if let Some(ens) = &outcome.ensemble {
-                    emit_ensemble_trace("astar", ens);
-                    flush_ensemble_metrics("astar", ens);
-                }
-            }
-            Err(PlanError::BudgetExceeded { .. }) => {
-                guard.field("outcome", "budget");
-            }
-            Err(_) => {
-                guard.field("outcome", "infeasible");
-            }
-        }
-        result
+        let guard = span!("astar.plan", "migration" = spec.name.as_str());
+        run_search(
+            "astar",
+            guard,
+            spec,
+            self.esc,
+            &self.pool,
+            |checker, stats, start| self.search(spec, checker, stats, start),
+        )
     }
 }
 
 impl AStarPlanner {
-    fn plan_inner(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
-        let start = Instant::now();
+    /// The best-first loop. Algorithm 2 checks a successor when it is
+    /// generated; this loop checks a state when it is *popped*, and pushes
+    /// successors unchecked. The plan is the same and the checks are fewer:
+    ///
+    /// - Feasibility is a function of the key `(V, last)` alone, so a key
+    ///   gets the same verdict whenever it is asked.
+    /// - Only feasible pops expand. An infeasible key can enter `best_g`,
+    ///   `parents` and the heap, but only under its own key, and its pop is
+    ///   discarded — so `best_g` and `parents` restricted to feasible keys,
+    ///   and the relative `seq` order of feasible entries (pushes happen in
+    ///   the same order, `seq` only grows), are those of the eager search.
+    ///   The heap's total order over feasible entries is therefore the
+    ///   eager one, and so are the expansion sequence, `states_visited`,
+    ///   the plan and its cost.
+    /// - Every popped key was generated by a feasible expansion, which the
+    ///   eager search checked at that moment: the lazy search routes a
+    ///   subset of the states the eager one routes, on every instance.
+    fn search(
+        &self,
+        spec: &MigrationSpec,
+        checker: &mut SatChecker,
+        stats: &mut PlanStats,
+        start: Instant,
+    ) -> Result<(MigrationPlan, f64), PlanError> {
         // Expansion interval between `astar.progress` events, configured
         // per instance via `MigrationOptions::progress_every`.
         let progress_every = spec.progress_every.max(1);
         let target = &spec.target_counts;
-        let num_types = spec.num_types();
-        let mut checker = match &self.pool {
-            Some(pool) => SatChecker::with_pool(spec, self.esc, Arc::clone(pool)),
-            None => SatChecker::new(spec, self.esc),
-        };
-        let mut stats = PlanStats::default();
 
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut best_g: HashMap<StateKey, f64> = HashMap::new();
         let mut parents: HashMap<StateKey, StateKey> = HashMap::new();
         let mut seq = 0u64;
 
-        let origin = CompactState::origin(num_types);
+        let origin = CompactState::origin(spec.num_types());
         let origin_key: StateKey = (origin.dense_index(target) as u32, NO_LAST);
         let h0 = self
             .cost
@@ -185,8 +191,29 @@ impl AStarPlanner {
                 }
                 _ => {}
             }
+            // Per-pop budget gate: state count, time limit, absolute
+            // deadline, and cooperative cancellation all stop the search
+            // here, before the pop's check — a run of infeasible pops cannot
+            // outlive a deadline. The count is of feasible expansions, this
+            // pop included if it turns out to be one.
+            self.budget.check(stats.states_visited + 1, start)?;
+
+            let v = decode(dense, target);
+            let last = (last_raw != NO_LAST).then_some(ActionTypeId(last_raw));
+            // The origin is the spec's validated initial state; every other
+            // key is checked here, once per pop.
+            if last.is_some() {
+                let state = spec.state_for(&v);
+                let t0 = Instant::now();
+                let ok = checker.check(spec, &v, &state, last);
+                stats.satcheck_time += t0.elapsed();
+                if !ok {
+                    stats.states_pruned += 1;
+                    continue;
+                }
+            }
             stats.states_visited += 1;
-            if stats.states_visited % progress_every == 0 {
+            if stats.states_visited.is_multiple_of(progress_every) {
                 log_event!(
                     "astar.progress",
                     "expansions" = stats.states_visited,
@@ -194,57 +221,16 @@ impl AStarPlanner {
                     "f" = entry.f,
                 );
             }
-            // Per-expansion budget gate: state count, time limit, absolute
-            // deadline, and cooperative cancellation all stop the search
-            // here, before any successor work.
-            self.budget.check(stats.states_visited, start)?;
-
-            let v = decode(dense, target);
             if v.is_target(target) {
-                stats.absorb_sat(checker.stats());
-                stats.planning_time = start.elapsed();
-                let plan = rebuild_plan(spec, &parents, entry.key, target);
-                let ensemble =
-                    (!spec.extra_demands.is_empty()).then(|| checker.ensemble_breakdown().clone());
-                return Ok(PlanOutcome {
-                    plan,
-                    cost: entry.g,
-                    stats,
-                    ensemble,
-                });
+                return Ok((rebuild_plan(spec, &parents, entry.key, target), entry.g));
             }
 
-            let last = (last_raw != NO_LAST).then_some(ActionTypeId(last_raw));
-            // Reconstruct this state's activation overlay once, generate
-            // every applicable successor, then batch their satisfiability
-            // checks through the checker's worker pool. Verdicts come back
-            // in generation order, so the push sequence (and the plan) is
-            // identical to checking one by one.
-            let state = spec.state_for(&v);
-            let mut cand: Vec<(ActionTypeId, CompactState, NetState)> = Vec::new();
             for a in spec.actions.ids() {
                 if v.count(a) >= target.count(a) {
                     continue;
                 }
-                let mut next_state = state.clone();
-                spec.apply_next(&mut next_state, &v, a);
                 stats.states_generated += 1;
-                cand.push((a, v.advanced(a), next_state));
-            }
-            let verdicts = {
-                let refs: Vec<_> = cand.iter().map(|(a, nv, ns)| (nv, ns, Some(*a))).collect();
-                let t0 = Instant::now();
-                // Handing over the popped state lets the incremental checker
-                // re-route only the destinations each block's toggles touch.
-                let verdicts = checker.check_batch_from(spec, Some((&v, &state)), &refs);
-                stats.satcheck_time += t0.elapsed();
-                verdicts
-            };
-            for ((a, nv, _), ok) in cand.into_iter().zip(verdicts) {
-                if !ok {
-                    stats.states_pruned += 1;
-                    continue;
-                }
+                let nv = v.advanced(a);
                 let g = entry.g + self.cost.step_cost(last, a);
                 let key: StateKey = (nv.dense_index(target) as u32, a.0);
                 let improved = match best_g.get(&key) {
@@ -468,6 +454,39 @@ mod tests {
             planner.plan(&spec),
             Err(PlanError::BudgetExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn budget_gate_precedes_the_check_of_an_infeasible_frontier() {
+        // With θ collapsed after the build, every state but the origin is
+        // infeasible: the frontier after the first expansion is two
+        // infeasible pops.
+        let mut spec = spec();
+        spec.theta = 1e-9;
+        let run = |budget: SearchBudget| {
+            let planner = AStarPlanner {
+                budget,
+                ..AStarPlanner::default()
+            };
+            let mut checker = SatChecker::new(&spec, EscMode::Compact);
+            let mut stats = PlanStats::default();
+            let result = planner.search(&spec, &mut checker, &mut stats, Instant::now());
+            (result.map(|_| ()), stats, checker.stats().checks)
+        };
+
+        let (result, stats, checks) = run(SearchBudget::default());
+        assert_eq!(result, Err(PlanError::NoFeasiblePlan));
+        assert_eq!((stats.states_visited, stats.states_generated), (1, 2));
+        assert_eq!((stats.states_pruned, checks), (2, 2), "one check per pop");
+
+        // A budget that ends at the first expansion stops the search at the
+        // next pop — before that pop's check, not after the run of rejects.
+        let (result, stats, checks) = run(SearchBudget::tight(1, Duration::from_secs(3600)));
+        assert!(matches!(result, Err(PlanError::BudgetExceeded { .. })));
+        assert_eq!(
+            (stats.states_visited, stats.states_pruned, checks),
+            (1, 0, 0)
+        );
     }
 
     #[test]

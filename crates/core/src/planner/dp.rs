@@ -23,15 +23,12 @@ use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
-use crate::planner::{
-    emit_ensemble_trace, flush_ensemble_metrics, flush_search_metrics, PlanOutcome, PlanStats,
-    Planner, SearchBudget,
-};
+use crate::planner::{run_search, PlanOutcome, PlanStats, Planner, SearchBudget};
 use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const NO_LAST: u8 = u8::MAX;
 
@@ -78,49 +75,38 @@ impl Planner for DpPlanner {
 
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
         let mut guard = span!("dp.plan", "migration" = spec.name.as_str());
-        let result = self.plan_inner(spec);
-        match &result {
-            Ok(outcome) => {
-                guard
-                    .field("outcome", "done")
-                    .field("expansions", outcome.stats.states_visited)
-                    .field("cost", outcome.cost);
-                flush_search_metrics("dp", &outcome.stats);
-                if let Some(ens) = &outcome.ensemble {
-                    emit_ensemble_trace("dp", ens);
-                    flush_ensemble_metrics("dp", ens);
-                }
-            }
-            Err(PlanError::BudgetExceeded { .. }) => {
-                guard.field("outcome", "budget");
-            }
-            Err(_) => {
-                guard.field("outcome", "infeasible");
-            }
+        // The sweep touches the whole box: refuse one over budget before
+        // building a checker for it.
+        if CompactState::box_size(&spec.target_counts) as u64 > self.budget.max_states {
+            guard.field("outcome", "budget");
+            return Err(PlanError::BudgetExceeded {
+                states_visited: 0,
+                elapsed: Duration::ZERO,
+            });
         }
-        result
+        run_search(
+            "dp",
+            guard,
+            spec,
+            self.esc,
+            &self.pool,
+            |checker, stats, start| self.sweep(spec, checker, stats, start),
+        )
     }
 }
 
 impl DpPlanner {
-    fn plan_inner(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
-        let start = Instant::now();
+    fn sweep(
+        &self,
+        spec: &MigrationSpec,
+        checker: &mut SatChecker,
+        stats: &mut PlanStats,
+        start: Instant,
+    ) -> Result<(MigrationPlan, f64), PlanError> {
         let progress_every = spec.progress_every.max(1);
         let target = &spec.target_counts;
         let num_types = spec.num_types();
         let box_size = CompactState::box_size(target);
-        if box_size as u64 > self.budget.max_states {
-            return Err(PlanError::BudgetExceeded {
-                states_visited: 0,
-                elapsed: start.elapsed(),
-            });
-        }
-
-        let mut checker = match &self.pool {
-            Some(pool) => SatChecker::with_pool(spec, self.esc, Arc::clone(pool)),
-            None => SatChecker::new(spec, self.esc),
-        };
-        let mut stats = PlanStats::default();
 
         // Dense tables over (V, last): f costs and predecessor action types.
         let mut f = vec![f64::INFINITY; box_size * num_types];
@@ -146,7 +132,7 @@ impl DpPlanner {
             // bounds the state count).
             self.budget.check(stats.states_visited, start)?;
             stats.states_visited += 1;
-            if stats.states_visited % progress_every == 0 {
+            if stats.states_visited.is_multiple_of(progress_every) {
                 log_event!(
                     "dp.progress",
                     "swept" = stats.states_visited,
@@ -217,8 +203,6 @@ impl DpPlanner {
                 best_last = a as u8;
             }
         }
-        stats.absorb_sat(checker.stats());
-        stats.planning_time = start.elapsed();
         if !best_cost.is_finite() {
             return Err(PlanError::NoFeasiblePlan);
         }
@@ -240,15 +224,7 @@ impl DpPlanner {
             last = if v.total() == 0 { NO_LAST } else { prev_last };
         }
         rev_steps.reverse();
-        let plan = MigrationPlan::new(rev_steps);
-        let ensemble =
-            (!spec.extra_demands.is_empty()).then(|| checker.ensemble_breakdown().clone());
-        Ok(PlanOutcome {
-            plan,
-            cost: best_cost,
-            stats,
-            ensemble,
-        })
+        Ok((MigrationPlan::new(rev_steps), best_cost))
     }
 }
 

@@ -10,7 +10,12 @@
 //! - [`AStarPlanner`] (Algorithm 2) expands states best-first under the
 //!   domain-specific priority `f = g + h` with the remaining-action-type
 //!   lower bound as `h` and the finished-action count as secondary priority,
-//!   returning as soon as the target is popped.
+//!   checking each state when it is popped and returning as soon as the
+//!   target is.
+//!
+//! Both reach the satisfiability engine one state at a time, through
+//! [`SatChecker::check`](crate::satcheck::SatChecker::check), inside
+//! `run_search`, which also owns a search's span and telemetry.
 
 mod astar;
 mod dp;
@@ -22,8 +27,9 @@ use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::MigrationPlan;
-use crate::satcheck::{EnsembleBreakdown, SatStats};
+use crate::satcheck::{EnsembleBreakdown, EscMode, SatChecker, SatStats};
 use klotski_parallel::WorkerPool;
+use klotski_telemetry::SpanGuard;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,9 +40,12 @@ use std::time::{Duration, Instant};
 pub struct PlanStats {
     /// States processed (popped / swept).
     pub states_visited: u64,
-    /// Successor states generated.
+    /// Successor states generated. A\* pushes each one unchecked, unless a
+    /// path at least as cheap to the same key is already known (then it
+    /// counts as deduped too); DP counts the arrivals that passed their check.
     pub states_generated: u64,
-    /// Candidates rejected by the satisfiability check.
+    /// States rejected by the satisfiability check — by A\* when popped, by
+    /// DP on arrival.
     #[serde(default)]
     pub states_pruned: u64,
     /// Candidates dropped as stale or non-improving duplicates.
@@ -46,7 +55,8 @@ pub struct PlanStats {
     pub sat_checks: u64,
     /// Queries served from the ESC cache.
     pub cache_hits: u64,
-    /// Queries that ran the full evaluation.
+    /// Queries the ESC cache did not answer (see
+    /// [`SatStats::full_evaluations`]): space-model rejections included.
     pub full_evaluations: u64,
     /// Destinations replayed from the incremental routing cache.
     #[serde(default)]
@@ -113,9 +123,67 @@ impl PlanStats {
     }
 }
 
-/// Publishes one finished search's counters to the global telemetry
-/// registry under the `klotski_search_*` families, labelled by planner.
-pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
+/// One search, from its span to its telemetry: builds the checker, runs
+/// `search` on it, and — whatever the outcome — folds the checker's counters
+/// into the stats, stamps the span and publishes the counters. A search that
+/// burns its budget or proves infeasibility did the work its counters say.
+pub(crate) fn run_search(
+    planner: &str,
+    mut guard: SpanGuard,
+    spec: &MigrationSpec,
+    esc: EscMode,
+    pool: &Option<Arc<WorkerPool>>,
+    search: impl FnOnce(
+        &mut SatChecker,
+        &mut PlanStats,
+        Instant,
+    ) -> Result<(MigrationPlan, f64), PlanError>,
+) -> Result<PlanOutcome, PlanError> {
+    let start = Instant::now();
+    let mut checker = match pool {
+        Some(pool) => SatChecker::with_pool(spec, esc, Arc::clone(pool)),
+        None => SatChecker::new(spec, esc),
+    };
+    let mut stats = PlanStats::default();
+    let found = search(&mut checker, &mut stats, start);
+    stats.absorb_sat(checker.stats());
+    stats.planning_time = start.elapsed();
+    flush_search_metrics(planner, &stats, found.is_ok());
+    match found {
+        Ok((plan, cost)) => {
+            guard
+                .field("outcome", "done")
+                .field("expansions", stats.states_visited)
+                .field("cost", cost);
+            let ensemble =
+                (!spec.extra_demands.is_empty()).then(|| checker.ensemble_breakdown().clone());
+            if let Some(ens) = &ensemble {
+                emit_ensemble_trace(planner, ens);
+                flush_ensemble_metrics(planner, ens);
+            }
+            Ok(PlanOutcome {
+                plan,
+                cost,
+                stats,
+                ensemble,
+            })
+        }
+        Err(err) => {
+            let outcome = match err {
+                PlanError::BudgetExceeded { .. } => "budget",
+                _ => "infeasible",
+            };
+            guard.field("outcome", outcome);
+            Err(err)
+        }
+    }
+}
+
+/// Publishes one search's counters to the global telemetry registry under
+/// the `klotski_search_*` families, labelled by planner. Every search adds
+/// its work; only a `completed` one (it returned a plan) counts in
+/// `klotski_search_plans_total` and the plan-time summary.
+fn flush_search_metrics(planner: &str, stats: &PlanStats, completed: bool) {
     let reg = klotski_telemetry::registry();
     for (family, help) in [
         ("klotski_search_plans_total", "Completed planner searches"),
@@ -126,7 +194,7 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
         ),
         (
             "klotski_search_pruned_total",
-            "Candidates rejected by the satisfiability check",
+            "States rejected by the satisfiability check",
         ),
         (
             "klotski_search_deduped_total",
@@ -139,7 +207,7 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
         ),
         (
             "klotski_search_full_evaluations_total",
-            "Queries that ran the full evaluation",
+            "Queries the ESC cache did not answer",
         ),
         (
             "klotski_search_incremental_clean_total",
@@ -158,7 +226,12 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
         reg.set_help(family, help);
     }
     let label = |family: &str| format!("{family}{{planner=\"{planner}\"}}");
-    reg.counter(&label("klotski_search_plans_total")).inc();
+    reg.counter(&label("klotski_search_plans_total"))
+        .add(u64::from(completed));
+    if completed {
+        reg.loglinear(&label("klotski_search_plan_seconds"))
+            .record(stats.planning_time);
+    }
     for (family, value) in [
         ("klotski_search_expansions_total", stats.states_visited),
         ("klotski_search_generated_total", stats.states_generated),
@@ -185,14 +258,12 @@ pub(crate) fn flush_search_metrics(planner: &str, stats: &PlanStats) {
     ] {
         reg.counter(&label(family)).add(value);
     }
-    reg.loglinear(&label("klotski_search_plan_seconds"))
-        .record(stats.planning_time);
 }
 
 /// Publishes a finished search's per-matrix ensemble counters under the
 /// `klotski_ensemble_*` families, labelled by planner and matrix. No-op for
 /// single-matrix (non-ensemble) searches.
-pub(crate) fn flush_ensemble_metrics(planner: &str, breakdown: &EnsembleBreakdown) {
+fn flush_ensemble_metrics(planner: &str, breakdown: &EnsembleBreakdown) {
     if breakdown.matrices.is_empty() {
         return;
     }
@@ -231,7 +302,7 @@ pub(crate) fn flush_ensemble_metrics(planner: &str, breakdown: &EnsembleBreakdow
 
 /// Emits one `satcheck.ensemble` trace event per ensemble matrix, so
 /// `trace summarize` can render which matrix killed how many candidates.
-pub(crate) fn emit_ensemble_trace(planner: &str, breakdown: &EnsembleBreakdown) {
+fn emit_ensemble_trace(planner: &str, breakdown: &EnsembleBreakdown) {
     for (k, m) in breakdown.matrices.iter().enumerate() {
         klotski_telemetry::log_event!(
             "satcheck.ensemble",

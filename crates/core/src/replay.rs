@@ -100,11 +100,6 @@ impl ChainRouter {
         self.engine.set_base_rates(demands);
     }
 
-    /// True when the engine's cached structures are those of `v`.
-    pub(crate) fn is_at(&self, v: &CompactState) -> bool {
-        self.base_v.as_ref() == Some(v)
-    }
-
     /// Routes the base matrix over `(v, state)` into `loads` (cleared
     /// first), diffing against the current base by block lists; `(v, state)`
     /// becomes the base.
@@ -145,20 +140,6 @@ impl ChainRouter {
                 .evaluate_packed(pool, &spec.topology, state, toggles, loads, outcomes);
         self.set_base(v, state);
         swept
-    }
-
-    /// Moves the base to `(v, state)` updating routing structure only.
-    pub(crate) fn rebase(
-        &mut self,
-        pool: &WorkerPool,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-    ) {
-        let delta = self.compute_toggles(spec, v, state);
-        let toggles = delta.then_some(&self.toggles[..]);
-        self.engine.rebase(pool, &spec.topology, state, toggles);
-        self.set_base(v, state);
     }
 
     fn set_base(&mut self, v: &CompactState, state: &NetState) {

@@ -25,10 +25,15 @@
 //! count vector only if the target box overflows) and the usable-circuit
 //! predicate is hoisted into a bitmask computed once per evaluation.
 //!
-//! A cache miss is evaluated by one of two routers. Planning checks go
-//! through the [`IncrementalRouter`], which re-derives routing structure
-//! only for the destinations a block application disturbed (fanned out over
-//! the [`WorkerPool`]'s lanes) and then sweeps loads once per state,
+//! [`SatChecker::check`] is the one entry point of both planners and the
+//! validating walk, one state at a time; a caller hands over no parent
+//! context. A cache miss is evaluated by one of two routers. Planning checks
+//! go through the [`IncrementalRouter`]: the state is diffed against
+//! whichever state the engine routed last (toggles from the block lists of
+//! the compact diff — one block for a DP sweep step, a few for the jump
+//! between two A\* pops), routing structure is re-derived only for the
+//! destinations those toggles disturbed (fanned out over the
+//! [`WorkerPool`]'s lanes), and loads are swept once per state,
 //! bit-identical at any lane count. With a traffic ensemble that one
 //! traversal carries all K matrices, the base as lane 0, into a
 //! [`PackedLoads`]; funneling headroom and the K utilization summaries are
@@ -76,7 +81,10 @@ pub struct SatStats {
     pub checks: u64,
     /// Queries answered from the cache.
     pub cache_hits: u64,
-    /// Queries that ran the full routing + port evaluation.
+    /// Queries the cache did not answer (every cache miss). Each was
+    /// evaluated: rejected by the §7.2 space model before any routing, or
+    /// routed and judged (Eq. 4–6) — so this can exceed the routing engine's
+    /// advance count by the space model's rejections.
     pub full_evaluations: u64,
     /// Destination groups whose cached routing structure the incremental
     /// engine reused unchanged (zero when `MigrationOptions.incremental` is
@@ -254,10 +262,6 @@ pub struct SatChecker {
     outcome: RouteOutcome,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
     incremental: Option<ChainRouter>,
-    /// Parent context staged by [`SatChecker::check_batch_from`]; the
-    /// engine rebases onto it lazily, on the first cache miss, so
-    /// fully-cached batches pay nothing.
-    pending_parent: Option<(CompactState, NetState)>,
     /// Buffers of the packed ensemble fold: present iff the checker is
     /// incremental and the spec has extra matrices.
     packed: Option<PackedFold>,
@@ -352,7 +356,6 @@ impl SatChecker {
             outcome: RouteOutcome::new(),
             packed,
             incremental,
-            pending_parent: None,
             cache: HashMap::new(),
             fifo: VecDeque::new(),
             cache_cap: spec.esc_cache_cap.max(1),
@@ -470,8 +473,8 @@ impl SatChecker {
     /// fixed demand matrix) is sound for such states, so the audit always
     /// routes from scratch — on the checker's sequential router and reused
     /// buffers. The incremental engine's base state is left untouched, so
-    /// interleaving audits with planner-driven `check_batch_from` calls is
-    /// safe.
+    /// interleaving audits with planner-driven [`check`](Self::check) calls
+    /// is safe.
     ///
     /// The space model (§7.2) is plan-scoped — it constrains the compact
     /// progress vector, which a live state does not carry — so it is not
@@ -577,32 +580,6 @@ impl SatChecker {
         self.esc_bytes_gauge.set(self.cache_bytes as f64);
     }
 
-    /// Checks a batch of candidate states expanded from `parent` (planner
-    /// expansions), in item order; verdicts are identical to issuing
-    /// [`check`](Self::check) per item with any parent or none.
-    ///
-    /// Planners pass the `(V, state)` the candidates were expanded from, so
-    /// an incremental checker rebases its routing cache onto the parent and
-    /// each child evaluation diffs by exactly the one applied block. The
-    /// rebase is lazy — staged here, performed on the first cache miss —
-    /// so fully-cached batches pay nothing. Items evaluate one after the
-    /// other (the engine chains deltas state-to-state); each evaluation
-    /// fans its dirty destinations out over the pool's lanes.
-    pub fn check_batch_from(
-        &mut self,
-        spec: &MigrationSpec,
-        parent: Option<(&CompactState, &NetState)>,
-        items: &[(&CompactState, &NetState, Option<ActionTypeId>)],
-    ) -> Vec<bool> {
-        if let (Some(incr), Some((pv, ps))) = (&self.incremental, parent) {
-            self.pending_parent = (!incr.is_at(pv)).then(|| (pv.clone(), ps.clone()));
-        }
-        items
-            .iter()
-            .map(|&(v, state, last)| self.check(spec, v, state, last))
-            .collect()
-    }
-
     /// The cache key of a query, or `None` when caching is off.
     fn key_for(
         &self,
@@ -643,15 +620,6 @@ impl SatChecker {
         if let Some(space) = &spec.space {
             if !space.fits(v) {
                 return false;
-            }
-        }
-        if let Some(incr) = &mut self.incremental {
-            // Apply a staged parent rebase first, so this child's delta is
-            // the one block the planner applied.
-            if let Some((pv, ps)) = self.pending_parent.take() {
-                if !incr.is_at(&pv) {
-                    incr.rebase(&self.pool, spec, &pv, &ps);
-                }
             }
         }
         if self.packed.is_some() {
@@ -1009,8 +977,8 @@ mod tests {
         assert_eq!(spec.extra_demands.len(), 7);
         spec.space = None; // every check routes
         let mut checker = SatChecker::new(&spec, EscMode::Off);
-        // A planner's walk: every child of each state along a feasible
-        // chain, batch-checked from its parent.
+        // A walk with sibling and cousin jumps: every child of each state
+        // along a feasible chain, checked one after the other.
         let mut v = CompactState::origin(spec.num_types());
         let mut state = spec.initial.clone();
         let (mut checks, mut accepted) = (0, 0);
@@ -1025,9 +993,11 @@ mod tests {
                     (v.advanced(a), s, a)
                 })
                 .collect();
-            let items: Vec<_> = children.iter().map(|(v, s, a)| (v, s, Some(*a))).collect();
-            let verdicts = checker.check_batch_from(&spec, Some((&v, &state)), &items);
-            checks += items.len() as u64;
+            let verdicts: Vec<bool> = children
+                .iter()
+                .map(|(v, s, a)| checker.check(&spec, v, s, Some(*a)))
+                .collect();
+            checks += children.len() as u64;
             accepted += verdicts.iter().filter(|&&ok| ok).count() as u64;
             let next = verdicts
                 .iter()
@@ -1067,7 +1037,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_agrees_with_sequential_checks_across_thread_counts() {
+    fn check_walk_agrees_across_thread_counts_and_cache_modes() {
         let spec = spec();
         let states: Vec<(CompactState, NetState)> = [
             vec![0, 0],
@@ -1099,32 +1069,34 @@ mod tests {
         for threads in [1, 2, 4] {
             for mode in [EscMode::Compact, EscMode::FullTopology, EscMode::Off] {
                 let mut checker = SatChecker::with_threads(&spec, mode, threads);
-                assert_eq!(
-                    checker.check_batch_from(&spec, None, &items),
-                    expected,
-                    "{mode:?} with {threads} threads"
-                );
-                // A second pass answers from the cache (or re-evaluates in
-                // Off mode) with identical verdicts.
-                assert_eq!(checker.check_batch_from(&spec, None, &items), expected);
+                // The same item order (jumps of several blocks between
+                // items); a second pass answers from the cache (or
+                // re-evaluates in Off mode) with identical verdicts.
+                for pass in 0..2 {
+                    let got: Vec<bool> = items
+                        .iter()
+                        .map(|&(v, s, l)| checker.check(&spec, v, s, l))
+                        .collect();
+                    assert_eq!(
+                        got, expected,
+                        "{mode:?} with {threads} threads, pass {pass}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn batch_dedupes_identical_keys() {
+    fn identical_keys_share_one_evaluation() {
         let spec = spec();
         let mut checker = SatChecker::with_threads(&spec, EscMode::Compact, 4);
         let v = CompactState::from_counts(vec![1, 1]);
         let state = spec.state_for(&v);
         // Funneling off: the last action type is not part of the key, so
-        // both items share one evaluation.
-        let items: Vec<(&CompactState, &NetState, Option<ActionTypeId>)> = vec![
-            (&v, &state, Some(ActionTypeId(0))),
-            (&v, &state, Some(ActionTypeId(1))),
-        ];
-        let out = checker.check_batch_from(&spec, None, &items);
-        assert_eq!(out[0], out[1]);
+        // both queries share one evaluation.
+        let first = checker.check(&spec, &v, &state, Some(ActionTypeId(0)));
+        let second = checker.check(&spec, &v, &state, Some(ActionTypeId(1)));
+        assert_eq!(first, second);
         let s = checker.stats();
         assert_eq!(s.checks, 2);
         assert_eq!(s.full_evaluations, 1);

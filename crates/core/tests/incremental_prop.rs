@@ -1,7 +1,8 @@
 //! Differential property tests for delta-aware incremental satisfiability:
 //! random block-application walks where every child is checked through the
-//! incremental engine (parent context handed over planner-style) and
-//! re-checked by a from-scratch single-threaded reference. Verdicts AND
+//! incremental engine, one `check` after the other — sibling to sibling, then
+//! a cousin jump to the next parent's children, the deltas pop-time checking
+//! produces — and re-checked by a from-scratch single-threaded reference. Verdicts AND
 //! per-circuit loads must be bit-identical — the incremental path is a pure
 //! evaluation-speed optimization, never a semantics knob — across thread
 //! counts, ESC cache modes, funneling settings, and with or without a
@@ -43,8 +44,9 @@ fn next_rand(x: &mut u64) -> u64 {
 }
 
 /// One random walk: at each step expand every applicable successor of the
-/// current state, batch-check them with parent context (exactly what the
-/// planners do), compare each verdict against the reference, spot-check one
+/// current state, check them in generation order (the engine diffs each
+/// against whatever it routed last), compare each verdict against the
+/// reference, spot-check one
 /// candidate's per-circuit loads bit-for-bit, then advance along a random
 /// feasible edge.
 fn differential_walk(
@@ -78,8 +80,10 @@ fn differential_walk(
             break;
         }
 
-        let refs: Vec<_> = cand.iter().map(|(a, nv, ns)| (nv, ns, Some(*a))).collect();
-        let got = incr.check_batch_from(spec, Some((&v, &state)), &refs);
+        let got: Vec<bool> = cand
+            .iter()
+            .map(|(a, nv, ns)| incr.check(spec, nv, ns, Some(*a)))
+            .collect();
         let expected: Vec<bool> = cand
             .iter()
             .map(|(a, nv, ns)| full.check(spec_full, nv, ns, Some(*a)))

@@ -113,10 +113,11 @@ pub struct PlanSummary {
     pub steps: usize,
     /// Search states visited.
     pub states_visited: u64,
-    /// Successor states generated.
+    /// Successor states generated (A\*: pushed unchecked unless a path at
+    /// least as cheap to the same key is known).
     #[serde(default)]
     pub states_generated: u64,
-    /// Candidates rejected by the satisfiability check.
+    /// States rejected by the satisfiability check (A\*: when popped).
     #[serde(default)]
     pub states_pruned: u64,
     /// Candidates dropped as stale or non-improving duplicates.
@@ -127,7 +128,8 @@ pub struct PlanSummary {
     /// Queries served from the ESC cache.
     #[serde(default)]
     pub cache_hits: u64,
-    /// Queries that ran the full evaluation.
+    /// Queries the ESC cache did not answer: each was evaluated — rejected
+    /// by the space model before any routing, or routed and judged.
     #[serde(default)]
     pub full_evaluations: u64,
     /// Destinations whose cached routing structure was reused unchanged.
