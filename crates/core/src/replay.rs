@@ -58,6 +58,11 @@ pub(crate) struct ChainRouter {
     engine: IncrementalRouter,
     base_v: Option<CompactState>,
     base_state: NetState,
+    /// Eq. 6 port degree of every switch in the base state: its usable
+    /// incident circuits, moved by ±1 per endpoint of each toggled circuit.
+    degree: Vec<u32>,
+    /// Switches whose degree exceeds their port budget.
+    over_budget: usize,
     /// Toggle scratch: exact changed circuits, deduplicated by stamp.
     toggles: Vec<CircuitId>,
     seen: Vec<u32>,
@@ -84,6 +89,8 @@ impl ChainRouter {
             ),
             base_v: None,
             base_state: spec.initial.clone(),
+            degree: vec![0; spec.topology.num_switches()],
+            over_budget: 0,
             toggles: Vec::new(),
             seen: vec![0; spec.topology.num_circuits()],
             epoch: 0,
@@ -92,6 +99,19 @@ impl ChainRouter {
 
     pub(crate) fn engine(&self) -> &IncrementalRouter {
         &self.engine
+    }
+
+    /// Eq. 6 on the state routed last: true if a live switch has more usable
+    /// circuits than ports — `Topology::has_port_violation` of that state,
+    /// kept per toggle instead of recounted per check.
+    pub(crate) fn has_port_violation(&self) -> bool {
+        self.over_budget > 0
+    }
+
+    /// The state routed last, the port degrees kept for it and the Eq. 6
+    /// verdict read off them (test hook).
+    pub(crate) fn port_budgets(&self) -> (&NetState, &[u32], bool) {
+        (&self.base_state, &self.degree, self.has_port_violation())
     }
 
     /// Overwrites the engine's base matrix rates with `demands`' (same
@@ -117,7 +137,7 @@ impl ChainRouter {
         loads.clear();
         self.engine
             .evaluate(pool, &spec.topology, state, toggles, loads, outcome);
-        self.set_base(v, state);
+        self.set_base(spec, v, state, delta);
     }
 
     /// [`route`](Self::route) for the whole ensemble: one advance to
@@ -138,11 +158,45 @@ impl ChainRouter {
         let swept =
             self.engine
                 .evaluate_packed(pool, &spec.topology, state, toggles, loads, outcomes);
-        self.set_base(v, state);
+        self.set_base(spec, v, state, delta);
         swept
     }
 
-    fn set_base(&mut self, v: &CompactState, state: &NetState) {
+    /// Makes `(v, state)` the base. With `delta`, `self.toggles` is the
+    /// exact usability diff from the old base and the port degrees move by
+    /// it; otherwise (the paths on which the engine rebuilt in full) they are
+    /// recounted from `state`.
+    fn set_base(&mut self, spec: &MigrationSpec, v: &CompactState, state: &NetState, delta: bool) {
+        let topo = &spec.topology;
+        if delta {
+            for &c in &self.toggles {
+                let now_usable = state.circuit_usable(topo, c);
+                let circuit = topo.circuit(c);
+                for s in [circuit.a, circuit.b] {
+                    let budget = u32::from(topo.switch(s).max_ports);
+                    let degree = &mut self.degree[s.index()];
+                    if now_usable {
+                        *degree += 1;
+                        self.over_budget += usize::from(*degree == budget + 1);
+                    } else {
+                        self.over_budget -= usize::from(*degree == budget + 1);
+                        *degree -= 1;
+                    }
+                }
+            }
+        } else {
+            self.over_budget = 0;
+            for s in topo.switches() {
+                let degree = state.active_degree(topo, s.id) as u32;
+                self.degree[s.id.index()] = degree;
+                self.over_budget += usize::from(degree > u32::from(s.max_ports));
+            }
+        }
+        debug_assert_eq!(
+            self.has_port_violation(),
+            topo.has_port_violation(state),
+            "port degrees kept by delta diverged from the state"
+        );
         match &mut self.base_v {
             Some(base) => base.clone_from(v),
             None => self.base_v = Some(v.clone()),
@@ -209,8 +263,8 @@ impl ChainRouter {
     }
 }
 
-/// Relative slack `δ` of the headroom bound in [`PlanReplay::lookahead`]:
-/// a state is cleared from the memo only when `u · k · (1 + δ) ≤ θ`.
+/// Relative slack `δ` of the headroom bound [`headroom_clears`]: a state is
+/// cleared without a sweep only when `u · k · (1 + δ) ≤ θ`.
 ///
 /// Why the bound is exact. The load sweep (`sweep_entry`) computes every
 /// slot as a tree of floating-point additions of non-negatives and
@@ -235,6 +289,17 @@ impl ChainRouter {
 /// `plan_replay.rs::headroom_bound_dominates_the_sweep` measures the real
 /// error three orders of magnitude inside `δ`.
 const HEADROOM_SLACK: f64 = 1e-9;
+
+/// The rescaling bound: a state whose max utilization is `u` under one
+/// matrix stays within `theta` under every matrix with the same endpoints
+/// whose rates are at most `k` times as large, when this holds (see
+/// [`HEADROOM_SLACK`]). The lookahead calls it with `k` = the largest
+/// realized/planned ratio, the spec build with `k` = the calibration factor
+/// (`fl(rᵢ · k) ≤ k·rᵢ·(1 + ε)`, the same premise; `EcmpRouter` adds what
+/// `sweep_entry` adds).
+pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
+    u * k * (1.0 + HEADROOM_SLACK) <= theta
+}
 
 /// What one sweep of a canonical state under the planning matrix
 /// (`spec.demands`) leaves in the headroom memo.
@@ -366,6 +431,13 @@ impl PlanReplay {
         }
     }
 
+    /// The engine's base state with the port budgets kept for it; see
+    /// `SatChecker::port_budgets`.
+    #[doc(hidden)]
+    pub fn port_budgets(&self) -> (&NetState, &[u32], bool) {
+        self.chain.port_budgets()
+    }
+
     /// Eq. 4–5 outcome of `(v, state)` under `realized`, or under the
     /// planning matrix `spec.demands` when there is none (the engine's base
     /// rates are overwritten only when it holds another matrix) — what
@@ -465,7 +537,7 @@ impl PlanReplay {
                     Some(TripCause::Unreachable {
                         demands: headroom.unreachable_demands,
                     })
-                } else if headroom.max_utilization * k * (1.0 + HEADROOM_SLACK) <= spec.theta {
+                } else if headroom_clears(headroom.max_utilization, k, spec.theta) {
                     None
                 } else {
                     sweeps += 1;

@@ -444,6 +444,15 @@ impl SatChecker {
         self.packed.as_ref().map(|fold| &fold.loads)
     }
 
+    /// The state the incremental engine routed last, each switch's count of
+    /// usable circuits as kept for it toggle by toggle, and the Eq. 6
+    /// verdict read off those counts; `None` on a from-scratch checker. Test
+    /// hook for the delta-against-recount oracle.
+    #[doc(hidden)]
+    pub fn port_budgets(&self) -> Option<(&NetState, &[u32], bool)> {
+        self.incremental.as_ref().map(ChainRouter::port_budgets)
+    }
+
     /// The flattened topology this checker routes over, for callers that
     /// build another engine over the same topology beside it.
     pub fn csr(&self) -> &Arc<CsrGraph> {
@@ -653,9 +662,14 @@ impl SatChecker {
             observe(&self.loads);
         }
         // Port budgets (Eq. 6) depend on the state alone, so they are judged
-        // once, with the base matrix: a port failure is matrix 0's kill.
+        // once, with the base matrix: a port failure is matrix 0's kill. The
+        // engine keeps them by delta; the from-scratch path recounts.
         let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome)
-            && !(spec.check_ports && spec.topology.has_port_violation(state));
+            && !(spec.check_ports
+                && match &self.incremental {
+                    Some(incr) => incr.has_port_violation(),
+                    None => spec.topology.has_port_violation(state),
+                });
         let Some(t0) = ens_start else {
             return ok;
         };
@@ -746,7 +760,7 @@ impl SatChecker {
             if k == 0 {
                 // Port budgets (Eq. 6) depend on the state alone: judged
                 // once, charged to the base matrix.
-                ok = ok && !(spec.check_ports && topo.has_port_violation(state));
+                ok = ok && !(spec.check_ports && incr.has_port_violation());
                 wall += t0.elapsed().saturating_sub(shared);
             }
             self.ensemble.record(k, wall, !ok);

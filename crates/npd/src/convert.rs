@@ -154,11 +154,81 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
             Err(NpdError::UnknownHardware(key.to_string()))
         }
     };
-    for b in &npd.fabric.buildings {
+    // The topology and traffic builders assert non-empty layers and unwrap
+    // circuit capacities: a document is checked here, where it enters. A
+    // field's name is only formatted when it is refused.
+    let count = |field: std::fmt::Arguments<'_>, n: usize| -> Result<(), NpdError> {
+        if n > 0 {
+            Ok(())
+        } else {
+            Err(NpdError::ZeroCount(field.to_string()))
+        }
+    };
+    let capacity = |field: std::fmt::Arguments<'_>, gbps: f64| -> Result<(), NpdError> {
+        if gbps.is_finite() && gbps > 0.0 {
+            Ok(())
+        } else {
+            Err(NpdError::BadCapacity {
+                field: field.to_string(),
+                gbps,
+            })
+        }
+    };
+    for (i, b) in npd.fabric.buildings.iter().enumerate() {
         check_hw(&b.rsw_hardware)?;
         check_hw(&b.fsw_hardware)?;
         check_hw(&b.ssw_hardware)?;
+        count(format_args!("fabric.buildings[{i}].pods"), b.pods)?;
+        count(
+            format_args!("fabric.buildings[{i}].rsws_per_pod"),
+            b.rsws_per_pod,
+        )?;
+        count(format_args!("fabric.buildings[{i}].planes"), b.planes)?;
+        count(
+            format_args!("fabric.buildings[{i}].ssws_per_plane"),
+            b.ssws_per_plane,
+        )?;
+        capacity(
+            format_args!("fabric.buildings[{i}].rsw_fsw_gbps"),
+            b.rsw_fsw_gbps,
+        )?;
+        capacity(
+            format_args!("fabric.buildings[{i}].fsw_ssw_gbps"),
+            b.fsw_ssw_gbps,
+        )?;
     }
+    for (i, l) in npd.hgrid.layers.iter().enumerate() {
+        if !(1..=2).contains(&l.generation) {
+            return Err(NpdError::UnknownGeneration(l.generation));
+        }
+        count(format_args!("hgrid.layers[{i}].grids"), l.grids)?;
+        count(
+            format_args!("hgrid.layers[{i}].fadus_per_grid"),
+            l.fadus_per_grid,
+        )?;
+        count(
+            format_args!("hgrid.layers[{i}].fauus_per_grid"),
+            l.fauus_per_grid,
+        )?;
+        capacity(
+            format_args!("hgrid.layers[{i}].ssw_fadu_gbps"),
+            l.ssw_fadu_gbps,
+        )?;
+        capacity(
+            format_args!("hgrid.layers[{i}].fadu_fauu_gbps"),
+            l.fadu_fauu_gbps,
+        )?;
+    }
+    if npd.ma.mas > 0 {
+        capacity(format_args!("ma.fauu_ma_gbps"), npd.ma.fauu_ma_gbps)?;
+        capacity(format_args!("ma.ma_eb_gbps"), npd.ma.ma_eb_gbps)?;
+    }
+    count(format_args!("eb.ebs"), npd.eb.ebs)?;
+    count(format_args!("dr.drs"), npd.dr.drs)?;
+    count(format_args!("bb.ebbs"), npd.bb.ebbs)?;
+    capacity(format_args!("eb.fauu_eb_gbps"), npd.eb.fauu_eb_gbps)?;
+    capacity(format_args!("dr.eb_dr_gbps"), npd.dr.eb_dr_gbps)?;
+    capacity(format_args!("bb.dr_ebb_gbps"), npd.bb.dr_ebb_gbps)?;
 
     let hw_ports = |key: &str, fallback: u16| -> u16 {
         npd.hardware
@@ -356,6 +426,57 @@ mod tests {
             npd_to_region(&npd),
             Err(NpdError::DuplicateGeneration(1))
         ));
+    }
+
+    /// One-field edits of an exported preset A that used to reach an
+    /// `assert!` / `expect` in the topology and traffic builders.
+    #[test]
+    fn hostile_counts_and_capacities_get_a_typed_error_naming_the_field() {
+        type Edit = fn(&mut Npd);
+        let cases: [(Edit, &str); 10] = [
+            (|n| n.hgrid.layers[0].grids = 0, "hgrid.layers[0].grids"),
+            (
+                |n| n.hgrid.layers[0].fauus_per_grid = 0,
+                "hgrid.layers[0].fauus_per_grid",
+            ),
+            (|n| n.eb.ebs = 0, "eb.ebs"),
+            (|n| n.bb.ebbs = 0, "bb.ebbs"),
+            (|n| n.dr.drs = 0, "dr.drs"),
+            (
+                |n| n.fabric.buildings[0].pods = 0,
+                "fabric.buildings[0].pods",
+            ),
+            (
+                |n| n.fabric.buildings[0].rsws_per_pod = 0,
+                "fabric.buildings[0].rsws_per_pod",
+            ),
+            (
+                |n| n.hgrid.layers[0].ssw_fadu_gbps = 0.0,
+                "hgrid.layers[0].ssw_fadu_gbps",
+            ),
+            (|n| n.eb.fauu_eb_gbps = -5.0, "eb.fauu_eb_gbps"),
+            (|n| n.hgrid.layers[1].generation = 7, "generation v7"),
+        ];
+        for (edit, field) in cases {
+            let mut npd = region_to_npd(&presets::config(PresetId::A));
+            edit(&mut npd);
+            let err = npd_to_topology(&npd).expect_err(field);
+            assert!(
+                matches!(
+                    err,
+                    NpdError::ZeroCount(_)
+                        | NpdError::BadCapacity { .. }
+                        | NpdError::UnknownGeneration(7)
+                ),
+                "{field}: {err:?}"
+            );
+            assert!(err.to_string().contains(field), "{field}: {err}");
+        }
+        // Whatever the document says of an MA layer that does not exist is
+        // not read.
+        let npd = region_to_npd(&presets::config(PresetId::A));
+        assert_eq!((npd.ma.mas, npd.ma.ma_eb_gbps), (0, 0.0));
+        assert!(npd_to_topology(&npd).is_ok());
     }
 
     #[test]

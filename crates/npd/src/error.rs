@@ -17,6 +17,17 @@ pub enum NpdError {
     DuplicateGeneration(u8),
     /// A part references a hardware key missing from the catalog.
     UnknownHardware(String),
+    /// An HGRID layer of a generation other than 1 or 2.
+    UnknownGeneration(u8),
+    /// A count the topology builders need positive is zero; names the field.
+    ZeroCount(String),
+    /// A circuit capacity that is not a finite positive number of Gbps.
+    BadCapacity {
+        /// The offending field, e.g. `hgrid.layers[0].ssw_fadu_gbps`.
+        field: String,
+        /// Its value.
+        gbps: f64,
+    },
 }
 
 impl fmt::Display for NpdError {
@@ -35,6 +46,13 @@ impl fmt::Display for NpdError {
                 write!(f, "duplicate HGRID generation v{g}")
             }
             NpdError::UnknownHardware(k) => write!(f, "unknown hardware key {k:?}"),
+            NpdError::UnknownGeneration(g) => {
+                write!(f, "unknown HGRID generation v{g} (expected 1 or 2)")
+            }
+            NpdError::ZeroCount(field) => write!(f, "{field} must be at least 1"),
+            NpdError::BadCapacity { field, gbps } => {
+                write!(f, "{field} must be a finite positive capacity, got {gbps}")
+            }
         }
     }
 }

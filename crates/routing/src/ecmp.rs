@@ -24,15 +24,97 @@ use std::sync::Arc;
 /// Distance label for unreachable switches.
 pub(crate) const UNREACHED: u32 = u32::MAX;
 
-/// Sorts a BFS visit order into the canonical `(distance, switch index)`
-/// order. Every routing path — this router and the incremental engine's
-/// patched orders — must produce exactly this order,
-/// because the reverse sweep adds f64 shares in it and f64 addition is not
-/// associative. Equal-distance switches never exchange flow (hop weights are
-/// ≥ 1), so any permutation of ties is *correct*; pinning one makes every
-/// evaluation path bit-identical.
-pub(crate) fn canonical_order(order: &mut [u32], dist: &[u32]) {
-    order.sort_unstable_by_key(|&u| (dist[u as usize], u));
+/// Largest `Circuit::hop_weight`: an ordinary hop is 2, a transparent relay 1.
+const MAX_W: usize = 2;
+
+/// Reusable buffers of [`dial_labels`]: a labelling does not allocate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DialScratch {
+    /// Circular buckets indexed by distance mod `MAX_W + 1`.
+    buckets: [Vec<u32>; MAX_W + 1],
+    /// Next free `order` slot per distance level ([`canonical_order`]).
+    cursor: Vec<u32>,
+}
+
+/// Rewrites a Dial visit order — the reached switches, grouped by ascending
+/// distance — into the canonical `(distance, switch index)` order. Every
+/// routing path must produce exactly this order: the reverse sweep adds f64
+/// shares in it and f64 addition is not associative. Equal-distance switches
+/// never exchange flow (hop weights are ≥ 1), so any permutation of ties is
+/// *correct*; pinning one makes every evaluation path bit-identical. The
+/// levels already sit in their final slots, so this counts instead of
+/// sorting: note where each level starts, then drop switches `0..n` into
+/// their level's slots in index order.
+pub(crate) fn canonical_order(order: &mut [u32], dist: &[u32], cursor: &mut Vec<u32>) {
+    // Distances stay below MAX_W · n: a no-op after the first call.
+    cursor.resize(MAX_W * dist.len(), 0);
+    let mut level = UNREACHED;
+    for (i, &u) in order.iter().enumerate() {
+        let d = dist[u as usize];
+        if d != level {
+            level = d;
+            cursor[d as usize] = i as u32;
+        }
+    }
+    for (u, &d) in dist.iter().enumerate().filter(|&(_, &d)| d != UNREACHED) {
+        let next = &mut cursor[d as usize];
+        order[*next as usize] = u as u32;
+        *next += 1;
+    }
+}
+
+/// Weighted shortest-path labelling over usable circuits from `root`: fills
+/// `dist` (`UNREACHED` where there is no usable path, everywhere when `root`
+/// is down) and `order`, the reached switches in canonical order. Hop weights
+/// are `1..=MAX_W`, so this is Dial's algorithm with a tiny circular bucket
+/// array — Θ(|S|+|C|). Inlined: [`EcmpRouter::bfs_from`] pins the loop out
+/// of `route_group`, the engine's `rebuild_full` carries it in its body.
+#[inline]
+pub(crate) fn dial_labels(
+    csr: &CsrGraph,
+    state: &NetState,
+    mask: &UsableMask,
+    root: SwitchId,
+    dist: &mut [u32],
+    order: &mut Vec<u32>,
+    scratch: &mut DialScratch,
+) {
+    dist.fill(UNREACHED);
+    order.clear();
+    if !state.switch_up(root) {
+        return;
+    }
+    let DialScratch { buckets, cursor } = scratch;
+    buckets.iter_mut().for_each(Vec::clear);
+    dist[root.index()] = 0;
+    buckets[0].push(root.0);
+    let mut current = 0u32;
+    let mut remaining = 1usize;
+    while remaining > 0 {
+        let slot = (current as usize) % (MAX_W + 1);
+        while let Some(u) = buckets[slot].pop() {
+            remaining -= 1;
+            if dist[u as usize] != current {
+                continue; // stale entry, settled at a smaller distance
+            }
+            order.push(u);
+            for e in csr.neighbors(u) {
+                if !mask.usable_idx(e.circuit as usize) {
+                    continue;
+                }
+                let nd = current + e.hop;
+                let fi = e.far as usize;
+                if nd < dist[fi] {
+                    dist[fi] = nd;
+                    buckets[(nd as usize) % (MAX_W + 1)].push(e.far);
+                    remaining += 1;
+                }
+            }
+        }
+        current += 1;
+    }
+    // Bucket pops are LIFO: the order within a level depends on the mask.
+    canonical_order(order, dist, cursor);
 }
 
 /// How flow splits across a switch's shortest-path next hops.
@@ -106,9 +188,7 @@ pub struct EcmpRouter {
     /// once per switch so the weight normalization and the share emission
     /// share a single scan.
     downhill: Vec<(u32, u32, f64)>,
-    /// Dial buckets for the BFS, persistent so per-destination BFS runs do
-    /// not allocate (a full check runs one BFS per distinct destination).
-    buckets: [Vec<u32>; 3],
+    dial: DialScratch,
     /// Usable-circuit mask storage for [`route`](Self::route); taken out
     /// and restored around each call so the borrow does not alias `self`.
     mask: UsableMask,
@@ -138,7 +218,7 @@ impl EcmpRouter {
             inflow: vec![0.0; n],
             touched: Vec::new(),
             downhill: Vec::new(),
-            buckets: [Vec::new(), Vec::new(), Vec::new()],
+            dial: DialScratch::default(),
             mask: UsableMask::new(),
             policy,
         }
@@ -282,73 +362,16 @@ impl EcmpRouter {
         touched.clear();
     }
 
-    /// Weighted shortest-path labeling over usable circuits from `root`,
-    /// filling `dist` and `order` (ascending distance).
-    ///
-    /// Circuits carry small integer hop weights (ordinary hop = 2,
-    /// transparent relay = 1, see `Circuit::hop_weight`), so this is Dial's
-    /// algorithm over the flattened adjacency with a tiny circular bucket
-    /// array — still Θ(|S|+|C|).
-    ///
-    /// Kept out of line, as it was while `route_group` had two
-    /// instantiations: folded into `route_group` it moves the crate's other
-    /// hot code, and the planning workloads of the repository benchmark get
-    /// slower (10 rotating rounds, p50: `plan_ensemble` 837 vs 785 ms,
-    /// `plan_single` 184.7 vs 179.5 ms).
+    /// [`dial_labels`] from `root`, kept out of line: folded into
+    /// `route_group` the loop moves the crate's other hot code and planning
+    /// gets slower (repository benchmark, 10 rotating rounds, p50:
+    /// `plan_ensemble` 837 vs 785 ms, `plan_single` 184.7 vs 179.5 ms). One
+    /// out-of-line copy shared with `rebuild_full` reads the same on preset D
+    /// and 4 % slower per route on C (min of 200: 1 051 vs 1 013 µs).
     #[inline(never)]
     fn bfs_from(&mut self, state: &NetState, mask: &UsableMask, root: SwitchId) {
-        const MAX_W: usize = 2;
-        let Self {
-            ref csr,
-            ref mut dist,
-            ref mut order,
-            ref mut buckets,
-            ..
-        } = *self;
-        for d in dist.iter_mut() {
-            *d = UNREACHED;
-        }
-        order.clear();
-        if !state.switch_up(root) {
-            return;
-        }
-        // Circular buckets indexed by distance mod (MAX_W + 1).
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
-        dist[root.index()] = 0;
-        buckets[0].push(root.0);
-        let mut current = 0u32;
-        let mut remaining = 1usize;
-        while remaining > 0 {
-            let slot = (current as usize) % (MAX_W + 1);
-            while let Some(u) = buckets[slot].pop() {
-                remaining -= 1;
-                let ui = u as usize;
-                if dist[ui] != current {
-                    continue; // stale entry, settled at a smaller distance
-                }
-                order.push(u);
-                for e in csr.neighbors(u) {
-                    if !mask.usable_idx(e.circuit as usize) {
-                        continue;
-                    }
-                    let nd = current + e.hop;
-                    let fi = e.far as usize;
-                    if nd < dist[fi] {
-                        dist[fi] = nd;
-                        buckets[(nd as usize) % (MAX_W + 1)].push(e.far);
-                        remaining += 1;
-                    }
-                }
-            }
-            current += 1;
-        }
-        // Bucket pops are LIFO, so the raw visit order of equal-distance
-        // switches depends on relaxation history (and hence on the usable
-        // mask). Canonicalize so every evaluation path sweeps — and sums
-        // f64 shares — in the same order.
-        canonical_order(order, dist);
+        let (dist, order) = (&mut self.dist, &mut self.order);
+        dial_labels(&self.csr, state, mask, root, dist, order, &mut self.dial);
     }
 
     /// Hop distance from `s` to the destination of the most recent
@@ -538,6 +561,48 @@ mod tests {
             "one ordinary hop weighs 2"
         );
         assert_eq!(router.last_dist(sw[0]), Some(4));
+    }
+
+    proptest::proptest! {
+        /// The counting pass is the sort it replaced, on any visit order
+        /// Dial's loop can produce: reached switches grouped by ascending
+        /// level, in any order within a level — with unreached switches,
+        /// gaps between levels (hop weights 1 and 2), nothing reached, one
+        /// level only — and with the cursor scratch carried from one
+        /// labelling to the next.
+        #[test]
+        fn prop_canonical_order_is_the_sorted_order(
+            labellings in proptest::collection::vec(
+                // Per switch: level code (8 = unreached) × 1000 + shuffle key.
+                proptest::collection::vec(0u32..9000, 0..40),
+                1..4,
+            ),
+            one_level in proptest::bool::ANY,
+        ) {
+            let mut cursor = Vec::new();
+            for labelling in labellings {
+                // Levels stay below the longest path n switches can form.
+                let deepest = (MAX_W * labelling.len()).saturating_sub(1) as u32;
+                let dist: Vec<u32> = labelling
+                    .iter()
+                    .map(|&code| match code / 1000 {
+                        8 => UNREACHED,
+                        _ if one_level => deepest.min(3),
+                        // Levels 0, 1, 3, 4, 6, 7, 9, 10.
+                        l => (l + l / 2).min(deepest),
+                    })
+                    .collect();
+                let mut order: Vec<u32> = (0..dist.len() as u32)
+                    .filter(|&u| dist[u as usize] != UNREACHED)
+                    .collect();
+                let mut sorted = order.clone();
+                sorted.sort_by_key(|&u| (dist[u as usize], u));
+                // Grouped by level, shuffled within.
+                order.sort_by_key(|&u| (dist[u as usize], labelling[u as usize] % 1000));
+                canonical_order(&mut order, &dist, &mut cursor);
+                proptest::prop_assert_eq!(order, sorted);
+            }
+        }
     }
 
     #[test]

@@ -48,11 +48,11 @@
 //! in reverse canonical `(distance, switch index)` order, and downhill lists
 //! in neighbor-scan order. That is the exact f64 addition sequence a
 //! from-scratch sequential evaluation produces per matrix (see
-//! [`crate::ecmp::canonical_order`]), and it runs on one thread, so verdicts
+//! `ecmp::canonical_order`), and it runs on one thread, so verdicts
 //! and loads are bit-identical to full evaluation at any thread count and
 //! any number of packed matrices.
 
-use crate::ecmp::{canonical_order, RouteOutcome, SplitPolicy, UNREACHED};
+use crate::ecmp::{dial_labels, DialScratch, RouteOutcome, SplitPolicy, UNREACHED};
 use crate::loads::{lane_groups, LoadMap, PackedLoads};
 use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
@@ -203,8 +203,8 @@ struct LaneScratch {
     /// Switches newly reached by the partial BFS.
     settled: Vec<u32>,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
-    /// Dial buckets for full per-destination rebuilds.
-    buckets: [Vec<u32>; 3],
+    /// Labelling buffers of full per-destination rebuilds.
+    dial: DialScratch,
     order_buf: Vec<u32>,
     /// Where a full rebuild collects the destination's footprint, so an
     /// unchanged one (the usual outcome) leaves the shared allocation alone.
@@ -1009,9 +1009,8 @@ fn mark(scratch: &mut LaneScratch, epoch: u32, ui: usize) {
     }
 }
 
-/// From-scratch BFS + DAG + footprint rebuild for one destination —
-/// Dial's algorithm exactly as `EcmpRouter::bfs_from`, plus the cached
-/// structures the incremental paths patch.
+/// From-scratch rebuild for one destination: `EcmpRouter`'s labels and order
+/// ([`dial_labels`]), plus the DAG and footprint the incremental paths patch.
 fn rebuild_full(
     entry: &mut DestEntry,
     scratch: &mut LaneScratch,
@@ -1019,44 +1018,9 @@ fn rebuild_full(
     state: &NetState,
     mask: &UsableMask,
 ) {
-    const MAX_W: usize = 2;
-    entry.dist.fill(UNREACHED);
+    let (dist, order) = (&mut entry.dist, &mut entry.order);
+    dial_labels(csr, state, mask, entry.dst, dist, order, &mut scratch.dial);
     entry.dag_len.fill(0);
-    entry.order.clear();
-    if state.switch_up(entry.dst) {
-        for b in &mut scratch.buckets {
-            b.clear();
-        }
-        entry.dist[entry.dst.index()] = 0;
-        scratch.buckets[0].push(entry.dst.0);
-        let mut current = 0u32;
-        let mut remaining = 1usize;
-        while remaining > 0 {
-            let slot = (current as usize) % (MAX_W + 1);
-            while let Some(u) = scratch.buckets[slot].pop() {
-                remaining -= 1;
-                let ui = u as usize;
-                if entry.dist[ui] != current {
-                    continue;
-                }
-                entry.order.push(u);
-                for e in csr.neighbors(u) {
-                    if !mask.usable_idx(e.circuit as usize) {
-                        continue;
-                    }
-                    let nd = current + e.hop;
-                    let fi = e.far as usize;
-                    if nd < entry.dist[fi] {
-                        entry.dist[fi] = nd;
-                        scratch.buckets[(nd as usize) % (MAX_W + 1)].push(e.far);
-                        remaining += 1;
-                    }
-                }
-            }
-            current += 1;
-        }
-        canonical_order(&mut entry.order, &entry.dist);
-    }
     let fp = &mut scratch.footprint;
     fp.clear_all();
     for i in 0..entry.order.len() {

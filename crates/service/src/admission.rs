@@ -139,6 +139,12 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
     if let Some(hit) = shared.cache.get(key) {
         return finished_response(kind, &JobOutput::Plan(hit), true);
     }
+    // A document the topology builders would refuse (a zero count, a
+    // non-positive capacity) is the client's error, not a job: answered
+    // here, on the miss path only, before it takes a slot or a worker.
+    if let Err(e) = klotski_npd::convert::npd_to_region(&npd) {
+        return shared.reject(400, format!("invalid request: {e}"));
+    }
 
     let work = Work::Plan {
         npd: Box::new(npd),

@@ -175,6 +175,70 @@ fn ensemble_query_option_matches_cli_and_validates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A hostile document — counts or capacities the topology builders assert
+/// on — is a client error: `400` naming the field at admission, no job, no
+/// worker touched, nothing counted as a failed job.
+#[test]
+fn hostile_npd_is_a_400_not_a_failed_job() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let addr = service.local_addr();
+    let series = |name: &str| -> String {
+        let (_, _, body) = http(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        String::from_utf8(body)
+            .unwrap()
+            .lines()
+            .find(|l| l.starts_with(name) && l[name.len()..].starts_with(' '))
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+            .to_string()
+    };
+    let before = (
+        series("klotski_workers"),
+        series("klotski_jobs_failed_total"),
+    );
+
+    let mut grids = region_to_npd(&presets::config(PresetId::A));
+    grids.hgrid.layers[0].grids = 0;
+    let mut capacity = region_to_npd(&presets::config(PresetId::A));
+    capacity.eb.fauu_eb_gbps = -5.0;
+    for (npd, field) in [
+        (grids, "hgrid.layers[0].grids"),
+        (capacity, "eb.fauu_eb_gbps"),
+    ] {
+        for endpoint in ["/v1/plan", "/v1/audit", "/v1/plan?wait=0"] {
+            let (status, _, body) = http(
+                addr,
+                &format!("POST {endpoint} HTTP/1.1\r\nHost: t"),
+                &npd.to_json_pretty().unwrap(),
+            );
+            let body = String::from_utf8_lossy(&body);
+            assert_eq!(status, 400, "{endpoint}: {body}");
+            assert!(
+                body.contains("invalid request") && body.contains(field),
+                "{body}"
+            );
+        }
+    }
+
+    let after = (
+        series("klotski_workers"),
+        series("klotski_jobs_failed_total"),
+    );
+    assert_eq!(before, after);
+    assert_eq!(before.0, "klotski_workers 1");
+    // The one worker is still there to plan.
+    let (status, _, _) = http(
+        addr,
+        "POST /v1/plan HTTP/1.1\r\nHost: t",
+        &npd_json(PresetId::A),
+    );
+    assert_eq!(status, 200);
+    service.shutdown();
+}
+
 /// Async submission: 202 + job id, poll to Done, fetch the result, and the
 /// audit endpoint returns a safety timeline consistent with the plan.
 #[test]
