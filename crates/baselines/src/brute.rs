@@ -138,6 +138,7 @@ impl Planner for BruteForcePlanner {
                     cost,
                     stats,
                     ensemble: None,
+                    headroom: Vec::new(),
                 })
             }
         }

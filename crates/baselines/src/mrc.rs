@@ -121,6 +121,7 @@ impl Planner for MrcPlanner {
             cost,
             stats,
             ensemble: None,
+            headroom: Vec::new(),
         })
     }
 }

@@ -6,9 +6,10 @@
 //! does — then runs a **shadow audit**: it re-derives the actual post-batch
 //! topology (the planned overlay plus every injected disturbance), diffs it
 //! against the planned state, and re-runs the satisfiability check on the
-//! real one under the realized demand. A safe audit advances; an unsafe
-//! audit (or a lookahead showing the remaining plan has become unsafe)
-//! **pauses** the run and triggers an **incremental replan** from the
+//! real one under the realized demand — on the run's one live routing
+//! engine, which the lookahead's rare sweeps share. A safe audit advances;
+//! an unsafe audit (or a lookahead showing the remaining plan has become
+//! unsafe) **pauses** the run and triggers an **incremental replan** from the
 //! current compact state — the residual migration seeded with the observed
 //! topology and realized demand, searched with the ESC cache and
 //! parent-state deltas of PRs 4–5. When replanning fails or the replan
@@ -35,9 +36,7 @@ use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec}
 use klotski_core::plan::{MigrationPlan, PlanPhase};
 use klotski_core::planner::{PlanStats, SearchBudget};
 use klotski_core::satcheck::{LiveAudit, SatStats};
-use klotski_core::{
-    CostModel, EscMode, LookaheadTrip, PlanError, PlanReplay, SatChecker, TripCause,
-};
+use klotski_core::{CostModel, LiveEngine, LookaheadTrip, PlanError, PlanReplay, TripCause};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
 use klotski_topology::{presets, CircuitId, NetState, SwitchId};
@@ -183,7 +182,9 @@ pub struct ControllerReport {
     /// Initial planning latency, milliseconds (excluded from the
     /// fingerprint).
     pub initial_latency_ms: f64,
-    /// Audit-checker counters: `live_audits` counts every shadow audit.
+    /// The live engine's counters: `live_audits` counts every shadow audit
+    /// (and nothing else); the `incremental_*` destination counters cover
+    /// every route the run made, the lookahead's sweeps included.
     pub audit_stats: SatStats,
     /// Flight-recorder diagnostics bundle, frozen at the *last*
     /// safe-pause, rollback, or abort of the run; `None` for a run that
@@ -407,7 +408,7 @@ struct SafePoint {
 }
 
 /// What [`run`] carries from batch to batch besides the plan cursor: the
-/// growing report, the simulated fleet, the audit checker, the rollback
+/// growing report, the simulated fleet, the live routing engine, the rollback
 /// stack, the flight recorder and the replan budget used. Auditing, freezing
 /// a flight bundle and rolling back all read and write this state, so they
 /// are its methods.
@@ -416,11 +417,13 @@ struct RunLoop<'a> {
     met: ControllerMetrics,
     report: ControllerReport,
     fleet: FleetSim,
-    /// Routes arbitrary observed states from scratch (`audit_live`), so it
-    /// carries neither the ESC cache nor the incremental engine; replan
-    /// searches own those. One checker serves the whole run — every spec
-    /// generation shares the topology.
-    checker: SatChecker,
+    /// The run's one routing engine: every shadow audit (`audit_live`) and
+    /// every sweep the lookahead's memo cannot spare routes on it, each
+    /// observed or pending state as a delta against whatever it routed
+    /// last. It has no ESC cache and shares nothing with the initial
+    /// planner's or a replanner's checker. One engine serves the whole run —
+    /// every spec generation shares the topology.
+    live: LiveEngine,
     safe_points: Vec<SafePoint>,
     recorder: FlightRecorder,
     replans_done: usize,
@@ -429,6 +432,18 @@ struct RunLoop<'a> {
 /// Executes `plan` for `spec` under `cfg`, returning the full run trace.
 /// Deterministic for a fixed `cfg.seed` (see the module docs).
 pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -> ControllerReport {
+    run_seeded(spec, plan, &[], cfg)
+}
+
+/// [`run`], with the lookahead's headroom memo seeded from what the search
+/// that produced `plan` measured (`PlanOutcome::headroom`; empty = sweep
+/// every state once). The memo only saves sweeps: the report is the same.
+fn run_seeded(
+    spec: &MigrationSpec,
+    plan: &MigrationPlan,
+    headroom: &[Option<f64>],
+    cfg: &ControllerConfig,
+) -> ControllerReport {
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut ctl = RunLoop {
@@ -449,11 +464,7 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             flight: None,
         },
         fleet: FleetSim::new(spec.initial.clone()),
-        checker: {
-            let mut audit_spec = spec.clone();
-            audit_spec.incremental = false;
-            SatChecker::with_pool(&audit_spec, EscMode::Off, pool.clone())
-        },
+        live: LiveEngine::new(spec, pool.clone()),
         safe_points: vec![SafePoint {
             step: None,
             planned: spec.initial.clone(),
@@ -461,14 +472,11 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
         recorder: FlightRecorder::new(cfg.flight_capacity),
         replans_done: 0,
     };
-    // The lookahead replays *planned* (canonical) states, so it rides an
-    // incremental engine and remembers each state's headroom under the
-    // planning matrix — one replay per spec generation, built on first use
-    // and dropped before every replan: a residual spec re-bases the
-    // canonical overlay (and with it every memo key), and the replanner's
-    // own checker should not share the heap with an engine it makes
-    // obsolete.
-    let mut lookahead: Option<PlanReplay> = None;
+    // The lookahead judges pending states from their headroom under the
+    // planning matrix — one memo per spec generation, seeded from the plan's
+    // own search: a residual spec re-bases the canonical overlay, and with it
+    // every memo key.
+    let mut lookahead = PlanReplay::seeded(spec, plan, headroom);
 
     let mut active = spec.clone();
     let mut pending: Vec<PlanPhase> = plan.phases();
@@ -544,11 +552,14 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
             // Lookahead: a world change can leave the *current* state safe
             // but doom a later one; §7.1 replans before walking into it.
             if !pending.is_empty() {
-                let verdict = lookahead
-                    .get_or_insert_with(|| {
-                        PlanReplay::new(&active, ctl.checker.csr().clone(), pool.clone())
-                    })
-                    .lookahead(&active, &ctl.fleet.planned, &progress, &pending, &realized);
+                let verdict = lookahead.lookahead(
+                    &mut ctl.live,
+                    &active,
+                    &ctl.fleet.planned,
+                    &progress,
+                    &pending,
+                    &realized,
+                );
                 ctl.met.lookahead_bound.add(verdict.bound as u64);
                 ctl.met.lookahead_swept.add(verdict.swept as u64);
                 span.field("lookahead_bound", verdict.bound);
@@ -600,7 +611,9 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
                 break 'run;
             }
             ctl.replans_done += 1;
-            lookahead = None;
+            // The replanner builds its own engine over this topology; the two
+            // should not share the heap. The next audit rebuilds this one.
+            ctl.live.release();
             // Replan from the *observed* state: the residual migration's
             // initial topology carries the live disturbances, so the new
             // plan is safe given the failure, not just given the plan's
@@ -639,6 +652,7 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
                     progress = CompactState::origin(active.num_types());
                     ctl.fleet.planned = active.initial.clone();
                     pending = out.plan.phases();
+                    lookahead = PlanReplay::seeded(&active, &out.plan, &out.headroom);
                 }
                 Err(msg) => {
                     ctl.met.replan_failures.inc();
@@ -659,14 +673,12 @@ pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -
     }
 
     let RunLoop {
-        mut report,
-        checker,
-        ..
+        mut report, live, ..
     } = ctl;
     if report.rollback.is_none() && report.abort_reason.is_none() {
         report.completed = progress.is_target(&active.target_counts);
     }
-    report.audit_stats = checker.stats();
+    report.audit_stats = live.stats();
     report
 }
 
@@ -727,7 +739,7 @@ impl RunLoop<'_> {
         demands: &DemandMatrix,
     ) -> LiveAudit {
         let started = Instant::now();
-        let audit = self.checker.audit_live(spec, observed, demands);
+        let audit = self.live.audit_live(spec, observed, demands);
         self.met.audit_seconds.record(started.elapsed());
         self.met.audits.inc();
         audit
@@ -975,7 +987,7 @@ pub fn run_scenario(
     let started = Instant::now();
     let outcome = planner.plan(&spec).map_err(ControllerError::InitialPlan)?;
     let initial_latency = started.elapsed();
-    let mut report = run(&spec, &outcome.plan, &cfg);
+    let mut report = run_seeded(&spec, &outcome.plan, &outcome.headroom, &cfg);
     report.name = scenario.name.clone();
     report.initial_stats = outcome.stats;
     report.initial_latency_ms = initial_latency.as_secs_f64() * 1e3;

@@ -13,7 +13,7 @@
 //!   *actual* topology (planned overlay + injected failures and external
 //!   operations), diffs it against the planned state, and re-runs the
 //!   satisfiability check on the real one under realized demand
-//!   ([`SatChecker::audit_live`]);
+//!   ([`LiveEngine::audit_live`]);
 //! - **safe-pause** — a violated constraint halts block application;
 //! - **incremental replanning** — the residual migration (current compact
 //!   state, observed topology, realized demand) is re-searched with the
@@ -27,7 +27,7 @@
 //! ([`ControllerReport::fingerprint`]).
 //!
 //! [`MigrationPlan`]: klotski_core::plan::MigrationPlan
-//! [`SatChecker::audit_live`]: klotski_core::SatChecker::audit_live
+//! [`LiveEngine::audit_live`]: klotski_core::LiveEngine::audit_live
 
 pub mod engine;
 pub mod fleet;

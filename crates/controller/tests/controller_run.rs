@@ -2,13 +2,15 @@
 //! under a starved replan budget, and bit-determinism across thread counts.
 
 use klotski_controller::scenario::{ReplanPolicy, ScenarioEvent};
-use klotski_controller::{run, run_scenario, ControllerConfig, Scenario};
+use klotski_controller::{run, run_scenario, ControllerConfig, ControllerReport, Scenario};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
-use klotski_core::planner::{AStarPlanner, Planner};
-use klotski_core::MigrationPlan;
+use klotski_core::planner::{AStarPlanner, Planner, SearchBudget};
+use klotski_core::{CostModel, MigrationPlan};
+use klotski_parallel::WorkerPool;
 use klotski_telemetry::{bus, parse_line, registry, tag_stream, Record};
 use klotski_topology::presets::{self, PresetId};
 use klotski_traffic::{DemandClass, EnsembleSpec};
+use std::sync::Arc;
 
 /// Preset A with the utilization bound tightened to 0.62: enough headroom
 /// for the clean plan, but a mid-phase link failure pushes the drained
@@ -395,16 +397,88 @@ fn shipped_example_scenario_matches_the_builtin_sample() {
     assert_eq!(parsed, Scenario::sample());
 }
 
+/// `examples/scenarios/<file>.json`, parsed.
+fn shipped(file: &str) -> Scenario {
+    let path = format!(
+        "{}/../../examples/scenarios/{file}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let json = std::fs::read_to_string(&path).expect("example scenario file exists");
+    Scenario::from_json(&json).expect("example scenario parses")
+}
+
+/// What `run_scenario` builds from a scenario before it plans: the spec and
+/// the controller config — for driving [`run`] on a caller-supplied plan the
+/// way `benchmark/`'s staged op does.
+fn spec_and_config(s: &Scenario) -> (MigrationSpec, ControllerConfig) {
+    let opts = MigrationOptions {
+        theta: s.theta.unwrap_or(MigrationOptions::default().theta),
+        threads: s.threads.unwrap_or(MigrationOptions::default().threads),
+        block_scale: s.block_scale.unwrap_or(1.0),
+        ensemble: s.ensemble.clone(),
+        ..MigrationOptions::default()
+    };
+    let preset = presets::build_for_bench(s.preset_id().unwrap());
+    let spec = MigrationBuilder::for_preset(&preset, &opts).unwrap();
+    let cfg = ControllerConfig {
+        seed: s.seed,
+        canary_blocks: s.canary_blocks,
+        demand_growth_per_step: s.demand_growth_per_step,
+        events: s.events.clone(),
+        replan: s.replan.clone(),
+        replanner: s.planner_kind().unwrap(),
+        alpha: s.alpha,
+        ..ControllerConfig::default()
+    };
+    (spec, cfg)
+}
+
+/// `run_scenario(scenario)` with the work its lookahead took, `(bound,
+/// swept)`, read off the run's own `controller.phase` spans (a tagged bus
+/// stream: tests running beside this one cannot leak into the sums).
+fn run_counting_lookahead(scenario: &Scenario) -> (ControllerReport, u64, u64) {
+    let counted_before = lookahead_counters();
+    let stream = bus().next_stream_id();
+    let spans = bus().subscribe(stream, 4096);
+    let report = {
+        let _tag = tag_stream(stream);
+        run_scenario(scenario, None).expect("scenario runs")
+    };
+    let (mut bound, mut swept) = (0u64, 0u64);
+    while let Some(line) = spans.try_recv() {
+        if let Ok(Record::Span { name, fields, .. }) = parse_line(&line) {
+            if name == "controller.phase" {
+                let field = |key| fields.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
+                bound += field("lookahead_bound") as u64;
+                swept += field("lookahead_swept") as u64;
+            }
+        }
+    }
+    let name = &scenario.name;
+    assert_eq!(spans.dropped(), 0, "{name}: span queue overflowed");
+    assert!(bound + swept > 0, "{name}: the lookahead ran");
+    // The registry is process-wide, so other tests may add to it; this
+    // run's share must be in there.
+    let counted = lookahead_counters();
+    assert!(
+        counted.0 - counted_before.0 >= bound && counted.1 - counted_before.1 >= swept,
+        "{name}: registry {counted_before:?} -> {counted:?}, spans ({bound}, {swept})"
+    );
+    (report, bound, swept)
+}
+
 /// Run fingerprints of the shipped scenarios, captured before the lookahead
-/// moved onto the incremental engine. Every verdict, pause reason and routed
-/// utilization of a run is behind its hash, so a lookahead (or audit) that
-/// answers differently anywhere in these timelines fails here.
+/// moved onto the incremental engine and unchanged since the shadow audit
+/// joined it there. Every verdict, pause reason and routed utilization of a
+/// run is behind its hash, so a lookahead (or audit) that answers differently
+/// anywhere in these timelines fails here.
 ///
-/// Beside the storm's pin, the work its lookahead took, read off the run's
-/// own `controller.phase` spans (a tagged bus stream: tests running beside
-/// this one cannot leak into the sums). Three plan generations judge 590
-/// pending states; the headroom memo answers all but 88 sweeps' worth (86
-/// fills, 2 exact). A lookahead that stops using the memo sweeps ~590.
+/// Beside the storm's pin, the work its run took. Three plan generations
+/// judge 590 pending states; each generation's memo arrives full from its
+/// planner, so the lookahead sweeps exactly the two states the rescaling
+/// bound cannot clear (an unseeded memo sweeps 88, no memo 590). And every
+/// route of the run — 36 audits, those 2 sweeps — is one advance of the one
+/// live engine: nothing is routed from scratch.
 #[test]
 fn shipped_scenarios_keep_their_fingerprints() {
     for (file, fingerprint) in [
@@ -412,49 +486,34 @@ fn shipped_scenarios_keep_their_fingerprints() {
         ("surge_and_failure", 0xd415_282b_9eb6_111b),
         ("tight_link_failure", 0x24d8_003c_2569_c3e0),
     ] {
-        let path = format!(
-            "{}/../../examples/scenarios/{file}.json",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let json = std::fs::read_to_string(&path).expect("example scenario file exists");
-        let scenario = Scenario::from_json(&json).expect("example scenario parses");
-        let counted_before = lookahead_counters();
-        let stream = bus().next_stream_id();
-        let spans = bus().subscribe(stream, 4096);
-        let report = {
-            let _tag = tag_stream(stream);
-            run_scenario(&scenario, None).expect("scenario runs")
-        };
+        let scenario = shipped(file);
+        let (report, bound, swept) = run_counting_lookahead(&scenario);
         assert_eq!(
             format!("{:016x}", report.fingerprint()),
             format!("{fingerprint:016x}"),
             "{file}"
         );
 
-        let (mut bound, mut swept) = (0u64, 0u64);
-        while let Some(line) = spans.try_recv() {
-            if let Ok(Record::Span { name, fields, .. }) = parse_line(&line) {
-                if name == "controller.phase" {
-                    let field = |key| fields.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-                    bound += field("lookahead_bound") as u64;
-                    swept += field("lookahead_swept") as u64;
-                }
-            }
-        }
-        assert_eq!(spans.dropped(), 0, "{file}: span queue overflowed");
-        assert!(bound + swept > 0, "{file}: the lookahead ran");
-        // The registry is process-wide, so other tests may add to it; this
-        // run's share must be in there.
-        let counted = lookahead_counters();
-        assert!(
-            counted.0 - counted_before.0 >= bound && counted.1 - counted_before.1 >= swept,
-            "{file}: registry {counted_before:?} -> {counted:?}, spans ({bound}, {swept})"
+        // The memo only saves sweeps: a caller-supplied plan starts with an
+        // empty one and runs the same run.
+        let (spec, cfg) = spec_and_config(&scenario);
+        let planner = cfg.replanner.build(
+            CostModel::new(cfg.alpha),
+            SearchBudget::default(),
+            Arc::new(WorkerPool::new(spec.threads.max(1))),
+        );
+        let mut unseeded = run(&spec, &planner.plan(&spec).unwrap().plan, &cfg);
+        unseeded.name = scenario.name.clone();
+        assert_eq!(unseeded.fingerprint(), report.fingerprint(), "{file}");
+
+        let stats = report.audit_stats;
+        assert_eq!(
+            stats.incremental_clean + stats.incremental_dirty,
+            (stats.live_audits + swept) * spec.demands.num_destinations() as u64,
+            "{file}: every audit and sweep routes on the live engine"
         );
         if file == "storm_preset_c" {
-            assert!(
-                swept <= 100 && bound >= 450,
-                "storm lookahead: {bound} states from the memo, {swept} sweeps"
-            );
+            assert_eq!((bound, swept, stats.live_audits), (588, 2, 36));
             // Both pauses of the storm are lookahead pauses, and the frozen
             // bundle says which state and circuit tripped it.
             let bundle = report.flight.as_ref().expect("the storm pauses");
@@ -468,6 +527,45 @@ fn shipped_scenarios_keep_their_fingerprints() {
                 "{note}"
             );
         }
+    }
+}
+
+/// The storm as `benchmark/`'s `run_storm` workload runs it — the shipped
+/// timeline with the DP planner on one lane — on the eight victim seeds the
+/// harness vetted: fingerprints as captured before the run loop kept one
+/// live engine, and the same two sweeps on every one.
+#[test]
+fn harness_storm_variants_keep_their_fingerprints() {
+    for (i, (victim, fingerprint)) in [
+        (41, 0xad80_820f_b2ec_0527_u64),
+        (42, 0xa5a1_c439_bec3_3cdf),
+        (43, 0x8fbb_23e8_c9bb_1705),
+        (2, 0x9035_2e94_cdc8_bc55),
+        (3, 0xa4c5_b53d_abd9_0ecf),
+        (4, 0xc491_63de_a60d_f726),
+        (7, 0xd64b_6ca6_1dde_2a7a),
+        (9, 0xe954_3d83_47c2_5bef),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut scenario = shipped("storm_preset_c");
+        scenario.name = format!("storm-{}", i + 1);
+        scenario.planner = "dp".into();
+        scenario.seed = victim;
+        scenario.threads = Some(1);
+        let (report, _, swept) = run_counting_lookahead(&scenario);
+        assert_eq!(
+            format!("{:016x}", report.fingerprint()),
+            format!("{fingerprint:016x}"),
+            "victim seed {victim}"
+        );
+        assert_eq!(
+            (report.steps.len(), report.pauses(), report.replans.len()),
+            (36, 2, 2),
+            "victim seed {victim}"
+        );
+        assert_eq!(swept, 2, "victim seed {victim}");
     }
 }
 

@@ -4,8 +4,9 @@
 //! search-space pruning, efficient satisfiability checking, and the DP and
 //! A\* planners. The operational loop of §7 (apply a phase, audit the real
 //! network, re-forecast, replan) lives in `klotski-controller`; this crate
-//! gives it the pieces: residual specs, [`SatChecker::audit_live`], the
-//! [`PlanReplay`] lookahead, and the [`PlannerKind`] factory.
+//! gives it the pieces: residual specs, the [`LiveEngine`] its shadow audit
+//! ([`LiveEngine::audit_live`]) and [`PlanReplay`] lookahead route on, and
+//! the [`PlannerKind`] factory.
 //!
 //! ## The problem (§3)
 //!
@@ -66,7 +67,9 @@ pub use plan::{MigrationPlan, PlanPhase};
 pub use planner::{
     AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
 };
-pub use replay::{validate_and_audit_on, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause};
+pub use replay::{
+    validate_and_audit_on, LiveEngine, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause,
+};
 pub use report::{audit_plan, PlanAudit};
 pub use satcheck::{EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, SatChecker};
 pub use space::SpaceModel;

@@ -23,7 +23,7 @@ use crate::cost::{CostModel, HeuristicMode};
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
-use crate::planner::{run_search, PlanOutcome, PlanStats, Planner, SearchBudget};
+use crate::planner::{run_search, Found, PlanOutcome, PlanStats, Planner, SearchBudget};
 use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
@@ -156,7 +156,7 @@ impl AStarPlanner {
         checker: &mut SatChecker,
         stats: &mut PlanStats,
         start: Instant,
-    ) -> Result<(MigrationPlan, f64), PlanError> {
+    ) -> Result<Found, PlanError> {
         // Expansion interval between `astar.progress` events, configured
         // per instance via `MigrationOptions::progress_every`.
         let progress_every = spec.progress_every.max(1);
@@ -165,6 +165,8 @@ impl AStarPlanner {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut best_g: HashMap<StateKey, f64> = HashMap::new();
         let mut parents: HashMap<StateKey, StateKey> = HashMap::new();
+        // Raw utilization of every expanded key whose check saw one.
+        let mut headroom: HashMap<StateKey, f64> = HashMap::new();
         let mut seq = 0u64;
 
         let origin = CompactState::origin(spec.num_types());
@@ -211,6 +213,9 @@ impl AStarPlanner {
                     stats.states_pruned += 1;
                     continue;
                 }
+                if let Some(u) = checker.last_raw_utilization() {
+                    headroom.insert(entry.key, u);
+                }
             }
             stats.states_visited += 1;
             if stats.states_visited.is_multiple_of(progress_every) {
@@ -222,7 +227,8 @@ impl AStarPlanner {
                 );
             }
             if v.is_target(target) {
-                return Ok((rebuild_plan(spec, &parents, entry.key, target), entry.g));
+                let (plan, headroom) = rebuild_plan(spec, &parents, &headroom, entry.key, target);
+                return Ok((plan, entry.g, headroom));
             }
 
             for a in spec.actions.ids() {
@@ -278,14 +284,17 @@ fn decode(mut dense: u32, target: &CompactState) -> CompactState {
 }
 
 /// Walks the parent chain from the target back to the origin, materializing
-/// the block-level steps (the canonical block of each type transition).
+/// the block-level steps (the canonical block of each type transition) and,
+/// beside each, the raw utilization its key's check left in `headroom`.
 fn rebuild_plan(
     spec: &MigrationSpec,
     parents: &HashMap<StateKey, StateKey>,
+    headroom: &HashMap<StateKey, f64>,
     mut key: StateKey,
     target: &CompactState,
-) -> MigrationPlan {
+) -> (MigrationPlan, Vec<Option<f64>>) {
     let mut rev_steps = Vec::new();
+    let mut rev_headroom = Vec::new();
     while key.1 != NO_LAST {
         let kind = ActionTypeId(key.1);
         let v = decode(key.0, target);
@@ -295,12 +304,14 @@ fn rebuild_plan(
             kind,
             block: spec.blocks_by_type[kind.index()][idx as usize],
         });
+        rev_headroom.push(headroom.get(&key).copied());
         key = *parents
             .get(&key)
             .expect("every non-origin key has a parent");
     }
     rev_steps.reverse();
-    MigrationPlan::new(rev_steps)
+    rev_headroom.reverse();
+    (MigrationPlan::new(rev_steps), rev_headroom)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
-use crate::planner::{run_search, PlanOutcome, PlanStats, Planner, SearchBudget};
+use crate::planner::{run_search, Found, PlanOutcome, PlanStats, Planner, SearchBudget};
 use crate::satcheck::{EscMode, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
@@ -102,15 +102,17 @@ impl DpPlanner {
         checker: &mut SatChecker,
         stats: &mut PlanStats,
         start: Instant,
-    ) -> Result<(MigrationPlan, f64), PlanError> {
+    ) -> Result<Found, PlanError> {
         let progress_every = spec.progress_every.max(1);
         let target = &spec.target_counts;
         let num_types = spec.num_types();
         let box_size = CompactState::box_size(target);
 
-        // Dense tables over (V, last): f costs and predecessor action types.
+        // Dense tables over (V, last): f costs, predecessor action types and
+        // the raw utilization each arrival's check saw (NaN: none).
         let mut f = vec![f64::INFINITY; box_size * num_types];
         let mut pred = vec![NO_LAST; box_size * num_types];
+        let mut raw = vec![f64::NAN; box_size * num_types];
         let slot = |dense: usize, a: usize| dense * num_types + a;
 
         // `dense_index` stride of each type: `V − e_a` sits `stride[a]` below
@@ -185,6 +187,7 @@ impl DpPlanner {
                     }
                 }
                 let s = slot(dense, a.index());
+                raw[s] = checker.last_raw_utilization().unwrap_or(f64::NAN);
                 if best < f[s] {
                     f[s] = best;
                     pred[s] = best_prev;
@@ -209,6 +212,7 @@ impl DpPlanner {
 
         // GetAnswer: walk predecessors back from the target.
         let mut rev_steps = Vec::with_capacity(target.total());
+        let mut rev_headroom = Vec::with_capacity(target.total());
         let mut v = target.clone();
         let mut last = best_last;
         while v.total() > 0 {
@@ -219,12 +223,14 @@ impl DpPlanner {
                 block: spec.blocks_by_type[kind.index()][idx as usize],
             });
             let s = slot(v.dense_index(target), kind.index());
+            rev_headroom.push(Some(raw[s]).filter(|u| !u.is_nan()));
             let prev_last = pred[s];
             v = v.receded(kind).expect("count was positive");
             last = if v.total() == 0 { NO_LAST } else { prev_last };
         }
         rev_steps.reverse();
-        Ok((MigrationPlan::new(rev_steps), best_cost))
+        rev_headroom.reverse();
+        Ok((MigrationPlan::new(rev_steps), best_cost, rev_headroom))
     }
 }
 

@@ -123,6 +123,10 @@ impl PlanStats {
     }
 }
 
+/// What a search hands back: the plan, its cost and its
+/// [`headroom`](PlanOutcome::headroom).
+pub(crate) type Found = (MigrationPlan, f64, Vec<Option<f64>>);
+
 /// One search, from its span to its telemetry: builds the checker, runs
 /// `search` on it, and — whatever the outcome — folds the checker's counters
 /// into the stats, stamps the span and publishes the counters. A search that
@@ -133,11 +137,7 @@ pub(crate) fn run_search(
     spec: &MigrationSpec,
     esc: EscMode,
     pool: &Option<Arc<WorkerPool>>,
-    search: impl FnOnce(
-        &mut SatChecker,
-        &mut PlanStats,
-        Instant,
-    ) -> Result<(MigrationPlan, f64), PlanError>,
+    search: impl FnOnce(&mut SatChecker, &mut PlanStats, Instant) -> Result<Found, PlanError>,
 ) -> Result<PlanOutcome, PlanError> {
     let start = Instant::now();
     let mut checker = match pool {
@@ -150,7 +150,7 @@ pub(crate) fn run_search(
     stats.planning_time = start.elapsed();
     flush_search_metrics(planner, &stats, found.is_ok());
     match found {
-        Ok((plan, cost)) => {
+        Ok((plan, cost, headroom)) => {
             guard
                 .field("outcome", "done")
                 .field("expansions", stats.states_visited)
@@ -166,6 +166,7 @@ pub(crate) fn run_search(
                 cost,
                 stats,
                 ensemble,
+                headroom,
             })
         }
         Err(err) => {
@@ -328,6 +329,15 @@ pub struct PlanOutcome {
     /// Per-matrix ensemble accounting (`None` for single-matrix searches
     /// and for baselines that don't run the ensemble checker).
     pub ensemble: Option<EnsembleBreakdown>,
+    /// Per plan step, the max circuit utilization of the state that step
+    /// reaches under the planning matrix `spec.demands`, exactly as the
+    /// search's own check of that state summarized it from the raw loads
+    /// ([`SatChecker::last_raw_utilization`]) — what the lookahead's headroom
+    /// memo would otherwise sweep the state again to learn
+    /// ([`PlanReplay::seeded`](crate::PlanReplay::seeded)). `None` where the
+    /// search saw no raw value (funneling headroom was applied to that
+    /// check); empty from the baselines, which check nothing on this engine.
+    pub headroom: Vec<Option<f64>>,
 }
 
 /// Common planner interface (Klotski planners and baselines alike).

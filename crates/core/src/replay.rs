@@ -1,14 +1,12 @@
-//! Plan replay: walking a plan's chain of canonical states on the
-//! incremental routing engine.
+//! Plan replay: walking a plan's chain of canonical states — and the states
+//! a run actually observes — on the incremental routing engine.
 //!
 //! Every consumer that "walks the plan again" — the validation oracle, the
 //! pre-flight audit, and the §7.1 lookahead that re-checks the remaining
-//! plan against the realized world — visits a chain of canonical states,
-//! each one operation block from the last. That is the shape the
-//! structure-only [`IncrementalRouter`] is fast on, so all of them route on
-//! one [`ChainRouter`]: toggles come from the block lists of the compact
-//! diff, and only the destinations a block disturbs re-derive their routing
-//! structure.
+//! plan against the realized world — visits a chain of states each a few
+//! circuits from the last. That is the shape the structure-only
+//! [`IncrementalRouter`] is fast on: only the destinations a delta disturbs
+//! re-derive their routing structure.
 //!
 //! - [`validate_and_audit_on`] is the one pass over a whole plan:
 //!   [`validate_plan_on`](crate::plan::validate_plan_on) and
@@ -16,22 +14,28 @@
 //!   audit-only modes. The validating walk judges every state on a *fresh*
 //!   [`SatChecker`] with the ESC cache off — it shares nothing with the
 //!   search that produced the plan — and the audit reads each phase-end
-//!   record off the state that check just routed.
-//! - [`PlanReplay`] is the lookahead: it keeps one engine alive across the
-//!   steps of a run, sweeps each canonical state once under the planning
-//!   matrix (the *headroom memo*), and judges the pending suffix under each
-//!   step's realized demand from that memo wherever a rescaling bound
-//!   decides — the exact sweep runs only for the states it cannot.
+//!   record off the state that check just routed. Its checker routes on a
+//!   [`ChainRouter`]: toggles come from the block lists of the compact diff.
+//! - [`LiveEngine`] is the engine a running migration keeps alive: it routes
+//!   *any* state — observed, disturbed, canonical — under *any* matrix,
+//!   diffing consecutive states by circuit usability. The shadow audit
+//!   ([`LiveEngine::audit_live`]) and the lookahead's sweeps share it.
+//! - [`PlanReplay`] is the lookahead: a per-plan *headroom memo* — each
+//!   canonical state's max utilization under the planning matrix, handed
+//!   over by the planner ([`PlanReplay::seeded`]) or swept once — from which
+//!   it judges the pending suffix under each step's realized demand wherever
+//!   a rescaling bound decides; the exact sweep runs only for the states it
+//!   cannot.
 
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanPhase, PlanViolation};
 use crate::report::{PhaseAudit, PlanAudit};
-use crate::satcheck::{EscMode, SatChecker};
+use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, PackedLoads,
-    SafetyOutcome,
+    ecmp::RouteOutcome, evaluate::summarize, usability_toggles, CsrGraph, IncrementalRouter,
+    LoadMap, PackedLoads, SafetyOutcome,
 };
 use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
@@ -112,12 +116,6 @@ impl ChainRouter {
     /// verdict read off them (test hook).
     pub(crate) fn port_budgets(&self) -> (&NetState, &[u32], bool) {
         (&self.base_state, &self.degree, self.has_port_violation())
-    }
-
-    /// Overwrites the engine's base matrix rates with `demands`' (same
-    /// endpoints), keeping the cached structure.
-    pub(crate) fn set_base_rates(&mut self, demands: &DemandMatrix) {
-        self.engine.set_base_rates(demands);
     }
 
     /// Routes the base matrix over `(v, state)` into `loads` (cleared
@@ -301,8 +299,154 @@ pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
     u * k * (1.0 + HEADROOM_SLACK) <= theta
 }
 
-/// What one sweep of a canonical state under the planning matrix
-/// (`spec.demands`) leaves in the headroom memo.
+/// The one routing engine of a running migration: a private
+/// [`IncrementalRouter`] that routes whatever state it is shown under
+/// whatever matrix is loaded, bit for bit as
+/// `klotski_routing::evaluate_policy` would from scratch.
+///
+/// Nothing about a routed state is assumed — it may carry failed circuits
+/// and switches drained behind the planner's back, or be a canonical state
+/// many blocks away — so consecutive states are diffed by circuit usability
+/// over the whole topology (linear, far below one route); structure is then
+/// re-derived only for the destinations the difference disturbs, and a
+/// matrix change rewrites rates only. No ESC cache, nothing shared with any
+/// planner's checker: §7's shadow audit is independent of the search.
+#[derive(Debug)]
+pub struct LiveEngine {
+    pool: Arc<WorkerPool>,
+    csr: Arc<CsrGraph>,
+    /// Built by the first [`load`](Self::load), over that matrix's endpoints.
+    engine: Option<IncrementalRouter>,
+    /// The state routed last, while the engine's structure describes it.
+    base: Option<NetState>,
+    loads: LoadMap,
+    outcome: RouteOutcome,
+    /// Audits counted, and the destination counters of engines released.
+    stats: SatStats,
+}
+
+impl LiveEngine {
+    /// An engine for states of `spec.topology` (which every residual of
+    /// `spec` shares), advancing on `pool`'s lanes.
+    pub fn new(spec: &MigrationSpec, pool: Arc<WorkerPool>) -> Self {
+        Self {
+            pool,
+            csr: Arc::new(CsrGraph::build(&spec.topology)),
+            engine: None,
+            base: None,
+            loads: LoadMap::new(&spec.topology),
+            outcome: RouteOutcome::new(),
+            stats: SatStats::default(),
+        }
+    }
+
+    /// Makes `demands` the matrix [`route`](Self::route) sweeps. A matrix
+    /// with the engine's `(src, dst, class)` sequence — growth, surges and
+    /// ensemble variants only rescale rates — overwrites the rates and keeps
+    /// every cached structure; any other matrix gets a fresh engine built
+    /// over it (decided before a single rate is written).
+    pub fn load(&mut self, spec: &MigrationSpec, demands: &DemandMatrix) {
+        if let Some(engine) = &mut self.engine {
+            if engine.try_set_base_rates(demands) {
+                return;
+            }
+        }
+        self.release();
+        let csr = self.csr.clone();
+        let lanes = self.pool.lanes();
+        self.engine = Some(IncrementalRouter::with_csr(csr, demands, lanes, spec.split));
+    }
+
+    /// Frees the engine proper — its per-destination structures are most of
+    /// a run's heap — keeping the counters; the next [`load`](Self::load)
+    /// builds a fresh one and pays one cold route. The run loop releases
+    /// before every replan, so the replanner's own engine over the same
+    /// topology never sits in memory beside this one.
+    pub fn release(&mut self) {
+        self.stats = self.stats();
+        self.engine = None;
+        self.base = None;
+    }
+
+    /// Eq. 4–5 outcome of `state` under the loaded matrix; `state` becomes
+    /// the base the next route is diffed against.
+    ///
+    /// # Panics
+    /// Panics when no matrix was ever loaded.
+    pub fn route(&mut self, spec: &MigrationSpec, state: &NetState) -> SafetyOutcome {
+        let topo = &spec.topology;
+        let engine = self.engine.as_mut().expect("load a matrix before routing");
+        let toggles = self
+            .base
+            .as_ref()
+            .map(|base| usability_toggles(topo, base, state));
+        self.loads.clear();
+        engine.evaluate(
+            &self.pool,
+            topo,
+            state,
+            toggles.as_deref(),
+            &mut self.loads,
+            &mut self.outcome,
+        );
+        match &mut self.base {
+            Some(base) => base.clone_from(state),
+            None => self.base = Some(state.clone()),
+        }
+        SafetyOutcome {
+            all_reachable: self.outcome.all_reachable(),
+            unreachable_demands: self.outcome.unreachable.len(),
+            report: summarize(topo, state, &self.loads, spec.theta),
+        }
+    }
+
+    /// Audits an *arbitrary* live state under an *arbitrary* demand matrix
+    /// — the shadow-audit entry point for controllers observing a real
+    /// fleet: [`load`](Self::load), [`route`](Self::route) and the Eq. 6 port
+    /// recount, as one counted audit. The state may carry disturbances
+    /// outside the canonical overlay of any compact state; `demands` may
+    /// differ from the planning matrix in rates (growth, surges) or — at the
+    /// price of a rebuilt engine — in endpoints. The space model (§7.2)
+    /// constrains the compact progress vector, which a live state does not
+    /// carry, so it is not part of a live audit.
+    pub fn audit_live(
+        &mut self,
+        spec: &MigrationSpec,
+        state: &NetState,
+        demands: &DemandMatrix,
+    ) -> LiveAudit {
+        self.stats.live_audits += 1;
+        self.load(spec, demands);
+        let routed = self.route(spec, state);
+        let port_violation = spec.check_ports && spec.topology.has_port_violation(state);
+        LiveAudit {
+            safe: routed.satisfied() && !port_violation,
+            all_reachable: routed.all_reachable,
+            unreachable_demands: routed.unreachable_demands,
+            max_utilization: routed.report.max_utilization,
+            worst_circuit: routed.report.worst_circuit,
+            theta_violations: routed.report.violations,
+            min_residual_gbps: routed.report.min_residual_gbps,
+            port_violation,
+        }
+    }
+
+    /// `live_audits` counts [`audit_live`](Self::audit_live) calls only; the
+    /// destination counters cover every route, audits and the lookahead's
+    /// bare [`route`](Self::route)s alike.
+    pub fn stats(&self) -> SatStats {
+        let engine = self.engine.as_ref().map(|e| e.stats()).unwrap_or_default();
+        SatStats {
+            incremental_clean: self.stats.incremental_clean + engine.clean_destinations,
+            incremental_dirty: self.stats.incremental_dirty + engine.dirty_destinations,
+            ..self.stats
+        }
+    }
+}
+
+/// What the headroom memo holds for a canonical state: its sweep under the
+/// planning matrix (`spec.demands`), by the planner's own check or by the
+/// lookahead's fill.
 #[derive(Debug, Clone, Copy)]
 struct Headroom {
     /// Max circuit utilization under the planning matrix.
@@ -311,17 +455,6 @@ struct Headroom {
     /// `sweep_entry` flags a source by `dist` and `switch_up` only — so this
     /// count holds under every matrix with the spec's endpoints.
     unreachable_demands: usize,
-}
-
-/// Which matrix's rates the engine's base column holds.
-#[derive(Debug, PartialEq)]
-enum Loaded {
-    /// `spec.demands`: what the engine is built over and memo fills sweep.
-    Planning,
-    /// The `realized` matrix of the lookahead call in progress.
-    Realized,
-    /// An earlier call's realized matrix.
-    Stale,
 }
 
 /// Why the lookahead rejected a pending state.
@@ -394,83 +527,44 @@ fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
 }
 
 /// The §7.1 lookahead: re-checks a pending plan suffix against realized
-/// demand on one long-lived incremental engine.
+/// demand from a headroom memo, sweeping on the caller's [`LiveEngine`] only
+/// what the memo cannot decide.
 ///
-/// One replay serves one spec generation: every state it routes must be a
-/// canonical overlay of the `spec` it was built for, and its headroom memo
-/// is keyed by compact vector under that spec. A replan produces a new
-/// residual spec (new initial state, re-indexed blocks), so drop the replay
-/// before replanning and build a fresh one for the new plan — which also
-/// keeps its engine from sitting in memory beside the replanner's own.
-#[derive(Debug)]
+/// One replay serves one spec generation: its memo is keyed by compact
+/// vector under the `spec` the plan was made for, and a replan produces a new
+/// residual spec (new initial state, re-indexed blocks) — so seed a fresh
+/// replay from every new plan. The engine is not the replay's: it outlives
+/// every generation.
+#[derive(Debug, Default)]
 pub struct PlanReplay {
-    pool: Arc<WorkerPool>,
-    chain: ChainRouter,
-    loads: LoadMap,
-    outcome: RouteOutcome,
-    /// Headroom memo: one planning-matrix sweep per canonical state. A
+    /// Headroom memo: the planning-matrix sweep of each canonical state. A
     /// compact vector fixes its canonical state, hence its routing
     /// structure, so an entry serves any chain of the spec that visits it.
     headroom: HashMap<CompactState, Headroom>,
-    loaded: Loaded,
 }
 
 impl PlanReplay {
-    /// A replay for `spec`'s canonical states over `csr` (the flattened
-    /// `spec.topology`, shared with whatever else the caller routes on),
-    /// advancing on `pool`'s lanes. Only the base matrix is tracked: the
-    /// lookahead and the audit are single-matrix by definition.
-    pub fn new(spec: &MigrationSpec, csr: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
-        Self {
-            chain: ChainRouter::new(spec, csr, &[], pool.lanes()),
-            pool,
-            loads: LoadMap::new(&spec.topology),
-            outcome: RouteOutcome::new(),
-            headroom: HashMap::new(),
-            loaded: Loaded::Planning,
+    /// A replay whose memo starts with what the search that produced `plan`
+    /// already measured: `headroom[i]` is the planning-matrix max
+    /// utilization of the state step `i` reaches
+    /// ([`PlanOutcome::headroom`](crate::planner::PlanOutcome::headroom)). A
+    /// state that passed the search's check has every demand reachable.
+    /// Steps without a value — and every step, when `headroom` is empty —
+    /// are swept the first time the lookahead meets them.
+    pub fn seeded(spec: &MigrationSpec, plan: &MigrationPlan, headroom: &[Option<f64>]) -> Self {
+        let mut v = CompactState::origin(spec.num_types());
+        let mut memo = HashMap::new();
+        for (step, known) in plan.steps().iter().zip(headroom) {
+            v = v.advanced(step.kind);
+            if let &Some(max_utilization) = known {
+                let seeded = Headroom {
+                    max_utilization,
+                    unreachable_demands: 0,
+                };
+                memo.insert(v.clone(), seeded);
+            }
         }
-    }
-
-    /// The engine's base state with the port budgets kept for it; see
-    /// `SatChecker::port_budgets`.
-    #[doc(hidden)]
-    pub fn port_budgets(&self) -> (&NetState, &[u32], bool) {
-        self.chain.port_budgets()
-    }
-
-    /// Eq. 4–5 outcome of `(v, state)` under `realized`, or under the
-    /// planning matrix `spec.demands` when there is none (the engine's base
-    /// rates are overwritten only when it holds another matrix) — what
-    /// `klotski_routing::evaluate_with` reports for the same state and
-    /// matrix, bit for bit.
-    fn evaluate(
-        &mut self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        realized: Option<&DemandMatrix>,
-    ) -> SafetyOutcome {
-        let (which, demands) = match realized {
-            Some(realized) => (Loaded::Realized, realized),
-            None => (Loaded::Planning, &spec.demands),
-        };
-        if self.loaded != which {
-            self.chain.set_base_rates(demands);
-            self.loaded = which;
-        }
-        self.chain.route(
-            &self.pool,
-            spec,
-            v,
-            state,
-            &mut self.loads,
-            &mut self.outcome,
-        );
-        SafetyOutcome {
-            all_reachable: self.outcome.all_reachable(),
-            unreachable_demands: self.outcome.unreachable.len(),
-            report: summarize(&spec.topology, state, &self.loads, spec.theta),
-        }
+        Self { headroom: memo }
     }
 
     /// Replays the `pending` phases from `(progress, state)` under the
@@ -480,22 +574,27 @@ impl PlanReplay {
     /// not part of the lookahead: the shadow audit judges those when the run
     /// gets there.
     ///
-    /// Each pending state is judged from its headroom-memo entry — filled by
-    /// one sweep under `spec.demands` the first time the replay meets the
-    /// state — and `k`, the largest realized/planned rate ratio: a state
-    /// with an unreachable demand is unsafe under any rates; one with
-    /// `u · k · (1 + δ) ≤ θ` is safe without touching the engine (see
-    /// [`HEADROOM_SLACK`]); any other state is swept under `realized`
-    /// itself, and that verdict stands. The answer is therefore the one a
-    /// sweep of every pending state would give; what the memo saves is the
-    /// sweeps. Worst case (every state inside the margin, or `k = ∞`): one
-    /// memo fill per state per replay on top of the exact sweeps.
+    /// Each pending state is judged from its headroom-memo entry — seeded by
+    /// the planner, or filled by one sweep under `spec.demands` the first
+    /// time the replay meets the state — and `k`, the largest
+    /// realized/planned rate ratio: a state with an unreachable demand is
+    /// unsafe under any rates; one with `u · k · (1 + δ) ≤ θ` is safe without
+    /// touching the engine (see [`HEADROOM_SLACK`]); any other state is swept
+    /// under `realized` itself, and that verdict stands. The answer is
+    /// therefore the one a sweep of every pending state would give; what the
+    /// memo saves is the sweeps. Worst case (an unseeded memo with every
+    /// state inside the margin, or `k = ∞`): one memo fill per state per
+    /// replay on top of the exact sweeps.
+    ///
+    /// Sweeps run on `engine`, which is left holding whichever matrix and
+    /// state were swept last.
     ///
     /// # Panics
     /// Panics unless `realized` shares `spec.demands`' `(src, dst, class)`
     /// sequence — growth and surges only rescale rates.
     pub fn lookahead(
         &mut self,
+        engine: &mut LiveEngine,
         spec: &MigrationSpec,
         state: &NetState,
         progress: &CompactState,
@@ -503,9 +602,17 @@ impl PlanReplay {
         realized: &DemandMatrix,
     ) -> LookaheadVerdict {
         let k = demand_ratio(&spec.demands, realized);
-        if self.loaded == Loaded::Realized {
-            self.loaded = Loaded::Stale;
-        }
+        // Whether this call last loaded `realized` (else `spec.demands`) into
+        // the engine, which arrives holding some audit's matrix: rates are
+        // rewritten only on a change.
+        let mut holds_realized: Option<bool> = None;
+        let mut sweep = |exact: bool, s: &NetState| {
+            if holds_realized != Some(exact) {
+                engine.load(spec, if exact { realized } else { &spec.demands });
+                holds_realized = Some(exact);
+            }
+            engine.route(spec, s)
+        };
         let mut verdict = LookaheadVerdict {
             trip: None,
             bound: 0,
@@ -524,7 +631,7 @@ impl PlanReplay {
                     Some(&known) => known,
                     None => {
                         sweeps += 1;
-                        let planned = self.evaluate(spec, &v, &s, None);
+                        let planned = sweep(false, &s);
                         let filled = Headroom {
                             max_utilization: planned.report.max_utilization,
                             unreachable_demands: planned.unreachable_demands,
@@ -541,7 +648,7 @@ impl PlanReplay {
                     None
                 } else {
                     sweeps += 1;
-                    let exact = self.evaluate(spec, &v, &s, Some(realized));
+                    let exact = sweep(true, &s);
                     (!exact.satisfied()).then_some(TripCause::OverTheta {
                         utilization: exact.report.max_utilization,
                         circuit: exact.report.worst_circuit,
@@ -561,21 +668,6 @@ impl PlanReplay {
         }
         verdict
     }
-
-    /// [`lookahead`](Self::lookahead)'s verdict alone: true iff the
-    /// remaining plan is still safe under `realized`.
-    pub fn plan_still_safe(
-        &mut self,
-        spec: &MigrationSpec,
-        state: &NetState,
-        progress: &CompactState,
-        pending: &[PlanPhase],
-        realized: &DemandMatrix,
-    ) -> bool {
-        self.lookahead(spec, state, progress, pending, realized)
-            .trip
-            .is_none()
-    }
 }
 
 /// How [`walk_plan`] judges the states it visits.
@@ -583,7 +675,7 @@ enum Judge<'a> {
     /// Full Eq. 2–6 validation of every state on a fresh checker.
     Validate(&'a mut SatChecker),
     /// No verdict: route the base matrix at phase ends only.
-    AuditOnly(&'a mut PlanReplay),
+    AuditOnly(&'a mut LiveEngine),
 }
 
 /// Validates `plan` (as [`validate_plan_on`](crate::plan::validate_plan_on))
@@ -613,9 +705,9 @@ pub(crate) fn validating_walk(
 
 /// The audit-only mode of the walk: never fails, judges nothing.
 pub(crate) fn audit(spec: &MigrationSpec, plan: &MigrationPlan) -> PlanAudit {
-    let csr = Arc::new(CsrGraph::build(&spec.topology));
-    let mut replay = PlanReplay::new(spec, csr, Arc::new(WorkerPool::new(1)));
-    walk_plan(spec, plan, Judge::AuditOnly(&mut replay), true)
+    let mut engine = LiveEngine::new(spec, Arc::new(WorkerPool::new(1)));
+    engine.load(spec, &spec.demands);
+    walk_plan(spec, plan, Judge::AuditOnly(&mut engine), true)
         .expect("an audit-only walk judges nothing")
 }
 
@@ -697,9 +789,9 @@ fn walk_plan(
                     return Err(PlanViolation::UnsafeState { step: i });
                 }
             }
-            Judge::AuditOnly(replay) => {
+            Judge::AuditOnly(engine) => {
                 if phase_end {
-                    report = Some(replay.evaluate(spec, &v, &state, None).report);
+                    report = Some(engine.route(spec, &state).report);
                 }
             }
         }

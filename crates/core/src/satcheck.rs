@@ -39,10 +39,17 @@
 //! [`PackedLoads`]; funneling headroom and the K utilization summaries are
 //! taken on the packed field, the AND over matrices is folded off the K
 //! reports in index order, and only the base lane is copied out (for the
-//! audit observer and `last_loads`). Everything else — live audits, and
-//! specs with `incremental == false`, the reference the differential tests
-//! compare against — routes from scratch on one sequential [`EcmpRouter`],
-//! one matrix after the other.
+//! audit observer and `last_loads`). A spec with `incremental == false` — the
+//! reference the differential tests compare against — routes from scratch on
+//! one sequential [`EcmpRouter`], one matrix after the other.
+//!
+//! A check that summarized the base matrix's loads as routed leaves their
+//! max utilization in [`SatChecker::last_raw_utilization`] — cache hits
+//! included — for the planners' headroom hand-off
+//! ([`PlanOutcome::headroom`](crate::planner::PlanOutcome::headroom)).
+//!
+//! Live (observed, non-canonical) states are not this checker's business:
+//! the run loop audits them on its own [`LiveEngine`](crate::LiveEngine).
 //!
 //! [`IncrementalRouter`]: klotski_routing::IncrementalRouter
 
@@ -57,7 +64,6 @@ use klotski_routing::{
 };
 use klotski_telemetry::{registry, Gauge};
 use klotski_topology::{CircuitId, NetState, SwitchId};
-use klotski_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -106,9 +112,9 @@ pub struct SatStats {
     /// circuit footprints (zero when incremental evaluation is off).
     #[serde(default)]
     pub footprint_bytes: u64,
-    /// Live-state audits ([`SatChecker::audit_live`]): from-scratch
+    /// Live-state audits ([`LiveEngine::audit_live`](crate::LiveEngine::audit_live)):
     /// evaluations of observed states outside the canonical overlay, never
-    /// cached.
+    /// cached. Zero on a planner's checker.
     #[serde(default)]
     pub live_audits: u64,
     /// Traffic-ensemble size K (0 when no ensemble is configured; every
@@ -183,7 +189,8 @@ impl EnsembleBreakdown {
     }
 }
 
-/// Detailed outcome of one live-state audit ([`SatChecker::audit_live`]).
+/// Detailed outcome of one live-state audit
+/// ([`LiveEngine::audit_live`](crate::LiveEngine::audit_live)).
 ///
 /// Richer than the boolean verdict planners consume: a controller pausing a
 /// live migration needs to know *which* constraint broke and by how much.
@@ -252,9 +259,7 @@ pub struct SatChecker {
     dense_ok: bool,
     /// Lanes the incremental engine fans dirty destinations out over.
     pool: Arc<WorkerPool>,
-    /// The flattened topology both evaluators route over.
-    csr: Arc<CsrGraph>,
-    /// The from-scratch path: live audits and `incremental == false` specs.
+    /// The from-scratch path of `incremental == false` specs.
     router: EcmpRouter,
     loads: LoadMap,
     mask: UsableMask,
@@ -265,7 +270,8 @@ pub struct SatChecker {
     /// Buffers of the packed ensemble fold: present iff the checker is
     /// incremental and the spec has extra matrices.
     packed: Option<PackedFold>,
-    cache: HashMap<CacheKey, bool>,
+    /// Verdict and raw utilization (see `last_raw`) per key.
+    cache: HashMap<CacheKey, (bool, Option<f64>)>,
     /// Insertion order of cached keys, for FIFO eviction at `cache_cap`.
     fifo: VecDeque<CacheKey>,
     cache_cap: usize,
@@ -278,6 +284,10 @@ pub struct SatChecker {
     /// Index of the matrix that failed the most recent cache-missing
     /// sequential evaluation (`None` when it passed, or no ensemble).
     last_fail_matrix: Option<usize>,
+    /// Max utilization of the base matrix's raw loads on the state the most
+    /// recent check judged, when that check (or the one whose cached verdict
+    /// answered it) summarized them.
+    last_raw: Option<f64>,
     esc_entries_gauge: Arc<Gauge>,
     esc_bytes_gauge: Arc<Gauge>,
 }
@@ -303,7 +313,8 @@ fn key_bytes(key: &CacheKey, full_key_bytes: u64) -> u64 {
         CacheKey::Counts(counts, _) => 2 * counts.len() as u64,
         CacheKey::Full(..) => full_key_bytes,
     };
-    2 * (std::mem::size_of::<CacheKey>() as u64 + heap) + 1
+    2 * (std::mem::size_of::<CacheKey>() as u64 + heap)
+        + std::mem::size_of::<(bool, Option<f64>)>() as u64
 }
 
 impl SatChecker {
@@ -348,8 +359,7 @@ impl SatChecker {
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
-            router: EcmpRouter::from_csr(csr.clone(), spec.split),
-            csr,
+            router: EcmpRouter::from_csr(csr, spec.split),
             pool,
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
@@ -380,6 +390,7 @@ impl SatChecker {
                 },
             },
             last_fail_matrix: None,
+            last_raw: None,
             esc_entries_gauge: reg.gauge("klotski_esc_cache_entries"),
             esc_bytes_gauge: reg.gauge("klotski_esc_cache_bytes"),
         }
@@ -419,6 +430,18 @@ impl SatChecker {
         self.last_fail_matrix
     }
 
+    /// Max circuit utilization of the state the most recent
+    /// [`check`](Self::check) judged, under the base matrix `spec.demands`,
+    /// summarized from the loads as routed — bit for bit what
+    /// `klotski_routing::evaluate_policy` reports for that state and matrix.
+    /// `None` when that check never summarized raw loads: the space model or
+    /// an unreachable demand rejected the state first, or funneling headroom
+    /// was applied before the summary. A cache hit carries the value of the
+    /// evaluation it answers for.
+    pub fn last_raw_utilization(&self) -> Option<f64> {
+        self.last_raw
+    }
+
     /// True when this checker evaluates child states incrementally.
     pub fn is_incremental(&self) -> bool {
         self.incremental.is_some()
@@ -453,12 +476,6 @@ impl SatChecker {
         self.incremental.as_ref().map(ChainRouter::port_budgets)
     }
 
-    /// The flattened topology this checker routes over, for callers that
-    /// build another engine over the same topology beside it.
-    pub fn csr(&self) -> &Arc<CsrGraph> {
-        &self.csr
-    }
-
     /// Execution lanes available to this checker.
     pub fn lanes(&self) -> usize {
         self.pool.lanes()
@@ -467,56 +484,6 @@ impl SatChecker {
     /// Number of cached entries (for memory-footprint reporting).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Audits an *arbitrary* live state under an *arbitrary* demand matrix
-    /// — the shadow-audit entry point for controllers observing a real
-    /// fleet.
-    ///
-    /// Unlike [`check`](Self::check), the audited state may include
-    /// disturbances (failed circuits, externally drained switches) outside
-    /// the canonical overlay of any compact state, and `demands` may differ
-    /// from the spec's planning matrix (organic growth, surges). Neither
-    /// the ESC cache (keyed on canonical compact states) nor the
-    /// incremental engine (whose deltas assume canonical overlays and a
-    /// fixed demand matrix) is sound for such states, so the audit always
-    /// routes from scratch — on the checker's sequential router and reused
-    /// buffers. The incremental engine's base state is left untouched, so
-    /// interleaving audits with planner-driven [`check`](Self::check) calls
-    /// is safe.
-    ///
-    /// The space model (§7.2) is plan-scoped — it constrains the compact
-    /// progress vector, which a live state does not carry — so it is not
-    /// part of a live audit.
-    pub fn audit_live(
-        &mut self,
-        spec: &MigrationSpec,
-        state: &NetState,
-        demands: &DemandMatrix,
-    ) -> LiveAudit {
-        self.stats.live_audits += 1;
-        self.mask.compute(&spec.topology, state);
-        self.loads.clear();
-        self.router.route_with_mask_into(
-            &spec.topology,
-            state,
-            &self.mask,
-            demands,
-            &mut self.loads,
-            &mut self.outcome,
-        );
-        let report = summarize(&spec.topology, state, &self.loads, spec.theta);
-        let port_violation = spec.check_ports && spec.topology.has_port_violation(state);
-        LiveAudit {
-            safe: self.outcome.all_reachable() && report.violations == 0 && !port_violation,
-            all_reachable: self.outcome.all_reachable(),
-            unreachable_demands: self.outcome.unreachable.len(),
-            max_utilization: report.max_utilization,
-            worst_circuit: report.worst_circuit,
-            theta_violations: report.violations,
-            min_residual_gbps: report.min_residual_gbps,
-            port_violation,
-        }
     }
 
     /// Checks whether the state identified by `v` (with activation overlay
@@ -549,24 +516,25 @@ impl SatChecker {
         on_base: Option<&mut dyn FnMut(&LoadMap)>,
     ) -> bool {
         self.stats.checks += 1;
-        let Some(key) = self.key_for(spec, v, state, last) else {
-            self.stats.full_evaluations += 1;
-            return self.evaluate(spec, v, state, last, on_base);
-        };
-        if let Some(&hit) = self.cache.get(&key) {
+        let key = self.key_for(spec, v, state, last);
+        if let Some(&(hit, raw)) = key.as_ref().and_then(|key| self.cache.get(key)) {
             self.stats.cache_hits += 1;
+            self.last_raw = raw;
             return hit;
         }
         self.stats.full_evaluations += 1;
+        self.last_raw = None;
         let result = self.evaluate(spec, v, state, last, on_base);
-        self.cache_insert(key, result);
+        if let Some(key) = key {
+            self.cache_insert(key, (result, self.last_raw));
+        }
         result
     }
 
     /// Inserts a verdict, evicting the oldest entries past the cap (FIFO:
     /// planners revisit recent expansions far more often than old ones, and
     /// FIFO needs no per-hit bookkeeping on the fast path).
-    fn cache_insert(&mut self, key: CacheKey, verdict: bool) {
+    fn cache_insert(&mut self, key: CacheKey, verdict: (bool, Option<f64>)) {
         match self.cache.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => return,
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -615,7 +583,8 @@ impl SatChecker {
         }
     }
 
-    /// The actual Eq. 4–6 evaluation on the checker's own buffers.
+    /// The actual Eq. 4–6 evaluation on the checker's own buffers; sets
+    /// `last_raw` (cleared by the caller) where it summarizes raw loads.
     fn evaluate(
         &mut self,
         spec: &MigrationSpec,
@@ -664,7 +633,10 @@ impl SatChecker {
         // Port budgets (Eq. 6) depend on the state alone, so they are judged
         // once, with the base matrix: a port failure is matrix 0's kill. The
         // engine keeps them by delta; the from-scratch path recounts.
-        let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome)
+        let (ok, raw) =
+            demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
+        self.last_raw = raw;
+        let ok = ok
             && !(spec.check_ports
                 && match &self.incremental {
                     Some(incr) => incr.has_port_violation(),
@@ -695,7 +667,8 @@ impl SatChecker {
                 &mut self.loads,
                 &mut self.outcome,
             );
-            let ok = demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
+            let (ok, _) =
+                demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
             self.ensemble.record(k + 1, tk.elapsed(), !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
@@ -746,11 +719,13 @@ impl SatChecker {
         let reachable = fold.outcomes[0].all_reachable();
         if reachable {
             let ts = Instant::now();
-            if let Some(drained) = funneled_switches(spec, v, last) {
+            let funneled = funneled_switches(spec, v, last);
+            if let Some(drained) = funneled {
                 spec.funneling
                     .apply_packed(topo, state, drained, &mut fold.loads);
             }
             summarize_packed(topo, state, &fold.loads, spec.theta, &mut fold.reports);
+            self.last_raw = funneled.is_none().then(|| fold.reports[0].max_utilization);
             shared += ts.elapsed();
         }
         let share = shared / fold.outcomes.len() as u32;
@@ -787,7 +762,9 @@ fn funneled_switches<'a>(
 }
 
 /// The per-matrix tail of an evaluation: reachability (Eq. 4), funneling
-/// headroom, and the θ comparison (Eq. 5) on `loads`.
+/// headroom, and the θ comparison (Eq. 5) on `loads`. Beside the verdict,
+/// the max utilization of `loads` when it was summarized as routed (no
+/// funneling headroom applied).
 fn demand_constraints_hold(
     spec: &MigrationSpec,
     v: &CompactState,
@@ -795,15 +772,20 @@ fn demand_constraints_hold(
     last: Option<ActionTypeId>,
     loads: &mut LoadMap,
     route: &RouteOutcome,
-) -> bool {
+) -> (bool, Option<f64>) {
     if !route.all_reachable() {
-        return false;
+        return (false, None);
     }
     let topo = &spec.topology;
-    if let Some(drained) = funneled_switches(spec, v, last) {
+    let funneled = funneled_switches(spec, v, last);
+    if let Some(drained) = funneled {
         spec.funneling.apply(topo, state, drained, loads);
     }
-    summarize(topo, state, loads, spec.theta).violations == 0
+    let report = summarize(topo, state, loads, spec.theta);
+    (
+        report.violations == 0,
+        funneled.is_none().then_some(report.max_utilization),
+    )
 }
 
 /// True when the mixed-radix box `Π (target_i + 1)` fits in a `u64`.

@@ -1,94 +1,290 @@
-//! Differential oracle for [`SatChecker::audit_live`]: on disturbed live
-//! states (failed circuits, an externally drained switch) under scaled
-//! demand matrices, every [`LiveAudit`] field must equal what the routing
-//! crate's one-shot `evaluate_policy` reports for the same state and
-//! demands. One long-lived checker audits the whole sweep, so stale load or
-//! outcome buffers between audits would show up as a mismatch.
+//! Differential oracle for [`LiveEngine`]: along a *walk* of observed states
+//! on one long-lived engine, every [`LiveAudit`] field must equal what the
+//! routing crate's one-shot `evaluate_policy` and
+//! `Topology::has_port_violation` report for the same state and demands, bit
+//! for bit.
 //!
-//! Scope: `evaluate_policy` routes with the same `EcmpRouter` code, so this
-//! guards `audit_live`'s own wiring (mask, buffer reuse, `summarize`, the
-//! port check, field mapping) — not routing correctness, which `ecmp.rs`'s
-//! hand-built unit cases (splits, conservation, unreachability) cover.
+//! The walk is what a run shows the engine, and worse: circuits fail and
+//! heal, a switch is drained and restored behind the planner's back, the
+//! destination switch of a demand goes down and comes back, canonical block
+//! steps land in between, the plan jumps more than 64 blocks at once
+//! (preset C; preset A has 27), and the demand is rescaled at every step
+//! (0.5× / 1.0× / 1.8×, with a per-demand jitter on odd steps). Between audits the lookahead borrows the engine for
+//! sweeps of far-away canonical states under the planning matrix. Each state
+//! is routed as a delta against whatever the engine routed last, so a stale
+//! base state, stale rates, a missed toggle or a structure patched wrongly
+//! shows up as a mismatch against the from-scratch route.
+//!
+//! `evaluate_policy` routes on `EcmpRouter`, which production no longer
+//! runs inside a controller run: it is the reference here.
 
-use klotski_core::migration::{MigrationBuilder, MigrationOptions};
-use klotski_core::satcheck::{EscMode, SatChecker};
-use klotski_routing::evaluate_policy;
+use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
+use klotski_core::satcheck::LiveAudit;
+use klotski_core::{CompactState, LiveEngine};
+use klotski_parallel::WorkerPool;
+use klotski_routing::{evaluate_policy, SplitPolicy};
 use klotski_topology::presets::{self, PresetId};
-use klotski_topology::{CircuitId, SwitchId};
+use klotski_topology::{CircuitId, NetState, SwitchId};
+use klotski_traffic::DemandMatrix;
+use std::sync::Arc;
 
-/// Splitmix-style step of the sweep's deterministic RNG.
+/// Splitmix-style step of the walk's deterministic RNG.
 fn next_rand(x: &mut u64) -> u64 {
     *x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
     *x
 }
 
-fn audit_matches_oracle_on(id: PresetId) {
-    let spec =
-        MigrationBuilder::for_preset(&presets::build(id), &MigrationOptions::default()).unwrap();
-    let topo = &spec.topology;
-    let mut checker = SatChecker::new(&spec, EscMode::Compact);
-    let (mut safe, mut unsafe_) = (0, 0);
-    let mut x = 0x11fe_a0d1 ^ id as u64;
-    for round in 0..6 {
-        // Failed circuits (more each round) and, on odd rounds, one switch
-        // drained behind the planner's back.
-        let mut state = spec.initial.clone();
-        for _ in 0..round * 2 {
-            let c =
-                CircuitId::from_index((next_rand(&mut x) % topo.num_circuits() as u64) as usize);
-            state.set_circuit(c, false);
-        }
-        if round % 2 == 1 {
-            let s = SwitchId::from_index((next_rand(&mut x) % topo.num_switches() as u64) as usize);
-            state.drain_switch(topo, s);
-        }
-        for factor in [0.5, 1.0, 1.8] {
-            let demands = spec.demands.scaled(factor);
-            let audit = checker.audit_live(&spec, &state, &demands);
-            let oracle = evaluate_policy(topo, &state, &demands, spec.theta, spec.split);
-            let ports = spec.check_ports && topo.has_port_violation(&state);
-            let ctx = format!("{id} round {round} x{factor}");
+fn pick(x: &mut u64, n: usize) -> usize {
+    (next_rand(x) % n as u64) as usize
+}
 
-            assert_eq!(audit.all_reachable, oracle.all_reachable, "{ctx}");
-            assert_eq!(
-                audit.unreachable_demands, oracle.unreachable_demands,
-                "{ctx}"
-            );
-            assert_eq!(
-                audit.max_utilization.to_bits(),
-                oracle.report.max_utilization.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(audit.worst_circuit, oracle.report.worst_circuit, "{ctx}");
-            assert_eq!(audit.theta_violations, oracle.report.violations, "{ctx}");
-            assert_eq!(
-                audit.min_residual_gbps.to_bits(),
-                oracle.report.min_residual_gbps.to_bits(),
-                "{ctx}"
-            );
-            assert_eq!(audit.port_violation, ports, "{ctx}");
-            assert_eq!(audit.safe, oracle.satisfied() && !ports, "{ctx}");
-            assert_eq!(audit.violation().is_none(), audit.safe, "{ctx}");
-            if audit.safe {
-                safe += 1;
-            } else {
-                unsafe_ += 1;
+/// Every field of `audit` against the from-scratch oracle.
+fn assert_audit_is_the_oracles(
+    spec: &MigrationSpec,
+    state: &NetState,
+    demands: &DemandMatrix,
+    audit: &LiveAudit,
+    ctx: &str,
+) {
+    let topo = &spec.topology;
+    let oracle = evaluate_policy(topo, state, demands, spec.theta, spec.split);
+    let ports = spec.check_ports && topo.has_port_violation(state);
+    assert_eq!(audit.all_reachable, oracle.all_reachable, "{ctx}");
+    assert_eq!(
+        audit.unreachable_demands, oracle.unreachable_demands,
+        "{ctx}"
+    );
+    assert_eq!(
+        audit.max_utilization.to_bits(),
+        oracle.report.max_utilization.to_bits(),
+        "{ctx}"
+    );
+    assert_eq!(audit.worst_circuit, oracle.report.worst_circuit, "{ctx}");
+    assert_eq!(audit.theta_violations, oracle.report.violations, "{ctx}");
+    assert_eq!(
+        audit.min_residual_gbps.to_bits(),
+        oracle.report.min_residual_gbps.to_bits(),
+        "{ctx}"
+    );
+    assert_eq!(audit.port_violation, ports, "{ctx}");
+    assert_eq!(audit.safe, oracle.satisfied() && !ports, "{ctx}");
+    assert_eq!(audit.violation().is_none(), audit.safe, "{ctx}");
+}
+
+/// What the fleet does to the planned state behind the planner's back.
+#[derive(Default)]
+struct Disturbances {
+    failed: Vec<CircuitId>,
+    drained: Option<SwitchId>,
+    /// A demand's destination switch, powered off with its circuits left as
+    /// they were: every incident circuit turns unusable at once.
+    dst_down: Option<SwitchId>,
+}
+
+impl Disturbances {
+    fn observed(&self, spec: &MigrationSpec, planned: &NetState) -> NetState {
+        let mut s = planned.clone();
+        for &c in &self.failed {
+            s.set_circuit(c, false);
+        }
+        if let Some(sw) = self.drained {
+            s.drain_switch(&spec.topology, sw);
+        }
+        if let Some(sw) = self.dst_down {
+            s.set_switch(sw, false);
+        }
+        s
+    }
+}
+
+/// `matrix` scaled by `factor`, every rate then moved by its own factor in
+/// [0.75, 1.25) when `jitter`.
+fn rescaled(matrix: &DemandMatrix, factor: f64, jitter: bool, x: &mut u64) -> DemandMatrix {
+    matrix
+        .iter()
+        .cloned()
+        .map(|mut d| {
+            d.gbps *= factor;
+            if jitter {
+                d.gbps *= 0.75 + (next_rand(x) >> 11) as f64 / (1u64 << 54) as f64;
+            }
+            d
+        })
+        .collect()
+}
+
+const STEPS: usize = 66;
+
+/// `jump`: the least number of blocks the plan must move at once when it
+/// falls back from the target to the origin.
+fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: SplitPolicy) {
+    let opts = MigrationOptions {
+        block_scale,
+        ..MigrationOptions::default()
+    };
+    let mut spec = MigrationBuilder::for_preset(&presets::build(id), &opts).unwrap();
+    spec.split = split;
+    let spec = spec;
+    let topo = &spec.topology;
+
+    let mut engine = LiveEngine::new(&spec, Arc::new(WorkerPool::new(1)));
+    let mut x = 0x11fe_a0d1 ^ id as u64 ^ ((split == SplitPolicy::Wcmp) as u64) << 8;
+    let mut v = CompactState::origin(spec.num_types());
+    let mut planned = spec.initial.clone();
+    let mut world = Disturbances::default();
+    let (mut safe, mut unsafe_, mut sweeps) = (0u64, 0u64, 0u64);
+    for step in 0..STEPS {
+        // The plan moves: one canonical block on odd steps, and twice the
+        // whole box at once — to the target, then back to the origin.
+        if step == 30 {
+            v = spec.target_counts.clone();
+            planned = spec.target_state();
+        } else if step == 45 {
+            assert!(v.total() > jump, "a jump of {} blocks", v.total());
+            v = CompactState::origin(spec.num_types());
+            planned = spec.initial.clone();
+        } else if step % 2 == 1 {
+            let open: Vec<_> = spec
+                .actions
+                .ids()
+                .filter(|&a| v.count(a) < spec.target_counts.count(a))
+                .collect();
+            if !open.is_empty() {
+                let a = open[pick(&mut x, open.len())];
+                spec.apply_next(&mut planned, &v, a);
+                v = v.advanced(a);
             }
         }
+        // The world moves.
+        if step % 6 == 0 {
+            for _ in 0..2 {
+                world
+                    .failed
+                    .push(CircuitId::from_index(pick(&mut x, topo.num_circuits())));
+            }
+        } else if step % 6 == 3 && !world.failed.is_empty() {
+            world.failed.remove(0);
+        }
+        match step {
+            10 | 40 => {
+                world.drained = Some(SwitchId::from_index(pick(&mut x, topo.num_switches())))
+            }
+            20 | 48 => world.drained = None,
+            14 | 50 => {
+                let d = spec.demands.iter().nth(pick(&mut x, spec.demands.len()));
+                world.dst_down = Some(d.expect("index below len").dst);
+            }
+            26 | 58 => world.dst_down = None,
+            _ => {}
+        }
+        let observed = world.observed(&spec, &planned);
+        let demands = rescaled(
+            &spec.demands,
+            [0.5, 1.0, 1.8][step % 3],
+            step % 2 == 1,
+            &mut x,
+        );
+
+        let audit = engine.audit_live(&spec, &observed, &demands);
+        let ctx = format!("{id} {split:?} step {step} at {:?}", v.counts());
+        assert_audit_is_the_oracles(&spec, &observed, &demands, &audit, &ctx);
+        if audit.safe {
+            safe += 1;
+        } else {
+            unsafe_ += 1;
+        }
+
+        // The lookahead borrows the engine: a memo fill of a canonical state
+        // somewhere else in the box, under the planning matrix.
+        if step % 5 == 2 {
+            let counts = spec
+                .target_counts
+                .counts()
+                .iter()
+                .map(|&c| pick(&mut x, c as usize + 1) as u16)
+                .collect();
+            let far = spec.state_for(&CompactState::from_counts(counts));
+            engine.load(&spec, &spec.demands);
+            let swept = engine.route(&spec, &far);
+            let oracle = evaluate_policy(topo, &far, &spec.demands, spec.theta, spec.split);
+            assert_eq!(swept.all_reachable, oracle.all_reachable, "{ctx} sweep");
+            assert_eq!(
+                swept.unreachable_demands, oracle.unreachable_demands,
+                "{ctx} sweep"
+            );
+            assert_eq!(
+                swept.report.max_utilization.to_bits(),
+                oracle.report.max_utilization.to_bits(),
+                "{ctx} sweep"
+            );
+            assert_eq!(swept.report, oracle.report, "{ctx} sweep");
+            sweeps += 1;
+        }
     }
-    assert_eq!(checker.stats().live_audits, 18);
+    let stats = engine.stats();
+    assert!(sweeps >= 12);
+    assert_eq!(stats.live_audits, STEPS as u64, "audits only, not sweeps");
+    let dests = spec.demands.num_destinations() as u64;
+    assert_eq!(
+        stats.incremental_clean + stats.incremental_dirty,
+        (STEPS as u64 + sweeps) * dests,
+        "every audit and every sweep is one advance of the one engine"
+    );
+    assert!(
+        stats.incremental_clean > 0,
+        "structure is reused: {stats:?}"
+    );
     assert!(
         safe > 0 && unsafe_ > 0,
-        "sweep on {id} must cross the safety boundary (safe={safe} unsafe={unsafe_})"
+        "walk on {id} must cross the safety boundary (safe={safe} unsafe={unsafe_})"
     );
 }
 
 #[test]
-fn audit_live_matches_evaluate_policy_on_preset_a() {
-    audit_matches_oracle_on(PresetId::A);
+fn live_walk_matches_evaluate_policy_on_preset_a() {
+    for split in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+        // Preset A's finest blocks: 27 of them.
+        walk_matches_oracle_on(PresetId::A, 8.0, 24, split);
+    }
 }
 
 #[test]
-fn audit_live_matches_evaluate_policy_on_preset_c() {
-    audit_matches_oracle_on(PresetId::C);
+fn live_walk_matches_evaluate_policy_on_preset_c() {
+    for split in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+        walk_matches_oracle_on(PresetId::C, 4.0, 64, split);
+    }
+}
+
+/// `audit_live` takes an *arbitrary* matrix. One whose `(src, dst, class)`
+/// sequence is not the engine's — reordered, truncated — cannot reuse the
+/// engine's rate table; it gets an engine of its own, never a panic, and the
+/// ordinary audits around it read as if nothing happened.
+#[test]
+fn a_matrix_with_other_endpoints_rebuilds_the_engine() {
+    let spec =
+        MigrationBuilder::for_preset(&presets::build(PresetId::A), &MigrationOptions::default())
+            .unwrap();
+    let topo = &spec.topology;
+    let mut x = 0x51ab_u64;
+    let mut state = spec.initial.clone();
+    let mut engine = LiveEngine::new(&spec, Arc::new(WorkerPool::new(1)));
+
+    let mut demands: Vec<_> = spec.demands.iter().cloned().collect();
+    demands.reverse();
+    let reordered: DemandMatrix = demands.iter().cloned().collect();
+    let truncated: DemandMatrix = demands.into_iter().skip(7).collect();
+    for (what, matrix) in [
+        ("ordinary", spec.demands.scaled(1.1)),
+        ("reordered", reordered),
+        ("truncated", truncated),
+        ("ordinary again", spec.demands.scaled(0.9)),
+    ] {
+        state.set_circuit(
+            CircuitId::from_index(pick(&mut x, topo.num_circuits())),
+            false,
+        );
+        let audit = engine.audit_live(&spec, &state, &matrix);
+        assert_audit_is_the_oracles(&spec, &state, &matrix, &audit, what);
+    }
+    assert_eq!(engine.stats().live_audits, 4);
 }

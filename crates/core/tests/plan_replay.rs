@@ -1,6 +1,6 @@
 //! Differential oracles for the plan-replay walk (`klotski_core::replay`).
 //!
-//! - The lookahead, [`PlanReplay::plan_still_safe`], must equal the fold it
+//! - The lookahead, [`PlanReplay::lookahead`], must equal the fold it
 //!   replaced: every state of the pending suffix routed from scratch by
 //!   `evaluate_policy` under the realized matrix, AND-ed. One long-lived
 //!   replay answers several successive calls per case — shrinking suffix,
@@ -20,12 +20,11 @@ use klotski_core::plan::{validate_plan, MigrationPlan, PlanPhase};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::report::{PhaseAudit, PlanAudit};
 use klotski_core::{
-    audit_plan, validate_and_audit_on, ActionTypeId, CompactState, EnsembleSpec, PlanReplay,
+    audit_plan, validate_and_audit_on, ActionTypeId, CompactState, EnsembleSpec, LiveEngine,
+    LookaheadVerdict, PlanReplay,
 };
 use klotski_parallel::WorkerPool;
-use klotski_routing::{
-    evaluate_policy, evaluate_with, CsrGraph, EcmpRouter, FunnelingModel, LoadMap,
-};
+use klotski_routing::{evaluate_policy, evaluate_with, EcmpRouter, FunnelingModel, LoadMap};
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::NetState;
 use klotski_traffic::surge::realized_demand;
@@ -123,9 +122,45 @@ fn after(
     (v, state, pending)
 }
 
-fn new_replay(spec: &MigrationSpec) -> PlanReplay {
-    let csr = Arc::new(CsrGraph::build(&spec.topology));
-    PlanReplay::new(spec, csr, Arc::new(WorkerPool::new(1)))
+/// A lookahead as the controller drives it: an (unseeded) memo and the live
+/// engine its sweeps run on.
+struct Replay {
+    engine: LiveEngine,
+    memo: PlanReplay,
+}
+
+impl Replay {
+    fn lookahead(
+        &mut self,
+        spec: &MigrationSpec,
+        state: &NetState,
+        progress: &CompactState,
+        pending: &[PlanPhase],
+        realized: &DemandMatrix,
+    ) -> LookaheadVerdict {
+        self.memo
+            .lookahead(&mut self.engine, spec, state, progress, pending, realized)
+    }
+
+    fn plan_still_safe(
+        &mut self,
+        spec: &MigrationSpec,
+        state: &NetState,
+        progress: &CompactState,
+        pending: &[PlanPhase],
+        realized: &DemandMatrix,
+    ) -> bool {
+        self.lookahead(spec, state, progress, pending, realized)
+            .trip
+            .is_none()
+    }
+}
+
+fn new_replay(spec: &MigrationSpec) -> Replay {
+    Replay {
+        engine: LiveEngine::new(spec, Arc::new(WorkerPool::new(1))),
+        memo: PlanReplay::default(),
+    }
 }
 
 fn splitmix(seed: &mut u64) -> u64 {

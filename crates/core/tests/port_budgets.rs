@@ -14,7 +14,7 @@
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::{validate_and_audit_on, ActionTypeId, CompactState, EscMode};
-use klotski_core::{PlanReplay, SatChecker};
+use klotski_core::{LiveEngine, PlanReplay, SatChecker};
 use klotski_parallel::WorkerPool;
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::NetState;
@@ -169,11 +169,12 @@ fn a_jump_past_the_delta_limit_recounts() {
     }
 }
 
-/// The lookahead and the validating walk route on the same chain: their
-/// counters stay the recount's across the lookahead's `set_base_rates`
-/// round trips (planning matrix ↔ realized matrix), which touch rates only.
+/// The validating walk keeps its budgets by delta; the lookahead routes on
+/// a run's live engine, which keeps none — its audits recount. Both agree
+/// with the recount where ports bind, across the lookahead's matrix round
+/// trips (planning matrix ↔ realized matrix), which touch rates only.
 #[test]
-fn lookahead_and_validating_walk_keep_port_budgets_coherent() {
+fn validating_walk_and_live_engine_agree_with_the_recount() {
     let spec = port_bound_spec(PresetId::A, 2.0, 1);
     let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
     let pool = Arc::new(WorkerPool::new(1));
@@ -192,17 +193,33 @@ fn lookahead_and_validating_walk_keep_port_budgets_coherent() {
         assert_recount(&spec, budgets);
     }
 
+    // Every v2 grid cabled in beside every v1 grid: no ports for that.
+    let crowded = spec.state_for(&CompactState::from_counts(vec![
+        0,
+        spec.target_counts.counts()[1],
+    ]));
+    assert!(spec.topology.has_port_violation(&crowded));
     let origin = CompactState::origin(spec.num_types());
-    let mut replay = PlanReplay::new(&spec, Arc::clone(checker.csr()), pool);
+    let mut engine = LiveEngine::new(&spec, pool);
+    let mut replay = PlanReplay::default();
     let phases = plan.phases();
     // Memo fills under the planning matrix, exact sweeps under a realized
     // one (nothing clears at ×1.6), the memo again, another realized one.
     for (growth, swept) in [(1.0, true), (1.6, true), (0.9, false), (1.7, true)] {
         let realized = spec.demands.scaled(growth);
-        let verdict = replay.lookahead(&spec, &spec.initial, &origin, &phases, &realized);
+        let verdict = replay.lookahead(
+            &mut engine,
+            &spec,
+            &spec.initial,
+            &origin,
+            &phases,
+            &realized,
+        );
         assert_eq!(verdict.swept > 0, swept, "x{growth}: {verdict:?}");
-        let budgets = replay.port_budgets();
-        assert_ne!(budgets.0, &spec.initial, "the engine moved along the plan");
-        assert_recount(&spec, budgets);
+        // An audit on the engine the lookahead just moved along the plan.
+        for (audited, over) in [(&crowded, true), (&state, false)] {
+            let audit = engine.audit_live(&spec, audited, &realized);
+            assert_eq!(audit.port_violation, over, "x{growth}");
+        }
     }
 }

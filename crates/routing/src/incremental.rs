@@ -68,6 +68,9 @@ use std::time::{Duration, Instant};
 /// oversubscription so fast lanes steal the tail.
 const CHUNKS_PER_LANE: usize = 4;
 
+/// What every matrix routed on one engine must have in common.
+const SHARED_ENDPOINTS: &str = "every matrix of an engine must share the base demand endpoints";
+
 /// Running totals of incremental-evaluation effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
@@ -352,7 +355,7 @@ impl IncrementalRouter {
             metrics: IncrMetrics::new(),
         };
         for (m, rates) in std::iter::once(matrix).chain(extras).enumerate() {
-            engine.set_rates(m, rates);
+            assert!(engine.set_rates(m, rates), "{SHARED_ENDPOINTS}");
         }
         engine
     }
@@ -367,31 +370,43 @@ impl IncrementalRouter {
     /// Panics when `matrix`'s `(src, dst, class)` sequence diverges from the
     /// matrix the engine was built over.
     pub fn set_base_rates(&mut self, matrix: &DemandMatrix) {
-        self.set_rates(0, matrix);
+        assert!(self.try_set_base_rates(matrix), "{SHARED_ENDPOINTS}");
+    }
+
+    /// [`set_base_rates`](Self::set_base_rates) for a matrix of unknown
+    /// provenance: returns false, having written no rate, when `matrix`'s
+    /// `(src, dst, class)` sequence is not the engine's.
+    pub fn try_set_base_rates(&mut self, matrix: &DemandMatrix) -> bool {
+        self.set_rates(0, matrix)
     }
 
     /// Writes `matrix`'s rates into column `m` of every destination's rate
-    /// table, checking that its endpoints are the engine's.
-    fn set_rates(&mut self, m: usize, matrix: &DemandMatrix) {
-        const SHARED: &str = "every matrix of an engine must share the base demand endpoints";
+    /// table — after checking that its endpoints are the engine's: on a
+    /// mismatch nothing is written and the answer is false.
+    fn set_rates(&mut self, m: usize, matrix: &DemandMatrix) -> bool {
         let matrices = self.num_extras + 1;
         let groups = matrix.by_destination();
-        assert_eq!(groups.len(), self.entries.len(), "{SHARED}");
-        for (entry, (dst, group)) in self.entries.iter_mut().zip(groups) {
-            assert_eq!(
-                (dst, group.len()),
-                (entry.dst, entry.srcs.len()),
-                "{SHARED}"
-            );
-            for (i, d) in group.iter().enumerate() {
-                assert_eq!(
-                    (d.src, d.class),
-                    (entry.srcs[i], entry.classes[i]),
-                    "{SHARED}"
-                );
-                entry.rates[i * matrices + m] = d.gbps;
+        let shared = groups.len() == self.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&groups)
+                .all(|(entry, (&dst, group))| {
+                    dst == entry.dst
+                        && group.len() == entry.srcs.len()
+                        && group
+                            .iter()
+                            .zip(entry.srcs.iter().zip(&entry.classes))
+                            .all(|(d, (&src, &class))| (d.src, d.class) == (src, class))
+                });
+        if shared {
+            for (entry, group) in self.entries.iter_mut().zip(groups.values()) {
+                for (i, d) in group.iter().enumerate() {
+                    entry.rates[i * matrices + m] = d.gbps;
+                }
             }
         }
+        shared
     }
 
     /// Number of non-base ensemble matrices this engine tracks.

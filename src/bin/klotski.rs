@@ -35,6 +35,30 @@ use klotski::topology::presets::{self, PresetId};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// The CLI's one way to stdout. A reader that went away (`klotski run … |
+/// head`) is not a failure of this program: the first `EPIPE` ends the process
+/// quietly with exit 0, where `println!` would panic (exit 101 and a
+/// backtrace). As for any filter that `SIGPIPE` stops, what the subcommand
+/// had still to do after that line (a `-o` file, say) is not done.
+fn emit(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().lock().write_fmt(line) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// A fatal CLI error: message plus process exit code (1 = operation
 /// failed, 2 = usage error). Every failure path funnels through this one
 /// type so error reporting stays uniform.
@@ -159,10 +183,10 @@ fn run(mut args: Vec<String>) -> Result<(), CliError> {
 }
 
 fn cmd_presets() -> Result<(), CliError> {
-    println!("built-in evaluation topologies (Table 3):");
+    out!("built-in evaluation topologies (Table 3):");
     for id in PresetId::ALL {
         let p = presets::build_for_bench(id);
-        println!(
+        out!(
             "  {:<7} {:>6} switches {:>7} circuits",
             id.to_string(),
             p.topology.num_switches(),
@@ -177,7 +201,7 @@ fn cmd_export(preset: &str, out: &str) -> Result<(), CliError> {
     let npd = region_to_npd(&presets::config(id));
     let json = npd.to_json_pretty().or_fail("serialization failed")?;
     std::fs::write(out, json).or_fail(format_args!("cannot write {out}"))?;
-    println!("wrote {out} ({})", npd.name);
+    out!("wrote {out} ({})", npd.name);
     Ok(())
 }
 
@@ -230,25 +254,31 @@ fn cmd_plan(mut args: Vec<String>) -> Result<(), CliError> {
     let artifact = result.map_err(|e| CliError::failure(e.to_string()))?;
 
     let s = &artifact.summary;
-    println!(
+    out!(
         "{}: cost {} ({} phases), {} states visited in {}ms",
-        s.name, s.cost, s.phases, s.states_visited, s.planning_ms
+        s.name,
+        s.cost,
+        s.phases,
+        s.states_visited,
+        s.planning_ms
     );
     for phase in &artifact.audit.phases {
-        println!(
+        out!(
             "  phase {}: {} x{}",
-            phase.index, phase.action, phase.blocks
+            phase.index,
+            phase.action,
+            phase.blocks
         );
     }
     if stats {
         print_search_stats(s);
     }
     if let Some(path) = trace {
-        println!("trace written to {path}");
+        out!("trace written to {path}");
     }
     if let Some(out) = out {
         std::fs::write(&out, &artifact.plan_json).or_fail(format_args!("cannot write {out}"))?;
-        println!("phases attached to {out}");
+        out!("phases attached to {out}");
     }
     Ok(())
 }
@@ -260,44 +290,46 @@ fn print_search_stats(s: &klotski::npd::api::PlanSummary) {
     } else {
         100.0 * s.cache_hits as f64 / s.sat_checks as f64
     };
-    println!("search statistics ({}):", s.planner);
-    println!("  states visited    {:>10}", s.states_visited);
-    println!("  states generated  {:>10}", s.states_generated);
-    println!("  states pruned     {:>10}", s.states_pruned);
-    println!("  states deduped    {:>10}", s.states_deduped);
-    println!("  sat checks        {:>10}", s.sat_checks);
-    println!(
+    out!("search statistics ({}):", s.planner);
+    out!("  states visited    {:>10}", s.states_visited);
+    out!("  states generated  {:>10}", s.states_generated);
+    out!("  states pruned     {:>10}", s.states_pruned);
+    out!("  states deduped    {:>10}", s.states_deduped);
+    out!("  sat checks        {:>10}", s.sat_checks);
+    out!(
         "  esc cache hits    {:>10}  ({hit_rate:.1}% hit rate)",
         s.cache_hits
     );
-    println!("  full evaluations  {:>10}", s.full_evaluations);
+    out!("  full evaluations  {:>10}", s.full_evaluations);
     let dests = s.incremental_clean + s.incremental_dirty;
     if dests > 0 {
         let incr_rate = 100.0 * s.incremental_clean as f64 / dests as f64;
-        println!(
+        out!(
             "  incr clean dests  {:>10}  ({incr_rate:.1}% structure reused unchanged)",
             s.incremental_clean
         );
-        println!("  incr dirty dests  {:>10}", s.incremental_dirty);
+        out!("  incr dirty dests  {:>10}", s.incremental_dirty);
     }
-    println!(
+    out!(
         "  esc cache size    {:>10}  (~{} KiB)",
         s.esc_entries,
         s.esc_bytes / 1024
     );
-    println!("  satcheck time     {:>8}ms", s.satcheck_ms);
-    println!(
+    out!("  satcheck time     {:>8}ms", s.satcheck_ms);
+    out!(
         "  other search time {:>8}ms",
         s.planning_ms.saturating_sub(s.satcheck_ms)
     );
-    println!("  total planning    {:>8}ms", s.planning_ms);
+    out!("  total planning    {:>8}ms", s.planning_ms);
     if s.ensemble_matrices > 0 {
-        println!(
+        out!(
             "  ensemble          {:>10}  matrices, {} matrix checks, {} short-circuits",
-            s.ensemble_matrices, s.ensemble_matrix_checks, s.ensemble_short_circuits
+            s.ensemble_matrices,
+            s.ensemble_matrix_checks,
+            s.ensemble_short_circuits
         );
         for (k, m) in s.ensemble.iter().enumerate() {
-            println!(
+            out!(
                 "    [{k}] {:<22} {:>8} checks {:>7} kills {:>8.1}ms",
                 m.label,
                 m.checks,
@@ -312,9 +344,11 @@ fn cmd_trace(path: &str) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path).or_fail(format_args!("cannot read {path}"))?;
     let summary = klotski::telemetry::validate_trace(&text)
         .map_err(|e| CliError::failure(format!("{path}: {e}")))?;
-    println!(
+    out!(
         "trace ok: {} spans, {} events, {} roots",
-        summary.spans, summary.events, summary.roots
+        summary.spans,
+        summary.events,
+        summary.roots
     );
     Ok(())
 }
@@ -360,15 +394,19 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
         }
     }
 
-    println!("span families ({path}):");
-    println!(
+    out!("span families ({path}):");
+    out!(
         "  {:<24} {:>6} {:>12} {:>12} {:>12}",
-        "name", "count", "total self", "p50 self", "p99 self"
+        "name",
+        "count",
+        "total self",
+        "p50 self",
+        "p99 self"
     );
     for (name, mut self_times) in families {
         self_times.sort_unstable();
         let total: u64 = self_times.iter().sum();
-        println!(
+        out!(
             "  {:<24} {:>6} {:>10.3}ms {:>10.3}ms {:>10.3}ms",
             name,
             self_times.len(),
@@ -378,9 +416,9 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
         );
     }
     if !event_counts.is_empty() {
-        println!("events:");
+        out!("events:");
         for (name, count) in event_counts {
-            println!("  {name:<24} {count:>6}");
+            out!("  {name:<24} {count:>6}");
         }
     }
 
@@ -394,10 +432,15 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
         })
         .collect();
     if !ensemble_rows.is_empty() {
-        println!("ensemble matrices:");
-        println!(
+        out!("ensemble matrices:");
+        out!(
             "  {:<8} {:<6} {:<22} {:>10} {:>8} {:>12}",
-            "planner", "matrix", "label", "checks", "kills", "wall"
+            "planner",
+            "matrix",
+            "label",
+            "checks",
+            "kills",
+            "wall"
         );
         for fields in ensemble_rows {
             let text = |key: &str| {
@@ -408,7 +451,7 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
                     .to_string()
             };
             let num = |key: &str| fields.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
-            println!(
+            out!(
                 "  {:<8} {:<6} {:<22} {:>10} {:>8} {:>10.1}ms",
                 text("planner"),
                 num("matrix"),
@@ -439,7 +482,7 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
     }
     timeline.sort_by_key(|(start, _, _)| **start);
     let epoch = *timeline[0].0;
-    println!("controller timeline:");
+    out!("controller timeline:");
     for (start, name, fields) in timeline {
         let mut detail = String::new();
         for key in ["step", "at_step", "action", "blocks", "canary", "outcome"] {
@@ -453,7 +496,7 @@ fn cmd_trace_summarize(path: &str) -> Result<(), CliError> {
                 detail.push_str(&format!("  {key}={rendered}"));
             }
         }
-        println!(
+        out!(
             "  +{:>9.3}ms  {:<20}{detail}",
             (start - epoch) as f64 / 1000.0,
             name
@@ -479,10 +522,10 @@ fn cmd_audit(preset: &str) -> Result<(), CliError> {
     let outcome = AStarPlanner::default()
         .plan(&spec)
         .or_fail("planning failed")?;
-    print!("{}", audit_plan(&spec, &outcome.plan));
+    emit(format_args!("{}", audit_plan(&spec, &outcome.plan)));
     let opex = OpexModel::default();
     let priced = opex.price(&spec, &outcome.plan);
-    println!(
+    out!(
         "opex: {} phases x ${:.0}k setup + {:.0} crew-days = ${:.0}k total (~{:.0} working days)",
         priced.phases,
         opex.phase_setup_cost / 1000.0,
@@ -490,7 +533,7 @@ fn cmd_audit(preset: &str) -> Result<(), CliError> {
         priced.total_cost / 1000.0,
         priced.duration_days
     );
-    println!(
+    out!(
         "recommended alpha for this workload: {:.3}",
         opex.recommended_alpha(BlockClass::FaGrid)
     );
@@ -524,7 +567,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
     }
     let report = result.map_err(|e| CliError::failure(e.to_string()))?;
 
-    println!(
+    out!(
         "{}: initial plan {} phases in {:.1}ms ({} states)",
         report.name,
         report.initial_phases,
@@ -545,17 +588,20 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         } else {
             String::new()
         };
-        println!(
+        out!(
             "  step {:>3}  {} x{}{canary}  util {:.3}{drift}  {verdict}",
-            s.step, s.action, s.blocks, s.max_utilization
+            s.step,
+            s.action,
+            s.blocks,
+            s.max_utilization
         );
         if let Some(reason) = &s.pause_reason {
-            println!("            reason: {reason}");
+            out!("            reason: {reason}");
         }
     }
     for r in &report.replans {
         if r.ok {
-            println!(
+            out!(
                 "  replan after step {}: {} phases in {:.1}ms \
                  ({} states, {} esc hits, {} incr clean dests)",
                 r.at_step,
@@ -566,7 +612,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
                 r.stats.incremental_clean
             );
         } else {
-            println!(
+            out!(
                 "  replan after step {} FAILED in {:.1}ms: {}",
                 r.at_step,
                 r.latency_ms,
@@ -579,7 +625,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
             Some(s) => format!("step {s}"),
             None => "initial state".to_string(),
         };
-        println!(
+        out!(
             "  rollback at step {} to {to} ({} snapshots skipped, {})",
             rb.at_step,
             rb.snapshots_skipped,
@@ -593,7 +639,7 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
     } else {
         "aborted"
     };
-    println!(
+    out!(
         "{outcome}: {} steps, {} audits, {} pauses, {} replans  (fingerprint {:016x})",
         report.steps.len(),
         report.audit_stats.live_audits,
@@ -602,15 +648,15 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         report.fingerprint()
     );
     if let Some(reason) = &report.abort_reason {
-        println!("reason: {reason}");
+        out!("reason: {reason}");
     }
     if let Some(path) = &trace {
-        println!("trace written to {path}");
+        out!("trace written to {path}");
     }
     if let Some(out) = out {
         let json = serde_json::to_string_pretty(&report).or_fail("serialization failed")?;
         std::fs::write(&out, json).or_fail(format_args!("cannot write {out}"))?;
-        println!("report written to {out}");
+        out!("report written to {out}");
     }
     if let Some(dir) = flight_dump {
         match &report.flight {
@@ -623,13 +669,13 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
                 let path = format!("{dir}/{file}");
                 std::fs::write(&path, bundle.to_json())
                     .or_fail(format_args!("cannot write {path}"))?;
-                println!(
+                out!(
                     "flight bundle ({}, {} events) written to {path}",
                     bundle.trigger,
                     bundle.events.len()
                 );
             }
-            None => println!("no flight bundle: the run never paused, rolled back, or aborted"),
+            None => out!("no flight bundle: the run never paused, rolled back, or aborted"),
         }
     }
     if report.completed {
@@ -670,19 +716,19 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), CliError> {
 
     signal::install_handlers();
     let service = Service::start(config.clone()).or_fail("cannot start service")?;
-    println!(
+    out!(
         "klotski-service listening on http://{} ({} workers, queue depth {})",
         service.local_addr(),
         config.workers,
         config.queue_depth
     );
     if let Some(dir) = &config.state_dir {
-        println!("warm state: journal under {}", dir.display());
+        out!("warm state: journal under {}", dir.display());
     }
-    println!(
+    out!(
         "endpoints: POST /v1/plan  POST /v1/audit  POST /v1/run  GET /v1/jobs/{{id}}  GET /v1/jobs/{{id}}/events  GET /metrics  GET /healthz"
     );
     service.run_until_signalled();
-    println!("drained; bye");
+    out!("drained; bye");
     Ok(())
 }

@@ -11,24 +11,30 @@
 //! when it is generated — and the claim is stronger than equal cost: the
 //! same plan steps from the same number of expansions, with no more
 //! evaluations, under every ESC mode.
+//!
+//! Both planners hand the lookahead the utilization their own checks
+//! measured (`PlanOutcome::headroom`); on the same instances that hand-off is
+//! held to the from-scratch route of every plan state.
 
 use klotski::baselines::BruteForcePlanner;
 use klotski::core::cost::HeuristicMode;
 use klotski::core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski::core::plan::{validate_plan, MigrationPlan, PlanStep};
-use klotski::core::planner::{AStarPlanner, DpPlanner, Planner};
+use klotski::core::planner::{AStarPlanner, DpPlanner, PlanOutcome, Planner};
 use klotski::core::satcheck::{EscMode, SatChecker};
-use klotski::core::{ActionTypeId, CompactState, CostModel, EnsembleSpec};
-use klotski::routing::FunnelingModel;
+use klotski::core::{ActionTypeId, CompactState, CostModel, EnsembleSpec, LiveEngine, PlanReplay};
+use klotski::parallel::WorkerPool;
+use klotski::routing::{evaluate_policy, FunnelingModel};
 use klotski::topology::fabric::FabricConfig;
 use klotski::topology::hgrid::HgridConfig;
 use klotski::topology::ma::BackboneConfig;
 use klotski::topology::presets::{self, Preset, PresetId};
 use klotski::topology::region::{build_region, RegionConfig};
-use klotski::traffic::DemandGenConfig;
+use klotski::traffic::{DemandGenConfig, DemandMatrix};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// A search key: `(V, last action type)`, `None` at the origin.
 type Key = (CompactState, Option<ActionTypeId>);
@@ -201,8 +207,144 @@ fn assert_lazy_is_eager(spec: &MigrationSpec) -> Result<Option<f64>, String> {
     Ok(cost)
 }
 
+/// The random tiny instance of both properties below: preset A's HGRID
+/// migration under a drawn θ, demand seed, block scale, funneling model and
+/// K=2 ensemble. `None` when the spec does not build (the origin already
+/// breaks θ): no instance at all.
+fn instance(
+    theta: f64,
+    seed: u64,
+    scale_idx: usize,
+    funneling_on: bool,
+    ensemble_on: bool,
+) -> Option<MigrationSpec> {
+    let opts = MigrationOptions {
+        theta,
+        demand_cfg: DemandGenConfig {
+            seed,
+            ..DemandGenConfig::default()
+        },
+        block_scale: [0.5, 1.0, 2.0][scale_idx],
+        funneling: FunnelingModel {
+            headroom_factor: if funneling_on { 1.2 } else { 1.0 },
+        },
+        ensemble: ensemble_on.then(|| EnsembleSpec::with_k(2, seed)),
+        ..MigrationOptions::default()
+    };
+    MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &opts).ok()
+}
+
+/// The headroom hand-off of one planned outcome, held to the from-scratch
+/// route: one entry per step; an entry is absent exactly where the funneling
+/// model inflated that step's check before it was summarized; a present one
+/// is the max utilization `evaluate_policy` reports for the step's state
+/// under the planning matrix, bit for bit. And a lookahead whose memo is
+/// seeded from it answers as an unseeded one does, with no more sweeps.
+fn assert_headroom_hands_off(spec: &MigrationSpec, out: &PlanOutcome) -> Result<(), String> {
+    let steps = out.plan.steps();
+    if out.headroom.len() != steps.len() {
+        return Err(format!(
+            "{} entries for {} steps",
+            out.headroom.len(),
+            steps.len()
+        ));
+    }
+    let mut v = CompactState::origin(spec.num_types());
+    let mut state = spec.initial.clone();
+    for (i, (step, entry)) in steps.iter().zip(&out.headroom).enumerate() {
+        spec.apply_next(&mut state, &v, step.kind);
+        v = v.advanced(step.kind);
+        let funneled = spec.funneling.is_enabled() && spec.kind_is_drain(step.kind);
+        let oracle = evaluate_policy(
+            &spec.topology,
+            &state,
+            &spec.demands,
+            spec.theta,
+            spec.split,
+        )
+        .report
+        .max_utilization;
+        match entry {
+            None if funneled => {}
+            Some(u) if !funneled && u.to_bits() == oracle.to_bits() => {}
+            other => {
+                return Err(format!(
+                    "step {i} (funneled: {funneled}): {other:?}, the oracle reads {oracle:e}"
+                ))
+            }
+        }
+    }
+
+    let origin = CompactState::origin(spec.num_types());
+    let phases = out.plan.phases();
+    let pool = || Arc::new(WorkerPool::new(1));
+    let (mut seeded_engine, mut unseeded_engine) =
+        (LiveEngine::new(spec, pool()), LiveEngine::new(spec, pool()));
+    let mut seeded = PlanReplay::seeded(spec, &out.plan, &out.headroom);
+    let mut unseeded = PlanReplay::default();
+    let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+    for call in 0..8 {
+        // Every rate moved by its own factor in [0.6, 1.4): some worlds the
+        // bound clears outright, some need exact sweeps, some trip.
+        let realized: DemandMatrix = spec
+            .demands
+            .iter()
+            .cloned()
+            .map(|mut d| {
+                x = x.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(call + 1);
+                d.gbps *= 0.6 + 0.8 * (x >> 11) as f64 / (1u64 << 53) as f64;
+                d
+            })
+            .collect();
+        let fast = seeded.lookahead(
+            &mut seeded_engine,
+            spec,
+            &spec.initial,
+            &origin,
+            &phases,
+            &realized,
+        );
+        let slow = unseeded.lookahead(
+            &mut unseeded_engine,
+            spec,
+            &spec.initial,
+            &origin,
+            &phases,
+            &realized,
+        );
+        if fast.trip != slow.trip || fast.swept > slow.swept {
+            return Err(format!("call {call}: seeded {fast:?}, unseeded {slow:?}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_headroom_hand_off_is_the_from_scratch_utilization(
+        theta in 0.65f64..0.95,
+        seed in 0u64..500,
+        scale_idx in 0usize..3,
+        funneling_on in proptest::bool::ANY,
+        ensemble_on in proptest::bool::ANY,
+    ) {
+        if let Some(spec) = instance(theta, seed, scale_idx, funneling_on, ensemble_on) {
+            for esc in [EscMode::Compact, EscMode::FullTopology, EscMode::Off] {
+                let planners: [(&str, Box<dyn Planner>); 2] = [
+                    ("a*", Box::new(AStarPlanner { esc, ..AStarPlanner::default() })),
+                    ("dp", Box::new(DpPlanner { esc, ..DpPlanner::default() })),
+                ];
+                for (name, planner) in planners {
+                    if let Ok(out) = planner.plan(&spec) {
+                        let held = assert_headroom_hands_off(&spec, &out);
+                        prop_assert!(held.is_ok(), "{name} {esc:?}: {}", held.unwrap_err());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn prop_dp_cost_equals_brute_force_and_astar(
@@ -212,19 +354,7 @@ proptest! {
         funneling_on in proptest::bool::ANY,
         ensemble_on in proptest::bool::ANY,
     ) {
-        let opts = MigrationOptions {
-            theta,
-            demand_cfg: DemandGenConfig { seed, ..DemandGenConfig::default() },
-            block_scale: [0.5, 1.0, 2.0][scale_idx],
-            funneling: FunnelingModel {
-                headroom_factor: if funneling_on { 1.2 } else { 1.0 },
-            },
-            ensemble: ensemble_on.then(|| EnsembleSpec::with_k(2, seed)),
-            ..MigrationOptions::default()
-        };
-        // A spec that does not build (the origin already breaks θ) is no
-        // instance at all.
-        if let Ok(spec) = MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &opts) {
+        if let Some(spec) = instance(theta, seed, scale_idx, funneling_on, ensemble_on) {
             let dp = DpPlanner::default().plan(&spec);
             let brute = BruteForcePlanner::default().plan(&spec);
             let astar = assert_lazy_is_eager(&spec);

@@ -75,3 +75,53 @@ fn plan_trace_round_trips_through_the_validator() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `klotski trace summarize t.jsonl | head -1`: the reader takes one line and
+/// leaves. The trace is long enough (one timeline line per controller span)
+/// that the CLI is still writing when the pipe closes; that is the end of a
+/// quiet, successful run — not a "failed printing to stdout" panic.
+#[test]
+fn output_into_a_closed_pipe_ends_the_cli_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let dir = std::env::temp_dir().join(format!("klotski-epipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // ~2 MB of timeline, far past any pipe buffer.
+    let trace: String = (1..=30_000)
+        .map(|i| {
+            format!(
+                "{{\"type\":\"span\",\"name\":\"controller.phase\",\"id\":{i},\"parent\":0,\
+                 \"thread\":\"main\",\"start_us\":{i},\"dur_us\":1,\
+                 \"fields\":{{\"step\":{i},\"action\":\"drain-fa-grid-v1\",\"outcome\":\"advance\"}}}}\n"
+            )
+        })
+        .collect();
+    validate_trace(&trace).expect("the synthetic trace is schema-valid");
+    std::fs::write(dir.join("long.jsonl"), trace).unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_klotski"))
+        .args(["trace", "summarize", "long.jsonl"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("span families"), "{first}");
+    drop(stdout); // the reader leaves
+    let status = child.wait().unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert_eq!(status.code(), Some(0), "stderr: {stderr}");
+    assert_eq!(stderr, "");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
