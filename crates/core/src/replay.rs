@@ -1,25 +1,26 @@
-//! Plan replay: walking a plan's chain of canonical states — and the states
-//! a run actually observes — on the incremental routing engine.
+//! The incremental routing engine, and the walks that replay a plan — or the
+//! states a run actually observes — on it.
 //!
-//! Every consumer that "walks the plan again" — the validation oracle, the
-//! pre-flight audit, and the §7.1 lookahead that re-checks the remaining
-//! plan against the realized world — visits a chain of states each a few
-//! circuits from the last. That is the shape the structure-only
-//! [`IncrementalRouter`] is fast on: only the destinations a delta disturbs
-//! re-derive their routing structure.
+//! Every consumer of routing outside the spec build visits a chain of states
+//! each a few circuits from the last: a planner's checks, the validating
+//! walk over a finished plan, a run's shadow audits and the §7.1 lookahead.
+//! That is the shape the structure-only [`IncrementalRouter`] is fast on:
+//! only the destinations a delta disturbs re-derive their routing structure.
 //!
+//! - [`LiveEngine`] is the one wrapper over that engine: it keeps the state
+//!   it routed last, diffs the next state against it — by the block lists
+//!   of the compact diff when the caller vouches for a canonical state, by
+//!   circuit usability otherwise — and keeps Eq. 6 port degrees by the same
+//!   toggles. A [`SatChecker`] routes every cache miss on one; a run's
+//!   shadow audit ([`LiveEngine::audit_live`]) and lookahead sweeps share
+//!   another.
 //! - [`validate_and_audit_on`] is the one pass over a whole plan:
 //!   [`validate_plan_on`](crate::plan::validate_plan_on) and
 //!   [`audit_plan`](crate::report::audit_plan) are its verdict-only and
 //!   audit-only modes. The validating walk judges every state on a *fresh*
 //!   [`SatChecker`] with the ESC cache off — it shares nothing with the
 //!   search that produced the plan — and the audit reads each phase-end
-//!   record off the state that check just routed. Its checker routes on a
-//!   [`ChainRouter`]: toggles come from the block lists of the compact diff.
-//! - [`LiveEngine`] is the engine a running migration keeps alive: it routes
-//!   *any* state — observed, disturbed, canonical — under *any* matrix,
-//!   diffing consecutive states by circuit usability. The shadow audit
-//!   ([`LiveEngine::audit_live`]) and the lookahead's sweeps share it.
+//!   record off the state that check just routed.
 //! - [`PlanReplay`] is the lookahead: a per-plan *headroom memo* — each
 //!   canonical state's max utilization under the planning matrix, handed
 //!   over by the planner ([`PlanReplay::seeded`]) or swept once — from which
@@ -34,8 +35,8 @@ use crate::report::{PhaseAudit, PlanAudit};
 use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, usability_toggles, CsrGraph, IncrementalRouter,
-    LoadMap, PackedLoads, SafetyOutcome,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, PackedLoads,
+    SafetyOutcome,
 };
 use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
@@ -43,223 +44,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Give up on delta derivation beyond this many blocks of compact-state
-/// diff: the candidate scan would approach full-rescan cost, and a full
-/// rebuild bounds the worst case.
+/// Give up on a block-list diff beyond this many blocks: the candidate scan
+/// would approach full-rescan cost, and a full rebuild bounds the worst case.
 const MAX_DELTA_BLOCKS: usize = 64;
-
-/// The incremental routing engine plus the canonical `(V, state)` its cached
-/// structures correspond to.
-///
-/// The toggled-circuit set between base and child is derived *from the
-/// block lists of the compact diff* — the circuits a block drains plus the
-/// circuits incident to its switches are exactly the bits
-/// `OperationBlock::apply` can flip — so no full-topology rescan happens on
-/// the delta path. This (like the ESC cache) relies on every routed state
-/// being the canonical overlay of its compact vector under one spec.
-#[derive(Debug)]
-pub(crate) struct ChainRouter {
-    engine: IncrementalRouter,
-    base_v: Option<CompactState>,
-    base_state: NetState,
-    /// Eq. 6 port degree of every switch in the base state: its usable
-    /// incident circuits, moved by ±1 per endpoint of each toggled circuit.
-    degree: Vec<u32>,
-    /// Switches whose degree exceeds their port budget.
-    over_budget: usize,
-    /// Toggle scratch: exact changed circuits, deduplicated by stamp.
-    toggles: Vec<CircuitId>,
-    seen: Vec<u32>,
-    epoch: u32,
-}
-
-impl ChainRouter {
-    /// A chain router over `spec.demands` plus `extras` (the non-base
-    /// matrices of an ensemble, swept with it by
-    /// [`route_ensemble`](Self::route_ensemble)).
-    pub(crate) fn new(
-        spec: &MigrationSpec,
-        csr: Arc<CsrGraph>,
-        extras: &[DemandMatrix],
-        lanes: usize,
-    ) -> Self {
-        Self {
-            engine: IncrementalRouter::with_csr_ensemble(
-                csr,
-                &spec.demands,
-                extras,
-                lanes,
-                spec.split,
-            ),
-            base_v: None,
-            base_state: spec.initial.clone(),
-            degree: vec![0; spec.topology.num_switches()],
-            over_budget: 0,
-            toggles: Vec::new(),
-            seen: vec![0; spec.topology.num_circuits()],
-            epoch: 0,
-        }
-    }
-
-    pub(crate) fn engine(&self) -> &IncrementalRouter {
-        &self.engine
-    }
-
-    /// Eq. 6 on the state routed last: true if a live switch has more usable
-    /// circuits than ports — `Topology::has_port_violation` of that state,
-    /// kept per toggle instead of recounted per check.
-    pub(crate) fn has_port_violation(&self) -> bool {
-        self.over_budget > 0
-    }
-
-    /// The state routed last, the port degrees kept for it and the Eq. 6
-    /// verdict read off them (test hook).
-    pub(crate) fn port_budgets(&self) -> (&NetState, &[u32], bool) {
-        (&self.base_state, &self.degree, self.has_port_violation())
-    }
-
-    /// Routes the base matrix over `(v, state)` into `loads` (cleared
-    /// first), diffing against the current base by block lists; `(v, state)`
-    /// becomes the base.
-    pub(crate) fn route(
-        &mut self,
-        pool: &WorkerPool,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        loads: &mut LoadMap,
-        outcome: &mut RouteOutcome,
-    ) {
-        let delta = self.compute_toggles(spec, v, state);
-        let toggles = delta.then_some(&self.toggles[..]);
-        loads.clear();
-        self.engine
-            .evaluate(pool, &spec.topology, state, toggles, loads, outcome);
-        self.set_base(spec, v, state, delta);
-    }
-
-    /// [`route`](Self::route) for the whole ensemble: one advance to
-    /// `(v, state)` and one packed sweep of the base matrix and every extra
-    /// into `loads` (overwritten), lane `m` being matrix `m`. Returns the
-    /// wall time of the sweep alone.
-    pub(crate) fn route_ensemble(
-        &mut self,
-        pool: &WorkerPool,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        loads: &mut PackedLoads,
-        outcomes: &mut [RouteOutcome],
-    ) -> Duration {
-        let delta = self.compute_toggles(spec, v, state);
-        let toggles = delta.then_some(&self.toggles[..]);
-        let swept =
-            self.engine
-                .evaluate_packed(pool, &spec.topology, state, toggles, loads, outcomes);
-        self.set_base(spec, v, state, delta);
-        swept
-    }
-
-    /// Makes `(v, state)` the base. With `delta`, `self.toggles` is the
-    /// exact usability diff from the old base and the port degrees move by
-    /// it; otherwise (the paths on which the engine rebuilt in full) they are
-    /// recounted from `state`.
-    fn set_base(&mut self, spec: &MigrationSpec, v: &CompactState, state: &NetState, delta: bool) {
-        let topo = &spec.topology;
-        if delta {
-            for &c in &self.toggles {
-                let now_usable = state.circuit_usable(topo, c);
-                let circuit = topo.circuit(c);
-                for s in [circuit.a, circuit.b] {
-                    let budget = u32::from(topo.switch(s).max_ports);
-                    let degree = &mut self.degree[s.index()];
-                    if now_usable {
-                        *degree += 1;
-                        self.over_budget += usize::from(*degree == budget + 1);
-                    } else {
-                        self.over_budget -= usize::from(*degree == budget + 1);
-                        *degree -= 1;
-                    }
-                }
-            }
-        } else {
-            self.over_budget = 0;
-            for s in topo.switches() {
-                let degree = state.active_degree(topo, s.id) as u32;
-                self.degree[s.id.index()] = degree;
-                self.over_budget += usize::from(degree > u32::from(s.max_ports));
-            }
-        }
-        debug_assert_eq!(
-            self.has_port_violation(),
-            topo.has_port_violation(state),
-            "port degrees kept by delta diverged from the state"
-        );
-        match &mut self.base_v {
-            Some(base) => base.clone_from(v),
-            None => self.base_v = Some(v.clone()),
-        }
-        self.base_state.clone_from(state);
-    }
-
-    /// Fills `self.toggles` with the exact set of circuits whose usability
-    /// differs between the base and `(v, state)`. Returns false when there
-    /// is no base yet or the diff spans too many blocks (the engine then
-    /// rebuilds in full).
-    fn compute_toggles(
-        &mut self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-    ) -> bool {
-        let Some(base_v) = &self.base_v else {
-            return false;
-        };
-        let mut span = 0usize;
-        for a in spec.actions.ids() {
-            span += base_v.count(a).abs_diff(v.count(a)) as usize;
-        }
-        if span > MAX_DELTA_BLOCKS {
-            return false;
-        }
-        self.toggles.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        let topo = &spec.topology;
-        let base_state = &self.base_state;
-        let seen = &mut self.seen;
-        let toggles = &mut self.toggles;
-        let epoch = self.epoch;
-        let mut consider = |c: CircuitId| {
-            let ci = c.index();
-            if seen[ci] != epoch {
-                seen[ci] = epoch;
-                if base_state.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
-                    toggles.push(c);
-                }
-            }
-        };
-        for a in spec.actions.ids() {
-            let (b, n) = (base_v.count(a), v.count(a));
-            let (lo, hi) = (b.min(n), b.max(n));
-            for i in lo..hi {
-                let block = spec.block_for(a, i);
-                for &c in &block.circuits {
-                    consider(c);
-                }
-                for &s in &block.switches {
-                    for &(c, _) in topo.neighbors(s) {
-                        consider(c);
-                    }
-                }
-            }
-        }
-        true
-    }
-}
 
 /// Relative slack `δ` of the headroom bound [`headroom_clears`]: a state is
 /// cleared without a sweep only when `u · k · (1 + δ) ≤ θ`.
@@ -299,45 +86,113 @@ pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
     u * k * (1.0 + HEADROOM_SLACK) <= theta
 }
 
-/// The one routing engine of a running migration: a private
+/// The one wrapper over the incremental routing engine: a private
 /// [`IncrementalRouter`] that routes whatever state it is shown under
 /// whatever matrix is loaded, bit for bit as
-/// `klotski_routing::evaluate_policy` would from scratch.
+/// `klotski_routing::evaluate_policy` would from scratch, plus the state it
+/// routed last and Eq. 6 port degrees kept for that state.
 ///
-/// Nothing about a routed state is assumed — it may carry failed circuits
-/// and switches drained behind the planner's back, or be a canonical state
-/// many blocks away — so consecutive states are diffed by circuit usability
-/// over the whole topology (linear, far below one route); structure is then
-/// re-derived only for the destinations the difference disturbs, and a
-/// matrix change rewrites rates only. No ESC cache, nothing shared with any
-/// planner's checker: §7's shadow audit is independent of the search.
+/// Each route diffs the new state against the last one; the toggled
+/// circuits come from one of two sources:
+///
+/// - **Block lists**, when the caller vouches that the state is the
+///   canonical overlay of a compact vector (a [`SatChecker`]'s checks) and
+///   the last route vouched too: the circuits a block drains plus those
+///   incident to its switches are exactly the bits `OperationBlock::apply`
+///   can flip, so only the blocks between the two vectors are scanned (a
+///   span over [`MAX_DELTA_BLOCKS`] rebuilds in full instead).
+/// - **Usability**, for every other state — observed ones may carry failed
+///   circuits and switches drained behind the planner's back — by one pass
+///   over every circuit (linear, far below one route) into the engine's
+///   scratch.
+///
+/// Structure is then re-derived only for the destinations the toggles
+/// disturb, and port degrees move by ±1 per toggle endpoint; both are
+/// rebuilt from the state only where there is no delta — no base (first
+/// route, [`release`](Self::release), an engine rebuilt by
+/// [`load`](Self::load)) or a block span past the limit. A matrix change
+/// rewrites rates only. No ESC cache, and a run's engine
+/// shares nothing with any planner's checker: §7's shadow audit is
+/// independent of the search.
 #[derive(Debug)]
 pub struct LiveEngine {
     pool: Arc<WorkerPool>,
     csr: Arc<CsrGraph>,
-    /// Built by the first [`load`](Self::load), over that matrix's endpoints.
+    /// Built at once for a checker, by the first [`load`](Self::load) for a
+    /// run.
     engine: Option<IncrementalRouter>,
     /// The state routed last, while the engine's structure describes it.
     base: Option<NetState>,
-    loads: LoadMap,
-    outcome: RouteOutcome,
+    /// The compact vector `base` is the canonical overlay of, when the route
+    /// that made it the base vouched for one.
+    base_v: Option<CompactState>,
+    /// Eq. 6 port degree of every switch in `base`: its usable incident
+    /// circuits.
+    degree: Vec<u32>,
+    /// Switches of `base` whose degree exceeds their port budget.
+    over_budget: usize,
+    /// Toggle scratch: the exact circuits whose usability differs from
+    /// `base`.
+    toggles: Vec<CircuitId>,
+    /// Stamps deduplicating the block-list diff's candidates.
+    seen: Vec<u32>,
+    epoch: u32,
+    /// [`route`](Self::route)'s buffers, allocated by its first call.
+    swept: Option<(LoadMap, RouteOutcome)>,
     /// Audits counted, and the destination counters of engines released.
     stats: SatStats,
 }
 
 impl LiveEngine {
     /// An engine for states of `spec.topology` (which every residual of
-    /// `spec` shares), advancing on `pool`'s lanes.
+    /// `spec` shares), advancing on `pool`'s lanes; the first
+    /// [`load`](Self::load) builds it.
     pub fn new(spec: &MigrationSpec, pool: Arc<WorkerPool>) -> Self {
+        Self::unbuilt(spec, Arc::new(CsrGraph::build(&spec.topology)), pool)
+    }
+
+    /// A checker's engine over its `csr`, built at once over `spec.demands`
+    /// and the ensemble's extras (swept with it by
+    /// [`route_ensemble`](Self::route_ensemble)).
+    pub(crate) fn for_checker(
+        spec: &MigrationSpec,
+        csr: Arc<CsrGraph>,
+        pool: Arc<WorkerPool>,
+    ) -> Self {
+        let mut live = Self::unbuilt(spec, csr, pool);
+        live.build(spec, &spec.demands, &spec.extra_demands);
+        live
+    }
+
+    fn unbuilt(spec: &MigrationSpec, csr: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
+        let topo = &spec.topology;
         Self {
             pool,
-            csr: Arc::new(CsrGraph::build(&spec.topology)),
+            csr,
             engine: None,
             base: None,
-            loads: LoadMap::new(&spec.topology),
-            outcome: RouteOutcome::new(),
+            base_v: None,
+            degree: vec![0; topo.num_switches()],
+            over_budget: 0,
+            toggles: Vec::new(),
+            seen: vec![0; topo.num_circuits()],
+            epoch: 0,
+            swept: None,
             stats: SatStats::default(),
         }
+    }
+
+    /// Replaces the engine with a fresh one over `demands` plus `extras`,
+    /// with no base.
+    fn build(&mut self, spec: &MigrationSpec, demands: &DemandMatrix, extras: &[DemandMatrix]) {
+        self.release();
+        self.engine = Some(IncrementalRouter::with_csr_ensemble(
+            self.csr.clone(),
+            demands,
+            extras,
+            self.pool.lanes(),
+            spec.split,
+        ));
     }
 
     /// Makes `demands` the matrix [`route`](Self::route) sweeps. A matrix
@@ -351,10 +206,7 @@ impl LiveEngine {
                 return;
             }
         }
-        self.release();
-        let csr = self.csr.clone();
-        let lanes = self.pool.lanes();
-        self.engine = Some(IncrementalRouter::with_csr(csr, demands, lanes, spec.split));
+        self.build(spec, demands, &[]);
     }
 
     /// Frees the engine proper — its per-destination structures are most of
@@ -366,49 +218,218 @@ impl LiveEngine {
         self.stats = self.stats();
         self.engine = None;
         self.base = None;
+        self.base_v = None;
     }
 
-    /// Eq. 4–5 outcome of `state` under the loaded matrix; `state` becomes
-    /// the base the next route is diffed against.
+    /// The engine proper, while built.
+    pub(crate) fn router(&self) -> Option<&IncrementalRouter> {
+        self.engine.as_ref()
+    }
+
+    /// Eq. 6 on the state routed last: true if a live switch has more usable
+    /// circuits than ports, read off the kept degrees.
+    pub(crate) fn port_violation(&self) -> bool {
+        self.over_budget > 0
+    }
+
+    /// The state routed last, each switch's count of usable circuits as kept
+    /// for it toggle by toggle, and the Eq. 6 verdict read off those counts;
+    /// `None` with no base. Test hook for the delta-against-recount oracle.
+    #[doc(hidden)]
+    pub fn port_budgets(&self) -> Option<(&NetState, &[u32], bool)> {
+        let base = self.base.as_ref()?;
+        Some((base, &self.degree, self.port_violation()))
+    }
+
+    /// Eq. 4–5 outcome of `state` under the loaded matrix, diffed against
+    /// the base by circuit usability; `state` becomes the base.
     ///
     /// # Panics
     /// Panics when no matrix was ever loaded.
     pub fn route(&mut self, spec: &MigrationSpec, state: &NetState) -> SafetyOutcome {
-        let topo = &spec.topology;
+        let (mut loads, mut outcome) = self
+            .swept
+            .take()
+            .unwrap_or_else(|| (LoadMap::new(&spec.topology), RouteOutcome::new()));
+        self.route_into(spec, None, state, &mut loads, &mut outcome);
+        let routed = SafetyOutcome {
+            all_reachable: outcome.all_reachable(),
+            unreachable_demands: outcome.unreachable.len(),
+            report: summarize(&spec.topology, state, &loads, spec.theta),
+        };
+        self.swept = Some((loads, outcome));
+        routed
+    }
+
+    /// Routes the loaded matrix over `state` into `loads` (cleared first);
+    /// `state` becomes the base. With `v` the caller vouches that `state` is
+    /// the canonical overlay of `v`, and the diff reads the block lists
+    /// where it can.
+    pub(crate) fn route_into(
+        &mut self,
+        spec: &MigrationSpec,
+        v: Option<&CompactState>,
+        state: &NetState,
+        loads: &mut LoadMap,
+        outcome: &mut RouteOutcome,
+    ) {
+        let delta = self.diff(spec, v, state);
         let engine = self.engine.as_mut().expect("load a matrix before routing");
-        let toggles = self
-            .base
-            .as_ref()
-            .map(|base| usability_toggles(topo, base, state));
-        self.loads.clear();
+        loads.clear();
         engine.evaluate(
             &self.pool,
-            topo,
+            &spec.topology,
             state,
-            toggles.as_deref(),
-            &mut self.loads,
-            &mut self.outcome,
+            delta.then_some(&self.toggles[..]),
+            loads,
+            outcome,
         );
+        self.set_base(spec, v, state, delta);
+    }
+
+    /// [`route_into`](Self::route_into) of a vouched-for state for the whole
+    /// ensemble: one advance and one packed sweep of the base matrix and
+    /// every extra into `loads` (overwritten), lane `m` being matrix `m`.
+    /// Returns the wall time of the sweep alone.
+    pub(crate) fn route_ensemble(
+        &mut self,
+        spec: &MigrationSpec,
+        v: &CompactState,
+        state: &NetState,
+        loads: &mut PackedLoads,
+        outcomes: &mut [RouteOutcome],
+    ) -> Duration {
+        let delta = self.diff(spec, Some(v), state);
+        let engine = self.engine.as_mut().expect("a checker's engine is built");
+        let swept = engine.evaluate_packed(
+            &self.pool,
+            &spec.topology,
+            state,
+            delta.then_some(&self.toggles[..]),
+            loads,
+            outcomes,
+        );
+        self.set_base(spec, Some(v), state, delta);
+        swept
+    }
+
+    /// Fills `self.toggles` with the exact set of circuits whose usability
+    /// differs between the base and `state` — from the block lists when `v`
+    /// and the base's vector are both known, by a scan of every circuit
+    /// otherwise. Returns false when there is no base, or the block diff
+    /// spans more than [`MAX_DELTA_BLOCKS`]: the engine then rebuilds in
+    /// full.
+    fn diff(&mut self, spec: &MigrationSpec, v: Option<&CompactState>, state: &NetState) -> bool {
+        let Some(base) = &self.base else {
+            return false;
+        };
+        let topo = &spec.topology;
+        let toggles = &mut self.toggles;
+        toggles.clear();
+        let (Some(v), Some(base_v)) = (v, &self.base_v) else {
+            for c in (0..topo.num_circuits()).map(CircuitId::from_index) {
+                if base.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
+                    toggles.push(c);
+                }
+            }
+            return true;
+        };
+        let mut span = 0usize;
+        for a in spec.actions.ids() {
+            span += base_v.count(a).abs_diff(v.count(a)) as usize;
+        }
+        if span > MAX_DELTA_BLOCKS {
+            return false;
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let seen = &mut self.seen;
+        let epoch = self.epoch;
+        let mut consider = |c: CircuitId| {
+            let ci = c.index();
+            if seen[ci] != epoch {
+                seen[ci] = epoch;
+                if base.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
+                    toggles.push(c);
+                }
+            }
+        };
+        for a in spec.actions.ids() {
+            let (b, n) = (base_v.count(a), v.count(a));
+            for i in b.min(n)..b.max(n) {
+                let block = spec.block_for(a, i);
+                for &c in &block.circuits {
+                    consider(c);
+                }
+                for &s in &block.switches {
+                    for &(c, _) in topo.neighbors(s) {
+                        consider(c);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Makes `(v, state)` the base. With `delta`, `self.toggles` is the
+    /// exact usability diff from the old base and the port degrees move by
+    /// it; otherwise (the engine rebuilt in full) they are recounted from
+    /// `state`.
+    fn set_base(
+        &mut self,
+        spec: &MigrationSpec,
+        v: Option<&CompactState>,
+        state: &NetState,
+        delta: bool,
+    ) {
+        let topo = &spec.topology;
+        if delta {
+            for &c in &self.toggles {
+                let now_usable = state.circuit_usable(topo, c);
+                let circuit = topo.circuit(c);
+                for s in [circuit.a, circuit.b] {
+                    let budget = u32::from(topo.switch(s).max_ports);
+                    let degree = &mut self.degree[s.index()];
+                    if now_usable {
+                        *degree += 1;
+                        self.over_budget += usize::from(*degree == budget + 1);
+                    } else {
+                        self.over_budget -= usize::from(*degree == budget + 1);
+                        *degree -= 1;
+                    }
+                }
+            }
+        } else {
+            self.over_budget = 0;
+            for s in topo.switches() {
+                let degree = state.active_degree(topo, s.id) as u32;
+                self.degree[s.id.index()] = degree;
+                self.over_budget += usize::from(degree > u32::from(s.max_ports));
+            }
+        }
+        debug_assert_eq!(self.port_violation(), topo.has_port_violation(state));
         match &mut self.base {
             Some(base) => base.clone_from(state),
             None => self.base = Some(state.clone()),
         }
-        SafetyOutcome {
-            all_reachable: self.outcome.all_reachable(),
-            unreachable_demands: self.outcome.unreachable.len(),
-            report: summarize(topo, state, &self.loads, spec.theta),
+        match (v, &mut self.base_v) {
+            (Some(v), Some(base_v)) => base_v.clone_from(v),
+            (v, base_v) => *base_v = v.cloned(),
         }
     }
 
     /// Audits an *arbitrary* live state under an *arbitrary* demand matrix
     /// — the shadow-audit entry point for controllers observing a real
-    /// fleet: [`load`](Self::load), [`route`](Self::route) and the Eq. 6 port
-    /// recount, as one counted audit. The state may carry disturbances
-    /// outside the canonical overlay of any compact state; `demands` may
-    /// differ from the planning matrix in rates (growth, surges) or — at the
-    /// price of a rebuilt engine — in endpoints. The space model (§7.2)
-    /// constrains the compact progress vector, which a live state does not
-    /// carry, so it is not part of a live audit.
+    /// fleet: [`load`](Self::load) and [`route`](Self::route) as one counted
+    /// audit, Eq. 6 read off the kept port degrees. The state may carry
+    /// disturbances outside the canonical overlay of any compact state;
+    /// `demands` may differ from the planning matrix in rates (growth,
+    /// surges) or — at the price of a rebuilt engine — in endpoints. The
+    /// space model (§7.2) constrains the compact progress vector, which a
+    /// live state does not carry, so it is not part of a live audit.
     pub fn audit_live(
         &mut self,
         spec: &MigrationSpec,
@@ -418,7 +439,7 @@ impl LiveEngine {
         self.stats.live_audits += 1;
         self.load(spec, demands);
         let routed = self.route(spec, state);
-        let port_violation = spec.check_ports && spec.topology.has_port_violation(state);
+        let port_violation = spec.check_ports && self.port_violation();
         LiveAudit {
             safe: routed.satisfied() && !port_violation,
             all_reachable: routed.all_reachable,

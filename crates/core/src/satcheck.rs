@@ -27,21 +27,22 @@
 //!
 //! [`SatChecker::check`] is the one entry point of both planners and the
 //! validating walk, one state at a time; a caller hands over no parent
-//! context. A cache miss is evaluated by one of two routers. Planning checks
-//! go through the [`IncrementalRouter`]: the state is diffed against
-//! whichever state the engine routed last (toggles from the block lists of
-//! the compact diff — one block for a DP sweep step, a few for the jump
-//! between two A\* pops), routing structure is re-derived only for the
+//! context. A cache miss routes on the checker's own [`LiveEngine`], built
+//! with the checker over every matrix of the ensemble: the state is diffed
+//! against whichever state the engine routed last (toggles from the block
+//! lists of the compact diff — one block for a DP sweep step, a few for the
+//! jump between two A\* pops), routing structure is re-derived only for the
 //! destinations those toggles disturbed (fanned out over the
-//! [`WorkerPool`]'s lanes), and loads are swept once per state,
-//! bit-identical at any lane count. With a traffic ensemble that one
-//! traversal carries all K matrices, the base as lane 0, into a
-//! [`PackedLoads`]; funneling headroom and the K utilization summaries are
-//! taken on the packed field, the AND over matrices is folded off the K
-//! reports in index order, and only the base lane is copied out (for the
-//! audit observer and `last_loads`). A spec with `incremental == false` — the
-//! reference the differential tests compare against — routes from scratch on
-//! one sequential [`EcmpRouter`], one matrix after the other.
+//! [`WorkerPool`]'s lanes), Eq. 6 port degrees move by the same toggles, and
+//! loads are swept once per state, bit-identical at any lane count. With a
+//! traffic ensemble that one traversal carries all K matrices, the base as
+//! lane 0, into a [`PackedLoads`]; funneling headroom and the K utilization
+//! summaries are taken on the packed field, the AND over matrices is folded
+//! off the K reports in index order, and only the base lane is copied out
+//! (for the audit observer and `last_loads`). A spec with
+//! `incremental == false` — the reference the differential tests compare
+//! against — routes from scratch on one sequential [`EcmpRouter`], one
+//! matrix after the other, and recounts Eq. 6.
 //!
 //! A check that summarized the base matrix's loads as routed leaves their
 //! max utilization in [`SatChecker::last_raw_utilization`] — cache hits
@@ -49,14 +50,12 @@
 //! ([`PlanOutcome::headroom`](crate::planner::PlanOutcome::headroom)).
 //!
 //! Live (observed, non-canonical) states are not this checker's business:
-//! the run loop audits them on its own [`LiveEngine`](crate::LiveEngine).
-//!
-//! [`IncrementalRouter`]: klotski_routing::IncrementalRouter
+//! the run loop audits them on an engine of its own.
 
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
-use crate::replay::ChainRouter;
+use crate::replay::LiveEngine;
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, summarize_packed, CsrGraph, EcmpRouter, LoadMap,
@@ -93,8 +92,9 @@ pub struct SatStats {
     /// advance count by the space model's rejections.
     pub full_evaluations: u64,
     /// Destination groups whose cached routing structure the incremental
-    /// engine reused unchanged (zero when `MigrationOptions.incremental` is
-    /// off).
+    /// engine reused unchanged, over every route of the engine — a checker's
+    /// cache misses, or a run's audits and lookahead sweeps, engines
+    /// released included. Zero on a from-scratch checker.
     #[serde(default)]
     pub incremental_clean: u64,
     /// Destination groups whose routing structure the incremental engine
@@ -112,9 +112,10 @@ pub struct SatStats {
     /// circuit footprints (zero when incremental evaluation is off).
     #[serde(default)]
     pub footprint_bytes: u64,
-    /// Live-state audits ([`LiveEngine::audit_live`](crate::LiveEngine::audit_live)):
-    /// evaluations of observed states outside the canonical overlay, never
-    /// cached. Zero on a planner's checker.
+    /// Live-state audits ([`LiveEngine::audit_live`]): evaluations of
+    /// observed states outside the canonical overlay, never cached. A
+    /// checker's engine only routes its cache misses, so a checker reports
+    /// zero.
     #[serde(default)]
     pub live_audits: u64,
     /// Traffic-ensemble size K (0 when no ensemble is configured; every
@@ -189,8 +190,7 @@ impl EnsembleBreakdown {
     }
 }
 
-/// Detailed outcome of one live-state audit
-/// ([`LiveEngine::audit_live`](crate::LiveEngine::audit_live)).
+/// Detailed outcome of one live-state audit ([`LiveEngine::audit_live`]).
 ///
 /// Richer than the boolean verdict planners consume: a controller pausing a
 /// live migration needs to know *which* constraint broke and by how much.
@@ -249,16 +249,14 @@ enum CacheKey {
     Full(NetState, u8),
 }
 
-/// The satisfiability checker with its ESC cache, worker pool, and reusable
-/// routing buffers.
+/// The satisfiability checker with its ESC cache, routing engine, and
+/// reusable routing buffers.
 #[derive(Debug)]
 pub struct SatChecker {
     mode: EscMode,
     /// True when the target box fits in a `u64` dense index (always, in
     /// practice: a box that overflows `u64` could never be searched anyway).
     dense_ok: bool,
-    /// Lanes the incremental engine fans dirty destinations out over.
-    pool: Arc<WorkerPool>,
     /// The from-scratch path of `incremental == false` specs.
     router: EcmpRouter,
     loads: LoadMap,
@@ -266,7 +264,7 @@ pub struct SatChecker {
     /// Reused routing-outcome buffer (no per-evaluation reallocation).
     outcome: RouteOutcome,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
-    incremental: Option<ChainRouter>,
+    incremental: Option<LiveEngine>,
     /// Buffers of the packed ensemble fold: present iff the checker is
     /// incremental and the spec has extra matrices.
     packed: Option<PackedFold>,
@@ -349,7 +347,7 @@ impl SatChecker {
         let csr = Arc::new(CsrGraph::build(&spec.topology));
         let incremental = spec
             .incremental
-            .then(|| ChainRouter::new(spec, csr.clone(), &spec.extra_demands, pool.lanes()));
+            .then(|| LiveEngine::for_checker(spec, csr.clone(), pool));
         let matrices = spec.extra_demands.len() + 1;
         let packed = (incremental.is_some() && matrices > 1).then(|| PackedFold {
             loads: PackedLoads::new(&spec.topology, matrices),
@@ -360,7 +358,6 @@ impl SatChecker {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
             router: EcmpRouter::from_csr(csr, spec.split),
-            pool,
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
@@ -400,11 +397,11 @@ impl SatChecker {
     /// counters and the current ESC cache footprint.
     pub fn stats(&self) -> SatStats {
         let mut s = self.stats;
-        if let Some(incr) = &self.incremental {
-            let es = incr.engine().stats();
+        if let Some(router) = self.incremental.as_ref().and_then(LiveEngine::router) {
+            let es = router.stats();
             s.incremental_clean = es.clean_destinations;
             s.incremental_dirty = es.dirty_destinations;
-            s.footprint_bytes = incr.engine().footprint_bytes();
+            s.footprint_bytes = router.footprint_bytes();
         }
         s.esc_entries = self.cache.len() as u64;
         s.esc_bytes = self.cache_bytes;
@@ -467,18 +464,12 @@ impl SatChecker {
         self.packed.as_ref().map(|fold| &fold.loads)
     }
 
-    /// The state the incremental engine routed last, each switch's count of
-    /// usable circuits as kept for it toggle by toggle, and the Eq. 6
-    /// verdict read off those counts; `None` on a from-scratch checker. Test
-    /// hook for the delta-against-recount oracle.
+    /// [`LiveEngine::port_budgets`] of the checker's engine; `None` on a
+    /// from-scratch checker or before its first route. Test hook for the
+    /// delta-against-recount oracle.
     #[doc(hidden)]
     pub fn port_budgets(&self) -> Option<(&NetState, &[u32], bool)> {
-        self.incremental.as_ref().map(ChainRouter::port_budgets)
-    }
-
-    /// Execution lanes available to this checker.
-    pub fn lanes(&self) -> usize {
-        self.pool.lanes()
+        self.incremental.as_ref()?.port_budgets()
     }
 
     /// Number of cached entries (for memory-footprint reporting).
@@ -606,15 +597,8 @@ impl SatChecker {
         // Ensemble accounting is armed only when extra matrices exist, so
         // the single-matrix path pays no timing overhead.
         let ens_start = (!spec.extra_demands.is_empty()).then(Instant::now);
-        if let Some(incr) = &mut self.incremental {
-            incr.route(
-                &self.pool,
-                spec,
-                v,
-                state,
-                &mut self.loads,
-                &mut self.outcome,
-            );
+        if let Some(engine) = &mut self.incremental {
+            engine.route_into(spec, Some(v), state, &mut self.loads, &mut self.outcome);
         } else {
             self.mask.compute(&spec.topology, state);
             self.loads.clear();
@@ -639,7 +623,7 @@ impl SatChecker {
         let ok = ok
             && !(spec.check_ports
                 && match &self.incremental {
-                    Some(incr) => incr.has_port_violation(),
+                    Some(engine) => engine.port_violation(),
                     None => spec.topology.has_port_violation(state),
                 });
         let Some(t0) = ens_start else {
@@ -696,19 +680,12 @@ impl SatChecker {
     ) -> bool {
         let t0 = Instant::now();
         let topo = &spec.topology;
-        let incr = self
+        let engine = self
             .incremental
             .as_mut()
             .expect("a packed fold is built over the incremental engine");
         let fold = self.packed.as_mut().expect("checked by the caller");
-        let mut shared = incr.route_ensemble(
-            &self.pool,
-            spec,
-            v,
-            state,
-            &mut fold.loads,
-            &mut fold.outcomes,
-        );
+        let mut shared = engine.route_ensemble(spec, v, state, &mut fold.loads, &mut fold.outcomes);
         fold.loads.lane_into(0, &mut self.loads);
         if let Some(observe) = on_base {
             observe(&self.loads);
@@ -735,7 +712,7 @@ impl SatChecker {
             if k == 0 {
                 // Port budgets (Eq. 6) depend on the state alone: judged
                 // once, charged to the base matrix.
-                ok = ok && !(spec.check_ports && incr.has_port_violation());
+                ok = ok && !(spec.check_ports && engine.port_violation());
                 wall += t0.elapsed().saturating_sub(shared);
             }
             self.ensemble.record(k, wall, !ok);
@@ -949,7 +926,7 @@ mod tests {
         spec.space = None;
         let v = CompactState::from_counts(vec![0, spec.target_counts.counts()[1]]);
         let state = spec.state_for(&v);
-        assert!(spec.topology.has_port_violation(&state));
+        assert!(!spec.topology.port_violations(&state).is_empty());
         let mut unported = spec.clone();
         unported.check_ports = false;
         assert!(SatChecker::new(&unported, EscMode::Off).check(&unported, &v, &state, None));
@@ -1001,7 +978,12 @@ mod tests {
                 .expect("a feasible child");
             (v, state) = (children[next].0.clone(), children[next].1.clone());
         }
-        let engine = checker.incremental.as_ref().unwrap().engine().stats();
+        let engine = checker
+            .incremental
+            .as_ref()
+            .and_then(LiveEngine::router)
+            .unwrap()
+            .stats();
         assert!(accepted < checks, "the walk meets rejections");
         assert_eq!(engine.evaluations, checks);
         assert_eq!(engine.sweeps, checks, "one traversal per ensemble check");

@@ -2,18 +2,24 @@
 //! on one long-lived engine, every [`LiveAudit`] field must equal what the
 //! routing crate's one-shot `evaluate_policy` and
 //! `Topology::has_port_violation` report for the same state and demands, bit
-//! for bit.
+//! for bit, and the Eq. 6 degrees the engine keeps toggle by toggle must be
+//! the audited state's, recounted switch by switch.
 //!
 //! The walk is what a run shows the engine, and worse: circuits fail and
 //! heal, a switch is drained and restored behind the planner's back, the
 //! destination switch of a demand goes down and comes back, canonical block
 //! steps land in between, the plan jumps more than 64 blocks at once
 //! (preset C; preset A has 27), and the demand is rescaled at every step
-//! (0.5× / 1.0× / 1.8×, with a per-demand jitter on odd steps). Between audits the lookahead borrows the engine for
-//! sweeps of far-away canonical states under the planning matrix. Each state
+//! (0.5× / 1.0× / 1.8×, with a per-demand jitter on odd steps). Between
+//! audits the lookahead borrows the engine for sweeps of far-away canonical
+//! states under the planning matrix. The walk then steps in and out of
+//! states where Eq. 6 binds — every new-generation block up beside every old
+//! one, a failed circuit and a drained switch on top — and audits one of
+//! them under several matrices in a row, the zero-toggle case. Each state
 //! is routed as a delta against whatever the engine routed last, so a stale
-//! base state, stale rates, a missed toggle or a structure patched wrongly
-//! shows up as a mismatch against the from-scratch route.
+//! base state, stale rates, a missed toggle, a structure patched wrongly or
+//! a port degree moved wrongly shows up as a mismatch against the
+//! from-scratch route and recount.
 //!
 //! `evaluate_policy` routes on `EcmpRouter`, which production no longer
 //! runs inside a controller run: it is the reference here.
@@ -69,6 +75,23 @@ fn assert_audit_is_the_oracles(
     assert_eq!(audit.port_violation, ports, "{ctx}");
     assert_eq!(audit.safe, oracle.satisfied() && !ports, "{ctx}");
     assert_eq!(audit.violation().is_none(), audit.safe, "{ctx}");
+}
+
+/// The engine's base is `state`, and the Eq. 6 degrees and verdict it keeps
+/// for it are `state`'s, recounted switch by switch.
+fn assert_kept_degrees(spec: &MigrationSpec, engine: &LiveEngine, state: &NetState, ctx: &str) {
+    let topo = &spec.topology;
+    let (base, degree, over) = engine.port_budgets().expect("a route leaves a base");
+    assert!(base == state, "{ctx}: the state routed last is the base");
+    for s in topo.switches() {
+        assert_eq!(
+            degree[s.id.index()] as usize,
+            state.active_degree(topo, s.id),
+            "{ctx}: {}",
+            s.id
+        );
+    }
+    assert_eq!(over, topo.has_port_violation(state), "{ctx}");
 }
 
 /// What the fleet does to the planned state behind the planner's back.
@@ -188,6 +211,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
         let audit = engine.audit_live(&spec, &observed, &demands);
         let ctx = format!("{id} {split:?} step {step} at {:?}", v.counts());
         assert_audit_is_the_oracles(&spec, &observed, &demands, &audit, &ctx);
+        assert_kept_degrees(&spec, &engine, &observed, &ctx);
         if audit.safe {
             safe += 1;
         } else {
@@ -218,6 +242,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
                 "{ctx} sweep"
             );
             assert_eq!(swept.report, oracle.report, "{ctx} sweep");
+            assert_kept_degrees(&spec, &engine, &far, &format!("{ctx} sweep"));
             sweeps += 1;
         }
     }
@@ -238,6 +263,54 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
         safe > 0 && unsafe_ > 0,
         "walk on {id} must cross the safety boundary (safe={safe} unsafe={unsafe_})"
     );
+
+    // Where Eq. 6 binds: every new-generation block cabled in beside every
+    // old one — a state the space model keeps any plan out of, which a live
+    // audit does not consult — then a failed circuit and a drained switch
+    // on top, stepped into and out of.
+    let crowded = spec.state_for(&CompactState::from_counts(
+        spec.actions
+            .ids()
+            .map(|a| {
+                if spec.kind_is_drain(a) {
+                    0
+                } else {
+                    spec.target_counts.count(a)
+                }
+            })
+            .collect(),
+    ));
+    let mut disturbed = crowded.clone();
+    disturbed.set_circuit(
+        CircuitId::from_index(pick(&mut x, topo.num_circuits())),
+        false,
+    );
+    disturbed.drain_switch(
+        topo,
+        SwitchId::from_index(pick(&mut x, topo.num_switches())),
+    );
+    let mut over = 0;
+    let visits = [&crowded, &disturbed, &spec.initial, &disturbed, &crowded];
+    for (i, observed) in visits.into_iter().enumerate() {
+        let ctx = format!("{id} {split:?} ports {i}");
+        let audit = engine.audit_live(&spec, observed, &spec.demands);
+        assert_audit_is_the_oracles(&spec, observed, &spec.demands, &audit, &ctx);
+        assert_kept_degrees(&spec, &engine, observed, &ctx);
+        over += usize::from(audit.port_violation);
+    }
+    assert!(
+        over >= 2,
+        "{id}: Eq. 6 must bind where it is crowded ({over})"
+    );
+    // Ensemble-style: one unchanged state under several matrices — rates
+    // rewritten, zero toggles, the kept degrees untouched.
+    for (k, factor) in [0.5, 1.0, 1.8, 1.2].into_iter().enumerate() {
+        let ctx = format!("{id} {split:?} matrix {k}");
+        let demands = rescaled(&spec.demands, factor, k % 2 == 1, &mut x);
+        let audit = engine.audit_live(&spec, &disturbed, &demands);
+        assert_audit_is_the_oracles(&spec, &disturbed, &demands, &audit, &ctx);
+        assert_kept_degrees(&spec, &engine, &disturbed, &ctx);
+    }
 }
 
 #[test]
@@ -285,6 +358,7 @@ fn a_matrix_with_other_endpoints_rebuilds_the_engine() {
         );
         let audit = engine.audit_live(&spec, &state, &matrix);
         assert_audit_is_the_oracles(&spec, &state, &matrix, &audit, what);
+        assert_kept_degrees(&spec, &engine, &state, what);
     }
     assert_eq!(engine.stats().live_audits, 4);
 }

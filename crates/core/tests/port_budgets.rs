@@ -1,11 +1,11 @@
 //! Port budgets kept by delta against the recount, on specs where Eq. 6
 //! actually binds.
 //!
-//! An incremental checker does not recount every switch's usable circuits
-//! per check: its `ChainRouter` keeps `degree[switch]` and the number of
+//! No route of the incremental engine recounts every switch's usable
+//! circuits: its `LiveEngine` keeps `degree[switch]` and the number of
 //! switches over budget beside the state it routed last, moved by ±1 per
 //! endpoint of every toggled circuit and recounted only where the engine
-//! rebuilds in full. `Topology::has_port_violation` and
+//! has no base to diff against. `Topology::has_port_violation` and
 //! `NetState::active_degree` are the oracle. No shipped preset ever fails
 //! Eq. 6 after routing — the §7.2 space model rejects those states first —
 //! so the specs here drop the space model: every v2 grid can be cabled in
@@ -169,10 +169,11 @@ fn a_jump_past_the_delta_limit_recounts() {
     }
 }
 
-/// The validating walk keeps its budgets by delta; the lookahead routes on
-/// a run's live engine, which keeps none — its audits recount. Both agree
-/// with the recount where ports bind, across the lookahead's matrix round
-/// trips (planning matrix ↔ realized matrix), which touch rates only.
+/// The validating walk and a run's live engine both keep their budgets by
+/// delta — by block-list toggles and by usability toggles — and both agree
+/// with the recount where ports bind: after every check, every lookahead
+/// call (the matrix round trips planning ↔ realized touch rates only) and
+/// every audit. A released engine has no base; its next route recounts.
 #[test]
 fn validating_walk_and_live_engine_agree_with_the_recount() {
     let spec = port_bound_spec(PresetId::A, 2.0, 1);
@@ -216,10 +217,25 @@ fn validating_walk_and_live_engine_agree_with_the_recount() {
             &realized,
         );
         assert_eq!(verdict.swept > 0, swept, "x{growth}: {verdict:?}");
+        assert_recount(&spec, engine.port_budgets().unwrap());
         // An audit on the engine the lookahead just moved along the plan.
         for (audited, over) in [(&crowded, true), (&state, false)] {
             let audit = engine.audit_live(&spec, audited, &realized);
             assert_eq!(audit.port_violation, over, "x{growth}");
+            let budgets = engine.port_budgets().unwrap();
+            assert_eq!(budgets.0, audited);
+            assert_recount(&spec, budgets);
         }
     }
+
+    // Released after an audit of `state`: the degrees kept for it go with
+    // the engine, and the first route of the rebuilt one recounts.
+    engine.release();
+    assert!(engine.port_budgets().is_none());
+    engine.load(&spec, &spec.demands);
+    engine.route(&spec, &crowded);
+    let budgets = engine.port_budgets().unwrap();
+    assert_eq!(budgets.0, &crowded);
+    assert!(budgets.2);
+    assert_recount(&spec, budgets);
 }

@@ -57,6 +57,72 @@ fn parse_mesh(label: &str) -> Result<MeshPattern, NpdError> {
     }
 }
 
+/// Most switches a document may describe: about 90× preset E's union graph
+/// at full scale (11 056).
+const MAX_SWITCHES: usize = 1_000_000;
+
+/// Most circuits a document may describe: about 22× preset E's union graph
+/// at full scale (178 096).
+const MAX_CIRCUITS: usize = 4_000_000;
+
+/// A sum of products in checked arithmetic: `None` once a term overflows.
+struct Tally(Option<usize>);
+
+impl Tally {
+    fn add(&mut self, factors: &[usize]) {
+        let term = factors
+            .iter()
+            .try_fold(1usize, |acc, &f| acc.checked_mul(f));
+        self.0 = self.0.zip(term).and_then(|(sum, t)| sum.checked_add(t));
+    }
+}
+
+/// The switches and circuits [`build_region`] creates for `cfg` (which
+/// forklifts no SSWs), counted off the builders' loops without building
+/// anything; `None` for a count that overflows `usize`.
+fn region_size(cfg: &RegionConfig) -> (Option<usize>, Option<usize>) {
+    let (mut switches, mut circuits) = (Tally(Some(0)), Tally(Some(0)));
+    let bb = &cfg.backbone;
+    for fc in &cfg.dcs {
+        switches.add(&[fc.planes, fc.ssws_per_plane]);
+        switches.add(&[fc.pods, fc.planes]);
+        switches.add(&[fc.pods, fc.rsws_per_pod]);
+        circuits.add(&[fc.pods, fc.planes, fc.ssws_per_plane]);
+        circuits.add(&[fc.pods, fc.rsws_per_pod, fc.planes]);
+    }
+    for layer in std::iter::once(&cfg.hgrid_v1).chain(&cfg.hgrid_v2) {
+        switches.add(&[layer.grids, layer.fadus_per_grid]);
+        switches.add(&[layer.grids, layer.fauus_per_grid]);
+        circuits.add(&[layer.grids, layer.fadus_per_grid, layer.fauus_per_grid]);
+        circuits.add(&[layer.grids, layer.fauus_per_grid, bb.ebs]);
+        for fc in &cfg.dcs {
+            match layer.mesh {
+                MeshPattern::PlaneAligned => {
+                    circuits.add(&[layer.grids, layer.fadus_per_grid, fc.ssws_per_plane])
+                }
+                MeshPattern::Spread => circuits.add(&[
+                    layer.grids,
+                    fc.planes,
+                    fc.ssws_per_plane,
+                    layer.uplinks_per_ssw.max(1),
+                ]),
+            }
+        }
+    }
+    switches.add(&[bb.ebs]);
+    switches.add(&[bb.drs]);
+    switches.add(&[bb.ebbs]);
+    circuits.add(&[bb.ebs, bb.drs]);
+    circuits.add(&[bb.drs, bb.ebbs]);
+    if let Some(ma) = &cfg.dmag {
+        let v1 = &cfg.hgrid_v1;
+        switches.add(&[ma.mas]);
+        circuits.add(&[ma.mas, ma.ebs_per_ma.max(1).min(bb.ebs)]);
+        circuits.add(&[ma.mas, v1.grids, v1.fauus_per_grid]);
+    }
+    (switches.0, circuits.0)
+}
+
 /// Exports a region configuration as an NPD document.
 pub fn region_to_npd(cfg: &RegionConfig) -> Npd {
     let buildings = cfg
@@ -291,7 +357,7 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
         ma_ports: hw_ports(&npd.ma.hardware, 512),
     });
 
-    Ok(RegionConfig {
+    let cfg = RegionConfig {
         name: npd.name.clone(),
         dcs,
         hgrid_v1,
@@ -309,7 +375,19 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
         },
         dmag,
         ssw_forklift_dcs: vec![],
-    })
+    };
+    // Counts have no bound of their own: a region past the limits would
+    // build until memory runs out, so it is refused from its counts alone.
+    let (switches, circuits) = region_size(&cfg);
+    for (what, count, limit) in [
+        ("switches", switches, MAX_SWITCHES),
+        ("circuits", circuits, MAX_CIRCUITS),
+    ] {
+        if count.is_none_or(|n| n > limit) {
+            return Err(NpdError::TooLarge { what, count, limit });
+        }
+    }
+    Ok(cfg)
 }
 
 /// Builds a topology from an NPD document.
@@ -477,6 +555,63 @@ mod tests {
         let npd = region_to_npd(&presets::config(PresetId::A));
         assert_eq!((npd.ma.mas, npd.ma.ma_eb_gbps), (0, 0.0));
         assert!(npd_to_topology(&npd).is_ok());
+    }
+
+    /// Every shipped preset converts back unrefused, and the size counted
+    /// off its document is the size of the topology built from it.
+    #[test]
+    fn shipped_presets_round_trip_within_the_size_limits() {
+        for id in PresetId::ALL {
+            let cfg = npd_to_region(&region_to_npd(&presets::config(id)))
+                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            let (topo, _) = build_region(&cfg);
+            assert_eq!(
+                region_size(&cfg),
+                (Some(topo.num_switches()), Some(topo.num_circuits())),
+                "{id}"
+            );
+        }
+    }
+
+    /// `pods: 10⁷` used to build until memory ran out: it is refused from
+    /// the counts, as is a product past `usize`, which must not wrap.
+    #[test]
+    fn oversized_regions_are_refused_before_anything_is_built() {
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.fabric.buildings[0].pods = 10_000_000;
+        let err = npd_to_region(&npd).expect_err("10^7 pods");
+        assert!(
+            matches!(
+                err,
+                NpdError::TooLarge {
+                    what: "switches",
+                    count: Some(n),
+                    limit: MAX_SWITCHES,
+                } if n > 10_000_000
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("switches"), "{err}");
+
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.hgrid.layers[1].uplinks_per_ssw = usize::MAX / 2;
+        assert_eq!(
+            npd_to_region(&npd),
+            Err(NpdError::TooLarge {
+                what: "circuits",
+                count: None,
+                limit: MAX_CIRCUITS,
+            })
+        );
+        npd.fabric.buildings[0].pods = usize::MAX;
+        assert_eq!(
+            npd_to_region(&npd),
+            Err(NpdError::TooLarge {
+                what: "switches",
+                count: None,
+                limit: MAX_SWITCHES,
+            })
+        );
     }
 
     #[test]

@@ -28,6 +28,17 @@ pub enum NpdError {
         /// Its value.
         gbps: f64,
     },
+    /// The region the document's counts describe has more switches or
+    /// circuits than the converter builds.
+    TooLarge {
+        /// `"switches"` or `"circuits"`.
+        what: &'static str,
+        /// How many the builders would create; `None` when the count
+        /// overflows `usize`.
+        count: Option<usize>,
+        /// The most the converter builds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for NpdError {
@@ -53,6 +64,10 @@ impl fmt::Display for NpdError {
             NpdError::BadCapacity { field, gbps } => {
                 write!(f, "{field} must be a finite positive capacity, got {gbps}")
             }
+            NpdError::TooLarge { what, count, limit } => match count {
+                Some(n) => write!(f, "region has {n} {what}, more than the limit of {limit}"),
+                None => write!(f, "region's {what} overflow usize (limit {limit})"),
+            },
         }
     }
 }

@@ -252,8 +252,8 @@ pub struct Registry {
 
 /// A point-in-time view of the registry's counters and log-linear
 /// histograms, for per-interval deltas: the `report` binary snapshots the
-/// process-global registry before each experiment so the numbers each
-/// `BENCH_*.json` records are that experiment's own, not cumulative
+/// process-global registry before each experiment so the counters its
+/// `report.experiment` event logs are that experiment's own, not cumulative
 /// across the binary's lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct RegistrySnapshot {

@@ -176,8 +176,9 @@ fn ensemble_query_option_matches_cli_and_validates() {
 }
 
 /// A hostile document — counts or capacities the topology builders assert
-/// on — is a client error: `400` naming the field at admission, no job, no
-/// worker touched, nothing counted as a failed job.
+/// on, or counts that would build until memory runs out — is a client
+/// error: `400` naming the field (or what is too many) at admission, no job,
+/// no worker touched, nothing counted as a failed job.
 #[test]
 fn hostile_npd_is_a_400_not_a_failed_job() {
     let service = Service::start(ServiceConfig {
@@ -204,9 +205,12 @@ fn hostile_npd_is_a_400_not_a_failed_job() {
     grids.hgrid.layers[0].grids = 0;
     let mut capacity = region_to_npd(&presets::config(PresetId::A));
     capacity.eb.fauu_eb_gbps = -5.0;
+    let mut pods = region_to_npd(&presets::config(PresetId::A));
+    pods.fabric.buildings[0].pods = 10_000_000;
     for (npd, field) in [
         (grids, "hgrid.layers[0].grids"),
         (capacity, "eb.fauu_eb_gbps"),
+        (pods, "switches"),
     ] {
         for endpoint in ["/v1/plan", "/v1/audit", "/v1/plan?wait=0"] {
             let (status, _, body) = http(
