@@ -35,14 +35,12 @@ use crate::report::{PhaseAudit, PlanAudit};
 use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, PackedLoads,
-    SafetyOutcome,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
 };
 use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Give up on a block-list diff beyond this many blocks: the candidate scan
 /// would approach full-rescan cost, and a full rebuild bounds the worst case.
@@ -65,12 +63,15 @@ const MAX_DELTA_BLOCKS: usize = 64;
 /// `fl L(r) ≤ (1 + γ)·L(r) ≤ (1 + γ)(1 + ε)·k·L(p) ≤ k · fl L(p) · (1 + 2γ + 2ε)`.
 ///
 /// Dividing by the capacity, taking the maximum over circuits and forming
-/// `u · k · (1 + δ)` add a handful of roundings more. `N` is bounded by the
-/// additions into one slot or inflow cell (destinations + sources + in-degree)
-/// times the path depth — under 10⁶ at preset E — so the total relative
-/// error is below `2·10⁶·ε + 8ε < 3·10⁻¹⁰ < δ`. (Underflow to subnormals
-/// adds an absolute 10⁻³⁰⁰ at most, immaterial against any θ.) The slack
-/// costs nothing but work: a state within 10⁻⁹ of θ takes the exact sweep.
+/// `u · k · (1 + δ)` add a handful of roundings more. Funneling headroom
+/// (§7.2) multiplies a slot by the same factor in every matrix, one rounding
+/// on each side, so the bound holds between funneled loads too. `N` is
+/// bounded by the additions into one slot or inflow cell (destinations +
+/// sources + in-degree) times the path depth — under 10⁶ at preset E — so
+/// the total relative error is below `2·10⁶·ε + 8ε < 3·10⁻¹⁰ < δ`.
+/// (Underflow to subnormals adds an absolute 10⁻³⁰⁰ at most, immaterial
+/// against any θ.) The slack costs nothing but work: a state within 10⁻⁹
+/// of θ takes the exact sweep.
 /// `plan_replay.rs::headroom_bound_dominates_the_sweep` measures the real
 /// error three orders of magnitude inside `δ`.
 const HEADROOM_SLACK: f64 = 1e-9;
@@ -81,7 +82,8 @@ const HEADROOM_SLACK: f64 = 1e-9;
 /// [`HEADROOM_SLACK`]). The lookahead calls it with `k` = the largest
 /// realized/planned ratio, the spec build with `k` = the calibration factor
 /// (`fl(rᵢ · k) ≤ k·rᵢ·(1 + ε)`, the same premise; `EcmpRouter` adds what
-/// `sweep_entry` adds).
+/// `sweep_entry` adds), and an ensemble check with `u` = the base matrix's
+/// funneled max utilization and `k` = [`demand_ratio`] of each member.
 pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
     u * k * (1.0 + HEADROOM_SLACK) <= theta
 }
@@ -152,8 +154,8 @@ impl LiveEngine {
     }
 
     /// A checker's engine over its `csr`, built at once over `spec.demands`
-    /// and the ensemble's extras (swept with it by
-    /// [`route_ensemble`](Self::route_ensemble)).
+    /// and the ensemble's extras (swept one at a time, after the base, by
+    /// [`sweep_extra`](Self::sweep_extra)).
     pub(crate) fn for_checker(
         spec: &MigrationSpec,
         csr: Arc<CsrGraph>,
@@ -287,30 +289,20 @@ impl LiveEngine {
         self.set_base(spec, v, state, delta);
     }
 
-    /// [`route_into`](Self::route_into) of a vouched-for state for the whole
-    /// ensemble: one advance and one packed sweep of the base matrix and
-    /// every extra into `loads` (overwritten), lane `m` being matrix `m`.
-    /// Returns the wall time of the sweep alone.
-    pub(crate) fn route_ensemble(
+    /// Sweeps ensemble extra `k` over the state routed last into `loads`
+    /// (cleared first): the structure [`route_into`](Self::route_into) just
+    /// advanced, one traversal, no advance — bit for bit a from-scratch
+    /// route of that matrix.
+    pub(crate) fn sweep_extra(
         &mut self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        loads: &mut PackedLoads,
-        outcomes: &mut [RouteOutcome],
-    ) -> Duration {
-        let delta = self.diff(spec, Some(v), state);
+        k: usize,
+        loads: &mut LoadMap,
+        outcome: &mut RouteOutcome,
+    ) {
         let engine = self.engine.as_mut().expect("a checker's engine is built");
-        let swept = engine.evaluate_packed(
-            &self.pool,
-            &spec.topology,
-            state,
-            delta.then_some(&self.toggles[..]),
-            loads,
-            outcomes,
-        );
-        self.set_base(spec, Some(v), state, delta);
-        swept
+        let base = self.base.as_ref().expect("route a state before its extras");
+        loads.clear();
+        engine.replay_extra(k, base, loads, outcome);
     }
 
     /// Fills `self.toggles` with the exact set of circuits whose usability
@@ -526,7 +518,7 @@ pub struct LookaheadVerdict {
 ///
 /// # Panics
 /// Panics unless the two matrices share one `(src, dst, class)` sequence.
-fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
+pub(crate) fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
     const SHARED: &str = "the realized matrix must share the base demand endpoints";
     assert_eq!(planned.len(), realized.len(), "{SHARED}");
     let mut k = 0.0_f64;

@@ -34,15 +34,21 @@
 //! jump between two A\* pops), routing structure is re-derived only for the
 //! destinations those toggles disturbed (fanned out over the
 //! [`WorkerPool`]'s lanes), Eq. 6 port degrees move by the same toggles, and
-//! loads are swept once per state, bit-identical at any lane count. With a
-//! traffic ensemble that one traversal carries all K matrices, the base as
-//! lane 0, into a [`PackedLoads`]; funneling headroom and the K utilization
-//! summaries are taken on the packed field, the AND over matrices is folded
-//! off the K reports in index order, and only the base lane is copied out
-//! (for the audit observer and `last_loads`). A spec with
-//! `incremental == false` — the reference the differential tests compare
-//! against — routes from scratch on one sequential [`EcmpRouter`], one
-//! matrix after the other, and recounts Eq. 6.
+//! the base matrix's loads are swept once, bit-identical at any lane count.
+//! A spec with `incremental == false` — the reference the differential tests
+//! compare against — routes from scratch on one sequential [`EcmpRouter`] and
+//! recounts Eq. 6.
+//!
+//! With a traffic ensemble the verdict is the AND over its K matrices, folded
+//! in index order with a short-circuit on the first failure — and the base
+//! matrix is judged first and alone. Every other member has the base's
+//! endpoints with rates at most `k` times the base's (`k` from
+//! [`demand_ratio`], once per checker), so the headroom bound
+//! ([`headroom_clears`] on the base's funneled max utilization) clears it
+//! without routing; only a member the bound cannot clear gets an exact sweep
+//! of its own, on the structure the base route just advanced (or from
+//! scratch). Verdicts and the first failing index are those of sweeping
+//! every member.
 //!
 //! A check that summarized the base matrix's loads as routed leaves their
 //! max utilization in [`SatChecker::last_raw_utilization`] — cache hits
@@ -55,11 +61,11 @@
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
-use crate::replay::LiveEngine;
+use crate::replay::{demand_ratio, headroom_clears, LiveEngine};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, summarize_packed, CsrGraph, EcmpRouter, LoadMap,
-    PackedLoads, UsableMask, UtilizationReport,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, LoadMap, UsableMask,
+    UtilizationReport,
 };
 use klotski_telemetry::{registry, Gauge};
 use klotski_topology::{CircuitId, NetState, SwitchId};
@@ -147,9 +153,10 @@ impl SatStats {
 }
 
 /// Per-matrix satisfiability accounting of one ensemble checker: how many
-/// times each matrix was evaluated, how many candidates it killed (it was
-/// the first failing matrix), and the wall time attributed to it. Empty when no
-/// ensemble is configured. Unlike the `Copy` aggregate counters in
+/// times each matrix was evaluated, how many of those evaluations swept its
+/// loads exactly, how many candidates it killed (it was the first failing
+/// matrix), and the wall time spent on it. Empty when no ensemble is
+/// configured. Unlike the `Copy` aggregate counters in
 /// [`SatStats`], this is sized by K and lives on the checker; planners
 /// surface it through `PlanOutcome.ensemble`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -169,22 +176,24 @@ pub struct EnsembleMatrixStat {
     /// Candidates this matrix killed: it was the first failing matrix, so
     /// every matrix after it was skipped.
     pub kills: u64,
-    /// Wall time attributed to this matrix, nanoseconds. A from-scratch
-    /// checker routes and judges one matrix at a time and times each
-    /// directly. An incremental checker does the matrix-independent work
-    /// once and all K load sweeps in one packed traversal: every matrix it
-    /// gets to is charged an equal 1/K share of that traversal (with the
-    /// headroom and summary passes over the packed loads), and the base
-    /// matrix also carries the rest of the check — the structure advance,
-    /// the port budgets, copying its lane out. A matrix skipped by the
-    /// short-circuit is charged nothing, though its lane was swept.
+    /// Evaluations that swept this matrix's loads exactly: every one of the
+    /// base matrix's, and those of another member's that the headroom bound
+    /// could not clear.
+    #[serde(default)]
+    pub swept: u64,
+    /// Wall time of this matrix's evaluations, nanoseconds, measured around
+    /// each: the base matrix's covers the route (structure advance and
+    /// sweep), its judgement and the port budgets; another member's covers
+    /// the bound and, when it could not clear, the exact sweep and its
+    /// judgement. A matrix skipped by the short-circuit costs nothing.
     pub wall_ns: u64,
 }
 
 impl EnsembleBreakdown {
-    fn record(&mut self, k: usize, wall: Duration, kill: bool) {
+    fn record(&mut self, k: usize, wall: Duration, swept: bool, kill: bool) {
         let row = &mut self.matrices[k];
         row.checks += 1;
+        row.swept += swept as u64;
         row.kills += kill as u64;
         row.wall_ns += wall.as_nanos() as u64;
     }
@@ -265,9 +274,11 @@ pub struct SatChecker {
     outcome: RouteOutcome,
     /// Delta evaluation engine (`MigrationOptions.incremental`).
     incremental: Option<LiveEngine>,
-    /// Buffers of the packed ensemble fold: present iff the checker is
-    /// incremental and the spec has extra matrices.
-    packed: Option<PackedFold>,
+    /// `demand_ratio` of each extra ensemble matrix against the base.
+    ratios: Vec<f64>,
+    /// Where a member the headroom bound cannot clear is swept; present iff
+    /// the spec has extra matrices.
+    member: Option<(LoadMap, RouteOutcome)>,
     /// Verdict and raw utilization (see `last_raw`) per key.
     cache: HashMap<CacheKey, (bool, Option<f64>)>,
     /// Insertion order of cached keys, for FIFO eviction at `cache_cap`.
@@ -288,16 +299,6 @@ pub struct SatChecker {
     last_raw: Option<f64>,
     esc_entries_gauge: Arc<Gauge>,
     esc_bytes_gauge: Arc<Gauge>,
-}
-
-/// What one packed sweep of an ensemble leaves: every matrix's loads (lane
-/// `m` is matrix `m`, the base first), routing outcome and utilization
-/// report.
-#[derive(Debug)]
-struct PackedFold {
-    loads: PackedLoads,
-    outcomes: Vec<RouteOutcome>,
-    reports: Vec<UtilizationReport>,
 }
 
 /// Cache-key discriminant when the last action type is irrelevant.
@@ -348,12 +349,7 @@ impl SatChecker {
         let incremental = spec
             .incremental
             .then(|| LiveEngine::for_checker(spec, csr.clone(), pool));
-        let matrices = spec.extra_demands.len() + 1;
-        let packed = (incremental.is_some() && matrices > 1).then(|| PackedFold {
-            loads: PackedLoads::new(&spec.topology, matrices),
-            outcomes: vec![RouteOutcome::new(); matrices],
-            reports: Vec::with_capacity(matrices),
-        });
+        let extras = &spec.extra_demands;
         Self {
             mode,
             dense_ok: box_fits_u64(&spec.target_counts),
@@ -361,8 +357,13 @@ impl SatChecker {
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
-            packed,
             incremental,
+            ratios: extras
+                .iter()
+                .map(|m| demand_ratio(&spec.demands, m))
+                .collect(),
+            member: (!extras.is_empty())
+                .then(|| (LoadMap::new(&spec.topology), RouteOutcome::new())),
             cache: HashMap::new(),
             fifo: VecDeque::new(),
             cache_cap: spec.esc_cache_cap.max(1),
@@ -371,10 +372,10 @@ impl SatChecker {
                 .div_ceil(8)) as u64,
             stats: SatStats::default(),
             ensemble: EnsembleBreakdown {
-                matrices: if spec.extra_demands.is_empty() {
+                matrices: if extras.is_empty() {
                     Vec::new()
                 } else {
-                    (0..=spec.extra_demands.len())
+                    (0..=extras.len())
                         .map(|k| EnsembleMatrixStat {
                             label: spec
                                 .ensemble_labels
@@ -411,9 +412,9 @@ impl SatChecker {
         s
     }
 
-    /// Per-matrix ensemble accounting — who killed which candidates, and
-    /// the wall time attributed to each matrix. Empty rows when no ensemble
-    /// is configured.
+    /// Per-matrix ensemble accounting — who killed which candidates, what
+    /// was swept, and the wall time spent on each matrix. Empty rows when no
+    /// ensemble is configured.
     pub fn ensemble_breakdown(&self) -> &EnsembleBreakdown {
         &self.ensemble
     }
@@ -446,22 +447,11 @@ impl SatChecker {
 
     /// Loads the most recent full evaluation left on the checker's own
     /// buffer (diagnostic/test hook — meaningful right after a cache-missing
-    /// [`check`](Self::check)): the last matrix it judged, headroom applied —
-    /// except on the packed ensemble path, where this is the base matrix as
-    /// routed and the judged loads are
-    /// [`last_packed_loads`](Self::last_packed_loads).
+    /// [`check`](Self::check) that reached the θ comparison): the base
+    /// matrix as judged, funneling headroom applied.
     #[doc(hidden)]
     pub fn last_loads(&self) -> &LoadMap {
         &self.loads
-    }
-
-    /// Every ensemble matrix's loads as the most recent packed evaluation
-    /// judged them (headroom applied), lane `m` being matrix `m`; `None`
-    /// unless the checker is incremental with an ensemble. Test hook, like
-    /// [`last_loads`](Self::last_loads).
-    #[doc(hidden)]
-    pub fn last_packed_loads(&self) -> Option<&PackedLoads> {
-        self.packed.as_ref().map(|fold| &fold.loads)
     }
 
     /// [`LiveEngine::port_budgets`] of the checker's engine; `None` on a
@@ -591,12 +581,9 @@ impl SatChecker {
                 return false;
             }
         }
-        if self.packed.is_some() {
-            return self.evaluate_packed(spec, v, state, last, on_base);
-        }
         // Ensemble accounting is armed only when extra matrices exist, so
         // the single-matrix path pays no timing overhead.
-        let ens_start = (!spec.extra_demands.is_empty()).then(Instant::now);
+        let t0 = (!spec.extra_demands.is_empty()).then(Instant::now);
         if let Some(engine) = &mut self.incremental {
             engine.route_into(spec, Some(v), state, &mut self.loads, &mut self.outcome);
         } else {
@@ -614,110 +601,56 @@ impl SatChecker {
         if let Some(observe) = on_base {
             observe(&self.loads);
         }
+        let funneled = funneled_switches(spec, v, last);
+        let base = judge(spec, state, funneled, &mut self.loads, &self.outcome);
+        if funneled.is_none() {
+            self.last_raw = base.as_ref().map(|r| r.max_utilization);
+        }
         // Port budgets (Eq. 6) depend on the state alone, so they are judged
         // once, with the base matrix: a port failure is matrix 0's kill. The
         // engine keeps them by delta; the from-scratch path recounts.
-        let (ok, raw) =
-            demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
-        self.last_raw = raw;
-        let ok = ok
+        let ok = base.as_ref().is_some_and(|r| r.violations == 0)
             && !(spec.check_ports
                 && match &self.incremental {
                     Some(engine) => engine.port_violation(),
                     None => spec.topology.has_port_violation(state),
                 });
-        let Some(t0) = ens_start else {
+        let Some(t0) = t0 else {
             return ok;
         };
-        // From-scratch ensemble verdict: AND over all K matrices, routed and
-        // judged one at a time in index order with a short-circuit on the
-        // first failure, so a state an earlier matrix rejects never pays for
-        // the later ones.
-        self.ensemble.record(0, t0.elapsed(), !ok);
-        if !ok {
+        self.ensemble.record(0, t0.elapsed(), true, !ok);
+        let Some(base) = base.filter(|_| ok) else {
             self.last_fail_matrix = Some(0);
             return false;
-        }
-        for (k, extra) in spec.extra_demands.iter().enumerate() {
+        };
+        // Every other member shares the base's endpoints, hence its
+        // reachability and ports; the bound clears it off the base's summary
+        // or it is swept — on the structure just advanced, or from scratch
+        // with the mask already computed for `state`.
+        for k in 0..spec.extra_demands.len() {
             let tk = Instant::now();
-            // The usable mask was computed for `state` above and is
-            // demand-independent; only the routing pass re-runs.
-            self.loads.clear();
-            self.router.route_with_mask_into(
-                &spec.topology,
-                state,
-                &self.mask,
-                extra,
-                &mut self.loads,
-                &mut self.outcome,
-            );
-            let (ok, _) =
-                demand_constraints_hold(spec, v, state, last, &mut self.loads, &self.outcome);
-            self.ensemble.record(k + 1, tk.elapsed(), !ok);
+            let cleared = headroom_clears(base.max_utilization, self.ratios[k], spec.theta);
+            let ok = cleared || {
+                let (loads, outcome) = self.member.as_mut().expect("built with the extras");
+                match &mut self.incremental {
+                    Some(engine) => engine.sweep_extra(k, loads, outcome),
+                    None => {
+                        loads.clear();
+                        self.router.route_with_mask_into(
+                            &spec.topology,
+                            state,
+                            &self.mask,
+                            &spec.extra_demands[k],
+                            loads,
+                            outcome,
+                        );
+                    }
+                }
+                judge(spec, state, funneled, loads, outcome).is_some_and(|r| r.violations == 0)
+            };
+            self.ensemble.record(k + 1, tk.elapsed(), !cleared, !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
-                return false;
-            }
-        }
-        self.last_fail_matrix = None;
-        true
-    }
-
-    /// The ensemble evaluation on the incremental engine: one structure
-    /// advance and one packed sweep route all K matrices, then the verdict
-    /// is the same index-ordered AND with the same first failing index as
-    /// the from-scratch fold — read off the K reports instead of routed
-    /// matrix by matrix. A state the base matrix rejects has paid for the
-    /// extras' lanes of the one traversal; in exchange no state is traversed
-    /// twice.
-    fn evaluate_packed(
-        &mut self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        last: Option<ActionTypeId>,
-        on_base: Option<&mut dyn FnMut(&LoadMap)>,
-    ) -> bool {
-        let t0 = Instant::now();
-        let topo = &spec.topology;
-        let engine = self
-            .incremental
-            .as_mut()
-            .expect("a packed fold is built over the incremental engine");
-        let fold = self.packed.as_mut().expect("checked by the caller");
-        let mut shared = engine.route_ensemble(spec, v, state, &mut fold.loads, &mut fold.outcomes);
-        fold.loads.lane_into(0, &mut self.loads);
-        if let Some(observe) = on_base {
-            observe(&self.loads);
-        }
-        // Reachability (Eq. 4) is the routing structure's, the same in every
-        // lane: an unreachable demand is the base matrix's kill, and nothing
-        // further is computed.
-        let reachable = fold.outcomes[0].all_reachable();
-        if reachable {
-            let ts = Instant::now();
-            let funneled = funneled_switches(spec, v, last);
-            if let Some(drained) = funneled {
-                spec.funneling
-                    .apply_packed(topo, state, drained, &mut fold.loads);
-            }
-            summarize_packed(topo, state, &fold.loads, spec.theta, &mut fold.reports);
-            self.last_raw = funneled.is_none().then(|| fold.reports[0].max_utilization);
-            shared += ts.elapsed();
-        }
-        let share = shared / fold.outcomes.len() as u32;
-        for k in 0..fold.outcomes.len() {
-            let mut ok = reachable && fold.reports[k].violations == 0;
-            let mut wall = share;
-            if k == 0 {
-                // Port budgets (Eq. 6) depend on the state alone: judged
-                // once, charged to the base matrix.
-                ok = ok && !(spec.check_ports && engine.port_violation());
-                wall += t0.elapsed().saturating_sub(shared);
-            }
-            self.ensemble.record(k, wall, !ok);
-            if !ok {
-                self.last_fail_matrix = Some(k);
                 return false;
             }
         }
@@ -738,31 +671,24 @@ fn funneled_switches<'a>(
         .then(|| &spec.block_for(a, v.count(a) - 1).switches[..])
 }
 
-/// The per-matrix tail of an evaluation: reachability (Eq. 4), funneling
-/// headroom, and the θ comparison (Eq. 5) on `loads`. Beside the verdict,
-/// the max utilization of `loads` when it was summarized as routed (no
-/// funneling headroom applied).
-fn demand_constraints_hold(
+/// The per-matrix tail of an evaluation: reachability (Eq. 4), then
+/// funneling headroom applied to `loads` and their utilization summary for
+/// the θ comparison (Eq. 5). `None` when a demand is unreachable.
+fn judge(
     spec: &MigrationSpec,
-    v: &CompactState,
     state: &NetState,
-    last: Option<ActionTypeId>,
+    funneled: Option<&[SwitchId]>,
     loads: &mut LoadMap,
     route: &RouteOutcome,
-) -> (bool, Option<f64>) {
+) -> Option<UtilizationReport> {
     if !route.all_reachable() {
-        return (false, None);
+        return None;
     }
     let topo = &spec.topology;
-    let funneled = funneled_switches(spec, v, last);
     if let Some(drained) = funneled {
         spec.funneling.apply(topo, state, drained, loads);
     }
-    let report = summarize(topo, state, loads, spec.theta);
-    (
-        report.violations == 0,
-        funneled.is_none().then_some(report.max_utilization),
-    )
+    Some(summarize(topo, state, loads, spec.theta))
 }
 
 /// True when the mixed-radix box `Π (target_i + 1)` fits in a `u64`.
@@ -794,6 +720,7 @@ mod tests {
     use super::*;
     use crate::migration::{MigrationBuilder, MigrationOptions};
     use klotski_topology::presets::{self, PresetId};
+    use klotski_traffic::DemandMatrix;
 
     fn spec() -> MigrationSpec {
         MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &MigrationOptions::default())
@@ -935,12 +862,12 @@ mod tests {
         assert!(!checker.check(&spec, &v, &state, None));
         assert_eq!(checker.last_fail_matrix(), Some(0));
         let rows = &checker.ensemble_breakdown().matrices;
-        assert_eq!((rows[0].checks, rows[0].kills), (1, 1));
+        assert_eq!((rows[0].checks, rows[0].swept, rows[0].kills), (1, 1, 1));
         assert!(rows[1..].iter().all(|m| m.checks == 0 && m.kills == 0));
     }
 
     #[test]
-    fn an_ensemble_check_is_one_advance_and_one_traversal() {
+    fn an_ensemble_check_is_one_advance_one_base_sweep_and_one_sweep_per_uncleared_member() {
         let opts = MigrationOptions {
             ensemble: Some(klotski_traffic::EnsembleSpec::with_k(8, 11)),
             ..MigrationOptions::default()
@@ -950,11 +877,34 @@ mod tests {
         assert_eq!(spec.extra_demands.len(), 7);
         spec.space = None; // every check routes
         let mut checker = SatChecker::new(&spec, EscMode::Off);
+        // The members a check gets to that the bound cannot clear, counted
+        // from scratch: the fold stops at the base or at the first failing
+        // member.
+        let uncleared = |state: &NetState| {
+            let route = |m: &DemandMatrix| {
+                klotski_routing::evaluate_policy(&spec.topology, state, m, spec.theta, spec.split)
+            };
+            let base = route(&spec.demands);
+            if !base.satisfied() || !spec.topology.port_violations(state).is_empty() {
+                return 0;
+            }
+            let mut swept = 0;
+            for m in &spec.extra_demands {
+                let k = demand_ratio(&spec.demands, m);
+                if !headroom_clears(base.report.max_utilization, k, spec.theta) {
+                    swept += 1;
+                    if !route(m).satisfied() {
+                        break;
+                    }
+                }
+            }
+            swept
+        };
         // A walk with sibling and cousin jumps: every child of each state
         // along a feasible chain, checked one after the other.
         let mut v = CompactState::origin(spec.num_types());
         let mut state = spec.initial.clone();
-        let (mut checks, mut accepted) = (0, 0);
+        let (mut checks, mut accepted, mut expected_sweeps) = (0, 0, 0);
         for _ in 0..6 {
             let children: Vec<_> = spec
                 .actions
@@ -972,6 +922,7 @@ mod tests {
                 .collect();
             checks += children.len() as u64;
             accepted += verdicts.iter().filter(|&&ok| ok).count() as u64;
+            expected_sweeps += children.iter().map(|(_, s, _)| uncleared(s)).sum::<u64>();
             let next = verdicts
                 .iter()
                 .rposition(|&ok| ok)
@@ -985,11 +936,20 @@ mod tests {
             .unwrap()
             .stats();
         assert!(accepted < checks, "the walk meets rejections");
-        assert_eq!(engine.evaluations, checks);
-        assert_eq!(engine.sweeps, checks, "one traversal per ensemble check");
-        assert_eq!(engine.extra_replays, 7 * checks);
+        assert!(
+            expected_sweeps > 0,
+            "the walk meets a member the bound cannot clear"
+        );
+        assert_eq!(engine.evaluations, checks, "one advance per check");
+        assert_eq!(engine.extra_replays, expected_sweeps);
+        assert_eq!(engine.sweeps, engine.evaluations + engine.extra_replays);
         let rows = &checker.ensemble_breakdown().matrices;
-        assert_eq!(rows[0].checks, checks);
+        assert_eq!((rows[0].checks, rows[0].swept), (checks, checks));
+        assert_eq!(
+            rows[1..].iter().map(|m| m.swept).sum::<u64>(),
+            expected_sweeps
+        );
+        assert!(rows.iter().all(|m| m.swept <= m.checks));
         assert_eq!(
             rows[7].checks, accepted,
             "the last matrix judges what all others passed"

@@ -1,15 +1,20 @@
-//! Property tests for thread-count invariance of the satisfiability
-//! checker: for any migration progress point, any cache mode, and any
-//! thread count, a walk of `check` — first pass and repeat pass — must
-//! return the same verdicts as the single-threaded checker — parallelism is
-//! an implementation detail, never a semantics knob.
+//! Property tests for the satisfiability checker. Thread-count invariance:
+//! for any migration progress point, any cache mode, and any thread count, a
+//! walk of `check` — first pass and repeat pass — must return the same
+//! verdicts as the single-threaded checker — parallelism is an
+//! implementation detail, never a semantics knob. The ensemble fold: its
+//! verdict is the AND of one independent from-scratch check per matrix, and
+//! the headroom bound that clears members without routing never clears one
+//! that fails.
 
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::satcheck::{EscMode, SatChecker};
 use klotski_core::{ActionTypeId, CompactState, EnsembleSpec};
+use klotski_routing::{evaluate::summarize, FunnelingModel, SplitPolicy};
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::NetState;
+use klotski_traffic::{DemandMatrix, TrafficEnsemble};
 use proptest::prelude::*;
 
 /// Pseudo-random walk of `steps` actions through the target box, derived
@@ -118,6 +123,27 @@ fn walk_states(spec: &MigrationSpec, seed: u64) -> Vec<(CompactState, NetState)>
     states
 }
 
+/// The [`walk_states`] the space model admits — one it rejects is routed
+/// under no matrix — each with the action type it is checked after: one
+/// whose block the state has consumed (alternately the first and the last
+/// such type), so a drain brings in the funneling headroom; `None` at the
+/// origin.
+fn checked_states(
+    spec: &MigrationSpec,
+    seed: u64,
+) -> Vec<(CompactState, NetState, Option<ActionTypeId>)> {
+    walk_states(spec, seed)
+        .into_iter()
+        .filter(|(v, _)| spec.space.as_ref().is_none_or(|m| m.fits(v)))
+        .enumerate()
+        .map(|(i, (v, s))| {
+            let mut done = spec.actions.ids().filter(|&a| v.count(a) > 0);
+            let last = if i % 2 == 0 { done.next() } else { done.last() };
+            (v, s, last)
+        })
+        .collect()
+}
+
 /// Clone of `spec` reduced to one of its ensemble matrices: index 0 is the
 /// base demand set, index k > 0 the k-th realized variant.
 fn single_matrix_spec(spec: &MigrationSpec, k: usize) -> MigrationSpec {
@@ -131,58 +157,104 @@ fn single_matrix_spec(spec: &MigrationSpec, k: usize) -> MigrationSpec {
     s
 }
 
-/// Differential core of the AND-fold property: on `preset`, the ensemble
+/// Member evaluations a batch of checks cleared by the headroom bound, and
+/// those it swept exactly.
+#[derive(Debug, Default, Clone, Copy)]
+struct MemberWork {
+    cleared: u64,
+    swept: u64,
+}
+
+/// Differential core of the AND-fold property: on `spec`, the ensemble
 /// verdict must equal the conjunction of K independent single-matrix
-/// checks, and the first failing matrix index must be the fold's first
-/// `false` — at every thread count, with and without incremental routing.
-fn assert_ensemble_is_and_fold(preset: PresetId, k: usize, seed: u64, theta: f64) {
-    let opts = MigrationOptions {
-        theta,
-        ensemble: Some(EnsembleSpec::with_k(k, seed)),
-        ..MigrationOptions::default()
-    };
-    let spec = MigrationBuilder::hgrid_v1_to_v2(&presets::build(preset), &opts).unwrap();
-    let states = walk_states(&spec, seed);
-
-    // Reference fold: one sequential single-threaded checker per matrix,
-    // each spec carrying exactly one demand set and no ensemble at all.
-    let singles: Vec<MigrationSpec> = (0..=spec.extra_demands.len())
-        .map(|i| single_matrix_spec(&spec, i))
-        .collect();
-    let mut folds: Vec<Vec<bool>> = Vec::new();
-    for (v, s) in &states {
-        let fold: Vec<bool> = singles
-            .iter()
-            .map(|sp| SatChecker::with_threads(sp, EscMode::Off, 1).check(sp, v, s, None))
-            .collect();
-        folds.push(fold);
-    }
-
+/// from-scratch checks, and the first failing matrix index must be the
+/// fold's first `false` — at every thread count, with and without
+/// incremental routing. Every member a check reports cleared by the bound
+/// (judged, not swept) must pass its own from-scratch check, funneling
+/// included.
+fn assert_and_fold(spec: &MigrationSpec, seed: u64) -> MemberWork {
     let mut spec_full = spec.clone();
     spec_full.incremental = false;
+    let items = checked_states(spec, seed);
+
+    // Reference fold: one sequential single-threaded from-scratch checker
+    // per matrix, each spec carrying exactly one demand set and no ensemble.
+    let singles: Vec<MigrationSpec> = (0..=spec.extra_demands.len())
+        .map(|i| single_matrix_spec(&spec_full, i))
+        .collect();
+    let folds: Vec<Vec<bool>> = items
+        .iter()
+        .map(|(v, s, last)| {
+            singles
+                .iter()
+                .map(|sp| SatChecker::with_threads(sp, EscMode::Off, 1).check(sp, v, s, *last))
+                .collect()
+        })
+        .collect();
+
+    let mut work = MemberWork::default();
     for threads in [1usize, 4] {
-        for sp in [&spec, &spec_full] {
+        for sp in [spec, &spec_full] {
+            let what = format!("{} x{threads} incremental={}", sp.name, sp.incremental);
             let mut checker = SatChecker::with_threads(sp, EscMode::Off, threads);
-            for ((v, s), fold) in states.iter().zip(&folds) {
-                let expected = fold.iter().all(|&b| b);
-                let expected_fail = fold.iter().position(|&b| !b);
-                let got = checker.check(sp, v, s, None);
+            for ((v, s, last), fold) in items.iter().zip(&folds) {
+                let before: Vec<(u64, u64)> = checker
+                    .ensemble_breakdown()
+                    .matrices
+                    .iter()
+                    .map(|m| (m.checks, m.swept))
+                    .collect();
+                let got = checker.check(sp, v, s, *last);
                 assert_eq!(
-                    got, expected,
-                    "ensemble verdict != AND-fold on {preset} x{threads} \
-                     incremental={} fold={fold:?}",
-                    sp.incremental
+                    got,
+                    fold.iter().all(|&b| b),
+                    "ensemble verdict != AND-fold on {what} fold={fold:?}"
                 );
                 assert_eq!(
                     checker.last_fail_matrix(),
-                    expected_fail,
-                    "first failing matrix diverged on {preset} x{threads} \
-                     incremental={} fold={fold:?}",
-                    sp.incremental
+                    fold.iter().position(|&b| !b),
+                    "first failing matrix diverged on {what} fold={fold:?}"
                 );
+                let rows = &checker.ensemble_breakdown().matrices;
+                for (m, (row, &(checks, swept))) in rows.iter().zip(&before).enumerate().skip(1) {
+                    if row.checks == checks {
+                        continue;
+                    }
+                    if row.swept > swept {
+                        work.swept += 1;
+                    } else {
+                        work.cleared += 1;
+                        assert!(
+                            fold[m],
+                            "matrix {m} cleared by the bound fails from scratch on {what}"
+                        );
+                    }
+                }
             }
         }
     }
+    work
+}
+
+/// The instance the ensemble properties run on.
+fn ensemble_spec(
+    preset: PresetId,
+    k: usize,
+    seed: u64,
+    theta: f64,
+    split: SplitPolicy,
+    funneling: bool,
+) -> MigrationSpec {
+    let opts = MigrationOptions {
+        theta,
+        split: Some(split),
+        funneling: FunnelingModel {
+            headroom_factor: if funneling { 1.3 } else { 1.0 },
+        },
+        ensemble: Some(EnsembleSpec::with_k(k, seed)),
+        ..MigrationOptions::default()
+    };
+    MigrationBuilder::hgrid_v1_to_v2(&presets::build(preset), &opts).unwrap()
 }
 
 proptest! {
@@ -239,15 +311,42 @@ proptest! {
 
     /// The tentpole differential property on preset A: ensemble verdict ==
     /// AND of independent per-matrix checks, first failing matrix index
-    /// deterministic across thread counts and engines.
+    /// deterministic across thread counts and engines, every member the
+    /// bound clears passing from scratch.
     #[test]
     fn prop_ensemble_verdict_is_and_fold_on_preset_a(
         seed in 0u64..1_000_000,
-        k in 2usize..5,
+        k_idx in 0usize..4,
         theta in 0.55f64..0.95,
+        wcmp in proptest::bool::ANY,
+        funneling in proptest::bool::ANY,
     ) {
-        assert_ensemble_is_and_fold(PresetId::A, k, seed, theta);
+        let k = [2usize, 3, 8, 16][k_idx];
+        let split = if wcmp { SplitPolicy::Wcmp } else { SplitPolicy::Ecmp };
+        assert_and_fold(&ensemble_spec(PresetId::A, k, seed, theta, split, funneling), seed);
     }
+}
+
+/// The AND-fold grid, deterministically: K ∈ {2, 3, 8, 16} × ECMP/WCMP ×
+/// funneling on/off (× incremental on/off inside the oracle), at two θ. The
+/// grid both clears members by the bound and sweeps members it cannot.
+#[test]
+fn ensemble_verdict_is_and_fold_across_k_split_and_funneling() {
+    let mut total = MemberWork::default();
+    for k in [2usize, 3, 8, 16] {
+        for split in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+            for funneling in [false, true] {
+                for theta in [0.62, 0.8] {
+                    let seed = 17 + k as u64;
+                    let spec = ensemble_spec(PresetId::A, k, seed, theta, split, funneling);
+                    let work = assert_and_fold(&spec, seed);
+                    total.cleared += work.cleared;
+                    total.swept += work.swept;
+                }
+            }
+        }
+    }
+    assert!(total.cleared > 0 && total.swept > 0, "{total:?}");
 }
 
 /// The same AND-fold property on the mid-size preset C, at fixed seeds so
@@ -257,7 +356,148 @@ proptest! {
 #[test]
 fn ensemble_verdict_is_and_fold_on_preset_c() {
     for seed in [3u64, 1009] {
-        assert_ensemble_is_and_fold(PresetId::C, 4, seed, 0.62);
+        let spec = ensemble_spec(PresetId::C, 4, seed, 0.62, SplitPolicy::Ecmp, false);
+        assert_and_fold(&spec, seed);
+    }
+}
+
+/// A member inside the bound's slack: θ set to `u_base · k_m` for the member
+/// with the largest ratio, so `u · k · (1 + δ) > θ` and the bound declines.
+/// The member must be swept, and the verdict must still be the oracle's.
+#[test]
+fn a_member_inside_the_slack_is_swept_and_agrees_with_the_oracle() {
+    for split in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+        for funneling in [false, true] {
+            let mut reached = 0;
+            let mut spec = ensemble_spec(PresetId::A, 8, 29, 0.8, split, funneling);
+            spec.space = None; // every check routes
+            spec.incremental = false;
+            let base_spec = single_matrix_spec(&spec, 0);
+            let ratios: Vec<f64> = spec
+                .extra_demands
+                .iter()
+                .map(|m| ratio(&spec.demands, m))
+                .collect();
+            let (m, &k) =
+                ratios.iter().enumerate().fold(
+                    (0, &0.0),
+                    |best, (i, r)| if *r > *best.1 { (i, r) } else { best },
+                );
+            assert!(k > 1.0, "some member surges past the base");
+            let member = m + 1;
+            for (v, s, last) in checked_states(&spec, 29) {
+                // The base's funneled max utilization, from scratch.
+                let mut base = SatChecker::with_threads(&base_spec, EscMode::Off, 1);
+                base.check(&base_spec, &v, &s, last);
+                let u = summarize(&spec.topology, &s, base.last_loads(), 1.0).max_utilization;
+                if u == 0.0 {
+                    continue;
+                }
+                let mut at_margin = spec.clone();
+                at_margin.theta = u * k;
+                let fold: Vec<bool> = (0..=at_margin.extra_demands.len())
+                    .map(|i| {
+                        let sp = single_matrix_spec(&at_margin, i);
+                        SatChecker::with_threads(&sp, EscMode::Off, 1).check(&sp, &v, &s, last)
+                    })
+                    .collect();
+                for incremental in [true, false] {
+                    at_margin.incremental = incremental;
+                    let what =
+                        format!("{split:?} funneling={funneling} incremental={incremental} at {v}");
+                    let mut checker = SatChecker::with_threads(&at_margin, EscMode::Off, 1);
+                    let got = checker.check(&at_margin, &v, &s, last);
+                    assert_eq!(got, fold.iter().all(|&b| b), "{what} fold={fold:?}");
+                    assert_eq!(
+                        checker.last_fail_matrix(),
+                        fold.iter().position(|&b| !b),
+                        "{what}"
+                    );
+                    let row = &checker.ensemble_breakdown().matrices[member];
+                    assert_eq!(
+                        row.swept, row.checks,
+                        "{what}: the bound cleared the margin"
+                    );
+                    reached += row.checks;
+                }
+            }
+            assert!(
+                reached > 0,
+                "{split:?} funneling={funneling}: no check reached the member at the margin"
+            );
+        }
+    }
+}
+
+/// `maxᵢ member[i] / base[i]`, as the checker computes it (∞ where the base
+/// carries nothing and the member does).
+fn ratio(base: &DemandMatrix, member: &DemandMatrix) -> f64 {
+    base.iter()
+        .zip(member.iter())
+        .map(|(p, r)| {
+            if r.gbps == 0.0 {
+                0.0
+            } else if p.gbps > 0.0 {
+                r.gbps / p.gbps
+            } else {
+                f64::INFINITY
+            }
+        })
+        .fold(0.0, f64::max)
+}
+
+/// Two hand-built members: a shrunk copy of the base (`k < 1`), which the
+/// bound always clears, and one carrying traffic on a demand the base leaves
+/// at 0 (`k = ∞`), which is always swept. Verdicts stay the oracle's.
+#[test]
+fn an_unbounded_member_is_always_swept_and_a_shrunk_one_always_cleared() {
+    for split in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
+        for funneling in [false, true] {
+            let plain = MigrationOptions {
+                split: Some(split),
+                funneling: FunnelingModel {
+                    headroom_factor: if funneling { 1.3 } else { 1.0 },
+                },
+                ..MigrationOptions::default()
+            };
+            let mut spec =
+                MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &plain).unwrap();
+            let refill = spec.demands.clone();
+            let hole: DemandMatrix = refill
+                .iter()
+                .cloned()
+                .enumerate()
+                .map(|(i, mut d)| {
+                    if i == 0 {
+                        d.gbps = 0.0;
+                    }
+                    d
+                })
+                .collect();
+            let mut ensemble = TrafficEnsemble::new(hole.clone()).unwrap();
+            assert!(ensemble
+                .push_variant("ewma[shrunk]", hole.scaled(0.8))
+                .unwrap());
+            assert!(ensemble.push_variant("refill", refill).unwrap());
+            assert_eq!(ratio(&hole, &ensemble.extras()[0]), 0.8);
+            assert_eq!(ratio(&hole, &ensemble.extras()[1]), f64::INFINITY);
+            spec.demands = hole;
+            spec.extra_demands = ensemble.extras().to_vec();
+            spec.ensemble_labels = ensemble.labels().to_vec();
+            assert_and_fold(&spec, 5);
+            for incremental in [true, false] {
+                spec.incremental = incremental;
+                let mut checker = SatChecker::with_threads(&spec, EscMode::Off, 1);
+                for (v, s, last) in checked_states(&spec, 5) {
+                    checker.check(&spec, &v, &s, last);
+                }
+                let rows = &checker.ensemble_breakdown().matrices;
+                let what = format!("{split:?} funneling={funneling} incremental={incremental}");
+                assert!(rows[1].checks > 0 && rows[2].checks > 0, "{what}: {rows:?}");
+                assert_eq!(rows[1].swept, 0, "{what}: the shrunk member was swept");
+                assert_eq!(rows[2].swept, rows[2].checks, "{what}: k = ∞ was cleared");
+            }
+        }
     }
 }
 

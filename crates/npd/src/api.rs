@@ -158,8 +158,8 @@ pub struct PlanSummary {
     /// Full evaluations short-circuited by a failing ensemble matrix.
     #[serde(default)]
     pub ensemble_short_circuits: u64,
-    /// Per-matrix ensemble detail (label, checks, kills, wall time), in
-    /// matrix index order; empty for single-matrix requests.
+    /// Per-matrix ensemble detail (label, checks, kills, exact sweeps, wall
+    /// time), in matrix index order; empty for single-matrix requests.
     #[serde(default)]
     pub ensemble: Vec<EnsembleMatrixStat>,
     /// True when the response was served from the shared plan cache.
@@ -348,6 +348,7 @@ mod tests {
                     label: "base".into(),
                     checks: 80,
                     kills: 20,
+                    swept: 80,
                     wall_ns: 5_000,
                 }],
                 cached: false,

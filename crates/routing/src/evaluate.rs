@@ -1,7 +1,7 @@
 //! Demand-constraint evaluation (Eq. 4–5) and demand calibration.
 
 use crate::ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
-use crate::loads::{LoadMap, PackedLoads};
+use crate::loads::LoadMap;
 use klotski_topology::{CircuitId, NetState, Topology};
 use klotski_traffic::DemandMatrix;
 
@@ -123,74 +123,6 @@ pub fn summarize(
             0.0
         },
     }
-}
-
-/// [`summarize`] for every matrix of a packed ensemble in one pass over the
-/// circuits: `reports` is overwritten with one report per lane, each equal
-/// field for field to `summarize` on that lane's loads — the per-circuit
-/// arithmetic and the circuit order are the same, so `worst_circuit` ties
-/// break identically.
-pub fn summarize_packed(
-    topo: &Topology,
-    state: &NetState,
-    loads: &PackedLoads,
-    theta: f64,
-    reports: &mut Vec<UtilizationReport>,
-) {
-    reports.clear();
-    for (g, field) in loads.groups() {
-        match g.width {
-            1 => summarize_group::<1>(topo, state, field, theta, g.lanes, reports),
-            2 => summarize_group::<2>(topo, state, field, theta, g.lanes, reports),
-            4 => summarize_group::<4>(topo, state, field, theta, g.lanes, reports),
-            _ => summarize_group::<8>(topo, state, field, theta, g.lanes, reports),
-        }
-    }
-}
-
-/// One lane group of [`summarize_packed`]: `field` is `slots × W`
-/// lane-interleaved, the first `lanes` lanes are reported.
-fn summarize_group<const W: usize>(
-    topo: &Topology,
-    state: &NetState,
-    field: &[f64],
-    theta: f64,
-    lanes: usize,
-    reports: &mut Vec<UtilizationReport>,
-) {
-    let mut max_utilization = [0.0_f64; W];
-    let mut worst_circuit = [None; W];
-    let mut violations = [0usize; W];
-    let mut min_residual = [f64::INFINITY; W];
-    for (c, cell) in topo.circuits().iter().zip(field.chunks_exact(2 * W)) {
-        if !state.circuit_usable(topo, c.id) {
-            continue;
-        }
-        let (forward, reverse) = cell.split_at(W);
-        for m in 0..W {
-            let load = forward[m].max(reverse[m]);
-            let util = load / c.capacity_gbps;
-            if util > max_utilization[m] {
-                max_utilization[m] = util;
-                worst_circuit[m] = Some(c.id);
-            }
-            violations[m] += usize::from(util > theta);
-            let residual = theta * c.capacity_gbps - load;
-            if residual < min_residual[m] {
-                min_residual[m] = residual;
-            }
-        }
-    }
-    reports.extend((0..lanes).map(|m| UtilizationReport {
-        max_utilization: max_utilization[m],
-        worst_circuit: worst_circuit[m],
-        violations: violations[m],
-        min_residual_gbps: if min_residual[m].is_finite() {
-            min_residual[m]
-        } else {
-            0.0
-        },
-    }));
 }
 
 /// Returns the factor by which the demands behind `loads` can be scaled so

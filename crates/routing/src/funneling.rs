@@ -13,7 +13,7 @@
 //! switches — have their planned load inflated by a headroom factor before
 //! the θ comparison.
 
-use crate::loads::{LoadMap, PackedLoads};
+use crate::loads::LoadMap;
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 
 /// Headroom model for asynchronous drains.
@@ -79,34 +79,6 @@ impl FunnelingModel {
         drained_switches: &[SwitchId],
         loads: &mut LoadMap,
     ) {
-        self.inflate(topo, state, drained_switches, |c| {
-            loads.scale_circuit(c, self.headroom_factor)
-        });
-    }
-
-    /// [`apply`](Self::apply) to every matrix of a packed ensemble: the
-    /// related circuits depend on the state alone, so they are found once
-    /// and inflated in all lanes.
-    pub fn apply_packed(
-        &self,
-        topo: &Topology,
-        state: &NetState,
-        drained_switches: &[SwitchId],
-        loads: &mut PackedLoads,
-    ) {
-        self.inflate(topo, state, drained_switches, |c| {
-            loads.scale_circuit(c, self.headroom_factor)
-        });
-    }
-
-    /// Calls `scale_circuit` for every circuit the headroom applies to.
-    fn inflate(
-        &self,
-        topo: &Topology,
-        state: &NetState,
-        drained_switches: &[SwitchId],
-        mut scale_circuit: impl FnMut(CircuitId),
-    ) {
         assert!(
             self.headroom_factor >= 1.0,
             "headroom factor must be >= 1.0"
@@ -115,7 +87,7 @@ impl FunnelingModel {
             return;
         }
         for c in self.related_circuits(topo, state, drained_switches) {
-            scale_circuit(c);
+            loads.scale_circuit(c, self.headroom_factor);
         }
     }
 }

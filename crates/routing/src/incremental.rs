@@ -36,24 +36,21 @@
 //!
 //! Only the structure is cached. Loads are not: after the (lane-partitioned)
 //! structure advance joins, one sequential sweep on the caller walks each
-//! destination's `order`/`dag` once and adds the requested demand matrices'
-//! shares into the caller's load field — the base matrix alone for
-//! [`IncrementalRouter::evaluate`] (straight into a `LoadMap`'s slots), every
-//! matrix of a traffic ensemble, base included as lane 0, for
-//! [`IncrementalRouter::evaluate_packed`] (into a lane-interleaved
-//! [`PackedLoads`], so one DAG edge's K adds land side by side). Either way
-//! a check is one advance and one traversal.
+//! destination's `order`/`dag` once and adds one demand matrix's shares
+//! straight into a `LoadMap`'s slots — the base matrix for
+//! [`IncrementalRouter::evaluate`], a traffic ensemble's extra `k` for
+//! [`IncrementalRouter::replay_extra`], which sweeps the structure the last
+//! advance left without advancing again.
 //!
 //! Determinism: the sweep visits destinations in ascending order, switches
 //! in reverse canonical `(distance, switch index)` order, and downhill lists
 //! in neighbor-scan order. That is the exact f64 addition sequence a
 //! from-scratch sequential evaluation produces per matrix (see
 //! `ecmp::canonical_order`), and it runs on one thread, so verdicts
-//! and loads are bit-identical to full evaluation at any thread count and
-//! any number of packed matrices.
+//! and loads are bit-identical to full evaluation at any thread count.
 
 use crate::ecmp::{dial_labels, DialScratch, RouteOutcome, SplitPolicy, UNREACHED};
-use crate::loads::{lane_groups, LoadMap, PackedLoads};
+use crate::loads::LoadMap;
 use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
 use klotski_telemetry::{registry, Counter, Gauge};
@@ -62,7 +59,6 @@ use klotski_traffic::{DemandClass, DemandMatrix};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Chunks per lane for the lane-partitioned destination advance: a little
 /// oversubscription so fast lanes steal the tail.
@@ -74,8 +70,7 @@ const SHARED_ENDPOINTS: &str = "every matrix of an engine must share the base de
 /// Running totals of incremental-evaluation effort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalStats {
-    /// Completed [`evaluate`](IncrementalRouter::evaluate) and
-    /// [`evaluate_packed`](IncrementalRouter::evaluate_packed) calls.
+    /// Completed [`evaluate`](IncrementalRouter::evaluate) calls.
     pub evaluations: u64,
     /// Structure-only [`rebase`](IncrementalRouter::rebase) calls.
     pub rebases: u64,
@@ -88,12 +83,11 @@ pub struct IncrementalStats {
     /// Total toggled circuits across all delta evaluations.
     pub toggled_circuits: u64,
     /// Non-base ensemble matrices swept: one per
-    /// [`replay_extra`](IncrementalRouter::replay_extra), K−1 per
-    /// [`evaluate_packed`](IncrementalRouter::evaluate_packed).
+    /// [`replay_extra`](IncrementalRouter::replay_extra).
     pub extra_replays: u64,
     /// Traversals of the routing structure by the load sweep: one per
-    /// `evaluate` or `replay_extra`, one per lane group (a single one up to
-    /// K = 8) per `evaluate_packed`.
+    /// `evaluate` or `replay_extra`, so always
+    /// `evaluations + extra_replays`.
     pub sweeps: u64,
 }
 
@@ -253,9 +247,8 @@ pub struct IncrementalRouter {
     mask: UsableMask,
     entries: Vec<DestEntry>,
     scratch: Vec<LaneScratch>,
-    /// Inflow accumulator of the load sweep, `switches ×` the widest kernel
-    /// this engine's ensemble needs; a width-`W` sweep keeps switch `u`'s
-    /// flows at `[u * W, u * W + W)`. All zero between sweeps.
+    /// Inflow accumulator of the load sweep, one cell per switch. All zero
+    /// between sweeps.
     inflow: Vec<f64>,
     /// Word-level masks of the current toggle set, `(word index, bits)` —
     /// a destination whose footprint misses every word is clean without
@@ -293,9 +286,7 @@ impl IncrementalRouter {
     /// An engine that additionally tracks `extras` — the non-base matrices
     /// of a traffic ensemble. Every extra must share `matrix`'s exact
     /// `(src, dst, class)` sequence (only rates may differ); the routing
-    /// structure is then matrix-independent:
-    /// [`evaluate_packed`](Self::evaluate_packed) sweeps all of them with the
-    /// base in the one traversal that follows the advance, and
+    /// structure is then matrix-independent, and
     /// [`replay_extra`](Self::replay_extra) re-runs the load sweep for one
     /// matrix against the structure the last advance computed.
     ///
@@ -340,13 +331,7 @@ impl IncrementalRouter {
             csr,
             mask: UsableMask::new(),
             entries,
-            inflow: vec![
-                0.0;
-                n * lane_groups(matrices)
-                    .map(|g| g.width)
-                    .max()
-                    .expect("the base matrix is a lane")
-            ],
+            inflow: vec![0.0; n],
             toggle_words: Vec::new(),
             intern: HashMap::new(),
             num_extras: extras.len(),
@@ -482,61 +467,7 @@ impl IncrementalRouter {
         self.advance(pool, topo, state, toggles);
         self.stats.evaluations += 1;
         self.metrics.evaluations.inc();
-        self.sweep_group::<1>(state, 0, loads.slots_mut(), std::slice::from_mut(outcome));
-    }
-
-    /// [`evaluate`](Self::evaluate) for the whole ensemble: one structure
-    /// advance, then one traversal that sweeps every matrix the engine
-    /// tracks — the base as lane 0, extra `k` as lane `k + 1` — into `loads`
-    /// (overwritten: the sweep starts from zero, unlike `evaluate`) and
-    /// writes `outcomes[lane]`. K = 8 fills the widest kernel exactly; more
-    /// matrices take one traversal per group of 8.
-    ///
-    /// Ensemble variants share the base's demand endpoints, so routing
-    /// structure and reachability are matrix-independent, and each lane sees
-    /// the f64 addition sequence of a from-scratch sequential evaluation of
-    /// its matrix alone: every lane is bit-identical to that evaluation.
-    ///
-    /// Returns the wall time of the sweep — the part of the call all K
-    /// matrices share, for callers that attribute time per matrix; the
-    /// advance before it is the same work `evaluate` does.
-    ///
-    /// # Panics
-    /// Panics unless `loads` and `outcomes` hold exactly
-    /// [`num_extras`](Self::num_extras)` + 1` lanes.
-    pub fn evaluate_packed(
-        &mut self,
-        pool: &WorkerPool,
-        topo: &Topology,
-        state: &NetState,
-        toggles: Option<&[CircuitId]>,
-        loads: &mut PackedLoads,
-        outcomes: &mut [RouteOutcome],
-    ) -> Duration {
-        let matrices = self.num_extras + 1;
-        assert_eq!(loads.lanes(), matrices, "one lane per ensemble matrix");
-        assert_eq!(outcomes.len(), matrices, "one outcome per ensemble matrix");
-        assert_eq!(
-            loads.num_circuits(),
-            self.csr.num_circuits(),
-            "loads of another topology"
-        );
-        self.advance(pool, topo, state, toggles);
-        self.stats.evaluations += 1;
-        self.stats.extra_replays += self.num_extras as u64;
-        self.metrics.evaluations.inc();
-        let swept = Instant::now();
-        loads.clear();
-        for (g, field) in loads.groups_mut() {
-            let outcomes = &mut outcomes[g.first..][..g.lanes];
-            match g.width {
-                1 => self.sweep_group::<1>(state, g.first, field, outcomes),
-                2 => self.sweep_group::<2>(state, g.first, field, outcomes),
-                4 => self.sweep_group::<4>(state, g.first, field, outcomes),
-                _ => self.sweep_group::<8>(state, g.first, field, outcomes),
-            }
-        }
-        swept.elapsed()
+        self.sweep(state, 0, loads, outcome);
     }
 
     /// Sweeps ensemble matrix `k + 1` (the k-th non-base extra) over the
@@ -555,46 +486,34 @@ impl IncrementalRouter {
         outcome: &mut RouteOutcome,
     ) {
         assert!(k < self.num_extras, "matrix outside the engine's ensemble");
-        self.sweep_group::<1>(
-            state,
-            k + 1,
-            loads.slots_mut(),
-            std::slice::from_mut(outcome),
-        );
+        self.sweep(state, k + 1, loads, outcome);
         self.stats.extra_replays += 1;
     }
 
-    /// One traversal of every destination, ascending, through the width-`W`
-    /// kernel: matrices `first .. first + outcomes.len()` (at most `W`) are
-    /// added into `acc`, a `slots × W` lane-interleaved field — a
-    /// [`LoadMap`]'s own slots when `W` is 1. Padding lanes
-    /// `outcomes.len()..W` start at +0.0 and only ever receive +0.0 shares
-    /// (no rate is injected into them); the real lanes cannot tell they are
-    /// there — see [`sweep_entry`].
-    fn sweep_group<const W: usize>(
+    /// One traversal of every destination, ascending, adding matrix `m`'s
+    /// shares into `loads` — see [`sweep_entry`].
+    fn sweep(
         &mut self,
         state: &NetState,
-        first: usize,
-        acc: &mut [f64],
-        outcomes: &mut [RouteOutcome],
+        m: usize,
+        loads: &mut LoadMap,
+        outcome: &mut RouteOutcome,
     ) {
         debug_assert!(self.primed, "the sweep needs a primed engine");
         self.stats.sweeps += 1;
-        for o in outcomes.iter_mut() {
-            o.clear();
-        }
-        let inflow = &mut self.inflow[..self.csr.num_switches() * W];
+        outcome.clear();
+        let acc = loads.slots_mut();
         for entry in &self.entries {
-            sweep_entry::<W>(
+            sweep_entry(
                 entry,
                 &self.csr,
                 self.policy,
-                inflow,
+                &mut self.inflow,
                 acc,
                 state,
                 self.num_extras + 1,
-                first,
-                outcomes,
+                m,
+                outcome,
             );
         }
     }
@@ -1055,20 +974,12 @@ fn rebuild_full(
     }
 }
 
-/// Injection + reverse sweep of one destination for `outcomes.len() <= W`
-/// demand matrices at once (columns `first..` of `entry.rates`), from the
-/// cached structures into `acc`, the width-`W` lane-interleaved load
-/// accumulator (`acc[slot * W + m]`; a `LoadMap`'s own slots when `W` is 1).
-/// `inflow` is the same shape over switches. Per matrix this mirrors
-/// `EcmpRouter::route_group` addition for addition; the differences cannot
-/// change a bit of the result:
+/// Injection + reverse sweep of one destination for demand matrix `m`
+/// (column `m` of `entry.rates`), from the cached structures into `acc`, a
+/// `LoadMap`'s directional slots; `inflow` holds one cell per switch. This
+/// mirrors `EcmpRouter::route_group` addition for addition; the differences
+/// cannot change a bit of the result:
 ///
-/// - a matrix whose flow at a switch is 0.0 adds 0.0 shares where the
-///   oracle skips the switch — accumulators start at +0.0 and a sum is
-///   −0.0 only if both terms are, so none ever holds −0.0, the one value
-///   `x + 0.0` would change. Lanes share nothing but that skip test, so the
-///   padding lanes (`outcomes.len()..W`, never injected into, flow always
-///   +0.0) are invisible to the real ones;
 /// - under ECMP every split weight is 1.0: the weight total is the list
 ///   length (a sum of that many ones, exact), the share `flow * 1.0 / total`
 ///   is the same on every downhill circuit and `x * 1.0 == x`, so it is
@@ -1077,7 +988,7 @@ fn rebuild_full(
 ///   strictly smaller distances, later in the reverse order), which
 ///   replaces the oracle's touched-list reset.
 #[allow(clippy::too_many_arguments)]
-fn sweep_entry<const W: usize>(
+fn sweep_entry(
     entry: &DestEntry,
     csr: &CsrGraph,
     policy: SplitPolicy,
@@ -1085,40 +996,25 @@ fn sweep_entry<const W: usize>(
     acc: &mut [f64],
     state: &NetState,
     matrices: usize,
-    first: usize,
-    outcomes: &mut [RouteOutcome],
+    m: usize,
+    outcome: &mut RouteOutcome,
 ) {
-    /// Adds one share per lane into cell `i` of a lane-interleaved array.
-    #[inline(always)]
-    fn add<const W: usize>(cells: &mut [f64], i: u32, shares: &[f64; W]) {
-        for (into, &share) in cells[i as usize * W..][..W].iter_mut().zip(shares) {
-            *into += share;
-        }
-    }
-
-    let lanes = outcomes.len();
     for (i, &src) in entry.srcs.iter().enumerate() {
         if entry.dist[src.index()] == UNREACHED || !state.switch_up(src) {
-            for o in outcomes.iter_mut() {
-                o.unreachable.push((src, entry.dst));
-            }
+            outcome.unreachable.push((src, entry.dst));
             continue;
         }
-        let rates = &entry.rates[i * matrices + first..][..lanes];
-        let cell = &mut inflow[src.index() * W..][..W];
-        for ((into, o), &gbps) in cell.iter_mut().zip(outcomes.iter_mut()).zip(rates) {
-            *into += gbps;
-            o.routed_gbps += gbps;
-        }
+        let gbps = entry.rates[i * matrices + m];
+        inflow[src.index()] += gbps;
+        outcome.routed_gbps += gbps;
     }
     let offsets = csr.offsets();
     for &u in entry.order.iter().rev() {
         let u = u as usize;
-        let cell: &mut [f64; W] = (&mut inflow[u * W..][..W]).try_into().expect("sliced to W");
-        if cell.iter().all(|&f| f == 0.0) {
+        let flow = std::mem::replace(&mut inflow[u], 0.0);
+        if flow == 0.0 {
             continue;
         }
-        let mut flows = std::mem::replace(cell, [0.0; W]);
         let list = &entry.dag[offsets[u] as usize..][..entry.dag_len[u] as usize];
         if list.is_empty() {
             debug_assert_eq!(
@@ -1129,13 +1025,10 @@ fn sweep_entry<const W: usize>(
         }
         match policy {
             SplitPolicy::Ecmp => {
-                let total_weight = list.len() as f64;
-                for f in &mut flows {
-                    *f /= total_weight;
-                }
+                let share = flow / list.len() as f64;
                 for &(slot, far) in list {
-                    add(acc, slot, &flows);
-                    add(inflow, far, &flows);
+                    acc[slot as usize] += share;
+                    inflow[far as usize] += share;
                 }
             }
             SplitPolicy::Wcmp => {
@@ -1144,10 +1037,9 @@ fn sweep_entry<const W: usize>(
                     total_weight += csr.wcmp_weight(slot >> 1);
                 }
                 for &(slot, far) in list {
-                    let weight = csr.wcmp_weight(slot >> 1);
-                    let shares = flows.map(|f| f * weight / total_weight);
-                    add(acc, slot, &shares);
-                    add(inflow, far, &shares);
+                    let share = flow * csr.wcmp_weight(slot >> 1) / total_weight;
+                    acc[slot as usize] += share;
+                    inflow[far as usize] += share;
                 }
             }
         }
@@ -1167,8 +1059,6 @@ pub fn usability_toggles(topo: &Topology, a: &NetState, b: &NetState) -> Vec<Cir
 mod tests {
     use super::*;
     use crate::ecmp::EcmpRouter;
-    use crate::evaluate::{summarize, summarize_packed};
-    use crate::funneling::FunnelingModel;
     use klotski_topology::presets::{self, PresetId};
     use klotski_traffic::{generate, DemandGenConfig};
 
@@ -1259,98 +1149,48 @@ mod tests {
             .collect()
     }
 
-    /// One ensemble check's routing at `state`, both ways: every matrix
-    /// (`matrices[0]` the base) in one packed traversal after advancing by
-    /// `toggles`, then one lane at a time over the same structure — each
-    /// lane checked against the other path and against `EcmpRouter` from
-    /// scratch, bit for bit. `packed` arrives holding whatever the last call
-    /// left (the sweep must overwrite it). Then the one-pass K-report
-    /// summary against `summarize` per lane, before and after funneling.
+    /// One ensemble check's routing at `state`: the base matrix evaluated
+    /// after advancing by `toggles`, then every extra swept by
+    /// `replay_extra` over the same structure — each checked against
+    /// `EcmpRouter` from scratch, bit for bit. `member` arrives holding
+    /// whatever the last call swept: its loads are cleared as a checker
+    /// clears them, its outcome must be overwritten by the sweep.
     #[allow(clippy::too_many_arguments)]
-    fn assert_packed_matches_scalar_and_scratch(
+    fn assert_members_match_scratch(
         engine: &mut IncrementalRouter,
         pool: &WorkerPool,
         t: &Topology,
         state: &NetState,
         toggles: Option<&[CircuitId]>,
-        packed: &mut PackedLoads,
+        member: &mut (LoadMap, RouteOutcome),
         matrices: &[&DemandMatrix],
         policy: SplitPolicy,
         what: &str,
     ) {
-        let mut packed_out = vec![RouteOutcome::new(); matrices.len()];
-        engine.evaluate_packed(pool, t, state, toggles, packed, &mut packed_out);
-        let mut lanes = vec![LoadMap::new(t); matrices.len()];
-        let mut loads = LoadMap::new(t);
-        let mut out = RouteOutcome::new();
+        let (loads, out) = member;
         for (m, matrix) in matrices.iter().enumerate() {
-            let what = format!("{what} lane {m}");
-            packed.lane_into(m, &mut lanes[m]);
+            let what = format!("{what} matrix {m}");
             loads.clear();
             match m.checked_sub(1) {
-                None => engine.evaluate(pool, t, state, Some(&[]), &mut loads, &mut out),
-                Some(k) => engine.replay_extra(k, state, &mut loads, &mut out),
+                None => engine.evaluate(pool, t, state, toggles, loads, out),
+                Some(k) => engine.replay_extra(k, state, loads, out),
             }
             let (ref_loads, ref_out) = full_reference(t, state, matrix, policy);
-            for (got, path) in [(&packed_out[m], "packed"), (&out, "one-lane")] {
-                assert_eq!(*got, ref_out, "{what} ({path})");
-                assert_eq!(
-                    got.routed_gbps.to_bits(),
-                    ref_out.routed_gbps.to_bits(),
-                    "{what} ({path})"
-                );
-            }
-            assert_bit_identical(&lanes[m], &ref_loads, t, &format!("{what} (packed)"));
-            assert_bit_identical(&loads, &ref_loads, t, &format!("{what} (one-lane)"));
-        }
-
-        // θ at half the base's peak, so violations and residuals are not
-        // trivially zero; the headroom lands on circuits around switches
-        // that are down in `state`.
-        let theta = 0.5 * summarize(t, state, &lanes[0], 1.0).max_utilization;
-        let down: Vec<SwitchId> = (0..t.num_switches())
-            .map(SwitchId::from_index)
-            .filter(|&s| !state.switch_up(s))
-            .take(2)
-            .collect();
-        let model = FunnelingModel {
-            headroom_factor: 1.3,
-        };
-        let mut reports = Vec::new();
-        for funneled in [false, true] {
-            if funneled {
-                assert!(!model.related_circuits(t, state, &down).is_empty());
-                model.apply_packed(t, state, &down, packed);
-            }
-            summarize_packed(t, state, packed, theta, &mut reports);
-            assert_eq!(reports.len(), matrices.len());
-            for (m, (lane, got)) in lanes.iter_mut().zip(&reports).enumerate() {
-                let what = format!("{what} lane {m} funneled={funneled}");
-                if funneled {
-                    model.apply(t, state, &down, lane);
-                    packed.lane_into(m, &mut loads);
-                    assert_bit_identical(&loads, lane, t, &what);
-                }
-                let want = summarize(t, state, lane, theta);
-                assert_eq!(
-                    got.max_utilization.to_bits(),
-                    want.max_utilization.to_bits(),
-                    "{what}"
-                );
-                assert_eq!(got.worst_circuit, want.worst_circuit, "{what}");
-                assert_eq!(got.violations, want.violations, "{what}");
-                assert_eq!(
-                    got.min_residual_gbps.to_bits(),
-                    want.min_residual_gbps.to_bits(),
-                    "{what}"
-                );
-            }
-            assert!(reports[0].violations > 0 && reports[0].worst_circuit.is_some());
+            assert_eq!(*out, ref_out, "{what}");
+            assert_eq!(
+                out.routed_gbps.to_bits(),
+                ref_out.routed_gbps.to_bits(),
+                "{what}"
+            );
+            assert_bit_identical(loads, &ref_loads, t, &what);
         }
     }
 
-    /// The base matrix followed by the extras: lane order.
-    fn lanes_of<'a>(base: &'a DemandMatrix, extras: &'a [DemandMatrix]) -> Vec<&'a DemandMatrix> {
+    /// The base matrix followed by the extras: matrix index order.
+    fn matrices_of<'a>(
+        base: &'a DemandMatrix,
+        extras: &'a [DemandMatrix],
+    ) -> Vec<&'a DemandMatrix> {
         std::iter::once(base).chain(extras).collect()
     }
 
@@ -1480,7 +1320,7 @@ mod tests {
                 policy,
             );
             let mut loads = LoadMap::new(&t);
-            let mut packed = PackedLoads::new(&t, 3);
+            let mut member = (LoadMap::new(&t), RouteOutcome::new());
             let mut out = RouteOutcome::new();
             let mut seed = 0x5eed_u64;
             let mut prev = start.clone();
@@ -1497,14 +1337,14 @@ mod tests {
                 assert_eq!(out, ref_out, "{policy:?} step {i}");
                 assert_bit_identical(&loads, &ref_loads, &t, "drifted base");
                 // The extras' columns are untouched.
-                assert_packed_matches_scalar_and_scratch(
+                assert_members_match_scratch(
                     &mut engine,
                     &pool,
                     &t,
                     &next,
                     Some(&[]),
-                    &mut packed,
-                    &lanes_of(drifted, &extras),
+                    &mut member,
+                    &matrices_of(drifted, &extras),
                     policy,
                     "beside a drifted base",
                 );
@@ -1524,16 +1364,12 @@ mod tests {
     }
 
     #[test]
-    fn packed_sweep_matches_one_lane_sweeps_and_from_scratch() {
+    fn replayed_members_match_from_scratch_at_every_ensemble_size() {
         let (t, state, demands) = preset_world();
         for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
-            // Every kernel width (1, 2, 4, 8), every padding amount (K = 3
-            // → 1 lane, 5 → 3, 6 → 2, 7 → 1), and ensembles wider than the
-            // widest kernel (K = 9 → a full group and a scalar one; 17 →
-            // two full groups and a scalar one).
-            for k in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 17] {
+            for k in [1usize, 2, 3, 5, 8, 9, 17] {
                 let extras = variants(&demands, k - 1);
-                let matrices = lanes_of(&demands, &extras);
+                let matrices = matrices_of(&demands, &extras);
                 let pool = WorkerPool::new(1 + k % 3);
                 let mut engine = IncrementalRouter::with_csr_ensemble(
                     Arc::new(CsrGraph::build(&t)),
@@ -1543,8 +1379,7 @@ mod tests {
                     policy,
                 );
                 assert_eq!(engine.num_extras(), k - 1);
-                let mut packed = PackedLoads::new(&t, k);
-                assert_eq!(packed.lanes(), k);
+                let mut member = (LoadMap::new(&t), RouteOutcome::new());
                 let mut prev = state.clone();
                 engine.rebase(&pool, &t, &prev, None);
                 let mut seed = 0xab5eed ^ k as u64;
@@ -1557,13 +1392,13 @@ mod tests {
                     engine.rebase(&pool, &t, &parent, Some(&toggles));
                     if step % 2 == 1 {
                         // A check of the rebased state itself: empty delta.
-                        assert_packed_matches_scalar_and_scratch(
+                        assert_members_match_scratch(
                             &mut engine,
                             &pool,
                             &t,
                             &parent,
                             Some(&[]),
-                            &mut packed,
+                            &mut member,
                             &matrices,
                             policy,
                             &format!("{what} (rebased)"),
@@ -1571,72 +1406,40 @@ mod tests {
                     }
                     let next = random_step(&t, &parent, &mut seed);
                     let toggles = usability_toggles(&t, &parent, &next);
-                    assert_packed_matches_scalar_and_scratch(
+                    assert_members_match_scratch(
                         &mut engine,
                         &pool,
                         &t,
                         &next,
                         Some(&toggles),
-                        &mut packed,
+                        &mut member,
                         &matrices,
                         policy,
                         &what,
                     );
                     prev = next;
                 }
-                // Per call: one packed evaluation (one traversal per group
-                // of 8) plus the one-lane sweeps of all K matrices.
-                let calls = 8 + 4;
-                let groups = k.div_ceil(8) as u64;
+                // Per check: one evaluation and K − 1 replays, one sweep
+                // each.
+                let checks = 8 + 4;
                 let s = engine.stats();
-                assert_eq!(s.evaluations, calls * 2);
-                assert_eq!(s.extra_replays, calls * 2 * (k as u64 - 1));
-                assert_eq!(s.sweeps, calls * (groups + k as u64));
+                assert_eq!(s.evaluations, checks);
+                assert_eq!(s.extra_replays, checks * (k as u64 - 1));
+                assert_eq!(s.sweeps, s.evaluations + s.extra_replays);
             }
         }
     }
 
     #[test]
-    fn a_packed_evaluation_is_one_advance_and_one_traversal() {
-        let (t, state, demands) = preset_world();
-        let extras = variants(&demands, 7);
-        let pool = WorkerPool::new(1);
-        let mut engine = IncrementalRouter::with_csr_ensemble(
-            Arc::new(CsrGraph::build(&t)),
-            &demands,
-            &extras,
-            pool.lanes(),
-            SplitPolicy::Ecmp,
-        );
-        let mut packed = PackedLoads::new(&t, 8);
-        let mut outs = vec![RouteOutcome::new(); 8];
-        engine.evaluate_packed(&pool, &t, &state, None, &mut packed, &mut outs);
-        let mut prev = state;
-        let mut seed = 0x0e5;
-        for _ in 0..10 {
-            let next = random_step(&t, &prev, &mut seed);
-            let toggles = usability_toggles(&t, &prev, &next);
-            engine.evaluate_packed(&pool, &t, &next, Some(&toggles), &mut packed, &mut outs);
-            prev = next;
-        }
-        let s = engine.stats();
-        assert_eq!((s.evaluations, s.sweeps, s.rebases), (11, 11, 0));
-        assert_eq!(s.extra_replays, 11 * 7);
-        assert_eq!(
-            s.clean_destinations + s.dirty_destinations,
-            11 * engine.num_destinations() as u64
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one lane per ensemble matrix")]
-    fn packed_loads_of_another_ensemble_size_are_refused() {
+    #[should_panic(expected = "matrix outside the engine's ensemble")]
+    fn a_matrix_outside_the_ensemble_is_refused() {
         let (t, state, demands) = preset_world();
         let pool = WorkerPool::new(1);
         let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
-        let mut packed = PackedLoads::new(&t, 2);
-        let mut outs = vec![RouteOutcome::new(); 2];
-        engine.evaluate_packed(&pool, &t, &state, None, &mut packed, &mut outs);
+        let mut loads = LoadMap::new(&t);
+        let mut out = RouteOutcome::new();
+        engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
+        engine.replay_extra(0, &state, &mut loads, &mut out);
     }
 
     /// One destination's cached structure: labels, canonical order, list
@@ -1705,11 +1508,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_matrices_and_lost_sources_sweep_like_the_scalar_path() {
+    fn zero_rate_matrices_and_lost_sources_sweep_like_from_scratch() {
         let (t, state, demands) = preset_world();
         // Matrix 1 is silent, matrix 2 silences every other demand, matrix
-        // 3 is plain: at most switches some packed matrices carry 0.0 flow
-        // while others do not.
+        // 3 is plain: switches carry 0.0 flow under some matrices and not
+        // under others.
         let holes: DemandMatrix = demands
             .iter()
             .cloned()
@@ -1744,14 +1547,14 @@ mod tests {
             let mut out = RouteOutcome::new();
             engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
             let toggles = usability_toggles(&t, &state, &next);
-            assert_packed_matches_scalar_and_scratch(
+            assert_members_match_scratch(
                 &mut engine,
                 &pool,
                 &t,
                 &next,
                 Some(&toggles),
-                &mut PackedLoads::new(&t, 4),
-                &lanes_of(&demands, &extras),
+                &mut (LoadMap::new(&t), RouteOutcome::new()),
+                &matrices_of(&demands, &extras),
                 policy,
                 &format!("{policy:?}"),
             );

@@ -35,11 +35,10 @@ pub mod mask;
 
 pub use ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 pub use evaluate::{
-    evaluate, evaluate_policy, evaluate_with, scale_from_routed, summarize_packed, SafetyOutcome,
-    UtilizationReport,
+    evaluate, evaluate_policy, evaluate_with, scale_from_routed, SafetyOutcome, UtilizationReport,
 };
 pub use funneling::FunnelingModel;
 pub use incremental::{usability_toggles, IncrementalRouter, IncrementalStats};
 pub use klotski_topology::{CsrEdge, CsrGraph};
-pub use loads::{LoadMap, PackedLoads};
+pub use loads::LoadMap;
 pub use mask::UsableMask;

@@ -3,9 +3,7 @@
 //! Circuits are full duplex: a 400 Gbps circuit carries 400 Gbps in each
 //! direction. [`LoadMap`] therefore tracks two accumulators per circuit —
 //! the `a→b` and `b→a` directions — and reports utilization as the maximum
-//! of the two, which is what bounds congestion in practice. [`PackedLoads`]
-//! is the same field for all K matrices of a traffic ensemble at once,
-//! lane-interleaved so one routing sweep fills every matrix's loads.
+//! of the two, which is what bounds congestion in practice.
 
 use klotski_topology::{CircuitId, SwitchId, Topology};
 
@@ -114,132 +112,6 @@ impl LoadMap {
     /// conservation diagnostic in tests.
     pub fn total_flow(&self) -> f64 {
         self.loads.iter().sum()
-    }
-}
-
-/// Widest lane group of a [`PackedLoads`] — the widest instantiation of the
-/// incremental engine's sweep kernel.
-pub(crate) const MAX_WIDTH: usize = 8;
-
-/// One lane group of a [`PackedLoads`]: matrices `first .. first + lanes`,
-/// stored `width` to a cell (`width` a power of two, `lanes <= width`; the
-/// lanes past `lanes` are padding that stays +0.0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LaneGroup {
-    pub first: usize,
-    pub lanes: usize,
-    pub width: usize,
-}
-
-/// How `lanes` matrices are grouped: [`MAX_WIDTH`] at a time, the rest in
-/// one group rounded up to a power of two — so K = 8 is exactly one full
-/// group, and every group's inner loops are whole vectors (or one scalar).
-pub(crate) fn lane_groups(lanes: usize) -> impl Iterator<Item = LaneGroup> {
-    (0..lanes).step_by(MAX_WIDTH).map(move |first| {
-        let n = (lanes - first).min(MAX_WIDTH);
-        LaneGroup {
-            first,
-            lanes: n,
-            width: n.next_power_of_two(),
-        }
-    })
-}
-
-/// Directional loads of all K matrices of a traffic ensemble over one
-/// topology — what [`IncrementalRouter::evaluate_packed`] fills in one
-/// traversal of the routing structure.
-///
-/// Lane-interleaved: within a lane group of width `W`, cell
-/// `[slot * W + m]` is matrix `first + m`'s load on directional `slot`
-/// (indexed like [`LoadMap::directed_slot`]), so the K adds of one DAG edge
-/// land side by side. Groups follow one another, each a whole
-/// `slots × W` field. A matrix's lane holds, bit for bit, what a
-/// [`LoadMap`] routed with that matrix alone holds; [`lane_into`] copies
-/// one out.
-///
-/// [`IncrementalRouter::evaluate_packed`]: crate::IncrementalRouter::evaluate_packed
-/// [`lane_into`]: Self::lane_into
-#[derive(Debug, Clone)]
-pub struct PackedLoads {
-    lanes: usize,
-    slots: usize,
-    cells: Vec<f64>,
-}
-
-impl PackedLoads {
-    /// Zero loads of `lanes` matrices for a topology.
-    pub fn new(topo: &Topology, lanes: usize) -> Self {
-        let slots = topo.num_circuits() * 2;
-        let width: usize = lane_groups(lanes).map(|g| g.width).sum();
-        Self {
-            lanes,
-            slots,
-            cells: vec![0.0; slots * width],
-        }
-    }
-
-    /// Number of matrices covered.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of circuits covered.
-    pub fn num_circuits(&self) -> usize {
-        self.slots / 2
-    }
-
-    /// Resets all loads to zero.
-    pub(crate) fn clear(&mut self) {
-        self.cells.fill(0.0);
-    }
-
-    /// Every lane group with its `slots × width` field, in matrix order.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = (LaneGroup, &[f64])> {
-        let slots = self.slots;
-        let mut rest = &self.cells[..];
-        lane_groups(self.lanes).map(move |g| {
-            let (field, tail) = rest.split_at(slots * g.width);
-            rest = tail;
-            (g, field)
-        })
-    }
-
-    /// [`groups`](Self::groups), writable.
-    pub(crate) fn groups_mut(&mut self) -> impl Iterator<Item = (LaneGroup, &mut [f64])> {
-        let slots = self.slots;
-        let mut rest = &mut self.cells[..];
-        lane_groups(self.lanes).map(move |g| {
-            let (field, tail) = std::mem::take(&mut rest).split_at_mut(slots * g.width);
-            rest = tail;
-            (g, field)
-        })
-    }
-
-    /// Overwrites `into` with matrix `lane`'s loads.
-    ///
-    /// # Panics
-    /// Panics when `lane` is out of range or `into` covers another topology.
-    pub fn lane_into(&self, lane: usize, into: &mut LoadMap) {
-        assert!(lane < self.lanes, "lane outside the packed ensemble");
-        assert_eq!(into.loads.len(), self.slots, "one topology");
-        let (g, field) = self
-            .groups()
-            .find(|(g, _)| lane < g.first + g.lanes)
-            .expect("lane < lanes");
-        let cells = field.iter().skip(lane - g.first).step_by(g.width);
-        for (into, &from) in into.loads.iter_mut().zip(cells) {
-            *into = from;
-        }
-    }
-
-    /// Multiplies both directions of circuit `c` by `factor` in every
-    /// matrix's lane (funneling).
-    pub fn scale_circuit(&mut self, c: CircuitId, factor: f64) {
-        for (g, field) in self.groups_mut() {
-            for x in &mut field[c.index() * 2 * g.width..][..2 * g.width] {
-                *x *= factor;
-            }
-        }
     }
 }
 

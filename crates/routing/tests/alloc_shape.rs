@@ -2,14 +2,13 @@
 //!
 //! The load-sweep data path is fast because of where its bytes live: each
 //! destination's DAG is one arena (not one list per switch), `LoadMap` is a
-//! plain dense array, and the packed sweep fills one caller-owned
-//! `PackedLoads`. A counting `#[global_allocator]` pins exactly that, on any
-//! machine, without a timer.
+//! plain dense array, and every sweep — the base matrix's and each ensemble
+//! member's — fills a caller-owned one. A counting `#[global_allocator]` pins
+//! exactly that, on any machine, without a timer.
 
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    summarize_packed, usability_toggles, IncrementalRouter, LoadMap, PackedLoads, RouteOutcome,
-    SplitPolicy,
+    evaluate::summarize, usability_toggles, IncrementalRouter, LoadMap, RouteOutcome, SplitPolicy,
 };
 use klotski_topology::presets::{self, PresetId};
 use klotski_topology::{CircuitId, CsrGraph, NetState};
@@ -143,9 +142,8 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
 
     let mut loads = LoadMap::new(t);
     let mut out = RouteOutcome::new();
-    let mut packed = PackedLoads::new(t, extras.len() + 1);
-    let mut packed_out = vec![RouteOutcome::new(); extras.len() + 1];
-    let mut reports = Vec::with_capacity(extras.len() + 1);
+    let mut member = LoadMap::new(t);
+    let mut member_out = RouteOutcome::new();
 
     // (1) Construction + priming: a handful of blocks per destination — its
     // demand columns, labels, order, the DAG arena and its lengths, a
@@ -181,32 +179,23 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     // before keeps its footprint, the sweeps fill caller-owned buffers,
     // `clear` is a fill.
     let mut step = |engine: &mut IncrementalRouter, i: usize| {
-        // Planner shape: the child's whole ensemble is evaluated in one
-        // packed sweep and summarized, the engine is rebased onto the parent
-        // and the child is evaluated again one lane at a time.
-        engine.evaluate_packed(
-            &pool,
-            t,
-            &states[i + 1],
-            Some(&forward[i]),
-            &mut packed,
-            &mut packed_out,
-        );
-        summarize_packed(t, &states[i + 1], &packed, 0.75, &mut reports);
-        packed.lane_into(0, &mut loads);
+        // Checker shape: the child's base matrix is evaluated and
+        // summarized, then every member is swept into its own buffer and
+        // summarized; the engine is rebased onto the parent and the child
+        // evaluated again.
+        let child = &states[i + 1];
+        loads.clear();
+        engine.evaluate(&pool, t, child, Some(&forward[i]), &mut loads, &mut out);
+        let mut worst = summarize(t, child, &loads, 0.75).max_utilization;
+        for k in 0..extras.len() {
+            member.clear();
+            engine.replay_extra(k, child, &mut member, &mut member_out);
+            worst = worst.max(summarize(t, child, &member, 0.75).max_utilization);
+        }
+        assert!(worst > 0.0);
         engine.rebase(&pool, t, &states[i], Some(&forward[i]));
         loads.clear();
-        engine.evaluate(
-            &pool,
-            t,
-            &states[i + 1],
-            Some(&forward[i]),
-            &mut loads,
-            &mut out,
-        );
-        for k in 0..extras.len() {
-            engine.replay_extra(k, &states[i + 1], &mut loads, &mut out);
-        }
+        engine.evaluate(&pool, t, child, Some(&forward[i]), &mut loads, &mut out);
     };
     step(&mut engine, 0);
     let before = engine.stats();
@@ -226,7 +215,7 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     assert_eq!(
         walked,
         Counts::default(),
-        "evaluate / evaluate_packed / replay_extra / rebase along the walk must not touch the allocator"
+        "evaluate / replay_extra / summarize / rebase along the walk must not touch the allocator"
     );
 
     // (3) Drop: what was allocated per destination is freed per destination.

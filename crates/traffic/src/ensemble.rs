@@ -24,8 +24,10 @@ use crate::surge::SurgeEvent;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Upper bound on ensemble size; checking cost is linear in K per failing
-/// state, and anything past this is a spec typo, not a workload.
+/// Upper bound on ensemble size; anything past this is a spec typo, not a
+/// workload. A check routes the base matrix and sweeps only the members a
+/// headroom bound on the base cannot clear, so its cost grows with those
+/// members, not with K; the bound itself is one multiply per member.
 pub const MAX_ENSEMBLE: usize = 64;
 
 /// 64-bit FNV-1a offset basis.

@@ -330,10 +330,11 @@ fn print_search_stats(s: &klotski::npd::api::PlanSummary) {
         );
         for (k, m) in s.ensemble.iter().enumerate() {
             out!(
-                "    [{k}] {:<22} {:>8} checks {:>7} kills {:>8.1}ms",
+                "    [{k}] {:<22} {:>8} checks {:>7} kills {:>8} swept {:>8.1}ms",
                 m.label,
                 m.checks,
                 m.kills,
+                m.swept,
                 m.wall_ns as f64 / 1e6
             );
         }
