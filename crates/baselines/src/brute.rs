@@ -138,7 +138,6 @@ impl Planner for BruteForcePlanner {
                     cost,
                     stats,
                     ensemble: None,
-                    headroom: Vec::new(),
                 })
             }
         }

@@ -121,7 +121,6 @@ impl Planner for MrcPlanner {
             cost,
             stats,
             ensemble: None,
-            headroom: Vec::new(),
         })
     }
 }

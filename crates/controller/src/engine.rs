@@ -11,10 +11,18 @@
 //! an unsafe audit (or a lookahead showing the remaining plan has become
 //! unsafe) **pauses** the run and triggers an **incremental replan** from the
 //! current compact state — the residual migration seeded with the observed
-//! topology and realized demand, searched with the ESC cache and
-//! parent-state deltas of PRs 4–5. When replanning fails or the replan
-//! budget runs out, the controller **rolls back** to the most recent
-//! audited-safe snapshot that still audits safe under the current world.
+//! topology and realized demand. One ESC cache runs through the run: the
+//! initial plan's search leaves its entries, and a replan whose observed
+//! state is exactly the canonical overlay of its progress in the cache's
+//! root spec (no failure or foreign drain still active) is handed them
+//! ([`Prior`](klotski_core::Prior)): every state an earlier search routed
+//! is decided from what that search measured wherever the two-sided
+//! rescaling bound decides it, and its outcome's cache seeds the next
+//! replan. A replan from a drifted state inherits nothing — its keys would
+//! name other topologies — and its cache roots a fresh chain at its own
+//! spec. When replanning fails or the replan budget runs out, the
+//! controller **rolls back** to the most recent audited-safe snapshot that
+//! still audits safe under the current world.
 //!
 //! ## Determinism
 //!
@@ -35,7 +43,7 @@ use klotski_core::compact::CompactState;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::plan::{MigrationPlan, PlanPhase};
 use klotski_core::planner::{PlanStats, SearchBudget};
-use klotski_core::satcheck::{LiveAudit, SatStats};
+use klotski_core::satcheck::{LiveAudit, SatStats, Verdicts};
 use klotski_core::{CostModel, LiveEngine, LookaheadTrip, PlanError, PlanReplay, TripCause};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
@@ -45,6 +53,7 @@ use klotski_traffic::DemandMatrix;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,7 +147,12 @@ pub struct ReplanRecord {
     /// Wall-clock planning latency, milliseconds. Excluded from
     /// [`ControllerReport::fingerprint`].
     pub latency_ms: f64,
-    /// Search counters (ESC cache hits, incremental clean/dirty, …).
+    /// Search counters. `cache_hits`, `rescaled` and `full_evaluations`
+    /// split the checks into ESC hits, states decided off the run's
+    /// inherited entries without routing, and evaluations; the
+    /// `incremental_*` destination counters are the replanner's engine's —
+    /// zero when every check was inherited, as the engine is built by the
+    /// first route.
     pub stats: PlanStats,
 }
 
@@ -429,19 +443,41 @@ struct RunLoop<'a> {
     replans_done: usize,
 }
 
+/// The ESC cache the run's searches hand down, and the spec generation its
+/// keys index: the active spec's origin sits at `frame` in `root`'s box.
+/// The run's own spec is borrowed; a chain re-rooted at a replan owns its
+/// residual.
+struct Lineage<'a> {
+    root: Cow<'a, MigrationSpec>,
+    frame: CompactState,
+    verdicts: Verdicts,
+}
+
+impl<'a> Lineage<'a> {
+    /// A chain rooted at `root`, holding what its search left.
+    fn rooted(root: Cow<'a, MigrationSpec>, verdicts: Verdicts) -> Self {
+        Self {
+            frame: CompactState::origin(root.num_types()),
+            root,
+            verdicts,
+        }
+    }
+}
+
 /// Executes `plan` for `spec` under `cfg`, returning the full run trace.
 /// Deterministic for a fixed `cfg.seed` (see the module docs).
 pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -> ControllerReport {
-    run_seeded(spec, plan, &[], cfg)
+    run_seeded(spec, plan, Verdicts::default(), cfg)
 }
 
-/// [`run`], with the lookahead's headroom memo seeded from what the search
-/// that produced `plan` measured (`PlanOutcome::headroom`; empty = sweep
-/// every state once). The memo only saves sweeps: the report is the same.
+/// [`run`], handed the ESC cache of the search that produced `plan`: the
+/// lookahead's headroom memo is seeded from it and the first replan
+/// inherits it (an empty cache: sweep every state once, replan cold). The
+/// cache only saves work: the report is the same.
 fn run_seeded(
     spec: &MigrationSpec,
     plan: &MigrationPlan,
-    headroom: &[Option<f64>],
+    verdicts: Verdicts,
     cfg: &ControllerConfig,
 ) -> ControllerReport {
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
@@ -476,7 +512,8 @@ fn run_seeded(
     // planning matrix — one memo per spec generation, seeded from the plan's
     // own search: a residual spec re-bases the canonical overlay, and with it
     // every memo key.
-    let mut lookahead = PlanReplay::seeded(spec, plan, headroom);
+    let mut lineage = Lineage::rooted(Cow::Borrowed(spec), verdicts);
+    let mut lookahead = PlanReplay::seeded(spec, plan, &lineage.verdicts, &lineage.frame);
 
     let mut active = spec.clone();
     let mut pending: Vec<PlanPhase> = plan.phases();
@@ -621,6 +658,12 @@ fn run_seeded(
             // policy's: state-bounded for determinism, time and deadline as
             // machine backstops.
             let residual = active.residual(&progress, observed.clone(), realized.clone());
+            // The run's cache keys the root's box: the residual inherits it
+            // when it starts at the root's canonical overlay of its frame —
+            // exact state equality, since drift counts one direction only.
+            let frame = progress.offset_by(&lineage.frame);
+            let prior = lineage.verdicts.prior_for(&lineage.root, &frame, &residual);
+            let inherited = prior.is_some();
             let budget = SearchBudget {
                 max_states: cfg.replan.max_states,
                 time_limit: Duration::from_millis(cfg.replan.time_limit_ms),
@@ -631,28 +674,41 @@ fn run_seeded(
             let outcome = cfg
                 .replanner
                 .build(CostModel::new(cfg.alpha), budget, pool.clone())
-                .plan(&residual)
+                .plan_seeded(&residual, prior)
                 .map_err(|e| deterministic_plan_error(&e));
             let latency = started.elapsed();
             ctl.met.replan_seconds.record(latency);
             ctl.report.replans.push(ReplanRecord {
                 at_step: step,
                 ok: outcome.is_ok(),
-                phases: outcome.as_ref().map_or(0, |out| out.plan.num_phases()),
+                phases: outcome.as_ref().map_or(0, |(out, _)| out.plan.num_phases()),
                 error: outcome.as_ref().err().cloned(),
                 latency_ms: latency.as_secs_f64() * 1e3,
-                stats: outcome.as_ref().map(|out| out.stats).unwrap_or_default(),
+                stats: outcome
+                    .as_ref()
+                    .map(|(out, _)| out.stats)
+                    .unwrap_or_default(),
             });
             ctl.recorder
                 .replan(ctl.report.replans.last().expect("just pushed"));
             match outcome {
-                Ok(out) => {
+                Ok((out, verdicts)) => {
                     ctl.met.replans.inc();
+                    lineage = if inherited {
+                        Lineage {
+                            frame,
+                            verdicts,
+                            ..lineage
+                        }
+                    } else {
+                        Lineage::rooted(Cow::Owned(residual.clone()), verdicts)
+                    };
                     active = residual;
                     progress = CompactState::origin(active.num_types());
                     ctl.fleet.planned = active.initial.clone();
                     pending = out.plan.phases();
-                    lookahead = PlanReplay::seeded(&active, &out.plan, &out.headroom);
+                    lookahead =
+                        PlanReplay::seeded(&active, &out.plan, &lineage.verdicts, &lineage.frame);
                 }
                 Err(msg) => {
                     ctl.met.replan_failures.inc();
@@ -985,9 +1041,11 @@ pub fn run_scenario(
         .replanner
         .build(CostModel::new(cfg.alpha), initial_budget, pool);
     let started = Instant::now();
-    let outcome = planner.plan(&spec).map_err(ControllerError::InitialPlan)?;
+    let (outcome, verdicts) = planner
+        .plan_seeded(&spec, None)
+        .map_err(ControllerError::InitialPlan)?;
     let initial_latency = started.elapsed();
-    let mut report = run_seeded(&spec, &outcome.plan, &outcome.headroom, &cfg);
+    let mut report = run_seeded(&spec, &outcome.plan, verdicts, &cfg);
     report.name = scenario.name.clone();
     report.initial_stats = outcome.stats;
     report.initial_latency_ms = initial_latency.as_secs_f64() * 1e3;

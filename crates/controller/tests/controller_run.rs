@@ -4,7 +4,7 @@
 use klotski_controller::scenario::{ReplanPolicy, ScenarioEvent};
 use klotski_controller::{run, run_scenario, ControllerConfig, ControllerReport, Scenario};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
-use klotski_core::planner::{AStarPlanner, Planner, SearchBudget};
+use klotski_core::planner::{AStarPlanner, PlanStats, Planner, SearchBudget};
 use klotski_core::{CostModel, MigrationPlan};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{bus, parse_line, registry, tag_stream, Record};
@@ -567,6 +567,35 @@ fn harness_storm_variants_keep_their_fingerprints() {
         );
         assert_eq!(swept, 2, "victim seed {victim}");
     }
+}
+
+/// One ESC cache per run. On the benchmark's storm (DP, victim seed 41, one
+/// lane) both replans start at the canonical overlay of their progress and
+/// are handed the cache the searches before them left: every check is an
+/// ESC hit or decided off an inherited measurement without routing
+/// (`rescaled`), but for the few the space model rejects — the replanner's
+/// engine is never built. Hits, rescaled and evaluations add up to the cold
+/// replans' split (255 = 102 + 153, 131 = 52 + 79), and the initial search
+/// is as cold as ever. On the shipped A\* storm the replans inherit too and
+/// route the states the initial search never popped.
+#[test]
+fn replans_inherit_the_runs_verdicts() {
+    let split = |s: &PlanStats| (s.sat_checks, s.cache_hits, s.rescaled, s.full_evaluations);
+    let mut dp = shipped("storm_preset_c");
+    dp.name = "storm-1".into();
+    dp.planner = "dp".into();
+    dp.threads = Some(1);
+    let report = run_scenario(&dp, None).expect("scenario runs");
+    assert_eq!(format!("{:016x}", report.fingerprint()), "ad80820fb2ec0527");
+    assert_eq!(split(&report.initial_stats), (288, 116, 0, 172));
+    let replans: Vec<_> = (report.replans.iter())
+        .map(|r| (split(&r.stats), r.stats.incremental_dirty))
+        .collect();
+    assert_eq!(replans, [((255, 102, 143, 10), 0), ((131, 52, 73, 6), 0)]);
+
+    let report = run_scenario(&shipped("storm_preset_c"), None).expect("scenario runs");
+    let replans: Vec<_> = report.replans.iter().map(|r| split(&r.stats)).collect();
+    assert_eq!(replans, [(60, 4, 42, 14), (22, 0, 9, 13)]);
 }
 
 /// The process-wide `klotski_controller_lookahead_states_total` pair,

@@ -63,6 +63,15 @@ impl CompactState {
         next
     }
 
+    /// The componentwise sum: where a residual's vector `self` sits in the
+    /// box of a spec whose vector `origin` the residual starts at.
+    pub fn offset_by(&self, origin: &CompactState) -> Self {
+        let counts = self.counts.iter().zip(&origin.counts);
+        Self {
+            counts: counts.map(|(v, o)| v + o).collect(),
+        }
+    }
+
     /// Predecessor state before the last action of type `a`
     /// (Eq. 8: `v*_a = v_a − 1`). Returns `None` if `v_a` is zero.
     pub fn receded(&self, a: ActionTypeId) -> Option<Self> {

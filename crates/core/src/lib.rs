@@ -71,7 +71,9 @@ pub use replay::{
     validate_and_audit_on, LiveEngine, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause,
 };
 pub use report::{audit_plan, PlanAudit};
-pub use satcheck::{EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, SatChecker};
+pub use satcheck::{
+    EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, Prior, SatChecker, Verdicts,
+};
 pub use space::SpaceModel;
 // Re-exported so wire-schema crates (npd) can name ensemble specs without a
 // direct dependency on the traffic crate.

@@ -24,7 +24,7 @@ use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
 use crate::planner::{run_search, Found, PlanOutcome, PlanStats, Planner, SearchBudget};
-use crate::satcheck::{EscMode, SatChecker};
+use crate::satcheck::{EscMode, Prior, SatChecker, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
 use std::cmp::Ordering;
@@ -120,6 +120,14 @@ impl Planner for AStarPlanner {
     }
 
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
+        self.plan_seeded(spec, None).map(|(outcome, _)| outcome)
+    }
+
+    fn plan_seeded(
+        &self,
+        spec: &MigrationSpec,
+        prior: Option<Prior>,
+    ) -> Result<(PlanOutcome, Verdicts), PlanError> {
         let guard = span!("astar.plan", "migration" = spec.name.as_str());
         run_search(
             "astar",
@@ -127,6 +135,7 @@ impl Planner for AStarPlanner {
             spec,
             self.esc,
             &self.pool,
+            prior,
             |checker, stats, start| self.search(spec, checker, stats, start),
         )
     }
@@ -165,8 +174,6 @@ impl AStarPlanner {
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut best_g: HashMap<StateKey, f64> = HashMap::new();
         let mut parents: HashMap<StateKey, StateKey> = HashMap::new();
-        // Raw utilization of every expanded key whose check saw one.
-        let mut headroom: HashMap<StateKey, f64> = HashMap::new();
         let mut seq = 0u64;
 
         let origin = CompactState::origin(spec.num_types());
@@ -213,9 +220,6 @@ impl AStarPlanner {
                     stats.states_pruned += 1;
                     continue;
                 }
-                if let Some(u) = checker.last_raw_utilization() {
-                    headroom.insert(entry.key, u);
-                }
             }
             stats.states_visited += 1;
             if stats.states_visited.is_multiple_of(progress_every) {
@@ -227,8 +231,7 @@ impl AStarPlanner {
                 );
             }
             if v.is_target(target) {
-                let (plan, headroom) = rebuild_plan(spec, &parents, &headroom, entry.key, target);
-                return Ok((plan, entry.g, headroom));
+                return Ok((rebuild_plan(spec, &parents, entry.key, target), entry.g));
             }
 
             for a in spec.actions.ids() {
@@ -284,17 +287,14 @@ fn decode(mut dense: u32, target: &CompactState) -> CompactState {
 }
 
 /// Walks the parent chain from the target back to the origin, materializing
-/// the block-level steps (the canonical block of each type transition) and,
-/// beside each, the raw utilization its key's check left in `headroom`.
+/// the block-level steps (the canonical block of each type transition).
 fn rebuild_plan(
     spec: &MigrationSpec,
     parents: &HashMap<StateKey, StateKey>,
-    headroom: &HashMap<StateKey, f64>,
     mut key: StateKey,
     target: &CompactState,
-) -> (MigrationPlan, Vec<Option<f64>>) {
+) -> MigrationPlan {
     let mut rev_steps = Vec::new();
-    let mut rev_headroom = Vec::new();
     while key.1 != NO_LAST {
         let kind = ActionTypeId(key.1);
         let v = decode(key.0, target);
@@ -304,14 +304,12 @@ fn rebuild_plan(
             kind,
             block: spec.blocks_by_type[kind.index()][idx as usize],
         });
-        rev_headroom.push(headroom.get(&key).copied());
         key = *parents
             .get(&key)
             .expect("every non-origin key has a parent");
     }
     rev_steps.reverse();
-    rev_headroom.reverse();
-    (MigrationPlan::new(rev_steps), rev_headroom)
+    MigrationPlan::new(rev_steps)
 }
 
 #[cfg(test)]

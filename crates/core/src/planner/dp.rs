@@ -24,7 +24,7 @@ use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanStep};
 use crate::planner::{run_search, Found, PlanOutcome, PlanStats, Planner, SearchBudget};
-use crate::satcheck::{EscMode, SatChecker};
+use crate::satcheck::{EscMode, Prior, SatChecker, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{log_event, span};
 use std::sync::Arc;
@@ -74,6 +74,14 @@ impl Planner for DpPlanner {
     }
 
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError> {
+        self.plan_seeded(spec, None).map(|(outcome, _)| outcome)
+    }
+
+    fn plan_seeded(
+        &self,
+        spec: &MigrationSpec,
+        prior: Option<Prior>,
+    ) -> Result<(PlanOutcome, Verdicts), PlanError> {
         let mut guard = span!("dp.plan", "migration" = spec.name.as_str());
         // The sweep touches the whole box: refuse one over budget before
         // building a checker for it.
@@ -90,6 +98,7 @@ impl Planner for DpPlanner {
             spec,
             self.esc,
             &self.pool,
+            prior,
             |checker, stats, start| self.sweep(spec, checker, stats, start),
         )
     }
@@ -108,11 +117,9 @@ impl DpPlanner {
         let num_types = spec.num_types();
         let box_size = CompactState::box_size(target);
 
-        // Dense tables over (V, last): f costs, predecessor action types and
-        // the raw utilization each arrival's check saw (NaN: none).
+        // Dense tables over (V, last): f costs and predecessor action types.
         let mut f = vec![f64::INFINITY; box_size * num_types];
         let mut pred = vec![NO_LAST; box_size * num_types];
-        let mut raw = vec![f64::NAN; box_size * num_types];
         let slot = |dense: usize, a: usize| dense * num_types + a;
 
         // `dense_index` stride of each type: `V − e_a` sits `stride[a]` below
@@ -187,7 +194,6 @@ impl DpPlanner {
                     }
                 }
                 let s = slot(dense, a.index());
-                raw[s] = checker.last_raw_utilization().unwrap_or(f64::NAN);
                 if best < f[s] {
                     f[s] = best;
                     pred[s] = best_prev;
@@ -212,7 +218,6 @@ impl DpPlanner {
 
         // GetAnswer: walk predecessors back from the target.
         let mut rev_steps = Vec::with_capacity(target.total());
-        let mut rev_headroom = Vec::with_capacity(target.total());
         let mut v = target.clone();
         let mut last = best_last;
         while v.total() > 0 {
@@ -222,15 +227,12 @@ impl DpPlanner {
                 kind,
                 block: spec.blocks_by_type[kind.index()][idx as usize],
             });
-            let s = slot(v.dense_index(target), kind.index());
-            rev_headroom.push(Some(raw[s]).filter(|u| !u.is_nan()));
-            let prev_last = pred[s];
+            let prev_last = pred[slot(v.dense_index(target), kind.index())];
             v = v.receded(kind).expect("count was positive");
             last = if v.total() == 0 { NO_LAST } else { prev_last };
         }
         rev_steps.reverse();
-        rev_headroom.reverse();
-        Ok((MigrationPlan::new(rev_steps), best_cost, rev_headroom))
+        Ok((MigrationPlan::new(rev_steps), best_cost))
     }
 }
 

@@ -27,7 +27,7 @@ use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::migration::MigrationSpec;
 use crate::plan::MigrationPlan;
-use crate::satcheck::{EnsembleBreakdown, EscMode, SatChecker, SatStats};
+use crate::satcheck::{EnsembleBreakdown, EscMode, Prior, SatChecker, SatStats, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::SpanGuard;
 use serde::{Deserialize, Serialize};
@@ -55,9 +55,14 @@ pub struct PlanStats {
     pub sat_checks: u64,
     /// Queries served from the ESC cache.
     pub cache_hits: u64,
-    /// Queries the ESC cache did not answer (see
+    /// Queries neither the ESC cache nor the rescaling bound answered (see
     /// [`SatStats::full_evaluations`]): space-model rejections included.
     pub full_evaluations: u64,
+    /// Queries decided off an entry an earlier search of the run judged
+    /// under another planning matrix, without routing (see
+    /// [`SatStats::rescaled`]); zero without a [`Prior`].
+    #[serde(default)]
+    pub rescaled: u64,
     /// Destinations replayed from the incremental routing cache.
     #[serde(default)]
     pub incremental_clean: u64,
@@ -92,6 +97,7 @@ impl PlanStats {
         self.sat_checks = s.checks;
         self.cache_hits = s.cache_hits;
         self.full_evaluations = s.full_evaluations;
+        self.rescaled = s.rescaled;
         self.incremental_clean = s.incremental_clean;
         self.incremental_dirty = s.incremental_dirty;
         self.esc_entries = s.esc_entries;
@@ -123,34 +129,36 @@ impl PlanStats {
     }
 }
 
-/// What a search hands back: the plan, its cost and its
-/// [`headroom`](PlanOutcome::headroom).
-pub(crate) type Found = (MigrationPlan, f64, Vec<Option<f64>>);
+/// What a search hands back: the plan and its cost.
+pub(crate) type Found = (MigrationPlan, f64);
 
-/// One search, from its span to its telemetry: builds the checker, runs
-/// `search` on it, and — whatever the outcome — folds the checker's counters
-/// into the stats, stamps the span and publishes the counters. A search that
-/// burns its budget or proves infeasibility did the work its counters say.
+/// One search, from its span to its telemetry: builds the checker — on
+/// `prior`'s cache, when it fits — runs `search` on it, and — whatever the
+/// outcome — folds the checker's counters into the stats, stamps the span
+/// and publishes the counters. A search that burns its budget or proves
+/// infeasibility did the work its counters say. A plan comes back with the
+/// checker's cache.
 pub(crate) fn run_search(
     planner: &str,
     mut guard: SpanGuard,
     spec: &MigrationSpec,
     esc: EscMode,
     pool: &Option<Arc<WorkerPool>>,
+    prior: Option<Prior>,
     search: impl FnOnce(&mut SatChecker, &mut PlanStats, Instant) -> Result<Found, PlanError>,
-) -> Result<PlanOutcome, PlanError> {
+) -> Result<(PlanOutcome, Verdicts), PlanError> {
     let start = Instant::now();
-    let mut checker = match pool {
-        Some(pool) => SatChecker::with_pool(spec, esc, Arc::clone(pool)),
-        None => SatChecker::new(spec, esc),
-    };
+    let pool = pool
+        .clone()
+        .unwrap_or_else(|| Arc::new(WorkerPool::new(spec.threads)));
+    let mut checker = SatChecker::with_prior(spec, esc, pool, prior);
     let mut stats = PlanStats::default();
     let found = search(&mut checker, &mut stats, start);
     stats.absorb_sat(checker.stats());
     stats.planning_time = start.elapsed();
     flush_search_metrics(planner, &stats, found.is_ok());
     match found {
-        Ok((plan, cost, headroom)) => {
+        Ok((plan, cost)) => {
             guard
                 .field("outcome", "done")
                 .field("expansions", stats.states_visited)
@@ -161,13 +169,13 @@ pub(crate) fn run_search(
                 emit_ensemble_trace(planner, ens);
                 flush_ensemble_metrics(planner, ens);
             }
-            Ok(PlanOutcome {
+            let outcome = PlanOutcome {
                 plan,
                 cost,
                 stats,
                 ensemble,
-                headroom,
-            })
+            };
+            Ok((outcome, checker.into_verdicts()))
         }
         Err(err) => {
             let outcome = match err {
@@ -329,15 +337,6 @@ pub struct PlanOutcome {
     /// Per-matrix ensemble accounting (`None` for single-matrix searches
     /// and for baselines that don't run the ensemble checker).
     pub ensemble: Option<EnsembleBreakdown>,
-    /// Per plan step, the max circuit utilization of the state that step
-    /// reaches under the planning matrix `spec.demands`, exactly as the
-    /// search's own check of that state summarized it from the raw loads
-    /// ([`SatChecker::last_raw_utilization`]) — what the lookahead's headroom
-    /// memo would otherwise sweep the state again to learn
-    /// ([`PlanReplay::seeded`](crate::PlanReplay::seeded)). `None` where the
-    /// search saw no raw value (funneling headroom was applied to that
-    /// check); empty from the baselines, which check nothing on this engine.
-    pub headroom: Vec<Option<f64>>,
 }
 
 /// Common planner interface (Klotski planners and baselines alike).
@@ -347,6 +346,23 @@ pub trait Planner {
 
     /// Computes a migration plan for `spec`.
     fn plan(&self, spec: &MigrationSpec) -> Result<PlanOutcome, PlanError>;
+
+    /// [`plan`](Self::plan) for a later spec generation of a run, handed the
+    /// ESC cache of the searches before it (`prior`: a §7.1 replan whose
+    /// residual starts at the root's canonical overlay of `prior.frame`),
+    /// returning the outcome with this search's cache — what the lookahead
+    /// seeds from and the next replan is handed. The plan, its cost and
+    /// every counter but the split of checks into cache hits, `rescaled` and
+    /// full evaluations are `plan`'s. A planner that keeps no ESC cache
+    /// hands the prior's back untouched (an empty one without a prior).
+    fn plan_seeded(
+        &self,
+        spec: &MigrationSpec,
+        prior: Option<Prior>,
+    ) -> Result<(PlanOutcome, Verdicts), PlanError> {
+        let outcome = self.plan(spec)?;
+        Ok((outcome, prior.map(|p| p.verdicts).unwrap_or_default()))
+    }
 }
 
 /// Which Klotski planner to run. The one place a front end's planner name

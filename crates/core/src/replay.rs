@@ -22,17 +22,17 @@
 //!   search that produced the plan — and the audit reads each phase-end
 //!   record off the state that check just routed.
 //! - [`PlanReplay`] is the lookahead: a per-plan *headroom memo* — each
-//!   canonical state's max utilization under the planning matrix, handed
-//!   over by the planner ([`PlanReplay::seeded`]) or swept once — from which
-//!   it judges the pending suffix under each step's realized demand wherever
-//!   a rescaling bound decides; the exact sweep runs only for the states it
-//!   cannot.
+//!   canonical state's max utilization under a planning matrix, read from
+//!   the ESC cache the plan arrives with ([`PlanReplay::seeded`]) or swept
+//!   once — from which it judges the pending suffix under each step's
+//!   realized demand wherever a rescaling bound decides; the exact sweep
+//!   runs only for the states it cannot.
 
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanPhase, PlanViolation};
 use crate::report::{PhaseAudit, PlanAudit};
-use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats};
+use crate::satcheck::{funneled_switches, EscMode, LiveAudit, SatChecker, SatStats, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
@@ -74,6 +74,18 @@ const MAX_DELTA_BLOCKS: usize = 64;
 /// of θ takes the exact sweep.
 /// `plan_replay.rs::headroom_bound_dominates_the_sweep` measures the real
 /// error three orders of magnitude inside `δ`.
+///
+/// The lower half, behind [`headroom_rejects`]. With
+/// `k_lo = minᵢ fl(rᵢ / pᵢ)` over the rates planned above zero, every such
+/// rate obeys `rᵢ ≥ k_lo·pᵢ·(1 − ε)` (a rate planned at zero adds nothing
+/// to `L(p)`, so it cannot lower the bound), and the same chain runs the
+/// other way:
+///
+/// `fl L(r) ≥ (1 − γ)·L(r) ≥ (1 − γ)(1 − ε)·k_lo·L(p) ≥ k_lo · fl L(p) · (1 − 2γ − 2ε)`.
+///
+/// The circuit attaining `u` under `p` then carries at least
+/// `u · k_lo · (1 − δ')`, `δ' < 3·10⁻¹⁰`, under `r`: a state with
+/// `u · k_lo · (1 − δ) > θ` is over θ, exactly as its sweep would say.
 const HEADROOM_SLACK: f64 = 1e-9;
 
 /// The rescaling bound: a state whose max utilization is `u` under one
@@ -86,6 +98,15 @@ const HEADROOM_SLACK: f64 = 1e-9;
 /// funneled max utilization and `k` = [`demand_ratio`] of each member.
 pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
     u * k * (1.0 + HEADROOM_SLACK) <= theta
+}
+
+/// The rejecting twin of [`headroom_clears`]: a state whose max utilization
+/// is `u` under one matrix exceeds `theta` under every matrix with the same
+/// endpoints whose rates are at least `k` times as large, when this holds
+/// (the lower half of [`HEADROOM_SLACK`]). A replan's checker calls it with
+/// `u` an earlier search's measurement and `k` = [`rate_floor`].
+pub(crate) fn headroom_rejects(u: f64, k: f64, theta: f64) -> bool {
+    u * k * (1.0 - HEADROOM_SLACK) > theta
 }
 
 /// The one wrapper over the incremental routing engine: a private
@@ -120,8 +141,8 @@ pub(crate) fn headroom_clears(u: f64, k: f64, theta: f64) -> bool {
 pub struct LiveEngine {
     pool: Arc<WorkerPool>,
     csr: Arc<CsrGraph>,
-    /// Built at once for a checker, by the first [`load`](Self::load) for a
-    /// run.
+    /// Built by the first [`load`](Self::load) — or, for a checker, which
+    /// loads nothing, by its first route.
     engine: Option<IncrementalRouter>,
     /// The state routed last, while the engine's structure describes it.
     base: Option<NetState>,
@@ -150,23 +171,19 @@ impl LiveEngine {
     /// `spec` shares), advancing on `pool`'s lanes; the first
     /// [`load`](Self::load) builds it.
     pub fn new(spec: &MigrationSpec, pool: Arc<WorkerPool>) -> Self {
-        Self::unbuilt(spec, Arc::new(CsrGraph::build(&spec.topology)), pool)
+        Self::with_csr(spec, Arc::new(CsrGraph::build(&spec.topology)), pool)
     }
 
-    /// A checker's engine over its `csr`, built at once over `spec.demands`
+    /// [`new`](Self::new) over a CSR view the caller already holds — a
+    /// checker's, whose first route builds the engine over `spec.demands`
     /// and the ensemble's extras (swept one at a time, after the base, by
-    /// [`sweep_extra`](Self::sweep_extra)).
-    pub(crate) fn for_checker(
+    /// [`sweep_extra`](Self::sweep_extra)). A checker that never routes
+    /// allocates no engine.
+    pub(crate) fn with_csr(
         spec: &MigrationSpec,
         csr: Arc<CsrGraph>,
         pool: Arc<WorkerPool>,
     ) -> Self {
-        let mut live = Self::unbuilt(spec, csr, pool);
-        live.build(spec, &spec.demands, &spec.extra_demands);
-        live
-    }
-
-    fn unbuilt(spec: &MigrationSpec, csr: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
         let topo = &spec.topology;
         Self {
             pool,
@@ -244,10 +261,9 @@ impl LiveEngine {
     }
 
     /// Eq. 4–5 outcome of `state` under the loaded matrix, diffed against
-    /// the base by circuit usability; `state` becomes the base.
-    ///
-    /// # Panics
-    /// Panics when no matrix was ever loaded.
+    /// the base by circuit usability; `state` becomes the base. With no
+    /// matrix loaded since the engine was made or released, the route
+    /// builds it over `spec.demands` (and the ensemble's extras).
     pub fn route(&mut self, spec: &MigrationSpec, state: &NetState) -> SafetyOutcome {
         let (mut loads, mut outcome) = self
             .swept
@@ -266,7 +282,8 @@ impl LiveEngine {
     /// Routes the loaded matrix over `state` into `loads` (cleared first);
     /// `state` becomes the base. With `v` the caller vouches that `state` is
     /// the canonical overlay of `v`, and the diff reads the block lists
-    /// where it can.
+    /// where it can. An unbuilt engine is built first, over `spec.demands`
+    /// and the ensemble's extras.
     pub(crate) fn route_into(
         &mut self,
         spec: &MigrationSpec,
@@ -275,8 +292,11 @@ impl LiveEngine {
         loads: &mut LoadMap,
         outcome: &mut RouteOutcome,
     ) {
+        if self.engine.is_none() {
+            self.build(spec, &spec.demands, &spec.extra_demands);
+        }
         let delta = self.diff(spec, v, state);
-        let engine = self.engine.as_mut().expect("load a matrix before routing");
+        let engine = self.engine.as_mut().expect("built above");
         loads.clear();
         engine.evaluate(
             &self.pool,
@@ -457,17 +477,20 @@ impl LiveEngine {
     }
 }
 
-/// What the headroom memo holds for a canonical state: its sweep under the
-/// planning matrix (`spec.demands`), by the planner's own check or by the
-/// lookahead's fill.
+/// What the headroom memo holds for a canonical state: its sweep under a
+/// planning matrix, by a search's own check or by the lookahead's fill.
 #[derive(Debug, Clone, Copy)]
 struct Headroom {
-    /// Max circuit utilization under the planning matrix.
+    /// Max circuit utilization under that matrix.
     max_utilization: f64,
     /// Demands with no live path. Eq. 4 does not depend on rates —
     /// `sweep_entry` flags a source by `dist` and `switch_up` only — so this
     /// count holds under every matrix with the spec's endpoints.
     unreachable_demands: usize,
+    /// The matrix: `None` for this generation's `spec.demands`, `Some(i)`
+    /// for [`PlanReplay::earlier`]`[i]` (an entry a search inherited from an
+    /// earlier generation and decided by the rescaling bound).
+    matrix: Option<usize>,
 }
 
 /// Why the lookahead rejected a pending state.
@@ -521,13 +544,21 @@ pub struct LookaheadVerdict {
 pub(crate) fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
     const SHARED: &str = "the realized matrix must share the base demand endpoints";
     assert_eq!(planned.len(), realized.len(), "{SHARED}");
-    let mut k = 0.0_f64;
-    for (p, r) in planned.iter().zip(realized.iter()) {
+    rate_ratio(planned.iter().zip(realized.iter()).map(|(p, r)| {
         assert_eq!((p.src, p.dst, p.class), (r.src, r.dst, r.class), "{SHARED}");
-        let ratio = if r.gbps == 0.0 {
+        (p.gbps, r.gbps)
+    }))
+}
+
+/// [`demand_ratio`] over `(planned, realized)` rate pairs whose endpoints
+/// the caller has matched.
+pub(crate) fn rate_ratio(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let mut k = 0.0_f64;
+    for (p, r) in pairs {
+        let ratio = if r == 0.0 {
             0.0
-        } else if p.gbps > 0.0 {
-            r.gbps / p.gbps
+        } else if p > 0.0 {
+            r / p
         } else {
             f64::INFINITY
         };
@@ -537,6 +568,45 @@ pub(crate) fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f
         }
     }
     k
+}
+
+/// `k_lo = minᵢ realized[i] / planned[i]` over `(planned, realized)` rate
+/// pairs whose endpoints the caller has matched, skipping the demands
+/// planned at 0: the factor by which the realized matrix is at least the
+/// planning one everywhere it loads — 0 when such a demand is realized at
+/// 0, ∞ when no demand is planned above 0, NaN (which rejects no bound) on
+/// a NaN rate.
+pub(crate) fn rate_floor(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
+    let mut k = f64::INFINITY;
+    for (p, r) in pairs {
+        // Not `p > 0.0`: a NaN plan must reach the ratio and stick.
+        if p == 0.0 {
+            continue;
+        }
+        let ratio = if r == 0.0 { 0.0 } else { r / p };
+        if ratio < k || ratio.is_nan() {
+            k = ratio;
+        }
+    }
+    k
+}
+
+/// A fingerprint of a matrix's `(src, dst, class)` sequence: two matrices
+/// with one fingerprint pair their rates index by index — the premise of
+/// every rescaling bound, for callers that keep the rates alone.
+pub(crate) fn endpoints_of(matrix: &DemandMatrix) -> u64 {
+    // FNV-1a over the sequence and its length.
+    let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01b3);
+    let h = matrix.iter().fold(0xcbf2_9ce4_8422_2325, |h, d| {
+        let h = mix(h, d.src.index() as u64);
+        mix(mix(h, d.dst.index() as u64), d.class as u64)
+    });
+    mix(h, matrix.len() as u64)
+}
+
+/// The rates of a matrix, in its demand order.
+pub(crate) fn rates_of(matrix: &DemandMatrix) -> impl Iterator<Item = f64> + '_ {
+    matrix.iter().map(|d| d.gbps)
 }
 
 /// The §7.1 lookahead: re-checks a pending plan suffix against realized
@@ -554,30 +624,63 @@ pub struct PlanReplay {
     /// compact vector fixes its canonical state, hence its routing
     /// structure, so an entry serves any chain of the spec that visits it.
     headroom: HashMap<CompactState, Headroom>,
+    /// The rates of earlier generations' planning matrices that seeded
+    /// entries were measured under (`spec.demands`' endpoints, in order).
+    earlier: Vec<Vec<f64>>,
 }
 
 impl PlanReplay {
-    /// A replay whose memo starts with what the search that produced `plan`
-    /// already measured: `headroom[i]` is the planning-matrix max
-    /// utilization of the state step `i` reaches
-    /// ([`PlanOutcome::headroom`](crate::planner::PlanOutcome::headroom)). A
-    /// state that passed the search's check has every demand reachable.
-    /// Steps without a value — and every step, when `headroom` is empty —
-    /// are swept the first time the lookahead meets them.
-    pub fn seeded(spec: &MigrationSpec, plan: &MigrationPlan, headroom: &[Option<f64>]) -> Self {
-        let mut v = CompactState::origin(spec.num_types());
-        let mut memo = HashMap::new();
-        for (step, known) in plan.steps().iter().zip(headroom) {
-            v = v.advanced(step.kind);
-            if let &Some(max_utilization) = known {
-                let seeded = Headroom {
-                    max_utilization,
-                    unreachable_demands: 0,
-                };
-                memo.insert(v.clone(), seeded);
-            }
+    /// A replay whose memo starts with what the searches that produced
+    /// `plan` already measured: the ESC cache the plan arrived with
+    /// (`verdicts`, keyed with `spec`'s origin at `frame`), read at each
+    /// plan state — the base matrix's max utilization, and the planning
+    /// matrix it was measured under (this generation's, or an earlier one's
+    /// where the search decided the state by the rescaling bound). A state
+    /// that passed its check has every demand reachable. A state whose check
+    /// applied funneling headroom before its summary seeds nothing, nor
+    /// does one without an entry (an ESC-off search, an evicted key): it is
+    /// swept the first time the lookahead meets it.
+    pub fn seeded(
+        spec: &MigrationSpec,
+        plan: &MigrationPlan,
+        verdicts: &Verdicts,
+        frame: &CompactState,
+    ) -> Self {
+        let mut replay = Self::default();
+        if !verdicts.pairs_with(&spec.demands) {
+            return replay;
         }
-        Self { headroom: memo }
+        // Where each cache matrix's `u`s point, once met: this generation's
+        // matrix, or a copy in `earlier`.
+        let mut matrix_of: Vec<Option<Option<usize>>> = vec![None; verdicts.matrices.len()];
+        let mut v = CompactState::origin(spec.num_types());
+        let mut state = spec.initial.clone();
+        for step in plan.steps() {
+            spec.apply_next(&mut state, &v, step.kind);
+            v = v.advanced(step.kind);
+            if funneled_switches(spec, &v, Some(step.kind)).is_some() {
+                continue;
+            }
+            let Some((max_utilization, m)) =
+                verdicts.measured_at(spec, frame, &v, &state, Some(step.kind))
+            else {
+                continue;
+            };
+            let matrix = *matrix_of[m].get_or_insert_with(|| {
+                let planned = &verdicts.matrices[m];
+                (!planned.iter().copied().eq(rates_of(&spec.demands))).then(|| {
+                    replay.earlier.push(planned.clone());
+                    replay.earlier.len() - 1
+                })
+            });
+            let seeded = Headroom {
+                max_utilization,
+                unreachable_demands: 0,
+                matrix,
+            };
+            replay.headroom.insert(v.clone(), seeded);
+        }
+        replay
     }
 
     /// Replays the `pending` phases from `(progress, state)` under the
@@ -590,7 +693,8 @@ impl PlanReplay {
     /// Each pending state is judged from its headroom-memo entry — seeded by
     /// the planner, or filled by one sweep under `spec.demands` the first
     /// time the replay meets the state — and `k`, the largest
-    /// realized/planned rate ratio: a state with an unreachable demand is
+    /// realized/planned rate ratio against the matrix that entry was
+    /// measured under: a state with an unreachable demand is
     /// unsafe under any rates; one with `u · k · (1 + δ) ≤ θ` is safe without
     /// touching the engine (see [`HEADROOM_SLACK`]); any other state is swept
     /// under `realized` itself, and that verdict stands. The answer is
@@ -614,7 +718,10 @@ impl PlanReplay {
         pending: &[PlanPhase],
         realized: &DemandMatrix,
     ) -> LookaheadVerdict {
+        // Checks `realized` against `spec.demands`' endpoints, which the
+        // earlier matrices' rates pair with too.
         let k = demand_ratio(&spec.demands, realized);
+        let mut k_earlier: Vec<Option<f64>> = vec![None; self.earlier.len()];
         // Whether this call last loaded `realized` (else `spec.demands`) into
         // the engine, which arrives holding some audit's matrix: rates are
         // rewritten only on a change.
@@ -648,10 +755,17 @@ impl PlanReplay {
                         let filled = Headroom {
                             max_utilization: planned.report.max_utilization,
                             unreachable_demands: planned.unreachable_demands,
+                            matrix: None,
                         };
                         self.headroom.insert(v.clone(), filled);
                         filled
                     }
+                };
+                let k = match headroom.matrix {
+                    None => k,
+                    Some(i) => *k_earlier[i].get_or_insert_with(|| {
+                        rate_ratio(self.earlier[i].iter().copied().zip(rates_of(realized)))
+                    }),
                 };
                 let cause = if headroom.unreachable_demands > 0 {
                     Some(TripCause::Unreachable {
@@ -829,4 +943,59 @@ fn walk_plan(
         theta: spec.theta,
         phases,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use klotski_topology::SwitchId;
+    use klotski_traffic::{Demand, DemandClass};
+
+    fn matrix(rates: &[f64]) -> DemandMatrix {
+        (rates.iter().enumerate())
+            .map(|(i, &gbps)| Demand {
+                src: SwitchId::from_index(i),
+                dst: SwitchId::from_index(i + 1),
+                gbps,
+                class: DemandClass::RswToRsw,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_two_ratios_bracket_every_rate_the_plan_loads() {
+        let planned = matrix(&[2.0, 4.0, 0.0]);
+        let ratios = |realized: &[f64]| {
+            let realized = matrix(realized);
+            let pairs = || rates_of(&planned).zip(rates_of(&realized));
+            (demand_ratio(&planned, &realized), rate_floor(pairs()))
+        };
+        assert_eq!(ratios(&[3.0, 4.0, 0.0]), (1.5, 1.0));
+        // Planned at 0: nothing to scale from below, ∞ from above.
+        assert_eq!(ratios(&[3.0, 4.0, 1.0]), (f64::INFINITY, 1.0));
+        // Realized at 0: nothing from below.
+        assert_eq!(ratios(&[0.0, 4.0, 0.0]), (1.0, 0.0));
+        assert_eq!(rate_floor([(0.0, 1.0)].into_iter()), f64::INFINITY);
+        // NaN sticks, in either direction.
+        assert!(rate_ratio([(1.0, f64::NAN), (1.0, 2.0)].into_iter()).is_nan());
+        assert!(rate_floor([(1.0, f64::NAN), (1.0, 0.5)].into_iter()).is_nan());
+        assert_ne!(endpoints_of(&planned), endpoints_of(&matrix(&[1.0, 1.0])));
+        assert_eq!(
+            endpoints_of(&planned),
+            endpoints_of(&matrix(&[7.0, 7.0, 7.0]))
+        );
+    }
+
+    #[test]
+    fn the_bound_decides_outside_its_margin_only() {
+        let theta = 0.75;
+        let u = 0.5;
+        let at = theta / u;
+        assert!(!headroom_clears(u, at, theta) && !headroom_rejects(u, at, theta));
+        assert!(headroom_clears(u, at * (1.0 - 1e-8), theta));
+        assert!(headroom_rejects(u, at * (1.0 + 1e-8), theta));
+        for k in [f64::NAN, f64::INFINITY] {
+            assert!(!headroom_clears(0.0, k, theta) && !headroom_rejects(0.0, k, theta));
+        }
+    }
 }

@@ -50,10 +50,19 @@
 //! scratch). Verdicts and the first failing index are those of sweeping
 //! every member.
 //!
-//! A check that summarized the base matrix's loads as routed leaves their
-//! max utilization in [`SatChecker::last_raw_utilization`] — cache hits
-//! included — for the planners' headroom hand-off
-//! ([`PlanOutcome::headroom`](crate::planner::PlanOutcome::headroom)).
+//! Every entry keeps what its evaluation measured — the constraint that
+//! decided it, the base matrix's judged (funneled) max utilization `u` and
+//! the planning matrix it routed — so the cache outlives its search
+//! ([`Verdicts`]). A replan's checker can be handed the cache of the
+//! searches before it ([`Prior`]): keys index the box of the run's root
+//! spec, a residual's vector `v` as `frame + v`, and a state they judged
+//! under an earlier matrix is decided by the two-sided rescaling bound
+//! where it can be ([`headroom_clears`] with the largest realized/planned
+//! rate ratio, [`headroom_rejects`] with the smallest), routed where it
+//! cannot. The planners hand the cache on beside their outcome
+//! ([`Planner::plan_seeded`](crate::planner::Planner::plan_seeded)), and the
+//! lookahead seeds its memo from it
+//! ([`PlanReplay::seeded`](crate::PlanReplay::seeded)).
 //!
 //! Live (observed, non-canonical) states are not this checker's business:
 //! the run loop audits them on an engine of its own.
@@ -61,14 +70,18 @@
 use crate::action::ActionTypeId;
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
-use crate::replay::{demand_ratio, headroom_clears, LiveEngine};
+use crate::replay::{
+    demand_ratio, endpoints_of, headroom_clears, headroom_rejects, rate_floor, rate_ratio,
+    rates_of, LiveEngine,
+};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, LoadMap, UsableMask,
-    UtilizationReport,
+    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, FunnelingModel, LoadMap,
+    SplitPolicy, UsableMask, UtilizationReport,
 };
 use klotski_telemetry::{registry, Gauge};
-use klotski_topology::{CircuitId, NetState, SwitchId};
+use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
+use klotski_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -90,13 +103,20 @@ pub enum EscMode {
 pub struct SatStats {
     /// Total satisfiability queries.
     pub checks: u64,
-    /// Queries answered from the cache.
+    /// Queries answered from the cache: an entry decided under this
+    /// checker's planning matrix.
     pub cache_hits: u64,
-    /// Queries the cache did not answer (every cache miss). Each was
+    /// Queries neither a hit nor the rescaling bound answered. Each was
     /// evaluated: rejected by the §7.2 space model before any routing, or
     /// routed and judged (Eq. 4–6) — so this can exceed the routing engine's
     /// advance count by the space model's rejections.
     pub full_evaluations: u64,
+    /// Queries decided off an entry an earlier search judged under another
+    /// planning matrix, without routing: a rate-independent failure
+    /// (unreachable demand, port budget) or the two-sided rescaling bound
+    /// on the `u` it measured. Zero without a [`Prior`].
+    #[serde(default)]
+    pub rescaled: u64,
     /// Destination groups whose cached routing structure the incremental
     /// engine reused unchanged, over every route of the engine — a checker's
     /// cache misses, or a run's audits and lookahead sweeps, engines
@@ -258,14 +278,268 @@ enum CacheKey {
     Full(NetState, u8),
 }
 
+/// The constraint that decided an exact evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Every constraint held under every matrix.
+    Pass,
+    /// Reachable, within the port budgets, and some matrix put a circuit
+    /// over θ.
+    OverTheta,
+    /// Eq. 4: a demand has no live path — under any rates.
+    Unreachable,
+    /// Eq. 6, judged before θ: a switch over its port budget — under any
+    /// rates.
+    Ports,
+    /// §7.2: the compact vector overflows the floor space; nothing routed.
+    Space,
+}
+
+/// One ESC entry: the verdict under the planning matrix that last decided
+/// the state, and what the last exact evaluation of the state measured.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The verdict under matrix `decided` (an index into
+    /// [`Verdicts::matrices`]), exact or by the rescaling bound.
+    pass: bool,
+    decided: u16,
+    /// The last exact evaluation: what decided it, the base matrix's judged
+    /// max utilization (NaN where nothing was summarized: space,
+    /// unreachable), and the matrix it routed.
+    class: Class,
+    u: f64,
+    matrix: u16,
+}
+
+impl Entry {
+    /// The measured `u`, when the evaluation summarized one: the state is
+    /// then reachable (Eq. 4 is rate-independent, so under every matrix).
+    fn utilization(&self) -> Option<f64> {
+        matches!(self.class, Class::Pass | Class::OverTheta | Class::Ports).then_some(self.u)
+    }
+}
+
+/// What every entry of a cache rests on besides the state and the planning
+/// matrix: the box its keys index (the target counts of the spec generation
+/// it was started for, the run's *root*), its key kind, and the topology,
+/// split and constraint models of every generation that fills it. Not θ: a
+/// measured `u` is θ-free, and the bound reads θ afresh.
+#[derive(Debug, Clone)]
+struct Basis {
+    target: CompactState,
+    /// True when `target`'s box fits a `u64` dense index (always, in
+    /// practice: a box that overflows `u64` could never be searched anyway).
+    dense_ok: bool,
+    mode: EscMode,
+    topology: Arc<Topology>,
+    check_ports: bool,
+    funneling: FunnelingModel,
+    split: SplitPolicy,
+}
+
+impl Basis {
+    fn of(spec: &MigrationSpec, mode: EscMode) -> Self {
+        Self {
+            target: spec.target_counts.clone(),
+            dense_ok: box_fits_u64(&spec.target_counts),
+            mode,
+            topology: Arc::clone(&spec.topology),
+            check_ports: spec.check_ports,
+            funneling: spec.funneling,
+            split: spec.split,
+        }
+    }
+
+    /// True when `spec`, its origin at `frame` in this box, is a generation
+    /// of the same run: same topology, split, ports and funneling, and
+    /// `frame + spec.target_counts` is the root's target.
+    fn admits(&self, spec: &MigrationSpec, frame: &CompactState) -> bool {
+        let remaining = spec.target_counts.counts();
+        Arc::ptr_eq(&self.topology, &spec.topology)
+            && self.check_ports == spec.check_ports
+            && self.funneling == spec.funneling
+            && self.split == spec.split
+            && frame.num_types() == remaining.len()
+            && self.target.num_types() == remaining.len()
+            && (self.target.counts().iter())
+                .zip(frame.counts())
+                .zip(remaining)
+                .all(|((&t, &f), &r)| u32::from(t) == u32::from(f) + u32::from(r))
+    }
+}
+
+/// The ESC cache as one search leaves it for the next: each state's verdict
+/// and what decided it (see [`SatChecker::check`]), with the rates of the
+/// planning matrices the entries were judged under. Keys index the box of
+/// the spec generation the cache was started for; a later generation of
+/// the same run keys its vector `v` as `frame + v` ([`Prior`]). The default
+/// value is empty and fits no spec.
+#[derive(Debug, Clone, Default)]
+pub struct Verdicts {
+    basis: Option<Basis>,
+    entries: HashMap<CacheKey, Entry>,
+    /// Insertion order of the keys, for FIFO eviction at the cap.
+    fifo: VecDeque<CacheKey>,
+    /// Estimated resident bytes (keys + entries + eviction queue).
+    bytes: u64,
+    /// The rates of every planning matrix an entry was judged under, in
+    /// search order; all pair index by index, their `(src, dst, class)`
+    /// sequence fingerprinted in `endpoints`.
+    pub(crate) matrices: Vec<Vec<f64>>,
+    endpoints: u64,
+}
+
+impl Verdicts {
+    /// True when a search of `spec`, its origin at root-box vector `frame`,
+    /// can be handed this cache: it was started for a generation of the
+    /// same run (same topology, split, ports and funneling; `frame +
+    /// spec.target_counts` its target) and every matrix in it has
+    /// `spec.demands`' endpoints. It cannot tell whether `spec.initial` is
+    /// the root's canonical overlay at `frame` — the caller vouches for that
+    /// (the run loop compares the observed state with it).
+    pub(crate) fn fits(&self, spec: &MigrationSpec, frame: &CompactState) -> bool {
+        self.basis.as_ref().is_some_and(|b| b.admits(spec, frame))
+            // Room for the search's own matrix among `u16` indices.
+            && self.matrices.len() < usize::from(u16::MAX)
+            && self.pairs_with(&spec.demands)
+    }
+
+    /// True when `matrix` has the `(src, dst, class)` sequence of every
+    /// matrix in the cache (vacuously, with none).
+    pub(crate) fn pairs_with(&self, matrix: &DemandMatrix) -> bool {
+        self.matrices.is_empty() || self.endpoints == endpoints_of(matrix)
+    }
+
+    /// The prior a search of `spec` may be handed from this cache, `root`
+    /// being the spec it was started for and `frame` the vector of `root`'s
+    /// box at which `spec` has its origin: the cache, taken, when it fits
+    /// (same topology, split, ports and funneling; `frame +
+    /// spec.target_counts` its box; every matrix with `spec.demands`'
+    /// endpoints) and `spec.initial` is exactly `root`'s canonical overlay
+    /// of `frame` — the premise of every key it holds; `None`, the cache
+    /// left in place, otherwise (a failure or foreign drain still active,
+    /// say).
+    pub fn prior_for(
+        &mut self,
+        root: &MigrationSpec,
+        frame: &CompactState,
+        spec: &MigrationSpec,
+    ) -> Option<Prior> {
+        let rooted = self
+            .basis
+            .as_ref()
+            .is_some_and(|b| b.target == root.target_counts);
+        (rooted && self.fits(spec, frame) && spec.initial == root.state_for(frame)).then(|| Prior {
+            verdicts: std::mem::take(self),
+            frame: frame.clone(),
+        })
+    }
+
+    /// What the last exact evaluation of `(v, last)` — `v` a vector of the
+    /// generation whose origin sits at `frame`, `state` its canonical
+    /// overlay — measured: the base matrix's judged max utilization and the
+    /// rates of the planning matrix it was routed under, in demand order.
+    /// `None` without an entry, or where that evaluation summarized nothing
+    /// (space, unreachable).
+    pub fn measured(
+        &self,
+        spec: &MigrationSpec,
+        frame: &CompactState,
+        v: &CompactState,
+        state: &NetState,
+        last: Option<ActionTypeId>,
+    ) -> Option<(f64, &[f64])> {
+        let (u, matrix) = self.measured_at(spec, frame, v, state, last)?;
+        Some((u, &self.matrices[matrix]))
+    }
+
+    /// [`measured`](Self::measured), naming the matrix by its index in
+    /// `matrices`.
+    pub(crate) fn measured_at(
+        &self,
+        spec: &MigrationSpec,
+        frame: &CompactState,
+        v: &CompactState,
+        state: &NetState,
+        last: Option<ActionTypeId>,
+    ) -> Option<(f64, usize)> {
+        let key = self.key(spec, frame.counts(), v, state, last)?;
+        let entry = self.entries.get(&key)?;
+        Some((entry.utilization()?, usize::from(entry.matrix)))
+    }
+
+    /// The cache key of a query, or `None` when caching is off (or the
+    /// cache has no basis).
+    fn key(
+        &self,
+        spec: &MigrationSpec,
+        frame: &[u16],
+        v: &CompactState,
+        state: &NetState,
+        last: Option<ActionTypeId>,
+    ) -> Option<CacheKey> {
+        let basis = self.basis.as_ref()?;
+        // The last action type changes the outcome only via the funneling
+        // model; without it, equivalent states are exactly Definition 1.
+        let last_key = if spec.funneling.is_enabled() {
+            last.map(|a| a.0).unwrap_or(NO_LAST)
+        } else {
+            NO_LAST
+        };
+        match basis.mode {
+            EscMode::Compact => Some(if basis.dense_ok {
+                CacheKey::Dense(dense_u64(v, frame, &basis.target), last_key)
+            } else {
+                let counts = v.counts().iter().zip(frame).map(|(c, f)| c + f);
+                CacheKey::Counts(counts.collect(), last_key)
+            }),
+            EscMode::FullTopology => Some(CacheKey::Full(state.clone(), last_key)),
+            EscMode::Off => None,
+        }
+    }
+
+    /// Records `entry` under `key` — over whatever the key held — evicting
+    /// the oldest keys past `cap` (FIFO: planners revisit recent expansions
+    /// far more often than old ones, and FIFO needs no per-hit bookkeeping
+    /// on the fast path).
+    fn insert(&mut self, key: CacheKey, entry: Entry, cap: usize, full_key_bytes: u64) {
+        match self.entries.entry(key) {
+            std::collections::hash_map::Entry::Occupied(mut slot) => {
+                slot.insert(entry);
+                return;
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                self.bytes += key_bytes(slot.key(), full_key_bytes);
+                self.fifo.push_back(slot.key().clone());
+                slot.insert(entry);
+            }
+        }
+        while self.entries.len() > cap {
+            let Some(old) = self.fifo.pop_front() else {
+                break;
+            };
+            if self.entries.remove(&old).is_some() {
+                self.bytes = self.bytes.saturating_sub(key_bytes(&old, full_key_bytes));
+            }
+        }
+    }
+}
+
+/// The ESC cache of the searches before this one, handed to a search of a
+/// later spec generation of the same run ([`Verdicts::prior_for`]).
+#[derive(Debug, Clone)]
+pub struct Prior {
+    /// The cache, as the last search left it.
+    pub verdicts: Verdicts,
+    /// The vector of the cache's root box at which this search's spec has
+    /// its origin: its `v` keys as `frame + v`.
+    pub frame: CompactState,
+}
+
 /// The satisfiability checker with its ESC cache, routing engine, and
 /// reusable routing buffers.
 #[derive(Debug)]
 pub struct SatChecker {
-    mode: EscMode,
-    /// True when the target box fits in a `u64` dense index (always, in
-    /// practice: a box that overflows `u64` could never be searched anyway).
-    dense_ok: bool,
     /// The from-scratch path of `incremental == false` specs.
     router: EcmpRouter,
     loads: LoadMap,
@@ -279,12 +553,20 @@ pub struct SatChecker {
     /// Where a member the headroom bound cannot clear is swept; present iff
     /// the spec has extra matrices.
     member: Option<(LoadMap, RouteOutcome)>,
-    /// Verdict and raw utilization (see `last_raw`) per key.
-    cache: HashMap<CacheKey, (bool, Option<f64>)>,
-    /// Insertion order of cached keys, for FIFO eviction at `cache_cap`.
-    fifo: VecDeque<CacheKey>,
+    /// The ESC cache: this search's entries and any its prior handed down.
+    cache: Verdicts,
+    /// The root-box vector of this spec's origin, per type (all zeros
+    /// without a prior).
+    frame: Vec<u16>,
+    /// Index of `spec.demands` in the cache's matrices.
+    current: u16,
+    /// Whether an entry judged under an earlier matrix may decide a check:
+    /// compact keys and a single planning matrix.
+    inherits: bool,
+    /// `(k_hi, k_lo)` of each matrix of the cache against `spec.demands`,
+    /// computed on first use.
+    rescale: Vec<Option<(f64, f64)>>,
     cache_cap: usize,
-    cache_bytes: u64,
     /// Estimated heap bytes of one `CacheKey::Full` activation bitset.
     full_key_bytes: u64,
     stats: SatStats,
@@ -293,10 +575,6 @@ pub struct SatChecker {
     /// Index of the matrix that failed the most recent cache-missing
     /// sequential evaluation (`None` when it passed, or no ensemble).
     last_fail_matrix: Option<usize>,
-    /// Max utilization of the base matrix's raw loads on the state the most
-    /// recent check judged, when that check (or the one whose cached verdict
-    /// answered it) summarized them.
-    last_raw: Option<f64>,
     esc_entries_gauge: Arc<Gauge>,
     esc_bytes_gauge: Arc<Gauge>,
 }
@@ -305,15 +583,14 @@ pub struct SatChecker {
 const NO_LAST: u8 = u8::MAX;
 
 /// Estimated resident bytes of one cached verdict: the key in the map, its
-/// FIFO copy, and the verdict itself (a coarse but monotone estimate).
+/// FIFO copy, and the entry itself (a coarse but monotone estimate).
 fn key_bytes(key: &CacheKey, full_key_bytes: u64) -> u64 {
     let heap = match key {
         CacheKey::Dense(..) => 0,
         CacheKey::Counts(counts, _) => 2 * counts.len() as u64,
         CacheKey::Full(..) => full_key_bytes,
     };
-    2 * (std::mem::size_of::<CacheKey>() as u64 + heap)
-        + std::mem::size_of::<(bool, Option<f64>)>() as u64
+    2 * (std::mem::size_of::<CacheKey>() as u64 + heap) + std::mem::size_of::<Entry>() as u64
 }
 
 impl SatChecker {
@@ -334,6 +611,37 @@ impl SatChecker {
     /// jobs instead of spawning threads per plan; verdicts are identical to
     /// a privately-owned pool of the same lane count.
     pub fn with_pool(spec: &MigrationSpec, mode: EscMode, pool: Arc<WorkerPool>) -> Self {
+        Self::with_prior(spec, mode, pool, None)
+    }
+
+    /// [`with_pool`](Self::with_pool), starting from the cache of the
+    /// searches before this one when `prior` fits `spec` (as
+    /// [`Verdicts::prior_for`] checks) and was filled in `mode`; any other
+    /// prior is dropped and the checker starts empty, keyed by its own
+    /// spec's box. Verdicts are the same either way.
+    pub fn with_prior(
+        spec: &MigrationSpec,
+        mode: EscMode,
+        pool: Arc<WorkerPool>,
+        prior: Option<Prior>,
+    ) -> Self {
+        let prior = prior.filter(|p| {
+            p.verdicts.basis.as_ref().is_some_and(|b| b.mode == mode)
+                && p.verdicts.fits(spec, &p.frame)
+        });
+        let (mut cache, frame) = match prior {
+            Some(p) => (p.verdicts, p.frame.counts().to_vec()),
+            None => (
+                Verdicts {
+                    basis: Some(Basis::of(spec, mode)),
+                    ..Verdicts::default()
+                },
+                vec![0; spec.num_types()],
+            ),
+        };
+        cache.endpoints = endpoints_of(&spec.demands);
+        cache.matrices.push(rates_of(&spec.demands).collect());
+        let current = (cache.matrices.len() - 1) as u16;
         let reg = registry();
         reg.set_help(
             "klotski_esc_cache_entries",
@@ -348,11 +656,9 @@ impl SatChecker {
         let csr = Arc::new(CsrGraph::build(&spec.topology));
         let incremental = spec
             .incremental
-            .then(|| LiveEngine::for_checker(spec, csr.clone(), pool));
+            .then(|| LiveEngine::with_csr(spec, csr.clone(), pool));
         let extras = &spec.extra_demands;
         Self {
-            mode,
-            dense_ok: box_fits_u64(&spec.target_counts),
             router: EcmpRouter::from_csr(csr, spec.split),
             loads: LoadMap::new(&spec.topology),
             mask: UsableMask::new(),
@@ -364,10 +670,12 @@ impl SatChecker {
                 .collect(),
             member: (!extras.is_empty())
                 .then(|| (LoadMap::new(&spec.topology), RouteOutcome::new())),
-            cache: HashMap::new(),
-            fifo: VecDeque::new(),
+            rescale: vec![None; cache.matrices.len()],
+            cache,
+            frame,
+            current,
+            inherits: mode == EscMode::Compact && extras.is_empty(),
             cache_cap: spec.esc_cache_cap.max(1),
-            cache_bytes: 0,
             full_key_bytes: ((spec.topology.num_switches() + spec.topology.num_circuits())
                 .div_ceil(8)) as u64,
             stats: SatStats::default(),
@@ -388,10 +696,14 @@ impl SatChecker {
                 },
             },
             last_fail_matrix: None,
-            last_raw: None,
             esc_entries_gauge: reg.gauge("klotski_esc_cache_entries"),
             esc_bytes_gauge: reg.gauge("klotski_esc_cache_bytes"),
         }
+    }
+
+    /// The checker's ESC cache, to hand to the next search of the run.
+    pub fn into_verdicts(self) -> Verdicts {
+        self.cache
     }
 
     /// Counter snapshot, folding in the incremental engine's destination
@@ -404,8 +716,8 @@ impl SatChecker {
             s.incremental_dirty = es.dirty_destinations;
             s.footprint_bytes = router.footprint_bytes();
         }
-        s.esc_entries = self.cache.len() as u64;
-        s.esc_bytes = self.cache_bytes;
+        s.esc_entries = self.cache.entries.len() as u64;
+        s.esc_bytes = self.cache.bytes;
         s.ensemble_matrices = self.ensemble.matrices.len() as u64;
         s.ensemble_matrix_checks = self.ensemble.matrices.iter().map(|m| m.checks).sum();
         s.ensemble_short_circuits = self.ensemble.matrices.iter().map(|m| m.kills).sum();
@@ -426,18 +738,6 @@ impl SatChecker {
     #[doc(hidden)]
     pub fn last_fail_matrix(&self) -> Option<usize> {
         self.last_fail_matrix
-    }
-
-    /// Max circuit utilization of the state the most recent
-    /// [`check`](Self::check) judged, under the base matrix `spec.demands`,
-    /// summarized from the loads as routed — bit for bit what
-    /// `klotski_routing::evaluate_policy` reports for that state and matrix.
-    /// `None` when that check never summarized raw loads: the space model or
-    /// an unreachable demand rejected the state first, or funneling headroom
-    /// was applied before the summary. A cache hit carries the value of the
-    /// evaluation it answers for.
-    pub fn last_raw_utilization(&self) -> Option<f64> {
-        self.last_raw
     }
 
     /// True when this checker evaluates child states incrementally.
@@ -464,7 +764,7 @@ impl SatChecker {
 
     /// Number of cached entries (for memory-footprint reporting).
     pub fn cache_len(&self) -> usize {
-        self.cache.len()
+        self.cache.entries.len()
     }
 
     /// Checks whether the state identified by `v` (with activation overlay
@@ -472,6 +772,20 @@ impl SatChecker {
     /// and port constraints. `last` is the action type that produced this
     /// state (`None` for the origin); it matters only when funneling
     /// headroom is enabled.
+    ///
+    /// An ESC entry decided under this checker's planning matrix answers at
+    /// once (`cache_hits`). One an earlier search judged under another
+    /// matrix — handed down in a [`Prior`] — decides the state without
+    /// routing where it can (`rescaled`; compact keys and a single matrix
+    /// only): after the O(|A|) space model passes `v`, an unreachable
+    /// demand or an exceeded port budget fails under any rates, and a
+    /// measured `u` passes when `u · k_hi · (1 + δ) ≤ θ` and fails when
+    /// `u · k_lo · (1 − δ) > θ` — `k_hi` / `k_lo` the largest / smallest
+    /// rate ratio of this matrix over that one ([`headroom_clears`],
+    /// [`headroom_rejects`]). The same state routes the same structure, and
+    /// the sweep is linear and monotone in the rates, so either answer is
+    /// the route's. Everything else is evaluated (`full_evaluations`) and
+    /// its entry overwritten under this matrix.
     pub fn check(
         &mut self,
         spec: &MigrationSpec,
@@ -497,75 +811,70 @@ impl SatChecker {
         on_base: Option<&mut dyn FnMut(&LoadMap)>,
     ) -> bool {
         self.stats.checks += 1;
-        let key = self.key_for(spec, v, state, last);
-        if let Some(&(hit, raw)) = key.as_ref().and_then(|key| self.cache.get(key)) {
-            self.stats.cache_hits += 1;
-            self.last_raw = raw;
-            return hit;
+        let key = self.cache.key(spec, &self.frame, v, state, last);
+        if let Some(key) = &key {
+            if let Some(&entry) = self.cache.entries.get(key) {
+                if entry.decided == self.current {
+                    self.stats.cache_hits += 1;
+                    return entry.pass;
+                }
+                if let Some(pass) = self.rescaled(spec, v, &entry) {
+                    self.stats.rescaled += 1;
+                    let entry = self.cache.entries.get_mut(key).expect("just read");
+                    (entry.pass, entry.decided) = (pass, self.current);
+                    return pass;
+                }
+            }
         }
         self.stats.full_evaluations += 1;
-        self.last_raw = None;
-        let result = self.evaluate(spec, v, state, last, on_base);
+        let (pass, class, u) = self.evaluate(spec, v, state, last, on_base);
         if let Some(key) = key {
-            self.cache_insert(key, (result, self.last_raw));
-        }
-        result
-    }
-
-    /// Inserts a verdict, evicting the oldest entries past the cap (FIFO:
-    /// planners revisit recent expansions far more often than old ones, and
-    /// FIFO needs no per-hit bookkeeping on the fast path).
-    fn cache_insert(&mut self, key: CacheKey, verdict: (bool, Option<f64>)) {
-        match self.cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => return,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.cache_bytes += key_bytes(slot.key(), self.full_key_bytes);
-                self.fifo.push_back(slot.key().clone());
-                slot.insert(verdict);
-            }
-        }
-        while self.cache.len() > self.cache_cap {
-            let Some(old) = self.fifo.pop_front() else {
-                break;
+            let entry = Entry {
+                pass,
+                decided: self.current,
+                class,
+                u,
+                matrix: self.current,
             };
-            if self.cache.remove(&old).is_some() {
-                self.cache_bytes = self
-                    .cache_bytes
-                    .saturating_sub(key_bytes(&old, self.full_key_bytes));
+            self.cache
+                .insert(key, entry, self.cache_cap, self.full_key_bytes);
+            self.esc_entries_gauge.set(self.cache.entries.len() as f64);
+            self.esc_bytes_gauge.set(self.cache.bytes as f64);
+        }
+        pass
+    }
+
+    /// The verdict `entry`, judged under an earlier matrix, gives `v`
+    /// without routing — `None` when only an evaluation can tell (see
+    /// [`check`](Self::check)).
+    fn rescaled(&mut self, spec: &MigrationSpec, v: &CompactState, entry: &Entry) -> Option<bool> {
+        if !self.inherits || spec.space.as_ref().is_some_and(|s| !s.fits(v)) {
+            return None;
+        }
+        match entry.class {
+            Class::Unreachable | Class::Ports => Some(false),
+            Class::Space => None,
+            Class::Pass | Class::OverTheta => {
+                let planned = &self.cache.matrices[usize::from(entry.matrix)];
+                let (k_hi, k_lo) =
+                    *self.rescale[usize::from(entry.matrix)].get_or_insert_with(|| {
+                        let pairs = || planned.iter().copied().zip(rates_of(&spec.demands));
+                        (rate_ratio(pairs()), rate_floor(pairs()))
+                    });
+                if headroom_clears(entry.u, k_hi, spec.theta) {
+                    Some(true)
+                } else if headroom_rejects(entry.u, k_lo, spec.theta) {
+                    Some(false)
+                } else {
+                    None
+                }
             }
         }
-        self.esc_entries_gauge.set(self.cache.len() as f64);
-        self.esc_bytes_gauge.set(self.cache_bytes as f64);
     }
 
-    /// The cache key of a query, or `None` when caching is off.
-    fn key_for(
-        &self,
-        spec: &MigrationSpec,
-        v: &CompactState,
-        state: &NetState,
-        last: Option<ActionTypeId>,
-    ) -> Option<CacheKey> {
-        // The last action type changes the outcome only via the funneling
-        // model; without it, equivalent states are exactly Definition 1.
-        let last_key = if spec.funneling.is_enabled() {
-            last.map(|a| a.0).unwrap_or(NO_LAST)
-        } else {
-            NO_LAST
-        };
-        match self.mode {
-            EscMode::Compact => Some(if self.dense_ok {
-                CacheKey::Dense(dense_u64(v, &spec.target_counts), last_key)
-            } else {
-                CacheKey::Counts(v.counts().to_vec(), last_key)
-            }),
-            EscMode::FullTopology => Some(CacheKey::Full(state.clone(), last_key)),
-            EscMode::Off => None,
-        }
-    }
-
-    /// The actual Eq. 4–6 evaluation on the checker's own buffers; sets
-    /// `last_raw` (cleared by the caller) where it summarizes raw loads.
+    /// The actual Eq. 4–6 evaluation on the checker's own buffers: the
+    /// verdict, the constraint that decided it, and the base matrix's judged
+    /// max utilization (NaN where nothing was summarized).
     fn evaluate(
         &mut self,
         spec: &MigrationSpec,
@@ -573,12 +882,12 @@ impl SatChecker {
         state: &NetState,
         last: Option<ActionTypeId>,
         on_base: Option<&mut dyn FnMut(&LoadMap)>,
-    ) -> bool {
+    ) -> (bool, Class, f64) {
         // Space/power footprint (§7.2) is the cheapest constraint: O(|A|).
         // Checked before routing, so it leaves the incremental base alone.
         if let Some(space) = &spec.space {
             if !space.fits(v) {
-                return false;
+                return (false, Class::Space, f64::NAN);
             }
         }
         // Ensemble accounting is armed only when extra matrices exist, so
@@ -603,33 +912,39 @@ impl SatChecker {
         }
         let funneled = funneled_switches(spec, v, last);
         let base = judge(spec, state, funneled, &mut self.loads, &self.outcome);
-        if funneled.is_none() {
-            self.last_raw = base.as_ref().map(|r| r.max_utilization);
-        }
+        let u = base.as_ref().map_or(f64::NAN, |r| r.max_utilization);
         // Port budgets (Eq. 6) depend on the state alone, so they are judged
-        // once, with the base matrix: a port failure is matrix 0's kill. The
+        // once, with the base matrix and before θ — an entry over θ is then
+        // known within its ports: a port failure is matrix 0's kill. The
         // engine keeps them by delta; the from-scratch path recounts.
-        let ok = base.as_ref().is_some_and(|r| r.violations == 0)
-            && !(spec.check_ports
-                && match &self.incremental {
-                    Some(engine) => engine.port_violation(),
-                    None => spec.topology.has_port_violation(state),
-                });
+        let ports = base.is_some()
+            && spec.check_ports
+            && match &self.incremental {
+                Some(engine) => engine.port_violation(),
+                None => spec.topology.has_port_violation(state),
+            };
+        let class = match &base {
+            None => Class::Unreachable,
+            Some(_) if ports => Class::Ports,
+            Some(r) if r.violations > 0 => Class::OverTheta,
+            Some(_) => Class::Pass,
+        };
+        let ok = class == Class::Pass;
         let Some(t0) = t0 else {
-            return ok;
+            return (ok, class, u);
         };
         self.ensemble.record(0, t0.elapsed(), true, !ok);
-        let Some(base) = base.filter(|_| ok) else {
+        if !ok {
             self.last_fail_matrix = Some(0);
-            return false;
-        };
+            return (false, class, u);
+        }
         // Every other member shares the base's endpoints, hence its
         // reachability and ports; the bound clears it off the base's summary
         // or it is swept — on the structure just advanced, or from scratch
         // with the mask already computed for `state`.
         for k in 0..spec.extra_demands.len() {
             let tk = Instant::now();
-            let cleared = headroom_clears(base.max_utilization, self.ratios[k], spec.theta);
+            let cleared = headroom_clears(u, self.ratios[k], spec.theta);
             let ok = cleared || {
                 let (loads, outcome) = self.member.as_mut().expect("built with the extras");
                 match &mut self.incremental {
@@ -651,17 +966,17 @@ impl SatChecker {
             self.ensemble.record(k + 1, tk.elapsed(), !cleared, !ok);
             if !ok {
                 self.last_fail_matrix = Some(k + 1);
-                return false;
+                return (false, Class::OverTheta, u);
             }
         }
         self.last_fail_matrix = None;
-        true
+        (true, Class::Pass, u)
     }
 }
 
 /// The switches whose drain produced `v`, when the funneling headroom model
 /// applies to this check: `last` is a drain and the model is enabled.
-fn funneled_switches<'a>(
+pub(crate) fn funneled_switches<'a>(
     spec: &'a MigrationSpec,
     v: &CompactState,
     last: Option<ActionTypeId>,
@@ -703,12 +1018,13 @@ fn box_fits_u64(target: &CompactState) -> bool {
     true
 }
 
-/// Mixed-radix dense index of `v` within `target`'s box, in `u64` (only
-/// valid when [`box_fits_u64`]; injective over the box, which is all a cache
-/// key needs).
-fn dense_u64(v: &CompactState, target: &CompactState) -> u64 {
+/// Mixed-radix dense index of `frame + v` within `target`'s box, in `u64`
+/// (only valid when [`box_fits_u64`]; injective over the box, which is all
+/// a cache key needs).
+fn dense_u64(v: &CompactState, frame: &[u16], target: &CompactState) -> u64 {
     let mut idx = 0u64;
-    for (&count, &bound) in v.counts().iter().zip(target.counts()) {
+    for ((&count, &at), &bound) in v.counts().iter().zip(frame).zip(target.counts()) {
+        let count = count + at;
         debug_assert!(count <= bound, "count outside the target box");
         idx = idx * (bound as u64 + 1) + count as u64;
     }
@@ -958,6 +1274,32 @@ mod tests {
     }
 
     #[test]
+    fn a_replan_whose_checks_are_all_inherited_builds_no_engine() {
+        let root = spec();
+        let frame = CompactState::from_counts(vec![1, 1]);
+        let successors: Vec<_> = (root.actions.ids())
+            .map(|a| (frame.advanced(a), a))
+            .collect();
+        let mut search = SatChecker::new(&root, EscMode::Compact);
+        for (w, a) in &successors {
+            assert!(search.check(&root, w, &root.state_for(w), Some(*a)));
+        }
+        // Demand halved: every state the root search passed clears.
+        let residual = root.residual(&frame, root.state_for(&frame), root.demands.scaled(0.5));
+        let prior = search.into_verdicts().prior_for(&root, &frame, &residual);
+        let pool = Arc::new(WorkerPool::new(1));
+        let mut replan = SatChecker::with_prior(&residual, EscMode::Compact, pool, prior);
+        for a in residual.actions.ids() {
+            let v = CompactState::origin(residual.num_types()).advanced(a);
+            assert!(replan.check(&residual, &v, &residual.state_for(&v), Some(a)));
+        }
+        let s = replan.stats();
+        assert_eq!((s.rescaled, s.full_evaluations, s.esc_entries), (2, 0, 2));
+        assert!(replan.incremental.as_ref().unwrap().router().is_none());
+        assert_eq!((s.incremental_clean, s.incremental_dirty), (0, 0));
+    }
+
+    #[test]
     fn dense_u64_is_injective_over_a_small_box() {
         let target = CompactState::from_counts(vec![3, 2, 4]);
         assert!(box_fits_u64(&target));
@@ -966,7 +1308,10 @@ mod tests {
             for b in 0..=2u16 {
                 for c in 0..=4u16 {
                     let v = CompactState::from_counts(vec![a, b, c]);
-                    assert!(seen.insert(dense_u64(&v, &target)), "collision at {v}");
+                    assert!(
+                        seen.insert(dense_u64(&v, &[0; 3], &target)),
+                        "collision at {v}"
+                    );
                 }
             }
         }

@@ -604,13 +604,13 @@ fn cmd_run(mut args: Vec<String>) -> Result<(), CliError> {
         if r.ok {
             out!(
                 "  replan after step {}: {} phases in {:.1}ms \
-                 ({} states, {} esc hits, {} incr clean dests)",
+                 ({} states, {} esc hits, {} rescaled)",
                 r.at_step,
                 r.phases,
                 r.latency_ms,
                 r.stats.states_visited,
                 r.stats.cache_hits,
-                r.stats.incremental_clean
+                r.stats.rescaled
             );
         } else {
             out!(

@@ -13,15 +13,16 @@
 //! evaluations, under every ESC mode.
 //!
 //! Both planners hand the lookahead the utilization their own checks
-//! measured (`PlanOutcome::headroom`); on the same instances that hand-off is
-//! held to the from-scratch route of every plan state.
+//! measured, in the ESC cache the plan arrives with
+//! (`Planner::plan_seeded`); on the same instances that hand-off is held to
+//! the from-scratch route of every plan state.
 
 use klotski::baselines::BruteForcePlanner;
 use klotski::core::cost::HeuristicMode;
 use klotski::core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski::core::plan::{validate_plan, MigrationPlan, PlanStep};
 use klotski::core::planner::{AStarPlanner, DpPlanner, PlanOutcome, Planner};
-use klotski::core::satcheck::{EscMode, SatChecker};
+use klotski::core::satcheck::{EscMode, SatChecker, Verdicts};
 use klotski::core::{ActionTypeId, CompactState, CostModel, EnsembleSpec, LiveEngine, PlanReplay};
 use klotski::parallel::WorkerPool;
 use klotski::routing::{evaluate_policy, FunnelingModel};
@@ -235,23 +236,23 @@ fn instance(
 }
 
 /// The headroom hand-off of one planned outcome, held to the from-scratch
-/// route: one entry per step; an entry is absent exactly where the funneling
-/// model inflated that step's check before it was summarized; a present one
-/// is the max utilization `evaluate_policy` reports for the step's state
-/// under the planning matrix, bit for bit. And a lookahead whose memo is
-/// seeded from it answers as an unseeded one does, with no more sweeps.
-fn assert_headroom_hands_off(spec: &MigrationSpec, out: &PlanOutcome) -> Result<(), String> {
-    let steps = out.plan.steps();
-    if out.headroom.len() != steps.len() {
-        return Err(format!(
-            "{} entries for {} steps",
-            out.headroom.len(),
-            steps.len()
-        ));
-    }
-    let mut v = CompactState::origin(spec.num_types());
+/// route: at every step the cache the plan arrived with holds the max
+/// utilization `evaluate_policy` reports for the step's state under the
+/// planning matrix, bit for bit — except where the funneling model inflated
+/// that step's check before its summary (the seed skips those) and under an
+/// ESC that keeps nothing (`Off`: no entry at all). And a lookahead whose
+/// memo is seeded from it answers as an unseeded one does, with no more
+/// sweeps.
+fn assert_headroom_hands_off(
+    spec: &MigrationSpec,
+    out: &PlanOutcome,
+    verdicts: &Verdicts,
+    esc: EscMode,
+) -> Result<(), String> {
+    let origin = CompactState::origin(spec.num_types());
+    let mut v = origin.clone();
     let mut state = spec.initial.clone();
-    for (i, (step, entry)) in steps.iter().zip(&out.headroom).enumerate() {
+    for (i, step) in out.plan.steps().iter().enumerate() {
         spec.apply_next(&mut state, &v, step.kind);
         v = v.advanced(step.kind);
         let funneled = spec.funneling.is_enabled() && spec.kind_is_drain(step.kind);
@@ -264,23 +265,29 @@ fn assert_headroom_hands_off(spec: &MigrationSpec, out: &PlanOutcome) -> Result<
         )
         .report
         .max_utilization;
+        let entry = verdicts.measured(spec, &origin, &v, &state, Some(step.kind));
         match entry {
-            None if funneled => {}
-            Some(u) if !funneled && u.to_bits() == oracle.to_bits() => {}
+            None if esc == EscMode::Off => {}
+            Some(_) if funneled && esc != EscMode::Off => {}
+            Some((u, planned))
+                if !funneled
+                    && esc != EscMode::Off
+                    && u.to_bits() == oracle.to_bits()
+                    && planned.iter().eq(spec.demands.iter().map(|d| &d.gbps)) => {}
             other => {
                 return Err(format!(
-                    "step {i} (funneled: {funneled}): {other:?}, the oracle reads {oracle:e}"
+                    "step {i} (funneled: {funneled}): {:?}, the oracle reads {oracle:e}",
+                    other.map(|(u, _)| u)
                 ))
             }
         }
     }
 
-    let origin = CompactState::origin(spec.num_types());
     let phases = out.plan.phases();
     let pool = || Arc::new(WorkerPool::new(1));
     let (mut seeded_engine, mut unseeded_engine) =
         (LiveEngine::new(spec, pool()), LiveEngine::new(spec, pool()));
-    let mut seeded = PlanReplay::seeded(spec, &out.plan, &out.headroom);
+    let mut seeded = PlanReplay::seeded(spec, &out.plan, verdicts, &origin);
     let mut unseeded = PlanReplay::default();
     let mut x = 0x9e37_79b9_7f4a_7c15_u64;
     for call in 0..8 {
@@ -337,8 +344,8 @@ proptest! {
                     ("dp", Box::new(DpPlanner { esc, ..DpPlanner::default() })),
                 ];
                 for (name, planner) in planners {
-                    if let Ok(out) = planner.plan(&spec) {
-                        let held = assert_headroom_hands_off(&spec, &out);
+                    if let Ok((out, verdicts)) = planner.plan_seeded(&spec, None) {
+                        let held = assert_headroom_hands_off(&spec, &out, &verdicts, esc);
                         prop_assert!(held.is_ok(), "{name} {esc:?}: {}", held.unwrap_err());
                     }
                 }
