@@ -167,7 +167,6 @@ pub(crate) fn run_search(
                 (!spec.extra_demands.is_empty()).then(|| checker.ensemble_breakdown().clone());
             if let Some(ens) = &ensemble {
                 emit_ensemble_trace(planner, ens);
-                flush_ensemble_metrics(planner, ens);
             }
             let outcome = PlanOutcome {
                 plan,
@@ -266,46 +265,6 @@ fn flush_search_metrics(planner: &str, stats: &PlanStats, completed: bool) {
         ),
     ] {
         reg.counter(&label(family)).add(value);
-    }
-}
-
-/// Publishes a finished search's per-matrix ensemble counters under the
-/// `klotski_ensemble_*` families, labelled by planner and matrix. No-op for
-/// single-matrix (non-ensemble) searches.
-fn flush_ensemble_metrics(planner: &str, breakdown: &EnsembleBreakdown) {
-    if breakdown.matrices.is_empty() {
-        return;
-    }
-    let reg = klotski_telemetry::registry();
-    for (family, help) in [
-        (
-            "klotski_ensemble_matrix_checks_total",
-            "Per-ensemble-matrix satisfiability evaluations",
-        ),
-        (
-            "klotski_ensemble_matrix_kills_total",
-            "Candidates killed by each ensemble matrix (first failure)",
-        ),
-        (
-            "klotski_ensemble_matrix_us_total",
-            "Microseconds spent evaluating each ensemble matrix",
-        ),
-    ] {
-        reg.set_help(family, help);
-    }
-    for (k, m) in breakdown.matrices.iter().enumerate() {
-        let label = |family: &str| {
-            format!(
-                "{family}{{planner=\"{planner}\",matrix=\"{k}:{}\"}}",
-                m.label
-            )
-        };
-        reg.counter(&label("klotski_ensemble_matrix_checks_total"))
-            .add(m.checks);
-        reg.counter(&label("klotski_ensemble_matrix_kills_total"))
-            .add(m.kills);
-        reg.counter(&label("klotski_ensemble_matrix_us_total"))
-            .add(m.wall_ns / 1_000);
     }
 }
 

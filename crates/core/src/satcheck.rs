@@ -79,7 +79,6 @@ use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, FunnelingModel, LoadMap,
     SplitPolicy, UsableMask, UtilizationReport,
 };
-use klotski_telemetry::{registry, Gauge};
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 use klotski_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
@@ -575,8 +574,6 @@ pub struct SatChecker {
     /// Index of the matrix that failed the most recent cache-missing
     /// sequential evaluation (`None` when it passed, or no ensemble).
     last_fail_matrix: Option<usize>,
-    esc_entries_gauge: Arc<Gauge>,
-    esc_bytes_gauge: Arc<Gauge>,
 }
 
 /// Cache-key discriminant when the last action type is irrelevant.
@@ -642,15 +639,6 @@ impl SatChecker {
         cache.endpoints = endpoints_of(&spec.demands);
         cache.matrices.push(rates_of(&spec.demands).collect());
         let current = (cache.matrices.len() - 1) as u16;
-        let reg = registry();
-        reg.set_help(
-            "klotski_esc_cache_entries",
-            "Resident ESC cache entries of the most recent checker",
-        );
-        reg.set_help(
-            "klotski_esc_cache_bytes",
-            "Estimated resident bytes of the ESC cache",
-        );
         // One flattened CSR view of the topology, shared read-only by the
         // from-scratch router and the incremental engine.
         let csr = Arc::new(CsrGraph::build(&spec.topology));
@@ -696,8 +684,6 @@ impl SatChecker {
                 },
             },
             last_fail_matrix: None,
-            esc_entries_gauge: reg.gauge("klotski_esc_cache_entries"),
-            esc_bytes_gauge: reg.gauge("klotski_esc_cache_bytes"),
         }
     }
 
@@ -838,8 +824,6 @@ impl SatChecker {
             };
             self.cache
                 .insert(key, entry, self.cache_cap, self.full_key_bytes);
-            self.esc_entries_gauge.set(self.cache.entries.len() as f64);
-            self.esc_bytes_gauge.set(self.cache.bytes as f64);
         }
         pass
     }

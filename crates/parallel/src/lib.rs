@@ -23,72 +23,10 @@
 //! - **Panic propagation.** A panicking task poisons the epoch; `run`
 //!   re-panics on the calling thread after all lanes have stopped.
 
-use klotski_telemetry::{registry, Counter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Cached handles to the pool's registry counters, resolved once per pool
-/// so the run path pays one relaxed atomic add per update. The series
-/// aggregate across every pool instance in the process (the planner's
-/// private pools and the service workers' shared ones alike) — per-lane
-/// labels describe lane *positions*, not specific threads.
-#[derive(Debug)]
-struct PoolMetrics {
-    /// `run` epochs dispatched (inline single-lane runs included).
-    epochs: Arc<Counter>,
-    /// Tasks executed, per lane.
-    tasks: Vec<Arc<Counter>>,
-    /// Busy wall-clock per lane, microseconds.
-    busy_us: Vec<Arc<Counter>>,
-    /// Epochs in which the lane ran at least one task (occupancy).
-    occupied: Vec<Arc<Counter>>,
-}
-
-impl PoolMetrics {
-    fn new(lanes: usize) -> Self {
-        let r = registry();
-        r.set_help(
-            "klotski_pool_epochs_total",
-            "Worker-pool run epochs dispatched (all pools).",
-        );
-        r.set_help(
-            "klotski_pool_tasks_total",
-            "Worker-pool tasks executed per lane (all pools).",
-        );
-        r.set_help(
-            "klotski_pool_busy_us_total",
-            "Worker-pool per-lane busy time, microseconds (all pools).",
-        );
-        r.set_help(
-            "klotski_pool_lane_epochs_total",
-            "Epochs in which the lane ran at least one task (all pools).",
-        );
-        let per_lane = |family: &str| {
-            (0..lanes)
-                .map(|lane| r.counter(&format!("{family}{{lane=\"{lane}\"}}")))
-                .collect()
-        };
-        Self {
-            epochs: r.counter("klotski_pool_epochs_total"),
-            tasks: per_lane("klotski_pool_tasks_total"),
-            busy_us: per_lane("klotski_pool_busy_us_total"),
-            occupied: per_lane("klotski_pool_lane_epochs_total"),
-        }
-    }
-
-    /// Folds one lane's share of an epoch in. Idle lanes record nothing.
-    fn record_lane(&self, lane: usize, busy: Duration, tasks_run: usize) {
-        if tasks_run == 0 {
-            return;
-        }
-        self.tasks[lane].add(tasks_run as u64);
-        self.busy_us[lane].add(busy.as_micros() as u64);
-        self.occupied[lane].inc();
-    }
-}
 
 /// The erased job a worker runs for one epoch: `f(lane)` where `lane` is in
 /// `1..lanes`. The pointee lives on the stack of the `run` caller, which
@@ -121,7 +59,6 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    metrics: PoolMetrics,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -159,11 +96,7 @@ impl WorkerPool {
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        Self {
-            shared,
-            workers,
-            metrics: PoolMetrics::new(lanes),
-        }
+        Self { shared, workers }
     }
 
     /// A reference-counted pool with `lanes` lanes, for callers that share
@@ -195,28 +128,19 @@ impl WorkerPool {
             return;
         }
         if self.workers.is_empty() || tasks == 1 {
-            let started = Instant::now();
             for task in 0..tasks {
                 f(0, task);
             }
-            self.metrics.epochs.inc();
-            self.metrics.record_lane(0, started.elapsed(), tasks);
             return;
         }
 
         let next = AtomicUsize::new(0);
-        let job = |lane: usize| {
-            let started = Instant::now();
-            let mut ran = 0usize;
-            loop {
-                let task = next.fetch_add(1, Ordering::Relaxed);
-                if task >= tasks {
-                    break;
-                }
-                f(lane, task);
-                ran += 1;
+        let job = |lane: usize| loop {
+            let task = next.fetch_add(1, Ordering::Relaxed);
+            if task >= tasks {
+                break;
             }
-            self.metrics.record_lane(lane, started.elapsed(), ran);
+            f(lane, task);
         };
 
         // Publish the job. SAFETY: we erase the closure's lifetime, but the
@@ -236,7 +160,6 @@ impl WorkerPool {
             st.active = self.workers.len();
             st.panicked = false;
         }
-        self.metrics.epochs.inc();
         self.shared.work_cv.notify_all();
 
         // Participate as lane 0. Catch panics so workers are always waited

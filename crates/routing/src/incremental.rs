@@ -53,7 +53,6 @@ use crate::ecmp::{dial_labels, DialScratch, RouteOutcome, SplitPolicy, UNREACHED
 use crate::loads::LoadMap;
 use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
-use klotski_telemetry::{registry, Counter, Gauge};
 use klotski_topology::{BitSet, CircuitId, CsrGraph, NetState, SwitchId, Topology};
 use klotski_traffic::{DemandClass, DemandMatrix};
 use std::cmp::Reverse;
@@ -89,55 +88,6 @@ pub struct IncrementalStats {
     /// `evaluate` or `replay_extra`, so always
     /// `evaluations + extra_replays`.
     pub sweeps: u64,
-}
-
-/// `klotski_routing_incremental_*` registry handles, resolved once.
-#[derive(Debug)]
-struct IncrMetrics {
-    evaluations: Arc<Counter>,
-    clean: Arc<Counter>,
-    dirty: Arc<Counter>,
-    full: Arc<Counter>,
-    toggled: Arc<Counter>,
-    footprint_bytes: Arc<Gauge>,
-}
-
-impl IncrMetrics {
-    fn new() -> Self {
-        let reg = registry();
-        reg.set_help(
-            "klotski_routing_incremental_evaluations_total",
-            "Delta-aware routing evaluations",
-        );
-        reg.set_help(
-            "klotski_routing_incremental_clean_total",
-            "Destinations whose cached routing structure was reused unchanged",
-        );
-        reg.set_help(
-            "klotski_routing_incremental_dirty_total",
-            "Destinations whose routing structure was patched or rebuilt",
-        );
-        reg.set_help(
-            "klotski_routing_incremental_full_rebuilds_total",
-            "Destinations that fell back to a full BFS rebuild",
-        );
-        reg.set_help(
-            "klotski_routing_incremental_toggled_total",
-            "Toggled circuits summed over delta evaluations (divide by evaluations for the mean toggle-set size)",
-        );
-        reg.set_help(
-            "klotski_routing_footprint_bytes",
-            "Resident bytes of per-destination circuit footprints after interning",
-        );
-        Self {
-            evaluations: reg.counter("klotski_routing_incremental_evaluations_total"),
-            clean: reg.counter("klotski_routing_incremental_clean_total"),
-            dirty: reg.counter("klotski_routing_incremental_dirty_total"),
-            full: reg.counter("klotski_routing_incremental_full_rebuilds_total"),
-            toggled: reg.counter("klotski_routing_incremental_toggled_total"),
-            footprint_bytes: reg.gauge("klotski_routing_footprint_bytes"),
-        }
-    }
 }
 
 /// Cached routing structure of one destination group.
@@ -180,8 +130,6 @@ struct DestEntry {
     last_clean: bool,
     /// Introspection: last advance fell back to a full rebuild.
     last_full: bool,
-    /// Introspection: last advance grew or replaced the footprint.
-    footprint_changed: bool,
 }
 
 /// Per-lane scratch shared by every destination a lane advances.
@@ -262,7 +210,6 @@ pub struct IncrementalRouter {
     num_extras: usize,
     primed: bool,
     stats: IncrementalStats,
-    metrics: IncrMetrics,
 }
 
 impl IncrementalRouter {
@@ -322,7 +269,6 @@ impl IncrementalRouter {
                 footprint: empty_footprint.clone(),
                 last_clean: false,
                 last_full: false,
-                footprint_changed: false,
             })
             .collect();
         let mut engine = Self {
@@ -337,7 +283,6 @@ impl IncrementalRouter {
             num_extras: extras.len(),
             primed: false,
             stats: IncrementalStats::default(),
-            metrics: IncrMetrics::new(),
         };
         for (m, rates) in std::iter::once(matrix).chain(extras).enumerate() {
             assert!(engine.set_rates(m, rates), "{SHARED_ENDPOINTS}");
@@ -466,7 +411,6 @@ impl IncrementalRouter {
     ) {
         self.advance(pool, topo, state, toggles);
         self.stats.evaluations += 1;
-        self.metrics.evaluations.inc();
         self.sweep(state, 0, loads, outcome);
     }
 
@@ -638,19 +582,10 @@ impl IncrementalRouter {
         self.stats.dirty_destinations += dirty;
         self.stats.full_rebuilds += full;
         self.stats.toggled_circuits += toggle_set.len() as u64;
-        self.metrics.clean.add(clean);
-        self.metrics.dirty.add(dirty);
-        self.metrics.full.add(full);
-        self.metrics.toggled.add(toggle_set.len() as u64);
         if full > 0 {
             // Full rebuilds recompute footprints from scratch on private
             // allocations; merge equal ones back onto shared storage.
             self.intern_footprints();
-        }
-        if self.entries.iter().any(|e| e.footprint_changed) {
-            self.metrics
-                .footprint_bytes
-                .set(self.footprint_bytes() as f64);
         }
     }
 
@@ -698,7 +633,6 @@ fn advance_entry(
     full_all: bool,
 ) {
     let epoch = scratch.bump_epoch();
-    entry.footprint_changed = false;
     scratch.marked.clear();
     scratch.seeds.clear();
     scratch.settled.clear();
@@ -845,7 +779,6 @@ fn advance_entry(
                 for e in csr.neighbors(x) {
                     if !entry.footprint.get(e.circuit as usize) {
                         Arc::make_mut(&mut entry.footprint).set(e.circuit as usize, true);
-                        entry.footprint_changed = true;
                     }
                 }
             }
@@ -970,7 +903,6 @@ fn rebuild_full(
     // post-advance interning pass when it matches another's.
     if *fp != *entry.footprint {
         std::mem::swap(Arc::make_mut(&mut entry.footprint), fp);
-        entry.footprint_changed = true;
     }
 }
 

@@ -57,8 +57,8 @@ fn route(request: &Request, shared: &Shared) -> Routed {
             }
         }
         ("GET", "/metrics") => {
-            // This daemon's registry, then the process-wide one: search,
-            // routing, pool and controller introspection.
+            // This daemon's registry, then the process-wide one: what the
+            // planner publishes per search and the controller per run.
             shared.publish_observed();
             let mut text = shared.metrics.registry.render_prometheus();
             text.push_str(&klotski_telemetry::registry().render_prometheus());
@@ -453,7 +453,24 @@ mod tests {
         // search introspection counters.
         assert!(text.contains("klotski_search_expansions_total"), "{text}");
         assert!(text.contains("klotski_search_esc_hits_total"));
-        assert!(text.contains("klotski_pool_tasks_total"));
+
+        // Only the layer that owns a request publishes: the routing engine,
+        // the worker pool and the checker return their counts instead, and
+        // an ensemble search ships its per-matrix rows in the plan summary.
+        let (status, _, body) =
+            request(addr, "POST /v1/plan?ensemble=3@5 HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 200, "{body}");
+        let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
+        let gone = ["pool_", "routing_", "esc_cache_", "ensemble_"];
+        for line in text.lines() {
+            let series = line
+                .trim_start_matches("# HELP ")
+                .trim_start_matches("# TYPE ");
+            let published = series
+                .strip_prefix("klotski_")
+                .is_some_and(|rest| gone.iter().any(|family| rest.starts_with(family)));
+            assert!(!published, "{line}");
+        }
 
         service.shutdown();
     }

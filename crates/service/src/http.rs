@@ -144,18 +144,16 @@ fn decode_component(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' if i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 => {
-                match (hex_val(bytes.get(i + 1)), hex_val(bytes.get(i + 2))) {
-                    (Some(h), Some(l)) => {
-                        out.push(h * 16 + l);
-                        i += 3;
-                    }
-                    _ => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+            b'%' => match (hex_val(bytes.get(i + 1)), hex_val(bytes.get(i + 2))) {
+                (Some(h), Some(l)) => {
+                    out.push(h * 16 + l);
+                    i += 3;
                 }
-            }
+                _ => {
+                    out.push(b'%');
+                    i += 1;
+                }
+            },
             b => {
                 out.push(b);
                 i += 1;
@@ -327,6 +325,12 @@ mod tests {
     fn malformed_percent_passes_through() {
         assert_eq!(decode_component("50%"), "50%");
         assert_eq!(decode_component("%zz"), "%zz");
+        assert_eq!(decode_component("%"), "%");
+        assert_eq!(decode_component("%4"), "%4");
+        assert_eq!(decode_component("%4g"), "%4g");
+        assert_eq!(decode_component("%41"), "A");
+        assert_eq!(decode_component("%e2%82%ac"), "€");
+        assert_eq!(decode_component("%ff"), "\u{fffd}");
     }
 
     #[test]

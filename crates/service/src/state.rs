@@ -488,6 +488,7 @@ mod tests {
     use super::*;
     use klotski_npd::convert::region_to_npd;
     use klotski_topology::presets::{self, PresetId};
+    use proptest::prelude::*;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("klotski-state-{tag}-{}", std::process::id()));
@@ -625,5 +626,65 @@ mod tests {
         }
         assert_eq!(parse_key("nope"), None);
         assert_eq!(parse_key("12:zz"), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// `k` good frames, then damage: an arbitrary tail, one flipped byte
+        /// inside frame `j`, or frame `j`'s length field set to `u32::MAX`.
+        /// Replay keeps exactly the records before the damage, truncates
+        /// the file at the last good offset, and a second open replays the
+        /// same records from a clean file.
+        #[test]
+        fn damaged_journal_replays_exactly_the_records_before_the_damage(
+            k in 0usize..6,
+            damage in 0u8..3,
+            frame in 0usize..64,
+            at in 0usize..4096,
+            flip in 1u8..=255,
+            tail in prop::collection::vec(0u8..=255, 0..48),
+        ) {
+            let dir = temp_dir("prop");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join(JOURNAL_FILE);
+            let keys: Vec<JobKey> = (0..k as u64).map(|i| (i, !i)).collect();
+            let mut raw = Vec::new();
+            let mut offsets = vec![0];
+            for (i, &key) in keys.iter().enumerate() {
+                let npd = "n".repeat(i * 7);
+                let record = JournalRecord::admit(key, "plan", &npd, &PlanRequestOptions::default());
+                raw.extend(encode_frame(&record).unwrap());
+                offsets.push(raw.len());
+            }
+            let kept = match (damage, k) {
+                (1, 1..) => {
+                    let j = frame % k;
+                    raw[offsets[j] + at % (offsets[j + 1] - offsets[j])] ^= flip;
+                    j
+                }
+                (2, 1..) => {
+                    let j = frame % k;
+                    raw[offsets[j]..offsets[j] + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                    j
+                }
+                _ => {
+                    raw.extend(&tail);
+                    k
+                }
+            };
+            std::fs::write(&path, &raw).unwrap();
+
+            let replay = replay_file(&path).unwrap();
+            let replayed: Vec<JobKey> = replay.pending.iter().map(|p| p.key).collect();
+            prop_assert_eq!(&replayed[..], &keys[..kept]);
+            prop_assert_eq!(replay.truncated_bytes, (raw.len() - offsets[kept]) as u64);
+            prop_assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[kept] as u64);
+
+            let again = replay_file(&path).unwrap();
+            let replayed: Vec<JobKey> = again.pending.iter().map(|p| p.key).collect();
+            prop_assert_eq!(&replayed[..], &keys[..kept]);
+            prop_assert_eq!(again.truncated_bytes, 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

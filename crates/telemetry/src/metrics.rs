@@ -237,7 +237,7 @@ impl Gauge {
 
 /// A metric registry: names → shared metric handles.
 ///
-/// Names may carry a Prometheus label suffix (`klotski_pool_tasks_total{lane="0"}`);
+/// Names may carry a Prometheus label suffix (`klotski_search_expansions_total{planner="klotski-dp"}`);
 /// series sharing the text before `{` form one family and render under one
 /// `# HELP` / `# TYPE` header, so a family must live in one of the three
 /// maps only. Get-or-create is idempotent, so independent subsystems can

@@ -490,14 +490,14 @@ fn free_port() -> u16 {
         .port()
 }
 
-fn serve_daemon(port: u16, state_dir: &std::path::Path) -> std::process::Child {
+fn serve_daemon(port: u16, state_dir: &std::path::Path, workers: &str) -> std::process::Child {
     std::process::Command::new(env!("CARGO_BIN_EXE_klotski"))
         .args([
             "serve",
             "--addr",
             &format!("127.0.0.1:{port}"),
             "--workers",
-            "1",
+            workers,
             "--state-dir",
             state_dir.to_str().unwrap(),
         ])
@@ -520,8 +520,9 @@ fn wait_healthy(addr: SocketAddr) {
     assert_eq!(status, 200);
 }
 
-/// Crash recovery: kill the real daemon mid-job, restart it on the same
-/// `--state-dir`, and the journal replay must re-serve completed digests
+/// Crash recovery: kill the real daemon with a job admitted but not
+/// finished, restart it on the same `--state-dir`, and the journal replay
+/// must re-serve completed digests
 /// from cache (byte-identical, no re-planning) and re-run the incomplete
 /// job to the same bytes the CLI produces — even with a torn record at
 /// the journal's tail.
@@ -562,7 +563,7 @@ fn killed_daemon_recovers_completed_and_pending_work_from_its_journal() {
 
     let port = free_port();
     let addr: SocketAddr = format!("127.0.0.1:{port}").parse().unwrap();
-    let mut child = serve_daemon(port, &state_dir);
+    let mut child = serve_daemon(port, &state_dir, "1");
     wait_healthy(addr);
 
     // One completed plan (journaled artifact) ...
@@ -570,7 +571,14 @@ fn killed_daemon_recovers_completed_and_pending_work_from_its_journal() {
     assert_eq!(status, 200, "{}", String::from_utf8_lossy(&cold_a));
     assert_eq!(header(&headers, "x-klotski-cache"), Some("miss"));
 
-    // ... and one admitted-but-unfinished job: kill the daemon mid-plan.
+    child.kill().unwrap();
+    child.wait().unwrap();
+
+    // ... and one admitted-but-unfinished job: a daemon without workers
+    // journals the admit and never runs it, so the kill always lands
+    // before the job finishes.
+    let mut child = serve_daemon(port, &state_dir, "0");
+    wait_healthy(addr);
     let (status, _, body) = http(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd_b);
     assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
     child.kill().unwrap();
@@ -585,7 +593,7 @@ fn killed_daemon_recovers_completed_and_pending_work_from_its_journal() {
     journal.write_all(&[0x2a, 0x00, 0x00]).unwrap();
     drop(journal);
 
-    let mut child = serve_daemon(port, &state_dir);
+    let mut child = serve_daemon(port, &state_dir, "1");
     wait_healthy(addr);
 
     // Completed digests are re-served from cache without re-planning.
