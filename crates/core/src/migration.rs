@@ -78,23 +78,11 @@ pub struct MigrationOptions {
     /// Operation-block scale factor: 1.0 = the §5 default policy, <1 merges
     /// blocks, >1 splits them (Figure 11).
     pub block_scale: f64,
-    /// How many operation blocks each SSW plane splits into (§5: "We split
-    /// SSWs on a plane into several operation blocks").
-    pub ssw_groups_per_plane: usize,
     /// Traffic-funneling headroom model (§7.2). Disabled by default to match
     /// the evaluation; `tests/operations.rs` enables it.
     pub funneling: FunnelingModel,
     /// Whether to enforce the port constraints (Eq. 6).
     pub check_ports: bool,
-    /// Derive realistic per-switch port budgets from the migration itself
-    /// (see [`MigrationOptions::port_headroom`]). When false, the preset's
-    /// static budgets are used as-is.
-    pub auto_ports: bool,
-    /// Fraction of the old↔new overlap each shared switch can host
-    /// transiently. Chassis are sized for the old world, the new world, and
-    /// a bounded overlap — not for both generations fully cabled at once.
-    /// Smaller values force more interleaving between drains and undrains.
-    pub port_headroom: f64,
     /// Flow-split policy override. `None` uses the per-migration-type
     /// default: plain ECMP (§5) for in-place swaps, WCMP for DMAG — the
     /// backbone side of a DMAG migration runs centralized traffic
@@ -106,12 +94,6 @@ pub struct MigrationOptions {
     /// production network satisfies this by definition; synthetic
     /// generators must be made to).
     pub normalize_capacity: bool,
-    /// Transient floor-space slack as a fraction of the old hardware's
-    /// footprint (§2.4/§7.2: new hardware goes in the old hardware's
-    /// location; only a limited extra footprint supports the transient).
-    /// Applies to in-place swaps (HGRID, SSW forklift); layer insertions
-    /// (DMAG) get their own racks and carry no space model.
-    pub space_headroom: f64,
     /// Execution lanes the incremental engine fans a check's dirty
     /// destinations out over. Defaults to the machine's available
     /// parallelism; results are bit-identical at every thread count — only
@@ -125,11 +107,6 @@ pub struct MigrationOptions {
     /// route every check from scratch on one sequential router — the
     /// reference path the differential tests compare against.
     pub incremental: bool,
-    /// Maximum number of entries retained in the evaluated-state cache
-    /// (ESC); oldest entries are evicted FIFO beyond this. The default is
-    /// generous — far above what any preset search visits — so eviction only
-    /// matters for deliberately capped memory budgets.
-    pub esc_cache_cap: usize,
     /// Expansion interval between `astar.progress` / `dp.progress` trace
     /// events. The default ([`DEFAULT_PROGRESS_EVERY`]) is frequent enough
     /// to watch a long search move and rare enough to be invisible in the
@@ -146,6 +123,23 @@ pub struct MigrationOptions {
 /// Default planner progress-event interval, in expansions.
 pub const DEFAULT_PROGRESS_EVERY: u64 = 4096;
 
+/// How many operation blocks each SSW plane splits into (§5: "We split SSWs
+/// on a plane into several operation blocks").
+const SSW_GROUPS_PER_PLANE: usize = 3;
+
+/// Fraction of the old↔new overlap each shared switch can host transiently.
+/// Chassis are sized for the old world, the new world, and a bounded
+/// overlap — not for both generations fully cabled at once — which is what
+/// makes Eq. 6 bind mid-migration and drains and undrains interleave.
+const PORT_HEADROOM: f64 = 0.4;
+
+/// Transient floor-space slack as a fraction of the old hardware's
+/// footprint (§2.4/§7.2: new hardware goes in the old hardware's location;
+/// only a limited extra footprint supports the transient). In-place swaps
+/// (HGRID, SSW forklift) carry it; layer insertions (DMAG) get their own
+/// racks and no space model.
+const SPACE_HEADROOM: f64 = 0.2;
+
 impl Default for MigrationOptions {
     fn default() -> Self {
         Self {
@@ -153,17 +147,12 @@ impl Default for MigrationOptions {
             demand_cfg: DemandGenConfig::default(),
             initial_layer_utilization: 0.42,
             block_scale: 1.0,
-            ssw_groups_per_plane: 3,
             funneling: FunnelingModel::disabled(),
             check_ports: true,
-            auto_ports: true,
-            port_headroom: 0.4,
             split: None,
             normalize_capacity: true,
-            space_headroom: 0.2,
             threads: klotski_parallel::default_lanes(),
             incremental: true,
-            esc_cache_cap: 1 << 20,
             progress_every: DEFAULT_PROGRESS_EVERY,
             ensemble: None,
         }
@@ -217,8 +206,6 @@ pub struct MigrationSpec {
     /// Whether checkers evaluate incrementally from the parent state
     /// (`false`: sequential from-scratch routing, the reference path).
     pub incremental: bool,
-    /// Entry cap for the evaluated-state cache (≥ 1).
-    pub esc_cache_cap: usize,
     /// Planner progress-event interval, expansions (≥ 1).
     pub progress_every: u64,
 }
@@ -343,7 +330,6 @@ impl MigrationSpec {
             split: self.split,
             threads: self.threads,
             incremental: self.incremental,
-            esc_cache_cap: self.esc_cache_cap,
             progress_every: self.progress_every,
         }
     }
@@ -478,7 +464,7 @@ impl MigrationBuilder {
 
         // Initially the v2 layer is not installed.
         let absent: Vec<SwitchId> = preset.handles.hgrid_v2_switches();
-        let space = in_place_space_model(&blocks, &actions, opts.space_headroom);
+        let space = in_place_space_model(&blocks, &actions);
         finish_spec(
             preset,
             MigrationType::HgridV1V2,
@@ -493,7 +479,7 @@ impl MigrationBuilder {
 
     /// SSW forklift migration (Figure 3b): upgrade all SSWs of the
     /// forklifted datacenters. Each plane's SSWs split into
-    /// `opts.ssw_groups_per_plane` blocks (§5), scaled by `opts.block_scale`.
+    /// `SSW_GROUPS_PER_PLANE` blocks (§5), scaled by `opts.block_scale`.
     pub fn ssw_forklift(
         preset: &Preset,
         opts: &MigrationOptions,
@@ -511,8 +497,8 @@ impl MigrationBuilder {
             }
             let fab = &preset.handles.fabrics[dc_idx];
             for (plane_v1, plane_v2) in fab.ssws.iter().zip(per_plane_v2) {
-                v1_groups.extend(split_even(plane_v1, opts.ssw_groups_per_plane));
-                v2_groups.extend(split_even(plane_v2, opts.ssw_groups_per_plane));
+                v1_groups.extend(split_even(plane_v1, SSW_GROUPS_PER_PLANE));
+                v2_groups.extend(split_even(plane_v2, SSW_GROUPS_PER_PLANE));
             }
         }
 
@@ -543,7 +529,7 @@ impl MigrationBuilder {
         );
 
         let absent = preset.handles.ssw_v2_switches();
-        let space = in_place_space_model(&blocks, &actions, opts.space_headroom);
+        let space = in_place_space_model(&blocks, &actions);
         finish_spec(
             preset,
             MigrationType::SswForklift,
@@ -695,13 +681,8 @@ fn push_switch_blocks(
 /// is normalized to 1.0 rack unit; drains free a block's proportional share
 /// of it and installs consume a share of the same unit (the new hardware
 /// fits exactly where the old one stood, §2.4). The budget allows a
-/// transient overshoot of `headroom`.
-fn in_place_space_model(
-    blocks: &[OperationBlock],
-    actions: &ActionTable,
-    headroom: f64,
-) -> SpaceModel {
-    assert!((0.0..=1.0).contains(&headroom), "space headroom in [0, 1]");
+/// transient overshoot of [`SPACE_HEADROOM`].
+fn in_place_space_model(blocks: &[OperationBlock], actions: &ActionTable) -> SpaceModel {
     let mut deltas: Vec<Vec<f64>> = vec![Vec::new(); actions.len()];
     let mut totals = vec![0usize; actions.len()];
     for b in blocks {
@@ -716,7 +697,7 @@ fn in_place_space_model(
         };
         deltas[b.kind.index()].push(signed);
     }
-    SpaceModel::from_deltas(1.0 + headroom, 1.0, &deltas)
+    SpaceModel::from_deltas(1.0 + SPACE_HEADROOM, 1.0, &deltas)
 }
 
 /// Shared tail of every builder: initial state, demand calibration, canonical
@@ -759,34 +740,28 @@ fn finish_spec(
     // old<->new overlap it will transiently host. This is what makes the
     // Eq. 6 constraints bind mid-migration and force drain/undrain
     // interleaving, matching the §2.3 port narrative.
-    if opts.auto_ports {
-        assert!(
-            (0.0..=1.0).contains(&opts.port_headroom),
-            "port headroom must be in [0, 1]"
-        );
-        for idx in 0..owned_topology.num_switches() {
-            let s = SwitchId::from_index(idx);
-            let union_deg = owned_topology.degree(s);
-            let init_deg = initial.active_degree(&owned_topology, s);
-            let tgt_deg = target.active_degree(&owned_topology, s);
-            let overlap = (union_deg - init_deg).min(union_deg - tgt_deg);
-            // Layer insertions (DMAG) are additive on the *uplink* side:
-            // FAUUs ship with spare ports provisioned for the MA layer, so
-            // they get the full transient overlap. EBs do not — "we group
-            // the MAs/circuits by EBs to release more ports with one
-            // action" (§5) — and in-place swaps compete for the same ports
-            // everywhere; both get only the configured fraction.
-            let headroom = if migration_type == MigrationType::Dmag
-                && owned_topology.switch(s).role == SwitchRole::Fauu
-            {
-                1.0
-            } else {
-                opts.port_headroom
-            };
-            let slack = ((headroom * overlap as f64).round() as usize).max(1);
-            let ports = (init_deg.max(tgt_deg) + slack).min(u16::MAX as usize) as u16;
-            owned_topology.set_max_ports(s, ports);
-        }
+    for idx in 0..owned_topology.num_switches() {
+        let s = SwitchId::from_index(idx);
+        let union_deg = owned_topology.degree(s);
+        let init_deg = initial.active_degree(&owned_topology, s);
+        let tgt_deg = target.active_degree(&owned_topology, s);
+        let overlap = (union_deg - init_deg).min(union_deg - tgt_deg);
+        // Layer insertions (DMAG) are additive on the *uplink* side:
+        // FAUUs ship with spare ports provisioned for the MA layer, so
+        // they get the full transient overlap. EBs do not — "we group
+        // the MAs/circuits by EBs to release more ports with one
+        // action" (§5) — and in-place swaps compete for the same ports
+        // everywhere; both get only the configured fraction.
+        let headroom = if migration_type == MigrationType::Dmag
+            && owned_topology.switch(s).role == SwitchRole::Fauu
+        {
+            1.0
+        } else {
+            PORT_HEADROOM
+        };
+        let slack = ((headroom * overlap as f64).round() as usize).max(1);
+        let ports = (init_deg.max(tgt_deg) + slack).min(u16::MAX as usize) as u16;
+        owned_topology.set_max_ports(s, ports);
     }
 
     // Demands, calibrated so the *migration-affected* circuits — those
@@ -992,7 +967,6 @@ fn finish_spec(
         split,
         threads: opts.threads.max(1),
         incremental: opts.incremental,
-        esc_cache_cap: opts.esc_cache_cap.max(1),
         progress_every: opts.progress_every.max(1),
     };
     if !validated {

@@ -115,18 +115,6 @@ impl PlanStats {
             self.cache_hits as f64 / self.sat_checks as f64
         }
     }
-
-    /// Fraction of incremental destination advances that reused the cached
-    /// routing structure unchanged (no BFS or DAG work; loads are always
-    /// swept afresh).
-    pub fn incremental_hit_rate(&self) -> f64 {
-        let total = self.incremental_clean + self.incremental_dirty;
-        if total == 0 {
-            0.0
-        } else {
-            self.incremental_clean as f64 / total as f64
-        }
-    }
 }
 
 /// What a search hands back: the plan and its cost.

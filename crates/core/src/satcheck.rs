@@ -21,8 +21,7 @@
 //! sufficient).
 //!
 //! Performance: the hot path is allocation-free — compact keys are the
-//! mixed-radix dense index of `V` packed into a `u64` (falling back to the
-//! count vector only if the target box overflows) and the usable-circuit
+//! mixed-radix dense index of `V` packed into a `u64` and the usable-circuit
 //! predicate is hoisted into a bitmask computed once per evaluation.
 //!
 //! [`SatChecker::check`] is the one entry point of both planners and the
@@ -133,10 +132,6 @@ pub struct SatStats {
     /// eviction queue).
     #[serde(default)]
     pub esc_bytes: u64,
-    /// Resident bytes of the incremental engine's interned per-destination
-    /// circuit footprints (zero when incremental evaluation is off).
-    #[serde(default)]
-    pub footprint_bytes: u64,
     /// Live-state audits ([`LiveEngine::audit_live`]): evaluations of
     /// observed states outside the canonical overlay, never cached. A
     /// checker's engine only routes its cache misses, so a checker reports
@@ -156,19 +151,6 @@ pub struct SatStats {
     /// the matrices after it).
     #[serde(default)]
     pub ensemble_short_circuits: u64,
-}
-
-impl SatStats {
-    /// Fraction of incremental destination advances that reused the cached
-    /// routing structure unchanged.
-    pub fn incremental_hit_rate(&self) -> f64 {
-        let total = self.incremental_clean + self.incremental_dirty;
-        if total == 0 {
-            0.0
-        } else {
-            self.incremental_clean as f64 / total as f64
-        }
-    }
 }
 
 /// Per-matrix satisfiability accounting of one ensemble checker: how many
@@ -268,12 +250,10 @@ impl LiveAudit {
 }
 
 /// ESC cache key. Compact mode packs the dense index of `V` into a `u64`
-/// (no per-probe allocation); the `Counts` fallback only exists for target
-/// boxes larger than `u64` can index.
+/// (no per-probe allocation).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CacheKey {
     Dense(u64, u8),
-    Counts(Vec<u16>, u8),
     Full(NetState, u8),
 }
 
@@ -326,9 +306,6 @@ impl Entry {
 #[derive(Debug, Clone)]
 struct Basis {
     target: CompactState,
-    /// True when `target`'s box fits a `u64` dense index (always, in
-    /// practice: a box that overflows `u64` could never be searched anyway).
-    dense_ok: bool,
     mode: EscMode,
     topology: Arc<Topology>,
     check_ports: bool,
@@ -340,7 +317,6 @@ impl Basis {
     fn of(spec: &MigrationSpec, mode: EscMode) -> Self {
         Self {
             target: spec.target_counts.clone(),
-            dense_ok: box_fits_u64(&spec.target_counts),
             mode,
             topology: Arc::clone(&spec.topology),
             check_ports: spec.check_ports,
@@ -486,22 +462,20 @@ impl Verdicts {
             NO_LAST
         };
         match basis.mode {
-            EscMode::Compact => Some(if basis.dense_ok {
-                CacheKey::Dense(dense_u64(v, frame, &basis.target), last_key)
-            } else {
-                let counts = v.counts().iter().zip(frame).map(|(c, f)| c + f);
-                CacheKey::Counts(counts.collect(), last_key)
-            }),
+            EscMode::Compact => Some(CacheKey::Dense(
+                dense_u64(v, frame, &basis.target),
+                last_key,
+            )),
             EscMode::FullTopology => Some(CacheKey::Full(state.clone(), last_key)),
             EscMode::Off => None,
         }
     }
 
     /// Records `entry` under `key` — over whatever the key held — evicting
-    /// the oldest keys past `cap` (FIFO: planners revisit recent expansions
-    /// far more often than old ones, and FIFO needs no per-hit bookkeeping
-    /// on the fast path).
-    fn insert(&mut self, key: CacheKey, entry: Entry, cap: usize, full_key_bytes: u64) {
+    /// the oldest keys past [`ESC_CACHE_CAP`] (FIFO: planners revisit recent
+    /// expansions far more often than old ones, and FIFO needs no per-hit
+    /// bookkeeping on the fast path).
+    fn insert(&mut self, key: CacheKey, entry: Entry, full_key_bytes: u64) {
         match self.entries.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut slot) => {
                 slot.insert(entry);
@@ -513,7 +487,7 @@ impl Verdicts {
                 slot.insert(entry);
             }
         }
-        while self.entries.len() > cap {
+        while self.entries.len() > ESC_CACHE_CAP {
             let Some(old) = self.fifo.pop_front() else {
                 break;
             };
@@ -565,7 +539,6 @@ pub struct SatChecker {
     /// `(k_hi, k_lo)` of each matrix of the cache against `spec.demands`,
     /// computed on first use.
     rescale: Vec<Option<(f64, f64)>>,
-    cache_cap: usize,
     /// Estimated heap bytes of one `CacheKey::Full` activation bitset.
     full_key_bytes: u64,
     stats: SatStats,
@@ -579,12 +552,16 @@ pub struct SatChecker {
 /// Cache-key discriminant when the last action type is irrelevant.
 const NO_LAST: u8 = u8::MAX;
 
+/// Entries the ESC cache holds before it evicts its oldest: far above what
+/// any preset search visits, so the cap bounds memory without changing a
+/// search.
+const ESC_CACHE_CAP: usize = 1 << 20;
+
 /// Estimated resident bytes of one cached verdict: the key in the map, its
 /// FIFO copy, and the entry itself (a coarse but monotone estimate).
 fn key_bytes(key: &CacheKey, full_key_bytes: u64) -> u64 {
     let heap = match key {
         CacheKey::Dense(..) => 0,
-        CacheKey::Counts(counts, _) => 2 * counts.len() as u64,
         CacheKey::Full(..) => full_key_bytes,
     };
     2 * (std::mem::size_of::<CacheKey>() as u64 + heap) + std::mem::size_of::<Entry>() as u64
@@ -663,7 +640,6 @@ impl SatChecker {
             frame,
             current,
             inherits: mode == EscMode::Compact && extras.is_empty(),
-            cache_cap: spec.esc_cache_cap.max(1),
             full_key_bytes: ((spec.topology.num_switches() + spec.topology.num_circuits())
                 .div_ceil(8)) as u64,
             stats: SatStats::default(),
@@ -700,7 +676,6 @@ impl SatChecker {
             let es = router.stats();
             s.incremental_clean = es.clean_destinations;
             s.incremental_dirty = es.dirty_destinations;
-            s.footprint_bytes = router.footprint_bytes();
         }
         s.esc_entries = self.cache.entries.len() as u64;
         s.esc_bytes = self.cache.bytes;
@@ -822,8 +797,7 @@ impl SatChecker {
                 u,
                 matrix: self.current,
             };
-            self.cache
-                .insert(key, entry, self.cache_cap, self.full_key_bytes);
+            self.cache.insert(key, entry, self.full_key_bytes);
         }
         pass
     }
@@ -990,21 +964,10 @@ fn judge(
     Some(summarize(topo, state, loads, spec.theta))
 }
 
-/// True when the mixed-radix box `Π (target_i + 1)` fits in a `u64`.
-fn box_fits_u64(target: &CompactState) -> bool {
-    let mut size = 1u128;
-    for &c in target.counts() {
-        size = size.saturating_mul(c as u128 + 1);
-        if size > u64::MAX as u128 {
-            return false;
-        }
-    }
-    true
-}
-
-/// Mixed-radix dense index of `frame + v` within `target`'s box, in `u64`
-/// (only valid when [`box_fits_u64`]; injective over the box, which is all
-/// a cache key needs).
+/// Mixed-radix dense index of `frame + v` within `target`'s box, in `u64`:
+/// injective over the box, which is all a cache key needs. Every builder
+/// makes two action types of at most `u16::MAX` blocks each, so a box has
+/// at most 2³² states.
 fn dense_u64(v: &CompactState, frame: &[u16], target: &CompactState) -> u64 {
     let mut idx = 0u64;
     for ((&count, &at), &bound) in v.counts().iter().zip(frame).zip(target.counts()) {
@@ -1286,7 +1249,6 @@ mod tests {
     #[test]
     fn dense_u64_is_injective_over_a_small_box() {
         let target = CompactState::from_counts(vec![3, 2, 4]);
-        assert!(box_fits_u64(&target));
         let mut seen = std::collections::HashSet::new();
         for a in 0..=3u16 {
             for b in 0..=2u16 {
@@ -1299,8 +1261,6 @@ mod tests {
                 }
             }
         }
-        let huge = CompactState::from_counts(vec![u16::MAX; 5]);
-        assert!(!box_fits_u64(&huge));
     }
 
     #[test]

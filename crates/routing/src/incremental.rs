@@ -71,16 +71,12 @@ const SHARED_ENDPOINTS: &str = "every matrix of an engine must share the base de
 pub struct IncrementalStats {
     /// Completed [`evaluate`](IncrementalRouter::evaluate) calls.
     pub evaluations: u64,
-    /// Structure-only [`rebase`](IncrementalRouter::rebase) calls.
-    pub rebases: u64,
     /// Destinations whose routing structure was reused unchanged.
     pub clean_destinations: u64,
     /// Destinations whose structure was patched or rebuilt.
     pub dirty_destinations: u64,
     /// Destinations that fell back to a full BFS + DAG rebuild.
     pub full_rebuilds: u64,
-    /// Total toggled circuits across all delta evaluations.
-    pub toggled_circuits: u64,
     /// Non-base ensemble matrices swept: one per
     /// [`replay_extra`](IncrementalRouter::replay_extra).
     pub extra_replays: u64,
@@ -474,7 +470,6 @@ impl IncrementalRouter {
         toggles: Option<&[CircuitId]>,
     ) {
         self.advance(pool, topo, state, toggles);
-        self.stats.rebases += 1;
     }
 
     /// Shared delta engine: updates the usable mask and every destination's
@@ -581,7 +576,6 @@ impl IncrementalRouter {
         self.stats.clean_destinations += clean;
         self.stats.dirty_destinations += dirty;
         self.stats.full_rebuilds += full;
-        self.stats.toggled_circuits += toggle_set.len() as u64;
         if full > 0 {
             // Full rebuilds recompute footprints from scratch on private
             // allocations; merge equal ones back onto shared storage.
@@ -1226,7 +1220,6 @@ mod tests {
         parent.drain_switch(&t, SwitchId::from_index(0));
         let toggles = usability_toggles(&t, &state, &parent);
         engine.rebase(&pool, &t, &parent, Some(&toggles));
-        assert_eq!(engine.stats().rebases, 1);
 
         let mut child = parent.clone();
         child.drain_switch(&t, SwitchId::from_index(5));

@@ -15,11 +15,18 @@ use klotski_npd::api::{AcceptedResponse, ErrorResponse, JobStatusResponse, PlanR
 use klotski_npd::Npd;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// Largest accepted request body.
+const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
+/// Per-connection socket read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Reads one request, routes it, writes one response.
 pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    http::configure_stream(&stream, shared.config.io_timeout)?;
-    let request = match read_request(&mut stream, shared.config.max_body_bytes) {
+    http::configure_stream(&stream, IO_TIMEOUT)?;
+    let request = match read_request(&mut stream, MAX_BODY_BYTES) {
         Ok(r) => r,
         Err(HttpError::BodyTooLarge(n)) => {
             return shared

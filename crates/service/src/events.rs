@@ -6,6 +6,11 @@ use crate::Shared;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 
+/// Per-subscriber event-queue bound: on overflow the oldest line is dropped
+/// and the lag-drop counters advance — a stalled reader never blocks a
+/// planner.
+const SSE_QUEUE_CAPACITY: usize = 1024;
+
 /// A chunked `text/event-stream` of the job's trace lines from the
 /// process-global event bus, with heartbeats while idle and a terminal
 /// `end` event carrying the job's outcome — for run jobs, the same outcome
@@ -32,7 +37,7 @@ pub(crate) fn stream_events(
 fn serve_events(stream: &mut TcpStream, job: &Job, shared: &Shared) -> std::io::Result<()> {
     // Subscribe before the first status check: lines published between a
     // "still running" verdict and a later subscription would be lost.
-    let sub = klotski_telemetry::bus().subscribe(job.stream, shared.config.sse_queue_capacity);
+    let sub = klotski_telemetry::bus().subscribe(job.stream, SSE_QUEUE_CAPACITY);
     shared.metrics.sse_streams.inc();
     http::write_chunked_head(
         stream,

@@ -97,12 +97,6 @@ pub struct ServiceConfig {
     pub lanes_per_worker: usize,
     /// Shared plan-cache capacity in artifacts (0 disables).
     pub cache_capacity: usize,
-    /// Finished/live jobs remembered for polling.
-    pub jobs_capacity: usize,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
-    /// Per-connection socket read/write timeout.
-    pub io_timeout: Duration,
     /// How long a synchronous (no `?wait=0`) submission blocks before
     /// degrading to `202 Accepted` + job id.
     pub sync_wait: Duration,
@@ -113,17 +107,10 @@ pub struct ServiceConfig {
     /// streams are shed with 503 (each holds a connection thread and a
     /// bounded event queue).
     pub sse_max_subscribers: usize,
-    /// Per-subscriber event-queue bound; on overflow the oldest line is
-    /// dropped and the lag-drop counters advance — a stalled reader never
-    /// blocks a planner.
-    pub sse_queue_capacity: usize,
     /// Keep-alive comment interval on idle event streams.
     pub sse_heartbeat: Duration,
     /// Directory for the write-ahead job journal; `None` runs stateless.
     pub state_dir: Option<PathBuf>,
-    /// Journal size that triggers compaction (the journal is rewritten as
-    /// the live cache plus pending admissions).
-    pub journal_compact_bytes: u64,
 }
 
 impl Default for ServiceConfig {
@@ -134,19 +121,21 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             lanes_per_worker: 1,
             cache_capacity: 128,
-            jobs_capacity: 1024,
-            max_body_bytes: 8 * 1024 * 1024,
-            io_timeout: Duration::from_secs(30),
             sync_wait: Duration::from_secs(300),
             default_deadline: None,
             sse_max_subscribers: 32,
-            sse_queue_capacity: 1024,
             sse_heartbeat: Duration::from_secs(1),
             state_dir: None,
-            journal_compact_bytes: 8 * 1024 * 1024,
         }
     }
 }
+
+/// Finished and live jobs remembered for polling.
+const JOBS_CAPACITY: usize = 1024;
+
+/// Journal size that triggers compaction: the journal is rewritten as the
+/// live cache plus pending admissions.
+const JOURNAL_COMPACT_BYTES: u64 = 8 * 1024 * 1024;
 
 /// State shared by the acceptor, connection threads, and workers.
 pub(crate) struct Shared {
@@ -221,7 +210,7 @@ impl Service {
         let local_addr = listener.local_addr()?;
         let (store, replay) = match &config.state_dir {
             Some(dir) => {
-                let (store, replay) = StateStore::open(dir, config.journal_compact_bytes)?;
+                let (store, replay) = StateStore::open(dir, JOURNAL_COMPACT_BYTES)?;
                 (Some(store), replay)
             }
             None => (None, state::Replay::default()),
@@ -235,7 +224,7 @@ impl Service {
         }
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_depth),
-            jobs: JobTable::new(config.jobs_capacity),
+            jobs: JobTable::new(JOBS_CAPACITY),
             cache: PlanCache::new(config.cache_capacity),
             metrics: ServiceMetrics::new(),
             workers_busy: AtomicUsize::new(0),

@@ -166,7 +166,7 @@ mod tests {
             ..HistoryConfig::default()
         };
         let h = TrafficHistory::synthesize(&cfg);
-        let truth = cfg.base * (1.0 + cfg.daily_growth * (cfg.days as f64 + 14.0));
+        let truth = 1.0 + cfg.daily_growth * (crate::history::HISTORY_DAYS as f64 + 14.0);
         let pred = LinearTrendForecaster::default().forecast(&h, 14);
         assert!(
             (pred - truth).abs() / truth < 0.1,

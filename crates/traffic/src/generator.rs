@@ -7,7 +7,7 @@
 //!
 //! To keep satisfiability checks O(|S|+|C|) per destination group, the
 //! generator concentrates demands on a bounded set of representative
-//! destination switches (`rsw_destinations` RSWs plus every EBB).
+//! destination switches (`RSW_DESTINATIONS` RSWs plus every EBB).
 
 use crate::demand::{Demand, DemandClass, DemandMatrix};
 use klotski_topology::{SwitchId, SwitchRole, Topology};
@@ -22,11 +22,6 @@ use serde::{Deserialize, Serialize};
 pub struct DemandGenConfig {
     /// RNG seed (generation is fully deterministic given the seed).
     pub seed: u64,
-    /// How many representative RSWs serve as destinations (bounds the
-    /// number of shortest-path DAGs routing must evaluate).
-    pub rsw_destinations: usize,
-    /// How many RSWs source traffic per class.
-    pub rsw_sources: usize,
     /// Total region-egress rate (RSW→EBB), Gbps.
     pub rsw_ebb_gbps: f64,
     /// Total region-ingress rate (EBB→RSW), Gbps.
@@ -39,14 +34,19 @@ impl Default for DemandGenConfig {
     fn default() -> Self {
         Self {
             seed: 7,
-            rsw_destinations: 24,
-            rsw_sources: 256,
             rsw_ebb_gbps: 4_000.0,
             ebb_rsw_gbps: 4_000.0,
             rsw_rsw_gbps: 8_000.0,
         }
     }
 }
+
+/// How many representative RSWs serve as destinations (bounds the number of
+/// shortest-path DAGs routing must evaluate).
+const RSW_DESTINATIONS: usize = 24;
+
+/// How many RSWs source traffic per class.
+const RSW_SOURCES: usize = 256;
 
 /// Picks up to `n` switches from `pool`, stratified: shuffles deterministically
 /// then takes a stride so picks spread across the pool (and thus across pods
@@ -81,8 +81,8 @@ pub fn generate(topo: &Topology, cfg: &DemandGenConfig) -> DemandMatrix {
     assert!(!rsws.is_empty(), "topology has no RSWs");
     assert!(!ebbs.is_empty(), "topology has no EBBs");
 
-    let sources = stratified_pick(&rsws, cfg.rsw_sources, &mut rng);
-    let rsw_dsts = stratified_pick(&rsws, cfg.rsw_destinations, &mut rng);
+    let sources = stratified_pick(&rsws, RSW_SOURCES, &mut rng);
+    let rsw_dsts = stratified_pick(&rsws, RSW_DESTINATIONS, &mut rng);
 
     let mut m = DemandMatrix::new();
 
@@ -205,10 +205,9 @@ mod tests {
     #[test]
     fn destination_count_is_bounded() {
         let t = topo();
-        let cfg = DemandGenConfig::default();
-        let m = generate(&t, &cfg);
+        let m = generate(&t, &DemandGenConfig::default());
         let ebbs = t.switches_by_role(SwitchRole::Ebb).count();
-        assert!(m.num_destinations() <= cfg.rsw_destinations + ebbs);
+        assert!(m.num_destinations() <= RSW_DESTINATIONS + ebbs);
     }
 
     #[test]

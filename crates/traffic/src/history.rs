@@ -17,13 +17,9 @@ use serde::{Deserialize, Serialize};
 pub struct HistoryConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Number of daily samples to generate.
-    pub days: usize,
-    /// Mean traffic level at day 0 (arbitrary unit; callers treat the series
-    /// as a multiplier against a base demand matrix).
-    pub base: f64,
-    /// Linear growth per day as a fraction of `base` (e.g. 0.003 ≈ +9%/month,
-    /// matching the "traffic grows organically" observation of §2.3).
+    /// Linear growth per day as a fraction of the day-0 level (e.g. 0.003 ≈
+    /// +9%/month, matching the "traffic grows organically" observation of
+    /// §2.3).
     pub daily_growth: f64,
     /// Amplitude of weekly seasonality as a fraction of the trend level.
     pub weekly_amplitude: f64,
@@ -35,14 +31,16 @@ impl Default for HistoryConfig {
     fn default() -> Self {
         Self {
             seed: 11,
-            days: 120,
-            base: 1.0,
             daily_growth: 0.003,
             weekly_amplitude: 0.05,
             noise_std: 0.01,
         }
     }
 }
+
+/// Daily samples in a synthesized history. The series is a multiplier
+/// against a base demand matrix: its trend level is 1 at day 0.
+pub(crate) const HISTORY_DAYS: usize = 120;
 
 /// A daily aggregate-traffic series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,14 +49,13 @@ pub struct TrafficHistory {
 }
 
 impl TrafficHistory {
-    /// Generates a synthetic history.
+    /// Generates a synthetic history of `HISTORY_DAYS` days, trend level 1
+    /// at day 0.
     pub fn synthesize(cfg: &HistoryConfig) -> Self {
-        assert!(cfg.days > 0, "history needs at least one day");
-        assert!(cfg.base > 0.0, "base level must be positive");
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let samples = (0..cfg.days)
+        let samples = (0..HISTORY_DAYS)
             .map(|day| {
-                let trend = cfg.base * (1.0 + cfg.daily_growth * day as f64);
+                let trend = 1.0 + cfg.daily_growth * day as f64;
                 let season =
                     1.0 + cfg.weekly_amplitude * (day as f64 * std::f64::consts::TAU / 7.0).sin();
                 // Box-Muller for a normal sample; `rand` distributions are
