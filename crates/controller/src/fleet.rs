@@ -59,12 +59,6 @@ impl FleetSim {
             .retain(|_, until| until.is_none_or(|u| u > step));
     }
 
-    /// Number of currently active disturbances `(failed circuits, drained
-    /// switches)`.
-    pub fn active_disturbances(&self) -> (usize, usize) {
-        (self.failed_circuits.len(), self.drained_switches.len())
-    }
-
     /// The observed state: planned overlay with every active disturbance
     /// applied. This is the state shadow audits judge.
     pub fn observed(&self, topo: &Topology) -> NetState {
@@ -79,16 +73,14 @@ impl FleetSim {
     }
 
     /// How far the observed state has drifted from the plan: elements the
-    /// plan believes are up but the fleet reports down.
+    /// plan believes are up but the fleet reports down. Disturbances only
+    /// clear bits, so every circuit whose usability differs is one of those.
     pub fn drift(&self, topo: &Topology) -> Drift {
         let observed = self.observed(topo);
-        let mut circuits = 0usize;
+        let mut lost = Vec::new();
+        self.planned.usability_diff_into(topo, &observed, &mut lost);
+        let circuits = lost.len();
         let mut switches = 0usize;
-        for c in topo.circuits() {
-            if self.planned.circuit_usable(topo, c.id) && !observed.circuit_usable(topo, c.id) {
-                circuits += 1;
-            }
-        }
         for sw in self.planned.switches_up() {
             if !observed.switch_up(sw) {
                 switches += 1;
@@ -202,9 +194,9 @@ mod tests {
         // The planned view never sees the failure.
         assert!(fleet.planned.circuit_usable(&spec.topology, victim));
         fleet.expire(2);
-        assert_eq!(fleet.active_disturbances().0, 1);
+        assert_eq!(fleet.drift(&spec.topology).circuits, 1);
         fleet.expire(3);
-        assert_eq!(fleet.active_disturbances().0, 0);
+        assert_eq!(fleet.drift(&spec.topology), Drift::default());
         assert!(fleet
             .observed(&spec.topology)
             .circuit_usable(&spec.topology, victim));
@@ -216,7 +208,7 @@ mod tests {
         let mut fleet = FleetSim::new(spec.initial.clone());
         fleet.drain_external(spec.topology.circuits().iter().next().unwrap().a, None);
         fleet.expire(usize::MAX - 1);
-        assert_eq!(fleet.active_disturbances().1, 1);
+        assert_eq!(fleet.drift(&spec.topology).switches, 1);
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl ActionTable {
         self.kinds[id.index()]
     }
 
-    /// Looks up a kind's id if present.
-    pub fn id_of(&self, kind: ActionKind) -> Option<ActionTypeId> {
-        self.kinds
-            .iter()
-            .position(|k| *k == kind)
-            .map(|p| ActionTypeId(p as u8))
-    }
-
     /// Number of action types `|A|`.
     pub fn len(&self) -> usize {
         self.kinds.len()
@@ -187,15 +179,6 @@ mod tests {
         let k = ActionKind::new(BlockClass::Ma, Generation::V2, OpType::Undrain);
         let id = t.intern(k);
         assert_eq!(t.kind(id), k);
-        assert_eq!(t.id_of(k), Some(id));
-        assert_eq!(
-            t.id_of(ActionKind::new(
-                BlockClass::Ma,
-                Generation::V1,
-                OpType::Undrain
-            )),
-            None
-        );
     }
 
     #[test]

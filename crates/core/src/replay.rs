@@ -8,12 +8,11 @@
 //! only the destinations a delta disturbs re-derive their routing structure.
 //!
 //! - [`LiveEngine`] is the one wrapper over that engine: it keeps the state
-//!   it routed last, diffs the next state against it — by the block lists
-//!   of the compact diff when the caller vouches for a canonical state, by
-//!   circuit usability otherwise — and keeps Eq. 6 port degrees by the same
-//!   toggles. A [`SatChecker`] routes every cache miss on one; a run's
-//!   shadow audit ([`LiveEngine::audit_live`]) and lookahead sweeps share
-//!   another.
+//!   it routed last, diffs the next state against it by the two states'
+//!   bit words ([`NetState::usability_diff_into`]) and keeps Eq. 6 port
+//!   degrees by the same toggles. A [`SatChecker`] routes every cache miss
+//!   on one; a run's shadow audit ([`LiveEngine::audit_live`]) and
+//!   lookahead sweeps share another.
 //! - [`validate_and_audit_on`] is the one pass over a whole plan:
 //!   [`validate_plan_on`](crate::plan::validate_plan_on) and
 //!   [`audit_plan`](crate::report::audit_plan) are its verdict-only and
@@ -41,10 +40,6 @@ use klotski_topology::{CircuitId, NetState};
 use klotski_traffic::DemandMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Give up on a block-list diff beyond this many blocks: the candidate scan
-/// would approach full-rescan cost, and a full rebuild bounds the worst case.
-const MAX_DELTA_BLOCKS: usize = 64;
 
 /// Relative slack `δ` of the headroom bound [`headroom_clears`]: a state is
 /// cleared without a sweep only when `u · k · (1 + δ) ≤ θ`.
@@ -115,28 +110,17 @@ pub(crate) fn headroom_rejects(u: f64, k: f64, theta: f64) -> bool {
 /// `klotski_routing::evaluate_policy` would from scratch, plus the state it
 /// routed last and Eq. 6 port degrees kept for that state.
 ///
-/// Each route diffs the new state against the last one; the toggled
-/// circuits come from one of two sources:
-///
-/// - **Block lists**, when the caller vouches that the state is the
-///   canonical overlay of a compact vector (a [`SatChecker`]'s checks) and
-///   the last route vouched too: the circuits a block drains plus those
-///   incident to its switches are exactly the bits `OperationBlock::apply`
-///   can flip, so only the blocks between the two vectors are scanned (a
-///   span over [`MAX_DELTA_BLOCKS`] rebuilds in full instead).
-/// - **Usability**, for every other state — observed ones may carry failed
-///   circuits and switches drained behind the planner's back — by one pass
-///   over every circuit (linear, far below one route) into the engine's
-///   scratch.
-///
-/// Structure is then re-derived only for the destinations the toggles
-/// disturb, and port degrees move by ±1 per toggle endpoint; both are
-/// rebuilt from the state only where there is no delta — no base (first
-/// route, [`release`](Self::release), an engine rebuilt by
-/// [`load`](Self::load)) or a block span past the limit. A matrix change
-/// rewrites rates only. No ESC cache, and a run's engine
-/// shares nothing with any planner's checker: §7's shadow audit is
-/// independent of the search.
+/// Each route diffs the new state against the last one by their bit words
+/// ([`NetState::usability_diff_into`], into the engine's scratch): the
+/// circuits whose usability differs, whatever made them differ — a
+/// checker's next canonical state, or an observed one carrying failed
+/// circuits and switches drained behind the planner's back. Structure is
+/// then re-derived only for the destinations the toggles disturb, and port
+/// degrees move by ±1 per toggle endpoint; both are rebuilt from the state
+/// only where there is no base (first route, [`release`](Self::release),
+/// an engine rebuilt by [`load`](Self::load)). A matrix change rewrites
+/// rates only. No ESC cache, and a run's engine shares nothing with any
+/// planner's checker: §7's shadow audit is independent of the search.
 #[derive(Debug)]
 pub struct LiveEngine {
     pool: Arc<WorkerPool>,
@@ -146,9 +130,6 @@ pub struct LiveEngine {
     engine: Option<IncrementalRouter>,
     /// The state routed last, while the engine's structure describes it.
     base: Option<NetState>,
-    /// The compact vector `base` is the canonical overlay of, when the route
-    /// that made it the base vouched for one.
-    base_v: Option<CompactState>,
     /// Eq. 6 port degree of every switch in `base`: its usable incident
     /// circuits.
     degree: Vec<u32>,
@@ -157,9 +138,6 @@ pub struct LiveEngine {
     /// Toggle scratch: the exact circuits whose usability differs from
     /// `base`.
     toggles: Vec<CircuitId>,
-    /// Stamps deduplicating the block-list diff's candidates.
-    seen: Vec<u32>,
-    epoch: u32,
     /// [`route`](Self::route)'s buffers, allocated by its first call.
     swept: Option<(LoadMap, RouteOutcome)>,
     /// Audits counted, and the destination counters of engines released.
@@ -184,18 +162,14 @@ impl LiveEngine {
         csr: Arc<CsrGraph>,
         pool: Arc<WorkerPool>,
     ) -> Self {
-        let topo = &spec.topology;
         Self {
             pool,
             csr,
             engine: None,
             base: None,
-            base_v: None,
-            degree: vec![0; topo.num_switches()],
+            degree: vec![0; spec.topology.num_switches()],
             over_budget: 0,
             toggles: Vec::new(),
-            seen: vec![0; topo.num_circuits()],
-            epoch: 0,
             swept: None,
             stats: SatStats::default(),
         }
@@ -237,7 +211,6 @@ impl LiveEngine {
         self.stats = self.stats();
         self.engine = None;
         self.base = None;
-        self.base_v = None;
     }
 
     /// The engine proper, while built.
@@ -260,16 +233,16 @@ impl LiveEngine {
         Some((base, &self.degree, self.port_violation()))
     }
 
-    /// Eq. 4–5 outcome of `state` under the loaded matrix, diffed against
-    /// the base by circuit usability; `state` becomes the base. With no
-    /// matrix loaded since the engine was made or released, the route
-    /// builds it over `spec.demands` (and the ensemble's extras).
+    /// Eq. 4–5 outcome of `state` under the loaded matrix; `state` becomes
+    /// the base. With no matrix loaded since the engine was made or
+    /// released, the route builds it over `spec.demands` (and the
+    /// ensemble's extras).
     pub fn route(&mut self, spec: &MigrationSpec, state: &NetState) -> SafetyOutcome {
         let (mut loads, mut outcome) = self
             .swept
             .take()
             .unwrap_or_else(|| (LoadMap::new(&spec.topology), RouteOutcome::new()));
-        self.route_into(spec, None, state, &mut loads, &mut outcome);
+        self.route_into(spec, state, &mut loads, &mut outcome);
         let routed = SafetyOutcome {
             all_reachable: outcome.all_reachable(),
             unreachable_demands: outcome.unreachable.len(),
@@ -279,15 +252,12 @@ impl LiveEngine {
         routed
     }
 
-    /// Routes the loaded matrix over `state` into `loads` (cleared first);
-    /// `state` becomes the base. With `v` the caller vouches that `state` is
-    /// the canonical overlay of `v`, and the diff reads the block lists
-    /// where it can. An unbuilt engine is built first, over `spec.demands`
-    /// and the ensemble's extras.
+    /// Routes the loaded matrix over `state` into `loads` (cleared first),
+    /// diffed against the base; `state` becomes the base. An unbuilt engine
+    /// is built first, over `spec.demands` and the ensemble's extras.
     pub(crate) fn route_into(
         &mut self,
         spec: &MigrationSpec,
-        v: Option<&CompactState>,
         state: &NetState,
         loads: &mut LoadMap,
         outcome: &mut RouteOutcome,
@@ -295,7 +265,13 @@ impl LiveEngine {
         if self.engine.is_none() {
             self.build(spec, &spec.demands, &spec.extra_demands);
         }
-        let delta = self.diff(spec, v, state);
+        let delta = match &self.base {
+            Some(base) => {
+                base.usability_diff_into(&spec.topology, state, &mut self.toggles);
+                true
+            }
+            None => false,
+        };
         let engine = self.engine.as_mut().expect("built above");
         loads.clear();
         engine.evaluate(
@@ -306,7 +282,7 @@ impl LiveEngine {
             loads,
             outcome,
         );
-        self.set_base(spec, v, state, delta);
+        self.set_base(spec, state, delta);
     }
 
     /// Sweeps ensemble extra `k` over the state routed last into `loads`
@@ -325,78 +301,11 @@ impl LiveEngine {
         engine.replay_extra(k, base, loads, outcome);
     }
 
-    /// Fills `self.toggles` with the exact set of circuits whose usability
-    /// differs between the base and `state` — from the block lists when `v`
-    /// and the base's vector are both known, by a scan of every circuit
-    /// otherwise. Returns false when there is no base, or the block diff
-    /// spans more than [`MAX_DELTA_BLOCKS`]: the engine then rebuilds in
-    /// full.
-    fn diff(&mut self, spec: &MigrationSpec, v: Option<&CompactState>, state: &NetState) -> bool {
-        let Some(base) = &self.base else {
-            return false;
-        };
-        let topo = &spec.topology;
-        let toggles = &mut self.toggles;
-        toggles.clear();
-        let (Some(v), Some(base_v)) = (v, &self.base_v) else {
-            for c in (0..topo.num_circuits()).map(CircuitId::from_index) {
-                if base.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
-                    toggles.push(c);
-                }
-            }
-            return true;
-        };
-        let mut span = 0usize;
-        for a in spec.actions.ids() {
-            span += base_v.count(a).abs_diff(v.count(a)) as usize;
-        }
-        if span > MAX_DELTA_BLOCKS {
-            return false;
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
-        let seen = &mut self.seen;
-        let epoch = self.epoch;
-        let mut consider = |c: CircuitId| {
-            let ci = c.index();
-            if seen[ci] != epoch {
-                seen[ci] = epoch;
-                if base.circuit_usable(topo, c) != state.circuit_usable(topo, c) {
-                    toggles.push(c);
-                }
-            }
-        };
-        for a in spec.actions.ids() {
-            let (b, n) = (base_v.count(a), v.count(a));
-            for i in b.min(n)..b.max(n) {
-                let block = spec.block_for(a, i);
-                for &c in &block.circuits {
-                    consider(c);
-                }
-                for &s in &block.switches {
-                    for &(c, _) in topo.neighbors(s) {
-                        consider(c);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Makes `(v, state)` the base. With `delta`, `self.toggles` is the
-    /// exact usability diff from the old base and the port degrees move by
-    /// it; otherwise (the engine rebuilt in full) they are recounted from
-    /// `state`.
-    fn set_base(
-        &mut self,
-        spec: &MigrationSpec,
-        v: Option<&CompactState>,
-        state: &NetState,
-        delta: bool,
-    ) {
+    /// Makes `state` the base. With `delta`, `self.toggles` is the exact
+    /// usability diff from the old base and the port degrees move by it;
+    /// otherwise (no old base: the engine rebuilt in full) they are
+    /// recounted from `state`.
+    fn set_base(&mut self, spec: &MigrationSpec, state: &NetState, delta: bool) {
         let topo = &spec.topology;
         if delta {
             for &c in &self.toggles {
@@ -426,10 +335,6 @@ impl LiveEngine {
         match &mut self.base {
             Some(base) => base.clone_from(state),
             None => self.base = Some(state.clone()),
-        }
-        match (v, &mut self.base_v) {
-            (Some(v), Some(base_v)) => base_v.clone_from(v),
-            (v, base_v) => *base_v = v.cloned(),
         }
     }
 

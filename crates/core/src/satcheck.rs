@@ -28,12 +28,12 @@
 //! validating walk, one state at a time; a caller hands over no parent
 //! context. A cache miss routes on the checker's own [`LiveEngine`], built
 //! with the checker over every matrix of the ensemble: the state is diffed
-//! against whichever state the engine routed last (toggles from the block
-//! lists of the compact diff — one block for a DP sweep step, a few for the
-//! jump between two A\* pops), routing structure is re-derived only for the
-//! destinations those toggles disturbed (fanned out over the
-//! [`WorkerPool`]'s lanes), Eq. 6 port degrees move by the same toggles, and
-//! the base matrix's loads are swept once, bit-identical at any lane count.
+//! against whichever state the engine routed last by their bit words (one
+//! block apart for a DP sweep step, a few for the jump between two A\*
+//! pops), routing structure is re-derived only for the destinations those
+//! toggles disturbed (fanned out over the [`WorkerPool`]'s lanes), Eq. 6
+//! port degrees move by the same toggles, and the base matrix's loads are
+//! swept once, bit-identical at any lane count.
 //! A spec with `incremental == false` — the reference the differential tests
 //! compare against — routes from scratch on one sequential [`EcmpRouter`] and
 //! recounts Eq. 6.
@@ -852,7 +852,7 @@ impl SatChecker {
         // the single-matrix path pays no timing overhead.
         let t0 = (!spec.extra_demands.is_empty()).then(Instant::now);
         if let Some(engine) = &mut self.incremental {
-            engine.route_into(spec, Some(v), state, &mut self.loads, &mut self.outcome);
+            engine.route_into(spec, state, &mut self.loads, &mut self.outcome);
         } else {
             self.mask.compute(&spec.topology, state);
             self.loads.clear();

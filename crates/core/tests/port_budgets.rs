@@ -135,11 +135,12 @@ proptest! {
     }
 }
 
-/// A jump across more blocks than the delta path takes (`MAX_DELTA_BLOCKS`
-/// = 64) rebuilds the engine in full and recounts the degrees; the steps
-/// after it are deltas again.
+/// A jump across 72 blocks is one delta like any other: the word diff of
+/// the two states names every toggled circuit however many blocks lie
+/// between them, and the degrees moved by it equal the recount. Only the
+/// first check, with no base, recounts.
 #[test]
-fn a_jump_past_the_delta_limit_recounts() {
+fn a_72_block_jump_is_one_delta() {
     for k in [1, 3] {
         let spec = port_bound_spec(PresetId::C, 4.0, k);
         assert_eq!(spec.target_counts.counts(), &[24, 48]);
@@ -150,8 +151,8 @@ fn a_jump_past_the_delta_limit_recounts() {
             SatChecker::with_threads(&unported, EscMode::Off, 2),
         );
         let walk = [
-            vec![24, 0],  // first check: no base yet
-            vec![0, 48],  // 72 blocks away: full rebuild, recount
+            vec![24, 0],  // first check: no base yet, recount
+            vec![0, 48],  // 72 blocks away: one delta
             vec![1, 48],  // one block: delta
             vec![1, 47],  // and back down
             vec![24, 48], // 24 blocks: delta
@@ -170,7 +171,7 @@ fn a_jump_past_the_delta_limit_recounts() {
 }
 
 /// The validating walk and a run's live engine both keep their budgets by
-/// delta — by block-list toggles and by usability toggles — and both agree
+/// delta — by the same word diff of consecutive states — and both agree
 /// with the recount where ports bind: after every check, every lookahead
 /// call (the matrix round trips planning ↔ realized touch rates only) and
 /// every audit. A released engine has no base; its next route recounts.

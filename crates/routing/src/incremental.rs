@@ -290,18 +290,9 @@ impl IncrementalRouter {
     /// every cached routing structure: the next [`evaluate`](Self::evaluate)
     /// sweeps `matrix` exactly as an engine built over it would. For callers
     /// that re-check one chain of states as demand drifts (growth and surges
-    /// rescale `gbps` only), so the structure outlives the forecast.
-    ///
-    /// # Panics
-    /// Panics when `matrix`'s `(src, dst, class)` sequence diverges from the
-    /// matrix the engine was built over.
-    pub fn set_base_rates(&mut self, matrix: &DemandMatrix) {
-        assert!(self.try_set_base_rates(matrix), "{SHARED_ENDPOINTS}");
-    }
-
-    /// [`set_base_rates`](Self::set_base_rates) for a matrix of unknown
-    /// provenance: returns false, having written no rate, when `matrix`'s
-    /// `(src, dst, class)` sequence is not the engine's.
+    /// rescale `gbps` only), so the structure outlives the forecast. Returns
+    /// false, having written no rate, when `matrix`'s `(src, dst, class)`
+    /// sequence is not the engine's.
     pub fn try_set_base_rates(&mut self, matrix: &DemandMatrix) -> bool {
         self.set_rates(0, matrix)
     }
@@ -333,17 +324,6 @@ impl IncrementalRouter {
             }
         }
         shared
-    }
-
-    /// Number of non-base ensemble matrices this engine tracks.
-    pub fn num_extras(&self) -> usize {
-        self.num_extras
-    }
-
-    /// Number of per-lane scratch slots currently allocated (grows to the
-    /// pool's lane count on first pooled advance).
-    pub fn lanes(&self) -> usize {
-        self.scratch.len()
     }
 
     /// Number of destination groups tracked.
@@ -972,13 +952,12 @@ fn sweep_entry(
     }
 }
 
-/// Convenience for tests and callers without an external toggle source:
-/// diffs two states' usability over the whole topology.
+/// The circuits whose usability differs between `a` and `b`, ascending:
+/// [`NetState::usability_diff_into`] into a fresh `Vec`.
 pub fn usability_toggles(topo: &Topology, a: &NetState, b: &NetState) -> Vec<CircuitId> {
-    (0..topo.num_circuits())
-        .map(CircuitId::from_index)
-        .filter(|&c| a.circuit_usable(topo, c) != b.circuit_usable(topo, c))
-        .collect()
+    let mut toggles = Vec::new();
+    a.usability_diff_into(topo, b, &mut toggles);
+    toggles
 }
 
 #[cfg(test)]
@@ -1255,7 +1234,7 @@ mod tests {
             for (i, drifted) in variants(&demands, 4).iter().enumerate() {
                 let next = random_step(&t, &prev, &mut seed);
                 let toggles = usability_toggles(&t, &prev, &next);
-                engine.set_base_rates(drifted);
+                assert!(engine.try_set_base_rates(drifted));
                 loads.clear();
                 engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
                 let (ref_loads, ref_out) = full_reference(&t, &next, drifted, policy);
@@ -1280,12 +1259,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "share the base demand endpoints")]
     fn base_rates_from_a_matrix_with_other_endpoints_are_refused() {
-        let (t, _, demands) = preset_world();
+        let (t, state, demands) = preset_world();
         let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
-        let fewer: DemandMatrix = demands.iter().skip(1).cloned().collect();
-        engine.set_base_rates(&fewer);
+        let fewer: DemandMatrix = demands.scaled(2.0).iter().skip(1).cloned().collect();
+        assert!(!engine.try_set_base_rates(&fewer));
+        // No rate was written: the engine still sweeps the matrix it was
+        // built over.
+        let (mut loads, mut out) = (LoadMap::new(&t), RouteOutcome::new());
+        engine.evaluate(&WorkerPool::new(1), &t, &state, None, &mut loads, &mut out);
+        let (ref_loads, ref_out) = full_reference(&t, &state, &demands, SplitPolicy::Ecmp);
+        assert_eq!(out, ref_out);
+        assert_bit_identical(&loads, &ref_loads, &t, "after a refused matrix");
     }
 
     #[test]
@@ -1303,7 +1288,6 @@ mod tests {
                     pool.lanes(),
                     policy,
                 );
-                assert_eq!(engine.num_extras(), k - 1);
                 let mut member = (LoadMap::new(&t), RouteOutcome::new());
                 let mut prev = state.clone();
                 engine.rebase(&pool, &t, &prev, None);

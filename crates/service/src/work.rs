@@ -261,11 +261,12 @@ fn job_deadline(shared: &Shared, request_ms: Option<u64>) -> Option<Duration> {
 mod tests {
     use super::*;
     use crate::state::StateStore;
-    use crate::testkit::{header, metric, request, small_npd_json};
+    use crate::testkit::{header, metric, request, small_npd_json, stream_request};
     use crate::{locked, Service, ServiceConfig};
-    use klotski_npd::api::{fnv1a, ErrorResponse};
+    use klotski_npd::api::{fnv1a, AcceptedResponse, ErrorResponse};
     use klotski_npd::convert::region_to_npd;
     use klotski_topology::presets::{self, PresetId};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
     use std::time::Instant;
 
@@ -296,6 +297,18 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         panic!("injected planner fault");
+    }
+
+    /// Opened by the one test that arms [`hold_until_the_gate_opens`].
+    static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+
+    /// Holds its worker until the gate opens (or a minute passes, so a
+    /// failed test does not pin the thread forever).
+    fn hold_until_the_gate_opens(_: &Shared) {
+        let patience = Instant::now() + Duration::from_secs(60);
+        while !GATE_OPEN.load(Ordering::Acquire) && Instant::now() < patience {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// A preset-A document only the calling test submits.
@@ -413,6 +426,90 @@ mod tests {
         assert!(replay.pending.is_empty(), "{:?}", replay.pending);
         assert_eq!(replay.artifacts.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Coalescing determinism: concurrent identical submissions ride
+    /// exactly one pipeline execution — the leader's — and every follower
+    /// (including an SSE subscriber attached mid-flight) observes
+    /// byte-identical output. The single worker is held on a gated run
+    /// until every follower and the subscriber have attached, so the plan
+    /// leader is still queued when they arrive, by construction.
+    #[test]
+    fn concurrent_identical_requests_coalesce_onto_one_execution() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let npd = Arc::new(small_npd_json());
+
+        // Occupy the single worker with a run that waits on the gate.
+        let mut holder = klotski_controller::Scenario::sample();
+        holder.name = "coalesce-gate".into();
+        arm(fnv1a(holder.name.as_bytes()), hold_until_the_gate_opens);
+        let holder = serde_json::to_string(&holder).unwrap();
+        let (status, _, body) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &holder);
+        assert_eq!(status, 202, "{body}");
+
+        let (status, headers, body) =
+            request(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 202, "{body}");
+        assert_eq!(header(&headers, "x-klotski-coalesce"), Some("leader"));
+        let leader: AcceptedResponse = serde_json::from_str(&body).unwrap();
+
+        // An async duplicate is answered with the leader's own job id.
+        let (status, headers, body) =
+            request(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
+        assert_eq!(status, 202);
+        assert_eq!(header(&headers, "x-klotski-coalesce"), Some("follower"));
+        let dup: AcceptedResponse = serde_json::from_str(&body).unwrap();
+        assert_eq!(dup.job, leader.job, "follower must share the leader's job");
+
+        // Synchronous duplicates block on the shared job; the SSE
+        // subscriber attaches to the same job id while it is still queued.
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let npd = Arc::clone(&npd);
+                std::thread::spawn(move || request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &npd))
+            })
+            .collect();
+        let subscriber = {
+            let path = format!("/v1/jobs/{}/events", leader.job);
+            std::thread::spawn(move || stream_request(addr, &path))
+        };
+        let patience = Instant::now() + Duration::from_secs(20);
+        while metric(addr, "klotski_coalesce_followers_total") < 4
+            || metric(addr, "klotski_sse_streams_total") < 1
+        {
+            assert!(Instant::now() < patience, "followers never attached");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Held on the run, the worker has not started the plan.
+        assert_eq!(metric(addr, "klotski_pipeline_executions_total"), 0);
+        GATE_OPEN.store(true, Ordering::Release);
+
+        let bodies: Vec<String> = waiters
+            .into_iter()
+            .map(|w| {
+                let (status, headers, body) = w.join().unwrap();
+                assert_eq!(status, 200, "{body}");
+                assert_eq!(header(&headers, "x-klotski-coalesce"), Some("follower"));
+                body
+            })
+            .collect();
+        assert!(
+            bodies.windows(2).all(|w| w[0] == w[1]),
+            "coalesced follower bodies differ"
+        );
+        let (status, _, events) = subscriber.join().unwrap();
+        assert_eq!(status, 200);
+        assert!(events.contains("event: end\n"), "{events}");
+
+        assert_eq!(metric(addr, "klotski_pipeline_executions_total"), 1);
+        assert_eq!(metric(addr, "klotski_coalesce_leaders_total"), 1);
+        assert_eq!(metric(addr, "klotski_coalesce_followers_total"), 4);
+        service.shutdown();
     }
 
     #[test]

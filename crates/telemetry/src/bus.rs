@@ -169,11 +169,6 @@ impl EventBus {
         self.active.load(Ordering::Relaxed) > 0
     }
 
-    /// Number of open subscriptions (the service's 503-shedding input).
-    pub fn subscriber_count(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
-    }
-
     /// Total lines lost to subscriber queue overflow, process-wide.
     pub fn dropped_total(&self) -> u64 {
         self.dropped_total.load(Ordering::Relaxed)
@@ -296,14 +291,15 @@ mod tests {
     #[test]
     fn dropping_a_subscription_unsubscribes_it() {
         let _guard = crate::test_support::sink_lock();
-        let before = bus().subscriber_count();
+        let open = || bus().active.load(Ordering::Relaxed);
+        let before = open();
         let stream = bus().next_stream_id();
         {
             let _sub = bus().subscribe(stream, 4);
-            assert!(bus().subscriber_count() > before);
+            assert!(open() > before);
             assert!(bus().has_subscribers());
         }
-        assert_eq!(bus().subscriber_count(), before);
+        assert_eq!(open(), before);
     }
 
     #[test]

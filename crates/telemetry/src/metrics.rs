@@ -141,14 +141,6 @@ impl LogLinearSnapshot {
         self.sum_us as f64 / 1e6
     }
 
-    /// Mean sample, seconds. 0 with no samples (never NaN).
-    pub fn mean_seconds(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum_seconds() / self.count as f64
-    }
-
     /// Estimated `q`-quantile in seconds (upper bound of the bucket holding
     /// the quantile sample). Edge cases are explicit: an empty histogram
     /// returns 0 (never NaN), a NaN `q` is treated as 0, `q` is clamped to
@@ -571,7 +563,6 @@ mod tests {
         for q in [0.0, 0.5, 1.0, f64::NAN] {
             assert_eq!(h.quantile(q), 0.0, "empty, q={q}");
         }
-        assert_eq!(h.snapshot().mean_seconds(), 0.0, "empty mean is 0, not NaN");
         h.record(Duration::from_millis(5));
         h.record(Duration::from_millis(5));
         assert_eq!(h.quantile(1.0), h.quantile(0.5), "q=1 clamps");

@@ -93,46 +93,17 @@ impl BitSet {
         })
     }
 
-    /// In-place union with `other`.
+    /// Iterates over the indices where `self` and `other` differ, in
+    /// ascending order: one XOR per word, set bits only.
     ///
     /// # Panics
     /// Panics if the sets have different lengths.
-    pub fn union_with(&mut self, other: &BitSet) {
+    pub fn iter_diff<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(self.len, other.len, "BitSet length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    /// Panics if the sets have different lengths.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "BitSet length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place difference (`self &= !other`).
-    ///
-    /// # Panics
-    /// Panics if the sets have different lengths.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "BitSet length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// True if every set bit of `self` is also set in `other`.
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
-        assert_eq!(self.len, other.len, "BitSet length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
+        (self.words.iter().zip(&other.words).enumerate()).flat_map(|(wi, (a, b))| BitIter {
+            word: a ^ b,
+            base: wi * WORD_BITS,
+        })
     }
 
     /// Clears all bits.
@@ -220,37 +191,17 @@ mod tests {
     }
 
     #[test]
-    fn union_intersect_difference() {
-        let mut a = BitSet::new(70);
-        let mut b = BitSet::new(70);
-        a.set(1, true);
-        a.set(65, true);
-        b.set(65, true);
-        b.set(2, true);
-
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![1, 2, 65]);
-
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter_ones().collect::<Vec<_>>(), vec![65]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.iter_ones().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn subset_relation() {
-        let mut a = BitSet::new(10);
-        let mut b = BitSet::new(10);
-        a.set(3, true);
-        b.set(3, true);
-        b.set(5, true);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(a.is_subset_of(&a));
+    fn iter_diff_names_the_differing_bits() {
+        let mut a = BitSet::new(130);
+        let mut b = BitSet::new(130);
+        for i in [1, 64, 129] {
+            a.set(i, true);
+        }
+        for i in [2, 64, 128] {
+            b.set(i, true);
+        }
+        assert_eq!(a.iter_diff(&b).collect::<Vec<_>>(), vec![1, 2, 128, 129]);
+        assert_eq!(a.iter_diff(&a).count(), 0);
     }
 
     #[test]
@@ -262,10 +213,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn union_length_mismatch_panics() {
-        let mut a = BitSet::new(8);
+    fn diff_length_mismatch_panics() {
+        let a = BitSet::new(8);
         let b = BitSet::new(9);
-        a.union_with(&b);
+        let _ = a.iter_diff(&b).count();
     }
 
     #[test]
@@ -290,25 +241,6 @@ mod tests {
             expect.dedup();
             prop_assert_eq!(s.count_ones(), expect.len());
             prop_assert_eq!(s.iter_ones().collect::<Vec<_>>(), expect);
-        }
-
-        #[test]
-        fn prop_union_count_ge_parts(
-            xs in proptest::collection::vec(0usize..200, 0..40),
-            ys in proptest::collection::vec(0usize..200, 0..40),
-        ) {
-            let mut a = BitSet::new(200);
-            let mut b = BitSet::new(200);
-            for &x in &xs { a.set(x, true); }
-            for &y in &ys { b.set(y, true); }
-            let ca = a.count_ones();
-            let cb = b.count_ones();
-            let mut u = a.clone();
-            u.union_with(&b);
-            prop_assert!(u.count_ones() >= ca.max(cb));
-            prop_assert!(u.count_ones() <= ca + cb);
-            prop_assert!(a.is_subset_of(&u));
-            prop_assert!(b.is_subset_of(&u));
         }
     }
 }

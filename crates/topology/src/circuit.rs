@@ -43,21 +43,6 @@ impl Circuit {
         Circuit::HOP
     }
 
-    /// Given one endpoint, returns the other.
-    ///
-    /// # Panics
-    /// Panics if `end` is not an endpoint of this circuit.
-    #[inline]
-    pub fn other_end(&self, end: SwitchId) -> SwitchId {
-        if end == self.a {
-            self.b
-        } else if end == self.b {
-            self.a
-        } else {
-            panic!("{end} is not an endpoint of {}", self.id);
-        }
-    }
-
     /// True if `s` is one of this circuit's endpoints.
     #[inline]
     pub fn touches(&self, s: SwitchId) -> bool {
@@ -78,19 +63,6 @@ mod tests {
             hop_weight: Circuit::HOP,
             routing_weight: None,
         }
-    }
-
-    #[test]
-    fn other_end_flips() {
-        let c = ckt();
-        assert_eq!(c.other_end(SwitchId(1)), SwitchId(2));
-        assert_eq!(c.other_end(SwitchId(2)), SwitchId(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn other_end_rejects_non_endpoint() {
-        ckt().other_end(SwitchId(9));
     }
 
     #[test]

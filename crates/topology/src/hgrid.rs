@@ -97,11 +97,6 @@ impl HgridConfig {
             fauu_ports: 512,
         }
     }
-
-    /// Total sub-switch count of this layer.
-    pub fn switch_count(&self) -> usize {
-        self.grids * (self.fadus_per_grid + self.fauus_per_grid)
-    }
 }
 
 /// Ids of the sub-switches created for one HGRID generation.
@@ -262,7 +257,7 @@ mod tests {
         let cfg = HgridConfig::v1(3, 2, 2);
         let mut b = TopologyBuilder::new("h");
         let h = build_hgrid(&mut b, DcId(9), &cfg);
-        assert_eq!(h.all_switches().len(), cfg.switch_count());
+        assert_eq!(h.all_switches().len(), 3 * (2 + 2));
         assert_eq!(h.num_grids(), 3);
         assert_eq!(h.grid_switches(0).len(), 4);
         // 2x2 bipartite mesh per grid, 3 grids.

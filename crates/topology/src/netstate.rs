@@ -29,14 +29,6 @@ impl NetState {
         }
     }
 
-    /// All switches and circuits down.
-    pub fn all_down(topo: &Topology) -> Self {
-        Self {
-            switch_up: BitSet::new(topo.num_switches()),
-            circuit_up: BitSet::new(topo.num_circuits()),
-        }
-    }
-
     /// True if the switch's own bit is up.
     #[inline]
     pub fn switch_up(&self, id: SwitchId) -> bool {
@@ -90,16 +82,6 @@ impl NetState {
         }
     }
 
-    /// Number of switches currently up.
-    pub fn num_switches_up(&self) -> usize {
-        self.switch_up.count_ones()
-    }
-
-    /// Number of circuits whose own bit is up.
-    pub fn num_circuits_up(&self) -> usize {
-        self.circuit_up.count_ones()
-    }
-
     /// Count of *usable* incident circuits of a switch.
     pub fn active_degree(&self, topo: &Topology, id: SwitchId) -> usize {
         topo.neighbors(id)
@@ -108,23 +90,38 @@ impl NetState {
             .count()
     }
 
-    /// Sum of capacities of usable circuits, in Gbps.
-    pub fn usable_capacity_gbps(&self, topo: &Topology) -> f64 {
-        topo.circuits()
-            .iter()
-            .filter(|c| self.circuit_usable(topo, c.id))
-            .map(|c| c.capacity_gbps)
-            .sum()
-    }
-
     /// Iterates over ids of switches currently up.
     pub fn switches_up(&self) -> impl Iterator<Item = SwitchId> + '_ {
         self.switch_up.iter_ones().map(SwitchId::from_index)
     }
 
-    /// Iterates over ids of circuits whose own bit is up.
-    pub fn circuits_up(&self) -> impl Iterator<Item = CircuitId> + '_ {
-        self.circuit_up.iter_ones().map(CircuitId::from_index)
+    /// Fills `out` (cleared first) with every circuit whose usability
+    /// differs between `self` and `other`, ascending. Only a circuit whose
+    /// own bit or an endpoint's bit differs can have flipped, so the diff
+    /// XORs the two states' words and judges those candidates alone: the
+    /// circuits whose own bit flipped (distinct and ascending, straight off
+    /// the words), and the circuits incident to a flipped switch whose own
+    /// bit held. A drain or undrain flips the bits of the circuits it
+    /// changes, so the second kind is rare; only when one changed is the
+    /// list sorted and deduplicated (a circuit with both ends flipped is
+    /// met twice). A reused `out` allocates nothing once grown.
+    pub fn usability_diff_into(&self, topo: &Topology, other: &NetState, out: &mut Vec<CircuitId>) {
+        out.clear();
+        let differs = |c: CircuitId| self.circuit_usable(topo, c) != other.circuit_usable(topo, c);
+        for s in self.switch_up.iter_diff(&other.switch_up) {
+            for &(c, _) in topo.neighbors(SwitchId::from_index(s)) {
+                if self.circuit_up(c) == other.circuit_up(c) && differs(c) {
+                    out.push(c);
+                }
+            }
+        }
+        let endpoint_only = !out.is_empty();
+        let flipped = self.circuit_up.iter_diff(&other.circuit_up);
+        out.extend(flipped.map(CircuitId::from_index).filter(|&c| differs(c)));
+        if endpoint_only {
+            out.sort_unstable();
+            out.dedup();
+        }
     }
 }
 
@@ -133,7 +130,9 @@ mod tests {
     use super::*;
     use crate::graph::{SwitchSpec, TopologyBuilder};
     use crate::ids::DcId;
+    use crate::presets::{self, PresetId};
     use crate::switch::{Generation, SwitchRole};
+    use proptest::prelude::*;
 
     /// rsw - fsw - ssw line.
     fn line() -> (Topology, [SwitchId; 3], [CircuitId; 2]) {
@@ -148,17 +147,11 @@ mod tests {
     }
 
     #[test]
-    fn all_up_and_all_down() {
+    fn all_up_is_all_usable() {
         let (t, sw, ck) = line();
         let up = NetState::all_up(&t);
-        assert_eq!(up.num_switches_up(), 3);
-        assert_eq!(up.num_circuits_up(), 2);
-        assert!(up.circuit_usable(&t, ck[0]));
-
-        let down = NetState::all_down(&t);
-        assert_eq!(down.num_switches_up(), 0);
-        assert!(!down.circuit_usable(&t, ck[0]));
-        assert!(!down.switch_up(sw[0]));
+        assert!(sw.iter().all(|&s| up.switch_up(s)));
+        assert!(ck.iter().all(|&c| up.circuit_usable(&t, c)));
     }
 
     #[test]
@@ -205,21 +198,70 @@ mod tests {
     }
 
     #[test]
-    fn usable_capacity_tracks_drains() {
-        let (t, sw, _) = line();
-        let mut s = NetState::all_up(&t);
-        assert!((s.usable_capacity_gbps(&t) - 200.0).abs() < 1e-9);
-        s.drain_switch(&t, sw[0]);
-        assert!((s.usable_capacity_gbps(&t) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn iterators_report_up_elements() {
         let (t, sw, _) = line();
         let mut s = NetState::all_up(&t);
         s.set_switch(sw[1], false);
         let ups: Vec<SwitchId> = s.switches_up().collect();
         assert_eq!(ups, vec![sw[0], sw[2]]);
-        assert_eq!(s.circuits_up().count(), 2);
+    }
+
+    /// One edit of a state — what migration actions and a fleet's
+    /// disturbances do to the bits — drawn as `x`: kind `x % 6`, element
+    /// `x / 6`.
+    fn edit(t: &Topology, s: &mut NetState, x: usize) {
+        let (kind, i) = (x % 6, x / 6);
+        let sw = SwitchId::from_index(i % t.num_switches());
+        let c = CircuitId::from_index(i % t.num_circuits());
+        match kind {
+            // Drains, and undrains toward peers that may be down.
+            0 => s.drain_switch(t, sw),
+            1 => s.undrain_switch(t, sw),
+            // Circuit-only failures and repairs.
+            2 => s.set_circuit(c, false),
+            3 => s.set_circuit(c, true),
+            // A switch down with its circuit bits left up, and back.
+            4 => s.set_switch(sw, false),
+            _ => s.set_switch(sw, true),
+        }
+    }
+
+    fn edits() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(0usize..600_000, 0..48)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The word diff is the definition it replaces: every circuit whose
+        /// usability differs, ascending, whatever the scratch held before.
+        #[test]
+        fn prop_usability_diff_is_the_per_circuit_definition(
+            common in edits(),
+            only_a in edits(),
+            only_b in edits(),
+        ) {
+            let t = presets::build(PresetId::A).topology;
+            let mut a = NetState::all_up(&t);
+            for &e in &common {
+                edit(&t, &mut a, e);
+            }
+            let mut b = a.clone();
+            for &e in &only_a {
+                edit(&t, &mut a, e);
+            }
+            for &e in &only_b {
+                edit(&t, &mut b, e);
+            }
+            let reference: Vec<CircuitId> = (0..t.num_circuits())
+                .map(CircuitId::from_index)
+                .filter(|&c| a.circuit_usable(&t, c) != b.circuit_usable(&t, c))
+                .collect();
+            let mut diff = vec![CircuitId::from_index(0); 3];
+            a.usability_diff_into(&t, &b, &mut diff);
+            prop_assert_eq!(&diff, &reference);
+            b.usability_diff_into(&t, &a, &mut diff);
+            prop_assert_eq!(&diff, &reference);
+        }
     }
 }

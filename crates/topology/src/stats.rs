@@ -1,7 +1,6 @@
 //! Aggregate topology statistics, used by Table 1 / Table 3 reporting.
 
 use crate::graph::Topology;
-use crate::switch::SwitchRole;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,14 +45,6 @@ impl TopologyStats {
             datacenters: dcs.len(),
             planes: planes.len(),
         }
-    }
-
-    /// Count of switches with a given role.
-    pub fn role_count(&self, role: SwitchRole) -> usize {
-        self.switches_by_role
-            .get(role.as_str())
-            .copied()
-            .unwrap_or(0)
     }
 }
 
@@ -102,9 +93,9 @@ mod tests {
         let s = t.stats();
         assert_eq!(s.total_switches, 3);
         assert_eq!(s.total_circuits, 2);
-        assert_eq!(s.role_count(SwitchRole::Fsw), 2);
-        assert_eq!(s.role_count(SwitchRole::Rsw), 1);
-        assert_eq!(s.role_count(SwitchRole::Ebb), 0);
+        assert_eq!(s.switches_by_role.get("FSW"), Some(&2));
+        assert_eq!(s.switches_by_role.get("RSW"), Some(&1));
+        assert_eq!(s.switches_by_role.get("EBB"), None);
         assert_eq!(s.datacenters, 2);
         assert_eq!(s.planes, 2);
         assert!((s.total_capacity_gbps - 200.0).abs() < 1e-9);

@@ -64,16 +64,6 @@ impl SwitchRole {
         }
     }
 
-    /// True for the three intra-building fabric roles.
-    pub fn is_fabric(self) -> bool {
-        matches!(self, SwitchRole::Rsw | SwitchRole::Fsw | SwitchRole::Ssw)
-    }
-
-    /// True for the two HGRID (fabric-aggregation) sub-switch roles.
-    pub fn is_fa(self) -> bool {
-        matches!(self, SwitchRole::Fadu | SwitchRole::Fauu)
-    }
-
     /// Short uppercase name used in switch names and NPD files.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -233,16 +223,6 @@ mod tests {
     fn unknown_role_is_an_error() {
         let err = "TOR".parse::<SwitchRole>().unwrap_err();
         assert!(err.to_string().contains("TOR"));
-    }
-
-    #[test]
-    fn fabric_and_fa_classification() {
-        assert!(SwitchRole::Rsw.is_fabric());
-        assert!(SwitchRole::Ssw.is_fabric());
-        assert!(!SwitchRole::Fadu.is_fabric());
-        assert!(SwitchRole::Fadu.is_fa());
-        assert!(SwitchRole::Fauu.is_fa());
-        assert!(!SwitchRole::Eb.is_fa());
     }
 
     #[test]

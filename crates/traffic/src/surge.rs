@@ -58,19 +58,6 @@ impl SurgeEvent {
     }
 }
 
-/// Applies every active surge in order.
-pub fn apply_surges(matrix: &DemandMatrix, surges: &[SurgeEvent], step: usize) -> DemandMatrix {
-    let mut out = matrix.clone();
-    apply_surges_in_place(&mut out, surges, step);
-    out
-}
-
-fn apply_surges_in_place(matrix: &mut DemandMatrix, surges: &[SurgeEvent], step: usize) {
-    for s in surges {
-        s.apply_in_place(matrix, step);
-    }
-}
-
 /// The demand the fleet actually carries at `step`: the planning matrix
 /// scaled by accumulated organic growth, with every surge active at `step`
 /// applied on top, in order — one copy of `base`, scaled in place. The
@@ -83,7 +70,9 @@ pub fn realized_demand(
     step: usize,
 ) -> DemandMatrix {
     let mut out = base.scaled(growth_multiplier);
-    apply_surges_in_place(&mut out, surges, step);
+    for s in surges {
+        s.apply_in_place(&mut out, step);
+    }
     out
 }
 
@@ -149,7 +138,7 @@ mod tests {
             },
             SurgeEvent::on_class(0, 10, 3.0, DemandClass::RswToEbb),
         ];
-        let out = apply_surges(&matrix(), &surges, 0);
+        let out = realized_demand(&matrix(), 1.0, &surges, 0);
         assert!((out.class_total_gbps(DemandClass::RswToEbb) - 60.0).abs() < 1e-9);
         assert!((out.class_total_gbps(DemandClass::RswToRsw) - 40.0).abs() < 1e-9);
     }
@@ -212,11 +201,6 @@ mod tests {
                 assert_eq!(g.gbps.to_bits(), w.gbps.to_bits(), "step {step}");
             }
             assert_eq!(got, want, "step {step}");
-            assert_eq!(
-                apply_surges(&base, &surges, step),
-                cloning_chain(&base, 1.0, &surges, step),
-                "step {step}"
-            );
         }
     }
 

@@ -378,110 +378,6 @@ fn thirty_two_concurrent_audits_resolve_bounded() {
     service.shutdown();
 }
 
-/// Subscribes to a job's event stream and returns the dechunked SSE text
-/// after the server closes the connection at the terminal event.
-fn sse_events(addr: SocketAddr, job: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let msg = format!("GET /v1/jobs/{job}/events HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
-    stream.write_all(msg.as_bytes()).unwrap();
-    let mut reply = Vec::new();
-    stream.read_to_end(&mut reply).unwrap();
-    let reply = String::from_utf8(reply).unwrap();
-    let (head, raw) = reply.split_once("\r\n\r\n").expect("header terminator");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let mut out = String::new();
-    let mut rest = raw;
-    while let Some((size_line, tail)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
-        if size == 0 {
-            break;
-        }
-        out.push_str(&tail[..size]);
-        rest = &tail[size + 2..];
-    }
-    out
-}
-
-/// Coalescing determinism: concurrent identical submissions ride exactly
-/// one pipeline execution — the leader's — and every follower (including
-/// an SSE subscriber attached mid-flight) observes byte-identical output.
-#[test]
-fn concurrent_identical_requests_coalesce_onto_one_execution() {
-    let service = Service::start(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    let addr = service.local_addr();
-    let npd = std::sync::Arc::new(npd_json(PresetId::A));
-
-    // Occupy the single worker with a scenario run, so the plan leader
-    // below stays queued while the followers and SSE subscriber attach.
-    let scenario = serde_json::to_string(&klotski::controller::Scenario::sample()).unwrap();
-    let (status, _, _) = http(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &scenario);
-    assert_eq!(status, 202);
-
-    let (status, headers, body) = http(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
-    assert_eq!(status, 202, "{}", String::from_utf8_lossy(&body));
-    assert_eq!(header(&headers, "x-klotski-coalesce"), Some("leader"));
-    let leader: AcceptedResponse =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-
-    // An async duplicate is answered with the leader's own job id.
-    let (status, headers, body) = http(addr, "POST /v1/plan?wait=0 HTTP/1.1\r\nHost: t", &npd);
-    assert_eq!(status, 202);
-    assert_eq!(header(&headers, "x-klotski-coalesce"), Some("follower"));
-    let dup: AcceptedResponse = serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-    assert_eq!(dup.job, leader.job, "follower must share the leader's job");
-
-    // Synchronous duplicates block on the shared job; the SSE subscriber
-    // attaches to the same job id while it is still queued.
-    let waiters: Vec<_> = (0..3)
-        .map(|_| {
-            let npd = std::sync::Arc::clone(&npd);
-            std::thread::spawn(move || http(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &npd))
-        })
-        .collect();
-    let subscriber = {
-        let job = leader.job.clone();
-        std::thread::spawn(move || sse_events(addr, &job))
-    };
-
-    let bodies: Vec<Vec<u8>> = waiters
-        .into_iter()
-        .map(|w| {
-            let (status, headers, body) = w.join().unwrap();
-            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-            assert_eq!(header(&headers, "x-klotski-coalesce"), Some("follower"));
-            body
-        })
-        .collect();
-    assert!(
-        bodies.windows(2).all(|w| w[0] == w[1]),
-        "coalesced follower bodies differ"
-    );
-    let events = subscriber.join().unwrap();
-    assert!(events.contains("event: end\n"), "{events}");
-
-    let (status, _, body) = http(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
-    assert_eq!(status, 200);
-    let text = String::from_utf8(body).unwrap();
-    assert!(
-        text.contains("klotski_pipeline_executions_total 1"),
-        "{text}"
-    );
-    assert!(text.contains("klotski_coalesce_leaders_total 1"), "{text}");
-    assert!(
-        text.contains("klotski_coalesce_followers_total 4"),
-        "{text}"
-    );
-
-    service.shutdown();
-}
-
 fn free_port() -> u16 {
     std::net::TcpListener::bind("127.0.0.1:0")
         .unwrap()
