@@ -1205,7 +1205,6 @@ mod tests {
         );
         assert_eq!(engine.evaluations, checks, "one advance per check");
         assert_eq!(engine.extra_replays, expected_sweeps);
-        assert_eq!(engine.sweeps, engine.evaluations + engine.extra_replays);
         let rows = &checker.ensemble_breakdown().matrices;
         assert_eq!((rows[0].checks, rows[0].swept), (checks, checks));
         assert_eq!(

@@ -8,19 +8,18 @@
 //!
 //! - the BFS distance labels and canonical visit order,
 //! - the shortest-path DAG (each switch's downhill circuits in
-//!   neighbor-scan order, all in one arena shaped like the CSR adjacency),
-//! - the *relevant circuit footprint* — circuits incident to switches
-//!   reached by that destination's BFS.
+//!   neighbor-scan order, all in one arena shaped like the CSR adjacency).
 //!
 //! Given the set of circuits whose usability *toggled* between the cached
 //! base state and a new state, each destination classifies every toggle
 //! against its cached labels:
 //!
-//! - toggles outside the footprint cannot affect the destination (an
-//!   unusable→usable circuit between two unreached switches connects
-//!   nothing to the reached region; anything incident to a reached switch
-//!   is in the footprint by construction) — the destination is *clean*: its
-//!   routing structure is reused unchanged;
+//! - a toggle that adds or removes no DAG edge and reaches no unreached
+//!   switch leaves the destination alone: a circuit turned on between two
+//!   unreached switches connects nothing to the reached region by itself,
+//!   and one turned off carried a DAG edge only if both its ends were
+//!   reached one hop weight apart. A destination no toggle touches is
+//!   *clean*: its routing structure is reused unchanged;
 //! - a removed DAG edge marks its uphill endpoint for a downhill-list
 //!   rebuild; a switch left with no usable circuit at all becomes
 //!   unreachable (every edge that previously supported it is itself a
@@ -53,10 +52,10 @@ use crate::ecmp::{dial_labels, DialScratch, RouteOutcome, SplitPolicy, UNREACHED
 use crate::loads::LoadMap;
 use crate::mask::UsableMask;
 use klotski_parallel::{chunk_ranges, WorkerPool};
-use klotski_topology::{BitSet, CircuitId, CsrGraph, NetState, SwitchId, Topology};
+use klotski_topology::{CircuitId, CsrGraph, NetState, SwitchId, Topology};
 use klotski_traffic::{DemandClass, DemandMatrix};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Chunks per lane for the lane-partitioned destination advance: a little
@@ -80,10 +79,6 @@ pub struct IncrementalStats {
     /// Non-base ensemble matrices swept: one per
     /// [`replay_extra`](IncrementalRouter::replay_extra).
     pub extra_replays: u64,
-    /// Traversals of the routing structure by the load sweep: one per
-    /// `evaluate` or `replay_extra`, so always
-    /// `evaluations + extra_replays`.
-    pub sweeps: u64,
 }
 
 /// Cached routing structure of one destination group.
@@ -114,14 +109,6 @@ struct DestEntry {
     dag: Vec<(u32, u32)>,
     /// Downhill-list lengths; 0 for unreached switches and the destination.
     dag_len: Vec<u32>,
-    /// Circuits incident to reached switches; a conservative superset
-    /// (bits are added when the reached region grows, recomputed exactly on
-    /// full rebuilds). Shared storage: destinations that reach the same
-    /// region — the common case, since an all-reachable state gives every
-    /// destination the same incident-circuit set — are interned onto one
-    /// allocation after each advance, and copy-on-write (`Arc::make_mut`)
-    /// keeps incremental growth sound.
-    footprint: Arc<BitSet>,
     /// Introspection: last advance reused the structure unchanged.
     last_clean: bool,
     /// Introspection: last advance fell back to a full rebuild.
@@ -147,9 +134,6 @@ struct LaneScratch {
     /// Labelling buffers of full per-destination rebuilds.
     dial: DialScratch,
     order_buf: Vec<u32>,
-    /// Where a full rebuild collects the destination's footprint, so an
-    /// unchanged one (the usual outcome) leaves the shared allocation alone.
-    footprint: BitSet,
 }
 
 impl LaneScratch {
@@ -159,7 +143,6 @@ impl LaneScratch {
             mark_stamp: vec![0; n],
             new_stamp: vec![0; n],
             settle_stamp: vec![0; n],
-            footprint: BitSet::new(csr.num_circuits()),
             ..Self::default()
         }
     }
@@ -194,13 +177,6 @@ pub struct IncrementalRouter {
     /// Inflow accumulator of the load sweep, one cell per switch. All zero
     /// between sweeps.
     inflow: Vec<f64>,
-    /// Word-level masks of the current toggle set, `(word index, bits)` —
-    /// a destination whose footprint misses every word is clean without
-    /// walking the toggle list.
-    toggle_words: Vec<(u32, u64)>,
-    /// Footprint intern table: content hash → shared allocations. Buckets
-    /// hold strong refs; dead ones (refcount 1) are purged on touch.
-    intern: HashMap<u64, Vec<Arc<BitSet>>>,
     /// Non-base ensemble matrices tracked (every entry's `rates` has
     /// `num_extras + 1` columns).
     num_extras: usize,
@@ -209,23 +185,6 @@ pub struct IncrementalRouter {
 }
 
 impl IncrementalRouter {
-    /// An engine for `lanes` pool lanes routing `matrix` over `topo`.
-    pub fn new(topo: &Topology, matrix: &DemandMatrix, lanes: usize, policy: SplitPolicy) -> Self {
-        Self::with_csr(Arc::new(CsrGraph::build(topo)), matrix, lanes, policy)
-    }
-
-    /// An engine over an already-flattened graph (shared with the other
-    /// routing engines of a checker). `lanes` is a capacity hint only —
-    /// per-lane scratch is allocated lazily on the first pooled advance.
-    pub fn with_csr(
-        csr: Arc<CsrGraph>,
-        matrix: &DemandMatrix,
-        lanes: usize,
-        policy: SplitPolicy,
-    ) -> Self {
-        Self::with_csr_ensemble(csr, matrix, &[], lanes, policy)
-    }
-
     /// An engine that additionally tracks `extras` — the non-base matrices
     /// of a traffic ensemble. Every extra must share `matrix`'s exact
     /// `(src, dst, class)` sequence (only rates may differ); the routing
@@ -245,10 +204,6 @@ impl IncrementalRouter {
         let _ = lanes;
         let n = csr.num_switches();
         let edges = *csr.offsets().last().expect("offsets has n + 1 entries") as usize;
-        // All entries start on one shared empty footprint; the priming
-        // rebuild copy-on-writes each entry its own before interning merges
-        // the equal ones back together.
-        let empty_footprint = Arc::new(BitSet::new(csr.num_circuits()));
         let matrices = extras.len() + 1;
         let entries = matrix
             .by_destination()
@@ -262,7 +217,6 @@ impl IncrementalRouter {
                 order: Vec::new(),
                 dag: vec![(0, 0); edges],
                 dag_len: vec![0; n],
-                footprint: empty_footprint.clone(),
                 last_clean: false,
                 last_full: false,
             })
@@ -274,8 +228,6 @@ impl IncrementalRouter {
             mask: UsableMask::new(),
             entries,
             inflow: vec![0.0; n],
-            toggle_words: Vec::new(),
-            intern: HashMap::new(),
             num_extras: extras.len(),
             primed: false,
             stats: IncrementalStats::default(),
@@ -351,20 +303,14 @@ impl IncrementalRouter {
                 + lane.settle_stamp.capacity())
                 * 4;
         }
-        bytes as u64 + self.footprint_bytes()
+        bytes as u64
     }
 
-    /// Resident bytes of the per-destination circuit footprints, counting
-    /// each interned (shared) allocation once.
+    /// Always 0: the engine keeps no per-destination circuit set. Kept
+    /// while the benchmark's `routing.footprint_bytes` probe reads it; the
+    /// probe goes with the harness unpinning (ROADMAP 1(a)).
     pub fn footprint_bytes(&self) -> u64 {
-        let mut seen = std::collections::HashSet::with_capacity(self.entries.len());
-        let mut bytes = 0u64;
-        for e in &self.entries {
-            if seen.insert(Arc::as_ptr(&e.footprint)) {
-                bytes += (e.footprint.words().len() * 8) as u64;
-            }
-        }
-        bytes
+        0
     }
 
     /// Routes every demand of the base matrix over `state`, accumulating
@@ -420,7 +366,6 @@ impl IncrementalRouter {
         outcome: &mut RouteOutcome,
     ) {
         debug_assert!(self.primed, "the sweep needs a primed engine");
-        self.stats.sweeps += 1;
         outcome.clear();
         let acc = loads.slots_mut();
         for entry in &self.entries {
@@ -472,19 +417,6 @@ impl IncrementalRouter {
         }
         let toggle_set: &[CircuitId] = if full_all { &[] } else { toggles.unwrap() };
 
-        // Word-level masks over the toggle set for the footprint prefilter:
-        // most destinations reject the whole delta with a handful of
-        // bitwise ANDs instead of a per-toggle bit probe.
-        self.toggle_words.clear();
-        for &c in toggle_set {
-            let wi = (c.index() / 64) as u32;
-            let bit = 1u64 << (c.index() % 64);
-            match self.toggle_words.iter_mut().find(|(w, _)| *w == wi) {
-                Some((_, m)) => *m |= bit,
-                None => self.toggle_words.push((wi, bit)),
-            }
-        }
-
         let lanes = pool.lanes();
         // Fan out only when the machine can actually run lanes
         // concurrently: on a single-core host (or a 1-lane pool) waking
@@ -498,21 +430,11 @@ impl IncrementalRouter {
             ref mut scratch,
             ref mask,
             ref csr,
-            ref toggle_words,
             ..
         } = *self;
         let advance_chunk = |lane: &mut LaneScratch, chunk: &mut [DestEntry]| {
             for entry in chunk {
-                advance_entry(
-                    entry,
-                    lane,
-                    csr,
-                    state,
-                    mask,
-                    toggle_set,
-                    toggle_words,
-                    full_all,
-                );
+                advance_entry(entry, lane, csr, state, mask, toggle_set, full_all);
             }
         };
         if use_pool {
@@ -556,46 +478,12 @@ impl IncrementalRouter {
         self.stats.clean_destinations += clean;
         self.stats.dirty_destinations += dirty;
         self.stats.full_rebuilds += full;
-        if full > 0 {
-            // Full rebuilds recompute footprints from scratch on private
-            // allocations; merge equal ones back onto shared storage.
-            self.intern_footprints();
-        }
     }
-
-    /// Re-interns the footprints of entries that just did a full rebuild:
-    /// equal contents collapse onto one shared allocation. Buckets are
-    /// keyed by content hash; allocations no longer referenced by any entry
-    /// (refcount 1 = the bucket's own ref) are purged as they are touched.
-    fn intern_footprints(&mut self) {
-        for e in self.entries.iter_mut().filter(|e| e.last_full) {
-            let bucket = self.intern.entry(hash_words(&e.footprint)).or_default();
-            bucket.retain(|fp| Arc::strong_count(fp) > 1 || Arc::ptr_eq(fp, &e.footprint));
-            if bucket.iter().any(|fp| Arc::ptr_eq(fp, &e.footprint)) {
-                continue; // already the shared allocation
-            }
-            if let Some(shared) = bucket.iter().find(|fp| ***fp == *e.footprint) {
-                e.footprint = Arc::clone(shared);
-            } else {
-                bucket.push(Arc::clone(&e.footprint));
-            }
-        }
-    }
-}
-
-/// Content hash of a bit set's words (FNV-1a over the backing u64s).
-fn hash_words(bits: &BitSet) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in bits.words() {
-        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Updates one destination's cached structures for the child state. See
 /// the module docs for the classification rules and why each shortcut is
 /// sound.
-#[allow(clippy::too_many_arguments)]
 fn advance_entry(
     entry: &mut DestEntry,
     scratch: &mut LaneScratch,
@@ -603,7 +491,6 @@ fn advance_entry(
     state: &NetState,
     mask: &UsableMask,
     toggles: &[CircuitId],
-    toggle_words: &[(u32, u64)],
     full_all: bool,
 ) {
     let epoch = scratch.bump_epoch();
@@ -616,23 +503,8 @@ fn advance_entry(
     // destination switch was up in the base state.
     let mut full = full_all || ((entry.dist[dst_i] == 0) != state.switch_up(entry.dst));
 
-    // Word-level prefilter: if the footprint intersects no toggle word, no
-    // toggle can be in the footprint — the whole classification loop is
-    // skipped. This is the common case (most destinations are far from a
-    // one-block delta), so the per-destination delta cost collapses to a
-    // few ANDs over shared footprint words.
-    let delta_touches = !full && {
-        let fp = entry.footprint.words();
-        toggle_words.iter().any(|&(w, m)| fp[w as usize] & m != 0)
-    };
-
-    if !full && delta_touches {
+    if !full {
         for &c in toggles {
-            // Footprint rule: a toggle not incident to any reached switch
-            // cannot change this destination's routing.
-            if !entry.footprint.get(c.index()) {
-                continue;
-            }
             let ci = c.index() as u32;
             let (a32, b32) = csr.ends(ci);
             let (ai, bi) = (a32 as usize, b32 as usize);
@@ -741,20 +613,11 @@ fn advance_entry(
                 }
             }
         }
-        // Newly reached switches need downhill lists, order slots, and
-        // footprint coverage. Footprint growth copy-on-writes when the
-        // allocation is shared (interned), keeping other destinations'
-        // footprints intact; a switch that was reached before (victims keep
-        // their bits) grows nothing and leaves the sharing alone.
+        // Newly reached switches need downhill lists and order slots.
         if !full {
             for i in 0..scratch.settled.len() {
                 let x = scratch.settled[i];
                 mark(scratch, epoch, x as usize);
-                for e in csr.neighbors(x) {
-                    if !entry.footprint.get(e.circuit as usize) {
-                        Arc::make_mut(&mut entry.footprint).set(e.circuit as usize, true);
-                    }
-                }
             }
         }
     }
@@ -851,7 +714,7 @@ fn mark(scratch: &mut LaneScratch, epoch: u32, ui: usize) {
 }
 
 /// From-scratch rebuild for one destination: `EcmpRouter`'s labels and order
-/// ([`dial_labels`]), plus the DAG and footprint the incremental paths patch.
+/// ([`dial_labels`]), plus the DAG the incremental paths patch.
 fn rebuild_full(
     entry: &mut DestEntry,
     scratch: &mut LaneScratch,
@@ -862,21 +725,8 @@ fn rebuild_full(
     let (dist, order) = (&mut entry.dist, &mut entry.order);
     dial_labels(csr, state, mask, entry.dst, dist, order, &mut scratch.dial);
     entry.dag_len.fill(0);
-    let fp = &mut scratch.footprint;
-    fp.clear_all();
     for i in 0..entry.order.len() {
-        let u = entry.order[i];
-        for e in csr.neighbors(u) {
-            fp.set(e.circuit as usize, true);
-        }
-        rebuild_downhill(entry, csr, mask, u as usize);
-    }
-    // Most rebuilds reach the region they reached before. One that does not
-    // copy-on-writes: a shared (interned) allocation is left for its other
-    // referents and this entry gets a private one, re-merged by the
-    // post-advance interning pass when it matches another's.
-    if *fp != *entry.footprint {
-        std::mem::swap(Arc::make_mut(&mut entry.footprint), fp);
+        rebuild_downhill(entry, csr, mask, entry.order[i] as usize);
     }
 }
 
@@ -976,6 +826,22 @@ mod tests {
         }
         let demands = generate(&t, &DemandGenConfig::default());
         (t, state, demands)
+    }
+
+    /// A base-matrix-only engine over a freshly flattened `t`.
+    fn engine_over(
+        t: &Topology,
+        demands: &DemandMatrix,
+        lanes: usize,
+        policy: SplitPolicy,
+    ) -> IncrementalRouter {
+        IncrementalRouter::with_csr_ensemble(
+            Arc::new(CsrGraph::build(t)),
+            demands,
+            &[],
+            lanes,
+            policy,
+        )
     }
 
     fn full_reference(
@@ -1103,7 +969,7 @@ mod tests {
     fn primed_evaluation_matches_full() {
         let (t, state, demands) = preset_world();
         let pool = WorkerPool::new(2);
-        let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
+        let mut engine = engine_over(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
         let mut loads = LoadMap::new(&t);
         let mut out = RouteOutcome::new();
         engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
@@ -1122,7 +988,7 @@ mod tests {
             (2, SplitPolicy::Wcmp),
         ] {
             let pool = WorkerPool::new(threads);
-            let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), policy);
+            let mut engine = engine_over(&t, &demands, pool.lanes(), policy);
             let mut prev = state.clone();
             let mut loads = LoadMap::new(&t);
             let mut out = RouteOutcome::new();
@@ -1153,42 +1019,10 @@ mod tests {
     }
 
     #[test]
-    fn footprints_intern_onto_shared_storage() {
-        let (t, state, demands) = preset_world();
-        let pool = WorkerPool::new(2);
-        let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
-        let mut loads = LoadMap::new(&t);
-        let mut out = RouteOutcome::new();
-        engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
-        // In a connected usable subgraph every destination reaches the same
-        // region, so footprints dedup onto far fewer allocations than one
-        // per destination.
-        let per_set = (t.num_circuits().div_ceil(64) * 8) as u64;
-        assert!(engine.num_destinations() > 1);
-        assert!(engine.footprint_bytes() >= per_set);
-        assert!(
-            engine.footprint_bytes() < engine.num_destinations() as u64 * per_set,
-            "no sharing happened: {} bytes across {} destinations",
-            engine.footprint_bytes(),
-            engine.num_destinations()
-        );
-        // Interning must not affect results: a delta evaluation after a
-        // knockout still matches the from-scratch reference.
-        let mut next = state.clone();
-        next.drain_switch(&t, SwitchId::from_index(3));
-        let toggles = usability_toggles(&t, &state, &next);
-        loads.clear();
-        engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
-        let (ref_loads, ref_out) = full_reference(&t, &next, &demands, SplitPolicy::Ecmp);
-        assert_eq!(out, ref_out);
-        assert_bit_identical(&loads, &ref_loads, &t, "post-intern delta");
-    }
-
-    #[test]
     fn rebase_then_evaluate_matches_direct_evaluation() {
         let (t, state, demands) = preset_world();
         let pool = WorkerPool::new(2);
-        let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
+        let mut engine = engine_over(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
         let mut loads = LoadMap::new(&t);
         let mut out = RouteOutcome::new();
         engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
@@ -1261,7 +1095,7 @@ mod tests {
     #[test]
     fn base_rates_from_a_matrix_with_other_endpoints_are_refused() {
         let (t, state, demands) = preset_world();
-        let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
+        let mut engine = engine_over(&t, &demands, 1, SplitPolicy::Ecmp);
         let fewer: DemandMatrix = demands.scaled(2.0).iter().skip(1).cloned().collect();
         assert!(!engine.try_set_base_rates(&fewer));
         // No rate was written: the engine still sweeps the matrix it was
@@ -1328,13 +1162,11 @@ mod tests {
                     );
                     prev = next;
                 }
-                // Per check: one evaluation and K − 1 replays, one sweep
-                // each.
+                // Per check: one evaluation and K − 1 replays.
                 let checks = 8 + 4;
                 let s = engine.stats();
                 assert_eq!(s.evaluations, checks);
                 assert_eq!(s.extra_replays, checks * (k as u64 - 1));
-                assert_eq!(s.sweeps, s.evaluations + s.extra_replays);
             }
         }
     }
@@ -1344,7 +1176,7 @@ mod tests {
     fn a_matrix_outside_the_ensemble_is_refused() {
         let (t, state, demands) = preset_world();
         let pool = WorkerPool::new(1);
-        let mut engine = IncrementalRouter::new(&t, &demands, 1, SplitPolicy::Ecmp);
+        let mut engine = engine_over(&t, &demands, 1, SplitPolicy::Ecmp);
         let mut loads = LoadMap::new(&t);
         let mut out = RouteOutcome::new();
         engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
@@ -1374,11 +1206,9 @@ mod tests {
     #[test]
     fn patched_arena_equals_a_freshly_primed_one() {
         let (t, state, demands) = preset_world();
-        let csr = Arc::new(CsrGraph::build(&t));
         let pool = WorkerPool::new(2);
         for policy in [SplitPolicy::Ecmp, SplitPolicy::Wcmp] {
-            let mut engine =
-                IncrementalRouter::with_csr(csr.clone(), &demands, pool.lanes(), policy);
+            let mut engine = engine_over(&t, &demands, pool.lanes(), policy);
             engine.rebase(&pool, &t, &state, None);
             let mut prev = state.clone();
             let mut seed = 0xa2e9a;
@@ -1394,8 +1224,7 @@ mod tests {
                         regrown += usize::from(e.order.len() > before);
                     }
                 }
-                let mut fresh =
-                    IncrementalRouter::with_csr(csr.clone(), &demands, pool.lanes(), policy);
+                let mut fresh = engine_over(&t, &demands, pool.lanes(), policy);
                 fresh.rebase(&pool, &t, &next, None);
                 assert_eq!(
                     structures(&engine),
@@ -1478,23 +1307,51 @@ mod tests {
     #[test]
     fn untouched_destinations_count_as_clean() {
         let (t, state, demands) = preset_world();
+        // Two adjacent up switches, neither a destination, with every other
+        // circuit on them down: up, yet reached by no destination, so the
+        // circuit between them touches no destination's routing.
+        let dsts = demands.by_destination();
+        let pair = t
+            .circuits()
+            .iter()
+            .find(|c| {
+                state.circuit_usable(&t, c.id) && [c.a, c.b].iter().all(|s| !dsts.contains_key(s))
+            })
+            .expect("a circuit between two non-destination switches");
+        let mut island = state.clone();
+        for s in [pair.a, pair.b] {
+            for &(c, _) in t.neighbors(s) {
+                island.set_circuit(c, c == pair.id);
+            }
+        }
+        let mut cut = island.clone();
+        cut.set_circuit(pair.id, false);
         let pool = WorkerPool::new(1);
-        let mut engine = IncrementalRouter::new(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
-        let mut loads = LoadMap::new(&t);
-        let mut out = RouteOutcome::new();
-        engine.evaluate(&pool, &t, &state, None, &mut loads, &mut out);
-        let before = engine.stats();
-        // Empty delta: every destination keeps its structure.
-        loads.clear();
-        engine.evaluate(&pool, &t, &state, Some(&[]), &mut loads, &mut out);
-        let after = engine.stats();
-        assert_eq!(
-            after.clean_destinations - before.clean_destinations,
-            engine.num_destinations() as u64
-        );
-        assert_eq!(after.dirty_destinations, before.dirty_destinations);
-        let (ref_loads, _) = full_reference(&t, &state, &demands, SplitPolicy::Ecmp);
-        assert_bit_identical(&loads, &ref_loads, &t, "second sweep");
-        assert!(engine.approx_bytes() > 0);
+        for (what, base, next) in [
+            ("empty delta", &state, &state),
+            ("unreached pair joined", &cut, &island),
+            ("unreached pair split", &island, &cut),
+        ] {
+            let mut engine = engine_over(&t, &demands, pool.lanes(), SplitPolicy::Ecmp);
+            let mut loads = LoadMap::new(&t);
+            let mut out = RouteOutcome::new();
+            engine.evaluate(&pool, &t, base, None, &mut loads, &mut out);
+            let before = engine.stats();
+            let toggles = usability_toggles(&t, base, next);
+            assert_eq!(toggles.len(), usize::from(base != next), "{what}");
+            loads.clear();
+            engine.evaluate(&pool, &t, next, Some(&toggles), &mut loads, &mut out);
+            let after = engine.stats();
+            assert_eq!(
+                after.clean_destinations - before.clean_destinations,
+                engine.num_destinations() as u64,
+                "{what}"
+            );
+            assert_eq!(after.dirty_destinations, before.dirty_destinations);
+            let (ref_loads, ref_out) = full_reference(&t, next, &demands, SplitPolicy::Ecmp);
+            assert_eq!(out, ref_out, "{what}");
+            assert_bit_identical(&loads, &ref_loads, &t, what);
+            assert!(engine.approx_bytes() > 0);
+        }
     }
 }

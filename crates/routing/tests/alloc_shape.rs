@@ -146,8 +146,8 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     let mut member_out = RouteOutcome::new();
 
     // (1) Construction + priming: a handful of blocks per destination — its
-    // demand columns, labels, order, the DAG arena and its lengths, a
-    // footprint — never one per (destination, switch).
+    // demand columns, labels, order, the DAG arena and its lengths — never
+    // one per (destination, switch).
     let (mut engine, built) = counted(|| {
         let mut engine = IncrementalRouter::with_csr_ensemble(
             csr.clone(),
@@ -175,9 +175,8 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
 
     // (2) Warm-up: one step of the walk there and back sizes the lane
     // scratch. After it, walking allocates nothing: patches rewrite arena
-    // segments in place, a full fallback that reaches the region it reached
-    // before keeps its footprint, the sweeps fill caller-owned buffers,
-    // `clear` is a fill.
+    // segments in place, a full fallback relabels into the buffers it already
+    // holds, the sweeps fill caller-owned buffers, `clear` is a fill.
     let mut step = |engine: &mut IncrementalRouter, i: usize| {
         // Checker shape: the child's base matrix is evaluated and
         // summarized, then every member is swept into its own buffer and

@@ -72,19 +72,6 @@ impl BitSet {
         }
     }
 
-    /// The backing words, least-significant bit first. Bits past `len` in
-    /// the final word are always zero, so word-level intersection tests
-    /// (e.g. footprint prefilters) need no tail masking.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -153,7 +140,7 @@ mod tests {
     fn new_is_all_clear() {
         let s = BitSet::new(130);
         assert_eq!(s.len(), 130);
-        assert_eq!(s.count_ones(), 0);
+        assert_eq!(s.iter_ones().count(), 0);
         assert!(!s.get(0));
         assert!(!s.get(129));
     }
@@ -162,7 +149,7 @@ mod tests {
     fn new_all_set_counts_exactly_len() {
         for len in [0, 1, 63, 64, 65, 127, 128, 130] {
             let s = BitSet::new_all_set(len);
-            assert_eq!(s.count_ones(), len, "len={len}");
+            assert_eq!(s.iter_ones().count(), len, "len={len}");
         }
     }
 
@@ -177,7 +164,7 @@ mod tests {
         assert!(!s.get(1) && !s.get(65));
         s.set(63, false);
         assert!(!s.get(63));
-        assert_eq!(s.count_ones(), 3);
+        assert_eq!(s.iter_ones().count(), 3);
     }
 
     #[test]
@@ -239,7 +226,7 @@ mod tests {
             let mut expect: Vec<usize> = indices.clone();
             expect.sort_unstable();
             expect.dedup();
-            prop_assert_eq!(s.count_ones(), expect.len());
+            prop_assert_eq!(s.iter_ones().count(), expect.len());
             prop_assert_eq!(s.iter_ones().collect::<Vec<_>>(), expect);
         }
     }
