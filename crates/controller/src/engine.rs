@@ -47,7 +47,7 @@ use klotski_core::satcheck::{LiveAudit, SatStats, Verdicts};
 use klotski_core::{CostModel, LiveEngine, LookaheadTrip, PlanError, PlanReplay, TripCause};
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::{registry, span, Counter, LogLinearHistogram};
-use klotski_topology::{presets, CircuitId, NetState, SwitchId};
+use klotski_topology::{presets, CircuitId, Fnv1a, NetState, SwitchId};
 use klotski_traffic::surge::realized_demand;
 use klotski_traffic::DemandMatrix;
 use rand::rngs::SmallRng;
@@ -233,11 +233,11 @@ impl ControllerReport {
     /// counts for a fixed scenario seed. Latency fields and search/audit
     /// counters are excluded; routed utilizations are included bit-exactly.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.str(&self.name);
         h.u64(self.completed as u64);
         h.u64(self.rolled_back as u64);
-        h.opt_str(self.abort_reason.as_deref());
+        opt_str(&mut h, self.abort_reason.as_deref());
         h.u64(self.steps.len() as u64);
         for s in &self.steps {
             h.u64(s.step as u64);
@@ -249,7 +249,7 @@ impl ControllerReport {
             h.u64(s.drift_circuits as u64);
             h.u64(s.drift_switches as u64);
             h.u64(s.paused as u64);
-            h.opt_str(s.pause_reason.as_deref());
+            opt_str(&mut h, s.pause_reason.as_deref());
             h.u64(s.ensemble_fail_matrix.map(|k| k as u64 + 1).unwrap_or(0));
         }
         h.u64(self.replans.len() as u64);
@@ -257,7 +257,7 @@ impl ControllerReport {
             h.u64(r.at_step as u64);
             h.u64(r.ok as u64);
             h.u64(r.phases as u64);
-            h.opt_str(r.error.as_deref());
+            opt_str(&mut h, r.error.as_deref());
         }
         if let Some(rb) = &self.rollback {
             h.u64(rb.at_step as u64);
@@ -270,40 +270,12 @@ impl ControllerReport {
     }
 }
 
-/// FNV-1a, the same construction the NPD digests use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100000001b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            None => self.u64(0),
-            Some(s) => {
-                self.u64(1);
-                self.str(s);
-            }
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Mixes an optional string into a fingerprint: a tag, then the string.
+fn opt_str(h: &mut Fnv1a, s: Option<&str>) {
+    match s {
+        None => h.u64(0),
+        Some(s) => h.u64(1).str(s),
+    };
 }
 
 /// Controller failure surfaced to callers (scenario problems, initial
@@ -467,20 +439,22 @@ impl<'a> Lineage<'a> {
 /// Executes `plan` for `spec` under `cfg`, returning the full run trace.
 /// Deterministic for a fixed `cfg.seed` (see the module docs).
 pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -> ControllerReport {
-    run_seeded(spec, plan, Verdicts::default(), cfg)
+    let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
+    run_seeded(spec, plan, Verdicts::default(), cfg, pool)
 }
 
 /// [`run`], handed the ESC cache of the search that produced `plan`: the
 /// lookahead's headroom memo is seeded from it and the first replan
 /// inherits it (an empty cache: sweep every state once, replan cold). The
-/// cache only saves work: the report is the same.
+/// cache only saves work: the report is the same. Audits, sweeps and
+/// replans advance on `pool` — for a scenario run, the initial search's.
 fn run_seeded(
     spec: &MigrationSpec,
     plan: &MigrationPlan,
     verdicts: Verdicts,
     cfg: &ControllerConfig,
+    pool: Arc<WorkerPool>,
 ) -> ControllerReport {
-    let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let mut ctl = RunLoop {
         cfg,
@@ -1037,15 +1011,14 @@ pub fn run_scenario(
         ..SearchBudget::default()
     };
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
-    let planner = cfg
-        .replanner
-        .build(CostModel::new(cfg.alpha), initial_budget, pool);
+    let planner =
+        (cfg.replanner).build(CostModel::new(cfg.alpha), initial_budget, Arc::clone(&pool));
     let started = Instant::now();
     let (outcome, verdicts) = planner
         .plan_seeded(&spec, None)
         .map_err(ControllerError::InitialPlan)?;
     let initial_latency = started.elapsed();
-    let mut report = run_seeded(&spec, &outcome.plan, verdicts, &cfg);
+    let mut report = run_seeded(&spec, &outcome.plan, verdicts, &cfg, pool);
     report.name = scenario.name.clone();
     report.initial_stats = outcome.stats;
     report.initial_latency_ms = initial_latency.as_secs_f64() * 1e3;

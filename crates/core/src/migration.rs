@@ -97,16 +97,8 @@ pub struct MigrationOptions {
     /// Execution lanes the incremental engine fans a check's dirty
     /// destinations out over. Defaults to the machine's available
     /// parallelism; results are bit-identical at every thread count — only
-    /// wall-clock differs. Without `incremental` it has no effect: the
-    /// from-scratch path is sequential.
+    /// wall-clock differs.
     pub threads: usize,
-    /// Delta-aware incremental satisfiability: planners hand the checker the
-    /// parent state each child was expanded from, and routing re-runs only
-    /// for destinations whose paths a block's circuit toggles can touch.
-    /// Verdicts and loads stay bit-identical to full evaluation; disable to
-    /// route every check from scratch on one sequential router — the
-    /// reference path the differential tests compare against.
-    pub incremental: bool,
     /// Expansion interval between `astar.progress` / `dp.progress` trace
     /// events. The default ([`DEFAULT_PROGRESS_EVERY`]) is frequent enough
     /// to watch a long search move and rare enough to be invisible in the
@@ -152,7 +144,6 @@ impl Default for MigrationOptions {
             split: None,
             normalize_capacity: true,
             threads: klotski_parallel::default_lanes(),
-            incremental: true,
             progress_every: DEFAULT_PROGRESS_EVERY,
             ensemble: None,
         }
@@ -203,8 +194,11 @@ pub struct MigrationSpec {
     pub split: SplitPolicy,
     /// Execution lanes of the incremental engine (≥ 1).
     pub threads: usize,
-    /// Whether checkers evaluate incrementally from the parent state
-    /// (`false`: sequential from-scratch routing, the reference path).
+    /// Whether engine routes diff each state against the one routed before
+    /// it. `false` routes every check, audit and sweep without a delta:
+    /// every destination rebuilt and Eq. 6 degrees recounted, verdicts and
+    /// loads bit-identical. Always `true` from the builder; the field goes
+    /// with the benchmark harness's last setter (ROADMAP 1(a)).
     pub incremental: bool,
     /// Planner progress-event interval, expansions (≥ 1).
     pub progress_every: u64,
@@ -966,7 +960,7 @@ fn finish_spec(
         space,
         split,
         threads: opts.threads.max(1),
-        incremental: opts.incremental,
+        incremental: true,
         progress_every: opts.progress_every.max(1),
     };
     if !validated {

@@ -36,7 +36,7 @@ use klotski_parallel::WorkerPool;
 use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
 };
-use klotski_topology::{CircuitId, NetState};
+use klotski_topology::{CircuitId, Fnv1a, NetState};
 use klotski_traffic::DemandMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -118,7 +118,8 @@ pub(crate) fn headroom_rejects(u: f64, k: f64, theta: f64) -> bool {
 /// then re-derived only for the destinations the toggles disturb, and port
 /// degrees move by ±1 per toggle endpoint; both are rebuilt from the state
 /// only where there is no base (first route, [`release`](Self::release),
-/// an engine rebuilt by [`load`](Self::load)). A matrix change rewrites
+/// an engine rebuilt by [`load`](Self::load)) or the spec routes without
+/// deltas (`incremental == false`). A matrix change rewrites
 /// rates only. No ESC cache, and a run's engine shares nothing with any
 /// planner's checker: §7's shadow audit is independent of the search.
 #[derive(Debug)]
@@ -147,24 +148,15 @@ pub struct LiveEngine {
 impl LiveEngine {
     /// An engine for states of `spec.topology` (which every residual of
     /// `spec` shares), advancing on `pool`'s lanes; the first
-    /// [`load`](Self::load) builds it.
-    pub fn new(spec: &MigrationSpec, pool: Arc<WorkerPool>) -> Self {
-        Self::with_csr(spec, Arc::new(CsrGraph::build(&spec.topology)), pool)
-    }
-
-    /// [`new`](Self::new) over a CSR view the caller already holds — a
-    /// checker's, whose first route builds the engine over `spec.demands`
-    /// and the ensemble's extras (swept one at a time, after the base, by
+    /// [`load`](Self::load) builds it — or, for a checker, which loads
+    /// nothing, its first route, over `spec.demands` and the ensemble's
+    /// extras (swept one at a time, after the base, by
     /// [`sweep_extra`](Self::sweep_extra)). A checker that never routes
     /// allocates no engine.
-    pub(crate) fn with_csr(
-        spec: &MigrationSpec,
-        csr: Arc<CsrGraph>,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
+    pub fn new(spec: &MigrationSpec, pool: Arc<WorkerPool>) -> Self {
         Self {
             pool,
-            csr,
+            csr: Arc::new(CsrGraph::build(&spec.topology)),
             engine: None,
             base: None,
             degree: vec![0; spec.topology.num_switches()],
@@ -254,7 +246,9 @@ impl LiveEngine {
 
     /// Routes the loaded matrix over `state` into `loads` (cleared first),
     /// diffed against the base; `state` becomes the base. An unbuilt engine
-    /// is built first, over `spec.demands` and the ensemble's extras.
+    /// is built first, over `spec.demands` and the ensemble's extras. A spec
+    /// with `incremental == false` routes as if there were no base: every
+    /// destination rebuilt, every port degree recounted.
     pub(crate) fn route_into(
         &mut self,
         spec: &MigrationSpec,
@@ -266,11 +260,11 @@ impl LiveEngine {
             self.build(spec, &spec.demands, &spec.extra_demands);
         }
         let delta = match &self.base {
-            Some(base) => {
+            Some(base) if spec.incremental => {
                 base.usability_diff_into(&spec.topology, state, &mut self.toggles);
                 true
             }
-            None => false,
+            _ => false,
         };
         let engine = self.engine.as_mut().expect("built above");
         loads.clear();
@@ -303,8 +297,8 @@ impl LiveEngine {
 
     /// Makes `state` the base. With `delta`, `self.toggles` is the exact
     /// usability diff from the old base and the port degrees move by it;
-    /// otherwise (no old base: the engine rebuilt in full) they are
-    /// recounted from `state`.
+    /// otherwise (no delta: the engine rebuilt in full) they are recounted
+    /// from `state`.
     fn set_base(&mut self, spec: &MigrationSpec, state: &NetState, delta: bool) {
         let topo = &spec.topology;
         if delta {
@@ -498,15 +492,16 @@ pub(crate) fn rate_floor(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
 
 /// A fingerprint of a matrix's `(src, dst, class)` sequence: two matrices
 /// with one fingerprint pair their rates index by index — the premise of
-/// every rescaling bound, for callers that keep the rates alone.
+/// every rescaling bound, for callers that keep the rates alone: FNV-1a
+/// over the sequence and its length.
 pub(crate) fn endpoints_of(matrix: &DemandMatrix) -> u64 {
-    // FNV-1a over the sequence and its length.
-    let mix = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0100_0000_01b3);
-    let h = matrix.iter().fold(0xcbf2_9ce4_8422_2325, |h, d| {
-        let h = mix(h, d.src.index() as u64);
-        mix(mix(h, d.dst.index() as u64), d.class as u64)
-    });
-    mix(h, matrix.len() as u64)
+    let mut h = Fnv1a::new();
+    for d in matrix.iter() {
+        (h.u64(d.src.index() as u64))
+            .u64(d.dst.index() as u64)
+            .u64(d.class as u64);
+    }
+    h.u64(matrix.len() as u64).finish()
 }
 
 /// The rates of a matrix, in its demand order.

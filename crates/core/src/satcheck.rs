@@ -33,10 +33,11 @@
 //! pops), routing structure is re-derived only for the destinations those
 //! toggles disturbed (fanned out over the [`WorkerPool`]'s lanes), Eq. 6
 //! port degrees move by the same toggles, and the base matrix's loads are
-//! swept once, bit-identical at any lane count.
-//! A spec with `incremental == false` — the reference the differential tests
-//! compare against — routes from scratch on one sequential [`EcmpRouter`] and
-//! recounts Eq. 6.
+//! swept once, bit-identical at any lane count. A spec with `incremental ==
+//! false` routes on the same engine without a delta: every destination is
+//! rebuilt and Eq. 6 degrees are recounted on every route. The checker has
+//! no other routing path; the independent reference the differential tests
+//! hold it to lives with those tests.
 //!
 //! With a traffic ensemble the verdict is the AND over its K matrices, folded
 //! in index order with a short-circuit on the first failure — and the base
@@ -45,9 +46,8 @@
 //! [`demand_ratio`], once per checker), so the headroom bound
 //! ([`headroom_clears`] on the base's funneled max utilization) clears it
 //! without routing; only a member the bound cannot clear gets an exact sweep
-//! of its own, on the structure the base route just advanced (or from
-//! scratch). Verdicts and the first failing index are those of sweeping
-//! every member.
+//! of its own, on the structure the base route just advanced. Verdicts and
+//! the first failing index are those of sweeping every member.
 //!
 //! Every entry keeps what its evaluation measured — the constraint that
 //! decided it, the base matrix's judged (funneled) max utilization `u` and
@@ -75,8 +75,8 @@ use crate::replay::{
 };
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, EcmpRouter, FunnelingModel, LoadMap,
-    SplitPolicy, UsableMask, UtilizationReport,
+    ecmp::RouteOutcome, evaluate::summarize, FunnelingModel, LoadMap, SplitPolicy,
+    UtilizationReport,
 };
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 use klotski_traffic::DemandMatrix;
@@ -118,7 +118,7 @@ pub struct SatStats {
     /// Destination groups whose cached routing structure the incremental
     /// engine reused unchanged, over every route of the engine — a checker's
     /// cache misses, or a run's audits and lookahead sweeps, engines
-    /// released included. Zero on a from-scratch checker.
+    /// released included. Zero on a spec routed without deltas.
     #[serde(default)]
     pub incremental_clean: u64,
     /// Destination groups whose routing structure the incremental engine
@@ -513,14 +513,11 @@ pub struct Prior {
 /// reusable routing buffers.
 #[derive(Debug)]
 pub struct SatChecker {
-    /// The from-scratch path of `incremental == false` specs.
-    router: EcmpRouter,
     loads: LoadMap,
-    mask: UsableMask,
     /// Reused routing-outcome buffer (no per-evaluation reallocation).
     outcome: RouteOutcome,
-    /// Delta evaluation engine (`MigrationOptions.incremental`).
-    incremental: Option<LiveEngine>,
+    /// The engine every cache miss routes on.
+    engine: LiveEngine,
     /// `demand_ratio` of each extra ensemble matrix against the base.
     ratios: Vec<f64>,
     /// Where a member the headroom bound cannot clear is swept; present iff
@@ -616,19 +613,11 @@ impl SatChecker {
         cache.endpoints = endpoints_of(&spec.demands);
         cache.matrices.push(rates_of(&spec.demands).collect());
         let current = (cache.matrices.len() - 1) as u16;
-        // One flattened CSR view of the topology, shared read-only by the
-        // from-scratch router and the incremental engine.
-        let csr = Arc::new(CsrGraph::build(&spec.topology));
-        let incremental = spec
-            .incremental
-            .then(|| LiveEngine::with_csr(spec, csr.clone(), pool));
         let extras = &spec.extra_demands;
         Self {
-            router: EcmpRouter::from_csr(csr, spec.split),
             loads: LoadMap::new(&spec.topology),
-            mask: UsableMask::new(),
             outcome: RouteOutcome::new(),
-            incremental,
+            engine: LiveEngine::new(spec, pool),
             ratios: extras
                 .iter()
                 .map(|m| demand_ratio(&spec.demands, m))
@@ -672,7 +661,7 @@ impl SatChecker {
     /// counters and the current ESC cache footprint.
     pub fn stats(&self) -> SatStats {
         let mut s = self.stats;
-        if let Some(router) = self.incremental.as_ref().and_then(LiveEngine::router) {
+        if let Some(router) = self.engine.router() {
             let es = router.stats();
             s.incremental_clean = es.clean_destinations;
             s.incremental_dirty = es.dirty_destinations;
@@ -701,11 +690,6 @@ impl SatChecker {
         self.last_fail_matrix
     }
 
-    /// True when this checker evaluates child states incrementally.
-    pub fn is_incremental(&self) -> bool {
-        self.incremental.is_some()
-    }
-
     /// Loads the most recent full evaluation left on the checker's own
     /// buffer (diagnostic/test hook — meaningful right after a cache-missing
     /// [`check`](Self::check) that reached the θ comparison): the base
@@ -715,12 +699,11 @@ impl SatChecker {
         &self.loads
     }
 
-    /// [`LiveEngine::port_budgets`] of the checker's engine; `None` on a
-    /// from-scratch checker or before its first route. Test hook for the
-    /// delta-against-recount oracle.
+    /// [`LiveEngine::port_budgets`] of the checker's engine; `None` before
+    /// its first route. Test hook for the delta-against-recount oracle.
     #[doc(hidden)]
     pub fn port_budgets(&self) -> Option<(&NetState, &[u32], bool)> {
-        self.incremental.as_ref()?.port_budgets()
+        self.engine.port_budgets()
     }
 
     /// Number of cached entries (for memory-footprint reporting).
@@ -851,20 +834,7 @@ impl SatChecker {
         // Ensemble accounting is armed only when extra matrices exist, so
         // the single-matrix path pays no timing overhead.
         let t0 = (!spec.extra_demands.is_empty()).then(Instant::now);
-        if let Some(engine) = &mut self.incremental {
-            engine.route_into(spec, state, &mut self.loads, &mut self.outcome);
-        } else {
-            self.mask.compute(&spec.topology, state);
-            self.loads.clear();
-            self.router.route_with_mask_into(
-                &spec.topology,
-                state,
-                &self.mask,
-                &spec.demands,
-                &mut self.loads,
-                &mut self.outcome,
-            );
-        }
+        (self.engine).route_into(spec, state, &mut self.loads, &mut self.outcome);
         if let Some(observe) = on_base {
             observe(&self.loads);
         }
@@ -874,13 +844,8 @@ impl SatChecker {
         // Port budgets (Eq. 6) depend on the state alone, so they are judged
         // once, with the base matrix and before θ — an entry over θ is then
         // known within its ports: a port failure is matrix 0's kill. The
-        // engine keeps them by delta; the from-scratch path recounts.
-        let ports = base.is_some()
-            && spec.check_ports
-            && match &self.incremental {
-                Some(engine) => engine.port_violation(),
-                None => spec.topology.has_port_violation(state),
-            };
+        // engine keeps them beside the state it routed.
+        let ports = base.is_some() && spec.check_ports && self.engine.port_violation();
         let class = match &base {
             None => Class::Unreachable,
             Some(_) if ports => Class::Ports,
@@ -898,27 +863,13 @@ impl SatChecker {
         }
         // Every other member shares the base's endpoints, hence its
         // reachability and ports; the bound clears it off the base's summary
-        // or it is swept — on the structure just advanced, or from scratch
-        // with the mask already computed for `state`.
+        // or it is swept on the structure just advanced.
         for k in 0..spec.extra_demands.len() {
             let tk = Instant::now();
             let cleared = headroom_clears(u, self.ratios[k], spec.theta);
             let ok = cleared || {
                 let (loads, outcome) = self.member.as_mut().expect("built with the extras");
-                match &mut self.incremental {
-                    Some(engine) => engine.sweep_extra(k, loads, outcome),
-                    None => {
-                        loads.clear();
-                        self.router.route_with_mask_into(
-                            &spec.topology,
-                            state,
-                            &self.mask,
-                            &spec.extra_demands[k],
-                            loads,
-                            outcome,
-                        );
-                    }
-                }
+                self.engine.sweep_extra(k, loads, outcome);
                 judge(spec, state, funneled, loads, outcome).is_some_and(|r| r.violations == 0)
             };
             self.ensemble.record(k + 1, tk.elapsed(), !cleared, !ok);
@@ -1192,12 +1143,7 @@ mod tests {
                 .expect("a feasible child");
             (v, state) = (children[next].0.clone(), children[next].1.clone());
         }
-        let engine = checker
-            .incremental
-            .as_ref()
-            .and_then(LiveEngine::router)
-            .unwrap()
-            .stats();
+        let engine = checker.engine.router().unwrap().stats();
         assert!(accepted < checks, "the walk meets rejections");
         assert!(
             expected_sweeps > 0,
@@ -1241,7 +1187,7 @@ mod tests {
         }
         let s = replan.stats();
         assert_eq!((s.rescaled, s.full_evaluations, s.esc_entries), (2, 0, 2));
-        assert!(replan.incremental.as_ref().unwrap().router().is_none());
+        assert!(replan.engine.router().is_none());
         assert_eq!((s.incremental_clean, s.incremental_dirty), (0, 0));
     }
 
@@ -1307,6 +1253,71 @@ mod tests {
                         got, expected,
                         "{mode:?} with {threads} threads, pass {pass}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_spec_without_deltas_rebuilds_every_destination_on_every_route() {
+        let mut spec = spec();
+        spec.space = None; // every check routes
+        let states: Vec<(CompactState, NetState)> = [
+            vec![0, 0],
+            vec![1, 0],
+            vec![1, 1],
+            vec![3, 0],
+            vec![2, 4],
+            vec![0, 6],
+            vec![3, 6],
+        ]
+        .into_iter()
+        .map(|c| {
+            let v = CompactState::from_counts(c);
+            let s = spec.state_for(&v);
+            (v, s)
+        })
+        .collect();
+        // From scratch: the routing crate's one-shot route and the recount.
+        let expected: Vec<bool> = states
+            .iter()
+            .map(|(_, s)| {
+                klotski_routing::evaluate_policy(
+                    &spec.topology,
+                    s,
+                    &spec.demands,
+                    spec.theta,
+                    spec.split,
+                )
+                .satisfied()
+                    && spec.topology.port_violations(s).is_empty()
+            })
+            .collect();
+        assert!(expected.contains(&true) && expected.contains(&false));
+        let mut plain = spec.clone();
+        plain.incremental = false;
+        let routes = states.len() as u64;
+        let dests = spec.demands.num_destinations() as u64;
+        for lanes in [1, 2] {
+            for (sp, delta) in [(&spec, true), (&plain, false)] {
+                let mut checker = SatChecker::with_threads(sp, EscMode::Off, lanes);
+                let got: Vec<bool> = (states.iter())
+                    .map(|(v, s)| checker.check(sp, v, s, Some(ActionTypeId(0))))
+                    .collect();
+                assert_eq!(got, expected, "x{lanes} delta={delta}");
+                let engine = checker.engine.router().unwrap().stats();
+                let s = checker.stats();
+                assert_eq!(engine.evaluations, routes);
+                assert_eq!(s.incremental_clean + s.incremental_dirty, routes * dests);
+                if delta {
+                    assert!(
+                        engine.full_rebuilds < routes * dests,
+                        "x{lanes}: {engine:?}"
+                    );
+                } else {
+                    assert_eq!(s.incremental_clean, 0, "x{lanes}");
+                    assert_eq!(engine.full_rebuilds, routes * dests, "x{lanes}");
+                    assert_eq!(engine.dirty_destinations, routes * dests, "x{lanes}");
                 }
             }
         }

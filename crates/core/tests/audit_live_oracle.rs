@@ -24,6 +24,9 @@
 //! `evaluate_policy` routes on `EcmpRouter`, which production no longer
 //! runs inside a controller run: it is the reference here.
 
+mod common;
+
+use common::{jittered, Rng};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::satcheck::LiveAudit;
 use klotski_core::{CompactState, LiveEngine};
@@ -33,16 +36,6 @@ use klotski_topology::presets::{self, PresetId};
 use klotski_topology::{CircuitId, NetState, SwitchId};
 use klotski_traffic::DemandMatrix;
 use std::sync::Arc;
-
-/// Splitmix-style step of the walk's deterministic RNG.
-fn next_rand(x: &mut u64) -> u64 {
-    *x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-    *x
-}
-
-fn pick(x: &mut u64, n: usize) -> usize {
-    (next_rand(x) % n as u64) as usize
-}
 
 /// Every field of `audit` against the from-scratch oracle.
 fn assert_audit_is_the_oracles(
@@ -120,22 +113,6 @@ impl Disturbances {
     }
 }
 
-/// `matrix` scaled by `factor`, every rate then moved by its own factor in
-/// [0.75, 1.25) when `jitter`.
-fn rescaled(matrix: &DemandMatrix, factor: f64, jitter: bool, x: &mut u64) -> DemandMatrix {
-    matrix
-        .iter()
-        .cloned()
-        .map(|mut d| {
-            d.gbps *= factor;
-            if jitter {
-                d.gbps *= 0.75 + (next_rand(x) >> 11) as f64 / (1u64 << 54) as f64;
-            }
-            d
-        })
-        .collect()
-}
-
 const STEPS: usize = 66;
 
 /// `jump`: the least number of blocks the plan must move at once when it
@@ -151,7 +128,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
     let topo = &spec.topology;
 
     let mut engine = LiveEngine::new(&spec, Arc::new(WorkerPool::new(1)));
-    let mut x = 0x11fe_a0d1 ^ id as u64 ^ ((split == SplitPolicy::Wcmp) as u64) << 8;
+    let mut x = Rng(0x11fe_a0d1 ^ id as u64 ^ ((split == SplitPolicy::Wcmp) as u64) << 8);
     let mut v = CompactState::origin(spec.num_types());
     let mut planned = spec.initial.clone();
     let mut world = Disturbances::default();
@@ -173,7 +150,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
                 .filter(|&a| v.count(a) < spec.target_counts.count(a))
                 .collect();
             if !open.is_empty() {
-                let a = open[pick(&mut x, open.len())];
+                let a = open[x.below(open.len())];
                 spec.apply_next(&mut planned, &v, a);
                 v = v.advanced(a);
             }
@@ -183,30 +160,24 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
             for _ in 0..2 {
                 world
                     .failed
-                    .push(CircuitId::from_index(pick(&mut x, topo.num_circuits())));
+                    .push(CircuitId::from_index(x.below(topo.num_circuits())));
             }
         } else if step % 6 == 3 && !world.failed.is_empty() {
             world.failed.remove(0);
         }
         match step {
-            10 | 40 => {
-                world.drained = Some(SwitchId::from_index(pick(&mut x, topo.num_switches())))
-            }
+            10 | 40 => world.drained = Some(SwitchId::from_index(x.below(topo.num_switches()))),
             20 | 48 => world.drained = None,
             14 | 50 => {
-                let d = spec.demands.iter().nth(pick(&mut x, spec.demands.len()));
+                let d = spec.demands.iter().nth(x.below(spec.demands.len()));
                 world.dst_down = Some(d.expect("index below len").dst);
             }
             26 | 58 => world.dst_down = None,
             _ => {}
         }
         let observed = world.observed(&spec, &planned);
-        let demands = rescaled(
-            &spec.demands,
-            [0.5, 1.0, 1.8][step % 3],
-            step % 2 == 1,
-            &mut x,
-        );
+        let spread = if step % 2 == 1 { 0.25 } else { 0.0 };
+        let demands = jittered(&spec.demands, [0.5, 1.0, 1.8][step % 3], spread, &mut x);
 
         let audit = engine.audit_live(&spec, &observed, &demands);
         let ctx = format!("{id} {split:?} step {step} at {:?}", v.counts());
@@ -225,7 +196,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
                 .target_counts
                 .counts()
                 .iter()
-                .map(|&c| pick(&mut x, c as usize + 1) as u16)
+                .map(|&c| x.below(c as usize + 1) as u16)
                 .collect();
             let far = spec.state_for(&CompactState::from_counts(counts));
             engine.load(&spec, &spec.demands);
@@ -281,14 +252,8 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
             .collect(),
     ));
     let mut disturbed = crowded.clone();
-    disturbed.set_circuit(
-        CircuitId::from_index(pick(&mut x, topo.num_circuits())),
-        false,
-    );
-    disturbed.drain_switch(
-        topo,
-        SwitchId::from_index(pick(&mut x, topo.num_switches())),
-    );
+    disturbed.set_circuit(CircuitId::from_index(x.below(topo.num_circuits())), false);
+    disturbed.drain_switch(topo, SwitchId::from_index(x.below(topo.num_switches())));
     let mut over = 0;
     let visits = [&crowded, &disturbed, &spec.initial, &disturbed, &crowded];
     for (i, observed) in visits.into_iter().enumerate() {
@@ -306,7 +271,7 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
     // rewritten, zero toggles, the kept degrees untouched.
     for (k, factor) in [0.5, 1.0, 1.8, 1.2].into_iter().enumerate() {
         let ctx = format!("{id} {split:?} matrix {k}");
-        let demands = rescaled(&spec.demands, factor, k % 2 == 1, &mut x);
+        let demands = jittered(&spec.demands, factor, 0.25 * (k % 2) as f64, &mut x);
         let audit = engine.audit_live(&spec, &disturbed, &demands);
         assert_audit_is_the_oracles(&spec, &disturbed, &demands, &audit, &ctx);
         assert_kept_degrees(&spec, &engine, &disturbed, &ctx);
@@ -338,7 +303,7 @@ fn a_matrix_with_other_endpoints_rebuilds_the_engine() {
         MigrationBuilder::for_preset(&presets::build(PresetId::A), &MigrationOptions::default())
             .unwrap();
     let topo = &spec.topology;
-    let mut x = 0x51ab_u64;
+    let mut x = Rng(0x51ab);
     let mut state = spec.initial.clone();
     let mut engine = LiveEngine::new(&spec, Arc::new(WorkerPool::new(1)));
 
@@ -352,10 +317,7 @@ fn a_matrix_with_other_endpoints_rebuilds_the_engine() {
         ("truncated", truncated),
         ("ordinary again", spec.demands.scaled(0.9)),
     ] {
-        state.set_circuit(
-            CircuitId::from_index(pick(&mut x, topo.num_circuits())),
-            false,
-        );
+        state.set_circuit(CircuitId::from_index(x.below(topo.num_circuits())), false);
         let audit = engine.audit_live(&spec, &state, &matrix);
         assert_audit_is_the_oracles(&spec, &state, &matrix, &audit, what);
         assert_kept_degrees(&spec, &engine, &state, what);

@@ -15,6 +15,9 @@
 //!   `PlanAudit` the scalar loop `audit_plan` used to run produced: base
 //!   matrix, loads read before funneling headroom is applied.
 
+mod common;
+
+use common::{chain, jittered, ratio, Rng};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::plan::{validate_plan, MigrationPlan, PlanPhase};
 use klotski_core::planner::{AStarPlanner, Planner};
@@ -163,26 +166,6 @@ fn new_replay(spec: &MigrationSpec) -> Replay {
     }
 }
 
-fn splitmix(seed: &mut u64) -> u64 {
-    *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *seed;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `matrix` with every rate multiplied by its own factor in [0.5, 1.5).
-fn jittered(matrix: &DemandMatrix, seed: &mut u64) -> DemandMatrix {
-    matrix
-        .iter()
-        .cloned()
-        .map(|mut d| {
-            d.gbps *= 0.5 + (splitmix(seed) >> 11) as f64 / (1u64 << 53) as f64;
-            d
-        })
-        .collect()
-}
-
 /// `matrix` with the rate of demand `at` replaced.
 fn with_rate(matrix: &DemandMatrix, at: usize, gbps: f64) -> DemandMatrix {
     matrix
@@ -196,31 +179,6 @@ fn with_rate(matrix: &DemandMatrix, at: usize, gbps: f64) -> DemandMatrix {
             d
         })
         .collect()
-}
-
-/// The rescaling factor the lookahead bounds with: the largest
-/// realized/planned rate ratio.
-fn ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
-    planned
-        .iter()
-        .zip(realized.iter())
-        .map(|(p, r)| r.gbps / p.gbps)
-        .fold(0.0, f64::max)
-}
-
-/// Every state of the chain `phases` walks from the spec's initial state.
-fn chain_states(spec: &MigrationSpec, phases: &[PlanPhase]) -> Vec<NetState> {
-    let mut v = CompactState::origin(spec.num_types());
-    let mut state = spec.initial.clone();
-    let mut states = Vec::new();
-    for phase in phases {
-        for _ in &phase.blocks {
-            spec.apply_next(&mut state, &v, phase.kind);
-            v = v.advanced(phase.kind);
-            states.push(state.clone());
-        }
-    }
-    states
 }
 
 proptest! {
@@ -249,12 +207,12 @@ proptest! {
             .collect();
         let mut cuts: Vec<usize> = cuts.iter().map(|c| (c * total as f64) as usize).collect();
         cuts.sort_unstable();
-        let mut seed = seed;
+        let mut rng = Rng(seed);
         // A spec that plans one demand at rate 0 while the world carries it:
         // no finite rescaling of the planning matrix covers the realized
         // one, so every state takes the exact sweep.
         let zeroed_spec = zeroed.then(|| {
-            let at = (splitmix(&mut seed) % w.spec.demands.len() as u64) as usize;
+            let at = rng.below(w.spec.demands.len());
             let mut spec = w.spec.clone();
             spec.demands = with_rate(&spec.demands, at, 0.0);
             spec
@@ -270,7 +228,7 @@ proptest! {
             let mut realized =
                 realized_demand(&w.spec.demands, growth.powi(step as i32 + 1), &surges, step);
             if jitter {
-                realized = jittered(&realized, &mut seed);
+                realized = jittered(&realized, 1.0, 0.5, &mut rng);
             }
             prop_assert_eq!(
                 replay.plan_still_safe(spec, &state, &progress, &pending, &realized),
@@ -290,21 +248,21 @@ proptest! {
 /// margin the lookahead keeps.
 #[test]
 fn headroom_bound_dominates_the_sweep() {
-    let mut seed = 19u64;
+    let mut rng = Rng(19);
     for (wi, w) in WORLDS.iter().enumerate() {
         let (topo, planned) = (&w.spec.topology, &w.spec.demands);
         for phases in [&w.planned, &w.drains_first] {
-            for (si, state) in chain_states(&w.spec, phases).iter().enumerate() {
+            for (si, state) in chain(&w.spec, phases).iter().enumerate() {
                 let u = evaluate_policy(topo, state, planned, w.spec.theta, w.spec.split)
                     .report
                     .max_utilization;
-                let class = DemandClass::ALL[(splitmix(&mut seed) % 3) as usize];
+                let class = DemandClass::ALL[rng.below(3)];
                 let surge = [SurgeEvent::on_class(0, 1, 1.37, class)];
                 for (what, rescaled) in [
                     ("grown", planned.scaled(1.0 + (si % 7) as f64 / 9.0)),
                     ("shrunk", planned.scaled(1.0 / 3.0)),
                     ("surged", realized_demand(planned, 1.01, &surge, 0)),
-                    ("jittered", jittered(planned, &mut seed)),
+                    ("jittered", jittered(planned, 1.0, 0.5, &mut rng)),
                 ] {
                     let k = ratio(planned, &rescaled);
                     let swept = evaluate_policy(topo, state, &rescaled, w.spec.theta, w.spec.split)
@@ -328,7 +286,7 @@ fn a_state_inside_the_margin_is_swept_not_guessed() {
     for w in WORLDS.iter() {
         let spec = &w.spec;
         let (progress, state, pending) = after(spec, &w.planned, 0);
-        let tightest = chain_states(spec, &w.planned)
+        let tightest = chain(spec, &w.planned)
             .iter()
             .map(|s| {
                 evaluate_policy(&spec.topology, s, &spec.demands, spec.theta, spec.split)
@@ -485,18 +443,25 @@ fn fused_and_standalone_audits_are_byte_identical_to_the_scalar_loop() {
         ensemble: Some(EnsembleSpec::with_k(3, 11)),
         ..MigrationOptions::default()
     };
-    let from_scratch = MigrationOptions {
-        incremental: false,
-        ..MigrationOptions::default()
-    };
-    for (what, id, opts) in [
-        ("preset A", PresetId::A, MigrationOptions::default()),
-        ("DMAG (WCMP)", PresetId::EDmag, MigrationOptions::default()),
-        ("funneling headroom", PresetId::A, funneling),
-        ("K=3 ensemble", PresetId::A, ensemble),
-        ("incremental off", PresetId::A, from_scratch),
+    for (what, id, opts, incremental) in [
+        ("preset A", PresetId::A, MigrationOptions::default(), true),
+        (
+            "DMAG (WCMP)",
+            PresetId::EDmag,
+            MigrationOptions::default(),
+            true,
+        ),
+        ("funneling headroom", PresetId::A, funneling, true),
+        ("K=3 ensemble", PresetId::A, ensemble, true),
+        (
+            "incremental off",
+            PresetId::A,
+            MigrationOptions::default(),
+            false,
+        ),
     ] {
-        let spec = MigrationBuilder::for_preset(&presets::build_for_bench(id), &opts).unwrap();
+        let mut spec = MigrationBuilder::for_preset(&presets::build_for_bench(id), &opts).unwrap();
+        spec.incremental = incremental;
         let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
         let scalar = scalar_audit(&spec, &plan);
         assert!(!scalar.phases.is_empty(), "{what}");

@@ -6,13 +6,14 @@
 //! overlay (a failed circuit: no prior is handed at all).
 //!
 //! Beneath the planners, every check a prior-seeded checker makes over the
-//! whole residual box equals the reference path's from-scratch check
-//! (`incremental: false`, ESC off: `evaluate_policy`'s routing plus the
-//! funneling model, ports and space) — the inherited decisions among them
-//! included — and every checked vector names the state its root-box key
-//! does (Definition 1). At the margin, `θ = u · k` exactly, the bound
+//! whole residual box equals the kit's from-scratch `Reference` — the
+//! inherited decisions among them included — and every checked vector
+//! names the state its root-box key does (Definition 1). At the margin, `θ = u · k` exactly, the bound
 //! declines and the state is routed.
 
+mod common;
+
+use common::Reference;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, DpPlanner, Planner};
 use klotski_core::satcheck::{EscMode, SatChecker};
@@ -98,9 +99,7 @@ fn walk_box(
 ) -> Result<u64, String> {
     let pool = Arc::new(WorkerPool::new(1));
     let mut seeded = SatChecker::with_prior(residual, EscMode::Compact, pool, Some(prior));
-    let mut scratch = residual.clone();
-    scratch.incremental = false;
-    let mut reference = SatChecker::with_threads(&scratch, EscMode::Off, 1);
+    let mut reference = Reference::new(residual);
     let target = &residual.target_counts;
     let mut v = CompactState::origin(residual.num_types());
     while v.step_in_box(target) {
@@ -118,7 +117,7 @@ fn walk_box(
         for last in arriving.take(keys) {
             let before = seeded.stats().rescaled;
             let got = seeded.check(residual, &v, &state, Some(last));
-            let want = reference.check(&scratch, &v, &state, Some(last));
+            let want = reference.check(residual, &v, &state, Some(last));
             if got != want {
                 let how = if seeded.stats().rescaled > before {
                     "inherited"
@@ -310,12 +309,7 @@ fn a_state_at_the_margin_is_routed() {
             if routed { (0, 1) } else { (1, 0) },
             "k = {k:e}"
         );
-        let want = SatChecker::with_threads(&residual, EscMode::Off, 1).check(
-            &residual,
-            &v,
-            &state,
-            Some(a),
-        );
+        let want = Reference::new(&residual).check(&residual, &v, &state, Some(a));
         assert_eq!(got, want, "k = {k:e}");
     }
 }
@@ -364,8 +358,7 @@ fn a_prior_that_does_not_fit_is_dropped() {
         let got = seeded.check(spec, &v, &state, Some(a));
         assert_eq!(seeded.stats().rescaled, 0);
         assert_eq!(seeded.stats().esc_entries, 1, "a fresh cache");
-        let want = SatChecker::with_threads(spec, EscMode::Off, 1).check(spec, &v, &state, Some(a));
-        assert_eq!(got, want);
+        assert_eq!(got, Reference::new(spec).check(spec, &v, &state, Some(a)));
     }
     // A frame off the box, or with the wrong arity.
     for frame in [

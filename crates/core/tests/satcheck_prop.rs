@@ -1,12 +1,15 @@
-//! Property tests for the satisfiability checker. Thread-count invariance:
-//! for any migration progress point, any cache mode, and any thread count, a
-//! walk of `check` — first pass and repeat pass — must return the same
-//! verdicts as the single-threaded checker — parallelism is an
-//! implementation detail, never a semantics knob. The ensemble fold: its
-//! verdict is the AND of one independent from-scratch check per matrix, and
-//! the headroom bound that clears members without routing never clears one
-//! that fails.
+//! Property tests for the satisfiability checker, held to the kit's
+//! from-scratch `Reference`. For any migration progress point, any cache
+//! mode, any thread count, with deltas or without, a walk of `check` — first
+//! pass and repeat pass — returns the reference's verdicts: parallelism is
+//! an implementation detail, never a semantics knob. The ensemble fold: its
+//! verdict and first failing matrix are those of sweeping every member
+//! exactly, and the headroom bound that clears members without routing
+//! never clears one that fails.
 
+mod common;
+
+use common::{ratio, sample_states, Reference};
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::satcheck::{EscMode, SatChecker};
@@ -16,22 +19,6 @@ use klotski_topology::presets::{self, PresetId};
 use klotski_topology::NetState;
 use klotski_traffic::{DemandMatrix, TrafficEnsemble};
 use proptest::prelude::*;
-
-/// Pseudo-random walk of `steps` actions through the target box, derived
-/// deterministically from `seed`.
-fn walk(target: &CompactState, seed: u64, steps: usize) -> CompactState {
-    let n = target.num_types();
-    let mut v = CompactState::origin(n);
-    let mut x = seed | 1;
-    for _ in 0..steps {
-        x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
-        let a = ActionTypeId((x % n as u64) as u8);
-        if v.count(a) < target.count(a) {
-            v = v.advanced(a);
-        }
-    }
-    v
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -53,22 +40,11 @@ proptest! {
         };
         let spec = MigrationBuilder::hgrid_v1_to_v2(&presets::build(PresetId::A), &opts)
             .unwrap();
-        // The same instance with incremental evaluation disabled: verdicts
-        // must be identical whichever engine answers.
+        // The same instance routed without deltas: verdicts must be
+        // identical whichever configuration answers.
         let mut spec_full = spec.clone();
         spec_full.incremental = false;
-        let target = spec.target_counts.clone();
-
-        // A handful of walk states plus origin and target.
-        let mut states: Vec<(CompactState, NetState)> = Vec::new();
-        for i in 0..5u64 {
-            let v = walk(&target, seed.wrapping_add(i * 7919), 1 + (i as usize) * 3);
-            let s = spec.state_for(&v);
-            states.push((v, s));
-        }
-        states.push((CompactState::origin(spec.num_types()), spec.initial.clone()));
-        states.push((target.clone(), spec.target_state()));
-
+        let states = sample_states(&spec, seed);
         let items: Vec<(&CompactState, &NetState, Option<ActionTypeId>)> = states
             .iter()
             .enumerate()
@@ -77,12 +53,10 @@ proptest! {
                 (v, s, last)
             })
             .collect();
-
-        // Reference: single-threaded, uncached, from-scratch per-item checks.
-        let mut reference = SatChecker::with_threads(&spec_full, EscMode::Off, 1);
+        let mut reference = Reference::new(&spec);
         let expected: Vec<bool> = items
             .iter()
-            .map(|&(v, s, l)| reference.check(&spec_full, v, s, l))
+            .map(|&(v, s, l)| reference.check(&spec, v, s, l))
             .collect();
 
         for threads in [1usize, 2, 4] {
@@ -108,22 +82,7 @@ proptest! {
     }
 }
 
-/// Walk states shared by the ensemble differential tests: a handful of
-/// block walks plus origin and target.
-fn walk_states(spec: &MigrationSpec, seed: u64) -> Vec<(CompactState, NetState)> {
-    let target = spec.target_counts.clone();
-    let mut states: Vec<(CompactState, NetState)> = Vec::new();
-    for i in 0..5u64 {
-        let v = walk(&target, seed.wrapping_add(i * 7919), 1 + (i as usize) * 3);
-        let s = spec.state_for(&v);
-        states.push((v, s));
-    }
-    states.push((CompactState::origin(spec.num_types()), spec.initial.clone()));
-    states.push((target.clone(), spec.target_state()));
-    states
-}
-
-/// The [`walk_states`] the space model admits — one it rejects is routed
+/// The kit's sample states the space model admits — one it rejects is routed
 /// under no matrix — each with the action type it is checked after: one
 /// whose block the state has consumed (alternately the first and the last
 /// such type), so a drain brings in the funneling headroom; `None` at the
@@ -132,7 +91,7 @@ fn checked_states(
     spec: &MigrationSpec,
     seed: u64,
 ) -> Vec<(CompactState, NetState, Option<ActionTypeId>)> {
-    walk_states(spec, seed)
+    sample_states(spec, seed)
         .into_iter()
         .filter(|(v, _)| spec.space.as_ref().is_none_or(|m| m.fits(v)))
         .enumerate()
@@ -144,19 +103,6 @@ fn checked_states(
         .collect()
 }
 
-/// Clone of `spec` reduced to one of its ensemble matrices: index 0 is the
-/// base demand set, index k > 0 the k-th realized variant.
-fn single_matrix_spec(spec: &MigrationSpec, k: usize) -> MigrationSpec {
-    let mut s = spec.clone();
-    if k > 0 {
-        s.demands = spec.extra_demands[k - 1].clone();
-    }
-    s.extra_demands = Vec::new();
-    s.ensemble_labels = Vec::new();
-    s.ensemble = None;
-    s
-}
-
 /// Member evaluations a batch of checks cleared by the headroom bound, and
 /// those it swept exactly.
 #[derive(Debug, Default, Clone, Copy)]
@@ -166,29 +112,21 @@ struct MemberWork {
 }
 
 /// Differential core of the AND-fold property: on `spec`, the ensemble
-/// verdict must equal the conjunction of K independent single-matrix
-/// from-scratch checks, and the first failing matrix index must be the
-/// fold's first `false` — at every thread count, with and without
-/// incremental routing. Every member a check reports cleared by the bound
-/// (judged, not swept) must pass its own from-scratch check, funneling
-/// included.
+/// verdict and its first failing matrix must be the reference's, which
+/// sweeps every member exactly — at every thread count, with and without
+/// deltas. Every member a check reports cleared by the bound (judged, not
+/// swept) must pass before the reference's first failure.
 fn assert_and_fold(spec: &MigrationSpec, seed: u64) -> MemberWork {
     let mut spec_full = spec.clone();
     spec_full.incremental = false;
     let items = checked_states(spec, seed);
-
-    // Reference fold: one sequential single-threaded from-scratch checker
-    // per matrix, each spec carrying exactly one demand set and no ensemble.
-    let singles: Vec<MigrationSpec> = (0..=spec.extra_demands.len())
-        .map(|i| single_matrix_spec(&spec_full, i))
-        .collect();
-    let folds: Vec<Vec<bool>> = items
-        .iter()
+    let mut reference = Reference::new(spec);
+    let folds: Vec<(bool, Option<usize>)> = (items.iter())
         .map(|(v, s, last)| {
-            singles
-                .iter()
-                .map(|sp| SatChecker::with_threads(sp, EscMode::Off, 1).check(sp, v, s, *last))
-                .collect()
+            (
+                reference.check(spec, v, s, *last),
+                reference.last_fail_matrix(),
+            )
         })
         .collect();
 
@@ -197,23 +135,19 @@ fn assert_and_fold(spec: &MigrationSpec, seed: u64) -> MemberWork {
         for sp in [spec, &spec_full] {
             let what = format!("{} x{threads} incremental={}", sp.name, sp.incremental);
             let mut checker = SatChecker::with_threads(sp, EscMode::Off, threads);
-            for ((v, s, last), fold) in items.iter().zip(&folds) {
-                let before: Vec<(u64, u64)> = checker
-                    .ensemble_breakdown()
-                    .matrices
-                    .iter()
+            for ((v, s, last), &(pass, fail)) in items.iter().zip(&folds) {
+                let before: Vec<(u64, u64)> = (checker.ensemble_breakdown().matrices.iter())
                     .map(|m| (m.checks, m.swept))
                     .collect();
-                let got = checker.check(sp, v, s, *last);
                 assert_eq!(
-                    got,
-                    fold.iter().all(|&b| b),
-                    "ensemble verdict != AND-fold on {what} fold={fold:?}"
+                    checker.check(sp, v, s, *last),
+                    pass,
+                    "verdict on {what} at {v}"
                 );
                 assert_eq!(
                     checker.last_fail_matrix(),
-                    fold.iter().position(|&b| !b),
-                    "first failing matrix diverged on {what} fold={fold:?}"
+                    fail,
+                    "first failure on {what} at {v}"
                 );
                 let rows = &checker.ensemble_breakdown().matrices;
                 for (m, (row, &(checks, swept))) in rows.iter().zip(&before).enumerate().skip(1) {
@@ -225,8 +159,8 @@ fn assert_and_fold(spec: &MigrationSpec, seed: u64) -> MemberWork {
                     } else {
                         work.cleared += 1;
                         assert!(
-                            fold[m],
-                            "matrix {m} cleared by the bound fails from scratch on {what}"
+                            fail.is_none_or(|f| m < f),
+                            "matrix {m} cleared, fails on {what}"
                         );
                     }
                 }
@@ -278,7 +212,7 @@ proptest! {
         let plain = MigrationBuilder::hgrid_v1_to_v2(&preset, &plain_opts).unwrap();
         let k1 = MigrationBuilder::hgrid_v1_to_v2(&preset, &k1_opts).unwrap();
         prop_assert!(k1.extra_demands.is_empty(), "K=1 realizes no extra matrices");
-        let states = walk_states(&plain, seed);
+        let states = sample_states(&plain, seed);
 
         for threads in [1usize, 2, 4] {
             for incremental in [true, false] {
@@ -371,11 +305,7 @@ fn a_member_inside_the_slack_is_swept_and_agrees_with_the_oracle() {
             let mut reached = 0;
             let mut spec = ensemble_spec(PresetId::A, 8, 29, 0.8, split, funneling);
             spec.space = None; // every check routes
-            spec.incremental = false;
-            let base_spec = single_matrix_spec(&spec, 0);
-            let ratios: Vec<f64> = spec
-                .extra_demands
-                .iter()
+            let ratios: Vec<f64> = (spec.extra_demands.iter())
                 .map(|m| ratio(&spec.demands, m))
                 .collect();
             let (m, &k) =
@@ -385,34 +315,25 @@ fn a_member_inside_the_slack_is_swept_and_agrees_with_the_oracle() {
                 );
             assert!(k > 1.0, "some member surges past the base");
             let member = m + 1;
+            let mut reference = Reference::new(&spec);
             for (v, s, last) in checked_states(&spec, 29) {
                 // The base's funneled max utilization, from scratch.
-                let mut base = SatChecker::with_threads(&base_spec, EscMode::Off, 1);
-                base.check(&base_spec, &v, &s, last);
-                let u = summarize(&spec.topology, &s, base.last_loads(), 1.0).max_utilization;
+                reference.check(&spec, &v, &s, last);
+                let u = summarize(&spec.topology, &s, reference.last_loads(), 1.0).max_utilization;
                 if u == 0.0 {
                     continue;
                 }
                 let mut at_margin = spec.clone();
                 at_margin.theta = u * k;
-                let fold: Vec<bool> = (0..=at_margin.extra_demands.len())
-                    .map(|i| {
-                        let sp = single_matrix_spec(&at_margin, i);
-                        SatChecker::with_threads(&sp, EscMode::Off, 1).check(&sp, &v, &s, last)
-                    })
-                    .collect();
+                let pass = reference.check(&at_margin, &v, &s, last);
+                let fail = reference.last_fail_matrix();
                 for incremental in [true, false] {
                     at_margin.incremental = incremental;
                     let what =
                         format!("{split:?} funneling={funneling} incremental={incremental} at {v}");
                     let mut checker = SatChecker::with_threads(&at_margin, EscMode::Off, 1);
-                    let got = checker.check(&at_margin, &v, &s, last);
-                    assert_eq!(got, fold.iter().all(|&b| b), "{what} fold={fold:?}");
-                    assert_eq!(
-                        checker.last_fail_matrix(),
-                        fold.iter().position(|&b| !b),
-                        "{what}"
-                    );
+                    assert_eq!(checker.check(&at_margin, &v, &s, last), pass, "{what}");
+                    assert_eq!(checker.last_fail_matrix(), fail, "{what}");
                     let row = &checker.ensemble_breakdown().matrices[member];
                     assert_eq!(
                         row.swept, row.checks,
@@ -427,23 +348,6 @@ fn a_member_inside_the_slack_is_swept_and_agrees_with_the_oracle() {
             );
         }
     }
-}
-
-/// `maxᵢ member[i] / base[i]`, as the checker computes it (∞ where the base
-/// carries nothing and the member does).
-fn ratio(base: &DemandMatrix, member: &DemandMatrix) -> f64 {
-    base.iter()
-        .zip(member.iter())
-        .map(|(p, r)| {
-            if r.gbps == 0.0 {
-                0.0
-            } else if p.gbps > 0.0 {
-                r.gbps / p.gbps
-            } else {
-                f64::INFINITY
-            }
-        })
-        .fold(0.0, f64::max)
 }
 
 /// Two hand-built members: a shrunk copy of the base (`k < 1`), which the

@@ -17,20 +17,7 @@ use klotski_core::report::PlanAudit;
 use klotski_core::{EnsembleMatrixStat, EnsembleSpec};
 use serde::{Deserialize, Serialize};
 
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64-bit hash of a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+pub use klotski_topology::fnv1a;
 
 /// Content digest of an NPD document: FNV-1a over its canonical JSON.
 /// Attached phases are part of the digest, so a plan-carrying document and

@@ -33,6 +33,7 @@ pub mod circuit;
 pub mod csr;
 pub mod error;
 pub mod fabric;
+pub mod fnv;
 pub mod graph;
 pub mod hgrid;
 pub mod ids;
@@ -47,6 +48,7 @@ pub use bitset::BitSet;
 pub use circuit::Circuit;
 pub use csr::{CsrEdge, CsrGraph};
 pub use error::TopologyError;
+pub use fnv::{fnv1a, Fnv1a};
 pub use graph::{Topology, TopologyBuilder};
 pub use ids::{CircuitId, DcId, GridId, PlaneId, PodId, SwitchId};
 pub use netstate::NetState;

@@ -21,6 +21,7 @@ use crate::demand::{DemandClass, DemandMatrix};
 use crate::forecast::{EwmaForecaster, Forecaster};
 use crate::history::{HistoryConfig, TrafficHistory};
 use crate::surge::SurgeEvent;
+use klotski_topology::Fnv1a;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,20 +30,6 @@ use std::fmt;
 /// headroom bound on the base cannot clear, so its cost grows with those
 /// members, not with K; the bound itself is one multiply per member.
 pub const MAX_ENSEMBLE: usize = 64;
-
-/// 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// splitmix64: the seed expander behind the variant RNG. Small, public
 /// domain, and stable across platforms — ensemble realization must be
@@ -59,14 +46,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// endpoints, class, and exact rate bits. Two matrices with equal digests
 /// route identically, which is what ensemble deduplication cares about.
 pub fn matrix_digest(matrix: &DemandMatrix) -> u64 {
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     for d in matrix.iter() {
-        h = fnv1a(h, &d.src.0.to_le_bytes());
-        h = fnv1a(h, &d.dst.0.to_le_bytes());
-        h = fnv1a(h, &[class_tag(d.class)]);
-        h = fnv1a(h, &d.gbps.to_bits().to_le_bytes());
+        (h.bytes(&d.src.0.to_le_bytes()))
+            .bytes(&d.dst.0.to_le_bytes())
+            .bytes(&[class_tag(d.class)])
+            .u64(d.gbps.to_bits());
     }
-    h
+    h.finish()
 }
 
 fn class_tag(class: DemandClass) -> u8 {
@@ -416,11 +403,11 @@ impl TrafficEnsemble {
 
     /// Combined digest over all member digests (order-sensitive).
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for d in &self.digests {
-            h = fnv1a(h, &d.to_le_bytes());
+        let mut h = Fnv1a::new();
+        for &d in &self.digests {
+            h.u64(d);
         }
-        h
+        h.finish()
     }
 }
 
