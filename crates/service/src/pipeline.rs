@@ -4,14 +4,16 @@
 //! Byte-identity between the CLI and the daemon is a hard product
 //! requirement (operators diff shipped plan documents), so there is exactly
 //! one implementation of the NPD → region → spec → plan → attach sequence
-//! and both front ends call it. The CLI writes
+//! and both front ends call it: the CLI through [`plan_document`], the
+//! service's workers through its two halves, with a loan from the daemon's
+//! verdict store between them. The CLI writes
 //! [`PlanArtifact::plan_json`] to `-o`; the service returns the same bytes
 //! as the response body.
 
-use klotski_core::migration::{MigrationBuilder, MigrationOptions};
+use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_core::planner::{PlannerKind, SearchBudget};
 use klotski_core::report::PlanAudit;
-use klotski_core::{validate_and_audit_on, CostModel, PlanError};
+use klotski_core::{validate_and_audit_on, CostModel, PlanError, Prior, Verdicts};
 use klotski_npd::api::{digest_hex, npd_digest, AuditResponse, PlanRequestOptions, PlanSummary};
 use klotski_npd::convert::{attach_plan, npd_to_region};
 use klotski_npd::Npd;
@@ -150,29 +152,34 @@ fn resolve_options(
 /// satisfiability lanes across jobs; `None` (the CLI) builds one private
 /// pool for the call. Search and validation both run on that one pool.
 /// Either way the resulting plan bytes are identical — PR 1's determinism
-/// guarantee makes lane count unobservable in the output.
+/// guarantee makes lane count unobservable in the output. Every call
+/// searches from a cold ESC cache.
 pub fn plan_document(
     npd: &Npd,
     options: &PlanRequestOptions,
     budget: SearchBudget,
     pool: Option<Arc<WorkerPool>>,
 ) -> Result<PlanArtifact, PipelineError> {
+    let _span = klotski_telemetry::span!("pipeline.plan", "npd" = npd.name.as_str());
     let key = (npd_digest(npd), options.digest());
-    plan_document_keyed(npd, options, key, budget, pool)
+    let instance = build_instance(npd, options)?;
+    plan_instance(npd, &instance, key, budget, pool, None).map(|(artifact, _)| artifact)
 }
 
-/// [`plan_document`] with the `(npd_digest, options_digest)` pair already
-/// computed. The service computes both digests once at admission (for the
-/// cache and coalescing key) and passes them here, so the hot path never
-/// re-canonicalizes the NPD.
-pub fn plan_document_keyed(
+/// The planning instance a request builds: the migration spec of its
+/// document and how to plan it.
+pub(crate) struct Instance {
+    pub spec: MigrationSpec,
+    cost: CostModel,
+    planner: PlannerKind,
+}
+
+/// The first half of [`plan_document`]: resolve the options, convert the
+/// NPD to a region config, build the region, derive the migration spec.
+pub(crate) fn build_instance(
     npd: &Npd,
     options: &PlanRequestOptions,
-    key: (u64, u64),
-    budget: SearchBudget,
-    pool: Option<Arc<WorkerPool>>,
-) -> Result<PlanArtifact, PipelineError> {
-    let _span = klotski_telemetry::span!("pipeline.plan", "npd" = npd.name.as_str());
+) -> Result<Instance, PipelineError> {
     let (mig_options, cost, planner) = resolve_options(options)?;
     let cfg = npd_to_region(npd).map_err(|e| PipelineError::Invalid(e.to_string()))?;
     let (topology, handles) = build_region(&cfg);
@@ -184,17 +191,44 @@ pub fn plan_document_keyed(
     };
     let spec = MigrationBuilder::for_preset(&preset_like, &mig_options)
         .map_err(|e| PipelineError::Invalid(e.to_string()))?;
+    Ok(Instance {
+        spec,
+        cost,
+        planner,
+    })
+}
+
+/// The second half of [`plan_document`], inside its `pipeline.plan` span,
+/// with the `(npd_digest, options_digest)` pair already computed (the
+/// service computes both once at admission, for the cache and coalescing
+/// key): search — on `prior`'s verdicts when it fits — then validate, audit
+/// and attach. The validating walk never reads `prior`: it judges every
+/// phase from a cold cache, so an inherited verdict cannot ship an unsafe
+/// plan. Returns the artifact with the search's ESC cache.
+pub(crate) fn plan_instance(
+    npd: &Npd,
+    instance: &Instance,
+    key: (u64, u64),
+    budget: SearchBudget,
+    pool: Option<Arc<WorkerPool>>,
+    prior: Option<Prior>,
+) -> Result<(PlanArtifact, Verdicts), PipelineError> {
+    let spec = &instance.spec;
     // One pool for the search and the validation replay.
     let pool = pool.unwrap_or_else(|| Arc::new(WorkerPool::new(spec.threads)));
 
-    let planner = planner.build(cost, budget, Arc::clone(&pool));
-    let outcome = planner.plan(&spec).map_err(PipelineError::Plan)?;
+    let planner = instance
+        .planner
+        .build(instance.cost, budget, Arc::clone(&pool));
+    let (outcome, verdicts) = planner
+        .plan_seeded(spec, prior)
+        .map_err(PipelineError::Plan)?;
 
-    let audit = validate_and_audit_on(&spec, &outcome.plan, pool)
+    let audit = validate_and_audit_on(spec, &outcome.plan, pool)
         .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?;
 
     let mut shipped = npd.clone();
-    attach_plan(&mut shipped, &spec, &outcome.plan);
+    attach_plan(&mut shipped, spec, &outcome.plan);
     let plan_json = shipped
         .to_json_pretty()
         .map_err(|e| PipelineError::Internal(format!("serialization failed: {e}")))?
@@ -232,7 +266,7 @@ pub fn plan_document_keyed(
             .unwrap_or_default(),
         cached: false,
     };
-    Ok(PlanArtifact::new(summary, plan_json, audit))
+    Ok((PlanArtifact::new(summary, plan_json, audit), verdicts))
 }
 
 #[cfg(test)]
