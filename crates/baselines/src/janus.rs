@@ -104,9 +104,8 @@ impl Planner for JanusPlanner {
             budget: SearchBudget {
                 max_states: self.budget.max_states,
                 time_limit: remaining_budget,
-                // The inner sweep honors the caller's deadline/cancellation.
+                // The inner sweep honors the caller's deadline.
                 deadline: self.budget.deadline,
-                cancel: self.budget.cancel.clone(),
             },
             pool: None,
         };

@@ -11,7 +11,8 @@
 //! an unsafe audit (or a lookahead showing the remaining plan has become
 //! unsafe) **pauses** the run and triggers an **incremental replan** from the
 //! current compact state — the residual migration seeded with the observed
-//! topology and realized demand. One ESC cache runs through the run: the
+//! topology and realized demand. One ESC cache runs through the run — the
+//! lookahead reads it in place, sweeping only what it cannot clear: the
 //! initial plan's search leaves its entries, and a replan whose observed
 //! state is exactly the canonical overlay of its progress in the cache's
 //! root spec (no failure or foreign drain still active) is handed them
@@ -314,9 +315,9 @@ struct ControllerMetrics {
     replans: Arc<Counter>,
     replan_failures: Arc<Counter>,
     rollbacks: Arc<Counter>,
-    /// Pending states the lookahead judged from its headroom memo alone.
+    /// Pending states the lookahead cleared off the run's ESC cache alone.
     lookahead_bound: Arc<Counter>,
-    /// Engine sweeps the lookahead ran: memo fills and exact sweeps.
+    /// Pending states the lookahead swept under the realized matrix.
     lookahead_swept: Arc<Counter>,
     /// Log-linear (p999-resolving) — replan tails are the long-horizon
     /// latency story.
@@ -358,7 +359,7 @@ fn controller_metrics() -> ControllerMetrics {
         ),
         (
             "klotski_controller_lookahead_states_total",
-            "Pending plan states the lookahead judged, by how: from the headroom bound or by an engine sweep.",
+            "Pending plan states the lookahead judged, by how: cleared by the headroom bound off the run's ESC cache, or swept under the realized matrix.",
         ),
         (
             "klotski_controller_replan_seconds",
@@ -404,8 +405,8 @@ struct RunLoop<'a> {
     report: ControllerReport,
     fleet: FleetSim,
     /// The run's one routing engine: every shadow audit (`audit_live`) and
-    /// every sweep the lookahead's memo cannot spare routes on it, each
-    /// observed or pending state as a delta against whatever it routed
+    /// every lookahead sweep the run's ESC cache cannot spare routes on it,
+    /// each observed or pending state as a delta against whatever it routed
     /// last. It has no ESC cache and shares nothing with the initial
     /// planner's or a replanner's checker. One engine serves the whole run —
     /// every spec generation shares the topology.
@@ -437,17 +438,20 @@ impl<'a> Lineage<'a> {
 }
 
 /// Executes `plan` for `spec` under `cfg`, returning the full run trace.
-/// Deterministic for a fixed `cfg.seed` (see the module docs).
+/// Deterministic for a fixed `cfg.seed` (see the module docs). Without the
+/// search's cache, the lookahead sweeps every state it judges until the
+/// first replan, which searches cold; the report is the same.
 pub fn run(spec: &MigrationSpec, plan: &MigrationPlan, cfg: &ControllerConfig) -> ControllerReport {
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
     run_seeded(spec, plan, Verdicts::default(), cfg, pool)
 }
 
 /// [`run`], handed the ESC cache of the search that produced `plan`: the
-/// lookahead's headroom memo is seeded from it and the first replan
-/// inherits it (an empty cache: sweep every state once, replan cold). The
-/// cache only saves work: the report is the same. Audits, sweeps and
-/// replans advance on `pool` — for a scenario run, the initial search's.
+/// lookahead reads it in place, clearing every pending state it measured
+/// wherever the rescaling bound decides, and the first replan inherits it
+/// (an empty cache: sweep every pending state, replan cold). The cache only
+/// saves work: the report is the same. Audits, sweeps and replans advance
+/// on `pool` — for a scenario run, the initial search's.
 fn run_seeded(
     spec: &MigrationSpec,
     plan: &MigrationPlan,
@@ -482,12 +486,10 @@ fn run_seeded(
         recorder: FlightRecorder::new(cfg.flight_capacity),
         replans_done: 0,
     };
-    // The lookahead judges pending states from their headroom under the
-    // planning matrix — one memo per spec generation, seeded from the plan's
-    // own search: a residual spec re-bases the canonical overlay, and with it
-    // every memo key.
+    // The lookahead reads the lineage's cache at the active spec's frame; a
+    // replan re-bases both, so each plan generation gets its own replay.
     let mut lineage = Lineage::rooted(Cow::Borrowed(spec), verdicts);
-    let mut lookahead = PlanReplay::seeded(spec, plan, &lineage.verdicts, &lineage.frame);
+    let mut lookahead = PlanReplay::new(spec, &lineage.frame);
 
     let mut active = spec.clone();
     let mut pending: Vec<PlanPhase> = plan.phases();
@@ -565,8 +567,8 @@ fn run_seeded(
             if !pending.is_empty() {
                 let verdict = lookahead.lookahead(
                     &mut ctl.live,
+                    &lineage.verdicts,
                     &active,
-                    &ctl.fleet.planned,
                     &progress,
                     &pending,
                     &realized,
@@ -642,7 +644,6 @@ fn run_seeded(
                 max_states: cfg.replan.max_states,
                 time_limit: Duration::from_millis(cfg.replan.time_limit_ms),
                 deadline: cfg.deadline,
-                ..SearchBudget::default()
             };
             let started = Instant::now();
             let outcome = cfg
@@ -681,8 +682,7 @@ fn run_seeded(
                     progress = CompactState::origin(active.num_types());
                     ctl.fleet.planned = active.initial.clone();
                     pending = out.plan.phases();
-                    lookahead =
-                        PlanReplay::seeded(&active, &out.plan, &lineage.verdicts, &lineage.frame);
+                    lookahead = PlanReplay::new(&active, &lineage.frame);
                 }
                 Err(msg) => {
                     ctl.met.replan_failures.inc();
@@ -723,10 +723,10 @@ impl RunLoop<'_> {
     /// separately: `residual()` re-realizes the spec's ensemble against the
     /// demand it is seeded with. The lookahead is not:
     /// `PlanReplay::lookahead` judges the remaining plan under the base
-    /// realized matrix only (from each state's planning-matrix headroom
-    /// where the rescaling bound decides, by an exact sweep where it does
-    /// not), so a later state that only a variant rejects is caught by this
-    /// audit when the run reaches it, not ahead of time.
+    /// realized matrix only (off the run's ESC cache where the rescaling
+    /// bound decides, by an exact sweep where it does not), so a later state
+    /// that only a variant rejects is caught by this audit when the run
+    /// reaches it, not ahead of time.
     fn audit(
         &mut self,
         spec: &MigrationSpec,
@@ -1008,7 +1008,6 @@ pub fn run_scenario(
         max_states: 50_000_000,
         time_limit: Duration::from_millis(scenario.replan.time_limit_ms.max(30_000)),
         deadline,
-        ..SearchBudget::default()
     };
     let pool = Arc::new(WorkerPool::new(spec.threads.max(1)));
     let planner =

@@ -434,15 +434,26 @@ fn spec_and_config(s: &Scenario) -> (MigrationSpec, ControllerConfig) {
 }
 
 /// `run_scenario(scenario)` with the work its lookahead took, `(bound,
-/// swept)`, read off the run's own `controller.phase` spans (a tagged bus
-/// stream: tests running beside this one cannot leak into the sums).
+/// swept)`.
 fn run_counting_lookahead(scenario: &Scenario) -> (ControllerReport, u64, u64) {
+    counting_lookahead(&scenario.name, || {
+        run_scenario(scenario, None).expect("scenario runs")
+    })
+}
+
+/// The run `go` makes, with the work its lookahead took, `(bound, swept)`,
+/// read off the run's own `controller.phase` spans (a tagged bus stream:
+/// tests running beside this one cannot leak into the sums).
+fn counting_lookahead(
+    name: &str,
+    go: impl FnOnce() -> ControllerReport,
+) -> (ControllerReport, u64, u64) {
     let counted_before = lookahead_counters();
     let stream = bus().next_stream_id();
     let spans = bus().subscribe(stream, 4096);
     let report = {
         let _tag = tag_stream(stream);
-        run_scenario(scenario, None).expect("scenario runs")
+        go()
     };
     let (mut bound, mut swept) = (0u64, 0u64);
     while let Some(line) = spans.try_recv() {
@@ -454,7 +465,6 @@ fn run_counting_lookahead(scenario: &Scenario) -> (ControllerReport, u64, u64) {
             }
         }
     }
-    let name = &scenario.name;
     assert_eq!(spans.dropped(), 0, "{name}: span queue overflowed");
     assert!(bound + swept > 0, "{name}: the lookahead ran");
     // The registry is process-wide, so other tests may add to it; this
@@ -474,11 +484,14 @@ fn run_counting_lookahead(scenario: &Scenario) -> (ControllerReport, u64, u64) {
 /// anywhere in these timelines fails here.
 ///
 /// Beside the storm's pin, the work its run took. Three plan generations
-/// judge 590 pending states; each generation's memo arrives full from its
-/// planner, so the lookahead sweeps exactly the two states the rescaling
-/// bound cannot clear (an unseeded memo sweeps 88, no memo 590). And every
-/// route of the run — 36 audits, those 2 sweeps — is one advance of the one
-/// live engine: nothing is routed from scratch.
+/// judge 590 pending states; the lookahead reads each off the cache the
+/// generation's searches left, so it sweeps exactly the two states the
+/// rescaling bound cannot clear. `run` with a caller-supplied plan has no
+/// search's cache for its first generation, so every state judged there is
+/// swept; its replans' searches leave caches the later generations read —
+/// 514 cleared, 76 swept in all. And every route of the run — 36 audits,
+/// those sweeps — is one advance of the one live engine: nothing is routed
+/// from scratch.
 #[test]
 fn shipped_scenarios_keep_their_fingerprints() {
     for (file, fingerprint) in [
@@ -494,17 +507,19 @@ fn shipped_scenarios_keep_their_fingerprints() {
             "{file}"
         );
 
-        // The memo only saves sweeps: a caller-supplied plan starts with an
-        // empty one and runs the same run.
+        // The cache only saves sweeps: a caller-supplied plan comes with
+        // none and runs the same run.
         let (spec, cfg) = spec_and_config(&scenario);
         let planner = cfg.replanner.build(
             CostModel::new(cfg.alpha),
             SearchBudget::default(),
             Arc::new(WorkerPool::new(spec.threads.max(1))),
         );
-        let mut unseeded = run(&spec, &planner.plan(&spec).unwrap().plan, &cfg);
-        unseeded.name = scenario.name.clone();
-        assert_eq!(unseeded.fingerprint(), report.fingerprint(), "{file}");
+        let plan = planner.plan(&spec).unwrap().plan;
+        let (mut cold, cold_bound, cold_swept) =
+            counting_lookahead(file, || run(&spec, &plan, &cfg));
+        cold.name = scenario.name.clone();
+        assert_eq!(cold.fingerprint(), report.fingerprint(), "{file}");
 
         let stats = report.audit_stats;
         assert_eq!(
@@ -514,6 +529,7 @@ fn shipped_scenarios_keep_their_fingerprints() {
         );
         if file == "storm_preset_c" {
             assert_eq!((bound, swept, stats.live_audits), (588, 2, 36));
+            assert_eq!((cold_bound, cold_swept), (514, 76));
             // Both pauses of the storm are lookahead pauses, and the frozen
             // bundle says which state and circuit tripped it.
             let bundle = report.flight.as_ref().expect("the storm pauses");

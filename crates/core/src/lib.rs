@@ -65,7 +65,7 @@ pub use migration::{MigrationBuilder, MigrationOptions, MigrationSpec, Migration
 pub use opex::{OpexModel, OpexReport};
 pub use plan::{MigrationPlan, PlanPhase};
 pub use planner::{
-    AStarPlanner, CancelFlag, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
+    AStarPlanner, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
 };
 pub use replay::{
     validate_and_audit_on, LiveEngine, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause,

@@ -136,9 +136,8 @@ impl DpPlanner {
         for dense in 1..box_size {
             let stepped = v.step_in_box(target);
             debug_assert!(stepped && v.dense_index(target) == dense);
-            // Per-state budget gate: time limit, absolute deadline, and
-            // cooperative cancellation (the box pre-check above already
-            // bounds the state count).
+            // Per-state budget gate: time limit and absolute deadline (the
+            // box pre-check above already bounds the state count).
             self.budget.check(stats.states_visited, start)?;
             stats.states_visited += 1;
             if stats.states_visited.is_multiple_of(progress_every) {
@@ -312,22 +311,6 @@ mod tests {
         let astar = AStarPlanner::default().plan(&spec).unwrap();
         assert!((dp.cost - astar.cost).abs() < 1e-9);
         validate_plan(&spec, &dp.plan).unwrap();
-    }
-
-    #[test]
-    fn cancelled_sweep_reports_budget_not_partial_plan() {
-        use crate::planner::CancelFlag;
-        let spec = spec();
-        let flag = CancelFlag::new();
-        flag.cancel();
-        let planner = DpPlanner {
-            budget: SearchBudget::default().with_cancel(flag),
-            ..DpPlanner::default()
-        };
-        assert!(matches!(
-            planner.plan(&spec),
-            Err(PlanError::BudgetExceeded { .. })
-        ));
     }
 
     #[test]

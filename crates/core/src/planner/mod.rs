@@ -31,7 +31,6 @@ use crate::satcheck::{EnsembleBreakdown, EscMode, Prior, SatChecker, SatStats, V
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::SpanGuard;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -362,43 +361,13 @@ impl PlannerKind {
     }
 }
 
-/// A shareable cooperative-cancellation flag. Cloning yields another handle
-/// to the same flag; a long-lived owner (e.g. a service request handler)
-/// calls [`cancel`](CancelFlag::cancel) and the planner observes it at its
-/// next expansion via [`SearchBudget::check`].
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, uncancelled flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; every budget holding a clone of this flag
-    /// fails its next check.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// True once [`cancel`](Self::cancel) has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// True when both handles observe the same underlying flag.
-    pub fn same_flag(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
 /// Shared resource budget. The paper caps planners at 24 hours; benches use
 /// much tighter limits so ablation failures ("cross" marks in Figures 9–11)
 /// surface quickly. Besides the relative limits, a budget may carry an
 /// absolute wall-clock [`deadline`](Self::deadline) (per-request deadlines
-/// in the planning service) and a cooperative [`CancelFlag`]; both are
-/// checked at every planner expansion, so a cancelled or expired search
-/// returns [`PlanError::BudgetExceeded`] promptly instead of a partial plan.
+/// in the planning service), checked at every planner expansion, so an
+/// expired search returns [`PlanError::BudgetExceeded`] promptly instead of
+/// a partial plan.
 #[derive(Debug, Clone)]
 pub struct SearchBudget {
     /// Maximum states to process before giving up.
@@ -407,20 +376,6 @@ pub struct SearchBudget {
     pub time_limit: Duration,
     /// Absolute deadline; `None` means unbounded.
     pub deadline: Option<Instant>,
-    /// Cooperative cancellation flag, checked per expansion.
-    pub cancel: CancelFlag,
-}
-
-impl PartialEq for SearchBudget {
-    /// Budgets compare on their limits; the cancel flag compares by
-    /// identity (two fresh flags are interchangeable, a shared one is not).
-    fn eq(&self, other: &Self) -> bool {
-        self.max_states == other.max_states
-            && self.time_limit == other.time_limit
-            && self.deadline == other.deadline
-            && (self.cancel.same_flag(&other.cancel)
-                || (!self.cancel.is_cancelled() && !other.cancel.is_cancelled()))
-    }
 }
 
 impl Default for SearchBudget {
@@ -429,7 +384,6 @@ impl Default for SearchBudget {
             max_states: 50_000_000,
             time_limit: Duration::from_secs(24 * 3600),
             deadline: None,
-            cancel: CancelFlag::default(),
         }
     }
 }
@@ -450,21 +404,14 @@ impl SearchBudget {
         self
     }
 
-    /// Attaches a cooperative cancellation flag.
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
     /// The per-expansion budget gate: errors once the state count, the
-    /// relative time limit, the absolute deadline, or the cancel flag says
-    /// the search must stop. Planners call this once per expanded state.
+    /// relative time limit or the absolute deadline says the search must
+    /// stop. Planners call this once per expanded state.
     pub fn check(&self, states_visited: u64, start: Instant) -> Result<(), PlanError> {
         let elapsed = start.elapsed();
         let exceeded = states_visited > self.max_states
             || elapsed > self.time_limit
-            || self.deadline.is_some_and(|d| Instant::now() > d)
-            || self.cancel.is_cancelled();
+            || self.deadline.is_some_and(|d| Instant::now() > d);
         if exceeded {
             return Err(PlanError::BudgetExceeded {
                 states_visited,
@@ -522,18 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_check_fails_on_cancel() {
-        let flag = CancelFlag::new();
-        let b = SearchBudget::default().with_cancel(flag.clone());
-        assert!(b.check(0, Instant::now()).is_ok());
-        flag.cancel();
-        assert!(matches!(
-            b.check(0, Instant::now()),
-            Err(PlanError::BudgetExceeded { .. })
-        ));
-    }
-
-    #[test]
     fn budget_check_fails_past_deadline() {
         let b = SearchBudget::default().with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(matches!(
@@ -542,15 +477,5 @@ mod tests {
         ));
         let ok = SearchBudget::default().with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(ok.check(0, Instant::now()).is_ok());
-    }
-
-    #[test]
-    fn cancel_flag_is_shared_across_clones() {
-        let a = CancelFlag::new();
-        let b = a.clone();
-        assert!(a.same_flag(&b));
-        b.cancel();
-        assert!(a.is_cancelled());
-        assert!(!CancelFlag::new().same_flag(&a));
     }
 }

@@ -20,25 +20,24 @@
 //!   [`SatChecker`] with the ESC cache off — it shares nothing with the
 //!   search that produced the plan — and the audit reads each phase-end
 //!   record off the state that check just routed.
-//! - [`PlanReplay`] is the lookahead: a per-plan *headroom memo* — each
-//!   canonical state's max utilization under a planning matrix, read from
-//!   the ESC cache the plan arrives with ([`PlanReplay::seeded`]) or swept
-//!   once — from which it judges the pending suffix under each step's
-//!   realized demand wherever a rescaling bound decides; the exact sweep
-//!   runs only for the states it cannot.
+//! - [`PlanReplay`] is the lookahead. It keeps no memo: each pending state
+//!   is read in place from the ESC cache of the searches that produced the
+//!   plan ([`Verdicts`]) — the max utilization they measured and the
+//!   planning matrix they measured it under — and judged under each step's
+//!   realized demand wherever the rescaling bound decides; only the states
+//!   it cannot decide are swept, once, under the realized matrix.
 
 use crate::compact::CompactState;
 use crate::migration::MigrationSpec;
 use crate::plan::{MigrationPlan, PlanPhase, PlanViolation};
 use crate::report::{PhaseAudit, PlanAudit};
-use crate::satcheck::{funneled_switches, EscMode, LiveAudit, SatChecker, SatStats, Verdicts};
+use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
     ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
 };
 use klotski_topology::{CircuitId, Fnv1a, NetState};
 use klotski_traffic::DemandMatrix;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Relative slack `δ` of the headroom bound [`headroom_clears`]: a state is
@@ -68,7 +67,9 @@ use std::sync::Arc;
 /// against any θ.) The slack costs nothing but work: a state within 10⁻⁹
 /// of θ takes the exact sweep.
 /// `plan_replay.rs::headroom_bound_dominates_the_sweep` measures the real
-/// error three orders of magnitude inside `δ`.
+/// error three orders of magnitude inside `δ`. A funneled `u` may stand in
+/// for the plain one: funneling only multiplies loads by a factor ≥ 1, so
+/// it clears only what the plain `u` would.
 ///
 /// The lower half, behind [`headroom_rejects`]. With
 /// `k_lo = minᵢ fl(rᵢ / pᵢ)` over the rates planned above zero, every such
@@ -86,8 +87,9 @@ const HEADROOM_SLACK: f64 = 1e-9;
 /// The rescaling bound: a state whose max utilization is `u` under one
 /// matrix stays within `theta` under every matrix with the same endpoints
 /// whose rates are at most `k` times as large, when this holds (see
-/// [`HEADROOM_SLACK`]). The lookahead calls it with `k` = the largest
-/// realized/planned ratio, the spec build with `k` = the calibration factor
+/// [`HEADROOM_SLACK`]). The lookahead calls it with `u` an ESC entry's
+/// measurement and `k` = the largest realized/planned ratio against that
+/// entry's matrix, the spec build with `k` = the calibration factor
 /// (`fl(rᵢ · k) ≤ k·rᵢ·(1 + ε)`, the same premise; `EcmpRouter` adds what
 /// `sweep_entry` adds), and an ensemble check with `u` = the base matrix's
 /// funneled max utilization and `k` = [`demand_ratio`] of each member.
@@ -376,22 +378,6 @@ impl LiveEngine {
     }
 }
 
-/// What the headroom memo holds for a canonical state: its sweep under a
-/// planning matrix, by a search's own check or by the lookahead's fill.
-#[derive(Debug, Clone, Copy)]
-struct Headroom {
-    /// Max circuit utilization under that matrix.
-    max_utilization: f64,
-    /// Demands with no live path. Eq. 4 does not depend on rates —
-    /// `sweep_entry` flags a source by `dist` and `switch_up` only — so this
-    /// count holds under every matrix with the spec's endpoints.
-    unreachable_demands: usize,
-    /// The matrix: `None` for this generation's `spec.demands`, `Some(i)`
-    /// for [`PlanReplay::earlier`]`[i]` (an entry a search inherited from an
-    /// earlier generation and decided by the rescaling bound).
-    matrix: Option<usize>,
-}
-
 /// Why the lookahead rejected a pending state.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TripCause {
@@ -400,7 +386,7 @@ pub enum TripCause {
         /// Count of unreachable demands.
         demands: usize,
     },
-    /// Eq. 5: the exact sweep under the realized matrix put a circuit over θ.
+    /// Eq. 5: the sweep under the realized matrix put a circuit over θ.
     OverTheta {
         /// Max circuit utilization of the state under the realized matrix.
         utilization: f64,
@@ -422,15 +408,16 @@ pub struct LookaheadTrip {
 }
 
 /// One lookahead call's verdict and the work it took.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LookaheadVerdict {
     /// The first unsafe pending state; `None` when the remaining plan is
     /// still safe.
     pub trip: Option<LookaheadTrip>,
-    /// Pending states judged from the headroom memo alone.
+    /// Pending states the headroom bound cleared off an ESC entry, without
+    /// touching the engine.
     pub bound: usize,
-    /// Engine sweeps: memo fills plus exact sweeps of the states the bound
-    /// could not clear.
+    /// Pending states swept under the realized matrix: those without an
+    /// entry, and those the bound could not clear.
     pub swept: usize,
 }
 
@@ -441,12 +428,18 @@ pub struct LookaheadVerdict {
 /// # Panics
 /// Panics unless the two matrices share one `(src, dst, class)` sequence.
 pub(crate) fn demand_ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
+    assert_shared_endpoints(planned, realized);
+    rate_ratio(rates_of(planned).zip(rates_of(realized)))
+}
+
+/// Panics unless the two matrices share one `(src, dst, class)` sequence:
+/// the premise of pairing their rates index by index.
+fn assert_shared_endpoints(planned: &DemandMatrix, realized: &DemandMatrix) {
     const SHARED: &str = "the realized matrix must share the base demand endpoints";
     assert_eq!(planned.len(), realized.len(), "{SHARED}");
-    rate_ratio(planned.iter().zip(realized.iter()).map(|(p, r)| {
+    for (p, r) in planned.iter().zip(realized.iter()) {
         assert_eq!((p.src, p.dst, p.class), (r.src, r.dst, r.class), "{SHARED}");
-        (p.gbps, r.gbps)
-    }))
+    }
 }
 
 /// [`demand_ratio`] over `(planned, realized)` rate pairs whose endpoints
@@ -509,136 +502,70 @@ pub(crate) fn rates_of(matrix: &DemandMatrix) -> impl Iterator<Item = f64> + '_ 
     matrix.iter().map(|d| d.gbps)
 }
 
-/// The §7.1 lookahead: re-checks a pending plan suffix against realized
-/// demand from a headroom memo, sweeping on the caller's [`LiveEngine`] only
-/// what the memo cannot decide.
-///
-/// One replay serves one spec generation: its memo is keyed by compact
-/// vector under the `spec` the plan was made for, and a replan produces a new
-/// residual spec (new initial state, re-indexed blocks) — so seed a fresh
-/// replay from every new plan. The engine is not the replay's: it outlives
-/// every generation.
-#[derive(Debug, Default)]
+/// The §7.1 lookahead of one plan generation: re-checks a pending plan
+/// suffix against realized demand off the ESC cache of the searches that
+/// produced the plan, read in place, sweeping on the caller's [`LiveEngine`]
+/// only what that cannot decide. It keeps what the generation fixes: the
+/// root-box vector of the spec's origin, and the fingerprint of
+/// `spec.demands`' endpoints, taken once so that pairing a cache with it
+/// costs one comparison per call. Make a new replay for every new plan.
+#[derive(Debug)]
 pub struct PlanReplay {
-    /// Headroom memo: the planning-matrix sweep of each canonical state. A
-    /// compact vector fixes its canonical state, hence its routing
-    /// structure, so an entry serves any chain of the spec that visits it.
-    headroom: HashMap<CompactState, Headroom>,
-    /// The rates of earlier generations' planning matrices that seeded
-    /// entries were measured under (`spec.demands`' endpoints, in order).
-    earlier: Vec<Vec<f64>>,
+    frame: CompactState,
+    endpoints: u64,
 }
 
 impl PlanReplay {
-    /// A replay whose memo starts with what the searches that produced
-    /// `plan` already measured: the ESC cache the plan arrived with
-    /// (`verdicts`, keyed with `spec`'s origin at `frame`), read at each
-    /// plan state — the base matrix's max utilization, and the planning
-    /// matrix it was measured under (this generation's, or an earlier one's
-    /// where the search decided the state by the rescaling bound). A state
-    /// that passed its check has every demand reachable. A state whose check
-    /// applied funneling headroom before its summary seeds nothing, nor
-    /// does one without an entry (an ESC-off search, an evicted key): it is
-    /// swept the first time the lookahead meets it.
-    pub fn seeded(
-        spec: &MigrationSpec,
-        plan: &MigrationPlan,
-        verdicts: &Verdicts,
-        frame: &CompactState,
-    ) -> Self {
-        let mut replay = Self::default();
-        if !verdicts.pairs_with(&spec.demands) {
-            return replay;
+    /// The lookahead of plans for `spec`, whose origin sits at `frame` in
+    /// the box of the caches it will be handed.
+    pub fn new(spec: &MigrationSpec, frame: &CompactState) -> Self {
+        Self {
+            frame: frame.clone(),
+            endpoints: endpoints_of(&spec.demands),
         }
-        // Where each cache matrix's `u`s point, once met: this generation's
-        // matrix, or a copy in `earlier`.
-        let mut matrix_of: Vec<Option<Option<usize>>> = vec![None; verdicts.matrices.len()];
-        let mut v = CompactState::origin(spec.num_types());
-        let mut state = spec.initial.clone();
-        for step in plan.steps() {
-            spec.apply_next(&mut state, &v, step.kind);
-            v = v.advanced(step.kind);
-            if funneled_switches(spec, &v, Some(step.kind)).is_some() {
-                continue;
-            }
-            let Some((max_utilization, m)) =
-                verdicts.measured_at(spec, frame, &v, &state, Some(step.kind))
-            else {
-                continue;
-            };
-            let matrix = *matrix_of[m].get_or_insert_with(|| {
-                let planned = &verdicts.matrices[m];
-                (!planned.iter().copied().eq(rates_of(&spec.demands))).then(|| {
-                    replay.earlier.push(planned.clone());
-                    replay.earlier.len() - 1
-                })
-            });
-            let seeded = Headroom {
-                max_utilization,
-                unreachable_demands: 0,
-                matrix,
-            };
-            replay.headroom.insert(v.clone(), seeded);
-        }
-        replay
     }
 
-    /// Replays the `pending` phases from `(progress, state)` under the
-    /// `realized` demand: the remaining plan is safe iff every intermediate
-    /// state keeps every demand reachable (Eq. 4) and every circuit within θ
-    /// (Eq. 5). Ports, funneling headroom, space and ensemble variants are
-    /// not part of the lookahead: the shadow audit judges those when the run
-    /// gets there.
+    /// Replays the `pending` phases from `progress` (its canonical state)
+    /// under the `realized` demand: the remaining plan is safe iff every
+    /// intermediate state keeps every demand reachable (Eq. 4) and every
+    /// circuit within θ (Eq. 5). Ports, funneling headroom, space and
+    /// ensemble variants are not part of the lookahead: the shadow audit
+    /// judges those when the run gets there.
     ///
-    /// Each pending state is judged from its headroom-memo entry — seeded by
-    /// the planner, or filled by one sweep under `spec.demands` the first
-    /// time the replay meets the state — and `k`, the largest
-    /// realized/planned rate ratio against the matrix that entry was
-    /// measured under: a state with an unreachable demand is
-    /// unsafe under any rates; one with `u · k · (1 + δ) ≤ θ` is safe without
-    /// touching the engine (see [`HEADROOM_SLACK`]); any other state is swept
-    /// under `realized` itself, and that verdict stands. The answer is
-    /// therefore the one a sweep of every pending state would give; what the
-    /// memo saves is the sweeps. Worst case (an unseeded memo with every
-    /// state inside the margin, or `k = ∞`): one memo fill per state per
-    /// replay on top of the exact sweeps.
+    /// `verdicts` is the cache of the searches that produced the plan, keyed
+    /// with `spec`'s origin at this replay's frame. A pending state it
+    /// measured — max utilization `u` (funneled where the search applied
+    /// funneling) under planning matrix `m` — is safe without touching the
+    /// engine when `u · k_m · (1 + δ) ≤ θ`, `k_m` the largest
+    /// realized/planned rate ratio against `m` (see [`HEADROOM_SLACK`]).
+    /// Any other state is swept under `realized`, and that verdict stands
+    /// (Eq. 4 does not depend on rates: an unreachable demand is
+    /// [`TripCause::Unreachable`]). The answer is therefore the one a sweep
+    /// of every pending state would give; the cache saves sweeps. A cache
+    /// whose matrices have other endpoints than `spec.demands` is ignored.
     ///
-    /// Sweeps run on `engine`, which is left holding whichever matrix and
-    /// state were swept last.
+    /// Sweeps run on `engine`, which is left holding `realized` and the
+    /// state swept last.
     ///
     /// # Panics
     /// Panics unless `realized` shares `spec.demands`' `(src, dst, class)`
     /// sequence — growth and surges only rescale rates.
     pub fn lookahead(
-        &mut self,
+        &self,
         engine: &mut LiveEngine,
+        verdicts: &Verdicts,
         spec: &MigrationSpec,
-        state: &NetState,
         progress: &CompactState,
         pending: &[PlanPhase],
         realized: &DemandMatrix,
     ) -> LookaheadVerdict {
-        // Checks `realized` against `spec.demands`' endpoints, which the
-        // earlier matrices' rates pair with too.
-        let k = demand_ratio(&spec.demands, realized);
-        let mut k_earlier: Vec<Option<f64>> = vec![None; self.earlier.len()];
-        // Whether this call last loaded `realized` (else `spec.demands`) into
-        // the engine, which arrives holding some audit's matrix: rates are
-        // rewritten only on a change.
-        let mut holds_realized: Option<bool> = None;
-        let mut sweep = |exact: bool, s: &NetState| {
-            if holds_realized != Some(exact) {
-                engine.load(spec, if exact { realized } else { &spec.demands });
-                holds_realized = Some(exact);
-            }
-            engine.route(spec, s)
-        };
-        let mut verdict = LookaheadVerdict {
-            trip: None,
-            bound: 0,
-            swept: 0,
-        };
-        let mut s = state.clone();
+        assert_shared_endpoints(&spec.demands, realized);
+        let cache = verdicts.pairs_with(self.endpoints).then_some(verdicts);
+        // `k_m` of each cache matrix, on first use.
+        let mut ratios: Vec<Option<f64>> = vec![None; verdicts.matrices.len()];
+        let mut loaded = false;
+        let mut verdict = LookaheadVerdict::default();
+        let mut s = spec.state_for(progress);
         let mut v = progress.clone();
         let mut blocks_ahead = 0usize;
         for phase in pending {
@@ -646,51 +573,40 @@ impl PlanReplay {
                 spec.apply_next(&mut s, &v, phase.kind);
                 v = v.advanced(phase.kind);
                 blocks_ahead += 1;
-                let mut sweeps = 0;
-                let headroom = match self.headroom.get(&v) {
-                    Some(&known) => known,
-                    None => {
-                        sweeps += 1;
-                        let planned = sweep(false, &s);
-                        let filled = Headroom {
-                            max_utilization: planned.report.max_utilization,
-                            unreachable_demands: planned.unreachable_demands,
-                            matrix: None,
-                        };
-                        self.headroom.insert(v.clone(), filled);
-                        filled
+                let measured =
+                    cache.and_then(|c| c.measured_at(spec, &self.frame, &v, &s, Some(phase.kind)));
+                if let Some((u, m)) = measured {
+                    let k = *ratios[m].get_or_insert_with(|| {
+                        rate_ratio(verdicts.matrices[m].iter().copied().zip(rates_of(realized)))
+                    });
+                    if headroom_clears(u, k, spec.theta) {
+                        verdict.bound += 1;
+                        continue;
                     }
-                };
-                let k = match headroom.matrix {
-                    None => k,
-                    Some(i) => *k_earlier[i].get_or_insert_with(|| {
-                        rate_ratio(self.earlier[i].iter().copied().zip(rates_of(realized)))
-                    }),
-                };
-                let cause = if headroom.unreachable_demands > 0 {
-                    Some(TripCause::Unreachable {
-                        demands: headroom.unreachable_demands,
-                    })
-                } else if headroom_clears(headroom.max_utilization, k, spec.theta) {
-                    None
-                } else {
-                    sweeps += 1;
-                    let exact = sweep(true, &s);
-                    (!exact.satisfied()).then_some(TripCause::OverTheta {
+                }
+                if !std::mem::replace(&mut loaded, true) {
+                    engine.load(spec, realized);
+                }
+                verdict.swept += 1;
+                let exact = engine.route(spec, &s);
+                let cause = if !exact.all_reachable {
+                    TripCause::Unreachable {
+                        demands: exact.unreachable_demands,
+                    }
+                } else if exact.report.violations > 0 {
+                    TripCause::OverTheta {
                         utilization: exact.report.max_utilization,
                         circuit: exact.report.worst_circuit,
-                    })
+                    }
+                } else {
+                    continue;
                 };
-                verdict.swept += sweeps;
-                verdict.bound += usize::from(sweeps == 0);
-                if let Some(cause) = cause {
-                    verdict.trip = Some(LookaheadTrip {
-                        state: v,
-                        blocks_ahead,
-                        cause,
-                    });
-                    return verdict;
-                }
+                verdict.trip = Some(LookaheadTrip {
+                    state: v,
+                    blocks_ahead,
+                    cause,
+                });
+                return verdict;
             }
         }
         verdict

@@ -60,8 +60,8 @@
 //! rate ratio, [`headroom_rejects`] with the smallest), routed where it
 //! cannot. The planners hand the cache on beside their outcome
 //! ([`Planner::plan_seeded`](crate::planner::Planner::plan_seeded)), and the
-//! lookahead seeds its memo from it
-//! ([`PlanReplay::seeded`](crate::PlanReplay::seeded)).
+//! lookahead reads it in place
+//! ([`PlanReplay::lookahead`](crate::PlanReplay::lookahead)).
 //!
 //! A cache can also outlive its request. Two specs built from one document
 //! under other names, with the same θ and ensemble, answer every check
@@ -90,7 +90,6 @@ use klotski_routing::{
     UtilizationReport,
 };
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
-use klotski_traffic::DemandMatrix;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -392,13 +391,13 @@ impl Verdicts {
         self.basis.as_ref().is_some_and(|b| b.admits(spec, frame))
             // Room for the search's own matrix among `u16` indices.
             && self.matrices.len() < usize::from(u16::MAX)
-            && self.pairs_with(&spec.demands)
+            && self.pairs_with(endpoints_of(&spec.demands))
     }
 
-    /// True when `matrix` has the `(src, dst, class)` sequence of every
-    /// matrix in the cache (vacuously, with none).
-    pub(crate) fn pairs_with(&self, matrix: &DemandMatrix) -> bool {
-        self.matrices.is_empty() || self.endpoints == endpoints_of(matrix)
+    /// True when `endpoints` ([`endpoints_of`] a matrix) is the `(src, dst,
+    /// class)` sequence of every matrix in the cache (vacuously, with none).
+    pub(crate) fn pairs_with(&self, endpoints: u64) -> bool {
+        self.matrices.is_empty() || self.endpoints == endpoints
     }
 
     /// The prior a search of `spec` may be handed from this cache, `root`
@@ -933,7 +932,7 @@ impl SatChecker {
 
 /// The switches whose drain produced `v`, when the funneling headroom model
 /// applies to this check: `last` is a drain and the model is enabled.
-pub(crate) fn funneled_switches<'a>(
+fn funneled_switches<'a>(
     spec: &'a MigrationSpec,
     v: &CompactState,
     last: Option<ActionTypeId>,

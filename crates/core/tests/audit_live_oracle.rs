@@ -189,8 +189,8 @@ fn walk_matches_oracle_on(id: PresetId, block_scale: f64, jump: usize, split: Sp
             unsafe_ += 1;
         }
 
-        // The lookahead borrows the engine: a memo fill of a canonical state
-        // somewhere else in the box, under the planning matrix.
+        // The lookahead borrows the engine: a sweep of a canonical state
+        // somewhere else in the box, under a matrix of other rates.
         if step % 5 == 2 {
             let counts = spec
                 .target_counts

@@ -2,11 +2,12 @@
 //!
 //! - The lookahead, [`PlanReplay::lookahead`], must equal the fold it
 //!   replaced: every state of the pending suffix routed from scratch by
-//!   `evaluate_policy` under the realized matrix, AND-ed. One long-lived
-//!   replay answers several successive calls per case — shrinking suffix,
-//!   drifting demand — as the controller drives it, so a stale base state,
-//!   stale rates, a stale headroom-memo entry or a wrong toggle set between
-//!   calls shows up as a mismatch.
+//!   `evaluate_policy` under the realized matrix, AND-ed — reading an empty
+//!   cache and reading the search's. One long-lived replay answers several
+//!   successive calls per case — shrinking suffix, drifting demand — as the
+//!   controller drives it, so a stale base state, stale rates, a ratio taken
+//!   against the wrong matrix or a wrong toggle set between calls shows up
+//!   as a mismatch. A cache whose matrices have other endpoints is ignored.
 //! - The headroom bound that lets the lookahead skip a sweep must dominate
 //!   the sweep it skips, with the margin the derivation beside
 //!   `HEADROOM_SLACK` claims, and a state inside the margin must be swept,
@@ -22,6 +23,7 @@ use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec}
 use klotski_core::plan::{validate_plan, MigrationPlan, PlanPhase};
 use klotski_core::planner::{AStarPlanner, Planner};
 use klotski_core::report::{PhaseAudit, PlanAudit};
+use klotski_core::satcheck::Verdicts;
 use klotski_core::{
     audit_plan, validate_and_audit_on, ActionTypeId, CompactState, EnsembleSpec, LiveEngine,
     LookaheadVerdict, PlanReplay,
@@ -61,18 +63,21 @@ fn from_scratch_fold(
 
 /// One migration with two block orders to replay: the planner's (safe
 /// under the planning matrix) and every drain before any undrain (walks
-/// through overloaded and, for the in-place swaps, disconnected states).
+/// through overloaded and, for the in-place swaps, disconnected states) —
+/// and the ESC cache the planner's search left.
 struct World {
     spec: MigrationSpec,
     planned: Vec<PlanPhase>,
     drains_first: Vec<PlanPhase>,
+    verdicts: Verdicts,
 }
 
 fn world(id: PresetId) -> World {
     let spec =
         MigrationBuilder::for_preset(&presets::build_for_bench(id), &MigrationOptions::default())
             .unwrap();
-    let planned = AStarPlanner::default().plan(&spec).unwrap().plan.phases();
+    let (outcome, verdicts) = AStarPlanner::default().plan_seeded(&spec, None).unwrap();
+    let planned = outcome.plan.phases();
     let mut kinds: Vec<ActionTypeId> = spec.actions.ids().collect();
     kinds.sort_by_key(|&a| !spec.kind_is_drain(a));
     let drains_first = kinds
@@ -86,6 +91,7 @@ fn world(id: PresetId) -> World {
         spec,
         planned,
         drains_first,
+        verdicts,
     }
 }
 
@@ -125,45 +131,60 @@ fn after(
     (v, state, pending)
 }
 
-/// A lookahead as the controller drives it: an (unseeded) memo and the live
-/// engine its sweeps run on.
-struct Replay {
+/// A lookahead as the controller drives it: the replay of one plan
+/// generation, the cache it reads and the live engine its sweeps run on.
+struct Replay<'a> {
     engine: LiveEngine,
-    memo: PlanReplay,
+    replay: PlanReplay,
+    cache: &'a Verdicts,
 }
 
-impl Replay {
+impl Replay<'_> {
     fn lookahead(
         &mut self,
         spec: &MigrationSpec,
-        state: &NetState,
         progress: &CompactState,
         pending: &[PlanPhase],
         realized: &DemandMatrix,
     ) -> LookaheadVerdict {
-        self.memo
-            .lookahead(&mut self.engine, spec, state, progress, pending, realized)
+        (self.replay).lookahead(
+            &mut self.engine,
+            self.cache,
+            spec,
+            progress,
+            pending,
+            realized,
+        )
     }
 
     fn plan_still_safe(
         &mut self,
         spec: &MigrationSpec,
-        state: &NetState,
         progress: &CompactState,
         pending: &[PlanPhase],
         realized: &DemandMatrix,
     ) -> bool {
-        self.lookahead(spec, state, progress, pending, realized)
+        self.lookahead(spec, progress, pending, realized)
             .trip
             .is_none()
     }
 }
 
-fn new_replay(spec: &MigrationSpec) -> Replay {
+/// A replay of plans for `spec` reading `cache`, keyed at `spec`'s origin.
+fn new_replay<'a>(spec: &MigrationSpec, cache: &'a Verdicts) -> Replay<'a> {
     Replay {
         engine: LiveEngine::new(spec, Arc::new(WorkerPool::new(1))),
-        memo: PlanReplay::default(),
+        replay: PlanReplay::new(spec, &CompactState::origin(spec.num_types())),
+        cache,
     }
+}
+
+/// `matrix` in reverse demand order: the same demands, other endpoints
+/// index by index.
+fn reversed(matrix: &DemandMatrix) -> DemandMatrix {
+    let mut demands: Vec<_> = matrix.iter().cloned().collect();
+    demands.reverse();
+    demands.into_iter().collect()
 }
 
 /// `matrix` with the rate of demand `at` replaced.
@@ -209,8 +230,9 @@ proptest! {
         cuts.sort_unstable();
         let mut rng = Rng(seed);
         // A spec that plans one demand at rate 0 while the world carries it:
-        // no finite rescaling of the planning matrix covers the realized
-        // one, so every state takes the exact sweep.
+        // no finite rescaling of its own matrix covers the realized one, but
+        // the search's cache measured under the world's base rates, and the
+        // ratio is taken against the matrix an entry was measured under.
         let zeroed_spec = zeroed.then(|| {
             let at = rng.below(w.spec.demands.len());
             let mut spec = w.spec.clone();
@@ -222,7 +244,8 @@ proptest! {
         // Successive calls on one replay: the suffix shrinks, growth
         // compounds, the surges expire after the second call, and a
         // jittered world moves every rate by its own factor at every call.
-        let mut replay = new_replay(spec);
+        let empty = Verdicts::default();
+        let mut replays = [new_replay(spec, &empty), new_replay(spec, &w.verdicts)];
         for (step, &done) in cuts.iter().enumerate() {
             let (progress, state, pending) = after(spec, phases, done);
             let mut realized =
@@ -230,17 +253,20 @@ proptest! {
             if jitter {
                 realized = jittered(&realized, 1.0, 0.5, &mut rng);
             }
-            prop_assert_eq!(
-                replay.plan_still_safe(spec, &state, &progress, &pending, &realized),
-                from_scratch_fold(spec, &state, &progress, &pending, &realized),
-                "world {} drains_first {} jitter {} zeroed {} call {} from block {}/{}",
-                world, drains_first, jitter, zeroed, step, done, total
-            );
+            let expected = from_scratch_fold(spec, &state, &progress, &pending, &realized);
+            for (cached, replay) in replays.iter_mut().enumerate() {
+                prop_assert_eq!(
+                    replay.plan_still_safe(spec, &progress, &pending, &realized),
+                    expected,
+                    "world {} drains_first {} jitter {} zeroed {} cached {} call {} from block {}/{}",
+                    world, drains_first, jitter, zeroed, cached, step, done, total
+                );
+            }
         }
     }
 }
 
-/// The inequality the lookahead's memo rests on, measured: a state's max
+/// The inequality the lookahead's cache reads rest on, measured: a state's max
 /// utilization under any rescaled matrix is at most `k` times its max
 /// utilization under the planning matrix. The derivation beside
 /// `HEADROOM_SLACK` allows the floating-point sweep a relative 3·10⁻¹⁰ over
@@ -280,7 +306,8 @@ fn headroom_bound_dominates_the_sweep() {
 
 /// A state whose bound lands within the margin of θ is neither cleared nor
 /// rejected on the estimate: it is swept, and the verdict is the fold's on
-/// both sides of θ.
+/// both sides of θ. The search's cache measured every planned state, so a
+/// sweep counted here is the bound declining.
 #[test]
 fn a_state_inside_the_margin_is_swept_not_guessed() {
     for w in WORLDS.iter() {
@@ -294,12 +321,10 @@ fn a_state_inside_the_margin_is_swept_not_guessed() {
                     .max_utilization
             })
             .fold(0.0, f64::max);
-        let mut replay = new_replay(spec);
-        // Warm the memo, so the sweeps counted below are exact sweeps.
-        assert!(replay.plan_still_safe(spec, &state, &progress, &pending, &spec.demands));
+        let mut replay = new_replay(spec, &w.verdicts);
         for (side, expected) in [(1.0 - 1e-12, true), (1.0 + 1e-12, false)] {
             let realized = spec.demands.scaled(spec.theta * side / tightest);
-            let verdict = replay.lookahead(spec, &state, &progress, &pending, &realized);
+            let verdict = replay.lookahead(spec, &progress, &pending, &realized);
             assert!(verdict.swept >= 1, "{side}: {verdict:?}");
             assert_eq!(verdict.trip.is_none(), expected, "{side}: {verdict:?}");
             assert_eq!(
@@ -315,17 +340,18 @@ fn a_state_inside_the_margin_is_swept_not_guessed() {
 fn lookahead_rejects_an_overloaded_and_an_unreachable_suffix() {
     let w = &WORLDS[0];
     let (progress, state, planned) = after(&w.spec, &w.planned, 0);
-    let mut replay = new_replay(&w.spec);
+    let mut replay = new_replay(&w.spec, &w.verdicts);
     // The planner's order is safe under the planning matrix …
-    assert!(replay.plan_still_safe(&w.spec, &state, &progress, &planned, &w.spec.demands));
+    assert!(replay.plan_still_safe(&w.spec, &progress, &planned, &w.spec.demands));
     // … over θ once demand doubles …
     let doubled = w.spec.demands.scaled(2.0);
     assert!(!from_scratch_fold(
         &w.spec, &state, &progress, &planned, &doubled
     ));
-    assert!(!replay.plan_still_safe(&w.spec, &state, &progress, &planned, &doubled));
+    assert!(!replay.plan_still_safe(&w.spec, &progress, &planned, &doubled));
     // … and draining every v1 grid first cuts demands off outright, which
-    // no amount of headroom forgives.
+    // no amount of headroom forgives (the cache measured no `u` for a
+    // disconnected state: it is swept).
     let trickle = w.spec.demands.scaled(1e-6);
     let mut s = state.clone();
     let mut v = progress.clone();
@@ -335,47 +361,82 @@ fn lookahead_rejects_an_overloaded_and_an_unreachable_suffix() {
     }
     let cut_off = evaluate_policy(&w.spec.topology, &s, &trickle, w.spec.theta, w.spec.split);
     assert!(!cut_off.all_reachable && cut_off.report.violations == 0);
-    assert!(!replay.plan_still_safe(&w.spec, &state, &progress, &w.drains_first, &trickle));
+    assert!(!replay.plan_still_safe(&w.spec, &progress, &w.drains_first, &trickle));
     // The same replay still answers the safe question correctly afterwards.
-    assert!(replay.plan_still_safe(&w.spec, &state, &progress, &planned, &w.spec.demands));
+    assert!(replay.plan_still_safe(&w.spec, &progress, &planned, &w.spec.demands));
 }
 
 #[test]
 #[should_panic(expected = "share the base demand endpoints")]
 fn lookahead_refuses_a_matrix_with_other_endpoints() {
     let w = &WORLDS[0];
-    let (progress, state, planned) = after(&w.spec, &w.planned, 0);
-    let reordered: DemandMatrix = {
-        let mut demands: Vec<_> = w.spec.demands.iter().cloned().collect();
-        demands.reverse();
-        demands.into_iter().collect()
-    };
-    new_replay(&w.spec).plan_still_safe(&w.spec, &state, &progress, &planned, &reordered);
+    let (progress, _, planned) = after(&w.spec, &w.planned, 0);
+    let empty = Verdicts::default();
+    let reordered = reversed(&w.spec.demands);
+    new_replay(&w.spec, &empty).plan_still_safe(&w.spec, &progress, &planned, &reordered);
 }
 
-/// The refusal comes from the lookahead's own ratio pass, not from the
-/// engine's rate table: at half the planned rates every state clears the
-/// headroom bound and the engine is never handed the matrix.
+/// The refusal comes from the lookahead's own endpoint check, not from the
+/// engine's rate table: at half the planned rates the search's cache clears
+/// every state by the headroom bound and the engine is never handed the
+/// matrix.
 #[test]
 #[should_panic(expected = "share the base demand endpoints")]
 fn lookahead_refuses_a_reordered_matrix_the_bound_would_clear() {
     let w = &WORLDS[0];
-    let (progress, state, planned) = after(&w.spec, &w.planned, 0);
-    let mut replay = new_replay(&w.spec);
+    let (progress, _, planned) = after(&w.spec, &w.planned, 0);
+    let mut replay = new_replay(&w.spec, &w.verdicts);
     let halved = w.spec.demands.scaled(0.5);
     let states: usize = planned.iter().map(|p| p.blocks.len()).sum();
-    // The first call sweeps each state once, under the planning matrix, to
-    // fill the memo; from then on the memo alone answers.
-    let first = replay.lookahead(&w.spec, &state, &progress, &planned, &halved);
-    assert_eq!((first.trip, first.swept, first.bound), (None, states, 0));
-    let again = replay.lookahead(&w.spec, &state, &progress, &planned, &halved);
-    assert_eq!((again.trip, again.swept, again.bound), (None, 0, states));
-    let reordered: DemandMatrix = {
-        let mut demands: Vec<_> = halved.iter().cloned().collect();
-        demands.reverse();
-        demands.into_iter().collect()
-    };
-    replay.plan_still_safe(&w.spec, &state, &progress, &planned, &reordered);
+    // The cache alone answers, call after call.
+    for _ in 0..2 {
+        let verdict = replay.lookahead(&w.spec, &progress, &planned, &halved);
+        assert_eq!(
+            (verdict.trip, verdict.swept, verdict.bound),
+            (None, 0, states)
+        );
+    }
+    replay.plan_still_safe(&w.spec, &progress, &planned, &reversed(&halved));
+}
+
+/// A cache whose matrices have other endpoints than the spec's measured
+/// nothing its rates can be compared with: handed the cache of a search of
+/// the same migration with its demands in reverse order — which holds a
+/// measurement for every planned state — the lookahead sweeps every state
+/// and answers exactly as with an empty cache.
+#[test]
+fn a_cache_that_does_not_pair_is_ignored() {
+    for w in WORLDS.iter() {
+        let spec = &w.spec;
+        let mut reordered = spec.clone();
+        reordered.demands = reversed(&spec.demands);
+        let (_, foreign) = AStarPlanner::default()
+            .plan_seeded(&reordered, None)
+            .unwrap();
+        let (progress, _, planned) = after(spec, &w.planned, 0);
+        let mut v = progress.clone();
+        let mut state = spec.initial.clone();
+        for phase in &planned {
+            for _ in &phase.blocks {
+                spec.apply_next(&mut state, &v, phase.kind);
+                v = v.advanced(phase.kind);
+                let measured = foreign.measured(spec, &progress, &v, &state, Some(phase.kind));
+                assert!(measured.is_some(), "unmeasured: {:?}", v.counts());
+            }
+        }
+        let empty = Verdicts::default();
+        let (mut ignored, mut cold) = (new_replay(spec, &foreign), new_replay(spec, &empty));
+        for growth in [0.5, 2.0] {
+            let realized = spec.demands.scaled(growth);
+            let verdict = ignored.lookahead(spec, &progress, &planned, &realized);
+            assert_eq!(verdict.bound, 0, "x{growth}: {verdict:?}");
+            assert_eq!(
+                verdict,
+                cold.lookahead(spec, &progress, &planned, &realized),
+                "x{growth}"
+            );
+        }
+    }
 }
 
 /// `audit_plan` as it stood before the walk: one from-scratch router, every

@@ -173,12 +173,13 @@ fn a_72_block_jump_is_one_delta() {
 /// The validating walk and a run's live engine both keep their budgets by
 /// delta — by the same word diff of consecutive states — and both agree
 /// with the recount where ports bind: after every check, every lookahead
-/// call (the matrix round trips planning ↔ realized touch rates only) and
+/// call (reading the search's cache, sweeping what it cannot clear) and
 /// every audit. A released engine has no base; its next route recounts.
 #[test]
 fn validating_walk_and_live_engine_agree_with_the_recount() {
     let spec = port_bound_spec(PresetId::A, 2.0, 1);
-    let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
+    let (outcome, verdicts) = AStarPlanner::default().plan_seeded(&spec, None).unwrap();
+    let plan = outcome.plan;
     let pool = Arc::new(WorkerPool::new(1));
     // The real walk (debug builds assert the recount on every check)...
     validate_and_audit_on(&spec, &plan, Arc::clone(&pool)).unwrap();
@@ -203,20 +204,13 @@ fn validating_walk_and_live_engine_agree_with_the_recount() {
     assert!(spec.topology.has_port_violation(&crowded));
     let origin = CompactState::origin(spec.num_types());
     let mut engine = LiveEngine::new(&spec, pool);
-    let mut replay = PlanReplay::default();
+    let replay = PlanReplay::new(&spec, &origin);
     let phases = plan.phases();
-    // Memo fills under the planning matrix, exact sweeps under a realized
-    // one (nothing clears at ×1.6), the memo again, another realized one.
-    for (growth, swept) in [(1.0, true), (1.6, true), (0.9, false), (1.7, true)] {
+    // Sweeps under a realized matrix the cache cannot clear everywhere, the
+    // cache alone at the planned rates, sweeps under another.
+    for (growth, swept) in [(1.6, true), (1.0, false), (1.7, true)] {
         let realized = spec.demands.scaled(growth);
-        let verdict = replay.lookahead(
-            &mut engine,
-            &spec,
-            &spec.initial,
-            &origin,
-            &phases,
-            &realized,
-        );
+        let verdict = replay.lookahead(&mut engine, &verdicts, &spec, &origin, &phases, &realized);
         assert_eq!(verdict.swept > 0, swept, "x{growth}: {verdict:?}");
         assert_recount(&spec, engine.port_budgets().unwrap());
         // An audit on the engine the lookahead just moved along the plan.

@@ -104,7 +104,7 @@ impl std::fmt::Display for PipelineError {
 }
 
 impl PipelineError {
-    /// True when the failure is the budget/deadline/cancellation path.
+    /// True when the failure is the budget/deadline path.
     pub fn is_budget_exceeded(&self) -> bool {
         matches!(self, PipelineError::Plan(PlanError::BudgetExceeded { .. }))
     }

@@ -239,10 +239,11 @@ fn instance(
 /// route: at every step the cache the plan arrived with holds the max
 /// utilization `evaluate_policy` reports for the step's state under the
 /// planning matrix, bit for bit — except where the funneling model inflated
-/// that step's check before its summary (the seed skips those) and under an
-/// ESC that keeps nothing (`Off`: no entry at all). And a lookahead whose
-/// memo is seeded from it answers as an unseeded one does, with no more
-/// sweeps.
+/// that step's check before its summary, which holds at least that much
+/// (funneling only scales loads up), and under an ESC that keeps nothing
+/// (`Off`: no entry at all). And a lookahead reading it answers as one
+/// reading an empty cache does, on the same trip, judging the same states
+/// with no more sweeps.
 fn assert_headroom_hands_off(
     spec: &MigrationSpec,
     out: &PlanOutcome,
@@ -268,7 +269,7 @@ fn assert_headroom_hands_off(
         let entry = verdicts.measured(spec, &origin, &v, &state, Some(step.kind));
         match entry {
             None if esc == EscMode::Off => {}
-            Some(_) if funneled && esc != EscMode::Off => {}
+            Some((u, _)) if funneled && esc != EscMode::Off && u >= oracle => {}
             Some((u, planned))
                 if !funneled
                     && esc != EscMode::Off
@@ -285,10 +286,10 @@ fn assert_headroom_hands_off(
 
     let phases = out.plan.phases();
     let pool = || Arc::new(WorkerPool::new(1));
-    let (mut seeded_engine, mut unseeded_engine) =
+    let (mut cached_engine, mut cold_engine) =
         (LiveEngine::new(spec, pool()), LiveEngine::new(spec, pool()));
-    let mut seeded = PlanReplay::seeded(spec, &out.plan, verdicts, &origin);
-    let mut unseeded = PlanReplay::default();
+    let replay = PlanReplay::new(spec, &origin);
+    let empty = Verdicts::default();
     let mut x = 0x9e37_79b9_7f4a_7c15_u64;
     for call in 0..8 {
         // Every rate moved by its own factor in [0.6, 1.4): some worlds the
@@ -303,24 +304,17 @@ fn assert_headroom_hands_off(
                 d
             })
             .collect();
-        let fast = seeded.lookahead(
-            &mut seeded_engine,
+        let fast = replay.lookahead(
+            &mut cached_engine,
+            verdicts,
             spec,
-            &spec.initial,
             &origin,
             &phases,
             &realized,
         );
-        let slow = unseeded.lookahead(
-            &mut unseeded_engine,
-            spec,
-            &spec.initial,
-            &origin,
-            &phases,
-            &realized,
-        );
-        if fast.trip != slow.trip || fast.swept > slow.swept {
-            return Err(format!("call {call}: seeded {fast:?}, unseeded {slow:?}"));
+        let slow = replay.lookahead(&mut cold_engine, &empty, spec, &origin, &phases, &realized);
+        if fast.trip != slow.trip || fast.bound + fast.swept != slow.swept {
+            return Err(format!("call {call}: cached {fast:?}, cold {slow:?}"));
         }
     }
     Ok(())
