@@ -70,9 +70,11 @@
 //! topology, and when the new base rates are the cache's last matrix bit
 //! for bit the search resumes under that matrix's index — every inherited
 //! entry is a plain hit and no matrix is added. Which specs are alike is
-//! the caller's key to keep; the planning daemon keys its one stored cache
-//! on the name-blanked document and those options, and validates every
-//! plan from a cold cache. Nothing else keeps a cache between requests.
+//! the caller's key to keep; the planning daemon keeps each search's cache
+//! beside its cached plan, keyed on the name-blanked document and those
+//! options, and validates every plan from a cold cache. A cache holds its
+//! topology weakly, so a stored one keeps no network alive. Nothing else
+//! keeps a cache between requests.
 //!
 //! Live (observed, non-canonical) states are not this checker's business:
 //! the run loop audits them on an engine of its own.
@@ -92,7 +94,7 @@ use klotski_routing::{
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Cache strategy for satisfiability results.
@@ -310,8 +312,9 @@ impl Entry {
 
 /// What every entry of a cache rests on besides the state and the planning
 /// matrix: the box its keys index (the target counts of the spec generation
-/// it was started for, the run's *root*), its key kind, and the topology,
-/// split and constraint models of every generation that fills it. Not θ: a
+/// it was started for, the run's *root*), its key kind, and the topology
+/// (held weakly: compared by address, never read), split and constraint
+/// models of every generation that fills it. Not θ: a
 /// measured `u` is θ-free, and the bound reads θ afresh. (A plain hit's
 /// `pass` was judged against θ: a run keeps one, and whoever adopts a cache
 /// across requests keys it on θ.)
@@ -319,7 +322,7 @@ impl Entry {
 struct Basis {
     target: CompactState,
     mode: EscMode,
-    topology: Arc<Topology>,
+    topology: Weak<Topology>,
     check_ports: bool,
     funneling: FunnelingModel,
     split: SplitPolicy,
@@ -330,7 +333,7 @@ impl Basis {
         Self {
             target: spec.target_counts.clone(),
             mode,
-            topology: Arc::clone(&spec.topology),
+            topology: Arc::downgrade(&spec.topology),
             check_ports: spec.check_ports,
             funneling: spec.funneling,
             split: spec.split,
@@ -342,7 +345,9 @@ impl Basis {
     /// `frame + spec.target_counts` is the root's target.
     fn admits(&self, spec: &MigrationSpec, frame: &CompactState) -> bool {
         let remaining = spec.target_counts.counts();
-        Arc::ptr_eq(&self.topology, &spec.topology)
+        // The allocation outlives every `Weak` to it, so an equal address
+        // is the same topology.
+        std::ptr::eq(Weak::as_ptr(&self.topology), Arc::as_ptr(&spec.topology))
             && self.check_ports == spec.check_ports
             && self.funneling == spec.funneling
             && self.split == spec.split
@@ -438,7 +443,7 @@ impl Verdicts {
     /// search; a validating walk from a cold cache still refuses any unsafe
     /// plan it finds.
     pub fn adopt(mut self, spec: &MigrationSpec) -> Option<Prior> {
-        self.basis.as_mut()?.topology = Arc::clone(&spec.topology);
+        self.basis.as_mut()?.topology = Arc::downgrade(&spec.topology);
         let frame = CompactState::origin(spec.num_types());
         self.fits(spec, &frame).then(|| {
             self.resumes = true;
@@ -1238,10 +1243,10 @@ mod tests {
         assert_eq!((s.incremental_clean, s.incremental_dirty), (0, 0));
     }
 
-    /// Memory bound of the daemon's store: an entry adopted by request after
-    /// request with bit-identical rates resumes under its one matrix every
-    /// time, so however often it is handed on it holds one planning matrix
-    /// — and its entries answer every check.
+    /// Memory bound of a cache the daemon keeps beside its plans: one
+    /// adopted by request after request with bit-identical rates resumes
+    /// under its one matrix every time, so however often it is handed on it
+    /// holds one planning matrix — and its entries answer every check.
     #[test]
     fn a_thousand_adoptions_keep_one_planning_matrix() {
         use crate::planner::{AStarPlanner, Planner};
@@ -1266,6 +1271,15 @@ mod tests {
         }
         assert_eq!(verdicts.matrices.len(), 1);
         assert_eq!(verdicts.entries.len() as u64, cold.stats.esc_entries);
+
+        // A kept cache holds no topology: once its specs are gone the
+        // network is freed, and a new one at another address fits it.
+        let freed = Arc::downgrade(&first.topology);
+        drop((first, cold));
+        assert!(verdicts.clone().adopt(&rebuilt).is_some());
+        drop(rebuilt);
+        assert!(freed.upgrade().is_none());
+        assert!(verdicts.adopt(&spec()).is_some());
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub struct PlanSummary {
     /// Satisfiability queries issued.
     pub sat_checks: u64,
     /// Queries of this request's search served from the ESC cache —
-    /// including verdicts the daemon's verdict store handed it from an
+    /// including verdicts the daemon's plan cache handed it from an
     /// earlier request for the same document under another name.
     #[serde(default)]
     pub cache_hits: u64,

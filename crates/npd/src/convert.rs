@@ -77,17 +77,22 @@ impl Tally {
     }
 }
 
-/// The switches and circuits [`build_region`] creates for `cfg` (which
-/// forklifts no SSWs), counted off the builders' loops without building
-/// anything; `None` for a count that overflows `usize`.
+/// The switches and circuits [`build_region`] creates for `cfg`, counted
+/// off the builders' loops without building anything; `None` for a count
+/// that overflows `usize`.
 fn region_size(cfg: &RegionConfig) -> (Option<usize>, Option<usize>) {
     let (mut switches, mut circuits) = (Tally(Some(0)), Tally(Some(0)));
     let bb = &cfg.backbone;
-    for fc in &cfg.dcs {
-        switches.add(&[fc.planes, fc.ssws_per_plane]);
+    // A forklifted building's second-generation SSWs mirror every circuit
+    // of its first: its SSWs and their circuits count twice.
+    let ssw_generations: Vec<usize> = (0..cfg.dcs.len())
+        .map(|i| 1 + usize::from(cfg.ssw_forklift_dcs.iter().any(|&d| usize::from(d) == i)))
+        .collect();
+    for (fc, &gens) in cfg.dcs.iter().zip(&ssw_generations) {
+        switches.add(&[gens, fc.planes, fc.ssws_per_plane]);
         switches.add(&[fc.pods, fc.planes]);
         switches.add(&[fc.pods, fc.rsws_per_pod]);
-        circuits.add(&[fc.pods, fc.planes, fc.ssws_per_plane]);
+        circuits.add(&[gens, fc.pods, fc.planes, fc.ssws_per_plane]);
         circuits.add(&[fc.pods, fc.rsws_per_pod, fc.planes]);
     }
     for layer in std::iter::once(&cfg.hgrid_v1).chain(&cfg.hgrid_v2) {
@@ -95,12 +100,13 @@ fn region_size(cfg: &RegionConfig) -> (Option<usize>, Option<usize>) {
         switches.add(&[layer.grids, layer.fauus_per_grid]);
         circuits.add(&[layer.grids, layer.fadus_per_grid, layer.fauus_per_grid]);
         circuits.add(&[layer.grids, layer.fauus_per_grid, bb.ebs]);
-        for fc in &cfg.dcs {
+        for (fc, &gens) in cfg.dcs.iter().zip(&ssw_generations) {
             match layer.mesh {
                 MeshPattern::PlaneAligned => {
-                    circuits.add(&[layer.grids, layer.fadus_per_grid, fc.ssws_per_plane])
+                    circuits.add(&[gens, layer.grids, layer.fadus_per_grid, fc.ssws_per_plane])
                 }
                 MeshPattern::Spread => circuits.add(&[
+                    gens,
                     layer.grids,
                     fc.planes,
                     fc.ssws_per_plane,
@@ -173,7 +179,10 @@ pub fn region_to_npd(cfg: &RegionConfig) -> Npd {
     Npd {
         version: Npd::VERSION,
         name: cfg.name.clone(),
-        fabric: FabricPart { buildings },
+        fabric: FabricPart {
+            buildings,
+            ssw_forklift: cfg.ssw_forklift_dcs.clone(),
+        },
         hgrid: HgridPart { layers },
         ma,
         eb: EbPart {
@@ -285,6 +294,12 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
             l.fadu_fauu_gbps,
         )?;
     }
+    let forklift = &npd.fabric.ssw_forklift;
+    for (i, &b) in forklift.iter().enumerate() {
+        if usize::from(b) >= npd.fabric.buildings.len() || forklift[..i].contains(&b) {
+            return Err(NpdError::BadForklift(b));
+        }
+    }
     if npd.ma.mas > 0 {
         capacity(format_args!("ma.fauu_ma_gbps"), npd.ma.fauu_ma_gbps)?;
         capacity(format_args!("ma.ma_eb_gbps"), npd.ma.ma_eb_gbps)?;
@@ -374,7 +389,7 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
             ebb_ports: hw_ports(&npd.bb.hardware, 512),
         },
         dmag,
-        ssw_forklift_dcs: vec![],
+        ssw_forklift_dcs: npd.fabric.ssw_forklift.clone(),
     };
     // Counts have no bound of their own: a region past the limits would
     // build until memory runs out, so it is refused from its counts alone.
@@ -557,13 +572,16 @@ mod tests {
         assert!(npd_to_topology(&npd).is_ok());
     }
 
-    /// Every shipped preset converts back unrefused, and the size counted
-    /// off its document is the size of the topology built from it.
+    /// Every shipped preset's document converts back to the preset's own
+    /// config, and the size counted off the document is the size of the
+    /// topology built from it.
     #[test]
     fn shipped_presets_round_trip_within_the_size_limits() {
         for id in PresetId::ALL {
-            let cfg = npd_to_region(&region_to_npd(&presets::config(id)))
-                .unwrap_or_else(|e| panic!("{id}: {e}"));
+            let original = presets::config(id);
+            let cfg =
+                npd_to_region(&region_to_npd(&original)).unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert_eq!(cfg, original, "{id}");
             let (topo, _) = build_region(&cfg);
             assert_eq!(
                 region_size(&cfg),
@@ -571,6 +589,20 @@ mod tests {
                 "{id}"
             );
         }
+    }
+
+    /// A forklift list names each building of the document at most once.
+    #[test]
+    fn a_forklift_of_a_missing_or_repeated_building_is_refused() {
+        let mut npd = region_to_npd(&presets::config(PresetId::C));
+        for (list, refused) in [(vec![2], 2), (vec![1, 0, 1], 1)] {
+            npd.fabric.ssw_forklift = list;
+            let err = npd_to_region(&npd).expect_err("refused");
+            assert_eq!(err, NpdError::BadForklift(refused));
+            assert!(err.to_string().contains("ssw_forklift"), "{err}");
+        }
+        npd.fabric.ssw_forklift = vec![1, 0];
+        assert_eq!(npd_to_region(&npd).unwrap().ssw_forklift_dcs, [1, 0]);
     }
 
     /// `pods: 10⁷` used to build until memory ran out: it is refused from

@@ -28,6 +28,9 @@ pub enum NpdError {
         /// Its value.
         gbps: f64,
     },
+    /// `fabric.ssw_forklift` names a building the document does not have,
+    /// or names one twice.
+    BadForklift(u16),
     /// The region the document's counts describe has more switches or
     /// circuits than the converter builds.
     TooLarge {
@@ -64,6 +67,10 @@ impl fmt::Display for NpdError {
             NpdError::BadCapacity { field, gbps } => {
                 write!(f, "{field} must be a finite positive capacity, got {gbps}")
             }
+            NpdError::BadForklift(b) => write!(
+                f,
+                "fabric.ssw_forklift lists building {b} twice or past the last building"
+            ),
             NpdError::TooLarge { what, count, limit } => match count {
                 Some(n) => write!(f, "region has {n} {what}, more than the limit of {limit}"),
                 None => write!(f, "region's {what} overflow usize (limit {limit})"),

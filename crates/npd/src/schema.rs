@@ -65,6 +65,11 @@ pub struct FabricBuilding {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FabricPart {
     pub buildings: Vec<FabricBuilding>,
+    /// Buildings (indices into `buildings`) whose SSWs are forklifted: each
+    /// gets a second generation of SSWs beside its first (§2.4). Left out
+    /// of the document when empty.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub ssw_forklift: Vec<u16>,
 }
 
 /// One HGRID generation layer.
@@ -174,6 +179,7 @@ mod tests {
                     fsw_hardware: "fsw-std".into(),
                     ssw_hardware: "ssw-std".into(),
                 }],
+                ssw_forklift: vec![],
             },
             hgrid: HgridPart {
                 layers: vec![HgridLayer {
@@ -233,6 +239,19 @@ mod tests {
         let trimmed = serde_json::to_string(&obj).unwrap();
         let back = Npd::from_json(&trimmed).unwrap();
         assert!(back.phases.is_empty());
+    }
+
+    /// A document that forklifts nothing says nothing about it, so its
+    /// bytes (and digest) are those of a document from before the field.
+    #[test]
+    fn the_forklift_list_is_written_only_when_it_names_a_building() {
+        let mut npd = sample();
+        let json = npd.to_json_pretty().unwrap();
+        assert!(!json.contains("ssw_forklift"), "{json}");
+        npd.fabric.ssw_forklift = vec![0];
+        let json = npd.to_json_pretty().unwrap();
+        assert!(json.contains("\"ssw_forklift\""), "{json}");
+        assert_eq!(Npd::from_json(&json).unwrap(), npd);
     }
 
     #[test]

@@ -7,6 +7,14 @@
 //! bookkeeping buys nothing — the cache exists to absorb repeated
 //! submissions of the same document, which arrive in bursts.
 //!
+//! It is also the daemon's one warm store: an entry a worker planned keeps
+//! its search's ESC verdicts beside the artifact, and a miss starts from
+//! those of the newest resident entry under its store key
+//! ([`PlanCache::newest`]). So `--cache N` bounds verdict reuse too, and
+//! eviction is its only loss. They sit beside the artifact, not in it,
+//! because a finished job kept for polling holds its artifact long after
+//! the cache has let the entry go.
+//!
 //! One mutex guards the map, the age order and the counters: a lookup is a
 //! hash probe and an `Arc` clone (~100 ns) against requests that each parse
 //! a document and open a connection, so there is nothing for shards to win,
@@ -18,8 +26,9 @@ use crate::locked;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-struct Inner<V> {
-    map: HashMap<JobKey, Arc<V>>,
+struct Inner<V, W> {
+    /// Each key's artifact, and the warm state kept beside it.
+    map: HashMap<JobKey, (Arc<V>, Option<Arc<W>>)>,
     /// Resident keys, oldest first.
     order: VecDeque<JobKey>,
     stats: CacheStats,
@@ -39,13 +48,13 @@ pub struct CacheStats {
 }
 
 /// A concurrent capacity-bounded map from `(npd_digest, options_digest)` to
-/// shared plan artifacts.
-pub struct PlanCache<V> {
-    inner: Mutex<Inner<V>>,
+/// shared plan artifacts, each with optional warm state `W` beside it.
+pub struct PlanCache<V, W = ()> {
+    inner: Mutex<Inner<V, W>>,
     capacity: usize,
 }
 
-impl<V> PlanCache<V> {
+impl<V, W> PlanCache<V, W> {
     /// A cache holding at most `capacity` artifacts (0 disables caching).
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -61,7 +70,7 @@ impl<V> PlanCache<V> {
     /// Looks up a finished artifact, counting the hit or miss.
     pub fn get(&self, key: JobKey) -> Option<Arc<V>> {
         let mut inner = locked(&self.inner);
-        let hit = inner.map.get(&key).cloned();
+        let hit = inner.map.get(&key).map(|(value, _)| Arc::clone(value));
         match hit {
             Some(_) => inner.stats.hits += 1,
             None => inner.stats.misses += 1,
@@ -69,15 +78,15 @@ impl<V> PlanCache<V> {
         hit
     }
 
-    /// Inserts an artifact, evicting the oldest entry when at capacity.
-    /// Re-inserting an existing key refreshes the value without growing
-    /// the cache or renewing the key's age.
-    pub fn insert(&self, key: JobKey, value: Arc<V>) {
+    /// Inserts an artifact and its warm state, evicting the oldest entry
+    /// when at capacity. Re-inserting an existing key refreshes both without
+    /// growing the cache or renewing the key's age.
+    pub fn insert(&self, key: JobKey, value: Arc<V>, warm: Option<W>) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = locked(&self.inner);
-        if inner.map.insert(key, value).is_none() {
+        if (inner.map.insert(key, (value, warm.map(Arc::new)))).is_none() {
             inner.order.push_back(key);
             while inner.order.len() > self.capacity {
                 if let Some(old) = inner.order.pop_front() {
@@ -86,6 +95,17 @@ impl<V> PlanCache<V> {
                 }
             }
         }
+    }
+
+    /// The warm state of the newest resident entry whose warm state `pick`
+    /// accepts, found by a scan of the age order under the lock (at most
+    /// `capacity` entries); not counted as a lookup.
+    pub fn newest(&self, pick: impl Fn(&W) -> bool) -> Option<Arc<W>> {
+        let inner = locked(&self.inner);
+        (inner.order.iter().rev())
+            .filter_map(|key| inner.map.get(key)?.1.as_ref())
+            .find(|warm| pick(warm))
+            .cloned()
     }
 
     /// The counters and the resident entry count.
@@ -104,7 +124,7 @@ impl<V> PlanCache<V> {
         inner
             .order
             .iter()
-            .filter_map(|key| Some((*key, Arc::clone(inner.map.get(key)?))))
+            .filter_map(|key| Some((*key, Arc::clone(&inner.map.get(key)?.0))))
             .collect()
     }
 }
@@ -115,10 +135,10 @@ mod tests {
 
     #[test]
     fn hit_returns_same_arc() {
-        let cache = PlanCache::new(16);
+        let cache: PlanCache<_> = PlanCache::new(16);
         assert!(cache.get((1, 2)).is_none());
         let v = Arc::new("artifact".to_string());
-        cache.insert((1, 2), Arc::clone(&v));
+        cache.insert((1, 2), Arc::clone(&v), None);
         let got = cache.get((1, 2)).expect("hit");
         assert!(Arc::ptr_eq(&got, &v));
         let stats = cache.stats();
@@ -128,9 +148,9 @@ mod tests {
     #[test]
     fn capacity_is_exact_and_eviction_is_oldest_first() {
         // Not a multiple of anything: `--cache 10` holds ten.
-        let cache = PlanCache::new(10);
+        let cache: PlanCache<_> = PlanCache::new(10);
         for i in 0..100u64 {
-            cache.insert((i, 0), Arc::new(i));
+            cache.insert((i, 0), Arc::new(i), None);
         }
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (10, 90));
@@ -142,8 +162,8 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = PlanCache::new(0);
-        cache.insert((1, 1), Arc::new(7u32));
+        let cache: PlanCache<_> = PlanCache::new(0);
+        cache.insert((1, 1), Arc::new(7u32), None);
         assert!(cache.get((1, 1)).is_none());
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.misses), (0, 1));
@@ -151,21 +171,21 @@ mod tests {
 
     #[test]
     fn options_digest_distinguishes_entries() {
-        let cache = PlanCache::new(64);
-        cache.insert((1, 10), Arc::new("astar"));
-        cache.insert((1, 20), Arc::new("dp"));
+        let cache: PlanCache<_> = PlanCache::new(64);
+        cache.insert((1, 10), Arc::new("astar"), None);
+        cache.insert((1, 20), Arc::new("dp"), None);
         assert_eq!(*cache.get((1, 10)).unwrap(), "astar");
         assert_eq!(*cache.get((1, 20)).unwrap(), "dp");
     }
 
     #[test]
     fn snapshot_is_every_resident_entry_in_age_order() {
-        let cache = PlanCache::new(8);
+        let cache: PlanCache<_> = PlanCache::new(8);
         for i in 0..10u64 {
-            cache.insert((i, 1), Arc::new(i));
+            cache.insert((i, 1), Arc::new(i), None);
         }
         // A refresh keeps the key's place in the order.
-        cache.insert((4, 1), Arc::new(4));
+        cache.insert((4, 1), Arc::new(4), None);
         let snap = cache.snapshot();
         let keys: Vec<u64> = snap.iter().map(|(key, _)| key.0).collect();
         assert_eq!(keys, (2..10).collect::<Vec<u64>>());
@@ -175,8 +195,26 @@ mod tests {
     }
 
     #[test]
+    fn newest_is_the_last_inserted_resident_warm_match_and_counts_nothing() {
+        let cache = PlanCache::new(4);
+        assert!(cache.newest(|_: &u64| true).is_none());
+        for i in 0..6u64 {
+            // Entry 5 keeps no warm state.
+            cache.insert((i, 0), Arc::new(i), (i != 5).then_some(i * 10));
+        }
+        // A refresh keeps its age: 3 is still older than 4.
+        cache.insert((3, 0), Arc::new(3), Some(30));
+        assert_eq!(cache.newest(|_| true).as_deref(), Some(&40));
+        assert_eq!(cache.newest(|w| *w < 40).as_deref(), Some(&30));
+        // Evicted entries are not found.
+        assert!(cache.newest(|w| *w < 20).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+    }
+
+    #[test]
     fn concurrent_access_is_consistent() {
-        let cache = Arc::new(PlanCache::new(256));
+        let cache: Arc<PlanCache<_>> = Arc::new(PlanCache::new(256));
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
                 let cache = Arc::clone(&cache);
@@ -186,7 +224,7 @@ mod tests {
                         if let Some(v) = cache.get(key) {
                             assert_eq!(*v, key.0 * 1000 + key.1);
                         } else {
-                            cache.insert(key, Arc::new(key.0 * 1000 + key.1));
+                            cache.insert(key, Arc::new(key.0 * 1000 + key.1), None);
                         }
                     }
                 })

@@ -16,6 +16,8 @@
 //! * **Cached and coalesced** by `(NPD digest, options digest)`: a repeated
 //!   document returns the original bytes, and concurrent duplicates of one
 //!   kind follow the first submission's job instead of planning again.
+//!   Each cached plan keeps its search's ESC verdicts beside it, so a miss
+//!   for the same document under another name starts its search warm.
 //! * **Warm restart**: with `--state-dir`, a checksummed write-ahead
 //!   journal of admissions and artifacts is replayed at start-up.
 //! * **Byte-identity**: the service and `klotski plan` call the same
@@ -49,7 +51,6 @@ pub mod pipeline;
 mod queue;
 pub mod signal;
 mod state;
-mod verdicts;
 mod work;
 
 use crate::cache::PlanCache;
@@ -59,8 +60,8 @@ use crate::metrics::{Observed, ServiceMetrics};
 use crate::pipeline::PlanArtifact;
 use crate::queue::BoundedQueue;
 use crate::state::StateStore;
-use crate::verdicts::VerdictStore;
 use crate::work::QueuedJob;
+use klotski_core::Verdicts;
 use klotski_npd::api::ErrorResponse;
 use klotski_parallel::default_lanes;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -97,7 +98,9 @@ pub struct ServiceConfig {
     /// Satisfiability lanes per worker's persistent
     /// [`WorkerPool`](klotski_parallel::WorkerPool).
     pub lanes_per_worker: usize,
-    /// Shared plan-cache capacity in artifacts (0 disables).
+    /// Shared plan-cache capacity in artifacts (0 disables). Each cached
+    /// artifact keeps its search's ESC verdicts beside it, so this bounds
+    /// verdict reuse as well.
     pub cache_capacity: usize,
     /// How long a synchronous (no `?wait=0`) submission blocks before
     /// degrading to `202 Accepted` + job id.
@@ -144,7 +147,10 @@ pub(crate) struct Shared {
     config: ServiceConfig,
     queue: BoundedQueue<QueuedJob>,
     jobs: JobTable,
-    cache: PlanCache<PlanArtifact>,
+    /// Finished artifacts, each beside the ESC verdicts of the search that
+    /// planned it under its `work::store_key` (none for a replayed one:
+    /// verdicts live in memory only).
+    cache: PlanCache<PlanArtifact, (u64, Verdicts)>,
     metrics: ServiceMetrics,
     workers_busy: AtomicUsize,
     /// Open `/events` subscribers (the 503-shedding gauge).
@@ -152,9 +158,6 @@ pub(crate) struct Shared {
     draining: AtomicBool,
     /// Write-ahead journal, when `--state-dir` is set.
     state: Option<StateStore>,
-    /// The last finished search's ESC verdicts, lent to a planning miss for
-    /// the same document under another name (memory only).
-    verdicts: VerdictStore,
 }
 
 impl Shared {
@@ -236,14 +239,13 @@ impl Service {
             sse_active: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             state: store,
-            verdicts: VerdictStore::default(),
             config,
         });
 
         // Seed the cache and re-enqueue interrupted jobs before any worker
         // or connection runs, so replayed state is never raced by traffic.
         for (key, artifact) in replay.artifacts {
-            shared.cache.insert(key, artifact);
+            shared.cache.insert(key, artifact, None);
             shared.metrics.state_replayed_artifacts.inc();
         }
         for pending in replay.pending {

@@ -5,8 +5,8 @@
 //! requirement (operators diff shipped plan documents), so there is exactly
 //! one implementation of the NPD → region → spec → plan → attach sequence
 //! and both front ends call it: the CLI through [`plan_document`], the
-//! service's workers through its two halves, with a loan from the daemon's
-//! verdict store between them. The CLI writes
+//! service's workers through its two halves, looking up the verdicts of a
+//! cached plan between them. The CLI writes
 //! [`PlanArtifact::plan_json`] to `-o`; the service returns the same bytes
 //! as the response body.
 
@@ -272,6 +272,7 @@ pub(crate) fn plan_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klotski_core::planner::{AStarPlanner, Planner};
     use klotski_npd::convert::region_to_npd;
     use klotski_topology::presets::{self};
 
@@ -296,6 +297,29 @@ mod tests {
         let shipped = Npd::from_json(std::str::from_utf8(&artifact.plan_json).unwrap()).unwrap();
         assert_eq!(shipped.phases.len(), artifact.summary.phases);
         assert_eq!(artifact.audit.phases.len(), artifact.summary.phases);
+    }
+
+    /// An exported SSW-forklift document plans (bench scale): its bytes are
+    /// those of planning the preset itself and attaching the plan.
+    #[test]
+    fn an_exported_ssw_forklift_plans_as_its_preset() {
+        let preset = presets::build_for_bench(PresetId::ESsw);
+        let npd = region_to_npd(&preset.config);
+        let artifact = plan_document(
+            &npd,
+            &PlanRequestOptions::default(),
+            SearchBudget::default(),
+            None,
+        )
+        .expect("an E-SSW document plans");
+        let spec = MigrationBuilder::for_preset(&preset, &MigrationOptions::default()).unwrap();
+        let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
+        let mut shipped = npd;
+        attach_plan(&mut shipped, &spec, &plan);
+        assert_eq!(
+            String::from_utf8(artifact.plan_json).unwrap(),
+            shipped.to_json_pretty().unwrap()
+        );
     }
 
     #[test]

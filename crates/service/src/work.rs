@@ -6,15 +6,15 @@
 
 use crate::jobs::{Job, JobError, JobKey, JobKind, JobOutput, RunArtifact};
 use crate::pipeline::{build_instance, plan_instance, PipelineError, PlanArtifact};
-use crate::verdicts::store_key;
 use crate::Shared;
 use klotski_controller::{run_scenario, ControllerError, Scenario};
 use klotski_core::planner::SearchBudget;
 use klotski_core::PlanError;
-use klotski_npd::api::PlanRequestOptions;
+use klotski_npd::api::{npd_digest, PlanRequestOptions};
 use klotski_npd::Npd;
 use klotski_parallel::WorkerPool;
 use klotski_telemetry::SpanGuard;
+use klotski_topology::Fnv1a;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -175,10 +175,35 @@ pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'sta
     label
 }
 
+/// The key a request's verdicts are kept under: the digest of its document
+/// with the name blanked, mixed with the digest of the options that reach
+/// the migration spec — θ, which every cached `pass` was judged against,
+/// and the ensemble, whose members every verdict covers. Not α, the planner
+/// or the deadline: they steer the search, not its checks. Two documents
+/// that differ anywhere but their name key apart, even where the difference
+/// (a switch's name, say) routes nothing; that costs a cold plan, never a
+/// wrong verdict.
+fn store_key(npd: &Npd, options: &PlanRequestOptions) -> u64 {
+    let unnamed = Npd {
+        name: String::new(),
+        ..npd.clone()
+    };
+    let checked = PlanRequestOptions {
+        theta: options.theta,
+        ensemble: options.ensemble.clone(),
+        ..PlanRequestOptions::default()
+    };
+    Fnv1a::new()
+        .u64(npd_digest(&unnamed))
+        .u64(checked.digest())
+        .finish()
+}
+
 /// Plans (or audits — one artifact answers both) a document on this
-/// worker's pool. The search borrows the verdict store's entry when it is
-/// under the request's [`store_key`], and gives its own verdicts back once
-/// it has planned; the store's lock is held only for those two moves.
+/// worker's pool. The search starts from a copy of the verdicts kept beside
+/// the newest cached artifact under the request's [`store_key`], if any,
+/// and its own go into the cache beside its artifact; a job that fails or
+/// panics leaves the cache as it was.
 fn run_plan_job(
     shared: &Shared,
     job: &Job,
@@ -198,24 +223,24 @@ fn run_plan_job(
     }
     shared.metrics.pipeline_executions.inc();
     let _span = klotski_telemetry::span!("pipeline.plan", "npd" = npd.name.as_str());
+    let stored = store_key(npd, options);
     let planned = build_instance(npd, options).and_then(|instance| {
-        let stored = store_key(npd, options);
-        let prior = shared.verdicts.lend(stored, &instance.spec);
-        // The lending window: the entry under `stored`, if any, is out of
-        // the store until the search has planned and been validated.
+        let prior = shared
+            .cache
+            .newest(|(k, _)| *k == stored)
+            .and_then(|warm| warm.1.clone().adopt(&instance.spec));
         #[cfg(test)]
         tests::injected_fault(shared, key.0);
-        let (artifact, verdicts) =
-            plan_instance(npd, &instance, key, budget, Some(Arc::clone(pool)), prior)?;
-        shared.verdicts.give_back(stored, verdicts);
-        Ok(artifact)
+        plan_instance(npd, &instance, key, budget, Some(Arc::clone(pool)), prior)
     });
     match planned {
-        Ok(artifact) => {
+        Ok((artifact, verdicts)) => {
             // Cached before it is settled: a duplicate arriving once the
             // slot is free must find the artifact, not plan again.
             let artifact = Arc::new(artifact);
-            shared.cache.insert(key, Arc::clone(&artifact));
+            shared
+                .cache
+                .insert(key, Arc::clone(&artifact), Some((stored, verdicts)));
             Outcome::Done(JobOutput::Plan(artifact))
         }
         Err(e) => {
@@ -278,6 +303,7 @@ mod tests {
     use crate::state::StateStore;
     use crate::testkit::{header, metric, request, small_npd_json, stream_request};
     use crate::{locked, Service, ServiceConfig};
+    use klotski_core::EnsembleSpec;
     use klotski_npd::api::{fnv1a, AcceptedResponse, AuditResponse, ErrorResponse, PlanSummary};
     use klotski_npd::convert::region_to_npd;
     use klotski_topology::presets::{self, PresetId};
@@ -314,24 +340,29 @@ mod tests {
         panic!("injected planner fault");
     }
 
-    /// Opened by the one test that arms [`hold_until_the_gate_opens`].
-    static GATE_OPEN: AtomicBool = AtomicBool::new(false);
+    /// A hold for lining jobs up: an armed job waits on its gate until the
+    /// test opens it (or a minute passes, so a failed test does not pin the
+    /// thread forever). One gate per test that holds.
+    struct Gate(AtomicBool);
 
-    /// Holds its worker until the gate opens (or a minute passes, so a
-    /// failed test does not pin the thread forever).
-    fn hold_until_the_gate_opens(_: &Shared) {
-        let patience = Instant::now() + Duration::from_secs(60);
-        while !GATE_OPEN.load(Ordering::Acquire) && Instant::now() < patience {
-            std::thread::sleep(Duration::from_millis(1));
+    impl Gate {
+        fn hold(&self) {
+            let patience = Instant::now() + Duration::from_secs(60);
+            while !self.0.load(Ordering::Acquire) && Instant::now() < patience {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn open(&self) {
+            self.0.store(true, Ordering::Release);
         }
     }
 
-    /// The store key every renamed copy of preset A's document shares
-    /// under the default options.
-    fn preset_a_key() -> u64 {
-        let npd = region_to_npd(&presets::config(PresetId::A));
-        store_key(&npd, &PlanRequestOptions::default())
-    }
+    /// Opened by the coalescing test.
+    static COALESCE_GATE: Gate = Gate(AtomicBool::new(false));
+
+    /// Opened by the concurrent-miss test.
+    static MISS_GATE: Gate = Gate(AtomicBool::new(false));
 
     /// What `plan_document` answers for `json`, from a cold cache.
     fn cold_bytes(json: &str) -> String {
@@ -350,34 +381,29 @@ mod tests {
             .summary
     }
 
-    /// What the verdict store held while a job was inside its lending
-    /// window, as [`panic_holding_a_loan`] saw it.
-    static HELD_IN_THE_WINDOW: Mutex<Option<Option<u64>>> = Mutex::new(None);
-
-    /// Reads the store from inside the lending window — it would deadlock
-    /// were the lock held across the search — then panics with the loan.
-    fn panic_holding_a_loan(shared: &Shared) {
-        *locked(&HELD_IN_THE_WINDOW) = Some(shared.verdicts.held());
-        panic!("injected fault while holding a loan");
+    /// Preset A's document under `name`.
+    fn preset_a(name: &str) -> Npd {
+        renamed(&region_to_npd(&presets::config(PresetId::A)), name)
     }
 
-    /// Opened by the one test that arms [`hold_a_loan_until_the_gate_opens`].
-    static LOAN_GATE_OPEN: AtomicBool = AtomicBool::new(false);
-
-    /// Holds its worker inside the lending window until the gate opens (or
-    /// a minute passes).
-    fn hold_a_loan_until_the_gate_opens(_: &Shared) {
-        let patience = Instant::now() + Duration::from_secs(60);
-        while !LOAN_GATE_OPEN.load(Ordering::Acquire) && Instant::now() < patience {
-            std::thread::sleep(Duration::from_millis(1));
+    /// `blueprint` under `name`.
+    fn renamed(blueprint: &Npd, name: &str) -> Npd {
+        Npd {
+            name: name.into(),
+            ..blueprint.clone()
         }
     }
 
     /// A preset-A document only the calling test submits.
     fn private_npd(name: &str) -> (u64, String) {
-        let mut npd = region_to_npd(&presets::config(PresetId::A));
-        npd.name = name.into();
+        let npd = preset_a(name);
         (klotski_npd::npd_digest(&npd), npd.to_json_pretty().unwrap())
+    }
+
+    /// The keys resident in the daemon's cache, oldest first.
+    fn resident(service: &Service) -> Vec<JobKey> {
+        let snapshot = service.shared.cache.snapshot();
+        snapshot.into_iter().map(|(key, _)| key).collect()
     }
 
     #[test]
@@ -509,7 +535,7 @@ mod tests {
         // Occupy the single worker with a run that waits on the gate.
         let mut holder = klotski_controller::Scenario::sample();
         holder.name = "coalesce-gate".into();
-        arm(fnv1a(holder.name.as_bytes()), hold_until_the_gate_opens);
+        arm(fnv1a(holder.name.as_bytes()), |_| COALESCE_GATE.hold());
         let holder = serde_json::to_string(&holder).unwrap();
         let (status, _, body) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &holder);
         assert_eq!(status, 202, "{body}");
@@ -549,7 +575,7 @@ mod tests {
         }
         // Held on the run, the worker has not started the plan.
         assert_eq!(metric(addr, "klotski_pipeline_executions_total"), 0);
-        GATE_OPEN.store(true, Ordering::Release);
+        COALESCE_GATE.open();
 
         let bodies: Vec<String> = waiters
             .into_iter()
@@ -690,138 +716,190 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A job that panics or passes its deadline while it holds the verdict
-    /// store's entry drops that entry; one that panics holding none leaves
-    /// the store as it was; the lock is free inside the lending window; the
-    /// next renamed tenants — cold, then warm again — answer
-    /// `plan_document`'s bytes.
+    /// The name is the one field the store key ignores; θ, a circuit
+    /// capacity and the ensemble seed each key apart, and α, the planner and
+    /// the deadline do not.
     #[test]
-    fn a_job_that_dies_holding_a_loan_drops_that_entry_and_nothing_else() {
+    fn the_key_ignores_the_name_and_nothing_the_checks_read() {
+        let defaults = PlanRequestOptions::default();
+        let base = store_key(&preset_a("one"), &defaults);
+        assert_eq!(store_key(&preset_a("two"), &defaults), base);
+        let steering = PlanRequestOptions {
+            alpha: Some(0.5),
+            planner: Some("dp".into()),
+            deadline_ms: Some(5),
+            ..PlanRequestOptions::default()
+        };
+        assert_eq!(store_key(&preset_a("two"), &steering), base);
+
+        let theta = PlanRequestOptions {
+            theta: Some(0.74),
+            ..PlanRequestOptions::default()
+        };
+        let mut capacity = preset_a("one");
+        capacity.eb.fauu_eb_gbps *= 1.5;
+        let seeded = |seed| PlanRequestOptions {
+            ensemble: Some(EnsembleSpec::with_k(4, seed)),
+            ..PlanRequestOptions::default()
+        };
+        let keys = [
+            store_key(&preset_a("one"), &theta),
+            store_key(&capacity, &defaults),
+            store_key(&preset_a("one"), &seeded(7)),
+            store_key(&preset_a("one"), &seeded(8)),
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            assert_ne!(*k, base, "case {i}");
+            assert!(!keys[..i].contains(k), "case {i}");
+        }
+    }
+
+    /// A fleet of blueprints under many names: each blueprint's first
+    /// request plans cold and every later one under another name plans warm
+    /// from the cached artifact of its own blueprint, however the requests
+    /// of the blueprints interleave — and answers `plan_document`'s bytes.
+    #[test]
+    fn every_blueprint_stays_warm_across_its_renamed_copies() {
         let service = Service::start(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         })
         .unwrap();
         let addr = service.local_addr();
-        let store = &service.shared.verdicts;
-        let plan = |query: &str, json: &str| {
-            request(
-                addr,
-                &format!("POST /v1/plan{query} HTTP/1.1\r\nHost: t"),
-                json,
-            )
-        };
-        let a = preset_a_key();
-
-        // The store holds preset A at another θ: a default-θ job borrows
-        // nothing, and its panic leaves that entry in place.
-        let (_, first) = private_npd("loan-first");
-        assert_eq!(plan("?theta=0.74", &first).0, 200);
-        let other = store.held().unwrap();
-        assert_ne!(other, a);
-        let (digest, bystander) = private_npd("loan-bystander");
-        arm(digest, panic_holding_a_loan);
-        let (status, _, body) = plan("", &bystander);
-        assert_eq!(status, 500, "{body}");
-        assert_eq!(*locked(&HELD_IN_THE_WINDOW), Some(Some(other)));
-        assert_eq!(store.held(), Some(other));
-
-        // A default-θ miss takes the slot; a panic inside the lending
-        // window of the next one drops the entry it borrowed.
-        let (_, again) = private_npd("loan-again");
-        let summary = audit_summary(addr, &again);
-        assert!(
-            summary.full_evaluations > 0,
-            "another θ's entry lent nothing"
-        );
-        assert_eq!(store.held(), Some(a));
-        let (digest, doomed) = private_npd("loan-panic");
-        arm(digest, panic_holding_a_loan);
-        let (status, _, body) = plan("", &doomed);
-        assert_eq!(status, 500, "{body}");
-        assert_eq!(
-            *locked(&HELD_IN_THE_WINDOW),
-            Some(None),
-            "the entry was out"
-        );
-        assert_eq!(store.held(), None);
-
-        // The next miss gives an entry back; a deadline the search passes
-        // drops it again.
-        let (_, refill) = private_npd("loan-refill");
-        assert_eq!(plan("", &refill).0, 200);
-        assert_eq!(store.held(), Some(a));
-        let (_, late) = private_npd("loan-late");
-        let (status, _, body) = plan("?deadline_ms=0", &late);
-        assert_eq!(status, 504, "{body}");
-        assert_eq!(store.held(), None);
-
-        for (name, warm) in [("loan-cold", false), ("loan-warm", true)] {
-            let (_, json) = private_npd(name);
-            let summary = audit_summary(addr, &json);
-            assert!(summary.sat_checks > 0);
-            assert_eq!(summary.full_evaluations == 0, warm, "{name}");
-            let (status, headers, body) = plan("", &json);
-            assert_eq!(status, 200, "{body}");
-            assert_eq!(header(&headers, "x-klotski-cache"), Some("hit"));
-            assert_eq!(body, cold_bytes(&json), "{name}");
+        let blueprints: Vec<Npd> = [1.0, 1.5, 2.0]
+            .into_iter()
+            .map(|scale| {
+                let mut npd = preset_a("fleet");
+                npd.eb.fauu_eb_gbps *= scale;
+                npd
+            })
+            .collect();
+        for copy in 0..3 {
+            for (b, blueprint) in blueprints.iter().enumerate() {
+                let json = renamed(blueprint, &format!("fleet-{b}-{copy}"))
+                    .to_json_pretty()
+                    .unwrap();
+                let summary = audit_summary(addr, &json);
+                assert!(summary.sat_checks > 0);
+                assert_eq!(summary.full_evaluations > 0, copy == 0, "{b}/{copy}");
+                if copy == 2 {
+                    let (status, _, body) =
+                        request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &json);
+                    assert_eq!(status, 200, "{body}");
+                    assert_eq!(body, cold_bytes(&json), "{b}");
+                }
+            }
         }
-        assert_eq!(store.held(), Some(a));
         service.shutdown();
     }
 
-    /// With two workers, two misses under one store key at once: the second finds
-    /// the entry lent to the first and plans cold; both answer
-    /// `plan_document`'s bytes.
+    /// A job that panics with a cached search's verdicts in hand, or passes
+    /// its deadline on them, leaves the cache exactly as it was: the next
+    /// renamed miss plans warm and answers `plan_document`'s bytes.
     #[test]
-    fn two_misses_on_one_key_both_answer_and_the_second_plans_cold() {
+    fn a_job_that_dies_on_cached_verdicts_leaves_the_cache_as_it_was() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let plan = |query: &str, json: &str| {
+            let head = format!("POST /v1/plan{query} HTTP/1.1\r\nHost: t");
+            request(addr, &head, json)
+        };
+        let (_, seed) = private_npd("dies-seed");
+        assert!(audit_summary(addr, &seed).full_evaluations > 0);
+        let before = resident(&service);
+
+        let (digest, doomed) = private_npd("dies-panic");
+        arm(digest, |_| panic!("injected fault on cached verdicts"));
+        let (status, _, body) = plan("", &doomed);
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(resident(&service), before);
+
+        let (_, late) = private_npd("dies-late");
+        let (status, _, body) = plan("?deadline_ms=0", &late);
+        assert_eq!(status, 504, "{body}");
+        assert_eq!(resident(&service), before);
+
+        let (_, next) = private_npd("dies-next");
+        assert_eq!(audit_summary(addr, &next).full_evaluations, 0);
+        let (status, headers, body) = plan("", &next);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(header(&headers, "x-klotski-cache"), Some("hit"));
+        assert_eq!(body, cold_bytes(&next));
+        service.shutdown();
+    }
+
+    /// Two workers, two misses under one store key at once: both start from
+    /// the cached search's verdicts — neither can finish before the other
+    /// has looked them up — and both answer `plan_document`'s bytes.
+    #[test]
+    fn two_concurrent_misses_on_one_key_both_plan_warm() {
         let service = Service::start(ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         })
         .unwrap();
         let addr = service.local_addr();
-        let store = &service.shared.verdicts;
-        let a = preset_a_key();
         let (_, seed) = private_npd("race-seed");
         assert!(audit_summary(addr, &seed).full_evaluations > 0);
-        assert_eq!(store.held(), Some(a));
 
-        // The holder borrows the entry and waits inside the window.
-        let (digest, holder) = private_npd("race-holder");
-        arm(digest, hold_a_loan_until_the_gate_opens);
-        let (status, _, body) = request(addr, "POST /v1/audit?wait=0 HTTP/1.1\r\nHost: t", &holder);
-        assert_eq!(status, 202, "{body}");
-        let held: AcceptedResponse = serde_json::from_str(&body).unwrap();
+        let racers: Vec<(String, String)> = ["race-one", "race-two"]
+            .into_iter()
+            .map(|name| {
+                let (digest, json) = private_npd(name);
+                arm(digest, |_| MISS_GATE.hold());
+                let head = "POST /v1/audit?wait=0 HTTP/1.1\r\nHost: t";
+                let (status, _, body) = request(addr, head, &json);
+                assert_eq!(status, 202, "{body}");
+                let accepted: AcceptedResponse = serde_json::from_str(&body).unwrap();
+                (json, accepted.job)
+            })
+            .collect();
         let patience = Instant::now() + Duration::from_secs(20);
-        while store.held().is_some() {
-            assert!(Instant::now() < patience, "the holder never borrowed");
+        while service.shared.workers_busy.load(Ordering::Relaxed) < 2 {
+            assert!(Instant::now() < patience, "the misses never both started");
             std::thread::sleep(Duration::from_millis(1));
         }
+        MISS_GATE.open();
 
-        // The racer finds nothing to borrow and plans cold.
-        let (_, racer) = private_npd("race-racer");
-        assert!(audit_summary(addr, &racer).full_evaluations > 0);
-        LOAN_GATE_OPEN.store(true, Ordering::Release);
-        let path = format!("GET /v1/jobs/{}/result HTTP/1.1\r\nHost: t", held.job);
-        let summary = loop {
-            let (status, _, body) = request(addr, &path, "");
-            if status == 200 {
-                break serde_json::from_str::<AuditResponse>(&body)
-                    .unwrap()
-                    .summary;
-            }
-            assert!(Instant::now() < patience, "the holder never finished");
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(summary.full_evaluations, 0, "the holder planned warm");
-
-        for json in [&holder, &racer] {
+        for (json, job) in &racers {
+            let path = format!("GET /v1/jobs/{job}/result HTTP/1.1\r\nHost: t");
+            let summary = loop {
+                let (status, _, body) = request(addr, &path, "");
+                if status == 200 {
+                    break serde_json::from_str::<AuditResponse>(&body)
+                        .unwrap()
+                        .summary;
+                }
+                assert!(Instant::now() < patience, "job {job} never finished");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            assert_eq!(summary.full_evaluations, 0, "job {job} planned cold");
             let (status, _, body) = request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", json);
             assert_eq!(status, 200, "{body}");
             assert_eq!(body, cold_bytes(json));
         }
-        assert_eq!(store.held(), Some(a));
+        service.shutdown();
+    }
+
+    /// `--cache 0` keeps no plan and so no verdicts: a renamed miss plans
+    /// cold.
+    #[test]
+    fn without_a_cache_a_renamed_miss_plans_cold() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            cache_capacity: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        for name in ["uncached-one", "uncached-two"] {
+            let (_, json) = private_npd(name);
+            assert!(audit_summary(addr, &json).full_evaluations > 0, "{name}");
+        }
         service.shutdown();
     }
 }

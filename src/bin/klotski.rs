@@ -699,6 +699,8 @@ fn cmd_serve(mut args: Vec<String>) -> Result<(), CliError> {
     if let Some(depth) = take_flag(&mut args, "--queue-depth")? {
         config.queue_depth = depth;
     }
+    // `--cache N`: plans kept, and with each its search's ESC verdicts, so N
+    // bounds verdict reuse as well (0 turns both off).
     if let Some(cache) = take_flag(&mut args, "--cache")? {
         config.cache_capacity = cache;
     }
