@@ -621,10 +621,9 @@ impl SatChecker {
         Self::with_pool(spec, mode, Arc::new(WorkerPool::new(threads)))
     }
 
-    /// Creates a checker over an existing worker pool. Long-lived callers
-    /// (the planning service's worker threads) share one pool across many
-    /// jobs instead of spawning threads per plan; verdicts are identical to
-    /// a privately-owned pool of the same lane count.
+    /// Creates a checker on a caller's lane count (the planning service's
+    /// workers pass theirs); verdicts are identical to a privately-owned
+    /// pool of the same lane count.
     pub fn with_pool(spec: &MigrationSpec, mode: EscMode, pool: Arc<WorkerPool>) -> Self {
         Self::with_prior(spec, mode, pool, None)
     }

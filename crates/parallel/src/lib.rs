@@ -1,278 +1,79 @@
 //! # klotski-parallel
 //!
-//! A reusable scoped worker pool built directly on `std::thread` /
-//! `std::sync` (no external dependencies). Satisfiability checking routes
-//! the full demand matrix per planner expansion, and per-destination groups
-//! are embarrassingly parallel — this crate provides the substrate: a pool
-//! of persistent worker threads draining a chunked work queue, with the
-//! calling thread participating as lane 0.
-//!
-//! Design:
-//!
-//! - **Persistent threads.** `WorkerPool::new(n)` spawns `n - 1` workers
-//!   once; each `run` wakes them through a condvar instead of re-spawning.
-//!   `n == 1` spawns nothing and executes inline, byte-identical to a
-//!   sequential call.
-//! - **Chunked work queue.** Tasks are claimed from an atomic counter, so
-//!   fast lanes steal the tail from slow ones. Task *results* must not
-//!   depend on which lane ran them — callers that need determinism write
-//!   per-task output slots and merge in task order afterwards.
-//! - **Scoped jobs.** Closures may borrow the caller's stack: `run` erases
-//!   the closure lifetime behind a raw pointer but never returns before
-//!   every worker has finished the epoch, so the borrow cannot dangle.
-//! - **Panic propagation.** A panicking task poisons the epoch; `run`
-//!   re-panics on the calling thread after all lanes have stopped.
+//! Lanes for the incremental engine's destination advance, on
+//! `std::thread::scope` (std only, no `unsafe`). A [`WorkerPool`] is a lane
+//! count: a call spawns up to `lanes − 1` named helpers, works as lane 0 on
+//! the caller and joins every helper before it returns, so tasks may borrow
+//! the caller's stack and no thread outlives a call. Lanes claim tasks one
+//! at a time, so fast lanes take the tail; each task writes only its own
+//! slot. One lane spawns nothing and runs the tasks inline, in order. A
+//! panicking task re-panics on the caller once every lane has stopped.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
-/// The erased job a worker runs for one epoch: `f(lane)` where `lane` is in
-/// `1..lanes`. The pointee lives on the stack of the `run` caller, which
-/// blocks until every worker finishes — see `WorkerPool::run`.
-#[derive(Clone, Copy)]
-struct RawJob(*const (dyn Fn(usize) + Sync + 'static));
-
-// SAFETY: the pointee is `Sync` and outlives every access (the caller of
-// `run` waits for all workers before the referent leaves scope).
-unsafe impl Send for RawJob {}
-
-struct PoolState {
-    job: Option<RawJob>,
-    /// Bumped per `run`; workers match it to detect fresh work.
-    epoch: u64,
-    /// Workers still running the current epoch's job.
-    active: usize,
-    /// Set when any worker's job panicked this epoch.
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<PoolState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
-
-/// A pool of persistent worker threads plus the calling thread.
+/// A lane count: the calling thread plus `lanes − 1` helpers per call.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("lanes", &self.lanes())
-            .finish()
-    }
+    lanes: usize,
 }
 
 impl WorkerPool {
-    /// Creates a pool with `lanes` total execution lanes: the calling
-    /// thread plus `lanes - 1` persistent workers. `lanes` is clamped to at
-    /// least 1; with one lane no threads are spawned and `run` executes
-    /// inline.
+    /// `lanes` execution lanes, clamped to at least 1.
     pub fn new(lanes: usize) -> Self {
         let lanes = lanes.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(PoolState {
-                job: None,
-                epoch: 0,
-                active: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
-        let workers = (1..lanes)
-            .map(|lane| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("klotski-worker-{lane}"))
-                    .spawn(move || worker_loop(&shared, lane))
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self { shared, workers }
+        Self { lanes }
     }
 
-    /// A reference-counted pool with `lanes` lanes, for callers that share
-    /// one pool across many jobs (every `run` epoch is independent, so a
-    /// pool outliving any single job is safe by construction).
-    pub fn shared(lanes: usize) -> std::sync::Arc<Self> {
-        std::sync::Arc::new(Self::new(lanes))
+    /// [`new`](Self::new) behind an `Arc`, for callers that hand one lane
+    /// count to many jobs.
+    pub fn shared(lanes: usize) -> Arc<Self> {
+        Arc::new(Self::new(lanes))
     }
 
-    /// Total execution lanes (workers + the calling thread).
+    /// Total execution lanes (helpers + the calling thread).
     pub fn lanes(&self) -> usize {
-        self.workers.len() + 1
+        self.lanes
     }
 
-    /// Runs `tasks` independent tasks across all lanes and returns when
-    /// every task has finished. `f(lane, task)` is called exactly once per
-    /// `task` in `0..tasks`; `lane` is in `0..lanes()` and identifies which
-    /// execution lane ran it (lane 0 is the calling thread). Tasks are
-    /// claimed dynamically, so per-lane task sets vary run-to-run — results
-    /// must be written to per-task locations, not accumulated per lane, if
-    /// determinism matters.
-    ///
-    /// Panics (on the calling thread) if any task panicked.
+    /// Runs `f(lane, task)` once for every `task` in `0..tasks`; `lane` in
+    /// `0..lanes()` names the lane that ran it (0 is the caller), which
+    /// varies run to run.
     pub fn run<F>(&self, tasks: usize, f: F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        if tasks == 0 {
-            return;
-        }
-        if self.workers.is_empty() || tasks == 1 {
-            for task in 0..tasks {
-                f(0, task);
-            }
-            return;
-        }
-
-        let next = AtomicUsize::new(0);
-        let job = |lane: usize| loop {
-            let task = next.fetch_add(1, Ordering::Relaxed);
-            if task >= tasks {
-                break;
-            }
-            f(lane, task);
-        };
-
-        // Publish the job. SAFETY: we erase the closure's lifetime, but the
-        // wait loop below keeps this stack frame alive until every worker
-        // has dropped out of the epoch.
-        let job_ref: &(dyn Fn(usize) + Sync) = &job;
-        let raw = RawJob(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(job_ref as *const _)
-        });
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.job = Some(raw);
-            st.epoch += 1;
-            st.active = self.workers.len();
-            st.panicked = false;
-        }
-        self.shared.work_cv.notify_all();
-
-        // Participate as lane 0. Catch panics so workers are always waited
-        // for before unwinding out of this frame.
-        let caller = catch_unwind(AssertUnwindSafe(|| job(0)));
-
-        let worker_panicked = {
-            let mut st = self.shared.state.lock().unwrap();
-            while st.active > 0 {
-                st = self.shared.done_cv.wait(st).unwrap();
-            }
-            st.job = None;
-            st.panicked
-        };
-
-        match caller {
-            Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) if worker_panicked => panic!("worker pool task panicked"),
-            Ok(()) => {}
-        }
+        let mut lanes: Vec<usize> = (0..self.lanes).collect();
+        self.run_scratch_tasks_into(&mut lanes, &mut vec![(); tasks], |&mut l, t, _| f(l, t));
     }
 
-    /// Like [`run`](Self::run), but hands each lane exclusive access to its
-    /// own scratch slot and each task exclusive access to its own output
-    /// slot: task `t` runs as `f(&mut scratch[lane], t, &mut out[t])`.
-    /// `scratch` must provide at least [`lanes()`](Self::lanes) slots. This
-    /// is the shape of deterministic parallel routing — per-lane reusable
-    /// scratch engines, per-task output buffers merged in task order
-    /// afterwards, so the result is independent of the lane assignment.
+    /// Like [`run`](Self::run), with exclusive slots: task `t` runs as
+    /// `f(&mut scratch[lane], t, &mut out[t])`, and `scratch` holds at
+    /// least [`lanes()`](Self::lanes) slots — reusable scratch per lane, one
+    /// output per task, merged in task order afterwards.
     pub fn run_scratch_tasks_into<S, T, F>(&self, scratch: &mut [S], out: &mut [T], f: F)
     where
         S: Send,
         T: Send,
         F: Fn(&mut S, usize, &mut T) + Sync,
     {
-        assert!(
-            scratch.len() >= self.lanes(),
-            "scratch slots ({}) < pool lanes ({})",
-            scratch.len(),
-            self.lanes()
-        );
-        let tasks = out.len();
-        let sbase = SharedPtr(scratch.as_mut_ptr());
-        let obase = SharedPtr(out.as_mut_ptr());
-        self.run(tasks, |lane, task| {
-            // SAFETY: lane indices are exclusive to one thread at a time and
-            // task indices are handed out exactly once, so neither `&mut`
-            // aliases.
-            let s = unsafe { &mut *sbase.get().add(lane) };
-            let o = unsafe { &mut *obase.get().add(task) };
-            f(s, task, o);
+        assert!(scratch.len() >= self.lanes, "one scratch slot per lane");
+        let lanes = self.lanes.min(out.len()).max(1);
+        let tasks = Mutex::new(out.iter_mut().enumerate());
+        // The claim drops the lock before the task runs.
+        let claim = || tasks.lock().unwrap().next();
+        let drain = |s: &mut S| std::iter::from_fn(&claim).for_each(|(task, o)| f(s, task, o));
+        let (caller, helpers) = scratch[..lanes].split_first_mut().unwrap();
+        std::thread::scope(|scope| {
+            for (i, s) in helpers.iter_mut().enumerate() {
+                std::thread::Builder::new()
+                    .name(format!("klotski-lane-{}", i + 1))
+                    .spawn_scoped(scope, || drain(s))
+                    .expect("failed to spawn a lane thread");
+            }
+            drain(caller);
         });
     }
 }
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, lane: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    if let Some(RawJob(ptr)) = st.job {
-                        seen_epoch = st.epoch;
-                        break ptr;
-                    }
-                }
-                st = shared.work_cv.wait(st).unwrap();
-            }
-        };
-        // SAFETY: the publisher of `job` blocks in `run` until this lane
-        // decrements `active` below, so the referent is alive.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job)(lane) }));
-        let mut st = shared.state.lock().unwrap();
-        if result.is_err() {
-            st.panicked = true;
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-/// A raw pointer that asserts cross-thread shareability. Used to hand
-/// disjoint `&mut` slots of one slice to different lanes/tasks.
-struct SharedPtr<T>(*mut T);
-
-impl<T> SharedPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-// SAFETY: callers guarantee disjoint access per lane/task (see call sites).
-unsafe impl<T: Send> Send for SharedPtr<T> {}
-unsafe impl<T: Send> Sync for SharedPtr<T> {}
 
 /// The machine's available parallelism (≥ 1), memoized: callers gate
 /// per-evaluation dispatch decisions on it, and the underlying
@@ -291,21 +92,16 @@ pub fn default_lanes() -> usize {
 /// `chunks`, never on thread scheduling.
 pub fn chunk_ranges(total: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
     let chunks = chunks.clamp(1, total.max(1));
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    for i in 0..chunks {
-        let end = total * (i + 1) / chunks;
-        if end > start {
-            out.push(start..end);
-            start = end;
-        }
-    }
-    out
+    (0..chunks)
+        .map(|i| total * i / chunks..total * (i + 1) / chunks)
+        .filter(|r| !r.is_empty())
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
@@ -334,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reusable_across_epochs() {
+    fn pool_is_reusable_across_calls() {
         let pool = WorkerPool::new(3);
         let total = AtomicU64::new(0);
         for round in 1..=10u64 {
@@ -345,6 +141,29 @@ mod tests {
         let per_round: u64 = (0..64u64).sum();
         let expect: u64 = (1..=10u64).map(|r| r * per_round).sum();
         assert_eq!(total.load(Ordering::Relaxed), expect);
+    }
+
+    #[test]
+    fn helpers_are_named_after_their_lane() {
+        // Every lane blocks in its first task until all three have one, so
+        // each lane runs exactly one task.
+        let pool = WorkerPool::new(3);
+        let barrier = std::sync::Barrier::new(3);
+        let names = Mutex::new(Vec::new());
+        pool.run(3, |lane, _task| {
+            barrier.wait();
+            let name = std::thread::current().name().map(str::to_owned);
+            names.lock().unwrap().push((lane, name));
+        });
+        let mut names = names.into_inner().unwrap();
+        names.sort();
+        assert_eq!(names.len(), 3);
+        for (lane, name) in &names[1..] {
+            assert_eq!(
+                name.as_deref(),
+                Some(format!("klotski-lane-{lane}").as_str())
+            );
+        }
     }
 
     #[test]
@@ -371,7 +190,7 @@ mod tests {
             });
         }));
         assert!(result.is_err());
-        // The pool must stay usable after a panicked epoch.
+        // The pool stays usable after a call whose task panicked.
         let hits = AtomicUsize::new(0);
         pool.run(10, |_lane, _task| {
             hits.fetch_add(1, Ordering::Relaxed);

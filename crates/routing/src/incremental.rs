@@ -397,6 +397,24 @@ impl IncrementalRouter {
         self.advance(pool, topo, state, toggles);
     }
 
+    /// The least work — destinations × CSR directed edges, fixed when the
+    /// engine is built — at which an advance fans out over its lanes. Below
+    /// it, spawning the helpers costs more than a second lane saves: full D
+    /// (27 × 30 966 ≈ 0.8 M) loses at two lanes, full E (28 × 356 192 ≈
+    /// 10 M) gains (DESIGN.md §10).
+    const MIN_FAN_OUT_WORK: usize = 4_000_000;
+
+    /// Destinations × CSR directed edges: the size an advance's fan-out is
+    /// weighed by.
+    fn work(&self) -> usize {
+        self.entries.len()
+            * *self
+                .csr
+                .offsets()
+                .last()
+                .expect("offsets has n + 1 entries") as usize
+    }
+
     /// Shared delta engine: updates the usable mask and every destination's
     /// cached structures for `state`.
     fn advance(
@@ -418,13 +436,15 @@ impl IncrementalRouter {
         let toggle_set: &[CircuitId] = if full_all { &[] } else { toggles.unwrap() };
 
         let lanes = pool.lanes();
-        // Fan out only when the machine can actually run lanes
-        // concurrently: on a single-core host (or a 1-lane pool) waking
-        // workers is pure context-switch overhead, so the destinations are
-        // advanced inline on the caller. Each destination's structure
-        // depends on nothing but its own cache and the shared read-only
-        // inputs, so execution mode is unobservable in the results.
-        let use_pool = lanes > 1 && klotski_parallel::default_lanes() > 1;
+        // Fan out only when the machine can run lanes concurrently and the
+        // engine is large enough to repay the helpers' spawn; otherwise the
+        // destinations are advanced inline on the caller. Each
+        // destination's structure depends on nothing but its own cache and
+        // the shared read-only inputs, so execution mode is unobservable in
+        // the results.
+        let use_pool = lanes > 1
+            && klotski_parallel::default_lanes() > 1
+            && self.work() >= Self::MIN_FAN_OUT_WORK;
         let Self {
             ref mut entries,
             ref mut scratch,
@@ -439,10 +459,10 @@ impl IncrementalRouter {
         };
         if use_pool {
             if scratch.len() < lanes {
-                // Per-lane scratch is allocated on first pooled dispatch,
-                // so a checker that never fans out (1-core host) carries
-                // exactly one lane's worth regardless of its configured
-                // width.
+                // Per-lane scratch is allocated on the first fan-out, so an
+                // engine that never fans out (a 1-core host, or work below
+                // the constant) carries exactly one lane's worth regardless
+                // of its configured width.
                 scratch.resize_with(lanes, || LaneScratch::sized(csr));
             }
             // Lane-partitioned advance: contiguous destination chunks
@@ -979,43 +999,107 @@ mod tests {
         assert_bit_identical(&loads, &ref_loads, &t, "priming");
     }
 
+    /// E's fabric at 3/5 of its Table 3 size, v2 drained: a world whose
+    /// engine work passes [`IncrementalRouter::MIN_FAN_OUT_WORK`].
+    fn fabric_world() -> (Topology, NetState, DemandMatrix) {
+        let mut cfg = presets::config(PresetId::E);
+        for fc in &mut cfg.dcs {
+            fc.pods = fc.pods * 3 / 5;
+            fc.rsws_per_pod = fc.rsws_per_pod * 3 / 5;
+            fc.ssws_per_plane = fc.ssws_per_plane * 3 / 5;
+        }
+        let (t, handles) = klotski_topology::region::build_region(&cfg);
+        let mut state = NetState::all_up(&t);
+        for s in handles.hgrid_v2_switches() {
+            state.drain_switch(&t, s);
+        }
+        let demands = generate(&t, &DemandGenConfig::default());
+        (t, state, demands)
+    }
+
+    /// One engine per lane count walks the same random toggles from
+    /// `state`, each held bit for bit to the from-scratch reference at
+    /// every step; an engine fans out (and so holds a scratch per lane)
+    /// exactly when its lanes, the machine and its work allow. `above`:
+    /// the world's work passes the fan-out constant.
+    fn walk_in_lockstep(
+        (t, state, demands): &(Topology, NetState, DemandMatrix),
+        above: bool,
+        policy: SplitPolicy,
+        lanes: &[usize],
+        mut seed: u64,
+        steps: usize,
+    ) {
+        let mut engines: Vec<_> = lanes
+            .iter()
+            .map(|&n| (WorkerPool::new(n), engine_over(t, demands, n, policy)))
+            .collect();
+        let mut prev = state.clone();
+        let mut loads = LoadMap::new(t);
+        let mut out = RouteOutcome::new();
+        for step in 0..=steps {
+            let next = if step == 0 {
+                prev.clone()
+            } else {
+                random_step(t, &prev, &mut seed)
+            };
+            let toggles = usability_toggles(t, &prev, &next);
+            let (ref_loads, ref_out) = full_reference(t, &next, demands, policy);
+            for (pool, engine) in &mut engines {
+                let what = format!("step {step} ({} lanes, {policy:?})", pool.lanes());
+                loads.clear();
+                let delta = (step > 0).then_some(&toggles[..]);
+                engine.evaluate(pool, t, &next, delta, &mut loads, &mut out);
+                assert_eq!(out, ref_out, "{what}");
+                assert_eq!(
+                    out.routed_gbps.to_bits(),
+                    ref_out.routed_gbps.to_bits(),
+                    "{what}"
+                );
+                assert_bit_identical(&loads, &ref_loads, t, &what);
+            }
+            prev = next;
+        }
+        for (pool, engine) in &engines {
+            let s = engine.stats();
+            assert_eq!(s.evaluations, steps as u64 + 1);
+            assert_eq!(
+                s.clean_destinations + s.dirty_destinations,
+                (steps as u64 + 1) * engine.num_destinations() as u64
+            );
+            let work = engine.work();
+            assert_eq!(
+                work >= IncrementalRouter::MIN_FAN_OUT_WORK,
+                above,
+                "work {work}"
+            );
+            let fans_out = above && pool.lanes() > 1 && klotski_parallel::default_lanes() > 1;
+            let held = if fans_out { pool.lanes() } else { 1 };
+            assert_eq!(engine.scratch.len(), held, "{} lanes", pool.lanes());
+        }
+    }
+
     #[test]
     fn random_toggle_walk_stays_bit_identical_to_full() {
-        let (t, state, demands) = preset_world();
-        for (threads, policy) in [
+        // Preset A's work is below the fan-out constant, so every lane
+        // count advances inline there; the fabric's is above it, so lanes
+        // 2 and 3 fan out on any machine with two cores.
+        let small = preset_world();
+        for (lanes, policy) in [
             (1, SplitPolicy::Ecmp),
             (3, SplitPolicy::Ecmp),
             (2, SplitPolicy::Wcmp),
         ] {
-            let pool = WorkerPool::new(threads);
-            let mut engine = engine_over(&t, &demands, pool.lanes(), policy);
-            let mut prev = state.clone();
-            let mut loads = LoadMap::new(&t);
-            let mut out = RouteOutcome::new();
-            engine.evaluate(&pool, &t, &prev, None, &mut loads, &mut out);
-            let mut seed = 0x5eed ^ threads as u64;
-            for step in 0..12 {
-                let next = random_step(&t, &prev, &mut seed);
-                let toggles = usability_toggles(&t, &prev, &next);
-                loads.clear();
-                engine.evaluate(&pool, &t, &next, Some(&toggles), &mut loads, &mut out);
-                let (ref_loads, ref_out) = full_reference(&t, &next, &demands, policy);
-                assert_eq!(out, ref_out, "step {step} ({threads} threads)");
-                assert_eq!(
-                    out.routed_gbps.to_bits(),
-                    ref_out.routed_gbps.to_bits(),
-                    "step {step}"
-                );
-                assert_bit_identical(&loads, &ref_loads, &t, &format!("step {step}"));
-                prev = next;
-            }
-            let s = engine.stats();
-            assert_eq!(s.evaluations, 13);
-            assert_eq!(
-                s.clean_destinations + s.dirty_destinations,
-                13 * engine.num_destinations() as u64
-            );
+            walk_in_lockstep(&small, false, policy, &[lanes], 0x5eed ^ lanes as u64, 12);
         }
+        walk_in_lockstep(
+            &fabric_world(),
+            true,
+            SplitPolicy::Ecmp,
+            &[1, 2, 3],
+            0x5eed,
+            4,
+        );
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   utilization, plus demand calibration helpers;
 //! - [`funneling`]: the traffic-funneling stress factor (§2.2, §7.2);
 //! - [`incremental`]: delta-aware re-routing that caches per-destination
-//!   routing structure across nearby states and fans dirty destinations out
-//!   over a [`klotski_parallel::WorkerPool`], bit-identical to from-scratch.
+//!   routing structure across nearby states and, on engines large enough to
+//!   repay it, fans the destination advance out over a
+//!   [`klotski_parallel::WorkerPool`]'s lanes, bit-identical to from-scratch.
 
 pub mod ecmp;
 pub mod evaluate;

@@ -110,10 +110,14 @@ fn terminal_event(outcome: &Result<JobOutput, JobError>, dropped: u64) -> String
 
 #[cfg(test)]
 mod tests {
-    use crate::testkit::{header, request, stream_request};
+    use crate::testkit::{header, metric, request, stream_request};
+    use crate::work::tests::{arm, Gate};
     use crate::{Service, ServiceConfig};
-    use klotski_npd::api::AcceptedResponse;
-    use std::time::Duration;
+    use klotski_npd::api::{fnv1a, AcceptedResponse};
+    use std::time::{Duration, Instant};
+
+    /// Opened by the streaming test once its subscriber is attached.
+    static EVENTS_GATE: Gate = Gate::closed();
 
     #[test]
     fn event_stream_follows_a_run_to_its_terminal_event() {
@@ -129,18 +133,31 @@ mod tests {
         scenario.progress_every = Some(1);
         let scenario = serde_json::to_string(&scenario).unwrap();
 
-        // Occupy the single worker with one run, then queue the observed
-        // run behind it: the subscriber below attaches while job 2 is
-        // still queued, so the stream carries its trace from the first
-        // event.
-        let (status, _, _) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &scenario);
-        assert_eq!(status, 202);
+        // Hold the single worker on a run that waits on the gate, then
+        // queue the observed run behind it: the subscriber below attaches
+        // while job 2 is still queued, so the stream carries its trace from
+        // the first event.
+        let mut holder = klotski_controller::Scenario::sample();
+        holder.name = "events-gate".into();
+        arm(fnv1a(holder.name.as_bytes()), |_| EVENTS_GATE.hold());
+        let holder = serde_json::to_string(&holder).unwrap();
+        let (status, _, body) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &holder);
+        assert_eq!(status, 202, "{body}");
         let (status, _, body) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &scenario);
         assert_eq!(status, 202, "{body}");
         let accepted: AcceptedResponse = serde_json::from_str(&body).unwrap();
 
-        let (status, headers, events) =
-            stream_request(addr, &format!("/v1/jobs/{}/events", accepted.job));
+        let subscriber = {
+            let path = format!("/v1/jobs/{}/events", accepted.job);
+            std::thread::spawn(move || stream_request(addr, &path))
+        };
+        let patience = Instant::now() + Duration::from_secs(20);
+        while metric(addr, "klotski_sse_streams_total") < 1 {
+            assert!(Instant::now() < patience, "the subscriber never attached");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        EVENTS_GATE.open();
+        let (status, headers, events) = subscriber.join().unwrap();
         assert_eq!(status, 200, "{events}");
         assert_eq!(header(&headers, "content-type"), Some("text/event-stream"));
 

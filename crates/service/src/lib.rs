@@ -10,9 +10,9 @@
 //!   `GET /v1/jobs/{id}[/result|/events]` polls or streams a job;
 //!   `/metrics` is Prometheus text, `/healthz` the load-balancer probe.
 //! * **Bounded**: a fixed-capacity queue between connection threads and
-//!   long-lived workers (each with a persistent
-//!   [`WorkerPool`](klotski_parallel::WorkerPool)); a full queue answers
-//!   `503 + Retry-After` instead of growing.
+//!   long-lived workers (each planning on
+//!   [`lanes_per_worker`](ServiceConfig::lanes_per_worker) lanes); a full
+//!   queue answers `503 + Retry-After` instead of growing.
 //! * **Cached and coalesced** by `(NPD digest, options digest)`: a repeated
 //!   document returns the original bytes, and concurrent duplicates of one
 //!   kind follow the first submission's job instead of planning again.
@@ -95,8 +95,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; beyond it submissions get 503.
     pub queue_depth: usize,
-    /// Satisfiability lanes per worker's persistent
-    /// [`WorkerPool`](klotski_parallel::WorkerPool).
+    /// Satisfiability lanes per worker: the lane count of the
+    /// [`WorkerPool`](klotski_parallel::WorkerPool) its jobs plan on.
     pub lanes_per_worker: usize,
     /// Shared plan-cache capacity in artifacts (0 disables). Each cached
     /// artifact keeps its search's ESC verdicts beside it, so this bounds

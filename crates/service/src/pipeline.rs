@@ -148,12 +148,11 @@ fn resolve_options(
 /// This is the `klotski plan` pipeline verbatim: convert the NPD to a
 /// region config, build the region, derive the migration spec, run the
 /// selected planner under `budget`, validate and audit in one walk, attach.
-/// `pool` lets a long-lived caller (the service's worker threads) reuse
-/// satisfiability lanes across jobs; `None` (the CLI) builds one private
-/// pool for the call. Search and validation both run on that one pool.
-/// Either way the resulting plan bytes are identical — PR 1's determinism
-/// guarantee makes lane count unobservable in the output. Every call
-/// searches from a cold ESC cache.
+/// `pool` is the lane count the search and the validating walk run on (the
+/// service's workers pass theirs); `None` (the CLI) takes the spec's
+/// `threads`. The plan bytes are identical at every lane count: lanes only
+/// split the routing structure's advance, never a sum. Every call searches
+/// from a cold ESC cache.
 pub fn plan_document(
     npd: &Npd,
     options: &PlanRequestOptions,
@@ -299,27 +298,30 @@ mod tests {
         assert_eq!(artifact.audit.phases.len(), artifact.summary.phases);
     }
 
-    /// An exported SSW-forklift document plans (bench scale): its bytes are
+    /// Every preset's exported document plans (bench scale): its bytes are
     /// those of planning the preset itself and attaching the plan.
     #[test]
-    fn an_exported_ssw_forklift_plans_as_its_preset() {
-        let preset = presets::build_for_bench(PresetId::ESsw);
-        let npd = region_to_npd(&preset.config);
-        let artifact = plan_document(
-            &npd,
-            &PlanRequestOptions::default(),
-            SearchBudget::default(),
-            None,
-        )
-        .expect("an E-SSW document plans");
-        let spec = MigrationBuilder::for_preset(&preset, &MigrationOptions::default()).unwrap();
-        let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
-        let mut shipped = npd;
-        attach_plan(&mut shipped, &spec, &plan);
-        assert_eq!(
-            String::from_utf8(artifact.plan_json).unwrap(),
-            shipped.to_json_pretty().unwrap()
-        );
+    fn every_exported_preset_plans_as_its_preset() {
+        for id in PresetId::ALL {
+            let preset = presets::build_for_bench(id);
+            let npd = region_to_npd(&preset.config);
+            let artifact = plan_document(
+                &npd,
+                &PlanRequestOptions::default(),
+                SearchBudget::default(),
+                None,
+            )
+            .unwrap_or_else(|e| panic!("the {id} document plans: {e}"));
+            let spec = MigrationBuilder::for_preset(&preset, &MigrationOptions::default()).unwrap();
+            let plan = AStarPlanner::default().plan(&spec).unwrap().plan;
+            let mut shipped = npd;
+            attach_plan(&mut shipped, &spec, &plan);
+            assert_eq!(
+                String::from_utf8(artifact.plan_json).unwrap(),
+                shipped.to_json_pretty().unwrap(),
+                "{id}"
+            );
+        }
     }
 
     #[test]

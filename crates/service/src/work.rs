@@ -75,7 +75,7 @@ impl Outcome {
 }
 
 /// Worker loop: pop, run, settle. Exits when the queue is closed and
-/// drained. Each worker owns one persistent pool reused across jobs.
+/// drained. Every job of a worker plans on its `lanes_per_worker` lanes.
 pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     let pool = WorkerPool::shared(shared.config.lanes_per_worker.max(1));
     while let Some(queued) = shared.queue.pop() {
@@ -297,7 +297,7 @@ fn job_deadline(shared: &Shared, request_ms: Option<u64>) -> Option<Duration> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::pipeline::plan_document;
     use crate::state::StateStore;
@@ -319,7 +319,7 @@ mod tests {
 
     type Fault = fn(&Shared);
 
-    fn arm(tag: u64, fault: Fault) {
+    pub(crate) fn arm(tag: u64, fault: Fault) {
         locked(&FAULTS).push((tag, fault));
     }
 
@@ -343,17 +343,21 @@ mod tests {
     /// A hold for lining jobs up: an armed job waits on its gate until the
     /// test opens it (or a minute passes, so a failed test does not pin the
     /// thread forever). One gate per test that holds.
-    struct Gate(AtomicBool);
+    pub(crate) struct Gate(AtomicBool);
 
     impl Gate {
-        fn hold(&self) {
+        pub(crate) const fn closed() -> Self {
+            Gate(AtomicBool::new(false))
+        }
+
+        pub(crate) fn hold(&self) {
             let patience = Instant::now() + Duration::from_secs(60);
             while !self.0.load(Ordering::Acquire) && Instant::now() < patience {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
 
-        fn open(&self) {
+        pub(crate) fn open(&self) {
             self.0.store(true, Ordering::Release);
         }
     }

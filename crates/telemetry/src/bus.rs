@@ -18,7 +18,7 @@
 //! * **Stream isolation.** Publishers are tagged per thread with a
 //!   [`StreamTag`] (the service tags its worker thread with the job's
 //!   stream id before running it); a subscription filters on one stream
-//!   id, or 0 for everything. Lines emitted by pool worker threads carry
+//!   id, or 0 for everything. Lines emitted by routing lane threads carry
 //!   no tag — the per-job progress events (`astar.progress`,
 //!   `dp.progress`, `controller.phase`) are all emitted on the tagged
 //!   thread itself.
