@@ -67,5 +67,6 @@ absent "d61283c: one oracle kit — the kit the checker and the engine are held 
 absent "2baf466: library planning stays cold between calls — only the daemon's plan cache keeps verdicts, beside its entries" '(static|OnceLock|thread_local).*Verdicts' crates/service/src/pipeline.rs crates/service/src/cache.rs crates/controller/src
 absent "8a266cf: the lookahead reads the run's ESC cache in place; its seeded headroom memo and fill sweeps stay deleted" 'pub headroom:|fn seeded\(|struct Headroom|holds_realized|earlier:' crates/core/src
 absent "2baf466: that commit's verdict store and its loans stay deleted — the plan cache is the daemon's one warm store" 'VerdictStore|fn lend\(|give_back' crates/service/src
+only_in "f0f466f: the lanes spawn per call in std::thread::scope; unsafe blocks, impls and fns stay in the signal handler" 'unsafe (\{|impl|fn)' 'crates/service/src/signal.rs' crates/*/src src
 
 exit "$failed"
