@@ -1,7 +1,7 @@
 //! # klotski-parallel
 //!
 //! Lanes for the incremental engine's destination advance, on
-//! `std::thread::scope` (std only, no `unsafe`). A [`WorkerPool`] is a lane
+//! `std::thread::scope` (std only, all safe code). A [`WorkerPool`] is a lane
 //! count: a call spawns up to `lanes − 1` named helpers, works as lane 0 on
 //! the caller and joins every helper before it returns, so tasks may borrow
 //! the caller's stack and no thread outlives a call. Lanes claim tasks one
@@ -60,17 +60,17 @@ impl WorkerPool {
         let lanes = self.lanes.min(out.len()).max(1);
         let tasks = Mutex::new(out.iter_mut().enumerate());
         // The claim drops the lock before the task runs.
-        let claim = || tasks.lock().unwrap().next();
+        let claim = || tasks.lock().expect("no task runs under the lock").next();
         let drain = |s: &mut S| std::iter::from_fn(&claim).for_each(|(task, o)| f(s, task, o));
-        let (caller, helpers) = scratch[..lanes].split_first_mut().unwrap();
+        let (caller, helpers) = scratch[..lanes].split_at_mut(1);
         std::thread::scope(|scope| {
-            for (i, s) in helpers.iter_mut().enumerate() {
+            for (lane, s) in (1..).zip(helpers) {
                 std::thread::Builder::new()
-                    .name(format!("klotski-lane-{}", i + 1))
+                    .name(format!("klotski-lane-{lane}"))
                     .spawn_scoped(scope, || drain(s))
                     .expect("failed to spawn a lane thread");
             }
-            drain(caller);
+            drain(&mut caller[0]);
         });
     }
 }

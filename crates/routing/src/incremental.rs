@@ -407,12 +407,8 @@ impl IncrementalRouter {
     /// Destinations × CSR directed edges: the size an advance's fan-out is
     /// weighed by.
     fn work(&self) -> usize {
-        self.entries.len()
-            * *self
-                .csr
-                .offsets()
-                .last()
-                .expect("offsets has n + 1 entries") as usize
+        let edges = self.csr.offsets()[self.csr.num_switches()] as usize;
+        self.entries.len() * edges
     }
 
     /// Shared delta engine: updates the usable mask and every destination's
@@ -835,17 +831,22 @@ mod tests {
     use super::*;
     use crate::ecmp::EcmpRouter;
     use klotski_topology::presets::{self, PresetId};
+    use klotski_topology::region::{build_region, RegionHandles};
     use klotski_traffic::{generate, DemandGenConfig};
 
-    fn preset_world() -> (Topology, NetState, DemandMatrix) {
-        let p = presets::build(PresetId::A);
-        let t = p.topology;
+    /// `t` with its v2 grid drained, and the default demand matrix.
+    fn world(t: Topology, handles: &RegionHandles) -> (Topology, NetState, DemandMatrix) {
         let mut state = NetState::all_up(&t);
-        for s in p.handles.hgrid_v2_switches() {
+        for s in handles.hgrid_v2_switches() {
             state.drain_switch(&t, s);
         }
         let demands = generate(&t, &DemandGenConfig::default());
         (t, state, demands)
+    }
+
+    fn preset_world() -> (Topology, NetState, DemandMatrix) {
+        let p = presets::build(PresetId::A);
+        world(p.topology, &p.handles)
     }
 
     /// A base-matrix-only engine over a freshly flattened `t`.
@@ -999,8 +1000,8 @@ mod tests {
         assert_bit_identical(&loads, &ref_loads, &t, "priming");
     }
 
-    /// E's fabric at 3/5 of its Table 3 size, v2 drained: a world whose
-    /// engine work passes [`IncrementalRouter::MIN_FAN_OUT_WORK`].
+    /// E's fabric at 3/5 of its Table 3 size: a world whose engine work
+    /// passes [`IncrementalRouter::MIN_FAN_OUT_WORK`].
     fn fabric_world() -> (Topology, NetState, DemandMatrix) {
         let mut cfg = presets::config(PresetId::E);
         for fc in &mut cfg.dcs {
@@ -1008,13 +1009,8 @@ mod tests {
             fc.rsws_per_pod = fc.rsws_per_pod * 3 / 5;
             fc.ssws_per_plane = fc.ssws_per_plane * 3 / 5;
         }
-        let (t, handles) = klotski_topology::region::build_region(&cfg);
-        let mut state = NetState::all_up(&t);
-        for s in handles.hgrid_v2_switches() {
-            state.drain_switch(&t, s);
-        }
-        let demands = generate(&t, &DemandGenConfig::default());
-        (t, state, demands)
+        let (t, handles) = build_region(&cfg);
+        world(t, &handles)
     }
 
     /// One engine per lane count walks the same random toggles from
