@@ -18,7 +18,7 @@ use klotski_topology::{
     hgrid::{HgridConfig, MeshPattern},
     ma::{BackboneConfig, MaConfig},
     region::{build_region, RegionConfig, RegionHandles},
-    Generation, Topology,
+    Generation, SwitchId, Topology,
 };
 
 /// Default hardware catalog used by exports.
@@ -64,6 +64,11 @@ const MAX_SWITCHES: usize = 1_000_000;
 /// Most circuits a document may describe: about 22× preset E's union graph
 /// at full scale (178 096).
 const MAX_CIRCUITS: usize = 4_000_000;
+
+/// Most circuits one switch may have: the routing engine names a switch's
+/// circuits by 16-bit index (`IncrementalRouter::MAX_ROW`). Preset E's
+/// widest switch at full scale has a few hundred.
+pub const MAX_SWITCH_CIRCUITS: usize = 1 << 16;
 
 /// A sum of products in checked arithmetic: `None` once a term overflows.
 struct Tally(Option<usize>);
@@ -405,10 +410,31 @@ pub fn npd_to_region(npd: &Npd) -> Result<RegionConfig, NpdError> {
     Ok(cfg)
 }
 
-/// Builds a topology from an NPD document.
+/// Builds a topology from an NPD document, refusing one with a switch the
+/// routing engine cannot index ([`check_switch_width`]).
 pub fn npd_to_topology(npd: &Npd) -> Result<(Topology, RegionHandles), NpdError> {
     let cfg = npd_to_region(npd)?;
-    Ok(build_region(&cfg))
+    let (topology, handles) = build_region(&cfg);
+    check_switch_width(&topology)?;
+    Ok((topology, handles))
+}
+
+/// Refuses a built region whose widest switch has more than
+/// [`MAX_SWITCH_CIRCUITS`] circuits. Per-switch counts follow from how the
+/// builders wire a region, not from its totals alone, so this runs on the
+/// region once built (the totals bound what building costs).
+pub fn check_switch_width(topology: &Topology) -> Result<(), NpdError> {
+    let widest = (0..topology.num_switches())
+        .map(|i| topology.degree(SwitchId::from_index(i)))
+        .max()
+        .unwrap_or(0);
+    if widest > MAX_SWITCH_CIRCUITS {
+        return Err(NpdError::WideSwitch {
+            circuits: widest,
+            limit: MAX_SWITCH_CIRCUITS,
+        });
+    }
+    Ok(())
 }
 
 /// Writes a computed migration plan into the document as ordered phases
@@ -644,6 +670,27 @@ mod tests {
                 limit: MAX_SWITCHES,
             })
         );
+    }
+
+    /// Every SSW takes `uplinks_per_ssw` circuits into each grid of a
+    /// spread layer: 11 000 of them make a switch wider than the routing
+    /// engine indexes, inside the region limits; 10 000 do not.
+    #[test]
+    fn a_switch_wider_than_the_engine_indexes_is_refused() {
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.hgrid.layers[1].uplinks_per_ssw = 11_000;
+        let cfg = npd_to_region(&npd).expect("within the region limits");
+        let (topology, _) = build_region(&cfg);
+        let err = check_switch_width(&topology).expect_err("too wide");
+        assert!(
+            matches!(err, NpdError::WideSwitch { circuits, limit: MAX_SWITCH_CIRCUITS }
+                if circuits > MAX_SWITCH_CIRCUITS),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("per switch"), "{err}");
+        assert_eq!(npd_to_topology(&npd).map(|_| ()), Err(err));
+        npd.hgrid.layers[1].uplinks_per_ssw = 10_000;
+        assert!(npd_to_topology(&npd).is_ok());
     }
 
     #[test]

@@ -42,6 +42,14 @@ pub enum NpdError {
         /// The most the converter builds.
         limit: usize,
     },
+    /// A switch of the built region has more circuits than the routing
+    /// engine indexes per switch.
+    WideSwitch {
+        /// The widest switch's circuit count.
+        circuits: usize,
+        /// The most one switch may have.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for NpdError {
@@ -75,6 +83,10 @@ impl fmt::Display for NpdError {
                 Some(n) => write!(f, "region has {n} {what}, more than the limit of {limit}"),
                 None => write!(f, "region's {what} overflow usize (limit {limit})"),
             },
+            NpdError::WideSwitch { circuits, limit } => write!(
+                f,
+                "a switch has {circuits} circuits, more than the limit of {limit} per switch"
+            ),
         }
     }
 }
@@ -96,5 +108,10 @@ mod tests {
         }
         .to_string()
         .contains('9'));
+        let wide = NpdError::WideSwitch {
+            circuits: 70_000,
+            limit: 65_536,
+        };
+        assert!(wide.to_string().contains("70000"), "{wide}");
     }
 }

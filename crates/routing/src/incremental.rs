@@ -8,7 +8,8 @@
 //!
 //! - the BFS distance labels and canonical visit order,
 //! - the shortest-path DAG (each switch's downhill circuits in
-//!   neighbor-scan order, all in one arena shaped like the CSR adjacency).
+//!   neighbor-scan order, as 2-byte indices into its CSR adjacency row, all
+//!   in one arena shaped like the CSR adjacency).
 //!
 //! Given the set of circuits whose usability *toggled* between the cached
 //! base state and a new state, each destination classifies every toggle
@@ -100,13 +101,16 @@ struct DestEntry {
     /// Reached switches in canonical `(dist, index)` order.
     order: Vec<u32>,
     /// The shortest-path DAG the sweep splits over, in one arena shaped
-    /// like the CSR adjacency: switch `u`'s downhill list of `(directional
-    /// slot, far index)` is the first `dag_len[u]` records from
-    /// `csr.offsets()[u]`, in neighbor-scan order. A list is a subsequence
-    /// of its switch's adjacency row, so it always fits the row's segment
-    /// and a patch rewrites it in place. Split weights are not stored: ECMP
-    /// divides by the list length, WCMP reads `csr.wcmp_weight(slot >> 1)`.
-    dag: Vec<(u32, u32)>,
+    /// like the CSR adjacency: switch `u`'s downhill list is the first
+    /// `dag_len[u]` entries from `csr.offsets()[u]`, in neighbor-scan order,
+    /// each the row-relative index `k` of a downhill record
+    /// `csr.neighbors(u)[k]` — 2 bytes, as a row holds at most
+    /// [`IncrementalRouter::MAX_ROW`] records. A list is a subsequence of
+    /// its switch's adjacency row, so it always fits the row's segment and
+    /// a patch rewrites it in place. The sweep reads each index's `(slot,
+    /// far)` from `csr.links()`. Split weights are not stored: ECMP divides
+    /// by the list length, WCMP reads `csr.wcmp_weight(slot >> 1)`.
+    dag: Vec<u16>,
     /// Downhill-list lengths; 0 for unreached switches and the destination.
     dag_len: Vec<u32>,
     /// Introspection: last advance reused the structure unchanged.
@@ -193,7 +197,8 @@ impl IncrementalRouter {
     /// matrix against the structure the last advance computed.
     ///
     /// # Panics
-    /// Panics when an extra's demand endpoints diverge from the base.
+    /// Panics when an extra's demand endpoints diverge from the base, or
+    /// when a switch has more than [`MAX_ROW`](Self::MAX_ROW) circuits.
     pub fn with_csr_ensemble(
         csr: Arc<CsrGraph>,
         matrix: &DemandMatrix,
@@ -203,6 +208,13 @@ impl IncrementalRouter {
     ) -> Self {
         let _ = lanes;
         let n = csr.num_switches();
+        let rows = csr.offsets().windows(2);
+        let widest = rows.map(|r| (r[1] - r[0]) as usize).max().unwrap_or(0);
+        assert!(
+            widest <= Self::MAX_ROW,
+            "a switch has {widest} circuits; the engine indexes at most {} per switch",
+            Self::MAX_ROW
+        );
         let edges = *csr.offsets().last().expect("offsets has n + 1 entries") as usize;
         let matrices = extras.len() + 1;
         let entries = matrix
@@ -215,7 +227,7 @@ impl IncrementalRouter {
                 rates: vec![0.0; group.len() * matrices],
                 dist: vec![UNREACHED; n],
                 order: Vec::new(),
-                dag: vec![(0, 0); edges],
+                dag: vec![0; edges],
                 dag_len: vec![0; n],
                 last_clean: false,
                 last_full: false,
@@ -278,6 +290,12 @@ impl IncrementalRouter {
         shared
     }
 
+    /// Most circuits one switch may have: a downhill list holds 16-bit
+    /// indices into its switch's adjacency row. Documents past it are
+    /// refused before an engine is built (`klotski_npd::convert::
+    /// check_switch_width`).
+    pub const MAX_ROW: usize = 1 << 16;
+
     /// Number of destination groups tracked.
     pub fn num_destinations(&self) -> usize {
         self.entries.len()
@@ -294,7 +312,7 @@ impl IncrementalRouter {
         let mut bytes = self.inflow.capacity() * 8;
         for e in &self.entries {
             bytes += e.dist.capacity() * 4 + e.order.capacity() * 4;
-            bytes += e.dag.capacity() * 8 + e.dag_len.capacity() * 4;
+            bytes += e.dag.capacity() * 2 + e.dag_len.capacity() * 4;
             bytes += e.srcs.capacity() * 4 + e.classes.capacity() + e.rates.capacity() * 8;
         }
         for lane in &self.scratch {
@@ -701,18 +719,19 @@ fn advance_entry(
 }
 
 /// Rewrites reached switch `ui`'s downhill list — its segment of the DAG
-/// arena — from a scan of its neighbors, and returns the list's length
-/// (0 for the destination, which forwards nothing).
+/// arena, as indices into its adjacency row — from a scan of its
+/// neighbors, and returns the list's length (0 for the destination, which
+/// forwards nothing).
 fn rebuild_downhill(entry: &mut DestEntry, csr: &CsrGraph, mask: &UsableMask, ui: usize) -> u32 {
     let du = entry.dist[ui];
     let row = &mut entry.dag[csr.offsets()[ui] as usize..];
     let mut len = 0;
-    for e in csr.neighbors(ui as u32) {
+    for (k, e) in csr.neighbors(ui as u32).iter().enumerate() {
         if du > 0
             && mask.usable_idx(e.circuit as usize)
             && entry.dist[e.far as usize].saturating_add(e.hop) == du
         {
-            row[len] = (e.slot, e.far);
+            row[len] = k as u16;
             len += 1;
         }
     }
@@ -752,6 +771,8 @@ fn rebuild_full(
 /// mirrors `EcmpRouter::route_group` addition for addition; the differences
 /// cannot change a bit of the result:
 ///
+/// - a list entry names its record by row-relative index; the record's
+///   `(slot, far)` is read from `csr.links()`, in list order;
 /// - under ECMP every split weight is 1.0: the weight total is the list
 ///   length (a sum of that many ones, exact), the share `flow * 1.0 / total`
 ///   is the same on every downhill circuit and `x * 1.0 == x`, so it is
@@ -781,13 +802,16 @@ fn sweep_entry(
         outcome.routed_gbps += gbps;
     }
     let offsets = csr.offsets();
+    let links = csr.links();
     for &u in entry.order.iter().rev() {
         let u = u as usize;
         let flow = std::mem::replace(&mut inflow[u], 0.0);
         if flow == 0.0 {
             continue;
         }
-        let list = &entry.dag[offsets[u] as usize..][..entry.dag_len[u] as usize];
+        let e0 = offsets[u] as usize;
+        let list = &entry.dag[e0..][..entry.dag_len[u] as usize];
+        let row = &links[e0..];
         if list.is_empty() {
             debug_assert_eq!(
                 entry.dist[u], 0,
@@ -798,17 +822,19 @@ fn sweep_entry(
         match policy {
             SplitPolicy::Ecmp => {
                 let share = flow / list.len() as f64;
-                for &(slot, far) in list {
+                for &k in list {
+                    let (slot, far) = row[k as usize];
                     acc[slot as usize] += share;
                     inflow[far as usize] += share;
                 }
             }
             SplitPolicy::Wcmp => {
                 let mut total_weight = 0.0_f64;
-                for &(slot, _) in list {
-                    total_weight += csr.wcmp_weight(slot >> 1);
+                for &k in list {
+                    total_weight += csr.wcmp_weight(row[k as usize].0 >> 1);
                 }
-                for &(slot, far) in list {
+                for &k in list {
+                    let (slot, far) = row[k as usize];
                     let share = flow * csr.wcmp_weight(slot >> 1) / total_weight;
                     acc[slot as usize] += share;
                     inflow[far as usize] += share;
@@ -1088,14 +1114,16 @@ mod tests {
         ] {
             walk_in_lockstep(&small, false, policy, &[lanes], 0x5eed ^ lanes as u64, 12);
         }
-        walk_in_lockstep(
-            &fabric_world(),
-            true,
-            SplitPolicy::Ecmp,
-            &[1, 2, 3],
-            0x5eed,
-            4,
-        );
+        // Rows of more than 128 edges, under both split policies.
+        let fabric = fabric_world();
+        let csr = CsrGraph::build(&fabric.0);
+        let widest = (0..csr.num_switches())
+            .map(|u| csr.neighbors(u as u32).len())
+            .max()
+            .unwrap();
+        assert!(widest > 128, "the widest row has {widest} edges");
+        walk_in_lockstep(&fabric, true, SplitPolicy::Ecmp, &[1, 2, 3], 0x5eed, 4);
+        walk_in_lockstep(&fabric, true, SplitPolicy::Wcmp, &[1, 2], 0x5eed ^ 2, 4);
     }
 
     #[test]
@@ -1252,6 +1280,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the engine indexes at most 65536 per switch")]
+    fn a_switch_wider_than_a_row_index_is_refused() {
+        use klotski_topology::graph::{SwitchSpec, TopologyBuilder};
+        use klotski_topology::{DcId, Generation, SwitchRole};
+        // Two switches joined by one circuit more than a 16-bit row index
+        // can name.
+        let mut b = TopologyBuilder::new("wide");
+        let spec = SwitchSpec::new(SwitchRole::Eb, Generation::V1, DcId(0), 64);
+        let (x, y) = (b.add_switch(spec.clone()), b.add_switch(spec));
+        b.add_parallel_circuits(x, y, 100.0, IncrementalRouter::MAX_ROW + 1)
+            .unwrap();
+        let t = b.build();
+        engine_over(&t, &DemandMatrix::default(), 1, SplitPolicy::Ecmp);
+    }
+
+    #[test]
     #[should_panic(expected = "matrix outside the engine's ensemble")]
     fn a_matrix_outside_the_ensemble_is_refused() {
         let (t, state, demands) = preset_world();
@@ -1263,22 +1307,36 @@ mod tests {
         engine.replay_extra(0, &state, &mut loads, &mut out);
     }
 
-    /// One destination's cached structure: labels, canonical order, list
-    /// lengths, and the live part of the arena (every switch's downhill
-    /// list, in switch order — with the lengths, that is each list).
-    type Structure = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<(u32, u32)>);
+    /// One destination's cached structure: labels, canonical order, and
+    /// every switch's downhill list of `(slot, far)`, read back through its
+    /// row-relative indices.
+    type Structure = (Vec<u32>, Vec<u32>, Vec<Vec<(u32, u32)>>);
 
+    /// Every destination's [`Structure`], after checking that each list
+    /// fits its switch's row with its indices strictly ascending, and that
+    /// the lists of unreached switches and of the destination are empty.
     fn structures(engine: &IncrementalRouter) -> Vec<Structure> {
-        let offsets = engine.csr.offsets();
+        let csr = &engine.csr;
         engine
             .entries
             .iter()
             .map(|e| {
-                let lists = (0..e.dag_len.len())
-                    .flat_map(|u| &e.dag[offsets[u] as usize..][..e.dag_len[u] as usize])
-                    .copied()
+                let lists = (0..csr.num_switches())
+                    .map(|u| {
+                        let row = csr.neighbors(u as u32);
+                        let len = e.dag_len[u] as usize;
+                        assert!(len <= row.len(), "switch {u}'s list overflows its row");
+                        if e.dist[u] == UNREACHED || e.dist[u] == 0 {
+                            assert_eq!(len, 0, "switch {u}'s list");
+                        }
+                        let list = &e.dag[csr.offsets()[u] as usize..][..len];
+                        assert!(list.windows(2).all(|w| w[0] < w[1]), "switch {u}");
+                        list.iter()
+                            .map(|&k| (row[k as usize].slot, row[k as usize].far))
+                            .collect()
+                    })
                     .collect();
-                (e.dist.clone(), e.order.clone(), e.dag_len.clone(), lists)
+                (e.dist.clone(), e.order.clone(), lists)
             })
             .collect()
     }

@@ -1,10 +1,13 @@
 //! Allocation shape of the incremental engine, counted rather than timed.
 //!
 //! The load-sweep data path is fast because of where its bytes live: each
-//! destination's DAG is one arena (not one list per switch), `LoadMap` is a
-//! plain dense array, and every sweep — the base matrix's and each ensemble
-//! member's — fills a caller-owned one. A counting `#[global_allocator]` pins
-//! exactly that, on any machine, without a timer.
+//! destination's DAG is one block shaped like the CSR adjacency holding a
+//! 2-byte row index per downhill edge (not one list per switch, and not an
+//! 8-byte record per edge), `LoadMap` is a plain dense array, and every
+//! sweep — the base matrix's and each ensemble member's — fills a
+//! caller-owned one. A counting `#[global_allocator]` pins exactly that, on
+//! any machine, without a timer: how many blocks the engine allocates, how
+//! many bytes per destination, and that a walk allocates nothing.
 
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
@@ -146,8 +149,9 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     let mut member_out = RouteOutcome::new();
 
     // (1) Construction + priming: a handful of blocks per destination — its
-    // demand columns, labels, order, the DAG arena and its lengths — never
-    // one per (destination, switch).
+    // demand columns, labels, order, downhill lists and their lengths —
+    // never one per (destination, switch), and fewer bytes per destination
+    // than one 8-byte record per directed edge would take.
     let (mut engine, built) = counted(|| {
         let mut engine = IncrementalRouter::with_csr_ensemble(
             csr.clone(),
@@ -172,9 +176,23 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
          × {switches} switches",
         built.allocs
     );
+    let edges = csr.offsets()[t.num_switches()] as u64;
+    let per_dest_bytes = 8 * edges;
+    assert!(
+        built.bytes < per_dest_bytes * dests,
+        "construction + priming allocated {} bytes for {dests} destinations, \
+         not under {per_dest_bytes} each",
+        built.bytes
+    );
+    assert!(
+        engine.approx_bytes() < per_dest_bytes * dests,
+        "the engine estimates {} bytes for {dests} destinations, not under \
+         {per_dest_bytes} each",
+        engine.approx_bytes()
+    );
 
     // (2) Warm-up: one step of the walk there and back sizes the lane
-    // scratch. After it, walking allocates nothing: patches rewrite arena
+    // scratch. After it, walking allocates nothing: patches rewrite list
     // segments in place, a full fallback relabels into the buffers it already
     // holds, the sweeps fill caller-owned buffers, `clear` is a fill.
     let mut step = |engine: &mut IncrementalRouter, i: usize| {
@@ -225,5 +243,5 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
         "dropping the engine freed {} blocks for {dests} destinations",
         dropped.frees
     );
-    assert!(dropped.frees >= dests, "every destination owns an arena");
+    assert!(dropped.frees >= dests, "every destination owns its lists");
 }

@@ -15,7 +15,7 @@ use klotski_core::planner::{PlannerKind, SearchBudget};
 use klotski_core::report::PlanAudit;
 use klotski_core::{validate_and_audit_on, CostModel, PlanError, Prior, Verdicts};
 use klotski_npd::api::{digest_hex, npd_digest, AuditResponse, PlanRequestOptions, PlanSummary};
-use klotski_npd::convert::{attach_plan, npd_to_region};
+use klotski_npd::convert::{attach_plan, check_switch_width, npd_to_region};
 use klotski_npd::Npd;
 use klotski_parallel::WorkerPool;
 use klotski_topology::presets::{Preset, PresetId};
@@ -173,15 +173,18 @@ pub(crate) struct Instance {
     planner: PlannerKind,
 }
 
-/// The first half of [`plan_document`]: resolve the options, convert the
-/// NPD to a region config, build the region, derive the migration spec.
+/// The first half of [`plan_document`], under a `pipeline.build` span:
+/// resolve the options, convert the NPD to a region config, build the
+/// region, derive the migration spec.
 pub(crate) fn build_instance(
     npd: &Npd,
     options: &PlanRequestOptions,
 ) -> Result<Instance, PipelineError> {
+    let _span = klotski_telemetry::span!("pipeline.build");
     let (mig_options, cost, planner) = resolve_options(options)?;
     let cfg = npd_to_region(npd).map_err(|e| PipelineError::Invalid(e.to_string()))?;
     let (topology, handles) = build_region(&cfg);
+    check_switch_width(&topology).map_err(|e| PipelineError::Invalid(e.to_string()))?;
     let preset_like = Preset {
         id: PresetId::A, // placeholder tag; planning reads topology + handles
         config: cfg,
@@ -200,10 +203,11 @@ pub(crate) fn build_instance(
 /// The second half of [`plan_document`], inside its `pipeline.plan` span,
 /// with the `(npd_digest, options_digest)` pair already computed (the
 /// service computes both once at admission, for the cache and coalescing
-/// key): search — on `prior`'s verdicts when it fits — then validate, audit
-/// and attach. The validating walk never reads `prior`: it judges every
-/// phase from a cold cache, so an inherited verdict cannot ship an unsafe
-/// plan. Returns the artifact with the search's ESC cache.
+/// key): search — on `prior`'s verdicts when it fits — then validate and
+/// audit (a `pipeline.validate` span), attach and serialize (a
+/// `pipeline.encode` span). The validating walk never reads `prior`: it
+/// judges every phase from a cold cache, so an inherited verdict cannot
+/// ship an unsafe plan. Returns the artifact with the search's ESC cache.
 pub(crate) fn plan_instance(
     npd: &Npd,
     instance: &Instance,
@@ -223,15 +227,21 @@ pub(crate) fn plan_instance(
         .plan_seeded(spec, prior)
         .map_err(PipelineError::Plan)?;
 
-    let audit = validate_and_audit_on(spec, &outcome.plan, pool)
-        .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?;
+    let audit = {
+        let _span = klotski_telemetry::span!("pipeline.validate");
+        validate_and_audit_on(spec, &outcome.plan, pool)
+            .map_err(|e| PipelineError::Internal(format!("produced plan failed validation: {e}")))?
+    };
 
-    let mut shipped = npd.clone();
-    attach_plan(&mut shipped, spec, &outcome.plan);
-    let plan_json = shipped
-        .to_json_pretty()
-        .map_err(|e| PipelineError::Internal(format!("serialization failed: {e}")))?
-        .into_bytes();
+    let plan_json = {
+        let _span = klotski_telemetry::span!("pipeline.encode");
+        let mut shipped = npd.clone();
+        attach_plan(&mut shipped, spec, &outcome.plan);
+        shipped
+            .to_json_pretty()
+            .map_err(|e| PipelineError::Internal(format!("serialization failed: {e}")))?
+            .into_bytes()
+    };
 
     let steps = outcome.plan.phases().iter().map(|p| p.blocks.len()).sum();
     let summary = PlanSummary {
@@ -296,6 +306,26 @@ mod tests {
         let shipped = Npd::from_json(std::str::from_utf8(&artifact.plan_json).unwrap()).unwrap();
         assert_eq!(shipped.phases.len(), artifact.summary.phases);
         assert_eq!(artifact.audit.phases.len(), artifact.summary.phases);
+    }
+
+    /// A document whose region has a switch wider than the routing engine
+    /// indexes is an invalid request, refused before a spec is built.
+    #[test]
+    fn a_switch_too_wide_to_route_is_an_invalid_request() {
+        let mut npd = small_npd();
+        npd.hgrid.layers[1].uplinks_per_ssw = 11_000;
+        let err = plan_document(
+            &npd,
+            &PlanRequestOptions::default(),
+            SearchBudget::default(),
+            None,
+        )
+        .map(|_| ())
+        .expect_err("refused");
+        assert!(
+            matches!(&err, PipelineError::Invalid(m) if m.contains("per switch")),
+            "{err:?}"
+        );
     }
 
     /// Every preset's exported document plans (bench scale): its bytes are

@@ -8,14 +8,15 @@
 //! struct lookup per edge) costs two dependent loads per edge visit and
 //! scatters the working set across per-switch heap allocations.
 //!
-//! [`CsrGraph`] bakes the answers into four flat arrays built once per
+//! [`CsrGraph`] bakes the answers into flat arrays built once per
 //! topology: a classic offsets/edges CSR adjacency whose [`CsrEdge`] entries
 //! carry the circuit id, the far switch, the *directional load slot*, and
 //! the hop weight — everything the inner loops need in one 16-byte record —
-//! plus per-circuit endpoint, hop, and WCMP-weight arrays for the toggle
-//! classifier. One graph is shared (`Arc`) by every routing engine and every
-//! worker lane; it is immutable after build, matching the union-graph design
-//! (migrations flip activation bits, never edges).
+//! then the 8-byte `(slot, far)` half of every record, which is all a load
+//! sweep reads, and per-circuit endpoint, hop, and WCMP-weight arrays for
+//! the toggle classifier. One graph is shared (`Arc`) by every routing
+//! engine and every worker lane; it is immutable after build, matching the
+//! union-graph design (migrations flip activation bits, never edges).
 //!
 //! Edge order within a switch's slice is exactly the `Topology::neighbors`
 //! insertion order. Routing determinism depends on this: downhill lists are
@@ -47,6 +48,8 @@ pub struct CsrGraph {
     offsets: Vec<u32>,
     /// Adjacency records, per switch in `Topology::neighbors` order.
     edges: Vec<CsrEdge>,
+    /// `(slot, far)` of every adjacency record, in the same order.
+    links: Vec<(u32, u32)>,
     /// Per-circuit hop weight (for toggle classification off the hot path).
     hop: Vec<u32>,
     /// Per-circuit endpoints as dense switch indices `(a, b)`.
@@ -80,6 +83,7 @@ impl CsrGraph {
             }
             offsets.push(edges.len() as u32);
         }
+        let links = edges.iter().map(|e| (e.slot, e.far)).collect();
         let mut hop = Vec::with_capacity(m);
         let mut ends = Vec::with_capacity(m);
         let mut wcmp = Vec::with_capacity(m);
@@ -92,6 +96,7 @@ impl CsrGraph {
         Self {
             offsets,
             edges,
+            links,
             hop,
             ends,
             wcmp,
@@ -118,11 +123,21 @@ impl CsrGraph {
 
     /// The row offsets: switch `u`'s adjacency slice starts at edge index
     /// `offsets()[u]`, and the last of the `num_switches() + 1` entries is
-    /// the directed edge count. For per-switch side tables laid out like the
-    /// adjacency itself (the incremental engine's per-destination DAG arena).
+    /// the directed edge count. For side tables laid out like the adjacency
+    /// itself: [`links`](Self::links), and the incremental engine's
+    /// per-destination DAG arena of 2-byte indices into each row.
     #[inline]
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
+    }
+
+    /// `(slot, far)` of every directed edge, row after row like the
+    /// adjacency: switch `u`'s are `links()[offsets()[u]..offsets()[u + 1]]`.
+    /// Half the bytes of a [`CsrEdge`], for a load sweep that reads nothing
+    /// else.
+    #[inline]
+    pub fn links(&self) -> &[(u32, u32)] {
+        &self.links
     }
 
     /// Hop weight of circuit `c`.
@@ -163,6 +178,8 @@ mod tests {
             assert_eq!(adj.len(), csr.len(), "degree of switch {u}");
             let row = g.offsets()[u] as usize..g.offsets()[u + 1] as usize;
             assert_eq!(row.len(), csr.len(), "offsets row of switch {u}");
+            let links: Vec<(u32, u32)> = csr.iter().map(|e| (e.slot, e.far)).collect();
+            assert_eq!(g.links()[row], links[..], "links row of switch {u}");
             for (&(c, far), e) in adj.iter().zip(csr) {
                 assert_eq!(e.circuit as usize, c.index());
                 assert_eq!(e.far, far.0);

@@ -4,7 +4,8 @@
 //!
 //! The search counters do not depend on the lane count or the machine, so
 //! they are pinned exactly; the only time bound is the paper's "< 4
-//! minutes" (§6.1). Ignored by default because each plan routes the
+//! minutes" (§6.1). The routing engine's estimated bytes are bounded too:
+//! they are a function of the topology and the demand, not of the machine. Ignored by default because each plan routes the
 //! O(100k)-circuit union graph (seconds in release, minutes in debug). Run
 //! with:
 //!
@@ -20,6 +21,7 @@ use klotski::core::planner::SearchBudget;
 use klotski::npd::convert::region_to_npd;
 use klotski::npd::PlanRequestOptions;
 use klotski::parallel::WorkerPool;
+use klotski::routing::{CsrGraph, IncrementalRouter};
 use klotski::service::pipeline::{plan_document, PlanArtifact};
 use klotski::topology::presets::{self, PresetId};
 
@@ -89,4 +91,28 @@ fn full_scale_e_plans_to_the_same_bytes_on_one_and_two_lanes() {
         one.plan_json == two.plan_json,
         "E plans differ across lanes"
     );
+}
+
+#[test]
+#[ignore = "paper-scale; run with KLOTSKI_FULL_SCALE=1 --release -- --ignored"]
+fn a_primed_full_scale_e_engine_fits_in_twenty_five_megabytes() {
+    assert!(
+        presets::full_scale_requested(),
+        "set KLOTSKI_FULL_SCALE=1 for this test"
+    );
+    let preset = presets::build(PresetId::E);
+    let spec = MigrationBuilder::hgrid_v1_to_v2(&preset, &MigrationOptions::default()).unwrap();
+    let mut engine = IncrementalRouter::with_csr_ensemble(
+        Arc::new(CsrGraph::build(&spec.topology)),
+        &spec.demands,
+        &[],
+        1,
+        spec.split,
+    );
+    engine.rebase(&WorkerPool::new(1), &spec.topology, &spec.initial, None);
+    // A 2-byte row index per directed edge per destination: 28
+    // destinations × 356 192 directed edges are 19.9 MB of lists; labels,
+    // orders and list lengths are most of the rest.
+    let bytes = engine.approx_bytes();
+    assert!(bytes <= 25_000_000, "{bytes} bytes");
 }

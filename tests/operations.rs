@@ -129,6 +129,16 @@ fn funneling_enabled_specs_still_plan() {
     );
 }
 
+/// The converter refuses exactly the switches the routing engine cannot
+/// index.
+#[test]
+fn the_switch_width_limit_is_the_engines() {
+    assert_eq!(
+        klotski::npd::convert::MAX_SWITCH_CIRCUITS,
+        klotski::routing::IncrementalRouter::MAX_ROW
+    );
+}
+
 #[test]
 fn npd_pipeline_end_to_end() {
     // NPD in -> topology -> plan -> phases in NPD out, all through JSON.

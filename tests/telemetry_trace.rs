@@ -45,7 +45,8 @@ fn plan_trace_round_trips_through_the_validator() {
     );
     assert_eq!(summary.roots, 1, "single root span: {summary:?}");
 
-    // The span chain must be cli.plan -> pipeline.plan -> astar.plan.
+    // The span chain must be cli.plan -> pipeline.plan -> astar.plan, and
+    // the request's other stages sit beside the search under pipeline.plan.
     let mut spans = std::collections::HashMap::new();
     for line in text.lines() {
         if let Ok(Record::Span {
@@ -61,6 +62,9 @@ fn plan_trace_round_trips_through_the_validator() {
     assert_eq!(cli_parent, 0);
     assert_eq!(pipe_parent, cli_id);
     assert_eq!(astar_parent, pipe_id);
+    for stage in ["pipeline.build", "pipeline.validate", "pipeline.encode"] {
+        assert_eq!(spans[stage].1, pipe_id, "{stage} under pipeline.plan");
+    }
 
     // The trace subcommand agrees.
     let out = klotski(&["trace", "t.jsonl"], &dir);
