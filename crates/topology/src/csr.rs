@@ -21,7 +21,10 @@
 //! Edge order within a switch's slice is exactly the `Topology::neighbors`
 //! insertion order. Routing determinism depends on this: downhill lists are
 //! collected in neighbor-scan order and f64 flow shares are summed in that
-//! order, so the CSR view must reproduce it bit-for-bit.
+//! order, so the CSR view must reproduce it bit-for-bit. Where each record
+//! sits in its row is kept per directed slot ([`CsrGraph::position`]), so
+//! an engine that names a circuit's records by row index finds them
+//! without a scan.
 
 use crate::graph::Topology;
 
@@ -50,6 +53,9 @@ pub struct CsrGraph {
     edges: Vec<CsrEdge>,
     /// `(slot, far)` of every adjacency record, in the same order.
     links: Vec<(u32, u32)>,
+    /// Per directed slot: the index of its record within its near
+    /// endpoint's row.
+    positions: Vec<u32>,
     /// Per-circuit hop weight (for toggle classification off the hot path).
     hop: Vec<u32>,
     /// Per-circuit endpoints as dense switch indices `(a, b)`.
@@ -69,15 +75,22 @@ impl CsrGraph {
         let m = topo.num_circuits();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut edges = Vec::with_capacity(2 * m);
+        let mut positions = vec![0; 2 * m];
         offsets.push(0u32);
         for u in 0..n {
-            for &(c, far) in topo.neighbors(crate::SwitchId::from_index(u)) {
+            for (k, &(c, far)) in topo
+                .neighbors(crate::SwitchId::from_index(u))
+                .iter()
+                .enumerate()
+            {
                 let ck = topo.circuit(c);
                 let dir = if ck.a.index() == u { 0 } else { 1 };
+                let slot = c.index() * 2 + dir;
+                positions[slot] = k as u32;
                 edges.push(CsrEdge {
                     circuit: c.index() as u32,
                     far: far.0,
-                    slot: (c.index() * 2 + dir) as u32,
+                    slot: slot as u32,
                     hop: ck.hop_weight as u32,
                 });
             }
@@ -97,6 +110,7 @@ impl CsrGraph {
             offsets,
             edges,
             links,
+            positions,
             hop,
             ends,
             wcmp,
@@ -138,6 +152,15 @@ impl CsrGraph {
     #[inline]
     pub fn links(&self) -> &[(u32, u32)] {
         &self.links
+    }
+
+    /// The index `k` of directed slot `slot`'s record within its near
+    /// endpoint `u`'s row: `neighbors(u)[k].slot == slot`. A circuit's two
+    /// records are slots `2c` (near end `a`) and `2c + 1` (near end `b`), so
+    /// `slot ^ 1` names the far end's record of the same circuit.
+    #[inline]
+    pub fn position(&self, slot: u32) -> usize {
+        self.positions[slot as usize] as usize
     }
 
     /// Hop weight of circuit `c`.
@@ -187,6 +210,19 @@ mod tests {
                 assert_eq!(e.hop, ck.hop_weight as u32);
                 let dir = if ck.a.index() == u { 0 } else { 1 };
                 assert_eq!(e.slot as usize, c.index() * 2 + dir);
+            }
+        }
+    }
+
+    #[test]
+    fn every_record_sits_at_its_slot_position() {
+        let p = presets::build(PresetId::A);
+        let g = CsrGraph::build(&p.topology);
+        for u in 0..g.num_switches() as u32 {
+            for (k, e) in g.neighbors(u).iter().enumerate() {
+                assert_eq!(g.position(e.slot), k, "switch {u}");
+                let far = g.neighbors(e.far)[g.position(e.slot ^ 1)];
+                assert_eq!((far.circuit, far.far), (e.circuit, u), "switch {u}");
             }
         }
     }

@@ -15,6 +15,7 @@ use crate::ids::{CircuitId, DcId, GridId, PlaneId, PodId, SwitchId};
 use crate::stats::TopologyStats;
 use crate::switch::{Generation, Switch, SwitchRole};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// An immutable multi-layer DCN graph.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -215,6 +216,9 @@ pub struct TopologyBuilder {
     switches: Vec<Switch>,
     circuits: Vec<Circuit>,
     adj: Vec<Vec<(CircuitId, SwitchId)>>,
+    /// Switches added so far per `(dc, role, generation)` triple: the next
+    /// name ordinal of each.
+    ordinals: HashMap<(DcId, SwitchRole, Generation), usize>,
 }
 
 /// Parameters for [`TopologyBuilder::add_switch`].
@@ -270,6 +274,7 @@ impl TopologyBuilder {
             switches: Vec::new(),
             circuits: Vec::new(),
             adj: Vec::new(),
+            ordinals: HashMap::new(),
         }
     }
 
@@ -293,11 +298,12 @@ impl TopologyBuilder {
     /// (dc, role, generation) triple.
     pub fn add_switch(&mut self, spec: SwitchSpec) -> SwitchId {
         let id = SwitchId::from_index(self.switches.len());
-        let ordinal = self
-            .switches
-            .iter()
-            .filter(|s| s.dc == spec.dc && s.role == spec.role && s.generation == spec.generation)
-            .count();
+        let next = self
+            .ordinals
+            .entry((spec.dc, spec.role, spec.generation))
+            .or_insert(0);
+        let ordinal = *next;
+        *next += 1;
         let name = Switch::canonical_name(
             spec.dc,
             spec.role,
@@ -448,6 +454,21 @@ mod tests {
         let c = b.add_switch(spec(SwitchRole::Ssw));
         assert_ne!(b.switch(a).name, b.switch(c).name);
         assert!(b.switch(a).name.contains("SSW"));
+    }
+
+    #[test]
+    fn name_ordinals_count_earlier_switches_of_the_same_triple() {
+        let t = crate::presets::build(crate::presets::PresetId::E).topology;
+        let switches = t.switches();
+        for (i, s) in switches.iter().enumerate() {
+            let ordinal = switches[..i]
+                .iter()
+                .filter(|e| (e.dc, e.role, e.generation) == (s.dc, s.role, s.generation))
+                .count();
+            let name =
+                Switch::canonical_name(s.dc, s.role, s.generation, s.plane, s.pod, s.grid, ordinal);
+            assert_eq!(s.name, name, "switch {i}");
+        }
     }
 
     #[test]
