@@ -66,21 +66,9 @@ impl Planner for JanusPlanner {
                 // block of type b after each block of type a.
                 for idx in va.count(b)..spec.target_counts.count(b) {
                     let mut pair = first.clone();
-                    let vb = CompactState::from_counts(
-                        (0..spec.num_types() as u8)
-                            .map(|t| {
-                                if t == b.0 {
-                                    idx
-                                } else {
-                                    va.count(klotski_core::ActionTypeId(t))
-                                }
-                            })
-                            .collect(),
-                    );
                     // Apply block `idx` of type b directly.
                     let block = spec.block_for(b, idx);
                     block.apply(&spec.topology, &mut pair, spec.kind_is_drain(b));
-                    let _ = vb;
                     loads.clear();
                     router.route(&spec.topology, &pair, &spec.demands, &mut loads);
                     preprocessing_checks += 1;

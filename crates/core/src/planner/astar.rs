@@ -85,9 +85,10 @@ pub struct AStarPlanner {
     pub secondary_priority: bool,
     /// State/time budget.
     pub budget: SearchBudget,
-    /// Shared satisfiability worker pool. `None` builds a private pool per
-    /// `plan` call; long-lived callers (the planning service) pass one pool
-    /// so its threads are reused across jobs.
+    /// Satisfiability lanes. `None` plans on `spec.threads` lanes; the
+    /// planning service passes each worker's `lanes_per_worker` count. A
+    /// [`WorkerPool`] is a lane count: its helpers spawn per call and are
+    /// joined before the call returns, so nothing is kept across jobs.
     pub pool: Option<Arc<WorkerPool>>,
 }
 

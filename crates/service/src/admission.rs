@@ -23,6 +23,10 @@ const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 /// Per-connection socket read/write timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long a synchronous (no `?wait=0`) submission blocks before degrading
+/// to `202 Accepted` + job id.
+const SYNC_WAIT: Duration = Duration::from_secs(300);
+
 /// Reads one request, routes it, writes one response.
 pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     http::configure_stream(&stream, IO_TIMEOUT)?;
@@ -169,7 +173,7 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
     };
     match admission {
         Ok(Admission::Leader(job) | Admission::Follower(job)) => {
-            answer_job(request, shared, &job).with_header("X-Klotski-Coalesce", role)
+            answer_job(request, &job).with_header("X-Klotski-Coalesce", role)
         }
         Err(busy) => busy,
     }
@@ -210,7 +214,7 @@ fn submit_run(request: &Request, shared: &Shared) -> Response {
     };
     match admit(shared, JobKind::Run, work, None) {
         // Keyless: a run always leads.
-        Ok(Admission::Leader(job) | Admission::Follower(job)) => answer_job(request, shared, &job),
+        Ok(Admission::Leader(job) | Admission::Follower(job)) => answer_job(request, &job),
         Err(busy) => busy,
     }
 }
@@ -304,11 +308,11 @@ fn accepted(job: &Job) -> Response {
 
 /// Answers for an admitted job: 202 + job id for `?wait=0` (or a sync-wait
 /// timeout), otherwise the finished result.
-fn answer_job(request: &Request, shared: &Shared, job: &Job) -> Response {
+fn answer_job(request: &Request, job: &Job) -> Response {
     if request.query_param("wait") == Some("0") {
         return accepted(job);
     }
-    match job.wait(shared.config.sync_wait) {
+    match job.wait(SYNC_WAIT) {
         Some(outcome) => settled_response(job.kind, outcome),
         None => accepted(job),
     }

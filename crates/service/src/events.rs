@@ -5,11 +5,15 @@ use crate::jobs::{Job, JobError, JobOutput};
 use crate::Shared;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
+use std::time::Duration;
 
 /// Per-subscriber event-queue bound: on overflow the oldest line is dropped
 /// and the lag-drop counters advance — a stalled reader never blocks a
 /// planner.
 const SSE_QUEUE_CAPACITY: usize = 1024;
+
+/// Keep-alive comment interval on an idle event stream.
+const SSE_HEARTBEAT: Duration = Duration::from_secs(1);
 
 /// A chunked `text/event-stream` of the job's trace lines from the
 /// process-global event bus, with heartbeats while idle and a terminal
@@ -60,7 +64,7 @@ fn serve_events(stream: &mut TcpStream, job: &Job, shared: &Shared) -> std::io::
             write_event(stream, "end", &end)?;
             return http::finish_chunked(stream);
         }
-        match sub.recv_timeout(shared.config.sse_heartbeat) {
+        match sub.recv_timeout(SSE_HEARTBEAT) {
             Some(line) => write_event(stream, "trace", &line)?,
             None => http::write_chunk(stream, b": heartbeat\n\n")?,
         }
@@ -123,7 +127,6 @@ mod tests {
     fn event_stream_follows_a_run_to_its_terminal_event() {
         let service = Service::start(ServiceConfig {
             workers: 1,
-            sse_heartbeat: Duration::from_millis(50),
             ..ServiceConfig::default()
         })
         .unwrap();

@@ -10,9 +10,10 @@
 //!   `GET /v1/jobs/{id}[/result|/events]` polls or streams a job;
 //!   `/metrics` is Prometheus text, `/healthz` the load-balancer probe.
 //! * **Bounded**: a fixed-capacity queue between connection threads and
-//!   long-lived workers (each planning on
-//!   [`lanes_per_worker`](ServiceConfig::lanes_per_worker) lanes); a full
-//!   queue answers `503 + Retry-After` instead of growing.
+//!   long-lived workers; a full queue answers `503 + Retry-After` instead
+//!   of growing. Each worker plans on
+//!   [`lanes_per_worker`](ServiceConfig::lanes_per_worker) lanes, whose
+//!   helper threads spawn per call and are joined before it returns.
 //! * **Cached and coalesced** by `(NPD digest, options digest)`: a repeated
 //!   document returns the original bytes, and concurrent duplicates of one
 //!   kind follow the first submission's job instead of planning again.
@@ -102,9 +103,6 @@ pub struct ServiceConfig {
     /// artifact keeps its search's ESC verdicts beside it, so this bounds
     /// verdict reuse as well.
     pub cache_capacity: usize,
-    /// How long a synchronous (no `?wait=0`) submission blocks before
-    /// degrading to `202 Accepted` + job id.
-    pub sync_wait: Duration,
     /// Service-wide planning deadline applied when a request does not set
     /// `deadline_ms`. `None` = unbounded (the search budget still applies).
     pub default_deadline: Option<Duration>,
@@ -112,8 +110,6 @@ pub struct ServiceConfig {
     /// streams are shed with 503 (each holds a connection thread and a
     /// bounded event queue).
     pub sse_max_subscribers: usize,
-    /// Keep-alive comment interval on idle event streams.
-    pub sse_heartbeat: Duration,
     /// Directory for the write-ahead job journal; `None` runs stateless.
     pub state_dir: Option<PathBuf>,
 }
@@ -126,10 +122,8 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             lanes_per_worker: 1,
             cache_capacity: 128,
-            sync_wait: Duration::from_secs(300),
             default_deadline: None,
             sse_max_subscribers: 32,
-            sse_heartbeat: Duration::from_secs(1),
             state_dir: None,
         }
     }

@@ -466,7 +466,6 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let service = Service::start(ServiceConfig {
             workers: 1,
-            sync_wait: Duration::from_secs(30),
             state_dir: Some(dir.clone()),
             ..ServiceConfig::default()
         })

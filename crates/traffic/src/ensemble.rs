@@ -18,10 +18,9 @@
 //! matrix-independent too, and only the load sweep differs per matrix.
 
 use crate::demand::{DemandClass, DemandMatrix};
-use crate::forecast::{EwmaForecaster, Forecaster};
-use crate::history::{HistoryConfig, TrafficHistory};
-use crate::surge::SurgeEvent;
 use klotski_topology::Fnv1a;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -30,6 +29,52 @@ use std::fmt;
 /// headroom bound on the base cannot clear, so its cost grows with those
 /// members, not with K; the bound itself is one multiply per member.
 pub const MAX_ENSEMBLE: usize = 64;
+
+/// Daily samples in the synthetic history the EWMA ladder reads. The series
+/// is a multiplier against the base matrix: its trend level is 1 at day 0.
+const HISTORY_DAYS: usize = 120;
+
+/// Organic growth per day, a fraction of the day-0 level: +0.3 %/day is
+/// about +9 %/month, the organic growth of §2.3.
+const DAILY_GROWTH: f64 = 0.003;
+
+/// Amplitude of the weekly seasonality, a fraction of the trend level.
+const WEEKLY_AMPLITUDE: f64 = 0.05;
+
+/// Standard deviation of the multiplicative daily noise.
+const NOISE_STD: f64 = 0.01;
+
+/// A seeded daily aggregate-traffic series of [`HISTORY_DAYS`] days: organic
+/// growth, weekly seasonality and noise, the three components that drive
+/// forecasting over a month-long migration (§7.1). The paper forecasts
+/// from production telemetry (§6.1), which is proprietary.
+fn synthetic_history(seed: u64) -> Vec<f64> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..HISTORY_DAYS)
+        .map(|day| {
+            let trend = 1.0 + DAILY_GROWTH * day as f64;
+            let season = 1.0 + WEEKLY_AMPLITUDE * (day as f64 * std::f64::consts::TAU / 7.0).sin();
+            // Box-Muller for a normal sample; `rand` distributions are kept
+            // out to avoid the rand_distr dependency.
+            let u1: f64 = rng.random_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.random_range(0.0..1.0);
+            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            let noise = 1.0 + NOISE_STD * z;
+            (trend * season * noise).max(0.0)
+        })
+        .collect()
+}
+
+/// The exponentially weighted moving average of `samples` at smoothing
+/// factor `alpha` (higher weighs recent days more): a level forecast, the
+/// same at every horizon. [`EnsembleSpec::validate`] bounds `alpha`.
+fn ewma_level(samples: &[f64], alpha: f64) -> f64 {
+    let mut level = samples[0];
+    for &y in &samples[1..] {
+        level = alpha * y + (1.0 - alpha) * level;
+    }
+    level
+}
 
 /// splitmix64: the seed expander behind the variant RNG. Small, public
 /// domain, and stable across platforms — ensemble realization must be
@@ -229,22 +274,19 @@ impl EnsembleSpec {
     /// Variant `i` (0-based among the K−1 non-base slots) is an EWMA level
     /// variant while `i < ewma_alphas.len()`, then a seeded surge variant.
     /// All variants are deduplicated by digest, so the realized ensemble may
-    /// hold fewer than K matrices; each drop is recorded as a warning.
+    /// hold fewer than K matrices.
     pub fn realize(&self, base: &DemandMatrix) -> Result<TrafficEnsemble, EnsembleError> {
         self.validate()?;
         let mut ensemble = TrafficEnsemble::new(base.clone())?;
         // One shared synthetic history per realization: equal alphas then
-        // yield equal levels, which the digest dedupe collapses (with a
-        // warning) instead of silently double-checking the same matrix.
-        let history = TrafficHistory::synthesize(&HistoryConfig {
-            seed: self.seed,
-            ..HistoryConfig::default()
-        });
-        let latest = history.latest();
+        // yield equal levels, which the digest dedupe collapses instead of
+        // double-checking the same matrix.
+        let history = synthetic_history(self.seed);
+        let latest = history[HISTORY_DAYS - 1];
         let mut rng = self.seed;
         for i in 0..self.k - 1 {
             if let Some(&alpha) = self.ewma_alphas.get(i) {
-                let level = EwmaForecaster { alpha }.forecast(&history, 1);
+                let level = ewma_level(&history, alpha);
                 let ratio = if latest > 0.0 { level / latest } else { 1.0 };
                 if !(ratio.is_finite() && ratio >= 0.0) {
                     return Err(EnsembleError::Malformed(format!(
@@ -260,17 +302,13 @@ impl EnsembleSpec {
                     r => Some(DemandClass::ALL[(r - 1) as usize]),
                 };
                 let factor = 1.0 + (self.surge_factor - 1.0) * frac;
-                let surge = SurgeEvent {
-                    from_step: 0,
-                    until_step: 1,
-                    factor,
-                    class,
-                };
                 let label = match class {
                     None => format!("surge[all x{factor:.4}]"),
                     Some(c) => format!("surge[{c:?} x{factor:.4}]"),
                 };
-                ensemble.push_variant(label, surge.apply(base, 0))?;
+                let mut surged = base.clone();
+                surged.scale_where(factor, |d| class.is_none_or(|c| d.class == c));
+                ensemble.push_variant(label, surged)?;
             }
         }
         Ok(ensemble)
@@ -284,7 +322,6 @@ pub struct TrafficEnsemble {
     matrices: Vec<DemandMatrix>,
     labels: Vec<String>,
     digests: Vec<u64>,
-    warnings: Vec<String>,
 }
 
 impl TrafficEnsemble {
@@ -296,19 +333,17 @@ impl TrafficEnsemble {
             matrices: vec![base],
             labels: vec!["base".to_string()],
             digests: vec![digest],
-            warnings: Vec::new(),
         })
     }
 
-    /// Appends a variant. Returns `Ok(false)` (and records a warning) when
-    /// the matrix duplicates an existing member by digest; errors when its
-    /// demand dimensions diverge from the base or a rate is invalid.
+    /// Appends a variant. Returns `Ok(false)` when the matrix duplicates an
+    /// existing member by digest; errors when its demand dimensions diverge
+    /// from the base or a rate is invalid.
     pub fn push_variant(
         &mut self,
         label: impl Into<String>,
         matrix: DemandMatrix,
     ) -> Result<bool, EnsembleError> {
-        let label = label.into();
         let index = self.matrices.len();
         validate_rates(&matrix, index)?;
         let base = &self.matrices[0];
@@ -330,15 +365,11 @@ impl TrafficEnsemble {
             }
         }
         let digest = matrix_digest(&matrix);
-        if let Some(dup) = self.digests.iter().position(|&d| d == digest) {
-            self.warnings.push(format!(
-                "ensemble variant {label:?} duplicates matrix {dup} ({:?}); deduped",
-                self.labels[dup]
-            ));
+        if self.digests.contains(&digest) {
             return Ok(false);
         }
         self.matrices.push(matrix);
-        self.labels.push(label);
+        self.labels.push(label.into());
         self.digests.push(digest);
         Ok(true)
     }
@@ -394,11 +425,6 @@ impl TrafficEnsemble {
     /// Per-matrix content digests.
     pub fn digests(&self) -> &[u64] {
         &self.digests
-    }
-
-    /// Dedupe warnings accumulated during construction.
-    pub fn warnings(&self) -> &[String] {
-        &self.warnings
     }
 
     /// Combined digest over all member digests (order-sensitive).
@@ -526,16 +552,65 @@ mod tests {
         ens.validate_against(3).unwrap();
     }
 
+    /// Every member's label and digest, pinned: plan bytes, fingerprints and
+    /// goldens taken with an ensemble hold only while realization is
+    /// bit-identical. With K = 8 one surge lands on `EbbToRsw`, which
+    /// `base()` lacks, so it duplicates the base and is deduped: seven
+    /// members each.
     #[test]
-    fn duplicate_alphas_dedupe_with_a_warning() {
+    fn realized_members_keep_their_labels_and_digests() {
+        let default_range = [
+            ("base", 0x22ce_f8f0_115d_ffff),
+            ("ewma[a=0.35]", 0xc73f_4bc1_8fce_e4ef),
+            ("ewma[a=0.65]", 0xe4cb_0254_f9e2_7b6b),
+            ("surge[all x1.2252]", 0xb5f1_286e_1be7_e9ad),
+            ("surge[RswToEbb x1.0344]", 0x7065_a66d_263d_0371),
+            ("surge[all x1.2951]", 0x3521_8c93_d308_7aef),
+            ("surge[RswToEbb x1.2367]", 0xa0b2_56f9_35fd_0f3a),
+        ];
+        let wide_range = [
+            ("base", 0x22ce_f8f0_115d_ffff),
+            ("ewma[a=0.35]", 0xc73f_4bc1_8fce_e4ef),
+            ("ewma[a=0.65]", 0xe4cb_0254_f9e2_7b6b),
+            ("surge[all x1.3753]", 0xa558_1580_0411_fcf3),
+            ("surge[RswToEbb x1.0573]", 0xd5f5_f2bf_4acc_e86c),
+            ("surge[all x1.4918]", 0xb784_9f4c_7a79_e8f3),
+            ("surge[RswToEbb x1.3946]", 0x0027_2c80_c80b_2213),
+        ];
+        let wide = EnsembleSpec {
+            surge_factor: 1.5,
+            ..EnsembleSpec::with_k(8, 9)
+        };
+        for (spec, want) in [
+            (EnsembleSpec::with_k(8, 9), default_range),
+            (wide, wide_range),
+        ] {
+            let ens = spec.realize(&base()).unwrap();
+            let got: Vec<(&str, u64)> = ens
+                .labels()
+                .iter()
+                .map(String::as_str)
+                .zip(ens.matrices().iter().map(matrix_digest))
+                .collect();
+            assert_eq!(got, want, "surge_factor {}", spec.surge_factor);
+            assert_eq!(ens.digests(), want.map(|(_, d)| d));
+        }
+    }
+
+    #[test]
+    fn duplicate_alphas_dedupe() {
         let spec = EnsembleSpec {
             ewma_alphas: vec![0.4, 0.4],
             ..EnsembleSpec::with_k(3, 5)
         };
         let ens = spec.realize(&base()).unwrap();
         assert_eq!(ens.len(), 2, "identical EWMA variants collapse");
-        assert_eq!(ens.warnings().len(), 1);
-        assert!(ens.warnings()[0].contains("deduped"));
+        let mut again = TrafficEnsemble::new(base()).unwrap();
+        let twin = ens.extras()[0].clone();
+        assert_eq!(again.push_variant("first", twin.clone()), Ok(true));
+        assert_eq!(again.push_variant("second", twin), Ok(false));
+        assert_eq!(again.len(), 2);
+        assert_eq!(again.labels(), ["base", "first"]);
     }
 
     #[test]
@@ -614,6 +689,66 @@ mod tests {
         let ok: EnsembleSpec = serde_json::from_str(r#"{"k":2,"seed":7}"#).unwrap();
         assert_eq!(ok.seed, 7);
         assert_eq!(ok.ewma_alphas, vec![0.35, 0.65]);
+    }
+
+    #[test]
+    fn synthesis_is_deterministic_in_the_seed() {
+        assert_eq!(synthetic_history(11), synthetic_history(11));
+        assert_ne!(synthetic_history(11), synthetic_history(12));
+        assert_eq!(synthetic_history(11).len(), HISTORY_DAYS);
+    }
+
+    #[test]
+    fn trend_grows_over_time() {
+        let h = synthetic_history(11);
+        let first: f64 = h[..7].iter().sum();
+        let last: f64 = h[HISTORY_DAYS - 7..].iter().sum();
+        assert!(last > first * 1.3, "+0.3%/day over 120d");
+    }
+
+    #[test]
+    fn seasonality_oscillates_weekly() {
+        // Detrended, each weekday's mean over the 17 weeks is the weekly
+        // sinusoid's value on that day; the noise averages out.
+        let h = synthetic_history(11);
+        for weekday in 0..7 {
+            let days: Vec<usize> = (weekday..HISTORY_DAYS).step_by(7).collect();
+            let mean = days
+                .iter()
+                .map(|&d| h[d] / (1.0 + DAILY_GROWTH * d as f64))
+                .sum::<f64>()
+                / days.len() as f64;
+            let season =
+                1.0 + WEEKLY_AMPLITUDE * (weekday as f64 * std::f64::consts::TAU / 7.0).sin();
+            assert!(
+                (mean - season).abs() < 0.01,
+                "weekday {weekday}: {mean} vs {season}"
+            );
+        }
+    }
+
+    #[test]
+    fn samples_stay_finite_and_non_negative() {
+        for seed in 0..32 {
+            assert!(synthetic_history(seed)
+                .iter()
+                .all(|s| s.is_finite() && *s >= 0.0));
+        }
+    }
+
+    #[test]
+    fn ewma_converges_to_constant() {
+        assert!((ewma_level(&[5.0; 50], 0.2) - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ewma_weights_recent_more() {
+        let mut v = vec![1.0; 49];
+        v.push(10.0);
+        let fast = ewma_level(&v, 0.9);
+        let slow = ewma_level(&v, 0.1);
+        assert!(fast > slow);
+        assert!(fast > 8.0 && slow < 3.0);
     }
 
     #[test]

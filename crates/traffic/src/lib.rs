@@ -11,22 +11,19 @@
 //! This crate provides:
 //! - [`Demand`]/[`DemandMatrix`]: the demand set `D` of the formulation;
 //! - [`generator`]: seeded synthetic demand generation over a topology;
-//! - [`history`]/[`forecast`]: synthetic traffic histories and the
-//!   forecasters the deployment experience (§7.1) calls for — demand is
-//!   re-forecast after each migration step because migrations last months;
+//! - [`ensemble`]: the set of matrices a robust check must hold under —
+//!   the base forecast, EWMA levels read off a seeded synthetic history
+//!   (§7.1: demand is re-forecast because migrations last months) and
+//!   seeded surges;
 //! - [`surge`]: unexpected traffic-surge events (§7.2, the warm-storage
 //!   backup incident) and the realized demand the controller audits against.
 
 pub mod demand;
 pub mod ensemble;
-pub mod forecast;
 pub mod generator;
-pub mod history;
 pub mod surge;
 
 pub use demand::{Demand, DemandClass, DemandMatrix};
 pub use ensemble::{matrix_digest, EnsembleError, EnsembleSpec, TrafficEnsemble};
-pub use forecast::{EwmaForecaster, Forecaster, LinearTrendForecaster};
 pub use generator::{generate, DemandGenConfig};
-pub use history::{HistoryConfig, TrafficHistory};
 pub use surge::SurgeEvent;

@@ -1,42 +1,22 @@
-//! The §7 operational pipeline on the continuous controller: forecast
-//! demand, plan, then let `klotski-controller` execute the migration
-//! canary-first while the scripted world misbehaves — organic growth
-//! (§7.1), a mid-migration east/west surge (§7.2), and a link failure that
-//! drives utilization over the bound so the controller safe-pauses,
-//! replans incrementally from the observed state, and resumes.
+//! The §7 operational pipeline on the continuous controller: plan, then
+//! let `klotski-controller` execute the migration canary-first while the
+//! scripted world misbehaves — organic growth (§7.1), a mid-migration
+//! east/west surge (§7.2), and a link failure that drives utilization over
+//! the bound so the controller safe-pauses, replans incrementally from the
+//! observed state, and resumes.
 //!
 //! ```text
 //! cargo run --release --example replanning_pipeline
 //! ```
 
 use klotski::controller::{run_scenario, Scenario, ScenarioEvent};
-use klotski::traffic::{
-    DemandClass, EwmaForecaster, Forecaster, HistoryConfig, LinearTrendForecaster, TrafficHistory,
-};
+use klotski::traffic::DemandClass;
 
 fn main() {
-    // --- Forecast: synthesize a traffic history and predict the level over
-    // the next migration window (§7.1).
-    let history = TrafficHistory::synthesize(&HistoryConfig::default());
-    let horizon = 14;
-    let linear = LinearTrendForecaster::default();
-    let ewma = EwmaForecaster::default();
-    println!(
-        "traffic history: {} days, latest level {:.3}",
-        history.len(),
-        history.latest()
-    );
-    println!(
-        "forecast +{horizon}d: {} = {:.3}, {} = {:.3}",
-        linear.name(),
-        linear.forecast(&history, horizon),
-        ewma.name(),
-        ewma.forecast(&history, horizon)
-    );
-    // One controller step ≈ one day: compound the horizon forecast down to
-    // a per-step organic growth rate.
-    let window_growth = (linear.forecast(&history, horizon) / history.latest() - 1.0).max(0.0);
-    let growth_per_step = (1.0 + window_growth).powf(1.0 / horizon as f64) - 1.0;
+    // --- Organic growth (§7.1): one controller step is about one day, and
+    // traffic grows +0.3 %/day, the trend of the synthetic history the
+    // ensemble's EWMA members are read from.
+    let growth_per_step = 0.003;
 
     // --- Script the world: a +25% east/west surge over steps 1-3 and a
     // link failure after the first batch, under a tightened utilization
