@@ -56,7 +56,7 @@ absent "6a1e8f4: the routing engine and the worker pool return counts and write 
 no_dep "6a1e8f4: klotski-routing publishes nothing, so it does not link telemetry" klotski-routing klotski-telemetry
 no_dep "6a1e8f4: klotski-parallel publishes nothing, so it does not link telemetry" klotski-parallel klotski-telemetry
 only_in "6a1e8f4: numbers publish once, from the layer that owns the request (planner per search, controller per run, service per job; the report binary reads deltas)" 'registry\(\)' 'crates/(core/src/planner|controller|service|bench|telemetry)/' crates/*/src src
-absent "3ce5bbf: every setting has a setter — fields that only ran at their defaults, unread counters and the ESC key for boxes past u64 stay deleted" 'pub (ssw_groups_per_plane|auto_ports|port_headroom|space_headroom|esc_cache_cap|jobs_capacity|max_body_bytes|io_timeout|sse_queue_capacity|journal_compact_bytes|rsw_destinations|rsw_sources|toggled_circuits|rebases|footprint_bytes): |Counts\(Vec<u16>' crates src
+absent "3ce5bbf: every setting has a setter — fields that only ran at their defaults, unread counters and the ESC key for boxes past u64 stay deleted" 'pub (ssw_groups_per_plane|auto_ports|port_headroom|space_headroom|esc_cache_cap|jobs_capacity|max_body_bytes|io_timeout|sse_queue_capacity|journal_compact_bytes|rsw_destinations|rsw_sources|toggled_circuits|rebases|footprint_bytes|sync_wait|sse_heartbeat): |Counts\(Vec<u16>' crates src
 absent "dc8baba: one toggle source — every route diffs two states by their bit words; the block-list diff and its guard stay deleted" 'MAX_DELTA_BLOCKS|base_v' crates src tests
 signature_lacks "dc8baba: one toggle source — route_into takes no compact vector vouching for a canonical state" route_into 'CompactState' crates/core/src/replay.rs
 absent "7ebbbea: no footprint prefilter — every destination classifies the toggles against its own labels" 'Arc<BitSet>|toggle_words|intern_footprints|hash_words|delta_touches' crates/routing/src
@@ -68,6 +68,7 @@ absent "2baf466: library planning stays cold between calls — only the daemon's
 absent "8a266cf: the lookahead reads the run's ESC cache in place; its seeded headroom memo and fill sweeps stay deleted" 'pub headroom:|fn seeded\(|struct Headroom|holds_realized|earlier:' crates/core/src
 absent "2baf466: that commit's verdict store and its loans stay deleted — the plan cache is the daemon's one warm store" 'VerdictStore|fn lend\(|give_back' crates/service/src
 lines "07df035: an advance patches downhill lists by its edits — rebuild_downhill( is its definition, rebuild_full's call and the newly settled switch's call, so no row rescan returns to the patch path" 3 'rebuild_downhill\(' crates/routing/src/incremental.rs
+absent "842f028: forecasting is two private functions of the ensemble — the history type, its config, the forecaster trait and both forecasters stay deleted" 'TrafficHistory|HistoryConfig|trait Forecaster|LinearTrendForecaster|EwmaForecaster' crates src tests examples
 only_in "f0f466f: the lanes spawn per call in std::thread::scope; unsafe blocks, impls and fns stay in the signal handler" 'unsafe (\{|impl|fn)' 'crates/service/src/signal.rs' crates/*/src src
 
 exit "$failed"
