@@ -44,6 +44,47 @@ no_dep() {
     if cargo tree -p "$2" -e normal --depth 1 --offline | grep -w -- "$3"; then fail "$1"; fi
 }
 
+# unread_pub WHY HOOKS — every `pub` item declared in the production text of
+# crates/*/src and src/ (comment lines and #[cfg(test)] items stripped) is
+# named, as a word, in the production text of another file there or under
+# benchmark/src. HOOKS lists the exceptions as `name@test-file` entries: pub
+# items only that test file reads. An entry is stale, and fails the gate,
+# when the name has a production reader or its test file no longer names it.
+# A word grep: a same-named item elsewhere counts as a reader.
+unread_pub() {
+    local why=$1 entry name hits
+    hits=$(find crates/*/src src benchmark/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { skip = 0 }
+        skip {
+            c = $0; depth += gsub(/\{/, "", c) - gsub(/\}/, "", c)
+            if (index($0, "{")) opened = 1
+            if ((opened && depth <= 0) || (!opened && /;[[:space:]]*$/)) skip = 0
+            next
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        /^[[:space:]]*\/\// { next }
+        {
+            if (FILENAME !~ /^benchmark/ && match($0, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*/)) {
+                d = substr($0, RSTART, RLENGTH); sub(/.* /, "", d); defs[d, FILENAME] = 1
+            }
+            s = $0
+            while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                w = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+                if (!((w, FILENAME) in seen)) { seen[w, FILENAME] = 1; readers[w]++ }
+            }
+        }
+        END {
+            for (k in defs) { split(k, p, SUBSEP); if (readers[p[1]] < 2) print p[1] " " p[2] }
+        }' | sort)
+    for entry in $2; do
+        name=${entry%@*}
+        grep -qw -- "$name" "${entry#*@}" || fail "$why (stale hook: ${entry#*@} does not name $name)"
+        grep -q "^$name " <<<"$hits" || fail "$why (stale hook: $name has a production reader or is gone)"
+        hits=$(grep -v "^$name " <<<"$hits")
+    done
+    if [ -n "$hits" ]; then echo "$hits"; fail "$why"; fi
+}
+
 no_dep "f2dece8: klotski-core draws no random numbers (the §7 loop and its dice live in klotski-controller)" klotski-core rand
 absent "b0fa95e: one lock policy in the daemon — poison handling lives in locked() (crates/service/src/lib.rs)" 'lock\(\)\.unwrap\(\)' crates/service/src
 absent "9db143b: both planners check one state at a time through SatChecker::check; the batch entry point and its staged parent rebase stay deleted" 'check_batch_from|pending_parent' crates src tests
@@ -70,5 +111,11 @@ absent "2baf466: that commit's verdict store and its loans stay deleted — the 
 lines "07df035: an advance patches downhill lists by its edits — rebuild_downhill( is its definition, rebuild_full's call and the newly settled switch's call, so no row rescan returns to the patch path" 3 'rebuild_downhill\(' crates/routing/src/incremental.rs
 absent "842f028: forecasting is two private functions of the ensemble — the history type, its config, the forecaster trait and both forecasters stay deleted" 'TrafficHistory|HistoryConfig|trait Forecaster|LinearTrendForecaster|EwmaForecaster' crates src tests examples
 only_in "f0f466f: the lanes spawn per call in std::thread::scope; unsafe blocks, impls and fns stay in the signal handler" 'unsafe (\{|impl|fn)' 'crates/service/src/signal.rs' crates/*/src src
+
+unread_pub "public API: every pub item has a production reader (benchmark/src counts) — the rest are these integration-test hooks, each beside the test that reads it" 'hgrid_v1_to_v2@tests/optimality.rs tight@crates/core/tests/search_counters.rs peak_utilization@tests/service_http.rs cache_len@tests/invariants.rs with_threads@crates/core/tests/satcheck_prop.rs last_loads@crates/core/tests/incremental_prop.rs last_fail_matrix@crates/core/tests/satcheck_prop.rs MAX_SWITCH_CIRCUITS@tests/operations.rs MAX_ROW@tests/operations.rs total_flow@tests/properties.rs circuit_up@crates/routing/src/incremental.rs set_switch@crates/core/tests/audit_live_oracle.rs push_variant@crates/core/tests/satcheck_prop.rs on_class@crates/core/tests/plan_replay.rs'
+absent "public API: the §4.1 derivation (symmetry blocks merged by locality key) is the builders' test oracle in crates/core/tests/organization_policy.rs, not a library module" 'mod policy|fn symmetry_blocks' crates/*/src src
+absent "public API: validate_plan is the one verdict-only walk; its pool-taking twin stays folded in" 'fn validate_plan_on' crates src tests
+absent "public API: the event bus keeps per-subscription lag counts only; the process-wide total nobody read stays deleted" '\bdropped_total\b' crates src
+absent "public API: a surge reaches a matrix only through realized_demand; SurgeEvent::apply stays deleted" 'fn apply\(' crates/traffic/src/surge.rs
 
 exit "$failed"

@@ -1,4 +1,4 @@
-//! Symmetry blocks and operation blocks (§4.1, §5).
+//! Operation blocks (§4.1, §5).
 //!
 //! *Symmetry blocks* follow Janus's notion of equivalent switches: switches
 //! with the same role/generation connecting to the same neighbor set are
@@ -10,13 +10,15 @@
 //! (a whole HGRID grid; a group of SSWs on one plane; the MAs under one EB)
 //! can be operated together with little extra operational cost and little
 //! impact on safety. The organization policy (§5) merges symmetry blocks
-//! into these units; the planners then sequence operation blocks, not
+//! into these units. The builders in [`crate::migration`] group by those
+//! units directly; `tests/organization_policy.rs` derives the groups the
+//! paper's way (symmetry blocks merged by locality key) and holds every
+//! builder to them. The planners then sequence operation blocks, not
 //! switches.
 
 use crate::action::ActionTypeId;
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Dense index of an operation block within one migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -88,34 +90,9 @@ impl OperationBlock {
     }
 }
 
-/// Groups `candidates` into symmetry blocks: switches are equivalent iff
-/// they share (role, generation) and the same neighbor set in the union
-/// graph. Returns blocks in first-seen order; singletons are blocks of one.
-pub fn symmetry_blocks(topo: &Topology, candidates: &[SwitchId]) -> Vec<Vec<SwitchId>> {
-    // Signature: (role, generation, sorted neighbor ids). Neighbor multiset
-    // collapses parallel circuits — they do not break interchangeability.
-    let mut groups: BTreeMap<(u8, u8, Vec<u32>), Vec<SwitchId>> = BTreeMap::new();
-    let mut order: Vec<(u8, u8, Vec<u32>)> = Vec::new();
-    for &s in candidates {
-        let sw = topo.switch(s);
-        let mut neighbors: Vec<u32> = topo.neighbors(s).iter().map(|&(_, far)| far.0).collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        let key = (sw.role.layer(), sw.generation.0, neighbors);
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push(s);
-    }
-    order
-        .into_iter()
-        .map(|k| groups.remove(&k).unwrap())
-        .collect()
-}
-
 /// Splits `items` into `parts` contiguous chunks as evenly as possible
-/// (first chunks get the remainder). Used by the organization policy's
-/// block-scale sweeps (Figure 11).
+/// (first chunks get the remainder). Used by the builders' block-scale
+/// sweeps (Figure 11).
 pub fn split_even<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
     assert!(parts > 0, "cannot split into zero parts");
     let parts = parts.min(items.len()).max(1);
@@ -169,43 +146,6 @@ mod tests {
         b.add_circuit(ssw0, fd0, 100.0).unwrap();
         b.add_circuit(ssw1, fd1, 100.0).unwrap();
         (b.build(), vec![fd0, fd1, fu0, fu1])
-    }
-
-    #[test]
-    fn equivalent_switches_group_together() {
-        let (t, cands) = grid();
-        let blocks = symmetry_blocks(&t, &cands);
-        // fd0 and fd1 are singletons; fu0+fu1 share neighbors {fd0, fd1}.
-        assert_eq!(blocks.len(), 3);
-        let sizes: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 4);
-        assert!(sizes.contains(&2), "the FAUU pair must merge: {blocks:?}");
-        // Matches the paper's observation: symmetry blocks hold <= 2 switches.
-        assert!(sizes.iter().all(|&s| s <= 2));
-    }
-
-    #[test]
-    fn different_roles_never_merge() {
-        let (t, cands) = grid();
-        for block in symmetry_blocks(&t, &cands) {
-            let roles: std::collections::HashSet<_> =
-                block.iter().map(|&s| t.switch(s).role).collect();
-            assert_eq!(roles.len(), 1);
-        }
-    }
-
-    #[test]
-    fn parallel_circuits_do_not_break_equivalence() {
-        let mut b = TopologyBuilder::new("p");
-        let spec = |r| SwitchSpec::new(r, Generation::V1, DcId(0), 32);
-        let hub = b.add_switch(spec(SwitchRole::Ssw));
-        let x = b.add_switch(spec(SwitchRole::Fadu));
-        let y = b.add_switch(spec(SwitchRole::Fadu));
-        b.add_parallel_circuits(hub, x, 100.0, 2).unwrap();
-        b.add_circuit(hub, y, 100.0).unwrap();
-        let t = b.build();
-        let blocks = symmetry_blocks(&t, &[x, y]);
-        assert_eq!(blocks.len(), 1, "x and y both see only the hub");
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl CostModel {
     /// Cost of operating `x ≥ 1` blocks of one type in one phase:
     /// `f_cost(x) = 1 + α(x−1)`.
     #[inline]
-    pub fn phase_cost(&self, x: usize) -> f64 {
+    fn phase_cost(&self, x: usize) -> f64 {
         assert!(x >= 1, "a phase holds at least one action");
         1.0 + self.alpha * (x as f64 - 1.0)
     }

@@ -21,8 +21,9 @@
 //!
 //! ## The solution (§4)
 //!
-//! - [`blocks`]: symmetry blocks (Janus-style equivalence) merged by
-//!   locality into operation blocks via the organization policy of §5.
+//! - [`blocks`]: operation blocks — the symmetry blocks (Janus-style
+//!   equivalence) of one locality unit, merged by the organization policy
+//!   of §5.
 //! - [`compact`]: the ordering-agnostic compact topology representation —
 //!   a vector counting finished actions per type (Definition 1).
 //! - [`satcheck`]: satisfiability checking with the ESC cache keyed on the
@@ -50,7 +51,6 @@ pub mod migration;
 pub mod opex;
 pub mod plan;
 pub mod planner;
-pub mod policy;
 pub mod replay;
 pub mod report;
 pub mod satcheck;

@@ -100,7 +100,7 @@ pub struct MigrationOptions {
     /// wall-clock differs.
     pub threads: usize,
     /// Expansion interval between `astar.progress` / `dp.progress` trace
-    /// events. The default ([`DEFAULT_PROGRESS_EVERY`]) is frequent enough
+    /// events. The default (4 096) is frequent enough
     /// to watch a long search move and rare enough to be invisible in the
     /// profile; live SSE streams and tests dial it down for finer-grained
     /// feedback. Clamped to ≥ 1.
@@ -113,7 +113,7 @@ pub struct MigrationOptions {
 }
 
 /// Default planner progress-event interval, in expansions.
-pub const DEFAULT_PROGRESS_EVERY: u64 = 4096;
+const DEFAULT_PROGRESS_EVERY: u64 = 4096;
 
 /// How many operation blocks each SSW plane splits into (§5: "We split SSWs
 /// on a plane into several operation blocks").
@@ -999,7 +999,7 @@ mod tests {
         for s in p.handles.hgrid_v2_switches() {
             assert!(!spec.initial.switch_up(s));
         }
-        for s in p.handles.hgrid_v1_switches() {
+        for s in p.handles.hgrid_v1.all_switches() {
             assert!(spec.initial.switch_up(s));
         }
     }
@@ -1009,7 +1009,7 @@ mod tests {
         let p = preset_a();
         let spec = MigrationBuilder::hgrid_v1_to_v2(&p, &MigrationOptions::default()).unwrap();
         let target = spec.target_state();
-        for s in p.handles.hgrid_v1_switches() {
+        for s in p.handles.hgrid_v1.all_switches() {
             assert!(!target.switch_up(s), "v1 must end drained");
         }
         for s in p.handles.hgrid_v2_switches() {

@@ -133,19 +133,10 @@ impl std::error::Error for PlanViolation {}
 /// Replays `plan` over `spec`, verifying Eq. 2–6 at every intermediate state
 /// and that the final state is the target. This is the independent oracle
 /// used by tests and by operators before handing a plan to deployment.
-/// Checks run on a private pool of `spec.threads` lanes.
+/// Checks run on a private pool of `spec.threads` lanes; the verdict is
+/// identical at every lane count.
 pub fn validate_plan(spec: &MigrationSpec, plan: &MigrationPlan) -> Result<(), PlanViolation> {
-    validate_plan_on(spec, plan, Arc::new(WorkerPool::new(spec.threads)))
-}
-
-/// [`validate_plan`] over an existing worker pool, for callers that already
-/// hold one (the pipeline validates on the pool the search ran on instead
-/// of spawning a second). The verdict is identical at every lane count.
-pub fn validate_plan_on(
-    spec: &MigrationSpec,
-    plan: &MigrationPlan,
-    pool: Arc<WorkerPool>,
-) -> Result<(), PlanViolation> {
+    let pool = Arc::new(WorkerPool::new(spec.threads));
     crate::replay::validating_walk(spec, plan, pool, false).map(|_| ())
 }
 

@@ -14,7 +14,7 @@
 //!   on one; a run's shadow audit ([`LiveEngine::audit_live`]) and
 //!   lookahead sweeps share another.
 //! - [`validate_and_audit_on`] is the one pass over a whole plan:
-//!   [`validate_plan_on`](crate::plan::validate_plan_on) and
+//!   [`validate_plan`](crate::plan::validate_plan) and
 //!   [`audit_plan`](crate::report::audit_plan) are its verdict-only and
 //!   audit-only modes. The validating walk judges every state on a *fresh*
 //!   [`SatChecker`] with the ESC cache off — it shares nothing with the
@@ -621,7 +621,7 @@ enum Judge<'a> {
     AuditOnly(&'a mut LiveEngine),
 }
 
-/// Validates `plan` (as [`validate_plan_on`](crate::plan::validate_plan_on))
+/// Validates `plan` (as [`validate_plan`](crate::plan::validate_plan))
 /// and audits it (as [`audit_plan`](crate::report::audit_plan)) in one walk:
 /// each phase-end record is read off the state the validation just routed —
 /// the base matrix's loads, before funneling headroom is applied — so the

@@ -52,7 +52,7 @@ impl PlanAudit {
     }
 
     /// Headroom to θ at the tightest moment of the whole migration.
-    pub fn min_headroom(&self) -> f64 {
+    fn min_headroom(&self) -> f64 {
         self.theta - self.peak_utilization()
     }
 }

@@ -49,7 +49,7 @@ impl FunnelingModel {
     /// Circuits related to a drain of `drained_switches`: every still-usable
     /// circuit incident to a neighbor of a drained switch. These are the
     /// circuits that transiently absorb the drained block's traffic.
-    pub fn related_circuits(
+    fn related_circuits(
         &self,
         topo: &Topology,
         state: &NetState,

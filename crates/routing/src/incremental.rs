@@ -1362,8 +1362,9 @@ mod tests {
         let mut b = TopologyBuilder::new("wide");
         let spec = SwitchSpec::new(SwitchRole::Eb, Generation::V1, DcId(0), 64);
         let (x, y) = (b.add_switch(spec.clone()), b.add_switch(spec));
-        b.add_parallel_circuits(x, y, 100.0, IncrementalRouter::MAX_ROW + 1)
-            .unwrap();
+        for _ in 0..=IncrementalRouter::MAX_ROW {
+            b.add_circuit(x, y, 100.0).unwrap();
+        }
         let t = b.build();
         engine_over(&t, &DemandMatrix::default(), 1, SplitPolicy::Ecmp);
     }
@@ -1446,7 +1447,9 @@ mod tests {
         let spec = SwitchSpec::new(SwitchRole::Eb, Generation::V1, DcId(0), 64);
         let [s, m, d, y] = [(); 4].map(|_| b.add_switch(spec.clone()));
         for (x, z, count) in [(s, m, 2), (m, s, 1), (m, d, 2), (y, d, 1), (y, s, 2)] {
-            b.add_parallel_circuits(x, z, 100.0, count).unwrap();
+            for _ in 0..count {
+                b.add_circuit(x, z, 100.0).unwrap();
+            }
         }
         let demands = [s, m, y]
             .into_iter()

@@ -5,7 +5,7 @@
 //! the `a→b` and `b→a` directions — and reports utilization as the maximum
 //! of the two, which is what bounds congestion in practice.
 
-use klotski_topology::{CircuitId, SwitchId, Topology};
+use klotski_topology::{CircuitId, Topology};
 
 /// Directional traffic loads over the circuits of one topology.
 ///
@@ -33,43 +33,20 @@ impl LoadMap {
         self.loads.fill(0.0);
     }
 
-    /// The directional slot index for flow on `c` *leaving* switch `from`
-    /// (which must be an endpoint of `c`). Precomputing the slot lets hot
-    /// loops skip the endpoint comparison on replay.
-    #[inline]
-    pub fn directed_slot(topo: &Topology, c: CircuitId, from: SwitchId) -> u32 {
-        let circuit = topo.circuit(c);
-        let dir = if from == circuit.a {
-            0
-        } else {
-            debug_assert_eq!(from, circuit.b, "from must be an endpoint");
-            1
-        };
-        (c.index() * 2 + dir) as u32
-    }
-
-    /// Adds `gbps` of flow to a directional slot from [`directed_slot`].
-    ///
-    /// [`directed_slot`]: Self::directed_slot
+    /// Adds `gbps` of flow to a directional slot: `2c` is circuit `c`'s
+    /// `a→b` direction, `2c + 1` its `b→a` direction (the CSR graph's
+    /// precomputed `slot` column).
     #[inline]
     pub fn add_slot(&mut self, slot: u32, gbps: f64) {
         self.loads[slot as usize] += gbps;
     }
 
-    /// The directional slots, indexed like [`directed_slot`] — the flat view
-    /// the incremental engine's one-matrix load sweep adds into.
-    ///
-    /// [`directed_slot`]: Self::directed_slot
+    /// The directional slots, indexed like [`add_slot`](Self::add_slot)'s —
+    /// the flat view the incremental engine's one-matrix load sweep adds
+    /// into.
     #[inline]
     pub(crate) fn slots_mut(&mut self) -> &mut [f64] {
         &mut self.loads
-    }
-
-    /// Adds `gbps` of flow on circuit `c` in the direction *leaving* switch
-    /// `from` (which must be an endpoint of `c`).
-    #[inline]
-    pub fn add_directed(&mut self, topo: &Topology, c: CircuitId, from: SwitchId, gbps: f64) {
-        self.add_slot(Self::directed_slot(topo, c, from), gbps);
     }
 
     /// Flow on circuit `c` in its `a→b` direction.
@@ -120,8 +97,35 @@ mod tests {
     use super::*;
     use klotski_topology::{
         graph::{SwitchSpec, TopologyBuilder},
-        DcId, Generation, SwitchRole,
+        DcId, Generation, SwitchId, SwitchRole,
     };
+
+    impl LoadMap {
+        /// The directional slot index for flow on `c` *leaving* switch
+        /// `from` (which must be an endpoint of `c`).
+        pub(crate) fn directed_slot(topo: &Topology, c: CircuitId, from: SwitchId) -> u32 {
+            let circuit = topo.circuit(c);
+            let dir = if from == circuit.a {
+                0
+            } else {
+                assert_eq!(from, circuit.b, "from must be an endpoint");
+                1
+            };
+            (c.index() * 2 + dir) as u32
+        }
+
+        /// Adds `gbps` of flow on circuit `c` in the direction *leaving*
+        /// switch `from`.
+        pub(crate) fn add_directed(
+            &mut self,
+            topo: &Topology,
+            c: CircuitId,
+            from: SwitchId,
+            gbps: f64,
+        ) {
+            self.add_slot(Self::directed_slot(topo, c, from), gbps);
+        }
+    }
 
     fn pair() -> (Topology, SwitchId, SwitchId, CircuitId) {
         let mut b = TopologyBuilder::new("p");

@@ -34,13 +34,6 @@ impl UsableMask {
         Self::default()
     }
 
-    /// A mask computed for one state.
-    pub fn for_state(topo: &Topology, state: &NetState) -> Self {
-        let mut m = Self::new();
-        m.compute(topo, state);
-        m
-    }
-
     /// Recomputes the mask for `state`, reusing the allocation when the
     /// topology size is unchanged.
     pub fn compute(&mut self, topo: &Topology, state: &NetState) {
@@ -92,6 +85,15 @@ mod tests {
         graph::{SwitchSpec, TopologyBuilder},
         DcId, Generation, SwitchRole,
     };
+
+    impl UsableMask {
+        /// A mask computed for one state.
+        pub(crate) fn for_state(topo: &Topology, state: &NetState) -> Self {
+            let mut m = Self::new();
+            m.compute(topo, state);
+            m
+        }
+    }
 
     fn line3() -> (Topology, [klotski_topology::SwitchId; 3], [CircuitId; 2]) {
         let mut b = TopologyBuilder::new("line");

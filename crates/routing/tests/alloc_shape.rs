@@ -129,7 +129,7 @@ fn engine_allocates_per_destination_and_walks_without_allocating() {
     // steps turn switches into victims and narrow their neighbours' downhill
     // lists; rebasing back onto the parent regrows them.
     let mut states = vec![NetState::all_up(t)];
-    for block in p.handles.hgrid_v1_switches().chunks(2) {
+    for block in p.handles.hgrid_v1.all_switches().chunks(2) {
         let mut next = states.last().unwrap().clone();
         for &s in block {
             next.drain_switch(t, s);

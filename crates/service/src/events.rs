@@ -114,8 +114,10 @@ fn terminal_event(outcome: &Result<JobOutput, JobError>, dropped: u64) -> String
 
 #[cfg(test)]
 mod tests {
+    use crate::jobs::{Admission, JobKind};
     use crate::testkit::{header, metric, request, stream_request};
     use crate::work::tests::{arm, Gate};
+    use crate::work::{settle, Outcome};
     use crate::{Service, ServiceConfig};
     use klotski_npd::api::{fnv1a, AcceptedResponse};
     use std::time::{Duration, Instant};
@@ -152,7 +154,7 @@ mod tests {
 
         let subscriber = {
             let path = format!("/v1/jobs/{}/events", accepted.job);
-            std::thread::spawn(move || stream_request(addr, &path))
+            std::thread::spawn(move || (stream_request(addr, &path), Instant::now()))
         };
         let patience = Instant::now() + Duration::from_secs(20);
         while metric(addr, "klotski_sse_streams_total") < 1 {
@@ -160,7 +162,19 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         EVENTS_GATE.open();
-        let (status, headers, events) = subscriber.join().unwrap();
+        let job = service
+            .shared
+            .jobs
+            .get(accepted.job.parse().unwrap())
+            .expect("job");
+        let settled_outcome = job.wait(Duration::from_secs(60)).expect("the run settles");
+        assert!(settled_outcome.is_ok(), "the run succeeds");
+        let settled = Instant::now();
+        let ((status, headers, events), ended) = subscriber.join().unwrap();
+        // The settle wakes the stream: its `end` follows at once, not at
+        // the next heartbeat.
+        let lag = ended.saturating_duration_since(settled);
+        assert!(lag < Duration::from_millis(200), "end trailed by {lag:?}");
         assert_eq!(status, 200, "{events}");
         assert_eq!(header(&headers, "content-type"), Some("text/event-stream"));
 
@@ -196,6 +210,40 @@ mod tests {
         let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
         assert!(text.contains("klotski_sse_streams_total 1"), "{text}");
 
+        service.shutdown();
+    }
+
+    #[test]
+    fn end_event_follows_the_settle_not_the_heartbeat() {
+        // A job that settles with no trace line after it: only the settle's
+        // wake can end the stream before the next heartbeat, a second on.
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let Admission::Leader(job) = service.shared.jobs.admit(JobKind::Run, None) else {
+            unreachable!("a keyless job leads");
+        };
+        let subscriber = {
+            let path = format!("/v1/jobs/{}/events", job.id);
+            std::thread::spawn(move || (stream_request(addr, &path), Instant::now()))
+        };
+        let patience = Instant::now() + Duration::from_secs(20);
+        while metric(addr, "klotski_sse_streams_total") < 1 {
+            assert!(Instant::now() < patience, "the subscriber never attached");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Let the stream reach its wait for the next line.
+        std::thread::sleep(Duration::from_millis(50));
+        let settled = Instant::now();
+        settle(&service.shared, &job, Outcome::Shed("settled by the test"));
+        let ((status, _, events), ended) = subscriber.join().unwrap();
+        assert_eq!(status, 200, "{events}");
+        assert!(events.contains("event: end\n"), "{events}");
+        let lag = ended.saturating_duration_since(settled);
+        assert!(lag < Duration::from_millis(200), "end trailed by {lag:?}");
         service.shutdown();
     }
 

@@ -124,7 +124,7 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
 /// Parses an `application/x-www-form-urlencoded`-style query string
 /// (`a=1&b=two`). `%XX` escapes and `+` are decoded; malformed escapes pass
 /// through literally.
-pub fn parse_query(q: &str) -> Vec<(String, String)> {
+fn parse_query(q: &str) -> Vec<(String, String)> {
     q.split('&')
         .filter(|pair| !pair.is_empty())
         .map(|pair| match pair.split_once('=') {
@@ -281,7 +281,7 @@ pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
 }
 
 /// Canonical reason phrases for the statuses the service emits.
-pub fn status_reason(status: u16) -> &'static str {
+fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",

@@ -13,21 +13,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// Set by the handler once a shutdown signal arrives.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// True once SIGINT or SIGTERM has been received (or [`request_shutdown`]
-/// was called programmatically).
+/// True once SIGINT or SIGTERM has been received.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Programmatic equivalent of receiving a signal (used by tests and by
-/// `Service::shutdown`).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the flag (tests only; a real daemon shuts down once).
-pub fn reset_for_test() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -71,6 +59,16 @@ pub fn install_handlers() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the handler does on a signal.
+    fn request_shutdown() {
+        SHUTDOWN.store(true, Ordering::SeqCst);
+    }
+
+    /// Clears the flag (a real daemon shuts down once).
+    fn reset_for_test() {
+        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
 
     #[test]
     fn programmatic_shutdown_roundtrip() {

@@ -54,13 +54,13 @@ const MAX_RECORD_BYTES: u32 = 256 * 1024 * 1024;
 /// A [`PlanArtifact`] in its on-disk shape. `plan_json` is UTF-8 JSON, so
 /// it travels as a string; the response-byte caches are rebuilt lazily.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PersistedArtifact {
+struct PersistedArtifact {
     /// The artifact's summary (digests, cost, counters).
-    pub summary: PlanSummary,
+    summary: PlanSummary,
     /// The plan-attached NPD document.
-    pub plan_json: String,
+    plan_json: String,
     /// The per-phase safety audit.
-    pub audit: PlanAudit,
+    audit: PlanAudit,
 }
 
 impl PersistedArtifact {

@@ -172,6 +172,8 @@ pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'sta
         metrics.latency.record(job.admitted.elapsed());
     }
     shared.jobs.settle(job, result);
+    // An event stream learns of the settlement now, not at its heartbeat.
+    klotski_telemetry::bus().wake(job.stream);
     label
 }
 

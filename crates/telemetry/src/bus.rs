@@ -75,6 +75,8 @@ impl Drop for StreamTag {
 struct SubState {
     queue: VecDeque<String>,
     closed: bool,
+    /// Set by [`EventBus::wake`]; the next wait returns `None` at once.
+    woken: bool,
 }
 
 struct SubCore {
@@ -94,13 +96,17 @@ pub struct Subscription {
 }
 
 impl Subscription {
-    /// Next line, waiting up to `timeout`. `None` on timeout — the caller's
-    /// cue to emit a heartbeat and try again.
+    /// Next line, waiting up to `timeout`. `None` on timeout or on a
+    /// [`EventBus::wake`] of this stream — the caller's cue to re-check what
+    /// it waits for, emit a heartbeat and try again.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<String> {
         let mut state = self.core.state.lock().unwrap();
         loop {
             if let Some(line) = state.queue.pop_front() {
                 return Some(line);
+            }
+            if std::mem::take(&mut state.woken) {
+                return None;
             }
             let (next, wait) = self.core.ready.wait_timeout(state, timeout).unwrap();
             state = next;
@@ -139,7 +145,6 @@ pub struct EventBus {
     subs: Mutex<Vec<Arc<SubCore>>>,
     /// Mirror of `subs.len()` readable without the lock — the publish gate.
     active: AtomicUsize,
-    dropped_total: AtomicU64,
     /// Stream ids start at 1; 0 means "all streams" / "untagged".
     next_stream: AtomicU64,
 }
@@ -169,9 +174,20 @@ impl EventBus {
         self.active.load(Ordering::Relaxed) > 0
     }
 
-    /// Total lines lost to subscriber queue overflow, process-wide.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_total.load(Ordering::Relaxed)
+    /// Wakes every subscription to `stream` (not the catch-all ones) out of
+    /// [`Subscription::recv_timeout`] without a line: the publisher's cue
+    /// that something a subscriber waits on besides lines — a job settling —
+    /// has happened.
+    pub fn wake(&self, stream: u64) {
+        if !self.has_subscribers() {
+            return;
+        }
+        for sub in self.subs.lock().unwrap().iter() {
+            if sub.stream == stream {
+                sub.state.lock().unwrap().woken = true;
+                sub.ready.notify_one();
+            }
+        }
     }
 
     /// Allocates a fresh nonzero stream id. Process-global so two services
@@ -199,7 +215,6 @@ impl EventBus {
             if state.queue.len() >= sub.capacity {
                 state.queue.pop_front();
                 sub.dropped.fetch_add(1, Ordering::Relaxed);
-                self.dropped_total.fetch_add(1, Ordering::Relaxed);
             }
             state.queue.push_back(line.to_string());
             drop(state);
@@ -263,7 +278,6 @@ mod tests {
             bus().publish(&format!("l{i}"));
         }
         assert_eq!(sub.dropped(), 3);
-        assert!(bus().dropped_total() >= 3);
         assert_eq!(sub.try_recv().as_deref(), Some("l3"));
         assert_eq!(sub.try_recv().as_deref(), Some("l4"));
         assert_eq!(sub.try_recv(), None);
@@ -286,6 +300,27 @@ mod tests {
             Some("wake")
         );
         publisher.join().unwrap();
+    }
+
+    #[test]
+    fn wake_ends_a_wait_without_a_line() {
+        let _guard = crate::test_support::sink_lock();
+        let stream = bus().next_stream_id();
+        let sub = bus().subscribe(stream, 4);
+        // A wake that lands before the wait still ends it, once.
+        bus().wake(stream);
+        let start = std::time::Instant::now();
+        assert_eq!(sub.recv_timeout(Duration::from_secs(5)), None);
+        assert!(start.elapsed() < Duration::from_secs(1));
+
+        let waker = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            bus().wake(stream);
+        });
+        let start = std::time::Instant::now();
+        assert_eq!(sub.recv_timeout(Duration::from_secs(5)), None);
+        assert!(start.elapsed() < Duration::from_secs(1));
+        waker.join().unwrap();
     }
 
     #[test]

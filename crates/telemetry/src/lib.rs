@@ -47,7 +47,7 @@ pub use metrics::{
 };
 pub use schema::{parse_line, validate_trace, Record, SchemaError, TraceSummary};
 pub use sink::{enabled, install, swap, uninstall, FileSink, RingSink, Sink, StderrSink};
-pub use span::{current_span_id, log_event_fields, SpanGuard};
+pub use span::{log_event_fields, SpanGuard};
 
 /// True when emitting a span/event line would reach anyone: a sink is
 /// installed or the [`bus`] has at least one live subscriber. The runtime

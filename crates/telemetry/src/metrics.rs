@@ -137,7 +137,7 @@ impl LogLinearSnapshot {
     }
 
     /// Sum of samples, seconds.
-    pub fn sum_seconds(&self) -> f64 {
+    fn sum_seconds(&self) -> f64 {
         self.sum_us as f64 / 1e6
     }
 

@@ -4,9 +4,8 @@
 //! [`SpanGuard::enter`]), lives on the stack, and emits one JSONL line
 //! when dropped — children therefore appear in the trace *before* their
 //! parents, which is why the schema validator resolves parent ids in a
-//! second pass. Parentage follows the per-thread span stack; work crossing
-//! threads (pool tasks) propagates it explicitly via
-//! [`SpanGuard::enter_with_parent`] and [`current_span_id`].
+//! second pass. Parentage follows the per-thread span stack, so a span's
+//! parent is always on its own thread: no lane thread opens spans.
 //!
 //! Timestamps are microseconds since the process's first telemetry use
 //! (a monotonic [`Instant`] epoch), so subtraction inside one trace is
@@ -27,7 +26,7 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 /// Microseconds since the process's monotonic telemetry epoch.
-pub fn epoch_us() -> u64 {
+fn epoch_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
@@ -35,11 +34,8 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Id of the innermost open span on this thread (0 when none). Capture it
-/// before fanning work out to a pool, then open task spans with
-/// [`SpanGuard::enter_with_parent`] so the hierarchy survives the thread
-/// hop.
-pub fn current_span_id() -> u64 {
+/// Id of the innermost open span on this thread (0 when none).
+fn current_span_id() -> u64 {
     SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0))
 }
 
@@ -59,16 +55,11 @@ impl SpanGuard {
     /// Opens a span as a child of this thread's innermost open span.
     /// Returns an inert guard when no sink is installed.
     pub fn enter(name: &'static str) -> Self {
-        Self::enter_with_parent(name, current_span_id())
-    }
-
-    /// Opens a span under an explicit parent id — the cross-thread variant
-    /// for pool tasks (pass 0 for a root).
-    pub fn enter_with_parent(name: &'static str, parent: u64) -> Self {
         if !crate::emit_enabled() {
             return Self::disabled();
         }
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let parent = current_span_id();
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
         Self {
             id,
@@ -81,7 +72,7 @@ impl SpanGuard {
     }
 
     /// An inert guard: no id, no emission, fields ignored.
-    pub fn disabled() -> Self {
+    fn disabled() -> Self {
         Self {
             id: 0,
             parent: 0,
@@ -90,12 +81,6 @@ impl SpanGuard {
             fields: Vec::new(),
             _not_send: PhantomData,
         }
-    }
-
-    /// This span's id (0 when disabled). Hand it to worker tasks as their
-    /// `enter_with_parent` parent.
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Attaches a field to be emitted when the span closes. Later values
@@ -180,6 +165,13 @@ mod tests {
     use super::*;
     use crate::sink::RingSink;
     use std::sync::Arc;
+
+    impl SpanGuard {
+        /// This span's id (0 when disabled).
+        fn id(&self) -> u64 {
+            self.id
+        }
+    }
 
     fn with_ring(f: impl FnOnce(&RingSink)) {
         // Sink-installing tests share the process-global slot (and the

@@ -42,34 +42,4 @@ impl Circuit {
     fn default_hop_weight() -> u8 {
         Circuit::HOP
     }
-
-    /// True if `s` is one of this circuit's endpoints.
-    #[inline]
-    pub fn touches(&self, s: SwitchId) -> bool {
-        self.a == s || self.b == s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ckt() -> Circuit {
-        Circuit {
-            id: CircuitId(0),
-            a: SwitchId(1),
-            b: SwitchId(2),
-            capacity_gbps: 400.0,
-            hop_weight: Circuit::HOP,
-            routing_weight: None,
-        }
-    }
-
-    #[test]
-    fn touches_endpoints_only() {
-        let c = ckt();
-        assert!(c.touches(SwitchId(1)));
-        assert!(c.touches(SwitchId(2)));
-        assert!(!c.touches(SwitchId(3)));
-    }
 }

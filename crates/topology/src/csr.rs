@@ -37,8 +37,8 @@ pub struct CsrEdge {
     /// Far endpoint's dense switch index.
     pub far: u32,
     /// Directional load slot for flow *leaving the near endpoint* over this
-    /// circuit — precomputed `LoadMap::directed_slot`: `circuit * 2`, plus 1
-    /// when the near endpoint is the circuit's `b` side.
+    /// circuit, as `LoadMap` indexes it: `circuit * 2`, plus 1 when the near
+    /// endpoint is the circuit's `b` side.
     pub slot: u32,
     /// Hop weight (`Circuit::hop_weight` widened for distance arithmetic).
     pub hop: u32,

@@ -68,13 +68,6 @@ pub struct FabricHandles {
     pub ssws: Vec<Vec<SwitchId>>,
 }
 
-impl FabricHandles {
-    /// Flat list of all SSW ids, plane-major.
-    pub fn all_ssws(&self) -> Vec<SwitchId> {
-        self.ssws.iter().flatten().copied().collect()
-    }
-}
-
 /// Builds one fabric into `b` for datacenter `dc`.
 pub fn build_fabric(b: &mut TopologyBuilder, dc: DcId, cfg: &FabricConfig) -> FabricHandles {
     assert!(cfg.pods > 0 && cfg.planes > 0, "fabric must be non-empty");
@@ -138,6 +131,13 @@ pub fn build_fabric(b: &mut TopologyBuilder, dc: DcId, cfg: &FabricConfig) -> Fa
 mod tests {
     use super::*;
     use crate::netstate::NetState;
+
+    impl FabricHandles {
+        /// Flat list of all SSW ids, plane-major.
+        pub(crate) fn all_ssws(&self) -> Vec<SwitchId> {
+            self.ssws.iter().flatten().copied().collect()
+        }
+    }
 
     fn small() -> FabricConfig {
         FabricConfig {

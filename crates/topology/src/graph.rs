@@ -90,16 +90,6 @@ impl Topology {
         self.switches.iter().filter(move |s| s.role == role)
     }
 
-    /// Circuits whose endpoints are exactly `{a, b}` (there may be several
-    /// parallel circuits between a pair).
-    pub fn circuits_between(&self, a: SwitchId, b: SwitchId) -> Vec<CircuitId> {
-        self.adj[a.index()]
-            .iter()
-            .filter(|&&(_, far)| far == b)
-            .map(|&(c, _)| c)
-            .collect()
-    }
-
     /// Sum of all circuit capacities, in Gbps.
     pub fn total_capacity_gbps(&self) -> f64 {
         self.circuits.iter().map(|c| c.capacity_gbps).sum()
@@ -190,18 +180,6 @@ impl Topology {
             }
         }
         violations
-    }
-
-    /// Validates the union graph as a *standalone* network (no pending
-    /// migration): structural invariants plus port budgets with everything
-    /// active. Use this for single-generation topologies.
-    pub fn validate_standalone(&self) -> Result<(), TopologyError> {
-        self.validate()?;
-        let all_up = crate::netstate::NetState::all_up(self);
-        match self.port_violations(&all_up).into_iter().next() {
-            Some(v) => Err(v),
-            None => Ok(()),
-        }
     }
 }
 
@@ -391,19 +369,6 @@ impl TopologyBuilder {
             .collect()
     }
 
-    /// Adds `count` parallel circuits between `a` and `b`.
-    pub fn add_parallel_circuits(
-        &mut self,
-        a: SwitchId,
-        b: SwitchId,
-        capacity_gbps: f64,
-        count: usize,
-    ) -> Result<Vec<CircuitId>, TopologyError> {
-        (0..count)
-            .map(|_| self.add_circuit(a, b, capacity_gbps))
-            .collect()
-    }
-
     /// Finalizes the topology.
     pub fn build(self) -> Topology {
         Topology {
@@ -418,6 +383,30 @@ impl TopologyBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Topology {
+        /// Circuits whose endpoints are exactly `{a, b}` (there may be
+        /// several parallel circuits between a pair).
+        pub(crate) fn circuits_between(&self, a: SwitchId, b: SwitchId) -> Vec<CircuitId> {
+            self.adj[a.index()]
+                .iter()
+                .filter(|&&(_, far)| far == b)
+                .map(|&(c, _)| c)
+                .collect()
+        }
+
+        /// Validates the union graph as a *standalone* network (no pending
+        /// migration): structural invariants plus port budgets with
+        /// everything active.
+        pub(crate) fn validate_standalone(&self) -> Result<(), TopologyError> {
+            self.validate()?;
+            let all_up = crate::netstate::NetState::all_up(self);
+            match self.port_violations(&all_up).into_iter().next() {
+                Some(v) => Err(v),
+                None => Ok(()),
+            }
+        }
+    }
 
     fn spec(role: SwitchRole) -> SwitchSpec {
         SwitchSpec::new(role, Generation::V1, DcId(0), 64)
@@ -516,7 +505,9 @@ mod tests {
         let mut b = TopologyBuilder::new("t");
         let a = b.add_switch(spec(SwitchRole::Fadu));
         let c = b.add_switch(spec(SwitchRole::Fauu));
-        let ids = b.add_parallel_circuits(a, c, 400.0, 3).unwrap();
+        let ids: Vec<CircuitId> = (0..3)
+            .map(|_| b.add_circuit(a, c, 400.0).unwrap())
+            .collect();
         assert_eq!(ids.len(), 3);
         let t = b.build();
         assert_eq!(t.circuits_between(a, c).len(), 3);

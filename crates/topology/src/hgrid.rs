@@ -125,15 +125,6 @@ impl HgridHandles {
             .collect()
     }
 
-    /// All sub-switches of one grid (FADUs then FAUUs).
-    pub fn grid_switches(&self, grid: usize) -> Vec<SwitchId> {
-        self.fadus[grid]
-            .iter()
-            .chain(self.fauus[grid].iter())
-            .copied()
-            .collect()
-    }
-
     /// Number of grids.
     pub fn num_grids(&self) -> usize {
         self.fadus.len()
@@ -259,7 +250,7 @@ mod tests {
         let h = build_hgrid(&mut b, DcId(9), &cfg);
         assert_eq!(h.all_switches().len(), 3 * (2 + 2));
         assert_eq!(h.num_grids(), 3);
-        assert_eq!(h.grid_switches(0).len(), 4);
+        assert_eq!(h.fadus[0].len() + h.fauus[0].len(), 4);
         // 2x2 bipartite mesh per grid, 3 grids.
         assert_eq!(h.intra_grid_circuits.len(), 12);
         assert_eq!(b.num_circuits(), 12);

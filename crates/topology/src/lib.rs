@@ -33,7 +33,7 @@ pub mod circuit;
 pub mod csr;
 pub mod error;
 pub mod fabric;
-pub mod fnv;
+mod fnv;
 pub mod graph;
 pub mod hgrid;
 pub mod ids;

@@ -209,7 +209,7 @@ pub fn full_scale_requested() -> bool {
 /// count, the FA layer, the backbone, and the migration union are identical
 /// to full scale, so block structure, action types, and the feasible search
 /// region do not change — only the cost of each satisfiability check.
-pub fn bench_fabric_shrink(id: PresetId) -> f64 {
+fn bench_fabric_shrink(id: PresetId) -> f64 {
     if full_scale_requested() {
         return 1.0;
     }
@@ -260,7 +260,7 @@ mod tests {
             "topo A base switches = {base}, want ~40"
         );
         // Switch-level action count: v1 FA drains + v2 FA undrains.
-        let actions = p.handles.hgrid_v1_switches().len() + v2;
+        let actions = p.handles.hgrid_v1.all_switches().len() + v2;
         assert!(
             (35..=60).contains(&actions),
             "topo A actions = {actions}, want ~50"
@@ -280,7 +280,7 @@ mod tests {
     fn hgrid_presets_have_both_generations() {
         for id in [PresetId::A, PresetId::B, PresetId::C] {
             let p = build(id);
-            assert!(!p.handles.hgrid_v1_switches().is_empty());
+            assert!(!p.handles.hgrid_v1.all_switches().is_empty());
             assert!(!p.handles.hgrid_v2_switches().is_empty(), "{id}");
         }
     }

@@ -64,11 +64,6 @@ pub struct RegionHandles {
 }
 
 impl RegionHandles {
-    /// All switches of the v1 HGRID layer.
-    pub fn hgrid_v1_switches(&self) -> Vec<SwitchId> {
-        self.hgrid_v1.all_switches()
-    }
-
     /// All switches of the v2 HGRID layer (empty if absent).
     pub fn hgrid_v2_switches(&self) -> Vec<SwitchId> {
         self.hgrid_v2
@@ -222,7 +217,7 @@ mod tests {
         let (t, h) = small_region(false, false, false);
         t.validate().unwrap();
         assert_eq!(h.fabrics.len(), 2);
-        assert_eq!(h.hgrid_v1_switches().len(), 2 * 3);
+        assert_eq!(h.hgrid_v1.all_switches().len(), 2 * 3);
         assert!(h.hgrid_v2_switches().is_empty());
         assert_eq!(h.fauu_eb_v1_by_eb.len(), 2);
         // 2 grids x 1 fauu x 2 ebs = 4 direct circuits, 2 per EB.
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn hgrid_union_contains_both_generations() {
         let (t, h) = small_region(true, false, false);
-        let v1 = h.hgrid_v1_switches();
+        let v1 = h.hgrid_v1.all_switches();
         let v2 = h.hgrid_v2_switches();
         assert_eq!(v1.len(), 6);
         assert_eq!(v2.len(), 12);

@@ -10,7 +10,6 @@
 use crate::ids::{DcId, GridId, PlaneId, PodId, SwitchId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// Role of a switch in the multi-layer DCN (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -83,37 +82,6 @@ impl SwitchRole {
 impl fmt::Display for SwitchRole {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Error returned when parsing an unknown switch-role name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseRoleError(pub String);
-
-impl fmt::Display for ParseRoleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown switch role: {:?}", self.0)
-    }
-}
-
-impl std::error::Error for ParseRoleError {}
-
-impl FromStr for SwitchRole {
-    type Err = ParseRoleError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_uppercase().as_str() {
-            "RSW" => Ok(SwitchRole::Rsw),
-            "FSW" => Ok(SwitchRole::Fsw),
-            "SSW" => Ok(SwitchRole::Ssw),
-            "FADU" => Ok(SwitchRole::Fadu),
-            "FAUU" => Ok(SwitchRole::Fauu),
-            "MA" | "DMAG" => Ok(SwitchRole::Ma),
-            "EB" => Ok(SwitchRole::Eb),
-            "DR" => Ok(SwitchRole::Dr),
-            "EBB" => Ok(SwitchRole::Ebb),
-            other => Err(ParseRoleError(other.to_string())),
-        }
     }
 }
 
@@ -201,28 +169,6 @@ mod tests {
         assert_eq!(layers, sorted, "ALL must be listed bottom-up");
         layers.dedup();
         assert_eq!(layers.len(), SwitchRole::ALL.len());
-    }
-
-    #[test]
-    fn role_roundtrips_through_str() {
-        for role in SwitchRole::ALL {
-            let parsed: SwitchRole = role.as_str().parse().unwrap();
-            assert_eq!(parsed, role);
-            // Parsing is case-insensitive.
-            let parsed_lower: SwitchRole = role.as_str().to_ascii_lowercase().parse().unwrap();
-            assert_eq!(parsed_lower, role);
-        }
-    }
-
-    #[test]
-    fn dmag_aliases_ma() {
-        assert_eq!("DMAG".parse::<SwitchRole>().unwrap(), SwitchRole::Ma);
-    }
-
-    #[test]
-    fn unknown_role_is_an_error() {
-        let err = "TOR".parse::<SwitchRole>().unwrap_err();
-        assert!(err.to_string().contains("TOR"));
     }
 
     #[test]

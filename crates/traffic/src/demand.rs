@@ -83,20 +83,6 @@ impl DemandMatrix {
         self.demands.iter()
     }
 
-    /// Total rate across all demands, Gbps.
-    pub fn total_gbps(&self) -> f64 {
-        self.demands.iter().map(|d| d.gbps).sum()
-    }
-
-    /// Total rate of one class, Gbps.
-    pub fn class_total_gbps(&self, class: DemandClass) -> f64 {
-        self.demands
-            .iter()
-            .filter(|d| d.class == class)
-            .map(|d| d.gbps)
-            .sum()
-    }
-
     /// Multiplies every demand by `factor` (demand growth / forecast update).
     ///
     /// # Panics
@@ -159,6 +145,23 @@ impl FromIterator<Demand> for DemandMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rate totals, read only by the crate's tests.
+    impl DemandMatrix {
+        /// Total rate across all demands, Gbps.
+        pub(crate) fn total_gbps(&self) -> f64 {
+            self.demands.iter().map(|d| d.gbps).sum()
+        }
+
+        /// Total rate of one class, Gbps.
+        pub(crate) fn class_total_gbps(&self, class: DemandClass) -> f64 {
+            self.demands
+                .iter()
+                .filter(|d| d.class == class)
+                .map(|d| d.gbps)
+                .sum()
+        }
+    }
 
     fn d(src: u32, dst: u32, gbps: f64, class: DemandClass) -> Demand {
         Demand {

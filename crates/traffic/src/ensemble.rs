@@ -28,7 +28,7 @@ use std::fmt;
 /// workload. A check routes the base matrix and sweeps only the members a
 /// headroom bound on the base cannot clear, so its cost grows with those
 /// members, not with K; the bound itself is one multiply per member.
-pub const MAX_ENSEMBLE: usize = 64;
+const MAX_ENSEMBLE: usize = 64;
 
 /// Daily samples in the synthetic history the EWMA ladder reads. The series
 /// is a multiplier against the base matrix: its trend level is 1 at day 0.
@@ -115,7 +115,7 @@ fn class_tag(class: DemandClass) -> u8 {
 pub enum EnsembleError {
     /// `k == 0`: an ensemble must contain at least the base matrix.
     Empty,
-    /// `k` exceeds [`MAX_ENSEMBLE`].
+    /// `k` exceeds the ensemble cap `max` (64).
     TooLarge { k: usize, max: usize },
     /// An EWMA smoothing factor outside `(0, 1]` (or non-finite).
     BadAlpha(f64),
@@ -422,11 +422,6 @@ impl TrafficEnsemble {
         &self.labels
     }
 
-    /// Per-matrix content digests.
-    pub fn digests(&self) -> &[u64] {
-        &self.digests
-    }
-
     /// Combined digest over all member digests (order-sensitive).
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
@@ -593,7 +588,7 @@ mod tests {
                 .zip(ens.matrices().iter().map(matrix_digest))
                 .collect();
             assert_eq!(got, want, "surge_factor {}", spec.surge_factor);
-            assert_eq!(ens.digests(), want.map(|(_, d)| d));
+            assert_eq!(ens.digests, want.map(|(_, d)| d));
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! This crate provides:
 //! - [`Demand`]/[`DemandMatrix`]: the demand set `D` of the formulation;
-//! - [`generator`]: seeded synthetic demand generation over a topology;
+//! - [`generate`]: seeded synthetic demand generation over a topology;
 //! - [`ensemble`]: the set of matrices a robust check must hold under —
 //!   the base forecast, EWMA levels read off a seeded synthetic history
 //!   (§7.1: demand is re-forecast because migrations last months) and
@@ -20,7 +20,7 @@
 
 pub mod demand;
 pub mod ensemble;
-pub mod generator;
+mod generator;
 pub mod surge;
 
 pub use demand::{Demand, DemandClass, DemandMatrix};

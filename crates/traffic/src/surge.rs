@@ -34,15 +34,8 @@ impl SurgeEvent {
     }
 
     /// True if the surge is active at `step`.
-    pub fn active_at(&self, step: usize) -> bool {
+    fn active_at(&self, step: usize) -> bool {
         (self.from_step..self.until_step).contains(&step)
-    }
-
-    /// Applies this surge to a copy of `matrix` if active at `step`.
-    pub fn apply(&self, matrix: &DemandMatrix, step: usize) -> DemandMatrix {
-        let mut out = matrix.clone();
-        self.apply_in_place(&mut out, step);
-        out
     }
 
     /// Scales the affected demands of `matrix` if the surge is active at
@@ -109,8 +102,9 @@ mod tests {
         assert!(s.active_at(4));
         assert!(!s.active_at(5));
         let m = matrix();
-        assert_eq!(s.apply(&m, 1), m);
-        let surged = s.apply(&m, 3);
+        let surges = [s];
+        assert_eq!(realized_demand(&m, 1.0, &surges, 1), m);
+        let surged = realized_demand(&m, 1.0, &surges, 3);
         assert!((surged.class_total_gbps(DemandClass::RswToRsw) - 40.0).abs() < 1e-9);
         assert!((surged.class_total_gbps(DemandClass::RswToEbb) - 10.0).abs() < 1e-9);
     }
@@ -123,7 +117,7 @@ mod tests {
             factor: 1.5,
             class: None,
         };
-        let surged = s.apply(&matrix(), 0);
+        let surged = realized_demand(&matrix(), 1.0, &[s], 0);
         assert!((surged.total_gbps() - 45.0).abs() < 1e-9);
     }
 
@@ -208,6 +202,6 @@ mod tests {
     fn empty_window_never_fires() {
         let s = SurgeEvent::on_class(3, 3, 9.0, DemandClass::RswToEbb);
         assert!(!s.active_at(3));
-        assert_eq!(s.apply(&matrix(), 3), matrix());
+        assert_eq!(realized_demand(&matrix(), 1.0, &[s], 3), matrix());
     }
 }
