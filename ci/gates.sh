@@ -118,4 +118,7 @@ absent "public API: validate_plan is the one verdict-only walk; its pool-taking 
 absent "public API: the event bus keeps per-subscription lag counts only; the process-wide total nobody read stays deleted" '\bdropped_total\b' crates src
 absent "public API: a surge reaches a matrix only through realized_demand; SurgeEvent::apply stays deleted" 'fn apply\(' crates/traffic/src/surge.rs
 
+absent "buffered framing: the daemon reads a request in chunks into one buffer; the one-byte socket read stays deleted" '\[0u8; 1\]' crates/service/src
+lines "byte index: a plan-cache hit by the body's bytes decodes and digests nothing — npd_digest( has its one, miss-side, call in admission" 1 'npd_digest\(' crates/service/src/admission.rs
+
 exit "$failed"

@@ -3,6 +3,7 @@
 //! submissions — and admits replayed from the journal — enter through one
 //! function, [`admit`].
 
+use crate::cache::Body;
 use crate::events::stream_events;
 use crate::http::{self, read_request, HttpError, Request, Response};
 use crate::jobs::{Admission, Job, JobError, JobKind, JobOutput};
@@ -124,9 +125,10 @@ fn options_from_query(request: &Request) -> Result<PlanRequestOptions, String> {
 }
 
 /// Shared handler for `POST /v1/plan` and `POST /v1/audit`: a cache hit is
-/// answered at once; otherwise the submission leads or follows a job
-/// (`X-Klotski-Coalesce`) — a follower shares the leader's job id, event
-/// stream and byte-identical result.
+/// answered at once — by the body's bytes if an entry was admitted with
+/// them, else by the document's digest; otherwise the submission leads or
+/// follows a job (`X-Klotski-Coalesce`) — a follower shares the leader's job
+/// id, event stream and byte-identical result.
 fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
     if shared.draining() {
         return shared.busy("draining; not accepting work");
@@ -135,6 +137,13 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         Ok(o) => o,
         Err(why) => return shared.reject(400, why),
     };
+    // Bytes an entry was admitted with decode to that entry's document:
+    // answered without decoding or digesting them again.
+    let raw = Body::new(&request.body);
+    let options_digest = options.digest();
+    if let Some(hit) = shared.cache.get_by_body(raw, options_digest) {
+        return finished_response(kind, &JobOutput::Plan(hit), true);
+    }
     let body = match std::str::from_utf8(&request.body) {
         Ok(b) => b,
         Err(_) => return shared.reject(400, "body is not UTF-8"),
@@ -144,10 +153,10 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         Err(e) => return shared.reject(422, format!("invalid NPD: {e}")),
     };
 
-    // The one digest computation this request pays: the same key drives
-    // the cache, the singleflight slot, and the pipeline's summary.
-    let key = (klotski_npd::npd_digest(&npd), options.digest());
-    if let Some(hit) = shared.cache.get(key) {
+    // The miss side's one digest computation: the same key drives the
+    // cache, the singleflight slot, and the pipeline's summary.
+    let key = (klotski_npd::npd_digest(&npd), options_digest);
+    if let Some(hit) = shared.cache.get(key, raw) {
         return finished_response(kind, &JobOutput::Plan(hit), true);
     }
     // A document the topology builders would refuse (a zero count, a
@@ -161,8 +170,9 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         npd: Box::new(npd),
         options,
         key,
+        body: body.to_owned(),
     };
-    let admission = admit(shared, kind, work, Some(body));
+    let admission = admit(shared, kind, work, true);
     let role = if matches!(admission, Ok(Admission::Follower(_))) {
         shared.metrics.coalesce_followers.inc();
         "follower"
@@ -212,7 +222,7 @@ fn submit_run(request: &Request, shared: &Shared) -> Response {
         scenario,
         deadline_ms,
     };
-    match admit(shared, JobKind::Run, work, None) {
+    match admit(shared, JobKind::Run, work, false) {
         // Keyless: a run always leads.
         Ok(Admission::Leader(job) | Admission::Follower(job)) => answer_job(request, &job),
         Err(busy) => busy,
@@ -235,8 +245,9 @@ pub(crate) fn replay_pending_job(shared: &Shared, pending: PendingJob) {
                 npd: Box::new(npd),
                 options: pending.options,
                 key: pending.key,
+                body: pending.npd,
             };
-            if admit(shared, kind, work, None).is_ok() {
+            if admit(shared, kind, work, false).is_ok() {
                 shared.metrics.state_replayed_jobs.inc();
             }
         }
@@ -254,27 +265,28 @@ pub(crate) fn replay_pending_job(shared: &Shared, pending: PendingJob) {
 }
 
 /// The one way work enters the daemon: the board admits it as the leader of
-/// its slot or a follower of the live one; a leader is journaled (when
-/// `journal` carries its document) and pushed onto the bounded queue. On
-/// backpressure the leader is settled as shed — slot released, admit
-/// resolved, followers woken with the `503` — and the `503` to answer the
-/// submitter with is returned.
-fn admit(
-    shared: &Shared,
-    kind: JobKind,
-    work: Work,
-    journal: Option<&str>,
-) -> Result<Admission, Response> {
+/// its slot or a follower of the live one; a leader is journaled (plan work,
+/// with `journal` set — a replayed admit is already in the journal) and
+/// pushed onto the bounded queue. On backpressure the leader is settled as
+/// shed — slot released, admit resolved, followers woken with the `503` —
+/// and the `503` to answer the submitter with is returned.
+fn admit(shared: &Shared, kind: JobKind, work: Work, journal: bool) -> Result<Admission, Response> {
     let job = match shared.jobs.admit(kind, work.key()) {
         Admission::Leader(job) => job,
         follower => return Ok(follower),
     };
     // Journal the admission before the push: a crash at any later point
     // re-runs this job on restart instead of losing it.
-    if let (Some(state), Some(npd_json), Work::Plan { options, key, .. }) =
-        (&shared.state, journal, &work)
+    if let (
+        Some(state),
+        Work::Plan {
+            options, key, body, ..
+        },
+    ) = (&shared.state, &work)
     {
-        state.admit(*key, kind.label(), npd_json, options);
+        if journal {
+            state.admit(*key, kind.label(), body, options);
+        }
     }
     let queued = QueuedJob {
         job: Arc::clone(&job),
@@ -412,9 +424,12 @@ fn job_endpoint(rest: &str, shared: &Shared) -> Routed {
 
 #[cfg(test)]
 mod tests {
+    use crate::cache::Body;
     use crate::testkit::{header, metric, request, small_npd_json, stream_request};
     use crate::{Service, ServiceConfig};
-    use klotski_npd::api::{AcceptedResponse, AuditResponse, ErrorResponse, JobStatusResponse};
+    use klotski_npd::api::{
+        AcceptedResponse, AuditResponse, ErrorResponse, JobStatusResponse, PlanRequestOptions,
+    };
     use klotski_npd::Npd;
     use std::collections::HashMap;
     use std::time::{Duration, Instant};
@@ -722,6 +737,86 @@ mod tests {
         assert_eq!(status, 404);
         assert_eq!(bad_requests(), 7);
 
+        service.shutdown();
+    }
+
+    /// A request body an entry was admitted with answers from the byte
+    /// index; another rendering of the same document answers from the same
+    /// entry by digest. Every request counts exactly one lookup.
+    #[test]
+    fn both_renderings_of_a_document_hit_one_entry() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let pretty = small_npd_json();
+        let compact = serde_json::to_string(&Npd::from_json(&pretty).unwrap()).unwrap();
+        assert_ne!(pretty, compact);
+        let lookups = || {
+            let hits = metric(addr, "klotski_cache_hits_total");
+            (hits, metric(addr, "klotski_cache_misses_total"))
+        };
+        let plan = |query: &str, body: &str| {
+            let head = format!("POST /v1/plan{query} HTTP/1.1\r\nHost: t");
+            let (status, headers, body) = request(addr, &head, body);
+            assert_eq!(status, 200, "{body}");
+            let cache = header(&headers, "x-klotski-cache").unwrap().to_string();
+            (
+                cache,
+                header(&headers, "x-klotski-digest").unwrap().to_string(),
+                body,
+            )
+        };
+
+        let (cache, digest, planned) = plan("", &pretty);
+        assert_eq!(cache, "miss");
+        assert_eq!(lookups(), (0, 1));
+        // The leader's bytes (by the index), the other rendering (by
+        // digest), each twice: four hits on one entry, one lookup each.
+        for (round, body) in [&pretty, &compact, &pretty, &compact]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(
+                plan("", body),
+                ("hit".into(), digest.clone(), planned.clone())
+            );
+            assert_eq!(lookups(), (round as u64 + 1, 1), "request {round}");
+        }
+        assert_eq!(metric(addr, "klotski_cache_entries"), 1);
+
+        // The same bytes under another θ are another key: a miss, planned.
+        let (cache, other, _) = plan("?theta=0.7", &pretty);
+        assert_eq!((cache.as_str(), other), ("miss", digest));
+        assert_eq!(lookups(), (4, 2));
+        assert_eq!(plan("?theta=0.7", &pretty).0, "hit");
+        assert_eq!(metric(addr, "klotski_cache_entries"), 2);
+
+        // A malformed body is refused each time it is sent, counts no
+        // lookup and files nothing.
+        let malformed = format!("{}x", &pretty[..pretty.len() / 2]);
+        for _ in 0..2 {
+            let (status, _, body) = request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &malformed);
+            assert_eq!(status, 422, "{body}");
+            assert!(body.contains("invalid NPD"), "{body}");
+        }
+        assert_eq!(lookups(), (5, 2));
+        assert_eq!(metric(addr, "klotski_cache_entries"), 2);
+        assert_eq!(metric(addr, "klotski_pipeline_executions_total"), 2);
+
+        // The index holds the leader's bytes, not the other rendering's.
+        let by_body = |body: &str| {
+            let options = PlanRequestOptions::default().digest();
+            service
+                .shared
+                .cache
+                .get_by_body(Body::new(body.as_bytes()), options)
+        };
+        assert!(by_body(&pretty).is_some());
+        assert!(by_body(&compact).is_none());
+        assert!(by_body(&malformed).is_none());
         service.shutdown();
     }
 

@@ -5,6 +5,13 @@
 //! request per connection (`Connection: close`). No chunked encoding, no
 //! keep-alive, no TLS — the daemon is designed to sit behind whatever the
 //! datacenter fronts services with.
+//!
+//! A request is read in chunks into one buffer, not a byte per syscall: a
+//! typical request arrives in one read, head and body together, and only a
+//! body longer than that read costs one more. How the bytes are segmented
+//! never changes what parses (the proptest below holds every segmentation
+//! to the one-read parse). A response leaves in one write, head and body,
+//! and so does each event-stream chunk.
 
 use serde::Serialize;
 use std::io::{Read, Write};
@@ -15,7 +22,7 @@ use std::time::Duration;
 const MAX_HEAD: usize = 16 * 1024;
 
 /// A parsed request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Uppercase method ("GET", "POST", ...).
     pub method: String,
@@ -54,26 +61,38 @@ impl From<std::io::Error> for HttpError {
     }
 }
 
+/// Bytes asked of the stream per read while the head is incomplete: one
+/// read takes a typical request whole, head and body.
+const READ_CHUNK: usize = 8 * 1024;
+
 /// Reads one request from the stream. `max_body` caps the accepted
-/// `Content-Length`.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    // Accumulate until the blank line ending the head.
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
+/// `Content-Length`. The head is read in chunks into one buffer; the bytes
+/// after its blank line are the start of the body, and the body's remainder
+/// (if any) is one more `read_exact`. Bytes past `Content-Length` are
+/// dropped.
+pub fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, HttpError> {
+    let mut buf = Vec::with_capacity(READ_CHUNK);
+    let mut chunk = [0u8; READ_CHUNK];
+    // No blank line starts before `scanned`: each search resumes three
+    // bytes short of the last one's end, where a split terminator can start.
+    let mut scanned = 0;
     let head_end = loop {
-        let n = stream.read(&mut byte)?;
+        // A blank line that ends past the limit is an oversized head, the
+        // same as no blank line within it.
+        match find_blank_line(&buf[scanned..]) {
+            Some(end) if scanned + end <= MAX_HEAD => break scanned + end,
+            _ if buf.len() > MAX_HEAD => {
+                return Err(HttpError::Malformed("head exceeds 16 KiB".into()))
+            }
+            _ => scanned = buf.len().saturating_sub(3),
+        }
+        let n = stream.read(&mut chunk)?;
         if n == 0 {
             return Err(HttpError::Malformed("connection closed mid-head".into()));
         }
-        head.push(byte[0]);
-        if head.len() > MAX_HEAD {
-            return Err(HttpError::Malformed("head exceeds 16 KiB".into()));
-        }
-        if head.ends_with(b"\r\n\r\n") {
-            break head.len();
-        }
+        buf.extend_from_slice(&chunk[..n]);
     };
-    let head_str = std::str::from_utf8(&head[..head_end])
+    let head_str = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
     let mut lines = head_str.split("\r\n");
     let request_line = lines
@@ -111,14 +130,24 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge(content_length));
     }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
+    let mut body = buf.split_off(head_end);
+    body.truncate(content_length);
+    let received = body.len();
+    body.resize(content_length, 0);
+    stream.read_exact(&mut body[received..])?;
     Ok(Request {
         method,
         path,
         query,
         body,
     })
+}
+
+/// The offset just past the first `\r\n\r\n` in `buf`.
+fn find_blank_line(buf: &[u8]) -> Option<usize> {
+    buf.windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|at| at + 4)
 }
 
 /// Parses an `application/x-www-form-urlencoded`-style query string
@@ -217,8 +246,8 @@ impl Response {
         self
     }
 
-    /// Writes the response and flushes. The connection is always marked
-    /// `Connection: close`.
+    /// Writes the response — head and body in one write — and flushes. The
+    /// connection is always marked `Connection: close`.
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -233,8 +262,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        let mut message = head.into_bytes();
+        message.extend_from_slice(&self.body);
+        stream.write_all(&message)?;
         stream.flush()
     }
 }
@@ -262,15 +292,18 @@ pub fn write_chunked_head(
     stream.write_all(head.as_bytes())
 }
 
-/// Writes one chunk and flushes, so subscribers see events as they happen.
-/// Empty data is skipped: a zero-length chunk would terminate the stream.
+/// Writes one chunk — size line, data and CRLF in one write, so an event is
+/// one segment under `TCP_NODELAY` — and flushes, so subscribers see events
+/// as they happen. Empty data is skipped: a zero-length chunk would
+/// terminate the stream.
 pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")?;
+    let mut chunk = format!("{:x}\r\n", data.len()).into_bytes();
+    chunk.extend_from_slice(data);
+    chunk.extend_from_slice(b"\r\n");
+    stream.write_all(&chunk)?;
     stream.flush()
 }
 
@@ -308,6 +341,154 @@ pub fn configure_stream(stream: &TcpStream, timeout: Duration) -> std::io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A stream that hands out its bytes in segments of the given sizes
+    /// (cycling; each read returns at most one segment), then EOF: a client
+    /// whose request arrives in that many writes.
+    struct Segmented {
+        bytes: Vec<u8>,
+        at: usize,
+        cuts: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for Segmented {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let cut = self.cuts[self.reads % self.cuts.len()];
+            self.reads += 1;
+            let n = cut.min(out.len()).min(self.bytes.len() - self.at);
+            out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+            self.at += n;
+            Ok(n)
+        }
+    }
+
+    /// A parse outcome, comparable: the request, or the error's variant and
+    /// message.
+    fn outcome(result: Result<Request, HttpError>) -> Result<Request, String> {
+        result.map_err(|e| match e {
+            HttpError::Io(e) => format!("io {:?}: {e}", e.kind()),
+            HttpError::Malformed(why) => format!("malformed: {why}"),
+            HttpError::BodyTooLarge(n) => format!("too large: {n}"),
+        })
+    }
+
+    /// The body cap the framing tests parse under.
+    const CAP: usize = 96;
+
+    /// One request's bytes, shaped by `fault`: 0 valid, 1 bytes past
+    /// `Content-Length`, 2 a truncated body, 3 a bad length, 4 a head padded
+    /// to within a few bytes of 16 KiB either side, 5 EOF mid-head, 6 a body
+    /// over the cap.
+    fn framed(
+        fault: u8,
+        query: &str,
+        body: &[u8],
+        extra: &[u8],
+        pad: usize,
+        cut: usize,
+    ) -> Vec<u8> {
+        let length = match fault {
+            3 => "12x".to_string(),
+            6 => (CAP + 1 + body.len()).to_string(),
+            _ => body.len().to_string(),
+        };
+        let mut head = format!("POST /v1/plan{query} HTTP/1.1\r\nHost: t\r\n");
+        if fault == 4 {
+            // Sized so the blank line ends at MAX_HEAD - 4 + pad.
+            let used = head.len() + "X-Pad: \r\n".len() + "Content-Length: \r\n\r\n".len();
+            let fill = (MAX_HEAD - 4 + pad).saturating_sub(used + length.len());
+            head.push_str(&format!("X-Pad: {}\r\n", "p".repeat(fill)));
+        }
+        head.push_str(&format!("Content-Length: {length}\r\n\r\n"));
+        let mut bytes = head.into_bytes();
+        match fault {
+            5 => bytes.truncate(cut % (bytes.len() - 1)),
+            2 if !body.is_empty() => bytes.extend_from_slice(&body[..cut % body.len()]),
+            _ => bytes.extend_from_slice(body),
+        }
+        if fault == 1 {
+            bytes.extend_from_slice(extra);
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// However a request is segmented, it parses exactly as the same
+        /// bytes do in one read: the same request, or the same error variant
+        /// and message — and never panics.
+        #[test]
+        fn segmentation_never_changes_what_parses(
+            fault in 0u8..7,
+            query in 0usize..4,
+            body in prop::collection::vec(0u8..=255, 0..CAP),
+            extra in prop::collection::vec(0u8..=255, 1..32),
+            pad in 0usize..9,
+            cut in 0usize..4096,
+            cuts in prop::collection::vec(1usize..300, 1..12),
+        ) {
+            let query = ["", "?wait=0", "?theta=0.7&planner=dp", "?a=%41+b&flag"][query];
+            let bytes = framed(fault, query, &body, &extra, pad, cut);
+            let whole = outcome(read_request(&mut bytes.as_slice(), CAP));
+            let mut segmented = Segmented { bytes, at: 0, cuts, reads: 0 };
+            prop_assert_eq!(outcome(read_request(&mut segmented, CAP)), whole.clone());
+            match fault {
+                0 | 1 => prop_assert_eq!(whole.map(|r| r.body), Ok(body)),
+                2 if !body.is_empty() => prop_assert!(whole.is_err()),
+                3 => prop_assert_eq!(whole, Err("malformed: bad content-length".to_string())),
+                4 if pad <= 4 => prop_assert!(whole.is_ok()),
+                4 => prop_assert_eq!(whole, Err("malformed: head exceeds 16 KiB".to_string())),
+                5 => prop_assert_eq!(whole, Err("malformed: connection closed mid-head".to_string())),
+                6 => prop_assert!(whole.unwrap_err().starts_with("too large")),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_head_that_arrives_a_byte_per_write_parses_whole() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_request(&mut stream, 1024).unwrap()
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_nodelay(true).unwrap();
+        let head = b"POST /v1/audit?theta=0.8 HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\n";
+        for byte in head {
+            client.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        client.write_all(b"body").unwrap();
+        let req = server.join().unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/audit")
+        );
+        assert_eq!(req.query_param("theta"), Some("0.8"));
+        assert_eq!(req.body, b"body");
+    }
+
+    #[test]
+    fn eof_mid_head_is_a_400() {
+        let service = crate::Service::start(crate::ServiceConfig {
+            workers: 0,
+            ..crate::ServiceConfig::default()
+        })
+        .unwrap();
+        let mut client = TcpStream::connect(service.local_addr()).unwrap();
+        client
+            .write_all(b"POST /v1/plan HTTP/1.1\r\nHost: t\r\n")
+            .unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        service.shutdown();
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{reply}");
+        assert!(reply.contains("connection closed mid-head"), "{reply}");
+    }
 
     #[test]
     fn parse_query_decodes_pairs() {

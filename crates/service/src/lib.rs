@@ -239,7 +239,7 @@ impl Service {
         // Seed the cache and re-enqueue interrupted jobs before any worker
         // or connection runs, so replayed state is never raced by traffic.
         for (key, artifact) in replay.artifacts {
-            shared.cache.insert(key, artifact, None);
+            shared.cache.insert(key, artifact, None, None);
             shared.metrics.state_replayed_artifacts.inc();
         }
         for pending in replay.pending {

@@ -4,6 +4,7 @@
 //! a job — and the only place a job's journal record is resolved, its
 //! terminal metrics move, and its waiters are woken.
 
+use crate::cache::Body;
 use crate::jobs::{Job, JobError, JobKey, JobKind, JobOutput, RunArtifact};
 use crate::pipeline::{build_instance, plan_instance, PipelineError, PlanArtifact};
 use crate::Shared;
@@ -29,11 +30,14 @@ pub(crate) struct QueuedJob {
 /// The two kinds of payload workers drain from the queue.
 pub(crate) enum Work {
     /// Plan or audit an NPD document (cached by content digest). The NPD
-    /// is boxed to keep queue slots variant-size balanced.
+    /// is boxed to keep queue slots variant-size balanced; `body` is the
+    /// leader's request body it was decoded from — what the journal records
+    /// and the cache's byte index files beside the artifact.
     Plan {
         npd: Box<Npd>,
         options: PlanRequestOptions,
         key: JobKey,
+        body: String,
     },
     /// Execute a scripted controller scenario. Runs are executions, not
     /// pure functions of a document, so they bypass the plan cache.
@@ -100,7 +104,12 @@ fn run_job(shared: &Shared, queued: &QueuedJob, pool: &Arc<WorkerPool>) {
         klotski_telemetry::span!("service.job", "kind" = job.kind.label(), "job" = job.id,);
     job.set_running();
     let outcome = catch_unwind(AssertUnwindSafe(|| match &queued.work {
-        Work::Plan { npd, options, key } => run_plan_job(shared, job, pool, npd, options, *key),
+        Work::Plan {
+            npd,
+            options,
+            key,
+            body,
+        } => run_plan_job(shared, job, pool, npd, options, *key, body),
         Work::Run {
             scenario,
             deadline_ms,
@@ -204,8 +213,8 @@ fn store_key(npd: &Npd, options: &PlanRequestOptions) -> u64 {
 /// Plans (or audits — one artifact answers both) a document on this
 /// worker's pool. The search starts from a copy of the verdicts kept beside
 /// the newest cached artifact under the request's [`store_key`], if any,
-/// and its own go into the cache beside its artifact; a job that fails or
-/// panics leaves the cache as it was.
+/// and its own go into the cache beside its artifact, with `body` filed in
+/// the byte index; a job that fails or panics leaves the cache as it was.
 fn run_plan_job(
     shared: &Shared,
     job: &Job,
@@ -213,9 +222,11 @@ fn run_plan_job(
     npd: &Npd,
     options: &PlanRequestOptions,
     key: JobKey,
+    body: &str,
 ) -> Outcome {
-    // A same-key job may have finished while this one sat queued.
-    if let Some(hit) = shared.cache.get(key) {
+    // A same-key job may have finished while this one sat queued. Its
+    // request already counted its one lookup, so this one is not counted.
+    if let Some(hit) = shared.cache.peek(key) {
         return Outcome::Cached(hit);
     }
     let mut budget = SearchBudget::default();
@@ -240,9 +251,9 @@ fn run_plan_job(
             // Cached before it is settled: a duplicate arriving once the
             // slot is free must find the artifact, not plan again.
             let artifact = Arc::new(artifact);
-            shared
-                .cache
-                .insert(key, Arc::clone(&artifact), Some((stored, verdicts)));
+            let warm = Some((stored, verdicts));
+            let filed = Some(Body::new(body.as_bytes()));
+            shared.cache.insert(key, Arc::clone(&artifact), warm, filed);
             Outcome::Done(JobOutput::Plan(artifact))
         }
         Err(e) => {
