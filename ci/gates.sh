@@ -120,5 +120,6 @@ absent "public API: a surge reaches a matrix only through realized_demand; Surge
 
 absent "buffered framing: the daemon reads a request in chunks into one buffer; the one-byte socket read stays deleted" '\[0u8; 1\]' crates/service/src
 lines "byte index: a plan-cache hit by the body's bytes decodes and digests nothing — npd_digest( has its one, miss-side, call in admission" 1 'npd_digest\(' crates/service/src/admission.rs
+absent "one board: the job table is the queue and decides backpressure before a job exists — the separate queue, its push error and the shed outcome stay deleted" 'BoundedQueue|PushError|Outcome::Shed|mod queue' crates/service/src
 
 exit "$failed"

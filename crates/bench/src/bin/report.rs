@@ -6,9 +6,8 @@
 //! cargo run -p klotski-bench --release --bin report -- fig11 fig12
 //! ```
 //!
-//! Environment:
-//! - `KLOTSKI_FULL_SCALE=1` — build D/E at full paper scale (slow);
-//! - `KLOTSKI_BENCH_TIMEOUT_SECS` — per-planner cap (default 120).
+//! Environment: `KLOTSKI_FULL_SCALE=1` builds D/E at full paper scale
+//! (slow). Each planner run is capped at 120 s.
 //!
 //! System numbers (service throughput, incremental/ensemble check cost,
 //! controller runs) are not experiments of this binary: the repository

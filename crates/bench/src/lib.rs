@@ -24,14 +24,3 @@ pub mod runner;
 pub mod table;
 
 pub use runner::{run_planner, spec_for, PlannerKind, RunResult};
-
-/// Default per-planner wall-clock limit for report runs. The paper caps
-/// planners at 24 h; the report uses a laptop-friendly cap, overridable via
-/// `KLOTSKI_BENCH_TIMEOUT_SECS`.
-pub fn bench_timeout() -> std::time::Duration {
-    let secs = std::env::var("KLOTSKI_BENCH_TIMEOUT_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(120);
-    std::time::Duration::from_secs(secs)
-}

@@ -1,6 +1,5 @@
 //! Planner runners behind the report binary's experiments.
 
-use crate::bench_timeout;
 use klotski_baselines::{JanusPlanner, MrcPlanner};
 use klotski_core::cost::HeuristicMode;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
@@ -8,6 +7,10 @@ use klotski_core::planner::{AStarPlanner, DpPlanner, PlanStats, Planner, SearchB
 use klotski_core::{CostModel, EscMode, PlanError};
 use klotski_topology::presets::{self, PresetId};
 use std::time::{Duration, Instant};
+
+/// Per-planner wall-clock limit for report runs. The paper caps planners at
+/// 24 h; the report uses a laptop-friendly cap.
+const PLANNER_TIME_LIMIT: Duration = Duration::from_secs(120);
 
 /// Which planner (or Klotski ablation variant) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +124,7 @@ pub fn spec_without_ob(id: PresetId, opts: &MigrationOptions) -> Result<Migratio
 pub fn run_planner(kind: PlannerKind, spec: &MigrationSpec, alpha: f64) -> RunResult {
     let budget = SearchBudget {
         max_states: 50_000_000,
-        time_limit: bench_timeout(),
+        time_limit: PLANNER_TIME_LIMIT,
         ..SearchBudget::default()
     };
     let cost = CostModel::new(alpha);

@@ -81,8 +81,6 @@ pub struct MigrationOptions {
     /// Traffic-funneling headroom model (§7.2). Disabled by default to match
     /// the evaluation; `tests/operations.rs` enables it.
     pub funneling: FunnelingModel,
-    /// Whether to enforce the port constraints (Eq. 6).
-    pub check_ports: bool,
     /// Flow-split policy override. `None` uses the per-migration-type
     /// default: plain ECMP (§5) for in-place swaps, WCMP for DMAG — the
     /// backbone side of a DMAG migration runs centralized traffic
@@ -140,7 +138,6 @@ impl Default for MigrationOptions {
             initial_layer_utilization: 0.42,
             block_scale: 1.0,
             funneling: FunnelingModel::disabled(),
-            check_ports: true,
             split: None,
             normalize_capacity: true,
             threads: klotski_parallel::default_lanes(),
@@ -465,7 +462,6 @@ impl MigrationBuilder {
             actions,
             blocks,
             absent,
-            vec![],
             Some(space),
             opts,
         )
@@ -530,7 +526,6 @@ impl MigrationBuilder {
             actions,
             blocks,
             absent,
-            vec![],
             Some(space),
             opts,
         )
@@ -623,7 +618,6 @@ impl MigrationBuilder {
             actions,
             blocks,
             absent,
-            vec![],
             None,
             opts,
         )
@@ -696,14 +690,12 @@ fn in_place_space_model(blocks: &[OperationBlock], actions: &ActionTable) -> Spa
 
 /// Shared tail of every builder: initial state, demand calibration, canonical
 /// per-type ordering, and well-posedness validation.
-#[allow(clippy::too_many_arguments)]
 fn finish_spec(
     preset: &Preset,
     migration_type: MigrationType,
     actions: ActionTable,
     blocks: Vec<OperationBlock>,
     initially_absent_switches: Vec<SwitchId>,
-    initially_absent_circuits: Vec<CircuitId>,
     space: Option<SpaceModel>,
     opts: &MigrationOptions,
 ) -> Result<MigrationSpec, PlanError> {
@@ -717,9 +709,6 @@ fn finish_spec(
     let mut initial = NetState::all_up(&owned_topology);
     for s in initially_absent_switches {
         initial.drain_switch(&owned_topology, s);
-    }
-    for c in initially_absent_circuits {
-        initial.set_circuit(c, false);
     }
 
     // Target state: apply every block once to the initial state.
@@ -956,7 +945,7 @@ fn finish_spec(
         target_counts,
         theta: opts.theta,
         funneling: opts.funneling,
-        check_ports: opts.check_ports,
+        check_ports: true,
         space,
         split,
         threads: opts.threads.max(1),

@@ -1,15 +1,14 @@
 //! The admission side of a job's life: read one request, route it, admit
-//! work onto the board and the queue, and answer. Plan, audit and run
-//! submissions — and admits replayed from the journal — enter through one
-//! function, [`admit`].
+//! work onto the board, and answer. Plan, audit and run submissions — and
+//! admits replayed from the journal — enter through one function,
+//! [`JobTable::admit`](crate::jobs::JobTable::admit).
 
 use crate::cache::Body;
 use crate::events::stream_events;
 use crate::http::{self, read_request, HttpError, Request, Response};
-use crate::jobs::{Admission, Job, JobError, JobKind, JobOutput};
-use crate::queue::PushError;
+use crate::jobs::{Admission, Job, JobError, JobKind, JobOutput, Source};
 use crate::state::PendingJob;
-use crate::work::{settle, Outcome, QueuedJob, Work};
+use crate::work::Work;
 use crate::Shared;
 use klotski_controller::Scenario;
 use klotski_npd::api::{AcceptedResponse, ErrorResponse, JobStatusResponse, PlanRequestOptions};
@@ -172,21 +171,19 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         key,
         body: body.to_owned(),
     };
-    let admission = admit(shared, kind, work, true);
-    let role = if matches!(admission, Ok(Admission::Follower(_))) {
-        shared.metrics.coalesce_followers.inc();
-        "follower"
-    } else {
-        // A leader the queue shed still led its slot until it was settled.
-        shared.metrics.coalesce_leaders.inc();
-        "leader"
-    };
-    match admission {
-        Ok(Admission::Leader(job) | Admission::Follower(job)) => {
-            answer_job(request, &job).with_header("X-Klotski-Coalesce", role)
+    let source = Source::Client(shared.state.as_ref());
+    let (job, role) = match shared.jobs.admit(kind, work, source) {
+        Admission::Leader(job) => {
+            shared.metrics.coalesce_leaders.inc();
+            (job, "leader")
         }
-        Err(busy) => busy,
-    }
+        Admission::Follower(job) => {
+            shared.metrics.coalesce_followers.inc();
+            (job, "follower")
+        }
+        Admission::Refused(why) => return shared.busy(why),
+    };
+    answer_job(request, &job).with_header("X-Klotski-Coalesce", role)
 }
 
 /// `POST /v1/run`: execute a scripted controller scenario. The body is a
@@ -222,17 +219,18 @@ fn submit_run(request: &Request, shared: &Shared) -> Response {
         scenario,
         deadline_ms,
     };
-    match admit(shared, JobKind::Run, work, false) {
+    match shared.jobs.admit(JobKind::Run, work, Source::Client(None)) {
         // Keyless: a run always leads.
-        Ok(Admission::Leader(job) | Admission::Follower(job)) => answer_job(request, &job),
-        Err(busy) => busy,
+        Admission::Leader(job) | Admission::Follower(job) => answer_job(request, &job),
+        Admission::Refused(why) => shared.busy(why),
     }
 }
 
 /// Re-admits a journal-replayed job: it gets a fresh job id (the old one
 /// died with the old process) and its key re-enters the singleflight index
 /// so duplicates arriving during warmup coalesce onto the replay. Its admit
-/// record is already in the journal.
+/// was acknowledged and is already in the journal, so it is never refused:
+/// the board may hold more than its depth until the workers catch up.
 pub(crate) fn replay_pending_job(shared: &Shared, pending: PendingJob) {
     let kind = if pending.kind == JobKind::Audit.label() {
         JobKind::Audit
@@ -247,64 +245,17 @@ pub(crate) fn replay_pending_job(shared: &Shared, pending: PendingJob) {
                 key: pending.key,
                 body: pending.npd,
             };
-            if admit(shared, kind, work, false).is_ok() {
-                shared.metrics.state_replayed_jobs.inc();
-            }
+            shared.jobs.admit(kind, work, Source::Replay);
+            shared.metrics.state_replayed_jobs.inc();
         }
-        // An admit that no longer parses (schema drift) can never run.
+        // An admit that no longer parses (schema drift) can never run: it is
+        // cleared without becoming a job.
         Err(_) => {
-            if let Admission::Leader(job) = shared.jobs.admit(kind, Some(pending.key)) {
-                settle(
-                    shared,
-                    &job,
-                    Outcome::Shed("journaled admit no longer parses"),
-                );
+            if let Some(state) = &shared.state {
+                state.settled(pending.key);
             }
         }
     }
-}
-
-/// The one way work enters the daemon: the board admits it as the leader of
-/// its slot or a follower of the live one; a leader is journaled (plan work,
-/// with `journal` set — a replayed admit is already in the journal) and
-/// pushed onto the bounded queue. On backpressure the leader is settled as
-/// shed — slot released, admit resolved, followers woken with the `503` —
-/// and the `503` to answer the submitter with is returned.
-fn admit(shared: &Shared, kind: JobKind, work: Work, journal: bool) -> Result<Admission, Response> {
-    let job = match shared.jobs.admit(kind, work.key()) {
-        Admission::Leader(job) => job,
-        follower => return Ok(follower),
-    };
-    // Journal the admission before the push: a crash at any later point
-    // re-runs this job on restart instead of losing it.
-    if let (
-        Some(state),
-        Work::Plan {
-            options, key, body, ..
-        },
-    ) = (&shared.state, &work)
-    {
-        if journal {
-            state.admit(*key, kind.label(), body, options);
-        }
-    }
-    let queued = QueuedJob {
-        job: Arc::clone(&job),
-        work,
-    };
-    let (shed, why) = match shared.queue.try_push(queued) {
-        Ok(()) => return Ok(Admission::Leader(job)),
-        Err(PushError::Full(_)) => (
-            "queue full",
-            format!(
-                "queue full ({} jobs queued); retry later",
-                shared.queue.capacity()
-            ),
-        ),
-        Err(PushError::Closed(_)) => ("draining", "draining; not accepting work".into()),
-    };
-    settle(shared, &job, Outcome::Shed(shed));
-    Err(shared.busy(why))
 }
 
 /// `202 Accepted`: the job id to poll, and where.
@@ -425,6 +376,7 @@ fn job_endpoint(rest: &str, shared: &Shared) -> Routed {
 #[cfg(test)]
 mod tests {
     use crate::cache::Body;
+    use crate::state::StateStore;
     use crate::testkit::{header, metric, request, small_npd_json, stream_request};
     use crate::{Service, ServiceConfig};
     use klotski_npd::api::{
@@ -854,6 +806,58 @@ mod tests {
         assert!(text.contains("klotski_queue_depth 2"));
 
         service.shutdown();
+    }
+
+    /// Sixteen distinct submissions race for four waiting places: exactly
+    /// four become jobs — each leading, holding a slot and journaled — and
+    /// the other twelve are refused before a job exists.
+    #[test]
+    fn a_refused_submission_never_becomes_a_job() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            queue_depth: 4,
+            cache_capacity: 0,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let npd = small_npd_json();
+        let barrier = std::sync::Barrier::new(16);
+        let mut answers: Vec<(u16, String)> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..16)
+                .map(|i| {
+                    let (npd, barrier) = (&npd, &barrier);
+                    scope.spawn(move || {
+                        let head = format!(
+                            "POST /v1/plan?wait=0&theta=0.{} HTTP/1.1\r\nHost: t",
+                            60 + i
+                        );
+                        barrier.wait();
+                        let (status, _, body) = request(addr, &head, npd);
+                        (status, body)
+                    })
+                })
+                .collect();
+            submitters.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        answers.sort();
+        let statuses: Vec<u16> = answers.iter().map(|a| a.0).collect();
+        assert_eq!(statuses, [[202; 4].as_slice(), &[503; 12]].concat());
+        for (_, body) in &answers[4..] {
+            let err: ErrorResponse = serde_json::from_str(body).unwrap();
+            assert_eq!(err.error, "queue full (4 jobs queued); retry later");
+        }
+        assert_eq!(metric(addr, "klotski_coalesce_leaders_total"), 4);
+        assert_eq!(metric(addr, "klotski_rejected_busy_total"), 12);
+        assert_eq!(service.shared.jobs.live_slots(), 4);
+
+        service.shutdown();
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(replay.pending.len(), 4, "{:?}", replay.pending);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -114,10 +114,10 @@ fn terminal_event(outcome: &Result<JobOutput, JobError>, dropped: u64) -> String
 
 #[cfg(test)]
 mod tests {
-    use crate::jobs::{Admission, JobKind};
+    use crate::jobs::{Admission, JobError, JobKind, Source};
     use crate::testkit::{header, metric, request, stream_request};
     use crate::work::tests::{arm, Gate};
-    use crate::work::{settle, Outcome};
+    use crate::work::{settle, Outcome, Work};
     use crate::{Service, ServiceConfig};
     use klotski_npd::api::{fnv1a, AcceptedResponse};
     use std::time::{Duration, Instant};
@@ -217,13 +217,19 @@ mod tests {
     fn end_event_follows_the_settle_not_the_heartbeat() {
         // A job that settles with no trace line after it: only the settle's
         // wake can end the stream before the next heartbeat, a second on.
+        // No workers, so the test settles it.
         let service = Service::start(ServiceConfig {
-            workers: 1,
+            workers: 0,
             ..ServiceConfig::default()
         })
         .unwrap();
         let addr = service.local_addr();
-        let Admission::Leader(job) = service.shared.jobs.admit(JobKind::Run, None) else {
+        let work = Work::Run {
+            scenario: klotski_controller::Scenario::sample(),
+            deadline_ms: None,
+        };
+        let jobs = &service.shared.jobs;
+        let Admission::Leader(job) = jobs.admit(JobKind::Run, work, Source::Client(None)) else {
             unreachable!("a keyless job leads");
         };
         let subscriber = {
@@ -238,7 +244,11 @@ mod tests {
         // Let the stream reach its wait for the next line.
         std::thread::sleep(Duration::from_millis(50));
         let settled = Instant::now();
-        settle(&service.shared, &job, Outcome::Shed("settled by the test"));
+        let error = JobError {
+            status: 500,
+            message: "settled by the test".into(),
+        };
+        settle(&service.shared, &job, Outcome::Failed(error));
         let ((status, _, events), ended) = subscriber.join().unwrap();
         assert_eq!(status, 200, "{events}");
         assert!(events.contains("event: end\n"), "{events}");

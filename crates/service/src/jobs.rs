@@ -1,10 +1,14 @@
 //! The job board. Every accepted submission becomes a [`Job`] that
 //! connection threads wait on or poll; the [`JobTable`] indexes them by id
 //! (a bounded history, for pollers) and by singleflight slot (live jobs
-//! only, for coalescing). A job goes `Queued → Running → Settled`, and the
-//! board owns both ends: [`JobTable::admit`] and [`JobTable::settle`].
+//! only, for coalescing), and holds the bounded list of jobs waiting for a
+//! worker. A job goes `Queued → Running → Settled`, and the board owns
+//! every transition: [`JobTable::admit`], [`JobTable::next`] and
+//! [`JobTable::settle`].
 
 use crate::pipeline::PlanArtifact;
+use crate::state::StateStore;
+use crate::work::Work;
 use crate::{locked, recover};
 use klotski_controller::ControllerReport;
 use klotski_npd::api::JobState;
@@ -118,11 +122,6 @@ impl Job {
         }
     }
 
-    /// Marks the job running (worker picked it up).
-    pub fn set_running(&self) {
-        *locked(&self.phase) = Phase::Running;
-    }
-
     /// Publishes the terminal outcome and wakes all waiters. Only
     /// [`JobTable::settle`] calls it, after releasing the job's slot.
     fn publish(&self, outcome: Result<JobOutput, JobError>) {
@@ -164,10 +163,23 @@ impl Job {
 
 /// What [`JobTable::admit`] made of a submission.
 pub enum Admission {
-    /// First of its slot (or keyless): a new job for the caller to enqueue.
+    /// First of its slot (or keyless): a new job, waiting for a worker.
     Leader(Arc<Job>),
     /// The slot is already being computed: the live job to follow.
     Follower(Arc<Job>),
+    /// Refused before a job existed, because the board is closed or full:
+    /// the message of the `503` to answer with.
+    Refused(String),
+}
+
+/// Where a submission comes from.
+pub(crate) enum Source<'a> {
+    /// A client. Refused once the board is closed or full; a leading plan
+    /// or audit is journaled in the store, if the daemon keeps one.
+    Client(Option<&'a StateStore>),
+    /// An admit replayed from the journal: already acknowledged and already
+    /// journaled, so it is never refused.
+    Replay,
 }
 
 /// A singleflight slot: the key plus the job kind. The kind is part of it
@@ -175,60 +187,125 @@ pub enum Admission {
 /// audit must never follow a plan.
 type Slot = (JobKey, JobKind);
 
-/// Bounded registry of live and recently finished jobs, and the
-/// singleflight index over the live ones.
+/// Bounded registry of live and recently finished jobs, the singleflight
+/// index over the live ones, and the bounded list of those still waiting.
 pub struct JobTable {
     board: Mutex<Board>,
+    /// Signalled when a job starts waiting or the board closes.
+    ready: Condvar,
+    /// Jobs remembered for polling.
     capacity: usize,
+    /// Jobs that may wait for a worker before clients are refused.
+    depth: usize,
 }
 
 struct Board {
-    jobs: HashMap<u64, Arc<Job>>,
-    order: VecDeque<u64>,
-    next_id: u64,
+    /// Every remembered job, oldest first. Ids are consecutive, so job `id`
+    /// sits at `id - first_id`.
+    jobs: VecDeque<Arc<Job>>,
+    first_id: u64,
     /// The job computing each slot, from its admission to its settlement.
     slots: HashMap<Slot, Arc<Job>>,
+    /// Leaders no worker has taken yet, oldest first, with their work.
+    waiting: VecDeque<(Arc<Job>, Work)>,
+    /// Set by [`JobTable::close`]: clients are refused, workers drain.
+    closed: bool,
 }
 
 impl JobTable {
-    /// A table remembering at most `capacity` jobs (min 1).
-    pub fn new(capacity: usize) -> Self {
+    /// A table remembering at most `capacity` jobs (min 1), of which at most
+    /// `depth` (min 1) wait for a worker before clients are refused.
+    pub fn new(capacity: usize, depth: usize) -> Self {
         Self {
             board: Mutex::new(Board {
-                jobs: HashMap::new(),
-                order: VecDeque::new(),
-                next_id: 1,
+                jobs: VecDeque::new(),
+                first_id: 1,
                 slots: HashMap::new(),
+                waiting: VecDeque::new(),
+                closed: false,
             }),
+            ready: Condvar::new(),
             capacity: capacity.max(1),
+            depth: depth.max(1),
         }
     }
 
-    /// Admits a submission: follows the live job of its `(key, kind)` slot
-    /// if there is one, else registers a new job (evicting the oldest once
-    /// over capacity) that leads the slot. Check and insert share one lock
-    /// hold, so exactly one concurrent submission per slot leads. A keyless
-    /// submission always leads and takes no slot.
-    pub fn admit(&self, kind: JobKind, key: Option<JobKey>) -> Admission {
+    /// Admits a submission in one hold of the board's lock: it follows the
+    /// live job of its `(key, kind)` slot if there is one; else a client is
+    /// refused if the board is closed or full; else a new job (evicting the
+    /// oldest remembered one once over capacity) takes the slot, has its
+    /// admit journaled and waits for a worker. Journaling inside the hold
+    /// puts the admit before anything a worker writes for the job. A
+    /// keyless submission always leads and takes no slot. Lock order:
+    /// board, then journal.
+    pub(crate) fn admit(&self, kind: JobKind, work: Work, source: Source<'_>) -> Admission {
         let mut board = locked(&self.board);
+        let key = work.key();
         let slot = key.map(|key| (key, kind));
         if let Some(live) = slot.and_then(|slot| board.slots.get(&slot)) {
             return Admission::Follower(Arc::clone(live));
         }
-        let id = board.next_id;
-        board.next_id += 1;
-        let job = Arc::new(Job::new(id, kind, key));
-        board.jobs.insert(id, Arc::clone(&job));
-        board.order.push_back(id);
-        while board.order.len() > self.capacity {
-            if let Some(old) = board.order.pop_front() {
-                board.jobs.remove(&old);
+        if let Source::Client(journal) = source {
+            if board.closed {
+                return Admission::Refused("draining; not accepting work".into());
             }
+            if board.waiting.len() >= self.depth {
+                let full = format!("queue full ({} jobs queued); retry later", self.depth);
+                return Admission::Refused(full);
+            }
+            if let (
+                Some(state),
+                Work::Plan {
+                    options, key, body, ..
+                },
+            ) = (journal, &work)
+            {
+                state.admit(*key, kind.label(), body, options);
+            }
+        }
+        let id = board.first_id + board.jobs.len() as u64;
+        let job = Arc::new(Job::new(id, kind, key));
+        board.jobs.push_back(Arc::clone(&job));
+        if board.jobs.len() > self.capacity {
+            board.jobs.pop_front();
+            board.first_id += 1;
         }
         if let Some(slot) = slot {
             board.slots.insert(slot, Arc::clone(&job));
         }
+        board.waiting.push_back((Arc::clone(&job), work));
+        drop(board);
+        self.ready.notify_one();
         Admission::Leader(job)
+    }
+
+    /// Blocks for the oldest waiting job, marks it running and hands it to
+    /// the calling worker with its work. Returns `None` only once the board
+    /// is closed *and* nothing waits, so workers finish every admitted job.
+    pub(crate) fn next(&self) -> Option<(Arc<Job>, Work)> {
+        let mut board = locked(&self.board);
+        loop {
+            if let Some((job, work)) = board.waiting.pop_front() {
+                *locked(&job.phase) = Phase::Running;
+                return Some((job, work));
+            }
+            if board.closed {
+                return None;
+            }
+            board = recover(self.ready.wait(board));
+        }
+    }
+
+    /// Stops admitting clients and wakes every idle worker; what waits is
+    /// still handed out. Idempotent.
+    pub fn close(&self) {
+        locked(&self.board).closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Jobs waiting for a worker.
+    pub fn waiting(&self) -> usize {
+        locked(&self.board).waiting.len()
     }
 
     /// Settles a job: releases its slot, then publishes `outcome` to every
@@ -246,9 +323,11 @@ impl JobTable {
         job.publish(outcome);
     }
 
-    /// Looks up a job by id.
+    /// Looks up a remembered job by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        locked(&self.board).jobs.get(&id).cloned()
+        let board = locked(&self.board);
+        let index = id.checked_sub(board.first_id)?;
+        board.jobs.get(usize::try_from(index).ok()?).cloned()
     }
 
     /// Slots currently led by a live job.
@@ -261,8 +340,13 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use klotski_controller::Scenario;
     use klotski_core::report::PlanAudit;
-    use klotski_npd::api::PlanSummary;
+    use klotski_npd::api::{PlanRequestOptions, PlanSummary};
+    use klotski_npd::convert::region_to_npd;
+    use klotski_npd::Npd;
+    use klotski_topology::presets::{self, PresetId};
+    use std::sync::OnceLock;
 
     fn artifact() -> Arc<PlanArtifact> {
         Arc::new(PlanArtifact::new(
@@ -302,11 +386,49 @@ mod tests {
         ))
     }
 
+    /// Plan work under `key`, or a run for `None`: the board reads only
+    /// the key.
+    fn work(key: Option<JobKey>) -> Work {
+        static NPD: OnceLock<Npd> = OnceLock::new();
+        match key {
+            Some(key) => Work::Plan {
+                npd: Box::new(
+                    NPD.get_or_init(|| region_to_npd(&presets::config(PresetId::A)))
+                        .clone(),
+                ),
+                options: PlanRequestOptions::default(),
+                key,
+                body: String::new(),
+            },
+            None => Work::Run {
+                scenario: Scenario::sample(),
+                deadline_ms: None,
+            },
+        }
+    }
+
+    fn admit(table: &JobTable, kind: JobKind, key: Option<JobKey>) -> Admission {
+        table.admit(kind, work(key), Source::Client(None))
+    }
+
     fn leader(table: &JobTable, kind: JobKind, key: Option<JobKey>) -> Arc<Job> {
-        match table.admit(kind, key) {
+        match admit(table, kind, key) {
             Admission::Leader(job) => job,
             Admission::Follower(job) => panic!("followed job {} instead of leading", job.id),
+            Admission::Refused(why) => panic!("refused: {why}"),
         }
+    }
+
+    fn refusal(admission: Admission) -> String {
+        match admission {
+            Admission::Refused(why) => why,
+            Admission::Leader(job) | Admission::Follower(job) => panic!("admitted job {}", job.id),
+        }
+    }
+
+    /// The id of the job [`JobTable::next`] hands out, if any.
+    fn next_id(table: &JobTable) -> Option<u64> {
+        table.next().map(|(job, _)| job.id)
     }
 
     fn failure(status: u16, message: &str) -> Result<JobOutput, JobError> {
@@ -318,10 +440,11 @@ mod tests {
 
     #[test]
     fn lifecycle_transitions_publish_to_pollers() {
-        let table = JobTable::new(8);
+        let table = JobTable::new(8, 8);
         let job = leader(&table, JobKind::Plan, Some((1, 2)));
         assert_eq!(job.status().0, JobState::Queued);
-        job.set_running();
+        let (next, _) = table.next().expect("a waiting job");
+        assert!(Arc::ptr_eq(&next, &job));
         assert_eq!(job.status().0, JobState::Running);
         table.settle(&job, Ok(JobOutput::Plan(artifact())));
         let (state, outcome) = job.status();
@@ -331,7 +454,7 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_worker_publishes() {
-        let table = Arc::new(JobTable::new(8));
+        let table = Arc::new(JobTable::new(8, 8));
         let job = leader(&table, JobKind::Audit, Some((1, 2)));
         let worker = {
             let (table, job) = (Arc::clone(&table), Arc::clone(&job));
@@ -355,7 +478,7 @@ mod tests {
 
     #[test]
     fn table_evicts_oldest_beyond_capacity() {
-        let table = JobTable::new(3);
+        let table = JobTable::new(3, 8);
         let ids: Vec<u64> = (0..5)
             .map(|_| leader(&table, JobKind::Run, None).id)
             .collect();
@@ -363,18 +486,19 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
         let kept: Vec<bool> = ids.iter().map(|id| table.get(*id).is_some()).collect();
         assert_eq!(kept, [false, false, true, true, true]);
+        assert!(table.get(0).is_none() && table.get(6).is_none());
     }
 
     #[test]
     fn concurrent_admits_of_one_slot_yield_exactly_one_leader() {
-        let table = JobTable::new(64);
+        let table = JobTable::new(64, 64);
         let barrier = std::sync::Barrier::new(8);
         let admissions: Vec<Admission> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        table.admit(JobKind::Plan, Some((7, 7)))
+                        admit(&table, JobKind::Plan, Some((7, 7)))
                     })
                 })
                 .collect();
@@ -384,12 +508,14 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 Admission::Leader(job) => Some(job.id),
-                Admission::Follower(_) => None,
+                _ => None,
             })
             .collect();
         assert_eq!(leaders.len(), 1, "{leaders:?}");
         for admission in &admissions {
-            let (Admission::Leader(job) | Admission::Follower(job)) = admission;
+            let (Admission::Leader(job) | Admission::Follower(job)) = admission else {
+                panic!("a follower is never refused");
+            };
             assert_eq!(job.id, leaders[0], "every follower shares the leader's job");
         }
         assert_eq!(table.live_slots(), 1);
@@ -397,7 +523,7 @@ mod tests {
 
     #[test]
     fn a_slot_is_a_key_and_a_kind_and_runs_take_none() {
-        let table = JobTable::new(8);
+        let table = JobTable::new(8, 8);
         let plan = leader(&table, JobKind::Plan, Some((1, 2)));
         // The same document under the other kind leads its own job: a
         // polled result is rendered by the job's kind, so an audit that
@@ -406,7 +532,7 @@ mod tests {
         assert_ne!(plan.id, audit.id);
         assert_eq!(table.live_slots(), 2);
         assert!(matches!(
-            table.admit(JobKind::Audit, Some((1, 2))),
+            admit(&table, JobKind::Audit, Some((1, 2))),
             Admission::Follower(job) if job.id == audit.id
         ));
         // Keyless runs never enter the index, however many are live.
@@ -422,7 +548,7 @@ mod tests {
 
     #[test]
     fn stale_settle_does_not_evict_the_replacement_leader() {
-        let table = JobTable::new(8);
+        let table = JobTable::new(8, 8);
         let old = leader(&table, JobKind::Plan, Some((3, 4)));
         table.settle(&old, failure(500, "first"));
         let new = leader(&table, JobKind::Plan, Some((3, 4)));
@@ -430,7 +556,7 @@ mod tests {
         table.settle(&old, failure(500, "again"));
         assert_eq!(table.live_slots(), 1);
         assert!(matches!(
-            table.admit(JobKind::Plan, Some((3, 4))),
+            admit(&table, JobKind::Plan, Some((3, 4))),
             Admission::Follower(job) if job.id == new.id
         ));
     }
@@ -438,21 +564,124 @@ mod tests {
     #[test]
     fn a_waiter_woken_by_settle_leads_the_slot_it_readmits() {
         // Release precedes publish: whoever `settle` wakes — a follower
-        // told `503`, a poller retrying at once — must never find the dead
+        // told `500`, a poller retrying at once — must never find the dead
         // job still leading the slot and follow it.
-        let table = JobTable::new(8);
+        let table = JobTable::new(8, 8);
         let first = leader(&table, JobKind::Plan, Some((5, 6)));
         std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 let outcome = first.wait(Duration::from_secs(30)).expect("settled");
-                assert_eq!(outcome.unwrap_err().status, 503);
-                table.admit(JobKind::Plan, Some((5, 6)))
+                assert_eq!(outcome.unwrap_err().status, 500);
+                admit(&table, JobKind::Plan, Some((5, 6)))
             });
-            table.settle(&first, failure(503, "queue full"));
+            table.settle(&first, failure(500, "panicked"));
             match waiter.join().unwrap() {
                 Admission::Leader(job) => assert_ne!(job.id, first.id),
                 Admission::Follower(job) => panic!("followed settled job {}", job.id),
+                Admission::Refused(why) => panic!("refused: {why}"),
             }
         });
+    }
+
+    #[test]
+    fn the_board_hands_out_jobs_oldest_first() {
+        let table = JobTable::new(8, 4);
+        let ids: Vec<u64> = (0..4)
+            .map(|_| leader(&table, JobKind::Run, None).id)
+            .collect();
+        assert_eq!(table.waiting(), 4);
+        for id in ids {
+            let (job, _) = table.next().expect("a waiting job");
+            assert_eq!((job.id, job.status().0), (id, JobState::Running));
+        }
+        assert_eq!(table.waiting(), 0);
+    }
+
+    #[test]
+    fn a_full_board_refuses_clients_without_blocking() {
+        let table = JobTable::new(8, 2);
+        let first = leader(&table, JobKind::Plan, Some((1, 1)));
+        leader(&table, JobKind::Plan, Some((2, 2)));
+        let why = refusal(admit(&table, JobKind::Plan, Some((3, 3))));
+        assert_eq!(why, "queue full (2 jobs queued); retry later");
+        // A refusal takes no slot and no id; a duplicate of a waiting job
+        // still follows it, and a replayed admit is never refused.
+        assert_eq!(table.live_slots(), 2);
+        assert!(matches!(
+            admit(&table, JobKind::Plan, Some((1, 1))),
+            Admission::Follower(job) if job.id == first.id
+        ));
+        let replayed = table.admit(JobKind::Plan, work(Some((4, 4))), Source::Replay);
+        assert!(matches!(replayed, Admission::Leader(job) if job.id == 3));
+        assert_eq!(table.waiting(), 3);
+        // Taking jobs frees room below the depth.
+        assert_eq!(next_id(&table), Some(1));
+        assert_eq!(next_id(&table), Some(2));
+        assert_eq!(leader(&table, JobKind::Plan, Some((3, 3))).id, 4);
+    }
+
+    #[test]
+    fn close_drains_then_returns_none() {
+        let table = JobTable::new(8, 8);
+        leader(&table, JobKind::Run, None);
+        leader(&table, JobKind::Run, None);
+        table.close();
+        let why = refusal(admit(&table, JobKind::Run, None));
+        assert_eq!(why, "draining; not accepting work");
+        assert_eq!(next_id(&table), Some(1));
+        assert_eq!(next_id(&table), Some(2));
+        assert_eq!(next_id(&table), None);
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_next() {
+        let table = JobTable::new(8, 1);
+        std::thread::scope(|scope| {
+            let consumer = scope.spawn(|| next_id(&table));
+            // Give the consumer a moment to block, then close.
+            std::thread::sleep(Duration::from_millis(20));
+            table.close();
+            assert_eq!(consumer.join().unwrap(), None);
+        });
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let table = JobTable::new(1024, 16);
+        let mut taken: Vec<u64> = std::thread::scope(|scope| {
+            let consumers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut got = Vec::new();
+                        while let Some(id) = next_id(&table) {
+                            got.push(id);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            let producers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..100 {
+                            while let Admission::Refused(why) = admit(&table, JobKind::Run, None) {
+                                assert!(why.starts_with("queue full"), "{why}");
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for producer in producers {
+                producer.join().unwrap();
+            }
+            table.close();
+            consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        taken.sort_unstable();
+        assert_eq!(taken, (1..=400).collect::<Vec<u64>>());
     }
 }

@@ -9,9 +9,9 @@
 //!   `/v1/audit` take NPD documents, `POST /v1/run` a controller scenario;
 //!   `GET /v1/jobs/{id}[/result|/events]` polls or streams a job;
 //!   `/metrics` is Prometheus text, `/healthz` the load-balancer probe.
-//! * **Bounded**: a fixed-capacity queue between connection threads and
-//!   long-lived workers; a full queue answers `503 + Retry-After` instead
-//!   of growing. Each worker plans on
+//! * **Bounded**: at most `queue_depth` jobs wait on the board between
+//!   connection threads and long-lived workers; one more is refused with
+//!   `503 + Retry-After` before it becomes a job. Each worker plans on
 //!   [`lanes_per_worker`](ServiceConfig::lanes_per_worker) lanes, whose
 //!   helper threads spawn per call and are joined before it returns.
 //! * **Cached and coalesced** by `(NPD digest, options digest)`: a repeated
@@ -24,7 +24,7 @@
 //! * **Byte-identity**: the service and `klotski plan` call the same
 //!   [`pipeline::plan_document`].
 //! * **Graceful shutdown**: SIGTERM/SIGINT stop admission, drain the
-//!   queue, and join every worker.
+//!   waiting jobs, and join every worker.
 //!
 //! ## The life of a job
 //!
@@ -32,14 +32,14 @@
 //! one path, and the modules are laid out along it:
 //!
 //! ```text
-//! admission::admit ─ JobTable::admit ─┬─ Follower ─ waits on the leader's job
-//!                                     └─ Leader ─ journal admit ─ queue ─┐
-//!                   ┌──────────── refused (full / draining): shed ──────┤
-//!                   │             work::run_job: Queued → Running ──────┘
-//!                   │               └ done | cached | failed | deadline | panicked
-//!                   ▼                                  │
-//!              work::settle  ◄────────────────────────┘
-//!                journal → count → JobTable::settle (release slot → publish + wake)
+//! JobTable::admit (one hold of the board's lock)
+//!   ├─ slot live ─────────── Follower: waits on the leader's job
+//!   ├─ closed / depth full ─ Refused: 503, no job, no slot, no journal record
+//!   └─ Leader: new job ─ take slot ─ journal admit ─ wait on the board (Queued)
+//!                                                          │
+//! JobTable::next ─ oldest waiting job → Running ───────────┘
+//!   └─ work::run_job ─ done | cached | failed | deadline | panicked
+//!        └─ work::settle: journal → count → JobTable::settle (release slot → publish + wake)
 //! ```
 
 mod admission;
@@ -49,7 +49,6 @@ mod http;
 mod jobs;
 mod metrics;
 pub mod pipeline;
-mod queue;
 pub mod signal;
 mod state;
 mod work;
@@ -59,9 +58,7 @@ use crate::http::Response;
 use crate::jobs::JobTable;
 use crate::metrics::{Observed, ServiceMetrics};
 use crate::pipeline::PlanArtifact;
-use crate::queue::BoundedQueue;
 use crate::state::StateStore;
-use crate::work::QueuedJob;
 use klotski_core::Verdicts;
 use klotski_npd::api::ErrorResponse;
 use klotski_parallel::default_lanes;
@@ -92,9 +89,9 @@ pub struct ServiceConfig {
     /// Bind address; `"127.0.0.1:0"` picks an ephemeral port.
     pub addr: String,
     /// Planner worker threads. `0` is accepted (admission-only mode, used
-    /// by backpressure tests: nothing ever drains the queue).
+    /// by backpressure tests: nothing ever takes a waiting job).
     pub workers: usize,
-    /// Bounded queue capacity; beyond it submissions get 503.
+    /// Jobs that may wait for a worker; beyond it submissions get 503.
     pub queue_depth: usize,
     /// Satisfiability lanes per worker: the lane count of the
     /// [`WorkerPool`](klotski_parallel::WorkerPool) its jobs plan on.
@@ -139,7 +136,8 @@ const JOURNAL_COMPACT_BYTES: u64 = 8 * 1024 * 1024;
 /// State shared by the acceptor, connection threads, and workers.
 pub(crate) struct Shared {
     config: ServiceConfig,
-    queue: BoundedQueue<QueuedJob>,
+    /// Every job from admission to settlement, and the jobs waiting for a
+    /// worker. Lock order: the board, then the journal, then the cache.
     jobs: JobTable,
     /// Finished artifacts, each beside the ESC verdicts of the search that
     /// planned it under its `work::store_key` (none for a replayed one:
@@ -159,13 +157,13 @@ impl Shared {
         self.draining.load(Ordering::SeqCst) || signal::shutdown_requested()
     }
 
-    /// Publishes what the queue, the workers, the cache and the journal
+    /// Publishes what the board, the workers, the cache and the journal
     /// report right now; `/metrics` calls it just before rendering.
     fn publish_observed(&self) {
         let journal = |read: fn(&StateStore) -> u64| self.state.as_ref().map_or(0, read);
         self.metrics.publish(&Observed {
-            queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
+            queue_depth: self.jobs.waiting(),
+            queue_capacity: self.config.queue_depth.max(1),
             workers_busy: self.workers_busy.load(Ordering::Relaxed),
             workers: self.config.workers,
             cache: self.cache.stats(),
@@ -205,7 +203,7 @@ pub struct Service {
 impl Service {
     /// Binds, spawns the acceptor and worker threads, and returns. With a
     /// `state_dir`, the journal is replayed first: finished artifacts seed
-    /// the plan cache and admitted-but-unfinished jobs are re-enqueued, so
+    /// the plan cache and admitted-but-unfinished jobs wait on the board, so
     /// the daemon comes up warm before it accepts its first connection.
     pub fn start(config: ServiceConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
@@ -225,8 +223,7 @@ impl Service {
             );
         }
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_depth),
-            jobs: JobTable::new(JOBS_CAPACITY),
+            jobs: JobTable::new(JOBS_CAPACITY, config.queue_depth),
             cache: PlanCache::new(config.cache_capacity),
             metrics: ServiceMetrics::new(),
             workers_busy: AtomicUsize::new(0),
@@ -236,7 +233,7 @@ impl Service {
             config,
         });
 
-        // Seed the cache and re-enqueue interrupted jobs before any worker
+        // Seed the cache and re-admit interrupted jobs before any worker
         // or connection runs, so replayed state is never raced by traffic.
         for (key, artifact) in replay.artifacts {
             shared.cache.insert(key, artifact, None, None);
@@ -286,12 +283,12 @@ impl Service {
         self.shutdown();
     }
 
-    /// Graceful shutdown: stop admission, drain the queue, join all
+    /// Graceful shutdown: stop admission, drain the waiting jobs, join all
     /// threads. In-flight and already-queued jobs finish; new submissions
     /// have been getting 503 since the drain flag flipped.
     pub fn shutdown(self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
+        self.shared.jobs.close();
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let _ = self.acceptor.join();
@@ -500,30 +497,37 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// One `admit` frame for `npd` under `theta`, as the release before the
+    /// speed knobs left the wire wrote it: the options object still carries
+    /// `incremental` and `esc_cache_cap`.
+    fn admit_frame(npd: &Npd, theta: Option<f64>) -> Vec<u8> {
+        let options = PlanRequestOptions {
+            theta,
+            ..PlanRequestOptions::default()
+        };
+        let key = (klotski_npd::npd_digest(npd), options.digest());
+        let theta = theta.map_or("null".into(), |t| t.to_string());
+        let payload = format!(
+            r#"{{"op":"admit","key":"{:016x}:{:016x}","kind":"plan","npd":{},"options":{{"theta":{theta},"alpha":null,"planner":null,"deadline_ms":null,"incremental":null,"esc_cache_cap":null,"ensemble":null}},"artifact":null}}"#,
+            key.0,
+            key.1,
+            serde_json::to_string(&npd.to_json_pretty().unwrap()).unwrap(),
+        );
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&klotski_npd::api::fnv1a(payload.as_bytes()).to_le_bytes());
+        frame.extend_from_slice(payload.as_bytes());
+        frame
+    }
+
     #[test]
     fn admit_journaled_by_the_previous_release_replays_and_plans() {
-        // The admit record as the parent commit wrote it: the options object
-        // still carries the two speed knobs that have since left the wire.
         let dir = std::env::temp_dir().join(format!("klotski-serve-compat-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut npd = region_to_npd(&presets::config(PresetId::A));
         npd.name = "journal-compat".into();
-        let key = (
-            klotski_npd::npd_digest(&npd),
-            PlanRequestOptions::default().digest(),
-        );
+        std::fs::write(dir.join("journal.log"), admit_frame(&npd, None)).unwrap();
         let npd = npd.to_json_pretty().unwrap();
-        let payload = format!(
-            r#"{{"op":"admit","key":"{:016x}:{:016x}","kind":"plan","npd":{},"options":{{"theta":null,"alpha":null,"planner":null,"deadline_ms":null,"incremental":null,"esc_cache_cap":null,"ensemble":null}},"artifact":null}}"#,
-            key.0,
-            key.1,
-            serde_json::to_string(&npd).unwrap(),
-        );
-        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&klotski_npd::api::fnv1a(payload.as_bytes()).to_le_bytes());
-        frame.extend_from_slice(payload.as_bytes());
-        std::fs::write(dir.join("journal.log"), frame).unwrap();
 
         let service = Service::start(ServiceConfig {
             workers: 1,
@@ -544,6 +548,40 @@ mod tests {
             "{text}"
         );
         service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A crash can leave more acknowledged admits in the journal than the
+    /// board's depth (the waiting jobs plus one running per worker): every
+    /// one is replayed onto the board, and none is erased from the journal.
+    #[test]
+    fn replay_admits_every_journaled_job_past_the_depth() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut npd = region_to_npd(&presets::config(PresetId::A));
+        npd.name = "journal-deep".into();
+        let journal: Vec<u8> = [0.70, 0.71, 0.72]
+            .into_iter()
+            .flat_map(|theta| admit_frame(&npd, Some(theta)))
+            .collect();
+        std::fs::write(dir.join("journal.log"), journal).unwrap();
+
+        let service = Service::start(ServiceConfig {
+            workers: 0,
+            queue_depth: 1,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let (_, _, text) = request(service.local_addr(), "GET /metrics HTTP/1.1\r\nHost: t", "");
+        assert!(text.contains("klotski_state_replayed_jobs 3"), "{text}");
+        assert!(text.contains("klotski_queue_depth 3"), "{text}");
+        assert!(text.contains("klotski_queue_capacity 1"), "{text}");
+        service.shutdown();
+
+        let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
+        assert_eq!(replay.pending.len(), 3, "{:?}", replay.pending);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

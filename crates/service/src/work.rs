@@ -1,8 +1,7 @@
-//! The worker side of a job's life: pop, run, settle. The two job bodies
+//! The worker side of a job's life: take, run, settle. The two job bodies
 //! compute and *return* an [`Outcome`]; [`settle`] is the one exit every
-//! outcome takes — from a worker, or from admission when the queue refuses
-//! a job — and the only place a job's journal record is resolved, its
-//! terminal metrics move, and its waiters are woken.
+//! outcome takes, and the only place a job's journal record is resolved,
+//! its terminal metrics move, and its waiters are woken.
 
 use crate::cache::Body;
 use crate::jobs::{Job, JobError, JobKey, JobKind, JobOutput, RunArtifact};
@@ -21,16 +20,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One admitted unit of work travelling the queue.
-pub(crate) struct QueuedJob {
-    pub job: Arc<Job>,
-    pub work: Work,
-}
-
-/// The two kinds of payload workers drain from the queue.
+/// The two kinds of payload a job carries from the board to a worker.
 pub(crate) enum Work {
     /// Plan or audit an NPD document (cached by content digest). The NPD
-    /// is boxed to keep queue slots variant-size balanced; `body` is the
+    /// is boxed to keep the variants' sizes balanced; `body` is the
     /// leader's request body it was decoded from — what the journal records
     /// and the cache's byte index files beside the artifact.
     Plan {
@@ -57,8 +50,8 @@ impl Work {
     }
 }
 
-/// How a job ended. Six causes arrive here: done, cached, failed, deadline
-/// (`Failed` with `504`), panicked (`Failed` with `500`) and shed.
+/// How a job ended. Five causes arrive here: done, cached, failed, deadline
+/// (`Failed` with `504`) and panicked (`Failed` with `500`).
 pub(crate) enum Outcome {
     /// Ran to completion: a freshly planned artifact or a run report.
     Done(JobOutput),
@@ -66,10 +59,6 @@ pub(crate) enum Outcome {
     Cached(Arc<PlanArtifact>),
     /// Ended with the HTTP status and message its waiters are answered.
     Failed(JobError),
-    /// Refused before it could run — queue full, draining, or a replayed
-    /// admit that no longer parses. Its submitter is told `503` by
-    /// admission (`klotski_rejected_busy_total`); no job metric moves.
-    Shed(&'static str),
 }
 
 impl Outcome {
@@ -78,13 +67,13 @@ impl Outcome {
     }
 }
 
-/// Worker loop: pop, run, settle. Exits when the queue is closed and
+/// Worker loop: take, run, settle. Exits when the board is closed and
 /// drained. Every job of a worker plans on its `lanes_per_worker` lanes.
 pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     let pool = WorkerPool::shared(shared.config.lanes_per_worker.max(1));
-    while let Some(queued) = shared.queue.pop() {
+    while let Some((job, work)) = shared.jobs.next() {
         shared.workers_busy.fetch_add(1, Ordering::Relaxed);
-        run_job(shared, &queued, &pool);
+        run_job(shared, &job, &work, &pool);
         shared.workers_busy.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -94,16 +83,14 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
 /// like any other failure, so it costs its submitters an error — never the
 /// daemon a worker, a coalesced follower its answer, or a restart a crash
 /// loop over the journaled admit.
-fn run_job(shared: &Shared, queued: &QueuedJob, pool: &Arc<WorkerPool>) {
-    let job = &queued.job;
+fn run_job(shared: &Shared, job: &Arc<Job>, work: &Work, pool: &Arc<WorkerPool>) {
     // Tag this thread with the job's stream id: every trace line the job
     // emits (planner progress, controller phases, the job span itself)
     // reaches exactly this job's `/events` subscribers.
     let _stream_tag = klotski_telemetry::tag_stream(job.stream);
     let mut span =
         klotski_telemetry::span!("service.job", "kind" = job.kind.label(), "job" = job.id,);
-    job.set_running();
-    let outcome = catch_unwind(AssertUnwindSafe(|| match &queued.work {
+    let outcome = catch_unwind(AssertUnwindSafe(|| match work {
         Work::Plan {
             npd,
             options,
@@ -166,14 +153,6 @@ pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'sta
                 metrics.jobs_cancelled.inc();
             }
             (if deadline { "deadline" } else { "failed" }, Err(error))
-        }
-        // Not a job failure: admission counts the submitter's `503`.
-        Outcome::Shed(why) => {
-            let error = JobError {
-                status: 503,
-                message: why.into(),
-            };
-            ("shed", Err(error))
         }
     };
     if result.is_ok() {
@@ -660,10 +639,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_leader_the_queue_sheds_leaves_nothing_behind() {
+    fn a_submission_the_board_refuses_leaves_nothing_behind() {
         let dir = std::env::temp_dir().join(format!("klotski-serve-shed-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // No workers: the one queue slot stays taken by the first job.
+        // No workers: the one waiting place stays taken by the first job.
         let service = Service::start(ServiceConfig {
             workers: 0,
             queue_depth: 1,
@@ -684,22 +663,56 @@ pub(crate) mod tests {
         assert_eq!(status, 503, "{body}");
         assert_eq!(header(&headers, "retry-after"), Some("1"));
 
-        // Shed is backpressure, not a job failure; the shed leader's slot
-        // is free again, the queued leader's is not.
+        // A refusal is backpressure, not a job failure: it took no slot,
+        // and the queued leader keeps its own.
         assert_eq!(metric(addr, "klotski_rejected_busy_total"), 1);
         assert_eq!(metric(addr, "klotski_jobs_failed_total"), 0);
-        assert_eq!(metric(addr, "klotski_coalesce_leaders_total"), 2);
         assert_eq!(service.shared.jobs.live_slots(), 1);
-        // Its job was settled with the 503, not left queued forever.
-        let (status, _, body) = request(addr, "GET /v1/jobs/2/result HTTP/1.1\r\nHost: t", "");
-        assert_eq!(status, 503, "{body}");
-        assert!(body.contains("queue full"), "{body}");
 
-        // Only the queued job's admit survives in the journal.
+        // Only the queued job's admit is in the journal.
         service.shutdown();
         let (_store, replay) = StateStore::open(&dir, 1 << 20).unwrap();
         let thetas: Vec<Option<f64>> = replay.pending.iter().map(|p| p.options.theta).collect();
         assert_eq!(thetas, [Some(0.70)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fails its job unless the journal on disk already holds the admit of
+    /// the document `private_npd("journaled-first")`.
+    fn assert_admit_journaled(shared: &Shared) {
+        let dir = shared.config.state_dir.as_ref().expect("state dir");
+        // Replayed from a copy: opening a journal compacts it.
+        let copy = dir.join("copy");
+        std::fs::create_dir_all(&copy).unwrap();
+        std::fs::copy(dir.join("journal.log"), copy.join("journal.log")).unwrap();
+        let (_store, replay) = StateStore::open(&copy, 1 << 20).unwrap();
+        let (digest, _) = private_npd("journaled-first");
+        let keys: Vec<JobKey> = replay.pending.iter().map(|p| p.key).collect();
+        assert!(
+            keys.iter().any(|k| k.0 == digest),
+            "admit not journaled: {keys:?}"
+        );
+    }
+
+    #[test]
+    fn a_jobs_admit_is_journaled_before_it_starts() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-first-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let (digest, npd) = private_npd("journaled-first");
+        arm(digest, assert_admit_journaled);
+        let (status, _, body) = request(
+            service.local_addr(),
+            "POST /v1/plan HTTP/1.1\r\nHost: t",
+            &npd,
+        );
+        assert_eq!(status, 200, "{body}");
+        service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
