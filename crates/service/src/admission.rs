@@ -27,24 +27,25 @@ const IO_TIMEOUT: Duration = Duration::from_secs(30);
 /// to `202 Accepted` + job id.
 const SYNC_WAIT: Duration = Duration::from_secs(300);
 
-/// Reads one request, routes it, writes one response.
-pub(crate) fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    http::configure_stream(&stream, IO_TIMEOUT)?;
-    let request = match read_request(&mut stream, MAX_BODY_BYTES) {
+/// Reads one request, routes it, writes one response. The caller closes
+/// the stream, so that its thread can count itself idle first.
+pub(crate) fn handle_connection(stream: &mut TcpStream, shared: &Shared) -> std::io::Result<()> {
+    http::configure_stream(stream, IO_TIMEOUT)?;
+    let request = match read_request(stream, MAX_BODY_BYTES) {
         Ok(r) => r,
         Err(HttpError::BodyTooLarge(n)) => {
             return shared
                 .reject(413, format!("body of {n} bytes too large"))
-                .write_to(&mut stream);
+                .write_to(stream);
         }
-        Err(HttpError::Malformed(why)) => return shared.reject(400, why).write_to(&mut stream),
+        Err(HttpError::Malformed(why)) => return shared.reject(400, why).write_to(stream),
         Err(HttpError::Io(e)) => return Err(e),
     };
     shared.metrics.http_requests.inc();
     // The events endpoint streams; everything else is one buffered
     // response.
     match route(&request, shared) {
-        Routed::Answer(response) => response.write_to(&mut stream),
+        Routed::Answer(response) => response.write_to(stream),
         Routed::Events(job) => stream_events(stream, &job, shared),
     }
 }

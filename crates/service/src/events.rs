@@ -21,7 +21,7 @@ const SSE_HEARTBEAT: Duration = Duration::from_secs(1);
 /// label and fingerprint the result endpoint's headers carry, byte for
 /// byte.
 pub(crate) fn stream_events(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     job: &Job,
     shared: &Shared,
 ) -> std::io::Result<()> {
@@ -29,11 +29,9 @@ pub(crate) fn stream_events(
     // thread and a bounded queue until the job finishes.
     if shared.sse_active.fetch_add(1, Ordering::SeqCst) >= shared.config.sse_max_subscribers {
         shared.sse_active.fetch_sub(1, Ordering::SeqCst);
-        return shared
-            .busy("too many event subscribers")
-            .write_to(&mut stream);
+        return shared.busy("too many event subscribers").write_to(stream);
     }
-    let result = serve_events(&mut stream, job, shared);
+    let result = serve_events(stream, job, shared);
     shared.sse_active.fetch_sub(1, Ordering::SeqCst);
     result
 }

@@ -129,6 +129,11 @@ impl Job {
         self.done.notify_all();
     }
 
+    /// Whether the job has settled.
+    fn settled(&self) -> bool {
+        matches!(*locked(&self.phase), Phase::Settled(_))
+    }
+
     /// Current state, plus the outcome once settled, without blocking.
     pub fn status(&self) -> (JobState, Option<Result<JobOutput, JobError>>) {
         match &*locked(&self.phase) {
@@ -200,10 +205,11 @@ pub struct JobTable {
 }
 
 struct Board {
-    /// Every remembered job, oldest first. Ids are consecutive, so job `id`
-    /// sits at `id - first_id`.
+    /// Every remembered job in id order: every live one, and the newest
+    /// settled ones up to the table's capacity.
     jobs: VecDeque<Arc<Job>>,
-    first_id: u64,
+    /// The id the next job gets.
+    next_id: u64,
     /// The job computing each slot, from its admission to its settlement.
     slots: HashMap<Slot, Arc<Job>>,
     /// Leaders no worker has taken yet, oldest first, with their work.
@@ -213,13 +219,14 @@ struct Board {
 }
 
 impl JobTable {
-    /// A table remembering at most `capacity` jobs (min 1), of which at most
-    /// `depth` (min 1) wait for a worker before clients are refused.
+    /// A table remembering every live job and, past `capacity` (min 1) jobs,
+    /// forgetting the oldest settled ones; at most `depth` (min 1) jobs wait
+    /// for a worker before clients are refused.
     pub fn new(capacity: usize, depth: usize) -> Self {
         Self {
             board: Mutex::new(Board {
                 jobs: VecDeque::new(),
-                first_id: 1,
+                next_id: 1,
                 slots: HashMap::new(),
                 waiting: VecDeque::new(),
                 closed: false,
@@ -232,8 +239,8 @@ impl JobTable {
 
     /// Admits a submission in one hold of the board's lock: it follows the
     /// live job of its `(key, kind)` slot if there is one; else a client is
-    /// refused if the board is closed or full; else a new job (evicting the
-    /// oldest remembered one once over capacity) takes the slot, has its
+    /// refused if the board is closed or full; else a new job (forgetting
+    /// the oldest settled ones once over capacity) takes the slot, has its
     /// admit journaled and waits for a worker. Journaling inside the hold
     /// puts the admit before anything a worker writes for the job. A
     /// keyless submission always leads and takes no slot. Lock order:
@@ -263,12 +270,16 @@ impl JobTable {
                 state.admit(*key, kind.label(), body, options);
             }
         }
-        let id = board.first_id + board.jobs.len() as u64;
-        let job = Arc::new(Job::new(id, kind, key));
+        let job = Arc::new(Job::new(board.next_id, kind, key));
+        board.next_id += 1;
         board.jobs.push_back(Arc::clone(&job));
-        if board.jobs.len() > self.capacity {
-            board.jobs.pop_front();
-            board.first_id += 1;
+        // A job still waiting or running is never forgotten: its id was
+        // answered with a `202` and must keep answering.
+        while board.jobs.len() > self.capacity {
+            let Some(oldest) = board.jobs.iter().position(|job| job.settled()) else {
+                break;
+            };
+            board.jobs.remove(oldest);
         }
         if let Some(slot) = slot {
             board.slots.insert(slot, Arc::clone(&job));
@@ -326,8 +337,8 @@ impl JobTable {
     /// Looks up a remembered job by id.
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
         let board = locked(&self.board);
-        let index = id.checked_sub(board.first_id)?;
-        board.jobs.get(usize::try_from(index).ok()?).cloned()
+        let index = board.jobs.binary_search_by_key(&id, |job| job.id).ok()?;
+        Some(Arc::clone(&board.jobs[index]))
     }
 
     /// Slots currently led by a live job.
@@ -480,13 +491,45 @@ mod tests {
     fn table_evicts_oldest_beyond_capacity() {
         let table = JobTable::new(3, 8);
         let ids: Vec<u64> = (0..5)
-            .map(|_| leader(&table, JobKind::Run, None).id)
+            .map(|_| {
+                let job = leader(&table, JobKind::Run, None);
+                table.settle(&job, failure(500, "settled"));
+                job.id
+            })
             .collect();
         // Ids are monotonic and unique; exactly the newest three remain.
         assert_eq!(ids, vec![1, 2, 3, 4, 5]);
         let kept: Vec<bool> = ids.iter().map(|id| table.get(*id).is_some()).collect();
         assert_eq!(kept, [false, false, true, true, true]);
         assert!(table.get(0).is_none() && table.get(6).is_none());
+    }
+
+    /// An id answered with a `202` keeps answering until its job settles,
+    /// however many jobs are admitted after it: past capacity only settled
+    /// jobs are forgotten, oldest first.
+    #[test]
+    fn a_live_job_past_capacity_is_remembered() {
+        let table = JobTable::new(3, 8);
+        let running = leader(&table, JobKind::Run, None);
+        assert_eq!(next_id(&table), Some(running.id));
+        let waiting = leader(&table, JobKind::Run, None);
+        for _ in 0..5 {
+            let job = leader(&table, JobKind::Run, None);
+            table.settle(&job, failure(500, "settled"));
+        }
+        let state = |id| table.get(id).map(|job| job.status().0);
+        assert_eq!(state(running.id), Some(JobState::Running));
+        assert_eq!(state(waiting.id), Some(JobState::Queued));
+        let kept: Vec<bool> = (1..=7).map(|id| table.get(id).is_some()).collect();
+        assert_eq!(kept, [true, true, false, false, false, false, true]);
+
+        // Once they settle, the two are the oldest settled jobs, and the
+        // next admissions forget them first.
+        table.settle(&running, failure(500, "settled"));
+        table.settle(&waiting, failure(500, "settled"));
+        let newest = leader(&table, JobKind::Run, None).id;
+        let kept: Vec<u64> = (1..=newest).filter(|id| table.get(*id).is_some()).collect();
+        assert_eq!(kept, [2, 7, 8]);
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //!   `/v1/audit` take NPD documents, `POST /v1/run` a controller scenario;
 //!   `GET /v1/jobs/{id}[/result|/events]` polls or streams a job;
 //!   `/metrics` is Prometheus text, `/healthz` the load-balancer probe.
+//!   One request per connection; a connection thread that has answered
+//!   waits idle for the next connection, and the acceptor spawns a thread
+//!   only when none is idle: concurrency is unbounded, and a client that
+//!   sends one request after another is served without a spawn.
 //! * **Bounded**: at most `queue_depth` jobs wait on the board between
 //!   connection threads and long-lived workers; one more is refused with
 //!   `503 + Retry-After` before it becomes a job. Each worker plans on
@@ -62,12 +66,13 @@ use crate::state::StateStore;
 use klotski_core::Verdicts;
 use klotski_npd::api::ErrorResponse;
 use klotski_parallel::default_lanes;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The crate's one lock policy: a poisoned lock is taken anyway. Every
 /// critical section here leaves its structure consistent statement by
@@ -126,7 +131,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Finished and live jobs remembered for polling.
+/// Jobs remembered for polling: past it the oldest settled job is
+/// forgotten, never a live one.
 const JOBS_CAPACITY: usize = 1024;
 
 /// Journal size that triggers compaction: the journal is rewritten as the
@@ -150,6 +156,8 @@ pub(crate) struct Shared {
     draining: AtomicBool,
     /// Write-ahead journal, when `--state-dir` is set.
     state: Option<StateStore>,
+    /// Where the acceptor hands streams to idle connection threads.
+    connections: Handoff,
 }
 
 impl Shared {
@@ -230,6 +238,7 @@ impl Service {
             sse_active: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             state: store,
+            connections: Handoff::default(),
             config,
         });
 
@@ -304,20 +313,130 @@ impl Service {
     }
 }
 
-/// Accept loop: one short-lived thread per connection (`Connection:
-/// close`), exiting once the drain flag flips.
+/// Accept loop: each accepted stream goes to an idle connection thread, or
+/// to a thread spawned for it when none is idle (`Connection: close`, one
+/// request per connection). Once the drain flag flips the loop leaves and
+/// closes the hand-off, so every idle thread exits.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
         if shared.draining() {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(shared);
-        let _ = std::thread::Builder::new()
-            .name("klotski-conn".into())
-            .spawn(move || {
-                let _ = admission::handle_connection(stream, &shared);
-            });
+        if let Err(stream) = shared.connections.give(stream) {
+            #[cfg(test)]
+            shared.connections.spawned.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(shared);
+            let _ = std::thread::Builder::new()
+                .name("klotski-conn".into())
+                .spawn(move || serve_connections(stream, &shared));
+        }
+    }
+    shared.connections.close();
+}
+
+/// A connection thread: serves its connection, then each one handed to it
+/// while it waits idle, until the hand-off closes or it idles past
+/// [`CONN_IDLE`]. A handler that panics ends the thread, which never
+/// counts itself idle again.
+fn serve_connections(mut stream: TcpStream, shared: &Shared) {
+    loop {
+        // Connections share nothing through the thread: only a worker tags
+        // its thread with a job's event stream, and only while it runs it.
+        debug_assert_eq!(klotski_telemetry::current_stream(), 0);
+        let _ = admission::handle_connection(&mut stream, shared);
+        match shared.connections.next(stream) {
+            Some(next) => stream = next,
+            None => break,
+        }
+    }
+    #[cfg(test)]
+    shared.connections.exited.fetch_add(1, Ordering::SeqCst);
+}
+
+/// How long a connection thread waits idle for its next connection before
+/// it exits.
+const CONN_IDLE: Duration = Duration::from_secs(5);
+
+/// Accepted streams on their way to idle connection threads. It has no
+/// size: a thread is spawned whenever none is idle, so a stalled client, a
+/// synchronous submission or an event stream never delays another
+/// connection.
+#[derive(Default)]
+struct Handoff {
+    state: Mutex<HandoffState>,
+    /// Signalled when a stream is handed over or the hand-off closes.
+    ready: Condvar,
+    /// Connection threads spawned and ended, for the tests.
+    #[cfg(test)]
+    spawned: AtomicUsize,
+    #[cfg(test)]
+    exited: AtomicUsize,
+}
+
+#[derive(Default)]
+struct HandoffState {
+    /// Waiting threads no stream has been handed to yet.
+    idle: usize,
+    /// Streams handed over, each to its own waiting thread, not yet taken.
+    pending: VecDeque<TcpStream>,
+    /// Set by the acceptor as it leaves: waiting threads exit.
+    closed: bool,
+}
+
+impl Handoff {
+    /// Hands `stream` to an idle thread, or back when none is idle.
+    fn give(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut state = locked(&self.state);
+        if state.idle == 0 {
+            return Err(stream);
+        }
+        state.idle -= 1;
+        state.pending.push_back(stream);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Counts the calling thread idle, then closes its finished stream and
+    /// waits for the next one: `None` once the hand-off closes or after
+    /// [`CONN_IDLE`]. Idle before the close, so a client that connects
+    /// again as soon as it reads the end of its reply finds this thread.
+    fn next(&self, finished: TcpStream) -> Option<TcpStream> {
+        let mut state = locked(&self.state);
+        if state.closed {
+            return None;
+        }
+        state.idle += 1;
+        drop(state);
+        drop(finished);
+        let deadline = Instant::now() + CONN_IDLE;
+        let mut state = locked(&self.state);
+        loop {
+            // A stream handed over is taken even by a thread whose wait
+            // has just run out: one idle thread was counted out for it.
+            if let Some(stream) = state.pending.pop_front() {
+                return Some(stream);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if state.closed || left.is_zero() {
+                state.idle -= 1;
+                return None;
+            }
+            state = recover(self.ready.wait_timeout(state, left)).0;
+        }
+    }
+
+    /// Stops hand-offs and wakes every waiting thread to exit.
+    fn close(&self) {
+        locked(&self.state).closed = true;
+        self.ready.notify_all();
+    }
+
+    /// Threads waiting for a connection.
+    #[cfg(test)]
+    fn idle(&self) -> usize {
+        locked(&self.state).idle
     }
 }
 
@@ -437,6 +556,7 @@ mod tests {
     use klotski_npd::convert::region_to_npd;
     use klotski_npd::Npd;
     use klotski_topology::presets::{self, PresetId};
+    use std::io::{Read, Write};
 
     #[test]
     fn a_poisoned_lock_is_taken_anyway() {
@@ -608,6 +728,90 @@ mod tests {
             .collect();
         assert!(reported.contains(&Some(23.0)), "{reported:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn healthz(addr: SocketAddr) -> u16 {
+        request(addr, "GET /healthz HTTP/1.1\r\nHost: t", "").0
+    }
+
+    fn admission_only() -> Service {
+        Service::start(ServiceConfig {
+            workers: 0,
+            ..ServiceConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// A thread counts itself idle before it closes its connection, so a
+    /// client that reconnects once it reads the end of its reply always
+    /// finds that thread waiting.
+    #[test]
+    fn sequential_requests_share_one_connection_thread() {
+        let service = admission_only();
+        let connections = &service.shared.connections;
+        for _ in 0..200 {
+            assert_eq!(healthz(service.local_addr()), 200);
+            assert_eq!(connections.idle(), 1, "idle once the reply ends");
+        }
+        assert_eq!(connections.spawned.load(Ordering::SeqCst), 1);
+        service.shutdown();
+    }
+
+    /// The one idle thread takes a client that never sends its request;
+    /// the next client finds no thread idle and gets one of its own instead
+    /// of waiting out the first one's 30 s socket timeout.
+    #[test]
+    fn a_silent_client_does_not_delay_the_next() {
+        let service = admission_only();
+        let addr = service.local_addr();
+        assert_eq!(healthz(addr), 200);
+        let silent = TcpStream::connect(addr).unwrap();
+
+        let mut probe = TcpStream::connect(addr).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        probe
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let mut reply = String::new();
+        probe
+            .read_to_string(&mut reply)
+            .expect("answered while the silent client holds its thread");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert_eq!(service.shared.connections.spawned.load(Ordering::SeqCst), 2);
+        drop(silent);
+        service.shutdown();
+    }
+
+    /// Closing the hand-off wakes every idle thread, which exits at once
+    /// rather than after `CONN_IDLE`.
+    #[test]
+    fn shutdown_leaves_no_connection_thread_waiting() {
+        let service = admission_only();
+        let addr = service.local_addr();
+        let silent = TcpStream::connect(addr).unwrap();
+        assert_eq!(healthz(addr), 200);
+        drop(silent);
+        let shared = Arc::clone(&service.shared);
+        let connections = &shared.connections;
+        let waited = Instant::now();
+        while connections.idle() < 2 && waited.elapsed() < CONN_IDLE / 5 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(connections.idle(), 2);
+
+        service.shutdown();
+        let closed = Instant::now();
+        let spawned = connections.spawned.load(Ordering::SeqCst);
+        while connections.exited.load(Ordering::SeqCst) < spawned
+            && closed.elapsed() < CONN_IDLE / 5
+        {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(connections.idle(), 0);
+        assert_eq!(connections.exited.load(Ordering::SeqCst), spawned);
+        assert_eq!(spawned, 2);
     }
 
     #[test]
