@@ -46,15 +46,35 @@ no_dep() {
 
 # unread_pub WHY HOOKS — every `pub` item declared in the production text of
 # crates/*/src and src/ (comment lines and #[cfg(test)] items stripped) is
-# named, as a word, in the production text of another file there or under
-# benchmark/src. HOOKS lists the exceptions as `name@test-file` entries: pub
-# items only that test file reads. An entry is stale, and fails the gate,
-# when the name has a production reader or its test file no longer names it.
-# A word grep: a same-named item elsewhere counts as a reader.
+# named, as a word, in the production text of another crate: another
+# crates/*/src, a crate's src/bin (its own crate), src/ or benchmark/src. A
+# `pub use` re-export names nothing; a `$crate::` path in a macro body is
+# read wherever the macro expands; a type named in its own crate's pub
+# signature — a pub fn, const, static, type or struct head, a pub field, a
+# pub enum or trait body — is read through that signature, and rustc keeps
+# it pub (private_interfaces). The workspace turns on rustc's
+# unreachable_pub, so a `pub` item is one its crate's root reaches, and
+# dead_code checks the rest. HOOKS lists the exceptions as `name@test-file`
+# entries: pub items only tests read. An entry is stale, and fails the
+# gate, when the name has a production reader or its test file no longer
+# names it. A word grep: a same-named item in another crate counts as a
+# reader.
 unread_pub() {
     local why=$1 entry name hits
     hits=$(find crates/*/src src benchmark/src -name '*.rs' | sort | xargs awk '
-        FNR == 1 { skip = 0 }
+        function crate_of(f,   p) {
+            split(f, p, "/")
+            if (p[1] == "crates") return (p[4] == "bin") ? p[2] "/bin" : p[2]
+            return p[1]
+        }
+        function words(s, exposing,   w) {
+            while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                w = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+                if (exposing != "") { if (w != exposing) exposed[w, crate] = 1 }
+                else if (!((w, crate) in seen)) { seen[w, crate] = 1; readers[w] = readers[w] " " crate }
+            }
+        }
+        FNR == 1 { skip = 0; crate = crate_of(FILENAME); sig = 0; body = 0; reexport = 0 }
         skip {
             c = $0; depth += gsub(/\{/, "", c) - gsub(/\}/, "", c)
             if (index($0, "{")) opened = 1
@@ -64,17 +84,35 @@ unread_pub() {
         /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
         /^[[:space:]]*\/\// { next }
         {
-            if (FILENAME !~ /^benchmark/ && match($0, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*/)) {
-                d = substr($0, RSTART, RLENGTH); sub(/.* /, "", d); defs[d, FILENAME] = 1
-            }
             s = $0
-            while (match(s, /[A-Za-z_][A-Za-z0-9_]*/)) {
-                w = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
-                if (!((w, FILENAME) in seen)) { seen[w, FILENAME] = 1; readers[w]++ }
+            while (match(s, /\$crate::[A-Za-z0-9_:]+/)) {
+                n = split(substr(s, RSTART + 8, RLENGTH - 8), seg, "::"); s = substr(s, RSTART + RLENGTH)
+                for (i = 1; i <= n; i++) readers[seg[i]] = readers[seg[i]] " $crate"
             }
+            if (/^[[:space:]]*pub use /) reexport = 1
+            if (reexport) { if (index($0, ";")) reexport = 0; next }
+            name = "-"
+            if (crate != "benchmark" && match($0, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static|mod) [A-Za-z_][A-Za-z0-9_]*/)) {
+                name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+                defs[name, crate] = FILENAME
+                if (/pub (enum|trait) /) { body = 1; bdepth = 0 } else sig = 1
+            }
+            if (sig || body || /^[[:space:]]*pub [a-z_][a-z0-9_]*:/) words($0, name)
+            if (sig && (index($0, "{") || /;[[:space:]]*$/)) sig = 0
+            if (body) {
+                c = $0; bdepth += gsub(/\{/, "", c) - gsub(/\}/, "", c)
+                if (bdepth <= 0 && index($0, "}")) body = 0
+            }
+            words($0, "")
         }
         END {
-            for (k in defs) { split(k, p, SUBSEP); if (readers[p[1]] < 2) print p[1] " " p[2] }
+            for (k in defs) {
+                split(k, p, SUBSEP)
+                if (exposed[p[1], p[2]]) continue
+                n = split(readers[p[1]], r, " "); read = 0
+                for (i = 1; i <= n; i++) if (r[i] != p[2]) read = 1
+                if (!read) print p[1] " " defs[k]
+            }
         }' | sort)
     for entry in $2; do
         name=${entry%@*}
@@ -112,7 +150,7 @@ lines "07df035: an advance patches downhill lists by its edits — rebuild_downh
 absent "842f028: forecasting is two private functions of the ensemble — the history type, its config, the forecaster trait and both forecasters stay deleted" 'TrafficHistory|HistoryConfig|trait Forecaster|LinearTrendForecaster|EwmaForecaster' crates src tests examples
 only_in "f0f466f: the lanes spawn per call in std::thread::scope; unsafe blocks, impls and fns stay in the signal handler" 'unsafe (\{|impl|fn)' 'crates/service/src/signal.rs' crates/*/src src
 
-unread_pub "public API: every pub item has a production reader (benchmark/src counts) — the rest are these integration-test hooks, each beside the test that reads it" 'hgrid_v1_to_v2@tests/optimality.rs tight@crates/core/tests/search_counters.rs peak_utilization@tests/service_http.rs cache_len@tests/invariants.rs with_threads@crates/core/tests/satcheck_prop.rs last_loads@crates/core/tests/incremental_prop.rs last_fail_matrix@crates/core/tests/satcheck_prop.rs MAX_SWITCH_CIRCUITS@tests/operations.rs MAX_ROW@tests/operations.rs total_flow@tests/properties.rs circuit_up@crates/routing/src/incremental.rs set_switch@crates/core/tests/audit_live_oracle.rs push_variant@crates/core/tests/satcheck_prop.rs on_class@crates/core/tests/plan_replay.rs'
+unread_pub "public API: every pub item has a reader in another crate (benchmark/src counts) — the rest are these test hooks, each beside a test that reads it" 'BruteForcePlanner@tests/dp_exact.rs MAX_ROW@tests/operations.rs MAX_SWITCH_CIRCUITS@tests/operations.rs TopologyBuilder@crates/core/tests/organization_policy.rs add_circuit@crates/core/tests/organization_policy.rs add_switch@crates/core/tests/organization_policy.rs all_switches@crates/core/tests/organization_policy.rs box_size@crates/core/tests/search_counters.rs cache_len@tests/invariants.rs circuit_up@crates/routing/src/incremental.rs ensemble_breakdown@crates/core/tests/satcheck_prop.rs from_counts@crates/core/tests/port_budgets.rs hgrid_v1_to_v2@tests/optimality.rs last_fail_matrix@crates/core/tests/satcheck_prop.rs last_loads@crates/core/tests/incremental_prop.rs measured@crates/core/tests/plan_seeded.rs npd_to_topology@tests/operations.rs on_class@crates/core/tests/plan_replay.rs peak_utilization@tests/service_http.rs planner_kind@crates/controller/tests/controller_run.rs port_budgets@crates/core/tests/port_budgets.rs push_variant@crates/core/tests/satcheck_prop.rs receded@crates/core/tests/port_budgets.rs set_switch@crates/core/tests/audit_live_oracle.rs state_for@crates/core/tests/plan_seeded.rs step_in_box@crates/core/tests/plan_seeded.rs tight@crates/core/tests/search_counters.rs total_flow@tests/properties.rs used@crates/core/tests/plan_replay.rs with_alpha@tests/optimality.rs with_prior@crates/core/tests/plan_seeded.rs with_threads@crates/core/tests/satcheck_prop.rs'
 absent "public API: the §4.1 derivation (symmetry blocks merged by locality key) is the builders' test oracle in crates/core/tests/organization_policy.rs, not a library module" 'mod policy|fn symmetry_blocks' crates/*/src src
 absent "public API: validate_plan is the one verdict-only walk; its pool-taking twin stays folded in" 'fn validate_plan_on' crates src tests
 absent "public API: the event bus keeps per-subscription lag counts only; the process-wide total nobody read stays deleted" '\bdropped_total\b' crates src

@@ -17,9 +17,9 @@
 //!   usable only on tiny instances; serves as the optimality oracle for the
 //!   test suite.
 
-pub mod brute;
-pub mod janus;
-pub mod mrc;
+mod brute;
+mod janus;
+mod mrc;
 
 pub use brute::BruteForcePlanner;
 pub use janus::JanusPlanner;

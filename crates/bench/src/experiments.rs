@@ -130,12 +130,10 @@ pub fn fig10() -> String {
             let r = if kind == PlannerKind::WithoutOb {
                 match spec_without_ob(id, &opts) {
                     Ok(fine) => run_planner(kind, &fine, 0.0),
-                    Err(e) => RunResult {
+                    Err(_) => RunResult {
                         planner: kind,
                         cost: None,
                         time: Default::default(),
-                        stats: Default::default(),
-                        error: Some(e),
                     },
                 }
             } else {

@@ -20,7 +20,5 @@
 //! identical at both scales.
 
 pub mod experiments;
-pub mod runner;
-pub mod table;
-
-pub use runner::{run_planner, spec_for, PlannerKind, RunResult};
+mod runner;
+mod table;

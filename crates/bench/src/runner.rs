@@ -3,7 +3,7 @@
 use klotski_baselines::{JanusPlanner, MrcPlanner};
 use klotski_core::cost::HeuristicMode;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
-use klotski_core::planner::{AStarPlanner, DpPlanner, PlanStats, Planner, SearchBudget};
+use klotski_core::planner::{AStarPlanner, DpPlanner, Planner, SearchBudget};
 use klotski_core::{CostModel, EscMode, PlanError};
 use klotski_topology::presets::{self, PresetId};
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ const PLANNER_TIME_LIMIT: Duration = Duration::from_secs(120);
 
 /// Which planner (or Klotski ablation variant) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlannerKind {
+pub(crate) enum PlannerKind {
     /// Klotski with the A\* search planner (§4.4).
     KlotskiAStar,
     /// Klotski with the DP planner (§4.3).
@@ -35,7 +35,7 @@ pub enum PlannerKind {
 
 impl PlannerKind {
     /// Display label matching the paper's legends.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PlannerKind::KlotskiAStar => "Klotski-A*",
             PlannerKind::KlotskiDp => "Klotski-DP",
@@ -48,7 +48,7 @@ impl PlannerKind {
     }
 
     /// The four planners of Figures 8 and 9.
-    pub const COMPARISON: [PlannerKind; 4] = [
+    pub(crate) const COMPARISON: [PlannerKind; 4] = [
         PlannerKind::Mrc,
         PlannerKind::Janus,
         PlannerKind::KlotskiDp,
@@ -56,7 +56,7 @@ impl PlannerKind {
     ];
 
     /// The four variants of Figure 10.
-    pub const ABLATION: [PlannerKind; 4] = [
+    pub(crate) const ABLATION: [PlannerKind; 4] = [
         PlannerKind::WithoutOb,
         PlannerKind::WithoutAStar,
         PlannerKind::WithoutEsc,
@@ -66,26 +66,22 @@ impl PlannerKind {
 
 /// One planner execution's result.
 #[derive(Debug, Clone)]
-pub struct RunResult {
+pub(crate) struct RunResult {
     pub planner: PlannerKind,
     /// Plan cost, `None` on failure.
     pub cost: Option<f64>,
     /// Wall-clock planning time (includes failed runs up to their abort).
     pub time: Duration,
-    /// Search counters (zeroed on hard failures).
-    pub stats: PlanStats,
-    /// Failure, if any.
-    pub error: Option<PlanError>,
 }
 
 impl RunResult {
     /// True when the planner produced a plan.
-    pub fn ok(&self) -> bool {
+    pub(crate) fn ok(&self) -> bool {
         self.cost.is_some()
     }
 
     /// "✗" for failures, formatted cost otherwise.
-    pub fn cost_cell(&self) -> String {
+    pub(crate) fn cost_cell(&self) -> String {
         match self.cost {
             Some(c) => format!("{c:.1}"),
             None => "✗".into(),
@@ -95,7 +91,7 @@ impl RunResult {
 
 /// Builds the migration spec for a preset with the given options
 /// (bench-scaled topology).
-pub fn spec_for(id: PresetId, opts: &MigrationOptions) -> MigrationSpec {
+pub(crate) fn spec_for(id: PresetId, opts: &MigrationOptions) -> MigrationSpec {
     let preset = presets::build_for_bench(id);
     MigrationBuilder::for_preset(&preset, opts)
         .unwrap_or_else(|e| panic!("spec for {id} failed: {e}"))
@@ -103,7 +99,10 @@ pub fn spec_for(id: PresetId, opts: &MigrationOptions) -> MigrationSpec {
 
 /// Spec variant without the operation-block locality merge: every block is
 /// split down to roughly symmetry-block size (≤ 2 switches per block, §4.1).
-pub fn spec_without_ob(id: PresetId, opts: &MigrationOptions) -> Result<MigrationSpec, PlanError> {
+pub(crate) fn spec_without_ob(
+    id: PresetId,
+    opts: &MigrationOptions,
+) -> Result<MigrationSpec, PlanError> {
     let preset = presets::build_for_bench(id);
     // Largest natural group size determines the split factor needed to get
     // to ~2-switch blocks.
@@ -121,7 +120,7 @@ pub fn spec_without_ob(id: PresetId, opts: &MigrationOptions) -> Result<Migratio
 }
 
 /// Runs one planner kind on a spec with the report's budget.
-pub fn run_planner(kind: PlannerKind, spec: &MigrationSpec, alpha: f64) -> RunResult {
+pub(crate) fn run_planner(kind: PlannerKind, spec: &MigrationSpec, alpha: f64) -> RunResult {
     let budget = SearchBudget {
         max_states: 50_000_000,
         time_limit: PLANNER_TIME_LIMIT,
@@ -168,21 +167,10 @@ pub fn run_planner(kind: PlannerKind, spec: &MigrationSpec, alpha: f64) -> RunRe
         .plan(spec),
     };
     let time = start.elapsed();
-    match outcome {
-        Ok(o) => RunResult {
-            planner: kind,
-            cost: Some(o.cost),
-            time,
-            stats: o.stats,
-            error: None,
-        },
-        Err(e) => RunResult {
-            planner: kind,
-            cost: None,
-            time,
-            stats: PlanStats::default(),
-            error: Some(e),
-        },
+    RunResult {
+        planner: kind,
+        cost: outcome.ok().map(|o| o.cost),
+        time,
     }
 }
 
@@ -204,7 +192,7 @@ mod tests {
         let mut costs = Vec::new();
         for kind in PlannerKind::COMPARISON {
             let r = run_planner(kind, &spec, 0.0);
-            assert!(r.ok(), "{} failed: {:?}", kind.label(), r.error);
+            assert!(r.ok(), "{} failed", kind.label());
             costs.push(r.cost.unwrap());
         }
         // Janus, DP, and A* agree on the optimum; MRC is >= it.

@@ -2,14 +2,14 @@
 
 /// A printable table: header row plus data rows.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Starts a table with the given headers.
-    pub fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
+    pub(crate) fn new<S: Into<String>>(headers: impl IntoIterator<Item = S>) -> Self {
         Self {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,24 +17,14 @@ impl Table {
     }
 
     /// Appends a row (padded/truncated to the header width).
-    pub fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) {
+    pub(crate) fn row<S: Into<String>>(&mut self, cells: impl IntoIterator<Item = S>) {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -68,7 +58,7 @@ impl Table {
 }
 
 /// Formats a ratio like the paper's speedup annotations ("8.4x").
-pub fn ratio(numerator: std::time::Duration, denominator: std::time::Duration) -> String {
+pub(crate) fn ratio(numerator: std::time::Duration, denominator: std::time::Duration) -> String {
     let d = denominator.as_secs_f64();
     if d <= 0.0 {
         return "-".into();
@@ -94,8 +84,7 @@ mod tests {
         // Columns align: "cost" starts at the same offset in all rows.
         let col = lines[0].find("cost").unwrap();
         assert_eq!(&lines[3][col..col + 3], "5.0");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashSet};
 
 /// The fleet's live state: planned overlay + disturbances.
 #[derive(Debug, Clone)]
-pub struct FleetSim {
+pub(crate) struct FleetSim {
     /// Canonical overlay of the migration's progress (no disturbances).
     pub planned: NetState,
     /// Circuits down outside the plan, with the step (exclusive) at which
@@ -33,7 +33,7 @@ pub struct FleetSim {
 impl FleetSim {
     /// A fleet starting at the migration's initial state with no
     /// disturbances.
-    pub fn new(initial: NetState) -> Self {
+    pub(crate) fn new(initial: NetState) -> Self {
         Self {
             planned: initial,
             failed_circuits: BTreeMap::new(),
@@ -42,17 +42,17 @@ impl FleetSim {
     }
 
     /// Fails a circuit until `until_step` (exclusive; `None` = forever).
-    pub fn fail_circuit(&mut self, circuit: CircuitId, until_step: Option<usize>) {
+    pub(crate) fn fail_circuit(&mut self, circuit: CircuitId, until_step: Option<usize>) {
         self.failed_circuits.insert(circuit, until_step);
     }
 
     /// Drains a switch by external operation until `until_step`.
-    pub fn drain_external(&mut self, switch: SwitchId, until_step: Option<usize>) {
+    pub(crate) fn drain_external(&mut self, switch: SwitchId, until_step: Option<usize>) {
         self.drained_switches.insert(switch, until_step);
     }
 
     /// Expires every disturbance whose window ends at or before `step`.
-    pub fn expire(&mut self, step: usize) {
+    pub(crate) fn expire(&mut self, step: usize) {
         self.failed_circuits
             .retain(|_, until| until.is_none_or(|u| u > step));
         self.drained_switches
@@ -61,7 +61,7 @@ impl FleetSim {
 
     /// The observed state: planned overlay with every active disturbance
     /// applied. This is the state shadow audits judge.
-    pub fn observed(&self, topo: &Topology) -> NetState {
+    pub(crate) fn observed(&self, topo: &Topology) -> NetState {
         let mut s = self.planned.clone();
         for &c in self.failed_circuits.keys() {
             s.set_circuit(c, false);
@@ -75,7 +75,7 @@ impl FleetSim {
     /// How far the observed state has drifted from the plan: elements the
     /// plan believes are up but the fleet reports down. Disturbances only
     /// clear bits, so every circuit whose usability differs is one of those.
-    pub fn drift(&self, topo: &Topology) -> Drift {
+    pub(crate) fn drift(&self, topo: &Topology) -> Drift {
         let observed = self.observed(topo);
         let mut lost = Vec::new();
         self.planned.usability_diff_into(topo, &observed, &mut lost);
@@ -92,7 +92,7 @@ impl FleetSim {
 
 /// Observed-vs-planned divergence found by a shadow audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Drift {
+pub(crate) struct Drift {
     /// Usable-in-plan circuits that the fleet reports unusable.
     pub circuits: usize,
     /// Up-in-plan switches that the fleet reports down.
@@ -128,7 +128,7 @@ fn pick<T: Copy>(candidates: &[T], rng: &mut SmallRng) -> Option<T> {
 /// Picks a seeded-random circuit that is usable in `observed` and not
 /// involved in the migration: not listed in any operation block and not
 /// incident to a block member or a demand endpoint.
-pub fn pick_uninvolved_circuit(
+pub(crate) fn pick_uninvolved_circuit(
     spec: &MigrationSpec,
     observed: &NetState,
     rng: &mut SmallRng,
@@ -157,7 +157,7 @@ pub fn pick_uninvolved_circuit(
 /// Picks a seeded-random switch that is up in `observed` and neither a
 /// block member nor a demand endpoint — the victim of an external
 /// operation (§7.2, "Simultaneous operations").
-pub fn pick_uninvolved_switch(
+pub(crate) fn pick_uninvolved_switch(
     spec: &MigrationSpec,
     observed: &NetState,
     rng: &mut SmallRng,

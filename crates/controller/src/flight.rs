@@ -31,13 +31,13 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// The last-N-events recorder. One per run, always on.
 #[derive(Debug)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     ring: RingSink,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the most recent `capacity` events (≥ 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             ring: RingSink::new(capacity.max(1)),
         }
@@ -50,7 +50,7 @@ impl FlightRecorder {
     }
 
     /// Records one applied batch and its shadow-audit verdict.
-    pub fn step(&self, rec: &StepRecord) {
+    pub(crate) fn step(&self, rec: &StepRecord) {
         let mut obj = Map::new();
         obj.insert("kind".into(), Value::String("step".into()));
         obj.insert("step".into(), Value::Number(rec.step as f64));
@@ -79,7 +79,7 @@ impl FlightRecorder {
 
     /// Records one replanning attempt. Latency is deliberately omitted:
     /// bundles must stay machine-independent.
-    pub fn replan(&self, rec: &ReplanRecord) {
+    pub(crate) fn replan(&self, rec: &ReplanRecord) {
         let mut obj = Map::new();
         obj.insert("kind".into(), Value::String("replan".into()));
         obj.insert("at_step".into(), Value::Number(rec.at_step as f64));
@@ -92,7 +92,7 @@ impl FlightRecorder {
     }
 
     /// Records the rollback walk's outcome.
-    pub fn rollback(&self, rec: &RollbackRecord) {
+    pub(crate) fn rollback(&self, rec: &RollbackRecord) {
         let mut obj = Map::new();
         obj.insert("kind".into(), Value::String("rollback".into()));
         obj.insert("at_step".into(), Value::Number(rec.at_step as f64));
@@ -113,7 +113,7 @@ impl FlightRecorder {
 
     /// Records a free-form deterministic note (deadline aborts and the
     /// like): `{"kind": <kind>, "step": <step>, "detail": <detail>}`.
-    pub fn note(&self, kind: &str, step: usize, detail: &str) {
+    pub(crate) fn note(&self, kind: &str, step: usize, detail: &str) {
         let mut obj = Map::new();
         obj.insert("kind".into(), Value::String(kind.into()));
         obj.insert("step".into(), Value::Number(step as f64));
@@ -122,7 +122,7 @@ impl FlightRecorder {
     }
 
     /// The retained event window, oldest first.
-    pub fn lines(&self) -> Vec<String> {
+    pub(crate) fn lines(&self) -> Vec<String> {
         self.ring.lines()
     }
 }

@@ -29,15 +29,13 @@
 //! [`MigrationPlan`]: klotski_core::plan::MigrationPlan
 //! [`LiveEngine::audit_live`]: klotski_core::LiveEngine::audit_live
 
-pub mod engine;
-pub mod fleet;
-pub mod flight;
+mod engine;
+mod fleet;
+mod flight;
 pub mod scenario;
 
 pub use engine::{
-    run, run_scenario, ControllerConfig, ControllerError, ControllerReport, ReplanRecord,
-    ReplannerKind, RollbackRecord, StepRecord,
+    run, run_scenario, ControllerConfig, ControllerError, ControllerReport, ReplannerKind,
 };
-pub use fleet::{Drift, FleetSim};
-pub use flight::{FlightBundle, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use scenario::{EventKind, ReplanPolicy, Scenario, ScenarioError, ScenarioEvent};
+pub use flight::{FlightBundle, DEFAULT_FLIGHT_CAPACITY};
+pub use scenario::{ReplanPolicy, Scenario, ScenarioEvent};

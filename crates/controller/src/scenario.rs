@@ -484,4 +484,67 @@ mod tests {
         assert_eq!(surges[0].from_step, 1);
         assert_eq!(surges[0].until_step, 4);
     }
+
+    /// The byte range of every number in a JSON text.
+    fn numbers(text: &str) -> Vec<std::ops::Range<usize>> {
+        let (bytes, mut ranges, mut i) = (text.as_bytes(), Vec::new(), 0);
+        while i < bytes.len() {
+            let start = i;
+            match bytes[i] {
+                b'"' => {
+                    i += 1 + (text[i + 1..].find('"').unwrap()) + 1;
+                }
+                b'-' | b'0'..=b'9' => {
+                    while i < bytes.len()
+                        && matches!(bytes[i], b'-' | b'+' | b'.' | b'e' | b'0'..=b'9')
+                    {
+                        i += 1;
+                    }
+                    ranges.push(start..i);
+                }
+                _ => i += 1,
+            }
+        }
+        ranges
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// One to three hostile number edits of the storm scenario parse to
+        /// a scenario that validates and survives JSON, or get a typed
+        /// error; never a panic. An integer takes 0, 1, 2, its own value or
+        /// `u64::MAX`; a fraction takes 0, a negative, NaN (not JSON), ∞
+        /// (`1e999`) or its own value. Each edit draw picks the value (bits
+        /// 0–2) and the number (the rest).
+        #[test]
+        fn prop_edited_scenarios_validate_or_are_refused(
+            edits in proptest::collection::vec(0usize..1 << 20, 1..4),
+        ) {
+            let mut text = include_str!("../../../examples/scenarios/storm_preset_c.json").to_string();
+            let ranges = numbers(&text);
+            let mut edited = std::collections::BTreeMap::new();
+            for draw in edits {
+                let range = ranges[(draw >> 3) % ranges.len()].clone();
+                let own = &text[range.clone()];
+                let values = if own.contains('.') {
+                    ["0.0", "-40.0", "NaN", "1e999", own]
+                } else {
+                    ["0", "1", "2", own, "18446744073709551615"]
+                };
+                edited.insert(range.start, (range, values[(draw & 7) % 5].to_string()));
+            }
+            for (range, value) in edited.into_values().rev() {
+                text.replace_range(range, &value);
+            }
+            match Scenario::from_json(&text) {
+                Ok(s) => {
+                    proptest::prop_assert!(s.validate().is_ok());
+                    let back = Scenario::from_json(&serde_json::to_string(&s).unwrap());
+                    proptest::prop_assert_eq!(back.unwrap(), s);
+                }
+                Err(e) => proptest::prop_assert!(e.to_string().starts_with("invalid scenario")),
+            }
+        }
+    }
 }

@@ -66,7 +66,7 @@ pub struct ActionKind {
 
 impl ActionKind {
     /// Shorthand constructor.
-    pub fn new(class: BlockClass, generation: Generation, op: OpType) -> Self {
+    pub(crate) fn new(class: BlockClass, generation: Generation, op: OpType) -> Self {
         Self {
             class,
             generation,
@@ -81,7 +81,7 @@ impl fmt::Display for ActionKind {
     }
 }
 
-/// Dense index of an action type within one migration's [`ActionTable`].
+/// Dense index of an action type within one migration's `ActionTable`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct ActionTypeId(pub u8);
@@ -111,12 +111,12 @@ pub struct ActionTable {
 
 impl ActionTable {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Interns a kind, returning its id (existing or fresh).
-    pub fn intern(&mut self, kind: ActionKind) -> ActionTypeId {
+    pub(crate) fn intern(&mut self, kind: ActionKind) -> ActionTypeId {
         if let Some(pos) = self.kinds.iter().position(|k| *k == kind) {
             return ActionTypeId(pos as u8);
         }
@@ -138,13 +138,8 @@ impl ActionTable {
     }
 
     /// Number of action types `|A|`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.kinds.len()
-    }
-
-    /// True if no types are registered.
-    pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
     }
 
     /// All ids in dense order.

@@ -93,7 +93,7 @@ impl OperationBlock {
 /// Splits `items` into `parts` contiguous chunks as evenly as possible
 /// (first chunks get the remainder). Used by the builders' block-scale
 /// sweeps (Figure 11).
-pub fn split_even<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
+pub(crate) fn split_even<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
     assert!(parts > 0, "cannot split into zero parts");
     let parts = parts.min(items.len()).max(1);
     let base = items.len() / parts;
@@ -110,7 +110,7 @@ pub fn split_even<T: Clone>(items: &[T], parts: usize) -> Vec<Vec<T>> {
 
 /// Merges consecutive groups of `groups` into `ceil(len/factor)` larger
 /// groups of `factor` originals each (Figure 11's 0.25×/0.5× settings).
-pub fn merge_groups<T: Clone>(groups: &[Vec<T>], factor: usize) -> Vec<Vec<T>> {
+pub(crate) fn merge_groups<T: Clone>(groups: &[Vec<T>], factor: usize) -> Vec<Vec<T>> {
     assert!(factor > 0, "merge factor must be positive");
     groups
         .chunks(factor)

@@ -40,7 +40,7 @@ impl CompactState {
 
     /// Number of action types.
     #[inline]
-    pub fn num_types(&self) -> usize {
+    pub(crate) fn num_types(&self) -> usize {
         self.counts.len()
     }
 
@@ -90,7 +90,7 @@ impl CompactState {
 
     /// Componentwise `<=` against the target (sanity invariant: the search
     /// never overshoots a type's block supply).
-    pub fn within(&self, target: &CompactState) -> bool {
+    pub(crate) fn within(&self, target: &CompactState) -> bool {
         self.counts.iter().zip(&target.counts).all(|(a, b)| a <= b)
     }
 
@@ -105,7 +105,7 @@ impl CompactState {
 
     /// Mixed-radix dense index of this state within the box `[0, target]`,
     /// used by the DP planner's dense tables.
-    pub fn dense_index(&self, target: &CompactState) -> usize {
+    pub(crate) fn dense_index(&self, target: &CompactState) -> usize {
         let mut idx = 0usize;
         for (i, &v) in self.counts.iter().enumerate() {
             idx = idx * (target.counts[i] as usize + 1) + v as usize;
@@ -115,7 +115,7 @@ impl CompactState {
 
     /// Steps to the lexicographic successor within the box `[0, target]` —
     /// odometer order, the last type the fastest digit, so
-    /// [`dense_index`](Self::dense_index) grows by exactly one. Every
+    /// `dense_index` grows by exactly one. Every
     /// predecessor `V − e_a` of a state is lexicographically smaller than
     /// it, and consecutive states are one action apart except where a digit
     /// rolls over. Returns false, back at the origin, after the target.

@@ -76,7 +76,7 @@ impl CostModel {
     }
 
     /// Total cost of an action-type sequence (Eq. 1 generalized).
-    pub fn sequence_cost(&self, types: &[ActionTypeId]) -> f64 {
+    pub(crate) fn sequence_cost(&self, types: &[ActionTypeId]) -> f64 {
         let mut prev = None;
         let mut total = 0.0;
         for &t in types {

@@ -6,7 +6,7 @@
 //! network, re-forecast, replan) lives in `klotski-controller`; this crate
 //! gives it the pieces: residual specs, the [`LiveEngine`] its shadow audit
 //! ([`LiveEngine::audit_live`]) and [`PlanReplay`] lookahead route on, and
-//! the [`PlannerKind`] factory.
+//! the [`PlannerKind`](planner::PlannerKind) factory.
 //!
 //! ## The problem (§3)
 //!
@@ -21,7 +21,7 @@
 //!
 //! ## The solution (§4)
 //!
-//! - [`blocks`]: operation blocks — the symmetry blocks (Janus-style
+//! - `blocks`: operation blocks — the symmetry blocks (Janus-style
 //!   equivalence) of one locality unit, merged by the organization policy
 //!   of §5.
 //! - [`compact`]: the ordering-agnostic compact topology representation —
@@ -42,8 +42,8 @@
 //! assert!(outcome.plan.num_phases() >= 2); // at least one drain + one undrain phase
 //! ```
 
-pub mod action;
-pub mod blocks;
+mod action;
+mod blocks;
 pub mod compact;
 pub mod cost;
 pub mod error;
@@ -51,30 +51,22 @@ pub mod migration;
 pub mod opex;
 pub mod plan;
 pub mod planner;
-pub mod replay;
+mod replay;
 pub mod report;
 pub mod satcheck;
-pub mod space;
+mod space;
 
-pub use action::{ActionKind, ActionTable, ActionTypeId, BlockClass, OpType};
-pub use blocks::{BlockId, OperationBlock};
+pub use action::{ActionTypeId, BlockClass};
 pub use compact::CompactState;
 pub use cost::CostModel;
 pub use error::PlanError;
-pub use migration::{MigrationBuilder, MigrationOptions, MigrationSpec, MigrationType};
-pub use opex::{OpexModel, OpexReport};
+pub use migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 pub use plan::{MigrationPlan, PlanPhase};
-pub use planner::{
-    AStarPlanner, DpPlanner, PlanOutcome, PlanStats, Planner, PlannerKind, SearchBudget,
-};
 pub use replay::{
     validate_and_audit_on, LiveEngine, LookaheadTrip, LookaheadVerdict, PlanReplay, TripCause,
 };
-pub use report::{audit_plan, PlanAudit};
-pub use satcheck::{
-    EnsembleBreakdown, EnsembleMatrixStat, EscMode, LiveAudit, Prior, SatChecker, Verdicts,
-};
-pub use space::SpaceModel;
+pub use report::audit_plan;
+pub use satcheck::{EnsembleMatrixStat, EscMode, Prior, SatChecker, Verdicts};
 // Re-exported so wire-schema crates (npd) can name ensemble specs without a
 // direct dependency on the traffic crate.
 pub use klotski_traffic::{EnsembleError, EnsembleSpec, TrafficEnsemble};

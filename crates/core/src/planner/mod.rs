@@ -407,7 +407,7 @@ impl SearchBudget {
     /// The per-expansion budget gate: errors once the state count, the
     /// relative time limit or the absolute deadline says the search must
     /// stop. Planners call this once per expanded state.
-    pub fn check(&self, states_visited: u64, start: Instant) -> Result<(), PlanError> {
+    pub(crate) fn check(&self, states_visited: u64, start: Instant) -> Result<(), PlanError> {
         let elapsed = start.elapsed();
         let exceeded = states_visited > self.max_states
             || elapsed > self.time_limit

@@ -34,7 +34,7 @@ use crate::report::{PhaseAudit, PlanAudit};
 use crate::satcheck::{EscMode, LiveAudit, SatChecker, SatStats, Verdicts};
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, SafetyOutcome,
+    evaluate::summarize, CsrGraph, IncrementalRouter, LoadMap, RouteOutcome, SafetyOutcome,
 };
 use klotski_topology::{CircuitId, Fnv1a, NetState};
 use klotski_traffic::DemandMatrix;

@@ -88,8 +88,7 @@ use crate::replay::{
 };
 use klotski_parallel::WorkerPool;
 use klotski_routing::{
-    ecmp::RouteOutcome, evaluate::summarize, FunnelingModel, LoadMap, SplitPolicy,
-    UtilizationReport,
+    evaluate::summarize, FunnelingModel, LoadMap, RouteOutcome, SplitPolicy, UtilizationReport,
 };
 use klotski_topology::{CircuitId, NetState, SwitchId, Topology};
 use serde::{Deserialize, Serialize};
@@ -704,7 +703,7 @@ impl SatChecker {
     }
 
     /// The checker's ESC cache, to hand to the next search of the run.
-    pub fn into_verdicts(self) -> Verdicts {
+    pub(crate) fn into_verdicts(self) -> Verdicts {
         self.cache
     }
 

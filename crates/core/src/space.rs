@@ -33,7 +33,7 @@ impl SpaceModel {
     /// Builds a model from per-block deltas: `deltas[a][i]` is the footprint
     /// change when the `i`-th block of type `a` executes (negative for
     /// drains of old hardware, positive for installs).
-    pub fn from_deltas(budget: f64, initial_used: f64, deltas: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_deltas(budget: f64, initial_used: f64, deltas: &[Vec<f64>]) -> Self {
         assert!(budget.is_finite() && budget >= 0.0, "budget must be finite");
         assert!(
             initial_used.is_finite() && initial_used >= 0.0,
@@ -78,7 +78,7 @@ impl SpaceModel {
     /// The model for the residual migration after `progress` actions: the
     /// current footprint becomes the initial one and only the remaining
     /// blocks' deltas are kept (used by the §7.1 replanning path).
-    pub fn residual(&self, progress: &CompactState) -> SpaceModel {
+    pub(crate) fn residual(&self, progress: &CompactState) -> SpaceModel {
         let initial_used = self.used(progress);
         let prefix = self
             .prefix

@@ -11,10 +11,10 @@ use klotski_topology::{CircuitId, NetState, Topology};
 use klotski_traffic::DemandMatrix;
 
 /// splitmix64, the kit's one deterministic RNG.
-pub struct Rng(pub u64);
+pub(crate) struct Rng(pub u64);
 
 impl Rng {
-    pub fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -23,19 +23,19 @@ impl Rng {
     }
 
     /// Uniform in `0..n`.
-    pub fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
 /// The canonical successors of `(v, state)`: each action type with a block
 /// left, in type order, with the vector and overlay its next block makes.
-pub fn successors(
+pub(crate) fn successors(
     spec: &MigrationSpec,
     v: &CompactState,
     state: &NetState,
@@ -52,7 +52,7 @@ pub fn successors(
 
 /// `steps` draws of an action type from the origin, each taken when the
 /// type has a block left.
-pub fn random_vector(spec: &MigrationSpec, rng: &mut Rng, steps: usize) -> CompactState {
+pub(crate) fn random_vector(spec: &MigrationSpec, rng: &mut Rng, steps: usize) -> CompactState {
     let mut v = CompactState::origin(spec.num_types());
     for _ in 0..steps {
         let a = ActionTypeId(rng.below(spec.num_types()) as u8);
@@ -65,7 +65,7 @@ pub fn random_vector(spec: &MigrationSpec, rng: &mut Rng, steps: usize) -> Compa
 
 /// Five random vectors of growing length, then the origin and the target,
 /// each with its canonical state.
-pub fn sample_states(spec: &MigrationSpec, seed: u64) -> Vec<(CompactState, NetState)> {
+pub(crate) fn sample_states(spec: &MigrationSpec, seed: u64) -> Vec<(CompactState, NetState)> {
     let mut rng = Rng(seed);
     let mut vs: Vec<_> = (0..5)
         .map(|i| random_vector(spec, &mut rng, 1 + 3 * i))
@@ -81,7 +81,7 @@ pub fn sample_states(spec: &MigrationSpec, seed: u64) -> Vec<(CompactState, NetS
 }
 
 /// Every state `phases` walks through from the spec's initial state.
-pub fn chain(spec: &MigrationSpec, phases: &[PlanPhase]) -> Vec<NetState> {
+pub(crate) fn chain(spec: &MigrationSpec, phases: &[PlanPhase]) -> Vec<NetState> {
     let mut v = CompactState::origin(spec.num_types());
     let mut state = spec.initial.clone();
     let mut states = Vec::new();
@@ -97,7 +97,12 @@ pub fn chain(spec: &MigrationSpec, phases: &[PlanPhase]) -> Vec<NetState> {
 
 /// `matrix` scaled by `factor`, every rate then moved by its own factor in
 /// `[1 − spread, 1 + spread)`.
-pub fn jittered(matrix: &DemandMatrix, factor: f64, spread: f64, rng: &mut Rng) -> DemandMatrix {
+pub(crate) fn jittered(
+    matrix: &DemandMatrix,
+    factor: f64,
+    spread: f64,
+    rng: &mut Rng,
+) -> DemandMatrix {
     (matrix.iter().cloned())
         .map(|mut d| {
             d.gbps *= factor;
@@ -109,7 +114,7 @@ pub fn jittered(matrix: &DemandMatrix, factor: f64, spread: f64, rng: &mut Rng) 
 
 /// `maxᵢ realized[i] / planned[i]`, as the checker computes it: 0 for a
 /// demand realized at 0, ∞ for one planned at 0 and realized above it.
-pub fn ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
+pub(crate) fn ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
     (planned.iter().zip(realized.iter()))
         .map(|(p, r)| match (p.gbps, r.gbps) {
             (_, 0.0) => 0.0,
@@ -121,7 +126,7 @@ pub fn ratio(planned: &DemandMatrix, realized: &DemandMatrix) -> f64 {
 
 /// `got` carries `want`'s loads on every circuit, both directions, bit for
 /// bit.
-pub fn assert_same_loads(topo: &Topology, got: &LoadMap, want: &LoadMap, ctx: &str) {
+pub(crate) fn assert_same_loads(topo: &Topology, got: &LoadMap, want: &LoadMap, ctx: &str) {
     for c in (0..topo.num_circuits()).map(CircuitId::from_index) {
         let (g, w) = (
             (got.forward(c), got.reverse(c)),
@@ -141,7 +146,7 @@ pub fn assert_same_loads(topo: &Topology, got: &LoadMap, want: &LoadMap, ctx: &s
 /// just drained, Eq. 6 recounted switch by switch, and θ (Eq. 5). Every
 /// ensemble member is swept exactly, whatever the base measured — no
 /// headroom bound — so the verdict is the AND over all K matrices.
-pub struct Reference {
+pub(crate) struct Reference {
     router: EcmpRouter,
     mask: UsableMask,
     loads: LoadMap,
@@ -151,7 +156,7 @@ pub struct Reference {
 }
 
 impl Reference {
-    pub fn new(spec: &MigrationSpec) -> Self {
+    pub(crate) fn new(spec: &MigrationSpec) -> Self {
         Self {
             router: EcmpRouter::with_policy(&spec.topology, spec.split),
             mask: UsableMask::new(),
@@ -164,7 +169,7 @@ impl Reference {
 
     /// The verdict of `v` (canonical overlay `state`), reached by a block
     /// of type `last`.
-    pub fn check(
+    pub(crate) fn check(
         &mut self,
         spec: &MigrationSpec,
         v: &CompactState,
@@ -214,13 +219,13 @@ impl Reference {
 
     /// The base matrix's loads of the last check that routed, as judged:
     /// funneling headroom applied when every demand was reachable.
-    pub fn last_loads(&self) -> &LoadMap {
+    pub(crate) fn last_loads(&self) -> &LoadMap {
         &self.loads
     }
 
     /// The first matrix the last check failed, when an ensemble is
     /// configured and the check routed.
-    pub fn last_fail_matrix(&self) -> Option<usize> {
+    pub(crate) fn last_fail_matrix(&self) -> Option<usize> {
         self.fail
     }
 }

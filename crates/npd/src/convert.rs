@@ -709,4 +709,75 @@ mod tests {
         let back = Npd::from_json(&npd.to_json_pretty().unwrap()).unwrap();
         assert_eq!(back.phases, npd.phases);
     }
+
+    /// The document's counts, each as a field to edit.
+    fn counts(npd: &mut Npd) -> Vec<&mut usize> {
+        let mut fields = Vec::new();
+        for b in &mut npd.fabric.buildings {
+            fields.extend([&mut b.pods, &mut b.rsws_per_pod, &mut b.planes]);
+            fields.push(&mut b.ssws_per_plane);
+        }
+        for l in &mut npd.hgrid.layers {
+            fields.extend([&mut l.grids, &mut l.fadus_per_grid, &mut l.fauus_per_grid]);
+            fields.push(&mut l.uplinks_per_ssw);
+        }
+        fields.extend([&mut npd.ma.mas, &mut npd.ma.ebs_per_ma, &mut npd.eb.ebs]);
+        fields.extend([&mut npd.dr.drs, &mut npd.bb.ebbs]);
+        fields
+    }
+
+    /// The document's circuit capacities, each as a field to edit.
+    fn capacities(npd: &mut Npd) -> Vec<&mut f64> {
+        let mut fields = Vec::new();
+        for b in &mut npd.fabric.buildings {
+            fields.extend([&mut b.rsw_fsw_gbps, &mut b.fsw_ssw_gbps]);
+        }
+        for l in &mut npd.hgrid.layers {
+            fields.extend([&mut l.ssw_fadu_gbps, &mut l.fadu_fauu_gbps]);
+        }
+        fields.extend([&mut npd.ma.fauu_ma_gbps, &mut npd.ma.ma_eb_gbps]);
+        fields.extend([&mut npd.eb.fauu_eb_gbps, &mut npd.dr.eb_dr_gbps]);
+        fields.push(&mut npd.bb.dr_ebb_gbps);
+        fields
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// One to three hostile field edits of preset A's or B's document
+        /// build a region within the limits or get a typed error; never a
+        /// panic. A count past the limits is refused from the counts, so
+        /// nothing past them is built. Each edit draw picks a count or a
+        /// capacity (bit 0), its value (bits 1–3) and the field (the rest).
+        #[test]
+        fn prop_edited_documents_build_within_the_limits_or_are_refused(
+            preset_b in proptest::bool::ANY,
+            edits in proptest::collection::vec(0usize..1 << 20, 1..4),
+        ) {
+            let id = if preset_b { PresetId::B } else { PresetId::A };
+            let mut npd = region_to_npd(&presets::config(id));
+            for draw in edits {
+                let (value, field) = ((draw >> 1) % 5, draw >> 4);
+                if draw & 1 == 0 {
+                    let mut fields = counts(&mut npd);
+                    let n = fields.len();
+                    let f = &mut fields[field % n];
+                    **f = [0, 1, 2, **f, MAX_SWITCHES + 1][value];
+                } else {
+                    let mut fields = capacities(&mut npd);
+                    let n = fields.len();
+                    let f = &mut fields[field % n];
+                    **f = [0.0, -40.0, f64::NAN, f64::INFINITY, **f][value];
+                }
+            }
+            match npd_to_topology(&npd) {
+                Ok((topology, _)) => {
+                    proptest::prop_assert!(topology.num_switches() <= MAX_SWITCHES);
+                    proptest::prop_assert!(topology.num_circuits() <= MAX_CIRCUITS);
+                    proptest::prop_assert!(check_switch_width(&topology).is_ok());
+                }
+                Err(e) => proptest::prop_assert!(!e.to_string().is_empty()),
+            }
+        }
+    }
 }

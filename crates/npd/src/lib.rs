@@ -9,13 +9,13 @@
 //! interconnected. Besides, NPD also contains information about migration
 //! phases and hardware."
 //!
-//! This crate provides the serde data model ([`schema::Npd`]), JSON
+//! This crate provides the serde data model ([`Npd`]), JSON
 //! (de)serialization, and the conversion in both directions between NPD
 //! documents and buildable region topologies — the interface through which
 //! an EDP-Lite-style pipeline would drive the planner.
 //!
 //! ```
-//! use klotski_npd::{schema::Npd, convert};
+//! use klotski_npd::{convert, Npd};
 //! use klotski_topology::presets::{self, PresetId};
 //!
 //! // Export a preset region to NPD, round-trip through JSON, rebuild.
@@ -29,10 +29,8 @@
 
 pub mod api;
 pub mod convert;
-pub mod error;
-pub mod schema;
+mod error;
+mod schema;
 
-pub use api::{npd_digest, PlanRequestOptions, PlanSummary};
-pub use convert::{npd_to_topology, region_to_npd};
-pub use error::NpdError;
+pub use api::{npd_digest, PlanRequestOptions};
 pub use schema::Npd;

@@ -30,7 +30,7 @@ pub struct Npd {
 
 impl Npd {
     /// Current schema version.
-    pub const VERSION: u32 = 1;
+    pub(crate) const VERSION: u32 = 1;
 
     /// Serializes to pretty-printed JSON.
     pub fn to_json_pretty(&self) -> Result<String, serde_json::Error> {

@@ -157,7 +157,7 @@ impl RouteOutcome {
 
     /// Resets to the empty outcome, keeping the `unreachable` allocation so
     /// a caller-held buffer can be reused across evaluations.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.unreachable.clear();
         self.routed_gbps = 0.0;
     }

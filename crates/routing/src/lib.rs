@@ -16,30 +16,30 @@
 //! reused across checks via [`EcmpRouter`].
 //!
 //! Modules:
-//! - [`ecmp`]: hop-count ECMP routing with fractional flow splitting;
-//! - [`loads`]: per-circuit directional load accounting;
-//! - [`mask`]: the usable-circuit bitmask hoisted out of routing loops;
+//! - `ecmp`: hop-count ECMP routing with fractional flow splitting;
+//! - `loads`: per-circuit directional load accounting;
+//! - `mask`: the usable-circuit bitmask hoisted out of routing loops;
 //! - [`evaluate`]: the Eq. 4–5 evaluation combining reachability and
 //!   utilization, plus demand calibration helpers;
-//! - [`funneling`]: the traffic-funneling stress factor (§2.2, §7.2);
-//! - [`incremental`]: delta-aware re-routing that caches per-destination
+//! - `funneling`: the traffic-funneling stress factor (§2.2, §7.2);
+//! - `incremental`: delta-aware re-routing that caches per-destination
 //!   routing structure across nearby states and, on engines large enough to
 //!   repay it, fans the destination advance out over a
 //!   [`klotski_parallel::WorkerPool`]'s lanes, bit-identical to from-scratch.
 
-pub mod ecmp;
+mod ecmp;
 pub mod evaluate;
-pub mod funneling;
-pub mod incremental;
-pub mod loads;
-pub mod mask;
+mod funneling;
+mod incremental;
+mod loads;
+mod mask;
 
 pub use ecmp::{EcmpRouter, RouteOutcome, SplitPolicy};
 pub use evaluate::{
     evaluate, evaluate_policy, evaluate_with, scale_from_routed, SafetyOutcome, UtilizationReport,
 };
 pub use funneling::FunnelingModel;
-pub use incremental::{usability_toggles, IncrementalRouter, IncrementalStats};
+pub use incremental::{usability_toggles, IncrementalRouter};
 pub use klotski_topology::{CsrEdge, CsrGraph};
 pub use loads::LoadMap;
 pub use mask::UsableMask;

@@ -37,7 +37,7 @@ impl LoadMap {
     /// `a→b` direction, `2c + 1` its `b→a` direction (the CSR graph's
     /// precomputed `slot` column).
     #[inline]
-    pub fn add_slot(&mut self, slot: u32, gbps: f64) {
+    pub(crate) fn add_slot(&mut self, slot: u32, gbps: f64) {
         self.loads[slot as usize] += gbps;
     }
 
@@ -75,14 +75,9 @@ impl LoadMap {
 
     /// Multiplies both directions of circuit `c` by `factor` (funneling).
     #[inline]
-    pub fn scale_circuit(&mut self, c: CircuitId, factor: f64) {
+    pub(crate) fn scale_circuit(&mut self, c: CircuitId, factor: f64) {
         self.loads[c.index() * 2] *= factor;
         self.loads[c.index() * 2 + 1] *= factor;
-    }
-
-    /// Number of circuits covered.
-    pub fn num_circuits(&self) -> usize {
-        self.loads.len() / 2
     }
 
     /// Total flow over all circuits and directions, Gbps. Useful as a
@@ -155,7 +150,7 @@ mod tests {
         l.add_directed(&t, c, x, 10.0);
         l.clear();
         assert_eq!(l.max_direction(c), 0.0);
-        assert_eq!(l.num_circuits(), 1);
+        assert_eq!(l.loads.len(), 2);
     }
 
     #[test]

@@ -55,26 +55,21 @@ impl UsableMask {
     /// flips exactly the circuits whose usability changed between two
     /// states, skipping the full O(|C|) rescan of [`compute`](Self::compute).
     #[inline]
-    pub fn set(&mut self, c: CircuitId, usable: bool) {
+    pub(crate) fn set(&mut self, c: CircuitId, usable: bool) {
         self.bits.set(c.index(), usable);
     }
 
     /// True if circuit `c` was usable in the state last computed.
     #[inline]
-    pub fn usable(&self, c: CircuitId) -> bool {
+    pub(crate) fn usable(&self, c: CircuitId) -> bool {
         self.bits.get(c.index())
     }
 
     /// [`usable`](Self::usable) by dense circuit index — the form the
     /// CSR-flattened routing loops use, skipping the id round-trip.
     #[inline]
-    pub fn usable_idx(&self, c: usize) -> bool {
+    pub(crate) fn usable_idx(&self, c: usize) -> bool {
         self.bits.get(c)
-    }
-
-    /// Number of circuits covered by the last [`compute`](Self::compute).
-    pub fn num_circuits(&self) -> usize {
-        self.len
     }
 }
 
@@ -128,6 +123,6 @@ mod tests {
         state.set_circuit(ck[1], false);
         m.compute(&t, &state);
         assert!(m.usable(ck[0]) && !m.usable(ck[1]));
-        assert_eq!(m.num_circuits(), 2);
+        assert_eq!(m.len, 2);
     }
 }

@@ -7,7 +7,7 @@ use crate::cache::Body;
 use crate::events::stream_events;
 use crate::http::{self, read_request, HttpError, Request, Response};
 use crate::jobs::{Admission, Job, JobError, JobKind, JobOutput, Source};
-use crate::state::PendingJob;
+use crate::state::{PendingJob, StateStore};
 use crate::work::Work;
 use crate::Shared;
 use klotski_controller::Scenario;
@@ -64,6 +64,8 @@ fn route(request: &Request, shared: &Shared) -> Routed {
         ("GET", "/healthz") => {
             if shared.draining() {
                 Response::text(503, "draining").with_header("Retry-After", "1")
+            } else if shared.state.as_ref().is_some_and(StateStore::failing) {
+                Response::text(503, "journal failing").with_header("Retry-After", "1")
             } else {
                 Response::text(200, "ok")
             }

@@ -46,14 +46,14 @@ use std::sync::{Arc, Mutex};
 /// A request body as the byte index files it: the raw bytes and their
 /// FNV-1a hash, taken outside the cache's lock.
 #[derive(Debug, Clone, Copy)]
-pub struct Body<'a> {
+pub(crate) struct Body<'a> {
     hash: u64,
     bytes: &'a [u8],
 }
 
 impl<'a> Body<'a> {
     /// Hashes `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Self {
             hash: fnv1a(bytes),
             bytes,
@@ -98,7 +98,7 @@ impl<V, W> Inner<V, W> {
 
 /// Point-in-time counters, for `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Entries resident.
     pub entries: usize,
     /// Lookups answered.
@@ -112,14 +112,14 @@ pub struct CacheStats {
 /// A concurrent capacity-bounded map from `(npd_digest, options_digest)` to
 /// shared plan artifacts, each with optional warm state `W` and the body
 /// that admitted it beside it.
-pub struct PlanCache<V, W = ()> {
+pub(crate) struct PlanCache<V, W = ()> {
     inner: Mutex<Inner<V, W>>,
     capacity: usize,
 }
 
 impl<V, W> PlanCache<V, W> {
     /// A cache holding at most `capacity` artifacts (0 disables caching).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
@@ -134,7 +134,7 @@ impl<V, W> PlanCache<V, W> {
     /// The artifact of the entry admitted by exactly these bytes under
     /// these options. Counts a hit; a miss is not counted, because the
     /// request goes on to [`get`](Self::get), which counts its one lookup.
-    pub fn get_by_body(&self, body: Body, options: u64) -> Option<Arc<V>> {
+    pub(crate) fn get_by_body(&self, body: Body, options: u64) -> Option<Arc<V>> {
         let mut inner = locked(&self.inner);
         let key = inner.bodies.get(&(body.hash, options))?;
         let entry = inner.map.get(key)?;
@@ -146,7 +146,7 @@ impl<V, W> PlanCache<V, W> {
 
     /// Looks up a finished artifact by key, counting the hit or miss. A hit
     /// on an entry without a body files `body` under it.
-    pub fn get(&self, key: JobKey, body: Body) -> Option<Arc<V>> {
+    pub(crate) fn get(&self, key: JobKey, body: Body) -> Option<Arc<V>> {
         let mut inner = locked(&self.inner);
         let hit = inner.map.get(&key).map(|entry| Arc::clone(&entry.value));
         match hit {
@@ -161,7 +161,7 @@ impl<V, W> PlanCache<V, W> {
 
     /// The artifact under `key`, if resident; not counted as a lookup (a
     /// worker's re-check of a key its request already looked up).
-    pub fn peek(&self, key: JobKey) -> Option<Arc<V>> {
+    pub(crate) fn peek(&self, key: JobKey) -> Option<Arc<V>> {
         let inner = locked(&self.inner);
         inner.map.get(&key).map(|entry| Arc::clone(&entry.value))
     }
@@ -171,7 +171,7 @@ impl<V, W> PlanCache<V, W> {
     /// body — when at capacity. Re-inserting an existing key refreshes the
     /// artifact and the warm state without growing the cache or renewing
     /// the key's age, and keeps the body already filed, if any.
-    pub fn insert(&self, key: JobKey, value: Arc<V>, warm: Option<W>, body: Option<Body>) {
+    pub(crate) fn insert(&self, key: JobKey, value: Arc<V>, warm: Option<W>, body: Option<Body>) {
         if self.capacity == 0 {
             return;
         }
@@ -204,7 +204,7 @@ impl<V, W> PlanCache<V, W> {
     /// The warm state of the newest resident entry whose warm state `pick`
     /// accepts, found by a scan of the age order under the lock (at most
     /// `capacity` entries); not counted as a lookup.
-    pub fn newest(&self, pick: impl Fn(&W) -> bool) -> Option<Arc<W>> {
+    pub(crate) fn newest(&self, pick: impl Fn(&W) -> bool) -> Option<Arc<W>> {
         let inner = locked(&self.inner);
         (inner.order.iter().rev())
             .filter_map(|key| inner.map.get(key)?.warm.as_ref())
@@ -213,7 +213,7 @@ impl<V, W> PlanCache<V, W> {
     }
 
     /// The counters and the resident entry count.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let inner = locked(&self.inner);
         CacheStats {
             entries: inner.map.len(),
@@ -223,7 +223,7 @@ impl<V, W> PlanCache<V, W> {
 
     /// Every resident entry, oldest first (the journal compactor's view of
     /// what is worth persisting, in the order a replay re-inserts it).
-    pub fn snapshot(&self) -> Vec<(JobKey, Arc<V>)> {
+    pub(crate) fn snapshot(&self) -> Vec<(JobKey, Arc<V>)> {
         let inner = locked(&self.inner);
         inner
             .order

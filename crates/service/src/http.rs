@@ -23,7 +23,7 @@ const MAX_HEAD: usize = 16 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Uppercase method ("GET", "POST", ...).
     pub method: String,
     /// Path without the query string ("/v1/plan").
@@ -36,7 +36,7 @@ pub struct Request {
 
 impl Request {
     /// First value of query parameter `name`.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == name)
@@ -46,7 +46,7 @@ impl Request {
 
 /// Why a request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Socket error or premature close.
     Io(std::io::Error),
     /// Malformed request (bad request line, oversized head, bad length).
@@ -70,7 +70,7 @@ const READ_CHUNK: usize = 8 * 1024;
 /// after its blank line are the start of the body, and the body's remainder
 /// (if any) is one more `read_exact`. Bytes past `Content-Length` are
 /// dropped.
-pub fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, HttpError> {
+pub(crate) fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, HttpError> {
     let mut buf = Vec::with_capacity(READ_CHUNK);
     let mut chunk = [0u8; READ_CHUNK];
     // No blank line starts before `scanned`: each search resumes three
@@ -203,7 +203,7 @@ fn hex_val(b: Option<&u8>) -> Option<u8> {
 
 /// An outgoing response.
 #[derive(Debug, Clone)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
     pub status: u16,
     /// Extra headers (Content-Type etc. are set by the constructors).
@@ -214,7 +214,7 @@ pub struct Response {
 
 impl Response {
     /// A plain-text response.
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Self {
             status,
             headers: vec![("Content-Type".into(), "text/plain; charset=utf-8".into())],
@@ -224,7 +224,7 @@ impl Response {
 
     /// A JSON response serializing `value` (pretty-printed, matching the
     /// CLI's output style).
-    pub fn json<T: Serialize>(status: u16, value: &T) -> Self {
+    pub(crate) fn json<T: Serialize>(status: u16, value: &T) -> Self {
         let body = serde_json::to_string_pretty(value)
             .unwrap_or_else(|e| format!("{{\"error\":\"serialization failed: {e}\"}}"));
         Self::raw_json(status, body.into_bytes())
@@ -232,7 +232,7 @@ impl Response {
 
     /// A JSON response whose body bytes are already rendered (used for the
     /// byte-exact plan documents).
-    pub fn raw_json(status: u16, body: Vec<u8>) -> Self {
+    pub(crate) fn raw_json(status: u16, body: Vec<u8>) -> Self {
         Self {
             status,
             headers: vec![("Content-Type".into(), "application/json".into())],
@@ -241,14 +241,14 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.push((name.into(), value.into()));
         self
     }
 
     /// Writes the response — head and body in one write — and flushes. The
     /// connection is always marked `Connection: close`.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
@@ -272,7 +272,7 @@ impl Response {
 /// Writes the head of a chunked streaming response (the SSE path). Unlike
 /// [`Response::write_to`] there is no `Content-Length`: the body arrives as
 /// chunks via [`write_chunk`] until [`finish_chunked`] closes it.
-pub fn write_chunked_head(
+pub(crate) fn write_chunked_head(
     stream: &mut TcpStream,
     status: u16,
     headers: &[(&str, &str)],
@@ -296,7 +296,7 @@ pub fn write_chunked_head(
 /// one segment under `TCP_NODELAY` — and flushes, so subscribers see events
 /// as they happen. Empty data is skipped: a zero-length chunk would
 /// terminate the stream.
-pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
+pub(crate) fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
@@ -308,7 +308,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
 }
 
 /// Terminates a chunked response.
-pub fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
+pub(crate) fn finish_chunked(stream: &mut TcpStream) -> std::io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }
@@ -332,7 +332,7 @@ fn status_reason(status: u16) -> &'static str {
 }
 
 /// Applies the per-connection socket timeouts.
-pub fn configure_stream(stream: &TcpStream, timeout: Duration) -> std::io::Result<()> {
+pub(crate) fn configure_stream(stream: &TcpStream, timeout: Duration) -> std::io::Result<()> {
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
     stream.set_nodelay(true)

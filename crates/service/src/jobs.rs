@@ -18,11 +18,11 @@ use std::time::{Duration, Instant};
 
 /// `(npd_digest, options_digest)`: what a plan/audit computes, and so the
 /// key of the plan cache, the journal and the singleflight index alike.
-pub type JobKey = (u64, u64);
+pub(crate) type JobKey = (u64, u64);
 
 /// What kind of work a job carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum JobKind {
+pub(crate) enum JobKind {
     /// `POST /v1/plan`: respond with the plan-attached NPD bytes.
     Plan,
     /// `POST /v1/audit`: respond with the summary + safety audit.
@@ -33,7 +33,7 @@ pub enum JobKind {
 
 impl JobKind {
     /// Wire label used in job status responses.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             JobKind::Plan => "plan",
             JobKind::Audit => "audit",
@@ -45,7 +45,7 @@ impl JobKind {
 /// A finished controller run: the full report plus its JSON, serialized
 /// once at completion so every poller gets the same bytes.
 #[derive(Debug)]
-pub struct RunArtifact {
+pub(crate) struct RunArtifact {
     /// The controller's full run trace.
     pub report: ControllerReport,
     /// `report` as pretty JSON, the `POST /v1/run` response body.
@@ -54,7 +54,7 @@ pub struct RunArtifact {
 
 /// What a successfully finished job publishes.
 #[derive(Debug, Clone)]
-pub enum JobOutput {
+pub(crate) enum JobOutput {
     /// Plan/audit pipeline artifact.
     Plan(Arc<PlanArtifact>),
     /// Controller run report.
@@ -63,7 +63,7 @@ pub enum JobOutput {
 
 impl JobOutput {
     /// The plan artifact, when this is a plan/audit job.
-    pub fn plan(&self) -> Option<&Arc<PlanArtifact>> {
+    pub(crate) fn plan(&self) -> Option<&Arc<PlanArtifact>> {
         match self {
             JobOutput::Plan(a) => Some(a),
             JobOutput::Run(_) => None,
@@ -74,7 +74,7 @@ impl JobOutput {
 /// A terminal failure, carrying the HTTP status the serving layer should
 /// answer with (422 infeasible/invalid, 504 deadline, 500 internal).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobError {
+pub(crate) struct JobError {
     /// HTTP status code for this failure class.
     pub status: u16,
     /// Human-readable cause.
@@ -90,7 +90,7 @@ enum Phase {
 }
 
 /// One accepted submission.
-pub struct Job {
+pub(crate) struct Job {
     /// Monotonic job id, also the `/v1/jobs/{id}` path segment.
     pub id: u64,
     /// Plan, audit or run.
@@ -135,7 +135,7 @@ impl Job {
     }
 
     /// Current state, plus the outcome once settled, without blocking.
-    pub fn status(&self) -> (JobState, Option<Result<JobOutput, JobError>>) {
+    pub(crate) fn status(&self) -> (JobState, Option<Result<JobOutput, JobError>>) {
         match &*locked(&self.phase) {
             Phase::Queued => (JobState::Queued, None),
             Phase::Running => (JobState::Running, None),
@@ -146,7 +146,7 @@ impl Job {
 
     /// Blocks until the job settles or `timeout` passes. Returns `None` on
     /// timeout (the job keeps running; poll later).
-    pub fn wait(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
+    pub(crate) fn wait(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
         let deadline = Instant::now() + timeout;
         let mut phase = locked(&self.phase);
         loop {
@@ -167,7 +167,7 @@ impl Job {
 }
 
 /// What [`JobTable::admit`] made of a submission.
-pub enum Admission {
+pub(crate) enum Admission {
     /// First of its slot (or keyless): a new job, waiting for a worker.
     Leader(Arc<Job>),
     /// The slot is already being computed: the live job to follow.
@@ -194,7 +194,7 @@ type Slot = (JobKey, JobKind);
 
 /// Bounded registry of live and recently finished jobs, the singleflight
 /// index over the live ones, and the bounded list of those still waiting.
-pub struct JobTable {
+pub(crate) struct JobTable {
     board: Mutex<Board>,
     /// Signalled when a job starts waiting or the board closes.
     ready: Condvar,
@@ -222,7 +222,7 @@ impl JobTable {
     /// A table remembering every live job and, past `capacity` (min 1) jobs,
     /// forgetting the oldest settled ones; at most `depth` (min 1) jobs wait
     /// for a worker before clients are refused.
-    pub fn new(capacity: usize, depth: usize) -> Self {
+    pub(crate) fn new(capacity: usize, depth: usize) -> Self {
         Self {
             board: Mutex::new(Board {
                 jobs: VecDeque::new(),
@@ -309,13 +309,13 @@ impl JobTable {
 
     /// Stops admitting clients and wakes every idle worker; what waits is
     /// still handed out. Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         locked(&self.board).closed = true;
         self.ready.notify_all();
     }
 
     /// Jobs waiting for a worker.
-    pub fn waiting(&self) -> usize {
+    pub(crate) fn waiting(&self) -> usize {
         locked(&self.board).waiting.len()
     }
 
@@ -323,7 +323,7 @@ impl JobTable {
     /// waiter. The release is guarded by pointer identity, so settling a
     /// job that no longer leads its slot never evicts the leader that
     /// replaced it; the board's lock is dropped before the job's is taken.
-    pub fn settle(&self, job: &Arc<Job>, outcome: Result<JobOutput, JobError>) {
+    pub(crate) fn settle(&self, job: &Arc<Job>, outcome: Result<JobOutput, JobError>) {
         if let Some(key) = job.key {
             let mut board = locked(&self.board);
             let slot = (key, job.kind);
@@ -335,7 +335,7 @@ impl JobTable {
     }
 
     /// Looks up a remembered job by id.
-    pub fn get(&self, id: u64) -> Option<Arc<Job>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Arc<Job>> {
         let board = locked(&self.board);
         let index = board.jobs.binary_search_by_key(&id, |job| job.id).ok()?;
         Some(Arc::clone(&board.jobs[index]))
@@ -343,7 +343,7 @@ impl JobTable {
 
     /// Slots currently led by a live job.
     #[cfg(test)]
-    pub fn live_slots(&self) -> usize {
+    pub(crate) fn live_slots(&self) -> usize {
         locked(&self.board).slots.len()
     }
 }

@@ -443,7 +443,7 @@ impl Handoff {
 /// What the crate's socket-level tests share: a one-shot HTTP client and
 /// the small document every test plans.
 #[cfg(test)]
-pub(crate) mod testkit {
+mod testkit {
     use klotski_npd::convert::region_to_npd;
     use klotski_topology::presets::{self, PresetId};
     use std::io::{Read, Write};

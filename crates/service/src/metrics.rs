@@ -123,7 +123,7 @@ pub(crate) struct Observed {
 impl ServiceMetrics {
     /// A fresh registry holding every service series at zero, with the
     /// uptime clock started now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Registry::default();
         for (family, help) in FAMILIES {
             registry.set_help(family, help);
@@ -155,14 +155,14 @@ impl ServiceMetrics {
 
     /// The `klotski_run_requests_total` counter for an outcome label;
     /// unknown labels count as failed.
-    pub fn run_outcome(&self, label: &str) -> &Counter {
+    pub(crate) fn run_outcome(&self, label: &str) -> &Counter {
         let known = RUN_OUTCOMES.iter().position(|l| *l == label);
         &self.run_outcomes[known.unwrap_or(RUN_OUTCOMES.len() - 1)]
     }
 
     /// Publishes the observed values into the registry. Monotone counts
     /// stay counters (raised to the owner's total); the rest are gauges.
-    pub fn publish(&self, seen: &Observed) {
+    pub(crate) fn publish(&self, seen: &Observed) {
         let reg = &self.registry;
         let CacheStats {
             entries,

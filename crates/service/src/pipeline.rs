@@ -43,7 +43,7 @@ pub struct PlanArtifact {
 
 impl PlanArtifact {
     /// A fresh artifact with empty response-byte caches.
-    pub fn new(summary: PlanSummary, plan_json: Vec<u8>, audit: PlanAudit) -> Self {
+    pub(crate) fn new(summary: PlanSummary, plan_json: Vec<u8>, audit: PlanAudit) -> Self {
         Self {
             summary,
             plan_json,
@@ -56,7 +56,7 @@ impl PlanArtifact {
     /// The audit response body for this artifact, encoded at most once per
     /// `cached` flag over the artifact's lifetime. Every caller gets the
     /// same bytes the first audit answer produced.
-    pub fn audit_response_bytes(&self, cached: bool) -> Arc<Vec<u8>> {
+    pub(crate) fn audit_response_bytes(&self, cached: bool) -> Arc<Vec<u8>> {
         let slot = if cached {
             &self.audit_body_hit
         } else {
@@ -105,7 +105,7 @@ impl std::fmt::Display for PipelineError {
 
 impl PipelineError {
     /// True when the failure is the budget/deadline path.
-    pub fn is_budget_exceeded(&self) -> bool {
+    pub(crate) fn is_budget_exceeded(&self) -> bool {
         matches!(self, PipelineError::Plan(PlanError::BudgetExceeded { .. }))
     }
 }

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// True once SIGINT or SIGTERM has been received.
-pub fn shutdown_requested() -> bool {
+pub(crate) fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
 }
 
@@ -37,7 +37,7 @@ mod imp {
     }
 
     /// Installs the handler for SIGINT and SIGTERM.
-    pub fn install() {
+    pub(crate) fn install() {
         unsafe {
             signal(SIGINT, on_signal as *const () as usize);
             signal(SIGTERM, on_signal as *const () as usize);
@@ -48,7 +48,7 @@ mod imp {
 #[cfg(not(unix))]
 mod imp {
     /// No signal handling off Unix; shutdown is programmatic only.
-    pub fn install() {}
+    pub(crate) fn install() {}
 }
 
 /// Installs the SIGINT/SIGTERM handlers (idempotent).

@@ -23,7 +23,8 @@
 //! A journal write that fails (full disk) never fails the job — its answer
 //! is still correct, only not durable — but counts in
 //! `klotski_journal_errors_total` and leaves a `service.journal_error`
-//! trace event naming the record.
+//! trace event naming the record. Until the next append or compaction
+//! succeeds, `/healthz` answers `503 journal failing`.
 //!
 //! Frame layout, all little-endian:
 //!
@@ -41,7 +42,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Journal file name inside the state directory.
@@ -143,7 +144,7 @@ fn parse_key(s: &str) -> Option<JobKey> {
 
 /// An admitted-but-unfinished job recovered from the journal.
 #[derive(Debug, Clone)]
-pub struct PendingJob {
+pub(crate) struct PendingJob {
     /// `"plan"` or `"audit"` (the wire label the admit recorded).
     pub kind: String,
     /// The NPD document body as submitted.
@@ -156,7 +157,7 @@ pub struct PendingJob {
 
 /// Everything replay recovered from the journal.
 #[derive(Debug, Default)]
-pub struct Replay {
+pub(crate) struct Replay {
     /// Finished artifacts, oldest first (cache insertion order).
     pub artifacts: Vec<(JobKey, Arc<PlanArtifact>)>,
     /// Admitted jobs without a terminal record, oldest first.
@@ -174,13 +175,15 @@ struct StoreInner {
 
 /// The open journal. All appends are serialized under one mutex; counters
 /// are atomics so `/metrics` rendering never takes the lock.
-pub struct StateStore {
+pub(crate) struct StateStore {
     path: PathBuf,
     inner: Mutex<StoreInner>,
     bytes: AtomicU64,
     records: AtomicU64,
     compactions: AtomicU64,
     errors: AtomicU64,
+    /// The last append or compaction failed.
+    failing: AtomicBool,
     /// Journal size that triggers compaction on the next append.
     compact_bytes: u64,
 }
@@ -189,7 +192,7 @@ impl StateStore {
     /// Opens (creating if needed) the journal under `dir`, replays it, and
     /// compacts the replayed state into a fresh journal so a crash-torn or
     /// history-heavy file is rewritten bounded before the daemon serves.
-    pub fn open(dir: &Path, compact_bytes: u64) -> std::io::Result<(Self, Replay)> {
+    pub(crate) fn open(dir: &Path, compact_bytes: u64) -> std::io::Result<(Self, Replay)> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         let replay = replay_file(&path)?;
@@ -207,6 +210,7 @@ impl StateStore {
             records: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            failing: AtomicBool::new(false),
             compact_bytes: compact_bytes.max(1),
         };
         {
@@ -221,23 +225,29 @@ impl StateStore {
     }
 
     /// Current journal size in bytes.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 
     /// Records appended since open (replayed records not included).
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
     }
 
     /// Compactions performed (the open-time rewrite counts as one).
-    pub fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions.load(Ordering::Relaxed)
     }
 
     /// Journal writes that failed since open.
-    pub fn errors(&self) -> u64 {
+    pub(crate) fn errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
+    }
+
+    /// True from a failed journal write until the next append or
+    /// compaction succeeds.
+    pub(crate) fn failing(&self) -> bool {
+        self.failing.load(Ordering::Relaxed)
     }
 
     /// Counts and traces a journal write that failed; the caller carries on
@@ -245,6 +255,7 @@ impl StateStore {
     fn note(&self, op: &str, key: &str, result: std::io::Result<()>) {
         if let Err(e) = result {
             self.errors.fetch_add(1, Ordering::Relaxed);
+            self.failing.store(true, Ordering::Relaxed);
             klotski_telemetry::log_event!(
                 "service.journal_error",
                 "op" = op,
@@ -255,7 +266,7 @@ impl StateStore {
     }
 
     /// Journals a plan/audit admission.
-    pub fn admit(&self, key: JobKey, kind: &str, npd: &str, options: &PlanRequestOptions) {
+    pub(crate) fn admit(&self, key: JobKey, kind: &str, npd: &str, options: &PlanRequestOptions) {
         let record = JournalRecord::admit(key, kind, npd, options);
         let mut inner = locked(&self.inner);
         inner.pending.insert(key, record.clone());
@@ -266,7 +277,7 @@ impl StateStore {
     /// Journals a finished artifact, clearing the pending admit. When the
     /// journal has outgrown its bound, compacts against `cache_snapshot`
     /// (the live cache contents, oldest first).
-    pub fn artifact(
+    pub(crate) fn artifact(
         &self,
         key: JobKey,
         artifact: &PlanArtifact,
@@ -287,7 +298,7 @@ impl StateStore {
 
     /// Journals a key resolving without a new artifact (failure, or served
     /// from cache while queued), clearing the pending admit.
-    pub fn settled(&self, key: JobKey) {
+    pub(crate) fn settled(&self, key: JobKey) {
         let mut inner = locked(&self.inner);
         if inner.pending.remove(&key).is_none() {
             return; // nothing journaled for this key; no record needed
@@ -298,14 +309,14 @@ impl StateStore {
     }
 
     /// Compacts now against the given cache snapshot (graceful drain).
-    pub fn compact(&self, cache_snapshot: Vec<(JobKey, Arc<PlanArtifact>)>) {
+    pub(crate) fn compact(&self, cache_snapshot: Vec<(JobKey, Arc<PlanArtifact>)>) {
         let mut inner = locked(&self.inner);
         let rewritten = self.rewrite_locked(&mut inner, &cache_snapshot);
         self.note("compact", "", rewritten);
     }
 
     /// Forces the journal to durable storage (graceful drain).
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         let synced = locked(&self.inner).file.sync_all();
         self.note("sync", "", synced);
     }
@@ -313,7 +324,7 @@ impl StateStore {
     /// Swaps the journal handle for a read-only one: every append fails
     /// (`EBADF`) until a compaction reopens the file.
     #[cfg(test)]
-    pub fn break_journal(&self) {
+    pub(crate) fn break_journal(&self) {
         locked(&self.inner).file = File::open(&self.path).expect("journal exists");
     }
 
@@ -323,6 +334,7 @@ impl StateStore {
         inner.file.flush()?;
         self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.records.fetch_add(1, Ordering::Relaxed);
+        self.failing.store(false, Ordering::Relaxed);
         Ok(())
     }
 
@@ -357,6 +369,7 @@ impl StateStore {
         inner.file = OpenOptions::new().append(true).open(&self.path)?;
         self.bytes.store(bytes, Ordering::Relaxed);
         self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.failing.store(false, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -591,11 +604,13 @@ mod tests {
         let options = PlanRequestOptions::default();
         store.admit((1, 1), "plan", "{}", &options);
         assert_eq!((store.errors(), store.records()), (0, 1));
+        assert!(!store.failing());
 
         store.break_journal();
         let lost = (0xfa17_fa17, 2);
         store.admit(lost, "plan", "{}", &options);
         assert_eq!((store.errors(), store.records()), (1, 1));
+        assert!(store.failing());
         let traced = crate::testkit::events_named(&events, "service.journal_error");
         let ours = traced
             .iter()
@@ -606,6 +621,7 @@ mod tests {
         // The admit stayed pending in memory, so the next compaction
         // writes it after all — and reopens a writable handle.
         store.compact(Vec::new());
+        assert!(!store.failing());
         store.admit((3, 3), "plan", "{}", &options);
         assert_eq!(store.errors(), 1);
         drop(store);

@@ -42,7 +42,7 @@ pub(crate) enum Work {
 
 impl Work {
     /// The singleflight key: plan/audit work has one, runs never coalesce.
-    pub fn key(&self) -> Option<JobKey> {
+    pub(crate) fn key(&self) -> Option<JobKey> {
         match self {
             Work::Plan { key, .. } => Some(*key),
             Work::Run { .. } => None,
@@ -717,7 +717,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_failed_journal_write_is_counted_and_the_job_still_answers() {
+    fn a_failed_journal_write_is_counted_and_unhealthy_until_a_compaction() {
         let dir = std::env::temp_dir().join(format!("klotski-serve-enospc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let service = Service::start(ServiceConfig {
@@ -740,6 +740,15 @@ pub(crate) mod tests {
         assert_eq!(header(&headers, "x-klotski-cache"), Some("miss"));
         assert_eq!(metric(addr, "klotski_journal_errors_total"), 1);
         assert_eq!(metric(addr, "klotski_jobs_completed_total"), 1);
+        let (status, headers, body) = request(addr, "GET /healthz HTTP/1.1\r\nHost: t", "");
+        assert_eq!((status, body.as_str()), (503, "journal failing"));
+        assert_eq!(header(&headers, "retry-after"), Some("1"));
+
+        // A compaction reopens the journal for appends.
+        let shared = &service.shared;
+        (shared.state.as_ref().expect("state dir")).compact(shared.cache.snapshot());
+        let (status, _, body) = request(addr, "GET /healthz HTTP/1.1\r\nHost: t", "");
+        assert_eq!((status, body.as_str()), (200, "ok"));
 
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

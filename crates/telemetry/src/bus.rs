@@ -97,7 +97,7 @@ pub struct Subscription {
 
 impl Subscription {
     /// Next line, waiting up to `timeout`. `None` on timeout or on a
-    /// [`EventBus::wake`] of this stream — the caller's cue to re-check what
+    /// `EventBus::wake` of this stream — the caller's cue to re-check what
     /// it waits for, emit a heartbeat and try again.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<String> {
         let mut state = self.core.state.lock().unwrap();
@@ -124,11 +124,6 @@ impl Subscription {
     /// Lines this subscription lost to queue overflow so far.
     pub fn dropped(&self) -> u64 {
         self.core.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The stream this subscription filters on (0 = all).
-    pub fn stream(&self) -> u64 {
-        self.core.stream
     }
 }
 
@@ -170,7 +165,7 @@ impl EventBus {
     /// True when at least one subscription is open. One relaxed load; part
     /// of the [`crate::emit_enabled`] hot-path gate.
     #[inline]
-    pub fn has_subscribers(&self) -> bool {
+    pub(crate) fn has_subscribers(&self) -> bool {
         self.active.load(Ordering::Relaxed) > 0
     }
 

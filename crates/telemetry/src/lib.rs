@@ -11,14 +11,14 @@
 //!   nothing is recorded unless a sink is installed or the [`bus()`] has a
 //!   subscriber ([`emit_enabled`] is two relaxed atomic loads), so the
 //!   instrumented hot paths cost near zero when tracing is off.
-//! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and
+//! * **Metrics** — lock-free [`Counter`]s, gauges, and
 //!   [`LogLinearHistogram`]s behind a [`Registry`] (one process-global,
 //!   one per service instance), rendered in Prometheus text format by one
 //!   function. Metrics are always live (the service scrapes them without
 //!   any trace sink); hot paths cache `Arc` handles at construction so
 //!   recording is one relaxed atomic op.
 //!
-//! Trace lines follow a small schema ([`schema`]) with a validating parser
+//! Trace lines follow a small schema (`schema`) with a validating parser
 //! used by tests, `klotski trace <file>`, and CI.
 //!
 //! ```
@@ -35,18 +35,16 @@
 //! assert_eq!(ring.lines().len(), 1);
 //! ```
 
-pub mod bus;
-pub mod metrics;
-pub mod schema;
-pub mod sink;
-pub mod span;
+mod bus;
+mod metrics;
+mod schema;
+mod sink;
+mod span;
 
-pub use bus::{bus, current_stream, tag_stream, EventBus, StreamTag, Subscription};
-pub use metrics::{
-    registry, Counter, Gauge, LogLinearHistogram, LogLinearSnapshot, Registry, RegistrySnapshot,
-};
-pub use schema::{parse_line, validate_trace, Record, SchemaError, TraceSummary};
-pub use sink::{enabled, install, swap, uninstall, FileSink, RingSink, Sink, StderrSink};
+pub use bus::{bus, current_stream, tag_stream, Subscription};
+pub use metrics::{registry, Counter, LogLinearHistogram, Registry};
+pub use schema::{parse_line, validate_trace, Record};
+pub use sink::{install, swap, uninstall, FileSink, RingSink, Sink, StderrSink};
 pub use span::{log_event_fields, SpanGuard};
 
 /// True when emitting a span/event line would reach anyone: a sink is
@@ -61,12 +59,12 @@ pub fn emit_enabled() -> bool {
 /// Shared test-only lock serializing tests that install process-global
 /// sinks or assert on lines flowing through the global bus.
 #[cfg(test)]
-pub(crate) mod test_support {
+mod test_support {
     use std::sync::{Mutex, MutexGuard};
 
     static SINK_LOCK: Mutex<()> = Mutex::new(());
 
-    pub fn sink_lock() -> MutexGuard<'static, ()> {
+    pub(crate) fn sink_lock() -> MutexGuard<'static, ()> {
         SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 }

@@ -73,7 +73,7 @@ impl Default for LogLinearHistogram {
 
 impl LogLinearHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buckets: (0..LL_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             overflow: AtomicU64::new(0),
@@ -93,20 +93,9 @@ impl LogLinearHistogram {
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Estimated `q`-quantile, seconds
-    /// ([`LogLinearSnapshot::quantile`] of the current contents).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
-
     /// A point-in-time copy of every bucket — the unit of per-experiment
     /// delta accounting ([`LogLinearSnapshot::since`]).
-    pub fn snapshot(&self) -> LogLinearSnapshot {
+    pub(crate) fn snapshot(&self) -> LogLinearSnapshot {
         LogLinearSnapshot {
             buckets: self
                 .buckets
@@ -132,7 +121,7 @@ pub struct LogLinearSnapshot {
 
 impl LogLinearSnapshot {
     /// Number of samples in this snapshot.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -165,7 +154,7 @@ impl LogLinearSnapshot {
     /// The samples recorded after `baseline` was taken: bucketwise
     /// saturating subtraction, so an interval's quantiles are computed
     /// from that interval's samples only.
-    pub fn since(&self, baseline: &LogLinearSnapshot) -> LogLinearSnapshot {
+    pub(crate) fn since(&self, baseline: &LogLinearSnapshot) -> LogLinearSnapshot {
         LogLinearSnapshot {
             buckets: self
                 .buckets
@@ -222,7 +211,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
@@ -551,7 +540,7 @@ mod tests {
         for us in [150u64, 1_000, 33_333, 1_048_577, 999_999_999, 1 << 39] {
             let h = LogLinearHistogram::new();
             h.record(Duration::from_micros(us));
-            let reported = h.quantile(0.5) * 1e6;
+            let reported = h.snapshot().quantile(0.5) * 1e6;
             let err = (reported - us as f64) / us as f64;
             assert!((0.0..=1.0 / 128.0).contains(&err), "us={us} err={err}");
         }
@@ -561,20 +550,24 @@ mod tests {
     fn loglinear_edge_cases_are_explicit() {
         let h = LogLinearHistogram::new();
         for q in [0.0, 0.5, 1.0, f64::NAN] {
-            assert_eq!(h.quantile(q), 0.0, "empty, q={q}");
+            assert_eq!(h.snapshot().quantile(q), 0.0, "empty, q={q}");
         }
         h.record(Duration::from_millis(5));
         h.record(Duration::from_millis(5));
-        assert_eq!(h.quantile(1.0), h.quantile(0.5), "q=1 clamps");
-        assert_eq!(h.quantile(7.5), h.quantile(1.0));
-        assert_eq!(h.quantile(f64::NAN), h.quantile(0.0));
+        assert_eq!(
+            h.snapshot().quantile(1.0),
+            h.snapshot().quantile(0.5),
+            "q=1 clamps"
+        );
+        assert_eq!(h.snapshot().quantile(7.5), h.snapshot().quantile(1.0));
+        assert_eq!(h.snapshot().quantile(f64::NAN), h.snapshot().quantile(0.0));
         // Overflow-only: the largest finite bound at every q, never infinity.
         let over = LogLinearHistogram::new();
         over.record(Duration::from_secs(20_000_000));
         let bound = ll_bound_us(LL_BUCKETS - 1) as f64 / 1e6;
-        assert_eq!(over.quantile(0.5), bound);
-        assert_eq!(over.quantile(1.0), bound);
-        assert_eq!(over.count(), 1);
+        assert_eq!(over.snapshot().quantile(0.5), bound);
+        assert_eq!(over.snapshot().quantile(1.0), bound);
+        assert_eq!(over.snapshot().count(), 1);
     }
 
     #[test]
@@ -586,7 +579,7 @@ mod tests {
             h.record(Duration::from_micros(10_100));
         }
         h.record(Duration::from_micros(14_600));
-        assert!(h.quantile(0.999) > h.quantile(0.5) * 1.4);
+        assert!(h.snapshot().quantile(0.999) > h.snapshot().quantile(0.5) * 1.4);
     }
 
     #[test]
@@ -614,6 +607,6 @@ mod tests {
         assert!((0.09..0.11).contains(&interval.quantile(0.5)));
         assert!(r.loglinear_since("missing", &baseline).is_none());
         // The live histogram still holds all three samples.
-        assert_eq!(h.count(), 3);
+        assert_eq!(h.snapshot().count(), 3);
     }
 }

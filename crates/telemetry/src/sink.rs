@@ -29,7 +29,7 @@ static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
 /// checks first; keep call sites cheap by checking it before building
 /// fields.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -63,7 +63,7 @@ pub fn swap(new: Option<Arc<dyn Sink>>) -> Option<Arc<dyn Sink>> {
 /// live-subscriber [`bus`](crate::bus) — the two destinations are
 /// independent, so SSE streaming works with no sink installed and a trace
 /// file still captures everything while subscribers watch.
-pub fn emit(line: &str) {
+pub(crate) fn emit(line: &str) {
     if enabled() {
         if let Some(sink) = SINK.read().unwrap().as_ref() {
             sink.write_line(line);
@@ -132,21 +132,6 @@ impl RingSink {
     pub fn lines(&self) -> Vec<String> {
         self.lines.lock().unwrap().iter().cloned().collect()
     }
-
-    /// Number of buffered lines.
-    pub fn len(&self) -> usize {
-        self.lines.lock().unwrap().len()
-    }
-
-    /// True when nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards everything captured so far.
-    pub fn clear(&self) {
-        self.lines.lock().unwrap().clear();
-    }
 }
 
 impl Sink for RingSink {
@@ -170,8 +155,6 @@ mod tests {
             ring.write_line(&format!("line{i}"));
         }
         assert_eq!(ring.lines(), vec!["line2", "line3", "line4"]);
-        ring.clear();
-        assert!(ring.is_empty());
     }
 
     #[test]

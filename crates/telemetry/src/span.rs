@@ -187,7 +187,7 @@ mod tests {
     fn disabled_guard_emits_nothing() {
         let _guard = crate::test_support::sink_lock();
         let prev = crate::swap(None);
-        assert!(!crate::enabled());
+        assert!(!crate::sink::enabled());
         {
             let mut s = SpanGuard::enter("quiet");
             s.field("k", 1u64);

@@ -26,25 +26,13 @@ impl BitSet {
     }
 
     /// Creates a bit set with `len` bits, all set.
-    pub fn new_all_set(len: usize) -> Self {
+    pub(crate) fn new_all_set(len: usize) -> Self {
         let mut s = Self::new(len);
         for w in &mut s.words {
             *w = u64::MAX;
         }
         s.clear_tail();
         s
-    }
-
-    /// Number of bits this set holds (set or not).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the set holds zero bits.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Returns the value of bit `i`.
@@ -73,7 +61,7 @@ impl BitSet {
     }
 
     /// Iterates over the indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let base = wi * WORD_BITS;
             BitIter { word: w, base }
@@ -85,7 +73,7 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if the sets have different lengths.
-    pub fn iter_diff<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+    pub(crate) fn iter_diff<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
         assert_eq!(self.len, other.len, "BitSet length mismatch");
         (self.words.iter().zip(&other.words).enumerate()).flat_map(|(wi, (a, b))| BitIter {
             word: a ^ b,
@@ -139,7 +127,7 @@ mod tests {
     #[test]
     fn new_is_all_clear() {
         let s = BitSet::new(130);
-        assert_eq!(s.len(), 130);
+        assert_eq!(s.len, 130);
         assert_eq!(s.iter_ones().count(), 0);
         assert!(!s.get(0));
         assert!(!s.get(129));

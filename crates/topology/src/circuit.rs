@@ -35,9 +35,9 @@ pub struct Circuit {
 
 impl Circuit {
     /// Hop weight of an ordinary circuit.
-    pub const HOP: u8 = 2;
+    pub(crate) const HOP: u8 = 2;
     /// Hop weight of a transparent-relay circuit (half an ordinary hop).
-    pub const HALF_HOP: u8 = 1;
+    pub(crate) const HALF_HOP: u8 = 1;
 
     fn default_hop_weight() -> u8 {
         Circuit::HOP

@@ -123,12 +123,6 @@ impl CsrGraph {
         self.offsets.len() - 1
     }
 
-    /// Number of circuits.
-    #[inline]
-    pub fn num_circuits(&self) -> usize {
-        self.hop.len()
-    }
-
     /// Adjacency slice of switch `u`, in `Topology::neighbors` order.
     #[inline]
     pub fn neighbors(&self, u: u32) -> &[CsrEdge] {
@@ -194,7 +188,7 @@ mod tests {
         let t = &p.topology;
         let g = CsrGraph::build(t);
         assert_eq!(g.num_switches(), t.num_switches());
-        assert_eq!(g.num_circuits(), t.num_circuits());
+        assert_eq!(g.hop.len(), t.num_circuits());
         for u in 0..t.num_switches() {
             let adj = t.neighbors(SwitchId::from_index(u));
             let csr = g.neighbors(u as u32);

@@ -69,7 +69,7 @@ pub struct FabricHandles {
 }
 
 /// Builds one fabric into `b` for datacenter `dc`.
-pub fn build_fabric(b: &mut TopologyBuilder, dc: DcId, cfg: &FabricConfig) -> FabricHandles {
+pub(crate) fn build_fabric(b: &mut TopologyBuilder, dc: DcId, cfg: &FabricConfig) -> FabricHandles {
     assert!(cfg.pods > 0 && cfg.planes > 0, "fabric must be non-empty");
 
     // Spine planes first.
@@ -156,8 +156,9 @@ mod tests {
         let h = build_fabric(&mut b, DcId(0), &cfg);
         // planes × SSWs + pods × (planes + RSWs); every pod's FSWs meet
         // every SSW of their plane, and every RSW meets one FSW per plane.
-        assert_eq!(b.num_switches(), 2 * 2 + 2 * (2 + 3));
-        assert_eq!(b.num_circuits(), 2 * 2 * 2 + 2 * 3 * 2);
+        let t = b.build();
+        assert_eq!(t.num_switches(), 2 * 2 + 2 * (2 + 3));
+        assert_eq!(t.num_circuits(), 2 * 2 * 2 + 2 * 3 * 2);
         assert_eq!(h.rsws.len(), 6);
         assert_eq!(h.fsws.len(), 2);
         assert_eq!(h.fsws[0].len(), 2);

@@ -91,7 +91,7 @@ impl Topology {
     }
 
     /// Sum of all circuit capacities, in Gbps.
-    pub fn total_capacity_gbps(&self) -> f64 {
+    pub(crate) fn total_capacity_gbps(&self) -> f64 {
         self.circuits.iter().map(|c| c.capacity_gbps).sum()
     }
 
@@ -127,7 +127,7 @@ impl Topology {
     }
 
     /// Sets a WCMP routing-weight override on a built topology; see
-    /// [`Circuit::routing_weight`].
+    /// `Circuit::routing_weight`.
     pub fn set_routing_weight(&mut self, id: CircuitId, weight: f64) {
         assert!(
             weight.is_finite() && weight > 0.0,
@@ -144,7 +144,7 @@ impl Topology {
     /// so the union degree of a shared switch legitimately exceeds its
     /// chassis ports. The port constraint (Eq. 6 of the paper) binds on the
     /// *active* state — see [`Topology::port_violations`].
-    pub fn validate(&self) -> Result<(), TopologyError> {
+    pub(crate) fn validate(&self) -> Result<(), TopologyError> {
         for s in &self.switches {
             if self.degree(s.id) == 0 {
                 return Err(TopologyError::Isolated(s.id));
@@ -226,19 +226,19 @@ impl SwitchSpec {
     }
 
     /// Sets the plane coordinate.
-    pub fn plane(mut self, plane: PlaneId) -> Self {
+    pub(crate) fn plane(mut self, plane: PlaneId) -> Self {
         self.plane = Some(plane);
         self
     }
 
     /// Sets the pod coordinate.
-    pub fn pod(mut self, pod: PodId) -> Self {
+    pub(crate) fn pod(mut self, pod: PodId) -> Self {
         self.pod = Some(pod);
         self
     }
 
     /// Sets the grid coordinate.
-    pub fn grid(mut self, grid: GridId) -> Self {
+    pub(crate) fn grid(mut self, grid: GridId) -> Self {
         self.grid = Some(grid);
         self
     }
@@ -254,21 +254,6 @@ impl TopologyBuilder {
             adj: Vec::new(),
             ordinals: HashMap::new(),
         }
-    }
-
-    /// Number of switches added so far.
-    pub fn num_switches(&self) -> usize {
-        self.switches.len()
-    }
-
-    /// Number of circuits added so far.
-    pub fn num_circuits(&self) -> usize {
-        self.circuits.len()
-    }
-
-    /// Read access to a switch added earlier.
-    pub fn switch(&self, id: SwitchId) -> &Switch {
-        &self.switches[id.index()]
     }
 
     /// Appends a switch and returns its id. The ordinal used in the generated
@@ -346,23 +331,14 @@ impl TopologyBuilder {
 
     /// Marks a circuit as a transparent relay (half hop weight); see
     /// [`Circuit::hop_weight`].
-    pub fn set_half_hop(&mut self, id: CircuitId) {
+    pub(crate) fn set_half_hop(&mut self, id: CircuitId) {
         self.circuits[id.index()].hop_weight = Circuit::HALF_HOP;
-    }
-
-    /// Sets a WCMP routing-weight override; see [`Circuit::routing_weight`].
-    pub fn set_routing_weight(&mut self, id: CircuitId, weight: f64) {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.circuits[id.index()].routing_weight = Some(weight);
     }
 
     /// Snapshot of a switch's current neighbors: (far endpoint, capacity)
     /// per incident circuit. Used to mirror wiring onto a new-generation
     /// twin while the builder is being mutated.
-    pub fn neighbor_snapshot(&self, of: SwitchId) -> Vec<(SwitchId, f64)> {
+    pub(crate) fn neighbor_snapshot(&self, of: SwitchId) -> Vec<(SwitchId, f64)> {
         self.adj[of.index()]
             .iter()
             .map(|&(c, far)| (far, self.circuits[c.index()].capacity_gbps))
@@ -441,8 +417,8 @@ mod tests {
         let mut b = TopologyBuilder::new("t");
         let a = b.add_switch(spec(SwitchRole::Ssw));
         let c = b.add_switch(spec(SwitchRole::Ssw));
-        assert_ne!(b.switch(a).name, b.switch(c).name);
-        assert!(b.switch(a).name.contains("SSW"));
+        assert_ne!(b.switches[a.index()].name, b.switches[c.index()].name);
+        assert!(b.switches[a.index()].name.contains("SSW"));
     }
 
     #[test]

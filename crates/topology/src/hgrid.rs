@@ -135,7 +135,7 @@ impl HgridHandles {
 ///
 /// `dc` identifies the aggregation site; FA hardware shares space and power
 /// across generations (§7.2), so v1 and v2 layers use the same `dc`.
-pub fn build_hgrid(b: &mut TopologyBuilder, dc: DcId, cfg: &HgridConfig) -> HgridHandles {
+pub(crate) fn build_hgrid(b: &mut TopologyBuilder, dc: DcId, cfg: &HgridConfig) -> HgridHandles {
     assert!(
         cfg.grids > 0 && cfg.fadus_per_grid > 0 && cfg.fauus_per_grid > 0,
         "hgrid must be non-empty"
@@ -183,7 +183,7 @@ pub fn build_hgrid(b: &mut TopologyBuilder, dc: DcId, cfg: &HgridConfig) -> Hgri
 /// Wires an HGRID layer down to one fabric's spine planes according to the
 /// layer's mesh pattern. Appends the created circuits to
 /// `handles.ssw_fadu_circuits`.
-pub fn connect_hgrid_to_fabric(
+pub(crate) fn connect_hgrid_to_fabric(
     b: &mut TopologyBuilder,
     handles: &mut HgridHandles,
     fabric: &FabricHandles,
@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(h.fadus[0].len() + h.fauus[0].len(), 4);
         // 2x2 bipartite mesh per grid, 3 grids.
         assert_eq!(h.intra_grid_circuits.len(), 12);
-        assert_eq!(b.num_circuits(), 12);
+        assert_eq!(b.build().num_circuits(), 12);
     }
 
     #[test]

@@ -58,7 +58,11 @@ pub struct BackboneHandles {
 }
 
 /// Builds EB → DR → EBB routers with full meshes between adjacent layers.
-pub fn build_backbone(b: &mut TopologyBuilder, dc: DcId, cfg: &BackboneConfig) -> BackboneHandles {
+pub(crate) fn build_backbone(
+    b: &mut TopologyBuilder,
+    dc: DcId,
+    cfg: &BackboneConfig,
+) -> BackboneHandles {
     assert!(
         cfg.ebs > 0 && cfg.drs > 0 && cfg.ebbs > 0,
         "backbone must be non-empty"
@@ -108,7 +112,7 @@ pub fn build_backbone(b: &mut TopologyBuilder, dc: DcId, cfg: &BackboneConfig) -
 
 /// Connects a set of FAUUs directly to the EBs (pre-DMAG connectivity).
 /// Returns the created circuits; the DMAG migration drains exactly these.
-pub fn connect_fauus_to_ebs(
+pub(crate) fn connect_fauus_to_ebs(
     b: &mut TopologyBuilder,
     fauus: &[SwitchId],
     ebs: &[SwitchId],
@@ -177,7 +181,7 @@ impl MaHandles {
 /// `i mod ebs.len()`, connects to that EB, and to every FAUU. The grid
 /// coordinate records the home EB's index, which the organization policy in
 /// `klotski-core` uses to group MAs by EB (§5).
-pub fn build_ma_layer(
+pub(crate) fn build_ma_layer(
     b: &mut TopologyBuilder,
     dc: DcId,
     fauus: &[SwitchId],
@@ -245,8 +249,8 @@ mod tests {
         };
         let h = build_backbone(&mut b, DcId(0), &cfg);
         assert_eq!(h.ebs.len(), 3);
-        assert_eq!(b.num_circuits(), 3 * 2 + 2 * 2);
         let t = b.build();
+        assert_eq!(t.num_circuits(), 3 * 2 + 2 * 2);
         for &eb in &h.ebs {
             for &dr in &h.drs {
                 assert_eq!(t.circuits_between(eb, dr).len(), 1);

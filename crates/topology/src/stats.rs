@@ -24,7 +24,7 @@ pub struct TopologyStats {
 
 impl TopologyStats {
     /// Computes statistics for a topology.
-    pub fn compute(topo: &Topology) -> Self {
+    pub(crate) fn compute(topo: &Topology) -> Self {
         let mut switches_by_role = BTreeMap::new();
         let mut dcs = std::collections::BTreeSet::new();
         let mut planes = std::collections::BTreeSet::new();

@@ -35,19 +35,6 @@ pub enum SwitchRole {
 }
 
 impl SwitchRole {
-    /// All roles, bottom-up.
-    pub const ALL: [SwitchRole; 9] = [
-        SwitchRole::Rsw,
-        SwitchRole::Fsw,
-        SwitchRole::Ssw,
-        SwitchRole::Fadu,
-        SwitchRole::Fauu,
-        SwitchRole::Ma,
-        SwitchRole::Eb,
-        SwitchRole::Dr,
-        SwitchRole::Ebb,
-    ];
-
     /// Layer index, bottom-up: RSW is 0, EBB is 8.
     pub fn layer(self) -> u8 {
         match self {
@@ -64,7 +51,7 @@ impl SwitchRole {
     }
 
     /// Short uppercase name used in switch names and NPD files.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SwitchRole::Rsw => "RSW",
             SwitchRole::Fsw => "FSW",
@@ -133,7 +120,7 @@ pub struct Switch {
 
 impl Switch {
     /// Formats a canonical switch name from its coordinates.
-    pub fn canonical_name(
+    pub(crate) fn canonical_name(
         dc: DcId,
         role: SwitchRole,
         generation: Generation,
@@ -163,12 +150,10 @@ mod tests {
 
     #[test]
     fn layers_are_bottom_up_and_distinct() {
-        let mut layers: Vec<u8> = SwitchRole::ALL.iter().map(|r| r.layer()).collect();
-        let sorted = layers.clone();
-        layers.sort_unstable();
-        assert_eq!(layers, sorted, "ALL must be listed bottom-up");
-        layers.dedup();
-        assert_eq!(layers.len(), SwitchRole::ALL.len());
+        use SwitchRole::*;
+        let roles = [Rsw, Fsw, Ssw, Fadu, Fauu, Ma, Eb, Dr, Ebb];
+        let layers: Vec<u8> = roles.iter().map(|r| r.layer()).collect();
+        assert_eq!(layers, (0..9).collect::<Vec<u8>>());
     }
 
     #[test]

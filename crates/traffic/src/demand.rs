@@ -58,7 +58,7 @@ impl DemandMatrix {
     /// # Panics
     /// Panics on non-finite or negative rates and on `src == dst`
     /// (both indicate a generator bug, not an operational condition).
-    pub fn push(&mut self, d: Demand) {
+    pub(crate) fn push(&mut self, d: Demand) {
         assert!(
             d.gbps.is_finite() && d.gbps >= 0.0,
             "demand rate must be finite and non-negative, got {}",
@@ -87,7 +87,7 @@ impl DemandMatrix {
     ///
     /// # Panics
     /// Panics on negative or non-finite factors.
-    pub fn scale(&mut self, factor: f64) {
+    pub(crate) fn scale(&mut self, factor: f64) {
         self.scale_where(factor, |_| true);
     }
 

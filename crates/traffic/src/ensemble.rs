@@ -90,7 +90,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Content digest of a demand matrix: FNV-1a over every demand's
 /// endpoints, class, and exact rate bits. Two matrices with equal digests
 /// route identically, which is what ensemble deduplication cares about.
-pub fn matrix_digest(matrix: &DemandMatrix) -> u64 {
+pub(crate) fn matrix_digest(matrix: &DemandMatrix) -> u64 {
     let mut h = Fnv1a::new();
     for d in matrix.iter() {
         (h.bytes(&d.src.0.to_le_bytes()))
@@ -392,43 +392,14 @@ impl TrafficEnsemble {
         Ok(())
     }
 
-    /// Number of distinct matrices (K after dedupe).
-    pub fn len(&self) -> usize {
-        self.matrices.len()
-    }
-
-    /// Never true: an ensemble always holds the base.
-    pub fn is_empty(&self) -> bool {
-        self.matrices.is_empty()
-    }
-
-    /// The base forecast matrix (index 0).
-    pub fn base(&self) -> &DemandMatrix {
-        &self.matrices[0]
-    }
-
-    /// All matrices, base first.
-    pub fn matrices(&self) -> &[DemandMatrix] {
-        &self.matrices
-    }
-
     /// The non-base variants (indices 1..K).
     pub fn extras(&self) -> &[DemandMatrix] {
         &self.matrices[1..]
     }
 
-    /// Human-readable labels, aligned with [`matrices`](Self::matrices).
+    /// Human-readable labels, base first.
     pub fn labels(&self) -> &[String] {
         &self.labels
-    }
-
-    /// Combined digest over all member digests (order-sensitive).
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        for &d in &self.digests {
-            h.u64(d);
-        }
-        h.finish()
     }
 }
 
@@ -528,19 +499,19 @@ mod tests {
         let spec = EnsembleSpec::with_k(6, 42);
         let a = spec.realize(&base()).unwrap();
         let b = spec.realize(&base()).unwrap();
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.matrices(), b.matrices());
+        assert_eq!(a.digests, b.digests);
+        assert_eq!(a.matrices, b.matrices);
         let other = EnsembleSpec::with_k(6, 43).realize(&base()).unwrap();
-        assert_ne!(a.digest(), other.digest(), "surge variants follow the seed");
+        assert_ne!(a.digests, other.digests, "surge variants follow the seed");
     }
 
     #[test]
     fn variants_share_the_base_endpoint_structure() {
         let ens = EnsembleSpec::with_k(8, 9).realize(&base()).unwrap();
-        assert!(ens.len() >= 2);
+        assert!(ens.matrices.len() >= 2);
         for m in ens.extras() {
-            assert_eq!(m.len(), ens.base().len());
-            for (d, b) in m.iter().zip(ens.base().iter()) {
+            assert_eq!(m.len(), ens.matrices[0].len());
+            for (d, b) in m.iter().zip(ens.matrices[0].iter()) {
                 assert_eq!((d.src, d.dst, d.class), (b.src, b.dst, b.class));
             }
         }
@@ -585,7 +556,7 @@ mod tests {
                 .labels()
                 .iter()
                 .map(String::as_str)
-                .zip(ens.matrices().iter().map(matrix_digest))
+                .zip(ens.matrices.iter().map(matrix_digest))
                 .collect();
             assert_eq!(got, want, "surge_factor {}", spec.surge_factor);
             assert_eq!(ens.digests, want.map(|(_, d)| d));
@@ -599,12 +570,12 @@ mod tests {
             ..EnsembleSpec::with_k(3, 5)
         };
         let ens = spec.realize(&base()).unwrap();
-        assert_eq!(ens.len(), 2, "identical EWMA variants collapse");
+        assert_eq!(ens.matrices.len(), 2, "identical EWMA variants collapse");
         let mut again = TrafficEnsemble::new(base()).unwrap();
         let twin = ens.extras()[0].clone();
         assert_eq!(again.push_variant("first", twin.clone()), Ok(true));
         assert_eq!(again.push_variant("second", twin), Ok(false));
-        assert_eq!(again.len(), 2);
+        assert_eq!(again.matrices.len(), 2);
         assert_eq!(again.labels(), ["base", "first"]);
     }
 
@@ -749,8 +720,8 @@ mod tests {
     #[test]
     fn k1_realizes_to_just_the_base() {
         let ens = EnsembleSpec::with_k(1, 99).realize(&base()).unwrap();
-        assert_eq!(ens.len(), 1);
+        assert_eq!(ens.matrices.len(), 1);
         assert!(ens.extras().is_empty());
-        assert_eq!(ens.matrices()[0], base());
+        assert_eq!(ens.matrices[0], base());
     }
 }
