@@ -153,7 +153,7 @@ only_in "f0f466f: the lanes spawn per call in std::thread::scope; unsafe blocks,
 unread_pub "public API: every pub item has a reader in another crate (benchmark/src counts) — the rest are these test hooks, each beside a test that reads it" 'BruteForcePlanner@tests/dp_exact.rs MAX_ROW@tests/operations.rs MAX_SWITCH_CIRCUITS@tests/operations.rs TopologyBuilder@crates/core/tests/organization_policy.rs add_circuit@crates/core/tests/organization_policy.rs add_switch@crates/core/tests/organization_policy.rs all_switches@crates/core/tests/organization_policy.rs box_size@crates/core/tests/search_counters.rs cache_len@tests/invariants.rs circuit_up@crates/routing/src/incremental.rs ensemble_breakdown@crates/core/tests/satcheck_prop.rs from_counts@crates/core/tests/port_budgets.rs hgrid_v1_to_v2@tests/optimality.rs last_fail_matrix@crates/core/tests/satcheck_prop.rs last_loads@crates/core/tests/incremental_prop.rs measured@crates/core/tests/plan_seeded.rs npd_to_topology@tests/operations.rs on_class@crates/core/tests/plan_replay.rs peak_utilization@tests/service_http.rs planner_kind@crates/controller/tests/controller_run.rs port_budgets@crates/core/tests/port_budgets.rs push_variant@crates/core/tests/satcheck_prop.rs receded@crates/core/tests/port_budgets.rs set_switch@crates/core/tests/audit_live_oracle.rs state_for@crates/core/tests/plan_seeded.rs step_in_box@crates/core/tests/plan_seeded.rs tight@crates/core/tests/search_counters.rs total_flow@tests/properties.rs used@crates/core/tests/plan_replay.rs with_alpha@tests/optimality.rs with_prior@crates/core/tests/plan_seeded.rs with_threads@crates/core/tests/satcheck_prop.rs'
 absent "public API: the §4.1 derivation (symmetry blocks merged by locality key) is the builders' test oracle in crates/core/tests/organization_policy.rs, not a library module" 'mod policy|fn symmetry_blocks' crates/*/src src
 absent "public API: validate_plan is the one verdict-only walk; its pool-taking twin stays folded in" 'fn validate_plan_on' crates src tests
-absent "public API: the event bus keeps per-subscription lag counts only; the process-wide total nobody read stays deleted" '\bdropped_total\b' crates src
+absent "public API: lag is counted per reader only; the process-wide total nobody read stays deleted" '\bdropped_total\b' crates src
 absent "public API: a surge reaches a matrix only through realized_demand; SurgeEvent::apply stays deleted" 'fn apply\(' crates/traffic/src/surge.rs
 
 absent "buffered framing: the daemon reads a request in chunks into one buffer; the one-byte socket read stays deleted" '\[0u8; 1\]' crates/service/src
@@ -161,5 +161,6 @@ lines "byte index: a plan-cache hit by the body's bytes decodes and digests noth
 absent "one board: the job table is the queue and decides backpressure before a job exists — the separate queue, its push error and the shed outcome stay deleted" 'BoundedQueue|PushError|Outcome::Shed|mod queue' crates/service/src
 lines "reused connection threads: a thread is spawned for a connection in one place, the acceptor's fallback when no thread is idle" 1 '"klotski-conn"' crates/service/src
 lines "reused connection threads: every accept is offered to an idle connection thread before a thread is spawned for it" 1 'if let Err\(stream\) = shared\.connections\.give\(stream\)' crates/service/src/lib.rs
+absent "a job keeps its own trace: lines reach it through its worker thread's scoped sink, and /events replays it; the process-global event bus, its stream ids and thread tags stay deleted" 'EventBus|tag_stream|next_stream_id|current_stream\(' crates src tests
 
 exit "$failed"

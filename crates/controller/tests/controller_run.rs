@@ -7,7 +7,7 @@ use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec}
 use klotski_core::planner::{AStarPlanner, PlanStats, Planner, SearchBudget};
 use klotski_core::{CostModel, MigrationPlan};
 use klotski_parallel::WorkerPool;
-use klotski_telemetry::{bus, parse_line, registry, tag_stream, Record};
+use klotski_telemetry::{parse_line, registry, scope, Record, RingSink};
 use klotski_topology::presets::{self, PresetId};
 use klotski_traffic::{DemandClass, EnsembleSpec};
 use std::sync::Arc;
@@ -442,21 +442,22 @@ fn run_counting_lookahead(scenario: &Scenario) -> (ControllerReport, u64, u64) {
 }
 
 /// The run `go` makes, with the work its lookahead took, `(bound, swept)`,
-/// read off the run's own `controller.phase` spans (a tagged bus stream:
-/// tests running beside this one cannot leak into the sums).
+/// read off the run's own `controller.phase` spans (a sink scoped to this
+/// thread: tests running beside this one cannot leak into the sums).
 fn counting_lookahead(
     name: &str,
     go: impl FnOnce() -> ControllerReport,
 ) -> (ControllerReport, u64, u64) {
     let counted_before = lookahead_counters();
-    let stream = bus().next_stream_id();
-    let spans = bus().subscribe(stream, 4096);
+    let spans = Arc::new(RingSink::new(4096));
     let report = {
-        let _tag = tag_stream(stream);
+        let _scope = scope(spans.clone());
         go()
     };
+    let lines = spans.lines();
+    assert!(lines.len() < 4096, "{name}: the span ring overflowed");
     let (mut bound, mut swept) = (0u64, 0u64);
-    while let Some(line) = spans.try_recv() {
+    for line in lines {
         if let Ok(Record::Span { name, fields, .. }) = parse_line(&line) {
             if name == "controller.phase" {
                 let field = |key| fields.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
@@ -465,7 +466,6 @@ fn counting_lookahead(
             }
         }
     }
-    assert_eq!(spans.dropped(), 0, "{name}: span queue overflowed");
     assert!(bound + swept > 0, "{name}: the lookahead ran");
     // The registry is process-wide, so other tests may add to it; this
     // run's share must be in there.

@@ -329,15 +329,15 @@ mod tests {
     #[test]
     fn progress_interval_is_configurable_per_spec() {
         use klotski_telemetry as telemetry;
-        // Subscribe to the event bus on a private stream: isolated from
-        // every other test in this binary, and no global sink needed.
+        // A sink scoped to this thread: isolated from every other test in
+        // this binary, and no global sink needed.
         let count_progress = |spec: &MigrationSpec| {
-            let stream = telemetry::bus().next_stream_id();
-            let sub = telemetry::bus().subscribe(stream, 1 << 16);
-            let _tag = telemetry::tag_stream(stream);
+            let ring = std::sync::Arc::new(telemetry::RingSink::new(1 << 16));
+            let scope = telemetry::scope(ring.clone());
             let outcome = AStarPlanner::default().plan(spec).unwrap();
+            drop(scope);
             let mut progress = 0u64;
-            while let Some(line) = sub.try_recv() {
+            for line in ring.lines() {
                 if let Ok(telemetry::Record::Event { name, .. }) = telemetry::parse_line(&line) {
                     if name == "astar.progress" {
                         progress += 1;

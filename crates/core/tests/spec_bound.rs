@@ -18,7 +18,7 @@
 use klotski_core::error::PlanError;
 use klotski_core::migration::{MigrationBuilder, MigrationOptions, MigrationSpec};
 use klotski_routing::{evaluate_policy, SplitPolicy};
-use klotski_telemetry::{bus, parse_line, tag_stream, Record};
+use klotski_telemetry::{parse_line, scope, Record, RingSink};
 use klotski_topology::fabric::FabricConfig;
 use klotski_topology::hgrid::HgridConfig;
 use klotski_topology::ma::BackboneConfig;
@@ -26,6 +26,7 @@ use klotski_topology::presets::{self, Preset, PresetId};
 use klotski_topology::region::{build_region, RegionConfig};
 use klotski_traffic::{DemandGenConfig, EnsembleSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Spans of one spec build, by kind.
 #[derive(Debug, Default, PartialEq)]
@@ -39,17 +40,18 @@ struct Stages {
     exact: usize,
 }
 
-/// Builds the spec on a tagged bus stream (tests beside this one emit spans
-/// too) and returns it with the stages the build went through.
+/// Builds the spec with a sink scoped to this thread (tests beside this one
+/// emit spans too) and returns it with the stages the build went through.
 fn build(preset: &Preset, opts: &MigrationOptions) -> (Result<MigrationSpec, PlanError>, Stages) {
-    let stream = bus().next_stream_id();
-    let spans = bus().subscribe(stream, 64);
+    let spans = Arc::new(RingSink::new(64));
     let built = {
-        let _tag = tag_stream(stream);
+        let _scope = scope(spans.clone());
         MigrationBuilder::for_preset(preset, opts)
     };
+    let lines = spans.lines();
+    assert!(lines.len() < 64, "the ring overflowed");
     let mut stages = Stages::default();
-    while let Some(line) = spans.try_recv() {
+    for line in lines {
         if let Ok(Record::Span { name, fields, .. }) = parse_line(&line) {
             let mode = fields.get("mode").and_then(|v| v.as_str());
             match (name.as_str(), mode) {
@@ -60,7 +62,6 @@ fn build(preset: &Preset, opts: &MigrationOptions) -> (Result<MigrationSpec, Pla
             }
         }
     }
-    assert_eq!(spans.dropped(), 0);
     (built, stages)
 }
 

@@ -174,7 +174,11 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         key,
         body: body.to_owned(),
     };
-    let source = Source::Client(shared.state.as_ref());
+    let by_id = by_id(request);
+    let source = Source::Client {
+        journal: shared.state.as_ref(),
+        by_id,
+    };
     let (job, role) = match shared.jobs.admit(kind, work, source) {
         Admission::Leader(job) => {
             shared.metrics.coalesce_leaders.inc();
@@ -186,7 +190,7 @@ fn submit(request: &Request, shared: &Shared, kind: JobKind) -> Response {
         }
         Admission::Refused(why) => return shared.busy(why),
     };
-    answer_job(request, &job).with_header("X-Klotski-Coalesce", role)
+    answer_job(by_id, &job).with_header("X-Klotski-Coalesce", role)
 }
 
 /// `POST /v1/run`: execute a scripted controller scenario. The body is a
@@ -222,9 +226,14 @@ fn submit_run(request: &Request, shared: &Shared) -> Response {
         scenario,
         deadline_ms,
     };
-    match shared.jobs.admit(JobKind::Run, work, Source::Client(None)) {
+    let by_id = by_id(request);
+    let source = Source::Client {
+        journal: None,
+        by_id,
+    };
+    match shared.jobs.admit(JobKind::Run, work, source) {
         // Keyless: a run always leads.
-        Admission::Leader(job) | Admission::Follower(job) => answer_job(request, &job),
+        Admission::Leader(job) | Admission::Follower(job) => answer_job(by_id, &job),
         Admission::Refused(why) => shared.busy(why),
     }
 }
@@ -272,10 +281,17 @@ fn accepted(job: &Job) -> Response {
     .with_header("Location", format!("/v1/jobs/{}", job.id))
 }
 
-/// Answers for an admitted job: 202 + job id for `?wait=0` (or a sync-wait
-/// timeout), otherwise the finished result.
-fn answer_job(request: &Request, job: &Job) -> Response {
-    if request.query_param("wait") == Some("0") {
+/// Whether the client asked to be answered with the job's id (`?wait=0`)
+/// instead of its result.
+fn by_id(request: &Request) -> bool {
+    request.query_param("wait") == Some("0")
+}
+
+/// Answers for an admitted job: 202 + job id when `by_id` (or on a
+/// sync-wait timeout), otherwise the finished result. Either way a job whose id is
+/// answered keeps its trace: marked at admission, or by the timed-out wait.
+fn answer_job(by_id: bool, job: &Job) -> Response {
+    if by_id {
         return accepted(job);
     }
     match job.wait(SYNC_WAIT) {

@@ -1,23 +1,19 @@
-//! `GET /v1/jobs/{id}/events`: a job's trace, live, as server-sent events.
+//! `GET /v1/jobs/{id}/events`: a job's trace as server-sent events,
+//! replayed from its first kept line, then live until the job settles.
 
 use crate::http;
-use crate::jobs::{Job, JobError, JobOutput};
+use crate::jobs::{Cursor, Job, JobError, JobOutput};
 use crate::Shared;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// Per-subscriber event-queue bound: on overflow the oldest line is dropped
-/// and the lag-drop counters advance — a stalled reader never blocks a
-/// planner.
-const SSE_QUEUE_CAPACITY: usize = 1024;
-
 /// Keep-alive comment interval on an idle event stream.
 const SSE_HEARTBEAT: Duration = Duration::from_secs(1);
 
-/// A chunked `text/event-stream` of the job's trace lines from the
-/// process-global event bus, with heartbeats while idle and a terminal
-/// `end` event carrying the job's outcome — for run jobs, the same outcome
+/// A chunked `text/event-stream` of the job's trace lines, with heartbeats
+/// while idle and a terminal `end` event carrying the job's outcome once it
+/// has settled and every kept line is sent — for run jobs, the same outcome
 /// label and fingerprint the result endpoint's headers carry, byte for
 /// byte.
 pub(crate) fn stream_events(
@@ -25,8 +21,8 @@ pub(crate) fn stream_events(
     job: &Job,
     shared: &Shared,
 ) -> std::io::Result<()> {
-    // Shed before subscribing: every accepted stream pins a connection
-    // thread and a bounded queue until the job finishes.
+    // Shed before streaming: every accepted stream pins a connection
+    // thread until its job settles.
     if shared.sse_active.fetch_add(1, Ordering::SeqCst) >= shared.config.sse_max_subscribers {
         shared.sse_active.fetch_sub(1, Ordering::SeqCst);
         return shared.busy("too many event subscribers").write_to(stream);
@@ -37,9 +33,6 @@ pub(crate) fn stream_events(
 }
 
 fn serve_events(stream: &mut TcpStream, job: &Job, shared: &Shared) -> std::io::Result<()> {
-    // Subscribe before the first status check: lines published between a
-    // "still running" verdict and a later subscription would be lost.
-    let sub = klotski_telemetry::bus().subscribe(job.stream, SSE_QUEUE_CAPACITY);
     shared.metrics.sse_streams.inc();
     http::write_chunked_head(
         stream,
@@ -49,22 +42,19 @@ fn serve_events(stream: &mut TcpStream, job: &Job, shared: &Shared) -> std::io::
             ("Cache-Control", "no-cache"),
         ],
     )?;
+    let mut cursor = Cursor::default();
     loop {
-        let (_, settled) = job.status();
-        // Flush everything already queued so the end event is truly last.
-        while let Some(line) = sub.try_recv() {
-            write_event(stream, "trace", &line)?;
+        let (lines, settled) = job.follow(&mut cursor, SSE_HEARTBEAT);
+        for line in &lines {
+            write_event(stream, "trace", line)?;
         }
         if let Some(outcome) = &settled {
-            let dropped = sub.dropped();
-            shared.metrics.sse_lag_dropped.add(dropped);
-            let end = terminal_event(outcome, dropped);
-            write_event(stream, "end", &end)?;
+            shared.metrics.sse_lag_dropped.add(cursor.missed);
+            write_event(stream, "end", &terminal_event(outcome, cursor.missed))?;
             return http::finish_chunked(stream);
         }
-        match sub.recv_timeout(SSE_HEARTBEAT) {
-            Some(line) => write_event(stream, "trace", &line)?,
-            None => http::write_chunk(stream, b": heartbeat\n\n")?,
+        if lines.is_empty() {
+            http::write_chunk(stream, b": heartbeat\n\n")?;
         }
     }
 }
@@ -112,8 +102,8 @@ fn terminal_event(outcome: &Result<JobOutput, JobError>, dropped: u64) -> String
 
 #[cfg(test)]
 mod tests {
-    use crate::jobs::{Admission, JobError, JobKind, Source};
-    use crate::testkit::{header, metric, request, stream_request};
+    use crate::jobs::{Admission, Cursor, JobError, JobKind, Source, TRACE_CAPACITY};
+    use crate::testkit::{header, metric, request, small_npd_json, stream_request};
     use crate::work::tests::{arm, Gate};
     use crate::work::{settle, Outcome, Work};
     use crate::{Service, ServiceConfig};
@@ -177,10 +167,15 @@ mod tests {
         assert_eq!(header(&headers, "content-type"), Some("text/event-stream"));
 
         // Live trace lines from this run streamed before the terminal
-        // event: controller phases and (tight-interval) planner progress.
+        // event: controller phases, (tight-interval) planner progress and,
+        // closed before the settle, the job's own span.
         assert!(events.contains("event: trace\n"), "{events}");
         assert!(events.contains("controller."), "{events}");
         assert!(events.contains("astar.progress"), "{events}");
+        let job_span = events
+            .find(r#""name":"service.job""#)
+            .expect("service.job span");
+        assert!(job_span < events.find("event: end\n").unwrap(), "{events}");
 
         // The terminal event is last and byte-matches the result headers.
         let end_data = events
@@ -208,6 +203,70 @@ mod tests {
         let (_, _, text) = request(addr, "GET /metrics HTTP/1.1\r\nHost: t", "");
         assert!(text.contains("klotski_sse_streams_total 1"), "{text}");
 
+        // The job's id was handed out, so it kept its trace: a subscriber
+        // that attaches after the settle replays the same stream.
+        let path = format!("/v1/jobs/{}/events", accepted.job);
+        let (status, _, replayed) = stream_request(addr, &path);
+        assert_eq!(status, 200, "{replayed}");
+        assert_eq!(sse(&replayed), sse(&events));
+        assert_eq!(metric(addr, "klotski_sse_streams_total"), 2);
+
+        service.shutdown();
+    }
+
+    /// A stream's events as `(name, data)` pairs, heartbeats left out.
+    fn sse(stream: &str) -> Vec<(&str, &str)> {
+        stream
+            .split("\n\n")
+            .filter_map(|event| {
+                let (name, data) = event.split_once('\n')?;
+                Some((name.strip_prefix("event: ")?, data.strip_prefix("data: ")?))
+            })
+            .collect()
+    }
+
+    /// The trace lines and the `end` event of one stream.
+    fn trace_and_end(stream: &str) -> (Vec<&str>, serde::Map) {
+        let mut events = sse(stream);
+        let (name, end) = events.pop().expect("an end event");
+        assert_eq!(name, "end", "{stream}");
+        assert!(events.iter().all(|(name, _)| *name == "trace"), "{stream}");
+        let end: serde::Value = serde_json::from_str(end).unwrap();
+        let end = end.as_object().expect("end event is an object").clone();
+        (events.into_iter().map(|(_, data)| data).collect(), end)
+    }
+
+    fn lag_dropped(end: &serde::Map) -> u64 {
+        end.get("lag_dropped").and_then(|v| v.as_f64()).unwrap() as u64
+    }
+
+    #[test]
+    fn a_synchronous_job_keeps_no_trace_once_settled() {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let (status, _, body) =
+            request(addr, "POST /v1/plan HTTP/1.1\r\nHost: t", &small_npd_json());
+        assert_eq!(status, 200, "{body}");
+        // The daemon's first job, answered with its result, never its id.
+        let job = service.shared.jobs.get(1).expect("job 1");
+        let mut cursor = Cursor::default();
+        let (lines, settled) = job.follow(&mut cursor, Duration::ZERO);
+        assert!(lines.is_empty() && settled.is_some());
+        assert!(
+            cursor.missed > 0,
+            "the plan traced, and its settle evicted it"
+        );
+
+        let (status, _, events) = stream_request(addr, "/v1/jobs/1/events");
+        assert_eq!(status, 200, "{events}");
+        let (trace, end) = trace_and_end(&events);
+        assert!(trace.is_empty(), "{events}");
+        assert_eq!(end.get("outcome").and_then(|v| v.as_str()), Some("done"));
+        assert_eq!(lag_dropped(&end), cursor.missed);
         service.shutdown();
     }
 
@@ -227,7 +286,11 @@ mod tests {
             deadline_ms: None,
         };
         let jobs = &service.shared.jobs;
-        let Admission::Leader(job) = jobs.admit(JobKind::Run, work, Source::Client(None)) else {
+        let source = Source::Client {
+            journal: None,
+            by_id: false,
+        };
+        let Admission::Leader(job) = jobs.admit(JobKind::Run, work, source) else {
             unreachable!("a keyless job leads");
         };
         let subscriber = {
@@ -281,16 +344,22 @@ mod tests {
         service.shutdown();
     }
 
-    #[test]
-    fn stalled_subscriber_drops_lines_without_changing_the_run() {
-        // A one-line queue that is never drained: every event after the
-        // first overflows. The run itself must not notice.
-        let sub = klotski_telemetry::bus().subscribe(0, 1);
+    /// Emits twice the job's trace bound on the worker thread, inside the
+    /// job's scope, before the run's own work.
+    fn chatter(_: &crate::Shared) {
+        for line in 0..2 * TRACE_CAPACITY {
+            klotski_telemetry::log_event!("test.chatter", "line" = line);
+        }
+    }
 
-        let scenario = klotski_controller::Scenario::sample();
+    #[test]
+    fn lagging_readers_miss_counted_lines_without_changing_the_run() {
+        let mut scenario = klotski_controller::Scenario::sample();
+        scenario.name = "events-chatter".into();
         let baseline = klotski_controller::run_scenario(&scenario, None)
             .expect("baseline run")
             .fingerprint();
+        arm(fnv1a(scenario.name.as_bytes()), chatter);
 
         let service = Service::start(ServiceConfig {
             workers: 1,
@@ -299,14 +368,51 @@ mod tests {
         .unwrap();
         let addr = service.local_addr();
         let body = serde_json::to_string(&scenario).unwrap();
-        let (status, headers, reply) = request(addr, "POST /v1/run HTTP/1.1\r\nHost: t", &body);
-        assert_eq!(status, 200, "{reply}");
-        assert_eq!(
-            header(&headers, "x-klotski-run-fingerprint"),
-            Some(format!("{baseline:016x}").as_str()),
-            "a lagging subscriber must not perturb the run"
+        let (status, _, reply) = request(addr, "POST /v1/run?wait=0 HTTP/1.1\r\nHost: t", &body);
+        assert_eq!(status, 202, "{reply}");
+        let id = serde_json::from_str::<AcceptedResponse>(&reply)
+            .unwrap()
+            .job;
+        let path = format!("/v1/jobs/{id}/events");
+        // One reader follows the run as it goes; another comes once it has
+        // settled, a whole trace behind.
+        let live = {
+            let path = path.clone();
+            std::thread::spawn(move || stream_request(addr, &path))
+        };
+        let job = service.shared.jobs.get(id.parse().unwrap()).expect("job");
+        let outcome = job.wait(Duration::from_secs(60)).expect("the run settles");
+        let (status, result_headers, _) = request(
+            addr,
+            &format!("GET /v1/jobs/{id}/result HTTP/1.1\r\nHost: t"),
+            "",
         );
-        assert!(sub.dropped() > 0, "the stalled queue must have overflowed");
+        assert!(outcome.is_ok() && status == 200);
+        assert_eq!(
+            header(&result_headers, "x-klotski-run-fingerprint"),
+            Some(format!("{baseline:016x}").as_str()),
+            "a reader must not perturb the run"
+        );
+
+        let (_, _, late) = stream_request(addr, &path);
+        let (late_trace, late_end) = trace_and_end(&late);
+        let total = late_trace.len() as u64 + lag_dropped(&late_end);
+        assert_eq!(
+            late_trace.len(),
+            TRACE_CAPACITY,
+            "the job kept its newest lines"
+        );
+        assert!(total > 2 * TRACE_CAPACITY as u64, "{total}");
+        // Every line of the trace reached the live reader or is counted as
+        // missed by it.
+        let (_, _, live) = live.join().unwrap();
+        let (live_trace, live_end) = trace_and_end(&live);
+        assert_eq!(live_trace.len() as u64 + lag_dropped(&live_end), total);
+        assert_eq!(live_trace.last(), late_trace.last());
+        assert_eq!(
+            metric(addr, "klotski_sse_lag_dropped_total"),
+            lag_dropped(&live_end) + lag_dropped(&late_end)
+        );
 
         service.shutdown();
     }

@@ -12,8 +12,9 @@ use crate::work::Work;
 use crate::{locked, recover};
 use klotski_controller::ControllerReport;
 use klotski_npd::api::JobState;
+use klotski_telemetry::Sink;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// `(npd_digest, options_digest)`: what a plan/audit computes, and so the
@@ -81,12 +82,50 @@ pub(crate) struct JobError {
     pub message: String,
 }
 
+/// Trace lines a job keeps: past it the oldest are evicted and counted, so
+/// a reader that falls behind a run loses lines and never slows it.
+pub(crate) const TRACE_CAPACITY: usize = 1024;
+
 /// Internal lifecycle cell.
 #[derive(Debug)]
 enum Phase {
     Queued,
     Running,
     Settled(Result<JobOutput, JobError>),
+}
+
+/// A job's phase and its trace — the newest [`TRACE_CAPACITY`] lines it
+/// emitted on its worker thread — under one lock.
+struct Life {
+    phase: Phase,
+    lines: VecDeque<Arc<str>>,
+    /// Lines evicted so far: `lines[0]` is this line of the whole trace.
+    evicted: u64,
+    /// A client was handed the job's id, so the trace outlives the settle;
+    /// otherwise the settle evicts it.
+    kept: bool,
+}
+
+impl Life {
+    fn settled(&self) -> bool {
+        matches!(self.phase, Phase::Settled(_))
+    }
+
+    fn outcome(&self) -> Option<Result<JobOutput, JobError>> {
+        match &self.phase {
+            Phase::Settled(outcome) => Some(outcome.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// A reader's place in a job's trace.
+#[derive(Default)]
+pub(crate) struct Cursor {
+    /// The next line to read, counted over the whole trace.
+    next: u64,
+    /// Lines evicted before this reader reached them.
+    pub missed: u64,
 }
 
 /// One accepted submission.
@@ -101,42 +140,51 @@ pub(crate) struct Job {
     pub key: Option<JobKey>,
     /// When the job was admitted (drives the end-to-end latency metric).
     pub admitted: Instant,
-    /// Telemetry stream id: the worker tags its thread with this while the
-    /// job runs, so `GET /v1/jobs/{id}/events` subscribers receive exactly
-    /// this job's events from the process-global bus.
-    pub stream: u64,
-    phase: Mutex<Phase>,
+    life: Mutex<Life>,
+    /// Signalled when the job settles.
     done: Condvar,
+    /// Signalled when the job's trace grows or the job settles: event
+    /// readers wait on it, apart from `done`, so that a synchronous
+    /// submitter waiting for the outcome is not woken by every line.
+    grew: Condvar,
 }
 
 impl Job {
-    fn new(id: u64, kind: JobKind, key: Option<JobKey>) -> Self {
+    fn new(id: u64, kind: JobKind, key: Option<JobKey>, kept: bool) -> Self {
         Self {
             id,
             kind,
             key,
             admitted: Instant::now(),
-            stream: klotski_telemetry::bus().next_stream_id(),
-            phase: Mutex::new(Phase::Queued),
+            life: Mutex::new(Life {
+                phase: Phase::Queued,
+                lines: VecDeque::new(),
+                evicted: 0,
+                kept,
+            }),
             done: Condvar::new(),
+            grew: Condvar::new(),
         }
     }
 
-    /// Publishes the terminal outcome and wakes all waiters. Only
-    /// [`JobTable::settle`] calls it, after releasing the job's slot.
+    /// Publishes the terminal outcome and wakes all waiters; the trace goes
+    /// unless it is kept. Only [`JobTable::settle`] calls it, after
+    /// releasing the job's slot.
     fn publish(&self, outcome: Result<JobOutput, JobError>) {
-        *locked(&self.phase) = Phase::Settled(outcome);
+        let mut life = locked(&self.life);
+        life.phase = Phase::Settled(outcome);
+        if !life.kept {
+            life.evicted += life.lines.len() as u64;
+            life.lines = VecDeque::new();
+        }
+        drop(life);
         self.done.notify_all();
-    }
-
-    /// Whether the job has settled.
-    fn settled(&self) -> bool {
-        matches!(*locked(&self.phase), Phase::Settled(_))
+        self.grew.notify_all();
     }
 
     /// Current state, plus the outcome once settled, without blocking.
     pub(crate) fn status(&self) -> (JobState, Option<Result<JobOutput, JobError>>) {
-        match &*locked(&self.phase) {
+        match &locked(&self.life).phase {
             Phase::Queued => (JobState::Queued, None),
             Phase::Running => (JobState::Running, None),
             Phase::Settled(Ok(o)) => (JobState::Done, Some(Ok(o.clone()))),
@@ -144,25 +192,72 @@ impl Job {
         }
     }
 
-    /// Blocks until the job settles or `timeout` passes. Returns `None` on
-    /// timeout (the job keeps running; poll later).
-    pub(crate) fn wait(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
+    /// The job's lock, once `ready` holds of it or `timeout` has passed;
+    /// `signal` is the condvar that announces a change `ready` may see.
+    fn wait_for(
+        &self,
+        signal: &Condvar,
+        timeout: Duration,
+        ready: impl Fn(&Life) -> bool,
+    ) -> MutexGuard<'_, Life> {
         let deadline = Instant::now() + timeout;
-        let mut phase = locked(&self.phase);
-        loop {
-            if let Phase::Settled(outcome) = &*phase {
-                return Some(outcome.clone());
-            }
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, wait) = recover(self.done.wait_timeout(phase, remaining));
-            phase = next;
-            if wait.timed_out() {
-                return match &*phase {
-                    Phase::Settled(outcome) => Some(outcome.clone()),
-                    _ => None,
-                };
-            }
+        let mut life = locked(&self.life);
+        while !ready(&life) {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            life = recover(signal.wait_timeout(life, remaining)).0;
         }
+        life
+    }
+
+    /// Blocks until the job settles or `timeout` passes. Returns `None` on
+    /// timeout (the job keeps running; poll later), and the job then keeps
+    /// its trace: the caller answers with its id.
+    pub(crate) fn wait(&self, timeout: Duration) -> Option<Result<JobOutput, JobError>> {
+        let mut life = self.wait_for(&self.done, timeout, Life::settled);
+        let outcome = life.outcome();
+        life.kept |= outcome.is_none();
+        outcome
+    }
+
+    /// Waits up to `timeout` for trace lines past `cursor` or for the
+    /// settlement, then returns the lines kept past it (moving it on, and
+    /// counting the evicted lines it skips as missed) — with the outcome
+    /// once the job has settled, when no line follows them.
+    pub(crate) fn follow(
+        &self,
+        cursor: &mut Cursor,
+        timeout: Duration,
+    ) -> (Vec<Arc<str>>, Option<Result<JobOutput, JobError>>) {
+        let life = self.wait_for(&self.grew, timeout, |life| {
+            let end = life.evicted + life.lines.len() as u64;
+            cursor.next < end || life.settled()
+        });
+        let first = cursor.next.max(life.evicted);
+        cursor.missed += first - cursor.next;
+        let lines: Vec<Arc<str>> = life
+            .lines
+            .range((first - life.evicted) as usize..)
+            .cloned()
+            .collect();
+        cursor.next = first + lines.len() as u64;
+        (lines, life.outcome())
+    }
+}
+
+/// The job is the scoped sink of its worker thread while it runs
+/// ([`klotski_telemetry::scope`]): each line it emits joins its trace.
+impl Sink for Job {
+    fn write_line(&self, line: &str) {
+        let mut life = locked(&self.life);
+        if life.lines.len() == TRACE_CAPACITY {
+            life.lines.pop_front();
+            life.evicted += 1;
+        }
+        life.lines.push_back(line.into());
+        drop(life);
+        self.grew.notify_all();
     }
 }
 
@@ -180,8 +275,13 @@ pub(crate) enum Admission {
 /// Where a submission comes from.
 pub(crate) enum Source<'a> {
     /// A client. Refused once the board is closed or full; a leading plan
-    /// or audit is journaled in the store, if the daemon keeps one.
-    Client(Option<&'a StateStore>),
+    /// or audit is journaled in the store, if the daemon keeps one. When
+    /// the client is answered with the job's id (`?wait=0`), the job it
+    /// leads or follows keeps its trace past its settlement.
+    Client {
+        journal: Option<&'a StateStore>,
+        by_id: bool,
+    },
     /// An admit replayed from the journal: already acknowledged and already
     /// journaled, so it is never refused.
     Replay,
@@ -242,17 +342,23 @@ impl JobTable {
     /// refused if the board is closed or full; else a new job (forgetting
     /// the oldest settled ones once over capacity) takes the slot, has its
     /// admit journaled and waits for a worker. Journaling inside the hold
-    /// puts the admit before anything a worker writes for the job. A
-    /// keyless submission always leads and takes no slot. Lock order:
-    /// board, then journal.
+    /// puts the admit before anything a worker writes for the job, and
+    /// marking a job kept inside it puts the mark before the settle, which
+    /// releases the slot under this lock before it publishes. A keyless
+    /// submission always leads and takes no slot. Lock order: board, then
+    /// journal or job.
     pub(crate) fn admit(&self, kind: JobKind, work: Work, source: Source<'_>) -> Admission {
         let mut board = locked(&self.board);
         let key = work.key();
         let slot = key.map(|key| (key, kind));
+        let by_id = matches!(source, Source::Client { by_id: true, .. });
         if let Some(live) = slot.and_then(|slot| board.slots.get(&slot)) {
+            if by_id {
+                locked(&live.life).kept = true;
+            }
             return Admission::Follower(Arc::clone(live));
         }
-        if let Source::Client(journal) = source {
+        if let Source::Client { journal, .. } = source {
             if board.closed {
                 return Admission::Refused("draining; not accepting work".into());
             }
@@ -270,13 +376,17 @@ impl JobTable {
                 state.admit(*key, kind.label(), body, options);
             }
         }
-        let job = Arc::new(Job::new(board.next_id, kind, key));
+        let job = Arc::new(Job::new(board.next_id, kind, key, by_id));
         board.next_id += 1;
         board.jobs.push_back(Arc::clone(&job));
         // A job still waiting or running is never forgotten: its id was
         // answered with a `202` and must keep answering.
         while board.jobs.len() > self.capacity {
-            let Some(oldest) = board.jobs.iter().position(|job| job.settled()) else {
+            let Some(oldest) = board
+                .jobs
+                .iter()
+                .position(|job| locked(&job.life).settled())
+            else {
                 break;
             };
             board.jobs.remove(oldest);
@@ -297,7 +407,7 @@ impl JobTable {
         let mut board = locked(&self.board);
         loop {
             if let Some((job, work)) = board.waiting.pop_front() {
-                *locked(&job.phase) = Phase::Running;
+                locked(&job.life).phase = Phase::Running;
                 return Some((job, work));
             }
             if board.closed {
@@ -320,7 +430,8 @@ impl JobTable {
     }
 
     /// Settles a job: releases its slot, then publishes `outcome` to every
-    /// waiter. The release is guarded by pointer identity, so settling a
+    /// waiter and reader (evicting the job's trace unless it is kept). The
+    /// release is guarded by pointer identity, so settling a
     /// job that no longer leads its slot never evicts the leader that
     /// replaced it; the board's lock is dropped before the job's is taken.
     pub(crate) fn settle(&self, job: &Arc<Job>, outcome: Result<JobOutput, JobError>) {
@@ -419,7 +530,14 @@ mod tests {
     }
 
     fn admit(table: &JobTable, kind: JobKind, key: Option<JobKey>) -> Admission {
-        table.admit(kind, work(key), Source::Client(None))
+        table.admit(kind, work(key), client(false))
+    }
+
+    fn client(by_id: bool) -> Source<'static> {
+        Source::Client {
+            journal: None,
+            by_id,
+        }
     }
 
     fn leader(table: &JobTable, kind: JobKind, key: Option<JobKey>) -> Arc<Job> {
@@ -483,8 +601,93 @@ mod tests {
 
     #[test]
     fn wait_times_out_on_stuck_job() {
-        let job = Job::new(2, JobKind::Plan, None);
+        let job = Job::new(2, JobKind::Plan, None, false);
         assert!(job.wait(Duration::from_millis(10)).is_none());
+        // Its waiter answers with the id, so the trace outlives the settle.
+        job.write_line("kept");
+        job.publish(failure(500, "settled"));
+        assert_eq!(read_all(&job).0, ["kept"]);
+    }
+
+    /// Every line a new reader finds in `job`'s trace, and how many it
+    /// missed; the job must have settled.
+    fn read_all(job: &Job) -> (Vec<String>, u64) {
+        let mut cursor = Cursor::default();
+        let (lines, settled) = job.follow(&mut cursor, Duration::ZERO);
+        assert!(settled.is_some(), "the job has settled");
+        let lines = lines.iter().map(|line| line.to_string()).collect();
+        (lines, cursor.missed)
+    }
+
+    #[test]
+    fn a_trace_keeps_its_newest_lines_and_counts_the_rest() {
+        let job = Job::new(1, JobKind::Run, None, true);
+        for i in 0..TRACE_CAPACITY + 5 {
+            job.write_line(&format!("l{i}"));
+        }
+        let mut early = Cursor::default();
+        let (lines, settled) = job.follow(&mut early, Duration::ZERO);
+        assert!(settled.is_none());
+        assert_eq!((lines.len(), early.missed), (TRACE_CAPACITY, 5));
+        assert_eq!(&*lines[0], "l5");
+        // A reader that has read everything waits for the next line, and
+        // misses nothing more.
+        job.write_line("next");
+        let (lines, _) = job.follow(&mut early, Duration::ZERO);
+        assert_eq!(lines.iter().map(|l| &**l).collect::<Vec<_>>(), ["next"]);
+        job.publish(failure(500, "settled"));
+        let (lines, settled) = job.follow(&mut early, Duration::from_secs(5));
+        assert!(lines.is_empty() && settled.is_some());
+        assert_eq!(early.missed, 5);
+        // A reader that comes after the settle replays the same lines.
+        let (lines, missed) = read_all(&job);
+        assert_eq!((lines.len(), missed), (TRACE_CAPACITY, 6));
+        assert_eq!(lines.last().map(String::as_str), Some("next"));
+    }
+
+    #[test]
+    fn follow_wakes_on_a_line_and_on_the_settle() {
+        let job = Arc::new(Job::new(1, JobKind::Run, None, true));
+        let writer = {
+            let job = Arc::clone(&job);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                job.write_line("one");
+                std::thread::sleep(Duration::from_millis(20));
+                job.publish(failure(500, "settled"));
+            })
+        };
+        let mut cursor = Cursor::default();
+        let start = Instant::now();
+        let (lines, settled) = job.follow(&mut cursor, Duration::from_secs(30));
+        assert_eq!((lines.len(), settled.is_none()), (1, true));
+        let (lines, settled) = job.follow(&mut cursor, Duration::from_secs(30));
+        assert_eq!((lines.len(), settled.is_some()), (0, true));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        writer.join().unwrap();
+    }
+
+    /// A settled job keeps its trace only when a client was handed its id:
+    /// a `?wait=0` leader or follower marks it at admission.
+    #[test]
+    fn only_a_job_whose_id_was_handed_out_keeps_its_trace() {
+        let table = JobTable::new(8, 8);
+        let settle_with_a_line = |job: &Arc<Job>| {
+            job.write_line("line");
+            table.settle(job, failure(500, "settled"));
+            read_all(job)
+        };
+        let sync = leader(&table, JobKind::Run, None);
+        assert_eq!(settle_with_a_line(&sync), (vec![], 1));
+        let Admission::Leader(by_id) = table.admit(JobKind::Run, work(None), client(true)) else {
+            panic!("a keyless job leads");
+        };
+        assert_eq!(settle_with_a_line(&by_id), (vec!["line".into()], 0));
+        // A synchronous leader, then a `?wait=0` follower of its slot.
+        let followed = leader(&table, JobKind::Plan, Some((1, 2)));
+        let follower = table.admit(JobKind::Plan, work(Some((1, 2))), client(true));
+        assert!(matches!(follower, Admission::Follower(job) if job.id == followed.id));
+        assert_eq!(settle_with_a_line(&followed), (vec!["line".into()], 0));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!                                                          │
 //! JobTable::next ─ oldest waiting job → Running ───────────┘
 //!   └─ work::run_job ─ done | cached | failed | deadline | panicked
-//!        └─ work::settle: journal → count → JobTable::settle (release slot → publish + wake)
+//!        └─ work::settle: journal → count → JobTable::settle (release slot → publish)
 //! ```
 
 mod admission;
@@ -109,8 +109,8 @@ pub struct ServiceConfig {
     /// `deadline_ms`. `None` = unbounded (the search budget still applies).
     pub default_deadline: Option<Duration>,
     /// Concurrent `GET /v1/jobs/{id}/events` subscribers; beyond it new
-    /// streams are shed with 503 (each holds a connection thread and a
-    /// bounded event queue).
+    /// streams are shed with 503 (each holds a connection thread until its
+    /// job settles).
     pub sse_max_subscribers: usize,
     /// Directory for the write-ahead job journal; `None` runs stateless.
     pub state_dir: Option<PathBuf>,
@@ -341,9 +341,6 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
 /// counts itself idle again.
 fn serve_connections(mut stream: TcpStream, shared: &Shared) {
     loop {
-        // Connections share nothing through the thread: only a worker tags
-        // its thread with a job's event stream, and only while it runs it.
-        debug_assert_eq!(klotski_telemetry::current_stream(), 0);
         let _ = admission::handle_connection(&mut stream, shared);
         match shared.connections.next(stream) {
             Some(next) => stream = next,
@@ -517,15 +514,10 @@ mod testkit {
         }
     }
 
-    /// The fields of every `name` event queued on `events`. A subscription
-    /// to stream 0 hears every daemon in this test binary, so callers pick
-    /// their own event out by a field only they could have written.
-    pub(crate) fn events_named(
-        events: &klotski_telemetry::Subscription,
-        name: &str,
-    ) -> Vec<serde::Map> {
+    /// The fields of every `name` event in `ring`.
+    pub(crate) fn events_named(ring: &klotski_telemetry::RingSink, name: &str) -> Vec<serde::Map> {
         let mut found = Vec::new();
-        while let Some(line) = events.try_recv() {
+        for line in ring.lines() {
             match klotski_telemetry::parse_line(&line) {
                 Ok(klotski_telemetry::Record::Event {
                     name: n, fields, ..
@@ -712,7 +704,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // A torn write: 23 bytes that are no frame.
         std::fs::write(dir.join("journal.log"), [0xa5u8; 23]).unwrap();
-        let events = klotski_telemetry::bus().subscribe(0, 1 << 16);
+        // Start-up replays the journal on this thread, so this thread's
+        // scoped sink hears its report and no other test's.
+        let events = Arc::new(klotski_telemetry::RingSink::new(64));
+        let scope = klotski_telemetry::scope(events.clone());
 
         let service = Service::start(ServiceConfig {
             workers: 0,
@@ -721,12 +716,13 @@ mod tests {
         })
         .unwrap();
         service.shutdown();
+        drop(scope);
 
         let reported: Vec<Option<f64>> = events_named(&events, "service.journal_truncated")
             .iter()
             .map(|fields| fields.get("bytes").and_then(|v| v.as_f64()))
             .collect();
-        assert!(reported.contains(&Some(23.0)), "{reported:?}");
+        assert_eq!(reported, [Some(23.0)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -25,7 +25,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("klotski_audit_requests_total", "Audit submissions."),
     ("klotski_run_requests_total", "Scenario runs by terminal outcome."),
     ("klotski_sse_streams_total", "Event streams served by /v1/jobs/{id}/events."),
-    ("klotski_sse_lag_dropped_total", "Trace lines dropped on lagging event-stream subscribers."),
+    ("klotski_sse_lag_dropped_total", "Trace lines evicted from a job's trace before its event-stream reader reached them."),
     ("klotski_bad_requests_total", "Requests rejected 4xx."),
     ("klotski_rejected_busy_total", "Submissions rejected 503 (backpressure)."),
     ("klotski_jobs_completed_total", "Jobs finished successfully."),
@@ -367,7 +367,7 @@ klotski_run_requests_total{outcome=\"completed\"} 1
 klotski_run_requests_total{outcome=\"failed\"} 1
 klotski_run_requests_total{outcome=\"paused\"} 0
 klotski_run_requests_total{outcome=\"rolled_back\"} 1
-# HELP klotski_sse_lag_dropped_total Trace lines dropped on lagging event-stream subscribers.
+# HELP klotski_sse_lag_dropped_total Trace lines evicted from a job's trace before its event-stream reader reached them.
 # TYPE klotski_sse_lag_dropped_total counter
 klotski_sse_lag_dropped_total 5
 # HELP klotski_sse_streams_total Event streams served by /v1/jobs/{id}/events.

@@ -599,7 +599,8 @@ mod tests {
     #[test]
     fn failed_append_is_counted_and_traced_and_compaction_heals_it() {
         let dir = temp_dir("fault");
-        let events = klotski_telemetry::bus().subscribe(0, 1 << 16);
+        let events = Arc::new(klotski_telemetry::RingSink::new(64));
+        let scope = klotski_telemetry::scope(events.clone());
         let (store, _) = StateStore::open(&dir, 1 << 20).unwrap();
         let options = PlanRequestOptions::default();
         store.admit((1, 1), "plan", "{}", &options);
@@ -611,12 +612,14 @@ mod tests {
         store.admit(lost, "plan", "{}", &options);
         assert_eq!((store.errors(), store.records()), (1, 1));
         assert!(store.failing());
+        drop(scope);
         let traced = crate::testkit::events_named(&events, "service.journal_error");
-        let ours = traced
-            .iter()
-            .find(|f| f.get("key").and_then(|v| v.as_str()) == Some(key_hex(lost).as_str()))
-            .unwrap_or_else(|| panic!("no journal_error event for our key in {traced:?}"));
-        assert_eq!(ours.get("op").and_then(|v| v.as_str()), Some("admit"));
+        let [ours] = traced.as_slice() else {
+            panic!("one journal_error event expected, got {traced:?}");
+        };
+        let field = |name| ours.get(name).and_then(|v| v.as_str());
+        assert_eq!(field("key"), Some(key_hex(lost).as_str()));
+        assert_eq!(field("op"), Some("admit"));
 
         // The admit stayed pending in memory, so the next compaction
         // writes it after all — and reopens a writable handle.

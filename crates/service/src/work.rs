@@ -65,6 +65,17 @@ impl Outcome {
     fn failed(status: u16, message: String) -> Self {
         Outcome::Failed(JobError { status, message })
     }
+
+    /// The `outcome` field of the job's `service.job` span.
+    fn label(&self) -> &'static str {
+        match self {
+            Outcome::Done(JobOutput::Run(run)) => run.report.outcome_label(),
+            Outcome::Done(_) => "done",
+            Outcome::Cached(_) => "cached",
+            Outcome::Failed(error) if error.status == 504 => "deadline",
+            Outcome::Failed(_) => "failed",
+        }
+    }
 }
 
 /// Worker loop: take, run, settle. Exits when the board is closed and
@@ -84,33 +95,38 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
 /// daemon a worker, a coalesced follower its answer, or a restart a crash
 /// loop over the journaled admit.
 fn run_job(shared: &Shared, job: &Arc<Job>, work: &Work, pool: &Arc<WorkerPool>) {
-    // Tag this thread with the job's stream id: every trace line the job
-    // emits (planner progress, controller phases, the job span itself)
-    // reaches exactly this job's `/events` subscribers.
-    let _stream_tag = klotski_telemetry::tag_stream(job.stream);
-    let mut span =
-        klotski_telemetry::span!("service.job", "kind" = job.kind.label(), "job" = job.id,);
-    let outcome = catch_unwind(AssertUnwindSafe(|| match work {
-        Work::Plan {
-            npd,
-            options,
-            key,
-            body,
-        } => run_plan_job(shared, job, pool, npd, options, *key, body),
-        Work::Run {
-            scenario,
-            deadline_ms,
-        } => run_scenario_job(shared, job, &mut span, scenario, *deadline_ms),
-    }))
-    .unwrap_or_else(|panic| {
-        let why = panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "unknown panic".into());
-        Outcome::failed(500, format!("internal error: job panicked: {why}"))
-    });
-    span.field("outcome", settle(shared, job, outcome));
+    let outcome = {
+        // The job is this thread's scoped sink while it runs: every line it
+        // emits (planner progress, controller phases, the job span itself)
+        // joins its trace. The span, then the scope, close before the
+        // settle publishes, so a reader's `end` follows the job's last line.
+        let _trace = klotski_telemetry::scope(Arc::clone(job));
+        let mut span =
+            klotski_telemetry::span!("service.job", "kind" = job.kind.label(), "job" = job.id,);
+        let outcome = catch_unwind(AssertUnwindSafe(|| match work {
+            Work::Plan {
+                npd,
+                options,
+                key,
+                body,
+            } => run_plan_job(shared, job, pool, npd, options, *key, body),
+            Work::Run {
+                scenario,
+                deadline_ms,
+            } => run_scenario_job(shared, job, &mut span, scenario, *deadline_ms),
+        }))
+        .unwrap_or_else(|panic| {
+            let why = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".into());
+            Outcome::failed(500, format!("internal error: job panicked: {why}"))
+        });
+        span.field("outcome", outcome.label());
+        outcome
+    };
+    settle(shared, job, outcome);
 }
 
 /// The one exit of every job: resolve the journaled admit, count, then
@@ -120,9 +136,8 @@ fn run_job(shared: &Shared, job: &Arc<Job>, work: &Work, pool: &Arc<WorkerPool>)
 /// its admit *after* this job's terminal record, never before it; counting
 /// precedes the publish so whoever is woken already reads the moved
 /// metrics; the slot is released before the publish so nothing observes a
-/// finished job still leading its slot. Returns the outcome's label (the
-/// `outcome` field of the job's `service.job` span).
-pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'static str {
+/// finished job still leading its slot.
+pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) {
     if let (Some(state), Some(key)) = (&shared.state, job.key) {
         match &outcome {
             Outcome::Done(JobOutput::Plan(artifact)) => {
@@ -135,24 +150,22 @@ pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'sta
         }
     }
     let metrics = &shared.metrics;
-    let (label, result) = match outcome {
+    let result = match outcome {
         Outcome::Done(JobOutput::Run(run)) => {
-            let label = run.report.outcome_label();
-            metrics.run_outcome(label).inc();
-            (label, Ok(JobOutput::Run(run)))
+            metrics.run_outcome(run.report.outcome_label()).inc();
+            Ok(JobOutput::Run(run))
         }
-        Outcome::Done(output) => ("done", Ok(output)),
-        Outcome::Cached(artifact) => ("cached", Ok(JobOutput::Plan(artifact))),
+        Outcome::Done(output) => Ok(output),
+        Outcome::Cached(artifact) => Ok(JobOutput::Plan(artifact)),
         Outcome::Failed(error) => {
             metrics.jobs_failed.inc();
             if job.kind == JobKind::Run {
                 metrics.run_outcome("failed").inc();
             }
-            let deadline = error.status == 504;
-            if deadline {
+            if error.status == 504 {
                 metrics.jobs_cancelled.inc();
             }
-            (if deadline { "deadline" } else { "failed" }, Err(error))
+            Err(error)
         }
     };
     if result.is_ok() {
@@ -160,9 +173,6 @@ pub(crate) fn settle(shared: &Shared, job: &Arc<Job>, outcome: Outcome) -> &'sta
         metrics.latency.record(job.admitted.elapsed());
     }
     shared.jobs.settle(job, result);
-    // An event stream learns of the settlement now, not at its heartbeat.
-    klotski_telemetry::bus().wake(job.stream);
-    label
 }
 
 /// The key a request's verdicts are kept under: the digest of its document

@@ -1,16 +1,19 @@
 //! # klotski-telemetry
 //!
-//! The observability substrate shared by the planner, the routing engine,
-//! the worker pool, the service, and the CLI. Std-only, like the rest of
-//! the workspace. Two independent facilities:
+//! The observability substrate shared by the planner, the controller, the
+//! service, the CLI and the report binary (the routing engine and the
+//! worker pool return counts and do not link it). Std-only, like the rest
+//! of the workspace. Two independent facilities:
 //!
 //! * **Spans and events** — hierarchical RAII spans ([`SpanGuard`]) with a
 //!   thread-local span stack and monotonic microsecond timestamps, emitted
 //!   as JSONL to a process-global pluggable [`Sink`] (file, stderr, or an
-//!   in-memory ring buffer for tests). Emission is gated at runtime:
-//!   nothing is recorded unless a sink is installed or the [`bus()`] has a
-//!   subscriber ([`emit_enabled`] is two relaxed atomic loads), so the
-//!   instrumented hot paths cost near zero when tracing is off.
+//!   in-memory ring buffer) and to the emitting thread's scoped sink, if
+//!   it holds one ([`scope`]: the service scopes each job to its worker
+//!   thread, so the job keeps its own trace). Emission is gated at
+//!   runtime: nothing is recorded unless one of the two exists
+//!   ([`emit_enabled`] is a relaxed atomic load and a thread-local read),
+//!   so the instrumented hot paths cost near zero when tracing is off.
 //! * **Metrics** — lock-free [`Counter`]s, gauges, and
 //!   [`LogLinearHistogram`]s behind a [`Registry`] (one process-global,
 //!   one per service instance), rendered in Prometheus text format by one
@@ -35,29 +38,27 @@
 //! assert_eq!(ring.lines().len(), 1);
 //! ```
 
-mod bus;
 mod metrics;
 mod schema;
 mod sink;
 mod span;
 
-pub use bus::{bus, current_stream, tag_stream, Subscription};
 pub use metrics::{registry, Counter, LogLinearHistogram, Registry};
 pub use schema::{parse_line, validate_trace, Record};
-pub use sink::{install, swap, uninstall, FileSink, RingSink, Sink, StderrSink};
+pub use sink::{install, scope, swap, uninstall, FileSink, RingSink, Sink, SinkScope, StderrSink};
 pub use span::{log_event_fields, SpanGuard};
 
-/// True when emitting a span/event line would reach anyone: a sink is
-/// installed or the [`bus`] has at least one live subscriber. The runtime
-/// gate used by [`span!`]/[`log_event!`] and [`SpanGuard::enter`]; two
-/// relaxed atomic loads on the hot path.
+/// True when a span/event line emitted on this thread would reach a sink:
+/// a global one is installed or this thread holds a scoped one. The
+/// runtime gate used by [`span!`]/[`log_event!`] and
+/// [`SpanGuard::enter`]; a relaxed atomic load and a thread-local read.
 #[inline]
 pub fn emit_enabled() -> bool {
-    sink::enabled() || bus::bus().has_subscribers()
+    sink::enabled() || sink::scoped()
 }
 
 /// Shared test-only lock serializing tests that install process-global
-/// sinks or assert on lines flowing through the global bus.
+/// sinks or assert that emission is dark.
 #[cfg(test)]
 mod test_support {
     use std::sync::{Mutex, MutexGuard};

@@ -1,14 +1,19 @@
-//! Pluggable trace sinks and the process-global sink slot.
+//! Pluggable trace sinks: the process-global sink slot, and one scoped
+//! sink per thread.
 //!
-//! Exactly one sink is installed at a time. The hot-path gate is
-//! [`enabled`] — a single relaxed atomic load — so instrumented code pays
-//! nothing beyond that when tracing is off. Swapping sinks flushes the
-//! outgoing one, so a caller that uninstalls a [`FileSink`] can read a
-//! complete file immediately afterwards.
+//! At most one global sink is installed at a time; swapping sinks flushes
+//! the outgoing one, so a caller that uninstalls a [`FileSink`] can read a
+//! complete file immediately afterwards. A thread may also hold a scoped
+//! sink while a [`SinkScope`] guard lives ([`scope`]): it hears the lines
+//! emitted on that thread only, whether or not a global sink is installed.
+//! The hot-path gate is a relaxed atomic load and a thread-local read, so
+//! instrumented code pays nothing beyond that when neither exists.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write};
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -25,12 +30,39 @@ pub trait Sink: Send + Sync {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<dyn Sink>>> = RwLock::new(None);
 
-/// True when a sink is installed. This is the fast path every span/event
-/// checks first; keep call sites cheap by checking it before building
-/// fields.
+thread_local! {
+    /// This thread's scoped sink, held while a [`SinkScope`] lives.
+    static SCOPED: RefCell<Option<Arc<dyn Sink>>> = const { RefCell::new(None) };
+}
+
+/// True when a global sink is installed.
 #[inline]
 pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// True when this thread holds a scoped sink.
+#[inline]
+pub(crate) fn scoped() -> bool {
+    SCOPED.with(|s| s.borrow().is_some())
+}
+
+/// Makes `sink` this thread's scoped sink until the guard drops: every line
+/// emitted on this thread reaches it too, and lines emitted on other
+/// threads never do.
+pub fn scope<S: Sink + 'static>(sink: Arc<S>) -> SinkScope {
+    SCOPED.with(|s| *s.borrow_mut() = Some(sink));
+    SinkScope(PhantomData)
+}
+
+/// Holds a thread's scoped sink until dropped. `!Send` for the same reason
+/// [`crate::SpanGuard`] is: the scope lives in a thread-local.
+pub struct SinkScope(PhantomData<*const ()>);
+
+impl Drop for SinkScope {
+    fn drop(&mut self) {
+        SCOPED.with(|s| *s.borrow_mut() = None);
+    }
 }
 
 /// Installs `sink` as the process-global trace sink, replacing (and
@@ -59,17 +91,21 @@ pub fn swap(new: Option<Arc<dyn Sink>>) -> Option<Arc<dyn Sink>> {
     old
 }
 
-/// Writes one line to the installed sink, if any, and offers it to the
-/// live-subscriber [`bus`](crate::bus) — the two destinations are
-/// independent, so SSE streaming works with no sink installed and a trace
-/// file still captures everything while subscribers watch.
+/// Writes one line to the global sink, if one is installed, and to this
+/// thread's scoped sink, if it holds one. The two are independent: a job's
+/// scoped trace fills with no global sink, and a trace file still captures
+/// every thread's lines while a job's trace is kept.
 pub(crate) fn emit(line: &str) {
     if enabled() {
         if let Some(sink) = SINK.read().unwrap().as_ref() {
             sink.write_line(line);
         }
     }
-    crate::bus::bus().publish(line);
+    SCOPED.with(|s| {
+        if let Some(sink) = s.borrow().as_ref() {
+            sink.write_line(line);
+        }
+    });
 }
 
 /// Writes trace lines to stderr, one per call. Used by the `report`
@@ -155,6 +191,58 @@ mod tests {
             ring.write_line(&format!("line{i}"));
         }
         assert_eq!(ring.lines(), vec!["line2", "line3", "line4"]);
+    }
+
+    #[test]
+    fn a_scoped_sink_hears_its_own_thread_until_its_guard_drops() {
+        // No global sink, so emission is this thread's scope alone; the
+        // lock keeps the sink-swapping tests from installing one meanwhile.
+        let _guard = crate::test_support::sink_lock();
+        let prev = crate::swap(None);
+        let ring = Arc::new(RingSink::new(16));
+        assert!(!crate::emit_enabled());
+        {
+            let _scope = scope(ring.clone());
+            assert!(
+                crate::emit_enabled(),
+                "a scoped sink alone enables emission"
+            );
+            crate::log_event!("scope.test", "n" = 7u64);
+            std::thread::spawn(|| {
+                assert!(!crate::emit_enabled(), "the scope is this thread's only");
+                crate::log_event!("scope.other");
+            })
+            .join()
+            .unwrap();
+        }
+        assert!(!crate::emit_enabled(), "the scope ends with its guard");
+        crate::log_event!("scope.after");
+        let lines = ring.lines();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        match crate::parse_line(&lines[0]).unwrap() {
+            crate::Record::Event { name, fields, .. } => {
+                assert_eq!(name, "scope.test");
+                assert_eq!(fields.get("n").and_then(|v| v.as_f64()), Some(7.0));
+            }
+            other => panic!("expected event, got {other:?}"),
+        }
+        crate::swap(prev);
+    }
+
+    #[test]
+    fn a_line_reaches_both_the_global_and_the_scoped_sink() {
+        let _guard = crate::test_support::sink_lock();
+        let global = Arc::new(RingSink::new(16));
+        let prev = crate::swap(Some(global.clone()));
+        let scoped = Arc::new(RingSink::new(16));
+        {
+            let _scope = scope(scoped.clone());
+            emit("a");
+        }
+        emit("b");
+        crate::swap(prev);
+        assert_eq!(scoped.lines(), ["a"]);
+        assert_eq!(global.lines(), ["a", "b"]);
     }
 
     #[test]

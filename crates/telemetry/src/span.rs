@@ -174,8 +174,8 @@ mod tests {
     }
 
     fn with_ring(f: impl FnOnce(&RingSink)) {
-        // Sink-installing tests share the process-global slot (and the
-        // bus tests flip the emit_enabled gate); serialize them.
+        // Sink-installing tests share the process-global slot; serialize
+        // them.
         let _guard = crate::test_support::sink_lock();
         let ring = Arc::new(RingSink::new(1024));
         let prev = crate::swap(Some(ring.clone() as Arc<dyn crate::Sink>));
