@@ -163,4 +163,7 @@ lines "reused connection threads: a thread is spawned for a connection in one pl
 lines "reused connection threads: every accept is offered to an idle connection thread before a thread is spawned for it" 1 'if let Err\(stream\) = shared\.connections\.give\(stream\)' crates/service/src/lib.rs
 absent "a job keeps its own trace: lines reach it through its worker thread's scoped sink, and /events replays it; the process-global event bus, its stream ids and thread tags stay deleted" 'EventBus|tag_stream|next_stream_id|current_stream\(' crates src tests
 
+absent "SIEVE eviction: the plan cache evicts by its hand over one insertion-ordered queue; FIFO's pop from the front stays deleted" 'pop_front' crates/service/src/cache.rs
+lines "SIEVE eviction: the plan cache has one eviction site, so no second policy sits beside the hand" 1 'evictions \+= 1' crates/service/src/cache.rs
+
 exit "$failed"

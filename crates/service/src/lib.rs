@@ -609,6 +609,60 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A cache whose hits made it evict from the middle of its queue is
+    /// compacted at shutdown and replayed on the same `--state-dir`: the
+    /// restarted cache holds the same keys in the same age order, and no
+    /// visited bit survives, so it evicts oldest-first until it is hit.
+    #[test]
+    fn a_restart_replays_the_cache_in_age_order_with_no_entry_visited() {
+        let dir = std::env::temp_dir().join(format!("klotski-serve-sieve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || ServiceConfig {
+            workers: 0,
+            cache_capacity: 4,
+            state_dir: Some(dir.clone()),
+            ..ServiceConfig::default()
+        };
+        let npd = region_to_npd(&presets::config(PresetId::A));
+        let budget = klotski_core::planner::SearchBudget::default();
+        let options = PlanRequestOptions::default();
+        let artifact = Arc::new(pipeline::plan_document(&npd, &options, budget, None).unwrap());
+        let ages = |service: &Service| -> Vec<u64> {
+            let snapshot = service.shared.cache.snapshot();
+            snapshot.iter().map(|(key, _)| key.0).collect()
+        };
+        let body = cache::Body::new(b"");
+
+        let service = Service::start(config()).unwrap();
+        let cache = &service.shared.cache;
+        for i in 0..4 {
+            cache.insert((i, 0), Arc::clone(&artifact), None, None);
+        }
+        assert!(cache.get((0, 0), body).is_some() && cache.get((2, 0), body).is_some());
+        // The hand keeps 0 and 2 and takes 1, then 3, from the middle.
+        for i in 4..6 {
+            cache.insert((i, 0), Arc::clone(&artifact), None, None);
+        }
+        assert_eq!(ages(&service), [0, 2, 4, 5]);
+        // Hit at shutdown: these bits are set when the journal is compacted.
+        assert!(cache.get((0, 0), body).is_some() && cache.get((5, 0), body).is_some());
+        service.shutdown();
+
+        let service = Service::start(config()).unwrap();
+        assert_eq!(ages(&service), [0, 2, 4, 5]);
+        let cache = &service.shared.cache;
+        for (_, replayed) in cache.snapshot() {
+            assert_eq!(replayed.plan_json, artifact.plan_json);
+        }
+        // Visited, 0 would outlive 2; replayed unvisited, both go first.
+        for i in 6..8 {
+            cache.insert((i, 0), Arc::clone(&artifact), None, None);
+        }
+        assert_eq!(ages(&service), [4, 5, 6, 7]);
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// One `admit` frame for `npd` under `theta`, as the release before the
     /// speed knobs left the wire wrote it: the options object still carries
     /// `incremental` and `esc_cache_cap`.

@@ -39,7 +39,7 @@ const FAMILIES: &[(&str, &str)] = &[
     ("klotski_cache_hits_total", "Plan-cache hits."),
     ("klotski_cache_misses_total", "Plan-cache misses."),
     ("klotski_cache_hit_rate", "Plan-cache hit fraction."),
-    ("klotski_cache_evictions_total", "Plan-cache FIFO evictions."),
+    ("klotski_cache_evictions_total", "Plan-cache SIEVE evictions."),
     ("klotski_coalesce_leaders_total", "Submissions that led an in-flight key."),
     ("klotski_coalesce_followers_total", "Submissions coalesced onto an in-flight leader."),
     ("klotski_pipeline_executions_total", "Planning pipeline executions (work not absorbed by cache or coalescing)."),
@@ -297,7 +297,7 @@ klotski_bad_requests_total 0
 # HELP klotski_cache_entries Entries in the shared plan cache.
 # TYPE klotski_cache_entries gauge
 klotski_cache_entries 5
-# HELP klotski_cache_evictions_total Plan-cache FIFO evictions.
+# HELP klotski_cache_evictions_total Plan-cache SIEVE evictions.
 # TYPE klotski_cache_evictions_total counter
 klotski_cache_evictions_total 3
 # HELP klotski_cache_hit_rate Plan-cache hit fraction.
